@@ -1,14 +1,17 @@
 #!/bin/sh
-# Repository CI gate: formatting, vet, package-doc drift, build, full tests,
+# Repository CI gate: formatting, vet, package-doc drift, build (native and
+# cross-compiled to arm64), full tests, the kernel packages again on the
+# portable -tags purego path, a no-FMA grep over the assembly kernels,
 # race-detector runs of the packages with concurrency (the parallel GEMM
 # kernels, the device-parallel trainer, the campaign worker pool, and the
 # distributed coordinator/worker protocol), fuzz smokes of the journal
-# parser/repairer, a graceful SIGINT kill-and-resume smoke, a SIGKILL crash
-# loop that repeatedly murders a device-fault campaign mid-write and
-# requires -resume -repair-journal to converge to the byte-identical
-# reference, and a campaignd smoke that runs a sharded campaign through a
-# real coordinator + two worker processes on loopback and cmps the merged
-# journal against the single-process one.
+# parser/repairer and of the GEMM kernels against their naive oracle, a
+# graceful SIGINT kill-and-resume smoke, a SIGKILL crash loop that repeatedly
+# murders a device-fault campaign mid-write and requires -resume
+# -repair-journal to converge to the byte-identical reference, and a
+# campaignd smoke that runs a sharded campaign through a real coordinator +
+# two worker processes on loopback and cmps the merged journal against the
+# single-process one.
 #
 # Usage: ./ci.sh
 set -eu
@@ -42,10 +45,23 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== cross-compile gate (the assembly kernels have a pure-Go twin on every other architecture) =="
+GOARCH=arm64 go build ./...
+
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (concurrent packages) =="
+echo "== portable kernel path (-tags purego: the Go loops the assembly replaces must not rot) =="
+go vet -tags purego ./internal/tensor
+go test -tags purego ./internal/tensor ./internal/nn ./internal/train
+
+echo "== no fused multiply-add in the assembly (one rounding instead of two breaks bitwise identity with the Go loops) =="
+if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/*.s; then
+	echo "fused multiply-add in a kernel" >&2
+	exit 1
+fi
+
+echo "== go test -race (concurrent packages; assembly is invisible to the detector, its Go callers are not) =="
 go test -race ./internal/tensor ./internal/nn ./internal/train
 
 echo "== recovery strategies under -race (JIT restore goroutine, elastic resize, parallel-vs-serial guard equivalence) =="
@@ -137,6 +153,9 @@ echo "== journal fuzz smoke (parser must not panic, repairer must converge) =="
 go test -run '^$' -fuzz 'FuzzParseJournal' -fuzztime 3s ./internal/record
 go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 
+echo "== GEMM fuzz smoke (every fp32 entry point against the naive triple loop) =="
+go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
+
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="
 "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
 	-device-faults all -quarantine -json "$tmp/dfref.json" >/dev/null
@@ -178,7 +197,7 @@ echo "== campaign bench smoke (-benchtime=1x) =="
 go test -run '^$' -bench 'BenchmarkCampaign(Cold|Forked|ForkedTelemetry|ForkedUnordered)$' -benchtime 1x .
 
 echo "== kernel bench smoke (-benchtime=1x) =="
-go test -run '^$' -bench 'BenchmarkKernel_(GEMMPool|GEMMMixedPacked|GEMMMixedL2Tiled|TrainStepMixed)$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkKernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMPool|GEMMMixedPacked|GEMMMixedL2Tiled|TrainStepMixed)$' -benchtime 1x .
 
 echo "== overhead bench smoke (-benchtime=1x) =="
 go test -run '^$' -bench 'BenchmarkOverhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep))$' -benchtime 1x .

@@ -42,47 +42,50 @@ func (r *ReLU) Workspace() *tensor.Workspace { return r.ws }
 // Forward implements Layer. With Context.CollectStats, the copy loop also
 // tracks the output abs-max: only copied positives can contribute (masked
 // elements are 0, whose abs-bits never win the maximum), so the running max
-// equals a post-hoc sweep of the output. A NaN input is masked to 0 by the
-// `v > 0` test, exactly as in the sweep.
+// equals a post-hoc sweep of the output. A NaN input is masked to 0, exactly
+// as in the sweep.
 func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	// Workspace buffer, not a fresh allocation: the else branches must write
-	// explicit zeros (a fresh tensor got them implicitly) because the buffer
-	// carries the previous call's values.
-	out := r.ws.Get(wsFwdKey(ctx), x.Shape...)
+	// Workspace buffer, not a fresh allocation: masked elements must be
+	// written as explicit zeros (a fresh tensor got them implicitly) because
+	// the buffer carries the previous call's values.
+	out := r.ws.Get("out", x.Shape...)
 	if cap(r.lastMask) < x.Len() {
 		r.lastMask = make([]bool, x.Len())
 	}
 	r.lastMask = r.lastMask[:x.Len()]
 	collect := ctx != nil && ctx.CollectStats
-	var trk tensor.AbsMaxTracker
-	if collect {
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-				r.lastMask[i] = true
-				trk.Observe(v)
-			} else {
-				out.Data[i] = 0
-				r.lastMask[i] = false
-			}
-		}
-	} else {
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-				r.lastMask[i] = true
-			} else {
-				out.Data[i] = 0
-				r.lastMask[i] = false
-			}
-		}
+	maxBits := reluForward(out.Data, x.Data, r.lastMask)
+	if !collect {
+		maxBits = 0
 	}
-	r.outAbsMax, r.outStatsOK = trk.Value(), collect
+	r.outAbsMax, r.outStatsOK = tensor.AbsMaxOfBits(maxBits), collect
 	// Every element was just rewritten, so any prior out-of-band mutation of
 	// the reused buffer is gone; restore the clean-tensor semantics a fresh
 	// allocation had.
 	out.ClearDirty()
 	return out
+}
+
+// reluForward writes out[i] = x[i] if x[i] > 0, else +0, records the test in
+// mask, and returns the largest output bit pattern (outputs are never
+// negative, so that is the abs-max). The sign of an activation is close to a
+// coin flip, so `if v > 0` mispredicts every other element; the test is done
+// on the bit pattern instead and applied as an AND mask. v > 0 holds exactly
+// when the pattern b satisfies 0 < b <= +Inf's — sign clear, not zero, not a
+// NaN — i.e. when b-1, taken unsigned, is below +Inf's pattern: zero wraps to
+// the top, negatives and NaNs already sit above.
+func reluForward(out, x []float32, mask []bool) (maxBits uint32) {
+	const posInf = 0x7f800000
+	out, mask = out[:len(x)], mask[:len(x)]
+	for i, v := range x {
+		b := math.Float32bits(v)
+		keep := uint32(int64(uint64(b-1)-posInf) >> 63) // all ones if kept, else 0
+		b &= keep
+		out[i] = math.Float32frombits(b)
+		mask[i] = keep != 0
+		maxBits = max(maxBits, b)
+	}
+	return maxBits
 }
 
 // OutAbsMax implements OutputStats.
@@ -91,15 +94,23 @@ func (r *ReLU) OutAbsMax() (float32, bool) { return r.outAbsMax, r.outStatsOK }
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := r.ws.Get("dx", gradOut.Shape...)
-	for i, pass := range r.lastMask {
-		if pass {
-			gradIn.Data[i] = gradOut.Data[i]
-		} else {
-			gradIn.Data[i] = 0
-		}
-	}
+	reluBackward(gradIn.Data, gradOut.Data, r.lastMask)
 	gradIn.ClearDirty()
 	return gradIn
+}
+
+// reluBackward writes gradIn[i] = gradOut[i] where mask[i], else +0, as an
+// AND with the mask widened to all ones — no branch on the mask (the
+// `if pass { k = 1 }` form compiles to a zero-extension of the bool).
+func reluBackward(gradIn, gradOut []float32, mask []bool) {
+	gradIn, gradOut = gradIn[:len(mask)], gradOut[:len(mask)]
+	for i, pass := range mask {
+		var k uint32
+		if pass {
+			k = 1
+		}
+		gradIn[i] = math.Float32frombits(math.Float32bits(gradOut[i]) & -k)
+	}
 }
 
 // Tanh activation.

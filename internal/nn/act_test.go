@@ -1,0 +1,187 @@
+package nn
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/tensor"
+)
+
+// reluBranchy is the ReLU forward/backward as it was written before the
+// mask-select version: one `v > 0` branch per element, abs-max observed only
+// on the kept values. The bitwise reference for TestReLUBranchFreeBitwise.
+func reluBranchy(x, gradOut []float32) (out []float32, mask []bool, absMax float32, gradIn []float32) {
+	out, mask, gradIn = make([]float32, len(x)), make([]bool, len(x)), make([]float32, len(x))
+	var trk tensor.AbsMaxTracker
+	for i, v := range x {
+		if v > 0 {
+			out[i] = v
+			mask[i] = true
+			trk.Observe(v)
+		} else {
+			out[i] = 0
+			mask[i] = false
+		}
+	}
+	for i, pass := range mask {
+		if pass {
+			gradIn[i] = gradOut[i]
+		} else {
+			gradIn[i] = 0
+		}
+	}
+	return out, mask, trk.Value(), gradIn
+}
+
+// TestReLUBranchFreeBitwise holds the mask-select ReLU to the branchy loop on
+// every class of bit pattern the sign/NaN test has to get right: ±0, the
+// smallest and largest subnormals and normals of both signs, ±Inf, quiet and
+// signaling NaNs of both signs with assorted payloads, and random values.
+// NaN and -0 inputs must come out as +0 with a false mask; a masked NaN
+// gradient must come out as +0, a passed one bit for bit.
+func TestReLUBranchFreeBitwise(t *testing.T) {
+	edges := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // subnormals
+		0x00800000, 0x80800000, 0x7f7fffff, 0xff7fffff, // smallest/largest normals
+		0x3f800000, 0xbf800000,
+		0x7f800000, 0xff800000, // ±Inf
+		0x7f800001, 0xff800001, 0x7fbfffff, 0xffbfffff, // signaling NaNs
+		0x7fc00000, 0xffc00000, 0x7fc0beef, 0xffc0beef, 0x7fffffff, 0xffffffff, // quiet NaNs
+	}
+	r := rng.NewFromInt(91)
+	var x, g []float32
+	for _, xb := range edges {
+		for _, gb := range edges {
+			x = append(x, math.Float32frombits(xb))
+			g = append(g, math.Float32frombits(gb))
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		x = append(x, float32(r.NormFloat64()))
+		g = append(g, math.Float32frombits(r.Uint32()))
+	}
+
+	wantOut, wantMask, wantMax, wantGrad := reluBranchy(x, g)
+	for _, collect := range []bool{false, true} {
+		relu := NewReLU()
+		out := relu.Forward(&Context{Training: true, CollectStats: collect}, tensor.FromSlice(x, len(x)))
+		gradIn := relu.Backward(tensor.FromSlice(g, len(g)))
+		for i := range x {
+			if got, want := math.Float32bits(out.Data[i]), math.Float32bits(wantOut[i]); got != want {
+				t.Fatalf("collect=%v: out[%d] for x=%#08x is %#08x, want %#08x", collect, i, math.Float32bits(x[i]), got, want)
+			}
+			if relu.lastMask[i] != wantMask[i] {
+				t.Fatalf("collect=%v: mask[%d] for x=%#08x is %v, want %v", collect, i, math.Float32bits(x[i]), relu.lastMask[i], wantMask[i])
+			}
+			if got, want := math.Float32bits(gradIn.Data[i]), math.Float32bits(wantGrad[i]); got != want {
+				t.Fatalf("collect=%v: gradIn[%d] for g=%#08x mask=%v is %#08x, want %#08x", collect, i, math.Float32bits(g[i]), wantMask[i], got, want)
+			}
+		}
+		absMax, ok := relu.OutAbsMax()
+		if ok != collect {
+			t.Fatalf("collect=%v: OutAbsMax ok = %v", collect, ok)
+		}
+		want := float32(0) // nothing observed without CollectStats
+		if collect {
+			want = wantMax
+		}
+		if math.Float32bits(absMax) != math.Float32bits(want) {
+			t.Fatalf("collect=%v: OutAbsMax = %v, want %v", collect, absMax, want)
+		}
+	}
+}
+
+// attentionRef is the attention layer as it was written before it drew its
+// buffers from a Workspace: every product through the allocating kernels.
+// Returns the output, the input gradient and the four weight gradients.
+func attentionRef(at *Attention, x, gradOut *tensor.Tensor) (out, gradIn *tensor.Tensor, dW [4]*tensor.Tensor) {
+	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
+	mm := func(a, b *tensor.Tensor) *tensor.Tensor {
+		return tensor.MatMulInto(tensor.New(a.Shape[0], b.Shape[1]), a, b, at.Mixed)
+	}
+	out, gradIn = tensor.New(b, l, d), tensor.New(b, l, d)
+	for i, p := range at.Params() {
+		dW[i] = tensor.New(p.Value.Shape...)
+	}
+	scale := float32(1 / math.Sqrt(float64(at.Dk)))
+	for bi := 0; bi < b; bi++ {
+		xb := tensor.FromSlice(x.Data[bi*l*d:(bi+1)*l*d], l, d)
+		gy := tensor.FromSlice(gradOut.Data[bi*l*d:(bi+1)*l*d], l, d)
+		qb, kb, vb := mm(xb, at.Wq.Value), mm(xb, at.Wk.Value), mm(xb, at.Wv.Value)
+		s := tensor.MatMulTB(qb, kb, at.Mixed)
+		s.Scale(scale)
+		a := softmaxRowsInto(tensor.New(l, l), s)
+		ob := mm(a, vb)
+		copy(out.Data[bi*l*d:(bi+1)*l*d], mm(ob, at.Wo.Value).Data)
+
+		dW[3].AddInPlace(tensor.MatMulTA(ob, gy, at.Mixed))
+		gO := tensor.MatMulTB(gy, at.Wo.Value, at.Mixed)
+		gA := tensor.MatMulTB(gO, vb, at.Mixed)
+		gV := tensor.MatMulTA(a, gO, at.Mixed)
+		gS := softmaxRowsBackwardInto(tensor.New(l, l), a, gA)
+		gS.Scale(scale)
+		gQ := mm(gS, kb)
+		gK := tensor.MatMulTA(gS, qb, at.Mixed)
+		dW[0].AddInPlace(tensor.MatMulTA(xb, gQ, at.Mixed))
+		dW[1].AddInPlace(tensor.MatMulTA(xb, gK, at.Mixed))
+		dW[2].AddInPlace(tensor.MatMulTA(xb, gV, at.Mixed))
+		gx := tensor.MatMulTB(gQ, at.Wq.Value, at.Mixed)
+		gx.AddInPlace(tensor.MatMulTB(gK, at.Wk.Value, at.Mixed))
+		gx.AddInPlace(tensor.MatMulTB(gV, at.Wv.Value, at.Mixed))
+		copy(gradIn.Data[bi*l*d:(bi+1)*l*d], gx.Data)
+	}
+	return out, gradIn, dW
+}
+
+// TestAttentionWorkspace: attention through its Workspace is bitwise-equal to
+// the allocating formulation — across a batch-size swing (training shard,
+// evaluation batch, training shard again: buffers grow once and are resliced)
+// and a workspace scrub — and a steady-state forward+backward allocates
+// nothing.
+func TestAttentionWorkspace(t *testing.T) {
+	for _, mixed := range []bool{false, true} {
+		r := rng.NewFromInt(93)
+		at := NewAttention("attn", 12, 12, r, mixed)
+		for step, b := range []int{2, 5, 2, 2} {
+			x, gradOut := tensor.New(b, 8, 12), tensor.New(b, 8, 12)
+			x.FillNormal(r, 0, 1)
+			gradOut.FillNormal(r, 0, 1)
+			wantOut, wantIn, wantDW := attentionRef(at, x, gradOut)
+			if step == 3 {
+				at.Workspace().Reset()
+			}
+			for _, p := range at.Params() {
+				p.Grad.Zero()
+			}
+			out := at.Forward(nil, x)
+			gradIn := at.Backward(gradOut)
+			check := func(name string, got, want *tensor.Tensor) {
+				t.Helper()
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("mixed=%v step %d (batch %d): %s[%d] = %v, want %v", mixed, step, b, name, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+			check("out", out, wantOut)
+			check("gradIn", gradIn, wantIn)
+			for i, p := range at.Params() {
+				check(p.Name+".grad", p.Grad, wantDW[i])
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		x, gradOut := tensor.New(2, 8, 12), tensor.New(2, 8, 12)
+		x.FillNormal(r, 0, 1)
+		gradOut.FillNormal(r, 0, 1)
+		if allocs := testing.AllocsPerRun(20, func() {
+			at.Forward(nil, x)
+			at.Backward(gradOut)
+		}); allocs != 0 {
+			t.Errorf("mixed=%v: steady-state attention forward+backward allocates %v times, want 0", mixed, allocs)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if !y.SameShape(x) {
 		panic(fmt.Sprintf("nn: residual branch %s changed shape %v -> %v", r.name, x.Shape, y.Shape))
 	}
-	out := r.ws.Get(wsFwdKey(ctx), y.Shape...)
+	out := r.ws.Get("out", y.Shape...)
 	copy(out.Data, y.Data)
 	out.AddInPlace(x)
 	out.ClearDirty()

@@ -261,16 +261,6 @@ func (s *Sequential) PinLane(lane int) {
 	})
 }
 
-// wsFwdKey is the forward-output workspace key for ctx, split by
-// training/eval mode: the training shard and the full test batch alternate
-// shapes, and a single key would reallocate on every swing.
-func wsFwdKey(ctx *Context) string {
-	if ctx == nil || !ctx.Training {
-		return "out.eval"
-	}
-	return "out.train"
-}
-
 // BatchNorms returns every BatchNorm of the model in deterministic
 // traversal order, including those nested inside container layers.
 func (s *Sequential) BatchNorms() []*BatchNorm {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -105,8 +106,22 @@ type Attention struct {
 	lastX         *tensor.Tensor
 	q, k, v, a, o []*tensor.Tensor
 
+	// ws backs every intermediate, the output and the input gradient, so a
+	// steady-state iteration allocates nothing. The q/k/v/a/o caches of all
+	// batch elements are alive together from Forward to Backward, so each
+	// gets its own key (keys[bi]); everything else is consumed within one
+	// batch element's turn of the loop and shares a key across them.
+	ws   *tensor.Workspace
+	keys []attnKeys
+	// xv and gv are reusable headers for the per-batch-element row blocks of
+	// the input and of the output gradient.
+	xv, gv tensor.Tensor
+
 	params []*Param
 }
+
+// attnKeys are the workspace keys of one batch element's forward caches.
+type attnKeys struct{ q, k, v, a, o string }
 
 // NewAttention creates a self-attention layer with model dim d and head dim
 // dk (output dim is d, via Wo: [dk, d]).
@@ -119,6 +134,7 @@ func NewAttention(name string, d, dk int, r *rng.Rand, mixed bool) *Attention {
 		Wo:    newParam(paramName(name, "wo"), dk, d),
 		Dk:    dk,
 		Mixed: mixed,
+		ws:    newWorkspace(),
 	}
 	std := math.Sqrt(1.0 / float64(d))
 	at.Wq.Value.FillNormal(r, 0, std)
@@ -139,46 +155,49 @@ func (at *Attention) Params() []*Param {
 	return at.params
 }
 
-func (at *Attention) matmul(a, b *tensor.Tensor) *tensor.Tensor {
-	if at.Mixed {
-		return tensor.MatMulMixed(a, b)
+// Workspace implements WorkspaceHolder.
+func (at *Attention) Workspace() *tensor.Workspace { return at.ws }
+
+// batchKeys returns the cache keys of batch elements [0,b), extending the
+// table the first time a larger batch (the evaluation batch) comes through.
+func (at *Attention) batchKeys(b int) []attnKeys {
+	for i := len(at.keys); i < b; i++ {
+		n := strconv.Itoa(i)
+		at.keys = append(at.keys, attnKeys{q: "q" + n, k: "k" + n, v: "v" + n, a: "a" + n, o: "o" + n})
 	}
-	return tensor.MatMul(a, b)
+	return at.keys[:b]
 }
 
-// matmulTA / matmulTB are the fused-transpose forms (Aᵀ×B and A×Bᵀ): the
-// attention backward is dominated by transposed products, and fusing them
-// removes every Transpose2D materialization from the layer.
-func (at *Attention) matmulTA(a, b *tensor.Tensor) *tensor.Tensor {
-	return tensor.MatMulTA(a, b, at.Mixed)
-}
-
-func (at *Attention) matmulTB(a, b *tensor.Tensor) *tensor.Tensor {
-	return tensor.MatMulTB(a, b, at.Mixed)
+// rowBlock points the reusable header v at the [rows, cols] block of data.
+func rowBlock(v *tensor.Tensor, data []float32, rows, cols int) *tensor.Tensor {
+	v.Data = data
+	v.Shape = append(v.Shape[:0], rows, cols)
+	return v
 }
 
 // Forward implements Layer.
 func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(at.name, x, 3)
 	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
+	dk, ws, mixed := at.Dk, at.ws, at.Mixed
 	at.lastX = x
 	at.q = at.q[:0]
 	at.k = at.k[:0]
 	at.v = at.v[:0]
 	at.a = at.a[:0]
 	at.o = at.o[:0]
-	out := tensor.New(b, l, d)
-	scale := float32(1 / math.Sqrt(float64(at.Dk)))
-	for bi := 0; bi < b; bi++ {
-		xb := tensor.FromSlice(x.Data[bi*l*d:(bi+1)*l*d], l, d)
-		qb := at.matmul(xb, at.Wq.Value)
-		kb := at.matmul(xb, at.Wk.Value)
-		vb := at.matmul(xb, at.Wv.Value)
-		s := at.matmulTB(qb, kb)
+	out := ws.Get("out", b, l, d)
+	scale := float32(1 / math.Sqrt(float64(dk)))
+	for bi, key := range at.batchKeys(b) {
+		xb := rowBlock(&at.xv, x.Data[bi*l*d:(bi+1)*l*d], l, d)
+		qb := tensor.MatMulInto(ws.Get(key.q, l, dk), xb, at.Wq.Value, mixed)
+		kb := tensor.MatMulInto(ws.Get(key.k, l, dk), xb, at.Wk.Value, mixed)
+		vb := tensor.MatMulInto(ws.Get(key.v, l, dk), xb, at.Wv.Value, mixed)
+		s := tensor.MatMulTBInto(ws.Get("s", l, l), qb, kb, mixed)
 		s.Scale(scale)
-		a := softmaxRows(s)
-		ob := at.matmul(a, vb)
-		yb := at.matmul(ob, at.Wo.Value)
+		a := softmaxRowsInto(ws.Get(key.a, l, l), s)
+		ob := tensor.MatMulInto(ws.Get(key.o, l, dk), a, vb, mixed)
+		yb := tensor.MatMulInto(ws.Get("y", l, d), ob, at.Wo.Value, mixed)
 		copy(out.Data[bi*l*d:(bi+1)*l*d], yb.Data)
 		at.q = append(at.q, qb)
 		at.k = append(at.k, kb)
@@ -186,53 +205,58 @@ func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 		at.a = append(at.a, a)
 		at.o = append(at.o, ob)
 	}
+	out.ClearDirty()
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The transposed products go through the
+// fused-transpose kernels (Aᵀ×B and A×Bᵀ), so no transpose is materialized.
 func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	b, l, d := at.lastX.Shape[0], at.lastX.Shape[1], at.lastX.Shape[2]
-	gradIn := tensor.New(b, l, d)
-	scale := float32(1 / math.Sqrt(float64(at.Dk)))
+	dk, ws, mixed := at.Dk, at.ws, at.Mixed
+	gradIn := ws.Get("dx", b, l, d)
+	scale := float32(1 / math.Sqrt(float64(dk)))
 	for bi := 0; bi < b; bi++ {
-		xb := tensor.FromSlice(at.lastX.Data[bi*l*d:(bi+1)*l*d], l, d)
-		gy := tensor.FromSlice(gradOut.Data[bi*l*d:(bi+1)*l*d], l, d)
+		xb := rowBlock(&at.xv, at.lastX.Data[bi*l*d:(bi+1)*l*d], l, d)
+		gy := rowBlock(&at.gv, gradOut.Data[bi*l*d:(bi+1)*l*d], l, d)
 		qb, kb, vb, a, ob := at.q[bi], at.k[bi], at.v[bi], at.a[bi], at.o[bi]
 
 		// Y = O·Wo
-		at.Wo.Grad.AddInPlace(at.matmulTA(ob, gy))
-		gO := at.matmulTB(gy, at.Wo.Value)
+		at.Wo.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dwo", dk, d), ob, gy, mixed))
+		gO := tensor.MatMulTBInto(ws.Get("go", l, dk), gy, at.Wo.Value, mixed)
 
 		// O = A·V
-		gA := at.matmulTB(gO, vb)
-		gV := at.matmulTA(a, gO)
+		gA := tensor.MatMulTBInto(ws.Get("ga", l, l), gO, vb, mixed)
+		gV := tensor.MatMulTAInto(ws.Get("gv", l, dk), a, gO, mixed)
 
 		// A = softmax(S) rows: dS = A ⊙ (dA − rowsum(dA⊙A))
-		gS := softmaxRowsBackward(a, gA)
+		gS := softmaxRowsBackwardInto(ws.Get("gs", l, l), a, gA)
 		gS.Scale(scale)
 
 		// S = Q·Kᵀ
-		gQ := at.matmul(gS, kb)
-		gK := at.matmulTA(gS, qb)
+		gQ := tensor.MatMulInto(ws.Get("gq", l, dk), gS, kb, mixed)
+		gK := tensor.MatMulTAInto(ws.Get("gk", l, dk), gS, qb, mixed)
 
-		// Projections.
-		at.Wq.Grad.AddInPlace(at.matmulTA(xb, gQ))
-		at.Wk.Grad.AddInPlace(at.matmulTA(xb, gK))
-		at.Wv.Grad.AddInPlace(at.matmulTA(xb, gV))
+		// Projections. One scratch serves the three weight gradients in
+		// turn (each is folded into its Grad before the next overwrites it),
+		// and one the two later terms of gx.
+		at.Wq.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gQ, mixed))
+		at.Wk.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gK, mixed))
+		at.Wv.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gV, mixed))
 
-		gx := at.matmulTB(gQ, at.Wq.Value)
-		gx.AddInPlace(at.matmulTB(gK, at.Wk.Value))
-		gx.AddInPlace(at.matmulTB(gV, at.Wv.Value))
+		gx := tensor.MatMulTBInto(ws.Get("gx", l, d), gQ, at.Wq.Value, mixed)
+		gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", l, d), gK, at.Wk.Value, mixed))
+		gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", l, d), gV, at.Wv.Value, mixed))
 		copy(gradIn.Data[bi*l*d:(bi+1)*l*d], gx.Data)
 	}
+	gradIn.ClearDirty()
 	return gradIn
 }
 
-// softmaxRows applies a numerically stable softmax to each row of a 2-D
-// tensor.
-func softmaxRows(s *tensor.Tensor) *tensor.Tensor {
+// softmaxRowsInto writes the numerically stable softmax of each row of the
+// 2-D tensor s into out (every element is overwritten) and returns out.
+func softmaxRowsInto(out, s *tensor.Tensor) *tensor.Tensor {
 	rows, cols := s.Shape[0], s.Shape[1]
-	out := tensor.New(rows, cols)
 	for i := 0; i < rows; i++ {
 		row := s.Data[i*cols : (i+1)*cols]
 		maxV := row[0]
@@ -256,10 +280,10 @@ func softmaxRows(s *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// softmaxRowsBackward computes dS given A=softmax(S) and dA, per row.
-func softmaxRowsBackward(a, gA *tensor.Tensor) *tensor.Tensor {
+// softmaxRowsBackwardInto computes dS given A=softmax(S) and dA, per row,
+// into out (every element is overwritten) and returns out.
+func softmaxRowsBackwardInto(out, a, gA *tensor.Tensor) *tensor.Tensor {
 	rows, cols := a.Shape[0], a.Shape[1]
-	out := tensor.New(rows, cols)
 	for i := 0; i < rows; i++ {
 		arow := a.Data[i*cols : (i+1)*cols]
 		grow := gA.Data[i*cols : (i+1)*cols]

@@ -1,0 +1,49 @@
+//go:build amd64 && !purego
+
+package tensor
+
+// useAVX routes the fp32 GEMM inner loops through the assembly kernels in
+// gemm_amd64.s. It is decided once, at package init, from what the CPU and
+// the OS report; nothing sets it afterwards. Builds without the kernels
+// (other architectures, -tags purego) compile it as a false constant, so
+// the Go loops in matmul.go are the only path there.
+var useAVX = detectAVX()
+
+// detectAVX reports whether AVX instructions may be executed: the CPU has
+// them (CPUID.1:ECX bit 28) and the OS saves the YMM state across context
+// switches (OSXSAVE set, XCR0 bits 1 and 2 set). Nothing in gemm_amd64.s
+// needs AVX2.
+func detectAVX() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 1 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&6 == 6
+}
+
+// axpy4AVX accumulates c[r*n+j] += a_r * b[j] for the four consecutive
+// rows r of c, n = len(b). len(c) must be 4*len(b); it is not checked.
+//
+//go:noescape
+func axpy4AVX(c, b []float32, a0, a1, a2, a3 float32)
+
+// axpy1AVX accumulates c[j] += a * b[j] for j < len(b). len(c) must be at
+// least len(b); it is not checked.
+//
+//go:noescape
+func axpy1AVX(c, b []float32, a float32)
+
+// transposeStrip8AVX transposes eight source rows: src starts at row i of a
+// [rows,cols] matrix and dst at column i of its [cols,rows] transpose. Only
+// the first cols&^7 columns are written. Neither slice is bounds-checked.
+//
+//go:noescape
+func transposeStrip8AVX(dst, src []float32, rows, cols int)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)

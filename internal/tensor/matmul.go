@@ -19,6 +19,11 @@
 // of materializing the transpose, but visit the addends of each element in
 // the same ascending-k order, so they are bitwise-equal to
 // MatMul(Transpose2D(a), b) and MatMul(a, Transpose2D(b)) respectively.
+//
+// Where useAVX is set (amd64 with AVX, decided once at init) the fp32
+// inner loops below hand their rows to the assembly micro-kernels of
+// gemm_amd64.s, which reproduce the Go loops bit for bit; everywhere else
+// the Go loops are the only path, and they stay the reference either way.
 package tensor
 
 import (
@@ -265,6 +270,10 @@ func MatMulTBInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		putPackBuf(rp)
 		return dst
 	}
+	if useAVX && !mixed {
+		gemmTBviaNN(dst.lane, cd, ad, bd, m, k, n)
+		return dst
+	}
 	if !runParallel(m, m*k*n) {
 		gemmTB(cd, ad, bd, k, n, mixed, 0, m)
 		return dst
@@ -339,6 +348,10 @@ func gemmNN(c, a, b []float32, k, n int, mixed bool, lo, hi int) {
 			}
 			bk := b[kk*n : kk*n+n]
 			if !mixed && av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
+				if useAVX {
+					axpy4AVX(c[i*n:(i+4)*n], bk, av0, av1, av2, av3)
+					continue
+				}
 				for j, bv := range bk {
 					c0[j] += av0 * bv
 					c1[j] += av1 * bv
@@ -379,6 +392,10 @@ func axpyRow(ci, bk []float32, av float32, mixed bool) {
 		}
 		return
 	}
+	if useAVX {
+		axpy1AVX(ci[:len(bk)], bk, av)
+		return
+	}
 	for j, bv := range bk {
 		ci[j] += av * bv
 	}
@@ -403,6 +420,10 @@ func gemmTA(c, a, b []float32, k, m, n int, mixed bool, lo, hi int) {
 			}
 			bk := b[kk*n : kk*n+n]
 			if !mixed && av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
+				if useAVX {
+					axpy4AVX(c[i*n:(i+4)*n], bk, av0, av1, av2, av3)
+					continue
+				}
 				for j, bv := range bk {
 					c0[j] += av0 * bv
 					c1[j] += av1 * bv
@@ -490,6 +511,49 @@ func gemmTB(c, a, b []float32, k, n int, mixed bool, lo, hi int) {
 				}
 			}
 			ci[j] = acc
+		}
+	}
+}
+
+// gemmTBviaNN computes C = A×Bᵀ for B [n,k] as "transpose B into pooled
+// scratch, then the NN row kernel". gemmTB's dot products cannot use vector
+// lanes without a horizontal sum, which would reorder one element's addends;
+// the NN form keeps every element's chain — +0 start, ascending k, a == 0
+// skipped — and vectorizes across elements, so it is bitwise-equal to
+// MatMul(a, Transpose2D(b)), the contract MatMulTB documents.
+func gemmTBviaNN(lane uint32, c, a, b []float32, m, k, n int) {
+	rp := getPackBuf(k * n)
+	bt := *rp
+	transposeInto(bt, b, n, k)
+	zero(c)
+	if !runParallel(m, m*k*n) {
+		gemmNN(c, a, bt, k, n, false, 0, m)
+	} else {
+		parallelRows(lane, m, m*k*n, func(lo, hi int) {
+			gemmNN(c, a, bt, k, n, false, lo, hi)
+		})
+	}
+	putPackBuf(rp)
+}
+
+// transposeInto writes the transpose of src [rows,cols] into dst
+// [cols,rows]: whole 8x8 blocks through the AVX kernel where it is built,
+// the rest element by element.
+func transposeInto(dst, src []float32, rows, cols int) {
+	r8, c8 := 0, 0
+	if useAVX {
+		r8, c8 = rows&^7, cols&^7
+		for i := 0; i < r8; i += 8 {
+			transposeStrip8AVX(dst[i:], src[i*cols:], rows, cols)
+		}
+	}
+	for i := 0; i < rows; i++ {
+		j0 := 0
+		if i < r8 {
+			j0 = c8
+		}
+		for j := j0; j < cols; j++ {
+			dst[j*rows+i] = src[i*cols+j]
 		}
 	}
 }

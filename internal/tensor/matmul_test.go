@@ -25,12 +25,7 @@ func bitsEqual(t *testing.T, name string, got, want *Tensor) {
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: length %d vs %d", name, got.Len(), want.Len())
 	}
-	for i := range got.Data {
-		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-			t.Fatalf("%s: element %d = %v, want %v (not bitwise identical)",
-				name, i, got.Data[i], want.Data[i])
-		}
-	}
+	sameBits(t, name, got.Data, want.Data, true)
 }
 
 // forceParallel routes every matmul through the parallel blocked path with n
@@ -140,9 +135,26 @@ func TestWorkspaceReuse(t *testing.T) {
 	if t2.Shape[0] != 5 || t2.Shape[1] != 4 {
 		t.Fatalf("reused buffer shape = %v, want [5 4]", t2.Shape)
 	}
-	t3 := ws.Get("buf", 6, 6) // size change → fresh allocation
+	t3 := ws.Get("buf", 6, 6) // beyond the capacity → grows, once
 	if t3.Len() != 36 {
-		t.Fatalf("resized buffer has %d elements, want 36", t3.Len())
+		t.Fatalf("grown buffer has %d elements, want 36", t3.Len())
+	}
+	// Buffers only grow: a shape swing (training shard ↔ test batch) must
+	// reslice the larger backing array both ways, never reallocate.
+	t3.Fill(7)
+	small := ws.Get("buf", 2, 5)
+	if small.Len() != 10 || &small.Data[0] != &t3.Data[0] {
+		t.Fatalf("shrinking Get did not reslice the grown buffer (len %d)", small.Len())
+	}
+	big := ws.Get("buf", 6, 6)
+	if big.Len() != 36 || &big.Data[0] != &small.Data[0] {
+		t.Fatalf("re-growing Get within capacity did not reslice (len %d)", big.Len())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		ws.Get("buf", 2, 5)
+		ws.Get("buf", 6, 6)
+	}); allocs != 0 {
+		t.Fatalf("alternating shapes allocate %v times per swing, want 0", allocs)
 	}
 	z := ws.GetZeroed("buf", 6, 6)
 	for i, v := range z.Data {

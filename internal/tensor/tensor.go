@@ -77,7 +77,9 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			// Format a copy: handing shape itself to fmt would make every
+			// caller's variadic slice escape to the heap.
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}

@@ -16,8 +16,8 @@ import (
 // Arenas only grow — nothing is ever freed or reused until the arena itself
 // becomes garbage — which is exactly right for engine lifetimes: every
 // tensor allocated during a build lives as long as the engine. Callers that
-// allocate repeatedly with varying shapes (workspace reallocation on shape
-// change) must fall back to the heap instead (Workspace does).
+// outgrow an allocation (a workspace key requested with a larger shape) must
+// fall back to the heap instead (Workspace does).
 //
 // Alloc is mutex-protected: concurrent layers of one engine (device-parallel
 // first iterations) may carve from the same arena safely. A nil *Arena is
@@ -59,7 +59,8 @@ func (a *Arena) New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", shape))
+			// A copy, so shape does not escape (see New).
+			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -104,10 +105,10 @@ func (a *Arena) Bytes() int64 {
 	return a.floats * 4
 }
 
-// Workspace is a shape-keyed scratch-buffer arena. Layers and kernels use
-// it so that steady-state training iterations — where every tensor shape
-// repeats iteration after iteration — allocate nothing: the first call for
-// a key allocates, every subsequent same-size call returns the same buffer.
+// Workspace is a keyed scratch-buffer arena. Layers and kernels use it so
+// that steady-state training iterations allocate nothing: the first call
+// for a key allocates, and every later call returns the same buffer,
+// resliced to the requested size.
 //
 // Lifetime rules:
 //
@@ -115,6 +116,14 @@ func (a *Arena) Bytes() int64 {
 //     with the same key. Callers therefore use one workspace per layer (or
 //     per logical operation) and distinct keys for buffers that are alive
 //     simultaneously.
+//   - The next Get with the same key rewrites the SAME tensor header — its
+//     shape and, when the size differs, its Data — so a holder of the
+//     earlier result sees the new extent. Nothing may be held across a
+//     same-key Get, same size or not.
+//   - Buffers only grow. A key requested with alternating sizes (the small
+//     training shard, then the full test batch every TestEvery iterations)
+//     keeps the larger backing array and reslices it; the heap is touched
+//     once per key, when a request first exceeds the capacity.
 //   - Buffer contents are undefined on return from Get; the caller must
 //     overwrite every element (the Into kernels do). GetZeroed clears the
 //     buffer first for accumulation uses.
@@ -123,17 +132,11 @@ func (a *Arena) Bytes() int64 {
 //     layer owns its workspace.
 //   - A nil *Workspace is valid and simply allocates fresh tensors,
 //     preserving the original allocation behaviour.
-//
-// When a key is re-requested with a different element count (e.g. the full
-// test batch during evaluation vs the small training shard), the buffer is
-// reallocated; alternating shapes therefore defeat reuse for that key but
-// stay correct.
 type Workspace struct {
 	bufs map[string]*Tensor
-	// arena, when non-nil, backs each key's FIRST allocation. Shape-change
-	// reallocations always come from the heap: arenas never free, so a key
-	// whose element count alternates (training shard vs full test batch)
-	// must not grow the arena every swing.
+	// arena, when non-nil, backs each key's FIRST allocation. Growth always
+	// comes from the heap: arenas never free, so the outgrown carve would
+	// stay pinned beside its replacement.
 	arena *Arena
 	// lane is stamped onto every tensor Get hands out, so parallel kernels
 	// writing workspace buffers dispatch to the owning engine's pinned pool
@@ -186,15 +189,12 @@ func (a *Arena) NewWorkspace() *Workspace {
 	return ws
 }
 
-// Get returns the cached tensor for key, reallocating only when the
-// requested element count differs from the cached one. The shape header is
-// rewritten in place, so steady-state calls perform zero allocations.
-// Contents are undefined; the caller must overwrite them.
+// Get returns the cached tensor for key with the requested shape, growing
+// its backing array only when the element count exceeds the capacity. The
+// shape header is rewritten in place, so steady-state calls — including
+// ones that alternate between sizes — perform zero allocations. Contents are
+// undefined; the caller must overwrite them.
 func (ws *Workspace) Get(key string, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
 	if ws == nil {
 		return New(shape...)
 	}
@@ -208,13 +208,14 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 		ws.bufs[key] = t
 		return t
 	}
-	if len(t.Data) != n {
-		// Shape-change reallocation: always from the heap (see the arena
-		// field comment).
-		t = New(shape...)
-		t.lane = ws.lane
-		ws.bufs[key] = t
-		return t
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if n <= cap(t.Data) {
+		t.Data = t.Data[:n]
+	} else {
+		t.Data = make([]float32, n)
 	}
 	t.Shape = append(t.Shape[:0], shape...)
 	t.lane = ws.lane
@@ -228,21 +229,25 @@ func (ws *Workspace) GetZeroed(key string, shape ...int) *Tensor {
 	return t
 }
 
-// Reset poisons every cached buffer with NaNs and marks it dirty, without
-// dropping the buffers themselves (the next Get still reuses them). Buffer
-// contents are undefined between Gets — every consumer must fully overwrite
-// before reading — so a Reset between pooled-engine experiments must not
-// change any result; if stale workspace state ever leaked across a reuse,
-// the poison would surface it as a loud NaN. The campaign scrub invariant
-// (experiment.Config.ScrubWorkspaces) is built on this.
+// Reset poisons every cached buffer — its whole capacity — with NaNs and
+// marks it dirty, without dropping the buffers themselves (the next Get
+// still reuses them). Buffer contents are undefined between Gets — every
+// consumer must fully overwrite before reading — so a Reset between
+// pooled-engine experiments must not change any result; if stale workspace
+// state ever leaked across a reuse, the poison would surface it as a loud
+// NaN. The campaign scrub invariant (experiment.Config.ScrubWorkspaces) is
+// built on this.
 func (ws *Workspace) Reset() {
 	if ws == nil {
 		return
 	}
 	nan := float32(math.NaN())
 	for _, t := range ws.bufs {
-		for i := range t.Data {
-			t.Data[i] = nan
+		// The full capacity, not just the current extent: a later, larger
+		// Get reslices into the part a smaller one left behind.
+		full := t.Data[:cap(t.Data)]
+		for i := range full {
+			full[i] = nan
 		}
 		t.MarkDirty()
 	}

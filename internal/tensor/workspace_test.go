@@ -76,7 +76,7 @@ func TestWorkspaceArenaBacking(t *testing.T) {
 	if &x.Data[0] != &x2.Data[0] {
 		t.Fatal("same-size Get did not reuse the arena buffer")
 	}
-	// Size change reallocates from the HEAP: the arena must not grow.
+	// Growth comes from the HEAP: the arena must not grow.
 	before := a.Bytes()
 	y := ws.Get("x", 5, 5)
 	if a.Bytes() != before {
@@ -107,6 +107,15 @@ func TestWorkspaceResetPoison(t *testing.T) {
 		x2 := ws.Get("x", 3)
 		if &x.Data[0] != &x2.Data[0] {
 			t.Fatal("Reset dropped the cached buffer")
+		}
+		// The poison covers the capacity a smaller Get leaves unaddressed: the
+		// next larger Get reslices into it.
+		ws.Get("x", 1)
+		ws.Reset()
+		for i, v := range ws.Get("x", 3).Data {
+			if !math.IsNaN(float64(v)) {
+				t.Fatalf("Reset left element %d = %v beyond the current extent, want NaN", i, v)
+			}
 		}
 	}
 	// Nil workspace: no-op, no panic.

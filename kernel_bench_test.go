@@ -57,6 +57,13 @@ func benchMats(n int) (*tensor.Tensor, *tensor.Tensor) {
 	return a, b
 }
 
+// reportGFLOPS reports a GEMM leg's rate from the analytic work model: an
+// [m,k]x[k,n] product is m·k·n multiply-adds, 2·m·k·n floating-point
+// operations, whatever the kernel skips or how it blocks.
+func reportGFLOPS(b *testing.B, m, k, n int) {
+	b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 func BenchmarkKernel_MatMulSeed(b *testing.B) {
 	x, y := benchMats(256)
 	b.ReportAllocs()
@@ -64,6 +71,7 @@ func BenchmarkKernel_MatMulSeed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = seedMatMul(x, y)
 	}
+	reportGFLOPS(b, 256, 256, 256)
 }
 
 func BenchmarkKernel_MatMulBlocked(b *testing.B) {
@@ -74,6 +82,7 @@ func BenchmarkKernel_MatMulBlocked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = tensor.MatMulInto(dst, x, y, false)
 	}
+	reportGFLOPS(b, 256, 256, 256)
 }
 
 func BenchmarkKernel_MatMulTA(b *testing.B) {
@@ -84,6 +93,7 @@ func BenchmarkKernel_MatMulTA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = tensor.MatMulTAInto(dst, x, y, false)
 	}
+	reportGFLOPS(b, 256, 256, 256)
 }
 
 // BenchmarkKernel_MatMulTASeed measures the pre-optimization pattern the
@@ -95,6 +105,7 @@ func BenchmarkKernel_MatMulTASeed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = seedMatMul(tensor.Transpose2D(x), y)
 	}
+	reportGFLOPS(b, 256, 256, 256)
 }
 
 func BenchmarkKernel_MatMulTB(b *testing.B) {
@@ -105,6 +116,7 @@ func BenchmarkKernel_MatMulTB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = tensor.MatMulTBInto(dst, x, y, false)
 	}
+	reportGFLOPS(b, 256, 256, 256)
 }
 
 func benchConvOperands() (*tensor.Tensor, *tensor.Tensor, tensor.ConvParams) {
