@@ -1,13 +1,14 @@
 #!/bin/sh
 # Repository CI gate: formatting, vet, package-doc drift, build (native and
 # cross-compiled to arm64), full tests, the kernel packages again on the
-# portable -tags purego path, a no-FMA grep over the assembly kernels,
-# race-detector runs of the packages with concurrency (the parallel GEMM
-# kernels, the device-parallel trainer, the campaign worker pool, and the
-# distributed coordinator/worker protocol), fuzz smokes of the journal
-# parser/repairer and of the GEMM kernels against their naive oracle, a
-# graceful SIGINT kill-and-resume smoke, a SIGKILL crash loop that repeatedly
-# murders a device-fault campaign mid-write and requires -resume
+# portable -tags purego path, greps over the assembly kernels for fused
+# multiply-adds and 256-bit floating-point arithmetic, race-detector runs of
+# the packages with concurrency (the parallel GEMM kernels, the
+# device-parallel trainer, the campaign worker pool, and the distributed
+# coordinator/worker protocol), fuzz smokes of the journal parser/repairer and
+# of the GEMM kernels and the convolution lowering against their naive
+# oracles, a graceful SIGINT kill-and-resume smoke, a SIGKILL crash loop that
+# repeatedly murders a device-fault campaign mid-write and requires -resume
 # -repair-journal to converge to the byte-identical reference, and a
 # campaignd smoke that runs a sharded campaign through a real coordinator +
 # two worker processes on loopback and cmps the merged journal against the
@@ -58,6 +59,12 @@ go test -tags purego ./internal/tensor ./internal/nn ./internal/train
 echo "== no fused multiply-add in the assembly (one rounding instead of two breaks bitwise identity with the Go loops) =="
 if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/*.s; then
 	echo "fused multiply-add in a kernel" >&2
+	exit 1
+fi
+
+echo "== no 256-bit floating-point arithmetic in the assembly (Y-register moves and shuffles are free; Y-register arithmetic takes the AVX frequency licence) =="
+if grep -nE '^[[:space:]]*V(ADD|SUB|MUL|DIV|SQRT|MAX|MIN)[PS][SD][[:space:]].*Y[0-9]' internal/tensor/*.s; then
+	echo "256-bit floating-point arithmetic in a kernel" >&2
 	exit 1
 fi
 
@@ -156,6 +163,9 @@ go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 echo "== GEMM fuzz smoke (every fp32 entry point against the naive triple loop) =="
 go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 
+echo "== lowering fuzz smoke (im2col and col2im against the per-element loops, fuzzer-chosen geometry and bit patterns) =="
+go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
+
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="
 "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
 	-device-faults all -quarantine -json "$tmp/dfref.json" >/dev/null
@@ -197,7 +207,7 @@ echo "== campaign bench smoke (-benchtime=1x) =="
 go test -run '^$' -bench 'BenchmarkCampaign(Cold|Forked|ForkedTelemetry|ForkedUnordered)$' -benchtime 1x .
 
 echo "== kernel bench smoke (-benchtime=1x) =="
-go test -run '^$' -bench 'BenchmarkKernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMPool|GEMMMixedPacked|GEMMMixedL2Tiled|TrainStepMixed)$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkKernel_(MatMulBlocked|MatMulTA|MatMulTB|Im2Col|Col2Im|GEMMPool|GEMMMixedPacked|GEMMMixedL2Tiled|TrainStepMixed)$' -benchtime 1x .
 
 echo "== overhead bench smoke (-benchtime=1x) =="
 go test -run '^$' -bench 'BenchmarkOverhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep))$' -benchtime 1x .

@@ -58,34 +58,51 @@ func (d *Dataset) ExampleShape() []int {
 	return append([]int(nil), d.x.Shape[1:]...)
 }
 
-// Gather assembles a batch from the given example indices.
+// Gather assembles a batch from the given example indices, in fresh storage.
 func (d *Dataset) Gather(indices []int) Batch {
-	exShape := d.x.Shape[1:]
+	var b Batch
+	d.gatherInto(&b, indices)
+	return b
+}
+
+// gatherInto assembles the batch of the given example indices in b's own
+// storage: b.X and b.Y only grow, so gathering batch after batch into one b
+// stops allocating once it has held the largest. Every element is written.
+func (d *Dataset) gatherInto(b *Batch, indices []int) {
 	exLen := 1
-	for _, s := range exShape {
+	for _, s := range d.x.Shape[1:] {
 		exLen *= s
 	}
-	shape := append([]int{len(indices)}, exShape...)
-	x := tensor.New(shape...)
-	y := make([]int, len(indices))
+	n := len(indices)
+	if b.X == nil || cap(b.X.Data) < n*exLen {
+		b.X = &tensor.Tensor{Data: make([]float32, n*exLen)}
+	}
+	b.X.Data = b.X.Data[:n*exLen]
+	b.X.Shape = append(append(b.X.Shape[:0], n), d.x.Shape[1:]...)
+	if cap(b.Y) < n {
+		b.Y = make([]int, n)
+	}
+	b.Y = b.Y[:n]
 	for bi, idx := range indices {
 		if idx < 0 || idx >= d.Len() {
 			panic(fmt.Sprintf("data: example index %d out of range [0,%d)", idx, d.Len()))
 		}
-		copy(x.Data[bi*exLen:(bi+1)*exLen], d.x.Data[idx*exLen:(idx+1)*exLen])
-		y[bi] = d.y[idx]
+		copy(b.X.Data[bi*exLen:(bi+1)*exLen], d.x.Data[idx*exLen:(idx+1)*exLen])
+		b.Y[bi] = d.y[idx]
 	}
-	return Batch{X: x, Y: y}
 }
 
 // Loader produces deterministic mini-batches. The epoch-e permutation is
 // derived by splitting the seed with label e, so Batch(iter) never depends
 // on loader state and can be called out of order — the exact-reload property
 // the recovery technique needs.
+//
+// A Loader is not safe for concurrent use: Batch reuses one buffer.
 type Loader struct {
 	ds        *Dataset
 	batchSize int
 	seed      rng.Seed
+	buf       Batch // Batch's reused storage
 }
 
 // NewLoader creates a loader over ds with the given batch size and seed.
@@ -115,11 +132,13 @@ func (l *Loader) Indices(iter int) []int {
 	return perm[slot*l.batchSize : (slot+1)*l.batchSize]
 }
 
-// Batch returns the mini-batch for global iteration iter. It is a pure
-// function of the loader configuration, allowing exact re-execution of past
-// iterations.
+// Batch returns the mini-batch for global iteration iter. Its contents are a
+// pure function of the loader configuration, allowing exact re-execution of
+// past iterations; its storage belongs to the loader and is overwritten by
+// the next Batch call, so a caller that keeps a batch across calls copies it.
 func (l *Loader) Batch(iter int) Batch {
-	return l.ds.Gather(l.Indices(iter))
+	l.ds.gatherInto(&l.buf, l.Indices(iter))
+	return l.buf
 }
 
 // All returns the entire dataset as one batch (used for test-set evaluation).

@@ -205,7 +205,9 @@ func TestLoaderDeterministicReload(t *testing.T) {
 	ds := testClusters(t)
 	l := NewLoader(ds, 8, rng.Seed{State: 1, Stream: 2})
 	// Query out of order; iteration 5's batch must be identical both times.
+	// Batch storage is reused by the next call: keep a copy of the first.
 	b1 := l.Batch(5)
+	b1 = Batch{X: b1.X.Clone(), Y: append([]int(nil), b1.Y...)}
 	_ = l.Batch(11)
 	_ = l.Batch(0)
 	b2 := l.Batch(5)
@@ -312,5 +314,37 @@ func TestQuickLoaderPureFunction(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatherReusesStorage: gathering into one Batch over a size swing gives,
+// bit for bit, what Gather builds in fresh storage, and stops allocating once
+// the buffers have held the largest batch.
+func TestGatherReusesStorage(t *testing.T) {
+	ds := testClusters(t)
+	var reused Batch
+	for _, idx := range [][]int{{3, 1, 4}, {1, 5, 9, 2, 6, 5, 3, 5}, {8, 9}} {
+		ds.gatherInto(&reused, idx)
+		want := ds.Gather(idx)
+		if !reused.X.SameShape(want.X) || len(reused.Y) != len(want.Y) {
+			t.Fatalf("gatherInto shape %v / %d labels, want %v / %d", reused.X.Shape, len(reused.Y), want.X.Shape, len(want.Y))
+		}
+		for i := range want.X.Data {
+			if math.Float32bits(reused.X.Data[i]) != math.Float32bits(want.X.Data[i]) {
+				t.Fatalf("gatherInto X[%d] = %v, want %v", i, reused.X.Data[i], want.X.Data[i])
+			}
+		}
+		for i := range want.Y {
+			if reused.Y[i] != want.Y[i] {
+				t.Fatalf("gatherInto Y[%d] = %d, want %d", i, reused.Y[i], want.Y[i])
+			}
+		}
+	}
+	small, large := []int{7, 0}, []int{1, 5, 9, 2, 6, 5, 3, 5}
+	if allocs := testing.AllocsPerRun(20, func() {
+		ds.gatherInto(&reused, small)
+		ds.gatherInto(&reused, large)
+	}); allocs != 0 {
+		t.Fatalf("steady-state gatherInto allocates %v times, want 0", allocs)
 	}
 }

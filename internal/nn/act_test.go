@@ -185,3 +185,81 @@ func TestAttentionWorkspace(t *testing.T) {
 		}
 	}
 }
+
+// TestGlobalAvgPoolWorkspace: the workspace-backed layer against the plain
+// per-call formulation, bit for bit, across a batch swing (training shard,
+// evaluation batch, back) and a scrub; steady state allocates nothing.
+func TestGlobalAvgPoolWorkspace(t *testing.T) {
+	r := rng.NewFromInt(94)
+	g := NewGlobalAvgPool()
+	for step, b := range []int{2, 5, 2, 2} {
+		x, gradOut := tensor.New(b, 3, 4, 4), tensor.New(b, 3)
+		x.FillNormal(r, 0, 1)
+		gradOut.FillNormal(r, 0, 1)
+		if step == 3 {
+			g.Workspace().Reset()
+		}
+		out := g.Forward(nil, x)
+		gradIn := g.Backward(gradOut)
+		inv := 1 / float32(16)
+		for i := 0; i < b*3; i++ {
+			var sum float32
+			for _, v := range x.Data[i*16 : (i+1)*16] {
+				sum += v
+			}
+			if math.Float32bits(out.Data[i]) != math.Float32bits(sum*inv) {
+				t.Fatalf("step %d: out[%d] = %v, want %v", step, i, out.Data[i], sum*inv)
+			}
+			for j, v := range gradIn.Data[i*16 : (i+1)*16] {
+				if math.Float32bits(v) != math.Float32bits(gradOut.Data[i]*inv) {
+					t.Fatalf("step %d: gradIn[%d] = %v, want %v", step, i*16+j, v, gradOut.Data[i]*inv)
+				}
+			}
+		}
+	}
+	x, gradOut := tensor.New(2, 3, 4, 4), tensor.New(2, 3)
+	if allocs := testing.AllocsPerRun(20, func() {
+		g.Forward(nil, x)
+		g.Backward(gradOut)
+	}); allocs != 0 {
+		t.Errorf("steady-state global-average-pool forward+backward allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSoftmaxCrossEntropyReuse: one loss value evaluated over a batch swing
+// returns, bit for bit, what a fresh value returns each time — nothing leaks
+// from the larger batch's buffers into the smaller one's — and allocates
+// nothing once its buffers exist.
+func TestSoftmaxCrossEntropyReuse(t *testing.T) {
+	r := rng.NewFromInt(95)
+	var sce SoftmaxCrossEntropy
+	for step, b := range []int{2, 6, 2} {
+		logits := tensor.New(b, 4)
+		logits.FillNormal(r, 0, 2)
+		if step == 2 {
+			logits.Data[5] = float32(math.NaN())
+		}
+		labels := make([]int, b)
+		for i := range labels {
+			labels[i] = r.Intn(4)
+		}
+		var fresh SoftmaxCrossEntropy
+		got, want := sce.Eval(logits, labels), fresh.Eval(logits, labels)
+		if math.Float64bits(got.Loss) != math.Float64bits(want.Loss) || got.Correct != want.Correct {
+			t.Fatalf("step %d: loss %v correct %d, want %v / %d", step, got.Loss, got.Correct, want.Loss, want.Correct)
+		}
+		for i := range want.Probs.Data {
+			if math.Float32bits(got.Probs.Data[i]) != math.Float32bits(want.Probs.Data[i]) ||
+				math.Float32bits(got.GradLogits.Data[i]) != math.Float32bits(want.GradLogits.Data[i]) {
+				t.Fatalf("step %d: element %d differs from a fresh evaluation", step, i)
+			}
+		}
+		if got.Probs.Len() != b*4 || got.GradLogits.Len() != b*4 {
+			t.Fatalf("step %d: result extents %d/%d, want %d", step, got.Probs.Len(), got.GradLogits.Len(), b*4)
+		}
+	}
+	logits, labels := tensor.New(2, 4), []int{1, 3}
+	if allocs := testing.AllocsPerRun(20, func() { sce.Eval(logits, labels) }); allocs != 0 {
+		t.Errorf("steady-state Eval allocates %v times, want 0", allocs)
+	}
+}

@@ -192,10 +192,16 @@ func (m *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // GlobalAvgPool averages each channel's spatial plane: [B,C,H,W] → [B,C].
 type GlobalAvgPool struct {
 	lastShape []int
+	// ws backs the output and the input gradient; both are fully
+	// overwritten on every call.
+	ws *tensor.Workspace
 }
 
 // NewGlobalAvgPool creates the layer.
-func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
+func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{ws: newWorkspace()} }
+
+// Workspace implements WorkspaceHolder.
+func (g *GlobalAvgPool) Workspace() *tensor.Workspace { return g.ws }
 
 // Name implements Layer.
 func (g *GlobalAvgPool) Name() string { return "gap" }
@@ -209,7 +215,7 @@ func (g *GlobalAvgPool) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	g.lastShape = append(g.lastShape[:0], x.Shape...)
 	n, c := x.Shape[0], x.Shape[1]
 	spatial := x.Shape[2] * x.Shape[3]
-	out := tensor.New(n, c)
+	out := g.ws.Get("out", n, c)
 	inv := 1 / float32(spatial)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -221,6 +227,7 @@ func (g *GlobalAvgPool) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 			out.Data[b*c+ch] = sum * inv
 		}
 	}
+	out.ClearDirty()
 	return out
 }
 
@@ -228,7 +235,7 @@ func (g *GlobalAvgPool) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 func (g *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	n, c := g.lastShape[0], g.lastShape[1]
 	spatial := g.lastShape[2] * g.lastShape[3]
-	gradIn := tensor.New(g.lastShape...)
+	gradIn := g.ws.Get("gin", g.lastShape...)
 	inv := 1 / float32(spatial)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -239,5 +246,6 @@ func (g *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
+	gradIn.ClearDirty()
 	return gradIn
 }

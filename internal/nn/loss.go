@@ -15,9 +15,16 @@ import (
 // As Algorithm 1 Step 1 derives, the logit gradient is (p_i − y_i)/m, so
 // each component is bounded by 1/m in absolute value in the fault-free case
 // — the anchor of the gradient-history bound.
-type SoftmaxCrossEntropy struct{}
+//
+// The zero value is ready to use. A value owns the storage of the results it
+// returns (see LossResult), so concurrent evaluations need one value each.
+type SoftmaxCrossEntropy struct {
+	ws tensor.Workspace
+}
 
-// LossResult bundles the outputs of a loss evaluation.
+// LossResult bundles the outputs of a loss evaluation. Probs and GradLogits
+// live in buffers of the SoftmaxCrossEntropy that produced them and are
+// overwritten by its next Eval.
 type LossResult struct {
 	// Loss is the mean cross-entropy over the batch. It is a float64 but
 	// may be NaN/Inf if the logits were corrupted.
@@ -31,14 +38,15 @@ type LossResult struct {
 }
 
 // Eval computes the loss, probabilities, accuracy count, and logit gradient.
-func (SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) LossResult {
+func (s *SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) LossResult {
 	checkRank("softmax-cross-entropy", logits, 2)
 	b, c := logits.Shape[0], logits.Shape[1]
 	if len(labels) != b {
 		panic("nn: label count does not match batch size")
 	}
-	probs := tensor.New(b, c)
-	grad := tensor.New(b, c)
+	// Every element of both is written below.
+	probs := s.ws.Get("probs", b, c)
+	grad := s.ws.Get("grad", b, c)
 	var totalLoss float64
 	correct := 0
 	invB := 1 / float32(b)
@@ -91,6 +99,8 @@ func (SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) LossResult 
 		}
 		grow[label] -= invB
 	}
+	probs.ClearDirty()
+	grad.ClearDirty()
 	return LossResult{
 		Loss:       totalLoss / float64(b),
 		Probs:      probs,

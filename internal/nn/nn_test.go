@@ -49,13 +49,16 @@ func TestSoftmaxCrossEntropyGradientNumeric(t *testing.T) {
 	logits.FillNormal(r, 0, 1)
 	labels := []int{1, 0, 3}
 	res := sce.Eval(logits, labels)
+	// The perturbed evaluations go through a second value: sce owns the
+	// storage of res.GradLogits and its next Eval would overwrite it.
+	var probe SoftmaxCrossEntropy
 	const eps = 1e-3
 	for idx := 0; idx < logits.Len(); idx++ {
 		orig := logits.Data[idx]
 		logits.Data[idx] = orig + eps
-		up := sce.Eval(logits, labels).Loss
+		up := probe.Eval(logits, labels).Loss
 		logits.Data[idx] = orig - eps
-		down := sce.Eval(logits, labels).Loss
+		down := probe.Eval(logits, labels).Loss
 		logits.Data[idx] = orig
 		numeric := (up - down) / (2 * eps)
 		if math.Abs(numeric-float64(res.GradLogits.Data[idx])) > 1e-4 {

@@ -2,11 +2,12 @@
 
 package tensor
 
-// useAVX routes the fp32 GEMM inner loops through the assembly kernels in
-// gemm_amd64.s. It is decided once, at package init, from what the CPU and
+// useAVX routes the fp32 GEMM inner loops and the convolution lowering's
+// block moves and adds through the assembly kernels in gemm_amd64.s and
+// block_amd64.s. It is decided once, at package init, from what the CPU and
 // the OS report; nothing sets it afterwards. Builds without the kernels
 // (other architectures, -tags purego) compile it as a false constant, so
-// the Go loops in matmul.go are the only path there.
+// the Go loops in matmul.go and tensor.go are the only path there.
 var useAVX = detectAVX()
 
 // detectAVX reports whether AVX instructions may be executed: the CPU has
@@ -43,6 +44,21 @@ func axpy1AVX(c, b []float32, a float32)
 //
 //go:noescape
 func transposeStrip8AVX(dst, src []float32, rows, cols int)
+
+// moveBlocksAVX copies n blocks of rows×cols floats, bit for bit: element
+// (i, r, j) moves from src[i*srcBlock+r*srcStride+j] to
+// dst[i*dstBlock+r*dstStride+j]. n, rows and cols must be positive, the
+// steps non-negative and both sides inside their slices; moveBlocks checks
+// that, this does not.
+//
+//go:noescape
+func moveBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int)
+
+// addBlocksAVX accumulates dst = dst + src over the same layout, under the
+// same contract (addBlocks checks it).
+//
+//go:noescape
+func addBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -274,6 +274,149 @@ func (p ConvParams) OutSize(h, w int) (oh, ow int) {
 	return
 }
 
+// blockShape describes n equally shaped blocks of rows×cols floats on both
+// sides of a block kernel. Element (i, r, j) — block i, row r, column j —
+// lives at i*dstBlock + r*dstStride + j in the destination and at
+// i*srcBlock + r*srcStride + j in the source. All seven are element counts,
+// none negative.
+type blockShape struct {
+	n, rows, cols        int
+	dstBlock, srcBlock   int
+	dstStride, srcStride int
+}
+
+// moveBlocks copies the blocks sh describes from src to dst. It moves bits —
+// no value is interpreted, so signaling NaNs and −0 arrive unchanged. Both
+// sides are checked against their slices before anything is touched; dst
+// and src must not overlap.
+func moveBlocks(dst, src []float32, sh *blockShape) {
+	if !sh.fits(len(dst), len(src)) {
+		if sh.empty("moveBlocks", len(dst), len(src)) {
+			return
+		}
+	}
+	if useAVX {
+		moveBlocksAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride)
+		return
+	}
+	for i := 0; i < sh.n; i++ {
+		for r := 0; r < sh.rows; r++ {
+			d, s := i*sh.dstBlock+r*sh.dstStride, i*sh.srcBlock+r*sh.srcStride
+			copy(dst[d:d+sh.cols], src[s:s+sh.cols])
+		}
+	}
+}
+
+// addBlocks accumulates the blocks sh describes, dst += src element by
+// element, with the layout and checks of moveBlocks. The accumulator is the
+// add's first operand in the assembly and in the code the compiler emits for
+// the Go loop (TestBlockKernelsBitwise pins both), so a NaN meeting a NaN
+// keeps the accumulator's payload on either path.
+func addBlocks(dst, src []float32, sh *blockShape) {
+	if !sh.fits(len(dst), len(src)) {
+		if sh.empty("addBlocks", len(dst), len(src)) {
+			return
+		}
+	}
+	if useAVX {
+		addBlocksAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride)
+		return
+	}
+	for i := 0; i < sh.n; i++ {
+		for r := 0; r < sh.rows; r++ {
+			d, s := i*sh.dstBlock+r*sh.dstStride, i*sh.srcBlock+r*sh.srcStride
+			drow, srow := dst[d:d+sh.cols], src[s:s+sh.cols]
+			for j := range drow {
+				drow[j] += srow[j]
+			}
+		}
+	}
+}
+
+// extent returns one past the largest element offset the shape reaches with
+// the given block and row steps.
+func (sh *blockShape) extent(block, stride int) int {
+	return (sh.n-1)*block + (sh.rows-1)*stride + sh.cols
+}
+
+// fits reports whether the shape is non-empty, well-formed and inside both
+// slices. The assembly kernels take raw pointers, so this is the only bounds
+// check they get.
+func (sh *blockShape) fits(dstLen, srcLen int) bool {
+	return sh.n > 0 && sh.rows > 0 && sh.cols > 0 &&
+		sh.dstBlock >= 0 && sh.srcBlock >= 0 && sh.dstStride >= 0 && sh.srcStride >= 0 &&
+		sh.extent(sh.dstBlock, sh.dstStride) <= dstLen && sh.extent(sh.srcBlock, sh.srcStride) <= srcLen
+}
+
+// empty is the slow path behind a failed fits: true for a shape with nothing
+// in it, which is legal and a no-op, and a panic naming the operation and the
+// side for anything else.
+func (sh *blockShape) empty(op string, dstLen, srcLen int) bool {
+	if sh.n < 0 || sh.rows < 0 || sh.cols < 0 || sh.dstBlock < 0 || sh.srcBlock < 0 || sh.dstStride < 0 || sh.srcStride < 0 {
+		panic(fmt.Sprintf("tensor: %s shape %+v has a negative extent", op, *sh))
+	}
+	if sh.n == 0 || sh.rows == 0 || sh.cols == 0 {
+		return true
+	}
+	if need := sh.extent(sh.dstBlock, sh.dstStride); need > dstLen {
+		panic(fmt.Sprintf("tensor: %s destination needs %d elements for %+v, slice holds %d", op, need, *sh, dstLen))
+	}
+	panic(fmt.Sprintf("tensor: %s source needs %d elements for %+v, slice holds %d", op, sh.extent(sh.srcBlock, sh.srcStride), *sh, srcLen))
+}
+
+// lowering is the geometry im2col and col2im share: the image [N,C,H,W], the
+// output grid OH×OW and the zero-bordered staging plane [C][N][HP][WP] with
+// HP = H+2·pad, WP = W+2·pad. In the plane every kernel tap (kh,kw) of a
+// channel is an unclipped OH×OW block starting at row kh, column kw: the
+// padding is real zeros (im2col) or real, discarded cells (col2im), so
+// neither direction clips at an edge.
+type lowering struct {
+	n, c, h, w int
+	oh, ow     int
+	hp, wp     int
+}
+
+// newLowering validates the geometry of an image tensor and its unfolded
+// matrix up front — the block kernels behind it work on raw extents. op names
+// the caller in the panics.
+func newLowering(op string, image, matrix *Tensor, p ConvParams) lowering {
+	if len(image.Shape) != 4 {
+		panic(fmt.Sprintf("tensor: %s needs an [N,C,H,W] image, got shape %v", op, image.Shape))
+	}
+	if p.KH <= 0 || p.KW <= 0 || p.Stride <= 0 || p.Padding < 0 {
+		panic(fmt.Sprintf("tensor: %s with invalid conv params %+v", op, p))
+	}
+	g := lowering{n: image.Shape[0], c: image.Shape[1], h: image.Shape[2], w: image.Shape[3]}
+	g.hp, g.wp = g.h+2*p.Padding, g.w+2*p.Padding
+	g.oh, g.ow = p.OutSize(g.h, g.w)
+	// The kernel must fit the padded image. (Not "oh, ow > 0": OutSize
+	// rounds a slightly negative numerator up to a 1-wide output.)
+	if p.KH > g.hp || p.KW > g.wp {
+		panic(fmt.Sprintf("tensor: conv output %dx%d is empty for input %v params %+v", g.oh, g.ow, image.Shape, p))
+	}
+	if need := g.c * p.KH * p.KW * g.n * g.oh * g.ow; len(matrix.Data) != need {
+		panic(fmt.Sprintf("tensor: %s matrix holds %d elements, need %d", op, len(matrix.Data), need))
+	}
+	return g
+}
+
+// staging returns the plane for one lowering call, contents undefined: the
+// workspace's buffer under key, or — without a workspace — scratch from the
+// GEMM pack-buffer pool, which the caller hands back with putPackBuf.
+func (g lowering) staging(ws *Workspace, key string) (plane []float32, pooled *[]float32) {
+	if ws == nil {
+		pooled = getPackBuf(g.c * g.n * g.hp * g.wp)
+		return *pooled, pooled
+	}
+	return ws.Get(key, g.c, g.n, g.hp, g.wp).Data, nil
+}
+
+// plane returns the offset of row y, column x of channel ch in the staging
+// plane, for the first batch element; the others follow hp*wp apart.
+func (g lowering) plane(ch, y, x int) int {
+	return (ch*g.n*g.hp+y)*g.wp + x
+}
+
 // Im2Col unfolds input [N,C,H,W] into a matrix [C*KH*KW, N*OH*OW] so that
 // convolution becomes a matrix multiply — the same lowering the modeled
 // accelerator's sequencer performs when tiling a convolution onto the MAC
@@ -289,69 +432,53 @@ func Im2Col(in *Tensor, p ConvParams) *Tensor {
 
 // Im2ColInto performs the Im2Col unfolding into a caller-provided matrix of
 // shape [C*KH*KW, N*OH*OW] (every element is overwritten), returning cols.
-// With a Workspace-owned destination, steady-state convolutions reuse one
-// scratch buffer instead of allocating the unfolded matrix per call.
+// The staging plane is pooled scratch; the convolution kernels keep theirs in
+// the layer's Workspace instead.
 func Im2ColInto(cols, in *Tensor, p ConvParams) *Tensor {
-	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	oh, ow := p.OutSize(h, w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: conv output %dx%d is empty for input %v params %+v", oh, ow, in.Shape, p))
+	return im2col(nil, cols, in, p)
+}
+
+// im2col stages in into the zero-bordered plane "conv.xpad" of ws and then
+// writes each matrix row (ch,kh,kw) as one strided move of N blocks.
+// Pure data movement: every bit of cols is a copy of an input bit or a +0.
+func im2col(ws *Workspace, cols, in *Tensor, p ConvParams) *Tensor {
+	g := newLowering("Im2ColInto", in, cols, p)
+	xpad, pooled := g.staging(ws, "conv.xpad")
+	if pooled != nil {
+		defer putPackBuf(pooled)
 	}
-	if len(cols.Data) != c*p.KH*p.KW*n*oh*ow {
-		panic(fmt.Sprintf("tensor: Im2ColInto destination holds %d elements, need %d", len(cols.Data), c*p.KH*p.KW*n*oh*ow))
+	if p.Padding > 0 {
+		zero(xpad)
 	}
-	colW := n * oh * ow
-	for ch := 0; ch < c; ch++ {
+	for ch := 0; ch < g.c; ch++ {
+		moveBlocks(xpad[g.plane(ch, p.Padding, p.Padding):], in.Data[ch*g.h*g.w:], &blockShape{
+			n: g.n, rows: g.h, cols: g.w,
+			dstBlock: g.hp * g.wp, srcBlock: g.c * g.h * g.w, dstStride: g.wp, srcStride: g.w,
+		})
+	}
+	tap := blockShape{
+		n: g.n, rows: g.oh, cols: g.ow,
+		dstBlock: g.oh * g.ow, srcBlock: g.hp * g.wp, dstStride: g.ow, srcStride: g.wp,
+	}
+	row := cols.Data
+	for ch := 0; ch < g.c; ch++ {
 		for kh := 0; kh < p.KH; kh++ {
 			for kw := 0; kw < p.KW; kw++ {
-				row := (ch*p.KH+kh)*p.KW + kw
-				dst := cols.Data[row*colW : (row+1)*colW]
+				src := xpad[g.plane(ch, kh, kw):]
 				if p.Stride == 1 {
-					// Stride-1 fast path: for a fixed (kh, kw) the in-bounds
-					// ox span is a single contiguous run, so the row becomes
-					// zero edges plus one memmove of the same values the
-					// scalar loop writes — bitwise-identical by construction.
-					lo := p.Padding - kw
-					if lo < 0 {
-						lo = 0
-					}
-					hi := w + p.Padding - kw
-					if hi > ow {
-						hi = ow
-					}
-					for b := 0; b < n; b++ {
-						for oy := 0; oy < oh; oy++ {
-							iy := oy + kh - p.Padding
-							seg := dst[(b*oh+oy)*ow : (b*oh+oy)*ow+ow]
-							if iy < 0 || iy >= h || lo >= hi {
-								zero(seg)
-								continue
-							}
-							for x := 0; x < lo; x++ {
-								seg[x] = 0
-							}
-							base := ((b*c+ch)*h + iy) * w
-							copy(seg[lo:hi], in.Data[base+lo+kw-p.Padding:base+hi+kw-p.Padding])
-							for x := hi; x < ow; x++ {
-								seg[x] = 0
+					moveBlocks(row, src, &tap)
+				} else {
+					for b := 0; b < g.n; b++ {
+						for oy := 0; oy < g.oh; oy++ {
+							drow := row[(b*g.oh+oy)*g.ow:][:g.ow]
+							srow := src[b*tap.srcBlock+oy*p.Stride*g.wp:]
+							for ox := range drow {
+								drow[ox] = srow[ox*p.Stride]
 							}
 						}
 					}
-					continue
 				}
-				for b := 0; b < n; b++ {
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*p.Stride + kh - p.Padding
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*p.Stride + kw - p.Padding
-							var v float32
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								v = in.Data[((b*c+ch)*h+iy)*w+ix]
-							}
-							dst[(b*oh+oy)*ow+ox] = v
-						}
-					}
-				}
+				row = row[g.n*tap.dstBlock:]
 			}
 		}
 	}
@@ -366,68 +493,59 @@ func Col2Im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
 }
 
 // Col2ImInto performs the Col2Im folding into a caller-provided [N,C,H,W]
-// tensor, which is zeroed first, and returns it.
+// tensor (every element is overwritten) and returns it. The staging plane is
+// pooled scratch; the convolution kernels keep theirs in the Workspace.
 func Col2ImInto(out, cols *Tensor, p ConvParams) *Tensor {
-	n, c, h, w := out.Shape[0], out.Shape[1], out.Shape[2], out.Shape[3]
-	oh, ow := p.OutSize(h, w)
-	out.Zero()
-	colW := n * oh * ow
-	for ch := 0; ch < c; ch++ {
+	return col2im(nil, out, cols, p)
+}
+
+// col2im accumulates each matrix row (ch,kh,kw) into the zeroed plane
+// "conv.gpad" of ws as one strided add of N blocks, then copies the plane's
+// interior out. Rows are taken in ascending (ch,kh,kw) order and a
+// row touches each plane cell at most once, so an interior cell starts at +0
+// and receives exactly the addends the per-element loop gives that input
+// position, in the same order. Border cells collect the contributions that
+// fall into the padding; they are never read.
+func col2im(ws *Workspace, out, cols *Tensor, p ConvParams) *Tensor {
+	g := newLowering("Col2ImInto", out, cols, p)
+	gpad, pooled := g.staging(ws, "conv.gpad")
+	if pooled != nil {
+		defer putPackBuf(pooled)
+	}
+	zero(gpad)
+	tap := blockShape{
+		n: g.n, rows: g.oh, cols: g.ow,
+		dstBlock: g.hp * g.wp, srcBlock: g.oh * g.ow, dstStride: g.wp, srcStride: g.ow,
+	}
+	row := cols.Data
+	for ch := 0; ch < g.c; ch++ {
 		for kh := 0; kh < p.KH; kh++ {
 			for kw := 0; kw < p.KW; kw++ {
-				row := (ch*p.KH+kh)*p.KW + kw
-				src := cols.Data[row*colW : (row+1)*colW]
+				dst := gpad[g.plane(ch, kh, kw):]
 				if p.Stride == 1 {
-					// Stride-1 fast path, mirroring Im2ColInto: the in-bounds
-					// ox span is one contiguous run, so the inner loop is a
-					// branch-free vector add. Iteration order over (ox, iy)
-					// is unchanged, so each output element receives exactly
-					// the same addends in the same order as the scalar loop.
-					lo := p.Padding - kw
-					if lo < 0 {
-						lo = 0
-					}
-					hi := w + p.Padding - kw
-					if hi > ow {
-						hi = ow
-					}
-					if lo >= hi {
-						continue
-					}
-					for b := 0; b < n; b++ {
-						for oy := 0; oy < oh; oy++ {
-							iy := oy + kh - p.Padding
-							if iy < 0 || iy >= h {
-								continue
+					addBlocks(dst, row, &tap)
+				} else {
+					for b := 0; b < g.n; b++ {
+						for oy := 0; oy < g.oh; oy++ {
+							srow := row[(b*g.oh+oy)*g.ow:][:g.ow]
+							drow := dst[b*tap.dstBlock+oy*p.Stride*g.wp:]
+							for ox := range srow {
+								drow[ox*p.Stride] += srow[ox]
 							}
-							srow := src[(b*oh+oy)*ow+lo : (b*oh+oy)*ow+hi]
-							base := ((b*c+ch)*h+iy)*w + lo + kw - p.Padding
-							drow := out.Data[base : base+hi-lo]
-							for x, v := range srow {
-								drow[x] += v
-							}
-						}
-					}
-					continue
-				}
-				for b := 0; b < n; b++ {
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*p.Stride + kh - p.Padding
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*p.Stride + kw - p.Padding
-							if ix < 0 || ix >= w {
-								continue
-							}
-							out.Data[((b*c+ch)*h+iy)*w+ix] += src[(b*oh+oy)*ow+ox]
 						}
 					}
 				}
+				row = row[g.n*tap.srcBlock:]
 			}
 		}
 	}
+	for ch := 0; ch < g.c; ch++ {
+		moveBlocks(out.Data[ch*g.h*g.w:], gpad[g.plane(ch, p.Padding, p.Padding):], &blockShape{
+			n: g.n, rows: g.h, cols: g.w,
+			dstBlock: g.c * g.h * g.w, srcBlock: g.hp * g.wp, dstStride: g.w, srcStride: g.wp,
+		})
+	}
+	out.ClearDirty()
 	return out
 }
 
@@ -440,11 +558,11 @@ func Conv2D(in, kernel *Tensor, p ConvParams, mixed bool) *Tensor {
 }
 
 // Conv2DForwardWS is the workspace-aware convolution forward. All scratch
-// (the unfolded im2col matrix, the pre-transpose output) and the output
-// itself come from ws, so repeated same-shape calls allocate nothing; a nil
-// ws falls back to fresh allocations. It returns the output and the im2col
-// matrix, which the caller may hand back to Conv2DBackwardWS to skip the
-// re-lowering (valid as long as the input has not changed since).
+// (the staging plane, the unfolded im2col matrix, the pre-transpose output)
+// and the output itself come from ws, so repeated same-shape calls allocate
+// nothing; a nil ws falls back to fresh allocations. It returns the output
+// and the im2col matrix, which the caller may hand back to Conv2DBackwardWS
+// to skip the re-lowering (valid as long as the input has not changed since).
 func Conv2DForwardWS(ws *Workspace, in, kernel *Tensor, p ConvParams, mixed bool) (out, cols *Tensor) {
 	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	k := kernel.Shape[0]
@@ -452,19 +570,18 @@ func Conv2DForwardWS(ws *Workspace, in, kernel *Tensor, p ConvParams, mixed bool
 		panic(fmt.Sprintf("tensor: kernel shape %v incompatible with input %v params %+v", kernel.Shape, in.Shape, p))
 	}
 	oh, ow := p.OutSize(h, w)
-	cols = Im2ColInto(ws.Get("conv.cols", c*p.KH*p.KW, n*oh*ow), in, p)
-	w2d := kernel.Reshape(k, c*p.KH*p.KW)
+	cols = im2col(ws, ws.Get("conv.cols", c*p.KH*p.KW, n*oh*ow), in, p)
+	w2d := ws.reshaped(kernel, k, c*p.KH*p.KW)
 	out2d := MatMulInto(ws.Get("conv.out2d", k, n*oh*ow), w2d, cols, mixed)
-	// out2d is [K, N*OH*OW]; transpose batch to the front → [N,K,OH,OW].
+	// out2d is [K, N*OH*OW]; bring the batch to the front → [N,K,OH,OW]:
+	// one block per channel, its N planes contiguous in out2d and K planes
+	// apart in out.
 	out = ws.Get("conv.out", n, k, oh, ow)
 	spatial := oh * ow
-	for kk := 0; kk < k; kk++ {
-		for b := 0; b < n; b++ {
-			srcOff := kk*(n*spatial) + b*spatial
-			dstOff := (b*k + kk) * spatial
-			copy(out.Data[dstOff:dstOff+spatial], out2d.Data[srcOff:srcOff+spatial])
-		}
-	}
+	moveBlocks(out.Data, out2d.Data, &blockShape{
+		n: k, rows: n, cols: spatial,
+		dstBlock: spatial, srcBlock: n * spatial, dstStride: k * spatial, srcStride: spatial,
+	})
 	out.ClearDirty()
 	return out, cols
 }
@@ -489,19 +606,23 @@ func Conv2DBackwardWS(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvPa
 	k := kernel.Shape[0]
 	oh, ow := p.OutSize(h, w)
 	spatial := oh * ow
-
-	// Rearrange gradOut [N,K,OH,OW] to [K, N*OH*OW].
-	g2d := ws.Get("conv.g2d", k, n*spatial)
-	for b := 0; b < n; b++ {
-		for kk := 0; kk < k; kk++ {
-			srcOff := (b*k + kk) * spatial
-			dstOff := kk*(n*spatial) + b*spatial
-			copy(g2d.Data[dstOff:dstOff+spatial], gradOut.Data[srcOff:srcOff+spatial])
-		}
+	if len(gradOut.Data) != n*k*spatial {
+		panic(fmt.Sprintf("tensor: Conv2DBackwardWS output gradient holds %d elements, need %d×%d×%d×%d", len(gradOut.Data), n, k, oh, ow))
+	}
+	if cols != nil && (len(cols.Shape) != 2 || cols.Shape[0] != c*p.KH*p.KW || cols.Shape[1] != n*spatial) {
+		panic(fmt.Sprintf("tensor: Conv2DBackwardWS im2col matrix has shape %v, need [%d %d]", cols.Shape, c*p.KH*p.KW, n*spatial))
 	}
 
+	// Rearrange gradOut [N,K,OH,OW] to [K, N*OH*OW]: the forward's
+	// rearrangement with the two sides exchanged.
+	g2d := ws.Get("conv.g2d", k, n*spatial)
+	moveBlocks(g2d.Data, gradOut.Data, &blockShape{
+		n: k, rows: n, cols: spatial,
+		dstBlock: n * spatial, srcBlock: spatial, dstStride: spatial, srcStride: k * spatial,
+	})
+
 	if cols == nil {
-		cols = Im2ColInto(ws.Get("conv.cols", c*p.KH*p.KW, n*spatial), in, p)
+		cols = im2col(ws, ws.Get("conv.cols", c*p.KH*p.KW, n*spatial), in, p)
 	}
 
 	// gradKernel = g2d × colsᵀ  → [K, C*KH*KW], shaped directly as the
@@ -509,9 +630,9 @@ func Conv2DBackwardWS(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvPa
 	gradKernel = MatMulTBInto(ws.Get("conv.gk", k, c, p.KH, p.KW), g2d, cols, mixed)
 
 	// gradCols = W2dᵀ × g2d  → [C*KH*KW, N*OH*OW]; fold back to input shape.
-	w2d := kernel.Reshape(k, c*p.KH*p.KW)
+	w2d := ws.reshaped(kernel, k, c*p.KH*p.KW)
 	gcols := MatMulTAInto(ws.Get("conv.gcols", c*p.KH*p.KW, n*spatial), w2d, g2d, mixed)
-	gradIn = Col2ImInto(ws.Get("conv.gin", n, c, h, w), gcols, p)
+	gradIn = col2im(ws, ws.Get("conv.gin", n, c, h, w), gcols, p)
 	return gradIn, gradKernel
 }
 

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -322,8 +321,9 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 	}
 }
 
-// scalarIm2Col / scalarCol2Im replicate the generic per-element loops the
-// stride-1 fast paths replace, as the bitwise reference for them.
+// scalarIm2Col / scalarCol2Im are the per-element definition of the lowering
+// — clip every (iy, ix) against the image, one element at a time — and the
+// bitwise reference for the padded-plane block kernels (lowering_test.go).
 func scalarIm2Col(in *Tensor, p ConvParams) *Tensor {
 	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	oh, ow := p.OutSize(h, w)
@@ -379,38 +379,6 @@ func scalarCol2Im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
 		}
 	}
 	return out
-}
-
-// TestIm2ColStride1FastPathBitwise pins the stride-1 row-copy fast path
-// (and its Col2Im adjoint) against the generic per-element loops, across
-// geometries that stress the edge spans: padding wider than the kernel
-// offset, kernels wider than the padded input, asymmetric H/W, and 1×1
-// kernels with padding (empty in-bounds spans for the outer taps).
-func TestIm2ColStride1FastPathBitwise(t *testing.T) {
-	r := rng.NewFromInt(15)
-	cases := []struct {
-		n, c, h, w int
-		p          ConvParams
-	}{
-		{2, 3, 5, 5, ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}},
-		{1, 2, 4, 7, ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 2}},
-		{1, 1, 3, 3, ConvParams{KH: 5, KW: 5, Stride: 1, Padding: 2}},
-		{1, 2, 6, 2, ConvParams{KH: 1, KW: 1, Stride: 1, Padding: 1}},
-		{1, 1, 1, 1, ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}},
-	}
-	for _, tc := range cases {
-		in := New(tc.n, tc.c, tc.h, tc.w)
-		in.FillNormal(r, 0, 1)
-		want := scalarIm2Col(in, tc.p)
-		got := Im2Col(in, tc.p)
-		bitsEqual(t, fmt.Sprintf("Im2Col %dx%dx%dx%d %+v", tc.n, tc.c, tc.h, tc.w, tc.p), got, want)
-
-		y := New(want.Shape...)
-		y.FillNormal(r, 0, 1)
-		wantIm := scalarCol2Im(y, tc.n, tc.c, tc.h, tc.w, tc.p)
-		gotIm := Col2Im(y, tc.n, tc.c, tc.h, tc.w, tc.p)
-		bitsEqual(t, fmt.Sprintf("Col2Im %dx%dx%dx%d %+v", tc.n, tc.c, tc.h, tc.w, tc.p), gotIm, wantIm)
-	}
 }
 
 func TestIm2ColCol2ImAdjoint(t *testing.T) {

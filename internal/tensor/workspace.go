@@ -142,6 +142,9 @@ type Workspace struct {
 	// writing workspace buffers dispatch to the owning engine's pinned pool
 	// lane (0 = unpinned). See Tensor.SetLane.
 	lane uint32
+	// view is the header reshaped hands out: one reusable alias of a
+	// caller's tensor. It is not in bufs, so Reset never poisons through it.
+	view Tensor
 }
 
 // SetLane sets the pool lane stamped onto buffers this workspace hands out
@@ -220,6 +223,28 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 	t.Shape = append(t.Shape[:0], shape...)
 	t.lane = ws.lane
 	return t
+}
+
+// reshaped is t.Reshape(shape...) through the workspace's one reusable
+// header, so a kernel that needs a tensor under another shape every call (the
+// convolution kernel as a [K, C·KH·KW] matrix) allocates no header in steady
+// state. The view is valid until the next reshaped call on ws. A nil
+// workspace allocates, like Reshape.
+func (ws *Workspace) reshaped(t *Tensor, shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if n != len(t.Data) {
+		// Format a copy, so shape does not escape (see New).
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v", t.Shape, len(t.Data), append([]int(nil), shape...)))
+	}
+	if ws == nil {
+		return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	}
+	ws.view.Shape = append(ws.view.Shape[:0], shape...)
+	ws.view.Data = t.Data
+	return &ws.view
 }
 
 // GetZeroed is Get with the returned buffer cleared to zero.

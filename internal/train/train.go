@@ -76,7 +76,8 @@ type Engine struct {
 	opt      opt.Optimizer
 	loader   *data.Loader
 	testSet  *data.Dataset
-	loss     nn.SoftmaxCrossEntropy
+	testAll  data.Batch               // testSet.All(), gathered on the first Evaluate
+	loss     []nn.SoftmaxCrossEntropy // one per device: each owns its result buffers
 	seedRand *rng.Rand
 
 	injections   []*fault.Injection
@@ -138,7 +139,7 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 			loader.BatchSize(), cfg.Devices, cfg.PerDeviceBatch))
 	}
 	e := &Engine{cfg: cfg, opt: optimizer, loader: loader, testSet: testSet,
-		seedRand: rng.New(cfg.Seed)}
+		loss: make([]nn.SoftmaxCrossEntropy, cfg.Devices), seedRand: rng.New(cfg.Seed)}
 	// All replicas share one arena: their tensors land in a few contiguous
 	// slabs, so a pooled campaign engine stays cache-resident across forked
 	// experiments and costs near-zero allocations to build.
@@ -483,7 +484,7 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 		}
 	}
 	out := model.Forward(ctx, x, fwdHook)
-	res := e.loss.Eval(out, y)
+	res := e.loss[d].Eval(out, y)
 	ds.loss = res.Loss
 	ds.correct = res.Correct
 	if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
@@ -706,10 +707,13 @@ func (e *Engine) scanNonFinite() string {
 // Evaluate computes loss and accuracy of device d's replica on the test
 // set, in inference mode (moving statistics active).
 func (e *Engine) Evaluate(d int) (loss, acc float64) {
-	all := e.testSet.All()
+	if e.testAll.X == nil {
+		e.testAll = e.testSet.All() // datasets are immutable: gather once
+	}
+	all := e.testAll
 	ctx := &nn.Context{Training: false}
 	out := e.replicas[d].Forward(ctx, all.X, nil)
-	res := e.loss.Eval(out, all.Y)
+	res := e.loss[d].Eval(out, all.Y)
 	if numerics.HasNonFinite(out.Data) != -1 {
 		return math.NaN(), 0
 	}

@@ -128,6 +128,31 @@ func benchConvOperands() (*tensor.Tensor, *tensor.Tensor, tensor.ConvParams) {
 	return in, kernel, tensor.ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}
 }
 
+// benchLowering runs one direction of the convolution lowering at the
+// campaign's shape ([2,8,6,6], 3×3, stride 1, pad 1 → a 72×72 matrix) and
+// reports GB/s under the byte model bench/probes.go uses for
+// tensor.im2col_gbps / col2im_gbps: the image and the matrix, once each.
+func benchLowering(b *testing.B, fn func(in, cols *tensor.Tensor, p tensor.ConvParams)) {
+	in := tensor.New(2, 8, 6, 6)
+	in.FillNormal(rng.NewFromInt(33), 0, 1)
+	p := tensor.ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}
+	cols := tensor.Im2Col(in, p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn(in, cols, p)
+	}
+	b.ReportMetric(4*float64(in.Len()+cols.Len())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+}
+
+func BenchmarkKernel_Im2Col(b *testing.B) {
+	benchLowering(b, func(in, cols *tensor.Tensor, p tensor.ConvParams) { tensor.Im2ColInto(cols, in, p) })
+}
+
+func BenchmarkKernel_Col2Im(b *testing.B) {
+	benchLowering(b, func(in, cols *tensor.Tensor, p tensor.ConvParams) { tensor.Col2ImInto(in, cols, p) })
+}
+
 func BenchmarkKernel_Conv2DSeed(b *testing.B) {
 	in, kernel, p := benchConvOperands()
 	b.ReportAllocs()
