@@ -7,7 +7,9 @@
 # device-parallel trainer, the campaign worker pool, and the distributed
 # coordinator/worker protocol), fuzz smokes of the journal parser/repairer and
 # of the GEMM kernels and the convolution lowering against their naive
-# oracles, a graceful SIGINT kill-and-resume smoke, a SIGKILL crash loop that
+# oracles, a graceful SIGINT kill-and-resume smoke, its reference campaign
+# again from a -tags purego build (assembly and portable kernels must agree
+# on a whole campaign, byte for byte), a SIGKILL crash loop that
 # repeatedly murders a device-fault campaign mid-write and requires -resume
 # -repair-journal to converge to the byte-identical reference, and a
 # campaignd smoke that runs a sharded campaign through a real coordinator +
@@ -103,6 +105,13 @@ wait "$pid" || true # 130 when the interrupt landed mid-run
 "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 5 \
 	-journal "$tmp/run.jsonl" -resume -json "$tmp/resumed.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/resumed.json"
+
+echo "== assembly vs portable on a whole campaign (the reference campaign above from a -tags purego build, byte for byte) =="
+# The kernel tests compare the two paths GEMM by GEMM; this compares them
+# after every layer, optimizer step and fault of 40 experiments.
+go build -tags purego -o "$tmp/campaign.purego" ./cmd/campaign
+"$tmp/campaign.purego" -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
+cmp "$tmp/ref.json" "$tmp/purego.json"
 
 echo "== locality smoke (-affine=false + tiny -l2-bytes must not change a byte) =="
 # Same campaign as the reference above, with index-order dispatch and a
@@ -207,7 +216,7 @@ echo "== campaign bench smoke (-benchtime=1x) =="
 go test -run '^$' -bench 'BenchmarkCampaign(Cold|Forked|ForkedTelemetry|ForkedUnordered)$' -benchtime 1x .
 
 echo "== kernel bench smoke (-benchtime=1x) =="
-go test -run '^$' -bench 'BenchmarkKernel_(MatMulBlocked|MatMulTA|MatMulTB|Im2Col|Col2Im|GEMMPool|GEMMMixedPacked|GEMMMixedL2Tiled|TrainStepMixed)$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkKernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|GEMMPool|GEMMMixedPacked|GEMMMixedL2Tiled|TrainStepMixed)$' -benchtime 1x .
 
 echo "== overhead bench smoke (-benchtime=1x) =="
 go test -run '^$' -bench 'BenchmarkOverhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep))$' -benchtime 1x .

@@ -95,7 +95,8 @@ func TestBatchNormMovingStatsUpdate(t *testing.T) {
 	x := randTensor(3, 4, 2, 3, 3)
 	ctx := &Context{Training: true}
 	bn.Forward(ctx, x)
-	mean, variance := tensor.ChannelMoments(x)
+	mean, variance := make([]float32, x.Shape[1]), make([]float32, x.Shape[1])
+	tensor.ChannelMoments(x, mean, variance)
 	for ch := 0; ch < 2; ch++ {
 		wantMean := 0.9*0 + 0.1*mean[ch]
 		wantVar := 0.9*1 + 0.1*variance[ch]

@@ -36,10 +36,14 @@ type BatchNorm struct {
 	// forward caches
 	lastX     *tensor.Tensor
 	lastXhat  *tensor.Tensor
-	lastMean  []float32
-	lastVar   []float32
 	lastShape []int
 	was2D     bool
+
+	// batchMean and batchVar receive the batch statistics of a training
+	// forward, invStd the per-channel 1/sqrt(var+eps) of any forward (the
+	// backward pass reads it back); one element per channel, owned by the
+	// layer so a step allocates none.
+	batchMean, batchVar, invStd []float32
 
 	// mvarStat is the abs-bits maximum of MovingVar, folded into the O(C)
 	// update recurrence — the fused read behind the detector's Part II
@@ -71,6 +75,9 @@ func NewBatchNorm(name string, c int, momentum float32) *BatchNorm {
 		MovingMean: arenaNew(c),
 		MovingVar:  arenaNew(c),
 		ws:         newWorkspace(),
+		batchMean:  arenaNew(c).Data,
+		batchVar:   arenaNew(c).Data,
+		invStd:     arenaNew(c).Data,
 	}
 	bn.Gamma.Value.Fill(1)
 	bn.MovingVar.Fill(1)
@@ -121,7 +128,8 @@ func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 
 	var mean, variance []float32
 	if ctx == nil || ctx.Training {
-		mean, variance = tensor.ChannelMoments(x)
+		mean, variance = bn.batchMean, bn.batchVar
+		tensor.ChannelMoments(x, mean, variance)
 		// Update moving statistics: the history-term recurrence of
 		// Sec 4.2.2. Note the faulty-batch-variance propagation path: a
 		// large |batchVar| (from corrupted inputs) inflates mvar here and
@@ -145,7 +153,6 @@ func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 		mean = bn.MovingMean.Data
 		variance = bn.MovingVar.Data
 	}
-	bn.lastMean, bn.lastVar = mean, variance
 
 	okey, xkey := "out.eval", "xhat.eval"
 	if ctx == nil || ctx.Training {
@@ -156,9 +163,12 @@ func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 	spatial := h * w
 	collect := ctx != nil && ctx.CollectStats
 	var trk tensor.AbsMaxTracker
+	for ch := range bn.invStd {
+		bn.invStd[ch] = 1 / float32(math.Sqrt(float64(variance[ch]+bn.Eps)))
+	}
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
-			invStd := 1 / float32(math.Sqrt(float64(variance[ch]+bn.Eps)))
+			invStd := bn.invStd[ch]
 			g, be, m := bn.Gamma.Value.Data[ch], bn.Beta.Value.Data[ch], mean[ch]
 			base := (b*c + ch) * spatial
 			if collect {
@@ -210,32 +220,40 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 	}
 	n, c, h, w := bn.lastShape[0], bn.lastShape[1], bn.lastShape[2], bn.lastShape[3]
 	spatial := h * w
-	count := float32(n * spatial)
 	gradIn := bn.ws.Get("dx", bn.lastShape...)
-	for ch := 0; ch < c; ch++ {
-		invStd := 1 / float32(math.Sqrt(float64(bn.lastVar[ch]+bn.Eps)))
+	dy, xhat := gradOut.Data, bn.lastXhat.Data
+	// The two sums of a channel are chains of dependent float32 additions in
+	// a fixed order (batch-major, then spatial). Channels are independent, so
+	// two are summed side by side; an odd last channel is summed alone.
+	ch := 0
+	for ; ch+2 <= c; ch += 2 {
+		var sumDy0, sumDyXhat0, sumDy1, sumDyXhat1 float32
+		for b := 0; b < n; b++ {
+			base := (b*c + ch) * spatial
+			dy0, xh0 := dy[base:base+spatial], xhat[base:base+spatial]
+			dy1, xh1 := dy[base+spatial:base+2*spatial], xhat[base+spatial:base+2*spatial]
+			xh0, dy1, xh1 = xh0[:len(dy0)], dy1[:len(dy0)], xh1[:len(dy0)] // no bounds checks below
+			for i := range dy0 {
+				sumDy0 += dy0[i]
+				sumDyXhat0 += dy0[i] * xh0[i]
+				sumDy1 += dy1[i]
+				sumDyXhat1 += dy1[i] * xh1[i]
+			}
+		}
+		bn.backwardChannel(gradIn.Data, dy, n, c, spatial, ch, sumDy0, sumDyXhat0)
+		bn.backwardChannel(gradIn.Data, dy, n, c, spatial, ch+1, sumDy1, sumDyXhat1)
+	}
+	if ch < c {
 		var sumDy, sumDyXhat float32
 		for b := 0; b < n; b++ {
 			base := (b*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				dy := gradOut.Data[base+i]
-				sumDy += dy
-				sumDyXhat += dy * bn.lastXhat.Data[base+i]
+			dy0, xh0 := dy[base:base+spatial], xhat[base:base+spatial]
+			for i, d := range dy0 {
+				sumDy += d
+				sumDyXhat += d * xh0[i]
 			}
 		}
-		bn.Beta.Grad.Data[ch] += sumDy
-		bn.Gamma.Grad.Data[ch] += sumDyXhat
-		meanDy := sumDy / count
-		meanDyXhat := sumDyXhat / count
-		g := bn.Gamma.Value.Data[ch]
-		for b := 0; b < n; b++ {
-			base := (b*c + ch) * spatial
-			for i := 0; i < spatial; i++ {
-				dy := gradOut.Data[base+i]
-				xh := bn.lastXhat.Data[base+i]
-				gradIn.Data[base+i] = g * invStd * (dy - meanDy - xh*meanDyXhat)
-			}
-		}
+		bn.backwardChannel(gradIn.Data, dy, n, c, spatial, ch, sumDy, sumDyXhat)
 	}
 	// Every element of the reused buffer was rewritten by the channel loops.
 	gradIn.ClearDirty()
@@ -243,6 +261,25 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 		return gradIn.Reshape(n, c)
 	}
 	return gradIn
+}
+
+// backwardChannel finishes one channel of Backward from its two sums: the
+// parameter gradients, then the channel's slice of the input gradient.
+func (bn *BatchNorm) backwardChannel(gradIn, dy []float32, n, c, spatial, ch int, sumDy, sumDyXhat float32) {
+	count := float32(n * spatial)
+	invStd := bn.invStd[ch]
+	bn.Beta.Grad.Data[ch] += sumDy
+	bn.Gamma.Grad.Data[ch] += sumDyXhat
+	meanDy := sumDy / count
+	meanDyXhat := sumDyXhat / count
+	g := bn.Gamma.Value.Data[ch]
+	for b := 0; b < n; b++ {
+		base := (b*c + ch) * spatial
+		dyc, xhc, gic := dy[base:base+spatial], bn.lastXhat.Data[base:base+spatial], gradIn[base:base+spatial]
+		for i, d := range dyc {
+			gic[i] = g * invStd * (d - meanDy - xhc[i]*meanDyXhat)
+		}
+	}
 }
 
 // LayerNorm normalizes over the last dimension of a [B, L, D] or [B, D]

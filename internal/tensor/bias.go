@@ -85,20 +85,41 @@ func AddBiasNCHWEp(t, bias *Tensor) (sum float64, absMax float32) {
 // (+=, matching gradient-accumulation semantics): the shared bias-gradient
 // reduction of Conv2D and Dense backward passes. Accumulation order is
 // batch-major then spatial, identical for any worker setting — the
-// reduction is intentionally serial to preserve bitwise determinism.
+// reduction is intentionally serial to preserve bitwise determinism. Serial
+// per channel, that is: a row's sum is one chain of dependent additions, so
+// the rows of four channels are summed side by side, each from its own +0 in
+// its own order, and the channels left over one at a time.
 func SumPerChannelNCHW(t, into *Tensor) {
 	n, c, spatial := channelDims("SumPerChannelNCHW", t)
 	if into.Len() != c {
 		panic(fmt.Sprintf("tensor: SumPerChannelNCHW destination has %d elements for %d channels", into.Len(), c))
 	}
 	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			row := t.Data[(b*c+ch)*spatial : (b*c+ch+1)*spatial]
+		rows := t.Data[b*c*spatial : (b+1)*c*spatial]
+		acc := into.Data[:c]
+		ch := 0
+		for ; ch+4 <= c; ch += 4 {
+			r := rows[ch*spatial : (ch+4)*spatial]
+			r0, r1, r2, r3 := r[:spatial], r[spatial:2*spatial], r[2*spatial:3*spatial], r[3*spatial:]
+			r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)] // no bounds checks below
+			var sum0, sum1, sum2, sum3 float32
+			for i := range r0 {
+				sum0 += r0[i]
+				sum1 += r1[i]
+				sum2 += r2[i]
+				sum3 += r3[i]
+			}
+			acc[ch] += sum0
+			acc[ch+1] += sum1
+			acc[ch+2] += sum2
+			acc[ch+3] += sum3
+		}
+		for ; ch < c; ch++ {
 			var sum float32
-			for _, v := range row {
+			for _, v := range rows[ch*spatial : (ch+1)*spatial] {
 				sum += v
 			}
-			into.Data[ch] += sum
+			acc[ch] += sum
 		}
 	}
 }

@@ -26,11 +26,20 @@ func detectAVX() bool {
 	return xcr0&6 == 6
 }
 
-// axpy4AVX accumulates c[r*n+j] += a_r * b[j] for the four consecutive
-// rows r of c, n = len(b). len(c) must be 4*len(b); it is not checked.
+// gemmTile4AVX accumulates c[r*n+j] += a[r*aRow+kk*aK] * b[kk*n+j] for the
+// four consecutive rows r of c, kk < kLen ascending, j < n, every a
+// non-zero. It takes addresses, not slices: gemmTile4 is the only caller and
+// checks the three extents first.
 //
 //go:noescape
-func axpy4AVX(c, b []float32, a0, a1, a2, a3 float32)
+func gemmTile4AVX(c, b, a *float32, n, kLen, aRow, aK int)
+
+// denseRun4AVX counts the leading k-steps kk < kLen at which none of
+// a[r*aRow+kk*aK], r < 4, is ±0. aRow or aK must be 1 and kLen positive;
+// denseRun4 checks that and the extent.
+//
+//go:noescape
+func denseRun4AVX(a *float32, kLen, aRow, aK int) int
 
 // axpy1AVX accumulates c[j] += a * b[j] for j < len(b). len(c) must be at
 // least len(b); it is not checked.

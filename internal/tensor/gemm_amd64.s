@@ -25,96 +25,261 @@
 // data movement (the transposition below, the runtime's memmove) does not
 // take the licence.
 
-// func axpy4AVX(c, b []float32, a0, a1, a2, a3 float32)
+// func gemmTile4AVX(c, b, a *float32, n, kLen, aRow, aK int)
 //
-// c holds four consecutive rows of len(b) floats: c[r*n+j] += a_r * b[j].
-TEXT ·axpy4AVX(SB), NOSPLIT, $0-64
-	MOVQ c_base+0(FP), DI
-	MOVQ b_base+24(FP), SI
-	MOVQ b_len+32(FP), CX
-	VBROADCASTSS a0+48(FP), X0
-	VBROADCASTSS a1+52(FP), X1
-	VBROADCASTSS a2+56(FP), X2
-	VBROADCASTSS a3+60(FP), X3
-	LEAQ (DI)(CX*4), R8  // row 1
-	LEAQ (R8)(CX*4), R9  // row 2
-	LEAQ (R9)(CX*4), R10 // row 3
-	XORQ AX, AX          // j
-	MOVQ CX, DX
-	ANDQ $-8, DX         // n rounded down to pairs of vectors
-	JZ   vec4x1
+// Four consecutive rows of C (row length n) and kLen consecutive k-steps:
+//
+//	c[r*n+j] += a[r*aRow+kk*aK] * b[kk*n+j]    r < 4, kk < kLen, j < n
+//
+// with kk ascending for every element. The columns are walked in tiles of 8,
+// then one tile of 4, then single columns. A tile of C is loaded into
+// registers once, receives the kLen products of each of its elements in
+// ascending kk, and is stored once; between the load and the store the chain
+// of an element lives in one register lane, so the additions it sees and
+// their order are those of kLen passes of the Go loop over the row. Every
+// a must be non-zero (the caller's run splitting sees to it): nothing here
+// tests for the skip rule.
+//
+// Registers in the 8-wide tile: X0-X7 the accumulators (row r in X(2r),
+// X(2r+1)), X8/X9 the two B vectors of the k-step, X10/X13 the broadcast a
+// of alternating rows, X11/X12/X14/X15 the products.
+TEXT ·gemmTile4AVX(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ a+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ kLen+32(FP), R8
+	MOVQ aRow+40(FP), R9
+	MOVQ aK+48(FP), R10
+	SHLQ $2, R9             // a row step, bytes
+	SHLQ $2, R10            // a k step, bytes
+	LEAQ (R9)(R9*2), R11    // three a rows
+	LEAQ (CX*4), R12        // row step of b and c, bytes
+	CMPQ CX, $8
+	JLT  tile4
 
-vec4x2:
-	VMOVUPS (SI)(AX*4), X4
-	VMOVUPS 16(SI)(AX*4), X9
-	VMULPS X0, X4, X5
-	VMULPS X1, X4, X6
-	VMULPS X2, X4, X7
-	VMULPS X3, X4, X8
-	VMULPS X0, X9, X10
-	VMULPS X1, X9, X11
-	VMULPS X2, X9, X12
-	VMULPS X3, X9, X13
-	VADDPS (DI)(AX*4), X5, X5
-	VADDPS (R8)(AX*4), X6, X6
-	VADDPS (R9)(AX*4), X7, X7
-	VADDPS (R10)(AX*4), X8, X8
-	VADDPS 16(DI)(AX*4), X10, X10
-	VADDPS 16(R8)(AX*4), X11, X11
-	VADDPS 16(R9)(AX*4), X12, X12
-	VADDPS 16(R10)(AX*4), X13, X13
-	VMOVUPS X5, (DI)(AX*4)
-	VMOVUPS X6, (R8)(AX*4)
-	VMOVUPS X7, (R9)(AX*4)
-	VMOVUPS X8, (R10)(AX*4)
-	VMOVUPS X10, 16(DI)(AX*4)
-	VMOVUPS X11, 16(R8)(AX*4)
-	VMOVUPS X12, 16(R9)(AX*4)
-	VMOVUPS X13, 16(R10)(AX*4)
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JLT  vec4x2
+tile8:
+	VMOVUPS (DI), X0
+	VMOVUPS 16(DI), X1
+	VMOVUPS (DI)(R12*1), X2
+	VMOVUPS 16(DI)(R12*1), X3
+	VMOVUPS (DI)(R12*2), X4
+	VMOVUPS 16(DI)(R12*2), X5
+	LEAQ (DI)(R12*2), AX
+	VMOVUPS (AX)(R12*1), X6
+	VMOVUPS 16(AX)(R12*1), X7
+	MOVQ SI, AX             // b, this tile's columns at step kk
+	MOVQ DX, BX             // a, row 0 at step kk
+	MOVQ R8, R13
 
-vec4x1:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ AX, DX
-	JGE  tail4
-	VMOVUPS (SI)(AX*4), X4
-	VMULPS X0, X4, X5
-	VMULPS X1, X4, X6
-	VMULPS X2, X4, X7
-	VMULPS X3, X4, X8
-	VADDPS (DI)(AX*4), X5, X5
-	VADDPS (R8)(AX*4), X6, X6
-	VADDPS (R9)(AX*4), X7, X7
-	VADDPS (R10)(AX*4), X8, X8
-	VMOVUPS X5, (DI)(AX*4)
-	VMOVUPS X6, (R8)(AX*4)
-	VMOVUPS X7, (R9)(AX*4)
-	VMOVUPS X8, (R10)(AX*4)
-	ADDQ $4, AX
+k8:
+	VMOVUPS (AX), X8
+	VMOVUPS 16(AX), X9
+	VBROADCASTSS (BX), X10
+	VBROADCASTSS (BX)(R9*1), X13
+	VMULPS X10, X8, X11
+	VMULPS X10, X9, X12
+	VMULPS X13, X8, X14
+	VMULPS X13, X9, X15
+	VADDPS X0, X11, X0
+	VADDPS X1, X12, X1
+	VADDPS X2, X14, X2
+	VADDPS X3, X15, X3
+	VBROADCASTSS (BX)(R9*2), X10
+	VBROADCASTSS (BX)(R11*1), X13
+	VMULPS X10, X8, X11
+	VMULPS X10, X9, X12
+	VMULPS X13, X8, X14
+	VMULPS X13, X9, X15
+	VADDPS X4, X11, X4
+	VADDPS X5, X12, X5
+	VADDPS X6, X14, X6
+	VADDPS X7, X15, X7
+	ADDQ R12, AX
+	ADDQ R10, BX
+	DECQ R13
+	JNZ  k8
 
-tail4:
-	CMPQ AX, CX
-	JGE  done4
-	VMOVSS (SI)(AX*4), X4
-	VMULSS X0, X4, X5
-	VMULSS X1, X4, X6
-	VMULSS X2, X4, X7
-	VMULSS X3, X4, X8
-	VADDSS (DI)(AX*4), X5, X5
-	VADDSS (R8)(AX*4), X6, X6
-	VADDSS (R9)(AX*4), X7, X7
-	VADDSS (R10)(AX*4), X8, X8
-	VMOVSS X5, (DI)(AX*4)
-	VMOVSS X6, (R8)(AX*4)
-	VMOVSS X7, (R9)(AX*4)
-	VMOVSS X8, (R10)(AX*4)
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, 16(DI)
+	VMOVUPS X2, (DI)(R12*1)
+	VMOVUPS X3, 16(DI)(R12*1)
+	VMOVUPS X4, (DI)(R12*2)
+	VMOVUPS X5, 16(DI)(R12*2)
+	LEAQ (DI)(R12*2), AX
+	VMOVUPS X6, (AX)(R12*1)
+	VMOVUPS X7, 16(AX)(R12*1)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  tile8
+
+tile4:
+	TESTQ $4, CX
+	JZ    tile1
+	VMOVUPS (DI), X0
+	VMOVUPS (DI)(R12*1), X2
+	VMOVUPS (DI)(R12*2), X4
+	LEAQ (DI)(R12*2), AX
+	VMOVUPS (AX)(R12*1), X6
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R8, R13
+
+k4:
+	VMOVUPS (AX), X8
+	VBROADCASTSS (BX), X10
+	VBROADCASTSS (BX)(R9*1), X13
+	VMULPS X10, X8, X11
+	VMULPS X13, X8, X14
+	VADDPS X0, X11, X0
+	VADDPS X2, X14, X2
+	VBROADCASTSS (BX)(R9*2), X10
+	VBROADCASTSS (BX)(R11*1), X13
+	VMULPS X10, X8, X11
+	VMULPS X13, X8, X14
+	VADDPS X4, X11, X4
+	VADDPS X6, X14, X6
+	ADDQ R12, AX
+	ADDQ R10, BX
+	DECQ R13
+	JNZ  k4
+
+	VMOVUPS X0, (DI)
+	VMOVUPS X2, (DI)(R12*1)
+	VMOVUPS X4, (DI)(R12*2)
+	LEAQ (DI)(R12*2), AX
+	VMOVUPS X6, (AX)(R12*1)
+	ADDQ $16, DI
+	ADDQ $16, SI
+
+tile1:
+	ANDQ $3, CX             // single columns left
+	JZ   doneTile
+
+col1:
+	VMOVSS (DI), X0
+	VMOVSS (DI)(R12*1), X2
+	VMOVSS (DI)(R12*2), X4
+	LEAQ (DI)(R12*2), AX
+	VMOVSS (AX)(R12*1), X6
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R8, R13
+
+k1:
+	VMOVSS (AX), X8
+	VMULSS (BX), X8, X11
+	VMULSS (BX)(R9*1), X8, X14
+	VADDSS X0, X11, X0
+	VADDSS X2, X14, X2
+	VMULSS (BX)(R9*2), X8, X11
+	VMULSS (BX)(R11*1), X8, X14
+	VADDSS X4, X11, X4
+	VADDSS X6, X14, X6
+	ADDQ R12, AX
+	ADDQ R10, BX
+	DECQ R13
+	JNZ  k1
+
+	VMOVSS X0, (DI)
+	VMOVSS X2, (DI)(R12*1)
+	VMOVSS X4, (DI)(R12*2)
+	LEAQ (DI)(R12*2), AX
+	VMOVSS X6, (AX)(R12*1)
+	ADDQ $4, DI
+	ADDQ $4, SI
+	DECQ CX
+	JNZ  col1
+
+doneTile:
+	RET
+
+// func denseRun4AVX(a *float32, kLen, aRow, aK int) int
+//
+// A k-step kk is dense when none of a[r*aRow+kk*aK], r < 4, is zero. This
+// counts the dense steps at the head of the kLen starting at a: the index of
+// the first step that is not dense, or kLen. VCMPPS with predicate 0 (EQ,
+// ordered, quiet) against +0 is true for +0 and -0 and false for everything
+// else, NaNs included: the Go loops' `av == 0`. Two layouts are vectorized,
+// the two the GEMM driver has: aRow == 1 (the four values of a step are
+// adjacent: one compare per step) and aK == 1 (the steps of a row are
+// adjacent: four steps per iteration, one compare per row, the masks ORed).
+// kLen > 0.
+TEXT ·denseRun4AVX(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ kLen+8(FP), CX
+	MOVQ aRow+16(FP), R9
+	MOVQ aK+24(FP), R10
+	VXORPS X0, X0, X0
+	XORQ AX, AX             // kk
+	CMPQ R9, $1
+	JNE  rows
+
+	SHLQ $2, R10
+
+adjacent:
+	VCMPPS $0, (SI), X0, X1
+	VMOVMSKPS X1, DX
+	TESTL DX, DX
+	JNZ  doneRun
+	ADDQ R10, SI
 	INCQ AX
-	JMP  tail4
+	CMPQ AX, CX
+	JLT  adjacent
+	JMP  doneRun
 
-done4:
+rows:
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R11
+	MOVQ CX, R8
+	ANDQ $-4, R8            // kLen rounded down to whole vectors
+	JZ   rowsTail
+
+rows4:
+	LEAQ (SI)(AX*4), BX
+	VCMPPS $0, (BX), X0, X1
+	VCMPPS $0, (BX)(R9*1), X0, X2
+	VCMPPS $0, (BX)(R9*2), X0, X3
+	VCMPPS $0, (BX)(R11*1), X0, X4
+	VORPS X2, X1, X1
+	VORPS X4, X3, X3
+	VORPS X3, X1, X1
+	VMOVMSKPS X1, DX
+	TESTL DX, DX
+	JNZ  rowsHit
+	ADDQ $4, AX
+	CMPQ AX, R8
+	JLT  rows4
+
+rowsTail:
+	CMPQ AX, CX
+	JGE  doneRun
+	LEAQ (SI)(AX*4), BX
+	VMOVSS (BX), X1
+	VMOVSS (BX)(R9*1), X2
+	VMOVSS (BX)(R9*2), X3
+	VMOVSS (BX)(R11*1), X4
+	VCMPPS $0, X1, X0, X1   // the upper lanes hold +0 and compare true:
+	VCMPPS $0, X2, X0, X2   // only lane 0 is looked at
+	VCMPPS $0, X3, X0, X3
+	VCMPPS $0, X4, X0, X4
+	VORPS X2, X1, X1
+	VORPS X4, X3, X3
+	VORPS X3, X1, X1
+	VMOVMSKPS X1, DX
+	TESTL $1, DX
+	JNZ  doneRun
+	INCQ AX
+	JMP  rowsTail
+
+rowsHit:
+	BSFL DX, DX             // first of the four steps with a zero in some row
+	ADDQ DX, AX
+
+doneRun:
+	MOVQ AX, ret+32(FP)
 	RET
 
 // func axpy1AVX(c, b []float32, a float32)

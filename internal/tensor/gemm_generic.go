@@ -7,7 +7,11 @@ package tensor
 // tensor.go run.
 const useAVX = false
 
-func axpy4AVX(c, b []float32, a0, a1, a2, a3 float32) {
+func gemmTile4AVX(c, b, a *float32, n, kLen, aRow, aK int) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func denseRun4AVX(a *float32, kLen, aRow, aK int) int {
 	panic("tensor: no AVX kernels in this build")
 }
 

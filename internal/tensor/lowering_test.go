@@ -83,6 +83,56 @@ func TestBlockKernelsBitwise(t *testing.T) {
 	}
 }
 
+// TestAddInPlaceBitwise: AddInPlace is one row of addBlocks, and must still
+// be the element-at-a-time `t[i] += u[i]` bit for bit — every vector-tail
+// length, NaNs from disjoint payload sets on the two sides (sparse, then in
+// every element), and t added to itself. Zero and Fill(0) clear through the
+// runtime and must leave +0 everywhere and the dirty flag down.
+func TestAddInPlaceBitwise(t *testing.T) {
+	r := rng.NewFromInt(91)
+	lengths := []int{36, 576}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, allNaN := range []bool{false, true} {
+			acc := &Tensor{Shape: []int{n}, Data: make([]float32, n)}
+			u := &Tensor{Shape: []int{n}, Data: make([]float32, n)}
+			fillBlockOperand(r, acc.Data, gemmNaNsA, allNaN)
+			fillBlockOperand(r, u.Data, gemmNaNsB, allNaN)
+			want := append([]float32(nil), acc.Data...)
+			for i := range want {
+				want[i] += u.Data[i]
+			}
+			acc.AddInPlace(u)
+			sameBits(t, fmt.Sprintf("AddInPlace n=%d allNaN=%v", n, allNaN), acc.Data, want, true)
+
+			for i := range want {
+				want[i] += want[i]
+			}
+			acc.AddInPlace(acc)
+			sameBits(t, fmt.Sprintf("AddInPlace(self) n=%d allNaN=%v", n, allNaN), acc.Data, want, true)
+
+			acc.MarkDirty()
+			acc.Zero()
+			for i, v := range acc.Data {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("Zero n=%d: element %d = %#08x", n, i, math.Float32bits(v))
+				}
+			}
+			if acc.Dirty() {
+				t.Fatalf("Zero n=%d left the dirty flag up", n)
+			}
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	x := New(5)
+	x.Fill(negZero)
+	if math.Float32bits(x.Data[4]) != 0x80000000 {
+		t.Fatalf("Fill(-0) wrote %#08x", math.Float32bits(x.Data[4]))
+	}
+}
+
 // eachBlockElement visits the destination and source offsets of every element
 // of sh, one at a time, in block, row, column order.
 func eachBlockElement(sh blockShape, fn func(d, s int)) {

@@ -170,11 +170,11 @@ func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		return dst
 	}
 	if !runParallel(m, m*k*n) {
-		gemmNN(cd, ad, bd, k, n, mixed, 0, m)
+		gemmRows(cd, ad, bd, k, n, k, 1, mixed, 0, m)
 		return dst
 	}
 	parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-		gemmNN(cd, ad, bd, k, n, mixed, lo, hi)
+		gemmRows(cd, ad, bd, k, n, k, 1, mixed, lo, hi)
 	})
 	return dst
 }
@@ -220,11 +220,11 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		return dst
 	}
 	if !runParallel(m, m*k*n) {
-		gemmTA(cd, ad, bd, k, m, n, mixed, 0, m)
+		gemmRows(cd, ad, bd, k, n, 1, m, mixed, 0, m)
 		return dst
 	}
 	parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-		gemmTA(cd, ad, bd, k, m, n, mixed, lo, hi)
+		gemmRows(cd, ad, bd, k, n, 1, m, mixed, lo, hi)
 	})
 	return dst
 }
@@ -291,6 +291,7 @@ func checkMatMul(a, b *Tensor) (m, k, n int) {
 	if a.Shape[1] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v × %v", a.Shape, b.Shape))
 	}
+	checkOperands("MatMul", a, b)
 	return a.Shape[0], a.Shape[1], b.Shape[1]
 }
 
@@ -301,6 +302,7 @@ func checkMatMulTA(a, b *Tensor) (k, m, n int) {
 	if a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: MatMulTA inner dimensions differ: %vᵀ × %v", a.Shape, b.Shape))
 	}
+	checkOperands("MatMulTA", a, b)
 	return a.Shape[0], a.Shape[1], b.Shape[1]
 }
 
@@ -311,7 +313,20 @@ func checkMatMulTB(a, b *Tensor) (m, k, n int) {
 	if a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTB inner dimensions differ: %v × %vᵀ", a.Shape, b.Shape))
 	}
+	checkOperands("MatMulTB", a, b)
 	return a.Shape[0], a.Shape[1], b.Shape[0]
+}
+
+// checkOperands rejects a 2-D operand whose Data does not hold exactly the
+// elements its Shape names. The kernels index (and the assembly addresses)
+// by shape alone.
+func checkOperands(op string, a, b *Tensor) {
+	if len(a.Data) != a.Shape[0]*a.Shape[1] {
+		panic(fmt.Sprintf("tensor: %s left operand holds %d elements for shape %v", op, len(a.Data), a.Shape))
+	}
+	if len(b.Data) != b.Shape[0]*b.Shape[1] {
+		panic(fmt.Sprintf("tensor: %s right operand holds %d elements for shape %v", op, len(b.Data), b.Shape))
+	}
 }
 
 func checkDst(op string, dst *Tensor, m, n int) {
@@ -326,30 +341,43 @@ func zero(s []float32) {
 	}
 }
 
-// gemmNN computes rows [lo,hi) of C = A×B with the ikj loop order (B rows
-// stream sequentially) and 4-row register blocking: one pass over a B row
-// feeds four C rows, quartering B traffic. The skip rule (a-element exactly
-// zero, tested before bfloat16 rounding) and ascending-k accumulation match
-// the original serial kernel exactly.
-func gemmNN(c, a, b []float32, k, n int, mixed bool, lo, hi int) {
+// gemmRows computes rows [lo,hi) of C += A×B for B [k,n], where element
+// (i,kk) of A is a[i*aRow+kk*aK]: (k, 1) for a row-major A [m,k] — the NN
+// kernel — and (1, m) for the transposed view of a row-major [k,m] — the TA
+// kernel, which therefore never materializes a transpose. C must start at +0.
+//
+// The loop order is ikj (B rows stream sequentially) with 4-row register
+// blocking: one pass over a B row feeds four C rows, quartering B traffic.
+// A k-step of a 4-row block is one of three kinds. All four a zero: skipped.
+// All four non-zero: the dense step, four rows updated in one pass. Mixed:
+// one axpyRow per row, which skips its zeros. The skip rule (a-element
+// exactly zero, tested before bfloat16 rounding) and ascending-k accumulation
+// match the original serial kernel exactly.
+//
+// With the AVX kernels a dense fp32 step is not taken alone: denseRun4
+// measures the run of dense steps it starts, and gemmTile4 takes the whole
+// run in one call, with the k-loop and the tile of C in registers. The tile
+// is loaded from C before the run and stored after it, and the steps between
+// runs are handled where they fall, so every element still receives the same
+// addends in the same ascending-k order from the same +0 start.
+func gemmRows(c, a, b []float32, k, n, aRow, aK int, mixed bool, lo, hi int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		c0 := c[(i+0)*n : (i+0)*n+n]
-		c1 := c[(i+1)*n : (i+1)*n+n]
-		c2 := c[(i+2)*n : (i+2)*n+n]
-		c3 := c[(i+3)*n : (i+3)*n+n]
+		c4 := c[i*n : (i+4)*n]
+		c0, c1, c2, c3 := c4[:n], c4[n:2*n], c4[2*n:3*n], c4[3*n:]
+		a4 := a[i*aRow:]
 		for kk := 0; kk < k; kk++ {
-			av0 := a[(i+0)*k+kk]
-			av1 := a[(i+1)*k+kk]
-			av2 := a[(i+2)*k+kk]
-			av3 := a[(i+3)*k+kk]
+			ak := a4[kk*aK:]
+			av0, av1, av2, av3 := ak[0], ak[aRow], ak[2*aRow], ak[3*aRow]
 			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
 				continue
 			}
 			bk := b[kk*n : kk*n+n]
 			if !mixed && av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
 				if useAVX {
-					axpy4AVX(c[i*n:(i+4)*n], bk, av0, av1, av2, av3)
+					run := denseRun4(ak, k-kk, aRow, aK)
+					gemmTile4(c4, b[kk*n:], ak, n, run, aRow, aK)
+					kk += run - 1
 					continue
 				}
 				for j, bv := range bk {
@@ -369,14 +397,51 @@ func gemmNN(c, a, b []float32, k, n int, mixed bool, lo, hi int) {
 	for ; i < hi; i++ {
 		ci := c[i*n : i*n+n]
 		for kk := 0; kk < k; kk++ {
-			av := a[i*k+kk]
+			av := a[i*aRow+kk*aK]
 			if av == 0 {
 				continue
 			}
-			bk := b[kk*n : kk*n+n]
-			axpyRow(ci, bk, av, mixed)
+			axpyRow(ci, b[kk*n:kk*n+n], av, mixed)
 		}
 	}
+}
+
+// gemmTile4 accumulates kLen consecutive dense k-steps into the four rows of
+// c (row length n): c[r*n+j] += a[r*aRow+kk*aK] * b[kk*n+j], kk ascending.
+// The kernel behind it works on addresses, so the three extents are checked
+// here, before it sees one.
+func gemmTile4(c, b, a []float32, n, kLen, aRow, aK int) {
+	if n == 0 {
+		return
+	}
+	if n < 0 || kLen <= 0 || aRow < 0 || aK < 0 {
+		panic(fmt.Sprintf("tensor: gemmTile4 with %d columns, %d k-steps, A row step %d, A k step %d", n, kLen, aRow, aK))
+	}
+	if 4*n > len(c) {
+		panic(fmt.Sprintf("tensor: gemmTile4 needs 4×%d elements of C, slice holds %d", n, len(c)))
+	}
+	if kLen*n > len(b) {
+		panic(fmt.Sprintf("tensor: gemmTile4 needs %d×%d elements of B, slice holds %d", kLen, n, len(b)))
+	}
+	if last := 3*aRow + (kLen-1)*aK; last >= len(a) {
+		panic(fmt.Sprintf("tensor: gemmTile4 reaches element %d of A, slice holds %d", last, len(a)))
+	}
+	gemmTile4AVX(&c[0], &b[0], &a[0], n, kLen, aRow, aK)
+}
+
+// denseRun4 returns how many of the kLen k-steps starting at a are dense
+// before the first that is not, a step being dense when none of
+// a[r*aRow+kk*aK], r < 4, is ±0 (a NaN is not zero). One of the two strides
+// must be 1 — the two layouts gemmRows has and the kernel vectorizes. Checked
+// like gemmTile4.
+func denseRun4(a []float32, kLen, aRow, aK int) int {
+	if kLen <= 0 || aRow < 0 || aK < 0 || (aRow != 1 && aK != 1) {
+		panic(fmt.Sprintf("tensor: denseRun4 with %d k-steps, A row step %d, A k step %d", kLen, aRow, aK))
+	}
+	if last := 3*aRow + (kLen-1)*aK; last >= len(a) {
+		panic(fmt.Sprintf("tensor: denseRun4 reaches element %d of A, slice holds %d", last, len(a)))
+	}
+	return denseRun4AVX(&a[0], kLen, aRow, aK)
 }
 
 // axpyRow accumulates ci += av·bk, or the bfloat16-rounded MAC version. A
@@ -398,55 +463,6 @@ func axpyRow(ci, bk []float32, av float32, mixed bool) {
 	}
 	for j, bv := range bk {
 		ci[j] += av * bv
-	}
-}
-
-// gemmTA computes rows [lo,hi) of C = Aᵀ×B for A [k,m]. The a-operand is
-// read down a column (stride m); 4-row blocking turns those reads into
-// contiguous 4-element loads while keeping per-element accumulation order
-// identical to transpose-then-multiply.
-func gemmTA(c, a, b []float32, k, m, n int, mixed bool, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		c0 := c[(i+0)*n : (i+0)*n+n]
-		c1 := c[(i+1)*n : (i+1)*n+n]
-		c2 := c[(i+2)*n : (i+2)*n+n]
-		c3 := c[(i+3)*n : (i+3)*n+n]
-		for kk := 0; kk < k; kk++ {
-			arow := a[kk*m+i : kk*m+i+4]
-			av0, av1, av2, av3 := arow[0], arow[1], arow[2], arow[3]
-			if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-				continue
-			}
-			bk := b[kk*n : kk*n+n]
-			if !mixed && av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				if useAVX {
-					axpy4AVX(c[i*n:(i+4)*n], bk, av0, av1, av2, av3)
-					continue
-				}
-				for j, bv := range bk {
-					c0[j] += av0 * bv
-					c1[j] += av1 * bv
-					c2[j] += av2 * bv
-					c3[j] += av3 * bv
-				}
-				continue
-			}
-			axpyRow(c0, bk, av0, mixed)
-			axpyRow(c1, bk, av1, mixed)
-			axpyRow(c2, bk, av2, mixed)
-			axpyRow(c3, bk, av3, mixed)
-		}
-	}
-	for ; i < hi; i++ {
-		ci := c[i*n : i*n+n]
-		for kk := 0; kk < k; kk++ {
-			av := a[kk*m+i]
-			if av == 0 {
-				continue
-			}
-			axpyRow(ci, b[kk*n:kk*n+n], av, mixed)
-		}
 	}
 }
 
@@ -527,10 +543,10 @@ func gemmTBviaNN(lane uint32, c, a, b []float32, m, k, n int) {
 	transposeInto(bt, b, n, k)
 	zero(c)
 	if !runParallel(m, m*k*n) {
-		gemmNN(c, a, bt, k, n, false, 0, m)
+		gemmRows(c, a, bt, k, n, k, 1, false, 0, m)
 	} else {
 		parallelRows(lane, m, m*k*n, func(lo, hi int) {
-			gemmNN(c, a, bt, k, n, false, lo, hi)
+			gemmRows(c, a, bt, k, n, k, 1, false, lo, hi)
 		})
 	}
 	putPackBuf(rp)

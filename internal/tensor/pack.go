@@ -10,7 +10,7 @@
 // Packing fixes both. roundPanelBF16 converts the whole B panel to its
 // bfloat16-rounded image once, into a pooled scratch buffer; the packed
 // kernels then stream the pre-rounded panel with full register blocking:
-// one pass over a B row feeds four C rows (gemmNN/gemmTA) or four
+// one pass over a B row feeds four C rows (gemmRows) or four
 // accumulator columns (gemmTB), and the A micro-row values are rounded once
 // per (row, k) register and reused across the whole row/column block.
 //
@@ -123,7 +123,7 @@ func axpyRowPacked(ci, bk []float32, av float32) {
 // gemmNNPacked computes the [j0:j0+nt) columns of rows [lo,hi) of C = A×B
 // in mixed precision over the pre-rounded tile rb (the [k0:k0+kt) ×
 // [j0:j0+nt) block of B, row stride nt; ka is A's row stride). Same loop
-// structure, skip rule and ascending-k accumulation as gemmNN's mixed path;
+// structure, skip rule and ascending-k accumulation as gemmRows' mixed path;
 // unlike it, the 4-row block makes a single pass over each B row because no
 // re-rounding is needed per C row. The full-panel call is simply k0=j0=0,
 // kt=ka, nt=n; tiled calls accumulate into C across ascending k-tiles, so
@@ -177,7 +177,8 @@ func gemmNNPacked(c, a, rb []float32, ka, k0, kt, n, j0, nt int, lo, hi int) {
 
 // gemmTAPacked computes the [j0:j0+nt) columns of rows [lo,hi) of C = Aᵀ×B
 // for A [k,m] over the pre-rounded tile rb (B's [k0:k0+kt) × [j0:j0+nt)
-// block, row stride nt); the packed counterpart of gemmTA's mixed path.
+// block, row stride nt); the packed counterpart of gemmRows' mixed path on a
+// transposed A.
 // Full-panel call: k0=j0=0, kt=k, nt=n.
 func gemmTAPacked(c, a, rb []float32, k0, kt, m, n, j0, nt int, lo, hi int) {
 	i := lo

@@ -465,7 +465,7 @@ func MatMulIntoEp(dst, a, b *Tensor, mixed bool, ep *Epilogue) *Tensor {
 			if rb != nil {
 				gemmNNPacked(cd, ad, rb, k, 0, k, n, 0, n, lo, hi)
 			} else {
-				gemmNN(cd, ad, bd, k, n, mixed, lo, hi)
+				gemmRows(cd, ad, bd, k, n, k, 1, mixed, lo, hi)
 			}
 			ep.accumRows(cd, lo, hi, n)
 		}
@@ -476,7 +476,7 @@ func MatMulIntoEp(dst, a, b *Tensor, mixed bool, ep *Epilogue) *Tensor {
 			})
 		} else {
 			parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-				gemmNN(cd, ad, bd, k, n, mixed, lo, hi)
+				gemmRows(cd, ad, bd, k, n, k, 1, mixed, lo, hi)
 			})
 		}
 		// One ordered pass after the join: the lane rule and ascending-row

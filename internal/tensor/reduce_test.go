@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -208,4 +209,114 @@ func TestDirtyProtocol(t *testing.T) {
 	if a.Dirty() {
 		t.Fatal("MatMulIntoEp did not clear dirty")
 	}
+}
+
+// channelMomentsRef and sumPerChannelRef are the one-channel-at-a-time loops
+// ChannelMoments and SumPerChannelNCHW ran before they took several channels
+// side by side, kept as their oracles: same addends, same order, one chain.
+func channelMomentsRef(t *Tensor) (mean, variance []float32) {
+	n, c, h, w := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
+	mean = make([]float32, c)
+	variance = make([]float32, c)
+	count := float64(n * h * w)
+	for ch := 0; ch < c; ch++ {
+		var sum, sumsq float64
+		for b := 0; b < n; b++ {
+			base := ((b*c + ch) * h) * w
+			for i := 0; i < h*w; i++ {
+				v := float64(t.Data[base+i])
+				sum += v
+				sumsq += v * v
+			}
+		}
+		m := sum / count
+		mean[ch] = float32(m)
+		variance[ch] = float32(sumsq/count - m*m)
+	}
+	return mean, variance
+}
+
+func sumPerChannelRef(t, into *Tensor) {
+	n, c, spatial := channelDims("sumPerChannelRef", t)
+	for b := 0; b < n; b++ {
+		for ch := 0; ch < c; ch++ {
+			row := t.Data[(b*c+ch)*spatial : (b*c+ch+1)*spatial]
+			var sum float32
+			for _, v := range row {
+				sum += v
+			}
+			into.Data[ch] += sum
+		}
+	}
+}
+
+// fillChannelTorture fills an activation tensor so that a per-channel sum
+// taken in any order but the defined one comes out different: magnitudes 1e8
+// apart that cancel, so what survives depends on the order, and — with
+// poison — a +Inf, a -Inf and a NaN in three different channels.
+func fillChannelTorture(r *rng.Rand, t *Tensor, poison bool) {
+	for i := range t.Data {
+		v := float32(r.NormFloat64())
+		switch r.Intn(4) {
+		case 0:
+			v *= 1e8
+		case 1:
+			v *= 1e-8
+		}
+		t.Data[i] = v
+	}
+	// Exact cancellation partners for the first few elements.
+	for i := 0; i+1 < len(t.Data); i += 5 {
+		t.Data[i+1] = -t.Data[i]
+	}
+	if poison {
+		for i, bits := range []uint32{0x7f800000, 0xff800000, 0x7fc00001} {
+			t.Data[(i*len(t.Data)/3+i)%len(t.Data)] = math.Float32frombits(bits)
+		}
+	}
+}
+
+// TestChannelReductionsBitwise: the channel-interleaved reductions against
+// their sequential oracles, over channel counts on both sides of the pair and
+// quad widths, 4-D and rank-2. A NaN has to be a NaN, not a given payload:
+// where two meet in one sum, which survives is the register allocator's
+// choice in the oracle and the kernel alike.
+func TestChannelReductionsBitwise(t *testing.T) {
+	r := rng.NewFromInt(92)
+	for _, c := range []int{1, 2, 3, 4, 5, 8, 9} {
+		for _, n := range []int{1, 2, 3} {
+			for _, poison := range []bool{false, true} {
+				name := fmt.Sprintf("n=%d c=%d poison=%v", n, c, poison)
+				x := New(n, c, 3, 2)
+				fillChannelTorture(r, x, poison)
+
+				mean, variance := make([]float32, c), make([]float32, c)
+				ChannelMoments(x, mean, variance)
+				wantMean, wantVar := channelMomentsRef(x)
+				sameBits(t, "ChannelMoments mean "+name, mean, wantMean, false)
+				sameBits(t, "ChannelMoments variance "+name, variance, wantVar, false)
+
+				got, want := New(c), New(c)
+				fillChannelTorture(r, got, false)
+				copy(want.Data, got.Data)
+				SumPerChannelNCHW(x, got)
+				sumPerChannelRef(x, want)
+				sameBits(t, "SumPerChannelNCHW "+name, got.Data, want.Data, false)
+
+				// Rank-2, the Dense bias gradient: rows of one element, and a
+				// -0 row must still contribute the +0 its own sum starts from.
+				d := New(n, c)
+				fillChannelTorture(r, d, poison)
+				d.Data[0] = float32(math.Copysign(0, -1))
+				got.Fill(float32(math.Copysign(0, -1)))
+				want.Fill(float32(math.Copysign(0, -1)))
+				SumPerChannelNCHW(d, got)
+				sumPerChannelRef(d, want)
+				sameBits(t, "SumPerChannelNCHW rank-2 "+name, got.Data, want.Data, false)
+			}
+		}
+	}
+	mustPanicWith(t, "ChannelMoments destinations hold 2 and 3 elements for 3 channels", func() {
+		ChannelMoments(New(1, 3, 2, 2), make([]float32, 2), make([]float32, 3))
+	})
 }

@@ -166,10 +166,15 @@ func (t *Tensor) offset(idx []int) int {
 }
 
 // Fill sets every element to v. A fill is a full rewrite, so it clears the
-// dirty flag (covers ZeroGrad and restore-time gradient zeroing).
+// dirty flag (covers ZeroGrad and restore-time gradient zeroing). +0, what
+// Zero fills with, is all zero bits and goes through the runtime's memclr.
 func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
+	if math.Float32bits(v) == 0 {
+		clear(t.Data)
+	} else {
+		for i := range t.Data {
+			t.Data[i] = v
+		}
 	}
 	t.dirty = false
 }
@@ -191,14 +196,14 @@ func (t *Tensor) FillUniform(r *rng.Rand, lo, hi float64) {
 	}
 }
 
-// AddInPlace computes t += u element-wise.
+// AddInPlace computes t += u element-wise, as one row of addBlocks: t's
+// element is the add's first operand on every path, so where two NaNs meet
+// the one already in t stays. u may be t.
 func (t *Tensor) AddInPlace(u *Tensor) {
 	if len(t.Data) != len(u.Data) {
 		panic("tensor: AddInPlace size mismatch")
 	}
-	for i := range t.Data {
-		t.Data[i] += u.Data[i]
-	}
+	addBlocks(t.Data, u.Data, &blockShape{n: 1, rows: 1, cols: len(t.Data)})
 }
 
 // SubInPlace computes t -= u element-wise.
@@ -658,25 +663,52 @@ func ArgMaxRows(t *Tensor) []int {
 
 // ChannelMoments computes, for an NCHW tensor, the per-channel mean and
 // (population) variance over the N, H and W axes — the batch statistics a
-// BatchNorm layer consumes.
-func ChannelMoments(t *Tensor) (mean, variance []float32) {
-	n, c, h, w := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-	mean = make([]float32, c)
-	variance = make([]float32, c)
-	count := float64(n * h * w)
-	for ch := 0; ch < c; ch++ {
-		var sum, sumsq float64
-		for b := 0; b < n; b++ {
-			base := ((b*c + ch) * h) * w
-			for i := 0; i < h*w; i++ {
-				v := float64(t.Data[base+i])
-				sum += v
-				sumsq += v * v
-			}
-		}
+// BatchNorm layer consumes — into mean and variance, one element per channel.
+//
+// A channel's two float64 sums take their addends batch-major then spatial,
+// one after the other: the order is the result, and the chain of dependent
+// additions is what the loop waits on. Channels are independent, so two are
+// summed side by side, each accumulator still receiving its own addends in
+// its own order; an odd last channel goes through the same loop alone.
+func ChannelMoments(t *Tensor, mean, variance []float32) {
+	n, c, spatial := t.Shape[0], t.Shape[1], t.Shape[2]*t.Shape[3]
+	if len(mean) != c || len(variance) != c {
+		panic(fmt.Sprintf("tensor: ChannelMoments destinations hold %d and %d elements for %d channels", len(mean), len(variance), c))
+	}
+	count := float64(n * spatial)
+	moments := func(ch int, sum, sumsq float64) {
 		m := sum / count
 		mean[ch] = float32(m)
 		variance[ch] = float32(sumsq/count - m*m)
 	}
-	return mean, variance
+	ch := 0
+	for ; ch+2 <= c; ch += 2 {
+		var sum0, sumsq0, sum1, sumsq1 float64
+		for b := 0; b < n; b++ {
+			base := (b*c + ch) * spatial
+			x0 := t.Data[base : base+spatial]
+			x1 := t.Data[base+spatial : base+2*spatial][:len(x0)] // no bounds check below
+			for i := range x0 {
+				v0, v1 := float64(x0[i]), float64(x1[i])
+				sum0 += v0
+				sumsq0 += v0 * v0
+				sum1 += v1
+				sumsq1 += v1 * v1
+			}
+		}
+		moments(ch, sum0, sumsq0)
+		moments(ch+1, sum1, sumsq1)
+	}
+	if ch < c {
+		var sum, sumsq float64
+		for b := 0; b < n; b++ {
+			base := (b*c + ch) * spatial
+			for _, x := range t.Data[base : base+spatial] {
+				v := float64(x)
+				sum += v
+				sumsq += v * v
+			}
+		}
+		moments(ch, sum, sumsq)
+	}
 }

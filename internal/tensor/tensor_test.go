@@ -423,7 +423,8 @@ func TestChannelMoments(t *testing.T) {
 		in.Set(0, b, 1, 0, 0)
 		in.Set(4, b, 1, 0, 1)
 	}
-	mean, variance := ChannelMoments(in)
+	mean, variance := make([]float32, 2), make([]float32, 2)
+	ChannelMoments(in, mean, variance)
 	if mean[0] != 2 || variance[0] != 0 {
 		t.Fatalf("channel 0 moments = %v, %v", mean[0], variance[0])
 	}

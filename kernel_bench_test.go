@@ -119,6 +119,72 @@ func BenchmarkKernel_MatMulTB(b *testing.B) {
 	reportGFLOPS(b, 256, 256, 256)
 }
 
+// benchCampaignGEMM times one fp32 product at a shape the reference
+// campaigns spend their GEMM time in — far below the parallel threshold, so
+// it is the serial row-block driver and the micro-kernels that are measured,
+// not the pool. mul receives A as [m,k] and B as [k,n] and transposes what
+// its entry point wants transposed, outside the timer. Two legs: A without a
+// zero (what a convolution behind a BatchNorm sees: one run of k dense steps
+// per row block) and A with every other element zero at random (almost every
+// k-step mixed: per-row kernels, the prescan finding nothing).
+func benchCampaignGEMM(b *testing.B, m, k, n int, mul func(a, bm *tensor.Tensor) func()) {
+	for _, leg := range []struct {
+		name  string
+		zeros bool
+	}{{"dense", false}, {"half-zero", true}} {
+		b.Run(leg.name, func(b *testing.B) {
+			r := rng.NewFromInt(35)
+			a, bm := tensor.New(m, k), tensor.New(k, n)
+			a.FillNormal(r, 0, 1)
+			bm.FillNormal(r, 0, 1)
+			if leg.zeros {
+				for i := range a.Data {
+					if r.Intn(2) == 0 {
+						a.Data[i] = 0
+					}
+				}
+			}
+			run := mul(a, bm)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			reportGFLOPS(b, m, k, n)
+		})
+	}
+}
+
+func benchCampaignNN(b *testing.B, m, k, n int) {
+	benchCampaignGEMM(b, m, k, n, func(a, bm *tensor.Tensor) func() {
+		dst := tensor.New(m, n)
+		return func() { tensor.MatMulInto(dst, a, bm, false) }
+	})
+}
+
+// The conv forward of the resnet campaign: kernel [8,72] × im2col [72,72].
+func BenchmarkKernel_GEMMCampaignNN(b *testing.B) { benchCampaignNN(b, 8, 72, 72) }
+
+// The transformer campaign's projections: 12 columns, one tile of 8 and one
+// of 4.
+func BenchmarkKernel_GEMMCampaignNN12(b *testing.B) { benchCampaignNN(b, 16, 12, 12) }
+
+// The conv input gradient: kernelᵀ [72,8]ᵀ × gradOut [8,72].
+func BenchmarkKernel_GEMMCampaignTA(b *testing.B) {
+	benchCampaignGEMM(b, 72, 8, 72, func(a, bm *tensor.Tensor) func() {
+		dst, at := tensor.New(72, 72), tensor.Transpose2D(a)
+		return func() { tensor.MatMulTAInto(dst, at, bm, false) }
+	})
+}
+
+// The conv weight gradient: gradOut [8,72] × im2col [72,72]ᵀ.
+func BenchmarkKernel_GEMMCampaignTB(b *testing.B) {
+	benchCampaignGEMM(b, 8, 72, 72, func(a, bm *tensor.Tensor) func() {
+		dst, bt := tensor.New(8, 72), tensor.Transpose2D(bm)
+		return func() { tensor.MatMulTBInto(dst, a, bt, false) }
+	})
+}
+
 func benchConvOperands() (*tensor.Tensor, *tensor.Tensor, tensor.ConvParams) {
 	r := rng.NewFromInt(32)
 	in := tensor.New(8, 8, 16, 16)
