@@ -1,29 +1,25 @@
-// Campaign-level benchmarks: forked execution (golden-prefix snapshot
-// cache + per-worker engine pooling) and the campaign equivalence layer
-// (injection dedup + masked early termination) against the cold-start
-// campaign runner that rebuilds an engine and replays the full prefix for
-// every experiment ("exhaustive" execution).
+// Campaign-level benchmarks: forked execution (the golden-prefix snapshot
+// cache) and the campaign equivalence layer (injection dedup + masked early
+// termination) against the cold-start campaign that replays the full prefix
+// for every experiment ("exhaustive" execution).
 //
 // Run with:
 //
 //	go test -bench 'Campaign' -benchmem -run '^$' .
 //
-// or via ./bench_campaign.sh, which emits BENCH_campaign.json for the perf
-// trajectory. All modes produce byte-identical Records/Tally
+// All modes produce byte-identical Records/Tally
 // (TestForkedCampaignEquivalence and TestEquivalenceFastPathsExact in
 // internal/experiment), so the ns/op ratios are pure wall-clock win.
-// Forking skips every experiment's golden prefix; pooling removes
-// per-experiment model+dataset construction on top (an allocation win —
-// see BenchmarkEngineBuild vs BenchmarkEnginePoolReuse); the equivalence
-// layer then terminates bitwise-masked experiments right after their
-// injection and adopts duplicate-corruption records without executing.
+// Forking skips every experiment's golden prefix; the equivalence layer
+// then terminates bitwise-masked experiments right after their injection
+// and adopts duplicate-corruption records without executing. For speed
+// claims use the repo's benchmark, bash bench/run.sh.
 package repro_test
 
 import (
 	"testing"
 
 	"repro/internal/experiment"
-	"repro/internal/rng"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -53,7 +49,6 @@ func benchCampaignConfig(b *testing.B) experiment.Config {
 func BenchmarkCampaignCold(b *testing.B) {
 	cfg := benchCampaignConfig(b)
 	cfg.SnapshotStride = -1 // replay every prefix from iteration 0
-	cfg.NoPool = true       // fresh engine per experiment
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,27 +57,7 @@ func BenchmarkCampaignCold(b *testing.B) {
 }
 
 func BenchmarkCampaignForked(b *testing.B) {
-	cfg := benchCampaignConfig(b) // defaults: auto stride + engine pool + affine
-	b.ReportAllocs()
-	b.ResetTimer()
-	var c *experiment.Campaign
-	for i := 0; i < b.N; i++ {
-		c = experiment.Run(cfg)
-	}
-	b.ReportMetric(float64(c.WarmRestores), "warm-restores")
-	b.ReportMetric(float64(c.ColdRestores), "cold-restores")
-}
-
-// BenchmarkCampaignForkedUnordered is BenchmarkCampaignForked with
-// snapshot-affine scheduling disabled: experiments dispatch in index order,
-// so consecutive experiments on a worker usually fork from different golden
-// snapshots (cold restores). Records, Tally, and journal bytes are
-// byte-identical to the affine leg (TestAffineSchedulingEquivalence,
-// TestJournalBytesSchedulingInvariant); the ns/op ratio is the pure
-// locality win of grouping same-snapshot experiments.
-func BenchmarkCampaignForkedUnordered(b *testing.B) {
-	cfg := benchCampaignConfig(b)
-	cfg.NoAffine = true
+	cfg := benchCampaignConfig(b) // default: auto stride
 	b.ReportAllocs()
 	b.ResetTimer()
 	var c *experiment.Campaign
@@ -107,31 +82,9 @@ func BenchmarkCampaignForkedTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignForkedNoPool isolates the snapshot-fork contribution.
-func BenchmarkCampaignForkedNoPool(b *testing.B) {
-	cfg := benchCampaignConfig(b)
-	cfg.NoPool = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = experiment.Run(cfg)
-	}
-}
-
-// BenchmarkCampaignPoolOnly isolates the engine-pool contribution.
-func BenchmarkCampaignPoolOnly(b *testing.B) {
-	cfg := benchCampaignConfig(b)
-	cfg.SnapshotStride = -1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = experiment.Run(cfg)
-	}
-}
-
 // BenchmarkCampaignDedupEarlyExit adds the campaign equivalence layer
 // (injection dedup + masked early termination, internal/experiment
-// dedup.go / earlyexit.go) on top of forked + pooled execution. Both
+// dedup.go / earlyexit.go) on top of forked execution. Both
 // fast-paths are exact — records and Tally match exhaustive execution
 // byte for byte modulo provenance fields (TestEquivalenceFastPathsExact)
 // — so the ratio against BenchmarkCampaignForked is again pure wall-clock
@@ -150,33 +103,4 @@ func BenchmarkCampaignDedupEarlyExit(b *testing.B) {
 	b.ReportMetric(float64(c.ExperimentsAdopted), "dedup-hits")
 	b.ReportMetric(float64(c.EarlyExits), "early-exits")
 	b.ReportMetric(float64(c.IterationsSynthesized), "synth-iters")
-}
-
-// BenchmarkEngineBuild / BenchmarkEnginePoolReuse isolate what the
-// per-worker engine pool actually saves per experiment: a pooled worker
-// pays Reset+Restore where a cold one pays NewEngine (model + dataset +
-// optimizer construction). The wall-clock delta is what pooling can buy a
-// campaign per experiment; its main win is allocation volume (see the
-// allocs/op column), which is why BENCH_campaign.json's forked vs
-// forked_nopool gap is within noise on small configs while pool_only vs
-// cold is visible.
-func BenchmarkEngineBuild(b *testing.B) {
-	cfg := benchCampaignConfig(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cfg.Workload.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77})
-	}
-}
-
-func BenchmarkEnginePoolReuse(b *testing.B) {
-	cfg := benchCampaignConfig(b)
-	e := cfg.Workload.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77})
-	snap := e.Snapshot(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		e.Restore(snap)
-	}
 }

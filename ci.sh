@@ -11,10 +11,11 @@
 # again from a -tags purego build (assembly and portable kernels must agree
 # on a whole campaign, byte for byte), a SIGKILL crash loop that
 # repeatedly murders a device-fault campaign mid-write and requires -resume
-# -repair-journal to converge to the byte-identical reference, and a
+# -repair-journal to converge to the byte-identical reference, a
 # campaignd smoke that runs a sharded campaign through a real coordinator +
 # two worker processes on loopback and cmps the merged journal against the
-# single-process one.
+# single-process one, a one-iteration run of the benchmarks the docs cite,
+# and vet + tests of the bench/ module, which is not part of ./... .
 #
 # Usage: ./ci.sh
 set -eu
@@ -83,10 +84,11 @@ echo "== fused-mitigation equivalence under -race (epilogue stats == sweeps, ala
 go test -race ./internal/detect ./internal/baseline
 
 echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, byte for byte) =="
-# The experiment package runs ~11 min under the race detector on this
-# shared box (the shard-partition proof pushed it past go test's default
-# 10-minute per-package timeout).
-go test -race -timeout 30m ./internal/experiment ./internal/record ./internal/telemetry
+# `go test -race ./internal/experiment` takes 94–105 s on this 2-CPU shared
+# box (99–101 s at the parent of the PR that removed the execution twins,
+# same session, alternating), well inside go test's default 10-minute
+# per-package timeout.
+go test -race ./internal/experiment ./internal/record ./internal/telemetry
 
 echo "== distributed campaign under -race (1/2/4 workers over HTTP, killed worker reassigned, merged journal byte-identical) =="
 go test -race ./internal/dist
@@ -112,15 +114,6 @@ echo "== assembly vs portable on a whole campaign (the reference campaign above 
 go build -tags purego -o "$tmp/campaign.purego" ./cmd/campaign
 "$tmp/campaign.purego" -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/purego.json"
-
-echo "== locality smoke (-affine=false + tiny -l2-bytes must not change a byte) =="
-# Same campaign as the reference above, with index-order dispatch and a
-# pack-tile budget small enough to force L2 tiling on every panel: the
-# archived records must still be byte-identical (scheduling and tiling are
-# pure placement).
-"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 5 \
-	-affine=false -l2-bytes 65536 -json "$tmp/locality.json" >/dev/null
-cmp "$tmp/ref.json" "$tmp/locality.json"
 
 echo "== dedup/early-exit equivalence smoke (-race, reported tally must match exhaustive byte for byte) =="
 go build -race -o "$tmp/campaign.race" ./cmd/campaign
@@ -169,7 +162,7 @@ echo "== journal fuzz smoke (parser must not panic, repairer must converge) =="
 go test -run '^$' -fuzz 'FuzzParseJournal' -fuzztime 3s ./internal/record
 go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 
-echo "== GEMM fuzz smoke (every fp32 entry point against the naive triple loop) =="
+echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, against the naive triple loop) =="
 go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 
 echo "== lowering fuzz smoke (im2col and col2im against the per-element loops, fuzzer-chosen geometry and bit patterns) =="
@@ -212,13 +205,10 @@ grep -q '"time_to_recover_iters":' "$tmp/jit.jsonl"
 grep -q '"jit_snapshots":' "$tmp/jit.jsonl"
 grep -q "recovery \[jit\]:" "$tmp/jit.txt" # report renders the strategy summary
 
-echo "== campaign bench smoke (-benchtime=1x) =="
-go test -run '^$' -bench 'BenchmarkCampaign(Cold|Forked|ForkedTelemetry|ForkedUnordered)$' -benchtime 1x .
+echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
 
-echo "== kernel bench smoke (-benchtime=1x) =="
-go test -run '^$' -bench 'BenchmarkKernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|GEMMPool|GEMMMixedPacked|GEMMMixedL2Tiled|TrainStepMixed)$' -benchtime 1x .
-
-echo "== overhead bench smoke (-benchtime=1x) =="
-go test -run '^$' -bench 'BenchmarkOverhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep))$' -benchtime 1x .
+echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
+(cd bench && go vet ./... && go test ./...)
 
 echo "CI passed."

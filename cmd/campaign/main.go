@@ -46,7 +46,6 @@ import (
 	"repro/internal/record"
 	"repro/internal/recovery"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/workloads"
 )
 
@@ -61,7 +60,6 @@ func main() {
 		jsonOut     = flag.String("json", "", "write the full campaign record to this JSON file")
 		stride      = flag.Int("snapshot-stride", 0, "golden-prefix snapshot stride: 0 = auto (memory-bounded), >0 explicit, <0 disable forking")
 		snapMem     = flag.Int64("snapshot-mem", 0, "auto-stride snapshot cache budget in bytes (0 = 256 MiB)")
-		pool        = flag.Bool("pool", true, "reuse one engine per worker across experiments (Reset+Restore) instead of rebuilding per experiment")
 		journal     = flag.String("journal", "", "write-ahead journal path: append each completed experiment (crash-safe, fsync-batched)")
 		resume      = flag.Bool("resume", false, "continue the campaign recorded in -journal, skipping completed experiments")
 		repair      = flag.Bool("repair-journal", false, "truncate a torn final journal line (crash mid-append) before resuming")
@@ -77,8 +75,6 @@ func main() {
 		convTol     = flag.Float64("converged-tol", 0, "with -converged-tail: metric tolerance (0 = default 1e-3)")
 		convPat     = flag.Int("converged-patience", 0, "with -converged-tail: consecutive in-tolerance iterations required (0 = default 5)")
 		scrubWS     = flag.Bool("scrub-workspaces", false, "NaN-poison pooled engines' kernel scratch buffers between experiments (exact; debugging invariant check for scratch-state leaks)")
-		affine      = flag.Bool("affine", true, "snapshot-affine scheduling: group experiments by the golden snapshot they fork from so pooled workers restore cache-resident snapshots (exact; results and journal bytes are identical either way)")
-		l2Bytes     = flag.Int64("l2-bytes", 0, "GEMM pack-tile budget in bytes, normally the per-core L2 size (0 = sysfs autodetect with a 2 MiB fallback; exact — tiling never changes results)")
 
 		worker      = flag.String("worker", "", "attach to this campaignd coordinator URL (e.g. http://127.0.0.1:8080) as a distributed-campaign worker instead of running a local campaign; campaign parameters come from the coordinator's leases")
 		workerID    = flag.String("worker-id", "", "with -worker: worker identity shown in campaignd status views (default worker-<pid>)")
@@ -137,10 +133,6 @@ func main() {
 	}
 	if *devFaults != "" && (*dedup || *earlyExit || *convTail) {
 		fatal(fmt.Errorf("-dedup/-early-exit/-converged-tail apply only to FF campaigns: device faults carry per-experiment random value streams and stay armed across iterations, so neither the dedup keys nor the early-exit proof hold"))
-	}
-
-	if *l2Bytes > 0 {
-		tensor.SetL2Bytes(int(*l2Bytes))
 	}
 
 	// SIGINT/SIGTERM cancel the campaign context: the worker pool drains
@@ -202,8 +194,6 @@ func main() {
 			HorizonMult:       1.5,
 			SnapshotStride:    *stride,
 			SnapshotMemBudget: *snapMem,
-			NoPool:            !*pool,
-			NoAffine:          !*affine,
 			ScrubWorkspaces:   *scrubWS,
 			DeviceFaults:      *devFaults != "",
 			DeviceFaultKinds:  deviceFaultKinds,

@@ -29,7 +29,6 @@ func main() {
 		workload = flag.String("workload", "resnet", "workload to evaluate")
 		iters    = flag.Int("iters", 60, "iterations per measurement run")
 		seed     = flag.Int64("seed", 1, "seed")
-		fused    = flag.Bool("fused", true, "consume kernel-epilogue stats in the bounds check instead of re-sweeping tensors")
 	)
 	flag.Parse()
 
@@ -52,7 +51,7 @@ func main() {
 	})
 	checked := measure(func() {
 		e := w.NewEngine(rng.Seed{State: uint64(*seed), Stream: 77})
-		d := detect.ForEngine(e, w.BatchSize(), w.LR, *fused)
+		d := detect.ForEngine(e, w.BatchSize(), w.LR, true)
 		for i := 0; i < *iters; i++ {
 			e.RunIteration(i)
 			for k := 0; k < amplify; k++ {
@@ -63,7 +62,7 @@ func main() {
 			}
 		}
 	})
-	fmt.Printf("workload %s (%d iterations, checks amplified %d×, fused=%v)\n", w.Name, *iters, amplify, *fused)
+	fmt.Printf("workload %s (%d iterations, checks amplified %d×)\n", w.Name, *iters, amplify)
 	fmt.Printf("  plain training:        %v\n", base)
 	fmt.Printf("  per-iteration bounds check overhead: %.4f%%\n", overheadPct(base, checked)/amplify)
 

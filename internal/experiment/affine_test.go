@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 // seqSink records the exact append sequence a campaign produces, plus every
@@ -57,16 +56,18 @@ func assertSameAppends(t *testing.T, tag string, want, got *seqSink) {
 
 // TestAffineSchedulingEquivalence is the scheduling exactness proof:
 // snapshot-affine dispatch must produce byte-identical Records, Tally, and
-// journal append sequence versus unordered index dispatch, for every worker
+// journal append sequence versus the cold-start campaign, for every worker
 // count — scheduling is a pure locality optimization. ci.sh runs this under
 // -race.
 func TestAffineSchedulingEquivalence(t *testing.T) {
 	base := resumeTestConfig(t)
 
-	// Reference: index-order dispatch on one worker — the schedule whose
-	// natural append order the canonical journal sequence mirrors.
+	// Reference: the cold-start campaign. With forking off every experiment
+	// forks from boundary 0, the stable regrouping leaves index order, and
+	// one worker appends in it — the schedule whose natural append order the
+	// canonical journal sequence mirrors.
 	refCfg := base
-	refCfg.NoAffine = true
+	refCfg.SnapshotStride = -1
 	refCfg.Workers = 1
 	refSink := &seqSink{recs: map[int]Record{}}
 	want, err := Resume(refCfg, RunOptions{Sink: refSink})
@@ -76,48 +77,35 @@ func TestAffineSchedulingEquivalence(t *testing.T) {
 	if want.Completed != base.Experiments {
 		t.Fatalf("reference run completed %d/%d", want.Completed, base.Experiments)
 	}
+	if want.ColdRestores != 1 || want.WarmRestores != int64(base.Experiments)-1 {
+		t.Fatalf("reference run: %d warm + %d cold restores, want every restore after the first warm",
+			want.WarmRestores, want.ColdRestores)
+	}
 
-	for _, noAffine := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 3} {
-			cfg := base
-			cfg.NoAffine = noAffine
-			cfg.Workers = workers
-			sink := &seqSink{recs: map[int]Record{}}
-			stats := telemetry.NewCampaignStats("resnet", cfg.Experiments, workers)
-			got, err := Resume(cfg, RunOptions{Sink: sink, Stats: stats})
-			tag := fmt.Sprintf("noAffine=%v workers=%d", noAffine, workers)
-			if err != nil {
-				t.Fatalf("%s: run failed: %v", tag, err)
-			}
-			assertCampaignsIdentical(t, tag, want, got)
-			assertSameAppends(t, tag, refSink, sink)
-
-			// Every dispatched experiment restores exactly one snapshot into
-			// its pooled engine, warm or cold; the telemetry mirror must agree.
-			if got.WarmRestores+got.ColdRestores != int64(base.Experiments) {
-				t.Fatalf("%s: %d warm + %d cold restores, want %d total",
-					tag, got.WarmRestores, got.ColdRestores, base.Experiments)
-			}
-			snap := stats.Snapshot()
-			if snap.WarmRestores != got.WarmRestores || snap.ColdRestores != got.ColdRestores {
-				t.Fatalf("%s: telemetry restores (%d, %d) != campaign (%d, %d)", tag,
-					snap.WarmRestores, snap.ColdRestores, got.WarmRestores, got.ColdRestores)
-			}
+	for _, workers := range []int{1, 2, 3} {
+		cfg := base
+		cfg.Workers = workers
+		sink := &seqSink{recs: map[int]Record{}}
+		stats := telemetry.NewCampaignStats("resnet", cfg.Experiments, workers)
+		got, err := Resume(cfg, RunOptions{Sink: sink, Stats: stats})
+		tag := fmt.Sprintf("workers=%d", workers)
+		if err != nil {
+			t.Fatalf("%s: run failed: %v", tag, err)
 		}
-	}
+		assertCampaignsIdentical(t, tag, want, got)
+		assertSameAppends(t, tag, refSink, sink)
 
-	// Restores are an engine-pool concept: without pooled engines nothing is
-	// restored, so the counters must stay zero — and results still match.
-	np := base
-	np.NoPool = true
-	got, err := Resume(np, RunOptions{})
-	if err != nil {
-		t.Fatalf("NoPool run failed: %v", err)
-	}
-	assertCampaignsIdentical(t, "nopool", want, got)
-	if got.WarmRestores != 0 || got.ColdRestores != 0 {
-		t.Fatalf("NoPool campaign counted restores (%d warm, %d cold)",
-			got.WarmRestores, got.ColdRestores)
+		// Every dispatched experiment restores exactly one snapshot into
+		// its pooled engine, warm or cold; the telemetry mirror must agree.
+		if got.WarmRestores+got.ColdRestores != int64(base.Experiments) {
+			t.Fatalf("%s: %d warm + %d cold restores, want %d total",
+				tag, got.WarmRestores, got.ColdRestores, base.Experiments)
+		}
+		snap := stats.Snapshot()
+		if snap.WarmRestores != got.WarmRestores || snap.ColdRestores != got.ColdRestores {
+			t.Fatalf("%s: telemetry restores (%d, %d) != campaign (%d, %d)", tag,
+				snap.WarmRestores, snap.ColdRestores, got.WarmRestores, got.ColdRestores)
+		}
 	}
 }
 
@@ -130,7 +118,7 @@ func TestAffineSchedulingDedupJournal(t *testing.T) {
 	base.Dedup = true
 
 	refCfg := base
-	refCfg.NoAffine = true
+	refCfg.SnapshotStride = -1
 	refCfg.Workers = 1
 	refSink := &seqSink{recs: map[int]Record{}}
 	want, err := Resume(refCfg, RunOptions{Sink: refSink})
@@ -156,35 +144,29 @@ func TestAffineSchedulingDedupJournal(t *testing.T) {
 }
 
 // TestCrossConfigResume pins the journal portability contract: a campaign
-// journaled under one execution configuration (unordered dispatch, tiny L2
-// pack tiles) resumes byte-identically under another (affine dispatch,
-// full-panel tiles, different worker count), because none of those knobs
-// enter Config.Fingerprint or the record bytes.
+// journaled under one execution configuration (no forking, two workers)
+// resumes byte-identically under another (forked, three workers), because
+// none of those knobs enter Config.Fingerprint or the record bytes.
 func TestCrossConfigResume(t *testing.T) {
 	base := resumeTestConfig(t)
-
-	affine := base
-	affine.NoAffine = true
-	if affine.Fingerprint() != base.Fingerprint() {
-		t.Fatal("fingerprint depends on NoAffine; journals would not be portable across it")
-	}
 
 	want := Run(base)
 	if want.Completed != base.Experiments {
 		t.Fatalf("uninterrupted run completed %d/%d", want.Completed, base.Experiments)
 	}
 
-	// Phase 1: journal half the campaign under config A — unordered
-	// dispatch, forced Kc×Nc tiling — then cancel.
+	// Phase 1: journal half the campaign under config A — every experiment
+	// replayed from iteration 0, dispatched in index order — then cancel.
 	cfgA := base
-	cfgA.NoAffine = true
+	cfgA.SnapshotStride = -1
 	cfgA.Workers = 2
-	oldL2 := tensor.SetL2Bytes(64 << 10)
+	if cfgA.Fingerprint() != base.Fingerprint() {
+		t.Fatal("fingerprint depends on SnapshotStride or Workers; journals would not be portable across them")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	sink := &cancelSink{recs: map[int]Record{}, after: 4, cancel: cancel}
 	_, err := Resume(cfgA, RunOptions{Context: ctx, Sink: sink})
 	cancel()
-	tensor.SetL2Bytes(oldL2)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run failed: %v", err)
 	}
@@ -192,17 +174,15 @@ func TestCrossConfigResume(t *testing.T) {
 		t.Fatalf("only %d records reached the journal", len(sink.recs))
 	}
 
-	// Phase 2: resume under config B — affine dispatch, full-panel packing,
-	// different worker count.
+	// Phase 2: resume under config B — forked from the snapshot cache,
+	// snapshot-affine dispatch, different worker count.
 	cfgB := base
 	cfgB.Workers = 3
 	prior := make(map[int]Record, len(sink.recs))
 	for i, rec := range sink.recs {
 		prior[i] = rec
 	}
-	old := tensor.SetL2Bytes(1 << 30)
 	resumed, err := Resume(cfgB, RunOptions{Prior: prior})
-	tensor.SetL2Bytes(old)
 	if err != nil {
 		t.Fatalf("cross-config resume failed: %v", err)
 	}

@@ -55,10 +55,10 @@ func sampleDeviceFaults(cfg Config, maxInjectIter int) []fault.DeviceFault {
 // runOne: restore the nearest golden snapshot at or before the fault onset,
 // reconstruct the trace prefix, arm the fault on the collective, and run
 // the suffix — mitigated through recovery.GroupGuard when cfg.Quarantine is
-// set, otherwise with the plain engine loop. Returns the record, the prefix
-// length skipped, the suffix iterations executed, and the number of
-// cross-replica checks performed.
-func runDeviceFault(g *Golden, pooled *train.Engine, df fault.DeviceFault, cfg Config) (Record, int, int, int) {
+// set, otherwise with the plain engine loop. e is the worker's pooled engine.
+// Returns the record, the prefix length skipped, the suffix iterations
+// executed, and the number of cross-replica checks performed.
+func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config) (Record, int, int, int) {
 	w := g.w
 	// Fork from the boundary strictly before the fault onset (not at it):
 	// the earliest cross-replica alarm fires at the onset iteration, and the
@@ -70,21 +70,7 @@ func runDeviceFault(g *Golden, pooled *train.Engine, df fault.DeviceFault, cfg C
 		preFault = 0
 	}
 	start, snap := g.nearest(preFault)
-	var e *train.Engine
-	if pooled != nil {
-		e = pooled
-		e.Reset() // also restores the collective: all-healthy, disarmed, default policy
-		if cfg.ScrubWorkspaces {
-			e.ScrubWorkspaces()
-		}
-		e.Restore(snap)
-	} else {
-		e = w.NewEngine(rng.Seed{State: uint64(g.seed), Stream: 77}) // same seed as reference
-		e.SetDeviceParallel(g.deviceParallel)
-		if start > 0 {
-			e.Restore(snap)
-		}
-	}
+	rearm(e, snap, cfg)
 	e.Group().Arm(df)
 
 	strategy := cfg.ResolvedRecovery()

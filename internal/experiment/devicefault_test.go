@@ -25,35 +25,31 @@ func deviceFaultConfig(t *testing.T) Config {
 
 // TestDeviceFaultCampaignDeterministic is the exactness proof for the
 // system-level campaign flavor: a device-fault campaign with quarantine
-// mitigation produces byte-identical Records and Tally across worker
-// counts, snapshot strides, and with or without the per-worker engine pool.
-// ci.sh runs this under -race, so the pooled group-mitigation path can
-// never silently diverge.
+// mitigation produces byte-identical Records and Tally to the cold-start
+// campaign across worker counts and snapshot strides. ci.sh runs this under
+// -race, so the pooled group-mitigation path can never silently diverge.
 func TestDeviceFaultCampaignDeterministic(t *testing.T) {
 	base := deviceFaultConfig(t)
 
 	cold := base
 	cold.SnapshotStride = -1
-	cold.NoPool = true
-	cold.Workers = 2
+	cold.Workers = 1
 	want := Run(cold)
 
 	cases := []struct {
 		label   string
 		stride  int
 		workers int
-		noPool  bool
 	}{
-		{"stride1-pooled-1worker", 1, 1, false},
-		{"stride5-pooled-3workers", 5, 3, false},
-		{"auto-pooled-2workers", 0, 2, false},
-		{"fork-only-5stride-2workers", 5, 2, true},
+		{"stride1-1worker", 1, 1},
+		{"stride5-3workers", 5, 3},
+		{"auto-2workers", 0, 2},
+		{"stride5-2workers", 5, 2},
 	}
 	for _, tc := range cases {
 		cfg := base
 		cfg.SnapshotStride = tc.stride
 		cfg.Workers = tc.workers
-		cfg.NoPool = tc.noPool
 		got := Run(cfg)
 		assertCampaignsIdentical(t, tc.label, want, got)
 	}

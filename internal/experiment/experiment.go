@@ -37,7 +37,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/outcome"
 	"repro/internal/recovery"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/train"
 	"repro/internal/workloads"
@@ -94,11 +93,6 @@ type Config struct {
 	// SnapshotMemBudget bounds the auto-stride snapshot cache footprint in
 	// bytes (0 = 256 MiB). Ignored when SnapshotStride is explicit.
 	SnapshotMemBudget int64
-	// NoPool disables per-worker engine pooling: each experiment then
-	// constructs a fresh engine via Workload.NewEngine instead of reusing
-	// one Reset+Restore'd engine per worker. Pooling is also byte-exact;
-	// the knob exists for benchmarking and debugging.
-	NoPool bool
 	// ScrubWorkspaces poisons every pooled engine's cached kernel scratch
 	// buffers with NaNs between experiments (train.Engine.ScrubWorkspaces).
 	// Workspace contents are undefined between kernel calls, so scrubbing
@@ -107,13 +101,6 @@ type Config struct {
 	// invariant check: if a kernel ever starts depending on stale scratch
 	// state leaking across experiments, scrubbed campaigns diverge loudly.
 	ScrubWorkspaces bool
-	// SweepDetect makes the per-experiment bounds detector re-scan the
-	// optimizer history and moving-variance tensors every check instead of
-	// consuming the stats the fused kernel epilogues cache during the step
-	// (detect.Detector.Fused). Alarms — and therefore Records and Tally —
-	// are bitwise-identical either way (TestFusedCampaignEquivalence); the
-	// sweep path exists as a fallback and for overhead benchmarking.
-	SweepDetect bool
 	// DeviceFaults switches the campaign from FF bit flips to system-level
 	// device/link faults (fault.DeviceFault): each experiment arms one
 	// sampled fault on the engine's collective group instead of an
@@ -167,17 +154,6 @@ type Config struct {
 	// ConvergedPatience is the consecutive-iteration requirement
 	// (0 = 5).
 	ConvergedPatience int
-	// NoAffine disables snapshot-affine experiment scheduling: by default
-	// the dispatcher groups pending experiments by the golden snapshot they
-	// fork from and feeds each group consecutively, so a pooled worker's
-	// Restore usually rewinds to the snapshot it just used (warm restore —
-	// the snapshot bytes and the engine working set are still
-	// cache-resident). With NoAffine experiments dispatch in index order,
-	// as before this knob existed. Scheduling is a pure execution concern:
-	// Records, Tally, and journal bytes are identical either way
-	// (TestAffineSchedulingEquivalence), so it is excluded from
-	// Config.Fingerprint and journals mix freely across both modes.
-	NoAffine bool
 	// Quarantine enables the mitigation path for device-fault experiments:
 	// collective timeout+retry with exclusion, the cross-replica
 	// consistency check, quarantine + two-iteration re-execution, and
@@ -330,20 +306,18 @@ type Campaign struct {
 
 	// WarmRestores / ColdRestores split this run's pooled-engine snapshot
 	// restores by whether the worker's previous experiment forked from the
-	// same snapshot; LaneMigrations is the run's delta of lane-pinned kernel
-	// chunks that missed their designated pool worker (tensor.LaneMigrations).
-	// Schedule-dependent observability: they vary with Workers/NoAffine/
-	// resume state and are deliberately absent from the record CSV/JSON
-	// payloads, which must stay byte-identical across execution knobs.
+	// same snapshot. Schedule-dependent observability: they vary with
+	// Workers and resume state and are deliberately absent from the record
+	// CSV/JSON payloads, which must stay byte-identical across execution
+	// knobs.
 	WarmRestores, ColdRestores int64
-	LaneMigrations             uint64
 }
 
 // Run executes the campaign: a golden reference run with a prefix snapshot
 // cache (PrepareGolden), then the FI experiments forked from it across a
 // fixed worker pool with per-worker engine reuse. Identical in results —
-// byte for byte — to a cold-start campaign (SnapshotStride: -1, NoPool:
-// true); see forked.go for the machinery and the exactness argument.
+// byte for byte — to a cold-start campaign (SnapshotStride: -1, Workers: 1);
+// see forked.go for the machinery and the exactness argument.
 func Run(cfg Config) *Campaign {
 	return RunWithGolden(cfg, nil)
 }
@@ -353,30 +327,15 @@ func Run(cfg Config) *Campaign {
 // prefix from the golden trace (the skipped iterations are
 // bitwise-identical to it), and execute the suffix — truncated by the
 // equivalence layer's fast-paths when cfg enables them (see earlyexit.go).
-// pooled, when non-nil, is the worker's reusable engine; otherwise a fresh
-// engine is built. Returns the record, the prefix length skipped, the
-// suffix iterations executed, the tail iterations synthesized from the
-// golden trace, and the number of detector checks performed.
-func runOne(g *Golden, pooled *train.Engine, inj fault.Injection, cfg Config) (Record, int, int, int, int) {
+// e is the worker's pooled engine. Returns the record, the prefix length
+// skipped, the suffix iterations executed, the tail iterations synthesized
+// from the golden trace, and the number of detector checks performed.
+func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record, int, int, int, int) {
 	w := g.w
 	start, snap := g.nearest(inj.Iteration)
-	var e *train.Engine
-	if pooled != nil {
-		e = pooled
-		e.Reset()
-		if cfg.ScrubWorkspaces {
-			e.ScrubWorkspaces()
-		}
-		e.Restore(snap)
-	} else {
-		e = w.NewEngine(rng.Seed{State: uint64(g.seed), Stream: 77}) // same seed as reference
-		e.SetDeviceParallel(g.deviceParallel)
-		if start > 0 {
-			e.Restore(snap)
-		}
-	}
+	rearm(e, snap, cfg)
 	e.SetInjection(&inj)
-	det := detect.ForEngine(e, w.BatchSize(), w.LR, !cfg.SweepDetect)
+	det := detect.ForEngine(e, w.BatchSize(), w.LR, true)
 
 	// The fast-paths need a completed golden tail to synthesize from; a
 	// non-finite golden run cleared the schedules (see PrepareGolden).
@@ -475,6 +434,18 @@ func runOne(g *Golden, pooled *train.Engine, inj fault.Injection, cfg Config) (R
 	rec.NonFiniteIter = trace.NonFiniteIter
 	rec.AccuracyCost = g.refAcc - rec.FinalTrainAcc
 	return rec, start, trace.Completed - start - synthesized, synthesized, checks
+}
+
+// rearm returns a worker's pooled engine to the golden state snap for its
+// next experiment: Reset disarms injections, clears diagnostics and restores
+// the collective (all-healthy, disarmed, default policy); Restore repositions
+// weights, optimizer state and BN statistics at the snapshot boundary.
+func rearm(e *train.Engine, snap *train.State, cfg Config) {
+	e.Reset()
+	if cfg.ScrubWorkspaces {
+		e.ScrubWorkspaces()
+	}
+	e.Restore(snap)
 }
 
 // copyGoldenPrefix reconstructs iterations [0, b) of an experiment trace
@@ -742,8 +713,8 @@ func (c *Campaign) Report(w io.Writer) {
 			c.ExperimentsAdopted, c.EarlyExits, c.ConvergedTails, c.IterationsSynthesized)
 	}
 	if c.WarmRestores+c.ColdRestores > 0 {
-		fmt.Fprintf(w, "  locality: %d warm / %d cold snapshot restores, %d lane migrations\n",
-			c.WarmRestores, c.ColdRestores, c.LaneMigrations)
+		fmt.Fprintf(w, "  locality: %d warm / %d cold snapshot restores\n",
+			c.WarmRestores, c.ColdRestores)
 	}
 	if c.Cfg.DeviceFaults {
 		var q, rj, di, cr int

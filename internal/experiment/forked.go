@@ -15,9 +15,9 @@ package experiment
 // while producing byte-identical Records and Tally (proved by
 // TestForkedCampaignEquivalence, enforced under -race in ci.sh).
 //
-// Engine pooling compounds the win: instead of Workload.NewEngine per
-// experiment (model construction + dataset materialization + loader), each
-// campaign worker builds one engine and re-arms it per experiment through
+// Engine pooling compounds the win: Workload.NewEngine (model construction +
+// dataset materialization + loader) runs once per campaign worker, not once
+// per experiment, and the worker re-arms its engine per experiment through
 // Engine.Reset (disarm injections, clear diagnostics) + Engine.Restore
 // (reposition weights, optimizer state incl. the Adam step counter, and
 // per-device BN moving statistics at the snapshot boundary).
@@ -321,10 +321,6 @@ func (c *Campaign) ForkSummary() string {
 	if total > 0 {
 		pct = 100 * float64(c.IterationsSkipped) / float64(total)
 	}
-	pool := "per-worker engine pool"
-	if c.Cfg.NoPool {
-		pool = "fresh engine per experiment"
-	}
-	return fmt.Sprintf("forked execution: reused %d/%d experiment iterations (%.1f%%) from %d golden snapshots (stride %d, %.1f MiB), %s",
-		c.IterationsSkipped, total, pct, c.Snapshots, c.Stride, float64(c.SnapshotBytes)/(1<<20), pool)
+	return fmt.Sprintf("forked execution: reused %d/%d experiment iterations (%.1f%%) from %d golden snapshots (stride %d, %.1f MiB), per-worker engine pool",
+		c.IterationsSkipped, total, pct, c.Snapshots, c.Stride, float64(c.SnapshotBytes)/(1<<20))
 }

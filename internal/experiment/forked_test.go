@@ -69,10 +69,11 @@ func assertCampaignsIdentical(t *testing.T, label string, want, got *Campaign) {
 }
 
 // TestForkedCampaignEquivalence is the campaign-level exactness proof: a
-// forked + pooled campaign produces byte-identical Records and Tally to the
-// cold-start campaign, for multiple strides (explicit dense, explicit
-// sparse, auto) and worker counts, with and without the engine pool. ci.sh
-// runs this under -race so the forked path can never silently diverge.
+// forked campaign produces byte-identical Records and Tally to the
+// cold-start campaign (one worker replaying every experiment from iteration
+// 0 in index order), for multiple strides (explicit dense, explicit sparse,
+// auto) and worker counts. ci.sh runs this under -race so the forked path
+// can never silently diverge.
 func TestForkedCampaignEquivalence(t *testing.T) {
 	w, err := workloads.ByName("resnet")
 	if err != nil {
@@ -83,8 +84,7 @@ func TestForkedCampaignEquivalence(t *testing.T) {
 
 	cold := base
 	cold.SnapshotStride = -1
-	cold.NoPool = true
-	cold.Workers = 2
+	cold.Workers = 1
 	want := Run(cold)
 	if want.IterationsSkipped != 0 {
 		t.Fatalf("cold campaign skipped %d iterations", want.IterationsSkipped)
@@ -94,19 +94,17 @@ func TestForkedCampaignEquivalence(t *testing.T) {
 		label   string
 		stride  int
 		workers int
-		noPool  bool
 	}{
-		{"stride1-pooled-1worker", 1, 1, false},
-		{"stride5-pooled-3workers", 5, 3, false},
-		{"auto-pooled-2workers", 0, 2, false},
-		{"pool-only-2workers", -1, 2, false},
-		{"fork-only-5stride-2workers", 5, 2, true},
+		{"stride1-1worker", 1, 1},
+		{"stride5-3workers", 5, 3},
+		{"auto-2workers", 0, 2},
+		{"unforked-2workers", -1, 2},
+		{"stride5-2workers", 5, 2},
 	}
 	for _, tc := range cases {
 		cfg := base
 		cfg.SnapshotStride = tc.stride
 		cfg.Workers = tc.workers
-		cfg.NoPool = tc.noPool
 		got := Run(cfg)
 		assertCampaignsIdentical(t, tc.label, want, got)
 		if tc.stride >= 0 && got.IterationsSkipped == 0 {
@@ -131,7 +129,6 @@ func TestForkAccounting(t *testing.T) {
 
 	cold := base
 	cold.SnapshotStride = -1
-	cold.NoPool = true
 	coldC := Run(cold)
 
 	forked := base

@@ -95,9 +95,9 @@ func TestRecoveryStrategiesHeadToHead(t *testing.T) {
 }
 
 // TestRecoveryCampaignDeterministic: the JIT and elastic campaign flavors
-// keep the exactness contract — byte-identical Records and Tally across
-// worker counts, snapshot strides, and the engine pool, like every other
-// campaign flavor. ci.sh runs this under -race, covering the background
+// keep the exactness contract — Records and Tally byte-identical to the
+// cold-start campaign across worker counts and snapshot strides, like every
+// other campaign flavor. ci.sh runs this under -race, covering the background
 // JIT restore and elastic re-partition under the pooled parallel runner.
 func TestRecoveryCampaignDeterministic(t *testing.T) {
 	for _, s := range []recovery.Strategy{recovery.StrategyJIT, recovery.StrategyElastic} {
@@ -108,8 +108,7 @@ func TestRecoveryCampaignDeterministic(t *testing.T) {
 
 			cold := base
 			cold.SnapshotStride = -1
-			cold.NoPool = true
-			cold.Workers = 2
+			cold.Workers = 1
 			want := Run(cold)
 
 			warm := base

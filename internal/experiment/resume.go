@@ -31,20 +31,16 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
-	"repro/internal/train"
 )
 
 // Fingerprint returns a stable hex hash of the campaign parameters that
 // determine its Records bit for bit: workload identity and length,
 // experiment count, seed, horizon, injection window, and bias settings.
-// Execution knobs (Workers, SnapshotStride, SnapshotMemBudget, NoPool,
-// ScrubWorkspaces, DeviceParallel, SweepDetect, NoAffine — and the
-// process-global tensor knobs such as the L2 pack-tile size set via
-// tensor.SetL2Bytes) are deliberately excluded — campaigns are
-// byte-identical across all of them, so a journal written under one
-// execution configuration may be resumed under any other
-// (TestCrossConfigResume).
+// Which Config fields those are, and which only steer execution, is fixed
+// by the two tables in identity_test.go: a field in neither fails the test.
+// Campaigns are byte-identical across every execution-only field, so a
+// journal written under one execution configuration may be resumed under
+// any other (TestCrossConfigResume).
 func (cfg Config) Fingerprint() string {
 	cfg = cfg.withDefaults()
 	h := fnv.New64a()
@@ -118,10 +114,9 @@ type Sink interface {
 // orderedSink reorders worker-completion appends into a canonical journal
 // sequence before forwarding them to the wrapped sink, making journal bytes
 // a pure function of the campaign configuration — independent of worker
-// count and of dispatch scheduling (snapshot-affine or index-order). The
-// canonical sequence is fixed up front (see Resume); out-of-sequence
-// records buffer until the gap before them fills, and the contiguous
-// prefix releases in order.
+// count and of dispatch scheduling. The canonical sequence is fixed up front
+// (see Resume); out-of-sequence records buffer until the gap before them
+// fills, and the contiguous prefix releases in order.
 //
 // On cancellation, gap-blocked records are dropped rather than flushed out
 // of order: the resumed campaign re-executes them, and the merged journal
@@ -304,7 +299,6 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		completed[i] = true
 	}
 	opts.Stats.AddPrior(len(opts.Prior))
-	opts.Stats.SetSweepDetect(cfg.SweepDetect)
 
 	// The dedup plan groups experiments by corruption key (dedup.go); only
 	// group owners are dispatched, and each owner's completion synthesizes
@@ -399,10 +393,10 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		}
 	}
 
-	// The dispatch order. Pending owners are collected in index order and —
-	// unless NoAffine — stably regrouped by the golden snapshot boundary
-	// they fork from, so consecutive dispatches to one worker usually
-	// Restore the snapshot already resident in its caches (warm restores).
+	// The dispatch order. Pending owners are collected in index order and
+	// stably regrouped by the golden snapshot boundary they fork from, so
+	// consecutive dispatches to one worker usually Restore the snapshot
+	// already resident in its caches (warm restores).
 	// Scheduling is invisible in results: every experiment is a pure
 	// function of its own injection and the immutable Golden, and the
 	// orderedSink above fixes the journal byte order independently of it.
@@ -424,13 +418,11 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 			order = append(order, i)
 		}
 	}
-	if !cfg.NoAffine {
-		bounds := make(map[int]int, len(order))
-		for _, i := range order {
-			bounds[i] = forkBoundOf(i)
-		}
-		sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
+	bounds := make(map[int]int, len(order))
+	for _, i := range order {
+		bounds[i] = forkBoundOf(i)
 	}
+	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
 
 	// Never run more workers than there are experiments left to dispatch
 	// (adoptees never dispatch): each worker pre-builds a pooled engine,
@@ -454,35 +446,25 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	}
 	var executed, skipped int64
 	var warmRestores, coldRestores int64
-	lmStart := tensor.LaneMigrations()
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			var pooled *train.Engine
-			if !cfg.NoPool {
-				pooled = g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77})
-				pooled.SetDeviceParallel(cfg.DeviceParallel)
-				// Pin the engine's kernel chunks to a per-worker pool lane so
-				// its chunk→worker (and chunk→cache) mapping is stable across
-				// the experiments it runs. Lane 0 means unpinned, hence wk+1.
-				pooled.PinLane(wk + 1)
-			}
+			pooled := g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77}) // same seed as reference
+			pooled.SetDeviceParallel(cfg.DeviceParallel)
 			prevBound := -1
 			for i := range idxCh {
-				if pooled != nil {
-					b := forkBoundOf(i)
-					if warm := b == prevBound; warm {
-						atomic.AddInt64(&warmRestores, 1)
-						opts.Stats.EngineRestore(true)
-					} else {
-						atomic.AddInt64(&coldRestores, 1)
-						opts.Stats.EngineRestore(false)
-					}
-					prevBound = b
+				b := forkBoundOf(i)
+				if warm := b == prevBound; warm {
+					atomic.AddInt64(&warmRestores, 1)
+					opts.Stats.EngineRestore(true)
+				} else {
+					atomic.AddInt64(&coldRestores, 1)
+					opts.Stats.EngineRestore(false)
 				}
+				prevBound = b
 				var rec Record
 				var start, done, synth, checks int
 				if cfg.DeviceFaults {
@@ -543,8 +525,6 @@ feed:
 	c.IterationsSynthesized = synthd
 	c.WarmRestores = warmRestores
 	c.ColdRestores = coldRestores
-	c.LaneMigrations = tensor.LaneMigrations() - lmStart
-	opts.Stats.AddLaneMigrations(int64(c.LaneMigrations))
 	for i := range c.Records {
 		if !completed[i] {
 			continue

@@ -181,10 +181,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	exec := base
 	exec.Workers = 7
 	exec.SnapshotStride = -1
-	exec.NoPool = true
-	exec.SweepDetect = true
-	exec.NoAffine = true
 	if exec.Fingerprint() != fp {
-		t.Fatal("fingerprint must not depend on execution knobs (Workers/SnapshotStride/NoPool/SweepDetect/NoAffine)")
+		t.Fatal("fingerprint must not depend on execution knobs (Workers/SnapshotStride)")
 	}
 }

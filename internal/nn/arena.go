@@ -126,25 +126,22 @@ func allocReLU() *ReLU {
 }
 
 // BuildIn runs build with every layer constructor drawing tensor storage
-// from a, and returns its result. A nil arena is valid (plain heap
-// construction). Builds are serialized process-wide; tensors created by
-// constructors invoked outside any BuildIn always come from the heap.
-// Arena-built and heap-built models are bitwise-identical in every value —
-// only the storage placement differs.
+// from a, and returns its result. Builds are serialized process-wide;
+// tensors created by constructors invoked outside any BuildIn always come
+// from the heap. Arena-built and heap-built models are bitwise-identical in
+// every value — only the storage placement differs.
 func BuildIn(a *tensor.Arena, build func() *Sequential) *Sequential {
 	buildMu.Lock()
 	defer buildMu.Unlock()
 	buildArena.Store(a)
 	defer buildArena.Store(nil)
-	if a != nil {
-		if slabArena != a {
-			slabArena, slabSet = a, &buildSlabs{}
-		}
-		slabs.Store(slabSet)
-		defer slabs.Store(nil)
+	if slabArena != a {
+		slabArena, slabSet = a, &buildSlabs{}
 	}
+	slabs.Store(slabSet)
+	defer slabs.Store(nil)
 	m := build()
-	if m != nil && slabs.Load() != nil {
+	if m != nil {
 		// Populate the Params() caches while the slabs are still active, so
 		// the cache backing joins the build's slabs too.
 		m.Params()

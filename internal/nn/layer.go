@@ -248,19 +248,6 @@ func (s *Sequential) ScrubWorkspaces() {
 	})
 }
 
-// PinLane stamps lane onto every layer workspace of the model (including
-// nested ones), so all parallel kernels writing workspace buffers dispatch
-// to that pool lane. A placement hint only — results cannot depend on it
-// (see tensor.Workspace.SetLane); campaign workers use it to keep a pooled
-// engine's chunk→worker mapping stable across forked experiments.
-func (s *Sequential) PinLane(lane int) {
-	s.VisitLayers(func(l Layer) {
-		if wh, ok := l.(WorkspaceHolder); ok {
-			wh.Workspace().SetLane(lane)
-		}
-	})
-}
-
 // BatchNorms returns every BatchNorm of the model in deterministic
 // traversal order, including those nested inside container layers.
 func (s *Sequential) BatchNorms() []*BatchNorm {

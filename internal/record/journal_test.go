@@ -157,26 +157,27 @@ func TestJournalResumeEquivalence(t *testing.T) {
 
 // TestJournalBytesSchedulingInvariant is the on-disk half of the
 // scheduling exactness proof: the journal file a campaign writes must be
-// byte-for-byte identical across snapshot-affine and index-order dispatch
-// and across worker counts. The header binds no execution knobs and the
-// campaign releases appends through a canonical sequence, so any byte
-// difference here is a determinism regression.
+// byte-for-byte identical to the cold-start campaign's (one worker, no
+// forking, so dispatch is index order) across worker counts and with or
+// without snapshot forking, which is what regroups the dispatch order. The
+// header binds no execution knobs and the campaign releases appends through
+// a canonical sequence, so any byte difference here is a determinism
+// regression.
 func TestJournalBytesSchedulingInvariant(t *testing.T) {
 	cfg := journalTestConfig(t)
-	g := experiment.PrepareGolden(cfg)
-	digest := g.Ref().Digest()
+	digest := experiment.PrepareGolden(cfg).Ref().Digest()
 
-	writeJournal := func(noAffine bool, workers int) []byte {
+	writeJournal := func(stride, workers int) []byte {
 		t.Helper()
 		c := cfg
-		c.NoAffine = noAffine
+		c.SnapshotStride = stride
 		c.Workers = workers
 		path := filepath.Join(t.TempDir(), "run.jsonl")
 		j, err := CreateJournal(path, c, digest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := experiment.Resume(c, experiment.RunOptions{Golden: g, Sink: j}); err != nil {
+		if _, err := experiment.Resume(c, experiment.RunOptions{Sink: j}); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {
@@ -189,15 +190,15 @@ func TestJournalBytesSchedulingInvariant(t *testing.T) {
 		return raw
 	}
 
-	want := writeJournal(true, 1) // index-order, single worker: the canonical order
+	want := writeJournal(-1, 1) // cold start: the canonical order
 	for _, v := range []struct {
-		noAffine bool
-		workers  int
-	}{{false, 1}, {false, 2}, {false, 3}, {true, 2}} {
-		got := writeJournal(v.noAffine, v.workers)
+		stride  int
+		workers int
+	}{{0, 1}, {0, 2}, {0, 3}, {-1, 2}} {
+		got := writeJournal(v.stride, v.workers)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("journal bytes differ for noAffine=%v workers=%d (%d vs %d bytes)",
-				v.noAffine, v.workers, len(got), len(want))
+			t.Fatalf("journal bytes differ for stride=%d workers=%d (%d vs %d bytes)",
+				v.stride, v.workers, len(got), len(want))
 		}
 	}
 }

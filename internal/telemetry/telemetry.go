@@ -58,8 +58,7 @@ type CampaignStats struct {
 	itersExecuted atomic.Int64
 	itersSkipped  atomic.Int64
 	forked        atomic.Int64 // experiments restored from a non-initial snapshot
-	checks        atomic.Int64 // detector checks performed (fused or sweep)
-	sweepDetect   atomic.Bool
+	checks        atomic.Int64 // detector checks performed
 
 	journalAppends atomic.Int64
 	journalFlushes atomic.Int64
@@ -89,14 +88,13 @@ type CampaignStats struct {
 	resizes      atomic.Int64
 	readmits     atomic.Int64
 
-	// Locality of the campaign scheduler (see experiment.Config.NoAffine):
-	// pooled-engine snapshot restores split by whether the worker's previous
-	// experiment forked from the same golden snapshot (warm) or a different
-	// one (cold), plus kernel chunks that missed their pinned pool lane.
-	// Schedule-dependent observability only — results never depend on them.
-	warmRestores   atomic.Int64
-	coldRestores   atomic.Int64
-	laneMigrations atomic.Int64
+	// Locality of the campaign scheduler (snapshot-affine dispatch, see
+	// experiment.Resume): pooled-engine snapshot restores split by whether
+	// the worker's previous experiment forked from the same golden snapshot
+	// (warm) or a different one (cold). Schedule-dependent observability
+	// only — results never depend on them.
+	warmRestores atomic.Int64
+	coldRestores atomic.Int64
 
 	workers []workerCounter
 }
@@ -114,15 +112,6 @@ func NewCampaignStats(workload string, experiments, workers int) *CampaignStats 
 		outcomes:    make([]atomic.Int64, len(outcome.All())),
 		workers:     make([]workerCounter, workers),
 	}
-}
-
-// SetSweepDetect records whether the campaign uses the sweep fallback
-// detector instead of the fused kernel-epilogue stats.
-func (s *CampaignStats) SetSweepDetect(on bool) {
-	if s == nil {
-		return
-	}
-	s.sweepDetect.Store(on)
 }
 
 // AddPrior records n experiments that were replayed from a journal rather
@@ -242,16 +231,6 @@ func (s *CampaignStats) EngineRestore(warm bool) {
 	}
 }
 
-// AddLaneMigrations accumulates pinned kernel chunks that overflowed their
-// designated pool-lane queue and ran off-lane (tensor.LaneMigrations,
-// reported by the campaign as a before/after delta).
-func (s *CampaignStats) AddLaneMigrations(n int64) {
-	if s == nil || n == 0 {
-		return
-	}
-	s.laneMigrations.Add(n)
-}
-
 // JournalAppend records one record appended to the write-ahead journal.
 func (s *CampaignStats) JournalAppend() {
 	if s == nil {
@@ -298,11 +277,8 @@ type Snapshot struct {
 	// restored from a non-initial golden snapshot (cache hit rate of the
 	// prefix snapshot cache).
 	SnapshotForkRate float64 `json:"snapshot_fork_rate"`
-	// DetectorChecks counts per-iteration detector checks; SweepDetect
-	// reports whether they used the sweep fallback instead of the fused
-	// kernel-epilogue stats.
+	// DetectorChecks counts per-iteration detector checks.
 	DetectorChecks int64 `json:"detector_checks"`
-	SweepDetect    bool  `json:"sweep_detect"`
 	// JournalAppends / JournalFlushes count write-ahead journal records
 	// written and fsync batches issued.
 	JournalAppends int64 `json:"journal_appends"`
@@ -330,11 +306,9 @@ type Snapshot struct {
 	ItersSynthesized int64 `json:"iters_synthesized"`
 	// WarmRestores / ColdRestores split pooled-engine snapshot restores by
 	// whether the worker's previous experiment used the same golden
-	// snapshot; LaneMigrations counts lane-pinned kernel chunks that ran
-	// off their designated pool worker. Scheduling observability only.
-	WarmRestores   int64 `json:"warm_restores"`
-	ColdRestores   int64 `json:"cold_restores"`
-	LaneMigrations int64 `json:"lane_migrations"`
+	// snapshot. Scheduling observability only.
+	WarmRestores int64 `json:"warm_restores"`
+	ColdRestores int64 `json:"cold_restores"`
 }
 
 // Snapshot derives the current point-in-time view.
@@ -356,7 +330,6 @@ func (s *CampaignStats) Snapshot() Snapshot {
 		ItersExecuted:  s.itersExecuted.Load(),
 		ItersSkipped:   s.itersSkipped.Load(),
 		DetectorChecks: s.checks.Load(),
-		SweepDetect:    s.sweepDetect.Load(),
 		JournalAppends: s.journalAppends.Load(),
 		JournalFlushes: s.journalFlushes.Load(),
 		Quarantines:    s.quarantines.Load(),
@@ -368,7 +341,6 @@ func (s *CampaignStats) Snapshot() Snapshot {
 		Readmits:       s.readmits.Load(),
 		WarmRestores:   s.warmRestores.Load(),
 		ColdRestores:   s.coldRestores.Load(),
-		LaneMigrations: s.laneMigrations.Load(),
 
 		DedupAdopted:     s.adopted.Load(),
 		EarlyExits:       s.earlyExits.Load(),

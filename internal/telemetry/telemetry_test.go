@@ -57,7 +57,7 @@ func TestCampaignStatsNilSafe(t *testing.T) {
 	s.ExperimentDone(0, outcome.Benign, 0, 0, 0)
 	s.JournalAppend()
 	s.JournalFlush()
-	s.SetSweepDetect(true)
+	s.EngineRestore(true)
 	if snap := s.Snapshot(); snap.Done != 0 {
 		t.Fatalf("nil snapshot not zero: %+v", snap)
 	}
@@ -92,6 +92,9 @@ func TestCampaignStatsConcurrent(t *testing.T) {
 func TestServeStatus(t *testing.T) {
 	s := NewCampaignStats("transformer", 50, 2)
 	s.ExperimentDone(0, outcome.ImmediateINFNaN, 0, 3, 3)
+	s.EngineRestore(false)
+	s.EngineRestore(true)
+	s.EngineRestore(true)
 	Activate(s)
 
 	srv, err := Serve("127.0.0.1:0")
@@ -112,6 +115,9 @@ func TestServeStatus(t *testing.T) {
 	if snap.Workload != "transformer" || snap.Outcomes["ImmediateINFNaN"] != 1 {
 		t.Fatalf("/status served wrong snapshot: %+v", snap)
 	}
+	if snap.WarmRestores != 2 || snap.ColdRestores != 1 {
+		t.Fatalf("/status restore counters = %d warm / %d cold, want 2 / 1", snap.WarmRestores, snap.ColdRestores)
+	}
 
 	// The expvar surface must carry the same campaign.
 	vars, err := http.Get(fmt.Sprintf("http://%s/debug/vars", srv.Addr()))
@@ -123,7 +129,13 @@ func TestServeStatus(t *testing.T) {
 	if err := json.NewDecoder(vars.Body).Decode(&all); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := all["campaign"]; !ok {
-		t.Fatal("expvar is missing the campaign variable")
+	var campaign map[string]json.RawMessage
+	if err := json.Unmarshal(all["campaign"], &campaign); err != nil {
+		t.Fatalf("expvar campaign variable: %v", err)
+	}
+	for _, key := range []string{"warm_restores", "cold_restores"} {
+		if _, ok := campaign[key]; !ok {
+			t.Fatalf("expvar campaign variable is missing %q", key)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/numerics"
 	"repro/internal/rng"
 )
 
@@ -12,8 +13,8 @@ import (
 // whichever inner loops this build runs — the AVX micro-kernels, or the Go
 // loops under -tags purego and off amd64 — to matmulRef, the seed's serial
 // ikj kernel that defines the bitwise contract; ci.sh runs it both ways.
-// FuzzGEMMOracle holds them to a triple loop that shares nothing with the
-// kernels, not even the loop order.
+// FuzzGEMMOracle holds them, and the bf16 kernels of pack.go, to a triple
+// loop that shares nothing with the kernels, not even the loop order.
 
 // Special values seeded into the operands. The two NaN sets are disjoint, so
 // a result's payload says which operand it came from.
@@ -352,8 +353,10 @@ func TestTransposeInto(t *testing.T) {
 }
 
 // naiveGEMM is the independent oracle: one dot product per output element,
-// ijk order, +0 start, ascending k, a == 0 skipped.
-func naiveGEMM(a, b []float32, m, k, n int) []float32 {
+// ijk order, +0 start, ascending k, a == 0 skipped. With mixed every product
+// is the accelerator's MAC, RoundBF16(RoundBF16(a)·RoundBF16(b)), and the
+// zero test still reads the raw a.
+func naiveGEMM(a, b []float32, m, k, n int, mixed bool) []float32 {
 	c := make([]float32, m*n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -361,6 +364,10 @@ func naiveGEMM(a, b []float32, m, k, n int) []float32 {
 			for kk := 0; kk < k; kk++ {
 				av := a[i*k+kk]
 				if av == 0 {
+					continue
+				}
+				if mixed {
+					acc += numerics.RoundBF16(numerics.RoundBF16(av) * numerics.RoundBF16(b[kk*n+j]))
 					continue
 				}
 				acc += av * b[kk*n+j]
@@ -373,17 +380,18 @@ func naiveGEMM(a, b []float32, m, k, n int) []float32 {
 
 // FuzzGEMMOracle: the fuzzer chooses the shape and the raw bit patterns of
 // both operands — payloads, signaling NaNs, subnormals, whatever it finds —
-// and every fp32 GEMM entry point must agree with naiveGEMM bit for bit,
-// serial and forced-parallel. NaN results only have to be NaN: the oracle's
-// own payload choice belongs to the compiler (see gemmOperands).
+// and the precision, and every GEMM entry point must agree with naiveGEMM
+// bit for bit, serial and forced-parallel. NaN results only have to be NaN:
+// the oracle's own payload choice belongs to the compiler (see gemmOperands).
 func FuzzGEMMOracle(f *testing.F) {
 	// No zero anywhere in A: every block is one run of k dense steps.
-	f.Add(uint8(8), uint8(22), uint8(39), []byte{0, 0, 0x80, 0x3f, 0xdb, 0x0f, 0x49, 0xc0, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0xff, 0xff, 0x7f, 0x80})
-	f.Add(uint8(3), uint8(8), uint8(16), []byte{0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x40})
-	f.Add(uint8(8), uint8(71), uint8(71), []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f})
-	f.Add(uint8(4), uint8(15), uint8(8), []byte{0, 0, 0x80, 0x7f, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f})
-	f.Add(uint8(0), uint8(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, raw []byte) {
+	f.Add(uint8(8), uint8(22), uint8(39), false, []byte{0, 0, 0x80, 0x3f, 0xdb, 0x0f, 0x49, 0xc0, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0xff, 0xff, 0x7f, 0x80})
+	f.Add(uint8(3), uint8(8), uint8(16), true, []byte{0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x40})
+	f.Add(uint8(8), uint8(71), uint8(71), false, []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f})
+	f.Add(uint8(4), uint8(15), uint8(8), true, []byte{0, 0, 0x80, 0x7f, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f})
+	f.Add(uint8(0), uint8(0), uint8(0), false, []byte{})
+	f.Add(uint8(0), uint8(0), uint8(0), true, []byte{}) // one row: the packed kernels at m = 1
+	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, mixed bool, raw []byte) {
 		m, k, n := int(mRaw)%13+1, int(kRaw)%24+1, int(nRaw)%41+1
 		if len(raw) > 1<<12 {
 			raw = raw[:1<<12]
@@ -401,7 +409,7 @@ func FuzzGEMMOracle(f *testing.F) {
 		}
 		a, b := New(m, k), New(k, n)
 		fill(b.Data, fill(a.Data, 0))
-		want := naiveGEMM(a.Data, b.Data, m, k, n)
+		want := naiveGEMM(a.Data, b.Data, m, k, n, mixed)
 		at, bt := Transpose2D(a), Transpose2D(b)
 		dst := New(m, n)
 		for _, workers := range []int{0, 3} {
@@ -409,10 +417,10 @@ func FuzzGEMMOracle(f *testing.F) {
 			if workers > 0 {
 				restore = forceParallel(workers)
 			}
-			sameBits(t, "MatMulInto", MatMulInto(dst, a, b, false).Data, want, false)
-			sameBits(t, "MatMulTAInto", MatMulTAInto(dst, at, b, false).Data, want, false)
-			sameBits(t, "MatMulTBInto", MatMulTBInto(dst, a, bt, false).Data, want, false)
-			sameBits(t, "MatMulIntoEp", MatMulIntoEp(dst, a, b, false, &Epilogue{WantSum: true}).Data, want, false)
+			sameBits(t, "MatMulInto", MatMulInto(dst, a, b, mixed).Data, want, false)
+			sameBits(t, "MatMulTAInto", MatMulTAInto(dst, at, b, mixed).Data, want, false)
+			sameBits(t, "MatMulTBInto", MatMulTBInto(dst, a, bt, mixed).Data, want, false)
+			sameBits(t, "MatMulIntoEp", MatMulIntoEp(dst, a, b, mixed, &Epilogue{WantSum: true}).Data, want, false)
 			restore()
 		}
 	})

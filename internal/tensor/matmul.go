@@ -29,8 +29,6 @@ package tensor
 import (
 	"fmt"
 	"runtime"
-
-	"repro/internal/numerics"
 )
 
 var (
@@ -83,43 +81,6 @@ func runParallel(m, flops int) bool {
 	return w > 1 && flops >= parallelFlops
 }
 
-// packedTiles drives the Kc/Nc cache-blocked packing sweep over a [k,n]
-// panel too large for the L2 tile budget: for each column tile (ascending
-// j0) it packs and multiplies the k-tiles in ascending k0 order, so every
-// output element still receives its addends in ascending-k order and every
-// B element is rounded exactly once — bitwise-identical to the full-panel
-// pass by construction. pack rounds one tile into the shared buffer; kern
-// computes rows [lo,hi) of that tile's contribution.
-func packedTiles(lane uint32, m, k, n, flops int,
-	pack func(rb []float32, k0, kt, j0, jt int),
-	kern func(rb []float32, k0, kt, j0, jt, lo, hi int)) {
-	kc, ncw := tileDims(k, n)
-	rp := getPackBuf(kc * ncw)
-	rb := *rp
-	par := runParallel(m, flops)
-	for j0 := 0; j0 < n; j0 += ncw {
-		jt := ncw
-		if j0+jt > n {
-			jt = n - j0
-		}
-		for k0 := 0; k0 < k; k0 += kc {
-			kt := kc
-			if k0+kt > k {
-				kt = k - k0
-			}
-			pack(rb, k0, kt, j0, jt)
-			if !par {
-				kern(rb, k0, kt, j0, jt, 0, m)
-			} else {
-				parallelRows(lane, m, flops, func(lo, hi int) {
-					kern(rb, k0, kt, j0, jt, lo, hi)
-				})
-			}
-		}
-	}
-	putPackBuf(rp)
-}
-
 // MatMul computes C = A × B for 2-D tensors A [m,k] and B [k,n] in FP32.
 func MatMul(a, b *Tensor) *Tensor {
 	m, _, n := checkMatMul(a, b)
@@ -145,36 +106,26 @@ func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	zero(dst.Data)
 	dst.ClearDirty()
 	ad, bd, cd := a.Data, b.Data, dst.Data
-	if usePacked(mixed, m) {
-		if k*n > packTileElems() {
-			packedTiles(dst.lane, m, k, n, m*k*n,
-				func(rb []float32, k0, kt, j0, jt int) {
-					packPanelTile(rb, bd, n, k0, kt, j0, jt)
-				},
-				func(rb []float32, k0, kt, j0, jt, lo, hi int) {
-					gemmNNPacked(cd, ad, rb, k, k0, kt, n, j0, jt, lo, hi)
-				})
-			return dst
-		}
+	if mixed {
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
 		if !runParallel(m, m*k*n) {
-			gemmNNPacked(cd, ad, rb, k, 0, k, n, 0, n, 0, m)
+			gemmNNPacked(cd, ad, rb, k, n, 0, m)
 		} else {
-			parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-				gemmNNPacked(cd, ad, rb, k, 0, k, n, 0, n, lo, hi)
+			parallelRows(m, m*k*n, func(lo, hi int) {
+				gemmNNPacked(cd, ad, rb, k, n, lo, hi)
 			})
 		}
 		putPackBuf(rp)
 		return dst
 	}
 	if !runParallel(m, m*k*n) {
-		gemmRows(cd, ad, bd, k, n, k, 1, mixed, 0, m)
+		gemmRows(cd, ad, bd, k, n, k, 1, 0, m)
 		return dst
 	}
-	parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-		gemmRows(cd, ad, bd, k, n, k, 1, mixed, lo, hi)
+	parallelRows(m, m*k*n, func(lo, hi int) {
+		gemmRows(cd, ad, bd, k, n, k, 1, lo, hi)
 	})
 	return dst
 }
@@ -195,36 +146,26 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	zero(dst.Data)
 	dst.ClearDirty()
 	ad, bd, cd := a.Data, b.Data, dst.Data
-	if usePacked(mixed, m) {
-		if k*n > packTileElems() {
-			packedTiles(dst.lane, m, k, n, m*k*n,
-				func(rb []float32, k0, kt, j0, jt int) {
-					packPanelTile(rb, bd, n, k0, kt, j0, jt)
-				},
-				func(rb []float32, k0, kt, j0, jt, lo, hi int) {
-					gemmTAPacked(cd, ad, rb, k0, kt, m, n, j0, jt, lo, hi)
-				})
-			return dst
-		}
+	if mixed {
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
 		if !runParallel(m, m*k*n) {
-			gemmTAPacked(cd, ad, rb, 0, k, m, n, 0, n, 0, m)
+			gemmTAPacked(cd, ad, rb, k, m, n, 0, m)
 		} else {
-			parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-				gemmTAPacked(cd, ad, rb, 0, k, m, n, 0, n, lo, hi)
+			parallelRows(m, m*k*n, func(lo, hi int) {
+				gemmTAPacked(cd, ad, rb, k, m, n, lo, hi)
 			})
 		}
 		putPackBuf(rp)
 		return dst
 	}
 	if !runParallel(m, m*k*n) {
-		gemmRows(cd, ad, bd, k, n, 1, m, mixed, 0, m)
+		gemmRows(cd, ad, bd, k, n, 1, m, 0, m)
 		return dst
 	}
-	parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-		gemmRows(cd, ad, bd, k, n, 1, m, mixed, lo, hi)
+	parallelRows(m, m*k*n, func(lo, hi int) {
+		gemmRows(cd, ad, bd, k, n, 1, m, lo, hi)
 	})
 	return dst
 }
@@ -242,44 +183,30 @@ func MatMulTBInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	checkDst("MatMulTBInto", dst, m, n)
 	dst.ClearDirty()
 	ad, bd, cd := a.Data, b.Data, dst.Data
-	if usePacked(mixed, m) {
-		// The packed TB kernel seeds its accumulators from C so ascending
-		// k-tiles extend one per-element chain; starting from zero keeps the
-		// op sequence identical to the old local accumulator.
-		zero(cd)
-		if k*n > packTileElems() {
-			packedTiles(dst.lane, m, k, n, m*k*n,
-				func(rb []float32, k0, kt, j0, jt int) {
-					packPanelTileTB(rb, bd, k, k0, kt, j0, jt)
-				},
-				func(rb []float32, k0, kt, j0, jt, lo, hi int) {
-					gemmTBPacked(cd, ad, rb, k, k0, kt, n, j0, jt, lo, hi)
-				})
-			return dst
-		}
+	if mixed {
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
 		if !runParallel(m, m*k*n) {
-			gemmTBPacked(cd, ad, rb, k, 0, k, n, 0, n, 0, m)
+			gemmTBPacked(cd, ad, rb, k, n, 0, m)
 		} else {
-			parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-				gemmTBPacked(cd, ad, rb, k, 0, k, n, 0, n, lo, hi)
+			parallelRows(m, m*k*n, func(lo, hi int) {
+				gemmTBPacked(cd, ad, rb, k, n, lo, hi)
 			})
 		}
 		putPackBuf(rp)
 		return dst
 	}
-	if useAVX && !mixed {
-		gemmTBviaNN(dst.lane, cd, ad, bd, m, k, n)
+	if useAVX {
+		gemmTBviaNN(cd, ad, bd, m, k, n)
 		return dst
 	}
 	if !runParallel(m, m*k*n) {
-		gemmTB(cd, ad, bd, k, n, mixed, 0, m)
+		gemmTB(cd, ad, bd, k, n, 0, m)
 		return dst
 	}
-	parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-		gemmTB(cd, ad, bd, k, n, mixed, lo, hi)
+	parallelRows(m, m*k*n, func(lo, hi int) {
+		gemmTB(cd, ad, bd, k, n, lo, hi)
 	})
 	return dst
 }
@@ -342,25 +269,26 @@ func zero(s []float32) {
 }
 
 // gemmRows computes rows [lo,hi) of C += A×B for B [k,n], where element
-// (i,kk) of A is a[i*aRow+kk*aK]: (k, 1) for a row-major A [m,k] — the NN
-// kernel — and (1, m) for the transposed view of a row-major [k,m] — the TA
-// kernel, which therefore never materializes a transpose. C must start at +0.
+// in FP32, where element (i,kk) of A is a[i*aRow+kk*aK]: (k, 1) for a
+// row-major A [m,k] — the NN kernel — and (1, m) for the transposed view of a
+// row-major [k,m] — the TA kernel, which therefore never materializes a
+// transpose. C must start at +0. (The mixed-precision kernels are in pack.go.)
 //
 // The loop order is ikj (B rows stream sequentially) with 4-row register
 // blocking: one pass over a B row feeds four C rows, quartering B traffic.
 // A k-step of a 4-row block is one of three kinds. All four a zero: skipped.
 // All four non-zero: the dense step, four rows updated in one pass. Mixed:
 // one axpyRow per row, which skips its zeros. The skip rule (a-element
-// exactly zero, tested before bfloat16 rounding) and ascending-k accumulation
-// match the original serial kernel exactly.
+// exactly zero) and ascending-k accumulation match the original serial kernel
+// exactly.
 //
-// With the AVX kernels a dense fp32 step is not taken alone: denseRun4
+// With the AVX kernels a dense step is not taken alone: denseRun4
 // measures the run of dense steps it starts, and gemmTile4 takes the whole
 // run in one call, with the k-loop and the tile of C in registers. The tile
 // is loaded from C before the run and stored after it, and the steps between
 // runs are handled where they fall, so every element still receives the same
 // addends in the same ascending-k order from the same +0 start.
-func gemmRows(c, a, b []float32, k, n, aRow, aK int, mixed bool, lo, hi int) {
+func gemmRows(c, a, b []float32, k, n, aRow, aK int, lo, hi int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		c4 := c[i*n : (i+4)*n]
@@ -373,7 +301,7 @@ func gemmRows(c, a, b []float32, k, n, aRow, aK int, mixed bool, lo, hi int) {
 				continue
 			}
 			bk := b[kk*n : kk*n+n]
-			if !mixed && av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
+			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
 				if useAVX {
 					run := denseRun4(ak, k-kk, aRow, aK)
 					gemmTile4(c4, b[kk*n:], ak, n, run, aRow, aK)
@@ -388,10 +316,10 @@ func gemmRows(c, a, b []float32, k, n, aRow, aK int, mixed bool, lo, hi int) {
 				}
 				continue
 			}
-			axpyRow(c0, bk, av0, mixed)
-			axpyRow(c1, bk, av1, mixed)
-			axpyRow(c2, bk, av2, mixed)
-			axpyRow(c3, bk, av3, mixed)
+			axpyRow(c0, bk, av0)
+			axpyRow(c1, bk, av1)
+			axpyRow(c2, bk, av2)
+			axpyRow(c3, bk, av3)
 		}
 	}
 	for ; i < hi; i++ {
@@ -401,7 +329,7 @@ func gemmRows(c, a, b []float32, k, n, aRow, aK int, mixed bool, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			axpyRow(ci, b[kk*n:kk*n+n], av, mixed)
+			axpyRow(ci, b[kk*n:kk*n+n], av)
 		}
 	}
 }
@@ -444,17 +372,10 @@ func denseRun4(a []float32, kLen, aRow, aK int) int {
 	return denseRun4AVX(&a[0], kLen, aRow, aK)
 }
 
-// axpyRow accumulates ci += av·bk, or the bfloat16-rounded MAC version. A
-// zero av is skipped entirely, matching the serial kernel's skip rule.
-func axpyRow(ci, bk []float32, av float32, mixed bool) {
+// axpyRow accumulates ci += av·bk. A zero av is skipped entirely, matching
+// the serial kernel's skip rule.
+func axpyRow(ci, bk []float32, av float32) {
 	if av == 0 {
-		return
-	}
-	if mixed {
-		av = numerics.RoundBF16(av)
-		for j, bv := range bk {
-			ci[j] += numerics.RoundBF16(av * numerics.RoundBF16(bv))
-		}
 		return
 	}
 	if useAVX {
@@ -466,14 +387,15 @@ func axpyRow(ci, bk []float32, av float32, mixed bool) {
 	}
 }
 
-// gemmTB computes rows [lo,hi) of C = A×Bᵀ for B [n,k] as dot products over
+// gemmTB computes rows [lo,hi) of C = A×Bᵀ in FP32 for B [n,k] — the path
+// of builds without the AVX kernels — as dot products over
 // two sequential streams, blocked four output columns at a time so the four
 // independent accumulator chains hide FP-add latency. Each accumulator
 // receives its addends in the same ascending-k order, with the same a==0
 // skip rule, as the serial kernel running on a materialized Bᵀ, so results
 // are bitwise identical (blocking interleaves only *different* elements'
 // accumulations, never the addends of one element).
-func gemmTB(c, a, b []float32, k, n int, mixed bool, lo, hi int) {
+func gemmTB(c, a, b []float32, k, n int, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ai := a[i*k : i*k+k]
 		ci := c[i*n : i*n+n]
@@ -484,47 +406,25 @@ func gemmTB(c, a, b []float32, k, n int, mixed bool, lo, hi int) {
 			b2 := b[(j+2)*k : (j+2)*k+k]
 			b3 := b[(j+3)*k : (j+3)*k+k]
 			var acc0, acc1, acc2, acc3 float32
-			if mixed {
-				for kk, av := range ai {
-					if av == 0 {
-						continue
-					}
-					avr := numerics.RoundBF16(av)
-					acc0 += numerics.RoundBF16(avr * numerics.RoundBF16(b0[kk]))
-					acc1 += numerics.RoundBF16(avr * numerics.RoundBF16(b1[kk]))
-					acc2 += numerics.RoundBF16(avr * numerics.RoundBF16(b2[kk]))
-					acc3 += numerics.RoundBF16(avr * numerics.RoundBF16(b3[kk]))
+			for kk, av := range ai {
+				if av == 0 {
+					continue
 				}
-			} else {
-				for kk, av := range ai {
-					if av == 0 {
-						continue
-					}
-					acc0 += av * b0[kk]
-					acc1 += av * b1[kk]
-					acc2 += av * b2[kk]
-					acc3 += av * b3[kk]
-				}
+				acc0 += av * b0[kk]
+				acc1 += av * b1[kk]
+				acc2 += av * b2[kk]
+				acc3 += av * b3[kk]
 			}
 			ci[j], ci[j+1], ci[j+2], ci[j+3] = acc0, acc1, acc2, acc3
 		}
 		for ; j < n; j++ {
 			bj := b[j*k : j*k+k]
 			var acc float32
-			if mixed {
-				for kk, av := range ai {
-					if av == 0 {
-						continue
-					}
-					acc += numerics.RoundBF16(numerics.RoundBF16(av) * numerics.RoundBF16(bj[kk]))
+			for kk, av := range ai {
+				if av == 0 {
+					continue
 				}
-			} else {
-				for kk, av := range ai {
-					if av == 0 {
-						continue
-					}
-					acc += av * bj[kk]
-				}
+				acc += av * bj[kk]
 			}
 			ci[j] = acc
 		}
@@ -537,16 +437,16 @@ func gemmTB(c, a, b []float32, k, n int, mixed bool, lo, hi int) {
 // the NN form keeps every element's chain — +0 start, ascending k, a == 0
 // skipped — and vectorizes across elements, so it is bitwise-equal to
 // MatMul(a, Transpose2D(b)), the contract MatMulTB documents.
-func gemmTBviaNN(lane uint32, c, a, b []float32, m, k, n int) {
+func gemmTBviaNN(c, a, b []float32, m, k, n int) {
 	rp := getPackBuf(k * n)
 	bt := *rp
 	transposeInto(bt, b, n, k)
 	zero(c)
 	if !runParallel(m, m*k*n) {
-		gemmRows(c, a, bt, k, n, k, 1, false, 0, m)
+		gemmRows(c, a, bt, k, n, k, 1, 0, m)
 	} else {
-		parallelRows(lane, m, m*k*n, func(lo, hi int) {
-			gemmRows(c, a, bt, k, n, k, 1, false, lo, hi)
+		parallelRows(m, m*k*n, func(lo, hi int) {
+			gemmRows(c, a, bt, k, n, k, 1, lo, hi)
 		})
 	}
 	putPackBuf(rp)

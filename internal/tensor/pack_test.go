@@ -10,13 +10,6 @@ import (
 	"repro/internal/rng"
 )
 
-// withPacking toggles the bf16 panel-packing path for the duration of the
-// returned restore func.
-func withPacking(on bool) (restore func()) {
-	old := SetPackBF16(on)
-	return func() { SetPackBF16(old) }
-}
-
 func TestRoundPanelBF16MatchesScalar(t *testing.T) {
 	r := rng.NewFromInt(41)
 	src := New(513) // odd length: exercises the tail of any unrolling
@@ -35,156 +28,80 @@ func TestRoundPanelBF16MatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPackedGEMMBitwise is the tentpole equivalence test: the panel-packed
-// bf16 kernels must be bitwise-identical to the scalar re-rounding kernels
-// for every transpose variant, across odd M/N/K remainders (exercising the
-// 4-wide register-block tails) and worker counts, serial and parallel.
+// TestPackedGEMMBitwise: the panel-packed bf16 kernels must be
+// bitwise-identical to matmulRef's per-element re-rounding loop for every
+// transpose variant, from a single output row up, across M/N/K remainders of
+// 1, 2 and 3 past the 4-wide register block, a few panels of campaign size
+// and beyond, and worker counts, serial and parallel.
 func TestPackedGEMMBitwise(t *testing.T) {
 	r := rng.NewFromInt(42)
-	dims := []int{1, 2, 3, 5, 8, 9, 17}
-	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
+	dims := []int{1, 2, 3, 5, 6, 7, 8, 9, 17}
+	var shapes [][3]int
 	for _, m := range dims {
 		for _, k := range dims {
 			for _, n := range dims {
-				a := randMat(r, m, k)
-				b := randMat(r, k, n)
-				at := Transpose2D(a)
-				bt := Transpose2D(b)
-
-				restore := withPacking(false)
-				oldW := SetWorkers(1)
-				wantNN := MatMulMixed(a, b)
-				wantTA := MatMulTA(at, b, true)
-				wantTB := MatMulTB(a, bt, true)
-				SetWorkers(oldW)
-				restore()
-
-				for _, w := range workerSet {
-					restoreP := withPacking(true)
-					restoreW := forceParallel(w)
-					gotNN := MatMulMixed(a, b)
-					gotTA := MatMulTA(at, b, true)
-					gotTB := MatMulTB(a, bt, true)
-					restoreW()
-					restoreP()
-
-					tag := fmt.Sprintf("m=%d k=%d n=%d w=%d", m, k, n, w)
-					bitsEqual(t, "packed NN "+tag, gotNN, wantNN)
-					bitsEqual(t, "packed TA "+tag, gotTA, wantTA)
-					bitsEqual(t, "packed TB "+tag, gotTB, wantTB)
-				}
+				shapes = append(shapes, [3]int{m, k, n})
 			}
 		}
 	}
-}
-
-// TestPackedGEMMFloat32Unaffected: packing only applies to mixed-precision
-// GEMMs; the float32 path must be byte-for-byte untouched by the toggle.
-func TestPackedGEMMFloat32Unaffected(t *testing.T) {
-	r := rng.NewFromInt(43)
-	a, b := randMat(r, 9, 7), randMat(r, 7, 5)
-	restore := withPacking(false)
-	want := MatMul(a, b)
-	restore()
-	restore = withPacking(true)
-	got := MatMul(a, b)
-	restore()
-	bitsEqual(t, "float32 MatMul under packing toggle", got, want)
-}
-
-// TestPackedEpBitwise checks the fused-epilogue GEMM: results AND fused
-// reductions (Sum, ColSums, AbsMax) must match the unpacked path bit for
-// bit, serial and parallel.
-func TestPackedEpBitwise(t *testing.T) {
-	r := rng.NewFromInt(44)
-	a := randMat(r, 33, 17) // >epRowBlock rows exercises the blocked loop
-	b := randMat(r, 17, 9)
-
-	run := func(packed bool, w int) (*Tensor, *Epilogue) {
-		restoreP := withPacking(packed)
-		restoreW := forceParallel(w)
-		defer restoreW()
-		defer restoreP()
-		ep := &Epilogue{WantSum: true, WantColSums: true, WantAbsMax: true}
-		dst := New(33, 9)
-		MatMulIntoEp(dst, a, b, true, ep)
-		return dst, ep
-	}
-
-	wantDst, wantEp := run(false, 1)
-	for _, packed := range []bool{false, true} {
-		for _, w := range []int{1, 4} {
-			gotDst, gotEp := run(packed, w)
-			tag := fmt.Sprintf("packed=%v w=%d", packed, w)
-			bitsEqual(t, "Ep dst "+tag, gotDst, wantDst)
-			if gotEp.Sum != wantEp.Sum {
-				t.Fatalf("%s: Sum %v != %v", tag, gotEp.Sum, wantEp.Sum)
-			}
-			if math.Float32bits(gotEp.AbsMax) != math.Float32bits(wantEp.AbsMax) {
-				t.Fatalf("%s: AbsMax %v != %v", tag, gotEp.AbsMax, wantEp.AbsMax)
-			}
-			for j := range wantEp.ColSums {
-				if gotEp.ColSums[j] != wantEp.ColSums[j] {
-					t.Fatalf("%s: ColSums[%d] %v != %v", tag, j, gotEp.ColSums[j], wantEp.ColSums[j])
-				}
-			}
-		}
-	}
-}
-
-// TestTiledPackingBitwise pins the L2 cache-blocking level: forcing a tiny
-// pack-tile budget (so k·n exceeds it and the mixed kernels take the Kc×Nc
-// tiled path) must give bitwise-identical results to the full-panel path
-// and to the unpacked scalar kernels, for every transpose variant and
-// worker count. Shapes cover pure-Kc blocking, odd tile remainders, and
-// column (Nc) blocking.
-func TestTiledPackingBitwise(t *testing.T) {
-	shapes := [][3]int{
-		{9, 72, 72},   // pure Kc blocking: rows fit the budget, k splits 56+16
-		{17, 23, 301}, // odd remainders in both tile dimensions
-		{3, 2, 4100},  // Nc blocking: columns split 4096+4 with kt=1
-	}
-	r := rng.NewFromInt(45)
+	shapes = append(shapes, [3]int{9, 72, 72}, [3]int{17, 23, 301}, [3]int{3, 2, 4100}, [3]int{1, 72, 2304})
+	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a := randMat(r, m, k)
 		b := randMat(r, k, n)
 		at := Transpose2D(a)
 		bt := Transpose2D(b)
+		want := matmulRef(a, b, true)
+		for _, w := range workerSet {
+			restoreW := forceParallel(w)
+			gotNN := MatMulMixed(a, b)
+			gotTA := MatMulTA(at, b, true)
+			gotTB := MatMulTB(a, bt, true)
+			restoreW()
 
-		// Ground truth: unpacked scalar kernels, serial.
-		restore := withPacking(false)
-		oldW := SetWorkers(1)
-		wantNN := MatMulMixed(a, b)
-		wantTA := MatMulTA(at, b, true)
-		wantTB := MatMulTB(a, bt, true)
-		SetWorkers(oldW)
-		restore()
-
-		// Sanity: the minimum budget actually forces tiling for this shape.
-		oldL2 := SetL2Bytes(1)
-		tiled := k*n > packTileElems()
-		SetL2Bytes(oldL2)
-		if !tiled {
-			t.Fatalf("m=%d k=%d n=%d: shape does not exceed the minimum tile budget", m, k, n)
+			tag := fmt.Sprintf("m=%d k=%d n=%d w=%d", m, k, n, w)
+			bitsEqual(t, "packed NN "+tag, gotNN, want)
+			bitsEqual(t, "packed TA "+tag, gotTA, want)
+			bitsEqual(t, "packed TB "+tag, gotTB, want)
 		}
+	}
+}
 
-		for _, l2 := range []int{1, 1 << 30} { // forced-tiled vs full-panel
-			for _, w := range []int{1, 4} {
-				old := SetL2Bytes(l2)
-				restoreP := withPacking(true)
-				restoreW := forceParallel(w)
-				gotNN := MatMulMixed(a, b)
-				gotTA := MatMulTA(at, b, true)
-				gotTB := MatMulTB(a, bt, true)
-				restoreW()
-				restoreP()
-				SetL2Bytes(old)
+// TestPackedEpBitwise checks the fused-epilogue GEMM in mixed precision:
+// the result must match matmulRef bit for bit and the fused reductions
+// (Sum, ColSums, AbsMax) the standalone sweeps over it, serial and parallel,
+// for a single row and for more rows than one epilogue block.
+func TestPackedEpBitwise(t *testing.T) {
+	r := rng.NewFromInt(44)
+	for _, m := range []int{1, 33} { // 33 > epRowBlock exercises the blocked loop
+		a := randMat(r, m, 17)
+		b := randMat(r, 17, 9)
+		want := matmulRef(a, b, true)
+		wantCols := make([]float64, 9)
+		for i := 0; i < m; i++ {
+			for j := range wantCols {
+				wantCols[j] += float64(want.Data[i*9+j])
+			}
+		}
+		for _, w := range []int{1, 4} {
+			restoreW := forceParallel(w)
+			ep := &Epilogue{WantSum: true, WantColSums: true, WantAbsMax: true}
+			got := MatMulIntoEp(New(m, 9), a, b, true, ep)
+			restoreW()
 
-				tag := fmt.Sprintf("m=%d k=%d n=%d l2=%d w=%d", m, k, n, l2, w)
-				bitsEqual(t, "tiled NN "+tag, gotNN, wantNN)
-				bitsEqual(t, "tiled TA "+tag, gotTA, wantTA)
-				bitsEqual(t, "tiled TB "+tag, gotTB, wantTB)
+			tag := fmt.Sprintf("m=%d w=%d", m, w)
+			bitsEqual(t, "Ep dst "+tag, got, want)
+			if ep.Sum != want.Sum() {
+				t.Fatalf("%s: Sum %v != %v", tag, ep.Sum, want.Sum())
+			}
+			if math.Float32bits(ep.AbsMax) != math.Float32bits(want.AbsMax()) {
+				t.Fatalf("%s: AbsMax %v != %v", tag, ep.AbsMax, want.AbsMax())
+			}
+			for j := range wantCols {
+				if ep.ColSums[j] != wantCols[j] {
+					t.Fatalf("%s: ColSums[%d] %v != %v", tag, j, ep.ColSums[j], wantCols[j])
+				}
 			}
 		}
 	}
@@ -193,7 +110,7 @@ func TestTiledPackingBitwise(t *testing.T) {
 // TestPackedZeroSkipRule pins the skip rule on the packed path: the zero
 // test reads the RAW A element, before bf16 rounding — a subnormal that
 // rounds to zero in bf16 must still contribute (rounded) products, exactly
-// as the scalar kernels do.
+// as the reference loop does.
 func TestPackedZeroSkipRule(t *testing.T) {
 	a := New(2, 2)
 	b := New(2, 3)
@@ -203,11 +120,5 @@ func TestPackedZeroSkipRule(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = float32(i + 1)
 	}
-	restore := withPacking(false)
-	want := MatMulMixed(a, b)
-	restore()
-	restore = withPacking(true)
-	got := MatMulMixed(a, b)
-	restore()
-	bitsEqual(t, "raw-zero skip", got, want)
+	bitsEqual(t, "raw-zero skip", MatMulMixed(a, b), matmulRef(a, b, true))
 }

@@ -1,11 +1,11 @@
-// Persistent kernel worker pool with lane-pinned, claim-based dispatch.
+// Persistent kernel worker pool with claim-based dispatch.
 //
 // Every parallel kernel in this package (matmul row chunks, AbsMax/MinMax
-// reductions, bias rows) used to spawn fresh goroutines per call. At
-// campaign scale — thousands of GEMMs per training iteration across many
-// concurrent experiment workers — the per-call spawn cost and scheduler
-// churn add up. The pool here replaces the fan-out with long-lived workers
-// and one buffered run queue per worker (a channel receive doubles as the
+// reductions, bias rows) dispatches its chunks here. At campaign scale —
+// thousands of GEMMs per training iteration across many concurrent
+// experiment workers — spawning goroutines per call would cost scheduler
+// churn on every one of them, so the pool keeps long-lived workers and one
+// buffered run queue per worker (a channel receive doubles as the
 // park/unpark doorbell).
 //
 // Dispatch is claim-based: every chunk of a dispatch carries an index into a
@@ -15,23 +15,11 @@
 // atomic claim — queue worker or caller — executes the chunk exactly once.
 // On a loaded or single-core host the caller therefore finishes the whole
 // dispatch inline with zero context switches (the stale queued tasks are
-// skipped when a worker eventually drains them), which is what makes the
-// pool at least as fast as the legacy spawn path on every host shape.
-//
-// Lane pinning gives an engine a stable chunk→worker mapping: a dispatch
-// with lane L>0 always enqueues chunk c on worker (L-1+c) mod pool size,
-// instead of the round-robin cursor. Chunk boundaries are unchanged, so the
-// only effect is that chunk i of an engine's GEMMs lands on the same worker
-// — and therefore the same core's cache — iteration after iteration. The
-// lane rides on destination tensors (Workspace.SetLane stamps every buffer
-// it hands out); LaneMigrations counts pinned chunks that could not be
-// delivered to their designated worker (queue overflow → inline run).
+// skipped when a worker eventually drains them).
 //
 // Scheduling is irrelevant to results: chunks own disjoint index ranges
 // (the determinism contract in matmul.go), so which goroutine executes a
-// chunk — or whether the legacy spawn path runs it — cannot change a single
-// bit of any kernel's output. SetUsePool keeps the legacy per-call spawn
-// reachable for benchmarking the difference (bench_kernel.sh).
+// chunk cannot change a single bit of any kernel's output.
 //
 // Nesting is impossible by construction: chunk bodies are leaf kernel loops
 // (gemm*, absMaxBits, addBiasRows) that never dispatch again, so a worker
@@ -80,40 +68,18 @@ type kernelTask struct {
 }
 
 // poolQueueDepth is each worker's run-queue capacity. Dispatchers never
-// block on a full queue: the chunk runs inline instead (and counts as a
-// lane migration when the dispatch was pinned).
+// block on a full queue: the chunk runs inline instead.
 const poolQueueDepth = 8
 
 // maxChunks bounds the chunks of one dispatch to the claim bitmask width.
 const maxChunks = 64
 
 var (
-	poolMu         sync.Mutex   // guards pool growth and shutdown
-	poolQs         atomic.Value // of []chan kernelTask: per-worker run queues
-	poolQuit       chan struct{}
-	poolCursor     atomic.Uint32 // round-robin dispatch cursor for unpinned work
-	poolSpawn      atomic.Bool   // true = legacy per-call goroutine fan-out
-	laneMigrations atomic.Uint64 // pinned chunks that overflowed their lane queue
+	poolMu     sync.Mutex   // guards pool growth and shutdown
+	poolQs     atomic.Value // of []chan kernelTask: per-worker run queues
+	poolQuit   chan struct{}
+	poolCursor atomic.Uint32 // round-robin dispatch cursor
 )
-
-// SetUsePool selects between the persistent worker pool (true, the default)
-// and the legacy per-call goroutine fan-out, returning the previous
-// setting. Results are bitwise-identical either way; the knob exists for
-// benchmarking and as a fallback.
-func SetUsePool(on bool) bool {
-	old := !poolSpawn.Load()
-	poolSpawn.Store(!on)
-	return old
-}
-
-// UsePool reports whether parallel kernels dispatch to the persistent pool.
-func UsePool() bool { return !poolSpawn.Load() }
-
-// LaneMigrations returns the cumulative count of lane-pinned chunks that
-// could not be delivered to their designated pool worker (the lane queue
-// was full, so the chunk ran inline off-lane). Process-global, like the
-// pool itself; campaign reports read it as a before/after delta.
-func LaneMigrations() uint64 { return laneMigrations.Load() }
 
 // PoolWorkers returns the number of live pool workers (0 until the first
 // pooled dispatch, and again after ClosePool).
@@ -180,21 +146,12 @@ func ClosePool() {
 // parallelInto partitions [0, n) into up to w contiguous chunks and runs
 // body(worker, lo, hi) on each, where worker is the chunk index (callers
 // use it to write per-chunk partials without sharing). Chunk 0 runs on the
-// calling goroutine; the rest run on pool workers (or, in legacy mode, on
-// fresh goroutines). Returns the number of chunks used, which may be less
-// than w. Every chunk is non-empty, ranges are disjoint and ascending in
-// the chunk index, so kernels with disjoint writes stay single-writer and
-// per-chunk reductions are exact partials.
+// calling goroutine; the rest are offered round-robin to pool workers.
+// Returns the number of chunks used, which may be less than w. Every chunk
+// is non-empty, ranges are disjoint and ascending in the chunk index, so
+// kernels with disjoint writes stay single-writer and per-chunk reductions
+// are exact partials.
 func parallelInto(w, n int, body func(worker, lo, hi int)) int {
-	return parallelLaneInto(0, w, n, body)
-}
-
-// parallelLaneInto is parallelInto with a lane hint: lane 0 dispatches
-// round-robin, lane L>0 enqueues chunk c on worker (L-1+c) mod pool size so
-// repeated dispatches from the same engine keep a stable chunk→worker (and
-// therefore chunk→cache) mapping. The lane affects placement only — chunk
-// geometry and results are bitwise-independent of it.
-func parallelLaneInto(lane uint32, w, n int, body func(worker, lo, hi int)) int {
 	if w > n {
 		w = n
 	}
@@ -210,24 +167,6 @@ func parallelLaneInto(lane uint32, w, n int, body func(worker, lo, hi int)) int 
 	if nc <= 1 {
 		body(0, 0, n)
 		return 1
-	}
-	if poolSpawn.Load() {
-		var wg sync.WaitGroup
-		wg.Add(nc - 1)
-		for c := 1; c < nc; c++ {
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			go func(c, lo, hi int) {
-				defer wg.Done()
-				body(c, lo, hi)
-			}(c, lo, hi)
-		}
-		body(0, 0, chunk)
-		wg.Wait()
-		return nc
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
 		// A single-P runtime can never execute a chunk concurrently with the
@@ -245,12 +184,7 @@ func parallelLaneInto(lane uint32, w, n int, body func(worker, lo, hi int)) int 
 		return nc
 	}
 	qs := poolQueues(nc - 1)
-	var base uint32
-	if lane != 0 {
-		base = lane - 1
-	} else {
-		base = poolCursor.Add(uint32(nc - 1))
-	}
+	base := poolCursor.Add(uint32(nc - 1))
 	d := &kernelDispatch{body: body, n: n, chunk: chunk}
 	d.claimed.Store(1) // chunk 0 is the caller's, never claimable
 	d.wg.Add(nc - 1)
@@ -258,9 +192,6 @@ func parallelLaneInto(lane uint32, w, n int, body func(worker, lo, hi int)) int 
 		select {
 		case qs[(base+uint32(c))%uint32(len(qs))] <- kernelTask{d: d, c: c}:
 		default:
-			if lane != 0 {
-				laneMigrations.Add(1)
-			}
 			d.run(c)
 		}
 	}
@@ -273,11 +204,10 @@ func parallelLaneInto(lane uint32, w, n int, body func(worker, lo, hi int)) int 
 }
 
 // parallelRows partitions [0, m) into at most matmulWorkers contiguous
-// chunks and runs body on each through the persistent pool, pinned to lane
-// when nonzero. Row ranges are disjoint, so each output element is produced
-// by exactly one goroutine; chunk boundaries never change accumulation
-// order within a row.
-func parallelRows(lane uint32, m, flops int, body func(lo, hi int)) {
+// chunks and runs body on each through the persistent pool. Row ranges are
+// disjoint, so each output element is produced by exactly one goroutine;
+// chunk boundaries never change accumulation order within a row.
+func parallelRows(m, flops int, body func(lo, hi int)) {
 	w := matmulWorkers
 	if w > m {
 		w = m
@@ -286,5 +216,5 @@ func parallelRows(lane uint32, m, flops int, body func(lo, hi int)) {
 		body(0, m)
 		return
 	}
-	parallelLaneInto(lane, w, m, func(_, lo, hi int) { body(lo, hi) })
+	parallelInto(w, m, func(_, lo, hi int) { body(lo, hi) })
 }

@@ -44,20 +44,11 @@ func goroutinesSettle(base int) bool {
 	return true
 }
 
-// forcePool routes every eligible kernel through the persistent pool with n
-// workers for the duration of the returned restore func.
-func forcePool(n int) (restore func()) {
-	oldW := SetWorkers(n)
-	oldT := SetParallelThreshold(0)
-	oldP := SetUsePool(true)
-	return func() { SetWorkers(oldW); SetParallelThreshold(oldT); SetUsePool(oldP) }
-}
-
 func TestPoolCloseNoLeak(t *testing.T) {
 	// A single-P runtime takes the inline fast path and never spawns
 	// workers; force two Ps so the dispatch path under test actually runs.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	defer forcePool(4)()
+	defer forceParallel(4)()
 	base := runtime.NumGoroutine()
 
 	r := rng.NewFromInt(31)
@@ -89,74 +80,40 @@ func TestPoolCloseNoLeak(t *testing.T) {
 	}
 }
 
-// TestPoolVsSpawnGEMMBitwise pins the tentpole contract: the persistent
-// pool and the legacy per-call goroutine fan-out produce bitwise-identical
-// GEMM results for every transpose variant, precision mode, and worker
+// TestPoolGEMMBitwise pins the pool's contract: chunks dispatched to pool
+// workers produce GEMM results bitwise-identical to the serial kernel
+// (SetWorkers(1)) for every transpose variant, precision mode, and worker
 // count, including worker counts that exceed the row count.
-func TestPoolVsSpawnGEMMBitwise(t *testing.T) {
+func TestPoolGEMMBitwise(t *testing.T) {
+	// A single-P runtime runs every chunk inline; force two Ps so chunks
+	// actually travel through the worker queues.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	r := rng.NewFromInt(32)
-	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
+	workerSet := []int{2, 4, 40}
 	for _, mixed := range []bool{false, true} {
-		a := randMat(r, 17, 23) // [m, k]
+		a := randMat(r, 33, 23) // [m, k]
 		b := randMat(r, 23, 13) // [k, n]
 		at := Transpose2D(a)    // [k, m]
 		bt := Transpose2D(b)    // [n, k]
+
+		oldW := SetWorkers(1)
+		nnS := matMulBy(a, b, mixed)
+		taS := MatMulTA(at, b, mixed)
+		tbS := MatMulTB(a, bt, mixed)
+		SetWorkers(oldW)
+
 		for _, w := range workerSet {
-			restore := forcePool(w)
+			restore := forceParallel(w)
 			nn := matMulBy(a, b, mixed)
 			ta := MatMulTA(at, b, mixed)
 			tb := MatMulTB(a, bt, mixed)
 			restore()
 
-			oldP := SetUsePool(false)
-			restoreW := forceParallel(w)
-			nnS := matMulBy(a, b, mixed)
-			taS := MatMulTA(at, b, mixed)
-			tbS := MatMulTB(a, bt, mixed)
-			restoreW()
-			SetUsePool(oldP)
-
 			tag := fmt.Sprintf("mixed=%v w=%d", mixed, w)
-			bitsEqual(t, "pool vs spawn NN "+tag, nn, nnS)
-			bitsEqual(t, "pool vs spawn TA "+tag, ta, taS)
-			bitsEqual(t, "pool vs spawn TB "+tag, tb, tbS)
+			bitsEqual(t, "pool vs serial NN "+tag, nn, nnS)
+			bitsEqual(t, "pool vs serial TA "+tag, ta, taS)
+			bitsEqual(t, "pool vs serial TB "+tag, tb, tbS)
 		}
-	}
-}
-
-// TestLanePinnedGEMMBitwise pins the lane contract: a lane only moves
-// chunks between pool workers, so a GEMM into a lane-stamped workspace
-// buffer must be bitwise-identical to the serial result for every lane —
-// including lane 0 (unpinned) and lanes past the pool size (which wrap) —
-// and the workspace must stamp its lane onto every buffer it hands out.
-func TestLanePinnedGEMMBitwise(t *testing.T) {
-	// A single-P runtime runs everything inline; force two Ps so the
-	// lane-pinned dispatch path actually runs.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	r := rng.NewFromInt(35)
-	a, b := randMat(r, 33, 24), randMat(r, 24, 18)
-
-	oldW := SetWorkers(1)
-	want := MatMul(a, b)
-	wantMixed := MatMulMixed(a, b)
-	SetWorkers(oldW)
-
-	for _, lane := range []int{0, 1, 3, 9} {
-		ws := NewWorkspace()
-		ws.SetLane(lane)
-		restore := forcePool(4)
-		dst := ws.Get("c", 33, 18)
-		if dst.Lane() != lane {
-			t.Fatalf("workspace lane %d not stamped onto buffer: got %d", lane, dst.Lane())
-		}
-		MatMulInto(dst, a, b, false)
-		dstM := ws.Get("cm", 33, 18)
-		MatMulInto(dstM, a, b, true)
-		restore()
-
-		tag := fmt.Sprintf("lane=%d", lane)
-		bitsEqual(t, "lane-pinned fp32 "+tag, dst, want)
-		bitsEqual(t, "lane-pinned mixed "+tag, dstM, wantMixed)
 	}
 }
 
@@ -190,7 +147,7 @@ func TestPoolReductionsBitwise(t *testing.T) {
 	}
 
 	for _, w := range []int{1, 3, 4, runtime.GOMAXPROCS(0)} {
-		restore := forcePool(w)
+		restore := forceParallel(w)
 		gotAbs := v.AbsMax()
 		gotLo, gotHi := v.MinMax()
 		restore()
@@ -206,7 +163,7 @@ func TestPoolReductionsBitwise(t *testing.T) {
 	// A NaN anywhere must force (NaN, NaN) from every worker count.
 	v.Data[absMaxParallelMin/3] = float32(math.NaN())
 	for _, w := range []int{1, 4} {
-		restore := forcePool(w)
+		restore := forceParallel(w)
 		lo, hi := v.MinMax()
 		restore()
 		if lo == lo || hi == hi { // NaN != NaN
@@ -234,7 +191,7 @@ func TestPoolAddBiasNCHWBitwise(t *testing.T) {
 
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		got := ref.Clone()
-		restore := forcePool(w)
+		restore := forceParallel(w)
 		AddBiasNCHW(got, bias)
 		restore()
 		bitsEqual(t, fmt.Sprintf("AddBiasNCHW w=%d", w), got, want)
@@ -245,7 +202,7 @@ func TestPoolAddBiasNCHWBitwise(t *testing.T) {
 // over 4 workers yields 3 chunks, and the returned count must reflect that
 // so reduction callers never read uninitialized partials.
 func TestParallelIntoChunks(t *testing.T) {
-	defer forcePool(4)()
+	defer forceParallel(4)()
 	seen := make([]bool, 9)
 	nc := parallelInto(4, 9, func(worker, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -451,7 +451,7 @@ func MatMulIntoEp(dst, a, b *Tensor, mixed bool, ep *Epilogue) *Tensor {
 	ad, bd, cd := a.Data, b.Data, dst.Data
 	var rb []float32
 	var rp *[]float32
-	if usePacked(mixed, m) {
+	if mixed {
 		rp = getPackBuf(len(bd))
 		rb = *rp
 		roundPanelBF16(rb, bd)
@@ -462,28 +462,28 @@ func MatMulIntoEp(dst, a, b *Tensor, mixed bool, ep *Epilogue) *Tensor {
 			if hi > m {
 				hi = m
 			}
-			if rb != nil {
-				gemmNNPacked(cd, ad, rb, k, 0, k, n, 0, n, lo, hi)
+			if mixed {
+				gemmNNPacked(cd, ad, rb, k, n, lo, hi)
 			} else {
-				gemmRows(cd, ad, bd, k, n, k, 1, mixed, lo, hi)
+				gemmRows(cd, ad, bd, k, n, k, 1, lo, hi)
 			}
 			ep.accumRows(cd, lo, hi, n)
 		}
 	} else {
-		if rb != nil {
-			parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-				gemmNNPacked(cd, ad, rb, k, 0, k, n, 0, n, lo, hi)
+		if mixed {
+			parallelRows(m, m*k*n, func(lo, hi int) {
+				gemmNNPacked(cd, ad, rb, k, n, lo, hi)
 			})
 		} else {
-			parallelRows(dst.lane, m, m*k*n, func(lo, hi int) {
-				gemmRows(cd, ad, bd, k, n, k, 1, mixed, lo, hi)
+			parallelRows(m, m*k*n, func(lo, hi int) {
+				gemmRows(cd, ad, bd, k, n, k, 1, lo, hi)
 			})
 		}
 		// One ordered pass after the join: the lane rule and ascending-row
 		// column accumulation must not depend on the worker count.
 		ep.accumRows(cd, 0, m, n)
 	}
-	if rp != nil {
+	if mixed {
 		putPackBuf(rp)
 	}
 	ep.finish()

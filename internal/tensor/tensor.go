@@ -39,24 +39,7 @@ type Tensor struct {
 	Data  []float32
 
 	dirty bool
-
-	// lane is the preferred pool-lane offset (0 = unpinned) for parallel
-	// kernels writing this tensor; Workspace.Get stamps it from the owning
-	// workspace's lane. Placement hint only: results never depend on it.
-	lane uint32
 }
-
-// SetLane sets the tensor's preferred pool lane (0 unpins). Lane pinning is
-// a cache-placement hint for the kernel pool; it cannot change results.
-func (t *Tensor) SetLane(l int) {
-	if l < 0 {
-		l = 0
-	}
-	t.lane = uint32(l)
-}
-
-// Lane returns the tensor's preferred pool lane (0 = unpinned).
-func (t *Tensor) Lane() int { return int(t.lane) }
 
 // MarkDirty records an out-of-band mutation (fault injection, restore);
 // cached reductions over t are no longer trustworthy.

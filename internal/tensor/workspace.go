@@ -138,26 +138,9 @@ type Workspace struct {
 	// comes from the heap: arenas never free, so the outgrown carve would
 	// stay pinned beside its replacement.
 	arena *Arena
-	// lane is stamped onto every tensor Get hands out, so parallel kernels
-	// writing workspace buffers dispatch to the owning engine's pinned pool
-	// lane (0 = unpinned). See Tensor.SetLane.
-	lane uint32
 	// view is the header reshaped hands out: one reusable alias of a
 	// caller's tensor. It is not in bufs, so Reset never poisons through it.
 	view Tensor
-}
-
-// SetLane sets the pool lane stamped onto buffers this workspace hands out
-// (0 unpins). Engines propagate their lane here so every kernel they run
-// keeps a stable chunk→worker mapping.
-func (ws *Workspace) SetLane(l int) {
-	if ws == nil {
-		return
-	}
-	if l < 0 {
-		l = 0
-	}
-	ws.lane = uint32(l)
 }
 
 // NewWorkspace creates an empty arena. The key map is created lazily on
@@ -207,7 +190,6 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 			ws.bufs = make(map[string]*Tensor)
 		}
 		t = ws.arena.New(shape...) // nil arena → heap
-		t.lane = ws.lane
 		ws.bufs[key] = t
 		return t
 	}
@@ -221,7 +203,6 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 		t.Data = make([]float32, n)
 	}
 	t.Shape = append(t.Shape[:0], shape...)
-	t.lane = ws.lane
 	return t
 }
 

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/accel"
 	"repro/internal/comm"
@@ -53,21 +52,6 @@ type Config struct {
 // BuildFunc constructs one model replica. It is called once per device with
 // an identical RNG so replicas start with identical weights.
 type BuildFunc func(r *rng.Rand) *nn.Sequential
-
-// noBuildArena disables arena-backed replica construction (zero value =
-// arena on). Process-global so the equivalence tests can compare both modes.
-var noBuildArena atomic.Bool
-
-// SetBuildArena selects whether New builds its replicas inside a per-engine
-// tensor.Arena (true, the default — a few slab allocations instead of
-// hundreds of small ones, see nn.BuildIn) or from the heap, returning the
-// previous setting. Engines built either way are bitwise-identical in every
-// value; the knob exists for the equivalence tests and benchmarking.
-func SetBuildArena(on bool) bool {
-	old := !noBuildArena.Load()
-	noBuildArena.Store(!on)
-	return old
-}
 
 // Engine drives synchronous data-parallel training.
 type Engine struct {
@@ -143,10 +127,7 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 	// All replicas share one arena: their tensors land in a few contiguous
 	// slabs, so a pooled campaign engine stays cache-resident across forked
 	// experiments and costs near-zero allocations to build.
-	var arena *tensor.Arena
-	if !noBuildArena.Load() {
-		arena = tensor.NewArena()
-	}
+	arena := tensor.NewArena()
 	e.replicas = make([]*nn.Sequential, 0, cfg.Devices)
 	for d := 0; d < cfg.Devices; d++ {
 		// Identical init RNG per replica → identical weights.
@@ -283,17 +264,6 @@ func (e *Engine) Reset() {
 func (e *Engine) ScrubWorkspaces() {
 	for _, m := range e.replicas {
 		m.ScrubWorkspaces()
-	}
-}
-
-// PinLane stamps lane onto every replica workspace so the engine's parallel
-// kernels keep a stable chunk→pool-worker mapping across iterations (see
-// nn.Sequential.PinLane). A placement hint only: results are bitwise-
-// independent of the lane. Campaign workers pin their pooled engine to a
-// per-worker lane so consecutive experiments reuse warm caches.
-func (e *Engine) PinLane(lane int) {
-	for _, m := range e.replicas {
-		m.PinLane(lane)
 	}
 }
 

@@ -284,7 +284,7 @@ func BenchmarkKernel_TrainStepDeviceParallel(b *testing.B) {
 	}
 }
 
-// --- persistent pool + bf16 panel packing (bench_kernel.sh legs) ---
+// --- persistent pool + bf16 panel packing ---
 
 // benchWorkloadGEMM returns the dominant GEMM shape of the Resnet step: the
 // im2col matrix [B·H·W, InC·KH·KW] times the lowered kernel [InC·KH·KW,
@@ -301,26 +301,11 @@ func benchWorkloadGEMM() (*tensor.Tensor, *tensor.Tensor, *tensor.Tensor) {
 // BenchmarkKernel_GEMMPool: workload-shaped parallel GEMM dispatched to the
 // persistent worker pool. Workers are pinned to 4 so the dispatch machinery
 // runs even on a single-core host (where GOMAXPROCS would otherwise keep
-// the kernel serial) — the leg measures dispatch cost, pool vs spawn.
+// the kernel serial) — the leg measures dispatch cost.
 func BenchmarkKernel_GEMMPool(b *testing.B) {
 	dst, x, y := benchWorkloadGEMM()
 	defer tensor.SetWorkers(tensor.SetWorkers(4))
 	defer tensor.SetParallelThreshold(tensor.SetParallelThreshold(0))
-	defer tensor.SetUsePool(tensor.SetUsePool(true))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMulInto(dst, x, y, false)
-	}
-}
-
-// BenchmarkKernel_GEMMSpawn: the same GEMM with the legacy per-call
-// goroutine fan-out, the pre-pool dispatch the pool replaces.
-func BenchmarkKernel_GEMMSpawn(b *testing.B) {
-	dst, x, y := benchWorkloadGEMM()
-	defer tensor.SetWorkers(tensor.SetWorkers(4))
-	defer tensor.SetParallelThreshold(tensor.SetParallelThreshold(0))
-	defer tensor.SetUsePool(tensor.SetUsePool(false))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -329,11 +314,10 @@ func BenchmarkKernel_GEMMSpawn(b *testing.B) {
 }
 
 // BenchmarkKernel_GEMMMixedPacked: bf16 GEMM with the B panel pre-rounded
-// once into a pooled buffer (default mode).
+// once into a pooled buffer.
 func BenchmarkKernel_GEMMMixedPacked(b *testing.B) {
 	x, y := benchMats(256)
 	dst := tensor.New(256, 256)
-	defer tensor.SetPackBF16(tensor.SetPackBF16(true))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,85 +325,8 @@ func BenchmarkKernel_GEMMMixedPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_GEMMMixedScalar: the pre-packing bf16 GEMM, re-rounding
-// every B element once per A row.
-func BenchmarkKernel_GEMMMixedScalar(b *testing.B) {
-	x, y := benchMats(256)
-	dst := tensor.New(256, 256)
-	defer tensor.SetPackBF16(tensor.SetPackBF16(false))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMulInto(dst, x, y, true)
-	}
-}
-
-// benchTiledGEMM returns a C = A×Bᵀ GEMM whose rounded B panel (2048×512
-// floats, 4 MiB) is twice the default 2 MiB L2 budget. The TB kernel is
-// the shape class where full-panel packing hurts most: it makes one pass
-// over the whole panel per single output row (the NN/TA kernels amortize a
-// pass over a 4-row block), so an over-L2 panel is re-streamed from L3/DRAM
-// m times — Kc×Nc tiling instead keeps the active tile resident across all
-// m rows. This is the backward-pass dX = dY×Wᵀ pattern for wide layers.
-func benchTiledGEMM() (*tensor.Tensor, *tensor.Tensor, *tensor.Tensor) {
-	r := rng.NewFromInt(34)
-	a := tensor.New(64, 512)
-	bt := tensor.New(2048, 512)
-	a.FillNormal(r, 0, 1)
-	bt.FillNormal(r, 0, 1)
-	return tensor.New(64, 2048), a, bt
-}
-
-// BenchmarkKernel_GEMMMixedL2Tiled: the over-L2 bf16 GEMM under Kc×Nc
-// cache blocking with the tile budget pinned to 2 MiB (the default
-// fallback), so the leg measures the same geometry on every host. Bitwise
-// identical to the full-panel leg (TestTiledPackingBitwise).
-func BenchmarkKernel_GEMMMixedL2Tiled(b *testing.B) {
-	dst, x, y := benchTiledGEMM()
-	defer tensor.SetL2Bytes(tensor.SetL2Bytes(2 << 20))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMulTBInto(dst, x, y, true)
-	}
-}
-
-// BenchmarkKernel_GEMMMixedFullPanel: the same GEMM with an effectively
-// unbounded tile budget, i.e. the pre-tiling behavior of packing the whole
-// B panel and streaming all 4 MiB of it once per output row.
-func BenchmarkKernel_GEMMMixedFullPanel(b *testing.B) {
-	dst, x, y := benchTiledGEMM()
-	defer tensor.SetL2Bytes(tensor.SetL2Bytes(1 << 30))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMulTBInto(dst, x, y, true)
-	}
-}
-
-// BenchmarkKernel_TrainStepMixed is the headline tentpole leg: a full
-// bf16-GEMM training iteration with the persistent pool and panel packing
-// on (the defaults).
+// BenchmarkKernel_TrainStepMixed: a full bf16-GEMM training iteration.
 func BenchmarkKernel_TrainStepMixed(b *testing.B) {
-	defer tensor.SetUsePool(tensor.SetUsePool(true))
-	defer tensor.SetPackBF16(tensor.SetPackBF16(true))
-	w := workloads.ResnetMixed()
-	e := w.NewEngine(rng.Seed{State: 77, Stream: 1})
-	e.RunIteration(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.RunIteration(i + 1)
-	}
-}
-
-// BenchmarkKernel_TrainStepMixedBaseline is the identical step with both
-// tentpole optimizations disabled — per-call goroutine fan-out and
-// per-row bf16 re-rounding — i.e. the previous main behavior. Results are
-// bitwise-identical to TrainStepMixed; only the schedule differs.
-func BenchmarkKernel_TrainStepMixedBaseline(b *testing.B) {
-	defer tensor.SetUsePool(tensor.SetUsePool(false))
-	defer tensor.SetPackBF16(tensor.SetPackBF16(false))
 	w := workloads.ResnetMixed()
 	e := w.NewEngine(rng.Seed{State: 77, Stream: 1})
 	e.RunIteration(0)

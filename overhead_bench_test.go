@@ -2,16 +2,14 @@
 // each mitigation technique in its fused form (checks consume reductions the
 // kernels accumulated during their write loops) versus its sweep form
 // (checks re-read whole tensors). Fused and sweep raise bitwise-identical
-// alarms (see the fused equivalence tests in internal/detect,
-// internal/baseline, internal/experiment), so the delta is pure overhead.
+// alarms (see the fused equivalence tests in internal/detect and
+// internal/baseline), so the delta is pure overhead.
 //
 // Run with:
 //
 //	go test -bench 'Overhead' -run '^$' .
 //
-// or via ./bench_overhead.sh, which emits BENCH_overhead.json and asserts
-// that fused detection is strictly cheaper per iteration than sweeping — the
-// paper's context being a 0.003%–0.025% overhead for the bounds check
+// The paper's context is a 0.003%–0.025% overhead for the bounds check
 // against 5–7% for ABFT (Secs 5.3, 6).
 package repro_test
 
