@@ -2,12 +2,13 @@
 # Repository CI gate: formatting, vet, package-doc drift, build (native and
 # cross-compiled to arm64), full tests, the kernel packages again on the
 # portable -tags purego path, greps over the assembly kernels for fused
-# multiply-adds and 256-bit floating-point arithmetic, race-detector runs of
+# multiply-adds and 256-bit arithmetic (floating-point, compare, logical and
+# integer maximum), race-detector runs of
 # the packages with concurrency (the parallel GEMM kernels, the
 # device-parallel trainer, the campaign worker pool, and the distributed
 # coordinator/worker protocol), fuzz smokes of the journal parser/repairer and
-# of the GEMM kernels and the convolution lowering against their naive
-# oracles, a graceful SIGINT kill-and-resume smoke, its reference campaign
+# of the GEMM kernels, the convolution lowering and the element-wise layer
+# kernels against their naive oracles, a graceful SIGINT kill-and-resume smoke, its reference campaign
 # again from a -tags purego build (assembly and portable kernels must agree
 # on a whole campaign, byte for byte), a SIGKILL crash loop that
 # repeatedly murders a device-fault campaign mid-write and requires -resume
@@ -65,9 +66,9 @@ if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/*.s; then
 	exit 1
 fi
 
-echo "== no 256-bit floating-point arithmetic in the assembly (Y-register moves and shuffles are free; Y-register arithmetic takes the AVX frequency licence) =="
-if grep -nE '^[[:space:]]*V(ADD|SUB|MUL|DIV|SQRT|MAX|MIN)[PS][SD][[:space:]].*Y[0-9]' internal/tensor/*.s; then
-	echo "256-bit floating-point arithmetic in a kernel" >&2
+echo "== no 256-bit arithmetic in the assembly (Y-register moves and shuffles are free; Y-register arithmetic — floating-point, compares, logicals, integer maxima — takes the AVX frequency licence) =="
+if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN|OR|XOR)P[SD]|P(MAX|MIN)[SU][BWDQ]|P(AND|ANDN|OR|XOR))[[:space:]].*Y[0-9]' internal/tensor/*.s; then
+	echo "256-bit arithmetic in a kernel" >&2
 	exit 1
 fi
 
@@ -168,6 +169,9 @@ go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 echo "== lowering fuzz smoke (im2col and col2im against the per-element loops, fuzzer-chosen geometry and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 
+echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="
+go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
+
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="
 "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
 	-device-faults all -quarantine -json "$tmp/dfref.json" >/dev/null
@@ -206,7 +210,7 @@ grep -q '"jit_snapshots":' "$tmp/jit.jsonl"
 grep -q "recovery \[jit\]:" "$tmp/jit.txt" # report renders the strategy summary
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

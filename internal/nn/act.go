@@ -10,7 +10,10 @@ import (
 // functions as a masking mechanism: "a faulty value ... is set to 0 by the
 // activation function" (Sec 2), which ReLU does for negative corruption.
 type ReLU struct {
-	lastMask []bool
+	// lastMask is the forward's x > 0 test, all ones or zero per element: the
+	// form tensor.ReLUBackward applies with one AND. It is recorded from the
+	// input, not the output — a forward hook may corrupt the output afterwards.
+	lastMask []uint32
 
 	outAbsMax  float32
 	outStatsOK bool
@@ -39,53 +42,30 @@ func (r *ReLU) Params() []*Param { return nil }
 // Workspace implements WorkspaceHolder.
 func (r *ReLU) Workspace() *tensor.Workspace { return r.ws }
 
-// Forward implements Layer. With Context.CollectStats, the copy loop also
-// tracks the output abs-max: only copied positives can contribute (masked
-// elements are 0, whose abs-bits never win the maximum), so the running max
-// equals a post-hoc sweep of the output. A NaN input is masked to 0, exactly
-// as in the sweep.
+// Forward implements Layer. The kernel tracks the output abs-max in the pass
+// that writes it — only kept positives can contribute (masked elements are
+// 0, whose abs-bits never win the maximum), so it equals a post-hoc sweep of
+// the output; a NaN input is masked to 0, exactly as in the sweep. It is
+// published only under Context.CollectStats.
 func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	// Workspace buffer, not a fresh allocation: masked elements must be
-	// written as explicit zeros (a fresh tensor got them implicitly) because
-	// the buffer carries the previous call's values.
+	// Workspace buffer, not a fresh allocation: masked elements are written
+	// as explicit zeros because the buffer carries the previous call's values.
 	out := r.ws.Get("out", x.Shape...)
 	if cap(r.lastMask) < x.Len() {
-		r.lastMask = make([]bool, x.Len())
+		r.lastMask = make([]uint32, x.Len())
 	}
 	r.lastMask = r.lastMask[:x.Len()]
+	absMax := tensor.ReLUForward(out.Data, r.lastMask, x.Data)
 	collect := ctx != nil && ctx.CollectStats
-	maxBits := reluForward(out.Data, x.Data, r.lastMask)
 	if !collect {
-		maxBits = 0
+		absMax = 0
 	}
-	r.outAbsMax, r.outStatsOK = tensor.AbsMaxOfBits(maxBits), collect
+	r.outAbsMax, r.outStatsOK = absMax, collect
 	// Every element was just rewritten, so any prior out-of-band mutation of
 	// the reused buffer is gone; restore the clean-tensor semantics a fresh
 	// allocation had.
 	out.ClearDirty()
 	return out
-}
-
-// reluForward writes out[i] = x[i] if x[i] > 0, else +0, records the test in
-// mask, and returns the largest output bit pattern (outputs are never
-// negative, so that is the abs-max). The sign of an activation is close to a
-// coin flip, so `if v > 0` mispredicts every other element; the test is done
-// on the bit pattern instead and applied as an AND mask. v > 0 holds exactly
-// when the pattern b satisfies 0 < b <= +Inf's — sign clear, not zero, not a
-// NaN — i.e. when b-1, taken unsigned, is below +Inf's pattern: zero wraps to
-// the top, negatives and NaNs already sit above.
-func reluForward(out, x []float32, mask []bool) (maxBits uint32) {
-	const posInf = 0x7f800000
-	out, mask = out[:len(x)], mask[:len(x)]
-	for i, v := range x {
-		b := math.Float32bits(v)
-		keep := uint32(int64(uint64(b-1)-posInf) >> 63) // all ones if kept, else 0
-		b &= keep
-		out[i] = math.Float32frombits(b)
-		mask[i] = keep != 0
-		maxBits = max(maxBits, b)
-	}
-	return maxBits
 }
 
 // OutAbsMax implements OutputStats.
@@ -94,23 +74,9 @@ func (r *ReLU) OutAbsMax() (float32, bool) { return r.outAbsMax, r.outStatsOK }
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := r.ws.Get("dx", gradOut.Shape...)
-	reluBackward(gradIn.Data, gradOut.Data, r.lastMask)
+	tensor.ReLUBackward(gradIn.Data, gradOut.Data, r.lastMask)
 	gradIn.ClearDirty()
 	return gradIn
-}
-
-// reluBackward writes gradIn[i] = gradOut[i] where mask[i], else +0, as an
-// AND with the mask widened to all ones — no branch on the mask (the
-// `if pass { k = 1 }` form compiles to a zero-extension of the bool).
-func reluBackward(gradIn, gradOut []float32, mask []bool) {
-	gradIn, gradOut = gradIn[:len(mask)], gradOut[:len(mask)]
-	for i, pass := range mask {
-		var k uint32
-		if pass {
-			k = 1
-		}
-		gradIn[i] = math.Float32frombits(math.Float32bits(gradOut[i]) & -k)
-	}
 }
 
 // Tanh activation.

@@ -34,7 +34,9 @@ func reluBranchy(x, gradOut []float32) (out []float32, mask []bool, absMax float
 	return out, mask, trk.Value(), gradIn
 }
 
-// TestReLUBranchFreeBitwise holds the mask-select ReLU to the branchy loop on
+// TestReLUBranchFreeBitwise holds the ReLU layer — tensor.ReLUForward and
+// ReLUBackward: the compare-and-AND kernels on amd64, the bit-pattern loops
+// under -tags purego — to the branchy loop on
 // every class of bit pattern the sign/NaN test has to get right: ±0, the
 // smallest and largest subnormals and normals of both signs, ±Inf, quiet and
 // signaling NaNs of both signs with assorted payloads, and random values.
@@ -72,8 +74,13 @@ func TestReLUBranchFreeBitwise(t *testing.T) {
 			if got, want := math.Float32bits(out.Data[i]), math.Float32bits(wantOut[i]); got != want {
 				t.Fatalf("collect=%v: out[%d] for x=%#08x is %#08x, want %#08x", collect, i, math.Float32bits(x[i]), got, want)
 			}
-			if relu.lastMask[i] != wantMask[i] {
-				t.Fatalf("collect=%v: mask[%d] for x=%#08x is %v, want %v", collect, i, math.Float32bits(x[i]), relu.lastMask[i], wantMask[i])
+			// The mask is the compare's result: all ones where kept, else 0.
+			var want uint32
+			if wantMask[i] {
+				want = 0xffffffff
+			}
+			if relu.lastMask[i] != want {
+				t.Fatalf("collect=%v: mask[%d] for x=%#08x is %#08x, want %#08x", collect, i, math.Float32bits(x[i]), relu.lastMask[i], want)
 			}
 			if got, want := math.Float32bits(gradIn.Data[i]), math.Float32bits(wantGrad[i]); got != want {
 				t.Fatalf("collect=%v: gradIn[%d] for g=%#08x mask=%v is %#08x, want %#08x", collect, i, math.Float32bits(g[i]), wantMask[i], got, want)

@@ -108,7 +108,7 @@ func (c *Conv2D) ForwardCols() *tensor.Tensor { return c.lastCols }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	checkRank(c.name+" backward", gradOut, 4)
+	checkGradRank(c.name, gradOut, 4)
 	// The forward im2col matrix is still valid (lastX is untouched between
 	// the passes), so the backward skips the re-lowering.
 	gradIn, gradK := tensor.Conv2DBackwardWS(c.ws, c.lastX, c.K.Value, gradOut, c.lastCols, c.Par, c.Mixed)

@@ -93,7 +93,7 @@ func (d *Dense) LastGradSum() (float64, bool) { return d.gradSum, d.gradSumOK }
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	checkRank(d.name+" backward", gradOut, 2)
+	checkGradRank(d.name, gradOut, 2)
 	x := d.lastX
 	// dW = xᵀ · gradOut ; db = column sums of gradOut ; dx = gradOut · Wᵀ.
 	// The fused-transpose kernels avoid materializing xᵀ and Wᵀ.

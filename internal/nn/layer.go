@@ -269,11 +269,20 @@ func (s *Sequential) LayerNames() []string {
 	return names
 }
 
-// checkShape panics with a descriptive message when a layer receives an
+// checkRank panics with a descriptive message when a layer receives an
 // input of the wrong rank. Shape errors are programming bugs, not runtime
 // conditions, hence panic rather than error returns.
 func checkRank(layer string, x *tensor.Tensor, rank int) {
 	if len(x.Shape) != rank {
 		panic(fmt.Sprintf("nn: %s expects rank-%d input, got shape %v", layer, rank, x.Shape))
+	}
+}
+
+// checkGradRank is checkRank for the output gradient of a backward pass. The
+// layer's name is joined to " backward" only on the failing branch: the
+// passing one runs every iteration and must not build a string.
+func checkGradRank(layer string, gradOut *tensor.Tensor, rank int) {
+	if len(gradOut.Shape) != rank {
+		checkRank(layer+" backward", gradOut, rank)
 	}
 }

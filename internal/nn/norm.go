@@ -42,8 +42,11 @@ type BatchNorm struct {
 	// batchMean and batchVar receive the batch statistics of a training
 	// forward, invStd the per-channel 1/sqrt(var+eps) of any forward (the
 	// backward pass reads it back); one element per channel, owned by the
-	// layer so a step allocates none.
+	// layer so a step allocates none. dxScale, meanDy and meanDyXhat are the
+	// per-channel constants the backward pass derives from its two sums and
+	// hands to the input-gradient kernel.
 	batchMean, batchVar, invStd []float32
+	dxScale, meanDy, meanDyXhat []float32
 
 	// mvarStat is the abs-bits maximum of MovingVar, folded into the O(C)
 	// update recurrence — the fused read behind the detector's Part II
@@ -78,6 +81,9 @@ func NewBatchNorm(name string, c int, momentum float32) *BatchNorm {
 		batchMean:  arenaNew(c).Data,
 		batchVar:   arenaNew(c).Data,
 		invStd:     arenaNew(c).Data,
+		dxScale:    arenaNew(c).Data,
+		meanDy:     arenaNew(c).Data,
+		meanDyXhat: arenaNew(c).Data,
 	}
 	bn.Gamma.Value.Fill(1)
 	bn.MovingVar.Fill(1)
@@ -119,7 +125,7 @@ func (bn *BatchNorm) to4D(x *tensor.Tensor) *tensor.Tensor {
 // Forward implements Layer.
 func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 	x := bn.to4D(xIn)
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	n, c := x.Shape[0], x.Shape[1]
 	if c != bn.Channels() {
 		panic("nn: BatchNorm channel mismatch")
 	}
@@ -160,35 +166,17 @@ func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 	}
 	out := bn.ws.Get(okey, x.Shape...)
 	xhat := bn.ws.Get(xkey, x.Shape...)
-	spatial := h * w
-	collect := ctx != nil && ctx.CollectStats
-	var trk tensor.AbsMaxTracker
 	for ch := range bn.invStd {
 		bn.invStd[ch] = 1 / float32(math.Sqrt(float64(variance[ch]+bn.Eps)))
 	}
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			invStd := bn.invStd[ch]
-			g, be, m := bn.Gamma.Value.Data[ch], bn.Beta.Value.Data[ch], mean[ch]
-			base := (b*c + ch) * spatial
-			if collect {
-				for i := 0; i < spatial; i++ {
-					xh := (x.Data[base+i] - m) * invStd
-					xhat.Data[base+i] = xh
-					ov := g*xh + be
-					out.Data[base+i] = ov
-					trk.Observe(ov)
-				}
-			} else {
-				for i := 0; i < spatial; i++ {
-					xh := (x.Data[base+i] - m) * invStd
-					xhat.Data[base+i] = xh
-					out.Data[base+i] = g*xh + be
-				}
-			}
-		}
+	// The kernel tracks the output abs-max in the pass that writes it, wanted
+	// or not; it is published only under CollectStats.
+	absMax := tensor.NormalizeNCHW(out, xhat, x, mean, bn.invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
+	collect := ctx != nil && ctx.CollectStats
+	if !collect {
+		absMax = 0
 	}
-	bn.outAbsMax, bn.outStatsOK = trk.Value(), collect
+	bn.outAbsMax, bn.outStatsOK = absMax, collect
 	// The normalize loop rewrote every element of both reused buffers.
 	out.ClearDirty()
 	xhat.ClearDirty()
@@ -240,8 +228,8 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat1 += dy1[i] * xh1[i]
 			}
 		}
-		bn.backwardChannel(gradIn.Data, dy, n, c, spatial, ch, sumDy0, sumDyXhat0)
-		bn.backwardChannel(gradIn.Data, dy, n, c, spatial, ch+1, sumDy1, sumDyXhat1)
+		bn.backwardChannel(n*spatial, ch, sumDy0, sumDyXhat0)
+		bn.backwardChannel(n*spatial, ch+1, sumDy1, sumDyXhat1)
 	}
 	if ch < c {
 		var sumDy, sumDyXhat float32
@@ -253,9 +241,10 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat += d * xh0[i]
 			}
 		}
-		bn.backwardChannel(gradIn.Data, dy, n, c, spatial, ch, sumDy, sumDyXhat)
+		bn.backwardChannel(n*spatial, ch, sumDy, sumDyXhat)
 	}
-	// Every element of the reused buffer was rewritten by the channel loops.
+	tensor.NormalizeBackwardNCHW(gradIn, gradOut, bn.lastXhat, bn.dxScale, bn.meanDy, bn.meanDyXhat)
+	// Every element of the reused buffer was rewritten by the kernel.
 	gradIn.ClearDirty()
 	if bn.was2D {
 		return gradIn.Reshape(n, c)
@@ -263,23 +252,15 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 	return gradIn
 }
 
-// backwardChannel finishes one channel of Backward from its two sums: the
-// parameter gradients, then the channel's slice of the input gradient.
-func (bn *BatchNorm) backwardChannel(gradIn, dy []float32, n, c, spatial, ch int, sumDy, sumDyXhat float32) {
-	count := float32(n * spatial)
-	invStd := bn.invStd[ch]
+// backwardChannel finishes one channel of Backward from its two sums over
+// count elements: the parameter gradients, then the three constants of the
+// channel's input gradient, dx = dxScale·((dy − meanDy) − xhat·meanDyXhat).
+func (bn *BatchNorm) backwardChannel(count, ch int, sumDy, sumDyXhat float32) {
 	bn.Beta.Grad.Data[ch] += sumDy
 	bn.Gamma.Grad.Data[ch] += sumDyXhat
-	meanDy := sumDy / count
-	meanDyXhat := sumDyXhat / count
-	g := bn.Gamma.Value.Data[ch]
-	for b := 0; b < n; b++ {
-		base := (b*c + ch) * spatial
-		dyc, xhc, gic := dy[base:base+spatial], bn.lastXhat.Data[base:base+spatial], gradIn[base:base+spatial]
-		for i, d := range dyc {
-			gic[i] = g * invStd * (d - meanDy - xhc[i]*meanDyXhat)
-		}
-	}
+	bn.meanDy[ch] = sumDy / float32(count)
+	bn.meanDyXhat[ch] = sumDyXhat / float32(count)
+	bn.dxScale[ch] = bn.Gamma.Value.Data[ch] * bn.invStd[ch]
 }
 
 // LayerNorm normalizes over the last dimension of a [B, L, D] or [B, D]

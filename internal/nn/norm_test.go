@@ -153,3 +153,29 @@ func TestBatchNormStepZeroAllocs(t *testing.T) {
 		t.Fatalf("BatchNorm step allocates %v times", allocs)
 	}
 }
+
+// TestConvDenseStepZeroAllocs: a steady-state forward + backward of Conv2D and
+// of Dense allocates nothing — every buffer is the workspace's, and the rank
+// check of the output gradient builds its "<name> backward" message only when
+// it fails (names this long do not fit the stack buffer a short-lived
+// concatenation gets, so building it every call would show here).
+func TestConvDenseStepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	ctx := &Context{Training: true}
+	conv := NewConv2D("resnet/stage2/block1/conv2-3x3-same", 8, 8, 3, 3, 1, 1, rng.NewFromInt(7), false)
+	x, g := randTensor(8, 2, 8, 6, 6), randTensor(9, 2, 8, 6, 6)
+	dense := NewDense("resnet/head/classifier-after-global-pool", 8, 10, rng.NewFromInt(10), false)
+	dx, dg := randTensor(11, 2, 8), randTensor(12, 2, 10)
+	step := func() {
+		conv.Forward(ctx, x)
+		conv.Backward(g)
+		dense.Forward(ctx, dx)
+		dense.Backward(dg)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("Conv2D + Dense step allocates %v times", allocs)
+	}
+}

@@ -18,19 +18,6 @@ func channelDims(op string, t *Tensor) (n, c, spatial int) {
 	return
 }
 
-// addBiasRows adds bias[r mod c] to channel rows [lo,hi) of the flattened
-// [n*c, spatial] view. Rows are disjoint (one writer per element), so
-// chunked execution over any worker count is bitwise-identical to serial.
-func addBiasRows(td, biasd []float32, c, spatial, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		bv := biasd[r%c]
-		row := td[r*spatial : (r+1)*spatial]
-		for i := range row {
-			row[i] += bv
-		}
-	}
-}
-
 // AddBiasNCHW adds bias[c] to every element of channel c: the shared
 // per-channel bias addition of Conv2D ([N,K,OH,OW] + [K]) and Dense
 // ([B, Out] + [Out]). Large tensors run the channel rows on the kernel
@@ -49,36 +36,21 @@ func AddBiasNCHW(t, bias *Tensor) {
 		})
 		return
 	}
-	addBiasRows(t.Data, bias.Data, c, spatial, 0, rows)
+	addBias(t.Data, bias.Data, n, c, spatial)
 }
 
 // AddBiasNCHWEp performs AddBiasNCHW and additionally returns the lane-rule
-// total sum and running abs-max of the updated t, accumulated during the
-// same write loop. The rows visited — (b*c+ch)*spatial for ascending b, ch —
-// are exactly t's flat layout in ascending order, so seeding each row's lane
-// phase with its flat base offset makes sum bitwise-equal to t.Sum() (and
-// absMax to t.AbsMax()) immediately after the call. This is the fused read
-// ABFT (output checksum) and Ranger (output range) ride on.
+// total sum and abs-max of the updated t — bitwise t.Sum() and t.AbsMax()
+// immediately after the call, read while the add's output is still in cache.
+// This is the fused read ABFT (output checksum) and Ranger (output range)
+// ride on.
 func AddBiasNCHWEp(t, bias *Tensor) (sum float64, absMax float32) {
 	n, c, spatial := channelDims("AddBiasNCHWEp", t)
 	if bias.Len() != c {
 		panic(fmt.Sprintf("tensor: AddBiasNCHWEp bias has %d elements for %d channels", bias.Len(), c))
 	}
-	var l [4]float64
-	var trk AbsMaxTracker
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			bv := bias.Data[ch]
-			base := (b*c + ch) * spatial
-			row := t.Data[base : base+spatial]
-			for i := range row {
-				row[i] += bv
-			}
-			sumLanes(&l, row, base)
-			trk.ObserveSlice(row)
-		}
-	}
-	return laneTotal(&l), trk.Value()
+	addBias(t.Data, bias.Data, n, c, spatial)
+	return t.Sum(), t.AbsMax()
 }
 
 // SumPerChannelNCHW accumulates the sum of each channel of t into into[c]

@@ -2,18 +2,21 @@
 
 package tensor
 
-// useAVX routes the fp32 GEMM inner loops and the convolution lowering's
-// block moves and adds through the assembly kernels in gemm_amd64.s and
-// block_amd64.s. It is decided once, at package init, from what the CPU and
-// the OS report; nothing sets it afterwards. Builds without the kernels
-// (other architectures, -tags purego) compile it as a false constant, so
-// the Go loops in matmul.go and tensor.go are the only path there.
+// useAVX routes the fp32 GEMM inner loops, the convolution lowering's block
+// moves and adds and the element-wise layer loops through the assembly
+// kernels in gemm_amd64.s, block_amd64.s and elem_amd64.s. It is decided
+// once, at package init, from what the CPU and the OS report; nothing sets it
+// afterwards. Builds without the kernels (other architectures, -tags purego)
+// compile it as a false constant, so the Go loops in matmul.go, tensor.go and
+// elem.go are the only path there.
 var useAVX = detectAVX()
 
 // detectAVX reports whether AVX instructions may be executed: the CPU has
 // them (CPUID.1:ECX bit 28) and the OS saves the YMM state across context
 // switches (OSXSAVE set, XCR0 bits 1 and 2 set). Nothing in gemm_amd64.s
-// needs AVX2.
+// or the other two files needs AVX2: the integer instructions of elem_amd64.s
+// (VPAND, VPMAXUD, VPSHUFD on X registers) are VEX.128 encodings, which are
+// AVX.
 func detectAVX() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 1 {
 		return false
@@ -68,6 +71,40 @@ func moveBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStr
 //
 //go:noescape
 func addBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int)
+
+// The element-wise kernels (elem_amd64.s) take addresses and extents their
+// callers in elem.go have checked. x, dy and the like are whole [n, c,
+// spatial] tensors, planes contiguous; per-channel operands hold c floats.
+
+// normalizeAVX writes xhat = (x − mean[ch])·invStd[ch] and out =
+// gamma[ch]·xhat + beta[ch] over every plane and returns the largest
+// sign-cleared bit pattern of out.
+//
+//go:noescape
+func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatial int) uint32
+
+// normalizeBackwardAVX writes dx = scale[ch]·((dy − meanDy[ch]) −
+// xhat·meanDyXhat[ch]) over every plane.
+//
+//go:noescape
+func normalizeBackwardAVX(dx, dy, xhat, scale, meanDy, meanDyXhat *float32, n, c, spatial int)
+
+// reluForwardAVX writes mask = (x > 0) as all ones or zero and out = x AND
+// mask over n elements, and returns the largest bit pattern of out.
+//
+//go:noescape
+func reluForwardAVX(out *float32, mask *uint32, x *float32, n int) uint32
+
+// reluBackwardAVX writes dx = dy AND mask over n elements.
+//
+//go:noescape
+func reluBackwardAVX(dx, dy *float32, mask *uint32, n int)
+
+// addBiasAVX adds bias[(ch0+r) mod c] to each of the rows consecutive rows
+// r of spatial floats starting at t. ch0 < c.
+//
+//go:noescape
+func addBiasAVX(t, bias *float32, rows, c, ch0, spatial int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -278,11 +278,14 @@ type blockShape struct {
 // sides are checked against their slices before anything is touched; dst
 // and src must not overlap.
 func moveBlocks(dst, src []float32, sh *blockShape) {
-	if !sh.fits(len(dst), len(src)) {
-		if sh.empty("moveBlocks", len(dst), len(src)) {
-			return
-		}
+	if sh.check("moveBlocks", len(dst), len(src)) {
+		sh.move(dst, src)
 	}
+}
+
+// move is moveBlocks for a caller that has already established
+// sh.fits(len(dst), len(src)) — the lowering checks a whole tap set at once.
+func (sh *blockShape) move(dst, src []float32) {
 	if useAVX {
 		moveBlocksAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride)
 		return
@@ -301,11 +304,13 @@ func moveBlocks(dst, src []float32, sh *blockShape) {
 // the Go loop (TestBlockKernelsBitwise pins both), so a NaN meeting a NaN
 // keeps the accumulator's payload on either path.
 func addBlocks(dst, src []float32, sh *blockShape) {
-	if !sh.fits(len(dst), len(src)) {
-		if sh.empty("addBlocks", len(dst), len(src)) {
-			return
-		}
+	if sh.check("addBlocks", len(dst), len(src)) {
+		sh.add(dst, src)
 	}
+}
+
+// add is addBlocks under move's contract.
+func (sh *blockShape) add(dst, src []float32) {
 	if useAVX {
 		addBlocksAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride)
 		return
@@ -334,6 +339,12 @@ func (sh *blockShape) fits(dstLen, srcLen int) bool {
 	return sh.n > 0 && sh.rows > 0 && sh.cols > 0 &&
 		sh.dstBlock >= 0 && sh.srcBlock >= 0 && sh.dstStride >= 0 && sh.srcStride >= 0 &&
 		sh.extent(sh.dstBlock, sh.dstStride) <= dstLen && sh.extent(sh.srcBlock, sh.srcStride) <= srcLen
+}
+
+// check reports whether op has anything to do: true when the shape fits both
+// slices, false when it is empty, a panic otherwise.
+func (sh *blockShape) check(op string, dstLen, srcLen int) bool {
+	return sh.fits(dstLen, srcLen) || !sh.empty(op, dstLen, srcLen)
 }
 
 // empty is the slow path behind a failed fits: true for a shape with nothing
@@ -405,6 +416,16 @@ func (g lowering) plane(ch, y, x int) int {
 	return (ch*g.n*g.hp+y)*g.wp + x
 }
 
+// lastRow and lastTap are the largest offsets a lowering's tap loop reaches:
+// of a matrix row (rows lie rowLen apart, tap (c-1, KH-1, KW-1) is the last)
+// and of a tap's block in the staging plane (plane grows with each of ch, kh
+// and kw, so the same tap starts furthest in). A stride-1 lowering checks its
+// tap shape once against what is left of both sides behind these two — every
+// other tap starts no further in on either side — and then calls move / add
+// bare.
+func (g lowering) lastRow(p ConvParams, rowLen int) int { return (g.c*p.KH*p.KW - 1) * rowLen }
+func (g lowering) lastTap(p ConvParams) int             { return g.plane(g.c-1, p.KH-1, p.KW-1) }
+
 // Im2Col unfolds input [N,C,H,W] into a matrix [C*KH*KW, N*OH*OW] so that
 // convolution becomes a matrix multiply — the same lowering the modeled
 // accelerator's sequencer performs when tiling a convolution onto the MAC
@@ -448,17 +469,21 @@ func im2col(ws *Workspace, cols, in *Tensor, p ConvParams) *Tensor {
 		n: g.n, rows: g.oh, cols: g.ow,
 		dstBlock: g.oh * g.ow, srcBlock: g.hp * g.wp, dstStride: g.ow, srcStride: g.wp,
 	}
-	row := cols.Data
+	rowLen := g.n * tap.dstBlock
+	if p.Stride == 1 && !tap.check("Im2ColInto", len(cols.Data)-g.lastRow(p, rowLen), len(xpad)-g.lastTap(p)) {
+		return cols
+	}
+	row := 0
 	for ch := 0; ch < g.c; ch++ {
-		for kh := 0; kh < p.KH; kh++ {
+		for kh, at := 0, g.plane(ch, 0, 0); kh < p.KH; kh, at = kh+1, at+g.wp {
 			for kw := 0; kw < p.KW; kw++ {
-				src := xpad[g.plane(ch, kh, kw):]
+				dst, src := cols.Data[row:], xpad[at+kw:]
 				if p.Stride == 1 {
-					moveBlocks(row, src, &tap)
+					tap.move(dst, src)
 				} else {
 					for b := 0; b < g.n; b++ {
 						for oy := 0; oy < g.oh; oy++ {
-							drow := row[(b*g.oh+oy)*g.ow:][:g.ow]
+							drow := dst[(b*g.oh+oy)*g.ow:][:g.ow]
 							srow := src[b*tap.srcBlock+oy*p.Stride*g.wp:]
 							for ox := range drow {
 								drow[ox] = srow[ox*p.Stride]
@@ -466,7 +491,7 @@ func im2col(ws *Workspace, cols, in *Tensor, p ConvParams) *Tensor {
 						}
 					}
 				}
-				row = row[g.n*tap.dstBlock:]
+				row += rowLen
 			}
 		}
 	}
@@ -505,17 +530,21 @@ func col2im(ws *Workspace, out, cols *Tensor, p ConvParams) *Tensor {
 		n: g.n, rows: g.oh, cols: g.ow,
 		dstBlock: g.hp * g.wp, srcBlock: g.oh * g.ow, dstStride: g.wp, srcStride: g.ow,
 	}
-	row := cols.Data
+	rowLen := g.n * tap.srcBlock
+	if p.Stride == 1 && !tap.check("Col2ImInto", len(gpad)-g.lastTap(p), len(cols.Data)-g.lastRow(p, rowLen)) {
+		return out
+	}
+	row := 0
 	for ch := 0; ch < g.c; ch++ {
-		for kh := 0; kh < p.KH; kh++ {
+		for kh, at := 0, g.plane(ch, 0, 0); kh < p.KH; kh, at = kh+1, at+g.wp {
 			for kw := 0; kw < p.KW; kw++ {
-				dst := gpad[g.plane(ch, kh, kw):]
+				dst, src := gpad[at+kw:], cols.Data[row:]
 				if p.Stride == 1 {
-					addBlocks(dst, row, &tap)
+					tap.add(dst, src)
 				} else {
 					for b := 0; b < g.n; b++ {
 						for oy := 0; oy < g.oh; oy++ {
-							srow := row[(b*g.oh+oy)*g.ow:][:g.ow]
+							srow := src[(b*g.oh+oy)*g.ow:][:g.ow]
 							drow := dst[b*tap.dstBlock+oy*p.Stride*g.wp:]
 							for ox := range srow {
 								drow[ox*p.Stride] += srow[ox]
@@ -523,7 +552,7 @@ func col2im(ws *Workspace, out, cols *Tensor, p ConvParams) *Tensor {
 						}
 					}
 				}
-				row = row[g.n*tap.srcBlock:]
+				row += rowLen
 			}
 		}
 	}

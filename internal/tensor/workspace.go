@@ -133,7 +133,19 @@ func (a *Arena) Bytes() int64 {
 //   - A nil *Workspace is valid and simply allocates fresh tensors,
 //     preserving the original allocation behaviour.
 type Workspace struct {
-	bufs map[string]*Tensor
+	// bufs holds one entry per key in first-use order. A layer's keys are a
+	// handful of string constants (Conv2D's nine are the most on the resnet
+	// path), so Get scans them and nothing is hashed. The scan starts at
+	// next, one past the previous hit: a layer asks for its keys in the same
+	// order every iteration, so in steady state the first entry looked at is
+	// the one wanted, and comparing a constant with itself is a length and
+	// two equal pointers.
+	bufs []wsBuf
+	next int
+	// index takes over from the scan once a workspace holds more than
+	// wsScanMax keys (Attention keeps five per batch element alive at once):
+	// past that a scan costs more than a hash.
+	index map[string]*Tensor
 	// arena, when non-nil, backs each key's FIRST allocation. Growth always
 	// comes from the heap: arenas never free, so the outgrown carve would
 	// stay pinned beside its replacement.
@@ -143,9 +155,18 @@ type Workspace struct {
 	view Tensor
 }
 
-// NewWorkspace creates an empty arena. The key map is created lazily on
-// the first Get, so building a model whose workspaces are never used (a
-// pooled engine awaiting its first experiment) costs no map allocations.
+// wsBuf is one keyed buffer of a Workspace.
+type wsBuf struct {
+	key string
+	t   *Tensor
+}
+
+// wsScanMax is the number of keys up to which Get scans instead of hashing.
+const wsScanMax = 16
+
+// NewWorkspace creates an empty arena. The key list grows on first use of
+// each key, so building a model whose workspaces are never used (a pooled
+// engine awaiting its first experiment) allocates nothing for it.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // NewWorkspaceIn creates a workspace whose steady-state buffers (the first
@@ -156,7 +177,7 @@ func NewWorkspaceIn(a *Arena) *Workspace {
 }
 
 // NewWorkspace carves an arena-backed workspace: the header comes from an
-// arena slab (the key map still comes from the heap) and the steady-state
+// arena slab (the key list still comes from the heap) and the steady-state
 // buffers from the arena, like NewWorkspaceIn. A nil receiver falls back to
 // a plain heap workspace.
 func (a *Arena) NewWorkspace() *Workspace {
@@ -184,13 +205,32 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 	if ws == nil {
 		return New(shape...)
 	}
-	t := ws.bufs[key]
-	if t == nil {
-		if ws.bufs == nil {
-			ws.bufs = make(map[string]*Tensor)
+	var t *Tensor
+	if ws.index != nil {
+		t = ws.index[key]
+	} else {
+		for k, i := 0, ws.next; k < len(ws.bufs); k, i = k+1, i+1 {
+			if i >= len(ws.bufs) {
+				i = 0
+			}
+			if ws.bufs[i].key == key {
+				t, ws.next = ws.bufs[i].t, i+1
+				break
+			}
 		}
+	}
+	if t == nil {
 		t = ws.arena.New(shape...) // nil arena → heap
-		ws.bufs[key] = t
+		ws.bufs = append(ws.bufs, wsBuf{key, t})
+		switch {
+		case ws.index != nil:
+			ws.index[key] = t
+		case len(ws.bufs) > wsScanMax:
+			ws.index = make(map[string]*Tensor, 2*len(ws.bufs))
+			for _, b := range ws.bufs {
+				ws.index[b.key] = b.t
+			}
+		}
 		return t
 	}
 	n := 1
@@ -235,26 +275,26 @@ func (ws *Workspace) GetZeroed(key string, shape ...int) *Tensor {
 	return t
 }
 
-// Reset poisons every cached buffer — its whole capacity — with NaNs and
-// marks it dirty, without dropping the buffers themselves (the next Get
-// still reuses them). Buffer contents are undefined between Gets — every
-// consumer must fully overwrite before reading — so a Reset between
-// pooled-engine experiments must not change any result; if stale workspace
-// state ever leaked across a reuse, the poison would surface it as a loud
-// NaN. The campaign scrub invariant (experiment.Config.ScrubWorkspaces) is
-// built on this.
+// Reset poisons every cached buffer — its whole capacity, in first-use order
+// of the keys — with NaNs and marks it dirty, without dropping the buffers
+// themselves (the next Get still reuses them). Buffer contents are undefined
+// between Gets — every consumer must fully overwrite before reading — so a
+// Reset between pooled-engine experiments must not change any result; if
+// stale workspace state ever leaked across a reuse, the poison would surface
+// it as a loud NaN. The campaign scrub invariant
+// (experiment.Config.ScrubWorkspaces) is built on this.
 func (ws *Workspace) Reset() {
 	if ws == nil {
 		return
 	}
 	nan := float32(math.NaN())
-	for _, t := range ws.bufs {
+	for _, b := range ws.bufs {
 		// The full capacity, not just the current extent: a later, larger
 		// Get reslices into the part a smaller one left behind.
-		full := t.Data[:cap(t.Data)]
+		full := b.t.Data[:cap(b.t.Data)]
 		for i := range full {
 			full[i] = nan
 		}
-		t.MarkDirty()
+		b.t.MarkDirty()
 	}
 }

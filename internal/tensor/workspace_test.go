@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestArenaNewZeroedAndShaped(t *testing.T) {
@@ -92,7 +95,7 @@ func TestWorkspaceArenaBacking(t *testing.T) {
 // the buffers themselves alive for reuse.
 func TestWorkspaceResetPoison(t *testing.T) {
 	for _, arena := range []*Arena{nil, NewArena()} {
-		ws := &Workspace{bufs: map[string]*Tensor{}, arena: arena}
+		ws := NewWorkspaceIn(arena)
 		x := ws.Get("x", 3)
 		for i := range x.Data {
 			x.Data[i] = float32(i)
@@ -121,4 +124,44 @@ func TestWorkspaceResetPoison(t *testing.T) {
 	// Nil workspace: no-op, no panic.
 	var nilWS *Workspace
 	nilWS.Reset()
+}
+
+// TestWorkspaceKeyOrder: Get starts its scan behind the previous hit, and
+// switches from scanning to a map past wsScanMax keys; neither may matter to
+// what it finds — each key keeps its own buffer whatever order the keys are
+// asked for in, equal keys built at run time included, and Reset reaches
+// every buffer either way.
+func TestWorkspaceKeyOrder(t *testing.T) {
+	for _, nKeys := range []int{4, wsScanMax, wsScanMax + 1, 3 * wsScanMax} {
+		ws := NewWorkspace()
+		keys := make([]string, nKeys)
+		first := map[string]*float32{}
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%d", i*i)
+			first[keys[i]] = &ws.Get(keys[i], 2).Data[0]
+		}
+		if (ws.index != nil) != (nKeys > wsScanMax) {
+			t.Fatalf("%d keys: map index present = %v", nKeys, ws.index != nil)
+		}
+		r := rng.NewFromInt(int64(nKeys))
+		for trial := 0; trial < 200; trial++ {
+			i := r.Intn(nKeys)
+			if trial%3 == 0 {
+				i = trial / 3 % nKeys // ascending stretches, and repeats
+			}
+			k := string(append([]byte(nil), keys[i]...)) // equal, not identical
+			if got := &ws.Get(k, 2).Data[0]; got != first[keys[i]] {
+				t.Fatalf("%d keys: Get(%q) returned another key's buffer", nKeys, k)
+			}
+		}
+		if len(ws.bufs) != nKeys {
+			t.Fatalf("workspace holds %d buffers for %d keys", len(ws.bufs), nKeys)
+		}
+		ws.Reset()
+		for _, k := range keys {
+			if v := ws.Get(k, 2).Data[1]; v == v {
+				t.Fatalf("%d keys: Reset did not poison %q", nKeys, k)
+			}
+		}
+	}
 }

@@ -16,6 +16,7 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/workloads"
@@ -217,6 +218,89 @@ func BenchmarkKernel_Im2Col(b *testing.B) {
 
 func BenchmarkKernel_Col2Im(b *testing.B) {
 	benchLowering(b, func(in, cols *tensor.Tensor, p tensor.ConvParams) { tensor.Col2ImInto(in, cols, p) })
+}
+
+// elemShapes are the two activation shapes the resnet campaign puts through
+// the element-wise layers: a device's training shard and the test batch.
+var elemShapes = []struct {
+	name  string
+	shape []int
+}{{"2x8x6x6", []int{2, 8, 6, 6}}, {"64x8x6x6", []int{64, 8, 6, 6}}}
+
+// benchElem times one element-wise layer call per shape and reports GB/s
+// under a byte model of floats read plus floats written per activation
+// element (streams), the figure to hold against AddInPlace's three streams.
+func benchElem(b *testing.B, streams int, setup func(x, g *tensor.Tensor) func()) {
+	for _, s := range elemShapes {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.NewFromInt(34)
+			x, g := tensor.New(s.shape...), tensor.New(s.shape...)
+			x.FillNormal(r, 0, 1)
+			g.FillNormal(r, 0, 1)
+			call := setup(x, g)
+			call()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+			b.ReportMetric(4*float64(streams*x.Len())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+	}
+}
+
+// trainCtx is what the trainer passes outside a detector's collection pass.
+var trainCtx = &nn.Context{Training: true}
+
+func BenchmarkKernel_ReLUForward(b *testing.B) {
+	benchElem(b, 3, func(x, _ *tensor.Tensor) func() {
+		relu := nn.NewReLU()
+		return func() { relu.Forward(trainCtx, x) }
+	})
+}
+
+func BenchmarkKernel_ReLUBackward(b *testing.B) {
+	benchElem(b, 3, func(x, g *tensor.Tensor) func() {
+		relu := nn.NewReLU()
+		relu.Forward(trainCtx, x)
+		return func() { relu.Backward(g) }
+	})
+}
+
+// BenchmarkKernel_BatchNormForward is the training forward: ChannelMoments'
+// sequential float64 chains, then the normalize kernel.
+func BenchmarkKernel_BatchNormForward(b *testing.B) {
+	benchElem(b, 3, func(x, _ *tensor.Tensor) func() {
+		bn := nn.NewBatchNorm("bn", x.Shape[1], 0.9)
+		return func() { bn.Forward(trainCtx, x) }
+	})
+}
+
+// BenchmarkKernel_BatchNormBackward is the two sequential float32 sums per
+// channel, then the dx kernel.
+func BenchmarkKernel_BatchNormBackward(b *testing.B) {
+	benchElem(b, 3, func(x, g *tensor.Tensor) func() {
+		bn := nn.NewBatchNorm("bn", x.Shape[1], 0.9)
+		bn.Forward(trainCtx, x)
+		return func() { bn.Backward(g) }
+	})
+}
+
+func BenchmarkKernel_AddBias(b *testing.B) {
+	benchElem(b, 2, func(x, _ *tensor.Tensor) func() {
+		bias := tensor.New(x.Shape[1])
+		bias.Fill(1e-3)
+		return func() { tensor.AddBiasNCHW(x, bias) }
+	})
+}
+
+// BenchmarkKernel_AddInPlace is the ceiling the element-wise kernels are held
+// against: two streams in, one out, on addBlocksAVX.
+func BenchmarkKernel_AddInPlace(b *testing.B) {
+	benchElem(b, 3, func(x, g *tensor.Tensor) func() {
+		g.Scale(1e-6)
+		return func() { x.AddInPlace(g) }
+	})
 }
 
 func BenchmarkKernel_Conv2DSeed(b *testing.B) {
