@@ -8,7 +8,11 @@
 # device-parallel trainer, the campaign worker pool, and the distributed
 # coordinator/worker protocol), fuzz smokes of the journal parser/repairer and
 # of the GEMM kernels, the convolution lowering and the element-wise layer
-# kernels against their naive oracles, a graceful SIGINT kill-and-resume smoke, its reference campaign
+# kernels against their naive oracles, a graceful SIGINT kill-and-resume smoke
+# (whose journal must then refuse a resume under a changed flag by naming the
+# field), a bad-flag leg (campaign -n -1 fails in the spec validator, no
+# panic), a flag-drift gate (every campaign flag README.md and DESIGN.md name
+# exists in campaign -h), the smoke's reference campaign
 # again from a -tags purego build (assembly and portable kernels must agree
 # on a whole campaign, byte for byte), a SIGKILL crash loop that
 # repeatedly murders a device-fault campaign mid-write and requires -resume
@@ -109,6 +113,47 @@ wait "$pid" || true # 130 when the interrupt landed mid-run
 	-journal "$tmp/run.jsonl" -resume -json "$tmp/resumed.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/resumed.json"
 
+echo "== campaign identity (a resume under one changed flag names the field; a bad flag fails before any golden run) =="
+if "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 5 -early-exit \
+	-journal "$tmp/run.jsonl" -resume >/dev/null 2>"$tmp/mismatch.err"; then
+	echo "a journal written without -early-exit resumed with it" >&2
+	exit 1
+fi
+grep -q "early_exit: journal=false, run=true" "$tmp/mismatch.err"
+status=0
+"$tmp/campaign" -n -1 >/dev/null 2>"$tmp/badflag.err" || status=$?
+if [ "$status" -ne 1 ] || grep -qE "panic|goroutine" "$tmp/badflag.err"; then
+	echo "campaign -n -1: exit $status, want 1 from the spec validator:" >&2
+	cat "$tmp/badflag.err" >&2
+	exit 1
+fi
+
+echo "== flag-drift gate (every campaign flag README.md and DESIGN.md name exists in campaign -h) =="
+"$tmp/campaign" -h 2>&1 | sed -n 's/^  -\([a-z][a-z-]*\).*/\1/p' >"$tmp/flags.txt"
+# What the docs name: backticked `-flag` tokens in prose and tables (every one
+# is campaign's except go's -race / -tags and faultsim's -inj / -out), and the
+# flags on campaign command lines, continuation lines included.
+{
+	grep -ohE '(^|[ (|/])`-[a-z][a-z-]*' README.md DESIGN.md | sed 's/.*`-//' |
+		grep -vxE 'race|tags|inj|out'
+	awk '{
+		s = ""
+		if (cont) s = $0
+		else if (match($0, /(^|[ \/`"])campaign +-/)) s = substr($0, RSTART + RLENGTH - 1)
+		cont = (s != "" && $0 ~ /\\$/)
+		sub(/ [|>].*$/, "", s)
+		n = split(s, w, /[ \t]+/)
+		for (i = 1; i <= n; i++) if (w[i] ~ /^-[a-z]/) {
+			sub(/^-/, "", w[i]); sub(/[^a-z-].*$/, "", w[i]); print w[i]
+		}
+	}' README.md DESIGN.md
+} | sort -u >"$tmp/docflags.txt"
+stale=$(grep -vxFf "$tmp/flags.txt" "$tmp/docflags.txt" || true)
+if [ -n "$stale" ]; then
+	echo "README.md / DESIGN.md name campaign flags that campaign -h does not have:" $stale >&2
+	exit 1
+fi
+
 echo "== assembly vs portable on a whole campaign (the reference campaign above from a -tags purego build, byte for byte) =="
 # The kernel tests compare the two paths GEMM by GEMM; this compares them
 # after every layer, optimizer step and fault of 40 experiments.
@@ -174,14 +219,14 @@ go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
 
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="
 "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
-	-device-faults all -quarantine -json "$tmp/dfref.json" >/dev/null
+	-device-faults all -recovery reexec -json "$tmp/dfref.json" >/dev/null
 round=0
 while [ "$round" -lt 4 ]; do
 	round=$((round + 1))
 	repairflag=""
 	[ -f "$tmp/df.jsonl" ] && repairflag="-repair-journal"
 	"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
-		-device-faults all -quarantine \
+		-device-faults all -recovery reexec \
 		-journal "$tmp/df.jsonl" -resume $repairflag >/dev/null 2>&1 &
 	pid=$!
 	# Vary the kill point per round so different rounds die in different
@@ -191,7 +236,7 @@ while [ "$round" -lt 4 ]; do
 	wait "$pid" || true # 137 when the kill landed mid-run
 done
 "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
-	-device-faults all -quarantine \
+	-device-faults all -recovery reexec \
 	-journal "$tmp/df.jsonl" -resume -repair-journal -json "$tmp/dfresumed.json" >/dev/null
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"syscall"
 	"time"
@@ -49,32 +48,39 @@ import (
 	"repro/internal/workloads"
 )
 
+// campaignFlags registers the flags that describe *which* campaign runs
+// directly onto a dist.CampaignSpec: the spec is the one description of a
+// campaign and CampaignSpec.Config its one validator, shared with campaignd.
+// -recovery additionally accepts "all" (the head-to-head loop in main).
+func campaignFlags(fs *flag.FlagSet, spec *dist.CampaignSpec) {
+	fs.StringVar(&spec.Workload, "workload", "resnet", "workload to inject into")
+	fs.IntVar(&spec.Experiments, "n", 100, "number of fault-injection experiments")
+	fs.Int64Var(&spec.Seed, "seed", 1, "campaign seed")
+	fs.IntVar(&spec.Iters, "iters", 0, "override the workload's fault-free training length (0 = workload default)")
+	fs.StringVar(&spec.DeviceFaults, "device-faults", "", "run a system-level device-fault campaign instead of FF bit flips: \"all\" or a comma-separated subset of link-sdc,stuck-at,straggler,crash")
+	fs.StringVar(&spec.Recovery, "recovery", "", "with -device-faults: recovery strategy (reexec, jit, elastic, degraded; unset = unmitigated), or \"all\" to replay the same fault population unmitigated and under every strategy head-to-head")
+	fs.BoolVar(&spec.Dedup, "dedup", false, "deduplicate injections with byte-identical effective corruptions: run one owner per equivalence class, adopt its record for the rest (exact; records carry adopted_from provenance)")
+	fs.BoolVar(&spec.EarlyExit, "early-exit", false, "terminate an experiment once its state digest matches the golden run's — the remaining iterations are provably identical and are synthesized from the golden trace (exact)")
+	fs.IntVar(&spec.EarlyExitStride, "early-exit-stride", 1, "with -early-exit: compare state digests every this many iterations after the injection")
+	fs.BoolVar(&spec.ConvergedTail, "converged-tail", false, "finish an experiment from the golden trace once its metrics track the reference within -converged-tol for -converged-patience iterations (approximate; records carry a converged_iter flag)")
+	fs.Float64Var(&spec.ConvergedTol, "converged-tol", 0, "with -converged-tail: metric tolerance (0 = default 1e-3)")
+	fs.IntVar(&spec.ConvergedPatience, "converged-patience", 0, "with -converged-tail: consecutive in-tolerance iterations required (0 = default 5)")
+}
+
 func main() {
+	var spec dist.CampaignSpec
+	campaignFlags(flag.CommandLine, &spec)
 	var (
-		workload    = flag.String("workload", "resnet", "workload to inject into")
-		n           = flag.Int("n", 100, "number of fault-injection experiments")
-		seed        = flag.Int64("seed", 1, "campaign seed")
-		iters       = flag.Int("iters", 0, "override the workload's fault-free training length (0 = workload default)")
-		all         = flag.Bool("all", false, "run every Table-2 workload")
-		csvOut      = flag.String("csv", "", "write per-experiment rows to this CSV file")
-		jsonOut     = flag.String("json", "", "write the full campaign record to this JSON file")
-		stride      = flag.Int("snapshot-stride", 0, "golden-prefix snapshot stride: 0 = auto (memory-bounded), >0 explicit, <0 disable forking")
-		snapMem     = flag.Int64("snapshot-mem", 0, "auto-stride snapshot cache budget in bytes (0 = 256 MiB)")
-		journal     = flag.String("journal", "", "write-ahead journal path: append each completed experiment (crash-safe, fsync-batched)")
-		resume      = flag.Bool("resume", false, "continue the campaign recorded in -journal, skipping completed experiments")
-		repair      = flag.Bool("repair-journal", false, "truncate a torn final journal line (crash mid-append) before resuming")
-		statusAddr  = flag.String("status-addr", "", "serve live telemetry on this address (/status, /debug/vars, /debug/pprof)")
-		devFaults   = flag.String("device-faults", "", "run a system-level device-fault campaign instead of FF bit flips: \"all\" or a comma-separated subset of link-sdc,stuck-at,straggler,crash")
-		quarantine  = flag.Bool("quarantine", false, "with -device-faults: enable the mitigation pipeline (timeout+retry exclusion, cross-replica check, quarantine + re-execution, hot-rejoin)")
-		degraded    = flag.Bool("degraded", false, "with -quarantine: keep the group degraded after a quarantine instead of attempting hot-rejoins")
-		recoverySel = flag.String("recovery", "", "with -device-faults: recovery strategy (reexec, jit, elastic, degraded; implies -quarantine), or \"all\" to replay the same fault population unmitigated and under every strategy head-to-head")
-		dedup       = flag.Bool("dedup", false, "deduplicate injections with byte-identical effective corruptions: run one owner per equivalence class, adopt its record for the rest (exact; records carry adopted_from provenance)")
-		earlyExit   = flag.Bool("early-exit", false, "terminate an experiment once its state digest matches the golden run's — the remaining iterations are provably identical and are synthesized from the golden trace (exact)")
-		exitStride  = flag.Int("early-exit-stride", 1, "with -early-exit: compare state digests every this many iterations after the injection")
-		convTail    = flag.Bool("converged-tail", false, "finish an experiment from the golden trace once its metrics track the reference within -converged-tol for -converged-patience iterations (approximate; records carry a converged_iter flag and the campaign fingerprint changes)")
-		convTol     = flag.Float64("converged-tol", 0, "with -converged-tail: metric tolerance (0 = default 1e-3)")
-		convPat     = flag.Int("converged-patience", 0, "with -converged-tail: consecutive in-tolerance iterations required (0 = default 5)")
-		scrubWS     = flag.Bool("scrub-workspaces", false, "NaN-poison pooled engines' kernel scratch buffers between experiments (exact; debugging invariant check for scratch-state leaks)")
+		all        = flag.Bool("all", false, "run every Table-2 workload")
+		csvOut     = flag.String("csv", "", "write per-experiment rows to this CSV file")
+		jsonOut    = flag.String("json", "", "write the full campaign record to this JSON file")
+		stride     = flag.Int("snapshot-stride", 0, "golden-prefix snapshot stride: 0 = auto (memory-bounded), >0 explicit, <0 disable forking")
+		snapMem    = flag.Int64("snapshot-mem", 0, "auto-stride snapshot cache budget in bytes (0 = 256 MiB)")
+		journal    = flag.String("journal", "", "write-ahead journal path: append each completed experiment (crash-safe, fsync-batched)")
+		resume     = flag.Bool("resume", false, "continue the campaign recorded in -journal, skipping completed experiments")
+		repair     = flag.Bool("repair-journal", false, "truncate a torn final journal line (crash mid-append) before resuming")
+		statusAddr = flag.String("status-addr", "", "serve live telemetry on this address (/status, /debug/vars, /debug/pprof)")
+		scrubWS    = flag.Bool("scrub-workspaces", false, "NaN-poison pooled engines' kernel scratch buffers between experiments (exact; debugging invariant check for scratch-state leaks)")
 
 		worker      = flag.String("worker", "", "attach to this campaignd coordinator URL (e.g. http://127.0.0.1:8080) as a distributed-campaign worker instead of running a local campaign; campaign parameters come from the coordinator's leases")
 		workerID    = flag.String("worker-id", "", "with -worker: worker identity shown in campaignd status views (default worker-<pid>)")
@@ -95,46 +101,16 @@ func main() {
 	if *journal != "" && *all {
 		fatal(fmt.Errorf("-journal tracks one campaign; it cannot be combined with -all"))
 	}
-	deviceFaultKinds, err := dist.ParseDeviceFaultKinds(*devFaults)
-	if err != nil {
-		fatal(err)
-	}
-	if *devFaults == "" && (*quarantine || *degraded || *recoverySel != "") {
-		fatal(fmt.Errorf("-quarantine/-degraded/-recovery apply only to -device-faults campaigns"))
-	}
-	if *degraded && !*quarantine {
-		fatal(fmt.Errorf("-degraded requires -quarantine"))
-	}
-	recoveryAll := *recoverySel == "all"
-	var recoveryStrategy recovery.Strategy
-	if *recoverySel != "" && !recoveryAll {
-		var ok bool
-		recoveryStrategy, ok = recovery.StrategyByName(*recoverySel)
-		if !ok || recoveryStrategy == recovery.StrategyNone {
-			fatal(fmt.Errorf("-recovery %q: want reexec, jit, elastic, degraded, or all", *recoverySel))
-		}
-		if *degraded && recoveryStrategy != recovery.StrategyDegraded {
-			fatal(fmt.Errorf("-degraded conflicts with -recovery %s — pick one", recoveryStrategy))
-		}
-		*quarantine = true // -recovery implies the mitigation pipeline
-	}
+	recoveryAll := spec.Recovery == "all"
 	if recoveryAll {
 		// The head-to-head mode runs five campaigns over one fault
 		// population; a single journal/report file can't describe that.
 		if *journal != "" || *csvOut != "" || *jsonOut != "" {
 			fatal(fmt.Errorf("-recovery all replays the campaign under every strategy; it cannot be combined with -journal, -csv, or -json (run the strategies individually to archive them)"))
 		}
-		if *quarantine || *degraded {
-			fatal(fmt.Errorf("-recovery all chooses its own mitigation settings; drop -quarantine/-degraded"))
-		}
+		// Validated as a mitigated campaign; runHeadToHead sets each strategy.
+		spec.Recovery = recovery.StrategyReexec.String()
 	}
-	if *earlyExit && *exitStride < 1 {
-		fatal(fmt.Errorf("-early-exit-stride must be >= 1"))
-	}
-	if *devFaults != "" && (*dedup || *earlyExit || *convTail) {
-		fatal(fmt.Errorf("-dedup/-early-exit/-converged-tail apply only to FF campaigns: device faults carry per-experiment random value streams and stay armed across iterations, so neither the dedup keys nor the early-exit proof hold"))
-	}
-
 	// SIGINT/SIGTERM cancel the campaign context: the worker pool drains
 	// in-flight experiments, the journal flushes, and partial progress is
 	// reported before exit.
@@ -171,42 +147,29 @@ func main() {
 		return
 	}
 
-	names := []string{*workload}
+	// Resolve every campaign before the first golden run, so a bad flag
+	// costs nothing.
+	names := []string{spec.Workload}
 	if *all {
 		names = names[:0]
 		for _, w := range workloads.All() {
 			names = append(names, w.Name)
 		}
 	}
-
+	var cfgs []experiment.Config
 	for _, name := range names {
-		w, err := workloads.ByName(name)
+		spec.Workload = name
+		cfg, err := spec.Config()
 		if err != nil {
 			fatal(err)
 		}
-		if *iters > 0 {
-			w.Iters = *iters
-		}
-		cfg := experiment.Config{
-			Workload:          w,
-			Experiments:       *n,
-			Seed:              *seed,
-			HorizonMult:       1.5,
-			SnapshotStride:    *stride,
-			SnapshotMemBudget: *snapMem,
-			ScrubWorkspaces:   *scrubWS,
-			DeviceFaults:      *devFaults != "",
-			DeviceFaultKinds:  deviceFaultKinds,
-			Quarantine:        *quarantine,
-			Degraded:          *degraded,
-			Recovery:          recoveryStrategy,
-			Dedup:             *dedup,
-			EarlyExit:         *earlyExit,
-			EarlyExitStride:   *exitStride,
-			ConvergedTail:     *convTail,
-			ConvergedTol:      *convTol,
-			ConvergedPatience: *convPat,
-		}
+		cfg.SnapshotStride = *stride
+		cfg.SnapshotMemBudget = *snapMem
+		cfg.ScrubWorkspaces = *scrubWS
+		cfgs = append(cfgs, cfg)
+	}
+
+	for _, cfg := range cfgs {
 		g := experiment.PrepareGolden(cfg)
 
 		if recoveryAll {
@@ -220,7 +183,7 @@ func main() {
 			continue
 		}
 
-		stats := telemetry.NewCampaignStats(w.Name, cfg.Experiments, workersFor(cfg))
+		stats := telemetry.NewCampaignStats(cfg.Workload.Name, cfg.Experiments, cfg.WorkerCount())
 		telemetry.Activate(stats)
 
 		var j *record.Journal
@@ -243,7 +206,7 @@ func main() {
 				if err != nil {
 					fatal(err)
 				}
-				fmt.Printf("resuming journal %s: %d/%d experiments already complete\n", *journal, len(prior), *n)
+				fmt.Printf("resuming journal %s: %d/%d experiments already complete\n", *journal, len(prior), cfg.Experiments)
 			} else {
 				j, err = record.CreateJournal(*journal, cfg, g.Ref().Digest())
 				if err != nil {
@@ -267,7 +230,7 @@ func main() {
 		}
 		if runErr != nil {
 			if errors.Is(runErr, context.Canceled) {
-				fmt.Printf("\ninterrupted: %d/%d experiments complete", c.Completed, *n)
+				fmt.Printf("\ninterrupted: %d/%d experiments complete", c.Completed, cfg.Experiments)
 				if *journal != "" {
 					fmt.Printf(" and journaled to %s — rerun with -resume to continue", *journal)
 				}
@@ -336,10 +299,10 @@ func runHeadToHead(ctx context.Context, base experiment.Config, g *experiment.Go
 		name string
 		cfg  experiment.Config
 	}
+	base.Recovery = recovery.StrategyNone
 	variants := []variant{{"unmitigated", base}}
 	for _, s := range recovery.Strategies {
 		cfg := base
-		cfg.Quarantine = true
 		cfg.Recovery = s
 		variants = append(variants, variant{s.String(), cfg})
 	}
@@ -349,7 +312,7 @@ func runHeadToHead(ctx context.Context, base experiment.Config, g *experiment.Go
 	fmt.Printf("  %-12s %6s %6s %10s %10s %9s %8s %9s\n",
 		"strategy", "hangs", "recov", "mean-ttr", "acc-cost", "jit-snap", "resizes", "readmits")
 	for _, v := range variants {
-		stats := telemetry.NewCampaignStats(v.cfg.Workload.Name, v.cfg.Experiments, workersFor(v.cfg))
+		stats := telemetry.NewCampaignStats(v.cfg.Workload.Name, v.cfg.Experiments, v.cfg.WorkerCount())
 		telemetry.Activate(stats)
 		c, err := experiment.Resume(v.cfg, experiment.RunOptions{
 			Context: ctx, Golden: g, Stats: stats,
@@ -363,15 +326,6 @@ func runHeadToHead(ctx context.Context, base experiment.Config, g *experiment.Go
 			rs.JITSnapshots, rs.Resizes, rs.Readmits)
 	}
 	return nil
-}
-
-// workersFor mirrors the campaign runner's worker-count resolution for the
-// telemetry ledger's per-worker slots.
-func workersFor(cfg experiment.Config) int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func fatal(err error) {

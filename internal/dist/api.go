@@ -4,14 +4,15 @@ package dist
 // workers exchange is plain JSON over HTTP: campaign submissions
 // (CampaignSpec), shard leases (LeaseRequest/LeaseResponse/Lease), lease
 // renewals (RenewRequest), shard uploads (CompleteRequest), and the status
-// views (CampaignStatus, ServiceStatus). The spec deliberately mirrors
-// cmd/campaign's flag surface so a distributed campaign resolves to the
-// exact experiment.Config a local invocation with the same settings would
-// run — which is what makes the merged journal byte-identical to a
-// single-process run.
+// views (CampaignStatus, ServiceStatus). CampaignSpec is also what
+// cmd/campaign parses its campaign-shaping flags into, so a distributed
+// campaign and a local invocation with the same settings resolve through
+// one function (CampaignSpec.Config) to the same experiment.Config — which
+// is what makes the merged journal byte-identical to a single-process run.
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/experiment"
@@ -21,9 +22,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// CampaignSpec describes one campaign submission (the body of POST
-// /campaigns). Zero values mean "the same default cmd/campaign uses", so a
-// minimal submission is {"workload":"resnet","experiments":100,"seed":1}.
+// CampaignSpec describes one campaign: the body of POST /campaigns and the
+// target of cmd/campaign's campaign-shaping flags. Zero values mean the
+// default, so a minimal submission is
+// {"workload":"resnet","experiments":100,"seed":1}.
 type CampaignSpec struct {
 	// Workload is a Table-2 workload name (workloads.ByName).
 	Workload string `json:"workload"`
@@ -43,14 +45,8 @@ type CampaignSpec struct {
 	// "all" or a comma-separated subset of link-sdc,stuck-at,straggler,crash
 	// ("" = FF bit-flip campaign).
 	DeviceFaults string `json:"device_faults,omitempty"`
-	// Quarantine enables the mitigation pipeline (device-fault campaigns).
-	Quarantine bool `json:"quarantine,omitempty"`
-	// Degraded keeps the group degraded after a quarantine (requires
-	// Quarantine).
-	Degraded bool `json:"degraded,omitempty"`
-	// Recovery selects the mitigation strategy by name (reexec, jit,
-	// elastic, degraded; "" = the reexec default). Implies Quarantine.
-	// "degraded" is the same campaign the Degraded flag runs.
+	// Recovery selects how a device-fault campaign is mitigated, by name:
+	// reexec, jit, elastic or degraded ("" = unmitigated).
 	Recovery string `json:"recovery,omitempty"`
 
 	// Dedup / EarlyExit / EarlyExitStride are the exact equivalence-layer
@@ -61,17 +57,16 @@ type CampaignSpec struct {
 	EarlyExit       bool `json:"early_exit,omitempty"`
 	EarlyExitStride int  `json:"early_exit_stride,omitempty"`
 	// ConvergedTail and its tuning knobs enable the approximate
-	// golden-trace tail fast path (changes the campaign fingerprint).
+	// golden-trace tail fast path.
 	ConvergedTail     bool    `json:"converged_tail,omitempty"`
 	ConvergedTol      float64 `json:"converged_tol,omitempty"`
 	ConvergedPatience int     `json:"converged_patience,omitempty"`
 }
 
-// Config resolves the spec to the experiment.Config a local cmd/campaign
-// run with the same settings would use (same HorizonMult, same defaults),
-// validating it with the same rules cmd/campaign enforces on its flags.
-// Coordinator and workers both call this, so they agree on the campaign
-// fingerprint by construction.
+// Config validates the spec and resolves it to the experiment.Config it
+// describes. It is the one validator of campaign descriptions: cmd/campaign,
+// the coordinator and every worker call it, so they agree on the campaign
+// identity (experiment.Config.Spec) by construction.
 func (s CampaignSpec) Config() (experiment.Config, error) {
 	var cfg experiment.Config
 	if s.Experiments <= 0 {
@@ -90,30 +85,24 @@ func (s CampaignSpec) Config() (experiment.Config, error) {
 	if s.ShardSize < 0 {
 		return cfg, fmt.Errorf("dist: campaign spec shard_size must be >= 0 (got %d)", s.ShardSize)
 	}
-	kinds, err := ParseDeviceFaultKinds(s.DeviceFaults)
+	kinds, err := parseDeviceFaultKinds(s.DeviceFaults)
 	if err != nil {
 		return cfg, err
 	}
-	if s.DeviceFaults == "" && (s.Quarantine || s.Degraded || s.Recovery != "") {
-		return cfg, fmt.Errorf("dist: quarantine/degraded/recovery apply only to device-fault campaigns")
-	}
-	if s.Degraded && !s.Quarantine {
-		return cfg, fmt.Errorf("dist: degraded requires quarantine")
-	}
 	var rs recovery.Strategy
 	if s.Recovery != "" {
+		if s.DeviceFaults == "" {
+			return cfg, fmt.Errorf("dist: recovery applies only to device-fault campaigns")
+		}
 		var ok bool
 		rs, ok = recovery.StrategyByName(s.Recovery)
 		if !ok || rs == recovery.StrategyNone {
 			return cfg, fmt.Errorf("dist: unknown recovery strategy %q (want reexec, jit, elastic, or degraded)", s.Recovery)
 		}
-		if s.Degraded && rs != recovery.StrategyDegraded {
-			return cfg, fmt.Errorf("dist: degraded conflicts with recovery=%s — pick one", s.Recovery)
-		}
 	}
 	stride := s.EarlyExitStride
 	if stride == 0 {
-		stride = 1 // the cmd/campaign -early-exit-stride default
+		stride = 1
 	}
 	if stride < 1 {
 		return cfg, fmt.Errorf("dist: early_exit_stride must be >= 1 (got %d)", s.EarlyExitStride)
@@ -121,15 +110,16 @@ func (s CampaignSpec) Config() (experiment.Config, error) {
 	if s.DeviceFaults != "" && (s.Dedup || s.EarlyExit || s.ConvergedTail) {
 		return cfg, fmt.Errorf("dist: dedup/early_exit/converged_tail apply only to FF campaigns: device faults carry per-experiment random value streams and stay armed across iterations, so neither the dedup keys nor the early-exit proof hold")
 	}
+	if math.IsNaN(s.ConvergedTol) || math.IsInf(s.ConvergedTol, 0) {
+		return cfg, fmt.Errorf("dist: converged_tol must be finite (got %g)", s.ConvergedTol)
+	}
 	return experiment.Config{
 		Workload:          w,
 		Experiments:       s.Experiments,
 		Seed:              s.Seed,
-		HorizonMult:       1.5, // the cmd/campaign horizon
+		HorizonMult:       1.5,
 		DeviceFaults:      s.DeviceFaults != "",
 		DeviceFaultKinds:  kinds,
-		Quarantine:        s.Quarantine || rs != recovery.StrategyNone,
-		Degraded:          s.Degraded,
 		Recovery:          rs,
 		Dedup:             s.Dedup,
 		EarlyExit:         s.EarlyExit,
@@ -140,12 +130,10 @@ func (s CampaignSpec) Config() (experiment.Config, error) {
 	}, nil
 }
 
-// ParseDeviceFaultKinds resolves a device-fault selection string: ""
+// parseDeviceFaultKinds resolves a device-fault selection string: ""
 // (FF campaign), "all", or a comma-separated subset of the
-// fault.DeviceFaultKind names. Shared by the cmd/campaign -device-faults
-// flag and the CampaignSpec device_faults field so both surfaces accept
-// exactly the same vocabulary.
-func ParseDeviceFaultKinds(s string) ([]fault.DeviceFaultKind, error) {
+// fault.DeviceFaultKind names.
+func parseDeviceFaultKinds(s string) ([]fault.DeviceFaultKind, error) {
 	if s == "" || s == "all" {
 		return nil, nil // nil = sample from all kinds
 	}

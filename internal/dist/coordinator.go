@@ -211,7 +211,11 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 // handleSubmit: POST /campaigns.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// A misspelt or retired field must be refused, not dropped: the campaign
+	// that ran would not be the one asked for.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, "dist: decoding campaign spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

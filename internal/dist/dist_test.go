@@ -428,20 +428,24 @@ func TestLeaseEpochFencing(t *testing.T) {
 }
 
 // TestSubmitValidation: malformed and contradictory specs are rejected at
-// the door with 400, and unknown campaign ids 404.
+// the door with 400 — a field the spec does not have by name, so an old
+// client's {"quarantine":true} or a typo never runs a different campaign
+// than asked — and unknown campaign ids 404.
 func TestSubmitValidation(t *testing.T) {
 	_, srv := startCoordinator(t, time.Second)
 	for _, tc := range []struct {
-		name, body string
+		name, body, want string
 	}{
-		{"bad-json", "{"},
-		{"unknown-workload", `{"workload":"nope","experiments":4,"seed":1}`},
-		{"zero-experiments", `{"workload":"resnet","experiments":0,"seed":1}`},
-		{"negative-shard-size", `{"workload":"resnet","experiments":4,"seed":1,"shard_size":-1}`},
-		{"device-faults-with-dedup", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"all","dedup":true}`},
-		{"unknown-device-fault", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"gamma-ray"}`},
-		{"degraded-without-quarantine", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"all","degraded":true}`},
-		{"quarantine-without-device-faults", `{"workload":"resnet","experiments":4,"seed":1,"quarantine":true}`},
+		{"bad-json", "{", ""},
+		{"unknown-workload", `{"workload":"nope","experiments":4,"seed":1}`, ""},
+		{"zero-experiments", `{"workload":"resnet","experiments":0,"seed":1}`, ""},
+		{"negative-shard-size", `{"workload":"resnet","experiments":4,"seed":1,"shard_size":-1}`, ""},
+		{"device-faults-with-dedup", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"all","dedup":true}`, ""},
+		{"unknown-device-fault", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"gamma-ray"}`, ""},
+		{"recovery-without-device-faults", `{"workload":"resnet","experiments":4,"seed":1,"recovery":"jit"}`, "device-fault"},
+		{"unknown-recovery", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"all","recovery":"none"}`, `"none"`},
+		{"retired-field", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"all","quarantine":true}`, `"quarantine"`},
+		{"misspelt-field", `{"workload":"resnet","experiments":4,"seed":1,"dedupe":true}`, `"dedupe"`},
 	} {
 		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -449,8 +453,8 @@ func TestSubmitValidation(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: POST /campaigns = HTTP %d: %s, want 400", tc.name, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Fatalf("%s: POST /campaigns = HTTP %d: %s, want 400 naming %s", tc.name, resp.StatusCode, body, tc.want)
 		}
 	}
 

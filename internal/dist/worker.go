@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -195,7 +194,7 @@ func (w *worker) runShard(ctx context.Context, l *Lease) error {
 		entry = &goldenEntry{
 			golden: g,
 			digest: g.Ref().Digest(),
-			stats:  telemetry.NewCampaignStats(cfg.Workload.Name, cfg.Experiments, workersFor(cfg)),
+			stats:  telemetry.NewCampaignStats(cfg.Workload.Name, cfg.Experiments, cfg.WorkerCount()),
 		}
 		w.goldens[l.Campaign] = entry
 	}
@@ -316,15 +315,6 @@ func (w *worker) post(ctx context.Context, path string, in, out any) (int, strin
 		}
 	}
 	return resp.StatusCode, "", nil
-}
-
-// workersFor mirrors the campaign runner's worker-count resolution for the
-// telemetry ledger's per-worker slots.
-func workersFor(cfg experiment.Config) int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // leaseBackoff computes the delay before retry attempt n (1-based):

@@ -12,12 +12,12 @@ package experiment
 // stream Records through the same journaling/resume path. Two campaign
 // modes exist:
 //
-//   - Unmitigated (Config.Quarantine false): the collective runs the
+//   - Unmitigated (Config.Recovery unset): the collective runs the
 //     default non-excluding policy. A crashed or hopelessly straggling
 //     device hangs the synchronous group (outcome.GroupHang) and corrupt
 //     contributions flow into the weights unchecked.
-//   - Mitigated (Config.Quarantine true): recovery.GroupGuard drives the
-//     run under the strategy Config.ResolvedRecovery selects — reexec
+//   - Mitigated: recovery.GroupGuard drives the run under the strategy
+//     Config.Recovery selects — reexec
 //     (timeout+retry with exclusion, cross-replica check, two-iteration
 //     re-execution, timer-based hot-rejoin), jit (just-in-time donor
 //     checkpointing with background restore), elastic (global-batch
@@ -34,16 +34,22 @@ import (
 	"repro/internal/train"
 )
 
+// deviceFaultKinds is the kind list device faults are sampled from, in
+// sampling order: DeviceFaultKinds, or every injectable kind when empty.
+func (cfg Config) deviceFaultKinds() []fault.DeviceFaultKind {
+	if len(cfg.DeviceFaultKinds) == 0 {
+		return fault.AllDeviceFaultKinds()
+	}
+	return cfg.DeviceFaultKinds
+}
+
 // sampleDeviceFaults pre-draws every experiment's device fault
 // (deterministic and independent of worker scheduling, like
 // sampleInjections). The sampling stream is decoupled from the FF stream so
 // FF and device-fault campaigns with the same seed stay independent.
 func sampleDeviceFaults(cfg Config, maxInjectIter int) []fault.DeviceFault {
 	r := rng.NewFromInt(cfg.Seed ^ 0xdef1ce)
-	kinds := cfg.DeviceFaultKinds
-	if len(kinds) == 0 {
-		kinds = fault.AllDeviceFaultKinds()
-	}
+	kinds := cfg.deviceFaultKinds()
 	out := make([]fault.DeviceFault, cfg.Experiments)
 	for i := range out {
 		out[i] = fault.SampleDeviceFault(r, cfg.Workload.Devices, maxInjectIter, kinds)
@@ -54,8 +60,8 @@ func sampleDeviceFaults(cfg Config, maxInjectIter int) []fault.DeviceFault {
 // runDeviceFault executes a single device-fault experiment, mirroring
 // runOne: restore the nearest golden snapshot at or before the fault onset,
 // reconstruct the trace prefix, arm the fault on the collective, and run
-// the suffix — mitigated through recovery.GroupGuard when cfg.Quarantine is
-// set, otherwise with the plain engine loop. e is the worker's pooled engine.
+// the suffix — mitigated through recovery.GroupGuard when cfg selects a
+// recovery strategy, otherwise with the plain engine loop. e is the worker's pooled engine.
 // Returns the record, the prefix length skipped, the suffix iterations
 // executed, and the number of cross-replica checks performed.
 func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config) (Record, int, int, int) {
@@ -73,7 +79,7 @@ func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config
 	rearm(e, snap, cfg)
 	e.Group().Arm(df)
 
-	strategy := cfg.ResolvedRecovery()
+	strategy := cfg.recoveryStrategy()
 	rec := Record{DeviceFault: df, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1,
 		AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1, Masked: true,
 		RecoveryStrategy: strategy.String(), TimeToRecoverIters: -1}
@@ -85,7 +91,7 @@ func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config
 
 	hang := false
 	checks := 0
-	if cfg.Quarantine {
+	if strategy != recovery.StrategyNone {
 		gg := recovery.NewGroupGuard(e)
 		gg.Strategy = strategy
 		if strategy == recovery.StrategyDegraded {

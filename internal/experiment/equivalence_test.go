@@ -165,68 +165,6 @@ func TestConvergedTailFlagsRecords(t *testing.T) {
 	}
 }
 
-// TestFingerprintEfficiencyKnobs: dedup and early exit are
-// outcome-preserving, so they must not change the campaign fingerprint (a
-// journal written exhaustively is semantically the same campaign); the
-// converged-tail fast-path is approximate and must change it.
-func TestFingerprintEfficiencyKnobs(t *testing.T) {
-	base := equivTestConfig(t)
-	fp := base.Fingerprint()
-
-	exact := base
-	exact.Dedup = true
-	exact.EarlyExit = true
-	exact.EarlyExitStride = 3
-	if exact.Fingerprint() != fp {
-		t.Fatal("fingerprint must not depend on the outcome-preserving Dedup/EarlyExit knobs")
-	}
-
-	approx := base
-	approx.ConvergedTail = true
-	if approx.Fingerprint() == fp {
-		t.Fatal("fingerprint ignores the approximate ConvergedTail knob")
-	}
-	tighter := approx
-	tighter.ConvergedTol = 1e-6
-	if tighter.Fingerprint() == approx.Fingerprint() {
-		t.Fatal("fingerprint ignores ConvergedTol")
-	}
-}
-
-// TestEfficiencyBinding: the journal-header binding must be empty with the
-// layer off and distinguish every flag combination that changes record
-// provenance bytes.
-func TestEfficiencyBinding(t *testing.T) {
-	base := equivTestConfig(t)
-	if s := base.EfficiencyBinding(); s != "" {
-		t.Fatalf("binding %q for a plain campaign, want empty", s)
-	}
-	seen := map[string]string{}
-	variants := map[string]Config{}
-	dd := base
-	dd.Dedup = true
-	variants["dedup"] = dd
-	ee := base
-	ee.EarlyExit = true
-	variants["early-exit"] = ee
-	ee3 := ee
-	ee3.EarlyExitStride = 3
-	variants["early-exit-stride3"] = ee3
-	ct := base
-	ct.ConvergedTail = true
-	variants["converged-tail"] = ct
-	for name, cfg := range variants {
-		s := cfg.EfficiencyBinding()
-		if s == "" {
-			t.Fatalf("%s: empty binding", name)
-		}
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("%s and %s share binding %q", name, prev, s)
-		}
-		seen[s] = name
-	}
-}
-
 // TestEquivalenceRejectsDeviceFaults: the equivalence layer's soundness
 // arguments do not cover device faults (random value streams, multi-shot
 // arming), so enabling both must fail loudly.

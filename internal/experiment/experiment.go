@@ -50,7 +50,7 @@ type Config struct {
 	Experiments int
 	// Seed drives all sampling; campaigns are fully reproducible.
 	Seed int64
-	// Workers bounds parallelism (0 = GOMAXPROCS).
+	// Workers bounds parallelism (0 = GOMAXPROCS; see WorkerCount).
 	Workers int
 	// HorizonMult scales the per-experiment iteration budget relative to
 	// the workload's fault-free run; the paper uses 2×.
@@ -68,13 +68,6 @@ type Config struct {
 	BiasKinds []accel.FFKind
 	// BiasPasses, when non-empty, restricts the injected pass similarly.
 	BiasPasses []fault.Pass
-	// DeviceParallel steps each engine's simulated devices on separate
-	// goroutines (train.Engine.SetDeviceParallel) instead of sequentially.
-	// Results are bitwise-identical either way. Campaigns with many
-	// experiments saturate the cores through the worker pool already, so
-	// this mainly helps small campaigns (or Experiments < Workers) on
-	// multi-core hosts; leave it off otherwise to avoid oversubscription.
-	DeviceParallel bool
 	// SnapshotStride controls the golden-prefix snapshot cache for forked
 	// experiment execution: the fault-free reference run records a
 	// train.State snapshot every SnapshotStride iterations (plus the
@@ -144,9 +137,7 @@ type Config struct {
 	// bitwise-identical, the remaining iterations are synthesized from the
 	// golden tail and the final test point is re-evaluated on the live
 	// weights (eval-only finish). Unlike EarlyExit this is a statistical
-	// approximation: records are explicitly flagged (Record.ConvergedIter)
-	// and the campaign fingerprint changes, so such journals never mix
-	// with exact ones.
+	// approximation: records are explicitly flagged (Record.ConvergedIter).
 	ConvergedTail bool
 	// ConvergedTol is the fast-path's relative metric tolerance
 	// (0 = 1e-3).
@@ -154,40 +145,24 @@ type Config struct {
 	// ConvergedPatience is the consecutive-iteration requirement
 	// (0 = 5).
 	ConvergedPatience int
-	// Quarantine enables the mitigation path for device-fault experiments:
-	// collective timeout+retry with exclusion, the cross-replica
-	// consistency check, quarantine + two-iteration re-execution, and
-	// hot-rejoin (recovery.GroupGuard). Off, a failed device hangs the
-	// group (outcome.GroupHang) and corruption flows into the weights.
-	Quarantine bool
-	// Degraded, with Quarantine, keeps the group degraded after a
-	// quarantine instead of attempting hot-rejoins. Equivalent to
-	// Recovery: recovery.StrategyDegraded (the flag predates the strategy
-	// seam and is kept for compatibility).
-	Degraded bool
-	// Recovery selects the recovery strategy device-fault experiments run
-	// under Quarantine: reexec (default), jit, elastic, or degraded — see
-	// recovery.Strategy. Zero (StrategyNone) defers to the Degraded flag
-	// and otherwise means reexec, so existing configs behave unchanged.
+	// Recovery selects how a device-fault experiment is mitigated: reexec,
+	// jit, elastic or degraded (recovery.Strategy) drive the run through
+	// recovery.GroupGuard; the zero value runs unmitigated — a failed device
+	// hangs the group (outcome.GroupHang) and corruption flows into the
+	// weights.
 	Recovery recovery.Strategy
+	// Quarantine means "Recovery unset ⇒ reexec" and nothing else. It
+	// survives only because bench/run.go:98 assigns it and bench/ is frozen
+	// until Benchmark v2 (ROADMAP); set Recovery instead.
+	Quarantine bool
 }
 
-// ResolvedRecovery maps the mitigation knobs onto the strategy a
-// device-fault experiment actually runs: StrategyNone when Quarantine is
-// off (unmitigated — a failed device hangs the group), the explicit
-// Recovery when set, StrategyDegraded for the legacy Degraded flag, and
-// StrategyReexec otherwise.
-func (cfg *Config) ResolvedRecovery() recovery.Strategy {
-	if !cfg.Quarantine {
-		return recovery.StrategyNone
+// recoveryStrategy resolves the strategy a device-fault experiment runs.
+func (cfg Config) recoveryStrategy() recovery.Strategy {
+	if cfg.Recovery == recovery.StrategyNone && cfg.Quarantine {
+		return recovery.StrategyReexec
 	}
-	if cfg.Recovery != recovery.StrategyNone {
-		return cfg.Recovery
-	}
-	if cfg.Degraded {
-		return recovery.StrategyDegraded
-	}
-	return recovery.StrategyReexec
+	return cfg.Recovery
 }
 
 // Record is the result of one FI experiment.
@@ -764,7 +739,7 @@ type RecoveryStats struct {
 // RecoveryStats computes the campaign's recovery aggregate.
 func (c *Campaign) RecoveryStats() RecoveryStats {
 	rs := RecoveryStats{
-		Strategy: c.Cfg.ResolvedRecovery().String(),
+		Strategy: c.Cfg.recoveryStrategy().String(),
 		Hangs:    c.Tally.Counts[outcome.GroupHang],
 	}
 	var ttrSum, costSum float64

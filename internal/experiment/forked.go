@@ -45,9 +45,8 @@ const defaultSnapshotMemBudget = 256 << 20
 // workers and across campaigns (e.g. one Golden serving every per-kind
 // biased campaign of a KindSweep).
 type Golden struct {
-	w              *workloads.Workload
-	seed           int64
-	deviceParallel bool
+	w    *workloads.Workload
+	seed int64
 
 	horizon       int
 	maxInjectIter int
@@ -140,15 +139,13 @@ func PrepareGolden(cfg Config) *Golden {
 	cfg = cfg.withDefaults()
 	w := cfg.Workload
 	g := &Golden{
-		w:              w,
-		seed:           cfg.Seed,
-		deviceParallel: cfg.DeviceParallel,
-		horizon:        int(float64(w.Iters) * cfg.HorizonMult),
-		maxInjectIter:  maxInjectIterFor(cfg),
+		w:             w,
+		seed:          cfg.Seed,
+		horizon:       int(float64(w.Iters) * cfg.HorizonMult),
+		maxInjectIter: maxInjectIterFor(cfg),
 	}
 
 	refEngine := w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77})
-	refEngine.SetDeviceParallel(cfg.DeviceParallel)
 	g.numLayers = refEngine.Replica(0).Len()
 
 	// The initial state: the fork target of injections before the first
@@ -243,8 +240,7 @@ func maxInjectIterFor(cfg Config) int {
 func (g *Golden) checkCompatible(cfg Config) {
 	if g.w.Name != cfg.Workload.Name || g.seed != cfg.Seed ||
 		g.horizon != int(float64(cfg.Workload.Iters)*cfg.HorizonMult) ||
-		g.maxInjectIter != maxInjectIterFor(cfg) ||
-		g.deviceParallel != cfg.DeviceParallel {
+		g.maxInjectIter != maxInjectIterFor(cfg) {
 		panic(fmt.Sprintf("experiment: golden prepared for %s/seed=%d/horizon=%d does not match campaign %s/seed=%d",
 			g.w.Name, g.seed, g.horizon, cfg.Workload.Name, cfg.Seed))
 	}

@@ -38,8 +38,7 @@ func TestRecoveryStrategiesHeadToHead(t *testing.T) {
 	for _, s := range recovery.Strategies {
 		t.Run(s.String(), func(t *testing.T) {
 			cfg := base
-			cfg.Quarantine = true
-			cfg.Recovery = s
+			cfg.Recovery = s // alone selects the strategy; Quarantine stays off
 			c := RunWithGolden(cfg, g)
 			if n := c.Tally.Counts[outcome.GroupHang]; n != 0 {
 				t.Fatalf("strategy %s still hung %d experiments", s, n)
@@ -117,36 +116,6 @@ func TestRecoveryCampaignDeterministic(t *testing.T) {
 			got := Run(warm)
 			assertCampaignsIdentical(t, s.String(), want, got)
 		})
-	}
-}
-
-// TestRecoveryFingerprint: JIT and elastic campaigns must not share a
-// fingerprint (or journals) with the re-executing default, while
-// Recovery:StrategyDegraded must fingerprint identically to the legacy
-// Degraded flag — they are the same campaign, and pre-existing degraded
-// journals must stay resumable.
-func TestRecoveryFingerprint(t *testing.T) {
-	base := deviceFaultConfig(t)
-	fps := map[string]string{"reexec": base.Fingerprint()}
-	for _, s := range []recovery.Strategy{recovery.StrategyJIT, recovery.StrategyElastic} {
-		cfg := base
-		cfg.Recovery = s
-		fps[s.String()] = cfg.Fingerprint()
-	}
-	seen := map[string]string{}
-	for name, fp := range fps {
-		if prev, dup := seen[fp]; dup {
-			t.Fatalf("strategies %s and %s share fingerprint %s", prev, name, fp)
-		}
-		seen[fp] = name
-	}
-
-	legacy := base
-	legacy.Degraded = true
-	viaRecovery := base
-	viaRecovery.Recovery = recovery.StrategyDegraded
-	if legacy.Fingerprint() != viaRecovery.Fingerprint() {
-		t.Fatal("Recovery:degraded and the legacy Degraded flag fingerprint differently — old degraded journals would be orphaned")
 	}
 }
 

@@ -3,8 +3,8 @@ package experiment
 // Durable campaign execution: graceful cancellation, write-ahead record
 // sinks, and crash-safe resume.
 //
-// A campaign's records are a pure function of its semantic configuration
-// (Config.Fingerprint): injections are pre-sampled deterministically and
+// A campaign's records are a pure function of its resolved identity
+// (Config.Spec): injections are pre-sampled deterministically and
 // every record depends only on its own injection and the shared golden
 // run. Completed records are therefore position-independent — a campaign
 // interrupted after any subset of its experiments can be resumed by
@@ -21,85 +21,14 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/fault"
-	"repro/internal/recovery"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
 )
-
-// Fingerprint returns a stable hex hash of the campaign parameters that
-// determine its Records bit for bit: workload identity and length,
-// experiment count, seed, horizon, injection window, and bias settings.
-// Which Config fields those are, and which only steer execution, is fixed
-// by the two tables in identity_test.go: a field in neither fails the test.
-// Campaigns are byte-identical across every execution-only field, so a
-// journal written under one execution configuration may be resumed under
-// any other (TestCrossConfigResume).
-func (cfg Config) Fingerprint() string {
-	cfg = cfg.withDefaults()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "workload=%s|iters=%d|devices=%d|batch=%d|n=%d|seed=%d|horizon=%g|window=%g",
-		cfg.Workload.Name, cfg.Workload.Iters, cfg.Workload.Devices,
-		cfg.Workload.PerDeviceBatch, cfg.Experiments, cfg.Seed,
-		cfg.HorizonMult, cfg.InjectFrac)
-	fmt.Fprintf(h, "|kinds=%v|passes=%v", cfg.BiasKinds, cfg.BiasPasses)
-	// Device-fault campaigns sample a different fault population and may run
-	// the mitigation pipeline; both change the records bit for bit. The
-	// fields are appended only when enabled so every pre-existing FF-campaign
-	// fingerprint (and journal) stays valid.
-	if cfg.DeviceFaults {
-		// The resolved recovery strategy changes mitigated trajectories
-		// (and the per-record recovery fields) bit for bit. The degraded
-		// flag reflects the resolved strategy so Recovery:StrategyDegraded
-		// and the legacy Degraded flag fingerprint identically; jit and
-		// elastic append their name (only when selected, so every
-		// pre-existing device-fault fingerprint stays valid).
-		rs := cfg.ResolvedRecovery()
-		fmt.Fprintf(h, "|devfaults|dkinds=%v|quarantine=%t|degraded=%t",
-			cfg.DeviceFaultKinds, cfg.Quarantine, rs == recovery.StrategyDegraded)
-		if rs == recovery.StrategyJIT || rs == recovery.StrategyElastic {
-			fmt.Fprintf(h, "|recovery=%s", rs)
-		}
-	}
-	// The converged-tail fast-path produces approximate records, so it
-	// changes the fingerprint (appended only when enabled, same
-	// compatibility rationale as above). Dedup and EarlyExit do not: their
-	// records' outcome payloads are byte-identical to exhaustive execution.
-	// Their provenance fields do differ, which is why the journal header
-	// additionally binds the efficiency flags (record.Journal) — the
-	// fingerprint governs semantic identity, the header exact bytes.
-	if cfg.ConvergedTail {
-		fmt.Fprintf(h, "|convtail|tol=%g|patience=%d", cfg.ConvergedTol, cfg.ConvergedPatience)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// EfficiencyBinding renders the equivalence-layer flags that shape a
-// campaign's record bytes (adoption references, early-exit provenance,
-// converged-tail truncation) as a stable string, or "" when none are
-// enabled. The campaign journal stores it in its header so a resume under
-// different flags fails loudly instead of silently mixing records with
-// divergent provenance.
-func (cfg Config) EfficiencyBinding() string {
-	cfg = cfg.withDefaults()
-	if !cfg.Dedup && !cfg.EarlyExit && !cfg.ConvergedTail {
-		return ""
-	}
-	s := fmt.Sprintf("dedup=%t|early-exit=%t", cfg.Dedup, cfg.EarlyExit)
-	if cfg.EarlyExit {
-		s += fmt.Sprintf("|stride=%d", cfg.EarlyExitStride)
-	}
-	if cfg.ConvergedTail {
-		s += fmt.Sprintf("|convtail|tol=%g|patience=%d", cfg.ConvergedTol, cfg.ConvergedPatience)
-	}
-	return s
-}
 
 // Sink receives completed experiment records as the campaign produces
 // them. Append is called from the campaign's worker goroutines and must be
@@ -266,10 +195,7 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	} else {
 		g.checkCompatible(cfg)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.WorkerCount()
 
 	c := &Campaign{Cfg: cfg, Ref: g.ref, RefAcc: g.refAcc,
 		Stride: g.stride, Snapshots: len(g.snaps), SnapshotBytes: g.bytes}
@@ -453,7 +379,6 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		go func(wk int) {
 			defer wg.Done()
 			pooled := g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77}) // same seed as reference
-			pooled.SetDeviceParallel(cfg.DeviceParallel)
 			prevBound := -1
 			for i := range idxCh {
 				b := forkBoundOf(i)

@@ -155,33 +155,3 @@ func TestResumeAllPrior(t *testing.T) {
 		t.Fatalf("resume with a complete journal executed %d iterations", resumed.IterationsExecuted)
 	}
 }
-
-// TestFingerprintSensitivity: the config fingerprint must change with every
-// semantic campaign parameter and ignore pure execution knobs.
-func TestFingerprintSensitivity(t *testing.T) {
-	base := resumeTestConfig(t)
-	fp := base.Fingerprint()
-
-	seed := base
-	seed.Seed++
-	if seed.Fingerprint() == fp {
-		t.Fatal("fingerprint ignores Seed")
-	}
-	horizon := base
-	horizon.HorizonMult = 3
-	if horizon.Fingerprint() == fp {
-		t.Fatal("fingerprint ignores HorizonMult")
-	}
-	n := base
-	n.Experiments++
-	if n.Fingerprint() == fp {
-		t.Fatal("fingerprint ignores Experiments")
-	}
-
-	exec := base
-	exec.Workers = 7
-	exec.SnapshotStride = -1
-	if exec.Fingerprint() != fp {
-		t.Fatal("fingerprint must not depend on execution knobs (Workers/SnapshotStride)")
-	}
-}

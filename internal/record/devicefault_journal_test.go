@@ -3,59 +3,12 @@ package record
 import (
 	"math"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/rng"
 )
-
-// TestJournalRejectsDeviceFaultConfigMismatch: a journal written by one
-// campaign flavor must fail loudly when resumed against the other — an FF
-// journal against a device-fault config, a device-fault journal against an
-// FF config, and a device-fault journal against different mitigation
-// settings. Silently adopting such records would mix two different fault
-// populations into one statistics table.
-func TestJournalRejectsDeviceFaultConfigMismatch(t *testing.T) {
-	ffCfg := journalTestConfig(t)
-	dfCfg := ffCfg
-	dfCfg.DeviceFaults = true
-	dfCfg.Quarantine = true
-
-	ffPath := filepath.Join(t.TempDir(), "ff.jsonl")
-	j, err := CreateJournal(ffPath, ffCfg, "digest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenJournal(ffPath, dfCfg, "digest"); err == nil ||
-		!strings.Contains(err.Error(), "device-fault") {
-		t.Fatalf("FF journal resumed under a device-fault config: %v", err)
-	}
-
-	dfPath := filepath.Join(t.TempDir(), "df.jsonl")
-	j, err = CreateJournal(dfPath, dfCfg, "digest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenJournal(dfPath, ffCfg, "digest"); err == nil ||
-		!strings.Contains(err.Error(), "device-fault") {
-		t.Fatalf("device-fault journal resumed under an FF config: %v", err)
-	}
-
-	degCfg := dfCfg
-	degCfg.Degraded = true
-	if _, _, err := OpenJournal(dfPath, degCfg, "digest"); err == nil ||
-		!strings.Contains(err.Error(), "device-fault") {
-		t.Fatalf("device-fault journal resumed under different mitigation settings: %v", err)
-	}
-}
 
 // TestDeviceFaultRecordRoundTrip: the v2 wire form must round-trip the
 // device-fault fields bit for bit, including the uint64 corruption seeds

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/experiment"
@@ -124,35 +123,5 @@ func TestDedupJournalInterruptByteIdentity(t *testing.T) {
 	}
 	if tally != ex.Tally {
 		t.Fatalf("dedup journal tally %+v differs from exhaustive %+v", tally, ex.Tally)
-	}
-}
-
-// TestJournalRejectsEfficiencyMismatch: a journal written with dedup /
-// early-exit enabled must refuse to continue under different efficiency
-// flags — the records' provenance bytes would diverge.
-func TestJournalRejectsEfficiencyMismatch(t *testing.T) {
-	cfg := equivJournalConfig(t)
-	g := experiment.PrepareGolden(cfg)
-	digest := g.Ref().Digest()
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := CreateJournal(path, cfg, digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	plain := cfg
-	plain.Dedup = false
-	plain.EarlyExit = false
-	_, _, err = OpenJournal(path, plain, digest)
-	if err == nil || !strings.Contains(err.Error(), "efficiency") {
-		t.Fatalf("want efficiency-mismatch error, got %v", err)
-	}
-	stride := cfg
-	stride.EarlyExitStride = 4
-	_, _, err = OpenJournal(path, stride, digest)
-	if err == nil || !strings.Contains(err.Error(), "efficiency") {
-		t.Fatalf("want efficiency-mismatch error for a different stride, got %v", err)
 	}
 }

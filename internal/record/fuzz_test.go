@@ -12,20 +12,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // fuzzHeader is the header fuzz inputs are validated against. A fixed
 // literal (rather than a live campaign config) keeps the target fast and
-// hermetic; the binding checks only compare strings and ints.
+// hermetic; the binding checks only compare Spec fields and strings.
 func fuzzHeader() journalHeader {
 	return journalHeader{
 		Format:       journalFormat,
 		Version:      journalVersion,
 		RecordSchema: journalRecordSchema,
-		Workload:     "resnet",
-		Experiments:  8,
-		Seed:         11,
-		ConfigHash:   "00c0ffee00c0ffee",
+		Spec: experiment.Spec{Workload: "resnet", Iters: 12, Devices: 8, PerDeviceBatch: 2,
+			Experiments: 8, Seed: 11, HorizonMult: 1.5, InjectFrac: 0.8, Fault: "ff"},
 		GoldenDigest: "deadbeefdeadbeef",
 	}
 }
@@ -66,7 +66,7 @@ func FuzzParseJournal(f *testing.F) {
 		if err == nil {
 			// Parsed journals must respect the campaign range contract.
 			for i := range done {
-				if i < 0 || i >= want.Experiments {
+				if i < 0 || i >= want.Spec.Experiments {
 					t.Fatalf("parseJournal accepted out-of-range index %d", i)
 				}
 			}

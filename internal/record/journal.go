@@ -6,9 +6,9 @@ package record
 // SIGINT without losing finished work.
 //
 // Layout: line 1 is a JSON header binding the journal to one exact
-// campaign — the Config fingerprint (semantic campaign parameters), the
-// seed, and the golden reference run's trace digest (which identifies the
-// binary's numeric behavior: any kernel/model/data change alters it). Each
+// campaign — its resolved identity (experiment.Spec, embedded whole) and
+// the golden reference run's trace digest (which measures the binary's
+// numeric behavior: any kernel/model/data change alters it). Each
 // subsequent line is one completed record, `{"i":<index>,"record":{...}}`,
 // appended as the worker pool finishes it and fsynced in batches.
 //
@@ -18,8 +18,8 @@ package record
 // are encoded with Go's shortest-round-trip formatting, non-finite ones as
 // "+Inf"/"-Inf"/"NaN" markers (record.Float), integers verbatim —
 // a resumed campaign is byte-identical to an uninterrupted one
-// (TestJournalResumeEquivalence). Any mismatch (different seed, different
-// config, different binary, torn or corrupt lines) fails loudly with an
+// (TestJournalResumeEquivalence). Any mismatch (different spec, different
+// binary, torn or corrupt lines) fails loudly with an
 // actionable error instead of silently mixing divergent trajectories; a
 // torn final line — the signature of a hard crash mid-append — is
 // distinguished as *TornTailError and can be truncated away with
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -41,23 +42,14 @@ import (
 )
 
 const (
-	// journalFormat / journalVersion identify the container layout.
+	// journalFormat / journalVersion identify the container layout; v2
+	// embeds the campaign's experiment.Spec in the header.
 	journalFormat  = "fi-journal"
-	journalVersion = 1
+	journalVersion = 2
 	// journalRecordSchema names the record-line field set; bump when
-	// CampaignRecordJSON changes incompatibly. v2 added the device-fault
-	// fields (device_fault, quarantine_iter, mitigation counters); v1 lines
-	// would decode with a zero QuarantineIter where the live record uses -1,
-	// silently breaking the byte-identical resume contract, so they are
-	// rejected at the schema gate instead. v3 added the equivalence-layer
-	// provenance (adopted_from, early_exit_iter, converged_iter), which has
-	// the same zero-vs-(-1) decoding hazard — v2 journals are rejected with
-	// a dedicated message below. v4 added the recovery-strategy fields
-	// (recovery_strategy, time_to_recover_iters, accuracy_cost, plus the
-	// jit/resize/readmit counters); time_to_recover_iters shares the
-	// zero-vs-(-1) hazard and accuracy_cost would decode as 0 where the live
-	// record holds a measured cost, so v3 journals get the same loud
-	// rejection.
+	// CampaignRecordJSON changes incompatibly. Lines of an older schema
+	// lack fields the live record encodes with -1 sentinels and would
+	// decode them as 0, so a journal of any other schema is refused.
 	journalRecordSchema = "campaign-record-v4"
 	// defaultFlushEvery is the fsync batch size: the journal makes work
 	// durable every this many appended records (and on Flush/Close).
@@ -66,26 +58,11 @@ const (
 
 // journalHeader is line 1 of a journal file.
 type journalHeader struct {
-	Format       string `json:"format"`
-	Version      int    `json:"version"`
-	RecordSchema string `json:"record_schema"`
-	Workload     string `json:"workload"`
-	Experiments  int    `json:"experiments"`
-	Seed         int64  `json:"seed"`
-	ConfigHash   string `json:"config_hash"`
-	GoldenDigest string `json:"golden_digest"`
-	// DeviceFaults summarizes a device-fault campaign's fault population
-	// and mitigation settings ("" for FF campaigns). Checked before the
-	// config hash so mixing the two campaign flavors fails with a specific
-	// message rather than an opaque fingerprint mismatch.
-	DeviceFaults string `json:"device_faults,omitempty"`
-	// Efficiency binds the equivalence-layer flags (dedup, early exit,
-	// converged tail — experiment.Config.EfficiencyBinding, "" when all
-	// off). Dedup and early exit don't change a record's outcome payload,
-	// but they do change its provenance bytes (adopted_from /
-	// early_exit_iter), so resuming under different flags would break the
-	// journal's byte-identity contract; it is rejected here instead.
-	Efficiency string `json:"efficiency,omitempty"`
+	Format       string          `json:"format"`
+	Version      int             `json:"version"`
+	RecordSchema string          `json:"record_schema"`
+	Spec         experiment.Spec `json:"spec"`
+	GoldenDigest string          `json:"golden_digest"`
 	// Shard marks a per-shard journal of a distributed campaign
 	// (internal/dist): the owner-index range "lo-hi" this file covers
 	// ("" for monolithic journals, including the merged output of
@@ -150,22 +127,13 @@ func (j *Journal) SetFlushEvery(n int) {
 // headerFor derives the header binding a journal to cfg and the golden
 // reference run's trace digest.
 func headerFor(cfg experiment.Config, goldenDigest string) journalHeader {
-	h := journalHeader{
+	return journalHeader{
 		Format:       journalFormat,
 		Version:      journalVersion,
 		RecordSchema: journalRecordSchema,
-		Workload:     cfg.Workload.Name,
-		Experiments:  cfg.Experiments,
-		Seed:         cfg.Seed,
-		ConfigHash:   cfg.Fingerprint(),
+		Spec:         cfg.Spec(),
 		GoldenDigest: goldenDigest,
 	}
-	if cfg.DeviceFaults {
-		h.DeviceFaults = fmt.Sprintf("kinds=%v quarantine=%t recovery=%s",
-			cfg.DeviceFaultKinds, cfg.Quarantine, cfg.ResolvedRecovery())
-	}
-	h.Efficiency = cfg.EfficiencyBinding()
-	return h
 }
 
 // CreateJournal creates a new journal at path for the campaign described
@@ -209,14 +177,13 @@ func (j *Journal) writeHeader(hdr journalHeader) error {
 // reopens the file for appending. The returned map holds the completed
 // records by experiment index, ready for experiment.RunOptions.Prior.
 //
-// Every mismatch is a distinct loud error: wrong format/version/schema
-// (journal from an incompatible tool or release), wrong workload /
-// experiment count / seed / config hash (journal from a different
-// campaign), wrong golden digest (journal from a different binary — the
-// numeric kernels, model definitions, or datasets changed, so the golden
-// trajectory this journal's records forked from no longer exists), torn
-// final line (*TornTailError, repairable), or corrupt/duplicate/
-// out-of-range record lines.
+// Every mismatch is a loud error: a header this binary does not write
+// (unsupported journal), a different campaign (each differing Spec field
+// named with both values), wrong golden digest (journal from a different
+// binary — the numeric kernels, model definitions, or datasets changed, so
+// the golden trajectory this journal's records forked from no longer
+// exists), torn final line (*TornTailError, repairable), or corrupt/
+// duplicate/out-of-range record lines.
 func OpenJournal(path string, cfg experiment.Config, goldenDigest string) (*Journal, map[int]experiment.Record, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -241,7 +208,7 @@ func parseJournal(path string, raw []byte, want journalHeader) (map[int]experime
 	if err != nil {
 		return nil, err
 	}
-	return decodeRecordLines(path, recLines, want.Experiments)
+	return decodeRecordLines(path, recLines, want.Spec.Experiments)
 }
 
 // journalRecordLines validates the header of raw journal bytes and returns
@@ -255,40 +222,16 @@ func journalRecordLines(path string, raw []byte, want journalHeader) ([]string, 
 		return nil, err
 	}
 	var got journalHeader
-	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
-		return nil, fmt.Errorf("record: journal %s: unparseable header: %v; delete the file and start fresh", path, err)
+	dec := json.NewDecoder(strings.NewReader(lines[0]))
+	dec.DisallowUnknownFields() // a field this binary does not know may change record bytes
+	if err := dec.Decode(&got); err != nil || dec.More() || got.Format != want.Format ||
+		got.Version != want.Version || got.RecordSchema != want.RecordSchema {
+		return nil, fmt.Errorf("record: unsupported journal %s: this binary reads %s v%d with record schema %s, and the file's first line is not such a header (it reads as %q v%d, %q) — it was written by another tool or release; re-run the campaign from scratch",
+			path, want.Format, want.Version, want.RecordSchema, got.Format, got.Version, got.RecordSchema)
 	}
-	if got.Format != want.Format || got.Version != want.Version {
-		return nil, fmt.Errorf("record: journal %s has format %s v%d, this binary writes %s v%d — produced by an incompatible tool or release; delete it or use the matching binary",
-			path, got.Format, got.Version, want.Format, want.Version)
-	}
-	if got.RecordSchema != want.RecordSchema {
-		if got.RecordSchema == "campaign-record-v2" {
-			return nil, fmt.Errorf("record: journal %s uses record schema campaign-record-v2, this binary writes %s — v3 added the equivalence-layer provenance fields (adopted_from, early_exit_iter, converged_iter), and v2 lines would decode them as 0 where the live record uses -1, silently corrupting the byte-identical resume contract; re-run the campaign from scratch",
-				path, want.RecordSchema)
-		}
-		if got.RecordSchema == "campaign-record-v3" {
-			return nil, fmt.Errorf("record: journal %s uses record schema campaign-record-v3, this binary writes %s — v4 added the recovery-strategy fields (recovery_strategy, time_to_recover_iters, accuracy_cost), and v3 lines would decode time_to_recover_iters as 0 where the live record uses -1 (and accuracy_cost as 0 where the live record holds a measured cost), silently corrupting the byte-identical resume contract; re-run the campaign from scratch",
-				path, want.RecordSchema)
-		}
-		return nil, fmt.Errorf("record: journal %s uses record schema %q, this binary uses %q — the record layout changed between releases; re-run the campaign from scratch",
-			path, got.RecordSchema, want.RecordSchema)
-	}
-	if got.Workload != want.Workload || got.Experiments != want.Experiments || got.Seed != want.Seed {
-		return nil, fmt.Errorf("record: journal %s was written for campaign {workload=%s n=%d seed=%d}, but this run is {workload=%s n=%d seed=%d} — point -journal at the matching file or adjust the flags",
-			path, got.Workload, got.Experiments, got.Seed, want.Workload, want.Experiments, want.Seed)
-	}
-	if got.DeviceFaults != want.DeviceFaults {
-		return nil, fmt.Errorf("record: journal %s was written for a campaign with device-fault settings %q, but this run uses %q — FF and device-fault campaigns (and different mitigation settings) sample different fault populations and cannot share a journal; point -journal at the matching file or start a new one",
-			path, got.DeviceFaults, want.DeviceFaults)
-	}
-	if got.Efficiency != want.Efficiency {
-		return nil, fmt.Errorf("record: journal %s was written with efficiency settings %q, but this run uses %q — dedup/early-exit/converged-tail change the records' provenance bytes, so a journal cannot be continued under different flags; resume with the original flags or start a new journal",
-			path, got.Efficiency, want.Efficiency)
-	}
-	if got.ConfigHash != want.ConfigHash {
-		return nil, fmt.Errorf("record: journal %s config fingerprint %s does not match this campaign's %s — a semantic parameter (horizon, injection window, bias, workload shape) differs; resume with the original parameters or start a new journal",
-			path, got.ConfigHash, want.ConfigHash)
+	if diff := specDiff(got.Spec, want.Spec); len(diff) > 0 {
+		return nil, fmt.Errorf("record: journal %s was written for a different campaign — %s; resume with the original parameters or start a new journal",
+			path, strings.Join(diff, "; "))
 	}
 	if got.GoldenDigest != want.GoldenDigest {
 		return nil, fmt.Errorf("record: journal %s golden-run digest %s does not match this binary's %s — the journal was written by a different binary (numeric kernels, model definitions, or datasets changed), so its records forked from a trajectory this binary cannot reproduce; re-run the campaign from scratch",
@@ -303,6 +246,20 @@ func journalRecordLines(path string, raw []byte, want journalHeader) ([]string, 
 			path, got.Shard, want.Shard)
 	}
 	return lines[1:], nil
+}
+
+// specDiff names every field two campaign identities differ in, with both
+// values, by the field's JSON name.
+func specDiff(journal, run experiment.Spec) []string {
+	var diff []string
+	j, r := reflect.ValueOf(journal), reflect.ValueOf(run)
+	for i := 0; i < j.NumField(); i++ {
+		if jv, rv := j.Field(i).Interface(), r.Field(i).Interface(); !reflect.DeepEqual(jv, rv) {
+			name, _, _ := strings.Cut(j.Type().Field(i).Tag.Get("json"), ",")
+			diff = append(diff, fmt.Sprintf("%s: journal=%v, run=%v", name, jv, rv))
+		}
+	}
+	return diff
 }
 
 // decodeRecordLines replays raw record lines into completed records by

@@ -284,8 +284,8 @@ func TestJournalCorruption(t *testing.T) {
 		other := cfg
 		other.HorizonMult = 3
 		_, _, err := OpenJournal(path, other, digest)
-		if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-			t.Fatalf("want fingerprint-mismatch error, got %v", err)
+		if err == nil || !strings.Contains(err.Error(), "horizon_mult: journal=2, run=3") {
+			t.Fatalf("want an error naming the differing field with both values, got %v", err)
 		}
 	})
 
@@ -311,7 +311,7 @@ func TestJournalCorruption(t *testing.T) {
 			return []byte(string(out) + "\n" + lines[1])
 		})
 		_, _, err := OpenJournal(bumped, cfg, digest)
-		if err == nil || !strings.Contains(err.Error(), "incompatible") {
+		if err == nil || !strings.Contains(err.Error(), "unsupported journal") {
 			t.Fatalf("want version-mismatch error, got %v", err)
 		}
 	})
@@ -350,8 +350,7 @@ func TestJournalCorruption(t *testing.T) {
 			if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
 				t.Fatal(err)
 			}
-			hdr["experiments"] = 1
-			hdr["config_hash"] = narrower.Fingerprint()
+			hdr["spec"] = narrower.Spec()
 			out, err := json.Marshal(hdr)
 			if err != nil {
 				t.Fatal(err)
@@ -388,39 +387,32 @@ func TestJournalCorruption(t *testing.T) {
 	})
 }
 
-// TestJournalRejectsOldRecordSchemas: journals written by previous releases
-// carry record lines missing fields the current schema always encodes with
-// -1 sentinels (quarantine_iter in v2, time_to_recover_iters in v4's view
-// of v3), so decoding them would silently turn "never happened" into 0 and
-// break the byte-identical resume contract. The schema gate must reject
-// each old version loudly, by name, with an actionable message — and the
-// v3 rejection must name the recovery fields that motivated the bump.
+// TestJournalRejectsOldRecordSchemas: a journal this binary does not write
+// — a v1 header as the parent of the Spec change wrote it, another tool's
+// format, another release's record schema (older lines lack fields the live
+// record encodes with -1 sentinels and would decode them as 0) — is refused
+// with the one unsupported-journal message, which says what to do.
 func TestJournalRejectsOldRecordSchemas(t *testing.T) {
 	path, cfg, digest := completeJournal(t)
-	for _, old := range []string{"campaign-record-v2", "campaign-record-v3"} {
-		forged := mutateJournal(t, path, func(raw []byte) []byte {
-			lines := strings.SplitN(string(raw), "\n", 2)
-			var hdr map[string]any
-			if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-				t.Fatal(err)
+	v2, err := json.Marshal(headerFor(cfg, digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, header := range map[string]string{
+		"parent-written v1 header": `{"format":"fi-journal","version":1,"record_schema":"campaign-record-v4","workload":"resnet","experiments":5,"seed":11,"config_hash":"eb70388a2927f935","golden_digest":"` + digest + `"}`,
+		"foreign format":           strings.Replace(string(v2), journalFormat, "other-journal", 1),
+		"foreign record schema":    strings.Replace(string(v2), journalRecordSchema, "campaign-record-v3", 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			forged := mutateJournal(t, path, func(raw []byte) []byte {
+				return []byte(header + "\n" + strings.SplitN(string(raw), "\n", 2)[1])
+			})
+			_, _, err := OpenJournal(forged, cfg, digest)
+			if err == nil || !strings.Contains(err.Error(), "unsupported journal") ||
+				!strings.Contains(err.Error(), "re-run the campaign from scratch") {
+				t.Fatalf("journal not refused with the unsupported-journal message: %v", err)
 			}
-			hdr["record_schema"] = old
-			out, err := json.Marshal(hdr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return []byte(string(out) + "\n" + lines[1])
 		})
-		_, _, err := OpenJournal(forged, cfg, digest)
-		if err == nil || !strings.Contains(err.Error(), old) {
-			t.Fatalf("%s journal not rejected by name: %v", old, err)
-		}
-		if !strings.Contains(err.Error(), "re-run the campaign from scratch") {
-			t.Fatalf("%s rejection is not actionable: %v", old, err)
-		}
-		if old == "campaign-record-v3" && !strings.Contains(err.Error(), "time_to_recover_iters") {
-			t.Fatalf("v3 rejection does not explain the recovery-field hazard: %v", err)
-		}
 	}
 }
 

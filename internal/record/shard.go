@@ -74,8 +74,7 @@ func validateShardRange(cfg experiment.Config, lo, hi int) error {
 
 // WriteShardJournal persists one completed shard of a distributed campaign:
 // a journal whose header binds, on top of the usual campaign identity
-// (config fingerprint, seed, golden digest, efficiency flags), the shard's
-// owner range [lo, hi). lines are the shard's canonical record lines
+// (spec and golden digest), the shard's owner range [lo, hi). lines are the shard's canonical record lines
 // (LineBuffer.Lines); each must decode and carry an in-range index, so a
 // corrupted upload is rejected before it ever reaches a file. The file is
 // written whole and fsynced; an existing file is an error (a shard is

@@ -277,7 +277,7 @@ func (e *Engine) ScrubWorkspaces() {
 // (the built-in range-restriction monitor uses atomics and qualifies).
 // Campaigns that already run experiments in parallel should usually leave
 // this off — experiment-level parallelism saturates the cores with less
-// coordination (see experiment.Config.DeviceParallel).
+// coordination; internal/experiment never enables it.
 func (e *Engine) SetDeviceParallel(on bool) { e.deviceParallel = on }
 
 // DeviceParallel reports whether device-parallel stepping is enabled.
