@@ -14,7 +14,8 @@
 # panic), a flag-drift gate (every campaign flag README.md and DESIGN.md name
 # exists in campaign -h), the smoke's reference campaign
 # again from a -tags purego build (assembly and portable kernels must agree
-# on a whole campaign, byte for byte), a SIGKILL crash loop that
+# on a whole campaign, byte for byte), two transformer campaigns from both
+# builds with and without -scrub-workspaces, a SIGKILL crash loop that
 # repeatedly murders a device-fault campaign mid-write and requires -resume
 # -repair-journal to converge to the byte-identical reference, a
 # campaignd smoke that runs a sharded campaign through a real coordinator +
@@ -161,6 +162,20 @@ go build -tags purego -o "$tmp/campaign.purego" ./cmd/campaign
 "$tmp/campaign.purego" -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/purego.json"
 
+echo "== sequence path: a transformer FF campaign and a device-fault campaign under JIT recovery, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
+# The sequence layers keep state from Forward to Backward in reused buffers;
+# a stale read shows as a scrubbed run that differs from the plain one.
+for flags in "" "-device-faults all -recovery jit"; do
+	# $flags is a flag list: split on purpose.
+	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -json "$tmp/seq-ref.json" >/dev/null
+	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -scrub-workspaces -json "$tmp/seq-scrub.json" >/dev/null
+	"$tmp/campaign.purego" -workload transformer -n 24 -seed 5 $flags -json "$tmp/seq-purego.json" >/dev/null
+	"$tmp/campaign.purego" -workload transformer -n 24 -seed 5 $flags -scrub-workspaces -json "$tmp/seq-purego-scrub.json" >/dev/null
+	cmp "$tmp/seq-ref.json" "$tmp/seq-scrub.json"
+	cmp "$tmp/seq-ref.json" "$tmp/seq-purego.json"
+	cmp "$tmp/seq-ref.json" "$tmp/seq-purego-scrub.json"
+done
+
 echo "== dedup/early-exit equivalence smoke (-race, reported tally must match exhaustive byte for byte) =="
 go build -race -o "$tmp/campaign.race" ./cmd/campaign
 "$tmp/campaign.race" -workload resnet -n 24 -iters 12 -seed 6 >"$tmp/exhaustive.txt"
@@ -255,7 +270,7 @@ grep -q '"jit_snapshots":' "$tmp/jit.jsonl"
 grep -q "recovery \[jit\]:" "$tmp/jit.txt" # report renders the strategy summary
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

@@ -114,13 +114,23 @@ func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // GELU is the Gaussian error linear unit (tanh approximation), used by the
-// Transformer workload.
+// Transformer workload: y = 0.5·x·(1 + tanh(c·(x + 0.044715x³))).
 type GELU struct {
 	lastX *tensor.Tensor
+	// lastTanh is the forward's tanh(c·(x + 0.044715x³)) per element, in the
+	// float64 it was computed in. The backward pass needs the same tanh of the
+	// same argument; math.Tanh is a pure function and Go fuses no multiply-add
+	// on amd64, so reading it back is bit for bit what evaluating it again
+	// would give — provided x is not written between Forward and Backward.
+	lastTanh []float64
+
+	// ws backs the output and the input gradient; both loops write every
+	// element.
+	ws *tensor.Workspace
 }
 
 // NewGELU creates a GELU layer.
-func NewGELU() *GELU { return &GELU{} }
+func NewGELU() *GELU { return &GELU{ws: newWorkspace()} }
 
 // Name implements Layer.
 func (g *GELU) Name() string { return "gelu" }
@@ -128,35 +138,43 @@ func (g *GELU) Name() string { return "gelu" }
 // Params implements Layer.
 func (g *GELU) Params() []*Param { return nil }
 
+// Workspace implements WorkspaceHolder.
+func (g *GELU) Workspace() *tensor.Workspace { return g.ws }
+
 const geluC = 0.7978845608028654 // sqrt(2/pi)
-
-func geluForward(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
-}
-
-func geluGrad(x float64) float64 {
-	inner := geluC * (x + 0.044715*x*x*x)
-	t := math.Tanh(inner)
-	dInner := geluC * (1 + 3*0.044715*x*x)
-	return 0.5*(1+t) + 0.5*x*(1-t*t)*dInner
-}
 
 // Forward implements Layer.
 func (g *GELU) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	g.lastX = x
-	out := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = float32(geluForward(float64(v)))
+	out := g.ws.Get("out", x.Shape...)
+	if cap(g.lastTanh) < x.Len() {
+		g.lastTanh = make([]float64, x.Len())
 	}
+	g.lastTanh = g.lastTanh[:x.Len()]
+	th, od := g.lastTanh, out.Data[:x.Len()]
+	for i, v := range x.Data {
+		u := float64(v)
+		t := math.Tanh(geluC * (u + 0.044715*u*u*u))
+		th[i] = t
+		od[i] = float32(0.5 * u * (1 + t))
+	}
+	out.ClearDirty()
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dy/dx = 0.5(1+t) + 0.5x(1−t²)·c(1 + 3·0.044715x²)
+// with t the forward's tanh.
 func (g *GELU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(gradOut.Shape...)
-	for i, gv := range gradOut.Data {
-		gradIn.Data[i] = gv * float32(geluGrad(float64(g.lastX.Data[i])))
+	checkGradLen("gelu", gradOut, g.lastX)
+	gradIn := g.ws.Get("dx", g.lastX.Shape...)
+	gd := gradOut.Data
+	xd, th, dx := g.lastX.Data[:len(gd)], g.lastTanh[:len(gd)], gradIn.Data[:len(gd)]
+	for i, gv := range gd {
+		u, t := float64(xd[i]), th[i]
+		dInner := geluC * (1 + 3*0.044715*u*u)
+		dx[i] = gv * float32(0.5*(1+t)+0.5*u*(1-t*t)*dInner)
 	}
+	gradIn.ClearDirty()
 	return gradIn
 }
 

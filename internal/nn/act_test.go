@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -101,8 +102,10 @@ func TestReLUBranchFreeBitwise(t *testing.T) {
 }
 
 // attentionRef is the attention layer as it was written before it drew its
-// buffers from a Workspace: every product through the allocating kernels.
-// Returns the output, the input gradient and the four weight gradients.
+// buffers from a Workspace and projected the whole batch at once: every
+// product once per batch element, through the allocating kernels. Returns the
+// output, the input gradient and the four weight gradients, accumulated onto
+// copies of the layer's current Grads.
 func attentionRef(at *Attention, x, gradOut *tensor.Tensor) (out, gradIn *tensor.Tensor, dW [4]*tensor.Tensor) {
 	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
 	mm := func(a, b *tensor.Tensor) *tensor.Tensor {
@@ -110,7 +113,7 @@ func attentionRef(at *Attention, x, gradOut *tensor.Tensor) (out, gradIn *tensor
 	}
 	out, gradIn = tensor.New(b, l, d), tensor.New(b, l, d)
 	for i, p := range at.Params() {
-		dW[i] = tensor.New(p.Value.Shape...)
+		dW[i] = p.Grad.Clone()
 	}
 	scale := float32(1 / math.Sqrt(float64(at.Dk)))
 	for bi := 0; bi < b; bi++ {
@@ -144,9 +147,9 @@ func attentionRef(at *Attention, x, gradOut *tensor.Tensor) (out, gradIn *tensor
 
 // TestAttentionWorkspace: attention through its Workspace is bitwise-equal to
 // the allocating formulation — across a batch-size swing (training shard,
-// evaluation batch, training shard again: buffers grow once and are resliced)
-// and a workspace scrub — and a steady-state forward+backward allocates
-// nothing.
+// evaluation batch, training shard again: the whole-batch buffers grow once
+// and are resliced) and a workspace scrub — and a steady-state
+// forward+backward allocates nothing.
 func TestAttentionWorkspace(t *testing.T) {
 	for _, mixed := range []bool{false, true} {
 		r := rng.NewFromInt(93)
@@ -155,27 +158,18 @@ func TestAttentionWorkspace(t *testing.T) {
 			x, gradOut := tensor.New(b, 8, 12), tensor.New(b, 8, 12)
 			x.FillNormal(r, 0, 1)
 			gradOut.FillNormal(r, 0, 1)
+			for _, p := range at.Params() {
+				p.Grad.Zero()
+			}
 			wantOut, wantIn, wantDW := attentionRef(at, x, gradOut)
 			if step == 3 {
 				at.Workspace().Reset()
 			}
-			for _, p := range at.Params() {
-				p.Grad.Zero()
-			}
-			out := at.Forward(nil, x)
-			gradIn := at.Backward(gradOut)
-			check := func(name string, got, want *tensor.Tensor) {
-				t.Helper()
-				for i := range want.Data {
-					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-						t.Fatalf("mixed=%v step %d (batch %d): %s[%d] = %v, want %v", mixed, step, b, name, i, got.Data[i], want.Data[i])
-					}
-				}
-			}
-			check("out", out, wantOut)
-			check("gradIn", gradIn, wantIn)
+			name := fmt.Sprintf("mixed=%v step %d (batch %d) ", mixed, step, b)
+			sameBits(t, name+"out", at.Forward(nil, x).Data, wantOut.Data)
+			sameBits(t, name+"gradIn", at.Backward(gradOut).Data, wantIn.Data)
 			for i, p := range at.Params() {
-				check(p.Name+".grad", p.Grad, wantDW[i])
+				sameBits(t, name+p.Name+".grad", p.Grad.Data, wantDW[i].Data)
 			}
 		}
 		if raceEnabled {

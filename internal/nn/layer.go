@@ -286,3 +286,16 @@ func checkGradRank(layer string, gradOut *tensor.Tensor, rank int) {
 		checkRank(layer+" backward", gradOut, rank)
 	}
 }
+
+// checkGradLen panics unless gradOut has as many elements as like, a tensor
+// the layer's last Forward recorded with its output's element count (nil when
+// there has been none): a shorter gradient would leave the tail of the reused
+// input-gradient buffer as it was, a longer one index out of range.
+func checkGradLen(layer string, gradOut, like *tensor.Tensor) {
+	if like == nil {
+		panic(fmt.Sprintf("nn: %s backward called before forward", layer))
+	}
+	if len(gradOut.Data) != len(like.Data) {
+		panic(fmt.Sprintf("nn: %s backward expects a gradient of %d elements, got shape %v", layer, len(like.Data), gradOut.Shape))
+	}
+}

@@ -299,16 +299,17 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 	at := NewAttention("attn", 4, 4, rng.NewFromInt(18), false)
 	x := randTensor(19, 2, 5, 4)
 	at.Forward(nil, x)
-	for _, a := range at.a {
-		rows, cols := a.Shape[0], a.Shape[1]
-		for i := 0; i < rows; i++ {
-			var sum float64
-			for j := 0; j < cols; j++ {
-				sum += float64(a.Data[i*cols+j])
-			}
-			if math.Abs(sum-1) > 1e-4 {
-				t.Fatalf("attention row sums to %v", sum)
-			}
+	rows, cols := at.a.Shape[0], at.a.Shape[1] // every batch element's rows
+	if rows != 2*5 || cols != 5 {
+		t.Fatalf("attention matrix is %v, want [10 5]", at.a.Shape)
+	}
+	for i := 0; i < rows; i++ {
+		var sum float64
+		for j := 0; j < cols; j++ {
+			sum += float64(at.a.Data[i*cols+j])
+		}
+		if math.Abs(sum-1) > 1e-4 {
+			t.Fatalf("attention row sums to %v", sum)
 		}
 	}
 }

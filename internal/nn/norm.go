@@ -274,16 +274,23 @@ type LayerNorm struct {
 	Gamma, Beta *Param
 	Eps         float32
 
+	// lastXhat [rows, d] and lastInvStd (one per row) are what Backward reads
+	// back from the forward.
 	lastXhat   *tensor.Tensor
 	lastInvStd []float32
 	lastShape  []int
+
+	// ws backs xhat, the output and the input gradient; each loop writes every
+	// element.
+	ws *tensor.Workspace
 
 	params []*Param
 }
 
 // NewLayerNorm creates a LayerNorm over feature dimension d.
 func NewLayerNorm(name string, d int) *LayerNorm {
-	ln := &LayerNorm{name: name, Gamma: newParam(paramName(name, "gamma"), d), Beta: newParam(paramName(name, "beta"), d), Eps: 1e-5}
+	ln := &LayerNorm{name: name, Gamma: newParam(paramName(name, "gamma"), d), Beta: newParam(paramName(name, "beta"), d), Eps: 1e-5,
+		ws: newWorkspace()}
 	ln.Gamma.Value.Fill(1)
 	return ln
 }
@@ -299,63 +306,75 @@ func (ln *LayerNorm) Params() []*Param {
 	return ln.params
 }
 
-// Forward implements Layer.
+// Workspace implements WorkspaceHolder.
+func (ln *LayerNorm) Workspace() *tensor.Workspace { return ln.ws }
+
+// Forward implements Layer. The moments of a row are float64 sums in index
+// order.
 func (ln *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	d := ln.Gamma.Value.Len()
 	if x.Shape[len(x.Shape)-1] != d {
 		panic("nn: LayerNorm feature dimension mismatch")
 	}
 	rows := x.Len() / d
-	ln.lastShape = append([]int(nil), x.Shape...)
-	ln.lastXhat = tensor.New(rows, d)
-	ln.lastInvStd = make([]float32, rows)
-	out := tensor.New(x.Shape...)
-	for r := 0; r < rows; r++ {
-		base := r * d
+	ln.lastShape = append(ln.lastShape[:0], x.Shape...)
+	ln.lastXhat = ln.ws.Get("xhat", rows, d)
+	if cap(ln.lastInvStd) < rows {
+		ln.lastInvStd = make([]float32, rows)
+	}
+	invStds := ln.lastInvStd[:rows]
+	ln.lastInvStd = invStds
+	out := ln.ws.Get("out", x.Shape...)
+	gamma, beta := ln.Gamma.Value.Data[:d], ln.Beta.Value.Data[:d]
+	for r := range invStds {
+		// Rows cut to len(gamma): no bounds checks below.
+		xr, xh, o := x.Data[r*d:][:len(gamma)], ln.lastXhat.Data[r*d:][:len(gamma)], out.Data[r*d:][:len(gamma)]
 		var sum, sumsq float64
-		for i := 0; i < d; i++ {
-			v := float64(x.Data[base+i])
+		for _, xv := range xr {
+			v := float64(xv)
 			sum += v
 			sumsq += v * v
 		}
 		mean := sum / float64(d)
 		variance := sumsq/float64(d) - mean*mean
 		invStd := float32(1 / math.Sqrt(variance+float64(ln.Eps)))
-		ln.lastInvStd[r] = invStd
-		for i := 0; i < d; i++ {
-			xh := (x.Data[base+i] - float32(mean)) * invStd
-			ln.lastXhat.Data[base+i] = xh
-			out.Data[base+i] = ln.Gamma.Value.Data[i]*xh + ln.Beta.Value.Data[i]
+		invStds[r] = invStd
+		for i, g := range gamma {
+			h := (xr[i] - float32(mean)) * invStd
+			xh[i] = h
+			o[i] = g*h + beta[i]
 		}
 	}
+	ln.lastXhat.ClearDirty()
+	out.ClearDirty()
 	return out
 }
 
 // Backward implements Layer.
 func (ln *LayerNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	checkGradLen(ln.name, gradOut, ln.lastXhat)
 	d := ln.Gamma.Value.Len()
-	rows := gradOut.Len() / d
-	gradIn := tensor.New(ln.lastShape...)
-	for r := 0; r < rows; r++ {
-		base := r * d
+	gradIn := ln.ws.Get("dx", ln.lastShape...)
+	gamma, dGamma, dBeta := ln.Gamma.Value.Data[:d], ln.Gamma.Grad.Data[:d], ln.Beta.Grad.Data[:d]
+	for r, invStd := range ln.lastInvStd {
+		// Rows cut to len(gamma): no bounds checks below.
+		dyr, xh, dx := gradOut.Data[r*d:][:len(gamma)], ln.lastXhat.Data[r*d:][:len(gamma)], gradIn.Data[r*d:][:len(gamma)]
 		var sumDxh, sumDxhXhat float32
-		for i := 0; i < d; i++ {
-			dy := gradOut.Data[base+i]
-			xh := ln.lastXhat.Data[base+i]
-			ln.Beta.Grad.Data[i] += dy
-			ln.Gamma.Grad.Data[i] += dy * xh
-			dxh := dy * ln.Gamma.Value.Data[i]
+		for i, g := range gamma {
+			dy, h := dyr[i], xh[i]
+			dBeta[i] += dy
+			dGamma[i] += dy * h
+			dxh := dy * g
 			sumDxh += dxh
-			sumDxhXhat += dxh * xh
+			sumDxhXhat += dxh * h
 		}
 		meanDxh := sumDxh / float32(d)
 		meanDxhXhat := sumDxhXhat / float32(d)
-		invStd := ln.lastInvStd[r]
-		for i := 0; i < d; i++ {
-			dxh := gradOut.Data[base+i] * ln.Gamma.Value.Data[i]
-			xh := ln.lastXhat.Data[base+i]
-			gradIn.Data[base+i] = invStd * (dxh - meanDxh - xh*meanDxhXhat)
+		for i, g := range gamma {
+			dxh := dyr[i] * g
+			dx[i] = invStd * (dxh - meanDxh - xh[i]*meanDxhXhat)
 		}
 	}
+	gradIn.ClearDirty()
 	return gradIn
 }

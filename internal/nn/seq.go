@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -14,6 +13,9 @@ import (
 type SeqDense struct {
 	inner     *Dense
 	lastShape []int
+	// Reusable headers: the input and the output gradient as [B·L, ·]
+	// matrices for the inner layer, its results as sequences.
+	xv, yv, gv, dv tensor.Tensor
 }
 
 // NewSeqDense creates a position-wise dense layer.
@@ -27,31 +29,47 @@ func (s *SeqDense) Name() string { return s.inner.Name() }
 // Params implements Layer.
 func (s *SeqDense) Params() []*Param { return s.inner.Params() }
 
+// Workspace implements WorkspaceHolder: the inner layer's.
+func (s *SeqDense) Workspace() *tensor.Workspace { return s.inner.ws }
+
+// viewAs points the reusable header v at data under shape and returns it,
+// clean like the fresh header of a Tensor.Reshape. data must hold exactly the
+// shape's elements.
+func viewAs(v *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
+	v.Data = data
+	v.Shape = append(v.Shape[:0], shape...)
+	v.ClearDirty()
+	return v
+}
+
 // Forward implements Layer.
 func (s *SeqDense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(s.Name(), x, 3)
 	s.lastShape = append(s.lastShape[:0], x.Shape...)
 	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	flat := x.Reshape(b*l, d)
-	y := s.inner.Forward(ctx, flat)
-	return y.Reshape(b, l, y.Shape[1])
+	y := s.inner.Forward(ctx, viewAs(&s.xv, x.Data, b*l, d))
+	return viewAs(&s.yv, y.Data, b, l, y.Shape[1])
 }
 
 // Backward implements Layer.
 func (s *SeqDense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	b, l := s.lastShape[0], s.lastShape[1]
 	u := gradOut.Shape[2]
-	g := s.inner.Backward(gradOut.Reshape(b*l, u))
-	return g.Reshape(b, l, s.lastShape[2])
+	g := s.inner.Backward(viewAs(&s.gv, gradOut.Data, b*l, u))
+	return viewAs(&s.dv, g.Data, b, l, s.lastShape[2])
 }
 
 // SeqMean averages a [B, L, D] sequence over positions, producing [B, D].
 type SeqMean struct {
 	lastShape []int
+	// lastOut is the forward's output, kept for its element count.
+	lastOut *tensor.Tensor
+	// ws backs the output and the input gradient.
+	ws *tensor.Workspace
 }
 
 // NewSeqMean creates the pooling layer.
-func NewSeqMean() *SeqMean { return &SeqMean{} }
+func NewSeqMean() *SeqMean { return &SeqMean{ws: newWorkspace()} }
 
 // Name implements Layer.
 func (s *SeqMean) Name() string { return "seqmean" }
@@ -59,69 +77,87 @@ func (s *SeqMean) Name() string { return "seqmean" }
 // Params implements Layer.
 func (s *SeqMean) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Workspace implements WorkspaceHolder.
+func (s *SeqMean) Workspace() *tensor.Workspace { return s.ws }
+
+// Forward implements Layer. A row of the output starts at zero and takes its
+// positions' terms in ascending order.
 func (s *SeqMean) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank("seqmean", x, 3)
 	s.lastShape = append(s.lastShape[:0], x.Shape...)
 	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(b, d)
+	out := s.ws.GetZeroed("out", b, d)
 	inv := 1 / float32(l)
 	for bi := 0; bi < b; bi++ {
+		o := out.Data[bi*d : bi*d+d]
 		for pos := 0; pos < l; pos++ {
 			base := (bi*l + pos) * d
-			for j := 0; j < d; j++ {
-				out.Data[bi*d+j] += x.Data[base+j] * inv
+			for j, v := range x.Data[base : base+d] {
+				o[j] += v * inv
 			}
 		}
 	}
+	s.lastOut = out
 	return out
 }
 
 // Backward implements Layer.
 func (s *SeqMean) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	checkGradLen("seqmean", gradOut, s.lastOut)
 	b, l, d := s.lastShape[0], s.lastShape[1], s.lastShape[2]
-	gradIn := tensor.New(b, l, d)
+	gradIn := s.ws.Get("dx", b, l, d)
 	inv := 1 / float32(l)
 	for bi := 0; bi < b; bi++ {
+		g := gradOut.Data[bi*d : bi*d+d]
 		for pos := 0; pos < l; pos++ {
 			base := (bi*l + pos) * d
-			for j := 0; j < d; j++ {
-				gradIn.Data[base+j] = gradOut.Data[bi*d+j] * inv
+			for j, gv := range g {
+				gradIn.Data[base+j] = gv * inv
 			}
 		}
 	}
+	gradIn.ClearDirty()
 	return gradIn
 }
 
 // Attention is single-head scaled dot-product self-attention over a
 // [B, L, D] sequence: Q=XWq, K=XWk, V=XWv, A=softmax(QKᵀ/√Dk), Y=(AV)Wo.
 // Its matrix multiplies honor the Mixed (bfloat16 MAC) setting.
+//
+// The four projections, dO = dY·Woᵀ and the three terms of the input gradient
+// are one GEMM each over the whole batch as a [B·L, ·] matrix: rows of a GEMM are
+// independent, so each batch element's rows come out as they would from a
+// GEMM of its own. S, the softmax, O and their gradients couple only the rows
+// of one batch element and run per element on row blocks of the whole-batch
+// matrices. The weight gradients sum over the batch, and are accumulated one
+// batch element at a time in index order: one GEMM over B·L rows would add the
+// same terms in another order.
 type Attention struct {
 	name           string
 	Wq, Wk, Wv, Wo *Param
 	Dk             int
 	Mixed          bool
 
-	// per-batch caches (slices indexed by batch element)
+	// The forward's input, and its whole-batch Q, K, V [B·L, Dk], A [B·L, L]
+	// and O [B·L, Dk], which Backward reads back.
 	lastX         *tensor.Tensor
-	q, k, v, a, o []*tensor.Tensor
+	q, k, v, a, o *tensor.Tensor
 
 	// ws backs every intermediate, the output and the input gradient, so a
-	// steady-state iteration allocates nothing. The q/k/v/a/o caches of all
-	// batch elements are alive together from Forward to Backward, so each
-	// gets its own key (keys[bi]); everything else is consumed within one
-	// batch element's turn of the loop and shares a key across them.
-	ws   *tensor.Workspace
-	keys []attnKeys
-	// xv and gv are reusable headers for the per-batch-element row blocks of
-	// the input and of the output gradient.
-	xv, gv tensor.Tensor
+	// steady-state iteration allocates nothing. A key is shared by buffers
+	// that are never alive together: "s" is S in Forward and dA in Backward,
+	// "dw" each of the four weight gradients in turn (each is folded into its
+	// Grad before the next overwrites it), "gxt" the two later terms of dx.
+	ws *tensor.Workspace
+	// xv, gv and yv are reusable headers for the input, the output gradient
+	// and the layer's result as [B·L, D] matrices; blocks are the ones rows
+	// hands out for one batch element's row blocks, nb how many are out.
+	xv, gv, yv tensor.Tensor
+	blocks     [11]tensor.Tensor
+	nb         int
 
 	params []*Param
 }
-
-// attnKeys are the workspace keys of one batch element's forward caches.
-type attnKeys struct{ q, k, v, a, o string }
 
 // NewAttention creates a self-attention layer with model dim d and head dim
 // dk (output dim is d, via Wo: [dk, d]).
@@ -158,21 +194,14 @@ func (at *Attention) Params() []*Param {
 // Workspace implements WorkspaceHolder.
 func (at *Attention) Workspace() *tensor.Workspace { return at.ws }
 
-// batchKeys returns the cache keys of batch elements [0,b), extending the
-// table the first time a larger batch (the evaluation batch) comes through.
-func (at *Attention) batchKeys(b int) []attnKeys {
-	for i := len(at.keys); i < b; i++ {
-		n := strconv.Itoa(i)
-		at.keys = append(at.keys, attnKeys{q: "q" + n, k: "k" + n, v: "v" + n, a: "a" + n, o: "o" + n})
-	}
-	return at.keys[:b]
-}
-
-// rowBlock points the reusable header v at the [rows, cols] block of data.
-func rowBlock(v *tensor.Tensor, data []float32, rows, cols int) *tensor.Tensor {
-	v.Data = data
-	v.Shape = append(v.Shape[:0], rows, cols)
-	return v
+// rows returns rows [lo, lo+n) of t, taken as a matrix of t's last dimension
+// in columns, through the next free header of at.blocks. Setting at.nb to
+// zero frees them all.
+func (at *Attention) rows(t *tensor.Tensor, lo, n int) *tensor.Tensor {
+	cols := t.Shape[len(t.Shape)-1]
+	v := &at.blocks[at.nb]
+	at.nb++
+	return viewAs(v, t.Data[lo*cols:(lo+n)*cols], n, cols)
 }
 
 // Forward implements Layer.
@@ -181,30 +210,24 @@ func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
 	dk, ws, mixed := at.Dk, at.ws, at.Mixed
 	at.lastX = x
-	at.q = at.q[:0]
-	at.k = at.k[:0]
-	at.v = at.v[:0]
-	at.a = at.a[:0]
-	at.o = at.o[:0]
-	out := ws.Get("out", b, l, d)
+	xf := viewAs(&at.xv, x.Data, b*l, d)
+	at.q = tensor.MatMulInto(ws.Get("q", b*l, dk), xf, at.Wq.Value, mixed)
+	at.k = tensor.MatMulInto(ws.Get("k", b*l, dk), xf, at.Wk.Value, mixed)
+	at.v = tensor.MatMulInto(ws.Get("v", b*l, dk), xf, at.Wv.Value, mixed)
+	at.a = ws.Get("a", b*l, l)
+	at.o = ws.Get("o", b*l, dk)
+	s := ws.Get("s", l, l)
 	scale := float32(1 / math.Sqrt(float64(dk)))
-	for bi, key := range at.batchKeys(b) {
-		xb := rowBlock(&at.xv, x.Data[bi*l*d:(bi+1)*l*d], l, d)
-		qb := tensor.MatMulInto(ws.Get(key.q, l, dk), xb, at.Wq.Value, mixed)
-		kb := tensor.MatMulInto(ws.Get(key.k, l, dk), xb, at.Wk.Value, mixed)
-		vb := tensor.MatMulInto(ws.Get(key.v, l, dk), xb, at.Wv.Value, mixed)
-		s := tensor.MatMulTBInto(ws.Get("s", l, l), qb, kb, mixed)
+	for lo := 0; lo < b*l; lo += l {
+		at.nb = 0
+		qb, kb, vb := at.rows(at.q, lo, l), at.rows(at.k, lo, l), at.rows(at.v, lo, l)
+		tensor.MatMulTBInto(s, qb, kb, mixed)
 		s.Scale(scale)
-		a := softmaxRowsInto(ws.Get(key.a, l, l), s)
-		ob := tensor.MatMulInto(ws.Get(key.o, l, dk), a, vb, mixed)
-		yb := tensor.MatMulInto(ws.Get("y", l, d), ob, at.Wo.Value, mixed)
-		copy(out.Data[bi*l*d:(bi+1)*l*d], yb.Data)
-		at.q = append(at.q, qb)
-		at.k = append(at.k, kb)
-		at.v = append(at.v, vb)
-		at.a = append(at.a, a)
-		at.o = append(at.o, ob)
+		ab := softmaxRowsInto(at.rows(at.a, lo, l), s)
+		tensor.MatMulInto(at.rows(at.o, lo, l), ab, vb, mixed)
 	}
+	out := ws.Get("out", b, l, d)
+	tensor.MatMulInto(viewAs(&at.yv, out.Data, b*l, d), at.o, at.Wo.Value, mixed)
 	out.ClearDirty()
 	return out
 }
@@ -212,43 +235,47 @@ func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 // Backward implements Layer. The transposed products go through the
 // fused-transpose kernels (Aᵀ×B and A×Bᵀ), so no transpose is materialized.
 func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	b, l, d := at.lastX.Shape[0], at.lastX.Shape[1], at.lastX.Shape[2]
+	checkGradLen(at.name, gradOut, at.lastX)
+	x := at.lastX
+	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
 	dk, ws, mixed := at.Dk, at.ws, at.Mixed
-	gradIn := ws.Get("dx", b, l, d)
 	scale := float32(1 / math.Sqrt(float64(dk)))
-	for bi := 0; bi < b; bi++ {
-		xb := rowBlock(&at.xv, at.lastX.Data[bi*l*d:(bi+1)*l*d], l, d)
-		gy := rowBlock(&at.gv, gradOut.Data[bi*l*d:(bi+1)*l*d], l, d)
-		qb, kb, vb, a, ob := at.q[bi], at.k[bi], at.v[bi], at.a[bi], at.o[bi]
 
-		// Y = O·Wo
-		at.Wo.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dwo", dk, d), ob, gy, mixed))
-		gO := tensor.MatMulTBInto(ws.Get("go", l, dk), gy, at.Wo.Value, mixed)
+	// Y = O·Wo
+	gO := tensor.MatMulTBInto(ws.Get("go", b*l, dk), viewAs(&at.gv, gradOut.Data, b*l, d), at.Wo.Value, mixed)
+	gQ, gK, gV := ws.Get("gq", b*l, dk), ws.Get("gk", b*l, dk), ws.Get("gv", b*l, dk)
+	gA, gS := ws.Get("s", l, l), ws.Get("gs", l, l)
+	for lo := 0; lo < b*l; lo += l {
+		at.nb = 0
+		xb, gy := at.rows(x, lo, l), at.rows(gradOut, lo, l)
+		qb, kb, vb := at.rows(at.q, lo, l), at.rows(at.k, lo, l), at.rows(at.v, lo, l)
+		ab, ob, gOb := at.rows(at.a, lo, l), at.rows(at.o, lo, l), at.rows(gO, lo, l)
+		gQb, gKb, gVb := at.rows(gQ, lo, l), at.rows(gK, lo, l), at.rows(gV, lo, l)
+
+		at.Wo.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", dk, d), ob, gy, mixed))
 
 		// O = A·V
-		gA := tensor.MatMulTBInto(ws.Get("ga", l, l), gO, vb, mixed)
-		gV := tensor.MatMulTAInto(ws.Get("gv", l, dk), a, gO, mixed)
+		tensor.MatMulTBInto(gA, gOb, vb, mixed)
+		tensor.MatMulTAInto(gVb, ab, gOb, mixed)
 
 		// A = softmax(S) rows: dS = A ⊙ (dA − rowsum(dA⊙A))
-		gS := softmaxRowsBackwardInto(ws.Get("gs", l, l), a, gA)
+		softmaxRowsBackwardInto(gS, ab, gA)
 		gS.Scale(scale)
 
 		// S = Q·Kᵀ
-		gQ := tensor.MatMulInto(ws.Get("gq", l, dk), gS, kb, mixed)
-		gK := tensor.MatMulTAInto(ws.Get("gk", l, dk), gS, qb, mixed)
+		tensor.MatMulInto(gQb, gS, kb, mixed)
+		tensor.MatMulTAInto(gKb, gS, qb, mixed)
 
-		// Projections. One scratch serves the three weight gradients in
-		// turn (each is folded into its Grad before the next overwrites it),
-		// and one the two later terms of gx.
-		at.Wq.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gQ, mixed))
-		at.Wk.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gK, mixed))
-		at.Wv.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gV, mixed))
-
-		gx := tensor.MatMulTBInto(ws.Get("gx", l, d), gQ, at.Wq.Value, mixed)
-		gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", l, d), gK, at.Wk.Value, mixed))
-		gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", l, d), gV, at.Wv.Value, mixed))
-		copy(gradIn.Data[bi*l*d:(bi+1)*l*d], gx.Data)
+		at.Wq.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gQb, mixed))
+		at.Wk.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gKb, mixed))
+		at.Wv.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gVb, mixed))
 	}
+
+	// Q = X·Wq, K = X·Wk, V = X·Wv: dx is the three terms added in this order.
+	gradIn := ws.Get("dx", b, l, d)
+	gx := tensor.MatMulTBInto(viewAs(&at.yv, gradIn.Data, b*l, d), gQ, at.Wq.Value, mixed)
+	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gK, at.Wk.Value, mixed))
+	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gV, at.Wv.Value, mixed))
 	gradIn.ClearDirty()
 	return gradIn
 }

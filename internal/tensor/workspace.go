@@ -134,18 +134,14 @@ func (a *Arena) Bytes() int64 {
 //     preserving the original allocation behaviour.
 type Workspace struct {
 	// bufs holds one entry per key in first-use order. A layer's keys are a
-	// handful of string constants (Conv2D's nine are the most on the resnet
-	// path), so Get scans them and nothing is hashed. The scan starts at
+	// handful of string constants (Attention's fifteen are the most in the
+	// zoo), so Get scans them and nothing is hashed. The scan starts at
 	// next, one past the previous hit: a layer asks for its keys in the same
 	// order every iteration, so in steady state the first entry looked at is
 	// the one wanted, and comparing a constant with itself is a length and
 	// two equal pointers.
 	bufs []wsBuf
 	next int
-	// index takes over from the scan once a workspace holds more than
-	// wsScanMax keys (Attention keeps five per batch element alive at once):
-	// past that a scan costs more than a hash.
-	index map[string]*Tensor
 	// arena, when non-nil, backs each key's FIRST allocation. Growth always
 	// comes from the heap: arenas never free, so the outgrown carve would
 	// stay pinned beside its replacement.
@@ -161,7 +157,9 @@ type wsBuf struct {
 	t   *Tensor
 }
 
-// wsScanMax is the number of keys up to which Get scans instead of hashing.
+// wsScanMax is the most keys a workspace is meant to hold, Get's scan being
+// cheaper than a hash up to about there. Nothing enforces it at run time;
+// TestWorkspaceKeysWithinScan holds every layer of the model zoo to it.
 const wsScanMax = 16
 
 // NewWorkspace creates an empty arena. The key list grows on first use of
@@ -206,31 +204,18 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 		return New(shape...)
 	}
 	var t *Tensor
-	if ws.index != nil {
-		t = ws.index[key]
-	} else {
-		for k, i := 0, ws.next; k < len(ws.bufs); k, i = k+1, i+1 {
-			if i >= len(ws.bufs) {
-				i = 0
-			}
-			if ws.bufs[i].key == key {
-				t, ws.next = ws.bufs[i].t, i+1
-				break
-			}
+	for k, i := 0, ws.next; k < len(ws.bufs); k, i = k+1, i+1 {
+		if i >= len(ws.bufs) {
+			i = 0
+		}
+		if ws.bufs[i].key == key {
+			t, ws.next = ws.bufs[i].t, i+1
+			break
 		}
 	}
 	if t == nil {
 		t = ws.arena.New(shape...) // nil arena → heap
 		ws.bufs = append(ws.bufs, wsBuf{key, t})
-		switch {
-		case ws.index != nil:
-			ws.index[key] = t
-		case len(ws.bufs) > wsScanMax:
-			ws.index = make(map[string]*Tensor, 2*len(ws.bufs))
-			for _, b := range ws.bufs {
-				ws.index[b.key] = b.t
-			}
-		}
 		return t
 	}
 	n := 1

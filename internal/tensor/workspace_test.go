@@ -126,22 +126,18 @@ func TestWorkspaceResetPoison(t *testing.T) {
 	nilWS.Reset()
 }
 
-// TestWorkspaceKeyOrder: Get starts its scan behind the previous hit, and
-// switches from scanning to a map past wsScanMax keys; neither may matter to
-// what it finds — each key keeps its own buffer whatever order the keys are
-// asked for in, equal keys built at run time included, and Reset reaches
-// every buffer either way.
+// TestWorkspaceKeyOrder: Get starts its scan behind the previous hit, which
+// may not matter to what it finds — each key keeps its own buffer whatever
+// order the keys are asked for in, equal keys built at run time included, and
+// Reset reaches every buffer.
 func TestWorkspaceKeyOrder(t *testing.T) {
-	for _, nKeys := range []int{4, wsScanMax, wsScanMax + 1, 3 * wsScanMax} {
+	for _, nKeys := range []int{1, 4, wsScanMax} {
 		ws := NewWorkspace()
 		keys := make([]string, nKeys)
 		first := map[string]*float32{}
 		for i := range keys {
 			keys[i] = fmt.Sprintf("k%d", i*i)
 			first[keys[i]] = &ws.Get(keys[i], 2).Data[0]
-		}
-		if (ws.index != nil) != (nKeys > wsScanMax) {
-			t.Fatalf("%d keys: map index present = %v", nKeys, ws.index != nil)
 		}
 		r := rng.NewFromInt(int64(nKeys))
 		for trial := 0; trial < 200; trial++ {

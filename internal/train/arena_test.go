@@ -75,28 +75,39 @@ func TestArenaEngineBitwiseEquivalence(t *testing.T) {
 
 // TestScrubWorkspacesExact: poisoning the replicas' kernel scratch between
 // snapshots must not change any subsequent result — scratch contents are
-// undefined between kernel calls by contract, and this test enforces it.
+// undefined between kernel calls by contract, and this test enforces it, on
+// the convolution path (mixed precision) and on the sequence path, with an
+// evaluation batch going through the same layers every third iteration.
 func TestScrubWorkspacesExact(t *testing.T) {
-	const iters = 6
-	run := func(scrub bool) [][16]byte {
-		w := workloads.ResnetMixed()
-		e := w.NewEngine(rng.Seed{State: 9, Stream: 3})
-		digests := make([][16]byte, 0, iters)
-		for i := 0; i < iters; i++ {
-			if scrub {
-				e.ScrubWorkspaces()
-			}
-			e.RunIteration(i)
-			digests = append(digests, e.StateDigest())
-		}
-		return digests
+	const iters = 9
+	type point struct {
+		state    [16]byte
+		testLoss float64
 	}
-	plain := run(false)
-	scrubbed := run(true)
-	for i := range plain {
-		if plain[i] != scrubbed[i] {
-			t.Fatalf("scrub changed the trajectory at iteration %d: %#x vs %#x — a kernel is reading stale workspace state",
-				i, plain[i], scrubbed[i])
+	for _, w := range []*workloads.Workload{workloads.ResnetMixed(), workloads.Transformer()} {
+		run := func(scrub bool) []point {
+			e := w.NewEngine(rng.Seed{State: 9, Stream: 3})
+			points := make([]point, 0, iters)
+			for i := 0; i < iters; i++ {
+				if scrub {
+					e.ScrubWorkspaces()
+				}
+				e.RunIteration(i)
+				p := point{state: e.StateDigest()}
+				if i%3 == 2 {
+					p.testLoss, _ = e.Evaluate(0)
+				}
+				points = append(points, p)
+			}
+			return points
+		}
+		plain := run(false)
+		scrubbed := run(true)
+		for i := range plain {
+			if plain[i] != scrubbed[i] {
+				t.Fatalf("%s: scrub changed the trajectory at iteration %d: %#v vs %#v — a kernel is reading stale workspace state",
+					w.Name, i, plain[i], scrubbed[i])
+			}
 		}
 	}
 }

@@ -220,18 +220,31 @@ func BenchmarkKernel_Col2Im(b *testing.B) {
 	benchLowering(b, func(in, cols *tensor.Tensor, p tensor.ConvParams) { tensor.Col2ImInto(in, cols, p) })
 }
 
-// elemShapes are the two activation shapes the resnet campaign puts through
-// the element-wise layers: a device's training shard and the test batch.
-var elemShapes = []struct {
+// benchShape is one activation shape a layer benchmark runs at.
+type benchShape struct {
 	name  string
 	shape []int
-}{{"2x8x6x6", []int{2, 8, 6, 6}}, {"64x8x6x6", []int{64, 8, 6, 6}}}
+}
+
+// elemShapes are the two activation shapes the resnet campaign puts through
+// the element-wise layers: a device's training shard and the test batch.
+// seqShapes are the transformer campaign's.
+var (
+	elemShapes = []benchShape{{"2x8x6x6", []int{2, 8, 6, 6}}, {"64x8x6x6", []int{64, 8, 6, 6}}}
+	seqShapes  = []benchShape{{"2x8x12", []int{2, 8, 12}}, {"64x8x12", []int{64, 8, 12}}}
+)
 
 // benchElem times one element-wise layer call per shape and reports GB/s
 // under a byte model of floats read plus floats written per activation
 // element (streams), the figure to hold against AddInPlace's three streams.
 func benchElem(b *testing.B, streams int, setup func(x, g *tensor.Tensor) func()) {
-	for _, s := range elemShapes {
+	benchShapes(b, elemShapes, streams, setup)
+}
+
+// benchShapes is benchElem over the given shapes; streams 0 reports no GB/s
+// (a layer bound by arithmetic, not by its streams).
+func benchShapes(b *testing.B, shapes []benchShape, streams int, setup func(x, g *tensor.Tensor) func()) {
+	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
 			r := rng.NewFromInt(34)
 			x, g := tensor.New(s.shape...), tensor.New(s.shape...)
@@ -244,7 +257,9 @@ func benchElem(b *testing.B, streams int, setup func(x, g *tensor.Tensor) func()
 			for i := 0; i < b.N; i++ {
 				call()
 			}
-			b.ReportMetric(4*float64(streams*x.Len())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			if streams > 0 {
+				b.ReportMetric(4*float64(streams*x.Len())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			}
 		})
 	}
 }
@@ -335,6 +350,74 @@ func BenchmarkKernel_Conv2DBackwardWorkspace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = tensor.Conv2DBackwardWS(ws, in, kernel, gradOut, cols, p, false)
 	}
+}
+
+// The sequence layers of the transformer campaign, one call per iteration at
+// the training shard's shape and at the evaluation batch's.
+
+// BenchmarkKernel_GELUForward is one math.Tanh per element.
+func BenchmarkKernel_GELUForward(b *testing.B) {
+	benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
+		gelu := nn.NewGELU()
+		return func() { gelu.Forward(trainCtx, x) }
+	})
+}
+
+// BenchmarkKernel_GELUBackward reads the forward's tanh back.
+func BenchmarkKernel_GELUBackward(b *testing.B) {
+	benchShapes(b, seqShapes, 0, func(x, g *tensor.Tensor) func() {
+		gelu := nn.NewGELU()
+		gelu.Forward(trainCtx, x)
+		return func() { gelu.Backward(g) }
+	})
+}
+
+func BenchmarkKernel_LayerNormForward(b *testing.B) {
+	benchShapes(b, seqShapes, 3, func(x, _ *tensor.Tensor) func() {
+		ln := nn.NewLayerNorm("ln", x.Shape[2])
+		return func() { ln.Forward(trainCtx, x) }
+	})
+}
+
+func BenchmarkKernel_LayerNormBackward(b *testing.B) {
+	benchShapes(b, seqShapes, 3, func(x, g *tensor.Tensor) func() {
+		ln := nn.NewLayerNorm("ln", x.Shape[2])
+		ln.Forward(trainCtx, x)
+		return func() { ln.Backward(g) }
+	})
+}
+
+// BenchmarkKernel_AttentionForward is four whole-batch projections and, per
+// batch element, two 8×8-by-12 products and a softmax.
+func BenchmarkKernel_AttentionForward(b *testing.B) {
+	benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
+		at := nn.NewAttention("attn", x.Shape[2], x.Shape[2], rng.NewFromInt(35), false)
+		return func() { at.Forward(trainCtx, x) }
+	})
+}
+
+func BenchmarkKernel_AttentionBackward(b *testing.B) {
+	benchShapes(b, seqShapes, 0, func(x, g *tensor.Tensor) func() {
+		at := nn.NewAttention("attn", x.Shape[2], x.Shape[2], rng.NewFromInt(35), false)
+		at.Forward(trainCtx, x)
+		return func() { at.Backward(g) }
+	})
+}
+
+// BenchmarkKernel_TransformerStep is one replica's forward + backward of the
+// whole transformer model on random tokens, gradients cleared after.
+func BenchmarkKernel_TransformerStep(b *testing.B) {
+	tokens := []benchShape{{"2x8x6", []int{2, 8, 6}}, {"64x8x6", []int{64, 8, 6}}}
+	benchShapes(b, tokens, 0, func(x, _ *tensor.Tensor) func() {
+		model := workloads.Transformer().Build(rng.NewFromInt(36))
+		var loss nn.SoftmaxCrossEntropy
+		labels := make([]int, x.Shape[0])
+		return func() {
+			logits := model.Forward(trainCtx, x, nil)
+			model.Backward(loss.Eval(logits, labels).GradLogits, nil)
+			model.ZeroGrad()
+		}
+	})
 }
 
 // BenchmarkKernel_TrainStepAllocs measures allocations of a full Resnet
