@@ -14,8 +14,10 @@
 # panic), a flag-drift gate (every campaign flag README.md and DESIGN.md name
 # exists in campaign -h), the smoke's reference campaign
 # again from a -tags purego build (assembly and portable kernels must agree
-# on a whole campaign, byte for byte), two transformer campaigns from both
-# builds with and without -scrub-workspaces, a SIGKILL crash loop that
+# on a whole campaign, byte for byte), a transformer FF campaign and one
+# device-fault campaign per recovery strategy from both builds with and
+# without -scrub-workspaces, the forked campaign against a cold-start one
+# (-snapshot-stride -1), a SIGKILL crash loop that
 # repeatedly murders a device-fault campaign mid-write and requires -resume
 # -repair-journal to converge to the byte-identical reference, a
 # campaignd smoke that runs a sharded campaign through a real coordinator +
@@ -77,7 +79,7 @@ if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN
 	exit 1
 fi
 
-echo "== go test -race (concurrent packages; assembly is invisible to the detector, its Go callers are not) =="
+echo "== go test -race (concurrent packages; assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure and TestHeldTestPointMatchesInPlace run here) =="
 go test -race ./internal/tensor ./internal/nn ./internal/train
 
 echo "== recovery strategies under -race (JIT restore goroutine, elastic resize, parallel-vs-serial guard equivalence) =="
@@ -89,7 +91,7 @@ go test -count 1 -run 'TestPoolCloseNoLeak' ./internal/tensor
 echo "== fused-mitigation equivalence under -race (epilogue stats == sweeps, alarm for alarm) =="
 go test -race ./internal/detect ./internal/baseline
 
-echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, byte for byte) =="
+echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment; byte for byte) =="
 # `go test -race ./internal/experiment` takes 94–105 s on this 2-CPU shared
 # box (99–101 s at the parent of the PR that removed the execution twins,
 # same session, alternating), well inside go test's default 10-minute
@@ -162,10 +164,14 @@ go build -tags purego -o "$tmp/campaign.purego" ./cmd/campaign
 "$tmp/campaign.purego" -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/purego.json"
 
-echo "== sequence path: a transformer FF campaign and a device-fault campaign under JIT recovery, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
+echo "== sequence path: a transformer FF campaign and a device-fault campaign under each recovery strategy, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
 # The sequence layers keep state from Forward to Backward in reused buffers;
-# a stale read shows as a scrubbed run that differs from the plain one.
-for flags in "" "-device-faults all -recovery jit"; do
+# a stale read shows as a scrubbed run that differs from the plain one. The
+# deferred test evaluation writes a held boundary into a pooled engine's root
+# replica after every experiment, so each strategy's campaign is here too
+# (reexec and degraded roll back across TestEvery boundaries).
+for flags in "" "-device-faults all -recovery jit" "-device-faults all -recovery reexec" \
+	"-device-faults all -recovery elastic" "-device-faults all -recovery degraded"; do
 	# $flags is a flag list: split on purpose.
 	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -json "$tmp/seq-ref.json" >/dev/null
 	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -scrub-workspaces -json "$tmp/seq-scrub.json" >/dev/null
@@ -174,6 +180,16 @@ for flags in "" "-device-faults all -recovery jit"; do
 	cmp "$tmp/seq-ref.json" "$tmp/seq-scrub.json"
 	cmp "$tmp/seq-ref.json" "$tmp/seq-purego.json"
 	cmp "$tmp/seq-ref.json" "$tmp/seq-purego-scrub.json"
+done
+
+echo "== forked and pooled vs cold start (-snapshot-stride -1: every experiment replays from iteration 0), byte for byte =="
+# Nothing but the initial snapshot is carried between cold experiments, so an
+# identical archive proves rearm covers what the previous experiment's
+# ResolveTest wrote into the engine.
+for flags in "-workload resnet" "-workload transformer -device-faults all -recovery jit"; do
+	"$tmp/campaign" $flags -n 24 -seed 5 -json "$tmp/forked.json" >/dev/null
+	"$tmp/campaign" $flags -n 24 -seed 5 -snapshot-stride -1 -json "$tmp/cold.json" >/dev/null
+	cmp "$tmp/forked.json" "$tmp/cold.json"
 done
 
 echo "== dedup/early-exit equivalence smoke (-race, reported tally must match exhaustive byte for byte) =="

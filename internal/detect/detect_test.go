@@ -9,7 +9,30 @@ import (
 	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/train"
+	"repro/internal/workloads"
 )
+
+// TestPerIterationChecksZeroAllocs: the detector sweep and the state digest
+// run once per experiment iteration and walk every device's BatchNorm list;
+// neither may allocate (the list is built once, with the model).
+func TestPerIterationChecksZeroAllocs(t *testing.T) {
+	for _, name := range []string{"resnet", "transformer"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := w.NewEngine(rng.Seed{State: 3, Stream: 77})
+		det := ForEngine(e, w.BatchSize(), w.LR, true)
+		e.RunIteration(0)
+		e.StateDigest() // sizes the reused serialization buffer
+		if n := testing.AllocsPerRun(20, func() { det.CheckEngine(e) }); n != 0 {
+			t.Errorf("%s: CheckEngine allocates %.0f objects per call", name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { e.StateDigest() }); n != 0 {
+			t.Errorf("%s: StateDigest allocates %.0f objects per call", name, n)
+		}
+	}
+}
 
 func TestDeriveBounds(t *testing.T) {
 	b := Derive(Config{MaxFanIn: 256, BatchSize: 64, Depth: 8, LR: 0.01, MaxBiasCorrection: 1, SafetyFactor: 1})

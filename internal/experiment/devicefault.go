@@ -84,6 +84,7 @@ func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config
 		AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1, Masked: true,
 		RecoveryStrategy: strategy.String(), TimeToRecoverIters: -1}
 	trace := train.NewTrace(w.Name)
+	trace.FinalTestOnly = true
 	copyGoldenPrefix(trace, g.ref, start)
 	if df.Iteration < g.horizon {
 		trace.FaultIter = df.Iteration
@@ -126,12 +127,7 @@ func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config
 			trace.TrainLoss = append(trace.TrainLoss, st.Loss)
 			trace.TrainAcc = append(trace.TrainAcc, st.TrainAcc)
 			trace.Completed++
-			if w.TestEvery > 0 && (iter+1)%w.TestEvery == 0 {
-				tl, ta := e.Evaluate(e.RootDevice())
-				trace.TestIters = append(trace.TestIters, iter)
-				trace.TestAcc = append(trace.TestAcc, ta)
-				trace.TestLoss = append(trace.TestLoss, tl)
-			}
+			e.RecordTest(iter, trace)
 			if st.NonFinite && trace.NonFiniteIter == -1 {
 				trace.NonFiniteIter = iter
 				trace.NonFiniteAt = st.NonFiniteAt
@@ -139,6 +135,10 @@ func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config
 			}
 		}
 	}
+
+	// GroupGuard.Run has joined its background restores by now, so the root
+	// replica is free to take the held boundary's values.
+	e.ResolveTest(trace)
 
 	// A device fault is observable the moment it corrupts a gradient element
 	// or costs a retry/quarantine — unlike FF masking, a hang is never

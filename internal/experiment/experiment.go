@@ -265,6 +265,10 @@ type Campaign struct {
 	// is the work a cold-start campaign would have performed (modulo early
 	// INF/NaN termination, which both paths share).
 	IterationsSkipped, IterationsExecuted int64
+	// Evaluations counts test-set evaluations: at most one per executed
+	// experiment (its final test point), none where the golden tail supplies
+	// that point. A runtime count like the two above, never journaled.
+	Evaluations int64
 	// ExperimentsAdopted counts records adopted via injection dedup
 	// instead of executing; EarlyExits and ConvergedTails count executions
 	// truncated by the bitwise and thresholded fast-paths; and
@@ -324,6 +328,7 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 	checks := 0
 	synthesized := 0
 	trace := train.NewTrace(w.Name)
+	trace.FinalTestOnly = true // the record reads nothing else of the test curve
 	copyGoldenPrefix(trace, g.ref, start)
 	for iter := start; iter < g.horizon; iter++ {
 		st := e.RunIteration(iter)
@@ -349,12 +354,7 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 				rec.DetectIter = iter
 			}
 		}
-		if w.TestEvery > 0 && (iter+1)%w.TestEvery == 0 {
-			tl, ta := e.Evaluate(e.RootDevice())
-			trace.TestIters = append(trace.TestIters, iter)
-			trace.TestAcc = append(trace.TestAcc, ta)
-			trace.TestLoss = append(trace.TestLoss, tl)
-		}
+		e.RecordTest(iter, trace)
 		if st.NonFinite && trace.NonFiniteIter == -1 {
 			trace.NonFiniteIter = iter
 			trace.NonFiniteAt = st.NonFiniteAt
@@ -403,6 +403,7 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 			convRun = 0
 		}
 	}
+	e.ResolveTest(trace)
 	rec.Outcome = g.cls.Classify(trace, inj.Pass)
 	rec.FinalTrainAcc = trace.FinalTrainAcc(10)
 	rec.FinalTestAcc = trace.FinalTestAcc()

@@ -370,7 +370,7 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		sinkErrOnce.Do(func() { sinkErr = err })
 		cancel()
 	}
-	var executed, skipped int64
+	var executed, skipped, evals int64
 	var warmRestores, coldRestores int64
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -379,6 +379,7 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		go func(wk int) {
 			defer wg.Done()
 			pooled := g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77}) // same seed as reference
+			defer func() { atomic.AddInt64(&evals, pooled.Evaluations()) }()
 			prevBound := -1
 			for i := range idxCh {
 				b := forkBoundOf(i)
@@ -447,6 +448,7 @@ feed:
 	}
 	c.IterationsExecuted = executed
 	c.IterationsSkipped = skipped
+	c.Evaluations = evals
 	c.IterationsSynthesized = synthd
 	c.WarmRestores = warmRestores
 	c.ColdRestores = coldRestores

@@ -113,6 +113,9 @@ type Sequential struct {
 	// after construction, and Param structs are stable pointers, so the
 	// list is computed once; callers must not mutate the returned slice.
 	params []*Param
+	// bns lists every BatchNorm, nested ones included, in traversal order;
+	// built once by NewSequential.
+	bns []*BatchNorm
 }
 
 // NamedLayer pairs a layer with its position-stable name.
@@ -128,6 +131,11 @@ func NewSequential(layers ...Layer) *Sequential {
 		nl.Layer = l
 		s.Layers = append(s.Layers, nl)
 	}
+	s.VisitLayers(func(l Layer) {
+		if bn, ok := l.(*BatchNorm); ok {
+			s.bns = append(s.bns, bn)
+		}
+	})
 	return s
 }
 
@@ -249,16 +257,10 @@ func (s *Sequential) ScrubWorkspaces() {
 }
 
 // BatchNorms returns every BatchNorm of the model in deterministic
-// traversal order, including those nested inside container layers.
-func (s *Sequential) BatchNorms() []*BatchNorm {
-	var bns []*BatchNorm
-	s.VisitLayers(func(l Layer) {
-		if bn, ok := l.(*BatchNorm); ok {
-			bns = append(bns, bn)
-		}
-	})
-	return bns
-}
+// traversal order, including those nested inside container layers. The
+// engine and the detector call it per device per iteration; the slice is
+// read-only.
+func (s *Sequential) BatchNorms() []*BatchNorm { return s.bns }
 
 // LayerNames lists layer names in order, for reports.
 func (s *Sequential) LayerNames() []string {

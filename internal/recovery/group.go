@@ -234,10 +234,7 @@ func (g *GroupGuard) Run(start, end int, trace *train.Trace) error {
 			if g.usesReexec() {
 				resume := g.R.Rollback()
 				g.Rollbacks++
-				rolledBack := iter - resume + 1
-				trace.TrainLoss = trace.TrainLoss[:len(trace.TrainLoss)-rolledBack]
-				trace.TrainAcc = trace.TrainAcc[:len(trace.TrainAcc)-rolledBack]
-				trace.Completed -= rolledBack
+				trace.Rewind(iter, resume)
 				g.Events = append(g.Events, GroupEvent{Iteration: iter, Device: a.Device, Kind: "quarantine-corrupt", ResumedFrom: resume})
 				iter = resume
 				continue
@@ -263,12 +260,7 @@ func (g *GroupGuard) Run(start, end int, trace *train.Trace) error {
 			return nil
 		}
 
-		if te := g.E.Config().TestEvery; te > 0 && (iter+1)%te == 0 {
-			tl, ta := g.E.Evaluate(g.E.RootDevice())
-			trace.TestIters = append(trace.TestIters, iter)
-			trace.TestLoss = append(trace.TestLoss, tl)
-			trace.TestAcc = append(trace.TestAcc, ta)
-		}
+		g.E.RecordTest(iter, trace)
 		iter++
 	}
 	return nil

@@ -135,23 +135,14 @@ func (g *Guarded) Run(start, end int, trace *train.Trace) error {
 			}
 			resume := g.R.Rollback()
 			g.Events = append(g.Events, AlarmEvent{Iteration: iter, Alarm: *alarm, ResumedFrom: resume})
-			// Drop the metrics recorded for the rolled-back iterations.
-			rolledBack := iter - resume + 1
-			trace.TrainLoss = trace.TrainLoss[:len(trace.TrainLoss)-rolledBack]
-			trace.TrainAcc = trace.TrainAcc[:len(trace.TrainAcc)-rolledBack]
-			trace.Completed -= rolledBack
+			trace.Rewind(iter, resume)
 			recoveries++
 			g.Recovered++
 			iter = resume
 			continue
 		}
 
-		if te := g.E.Config().TestEvery; te > 0 && (iter+1)%te == 0 {
-			tl, ta := g.E.Evaluate(g.E.RootDevice())
-			trace.TestIters = append(trace.TestIters, iter)
-			trace.TestLoss = append(trace.TestLoss, tl)
-			trace.TestAcc = append(trace.TestAcc, ta)
-		}
+		g.E.RecordTest(iter, trace)
 		iter++
 	}
 	return nil

@@ -34,6 +34,14 @@ type Trace struct {
 	InjectedElems int
 	// Completed is the number of iterations actually executed.
 	Completed int
+
+	// FinalTestOnly marks a trace whose reader consumes only FinalTestAcc, a
+	// campaign experiment's: Engine.RecordTest holds each boundary instead
+	// of evaluating it and Engine.ResolveTest evaluates the last one. A
+	// property of the consumer, never serialized.
+	FinalTestOnly bool
+	// held[s] is iteration+1 of the boundary in the engine's held slot s, or 0.
+	held [2]int
 }
 
 // NewTrace creates an empty trace.
@@ -65,6 +73,26 @@ func (t *Trace) FinalTestAcc() float64 {
 		return -1
 	}
 	return t.TestAcc[len(t.TestAcc)-1]
+}
+
+// Rewind drops what was recorded for iterations [resume, iter] when a
+// rollback resumes at resume: the train entries, and every test point at or
+// after resume, recorded or held — re-execution records them again.
+func (t *Trace) Rewind(iter, resume int) {
+	n := iter - resume + 1
+	t.TrainLoss = t.TrainLoss[:len(t.TrainLoss)-n]
+	t.TrainAcc = t.TrainAcc[:len(t.TrainAcc)-n]
+	t.Completed -= n
+	k := len(t.TestIters)
+	for k > 0 && t.TestIters[k-1] >= resume {
+		k--
+	}
+	t.TestIters, t.TestAcc, t.TestLoss = t.TestIters[:k], t.TestAcc[:k], t.TestLoss[:k]
+	for s, h := range t.held {
+		if h > resume {
+			t.held[s] = 0
+		}
+	}
 }
 
 // AppendBinary appends a canonical binary serialization of the trace to
@@ -120,6 +148,53 @@ func (t *Trace) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// RecordTest records iteration iter's test point when iter closes a TestEvery
+// period; every training loop calls it where its evaluation runs. A trace
+// that keeps the whole curve is evaluated in place. For a FinalTestOnly trace
+// the evaluation's input — the root replica's parameter values and BatchNorm
+// moving statistics; Evaluate reads nothing else but the immutable test set —
+// is copied into an engine-owned slot instead, for ResolveTest. The slots
+// alternate so that the boundary before one a rollback drops is still held.
+func (e *Engine) RecordTest(iter int, trace *Trace) {
+	te := e.cfg.TestEvery
+	if te <= 0 || (iter+1)%te != 0 {
+		return
+	}
+	if !trace.FinalTestOnly {
+		e.appendTest(iter, trace)
+		return
+	}
+	s := (iter + 1) / te & 1
+	e.captureReplica(e.RootDevice(), e.held[s])
+	trace.held[s] = iter + 1
+}
+
+// ResolveTest evaluates the last boundary RecordTest held for trace, unless
+// the trace carries a later test point (a golden tail copied over it). Call it
+// once, after the run and before reading FinalTestAcc: it images the root
+// replica from the held values, so the engine must be restored before it
+// trains again — as every campaign experiment's is.
+func (e *Engine) ResolveTest(trace *Trace) {
+	s := 0
+	if trace.held[1] > trace.held[0] {
+		s = 1
+	}
+	iter := trace.held[s] - 1
+	if n := len(trace.TestIters); iter < 0 || (n > 0 && trace.TestIters[n-1] >= iter) {
+		return
+	}
+	e.RestoreReplica(e.RootDevice(), e.held[s])
+	e.appendTest(iter, trace)
+}
+
+// appendTest evaluates the root replica as iteration iter's test point.
+func (e *Engine) appendTest(iter int, trace *Trace) {
+	tl, ta := e.Evaluate(e.RootDevice())
+	trace.TestIters = append(trace.TestIters, iter)
+	trace.TestLoss = append(trace.TestLoss, tl)
+	trace.TestAcc = append(trace.TestAcc, ta)
+}
+
 // Run executes iterations [start, end), recording into trace. When
 // stopOnNonFinite is true the run terminates at the first INF/NaN error
 // (mirroring the paper's procedure: "continuing to train the DNN until
@@ -143,12 +218,7 @@ func (e *Engine) RunWithHook(start, end int, trace *Trace, stopOnNonFinite bool,
 			trace.FaultIter = iter
 			trace.InjectedElems = st.InjectedElems
 		}
-		if e.cfg.TestEvery > 0 && (iter+1)%e.cfg.TestEvery == 0 {
-			tl, ta := e.Evaluate(e.RootDevice())
-			trace.TestIters = append(trace.TestIters, iter)
-			trace.TestLoss = append(trace.TestLoss, tl)
-			trace.TestAcc = append(trace.TestAcc, ta)
-		}
+		e.RecordTest(iter, trace)
 		trace.Completed++
 		if hook != nil {
 			hook(iter)

@@ -110,6 +110,11 @@ type Engine struct {
 	grp        *comm.Group
 	gradViews  [][]*tensor.Tensor
 	lastReduce comm.ReduceStep
+
+	// held are RecordTest's two slots, allocated with the engine; evals
+	// counts Evaluate calls.
+	held  [2]*ReplicaState
+	evals int64
 }
 
 // New creates an engine. The loader's batch size must equal
@@ -144,6 +149,7 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 		}
 		e.gradViews = append(e.gradViews, views)
 	}
+	e.held[0], e.held[1] = e.SnapshotReplica(0), e.SnapshotReplica(0)
 	return e
 }
 
@@ -677,6 +683,7 @@ func (e *Engine) scanNonFinite() string {
 // Evaluate computes loss and accuracy of device d's replica on the test
 // set, in inference mode (moving statistics active).
 func (e *Engine) Evaluate(d int) (loss, acc float64) {
+	e.evals++
 	if e.testAll.X == nil {
 		e.testAll = e.testSet.All() // datasets are immutable: gather once
 	}
@@ -689,6 +696,9 @@ func (e *Engine) Evaluate(d int) (loss, acc float64) {
 	}
 	return res.Loss, float64(res.Correct) / float64(len(all.Y))
 }
+
+// Evaluations returns how many times Evaluate has run on this engine.
+func (e *Engine) Evaluations() int64 { return e.evals }
 
 // HistoryAbsMax returns the maximum absolute value over all gradient-history
 // tensors of the optimizer (m and v for Adam, velocity for momentum SGD),
@@ -853,6 +863,18 @@ func (e *Engine) SnapshotReplica(d int) *ReplicaState {
 		s.BNStats = append(s.BNStats, bn.MovingMean.Clone(), bn.MovingVar.Clone())
 	}
 	return s
+}
+
+// captureReplica overwrites s with replica d's parameter values and BatchNorm
+// statistics, allocating nothing; s.OptState is left as it was.
+func (e *Engine) captureReplica(d int, s *ReplicaState) {
+	for i, p := range e.replicas[d].Params() {
+		s.Params[i].CopyFrom(p.Value)
+	}
+	for i, bn := range e.replicas[d].BatchNorms() {
+		s.BNStats[2*i].CopyFrom(bn.MovingMean)
+		s.BNStats[2*i+1].CopyFrom(bn.MovingVar)
+	}
 }
 
 // RestoreReplica images replica d from a ReplicaState: parameter values

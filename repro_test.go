@@ -5,8 +5,52 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/accel"
 	"repro/internal/rng"
+	"repro/internal/train"
 )
+
+// TestGuardedRollbackKeepsTestPointsUnique: a two-iteration re-execution
+// whose window contains a TestEvery boundary (resnet evaluates after
+// iterations 9, 19, 29, 39, …) must record that boundary once — the
+// re-executed one — not twice. The examples/guarded fault, at iterations
+// around the boundary at 39.
+func TestGuardedRollbackKeepsTestPointsUnique(t *testing.T) {
+	crossed := false
+	for faultIter := 38; faultIter <= 41; faultIter++ {
+		g, w, err := repro.NewGuarded("resnet", 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.E.SetInjection(&repro.Injection{
+			Kind: accel.GlobalG1, LayerIdx: 0, Pass: repro.BackwardWeight,
+			Iteration: faultIter, N: 8, Seed: rng.Seed{State: 21, Stream: 4},
+		})
+		trace := train.NewTrace(w.Name)
+		if err := g.Run(0, 60, trace); err != nil {
+			t.Fatal(err)
+		}
+		if len(g.Events) == 0 {
+			t.Fatalf("fault at iteration %d raised no alarm", faultIter)
+		}
+		for _, ev := range g.Events {
+			if ev.ResumedFrom <= 39 && ev.Iteration > 39 {
+				crossed = true
+			}
+		}
+		for i := 1; i < len(trace.TestIters); i++ {
+			if trace.TestIters[i] <= trace.TestIters[i-1] {
+				t.Fatalf("fault at iteration %d: test iterations %v not strictly increasing", faultIter, trace.TestIters)
+			}
+		}
+		if len(trace.TestIters) != 6 || len(trace.TestAcc) != 6 || len(trace.TestLoss) != 6 || trace.Completed != 60 {
+			t.Fatalf("fault at iteration %d: %d test points over %d iterations, want 6 over 60", faultIter, len(trace.TestIters), trace.Completed)
+		}
+	}
+	if !crossed {
+		t.Fatal("no rollback window contained the boundary at iteration 39; the regression is not exercised")
+	}
+}
 
 func TestPublicWorkloadZoo(t *testing.T) {
 	ws := repro.Workloads()
