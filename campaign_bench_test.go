@@ -17,9 +17,13 @@
 package repro_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/fault"
+	"repro/internal/recovery"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -103,4 +107,84 @@ func BenchmarkCampaignDedupEarlyExit(b *testing.B) {
 	b.ReportMetric(float64(c.ExperimentsAdopted), "dedup-hits")
 	b.ReportMetric(float64(c.EarlyExits), "early-exits")
 	b.ReportMetric(float64(c.IterationsSynthesized), "synth-iters")
+}
+
+// BenchmarkCampaignInertShare regenerates EXPERIMENTS.md's "Golden by
+// construction" share tables: for each pinned population of the repository
+// benchmark's ff-resnet and devfault-transformer-jit workloads (the campaign
+// seeds of bench/seeds.go, copied here because bench/ is its own module; 64
+// experiments, horizon 1.5×), how many experiments an EarlyExit campaign
+// proves golden before anything runs, and what share of the exhaustive
+// campaign's iterations they are: for every proven experiment, the iterations
+// from its fork boundary to the horizon — it runs to the end, being the golden
+// run. The proven experiments are recognised from the exhaustive campaign's
+// records alone (an FF record with no injected element; a straggler, all of
+// which the default policy's 700-tick budget admits) and the count is checked
+// against what the EarlyExit campaign reports. In a device-fault campaign
+// nothing else shortens a run, so there the executed count is checked too.
+//
+//	go test -run '^$' -bench CampaignInertShare -benchtime 1x .
+func BenchmarkCampaignInertShare(b *testing.B) {
+	tables := []struct {
+		workload, model string
+		seeds           []int64
+		configure       func(*experiment.Config)
+	}{
+		{"ff-resnet (and dist-resnet)", "resnet", []int64{11, 28, 39, 50, 63, 86, 91, 94, 102, 108}, nil},
+		{"devfault-transformer-jit", "transformer", []int64{3, 14, 15, 18, 28, 36, 37, 48, 58, 59},
+			func(c *experiment.Config) { c.DeviceFaults, c.Recovery = true, recovery.StrategyJIT }},
+	}
+	for i := 0; i < b.N; i++ {
+		for _, tb := range tables {
+			var out strings.Builder
+			fmt.Fprintf(&out, "\n%s\n| campaign seed | proven golden (of 64) | iterations executed, exhaustive | without the proven | share of iterations |\n|---|---|---|---|---|\n", tb.workload)
+			var shareSum float64
+			for _, seed := range tb.seeds {
+				w, err := workloads.ByName(tb.model)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := experiment.Config{Workload: w, Experiments: 64, Seed: seed, Workers: 2, HorizonMult: 1.5}
+				if tb.configure != nil {
+					tb.configure(&cfg)
+				}
+				g := experiment.PrepareGolden(cfg)
+				c := experiment.RunWithGolden(cfg, g)
+				horizon := int(float64(w.Iters) * cfg.HorizonMult)
+				proven, saved := 0, int64(0)
+				for _, rec := range c.Records {
+					at := rec.Injection.Iteration
+					if cfg.DeviceFaults {
+						if rec.DeviceFault.Kind != fault.DeviceStraggler {
+							continue
+						}
+						at = max(rec.DeviceFault.Iteration-1, 0) // forked strictly before the onset
+					} else if rec.InjectedElems != 0 {
+						continue
+					}
+					proven++
+					fork := 0
+					if c.Stride > 0 {
+						fork = at / c.Stride * c.Stride
+					}
+					saved += int64(horizon - fork)
+				}
+				cfg.EarlyExit = true
+				fast := experiment.RunWithGolden(cfg, g)
+				if c.GoldenByConstruction != 0 || proven != fast.GoldenByConstruction {
+					b.Fatalf("%s seed %d: %d records look golden by construction; the exhaustive campaign proved %d, the EarlyExit one %d",
+						tb.workload, seed, proven, c.GoldenByConstruction, fast.GoldenByConstruction)
+				}
+				after := c.IterationsExecuted - saved
+				if cfg.DeviceFaults && fast.IterationsExecuted != after {
+					b.Fatalf("%s seed %d: the EarlyExit campaign executed %d iterations, want %d", tb.workload, seed, fast.IterationsExecuted, after)
+				}
+				share := 100 * float64(saved) / float64(c.IterationsExecuted)
+				shareSum += share
+				fmt.Fprintf(&out, "| %d | %d | %d | %d | %.1f %% |\n", seed, proven, c.IterationsExecuted, after, share)
+			}
+			fmt.Fprintf(&out, "| mean | | | | %.1f %% |\n", shareSum/float64(len(tb.seeds)))
+			fmt.Print(out.String()) // b.Log truncates a table
+		}
+	}
 }

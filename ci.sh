@@ -8,7 +8,8 @@
 # device-parallel trainer, the campaign worker pool, and the distributed
 # coordinator/worker protocol), fuzz smokes of the journal parser/repairer and
 # of the GEMM kernels, the convolution lowering and the element-wise layer
-# kernels against their naive oracles, a graceful SIGINT kill-and-resume smoke
+# kernels against their naive oracles and of the collective's retry budget, a
+# graceful SIGINT kill-and-resume smoke
 # (whose journal must then refuse a resume under a changed flag by naming the
 # field), a bad-flag leg (campaign -n -1 fails in the spec validator, no
 # panic), a flag-drift gate (every campaign flag README.md and DESIGN.md name
@@ -16,7 +17,9 @@
 # again from a -tags purego build (assembly and portable kernels must agree
 # on a whole campaign, byte for byte), a transformer FF campaign and one
 # device-fault campaign per recovery strategy from both builds with and
-# without -scrub-workspaces, the forked campaign against a cold-start one
+# without -scrub-workspaces (and again under -early-exit, where each must
+# report experiments proven golden by construction and a device-fault archive
+# must equal the exhaustive one), the forked campaign against a cold-start one
 # (-snapshot-stride -1), a SIGKILL crash loop that
 # repeatedly murders a device-fault campaign mid-write and requires -resume
 # -repair-journal to converge to the byte-identical reference, a
@@ -91,7 +94,7 @@ go test -count 1 -run 'TestPoolCloseNoLeak' ./internal/tensor
 echo "== fused-mitigation equivalence under -race (epilogue stats == sweeps, alarm for alarm) =="
 go test -race ./internal/detect ./internal/baseline
 
-echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment; byte for byte) =="
+echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table; byte for byte) =="
 # `go test -race ./internal/experiment` takes 94–105 s on this 2-CPU shared
 # box (99–101 s at the parent of the PR that removed the execution twins,
 # same session, alternating), well inside go test's default 10-minute
@@ -170,6 +173,13 @@ echo "== sequence path: a transformer FF campaign and a device-fault campaign un
 # deferred test evaluation writes a held boundary into a pooled engine's root
 # replica after every experiment, so each strategy's campaign is here too
 # (reexec and degraded roll back across TestEvery boundaries).
+# Each of these populations holds experiments that are golden by construction
+# (never-firing or empty FF programs; stragglers inside the retry budget), so
+# under -early-exit both builds must report having proven some and agree on
+# the archive, which mixes synthesized and executed records. A device-fault
+# record carries no early-exit provenance, so there the -early-exit archive
+# must equal the exhaustive one above byte for byte: what was synthesized
+# against what was executed.
 for flags in "" "-device-faults all -recovery jit" "-device-faults all -recovery reexec" \
 	"-device-faults all -recovery elastic" "-device-faults all -recovery degraded"; do
 	# $flags is a flag list: split on purpose.
@@ -180,6 +190,14 @@ for flags in "" "-device-faults all -recovery jit" "-device-faults all -recovery
 	cmp "$tmp/seq-ref.json" "$tmp/seq-scrub.json"
 	cmp "$tmp/seq-ref.json" "$tmp/seq-purego.json"
 	cmp "$tmp/seq-ref.json" "$tmp/seq-purego-scrub.json"
+	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -early-exit -json "$tmp/seq-fast.json" >"$tmp/seq-fast.txt"
+	"$tmp/campaign.purego" -workload transformer -n 24 -seed 5 $flags -early-exit -json "$tmp/seq-fast-purego.json" >"$tmp/seq-fast-purego.txt"
+	cmp "$tmp/seq-fast.json" "$tmp/seq-fast-purego.json"
+	grep -Eq ', [1-9][0-9]* golden by construction' "$tmp/seq-fast.txt"
+	grep -Eq ', [1-9][0-9]* golden by construction' "$tmp/seq-fast-purego.txt"
+	if [ -n "$flags" ]; then
+		cmp "$tmp/seq-ref.json" "$tmp/seq-fast.json"
+	fi
 done
 
 echo "== forked and pooled vs cold start (-snapshot-stride -1: every experiment replays from iteration 0), byte for byte =="
@@ -239,6 +257,9 @@ echo "== journal fuzz smoke (parser must not panic, repairer must converge) =="
 go test -run '^$' -fuzz 'FuzzParseJournal' -fuzztime 3s ./internal/record
 go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 
+echo "== retry-budget fuzz smoke (Policy.Arrival against the Retries / Failed AllReduce reports for the armed fault, fuzzer-chosen delay, policy and kind) =="
+go test -run '^$' -fuzz 'FuzzArrivalResolution' -fuzztime 3s ./internal/comm
+
 echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, against the naive triple loop) =="
 go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 
@@ -286,7 +307,7 @@ grep -q '"jit_snapshots":' "$tmp/jit.jsonl"
 grep -q "recovery \[jit\]:" "$tmp/jit.txt" # report renders the strategy summary
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

@@ -60,7 +60,7 @@ func campaignFlags(fs *flag.FlagSet, spec *dist.CampaignSpec) {
 	fs.StringVar(&spec.DeviceFaults, "device-faults", "", "run a system-level device-fault campaign instead of FF bit flips: \"all\" or a comma-separated subset of link-sdc,stuck-at,straggler,crash")
 	fs.StringVar(&spec.Recovery, "recovery", "", "with -device-faults: recovery strategy (reexec, jit, elastic, degraded; unset = unmitigated), or \"all\" to replay the same fault population unmitigated and under every strategy head-to-head")
 	fs.BoolVar(&spec.Dedup, "dedup", false, "deduplicate injections with byte-identical effective corruptions: run one owner per equivalence class, adopt its record for the rest (exact; records carry adopted_from provenance)")
-	fs.BoolVar(&spec.EarlyExit, "early-exit", false, "terminate an experiment once its state digest matches the golden run's — the remaining iterations are provably identical and are synthesized from the golden trace (exact)")
+	fs.BoolVar(&spec.EarlyExit, "early-exit", false, "terminate an experiment once its state digest matches the golden run's — the remaining iterations are provably identical and are synthesized from the golden trace (exact) — and classify one whose fault provably touches nothing without running it; with -device-faults only the latter applies")
 	fs.IntVar(&spec.EarlyExitStride, "early-exit-stride", 1, "with -early-exit: compare state digests every this many iterations after the injection")
 	fs.BoolVar(&spec.ConvergedTail, "converged-tail", false, "finish an experiment from the golden trace once its metrics track the reference within -converged-tol for -converged-patience iterations (approximate; records carry a converged_iter flag)")
 	fs.Float64Var(&spec.ConvergedTol, "converged-tol", 0, "with -converged-tail: metric tolerance (0 = default 1e-3)")

@@ -46,6 +46,8 @@ func TestFlagsDescribeTheSpecCampaign(t *testing.T) {
 			`{"workload":"resnet","experiments":40,"seed":7,"device_faults":"all","recovery":"reexec"}`},
 		{[]string{"-n", "20", "-seed", "11", "-device-faults", "crash", "-recovery", "jit"},
 			`{"workload":"resnet","experiments":20,"seed":11,"device_faults":"crash","recovery":"jit"}`},
+		{[]string{"-n", "20", "-device-faults", "all", "-recovery", "jit", "-early-exit"},
+			`{"workload":"resnet","experiments":20,"seed":1,"device_faults":"all","recovery":"jit","early_exit":true}`},
 	} {
 		fromFlags, err := parseFlags(t, tc.args...).Config()
 		if err != nil {
@@ -78,6 +80,8 @@ func TestBadFlagsFailInTheSpecValidator(t *testing.T) {
 		{[]string{"-n", "0"}, "experiments > 0"},
 		{[]string{"-iters", "-3"}, "iters must be >= 0"},
 		{[]string{"-early-exit-stride", "-2"}, "early_exit_stride must be >= 1"},
+		{[]string{"-device-faults", "all", "-dedup"}, "apply only to FF campaigns"},
+		{[]string{"-device-faults", "all", "-converged-tail"}, "apply only to FF campaigns"},
 	} {
 		if _, err := parseFlags(t, tc.args...).Config(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)

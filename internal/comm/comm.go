@@ -237,18 +237,35 @@ func (g *Group) Reset() {
 	g.shards = nil
 }
 
-// arrival resolves device d's virtual arrival for iteration iter:
-// the tick its contribution lands at, and ok=false if it never arrives
-// (crash).
-func (g *Group) arrival(d, iter int) (delay int, ok bool) {
+// Arrival resolves one contribution against the timeout+retry budget: a
+// contribution that was sent and lands delay ticks late is re-requested, with
+// linear backoff, until it falls inside the budget or MaxRetries is spent;
+// one that was never sent (a crashed device) spends every retry. It returns
+// the retry attempts consumed and whether the contribution made the step. A
+// pure function of its arguments — AllReduce resolves every device through
+// it, so a caller holding the fault and the policy knows a step's Retries
+// and Failed without running it.
+func (p Policy) Arrival(delay int, sent bool) (attempts int, arrives bool) {
+	budget := p.TimeoutTicks
+	for (!sent || delay > budget) && attempts < p.MaxRetries {
+		attempts++
+		budget += p.TimeoutTicks + p.BackoffTicks*attempts
+	}
+	return attempts, sent && delay <= budget
+}
+
+// arrival resolves device d's virtual arrival for iteration iter: the tick
+// its contribution lands at, and sent=false if it never arrives (the fault
+// removes the device).
+func (g *Group) arrival(d, iter int) (delay int, sent bool) {
 	f := g.faults[d]
 	if !f.ActiveAt(iter) {
 		return 0, true
 	}
-	switch f.Kind {
-	case fault.DeviceStraggler:
+	switch f.Effect() {
+	case fault.EffectDelays:
 		return f.DelayTicks, true
-	case fault.DeviceCrash:
+	case fault.EffectRemoves:
 		return 0, false
 	}
 	return 0, true
@@ -262,7 +279,7 @@ func (g *Group) arrival(d, iter int) (delay int, ok bool) {
 // the lowest arriving device, then scale by 1/len(arrived). On Hang no
 // tensor is mutated.
 func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
-	step := ReduceStep{Iteration: iter, Root: -1}
+	step := ReduceStep{Iteration: iter, Root: -1, Arrived: make([]int, 0, g.n)}
 
 	// Arrival phase: each missing contribution is retried with linear
 	// backoff until it lands inside the budget or retries are exhausted.
@@ -270,15 +287,9 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 		if g.quarantined[d] {
 			continue
 		}
-		delay, ok := g.arrival(d, iter)
-		budget := g.policy.TimeoutTicks
-		attempts := 0
-		for (!ok || delay > budget) && attempts < g.policy.MaxRetries {
-			attempts++
-			budget += g.policy.TimeoutTicks + g.policy.BackoffTicks*attempts
-		}
+		attempts, arrives := g.policy.Arrival(g.arrival(d, iter))
 		step.Retries += attempts
-		if !ok || delay > budget {
+		if !arrives {
 			step.Failed = append(step.Failed, d)
 			continue
 		}

@@ -337,3 +337,69 @@ func TestAllReduceWeightedShards(t *testing.T) {
 	}()
 	gw.SetShards([]int{1, 2})
 }
+
+// FuzzArrivalResolution holds Policy.Arrival — what a caller resolves a fault
+// with before anything runs — to what AllReduce reports when the same fault
+// is armed and a step executes: the step's Retries and whether the device is
+// in Failed, for a fuzzer-chosen delay, policy and fault kind, inside and
+// outside the fault's active window. The closed form below is a third,
+// independent statement of the budget (attempt k extends it by Timeout +
+// k·Backoff).
+func FuzzArrivalResolution(f *testing.F) {
+	f.Add(300, 100, 3, 50, uint8(fault.DeviceStraggler), true, 0, 0)
+	f.Add(701, 100, 3, 50, uint8(fault.DeviceStraggler), false, 0, 0)
+	f.Add(300, 100, 1, 50, uint8(fault.DeviceStraggler), true, 2, 5)
+	f.Add(0, 100, 3, 50, uint8(fault.DeviceCrash), true, 1, 0)
+	f.Add(5, 0, 0, 0, uint8(fault.DeviceLinkSDC), false, 0, 3)
+	f.Fuzz(func(t *testing.T, delay, timeout, retries, backoff int, kind uint8, exclude bool, onset, repair int) {
+		bound := func(v, n int) int { return ((v % n) + n) % n }
+		delay, timeout, backoff = bound(delay, 5000), bound(timeout, 1000), bound(backoff, 500)
+		retries, onset, repair = bound(retries, 12), bound(onset, 4), bound(repair, 8)
+		p := Policy{TimeoutTicks: timeout, MaxRetries: retries, BackoffTicks: backoff, Exclude: exclude}
+		df := fault.DeviceFault{Kind: fault.DeviceFaultKind(bound(int(kind), 5)), Device: 1,
+			Iteration: onset, DelayTicks: delay, RepairIter: repair, BitPos: 3, Flips: 1}
+
+		for iter := 0; iter < 6; iter++ {
+			g := NewGroup(3)
+			g.SetPolicy(p)
+			g.Arm(df)
+			step := g.AllReduce(iter, makeGrads(3, [][]int{{4}}, 13))
+
+			// What the fault does to this step's arrival, from its
+			// classification alone.
+			late, sent := 0, true
+			if df.ActiveAt(iter) {
+				switch df.Effect() {
+				case fault.EffectDelays:
+					late = delay
+				case fault.EffectRemoves:
+					sent = false
+				}
+			}
+			attempts, arrives := p.Arrival(late, sent)
+			failed := len(step.Failed) == 1 && step.Failed[0] == 1
+			if step.Retries != attempts || failed == arrives || (len(step.Failed) > 0 && !failed) {
+				t.Fatalf("%s at iteration %d under %+v: AllReduce reports %d retries, failed %v; Arrival says %d attempts, arrives %v",
+					df.Describe(), iter, p, step.Retries, step.Failed, attempts, arrives)
+			}
+			if step.Hang != (!arrives && !exclude) {
+				t.Fatalf("%s at iteration %d under %+v: hang %v with arrives %v", df.Describe(), iter, p, step.Hang, arrives)
+			}
+
+			// Closed form: the budget after k attempts.
+			budget := func(k int) int { return timeout*(k+1) + backoff*k*(k+1)/2 }
+			wantAttempts := retries
+			if sent {
+				for k := 0; k <= retries; k++ {
+					if late <= budget(k) {
+						wantAttempts = k
+						break
+					}
+				}
+			}
+			if wantArrives := sent && late <= budget(retries); attempts != wantAttempts || arrives != wantArrives {
+				t.Fatalf("Arrival(%d, %v) under %+v = (%d, %v), closed form (%d, %v)", late, sent, p, attempts, arrives, wantAttempts, wantArrives)
+			}
+		}
+	})
+}

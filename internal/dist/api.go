@@ -50,9 +50,10 @@ type CampaignSpec struct {
 	Recovery string `json:"recovery,omitempty"`
 
 	// Dedup / EarlyExit / EarlyExitStride are the exact equivalence-layer
-	// fast paths (FF campaigns only). They compose with sharding: shards
-	// partition the dedup-owner index space, so owners and their adoptees
-	// always land in the same shard.
+	// fast paths (Dedup: FF campaigns only; EarlyExit in a device-fault
+	// campaign exits what is golden by construction and nothing else). They
+	// compose with sharding: shards partition the dedup-owner index space,
+	// so owners and their adoptees always land in the same shard.
 	Dedup           bool `json:"dedup,omitempty"`
 	EarlyExit       bool `json:"early_exit,omitempty"`
 	EarlyExitStride int  `json:"early_exit_stride,omitempty"`
@@ -107,8 +108,8 @@ func (s CampaignSpec) Config() (experiment.Config, error) {
 	if stride < 1 {
 		return cfg, fmt.Errorf("dist: early_exit_stride must be >= 1 (got %d)", s.EarlyExitStride)
 	}
-	if s.DeviceFaults != "" && (s.Dedup || s.EarlyExit || s.ConvergedTail) {
-		return cfg, fmt.Errorf("dist: dedup/early_exit/converged_tail apply only to FF campaigns: device faults carry per-experiment random value streams and stay armed across iterations, so neither the dedup keys nor the early-exit proof hold")
+	if s.DeviceFaults != "" && (s.Dedup || s.ConvergedTail) {
+		return cfg, fmt.Errorf("dist: dedup/converged_tail apply only to FF campaigns: device faults carry per-experiment random value streams and stay armed across iterations, so neither the dedup keys nor the converged-tail cut hold")
 	}
 	if math.IsNaN(s.ConvergedTol) || math.IsInf(s.ConvergedTol, 0) {
 		return cfg, fmt.Errorf("dist: converged_tol must be finite (got %g)", s.ConvergedTol)

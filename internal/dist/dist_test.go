@@ -199,6 +199,62 @@ func TestDistributedCampaignByteIdentity(t *testing.T) {
 	}
 }
 
+// TestWorkerGoldenCache: a long-lived worker keys its Goldens by golden
+// identity, not by campaign, and holds at most maxGoldens of them. Four
+// campaigns over two identities — each identity once more as a swept spec
+// (other population, other fast-path flags) or a plain re-submission —
+// prepare two Goldens; a third identity evicts one instead of growing the
+// cache. Every merged journal still equals its single-process run.
+func TestWorkerGoldenCache(t *testing.T) {
+	_, srv := startCoordinator(t, 10*time.Second)
+	a, b := testSpec(6, 7, 3), testSpec(6, 8, 3)
+	swept := a
+	swept.Experiments, swept.Dedup, swept.EarlyExit = 8, true, true
+	specs := []CampaignSpec{a, b, swept, b}
+	var ids []string
+	for _, spec := range specs {
+		ids = append(ids, submit(t, srv.URL, spec))
+	}
+
+	var out bytes.Buffer
+	held := 0
+	var w *worker
+	w = newWorker(WorkerOptions{
+		Coordinator: srv.URL, ID: "w", Drain: true, Poll: 20 * time.Millisecond, Workers: 2,
+		Client: http.DefaultClient, Output: &out,
+		onLease: func(*Lease) { held = max(held, len(w.goldens)) },
+	})
+	if err := w.run(context.Background()); err != nil {
+		t.Fatalf("worker failed: %v", err)
+	}
+	if n := strings.Count(out.String(), "preparing golden reference"); n != 2 {
+		t.Fatalf("four campaigns over two golden identities prepared %d goldens, want 2:\n%s", n, out.String())
+	}
+	if len(w.stats) != len(specs) {
+		t.Fatalf("%d telemetry ledgers for %d campaigns", len(w.stats), len(specs))
+	}
+	for i, id := range ids {
+		if st := getStatus(t, srv.URL, id); st.State != StateDone {
+			t.Fatalf("campaign %s state = %s (error %q), want done", id, st.State, st.Error)
+		}
+		if got, want := fetchJournal(t, srv.URL, id), monolithicJournal(t, specs[i]); !bytes.Equal(got, want) {
+			t.Fatalf("campaign %s: merged journal differs from the single-process run", id)
+		}
+	}
+
+	out.Reset()
+	submit(t, srv.URL, testSpec(4, 9, 2))
+	if err := w.run(context.Background()); err != nil {
+		t.Fatalf("worker failed on the third identity: %v", err)
+	}
+	if n := strings.Count(out.String(), "preparing golden reference"); n != 1 {
+		t.Fatalf("a third golden identity prepared %d goldens, want 1", n)
+	}
+	if held = max(held, len(w.goldens)); held > maxGoldens {
+		t.Fatalf("worker held %d goldens, bound is %d", held, maxGoldens)
+	}
+}
+
 // TestWorkerKilledMidShard is the fault-tolerance half of the contract: a
 // worker that dies holding a lease (its context is cancelled right after
 // the grant, so it neither completes nor renews) must not stall or corrupt

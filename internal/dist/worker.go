@@ -3,8 +3,9 @@ package dist
 // Distributed campaign worker: the client side of the campaignd protocol.
 // RunWorker polls the coordinator for shard leases and runs each one
 // through the exact same machinery a local campaign uses —
-// experiment.PrepareGolden once per campaign (cached across that
-// campaign's shards), experiment.Resume with RunOptions.Shard, the
+// experiment.PrepareGolden once per golden identity (cached across shards
+// and across campaigns that fork from the same run), experiment.Resume with
+// RunOptions.Shard, the
 // dedup/early-exit fast paths untouched — capturing the shard's canonical
 // journal lines in a record.LineBuffer and uploading them on completion.
 // A background goroutine renews the lease at TTL/3; if a renewal is fenced
@@ -96,7 +97,18 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.Output == nil {
 		opts.Output = io.Discard
 	}
-	w := &worker{opts: opts, base: strings.TrimRight(opts.Coordinator, "/"), goldens: make(map[string]*goldenEntry)}
+	return newWorker(opts).run(ctx)
+}
+
+// newWorker builds the loop's state from defaulted options.
+func newWorker(opts WorkerOptions) *worker {
+	return &worker{opts: opts, base: strings.TrimRight(opts.Coordinator, "/"),
+		stats: make(map[string]*telemetry.CampaignStats)}
+}
+
+// run is the lease-poll loop.
+func (w *worker) run(ctx context.Context) error {
+	opts := w.opts
 	retries := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -156,19 +168,51 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	}
 }
 
-// worker carries the loop's state: the HTTP client plus a per-campaign
-// golden cache, so a worker running many shards of one campaign prepares
-// the fault-free reference exactly once.
+// maxGoldens bounds the worker's golden cache. A Golden holds a snapshot
+// cache of up to 256 MiB, so a long-lived worker must not keep one per
+// campaign it ever leased; two covers a worker alternating between two
+// queued campaigns without re-preparing either.
+const maxGoldens = 2
+
+// worker carries the loop's state: the HTTP client, the golden cache and
+// the per-campaign telemetry ledgers.
 type worker struct {
-	opts    WorkerOptions
-	base    string
-	goldens map[string]*goldenEntry
+	opts WorkerOptions
+	base string
+	// goldens holds the most recently used Goldens, newest first, keyed by
+	// golden identity: a re-submitted or swept spec (another population,
+	// other fast-path flags, another recovery strategy) forks from the run
+	// already prepared.
+	goldens []*goldenEntry
+	// stats is one ledger per campaign (a few hundred bytes each).
+	stats map[string]*telemetry.CampaignStats
 }
 
 type goldenEntry struct {
+	key    experiment.GoldenKey
 	golden *experiment.Golden
 	digest string
-	stats  *telemetry.CampaignStats
+}
+
+// golden returns the cached Golden for cfg's golden identity, preparing it
+// on a miss and evicting the least recently used entry past maxGoldens.
+func (w *worker) golden(cfg experiment.Config, campaign string) *goldenEntry {
+	key := cfg.GoldenKey()
+	for i, e := range w.goldens {
+		if e.key == key {
+			copy(w.goldens[1:i+1], w.goldens[:i])
+			w.goldens[0] = e
+			return e
+		}
+	}
+	fmt.Fprintf(w.opts.Output, "worker %s: preparing golden reference for campaign %s (%s)\n", w.opts.ID, campaign, cfg.Workload.Name)
+	g := experiment.PrepareGolden(cfg)
+	e := &goldenEntry{key: key, golden: g, digest: g.Ref().Digest()}
+	w.goldens = append([]*goldenEntry{e}, w.goldens...)
+	if len(w.goldens) > maxGoldens {
+		w.goldens = w.goldens[:maxGoldens]
+	}
+	return e
 }
 
 // runShard executes one leased shard end to end.
@@ -187,21 +231,16 @@ func (w *worker) runShard(ctx context.Context, l *Lease) error {
 	if fp := cfg.Fingerprint(); fp != l.Fingerprint {
 		return fmt.Errorf("dist: campaign %s fingerprint mismatch: coordinator says %s, this worker resolves the spec to %s — coordinator and worker run drifted binaries; upgrade one side", l.Campaign, l.Fingerprint, fp)
 	}
-	entry := w.goldens[l.Campaign]
-	if entry == nil {
-		fmt.Fprintf(w.opts.Output, "worker %s: preparing golden reference for campaign %s (%s)\n", w.opts.ID, l.Campaign, cfg.Workload.Name)
-		g := experiment.PrepareGolden(cfg)
-		entry = &goldenEntry{
-			golden: g,
-			digest: g.Ref().Digest(),
-			stats:  telemetry.NewCampaignStats(cfg.Workload.Name, cfg.Experiments, cfg.WorkerCount()),
-		}
-		w.goldens[l.Campaign] = entry
-	}
+	entry := w.golden(cfg, l.Campaign)
 	if l.GoldenDigest != "" && entry.digest != l.GoldenDigest {
 		return fmt.Errorf("dist: campaign %s golden digest mismatch: campaign established %s, this worker's binary produces %s — numerically different binaries cannot share a campaign", l.Campaign, l.GoldenDigest, entry.digest)
 	}
-	telemetry.Activate(entry.stats)
+	stats := w.stats[l.Campaign]
+	if stats == nil {
+		stats = telemetry.NewCampaignStats(cfg.Workload.Name, cfg.Experiments, cfg.WorkerCount())
+		w.stats[l.Campaign] = stats
+	}
+	telemetry.Activate(stats)
 
 	// Renew the lease in the background; a fenced renewal cancels the run.
 	shardCtx, cancel := context.WithCancelCause(ctx)
@@ -215,7 +254,7 @@ func (w *worker) runShard(ctx context.Context, l *Lease) error {
 	buf := &record.LineBuffer{}
 	sh := &experiment.Shard{Lo: l.Lo, Hi: l.Hi}
 	_, runErr := experiment.Resume(cfg, experiment.RunOptions{
-		Context: shardCtx, Golden: entry.golden, Sink: buf, Shard: sh, Stats: entry.stats,
+		Context: shardCtx, Golden: entry.golden, Sink: buf, Shard: sh, Stats: stats,
 	})
 	cancel(nil)
 	<-renewDone

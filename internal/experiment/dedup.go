@@ -71,6 +71,31 @@ func (p *dedupPlan) duplicates() int {
 	return n
 }
 
+// site resolves where an injection strikes, from the golden run's static
+// shape tables alone: a tag for the pass, whether the engine has a tensor
+// there to corrupt at all — a backward-weight injection into a
+// parameter-less layer never fires — and, when it fires, the injection's
+// resolved write-op program on that tensor, canonically encoded
+// (fault.AppendCorruption). An empty program is a fault that fires and
+// writes nothing. corruptionKey hashes the result; provablyGolden reads it
+// to tell that an experiment is the golden run.
+func (g *Golden) site(inj *fault.Injection) (tag byte, fires bool, program []byte) {
+	var shape []int
+	op := accel.OpForward
+	switch inj.Pass {
+	case fault.Forward:
+		tag, shape = 'f', g.fwdShapes[inj.LayerIdx]
+	case fault.BackwardInput:
+		tag, shape = 'b', g.bwdShapes[inj.LayerIdx]
+	case fault.BackwardWeight:
+		if shape = g.wgtShapes[inj.LayerIdx]; shape == nil {
+			return 'n', false, nil
+		}
+		tag, op = 'w', accel.OpWeightGrad
+	}
+	return tag, true, inj.AppendCorruption(nil, shape, accel.PlanFor(op, shape).ChanAxis)
+}
+
 // corruptionKey hashes an injection's effective corruption: the targeted
 // tensor (pass + layer), the injection iteration, and the resolved
 // write-op program on that tensor's shape. Injection identity fields that
@@ -80,37 +105,16 @@ func (p *dedupPlan) duplicates() int {
 func (g *Golden) corruptionKey(inj *fault.Injection) [16]byte {
 	h := fnv.New128a()
 	var hdr [17]byte
+	tag, fires, program := g.site(inj)
+	hdr[0] = tag
 	binary.LittleEndian.PutUint64(hdr[1:], uint64(inj.Iteration))
-
-	var shape []int
-	switch inj.Pass {
-	case fault.Forward:
-		hdr[0] = 'f'
-		shape = g.fwdShapes[inj.LayerIdx]
-	case fault.BackwardInput:
-		hdr[0] = 'b'
-		shape = g.bwdShapes[inj.LayerIdx]
-	case fault.BackwardWeight:
-		if shape = g.wgtShapes[inj.LayerIdx]; shape == nil {
-			// Never fires: the record depends only on (pass, iteration) —
-			// the layer index deliberately stays out of the key.
-			hdr[0] = 'n'
-			h.Write(hdr[:])
-			var out [16]byte
-			h.Sum(out[:0])
-			return out
-		}
-		hdr[0] = 'w'
+	if fires {
+		// A site that never fires leaves a record depending only on (pass,
+		// iteration): the layer index deliberately stays out of its key.
+		binary.LittleEndian.PutUint64(hdr[9:], uint64(inj.LayerIdx))
 	}
-	binary.LittleEndian.PutUint64(hdr[9:], uint64(inj.LayerIdx))
 	h.Write(hdr[:])
-
-	op := accel.OpForward
-	if inj.Pass == fault.BackwardWeight {
-		op = accel.OpWeightGrad
-	}
-	chanAxis := accel.PlanFor(op, shape).ChanAxis
-	h.Write(inj.AppendCorruption(nil, shape, chanAxis))
+	h.Write(program)
 	var out [16]byte
 	h.Sum(out[:0])
 	return out

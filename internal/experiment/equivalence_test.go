@@ -165,9 +165,12 @@ func TestConvergedTailFlagsRecords(t *testing.T) {
 	}
 }
 
-// TestEquivalenceRejectsDeviceFaults: the equivalence layer's soundness
-// arguments do not cover device faults (random value streams, multi-shot
-// arming), so enabling both must fail loudly.
+// TestEquivalenceRejectsDeviceFaults: the dedup keys and the converged-tail
+// cut do not cover device faults (random value streams, multi-shot arming), so
+// enabling either must fail loudly. EarlyExit is accepted: it compares no
+// digest in a device-fault campaign and exits only what is golden by
+// construction, which is decided before anything runs
+// (TestGoldenByConstructionExact holds those records to execution).
 func TestEquivalenceRejectsDeviceFaults(t *testing.T) {
 	cfg := equivTestConfig(t)
 	cfg.DeviceFaults = true
@@ -176,8 +179,18 @@ func TestEquivalenceRejectsDeviceFaults(t *testing.T) {
 		t.Fatal("Resume accepted dedup on a device-fault campaign")
 	}
 	cfg.Dedup = false
-	cfg.EarlyExit = true
+	cfg.ConvergedTail = true
 	if _, err := Resume(cfg, RunOptions{}); err == nil {
-		t.Fatal("Resume accepted early-exit on a device-fault campaign")
+		t.Fatal("Resume accepted converged-tail on a device-fault campaign")
+	}
+	cfg.ConvergedTail = false
+	cfg.EarlyExit = true
+	c, err := Resume(cfg, RunOptions{})
+	if err != nil {
+		t.Fatalf("Resume refused early-exit on a device-fault campaign: %v", err)
+	}
+	if c.GoldenByConstruction == 0 || c.EarlyExits != 0 {
+		t.Fatalf("device-fault campaign under early-exit: %d golden by construction, %d digest exits; want some and none",
+			c.GoldenByConstruction, c.EarlyExits)
 	}
 }

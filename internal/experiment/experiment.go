@@ -110,9 +110,9 @@ type Config struct {
 	// lowest-index member executes, the others adopt its record
 	// (Record.AdoptedFrom) without re-running. Adoption is byte-exact:
 	// equal keys mean identical corruption of bitwise-identical tensors,
-	// hence identical trajectories. Rejected for device-fault campaigns
-	// (their faults persist across iterations and carry per-experiment
-	// random value streams).
+	// hence identical trajectories. Rejected for device-fault campaigns:
+	// the keys describe one-shot tensor corruptions, and a device fault
+	// persists across iterations with a per-experiment random value stream.
 	Dedup bool
 	// EarlyExit enables provable masked early-termination: after its
 	// injection iteration, each experiment compares its engine-state digest
@@ -121,10 +121,14 @@ type Config struct {
 	// synthesized from the golden trace instead of executed
 	// (Record.EarlyExitIter). Sound because training is deterministic and a
 	// fired injection never recurs: equal state at equal iteration implies
-	// an identical tail. Disabled automatically when the golden run is
-	// non-finite; rejected for device-fault campaigns (armed device faults
-	// persist). Records and Tally stay byte-identical to exhaustive
-	// execution.
+	// an identical tail. An experiment whose fault provably touches nothing
+	// takes the exit before its first iteration (byconstruction.go). In a
+	// device-fault campaign that is the only exit there is — a straggler the
+	// collective's retry budget absorbs: a device fault stays armed after
+	// its onset, so equal state at one boundary proves nothing about the
+	// next, and no digest is compared. Disabled automatically when the
+	// golden run is non-finite. Records and Tally stay byte-identical to
+	// exhaustive execution.
 	EarlyExit bool
 	// EarlyExitStride is the digest-comparison cadence in iterations
 	// (0 = every iteration). Coarser strides trade comparison cost for
@@ -277,6 +281,12 @@ type Campaign struct {
 	ExperimentsAdopted         int
 	EarlyExits, ConvergedTails int
 	IterationsSynthesized      int64
+	// GoldenByConstruction counts the experiments this call classified
+	// without running, because their fault provably touches no value
+	// (byconstruction.go; EarlyExit campaigns only). They appear in none of
+	// the iteration counts above and restore nothing. Recomputed from the
+	// sampled faults on every call, never journaled.
+	GoldenByConstruction int
 	// Snapshots / SnapshotBytes / Stride describe the golden-prefix cache
 	// the campaign forked from (see Config.SnapshotStride).
 	Snapshots     int
@@ -684,9 +694,9 @@ func (c *Campaign) Report(w io.Writer) {
 		fmt.Fprintf(w, "  detection latency (iters): p50 %.1f  p95 %.1f  max %d  (%d alarms)\n",
 			ls.P50, ls.P95, ls.Max, ls.Detected)
 	}
-	if c.ExperimentsAdopted > 0 || c.EarlyExits > 0 || c.ConvergedTails > 0 {
-		fmt.Fprintf(w, "  equivalence: %d adopted (dedup), %d early exits, %d converged tails, %d iters synthesized\n",
-			c.ExperimentsAdopted, c.EarlyExits, c.ConvergedTails, c.IterationsSynthesized)
+	if c.ExperimentsAdopted > 0 || c.EarlyExits > 0 || c.ConvergedTails > 0 || c.GoldenByConstruction > 0 {
+		fmt.Fprintf(w, "  equivalence: %d adopted (dedup), %d early exits, %d converged tails, %d iters synthesized, %d golden by construction\n",
+			c.ExperimentsAdopted, c.EarlyExits, c.ConvergedTails, c.IterationsSynthesized, c.GoldenByConstruction)
 	}
 	if c.WarmRestores+c.ColdRestores > 0 {
 		fmt.Fprintf(w, "  locality: %d warm / %d cold snapshot restores\n",

@@ -45,8 +45,8 @@ const defaultSnapshotMemBudget = 256 << 20
 // workers and across campaigns (e.g. one Golden serving every per-kind
 // biased campaign of a KindSweep).
 type Golden struct {
-	w    *workloads.Workload
-	seed int64
+	w   *workloads.Workload
+	key GoldenKey
 
 	horizon       int
 	maxInjectIter int
@@ -75,6 +75,16 @@ type Golden struct {
 	// exists — the same fallback that disables prefix forking).
 	digests [][16]byte
 	alarms  []bool
+	// histAbsMax[i] / mvarAbsMax[i] are Engine.HistoryAbsMax / MvarAbsMax of
+	// the golden state after iteration i — what an experiment that is the
+	// golden run measures at its injection iteration (byconstruction.go).
+	// Nil with digests.
+	histAbsMax, mvarAbsMax []float64
+	// groupAlarms[i] is the cross-replica check's verdict on the golden
+	// collective of iteration i, recorded for device-fault campaigns only
+	// (nil otherwise, and nil with digests): a mitigated run that is the
+	// golden run quarantines whatever this schedule alarms on.
+	groupAlarms []bool
 	// fwdShapes[l] / bwdShapes[l] / wgtShapes[l] are the device-0 tensor
 	// shapes an injection in layer l targets per pass: the layer's forward
 	// output, its input gradient (= the previous layer's output shape, or
@@ -136,16 +146,21 @@ func resolveStride(cfg Config, perSnap int64, maxInjectIter int) int {
 // settings — as long as workload, seed, horizon, and injection window
 // match.
 func PrepareGolden(cfg Config) *Golden {
+	return prepareGolden(cfg, detect.NewGroupCheck())
+}
+
+// prepareGolden is PrepareGolden with the cross-replica check whose verdicts
+// the golden schedule records; tests lower its thresholds to force alarms.
+func prepareGolden(cfg Config, groupCheck *detect.GroupCheck) *Golden {
 	cfg = cfg.withDefaults()
 	w := cfg.Workload
-	g := &Golden{
-		w:             w,
-		seed:          cfg.Seed,
-		horizon:       int(float64(w.Iters) * cfg.HorizonMult),
-		maxInjectIter: maxInjectIterFor(cfg),
-	}
+	key := cfg.GoldenKey()
+	g := &Golden{w: w, key: key, horizon: key.Horizon, maxInjectIter: key.MaxInjectIter}
 
 	refEngine := w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77})
+	// Signature collection rides the collective's accumulation loop and
+	// changes no value (TestSignatureCollectionIsNeutral).
+	refEngine.Group().SetCollectSigs(cfg.DeviceFaults)
 	g.numLayers = refEngine.Replica(0).Len()
 
 	// The initial state: the fork target of injections before the first
@@ -189,6 +204,11 @@ func PrepareGolden(cfg Config) *Golden {
 		}
 		g.digests = append(g.digests, refEngine.StateDigest())
 		g.alarms = append(g.alarms, det.CheckEngine(refEngine) != nil)
+		g.histAbsMax = append(g.histAbsMax, refEngine.HistoryAbsMax())
+		g.mvarAbsMax = append(g.mvarAbsMax, refEngine.MvarAbsMax())
+		if cfg.DeviceFaults {
+			g.groupAlarms = append(g.groupAlarms, groupCheck.Check(refEngine.LastReduce()) != nil)
+		}
 		b := iter + 1
 		if g.stride > 0 && b < g.maxInjectIter && b%g.stride == 0 {
 			g.snaps = append(g.snaps, refEngine.Snapshot(iter))
@@ -207,6 +227,7 @@ func PrepareGolden(cfg Config) *Golden {
 		g.stride = 0
 		g.digests = nil
 		g.alarms = nil
+		g.histAbsMax, g.mvarAbsMax, g.groupAlarms = nil, nil, nil
 	}
 	shard := append([]int{w.PerDeviceBatch}, refEngine.Loader().Batch(0).X.Shape[1:]...)
 	for li := 0; li < g.numLayers; li++ {
@@ -234,15 +255,42 @@ func maxInjectIterFor(cfg Config) int {
 	return m
 }
 
+// GoldenKey identifies a golden run: two configs with equal keys prepare
+// interchangeable Goldens, whatever else differs between them (population,
+// bias, fast paths, recovery strategy, worker count). It is comparable, so
+// it keys a cache (internal/dist's workers hold their Goldens under it).
+type GoldenKey struct {
+	// Workload and Iters name the model, data and fault-free length.
+	Workload string
+	Iters    int
+	Seed     int64
+	// Horizon is the per-experiment iteration budget and MaxInjectIter the
+	// exclusive upper bound of injection iterations (the snapshot window).
+	Horizon, MaxInjectIter int
+	// DeviceFaults: the run recorded the cross-replica schedule.
+	DeviceFaults bool
+}
+
+// GoldenKey resolves the identity of the golden run cfg's campaign forks
+// from.
+func (cfg Config) GoldenKey() GoldenKey {
+	cfg = cfg.withDefaults()
+	return GoldenKey{
+		Workload:      cfg.Workload.Name,
+		Iters:         cfg.Workload.Iters,
+		Seed:          cfg.Seed,
+		Horizon:       int(float64(cfg.Workload.Iters) * cfg.HorizonMult),
+		MaxInjectIter: maxInjectIterFor(cfg),
+		DeviceFaults:  cfg.DeviceFaults,
+	}
+}
+
 // checkCompatible panics when a Golden was prepared for a different
 // campaign shape than cfg (programmer error: the fork targets would not be
 // on the experiment's trajectory).
 func (g *Golden) checkCompatible(cfg Config) {
-	if g.w.Name != cfg.Workload.Name || g.seed != cfg.Seed ||
-		g.horizon != int(float64(cfg.Workload.Iters)*cfg.HorizonMult) ||
-		g.maxInjectIter != maxInjectIterFor(cfg) {
-		panic(fmt.Sprintf("experiment: golden prepared for %s/seed=%d/horizon=%d does not match campaign %s/seed=%d",
-			g.w.Name, g.seed, g.horizon, cfg.Workload.Name, cfg.Seed))
+	if key := cfg.GoldenKey(); g.key != key {
+		panic(fmt.Sprintf("experiment: golden prepared for %+v does not match campaign %+v", g.key, key))
 	}
 }
 

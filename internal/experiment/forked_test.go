@@ -225,3 +225,30 @@ func TestKindSweepSharesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSignatureCollectionIsNeutral: a device-fault campaign's golden run
+// collects contribution signatures (the cross-replica schedule needs them)
+// and an FF campaign's does not; the two runs must be the same run — equal
+// trace digest, equal state digest after every iteration — or the journal
+// header's golden digest would depend on the campaign flavor.
+func TestSignatureCollectionIsNeutral(t *testing.T) {
+	for _, w := range workloads.All() {
+		w.Iters = 8
+		cfg := Config{Workload: w, Experiments: 1, Seed: 5, HorizonMult: 1.5}
+		plain := PrepareGolden(cfg)
+		cfg.DeviceFaults = true
+		sigs := PrepareGolden(cfg)
+		if len(sigs.groupAlarms) != sigs.horizon || plain.groupAlarms != nil {
+			t.Fatalf("%s: cross-replica schedule has %d entries with device faults, %d without; want %d and none",
+				w.Name, len(sigs.groupAlarms), len(plain.groupAlarms), sigs.horizon)
+		}
+		if p, s := plain.ref.Digest(), sigs.ref.Digest(); p != s {
+			t.Fatalf("%s: golden trace digest %s without signature collection, %s with", w.Name, p, s)
+		}
+		for i := range plain.digests {
+			if plain.digests[i] != sigs.digests[i] {
+				t.Fatalf("%s: state digest after iteration %d differs with signature collection", w.Name, i)
+			}
+		}
+	}
+}

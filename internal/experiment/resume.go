@@ -25,9 +25,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
+	"repro/internal/train"
 )
 
 // Sink receives completed experiment records as the campaign produces
@@ -182,12 +184,13 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	if err := opts.Shard.validate(cfg.Experiments); err != nil {
 		return nil, err
 	}
-	if cfg.DeviceFaults && (cfg.Dedup || cfg.EarlyExit || cfg.ConvergedTail) {
-		// Dedup keys describe one-shot tensor corruptions and the
-		// early-exit proof requires the fault to be inert after firing;
-		// device faults carry per-experiment random value streams and stay
-		// armed across iterations, so neither holds.
-		return nil, fmt.Errorf("experiment: dedup/early-exit/converged-tail do not apply to device-fault campaigns")
+	if cfg.DeviceFaults && (cfg.Dedup || cfg.ConvergedTail) {
+		// Dedup keys describe one-shot tensor corruptions and the converged
+		// tail is cut from a run whose fault is behind it; device faults
+		// carry per-experiment random value streams and stay armed across
+		// iterations, so neither holds. EarlyExit does apply: what it can
+		// prove about a device fault it proves below, before anything runs.
+		return nil, fmt.Errorf("experiment: dedup/converged-tail do not apply to device-fault campaigns")
 	}
 	g := opts.Golden
 	if g == nil {
@@ -344,6 +347,43 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 			order = append(order, i)
 		}
 	}
+
+	// Golden by construction (byconstruction.go), under EarlyExit: a pending
+	// experiment whose fault provably touches nothing is the golden run; its
+	// record is written from the Golden here, before any engine exists, and
+	// only the rest are grouped and dispatched. The policy is the one every
+	// pooled engine runs under after rearm.
+	executing := order[:0]
+	for _, i := range order {
+		var inj fault.Injection
+		var df fault.DeviceFault
+		if cfg.DeviceFaults {
+			df = deviceFaults[i]
+		} else {
+			inj = injections[i]
+		}
+		proof, ok := g.provablyGolden(cfg, inj, df, comm.DefaultPolicy())
+		if !ok || ctx.Err() != nil {
+			executing = append(executing, i)
+			continue
+		}
+		rec := g.goldenRecord(cfg, inj, df, proof)
+		c.Records[i] = rec
+		completed[i] = true
+		c.GoldenByConstruction++
+		opts.Stats.GoldenByConstruction(rec.Outcome, rec.EarlyExitIter >= 0)
+		opts.Stats.GroupMitigation(0, 0, 0, rec.CommRetries)
+		if sink != nil {
+			if err := sink.Append(i, rec); err != nil {
+				return c, fmt.Errorf("experiment: journaling record %d: %w", i, err)
+			}
+		}
+		if err := adoptFrom(0, i); err != nil {
+			return c, err
+		}
+	}
+	order = executing
+
 	bounds := make(map[int]int, len(order))
 	for _, i := range order {
 		bounds[i] = forkBoundOf(i)
@@ -351,8 +391,7 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
 
 	// Never run more workers than there are experiments left to dispatch
-	// (adoptees never dispatch): each worker pre-builds a pooled engine,
-	// which is pure waste past that point.
+	// (adoptees never dispatch, nor does what was proven golden above).
 	if workers > len(order) {
 		workers = len(order)
 	}
@@ -378,10 +417,19 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			pooled := g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77}) // same seed as reference
-			defer func() { atomic.AddInt64(&evals, pooled.Evaluations()) }()
+			// The pooled engine is built on the worker's first experiment: a
+			// worker that is never handed one builds nothing.
+			var pooled *train.Engine
+			defer func() {
+				if pooled != nil {
+					atomic.AddInt64(&evals, pooled.Evaluations())
+				}
+			}()
 			prevBound := -1
 			for i := range idxCh {
+				if pooled == nil {
+					pooled = g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77}) // same seed as reference
+				}
 				b := forkBoundOf(i)
 				if warm := b == prevBound; warm {
 					atomic.AddInt64(&warmRestores, 1)

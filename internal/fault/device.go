@@ -82,6 +82,27 @@ func DeviceFaultKindByName(name string) (DeviceFaultKind, bool) {
 	return DeviceFaultNone, false
 }
 
+// DeviceEffect is what a device fault does to the collective, the one
+// distinction the layers above it act on: the collective's arrival phase
+// (comm.Group), and the campaign's test for a fault that can change no value
+// (package experiment).
+type DeviceEffect int
+
+// Device-fault effects.
+const (
+	// EffectNone: no fault.
+	EffectNone DeviceEffect = iota
+	// EffectCorrupts: the device's contributions arrive on time with wrong
+	// values (DeviceLinkSDC, DeviceStuckAt).
+	EffectCorrupts
+	// EffectRemoves: the device's contributions never arrive (DeviceCrash).
+	EffectRemoves
+	// EffectDelays: the device's contributions arrive DelayTicks late with
+	// the right values (DeviceStraggler) — whether they make the step is the
+	// collective policy's decision, not the fault's.
+	EffectDelays
+)
+
 // DeviceFault fully describes one system-level fault experiment. All fields
 // are plain comparable values so a DeviceFault can be journaled and
 // replayed exactly like an Injection.
@@ -123,6 +144,22 @@ func (f *DeviceFault) ActiveAt(iter int) bool {
 		return false
 	}
 	return true
+}
+
+// Effect classifies the fault by its kind (EffectNone for a nil fault).
+func (f *DeviceFault) Effect() DeviceEffect {
+	if f == nil {
+		return EffectNone
+	}
+	switch f.Kind {
+	case DeviceLinkSDC, DeviceStuckAt:
+		return EffectCorrupts
+	case DeviceCrash:
+		return EffectRemoves
+	case DeviceStraggler:
+		return EffectDelays
+	}
+	return EffectNone
 }
 
 // Describe returns a compact human-readable summary.

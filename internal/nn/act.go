@@ -151,12 +151,24 @@ func (g *GELU) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 		g.lastTanh = make([]float64, x.Len())
 	}
 	g.lastTanh = g.lastTanh[:x.Len()]
+	// Three loops, not one, and the middle one all float64. CVTSS2SD writes
+	// the low half of its destination and so waits for that register's last
+	// writer; with math.Tanh in the same loop that writer is the previous
+	// element's tanh (argument and result share X0), so the conversion of
+	// every element queues behind the whole Exp chain of the one before and
+	// the loop runs at the chain's latency: 37 ns an element at [64,8,12],
+	// against 11 with the calls left free to overlap
+	// (BenchmarkKernel_GELUForward). Same expressions, same bits.
 	th, od := g.lastTanh, out.Data[:x.Len()]
 	for i, v := range x.Data {
 		u := float64(v)
-		t := math.Tanh(geluC * (u + 0.044715*u*u*u))
-		th[i] = t
-		od[i] = float32(0.5 * u * (1 + t))
+		th[i] = geluC * (u + 0.044715*u*u*u)
+	}
+	for i, a := range th {
+		th[i] = math.Tanh(a)
+	}
+	for i, v := range x.Data {
+		od[i] = float32(0.5 * float64(v) * (1 + th[i]))
 	}
 	out.ClearDirty()
 	return out

@@ -38,14 +38,23 @@ type Seed struct {
 // New returns a generator positioned at the start of the stream identified
 // by seed.
 func New(seed Seed) *Rand {
-	r := &Rand{inc: seed.Stream<<1 | 1, seed: seed}
+	r := new(Rand)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed repositions r, in place, at the start of the stream identified by
+// seed: afterwards r is indistinguishable from New(seed). A caller that draws
+// a fresh stream every step (the training engine, per iteration and device)
+// keeps one generator and allocates nothing.
+func (r *Rand) Reseed(seed Seed) {
+	r.inc, r.seed = seed.Stream<<1|1, seed
 	// Standard PCG initialization: advance once, add the seed state,
 	// advance again so the first output already depends on the seed.
 	r.state = 0
 	r.next()
 	r.state += seed.State
 	r.next()
-	return r
 }
 
 // NewFromInt is a convenience constructor for tests and examples: stream 0,
@@ -65,11 +74,16 @@ func (r *Rand) Seed() Seed { return r.seed }
 // technique relies on when it re-creates per-device and per-iteration
 // generators.
 func (r *Rand) Split(label uint64) *Rand {
-	child := Seed{
-		State:  splitmix64(r.seed.State ^ splitmix64(label)),
-		Stream: splitmix64(r.seed.Stream ^ (label*2 + 1)),
+	return New(r.seed.Split(label))
+}
+
+// Split derives the seed of the child generator Rand.Split(label) returns,
+// without building the parent or the child.
+func (s Seed) Split(label uint64) Seed {
+	return Seed{
+		State:  splitmix64(s.State ^ splitmix64(label)),
+		Stream: splitmix64(s.Stream ^ (label*2 + 1)),
 	}
-	return New(child)
 }
 
 // next advances the LCG and returns the previous state.

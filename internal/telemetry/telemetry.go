@@ -71,6 +71,9 @@ type CampaignStats struct {
 	earlyExits       atomic.Int64
 	convergedTails   atomic.Int64
 	itersSynthesized atomic.Int64
+	// Experiments classified without running because their fault provably
+	// touches no value (experiment's golden-by-construction path).
+	goldenByConstruction atomic.Int64
 
 	// Group-mitigation activity of device-fault campaigns (zero for FF
 	// campaigns): devices quarantined, devices hot-rejoined, iterations run
@@ -156,6 +159,23 @@ func (s *CampaignStats) ExperimentAdopted(worker int, o outcome.Outcome) {
 	}
 	s.adopted.Add(1)
 	s.ExperimentDone(worker, o, 0, 0, 0)
+}
+
+// GoldenByConstruction records one experiment classified without running:
+// its fault provably touches no value, so its record was written from the
+// golden run. Counts toward progress and the outcome tally like any other
+// completion (on worker 0's ledger: the dispatcher resolves these before the
+// pool starts), and toward the early-exit count when the record carries that
+// provenance, so the ledger agrees with the campaign's record-derived count.
+func (s *CampaignStats) GoldenByConstruction(o outcome.Outcome, earlyExit bool) {
+	if s == nil {
+		return
+	}
+	s.goldenByConstruction.Add(1)
+	if earlyExit {
+		s.earlyExits.Add(1)
+	}
+	s.ExperimentDone(0, o, 0, 0, 0)
 }
 
 // FastPathExit records one execution truncated by the equivalence layer:
@@ -304,6 +324,9 @@ type Snapshot struct {
 	EarlyExits       int64 `json:"early_exits"`
 	ConvergedTails   int64 `json:"converged_tails"`
 	ItersSynthesized int64 `json:"iters_synthesized"`
+	// GoldenByConstruction counts experiments classified without running
+	// because their fault provably touches no value.
+	GoldenByConstruction int64 `json:"golden_by_construction"`
 	// WarmRestores / ColdRestores split pooled-engine snapshot restores by
 	// whether the worker's previous experiment used the same golden
 	// snapshot. Scheduling observability only.
@@ -346,6 +369,8 @@ func (s *CampaignStats) Snapshot() Snapshot {
 		EarlyExits:       s.earlyExits.Load(),
 		ConvergedTails:   s.convergedTails.Load(),
 		ItersSynthesized: s.itersSynthesized.Load(),
+
+		GoldenByConstruction: s.goldenByConstruction.Load(),
 	}
 	for _, o := range outcome.All() {
 		if n := s.outcomes[o].Load(); n > 0 {

@@ -58,6 +58,7 @@ func TestCampaignStatsNilSafe(t *testing.T) {
 	s.JournalAppend()
 	s.JournalFlush()
 	s.EngineRestore(true)
+	s.GoldenByConstruction(outcome.Benign, true)
 	if snap := s.Snapshot(); snap.Done != 0 {
 		t.Fatalf("nil snapshot not zero: %+v", snap)
 	}

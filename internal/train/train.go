@@ -62,7 +62,10 @@ type Engine struct {
 	testSet  *data.Dataset
 	testAll  data.Batch               // testSet.All(), gathered on the first Evaluate
 	loss     []nn.SoftmaxCrossEntropy // one per device: each owns its result buffers
-	seedRand *rng.Rand
+	// step[d] is what device d's forward/backward needs afresh every
+	// iteration and nothing reads afterwards, kept so the step allocates
+	// none of it.
+	step []deviceScratch
 
 	injections   []*fault.Injection
 	injFired     []bool
@@ -128,7 +131,7 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 			loader.BatchSize(), cfg.Devices, cfg.PerDeviceBatch))
 	}
 	e := &Engine{cfg: cfg, opt: optimizer, loader: loader, testSet: testSet,
-		loss: make([]nn.SoftmaxCrossEntropy, cfg.Devices), seedRand: rng.New(cfg.Seed)}
+		loss: make([]nn.SoftmaxCrossEntropy, cfg.Devices), step: make([]deviceScratch, cfg.Devices)}
 	// All replicas share one arena: their tensors land in a few contiguous
 	// slabs, so a pooled campaign engine stays cache-resident across forked
 	// experiments and costs near-zero allocations to build.
@@ -303,9 +306,21 @@ func (e *Engine) SetElastic(on bool) { e.elastic = on }
 // Elastic reports whether elastic batch re-partitioning is enabled.
 func (e *Engine) Elastic() bool { return e.elastic }
 
-// ctxRand returns the deterministic RNG for (iteration, device).
+// deviceScratch is one device's per-iteration state: the layer context, the
+// generator it points at, and the header of the device's batch shard.
+type deviceScratch struct {
+	ctx  nn.Context
+	rand rng.Rand
+	x    tensor.Tensor
+}
+
+// ctxRand repositions device's generator at the deterministic stream for
+// (iteration, device) — rng.New(Seed).Split(iter).Split(device+1), bit for
+// bit — and returns it.
 func (e *Engine) ctxRand(iter, device int) *rng.Rand {
-	return e.seedRand.Split(uint64(iter)).Split(uint64(device) + 1)
+	r := &e.step[device].rand
+	r.Reseed(e.cfg.Seed.Split(uint64(iter)).Split(uint64(device) + 1))
+	return r
 }
 
 // chanAxis returns the accelerator channel axis for an activation/gradient
@@ -371,12 +386,17 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 	var ds devStats
 	ds.examples = n
 
-	// Shard the global batch.
-	shardShape := append([]int{n}, batch.X.Shape[1:]...)
-	x := tensor.FromSlice(batch.X.Data[lo*exLen:(lo+n)*exLen], shardShape...)
+	// Shard the global batch: a view of examples [lo, lo+n) behind the
+	// device's reused header.
+	sc := &e.step[d]
+	x := &sc.x
+	x.Shape = append(append(x.Shape[:0], n), batch.X.Shape[1:]...)
+	x.Data = batch.X.Data[lo*exLen : (lo+n)*exLen]
+	x.ClearDirty()
 	y := batch.Y[lo : lo+n]
 
-	ctx := &nn.Context{Training: true, Rand: e.ctxRand(iter, d),
+	ctx := &sc.ctx
+	*ctx = nn.Context{Training: true, Rand: e.ctxRand(iter, d),
 		CollectStats: e.AbsMaxMonitor != nil}
 	model := e.replicas[d]
 
