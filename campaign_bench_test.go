@@ -29,7 +29,7 @@ import (
 )
 
 // benchCampaignConfig is the shared campaign shape: the paper's default
-// injection window (first 80% of the fault-free run) and cmd/campaign's
+// injection window (first 80% of the fault-free run) and `repro campaign`'s
 // default horizon (1.5×). The 48-experiment seed-10 population carries
 // both duplicate corruptions and a bitwise-masked share (~46%) in line
 // with the paper's masked-majority outcome distribution (Fig. 3) — seed 9

@@ -5,15 +5,15 @@
 # multiply-adds and 256-bit arithmetic (floating-point, compare, logical and
 # integer maximum), race-detector runs of
 # the packages with concurrency (the parallel GEMM kernels, the
-# device-parallel trainer, the campaign worker pool, and the distributed
-# coordinator/worker protocol), fuzz smokes of the journal parser/repairer and
-# of the GEMM kernels, the convolution lowering and the element-wise layer
-# kernels against their naive oracles and of the collective's retry budget, a
-# graceful SIGINT kill-and-resume smoke
-# (whose journal must then refuse a resume under a changed flag by naming the
-# field), a bad-flag leg (campaign -n -1 fails in the spec validator, no
-# panic), a flag-drift gate (every campaign flag README.md and DESIGN.md name
-# exists in campaign -h), the smoke's reference campaign
+# device-parallel trainer, the campaign worker pool, the distributed
+# coordinator/worker protocol, and the repro binary's subcommands driven
+# in-process, whose tests hold the CLI's flag, exit-status and report
+# contracts and the docs' flag-drift gate), fuzz smokes of the journal
+# parser/repairer and of the GEMM kernels, the convolution lowering and the
+# element-wise layer kernels against their naive oracles and of the
+# collective's retry budget; then, for what needs a process boundary or a
+# second build, `repro campaign` runs: a graceful SIGINT kill-and-resume
+# smoke, the smoke's reference campaign
 # again from a -tags purego build (assembly and portable kernels must agree
 # on a whole campaign, byte for byte), a transformer FF campaign and one
 # device-fault campaign per recovery strategy from both builds with and
@@ -101,70 +101,32 @@ echo "== campaign equivalence under -race (forked+pooled == cold, resume == unin
 # per-package timeout.
 go test -race ./internal/experiment ./internal/record ./internal/telemetry
 
+echo "== the repro binary under -race (every subcommand in-process: flag sets against the replaced binaries' -h, bad-flag exits, a resume under a changed flag naming the field, the fast-path tally equal to the exhaustive one, the JIT crash campaign's journal fields, and the flag-drift gate over README.md / DESIGN.md) =="
+go test -race ./cmd/repro
+
 echo "== distributed campaign under -race (1/2/4 workers over HTTP, killed worker reassigned, merged journal byte-identical) =="
 go test -race ./internal/dist
 
 echo "== kill-and-resume smoke (SIGINT mid-campaign, -resume must reproduce the reference byte for byte) =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/campaign" ./cmd/campaign
-"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/ref.json" >/dev/null
-"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 5 \
+go build -o "$tmp/repro" ./cmd/repro
+"$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/ref.json" >/dev/null
+"$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 5 \
 	-journal "$tmp/run.jsonl" >/dev/null 2>&1 &
 pid=$!
 sleep 1
 kill -INT "$pid" 2>/dev/null || true
 wait "$pid" || true # 130 when the interrupt landed mid-run
-"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 5 \
+"$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 5 \
 	-journal "$tmp/run.jsonl" -resume -json "$tmp/resumed.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/resumed.json"
-
-echo "== campaign identity (a resume under one changed flag names the field; a bad flag fails before any golden run) =="
-if "$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 5 -early-exit \
-	-journal "$tmp/run.jsonl" -resume >/dev/null 2>"$tmp/mismatch.err"; then
-	echo "a journal written without -early-exit resumed with it" >&2
-	exit 1
-fi
-grep -q "early_exit: journal=false, run=true" "$tmp/mismatch.err"
-status=0
-"$tmp/campaign" -n -1 >/dev/null 2>"$tmp/badflag.err" || status=$?
-if [ "$status" -ne 1 ] || grep -qE "panic|goroutine" "$tmp/badflag.err"; then
-	echo "campaign -n -1: exit $status, want 1 from the spec validator:" >&2
-	cat "$tmp/badflag.err" >&2
-	exit 1
-fi
-
-echo "== flag-drift gate (every campaign flag README.md and DESIGN.md name exists in campaign -h) =="
-"$tmp/campaign" -h 2>&1 | sed -n 's/^  -\([a-z][a-z-]*\).*/\1/p' >"$tmp/flags.txt"
-# What the docs name: backticked `-flag` tokens in prose and tables (every one
-# is campaign's except go's -race / -tags and faultsim's -inj / -out), and the
-# flags on campaign command lines, continuation lines included.
-{
-	grep -ohE '(^|[ (|/])`-[a-z][a-z-]*' README.md DESIGN.md | sed 's/.*`-//' |
-		grep -vxE 'race|tags|inj|out'
-	awk '{
-		s = ""
-		if (cont) s = $0
-		else if (match($0, /(^|[ \/`"])campaign +-/)) s = substr($0, RSTART + RLENGTH - 1)
-		cont = (s != "" && $0 ~ /\\$/)
-		sub(/ [|>].*$/, "", s)
-		n = split(s, w, /[ \t]+/)
-		for (i = 1; i <= n; i++) if (w[i] ~ /^-[a-z]/) {
-			sub(/^-/, "", w[i]); sub(/[^a-z-].*$/, "", w[i]); print w[i]
-		}
-	}' README.md DESIGN.md
-} | sort -u >"$tmp/docflags.txt"
-stale=$(grep -vxFf "$tmp/flags.txt" "$tmp/docflags.txt" || true)
-if [ -n "$stale" ]; then
-	echo "README.md / DESIGN.md name campaign flags that campaign -h does not have:" $stale >&2
-	exit 1
-fi
 
 echo "== assembly vs portable on a whole campaign (the reference campaign above from a -tags purego build, byte for byte) =="
 # The kernel tests compare the two paths GEMM by GEMM; this compares them
 # after every layer, optimizer step and fault of 40 experiments.
-go build -tags purego -o "$tmp/campaign.purego" ./cmd/campaign
-"$tmp/campaign.purego" -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
+go build -tags purego -o "$tmp/repro.purego" ./cmd/repro
+"$tmp/repro.purego" campaign -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/purego.json"
 
 echo "== sequence path: a transformer FF campaign and a device-fault campaign under each recovery strategy, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
@@ -183,15 +145,15 @@ echo "== sequence path: a transformer FF campaign and a device-fault campaign un
 for flags in "" "-device-faults all -recovery jit" "-device-faults all -recovery reexec" \
 	"-device-faults all -recovery elastic" "-device-faults all -recovery degraded"; do
 	# $flags is a flag list: split on purpose.
-	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -json "$tmp/seq-ref.json" >/dev/null
-	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -scrub-workspaces -json "$tmp/seq-scrub.json" >/dev/null
-	"$tmp/campaign.purego" -workload transformer -n 24 -seed 5 $flags -json "$tmp/seq-purego.json" >/dev/null
-	"$tmp/campaign.purego" -workload transformer -n 24 -seed 5 $flags -scrub-workspaces -json "$tmp/seq-purego-scrub.json" >/dev/null
+	"$tmp/repro" campaign -workload transformer -n 24 -seed 5 $flags -json "$tmp/seq-ref.json" >/dev/null
+	"$tmp/repro" campaign -workload transformer -n 24 -seed 5 $flags -scrub-workspaces -json "$tmp/seq-scrub.json" >/dev/null
+	"$tmp/repro.purego" campaign -workload transformer -n 24 -seed 5 $flags -json "$tmp/seq-purego.json" >/dev/null
+	"$tmp/repro.purego" campaign -workload transformer -n 24 -seed 5 $flags -scrub-workspaces -json "$tmp/seq-purego-scrub.json" >/dev/null
 	cmp "$tmp/seq-ref.json" "$tmp/seq-scrub.json"
 	cmp "$tmp/seq-ref.json" "$tmp/seq-purego.json"
 	cmp "$tmp/seq-ref.json" "$tmp/seq-purego-scrub.json"
-	"$tmp/campaign" -workload transformer -n 24 -seed 5 $flags -early-exit -json "$tmp/seq-fast.json" >"$tmp/seq-fast.txt"
-	"$tmp/campaign.purego" -workload transformer -n 24 -seed 5 $flags -early-exit -json "$tmp/seq-fast-purego.json" >"$tmp/seq-fast-purego.txt"
+	"$tmp/repro" campaign -workload transformer -n 24 -seed 5 $flags -early-exit -json "$tmp/seq-fast.json" >"$tmp/seq-fast.txt"
+	"$tmp/repro.purego" campaign -workload transformer -n 24 -seed 5 $flags -early-exit -json "$tmp/seq-fast-purego.json" >"$tmp/seq-fast-purego.txt"
 	cmp "$tmp/seq-fast.json" "$tmp/seq-fast-purego.json"
 	grep -Eq ', [1-9][0-9]* golden by construction' "$tmp/seq-fast.txt"
 	grep -Eq ', [1-9][0-9]* golden by construction' "$tmp/seq-fast-purego.txt"
@@ -205,27 +167,14 @@ echo "== forked and pooled vs cold start (-snapshot-stride -1: every experiment 
 # identical archive proves rearm covers what the previous experiment's
 # ResolveTest wrote into the engine.
 for flags in "-workload resnet" "-workload transformer -device-faults all -recovery jit"; do
-	"$tmp/campaign" $flags -n 24 -seed 5 -json "$tmp/forked.json" >/dev/null
-	"$tmp/campaign" $flags -n 24 -seed 5 -snapshot-stride -1 -json "$tmp/cold.json" >/dev/null
+	"$tmp/repro" campaign $flags -n 24 -seed 5 -json "$tmp/forked.json" >/dev/null
+	"$tmp/repro" campaign $flags -n 24 -seed 5 -snapshot-stride -1 -json "$tmp/cold.json" >/dev/null
 	cmp "$tmp/forked.json" "$tmp/cold.json"
 done
 
-echo "== dedup/early-exit equivalence smoke (-race, reported tally must match exhaustive byte for byte) =="
-go build -race -o "$tmp/campaign.race" ./cmd/campaign
-"$tmp/campaign.race" -workload resnet -n 24 -iters 12 -seed 6 >"$tmp/exhaustive.txt"
-"$tmp/campaign.race" -workload resnet -n 24 -iters 12 -seed 6 \
-	-dedup -early-exit >"$tmp/fastpath.txt"
-# Compare the outcome sections (workload header through the tally); the
-# fast-path report additionally prints its equivalence counters, which the
-# exhaustive run legitimately lacks.
-sed -n '/^workload /,/unexpected-total/p' "$tmp/exhaustive.txt" >"$tmp/exhaustive.tally"
-sed -n '/^workload /,/unexpected-total/p' "$tmp/fastpath.txt" >"$tmp/fastpath.tally"
-cmp "$tmp/exhaustive.tally" "$tmp/fastpath.tally"
-grep -q "equivalence:" "$tmp/fastpath.txt" # the fast paths actually fired
-
 echo "== campaignd smoke (coordinator + 2 worker processes on loopback, merged journal must equal the single-process one) =="
 go build -o "$tmp/campaignd" ./cmd/campaignd
-"$tmp/campaign" -workload resnet -n 24 -iters 12 -seed 9 \
+"$tmp/repro" campaign -workload resnet -n 24 -iters 12 -seed 9 \
 	-journal "$tmp/dist-ref.jsonl" >/dev/null
 "$tmp/campaignd" -addr 127.0.0.1:0 -addr-file "$tmp/campaignd.addr" \
 	-data "$tmp/campaignd-data" -lease-ttl 5s >/dev/null 2>&1 &
@@ -241,9 +190,9 @@ cid=$(curl -sf -X POST "http://$daddr/campaigns" \
 	-d '{"workload":"resnet","experiments":24,"iters":12,"seed":9,"shard_size":5}' |
 	sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [ -n "$cid" ]
-"$tmp/campaign" -worker "http://$daddr" -worker-id ci-w1 -worker-drain >/dev/null &
+"$tmp/repro" campaign -worker "http://$daddr" -worker-id ci-w1 -worker-drain >/dev/null &
 w1=$!
-"$tmp/campaign" -worker "http://$daddr" -worker-id ci-w2 -worker-drain >/dev/null &
+"$tmp/repro" campaign -worker "http://$daddr" -worker-id ci-w2 -worker-drain >/dev/null &
 w2=$!
 wait "$w1"
 wait "$w2"
@@ -270,14 +219,14 @@ echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward 
 go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
 
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="
-"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
+"$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 7 \
 	-device-faults all -recovery reexec -json "$tmp/dfref.json" >/dev/null
 round=0
 while [ "$round" -lt 4 ]; do
 	round=$((round + 1))
 	repairflag=""
 	[ -f "$tmp/df.jsonl" ] && repairflag="-repair-journal"
-	"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
+	"$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 7 \
 		-device-faults all -recovery reexec \
 		-journal "$tmp/df.jsonl" -resume $repairflag >/dev/null 2>&1 &
 	pid=$!
@@ -287,24 +236,10 @@ while [ "$round" -lt 4 ]; do
 	kill -9 "$pid" 2>/dev/null || true
 	wait "$pid" || true # 137 when the kill landed mid-run
 done
-"$tmp/campaign" -workload resnet -n 40 -iters 12 -seed 7 \
+"$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 7 \
 	-device-faults all -recovery reexec \
 	-journal "$tmp/df.jsonl" -resume -repair-journal -json "$tmp/dfresumed.json" >/dev/null
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
-
-echo "== JIT recovery smoke (crash campaign under -recovery jit: zero hangs, v4 recovery fields journaled) =="
-"$tmp/campaign" -workload resnet -n 20 -iters 12 -seed 11 \
-	-device-faults crash -recovery jit -journal "$tmp/jit.jsonl" >"$tmp/jit.txt"
-if grep -q "GroupHang" "$tmp/jit.txt"; then
-	echo "JIT-mitigated crash campaign still hung:" >&2
-	cat "$tmp/jit.txt" >&2
-	exit 1
-fi
-grep -q '"record_schema":"campaign-record-v4"' "$tmp/jit.jsonl"
-grep -q '"recovery_strategy":"jit"' "$tmp/jit.jsonl"
-grep -q '"time_to_recover_iters":' "$tmp/jit.jsonl"
-grep -q '"jit_snapshots":' "$tmp/jit.jsonl"
-grep -q "recovery \[jit\]:" "$tmp/jit.txt" # report renders the strategy summary
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
 go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .

@@ -1,8 +1,9 @@
 // Command campaignd is the distributed-campaign coordinator: it queues
 // fault-injection campaigns submitted over a REST API, parcels each
-// campaign's experiment index space out to `campaign -worker` processes as
-// leased shards, ingests the per-shard journals, and merges them into a
-// journal byte-identical to a single-process run (internal/dist).
+// campaign's experiment index space out to `repro campaign -worker`
+// processes as leased shards, ingests the per-shard journals, and merges
+// them into a journal byte-identical to a single-process run
+// (internal/dist).
 //
 // Worker failures are handled by lease expiry: a worker that dies or
 // stalls stops renewing, its shard returns to the pending pool, and the
@@ -12,7 +13,7 @@
 // Usage:
 //
 //	campaignd -addr 127.0.0.1:8080 -data /var/lib/campaignd
-//	campaign -worker http://127.0.0.1:8080 -worker-drain   # on each machine
+//	repro campaign -worker http://127.0.0.1:8080 -worker-drain   # on each machine
 //	curl -X POST http://127.0.0.1:8080/campaigns \
 //	     -d '{"workload":"resnet","experiments":5000,"seed":1,"shard_size":100}'
 //	curl http://127.0.0.1:8080/status

@@ -263,7 +263,7 @@ func NewLayered(lb LayeredBounds) *Detector {
 
 // ForEngine builds the standard detector for a training engine — bounds
 // derived from the replica-0 model via ConfigForModel — shared by the
-// experiment driver, the guarded-run facade and cmd/mitigate. With fused
+// experiment driver, the guarded-run facade and `repro mitigate`. With fused
 // enabled it also switches the engine's optimizer to inline stat
 // collection so the per-iteration checks stop sweeping tensors.
 func ForEngine(e *train.Engine, batchSize int, lr float64, fused bool) *Detector {

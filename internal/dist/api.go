@@ -5,7 +5,7 @@ package dist
 // (CampaignSpec), shard leases (LeaseRequest/LeaseResponse/Lease), lease
 // renewals (RenewRequest), shard uploads (CompleteRequest), and the status
 // views (CampaignStatus, ServiceStatus). CampaignSpec is also what
-// cmd/campaign parses its campaign-shaping flags into, so a distributed
+// `repro campaign` parses its campaign-shaping flags into, so a distributed
 // campaign and a local invocation with the same settings resolve through
 // one function (CampaignSpec.Config) to the same experiment.Config — which
 // is what makes the merged journal byte-identical to a single-process run.
@@ -23,7 +23,7 @@ import (
 )
 
 // CampaignSpec describes one campaign: the body of POST /campaigns and the
-// target of cmd/campaign's campaign-shaping flags. Zero values mean the
+// target of `repro campaign`'s campaign-shaping flags. Zero values mean the
 // default, so a minimal submission is
 // {"workload":"resnet","experiments":100,"seed":1}.
 type CampaignSpec struct {
@@ -65,7 +65,7 @@ type CampaignSpec struct {
 }
 
 // Config validates the spec and resolves it to the experiment.Config it
-// describes. It is the one validator of campaign descriptions: cmd/campaign,
+// describes. It is the one validator of campaign descriptions: `repro campaign`,
 // the coordinator and every worker call it, so they agree on the campaign
 // identity (experiment.Config.Spec) by construction.
 func (s CampaignSpec) Config() (experiment.Config, error) {

@@ -29,7 +29,7 @@ func testSpec(n int, seed int64, shardSize int) CampaignSpec {
 }
 
 // monolithicJournal runs the spec in-process, single campaign, and returns
-// the journal bytes a local `campaign -journal` run would have written.
+// the journal bytes a local `repro campaign -journal` run would have written.
 func monolithicJournal(t *testing.T, spec CampaignSpec) []byte {
 	t.Helper()
 	cfg, err := spec.Config()

@@ -314,7 +314,7 @@ func TestDeferredEvalRecordsExact(t *testing.T) {
 
 	// An INF/NaN stop one before, at and one after the boundary at 9: runOne
 	// records the boundary before it breaks, so the stop at 9 evaluates
-	// non-finite weights. (cmd/faultsim's default injection, in the forward
+	// non-finite weights. (`repro faultsim`'s default injection, in the forward
 	// pass of a model with no normalization to absorb it.)
 	t.Run("ff/nonfinite-around-boundary", func(t *testing.T) {
 		p := newDeferredPair(Config{Workload: shrunk(t, "resnet_nobn", 12), Seed: 9, HorizonMult: 2})

@@ -1,7 +1,7 @@
 package experiment
 
-// Campaign identity. Every description of a campaign — cmd/campaign's
-// flags, dist.CampaignSpec, a Config literal — resolves to one Spec, and
+// Campaign identity. Every description of a campaign — `repro
+// campaign`'s flags, dist.CampaignSpec, a Config literal — resolves to one Spec, and
 // everything that must tell two campaigns apart reads that: Fingerprint
 // hashes it, the journal header (internal/record) embeds it whole and
 // reports a mismatch field by field.

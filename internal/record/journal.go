@@ -87,7 +87,7 @@ type TornTailError struct {
 }
 
 func (e *TornTailError) Error() string {
-	return fmt.Sprintf("record: journal %s has a torn final line (%d trailing bytes after offset %d, likely a crash mid-append); run `campaign -repair-journal` or record.RepairJournal to truncate it, then resume",
+	return fmt.Sprintf("record: journal %s has a torn final line (%d trailing bytes after offset %d, likely a crash mid-append); run `repro campaign -repair-journal` or record.RepairJournal to truncate it, then resume",
 		e.Path, e.TotalSize-e.ValidSize, e.ValidSize)
 }
 

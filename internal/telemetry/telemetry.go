@@ -399,8 +399,8 @@ func (s *CampaignStats) Snapshot() Snapshot {
 }
 
 // active is the campaign currently published on expvar and /status; a
-// campaign binary that runs several campaigns sequentially (cmd/campaign
-// -all) re-Activates for each one.
+// process that runs several campaigns sequentially (`repro campaign -all`)
+// re-Activates for each one.
 var active atomic.Pointer[CampaignStats]
 
 var publishOnce sync.Once

@@ -31,23 +31,25 @@
 //	if err != nil { ... }
 //	c.Report(os.Stdout)
 //
-// See examples/ for runnable programs and bench_test.go for the
+// See the Example functions (go test -run Example -v .) for runnable
+// programs, cmd/repro for the command-line tools, and bench_test.go for the
 // per-table/figure regeneration harness.
 package repro
 
 import (
-	"repro/internal/core"
+	"repro/internal/accel"
 	"repro/internal/detect"
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/outcome"
 	"repro/internal/recovery"
+	"repro/internal/rng"
 	"repro/internal/train"
 	"repro/internal/workloads"
 )
 
 // Version identifies the library release.
-const Version = core.Version
+const Version = "1.0.0"
 
 // Workload bundles a Table-2 training workload: model builder, optimizer,
 // dataset, and distributed-training configuration.
@@ -99,24 +101,53 @@ type Campaign = experiment.Campaign
 type CampaignConfig = experiment.Config
 
 // RunCampaign runs a statistical fault-injection campaign against the named
-// workload with a 1.5× fault-free-run horizon.
+// workload with a 1.5× fault-free-run horizon — the top-level entry point
+// corresponding to the paper's 2.9M-experiment study, scaled by experiments.
 func RunCampaign(workloadName string, experiments int, seed int64) (*Campaign, error) {
-	return core.RunCampaign(workloadName, experiments, seed)
+	w, err := workloads.ByName(workloadName)
+	if err != nil {
+		return nil, err
+	}
+	return experiment.Run(experiment.Config{
+		Workload:    w,
+		Experiments: experiments,
+		Seed:        seed,
+		HorizonMult: 1.5,
+	}), nil
 }
 
 // RunCampaignConfig runs a campaign with full control over the
 // configuration.
 func RunCampaignConfig(cfg CampaignConfig) *Campaign { return experiment.Run(cfg) }
 
-// SingleInjection reproduces one fault-injection experiment and returns the
-// faulty trace plus the fault-free reference.
+// SingleInjection reproduces one fault-injection experiment (the
+// counterpart of the artifact's reproduce_injections.py): it trains the
+// named workload with the given injection armed and returns the faulty
+// trace plus the fault-free reference.
 func SingleInjection(workloadName string, inj Injection, seed int64) (faulty, ref *Trace, err error) {
-	return core.SingleInjection(workloadName, inj, seed)
+	w, err := workloads.ByName(workloadName)
+	if err != nil {
+		return nil, nil, err
+	}
+	ref = train.NewTrace(w.Name + "-ref")
+	w.NewEngine(rng.Seed{State: uint64(seed), Stream: 77}).Run(0, w.Iters, ref, false)
+
+	e := w.NewEngine(rng.Seed{State: uint64(seed), Stream: 77})
+	e.SetInjection(&inj)
+	faulty = train.NewTrace(w.Name)
+	e.Run(0, w.Iters, faulty, true)
+	return faulty, ref, nil
 }
 
 // RandomInjection samples a random injection for the named workload.
 func RandomInjection(workloadName string, seed int64) (Injection, error) {
-	return core.RandomInjection(workloadName, seed)
+	w, err := workloads.ByName(workloadName)
+	if err != nil {
+		return Injection{}, err
+	}
+	e := w.NewEngine(rng.Seed{State: uint64(seed), Stream: 77})
+	s := fault.NewSampler(accel.NVDLAInventory(), rng.NewFromInt(seed))
+	return s.Sample(e.Replica(0).Len(), w.Iters*4/5), nil
 }
 
 // Guarded is the full mitigation pipeline: bounds detection plus
@@ -127,7 +158,13 @@ type Guarded = recovery.Guarded
 // detection bounds derived from the workload's own properties
 // (Algorithm 1).
 func NewGuarded(workloadName string, seed int64) (*Guarded, *Workload, error) {
-	return core.NewGuarded(workloadName, seed)
+	w, err := workloads.ByName(workloadName)
+	if err != nil {
+		return nil, nil, err
+	}
+	e := w.NewEngine(rng.Seed{State: uint64(seed), Stream: 77})
+	d := detect.ForEngine(e, w.BatchSize(), w.LR, true)
+	return recovery.NewGuarded(e, d), w, nil
 }
 
 // DetectionBounds are the Algorithm-1 thresholds.
@@ -137,13 +174,62 @@ type DetectionBounds = detect.Bounds
 func DeriveBounds(cfg detect.Config) DetectionBounds { return detect.Derive(cfg) }
 
 // InventoryRow describes one FF class of the modeled accelerator.
-type InventoryRow = core.InventoryRow
+type InventoryRow struct {
+	Kind     accel.FFKind
+	Count    int
+	Fraction float64
+}
 
 // Inventory returns the modeled accelerator's FF population (Table 1).
-func Inventory() []InventoryRow { return core.Inventory() }
+func Inventory() []InventoryRow {
+	inv := accel.NVDLAInventory()
+	var rows []InventoryRow
+	for _, k := range accel.Kinds() {
+		rows = append(rows, InventoryRow{Kind: k, Count: inv.Count(k), Fraction: inv.Fraction[k]})
+	}
+	return rows
+}
 
 // ValidateFaultModels runs the structural fault-model validation
-// (Sec 3.2.3) and returns (agreeing, total) trial counts.
+// (Sec 3.2.3): trials control-FF injections into the structural MAC-array
+// simulator, each observed corruption checked against the software fault
+// model's prediction. It returns (agreeing, total) trial counts.
 func ValidateFaultModels(trials int, seed int64) (agree, total int) {
-	return core.ValidateFaultModels(trials, seed)
+	kinds := accel.Kinds()[accel.GlobalG1:] // the ten global-control groups, G1..G10
+	r := rng.NewFromInt(seed)
+	const k, ck, w = 36, 9, 7
+	for trial := 0; trial < trials; trial++ {
+		arr := &accel.MACArray{Weights: accel.NewMatrix(k, ck), Inputs: accel.NewMatrix(ck, w)}
+		for i := range arr.Weights.Data {
+			arr.Weights.Data[i] = float32(r.NormFloat64())
+		}
+		for i := range arr.Inputs.Data {
+			arr.Inputs.Data[i] = float32(r.NormFloat64())
+		}
+		clean := arr.Run(nil)
+		sched := accel.NewSchedule([]int{k, w}, 0)
+		f := &accel.ControlFault{
+			Kind:       kinds[r.Intn(len(kinds))],
+			StartCycle: r.Intn(sched.Cycles()),
+			N:          1 + r.Intn(4),
+			Unit:       r.Intn(accel.MACUnits),
+			AddrDelta:  1 + r.Intn(w-1),
+			SourceCol:  r.Intn(w),
+			Rand:       r.Split(uint64(trial)),
+		}
+		faulty := arr.Run(f)
+		pred := accel.PredictCorruption(k, w, f)
+		ok := true
+		for _, idx := range accel.DiffPositions(clean, faulty) {
+			if !pred[idx] {
+				ok = false
+				break
+			}
+		}
+		total++
+		if ok {
+			agree++
+		}
+	}
+	return agree, total
 }
