@@ -34,10 +34,6 @@ func campaignFlags(fs *flag.FlagSet, spec *dist.CampaignSpec) {
 	fs.StringVar(&spec.Recovery, "recovery", "", "with -device-faults: recovery strategy (reexec, jit, elastic, degraded; unset = unmitigated), or \"all\" to replay the same fault population unmitigated and under every strategy head-to-head")
 	fs.BoolVar(&spec.Dedup, "dedup", false, "deduplicate injections with byte-identical effective corruptions: run one owner per equivalence class, adopt its record for the rest (exact; records carry adopted_from provenance)")
 	fs.BoolVar(&spec.EarlyExit, "early-exit", false, "terminate an experiment once its state digest matches the golden run's — the remaining iterations are provably identical and are synthesized from the golden trace (exact) — and classify one whose fault provably touches nothing without running it; with -device-faults only the latter applies")
-	fs.IntVar(&spec.EarlyExitStride, "early-exit-stride", 1, "with -early-exit: compare state digests every this many iterations after the injection")
-	fs.BoolVar(&spec.ConvergedTail, "converged-tail", false, "finish an experiment from the golden trace once its metrics track the reference within -converged-tol for -converged-patience iterations (approximate; records carry a converged_iter flag)")
-	fs.Float64Var(&spec.ConvergedTol, "converged-tol", 0, "with -converged-tail: metric tolerance (0 = default 1e-3)")
-	fs.IntVar(&spec.ConvergedPatience, "converged-patience", 0, "with -converged-tail: consecutive in-tolerance iterations required (0 = default 5)")
 }
 
 // runCampaign is `repro campaign`: it runs a statistical fault-injection
@@ -70,7 +66,6 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		csvOut     = fs.String("csv", "", "write per-experiment rows to this CSV file")
 		jsonOut    = fs.String("json", "", "write the full campaign record to this JSON file")
 		stride     = fs.Int("snapshot-stride", 0, "golden-prefix snapshot stride: 0 = auto (memory-bounded), >0 explicit, <0 disable forking")
-		snapMem    = fs.Int64("snapshot-mem", 0, "auto-stride snapshot cache budget in bytes (0 = 256 MiB)")
 		journal    = fs.String("journal", "", "write-ahead journal path: append each completed experiment (crash-safe, fsync-batched)")
 		resume     = fs.Bool("resume", false, "continue the campaign recorded in -journal, skipping completed experiments")
 		repair     = fs.Bool("repair-journal", false, "truncate a torn final journal line (crash mid-append) before resuming")
@@ -152,7 +147,6 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 			return fail(stderr, "campaign", err)
 		}
 		cfg.SnapshotStride = *stride
-		cfg.SnapshotMemBudget = *snapMem
 		cfg.ScrubWorkspaces = *scrubWS
 		cfgs = append(cfgs, cfg)
 	}

@@ -38,11 +38,7 @@ func TestFlagsDescribeTheSpecCampaign(t *testing.T) {
 		{[]string{"-workload", "transformer", "-n", "24", "-seed", "9", "-iters", "12"},
 			`{"workload":"transformer","experiments":24,"seed":9,"iters":12,"shard_size":5}`},
 		{[]string{"-n", "24", "-dedup", "-early-exit"},
-			`{"workload":"resnet","experiments":24,"seed":1,"dedup":true,"early_exit":true,"early_exit_stride":1}`},
-		{[]string{"-n", "24", "-early-exit", "-early-exit-stride", "3"},
-			`{"workload":"resnet","experiments":24,"seed":1,"early_exit":true,"early_exit_stride":3}`},
-		{[]string{"-n", "24", "-converged-tail", "-converged-tol", "0.01", "-converged-patience", "7"},
-			`{"workload":"resnet","experiments":24,"seed":1,"converged_tail":true,"converged_tol":0.01,"converged_patience":7}`},
+			`{"workload":"resnet","experiments":24,"seed":1,"dedup":true,"early_exit":true}`},
 		{[]string{"-n", "40", "-seed", "7", "-device-faults", "all"},
 			`{"workload":"resnet","experiments":40,"seed":7,"device_faults":"link-sdc,stuck-at,straggler,crash"}`},
 		{[]string{"-n", "40", "-seed", "7", "-device-faults", "all", "-recovery", "reexec"},
@@ -72,8 +68,8 @@ func TestFlagsDescribeTheSpecCampaign(t *testing.T) {
 
 // TestBadFlagsFailInTheSpecValidator: inputs the CLI's own validator used
 // to let through (a panic after the golden run, an empty campaign reported
-// as a result, a silently ignored length, an unchecked stride) are refused
-// by CampaignSpec.Config, which main calls before any golden run.
+// as a result, a silently ignored length) are refused by
+// CampaignSpec.Config, which main calls before any golden run.
 func TestBadFlagsFailInTheSpecValidator(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -82,9 +78,7 @@ func TestBadFlagsFailInTheSpecValidator(t *testing.T) {
 		{[]string{"-n", "-1"}, "experiments > 0"},
 		{[]string{"-n", "0"}, "experiments > 0"},
 		{[]string{"-iters", "-3"}, "iters must be >= 0"},
-		{[]string{"-early-exit-stride", "-2"}, "early_exit_stride must be >= 1"},
-		{[]string{"-device-faults", "all", "-dedup"}, "apply only to FF campaigns"},
-		{[]string{"-device-faults", "all", "-converged-tail"}, "apply only to FF campaigns"},
+		{[]string{"-device-faults", "all", "-dedup"}, "dedup applies only to FF campaigns"},
 	} {
 		if _, err := parseFlags(t, tc.args...).Config(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
@@ -147,7 +141,7 @@ func TestFastPathsReportTheExhaustiveTally(t *testing.T) {
 }
 
 // TestJITRecoveryCampaign: under -recovery jit a crashed device never hangs
-// the group, the journal carries the v4 recovery fields, and the report
+// the group, the journal carries the recovery fields, and the report
 // prints the strategy's summary.
 func TestJITRecoveryCampaign(t *testing.T) {
 	j := filepath.Join(t.TempDir(), "jit.jsonl")
@@ -163,18 +157,19 @@ func TestJITRecoveryCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"record_schema":"campaign-record-v4"`, `"recovery_strategy":"jit"`, `"time_to_recover_iters":`, `"jit_snapshots":`} {
+	for _, want := range []string{`"record_schema":"campaign-record-v5"`, `"recovery_strategy":"jit"`, `"time_to_recover_iters":`, `"jit_snapshots":`} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("journal lacks %s", want)
 		}
 	}
 }
 
-// TestDocsNameOnlyCampaignFlags is the flag-drift gate: every flag README.md
-// and DESIGN.md give on a `repro campaign` command line (continuation lines
-// included), and every backticked `-flag` in their prose and tables, is a
-// flag of `repro campaign` — except go's -race / -tags and faultsim's -inj /
-// -out.
+// TestDocsNameOnlyCampaignFlags is the flag-drift gate: every flag README.md,
+// DESIGN.md and the verify skill's run recipe give on a `repro campaign`
+// command line (continuation lines included), and every backticked `-flag`
+// in their prose and tables, is a flag of `repro campaign` — except go's
+// -race / -tags / -bench / -o / -h, faultsim's -inj / -out and campaignd's
+// -addr.
 func TestDocsNameOnlyCampaignFlags(t *testing.T) {
 	_, _, help := runRepro(t, "campaign", "-h")
 	have := map[string]bool{}
@@ -187,9 +182,10 @@ func TestDocsNameOnlyCampaignFlags(t *testing.T) {
 		command    = regexp.MustCompile("(?:^|[ /`\"])campaign +-")
 		flagWord   = regexp.MustCompile(`^-([a-z][a-z-]*)`)
 		pipe       = regexp.MustCompile(` [|>]`)
-		notOurs    = map[string]bool{"race": true, "tags": true, "inj": true, "out": true}
+		notOurs    = map[string]bool{"race": true, "tags": true, "bench": true, "o": true, "h": true,
+			"inj": true, "out": true, "addr": true}
 	)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
 			t.Fatal(err)

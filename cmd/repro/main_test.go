@@ -41,12 +41,13 @@ func helpFlags(help string) map[string]string {
 	return flags
 }
 
-// TestSubcommandsKeepTheReplacedBinariesFlags: each subcommand's -h lists
-// exactly the flags of the binary it replaces (testdata/parent-help holds
-// that binary's -h output), with the same name, type and default.
-func TestSubcommandsKeepTheReplacedBinariesFlags(t *testing.T) {
+// TestSubcommandFlagSetsAndDefaultsArePinned: each subcommand's -h lists
+// exactly the flags testdata/help/<subcommand>.txt pins, with the same name,
+// type and default — a flag added, removed or re-defaulted is a deliberate
+// change to that file.
+func TestSubcommandFlagSetsAndDefaultsArePinned(t *testing.T) {
 	for _, c := range commands {
-		want, err := os.ReadFile(filepath.Join("testdata", "parent-help", c.name+".txt"))
+		want, err := os.ReadFile(filepath.Join("testdata", "help", c.name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,18 +55,18 @@ func TestSubcommandsKeepTheReplacedBinariesFlags(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("%s -h: exit %d", c.name, code)
 		}
-		got, parent := helpFlags(help), helpFlags(string(want))
-		if len(parent) == 0 {
-			t.Fatalf("%s: no flags in the parent's help", c.name)
+		got, pinned := helpFlags(help), helpFlags(string(want))
+		if len(pinned) == 0 {
+			t.Fatalf("%s: no flags in the pinned help", c.name)
 		}
-		for f, d := range parent {
+		for f, d := range pinned {
 			if g, ok := got[f]; !ok || g != d {
 				t.Errorf("repro %s: flag %q default %q, want present with default %q", c.name, f, g, d)
 			}
 		}
 		for f := range got {
-			if _, ok := parent[f]; !ok {
-				t.Errorf("repro %s: flag %q is new", c.name, f)
+			if _, ok := pinned[f]; !ok {
+				t.Errorf("repro %s: flag %q is not pinned", c.name, f)
 			}
 		}
 	}

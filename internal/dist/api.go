@@ -12,7 +12,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/experiment"
@@ -49,19 +48,13 @@ type CampaignSpec struct {
 	// reexec, jit, elastic or degraded ("" = unmitigated).
 	Recovery string `json:"recovery,omitempty"`
 
-	// Dedup / EarlyExit / EarlyExitStride are the exact equivalence-layer
-	// fast paths (Dedup: FF campaigns only; EarlyExit in a device-fault
-	// campaign exits what is golden by construction and nothing else). They
-	// compose with sharding: shards partition the dedup-owner index space,
-	// so owners and their adoptees always land in the same shard.
-	Dedup           bool `json:"dedup,omitempty"`
-	EarlyExit       bool `json:"early_exit,omitempty"`
-	EarlyExitStride int  `json:"early_exit_stride,omitempty"`
-	// ConvergedTail and its tuning knobs enable the approximate
-	// golden-trace tail fast path.
-	ConvergedTail     bool    `json:"converged_tail,omitempty"`
-	ConvergedTol      float64 `json:"converged_tol,omitempty"`
-	ConvergedPatience int     `json:"converged_patience,omitempty"`
+	// Dedup / EarlyExit are the exact equivalence-layer fast paths (Dedup:
+	// FF campaigns only; EarlyExit in a device-fault campaign exits what is
+	// golden by construction and nothing else). They compose with sharding:
+	// shards partition the dedup-owner index space, so owners and their
+	// adoptees always land in the same shard.
+	Dedup     bool `json:"dedup,omitempty"`
+	EarlyExit bool `json:"early_exit,omitempty"`
 }
 
 // Config validates the spec and resolves it to the experiment.Config it
@@ -101,33 +94,19 @@ func (s CampaignSpec) Config() (experiment.Config, error) {
 			return cfg, fmt.Errorf("dist: unknown recovery strategy %q (want reexec, jit, elastic, or degraded)", s.Recovery)
 		}
 	}
-	stride := s.EarlyExitStride
-	if stride == 0 {
-		stride = 1
-	}
-	if stride < 1 {
-		return cfg, fmt.Errorf("dist: early_exit_stride must be >= 1 (got %d)", s.EarlyExitStride)
-	}
-	if s.DeviceFaults != "" && (s.Dedup || s.ConvergedTail) {
-		return cfg, fmt.Errorf("dist: dedup/converged_tail apply only to FF campaigns: device faults carry per-experiment random value streams and stay armed across iterations, so neither the dedup keys nor the converged-tail cut hold")
-	}
-	if math.IsNaN(s.ConvergedTol) || math.IsInf(s.ConvergedTol, 0) {
-		return cfg, fmt.Errorf("dist: converged_tol must be finite (got %g)", s.ConvergedTol)
+	if s.DeviceFaults != "" && s.Dedup {
+		return cfg, fmt.Errorf("dist: dedup applies only to FF campaigns: device faults carry per-experiment random value streams and stay armed across iterations, so the dedup keys do not hold")
 	}
 	return experiment.Config{
-		Workload:          w,
-		Experiments:       s.Experiments,
-		Seed:              s.Seed,
-		HorizonMult:       1.5,
-		DeviceFaults:      s.DeviceFaults != "",
-		DeviceFaultKinds:  kinds,
-		Recovery:          rs,
-		Dedup:             s.Dedup,
-		EarlyExit:         s.EarlyExit,
-		EarlyExitStride:   stride,
-		ConvergedTail:     s.ConvergedTail,
-		ConvergedTol:      s.ConvergedTol,
-		ConvergedPatience: s.ConvergedPatience,
+		Workload:         w,
+		Experiments:      s.Experiments,
+		Seed:             s.Seed,
+		HorizonMult:      1.5,
+		DeviceFaults:     s.DeviceFaults != "",
+		DeviceFaultKinds: kinds,
+		Recovery:         rs,
+		Dedup:            s.Dedup,
+		EarlyExit:        s.EarlyExit,
 	}, nil
 }
 

@@ -385,6 +385,19 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("dist: shard [%d,%d) upload from worker %s is invalid: %v", req.Lo, req.Hi, req.Worker, err), http.StatusBadRequest)
 		return
 	}
+	// Every record must belong to the lease: its dedup owner (itself when
+	// not adopted) lies in [lo,hi). Refused before anything is persisted;
+	// the lease stays held, so it expires and the shard re-runs.
+	for i, rec := range recs {
+		owner := i
+		if rec.AdoptedFrom >= 0 {
+			owner = rec.AdoptedFrom
+		}
+		if owner < sh.lo || owner >= sh.hi {
+			http.Error(w, fmt.Sprintf("dist: shard [%d,%d) upload from worker %s carries record %d, whose owner %d lies outside the lease", sh.lo, sh.hi, req.Worker, i, owner), http.StatusBadRequest)
+			return
+		}
+	}
 	digest := req.GoldenDigest
 	path := filepath.Join(c.opts.DataDir, fmt.Sprintf("%s.shard-%s.jsonl", camp.id, record.ShardBinding(sh.lo, sh.hi)))
 	os.Remove(path) // stale file from an expired predecessor's epoch

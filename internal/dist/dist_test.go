@@ -483,10 +483,82 @@ func TestLeaseEpochFencing(t *testing.T) {
 	}
 }
 
+// TestUploadOutsideTheLeaseIsRefused: a shard upload carrying a record whose
+// dedup owner lies outside the leased range is refused with 400 before
+// anything is persisted or counted, the lease stays held, and the shard's
+// own records still complete it afterwards.
+func TestUploadOutsideTheLeaseIsRefused(t *testing.T) {
+	c, srv := startCoordinator(t, 10*time.Second)
+	spec := testSpec(8, 9, 4) // shards [0,4) [4,8)
+	id := submit(t, srv.URL, spec)
+	status, body := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "w"})
+	var lr LeaseResponse
+	if err := json.Unmarshal(body, &lr); err != nil || status != http.StatusOK || lr.Lease == nil {
+		t.Fatalf("POST /lease = HTTP %d: %s", status, body)
+	}
+	l := lr.Lease
+	if l.Lo != 0 || l.Hi != 4 {
+		t.Fatalf("first lease covers [%d,%d), want [0,4)", l.Lo, l.Hi)
+	}
+
+	// Run the whole campaign locally: the shard's own lines, plus one from
+	// the other shard.
+	cfg, err := l.Spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 2
+	g := experiment.PrepareGolden(cfg)
+	buf := &record.LineBuffer{}
+	if _, err := experiment.Resume(cfg, experiment.RunOptions{Golden: g, Sink: buf}); err != nil {
+		t.Fatal(err)
+	}
+	var own, other []string
+	for _, line := range buf.Lines() {
+		var head struct {
+			I int `json:"i"`
+		}
+		if err := json.Unmarshal([]byte(line), &head); err != nil {
+			t.Fatal(err)
+		}
+		if head.I < l.Hi {
+			own = append(own, line)
+		} else {
+			other = append(other, line)
+		}
+	}
+	if len(own) != 4 || len(other) != 4 {
+		t.Fatalf("%d lines of [0,4) and %d of [4,8), want 4 and 4", len(own), len(other))
+	}
+	stray := other[2]
+
+	complete := CompleteRequest{Worker: "w", Campaign: id, Lo: l.Lo, Hi: l.Hi, Epoch: l.Epoch,
+		Fingerprint: l.Fingerprint, GoldenDigest: g.Ref().Digest(), Lines: append(append([]string(nil), own...), stray)}
+	status, body = postJSON(t, srv.URL+"/complete", complete)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "outside the lease") {
+		t.Fatalf("upload with a record of [4,8) = HTTP %d: %s, want 400", status, body)
+	}
+	st := getStatus(t, srv.URL, id)
+	if st.RecordsDone != 0 || st.ShardsDone != 0 || st.GoldenDigest != "" || st.Shards[0].State != ShardLeased {
+		t.Fatalf("refused upload left state behind: %+v", st)
+	}
+	if entries, _ := os.ReadDir(c.opts.DataDir); len(entries) != 0 {
+		t.Fatalf("refused upload persisted %d files", len(entries))
+	}
+
+	complete.Lines = own
+	if status, body := postJSON(t, srv.URL+"/complete", complete); status != http.StatusNoContent {
+		t.Fatalf("upload of the shard's own records = HTTP %d: %s", status, body)
+	}
+	if st := getStatus(t, srv.URL, id); st.RecordsDone != 4 || st.ShardsDone != 1 {
+		t.Fatalf("after the valid upload: %d records, %d shards done; want 4 and 1", st.RecordsDone, st.ShardsDone)
+	}
+}
+
 // TestSubmitValidation: malformed and contradictory specs are rejected at
 // the door with 400 — a field the spec does not have by name, so an old
-// client's {"quarantine":true} or a typo never runs a different campaign
-// than asked — and unknown campaign ids 404.
+// client's {"quarantine":true} or {"converged_tail":true} or a typo never
+// runs a different campaign than asked — and unknown campaign ids 404.
 func TestSubmitValidation(t *testing.T) {
 	_, srv := startCoordinator(t, time.Second)
 	for _, tc := range []struct {
@@ -501,6 +573,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"recovery-without-device-faults", `{"workload":"resnet","experiments":4,"seed":1,"recovery":"jit"}`, "device-fault"},
 		{"unknown-recovery", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"all","recovery":"none"}`, `"none"`},
 		{"retired-field", `{"workload":"resnet","experiments":4,"seed":1,"device_faults":"all","quarantine":true}`, `"quarantine"`},
+		{"retired-converged-tail", `{"workload":"resnet","experiments":4,"seed":1,"converged_tail":true}`, `"converged_tail"`},
+		{"retired-converged-tol", `{"workload":"resnet","experiments":4,"seed":1,"converged_tol":0.01}`, `"converged_tol"`},
+		{"retired-converged-patience", `{"workload":"resnet","experiments":4,"seed":1,"converged_patience":7}`, `"converged_patience"`},
+		{"retired-early-exit-stride", `{"workload":"resnet","experiments":4,"seed":1,"early_exit":true,"early_exit_stride":1}`, `"early_exit_stride"`},
 		{"misspelt-field", `{"workload":"resnet","experiments":4,"seed":1,"dedupe":true}`, `"dedupe"`},
 	} {
 		resp, err := http.Post(srv.URL+"/campaigns", "application/json", strings.NewReader(tc.body))

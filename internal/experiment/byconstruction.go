@@ -27,9 +27,8 @@ package experiment
 // runOne / runDeviceFault write field for field (TestGoldenByConstructionExact
 // holds every synthesized record to the executed one, as journal bytes). What
 // is deliberately left executing: non-empty programs that happen to preserve
-// every value (data-dependent), crashes that repair, ConvergedTail campaigns
-// (their records are flagged approximations of an executed run), every
-// campaign whose golden run went non-finite (no completed golden run to be) —
+// every value (data-dependent), crashes that repair, every campaign whose
+// golden run went non-finite (no completed golden run to be) —
 // and every campaign that did not ask for EarlyExit. The exhaustive campaign
 // is the oracle the equivalence layer is held to (ci.sh and bench's
 // ff-resnet-fastpath compare the two on every run), so it executes what it
@@ -62,7 +61,7 @@ type goldenProof struct {
 // comm.DefaultPolicy; a recovery strategy adds exclusion, which Arrival does
 // not read).
 func (g *Golden) provablyGolden(cfg Config, inj fault.Injection, df fault.DeviceFault, p comm.Policy) (proof goldenProof, ok bool) {
-	if !cfg.EarlyExit || g.digests == nil || cfg.ConvergedTail {
+	if !cfg.EarlyExit || g.digests == nil {
 		return proof, false
 	}
 	if !cfg.DeviceFaults {
@@ -101,7 +100,7 @@ func (g *Golden) provablyGolden(cfg Config, inj fault.Injection, df fault.Device
 // written from the golden run's trace and schedules.
 func (g *Golden) goldenRecord(cfg Config, inj fault.Injection, df fault.DeviceFault, proof goldenProof) Record {
 	rec := Record{Injection: inj, DeviceFault: df, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1,
-		AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1, Masked: true,
+		AdoptedFrom: -1, EarlyExitIter: -1, Masked: true,
 		RecoveryStrategy: recovery.StrategyNone.String(), TimeToRecoverIters: -1}
 	trace := *g.ref // the run is the golden run; slices shared, read only
 	pass := inj.Pass

@@ -72,7 +72,7 @@ func constructedCampaign(t *testing.T, g *experiment.Golden, e *train.Engine, cf
 		if _, ok := g.ByConstruction(cfg, inj, df, comm.DefaultPolicy()); ok {
 			proven = append(proven, i)
 		} else {
-			prior[i] = experiment.Record{Injection: inj, DeviceFault: df, AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1}
+			prior[i] = experiment.Record{Injection: inj, DeviceFault: df, AdoptedFrom: -1, EarlyExitIter: -1}
 		}
 	}
 	c, err := experiment.Resume(cfg, experiment.RunOptions{Golden: g, Prior: prior})
@@ -116,9 +116,8 @@ func TestGoldenByConstructionExact(t *testing.T) {
 			g := experiment.PrepareGolden(base)
 			e := g.NewPooledEngine(base)
 			variants := map[string]func(*experiment.Config){
-				"stride 1": func(*experiment.Config) {},
-				"stride 3": func(c *experiment.Config) { c.EarlyExitStride = 3 },
-				"dedup":    func(c *experiment.Config) { c.Dedup = true },
+				"early exit": func(*experiment.Config) {},
+				"dedup":      func(c *experiment.Config) { c.Dedup = true },
 			}
 			var proven []int
 			for name, set := range variants {
@@ -340,8 +339,7 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 		}
 	}
 
-	// FF side: a program that writes, a ConvergedTail campaign, a non-finite
-	// golden run.
+	// FF side: a program that writes, a non-finite golden run.
 	r, err := workloads.ByName("resnet")
 	if err != nil {
 		t.Fatal(err)
@@ -376,14 +374,6 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 	}
 	if c := experiment.RunWithGolden(plain, gf); c.GoldenByConstruction != 0 {
 		t.Errorf("exhaustive FF campaign: %d experiments classified without running", c.GoldenByConstruction)
-	}
-	conv := ffCfg
-	conv.ConvergedTail = true
-	if _, ok := gf.ByConstruction(conv, *inert, fault.DeviceFault{}, comm.DefaultPolicy()); ok {
-		t.Error("a ConvergedTail experiment was classified without running")
-	}
-	if c := experiment.RunWithGolden(conv, gf); c.GoldenByConstruction != 0 {
-		t.Errorf("ConvergedTail campaign: %d experiments classified without running", c.GoldenByConstruction)
 	}
 
 	hot, err := workloads.ByName("resnet_nobn")

@@ -38,10 +38,8 @@ func oracleRunOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) R
 	e.SetInjection(&inj)
 	det := detect.ForEngine(e, w.BatchSize(), w.LR, true)
 	earlyExit := cfg.EarlyExit && g.digests != nil
-	convergedTail := cfg.ConvergedTail && g.digests != nil
-	convRun := 0
 	rec := Record{Injection: inj, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1, Masked: true,
-		AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1,
+		AdoptedFrom: -1, EarlyExitIter: -1,
 		RecoveryStrategy: recovery.StrategyNone.String(), TimeToRecoverIters: -1}
 	trace := train.NewTrace(w.Name)
 	copyGoldenPrefix(trace, g.ref, start)
@@ -77,29 +75,13 @@ func oracleRunOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) R
 		if iter <= inj.Iteration || iter >= g.horizon-1 {
 			continue
 		}
-		if earlyExit && (iter-inj.Iteration-1)%cfg.EarlyExitStride == 0 &&
-			e.StateDigest() == g.digests[iter] {
+		if earlyExit && e.StateDigest() == g.digests[iter] {
 			rec.EarlyExitIter = iter
 			copyGoldenTail(trace, g, iter)
 			if rec.DetectIter == -1 {
 				rec.DetectIter = g.alarmAfter(iter)
 			}
 			break
-		}
-		if convergedTail && withinGoldenTolerance(st, g, iter, cfg.ConvergedTol) {
-			convRun++
-			if convRun >= cfg.ConvergedPatience {
-				rec.ConvergedIter = iter
-				copyGoldenTail(trace, g, iter)
-				if n := len(trace.TestIters); n > 0 && trace.TestIters[n-1] > iter {
-					tl, ta := e.Evaluate(e.RootDevice())
-					trace.TestLoss[n-1] = tl
-					trace.TestAcc[n-1] = ta
-				}
-				break
-			}
-		} else {
-			convRun = 0
 		}
 	}
 	rec.Outcome = g.cls.Classify(trace, inj.Pass)
@@ -124,7 +106,7 @@ func oracleRunDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg 
 	e.Group().Arm(df)
 	strategy := cfg.recoveryStrategy()
 	rec := Record{DeviceFault: df, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1,
-		AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1, Masked: true,
+		AdoptedFrom: -1, EarlyExitIter: -1, Masked: true,
 		RecoveryStrategy: strategy.String(), TimeToRecoverIters: -1}
 	trace := train.NewTrace(w.Name)
 	copyGoldenPrefix(trace, g.ref, start)
@@ -301,14 +283,6 @@ func TestDeferredEvalRecordsExact(t *testing.T) {
 		c := assertCampaignMatchesOracle(t, cfg)
 		if c.ExperimentsAdopted == 0 || c.EarlyExits == 0 {
 			t.Fatalf("fast paths did not fire: %d adopted, %d early exits", c.ExperimentsAdopted, c.EarlyExits)
-		}
-	})
-
-	t.Run("ff/converged-tail", func(t *testing.T) {
-		cfg := equivTestConfig(t)
-		cfg.ConvergedTail, cfg.ConvergedTol = true, 0.5
-		if c := assertCampaignMatchesOracle(t, cfg); c.ConvergedTails == 0 {
-			t.Fatal("converged-tail fast path did not fire")
 		}
 	})
 

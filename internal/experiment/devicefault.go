@@ -81,7 +81,7 @@ func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config
 
 	strategy := cfg.recoveryStrategy()
 	rec := Record{DeviceFault: df, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1,
-		AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1, Masked: true,
+		AdoptedFrom: -1, EarlyExitIter: -1, Masked: true,
 		RecoveryStrategy: strategy.String(), TimeToRecoverIters: -1}
 	trace := train.NewTrace(w.Name)
 	trace.FinalTestOnly = true

@@ -1,10 +1,9 @@
 package experiment
 
-// Masked early-termination and the converged-tail fast-path: the
-// convergence half of the campaign equivalence layer (see dedup.go for the
-// injection-dedup half).
+// Masked early-termination: the convergence half of the campaign
+// equivalence layer (see dedup.go for the injection-dedup half).
 //
-// Soundness of the bitwise path. The golden run records, at every
+// Soundness. The golden run records, at every
 // iteration boundary, a digest of the evolution-relevant engine state
 // (train.Engine.StateDigest: root-replica weights, optimizer history,
 // per-device normalization statistics). An experiment whose digest at
@@ -26,25 +25,15 @@ package experiment
 // real execution — and a fired injection can only have re-joined the
 // golden trajectory after its own iteration anyway.
 //
-// The converged-tail path is deliberately weaker: it fires when the
-// experiment's loss and accuracy track the golden trace within a tolerance
-// for a patience window without the state being bitwise-identical (think
-// a corrupted weight whose effect decays below float32 visibility in the
-// metrics but not in the bits). Its records are approximations and carry
-// an explicit ConvergedIter flag; the campaign fingerprint changes so such
-// journals never mix with exact ones.
+// The comparison runs at every boundary from t+1 on, so a record's
+// EarlyExitIter is the first boundary at which its state is golden again.
 
-import (
-	"math"
-
-	"repro/internal/train"
-)
+import "repro/internal/train"
 
 // copyGoldenTail reconstructs iterations (c, horizon) of an experiment
 // trace from the golden reference trace — the suffix twin of
 // copyGoldenPrefix — and returns the number of iterations synthesized.
-// Valid only when the run's state at boundary c is (or is being treated
-// as) the golden run's; callers record the distinction on the Record.
+// Valid only when the run's state at boundary c is the golden run's.
 func copyGoldenTail(dst *train.Trace, g *Golden, c int) int {
 	ref := g.ref
 	dst.TrainLoss = append(dst.TrainLoss, ref.TrainLoss[c+1:g.horizon]...)
@@ -73,16 +62,4 @@ func (g *Golden) alarmAfter(c int) int {
 		}
 	}
 	return -1
-}
-
-// withinGoldenTolerance reports whether iteration iter's live metrics track
-// the golden trace within tol: loss relatively (scaled by 1+|golden loss|,
-// so the criterion is absolute near zero and relative for large losses) and
-// accuracy absolutely (it is already a [0,1] fraction).
-func withinGoldenTolerance(st train.IterStats, g *Golden, iter int, tol float64) bool {
-	refLoss := g.ref.TrainLoss[iter]
-	if math.Abs(st.Loss-refLoss) > tol*(1+math.Abs(refLoss)) {
-		return false
-	}
-	return math.Abs(st.TrainAcc-g.ref.TrainAcc[iter]) <= tol
 }

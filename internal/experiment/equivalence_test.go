@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/workloads"
@@ -48,7 +49,7 @@ func TestEquivalenceFastPathsExact(t *testing.T) {
 	// Exhaustive records must carry no fast-path provenance.
 	for i := range want.Records {
 		r := &want.Records[i]
-		if r.AdoptedFrom != -1 || r.EarlyExitIter != -1 || r.ConvergedIter != -1 {
+		if r.AdoptedFrom != -1 || r.EarlyExitIter != -1 {
 			t.Fatalf("exhaustive record %d carries fast-path provenance: %+v", i, r)
 		}
 	}
@@ -57,9 +58,6 @@ func TestEquivalenceFastPathsExact(t *testing.T) {
 	}
 	if got.EarlyExits == 0 {
 		t.Fatal("test config produced no early exits; pick a config with masked experiments")
-	}
-	if got.ConvergedTails != 0 {
-		t.Fatalf("converged-tail fast-path fired %d times without being enabled", got.ConvergedTails)
 	}
 	if got.IterationsSynthesized == 0 {
 		t.Fatal("early exits recorded but no iterations synthesized")
@@ -142,35 +140,22 @@ func TestEarlyExitIterBounds(t *testing.T) {
 	}
 }
 
-// TestConvergedTailFlagsRecords: the thresholded fast-path must mark every
-// record it truncates with ConvergedIter, and with a generous tolerance it
-// must fire on this population.
-func TestConvergedTailFlagsRecords(t *testing.T) {
-	cfg := equivTestConfig(t)
-	cfg.ConvergedTail = true
-	cfg.ConvergedTol = 0.5 // generous: most corrupted runs re-track loosely
-	cfg.ConvergedPatience = 2
-	c := Run(cfg)
-	flagged := 0
-	for i := range c.Records {
-		if c.Records[i].ConvergedIter >= 0 {
-			flagged++
-		}
-	}
-	if flagged == 0 {
-		t.Fatal("converged-tail never fired despite a generous tolerance")
-	}
-	if flagged != c.ConvergedTails {
-		t.Fatalf("%d converged-tail records, campaign counted %d", flagged, c.ConvergedTails)
+// TestResumeRefusesEarlyExitStride: the early exit compares digests at every
+// boundary, and a coarser EarlyExitStride is refused before a golden run is
+// prepared — the Config names no workload, so preparing one would panic.
+func TestResumeRefusesEarlyExitStride(t *testing.T) {
+	cfg := Config{Experiments: 4, EarlyExit: true, EarlyExitStride: 3}
+	if _, err := Resume(cfg, RunOptions{}); err == nil || !strings.Contains(err.Error(), "EarlyExitStride 3") {
+		t.Fatalf("Resume with EarlyExitStride 3: %v, want a refusal naming it", err)
 	}
 }
 
-// TestEquivalenceRejectsDeviceFaults: the dedup keys and the converged-tail
-// cut do not cover device faults (random value streams, multi-shot arming), so
-// enabling either must fail loudly. EarlyExit is accepted: it compares no
-// digest in a device-fault campaign and exits only what is golden by
-// construction, which is decided before anything runs
-// (TestGoldenByConstructionExact holds those records to execution).
+// TestEquivalenceRejectsDeviceFaults: the dedup keys do not cover device
+// faults (random value streams, multi-shot arming), so enabling dedup must
+// fail loudly. EarlyExit is accepted: it compares no digest in a
+// device-fault campaign and exits only what is golden by construction, which
+// is decided before anything runs (TestGoldenByConstructionExact holds those
+// records to execution).
 func TestEquivalenceRejectsDeviceFaults(t *testing.T) {
 	cfg := equivTestConfig(t)
 	cfg.DeviceFaults = true
@@ -179,11 +164,6 @@ func TestEquivalenceRejectsDeviceFaults(t *testing.T) {
 		t.Fatal("Resume accepted dedup on a device-fault campaign")
 	}
 	cfg.Dedup = false
-	cfg.ConvergedTail = true
-	if _, err := Resume(cfg, RunOptions{}); err == nil {
-		t.Fatal("Resume accepted converged-tail on a device-fault campaign")
-	}
-	cfg.ConvergedTail = false
 	cfg.EarlyExit = true
 	c, err := Resume(cfg, RunOptions{})
 	if err != nil {

@@ -75,7 +75,7 @@ type Config struct {
 	// or before its injection iteration and executes only the suffix,
 	// instead of replaying the bitwise-identical prefix from iteration 0.
 	//
-	//	 0 — auto: the densest stride whose cache fits SnapshotMemBudget.
+	//	 0 — auto: the densest stride whose cache fits 256 MiB.
 	//	>0 — explicit stride.
 	//	<0 — disable forking; every experiment replays from iteration 0.
 	//
@@ -83,9 +83,6 @@ type Config struct {
 	// (TestForkedCampaignEquivalence); forking is purely a wall-clock
 	// optimization.
 	SnapshotStride int
-	// SnapshotMemBudget bounds the auto-stride snapshot cache footprint in
-	// bytes (0 = 256 MiB). Ignored when SnapshotStride is explicit.
-	SnapshotMemBudget int64
 	// ScrubWorkspaces poisons every pooled engine's cached kernel scratch
 	// buffers with NaNs between experiments (train.Engine.ScrubWorkspaces).
 	// Workspace contents are undefined between kernel calls, so scrubbing
@@ -116,7 +113,7 @@ type Config struct {
 	Dedup bool
 	// EarlyExit enables provable masked early-termination: after its
 	// injection iteration, each experiment compares its engine-state digest
-	// against the golden run's at EarlyExitStride cadence, and the moment
+	// against the golden run's at every iteration boundary, and the moment
 	// the state is bitwise-identical to golden the remaining iterations are
 	// synthesized from the golden trace instead of executed
 	// (Record.EarlyExitIter). Sound because training is deterministic and a
@@ -130,25 +127,11 @@ type Config struct {
 	// golden run is non-finite. Records and Tally stay byte-identical to
 	// exhaustive execution.
 	EarlyExit bool
-	// EarlyExitStride is the digest-comparison cadence in iterations
-	// (0 = every iteration). Coarser strides trade comparison cost for
-	// later exits; the record provenance (EarlyExitIter) changes with the
-	// stride but the outcome payload does not.
+	// EarlyExitStride is read by nothing but Resume, which refuses any value
+	// above 1: the digest is compared at every boundary. It survives only
+	// because bench/run.go:88 assigns it and bench/ is frozen until
+	// Benchmark v2 (ROADMAP); leave it unset.
 	EarlyExitStride int
-	// ConvergedTail enables the thresholded fast-path: when an experiment's
-	// loss and accuracy stay within ConvergedTol of the golden trace for
-	// ConvergedPatience consecutive post-fault iterations without being
-	// bitwise-identical, the remaining iterations are synthesized from the
-	// golden tail and the final test point is re-evaluated on the live
-	// weights (eval-only finish). Unlike EarlyExit this is a statistical
-	// approximation: records are explicitly flagged (Record.ConvergedIter).
-	ConvergedTail bool
-	// ConvergedTol is the fast-path's relative metric tolerance
-	// (0 = 1e-3).
-	ConvergedTol float64
-	// ConvergedPatience is the consecutive-iteration requirement
-	// (0 = 5).
-	ConvergedPatience int
 	// Recovery selects how a device-fault experiment is mitigated: reexec,
 	// jit, elastic or degraded (recovery.Strategy) drive the run through
 	// recovery.GroupGuard; the zero value runs unmitigated — a failed device
@@ -215,13 +198,6 @@ type Record struct {
 	// (-1 when it executed to its natural end). Provenance only: the
 	// synthesized fields equal what execution would have produced.
 	EarlyExitIter int
-	// ConvergedIter is the iteration the thresholded converged-tail
-	// fast-path truncated execution (-1 = none). Records with
-	// ConvergedIter >= 0 are statistical approximations of the exhaustive
-	// run, not byte-exact reproductions: their golden-copied tail metrics
-	// and live final test evaluation are within tolerance by construction,
-	// but not proven identical.
-	ConvergedIter int
 	// RecoveryStrategy names the recovery strategy the experiment ran
 	// under ("none" for unmitigated device-fault records and FF records).
 	RecoveryStrategy string
@@ -274,13 +250,12 @@ type Campaign struct {
 	// that point. A runtime count like the two above, never journaled.
 	Evaluations int64
 	// ExperimentsAdopted counts records adopted via injection dedup
-	// instead of executing; EarlyExits and ConvergedTails count executions
-	// truncated by the bitwise and thresholded fast-paths; and
-	// IterationsSynthesized counts tail iterations copied from the golden
-	// trace instead of executed by those truncations.
-	ExperimentsAdopted         int
-	EarlyExits, ConvergedTails int
-	IterationsSynthesized      int64
+	// instead of executing; EarlyExits counts executions truncated by the
+	// bitwise early exit; and IterationsSynthesized counts tail iterations
+	// copied from the golden trace instead of executed by those truncations.
+	ExperimentsAdopted    int
+	EarlyExits            int
+	IterationsSynthesized int64
 	// GoldenByConstruction counts the experiments this call classified
 	// without running, because their fault provably touches no value
 	// (byconstruction.go; EarlyExit campaigns only). They appear in none of
@@ -315,7 +290,7 @@ func Run(cfg Config) *Campaign {
 // snapshot at or before the injection iteration, reconstruct the trace
 // prefix from the golden trace (the skipped iterations are
 // bitwise-identical to it), and execute the suffix — truncated by the
-// equivalence layer's fast-paths when cfg enables them (see earlyexit.go).
+// masked early exit when cfg enables it (see earlyexit.go).
 // e is the worker's pooled engine. Returns the record, the prefix length
 // skipped, the suffix iterations executed, the tail iterations synthesized
 // from the golden trace, and the number of detector checks performed.
@@ -326,14 +301,12 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 	e.SetInjection(&inj)
 	det := detect.ForEngine(e, w.BatchSize(), w.LR, true)
 
-	// The fast-paths need a completed golden tail to synthesize from; a
+	// The early exit needs a completed golden tail to synthesize from; a
 	// non-finite golden run cleared the schedules (see PrepareGolden).
 	earlyExit := cfg.EarlyExit && g.digests != nil
-	convergedTail := cfg.ConvergedTail && g.digests != nil
-	convRun := 0
 
 	rec := Record{Injection: inj, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1, Masked: true,
-		AdoptedFrom: -1, EarlyExitIter: -1, ConvergedIter: -1,
+		AdoptedFrom: -1, EarlyExitIter: -1,
 		RecoveryStrategy: recovery.StrategyNone.String(), TimeToRecoverIters: -1}
 	checks := 0
 	synthesized := 0
@@ -370,15 +343,14 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 			trace.NonFiniteAt = st.NonFiniteAt
 			break // error message terminates the experiment (Sec 3.3)
 		}
-		// The fast-path checks run strictly after the iteration's full
+		// The digest comparison runs strictly after the iteration's full
 		// bookkeeping, and only from t+1 on (the HistAtT1/MvarAtT1
 		// measurements at t+1 must come from real execution; a fired
 		// injection can only re-join the golden trajectory after t anyway).
 		if iter <= inj.Iteration || iter >= g.horizon-1 {
 			continue
 		}
-		if earlyExit && (iter-inj.Iteration-1)%cfg.EarlyExitStride == 0 &&
-			e.StateDigest() == g.digests[iter] {
+		if earlyExit && e.StateDigest() == g.digests[iter] {
 			// Provably masked from here: the engine state is
 			// bitwise-identical to the golden run's at the same iteration
 			// boundary, the injection cannot re-fire, and everything else
@@ -391,26 +363,6 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 				rec.DetectIter = g.alarmAfter(iter)
 			}
 			break
-		}
-		if convergedTail && withinGoldenTolerance(st, g, iter, cfg.ConvergedTol) {
-			convRun++
-			if convRun >= cfg.ConvergedPatience {
-				// Statistically re-converged, not proven identical: copy
-				// the golden tail metrics, but keep the detector verdict
-				// as measured and finish with one real test evaluation of
-				// the live weights (eval-only stepping). The record is
-				// flagged via ConvergedIter.
-				rec.ConvergedIter = iter
-				synthesized = copyGoldenTail(trace, g, iter)
-				if n := len(trace.TestIters); n > 0 && trace.TestIters[n-1] > iter {
-					tl, ta := e.Evaluate(e.RootDevice())
-					trace.TestLoss[n-1] = tl
-					trace.TestAcc[n-1] = ta
-				}
-				break
-			}
-		} else {
-			convRun = 0
 		}
 	}
 	e.ResolveTest(trace)
@@ -694,9 +646,9 @@ func (c *Campaign) Report(w io.Writer) {
 		fmt.Fprintf(w, "  detection latency (iters): p50 %.1f  p95 %.1f  max %d  (%d alarms)\n",
 			ls.P50, ls.P95, ls.Max, ls.Detected)
 	}
-	if c.ExperimentsAdopted > 0 || c.EarlyExits > 0 || c.ConvergedTails > 0 || c.GoldenByConstruction > 0 {
-		fmt.Fprintf(w, "  equivalence: %d adopted (dedup), %d early exits, %d converged tails, %d iters synthesized, %d golden by construction\n",
-			c.ExperimentsAdopted, c.EarlyExits, c.ConvergedTails, c.IterationsSynthesized, c.GoldenByConstruction)
+	if c.ExperimentsAdopted > 0 || c.EarlyExits > 0 || c.GoldenByConstruction > 0 {
+		fmt.Fprintf(w, "  equivalence: %d adopted (dedup), %d early exits, %d iters synthesized, %d golden by construction\n",
+			c.ExperimentsAdopted, c.EarlyExits, c.IterationsSynthesized, c.GoldenByConstruction)
 	}
 	if c.WarmRestores+c.ColdRestores > 0 {
 		fmt.Fprintf(w, "  locality: %d warm / %d cold snapshot restores\n",

@@ -36,8 +36,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// defaultSnapshotMemBudget bounds the auto-stride snapshot cache (256 MiB).
-const defaultSnapshotMemBudget = 256 << 20
+// snapshotMemBudget bounds the auto-stride snapshot cache (256 MiB).
+const snapshotMemBudget = 256 << 20
 
 // Golden is the precomputed fault-free side of a campaign: the reference
 // trace, its outcome classifier, and the prefix snapshot cache experiments
@@ -112,17 +112,13 @@ func (g *Golden) nearest(iter int) (int, *train.State) {
 
 // resolveStride picks the snapshot stride: an explicit positive stride is
 // taken as-is; a negative stride disables periodic snapshots; zero selects
-// the densest stride whose cache footprint fits the memory budget.
-func resolveStride(cfg Config, perSnap int64, maxInjectIter int) int {
-	if cfg.SnapshotStride > 0 {
-		return cfg.SnapshotStride
+// the densest stride whose cache footprint fits budget bytes.
+func resolveStride(stride int, budget, perSnap int64, maxInjectIter int) int {
+	if stride > 0 {
+		return stride
 	}
-	if cfg.SnapshotStride < 0 {
+	if stride < 0 {
 		return 0
-	}
-	budget := cfg.SnapshotMemBudget
-	if budget <= 0 {
-		budget = defaultSnapshotMemBudget
 	}
 	if perSnap <= 0 {
 		perSnap = 1
@@ -168,7 +164,7 @@ func prepareGolden(cfg Config, groupCheck *detect.GroupCheck) *Golden {
 	init := refEngine.Snapshot(-1)
 	g.snaps = append(g.snaps, init)
 	g.bounds = append(g.bounds, 0)
-	g.stride = resolveStride(cfg, init.Bytes(), g.maxInjectIter)
+	g.stride = resolveStride(cfg.SnapshotStride, snapshotMemBudget, init.Bytes(), g.maxInjectIter)
 
 	// Resolve the per-layer injection-target shapes. Weight-gradient shapes
 	// are static model structure; forward-output shapes are observed on
@@ -219,9 +215,9 @@ func prepareGolden(cfg Config, groupCheck *detect.GroupCheck) *Golden {
 		// A non-finite golden prefix means a cold experiment would stop at
 		// that iteration before ever injecting; forking past it would skip
 		// the stop. Fall back to replay-from-0 (pooling stays exact: the
-		// initial-state restore re-executes everything). Early exit and the
-		// converged-tail fast-path are disabled for the same reason: there
-		// is no completed golden tail to synthesize from.
+		// initial-state restore re-executes everything). Early exit is
+		// disabled for the same reason: there is no completed golden tail to
+		// synthesize from.
 		g.snaps = g.snaps[:1]
 		g.bounds = g.bounds[:1]
 		g.stride = 0
@@ -302,17 +298,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.InjectFrac <= 0 || cfg.InjectFrac > 1 {
 		cfg.InjectFrac = 0.8
 	}
-	if cfg.EarlyExit && cfg.EarlyExitStride <= 0 {
-		cfg.EarlyExitStride = 1
-	}
-	if cfg.ConvergedTail {
-		if cfg.ConvergedTol <= 0 {
-			cfg.ConvergedTol = 1e-3
-		}
-		if cfg.ConvergedPatience <= 0 {
-			cfg.ConvergedPatience = 5
-		}
-	}
 	return cfg
 }
 
@@ -349,8 +334,9 @@ func sampleInjections(cfg Config, numLayers, maxInjectIter int) []fault.Injectio
 func RunWithGolden(cfg Config, g *Golden) *Campaign {
 	c, err := Resume(cfg, RunOptions{Golden: g})
 	if err != nil {
-		// Unreachable: errors only arise from prior records, sinks, or
-		// cancellation, none of which exist here.
+		// Errors arise from prior records, sinks and cancellation, none of
+		// which exist here, or from a Config Resume refuses — a programmer
+		// error.
 		panic(err)
 	}
 	return c

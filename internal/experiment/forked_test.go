@@ -31,7 +31,6 @@ func recordsEqual(a, b *Record) bool {
 		a.CommRetries == b.CommRetries &&
 		a.AdoptedFrom == b.AdoptedFrom &&
 		a.EarlyExitIter == b.EarlyExitIter &&
-		a.ConvergedIter == b.ConvergedIter &&
 		a.RecoveryStrategy == b.RecoveryStrategy &&
 		a.TimeToRecoverIters == b.TimeToRecoverIters &&
 		f64(a.AccuracyCost, b.AccuracyCost) &&
@@ -41,14 +40,13 @@ func recordsEqual(a, b *Record) bool {
 }
 
 // recordsEquivalent compares only the outcome payload — everything except
-// the equivalence-layer provenance fields (AdoptedFrom, EarlyExitIter,
-// ConvergedIter), which legitimately differ between an exhaustive run and a
+// the equivalence-layer provenance fields (AdoptedFrom, EarlyExitIter),
+// which legitimately differ between an exhaustive run and a
 // dedup/early-exit run of the same campaign.
 func recordsEquivalent(a, b *Record) bool {
 	ap, bp := *a, *b
 	ap.AdoptedFrom, bp.AdoptedFrom = -1, -1
 	ap.EarlyExitIter, bp.EarlyExitIter = -1, -1
-	ap.ConvergedIter, bp.ConvergedIter = -1, -1
 	return recordsEqual(&ap, &bp)
 }
 
@@ -145,31 +143,40 @@ func TestForkAccounting(t *testing.T) {
 	}
 }
 
-// TestAutoStrideRespectsBudget: a tiny memory budget must collapse the
-// cache to the initial snapshot only; a huge one must go dense (stride 1).
+// TestAutoStrideRespectsBudget: a budget that cannot hold a second snapshot
+// collapses the cache to the initial one; a huge one goes dense (stride 1);
+// in between, the stride spreads the slots that fit over the injection
+// window; an explicit stride ignores the budget. A small model's cache fits
+// the 256 MiB default densely, one snapshot per boundary.
 func TestAutoStrideRespectsBudget(t *testing.T) {
+	const perSnap, maxInjectIter = 100, 16 // boundaries 1..15 are useful
+	for _, tc := range []struct {
+		stride      int
+		budget      int64
+		want        int
+		description string
+	}{
+		{0, 1, 0, "tiny budget"},
+		{0, 2*perSnap - 1, 0, "no room beside the initial snapshot"},
+		{0, 1 << 40, 1, "huge budget"},
+		{0, 6 * perSnap, 3, "five slots over fifteen boundaries"},
+		{5, 1, 5, "explicit stride"},
+		{-1, 1 << 40, 0, "forking disabled"},
+	} {
+		if got := resolveStride(tc.stride, tc.budget, perSnap, maxInjectIter); got != tc.want {
+			t.Errorf("%s: resolveStride(%d, %d) = %d, want %d", tc.description, tc.stride, tc.budget, got, tc.want)
+		}
+	}
+
 	w, err := workloads.ByName("resnet")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Iters = 20
-	base := Config{Workload: w, Experiments: 1, Seed: 7, HorizonMult: 1}
-
-	tiny := base
-	tiny.SnapshotMemBudget = 1 // can't even hold the initial snapshot twice
-	g := PrepareGolden(tiny)
-	if n, _ := g.Snapshots(); n != 1 || g.Stride() != 0 {
-		t.Fatalf("tiny budget: %d snapshots stride %d, want 1/0", n, g.Stride())
-	}
-
-	huge := base
-	huge.SnapshotMemBudget = 1 << 40
-	g = PrepareGolden(huge)
-	if g.Stride() != 1 {
-		t.Fatalf("huge budget: stride %d, want 1", g.Stride())
-	}
-	if n, _ := g.Snapshots(); n != maxInjectIterFor(huge.withDefaults()) {
-		t.Fatalf("huge budget: %d snapshots, want one per boundary", n)
+	cfg := Config{Workload: w, Experiments: 1, Seed: 7, HorizonMult: 1}
+	g := PrepareGolden(cfg)
+	if n, _ := g.Snapshots(); g.Stride() != 1 || n != maxInjectIterFor(cfg.withDefaults()) {
+		t.Fatalf("default budget: %d snapshots at stride %d, want one per boundary", n, g.Stride())
 	}
 }
 

@@ -61,23 +61,18 @@ var recordBytesFields = map[string][]move{
 	"Quarantine": {{func(c *experiment.Config) { c.Quarantine = false }, []string{"recovery"}}},
 	"Recovery":   {{func(c *experiment.Config) { c.Recovery = recovery.StrategyJIT }, []string{"recovery"}}},
 	"Dedup":      {{func(c *experiment.Config) { c.Dedup = true }, []string{"dedup"}}},
-	"EarlyExit": {{func(c *experiment.Config) { c.EarlyExit = false },
-		[]string{"early_exit", "early_exit_stride"}}},
-	"EarlyExitStride": {{func(c *experiment.Config) { c.EarlyExitStride = 3 }, []string{"early_exit_stride"}}},
-	"ConvergedTail": {{func(c *experiment.Config) { c.ConvergedTail = false },
-		[]string{"converged_tail", "converged_tol", "converged_patience"}}},
-	"ConvergedTol":      {{func(c *experiment.Config) { c.ConvergedTol = 0.5 }, []string{"converged_tol"}}},
-	"ConvergedPatience": {{func(c *experiment.Config) { c.ConvergedPatience = 9 }, []string{"converged_patience"}}},
+	"EarlyExit":  {{func(c *experiment.Config) { c.EarlyExit = false }, []string{"early_exit"}}},
 }
 
 // executionOnlyFields: the fields records are byte-identical across
 // (TestForkedCampaignEquivalence, TestCrossConfigResume,
-// TestScrubWorkspacesEquivalence).
+// TestScrubWorkspacesEquivalence). EarlyExitStride's one setting Resume
+// accepts, 1, is the cadence it has unset.
 var executionOnlyFields = map[string]func(*experiment.Config){
-	"Workers":           func(c *experiment.Config) { c.Workers = 7 },
-	"SnapshotStride":    func(c *experiment.Config) { c.SnapshotStride = -1 },
-	"SnapshotMemBudget": func(c *experiment.Config) { c.SnapshotMemBudget = 1 },
-	"ScrubWorkspaces":   func(c *experiment.Config) { c.ScrubWorkspaces = true },
+	"Workers":         func(c *experiment.Config) { c.Workers = 7 },
+	"SnapshotStride":  func(c *experiment.Config) { c.SnapshotStride = -1 },
+	"ScrubWorkspaces": func(c *experiment.Config) { c.ScrubWorkspaces = true },
+	"EarlyExitStride": func(c *experiment.Config) { c.EarlyExitStride = 1 },
 }
 
 // identityBase turns on every gate behind which Spec reads further fields.
@@ -88,7 +83,7 @@ func identityBase(t *testing.T) experiment.Config {
 		t.Fatal(err)
 	}
 	return experiment.Config{Workload: w, Experiments: 8, Seed: 3, HorizonMult: 2, InjectFrac: 0.8,
-		DeviceFaults: true, Quarantine: true, EarlyExit: true, ConvergedTail: true}
+		DeviceFaults: true, Quarantine: true, EarlyExit: true}
 }
 
 // specFieldNames lists Spec's fields by JSON name, failing on one the
@@ -217,19 +212,14 @@ func TestConfigFieldsClassified(t *testing.T) {
 	}
 
 	// Spec drops the knobs of a feature that is off, so two descriptions of
-	// one campaign that differ only there (a Config literal with
-	// EarlyExitStride 0, a dist.CampaignSpec resolving it to 1) share a
-	// fingerprint and a journal header; and Quarantine is exactly
-	// "Recovery unset ⇒ reexec".
+	// one campaign that differ only there share a fingerprint and a journal
+	// header; and Quarantine is exactly "Recovery unset ⇒ reexec".
 	plain := identityBase(t)
-	plain.DeviceFaults, plain.Quarantine, plain.EarlyExit, plain.ConvergedTail = false, false, false, false
+	plain.DeviceFaults, plain.Quarantine, plain.EarlyExit = false, false, false
 	knobs := plain
 	knobs.DeviceFaultKinds = []fault.DeviceFaultKind{fault.DeviceCrash}
 	knobs.Quarantine = true
 	knobs.Recovery = recovery.StrategyJIT
-	knobs.EarlyExitStride = 3
-	knobs.ConvergedTol = 0.5
-	knobs.ConvergedPatience = 9
 	if knobs.Fingerprint() != plain.Fingerprint() {
 		t.Errorf("knobs of disabled features move the identity: %+v vs %+v", knobs.Spec(), plain.Spec())
 	}

@@ -184,13 +184,15 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	if err := opts.Shard.validate(cfg.Experiments); err != nil {
 		return nil, err
 	}
-	if cfg.DeviceFaults && (cfg.Dedup || cfg.ConvergedTail) {
-		// Dedup keys describe one-shot tensor corruptions and the converged
-		// tail is cut from a run whose fault is behind it; device faults
+	if cfg.EarlyExitStride > 1 {
+		return nil, fmt.Errorf("experiment: EarlyExitStride %d: the early exit compares digests at every boundary; leave it unset", cfg.EarlyExitStride)
+	}
+	if cfg.DeviceFaults && cfg.Dedup {
+		// Dedup keys describe one-shot tensor corruptions; device faults
 		// carry per-experiment random value streams and stay armed across
-		// iterations, so neither holds. EarlyExit does apply: what it can
-		// prove about a device fault it proves below, before anything runs.
-		return nil, fmt.Errorf("experiment: dedup/converged-tail do not apply to device-fault campaigns")
+		// iterations. EarlyExit does apply: what it can prove about a device
+		// fault it proves below, before anything runs.
+		return nil, fmt.Errorf("experiment: dedup does not apply to device-fault campaigns")
 	}
 	g := opts.Golden
 	if g == nil {
@@ -452,7 +454,7 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 				atomic.AddInt64(&executed, int64(done))
 				if synth > 0 {
 					atomic.AddInt64(&synthd, int64(synth))
-					opts.Stats.FastPathExit(rec.ConvergedIter >= 0, synth)
+					opts.Stats.FastPathExit(synth)
 				}
 				opts.Stats.ExperimentDone(wk, rec.Outcome, start, done, checks)
 				opts.Stats.GroupMitigation(rec.Quarantines, rec.Rejoins, rec.DegradedIters, rec.CommRetries)
@@ -516,8 +518,6 @@ feed:
 			c.ExperimentsAdopted++
 		case rec.EarlyExitIter >= 0:
 			c.EarlyExits++
-		case rec.ConvergedIter >= 0:
-			c.ConvergedTails++
 		}
 	}
 	if sinkErr != nil {

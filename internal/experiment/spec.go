@@ -42,12 +42,8 @@ type Spec struct {
 	DeviceFaultKinds []string `json:"device_fault_kinds,omitempty"`
 	Recovery         string   `json:"recovery,omitempty"`
 
-	Dedup             bool    `json:"dedup,omitempty"`
-	EarlyExit         bool    `json:"early_exit,omitempty"`
-	EarlyExitStride   int     `json:"early_exit_stride,omitempty"`
-	ConvergedTail     bool    `json:"converged_tail,omitempty"`
-	ConvergedTol      float64 `json:"converged_tol,omitempty"`
-	ConvergedPatience int     `json:"converged_patience,omitempty"`
+	Dedup     bool `json:"dedup,omitempty"`
+	EarlyExit bool `json:"early_exit,omitempty"`
 }
 
 // Spec resolves cfg to its identity. It is the only code that reads Config
@@ -68,18 +64,11 @@ func (cfg Config) Spec() Spec {
 		Fault:          "ff",
 		Dedup:          cfg.Dedup,
 		EarlyExit:      cfg.EarlyExit,
-		ConvergedTail:  cfg.ConvergedTail,
 	}
 	if cfg.DeviceFaults {
 		s.Fault = "device"
 		s.DeviceFaultKinds = names(cfg.deviceFaultKinds())
 		s.Recovery = cfg.recoveryStrategy().String()
-	}
-	if cfg.EarlyExit {
-		s.EarlyExitStride = cfg.EarlyExitStride
-	}
-	if cfg.ConvergedTail {
-		s.ConvergedTol, s.ConvergedPatience = cfg.ConvergedTol, cfg.ConvergedPatience
 	}
 	return s
 }

@@ -50,7 +50,7 @@ const (
 	// CampaignRecordJSON changes incompatibly. Lines of an older schema
 	// lack fields the live record encodes with -1 sentinels and would
 	// decode them as 0, so a journal of any other schema is refused.
-	journalRecordSchema = "campaign-record-v4"
+	journalRecordSchema = "campaign-record-v5"
 	// defaultFlushEvery is the fsync batch size: the journal makes work
 	// durable every this many appended records (and on Flush/Close).
 	defaultFlushEvery = 16
@@ -110,18 +110,6 @@ func (j *Journal) SetStats(s *telemetry.CampaignStats) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.stats = s
-}
-
-// SetFlushEvery overrides the fsync batch size (records per fsync;
-// minimum 1). Smaller batches lose less work to a hard crash, larger
-// batches cost fewer fsyncs.
-func (j *Journal) SetFlushEvery(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	j.flushEvery = n
 }
 
 // headerFor derives the header binding a journal to cfg and the golden
@@ -441,7 +429,6 @@ func EncodeCampaignRecord(r *experiment.Record) CampaignRecordJSON {
 		CommRetries:    r.CommRetries,
 		AdoptedFrom:    r.AdoptedFrom,
 		EarlyExitIter:  r.EarlyExitIter,
-		ConvergedIter:  r.ConvergedIter,
 
 		RecoveryStrategy:   r.RecoveryStrategy,
 		TimeToRecoverIters: r.TimeToRecoverIters,
@@ -493,7 +480,6 @@ func DecodeCampaignRecord(j CampaignRecordJSON) (experiment.Record, error) {
 		CommRetries:    j.CommRetries,
 		AdoptedFrom:    j.AdoptedFrom,
 		EarlyExitIter:  j.EarlyExitIter,
-		ConvergedIter:  j.ConvergedIter,
 
 		RecoveryStrategy:   j.RecoveryStrategy,
 		TimeToRecoverIters: j.TimeToRecoverIters,

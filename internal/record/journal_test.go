@@ -48,7 +48,6 @@ func journalRecordsEqual(a, b *experiment.Record) bool {
 		a.CommRetries == b.CommRetries &&
 		a.AdoptedFrom == b.AdoptedFrom &&
 		a.EarlyExitIter == b.EarlyExitIter &&
-		a.ConvergedIter == b.ConvergedIter &&
 		a.RecoveryStrategy == b.RecoveryStrategy &&
 		a.TimeToRecoverIters == b.TimeToRecoverIters &&
 		f64(a.AccuracyCost, b.AccuracyCost) &&
@@ -95,7 +94,7 @@ func TestJournalResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.SetFlushEvery(2) // exercise fsync batching
+		j.flushEvery = 2 // exercise fsync batching
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &interruptingSink{Journal: j, after: k, cancel: cancel}
 		stats := telemetry.NewCampaignStats("resnet", cfg.Experiments, 2)
@@ -390,18 +389,26 @@ func TestJournalCorruption(t *testing.T) {
 // TestJournalRejectsOldRecordSchemas: a journal this binary does not write
 // — a v1 header as the parent of the Spec change wrote it, another tool's
 // format, another release's record schema (older lines lack fields the live
-// record encodes with -1 sentinels and would decode them as 0) — is refused
-// with the one unsupported-journal message, which says what to do.
+// record encodes with -1 sentinels and would decode them as 0, or carry
+// fields it no longer has), a v4 header whose spec names the retired
+// early_exit_stride — is refused with the one unsupported-journal message,
+// which says what to do.
 func TestJournalRejectsOldRecordSchemas(t *testing.T) {
 	path, cfg, digest := completeJournal(t)
 	v2, err := json.Marshal(headerFor(cfg, digest))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v4 := strings.Replace(string(v2), journalRecordSchema, "campaign-record-v4", 1)
+	v4 = strings.Replace(v4, `"fault":"ff"`, `"fault":"ff","early_exit":true,"early_exit_stride":1`, 1)
+	if !strings.Contains(v4, `"early_exit_stride":1`) {
+		t.Fatalf("the v4 header names no early_exit_stride: %s", v4)
+	}
 	for name, header := range map[string]string{
 		"parent-written v1 header": `{"format":"fi-journal","version":1,"record_schema":"campaign-record-v4","workload":"resnet","experiments":5,"seed":11,"config_hash":"eb70388a2927f935","golden_digest":"` + digest + `"}`,
 		"foreign format":           strings.Replace(string(v2), journalFormat, "other-journal", 1),
 		"foreign record schema":    strings.Replace(string(v2), journalRecordSchema, "campaign-record-v3", 1),
+		"v4 early-exit header":     v4,
 	} {
 		t.Run(name, func(t *testing.T) {
 			forged := mutateJournal(t, path, func(raw []byte) []byte {

@@ -397,10 +397,9 @@ type CampaignRecordJSON struct {
 	// Equivalence-layer provenance (schema v3). Like quarantine_iter these
 	// are always encoded with -1 as the "did not happen" value, so the
 	// round trip stays exact whether or not the campaign ran with
-	// -dedup/-early-exit/-converged-tail.
+	// -dedup/-early-exit.
 	AdoptedFrom   int `json:"adopted_from"`
 	EarlyExitIter int `json:"early_exit_iter"`
-	ConvergedIter int `json:"converged_iter"`
 	// Recovery-strategy fields (schema v4). TimeToRecoverIters is always
 	// encoded (-1 = group never returned to full strength) and AccuracyCost
 	// always encoded (0 is a legitimate measured cost), so the round trip
@@ -442,16 +441,16 @@ func WriteCampaignJSON(w io.Writer, c *experiment.Campaign) error {
 // WriteCampaignCSV writes one row per experiment for spreadsheet analysis.
 func WriteCampaignCSV(w io.Writer, c *experiment.Campaign) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "kind,layer,pass,iteration,n,outcome,final_train_acc,final_test_acc,non_finite_iter,hist_at_t,hist_at_t1,mvar_at_t,mvar_at_t1,detect_iter,injected_elems,masked,adopted_from,early_exit_iter,converged_iter,recovery_strategy,time_to_recover_iters,accuracy_cost")
+	fmt.Fprintln(bw, "kind,layer,pass,iteration,n,outcome,final_train_acc,final_test_acc,non_finite_iter,hist_at_t,hist_at_t1,mvar_at_t,mvar_at_t1,detect_iter,injected_elems,masked,adopted_from,early_exit_iter,recovery_strategy,time_to_recover_iters,accuracy_cost")
 	for i := range c.Records {
 		r := &c.Records[i]
-		fmt.Fprintf(bw, "%s,%d,%s,%d,%d,%s,%.6g,%.6g,%d,%.6g,%.6g,%.6g,%.6g,%d,%d,%v,%d,%d,%d,%s,%d,%.6g\n",
+		fmt.Fprintf(bw, "%s,%d,%s,%d,%d,%s,%.6g,%.6g,%d,%.6g,%.6g,%.6g,%.6g,%d,%d,%v,%d,%d,%s,%d,%.6g\n",
 			kindToName[r.Injection.Kind], r.Injection.LayerIdx,
 			passToName[r.Injection.Pass], r.Injection.Iteration, r.Injection.N,
 			r.Outcome, r.FinalTrainAcc, r.FinalTestAcc, r.NonFiniteIter,
 			r.HistAtT, r.HistAtT1, r.MvarAtT, r.MvarAtT1,
 			r.DetectIter, r.InjectedElems, r.Masked,
-			r.AdoptedFrom, r.EarlyExitIter, r.ConvergedIter,
+			r.AdoptedFrom, r.EarlyExitIter,
 			r.RecoveryStrategy, r.TimeToRecoverIters, r.AccuracyCost)
 	}
 	return bw.Flush()

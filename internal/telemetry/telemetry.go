@@ -63,13 +63,11 @@ type CampaignStats struct {
 	journalAppends atomic.Int64
 	journalFlushes atomic.Int64
 
-	// Equivalence-layer activity (zero when dedup / early exit / the
-	// converged-tail fast-path are off): records adopted from a dedup
-	// owner, executions truncated by the bitwise and thresholded
-	// fast-paths, and golden-tail iterations synthesized instead of run.
+	// Equivalence-layer activity (zero when dedup and early exit are off):
+	// records adopted from a dedup owner, executions truncated by the
+	// early exit, and golden-tail iterations synthesized instead of run.
 	adopted          atomic.Int64
 	earlyExits       atomic.Int64
-	convergedTails   atomic.Int64
 	itersSynthesized atomic.Int64
 	// Experiments classified without running because their fault provably
 	// touches no value (experiment's golden-by-construction path).
@@ -178,19 +176,13 @@ func (s *CampaignStats) GoldenByConstruction(o outcome.Outcome, earlyExit bool) 
 	s.ExperimentDone(0, o, 0, 0, 0)
 }
 
-// FastPathExit records one execution truncated by the equivalence layer:
-// bitwise early exit (converged=false) or the thresholded converged-tail
-// fast-path (converged=true), with the number of golden-tail iterations
-// synthesized instead of executed.
-func (s *CampaignStats) FastPathExit(converged bool, synthesized int) {
+// FastPathExit records one execution truncated by the early exit, with the
+// number of golden-tail iterations synthesized instead of executed.
+func (s *CampaignStats) FastPathExit(synthesized int) {
 	if s == nil {
 		return
 	}
-	if converged {
-		s.convergedTails.Add(1)
-	} else {
-		s.earlyExits.Add(1)
-	}
+	s.earlyExits.Add(1)
 	s.itersSynthesized.Add(int64(synthesized))
 }
 
@@ -316,13 +308,12 @@ type Snapshot struct {
 	JITSnapshots int64 `json:"jit_snapshots"`
 	Resizes      int64 `json:"resizes"`
 	Readmits     int64 `json:"readmits"`
-	// DedupAdopted / EarlyExits / ConvergedTails / ItersSynthesized
-	// aggregate the equivalence layer's savings: records adopted from a
-	// dedup owner, executions truncated by the bitwise and thresholded
-	// fast-paths, and golden-tail iterations synthesized instead of run.
+	// DedupAdopted / EarlyExits / ItersSynthesized aggregate the
+	// equivalence layer's savings: records adopted from a dedup owner,
+	// executions truncated by the early exit, and golden-tail iterations
+	// synthesized instead of run.
 	DedupAdopted     int64 `json:"dedup_adopted"`
 	EarlyExits       int64 `json:"early_exits"`
-	ConvergedTails   int64 `json:"converged_tails"`
 	ItersSynthesized int64 `json:"iters_synthesized"`
 	// GoldenByConstruction counts experiments classified without running
 	// because their fault provably touches no value.
@@ -367,7 +358,6 @@ func (s *CampaignStats) Snapshot() Snapshot {
 
 		DedupAdopted:     s.adopted.Load(),
 		EarlyExits:       s.earlyExits.Load(),
-		ConvergedTails:   s.convergedTails.Load(),
 		ItersSynthesized: s.itersSynthesized.Load(),
 
 		GoldenByConstruction: s.goldenByConstruction.Load(),
@@ -415,9 +405,6 @@ func Activate(s *CampaignStats) {
 		}))
 	})
 }
-
-// Active returns the currently activated campaign stats (nil if none).
-func Active() *CampaignStats { return active.Load() }
 
 // Server is a running telemetry HTTP endpoint.
 type Server struct {
