@@ -9,9 +9,9 @@
 # coordinator/worker protocol, and the repro binary's subcommands driven
 # in-process, whose tests hold the CLI's flag, exit-status and report
 # contracts and the docs' flag-drift gate), fuzz smokes of the journal
-# parser/repairer and of the GEMM kernels, the convolution lowering and the
-# element-wise layer kernels against their naive oracles and of the
-# collective's retry budget; then, for what needs a process boundary or a
+# parser/repairer and of the GEMM kernels, the convolution lowering, the
+# element-wise layer kernels and the reductions against their naive oracles
+# and of the collective's retry budget; then, for what needs a process boundary or a
 # second build, `repro campaign` runs: a graceful SIGINT kill-and-resume
 # smoke, the smoke's reference campaign
 # again from a -tags purego build (assembly and portable kernels must agree
@@ -91,7 +91,7 @@ go test -race ./internal/comm ./internal/recovery
 echo "== kernel-pool leak guard (tensor TestMain fails the package if ClosePool leaves workers) =="
 go test -count 1 -run 'TestPoolCloseNoLeak' ./internal/tensor
 
-echo "== fused-mitigation equivalence under -race (epilogue stats == sweeps, alarm for alarm) =="
+echo "== mitigation reads under -race (the detector's kept statistics and ABFT's im2col-row checksums equal their _test.go sweep oracles, alarm for alarm; range-restriction profiling under device-parallel stepping) =="
 go test -race ./internal/detect ./internal/baseline
 
 echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table; byte for byte) =="
@@ -218,6 +218,9 @@ go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
 
+echo "== reduction fuzz smoke (AbsMax, MinMax, Sum, HasNonFinite and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length, bit patterns and worker count) =="
+go test -run '^$' -fuzz 'FuzzReduceOracle' -fuzztime 3s ./internal/tensor
+
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="
 "$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 7 \
 	-device-faults all -recovery reexec -json "$tmp/dfref.json" >/dev/null
@@ -242,7 +245,7 @@ done
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|DetectCheck(Fused|Sweep)|ABFT(Fused|Sweep)))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

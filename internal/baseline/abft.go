@@ -29,13 +29,6 @@ import (
 type ABFTState struct {
 	// Tolerance is the relative checksum mismatch treated as an error.
 	Tolerance float64
-	// Fused makes the wrapped layers ride the kernel epilogues: output
-	// checksums come from the bias-add write loop (nn layer CollectStats),
-	// gradient checksums from AddInPlaceSum, and the conv checksum GEMM
-	// reuses the layer's im2col matrix with an in-kernel sum. Every fused
-	// value is bitwise-equal to its sweep counterpart (with dirty-tensor
-	// fallbacks for injected state), so alarm output is identical.
-	Fused bool
 	// Checks and Alarms count checksum evaluations and violations.
 	Checks, Alarms atomic.Int64
 	// LastAlarm names the layer of the most recent violation.
@@ -95,14 +88,9 @@ func (a *ABFTDense) Name() string { return a.Inner.Name() + "+abft" }
 // Params implements nn.Layer.
 func (a *ABFTDense) Params() []*nn.Param { return a.Inner.Params() }
 
-// OutAbsMax implements nn.OutputStats by forwarding to the wrapped layer,
-// so fused range restriction keeps working on ABFT-wrapped models.
-func (a *ABFTDense) OutAbsMax() (float32, bool) { return a.Inner.OutAbsMax() }
-
 // Forward implements nn.Layer.
 func (a *ABFTDense) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 	a.lastX = x
-	a.Inner.CollectStats = a.State.Fused
 	y := a.Inner.Forward(ctx, x)
 
 	in := x.Shape[1]
@@ -136,32 +124,12 @@ func (a *ABFTDense) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 // the training extension of ABFT.
 func (a *ABFTDense) Backward(g *tensor.Tensor) *tensor.Tensor {
 	if a.pendingY != nil {
-		// Fused: the output sum was accumulated inside the bias-add write
-		// loop. If the output was mutated since the layer wrote it (a fault
-		// injection marks it dirty), that stat is stale and the sweep runs —
-		// reading the corruption exactly as the sweep path would.
-		got, fused := 0.0, false
-		if a.State.Fused && !a.pendingY.Dirty() {
-			got, fused = a.Inner.LastOutSum()
-		}
-		if !fused {
-			got = a.pendingY.Sum()
-		}
-		a.State.verify(a.Inner.Name()+"/fwd", got, a.pendingWant)
+		a.State.verify(a.Inner.Name()+"/fwd", a.pendingY.Sum(), a.pendingWant)
 		a.pendingY = nil
 	}
 	before := a.Inner.W.Grad.Sum()
 	gin := a.Inner.Backward(g)
-	// Fused: AddInPlaceSum folded the post-accumulation sum into the
-	// gradient write loop; it equals W.Grad.Sum() bit for bit.
-	after, fused := 0.0, false
-	if a.State.Fused && !a.Inner.W.Grad.Dirty() {
-		after, fused = a.Inner.LastGradSum()
-	}
-	if !fused {
-		after = a.Inner.W.Grad.Sum()
-	}
-	stepSum := after - before
+	stepSum := a.Inner.W.Grad.Sum() - before
 
 	in := a.lastX.Shape[1]
 	out := g.Shape[1]
@@ -189,14 +157,11 @@ type ABFTConv2D struct {
 	Inner *nn.Conv2D
 	State *ABFTState
 
-	lastX       *tensor.Tensor
 	pendingY    *tensor.Tensor
 	pendingWant float64
 
-	// ws holds the fused path's checksum-row buffer; ep carries the
-	// in-kernel sum accumulated by MatMulIntoEp.
+	// ws holds the checksum row.
 	ws *tensor.Workspace
-	ep tensor.Epilogue
 }
 
 // NewABFTConv2D wraps c.
@@ -210,13 +175,8 @@ func (a *ABFTConv2D) Name() string { return a.Inner.Name() + "+abft" }
 // Params implements nn.Layer.
 func (a *ABFTConv2D) Params() []*nn.Param { return a.Inner.Params() }
 
-// OutAbsMax implements nn.OutputStats by forwarding to the wrapped layer.
-func (a *ABFTConv2D) OutAbsMax() (float32, bool) { return a.Inner.OutAbsMax() }
-
 // Forward implements nn.Layer.
 func (a *ABFTConv2D) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
-	a.lastX = x
-	a.Inner.CollectStats = a.State.Fused
 	y := a.Inner.Forward(ctx, x)
 
 	// Checksum kernel: sum over output channels → one-channel convolution.
@@ -228,22 +188,13 @@ func (a *ABFTConv2D) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 			ck.Data[i] += k.Data[o*inC*kh*kw+i]
 		}
 	}
-	var want float64
-	if a.State.Fused {
-		// The layer's im2col matrix already holds the lowered input, so the
-		// checksum convolution collapses to one GEMM row whose total sum is
-		// accumulated by the kernel epilogue. A single-output-channel
-		// convolution's flat output layout equals the GEMM row's, so the
-		// epilogue sum is bitwise-equal to the sweep's check.Sum().
-		cols := a.Inner.ForwardCols()
-		a.ep.WantSum = true
-		tensor.MatMulIntoEp(a.ws.Get("abft.check", 1, cols.Shape[1]),
-			ck.Reshape(1, inC*kh*kw), cols, false, &a.ep)
-		want = a.ep.Sum
-	} else {
-		check := tensor.Conv2D(x, ck, a.Inner.Par, false)
-		want = check.Sum()
-	}
+	// The layer's im2col matrix already holds the lowered input, so the
+	// checksum convolution collapses to one GEMM row. A single-output-channel
+	// convolution's flat output layout equals that row's, so its sum is the
+	// reduced convolution's bit for bit.
+	cols := a.Inner.ForwardCols()
+	want := tensor.MatMulInto(a.ws.Get("abft.check", 1, cols.Shape[1]),
+		ck.Reshape(1, inC*kh*kw), cols, false).Sum()
 	var biasSum float64
 	for _, b := range a.Inner.B.Value.Data {
 		biasSum += float64(b)
@@ -259,38 +210,18 @@ func (a *ABFTConv2D) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 // mirroring ABFTDense.
 func (a *ABFTConv2D) Backward(g *tensor.Tensor) *tensor.Tensor {
 	if a.pendingY != nil {
-		got, fused := 0.0, false
-		if a.State.Fused && !a.pendingY.Dirty() {
-			got, fused = a.Inner.LastOutSum()
-		}
-		if !fused {
-			got = a.pendingY.Sum()
-		}
-		a.State.verify(a.Inner.Name()+"/fwd", got, a.pendingWant)
+		a.State.verify(a.Inner.Name()+"/fwd", a.pendingY.Sum(), a.pendingWant)
 		a.pendingY = nil
 	}
 	before := a.Inner.K.Grad.Sum()
 	gin := a.Inner.Backward(g)
-	after, fusedGrad := 0.0, false
-	if a.State.Fused && !a.Inner.K.Grad.Dirty() {
-		after, fusedGrad = a.Inner.LastGradSum()
-	}
-	if !fusedGrad {
-		after = a.Inner.K.Grad.Sum()
-	}
-	stepSum := after - before
+	stepSum := a.Inner.K.Grad.Sum() - before
 
 	// Σ dK = Σ_cols(im2col(x)) · Σ_channels(g) per width position. The
 	// layer's forward im2col matrix is still valid here (the backward pass
 	// never rewrites it, and it is a pure function of the unchanged input),
-	// so the fused path skips the re-lowering.
-	var cols *tensor.Tensor
-	if a.State.Fused {
-		cols = a.Inner.ForwardCols()
-	}
-	if cols == nil {
-		cols = tensor.Im2Col(a.lastX, a.Inner.Par)
-	}
+	// so there is no re-lowering.
+	cols := a.Inner.ForwardCols()
 	rows, width := cols.Shape[0], cols.Shape[1]
 	colSum := make([]float64, width)
 	for r := 0; r < rows; r++ {

@@ -76,31 +76,32 @@ func TestABFTConvCleanNoAlarms(t *testing.T) {
 	}
 }
 
-// abftEngine builds an engine whose Dense/Conv layers carry ABFT checksums.
-func abftEngine(t testing.TB, s *ABFTState) *train.Engine {
+// abftEngine builds an engine whose Dense/Conv layers build wraps, typically
+// ABFTBuilder's checksums.
+func abftEngine(t testing.TB, build func(nn.Layer) nn.Layer) *train.Engine {
 	t.Helper()
 	ds := data.NewGaussianClusters(data.GaussianClustersConfig{
 		Classes: 4, Examples: 128, C: 1, H: 4, W: 4, NoiseStd: 0.4, Seed: 7,
 	})
 	trainSet, testSet := ds.Split(96)
 	loader := data.NewLoader(trainSet, 8, rng.Seed{State: 1, Stream: 1})
-	build := func(r *rng.Rand) *nn.Sequential {
+	model := func(r *rng.Rand) *nn.Sequential {
 		m := nn.NewSequential(
 			nn.NewConv2D("c1", 1, 4, 3, 3, 1, 1, r, false),
 			nn.NewReLU(),
 			nn.NewFlatten(),
 			nn.NewDense("fc", 4*16, 4, r, false),
 		)
-		WrapModel(ABFTBuilder(s), m)
+		WrapModel(build, m)
 		return m
 	}
 	return train.New(train.Config{Devices: 2, PerDeviceBatch: 4, Seed: rng.Seed{State: 2, Stream: 2}},
-		build, opt.NewAdam(0.01), loader, testSet)
+		model, opt.NewAdam(0.01), loader, testSet)
 }
 
 func TestABFTEngineCleanTraining(t *testing.T) {
 	s := NewABFTState(1e-2)
-	e := abftEngine(t, s)
+	e := abftEngine(t, ABFTBuilder(s))
 	for i := 0; i < 20; i++ {
 		if st := e.RunIteration(i); st.NonFinite {
 			t.Fatalf("non-finite at iter %d", i)
@@ -116,7 +117,7 @@ func TestABFTEngineCleanTraining(t *testing.T) {
 
 func TestABFTEngineDetectsForwardFault(t *testing.T) {
 	s := NewABFTState(1e-2)
-	e := abftEngine(t, s)
+	e := abftEngine(t, ABFTBuilder(s))
 	// A forward-pass fault corrupts the conv layer's output tensor in
 	// place — exactly the corruption the deferred forward checksum
 	// verifies at backward time.

@@ -58,14 +58,6 @@ func (c *ClippedOptimizer) Step(params []*nn.Param) {
 // History implements opt.Optimizer.
 func (c *ClippedOptimizer) History() map[string][]*tensor.Tensor { return c.Inner.History() }
 
-// SetCollectStats implements opt.StepStats by forwarding to the inner
-// optimizer when it collects fused step stats; a no-op otherwise.
-func (c *ClippedOptimizer) SetCollectStats(on bool) {
-	if ss, ok := c.Inner.(opt.StepStats); ok {
-		ss.SetCollectStats(on)
-	}
-}
-
 // HistAbsMax implements opt.StepStats by forwarding to the inner optimizer.
 func (c *ClippedOptimizer) HistAbsMax(name string, slot int) (float32, bool) {
 	if ss, ok := c.Inner.(opt.StepStats); ok {

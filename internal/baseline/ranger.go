@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/numerics"
@@ -22,6 +23,9 @@ import (
 type Ranger struct {
 	// Bounds[layer] is the profiled max |activation| for each layer.
 	Bounds []float64
+	// mu serializes Profile's read-modify-write of Bounds: device-parallel
+	// stepping calls the monitor from one goroutine per device.
+	mu sync.Mutex
 	// Margin scales the bounds before checking.
 	Margin float64
 	// Alarms counts out-of-range observations.
@@ -40,56 +44,33 @@ func NewRanger(numLayers int, margin float64) *Ranger {
 	return r
 }
 
-// ProfileAbsMax grows layer's bound from an observed output abs-max — the
-// AbsMaxMonitor form of Profile, fed by the layers' fused reductions.
-func (r *Ranger) ProfileAbsMax(device, layer int, m float32) {
-	v := float64(m)
-	if math.IsNaN(v) {
-		return
-	}
-	if v > r.Bounds[layer] {
-		r.Bounds[layer] = v
-	}
-}
-
 // Profile observes clean activations to grow the per-layer bounds. Attach
 // it as the engine's ForwardMonitor during a profiling run.
 func (r *Ranger) Profile(device, layer int, out *tensor.Tensor) {
-	r.ProfileAbsMax(device, layer, out.AbsMax())
+	v := float64(out.AbsMax())
+	if math.IsNaN(v) {
+		return
+	}
+	r.mu.Lock()
+	if v > r.Bounds[layer] {
+		r.Bounds[layer] = v
+	}
+	r.mu.Unlock()
 }
 
 // SetIteration tells the monitor the current training iteration (for alarm
 // latency reporting).
 func (r *Ranger) SetIteration(iter int) { r.iter.Store(int64(iter)) }
 
-// CheckAbsMax is the detection check on an already-reduced output abs-max —
-// the AbsMaxMonitor form of Check. The engine guarantees the delivered
-// value equals out.AbsMax() bit for bit (fused stat when clean, sweep when
-// dirty), so alarms are identical between the two attachment modes.
-func (r *Ranger) CheckAbsMax(device, layer int, m float32) {
-	v := float64(m)
-	if !numerics.IsNaN32(m) && v <= r.Bounds[layer]*r.Margin {
+// Check is the detection-mode ForwardMonitor: any activation beyond
+// margin × profiled bound (or any non-finite activation) raises an alarm.
+func (r *Ranger) Check(device, layer int, out *tensor.Tensor) {
+	m := out.AbsMax()
+	if !numerics.IsNaN32(m) && float64(m) <= r.Bounds[layer]*r.Margin {
 		return
 	}
 	r.Alarms.Add(1)
 	r.firstAlarm.CompareAndSwap(-1, r.iter.Load())
-}
-
-// Check is the detection-mode ForwardMonitor: any activation beyond
-// margin × profiled bound (or any non-finite activation) raises an alarm.
-func (r *Ranger) Check(device, layer int, out *tensor.Tensor) {
-	r.CheckAbsMax(device, layer, out.AbsMax())
-}
-
-// AttachCheck installs the detection monitor on an engine: the fused
-// AbsMaxMonitor (layers reduce their own outputs in their write loops) or
-// the sweeping ForwardMonitor. Both raise identical alarms.
-func (r *Ranger) AttachCheck(e *train.Engine, fused bool) {
-	if fused {
-		e.AbsMaxMonitor = r.CheckAbsMax
-	} else {
-		e.ForwardMonitor = r.Check
-	}
 }
 
 // FirstAlarmIter returns the iteration of the first alarm, or -1.

@@ -233,19 +233,10 @@ type Detector struct {
 	// bounds (Algorithm 1's n_l is per layer); the mvar check always uses
 	// Bounds.Mvar.
 	Layered *LayeredBounds
-	// Fused makes the checks consume the stats the hot path already fused
-	// into its write loops (opt.StepStats history maxima, BatchNorm's mvar
-	// stat) instead of sweeping each tensor. A tensor mutated out-of-band —
-	// fault injection, checkpoint restore — is flagged by the dirty-tensor
-	// protocol, and the check re-sweeps exactly that tensor, so fused and
-	// sweep modes raise bitwise-identical alarms.
-	Fused bool
 	// Checks counts bound evaluations per value class: one per
 	// gradient-history tensor slot (Adam m, Adam v, SGD velocity — one
 	// evaluation covers the whole tensor's abs-max) and one per BatchNorm
-	// moving-variance tensor per device, per Check* call. The unit is
-	// identical between fused and sweep modes, so overhead comparisons
-	// divide by the same count.
+	// moving-variance tensor per device, per Check* call.
 	Checks int
 
 	// names caches the sorted history key set so alarm order is
@@ -263,18 +254,16 @@ func NewLayered(lb LayeredBounds) *Detector {
 
 // ForEngine builds the standard detector for a training engine — bounds
 // derived from the replica-0 model via ConfigForModel — shared by the
-// experiment driver, the guarded-run facade and `repro mitigate`. With fused
-// enabled it also switches the engine's optimizer to inline stat
-// collection so the per-iteration checks stop sweeping tensors.
+// experiment driver, the golden run, the guarded-run facade and `repro
+// mitigate`. The detector has one way to read what it checks, so there is
+// nothing for fused to select: the parameter is kept only for
+// bench/probes.go's call, which passes true, and false panics rather than
+// silently meaning true.
 func ForEngine(e *train.Engine, batchSize int, lr float64, fused bool) *Detector {
-	d := New(Derive(ConfigForModel(e.Replica(0), batchSize, lr)))
-	d.Fused = fused
-	if fused {
-		if ss, ok := e.Optimizer().(opt.StepStats); ok {
-			ss.SetCollectStats(true)
-		}
+	if !fused {
+		panic("detect: ForEngine has no sweeping detector; pass fused=true")
 	}
-	return d
+	return New(Derive(ConfigForModel(e.Replica(0), batchSize, lr)))
 }
 
 // CheckEngine scans the engine's optimizer history and normalization
@@ -291,11 +280,11 @@ func (d *Detector) CheckEngine(e *train.Engine) *Alarm {
 // CheckHistory checks the optimizer's gradient-history tensors: index 0 of
 // each entry against the first-moment bound, index 1 (if present) against
 // the second-moment bound. Tensors are visited in sorted-name order so the
-// first alarm is deterministic. In fused mode the abs-max comes from the
-// optimizer's Step-time stats (opt.StepStats) whenever the tensor is clean;
-// a dirty tensor — mutated by injection or restore since the last Step — is
-// re-swept, which is what keeps fused alarms bitwise-identical to sweep
-// alarms.
+// first alarm is deterministic. The abs-max comes from the optimizer's
+// Step-time stats (opt.StepStats) whenever it offers one and the tensor is
+// clean; a dirty tensor — mutated by injection or restore since the last
+// Step — is swept, which keeps every alarm bitwise-identical to a sweep of
+// every tensor.
 func (d *Detector) CheckHistory(o opt.Optimizer) *Alarm {
 	h := o.History()
 	if h == nil {
@@ -308,10 +297,7 @@ func (d *Detector) CheckHistory(o opt.Optimizer) *Alarm {
 		}
 		sort.Strings(d.names)
 	}
-	var ss opt.StepStats
-	if d.Fused {
-		ss, _ = o.(opt.StepStats)
-	}
+	ss, _ := o.(opt.StepStats)
 	for _, name := range d.names {
 		ts := h[name]
 		bounds := d.Bounds
@@ -327,11 +313,11 @@ func (d *Detector) CheckHistory(o opt.Optimizer) *Alarm {
 				label = "hist-v"
 			}
 			var av float32
-			fused := false
+			kept := false
 			if ss != nil && !t.Dirty() {
-				av, fused = ss.HistAbsMax(name, i)
+				av, kept = ss.HistAbsMax(name, i)
 			}
-			if !fused {
+			if !kept {
 				av = t.AbsMax()
 			}
 			v := float64(av)
@@ -348,19 +334,19 @@ func (d *Detector) CheckHistory(o opt.Optimizer) *Alarm {
 
 // CheckMvar checks every device's BatchNorm moving variances, including
 // normalization layers nested inside residual branches and dense blocks
-// (the layers the paper's Observation 3 singles out). In fused mode each
-// layer's update-time stat replaces the sweep unless the tensor was
-// dirtied out-of-band since the update.
+// (the layers the paper's Observation 3 singles out). Each layer's
+// update-time stat replaces the sweep unless the tensor was dirtied
+// out-of-band since the update.
 func (d *Detector) CheckMvar(e *train.Engine) *Alarm {
 	for dev := 0; dev < e.Config().Devices; dev++ {
 		for _, bn := range e.Replica(dev).BatchNorms() {
 			d.Checks++
 			var av float32
-			fused := false
-			if d.Fused && !bn.MovingVar.Dirty() {
-				av, fused = bn.MovingVarAbsMax()
+			kept := false
+			if !bn.MovingVar.Dirty() {
+				av, kept = bn.MovingVarAbsMax()
 			}
-			if !fused {
+			if !kept {
 				av = bn.MovingVar.AbsMax()
 			}
 			v := float64(av)

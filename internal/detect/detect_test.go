@@ -149,10 +149,12 @@ func TestDetectsCorruptedHistory(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.RunIteration(i)
 	}
-	// Corrupt Adam's m for one parameter with a Table-4-range value.
+	// Corrupt Adam's m for one parameter with a Table-4-range value, marking
+	// it dirty as fault.Apply does.
 	h := e.Optimizer().History()
 	for _, ts := range h {
 		ts[0].Data[0] = 3.6e9 // lower end of the SlowDegrade range
+		ts[0].MarkDirty()
 		break
 	}
 	a := d.CheckEngine(e)
@@ -173,6 +175,7 @@ func TestDetectsCorruptedSecondMoment(t *testing.T) {
 	h := e.Optimizer().History()
 	for _, ts := range h {
 		ts[1].Data[0] = 1e19
+		ts[1].MarkDirty()
 		break
 	}
 	if d.CheckEngine(e) == nil {
@@ -189,6 +192,7 @@ func TestDetectsCorruptedMvar(t *testing.T) {
 	for _, nl := range e.Replica(1).Layers {
 		if bn, ok := nl.Layer.(*nn.BatchNorm); ok {
 			bn.MovingVar.Data[3] = 6.5e16 // lower end of SharpDegrade range
+			bn.MovingVar.MarkDirty()
 		}
 	}
 	a := d.CheckEngine(e)
@@ -209,6 +213,7 @@ func TestDetectsNaNHistory(t *testing.T) {
 	h := e.Optimizer().History()
 	for _, ts := range h {
 		ts[0].Data[0] = float32(math.NaN())
+		ts[0].MarkDirty()
 		break
 	}
 	a := d.CheckEngine(e)
@@ -339,6 +344,7 @@ func TestLayeredDetectorCatchesSmallerCorruption(t *testing.T) {
 	h := e.Optimizer().History()
 	mid := float32((lb.PerParam[target].GradHistory + lb.Global.GradHistory) / 2)
 	h[target][0].Data[0] = mid
+	h[target][0].MarkDirty()
 	if a := global.CheckHistory(e.Optimizer()); a != nil {
 		t.Fatalf("global detector should miss a below-global value, alarmed: %v", a)
 	}

@@ -191,7 +191,7 @@ func prepareGolden(cfg Config, groupCheck *detect.GroupCheck) *Golden {
 	// alarm verdict on that state. The detector's bounds derive from static
 	// model structure only, so one golden schedule is valid for every
 	// experiment regardless of fork point.
-	det := detect.ForEngine(refEngine, w.BatchSize(), w.LR, false)
+	det := detect.ForEngine(refEngine, w.BatchSize(), w.LR, true)
 
 	g.ref = train.NewTrace(w.Name + "-ref")
 	refEngine.RunWithHook(0, g.horizon, g.ref, false, func(iter int) {

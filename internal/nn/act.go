@@ -15,9 +15,6 @@ type ReLU struct {
 	// input, not the output — a forward hook may corrupt the output afterwards.
 	lastMask []uint32
 
-	outAbsMax  float32
-	outStatsOK bool
-
 	// ws backs the per-call output and input-gradient tensors: activations
 	// dominate the training loop's allocation volume, and reusing steady
 	// buffers keeps campaign workers off the allocator. Both consumers fully
@@ -42,12 +39,8 @@ func (r *ReLU) Params() []*Param { return nil }
 // Workspace implements WorkspaceHolder.
 func (r *ReLU) Workspace() *tensor.Workspace { return r.ws }
 
-// Forward implements Layer. The kernel tracks the output abs-max in the pass
-// that writes it — only kept positives can contribute (masked elements are
-// 0, whose abs-bits never win the maximum), so it equals a post-hoc sweep of
-// the output; a NaN input is masked to 0, exactly as in the sweep. It is
-// published only under Context.CollectStats.
-func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+// Forward implements Layer.
+func (r *ReLU) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	// Workspace buffer, not a fresh allocation: masked elements are written
 	// as explicit zeros because the buffer carries the previous call's values.
 	out := r.ws.Get("out", x.Shape...)
@@ -55,27 +48,14 @@ func (r *ReLU) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		r.lastMask = make([]uint32, x.Len())
 	}
 	r.lastMask = r.lastMask[:x.Len()]
-	absMax := tensor.ReLUForward(out.Data, r.lastMask, x.Data)
-	collect := ctx != nil && ctx.CollectStats
-	if !collect {
-		absMax = 0
-	}
-	r.outAbsMax, r.outStatsOK = absMax, collect
-	// Every element was just rewritten, so any prior out-of-band mutation of
-	// the reused buffer is gone; restore the clean-tensor semantics a fresh
-	// allocation had.
-	out.ClearDirty()
+	tensor.ReLUForward(out.Data, r.lastMask, x.Data)
 	return out
 }
-
-// OutAbsMax implements OutputStats.
-func (r *ReLU) OutAbsMax() (float32, bool) { return r.outAbsMax, r.outStatsOK }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := r.ws.Get("dx", gradOut.Shape...)
 	tensor.ReLUBackward(gradIn.Data, gradOut.Data, r.lastMask)
-	gradIn.ClearDirty()
 	return gradIn
 }
 
@@ -170,7 +150,6 @@ func (g *GELU) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	for i, v := range x.Data {
 		od[i] = float32(0.5 * float64(v) * (1 + th[i]))
 	}
-	out.ClearDirty()
 	return out
 }
 
@@ -186,7 +165,6 @@ func (g *GELU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		dInner := geluC * (1 + 3*0.044715*u*u)
 		dx[i] = gv * float32(0.5*(1+t)+0.5*u*(1-t*t)*dInner)
 	}
-	gradIn.ClearDirty()
 	return gradIn
 }
 

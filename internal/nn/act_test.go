@@ -10,16 +10,14 @@ import (
 )
 
 // reluBranchy is the ReLU forward/backward as it was written before the
-// mask-select version: one `v > 0` branch per element, abs-max observed only
-// on the kept values. The bitwise reference for TestReLUBranchFreeBitwise.
-func reluBranchy(x, gradOut []float32) (out []float32, mask []bool, absMax float32, gradIn []float32) {
+// mask-select version: one `v > 0` branch per element. The bitwise reference
+// for TestReLUBranchFreeBitwise.
+func reluBranchy(x, gradOut []float32) (out []float32, mask []bool, gradIn []float32) {
 	out, mask, gradIn = make([]float32, len(x)), make([]bool, len(x)), make([]float32, len(x))
-	var trk tensor.AbsMaxTracker
 	for i, v := range x {
 		if v > 0 {
 			out[i] = v
 			mask[i] = true
-			trk.Observe(v)
 		} else {
 			out[i] = 0
 			mask[i] = false
@@ -32,7 +30,7 @@ func reluBranchy(x, gradOut []float32) (out []float32, mask []bool, absMax float
 			gradIn[i] = 0
 		}
 	}
-	return out, mask, trk.Value(), gradIn
+	return out, mask, gradIn
 }
 
 // TestReLUBranchFreeBitwise holds the ReLU layer — tensor.ReLUForward and
@@ -66,37 +64,24 @@ func TestReLUBranchFreeBitwise(t *testing.T) {
 		g = append(g, math.Float32frombits(r.Uint32()))
 	}
 
-	wantOut, wantMask, wantMax, wantGrad := reluBranchy(x, g)
-	for _, collect := range []bool{false, true} {
-		relu := NewReLU()
-		out := relu.Forward(&Context{Training: true, CollectStats: collect}, tensor.FromSlice(x, len(x)))
-		gradIn := relu.Backward(tensor.FromSlice(g, len(g)))
-		for i := range x {
-			if got, want := math.Float32bits(out.Data[i]), math.Float32bits(wantOut[i]); got != want {
-				t.Fatalf("collect=%v: out[%d] for x=%#08x is %#08x, want %#08x", collect, i, math.Float32bits(x[i]), got, want)
-			}
-			// The mask is the compare's result: all ones where kept, else 0.
-			var want uint32
-			if wantMask[i] {
-				want = 0xffffffff
-			}
-			if relu.lastMask[i] != want {
-				t.Fatalf("collect=%v: mask[%d] for x=%#08x is %#08x, want %#08x", collect, i, math.Float32bits(x[i]), relu.lastMask[i], want)
-			}
-			if got, want := math.Float32bits(gradIn.Data[i]), math.Float32bits(wantGrad[i]); got != want {
-				t.Fatalf("collect=%v: gradIn[%d] for g=%#08x mask=%v is %#08x, want %#08x", collect, i, math.Float32bits(g[i]), wantMask[i], got, want)
-			}
+	wantOut, wantMask, wantGrad := reluBranchy(x, g)
+	relu := NewReLU()
+	out := relu.Forward(&Context{Training: true}, tensor.FromSlice(x, len(x)))
+	gradIn := relu.Backward(tensor.FromSlice(g, len(g)))
+	for i := range x {
+		if got, want := math.Float32bits(out.Data[i]), math.Float32bits(wantOut[i]); got != want {
+			t.Fatalf("out[%d] for x=%#08x is %#08x, want %#08x", i, math.Float32bits(x[i]), got, want)
 		}
-		absMax, ok := relu.OutAbsMax()
-		if ok != collect {
-			t.Fatalf("collect=%v: OutAbsMax ok = %v", collect, ok)
+		// The mask is the compare's result: all ones where kept, else 0.
+		var want uint32
+		if wantMask[i] {
+			want = 0xffffffff
 		}
-		want := float32(0) // nothing observed without CollectStats
-		if collect {
-			want = wantMax
+		if relu.lastMask[i] != want {
+			t.Fatalf("mask[%d] for x=%#08x is %#08x, want %#08x", i, math.Float32bits(x[i]), relu.lastMask[i], want)
 		}
-		if math.Float32bits(absMax) != math.Float32bits(want) {
-			t.Fatalf("collect=%v: OutAbsMax = %v, want %v", collect, absMax, want)
+		if got, want := math.Float32bits(gradIn.Data[i]), math.Float32bits(wantGrad[i]); got != want {
+			t.Fatalf("gradIn[%d] for g=%#08x mask=%v is %#08x, want %#08x", i, math.Float32bits(g[i]), wantMask[i], got, want)
 		}
 	}
 }

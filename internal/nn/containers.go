@@ -61,7 +61,6 @@ func (r *Residual) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	out := r.ws.Get("out", y.Shape...)
 	copy(out.Data, y.Data)
 	out.AddInPlace(x)
-	out.ClearDirty()
 	return out
 }
 
@@ -78,7 +77,6 @@ func (r *Residual) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	total := r.ws.Get("dx", grad.Shape...)
 	copy(total.Data, grad.Data)
 	total.AddInPlace(gradOut)
-	total.ClearDirty()
 	return total
 }
 

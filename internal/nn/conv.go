@@ -16,11 +16,7 @@ type Conv2D struct {
 	B     *Param // bias [OutC]
 	Par   tensor.ConvParams
 	Mixed bool
-	// CollectStats forces fused output/gradient reductions on every pass,
-	// independent of Context.CollectStats (set by the ABFT wrapper, which
-	// also needs sums in Backward where no Context is available).
-	CollectStats bool
-	lastX        *tensor.Tensor
+	lastX *tensor.Tensor
 	// ws holds the layer's im2col/col2im scratch and gradient staging
 	// buffers; lastCols is the forward im2col matrix, handed to the
 	// backward pass so the lowering runs once per iteration instead of
@@ -28,12 +24,6 @@ type Conv2D struct {
 	ws       *tensor.Workspace
 	lastCols *tensor.Tensor
 	params   []*Param
-
-	outSum     float64
-	outAbsMax  float32
-	outStatsOK bool
-	gradSum    float64
-	gradSumOK  bool
 }
 
 // NewConv2D creates a convolution layer with He-normal initialization.
@@ -73,37 +63,20 @@ func (c *Conv2D) FanIn() int {
 	return c.K.Value.Shape[1] * c.Par.KH * c.Par.KW
 }
 
-// Forward implements Layer. With stat collection on, the bias addition
-// doubles as the reduction pass (see Dense.Forward).
-func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+// Forward implements Layer.
+func (c *Conv2D) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(c.name, x, 4)
 	c.lastX = x
 	y, cols := tensor.Conv2DForwardWS(c.ws, x, c.K.Value, c.Par, c.Mixed)
 	c.lastCols = cols
-	if c.CollectStats || (ctx != nil && ctx.CollectStats) {
-		c.outSum, c.outAbsMax = tensor.AddBiasNCHWEp(y, c.B.Value)
-		c.outStatsOK = true
-	} else {
-		tensor.AddBiasNCHW(y, c.B.Value)
-		c.outStatsOK = false
-	}
+	tensor.AddBiasNCHW(y, c.B.Value)
 	return y
 }
 
-// OutAbsMax implements OutputStats.
-func (c *Conv2D) OutAbsMax() (float32, bool) { return c.outAbsMax, c.outStatsOK }
-
-// LastOutSum returns the fused total sum of the most recent forward output
-// (the ABFT output checksum), if one was collected.
-func (c *Conv2D) LastOutSum() (float64, bool) { return c.outSum, c.outStatsOK }
-
-// LastGradSum returns the fused total sum of K.Grad as of the most recent
-// backward accumulation, if one was collected.
-func (c *Conv2D) LastGradSum() (float64, bool) { return c.gradSum, c.gradSumOK }
-
 // ForwardCols returns the im2col matrix of the most recent forward input —
-// valid until the next forward/backward (workspace-owned). ABFT's fused
-// path reuses it for checksum GEMMs instead of re-lowering the input.
+// valid until the next forward (workspace-owned; the backward pass reads it
+// without rewriting it). ABFT reuses it for its checksum GEMMs instead of
+// re-lowering the input.
 func (c *Conv2D) ForwardCols() *tensor.Tensor { return c.lastCols }
 
 // Backward implements Layer.
@@ -112,13 +85,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// The forward im2col matrix is still valid (lastX is untouched between
 	// the passes), so the backward skips the re-lowering.
 	gradIn, gradK := tensor.Conv2DBackwardWS(c.ws, c.lastX, c.K.Value, gradOut, c.lastCols, c.Par, c.Mixed)
-	if c.CollectStats {
-		c.gradSum = c.K.Grad.AddInPlaceSum(gradK)
-		c.gradSumOK = true
-	} else {
-		c.K.Grad.AddInPlace(gradK)
-		c.gradSumOK = false
-	}
+	c.K.Grad.AddInPlace(gradK)
 	tensor.SumPerChannelNCHW(gradOut, c.B.Grad)
 	return gradIn
 }
@@ -227,7 +194,6 @@ func (g *GlobalAvgPool) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 			out.Data[b*c+ch] = sum * inv
 		}
 	}
-	out.ClearDirty()
 	return out
 }
 
@@ -246,6 +212,5 @@ func (g *GlobalAvgPool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	gradIn.ClearDirty()
 	return gradIn
 }

@@ -15,21 +15,10 @@ type Dense struct {
 	// Mixed selects bfloat16 MAC precision (the modeled accelerator's
 	// matrix unit) for the forward and backward matrix multiplies.
 	Mixed bool
-	// CollectStats forces fused output/gradient reductions on every pass,
-	// independent of Context.CollectStats — set by the ABFT wrapper, which
-	// also needs the output sum in Forward and the weight-gradient sum in
-	// Backward (where no Context is available).
-	CollectStats bool
 
 	lastX  *tensor.Tensor
 	ws     *tensor.Workspace
 	params []*Param
-
-	outSum     float64
-	outAbsMax  float32
-	outStatsOK bool
-	gradSum    float64
-	gradSumOK  bool
 }
 
 // NewDense creates a Dense layer with He-normal initialized weights
@@ -62,34 +51,14 @@ func (d *Dense) Workspace() *tensor.Workspace { return d.ws }
 // (N_l in Algorithm 1).
 func (d *Dense) FanIn() int { return d.W.Value.Shape[0] }
 
-// Forward implements Layer. With stat collection on (layer flag or
-// Context.CollectStats), the bias addition doubles as the reduction pass:
-// AddBiasNCHWEp returns the output sum (ABFT's checksum read) and abs-max
-// (Ranger's range read) accumulated during the same write loop.
-func (d *Dense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+// Forward implements Layer.
+func (d *Dense) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(d.name, x, 2)
 	d.lastX = x
 	y := tensor.MatMulInto(d.ws.Get("y", x.Shape[0], d.W.Value.Shape[1]), x, d.W.Value, d.Mixed)
-	if d.CollectStats || (ctx != nil && ctx.CollectStats) {
-		d.outSum, d.outAbsMax = tensor.AddBiasNCHWEp(y, d.B.Value)
-		d.outStatsOK = true
-	} else {
-		tensor.AddBiasNCHW(y, d.B.Value)
-		d.outStatsOK = false
-	}
+	tensor.AddBiasNCHW(y, d.B.Value)
 	return y
 }
-
-// OutAbsMax implements OutputStats.
-func (d *Dense) OutAbsMax() (float32, bool) { return d.outAbsMax, d.outStatsOK }
-
-// LastOutSum returns the fused total sum of the most recent forward output
-// (the ABFT output checksum), if one was collected.
-func (d *Dense) LastOutSum() (float64, bool) { return d.outSum, d.outStatsOK }
-
-// LastGradSum returns the fused total sum of W.Grad as of the most recent
-// backward accumulation, if one was collected.
-func (d *Dense) LastGradSum() (float64, bool) { return d.gradSum, d.gradSumOK }
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
@@ -99,13 +68,7 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// The fused-transpose kernels avoid materializing xᵀ and Wᵀ.
 	dW := tensor.MatMulTAInto(d.ws.Get("dw", d.W.Value.Shape[0], d.W.Value.Shape[1]), x, gradOut, d.Mixed)
 	dX := tensor.MatMulTBInto(d.ws.Get("dx", x.Shape[0], x.Shape[1]), gradOut, d.W.Value, d.Mixed)
-	if d.CollectStats {
-		d.gradSum = d.W.Grad.AddInPlaceSum(dW)
-		d.gradSumOK = true
-	} else {
-		d.W.Grad.AddInPlace(dW)
-		d.gradSumOK = false
-	}
+	d.W.Grad.AddInPlace(dW)
 	tensor.SumPerChannelNCHW(gradOut, d.B.Grad)
 	return dX
 }

@@ -30,22 +30,6 @@ type Context struct {
 	// re-execution reproduces the same masks — requirement (3) of the
 	// paper's recovery technique (Sec 5.2).
 	Rand *rng.Rand
-	// CollectStats asks layers to accumulate output statistics (abs-max)
-	// inside their forward write loops — the fused-epilogue path of Ranger
-	// range checking. Layers expose the result via OutputStats; results are
-	// bitwise-equal to sweeping the output afterwards.
-	CollectStats bool
-}
-
-// OutputStats is implemented by layers whose forward pass can fuse an
-// output abs-max reduction into its write loop (Dense, Conv2D, BatchNorm,
-// ReLU). OutAbsMax returns the fused abs-max of the most recent forward
-// output and whether one was collected (false when the last forward ran
-// without Context.CollectStats). Consumers must fall back to a sweep when
-// ok is false or when the output tensor was mutated after the forward (the
-// dirty-tensor protocol).
-type OutputStats interface {
-	OutAbsMax() (float32, bool)
 }
 
 // Param is a trainable parameter with its accumulated gradient.

@@ -99,8 +99,6 @@ func (s *SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) LossResu
 		}
 		grow[label] -= invB
 	}
-	probs.ClearDirty()
-	grad.ClearDirty()
 	return LossResult{
 		Loss:       totalLoss / float64(b),
 		Probs:      probs,

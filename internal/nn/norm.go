@@ -54,9 +54,6 @@ type BatchNorm struct {
 	mvarStat   uint32
 	mvarStatOK bool
 
-	outAbsMax  float32
-	outStatsOK bool
-
 	// ws backs out/xhat/gradIn. The normalize and backward loops fully
 	// overwrite their buffers on every call, so reuse is invisible to
 	// results; keys are split by train/eval mode because the training shard
@@ -169,26 +166,13 @@ func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 	for ch := range bn.invStd {
 		bn.invStd[ch] = 1 / float32(math.Sqrt(float64(variance[ch]+bn.Eps)))
 	}
-	// The kernel tracks the output abs-max in the pass that writes it, wanted
-	// or not; it is published only under CollectStats.
-	absMax := tensor.NormalizeNCHW(out, xhat, x, mean, bn.invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
-	collect := ctx != nil && ctx.CollectStats
-	if !collect {
-		absMax = 0
-	}
-	bn.outAbsMax, bn.outStatsOK = absMax, collect
-	// The normalize loop rewrote every element of both reused buffers.
-	out.ClearDirty()
-	xhat.ClearDirty()
+	tensor.NormalizeNCHW(out, xhat, x, mean, bn.invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
 	bn.lastXhat = xhat
 	if bn.was2D {
 		return out.Reshape(n, c)
 	}
 	return out
 }
-
-// OutAbsMax implements OutputStats.
-func (bn *BatchNorm) OutAbsMax() (float32, bool) { return bn.outAbsMax, bn.outStatsOK }
 
 // MovingVarAbsMax returns the fused abs-max of MovingVar as of its most
 // recent update, if one has happened. Consumers must fall back to a sweep
@@ -244,8 +228,6 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 		bn.backwardChannel(n*spatial, ch, sumDy, sumDyXhat)
 	}
 	tensor.NormalizeBackwardNCHW(gradIn, gradOut, bn.lastXhat, bn.dxScale, bn.meanDy, bn.meanDyXhat)
-	// Every element of the reused buffer was rewritten by the kernel.
-	gradIn.ClearDirty()
 	if bn.was2D {
 		return gradIn.Reshape(n, c)
 	}
@@ -345,8 +327,6 @@ func (ln *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 			o[i] = g*h + beta[i]
 		}
 	}
-	ln.lastXhat.ClearDirty()
-	out.ClearDirty()
 	return out
 }
 
@@ -375,6 +355,5 @@ func (ln *LayerNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			dx[i] = invStd * (dxh - meanDxh - xh[i]*meanDxhXhat)
 		}
 	}
-	gradIn.ClearDirty()
 	return gradIn
 }

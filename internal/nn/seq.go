@@ -32,13 +32,11 @@ func (s *SeqDense) Params() []*Param { return s.inner.Params() }
 // Workspace implements WorkspaceHolder: the inner layer's.
 func (s *SeqDense) Workspace() *tensor.Workspace { return s.inner.ws }
 
-// viewAs points the reusable header v at data under shape and returns it,
-// clean like the fresh header of a Tensor.Reshape. data must hold exactly the
-// shape's elements.
+// viewAs points the reusable header v at data under shape and returns it.
+// data must hold exactly the shape's elements.
 func viewAs(v *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
 	v.Data = data
 	v.Shape = append(v.Shape[:0], shape...)
-	v.ClearDirty()
 	return v
 }
 
@@ -116,7 +114,6 @@ func (s *SeqMean) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	gradIn.ClearDirty()
 	return gradIn
 }
 
@@ -228,7 +225,6 @@ func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	}
 	out := ws.Get("out", b, l, d)
 	tensor.MatMulInto(viewAs(&at.yv, out.Data, b*l, d), at.o, at.Wo.Value, mixed)
-	out.ClearDirty()
 	return out
 }
 
@@ -276,7 +272,6 @@ func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gx := tensor.MatMulTBInto(viewAs(&at.yv, gradIn.Data, b*l, d), gQ, at.Wq.Value, mixed)
 	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gK, at.Wk.Value, mixed))
 	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gV, at.Wv.Value, mixed))
-	gradIn.ClearDirty()
 	return gradIn
 }
 

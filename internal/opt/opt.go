@@ -42,22 +42,19 @@ type Optimizer interface {
 	Restore(snap map[string][]*tensor.Tensor)
 }
 
-// StepStats is implemented by optimizers that can fuse the detection
-// technique's history reductions into Step's existing write loop. With
-// collection enabled, Step tracks the running abs-max of every history
-// tensor it rewrites (as sign-cleared bit maxima, bitwise-equal to a
-// post-hoc Tensor.AbsMax sweep) and clears the tensors' dirty flags, so the
-// detector's per-iteration bound checks read a cached scalar instead of
-// re-scanning the tensor. Stats describe the most recent Step only;
-// HistAbsMax returns ok=false before the first collected Step, after a
-// Restore, or for an unknown parameter — callers then fall back to the
-// sweep. Consumers must also fall back when the history tensor itself is
-// Dirty() (out-of-band mutation after Step).
+// StepStats is implemented by optimizers that fold the detection
+// technique's history reductions into Step's write loop. Step tracks the
+// running abs-max of every history tensor it rewrites (as sign-cleared bit
+// maxima, bitwise-equal to a post-hoc Tensor.AbsMax sweep) and clears the
+// tensors' dirty flags, so the detector's per-iteration bound checks read a
+// kept scalar instead of re-scanning the tensor. Stats describe the most
+// recent Step only; HistAbsMax returns ok=false before the first Step, after
+// a Restore, or for an unknown parameter — callers then sweep. Callers must
+// also sweep when the history tensor itself is Dirty() (out-of-band
+// mutation after Step).
 type StepStats interface {
-	// SetCollectStats enables or disables inline stat collection.
-	SetCollectStats(on bool)
-	// HistAbsMax returns the fused abs-max of history slot (0 = m or
-	// momentum velocity, 1 = Adam v) for the named parameter.
+	// HistAbsMax returns the abs-max Step kept for history slot (0 = m or
+	// momentum velocity, 1 = Adam v) of the named parameter.
 	HistAbsMax(name string, slot int) (float32, bool)
 }
 
@@ -70,14 +67,13 @@ type SGD struct {
 	LR       float32
 	Momentum float32
 	velocity map[string]*tensor.Tensor
-
-	collectStats bool
-	statV        map[string]uint32
+	statV    map[string]uint32
 }
 
 // NewSGD creates an SGD optimizer.
 func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[string]*tensor.Tensor)}
+	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[string]*tensor.Tensor),
+		statV: make(map[string]uint32)}
 }
 
 // Name implements Optimizer.
@@ -98,42 +94,27 @@ func (s *SGD) Step(params []*nn.Param) {
 			v = tensor.New(p.Value.Shape...)
 			s.velocity[p.Name] = v
 		}
-		if s.collectStats {
-			// Fused epilogue: track the velocity abs-max (as abs-bits, the
-			// order-independent encoding) while writing it. Every element is
-			// rewritten, so the running max equals a post-hoc v.AbsMax().
-			var vb uint32
-			for i := range v.Data {
-				vv := s.Momentum*v.Data[i] + p.Grad.Data[i]
-				v.Data[i] = vv
-				if b := tensor.AbsBits(vv); b > vb {
-					vb = b
-				}
-				p.Value.Data[i] -= s.LR * vv
-			}
-			s.statV[p.Name] = vb
-			v.ClearDirty()
-			continue
-		}
+		// Track the velocity abs-max (as abs-bits, the order-independent
+		// encoding) while writing it. Every element is rewritten, so the
+		// running max equals a post-hoc v.AbsMax().
+		var vb uint32
 		for i := range v.Data {
-			v.Data[i] = s.Momentum*v.Data[i] + p.Grad.Data[i]
-			p.Value.Data[i] -= s.LR * v.Data[i]
+			vv := s.Momentum*v.Data[i] + p.Grad.Data[i]
+			v.Data[i] = vv
+			if b := tensor.AbsBits(vv); b > vb {
+				vb = b
+			}
+			p.Value.Data[i] -= s.LR * vv
 		}
-	}
-}
-
-// SetCollectStats implements StepStats.
-func (s *SGD) SetCollectStats(on bool) {
-	s.collectStats = on
-	if on && s.statV == nil {
-		s.statV = make(map[string]uint32)
+		s.statV[p.Name] = vb
+		v.ClearDirty()
 	}
 }
 
 // HistAbsMax implements StepStats. SGD has a single history slot, the
 // momentum velocity (slot 0).
 func (s *SGD) HistAbsMax(name string, slot int) (float32, bool) {
-	if !s.collectStats || slot != 0 {
+	if slot != 0 {
 		return 0, false
 	}
 	b, ok := s.statV[name]
@@ -165,16 +146,14 @@ func (s *SGD) Snapshot() map[string][]*tensor.Tensor {
 	return snap
 }
 
-// Restore implements Optimizer. Fused stats describe the pre-restore state,
+// Restore implements Optimizer. Step stats describe the pre-restore state,
 // so they are discarded; the detector sweeps until the next Step.
 func (s *SGD) Restore(snap map[string][]*tensor.Tensor) {
 	s.velocity = make(map[string]*tensor.Tensor, len(snap))
 	for name, ts := range snap {
 		s.velocity[name] = ts[0].Clone()
 	}
-	if s.statV != nil {
-		s.statV = make(map[string]uint32)
-	}
+	s.statV = make(map[string]uint32)
 }
 
 // Adam implements the Adam optimizer exactly as in the paper's Eq. 1:
@@ -197,9 +176,8 @@ type Adam struct {
 	// for small models. Invalidated whenever the key set changes.
 	histCache map[string][]*tensor.Tensor
 
-	collectStats bool
-	statM        map[string]uint32
-	statV        map[string]uint32
+	// statM and statV hold Step's abs-bits maxima of m and v (StepStats).
+	statM, statV map[string]uint32
 }
 
 // NewAdam creates an Adam optimizer with the standard defaults
@@ -207,8 +185,10 @@ type Adam struct {
 func NewAdam(lr float32) *Adam {
 	return &Adam{
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[string]*tensor.Tensor),
-		v: make(map[string]*tensor.Tensor),
+		m:     make(map[string]*tensor.Tensor),
+		v:     make(map[string]*tensor.Tensor),
+		statM: make(map[string]uint32),
+		statV: make(map[string]uint32),
 	}
 }
 
@@ -251,58 +231,35 @@ func (a *Adam) Step(params []*nn.Param) {
 			v = tensor.New(p.Value.Shape...)
 			a.v[p.Name] = v
 		}
-		if a.collectStats {
-			// Fused epilogue: track both history abs-maxima (as abs-bits)
-			// while writing m and v. Every element is rewritten, so the
-			// running maxima equal post-hoc AbsMax sweeps bit for bit.
-			var mb, vb uint32
-			for i := range p.Value.Data {
-				g := p.Grad.Data[i]
-				mv := a.Beta1*m.Data[i] + (1-a.Beta1)*g
-				vv := a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-				m.Data[i] = mv
-				v.Data[i] = vv
-				if b := tensor.AbsBits(mv); b > mb {
-					mb = b
-				}
-				if b := tensor.AbsBits(vv); b > vb {
-					vb = b
-				}
-				mHat := mv / c1
-				vHat := vv / c2
-				p.Value.Data[i] -= a.LR * mHat / (float32(math.Sqrt(float64(vHat))) + a.Eps)
-			}
-			a.statM[p.Name] = mb
-			a.statV[p.Name] = vb
-			m.ClearDirty()
-			v.ClearDirty()
-			continue
-		}
+		// Track both history abs-maxima (as abs-bits) while writing m and
+		// v. Every element is rewritten, so the running maxima equal
+		// post-hoc AbsMax sweeps bit for bit.
+		var mb, vb uint32
 		for i := range p.Value.Data {
 			g := p.Grad.Data[i]
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			mHat := m.Data[i] / c1
-			vHat := v.Data[i] / c2
+			mv := a.Beta1*m.Data[i] + (1-a.Beta1)*g
+			vv := a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
+			m.Data[i] = mv
+			v.Data[i] = vv
+			if b := tensor.AbsBits(mv); b > mb {
+				mb = b
+			}
+			if b := tensor.AbsBits(vv); b > vb {
+				vb = b
+			}
+			mHat := mv / c1
+			vHat := vv / c2
 			p.Value.Data[i] -= a.LR * mHat / (float32(math.Sqrt(float64(vHat))) + a.Eps)
 		}
-	}
-}
-
-// SetCollectStats implements StepStats.
-func (a *Adam) SetCollectStats(on bool) {
-	a.collectStats = on
-	if on && a.statM == nil {
-		a.statM = make(map[string]uint32)
-		a.statV = make(map[string]uint32)
+		a.statM[p.Name] = mb
+		a.statV[p.Name] = vb
+		m.ClearDirty()
+		v.ClearDirty()
 	}
 }
 
 // HistAbsMax implements StepStats: slot 0 is m, slot 1 is v.
 func (a *Adam) HistAbsMax(name string, slot int) (float32, bool) {
-	if !a.collectStats {
-		return 0, false
-	}
 	mp := a.statM
 	if slot == 1 {
 		mp = a.statV
@@ -341,16 +298,14 @@ func (a *Adam) Snapshot() map[string][]*tensor.Tensor {
 	return snap
 }
 
-// Restore implements Optimizer. Fused stats describe the pre-restore state,
+// Restore implements Optimizer. Step stats describe the pre-restore state,
 // so they are discarded; the detector sweeps until the next Step.
 func (a *Adam) Restore(snap map[string][]*tensor.Tensor) {
 	a.m = make(map[string]*tensor.Tensor)
 	a.v = make(map[string]*tensor.Tensor)
 	a.histCache = nil
-	if a.statM != nil {
-		a.statM = make(map[string]uint32)
-		a.statV = make(map[string]uint32)
-	}
+	a.statM = make(map[string]uint32)
+	a.statV = make(map[string]uint32)
 	for name, ts := range snap {
 		if name == "__adam_t" {
 			a.t = int(ts[0].Data[0])

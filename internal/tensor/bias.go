@@ -39,20 +39,6 @@ func AddBiasNCHW(t, bias *Tensor) {
 	addBias(t.Data, bias.Data, n, c, spatial)
 }
 
-// AddBiasNCHWEp performs AddBiasNCHW and additionally returns the lane-rule
-// total sum and abs-max of the updated t — bitwise t.Sum() and t.AbsMax()
-// immediately after the call, read while the add's output is still in cache.
-// This is the fused read ABFT (output checksum) and Ranger (output range)
-// ride on.
-func AddBiasNCHWEp(t, bias *Tensor) (sum float64, absMax float32) {
-	n, c, spatial := channelDims("AddBiasNCHWEp", t)
-	if bias.Len() != c {
-		panic(fmt.Sprintf("tensor: AddBiasNCHWEp bias has %d elements for %d channels", bias.Len(), c))
-	}
-	addBias(t.Data, bias.Data, n, c, spatial)
-	return t.Sum(), t.AbsMax()
-}
-
 // SumPerChannelNCHW accumulates the sum of each channel of t into into[c]
 // (+=, matching gradient-accumulation semantics): the shared bias-gradient
 // reduction of Conv2D and Dense backward passes. Accumulation order is

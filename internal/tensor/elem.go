@@ -47,21 +47,19 @@ func planeDims(op string, x *Tensor, dataLens, channelLens []int) (n, c, spatial
 //	xh   = (x − mean[ch]) · invStd[ch]
 //	xhat = xh
 //	out  = gamma[ch]·xh + beta[ch]
-//
-// and the abs-max of out under the AbsMaxTracker rule (any NaN wins),
-// tracked in the same pass whether or not the caller wants it.
-func NormalizeNCHW(out, xhat, x *Tensor, mean, invStd, gamma, beta []float32) float32 {
+func NormalizeNCHW(out, xhat, x *Tensor, mean, invStd, gamma, beta []float32) {
 	n, c, spatial := planeDims("NormalizeNCHW", x, []int{len(out.Data), len(xhat.Data)}, []int{len(mean), len(invStd), len(gamma), len(beta)})
 	if len(x.Data) == 0 {
-		return 0
+		return
 	}
 	if useAVX {
-		return math.Float32frombits(normalizeAVX(&out.Data[0], &xhat.Data[0], &x.Data[0], &mean[0], &invStd[0], &gamma[0], &beta[0], n, c, spatial))
+		normalizeAVX(&out.Data[0], &xhat.Data[0], &x.Data[0], &mean[0], &invStd[0], &gamma[0], &beta[0], n, c, spatial)
+		return
 	}
-	return math.Float32frombits(normalizeGo(out.Data, xhat.Data, x.Data, mean, invStd, gamma, beta, n, c, spatial))
+	normalizeGo(out.Data, xhat.Data, x.Data, mean, invStd, gamma, beta, n, c, spatial)
 }
 
-func normalizeGo(out, xhat, x, mean, invStd, gamma, beta []float32, n, c, spatial int) (maxBits uint32) {
+func normalizeGo(out, xhat, x, mean, invStd, gamma, beta []float32, n, c, spatial int) {
 	for r := 0; r < n*c; r++ {
 		ch := r % c
 		m, is, g, be := mean[ch], invStd[ch], gamma[ch], beta[ch]
@@ -70,12 +68,9 @@ func normalizeGo(out, xhat, x, mean, invStd, gamma, beta []float32, n, c, spatia
 		for i, v := range xr {
 			xh := (v - m) * is
 			xhr[i] = xh
-			ov := g*xh + be
-			or[i] = ov
-			maxBits = max(maxBits, math.Float32bits(ov)&absBitsMask)
+			or[i] = g*xh + be
 		}
 	}
-	return maxBits
 }
 
 // NormalizeBackwardNCHW is BatchNorm's input gradient into dx [N,C,...],
@@ -110,20 +105,19 @@ func normalizeBackwardGo(dx, dy, xhat, scale, meanDy, meanDyXhat []float32, n, c
 
 // ReLUForward writes out[i] = x[i] where x[i] > 0 and +0 elsewhere — NaNs,
 // both zeros and negatives — and records the test in mask as all ones or
-// zero, the form ReLUBackward applies with one AND. It returns the abs-max of
-// out, which holds no NaN and nothing negative, so that is its largest bit
-// pattern.
-func ReLUForward(out []float32, mask []uint32, x []float32) float32 {
+// zero, the form ReLUBackward applies with one AND.
+func ReLUForward(out []float32, mask []uint32, x []float32) {
 	if len(out) != len(x) || len(mask) != len(x) {
 		panic(fmt.Sprintf("tensor: ReLUForward output and mask hold %d and %d elements, need %d", len(out), len(mask), len(x)))
 	}
 	if len(x) == 0 {
-		return 0
+		return
 	}
 	if useAVX {
-		return math.Float32frombits(reluForwardAVX(&out[0], &mask[0], &x[0], len(x)))
+		reluForwardAVX(&out[0], &mask[0], &x[0], len(x))
+		return
 	}
-	return math.Float32frombits(reluForwardGo(out, mask, x))
+	reluForwardGo(out, mask, x)
 }
 
 // reluForwardGo does the test on the bit pattern, with no branch — the sign
@@ -131,17 +125,14 @@ func ReLUForward(out []float32, mask []uint32, x []float32) float32 {
 // pattern b satisfies 0 < b <= +Inf's — sign clear, not zero, not a NaN —
 // i.e. when b-1, taken unsigned, is below +Inf's pattern: zero wraps to the
 // top, negatives and NaNs already sit above.
-func reluForwardGo(out []float32, mask []uint32, x []float32) (maxBits uint32) {
+func reluForwardGo(out []float32, mask []uint32, x []float32) {
 	out, mask = out[:len(x)], mask[:len(x)]
 	for i, v := range x {
 		b := math.Float32bits(v)
 		keep := uint32(int64(uint64(b-1)-nonFiniteBits) >> 63) // all ones if kept, else 0
-		b &= keep
-		out[i] = math.Float32frombits(b)
+		out[i] = math.Float32frombits(b & keep)
 		mask[i] = keep
-		maxBits = max(maxBits, b)
 	}
-	return maxBits
 }
 
 // ReLUBackward writes dx[i] = dy[i] AND mask[i]: the gradient's bits where

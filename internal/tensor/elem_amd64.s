@@ -22,24 +22,14 @@
 // the MIDDLE operand — so every operation below names the element (or the
 // partial result built from it) first and the per-channel constant second,
 // which is where the compiler puts them.
-//
-// The abs-max of an output is an unsigned integer maximum over sign-cleared
-// bit patterns (VPAND, VPMAXUD), the AbsMaxTracker rule: every NaN pattern
-// sits above +Inf's. It is kept in two accumulators that are folded together
-// once at the end, then across lanes; a maximum does not care about order.
-// In the scalar tails the upper three lanes of the working register are
-// zero (VMOVSS from memory clears them, the VEX scalar operations carry them
-// along), so they can be folded into the accumulator with the same vector
-// instruction.
 
-// func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatial int) uint32
+// func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatial int)
 //
 // SI walks x; R8 and DI are the byte distances from x to xhat and to out, so
 // one pointer advances. R9-R12 are mean, invStd, gamma, beta; DX the channel,
 // R13 = c, BX counts batch elements, CX the floats left in the plane.
-// X0-X3 the broadcast mean, invStd, gamma, beta; X15 the abs mask; X13/X14
-// the maxima.
-TEXT ·normalizeAVX(SB), NOSPLIT, $0-84
+// X0-X3 the broadcast mean, invStd, gamma, beta.
+TEXT ·normalizeAVX(SB), NOSPLIT, $0-80
 	MOVQ out+0(FP), DI
 	MOVQ xhat+8(FP), R8
 	MOVQ x+16(FP), SI
@@ -51,10 +41,6 @@ TEXT ·normalizeAVX(SB), NOSPLIT, $0-84
 	MOVQ c+64(FP), R13
 	SUBQ SI, DI
 	SUBQ SI, R8
-	VPCMPEQD X15, X15, X15
-	VPSRLD $1, X15, X15
-	VPXOR X13, X13, X13
-	VPXOR X14, X14, X14
 
 batchN:
 	XORQ DX, DX
@@ -83,10 +69,6 @@ vec8N:
 	VADDPS X3, X5, X5
 	VMOVUPS X4, (SI)(DI*1)
 	VMOVUPS X5, 16(SI)(DI*1)
-	VPAND X15, X4, X4
-	VPAND X15, X5, X5
-	VPMAXUD X4, X13, X13
-	VPMAXUD X5, X14, X14
 	ADDQ $32, SI
 	SUBQ $8, CX
 	CMPQ CX, $8
@@ -102,8 +84,6 @@ vec4N:
 	VMULPS X2, X4, X4
 	VADDPS X3, X4, X4
 	VMOVUPS X4, (SI)(DI*1)
-	VPAND X15, X4, X4
-	VPMAXUD X4, X13, X13
 	ADDQ $16, SI
 	SUBQ $4, CX
 
@@ -119,8 +99,6 @@ elemN:
 	VMULSS X2, X4, X4
 	VADDSS X3, X4, X4
 	VMOVSS X4, (SI)(DI*1)
-	VPAND X15, X4, X4
-	VPMAXUD X4, X13, X13
 	ADDQ $4, SI
 	DECQ CX
 	JNZ  elemN
@@ -131,13 +109,6 @@ nextN:
 	JLT  planeN
 	DECQ BX
 	JNZ  batchN
-	VPMAXUD X14, X13, X13
-	VPSHUFD $0x4E, X13, X14
-	VPMAXUD X14, X13, X13
-	VPSHUFD $0xB1, X13, X14
-	VPMAXUD X14, X13, X13
-	VMOVD X13, AX
-	MOVL AX, ret+80(FP)
 	RET
 
 // func normalizeBackwardAVX(dx, dy, xhat, scale, meanDy, meanDyXhat *float32, n, c, spatial int)
@@ -226,18 +197,17 @@ nextB:
 	JNZ  batchB
 	RET
 
-// func reluForwardAVX(out *float32, mask *uint32, x *float32, n int) uint32
+// func reluForwardAVX(out *float32, mask *uint32, x *float32, n int)
 //
 // x > 0 is one ordered, non-signaling compare against +0 (predicate 0x1E,
 // GT_OQ): false for a NaN of either kind, for both zeros and for negatives,
 // true for everything from the smallest subnormal to +Inf. The compare's
 // result, all ones or zero per lane, is the mask as stored and the AND that
-// forms the output. Outputs are +0 or positive and never NaN, so their bit
-// patterns order as their values and need no sign clearing.
+// forms the output.
 //
 // SI walks x; R8 and DI are the byte distances to mask and out; CX counts
-// the floats left. X0 = +0; X13/X14 the maxima.
-TEXT ·reluForwardAVX(SB), NOSPLIT, $0-36
+// the floats left. X0 = +0.
+TEXT ·reluForwardAVX(SB), NOSPLIT, $0-32
 	MOVQ out+0(FP), DI
 	MOVQ mask+8(FP), R8
 	MOVQ x+16(FP), SI
@@ -245,8 +215,6 @@ TEXT ·reluForwardAVX(SB), NOSPLIT, $0-36
 	SUBQ SI, DI
 	SUBQ SI, R8
 	VXORPS X0, X0, X0
-	VPXOR X13, X13, X13
-	VPXOR X14, X14, X14
 	CMPQ CX, $8
 	JLT  vec4F
 
@@ -261,8 +229,6 @@ vec8F:
 	VMOVUPS X7, 16(SI)(R8*1)
 	VMOVUPS X4, (SI)(DI*1)
 	VMOVUPS X5, 16(SI)(DI*1)
-	VPMAXUD X4, X13, X13
-	VPMAXUD X5, X14, X14
 	ADDQ $32, SI
 	SUBQ $8, CX
 	CMPQ CX, $8
@@ -276,7 +242,6 @@ vec4F:
 	VANDPS X6, X4, X4
 	VMOVUPS X6, (SI)(R8*1)
 	VMOVUPS X4, (SI)(DI*1)
-	VPMAXUD X4, X13, X13
 	ADDQ $16, SI
 	SUBQ $4, CX
 
@@ -290,19 +255,11 @@ elemF:
 	VANDPS X6, X4, X4
 	VMOVSS X6, (SI)(R8*1)
 	VMOVSS X4, (SI)(DI*1)
-	VPMAXUD X4, X13, X13
 	ADDQ $4, SI
 	DECQ CX
 	JNZ  elemF
 
 doneF:
-	VPMAXUD X14, X13, X13
-	VPSHUFD $0x4E, X13, X14
-	VPMAXUD X14, X13, X13
-	VPSHUFD $0xB1, X13, X14
-	VPMAXUD X14, X13, X13
-	VMOVD X13, AX
-	MOVL AX, ret+32(FP)
 	RET
 
 // func reluBackwardAVX(dx, dy *float32, mask *uint32, n int)

@@ -74,28 +74,18 @@ func elemKernelsCase(t *testing.T, r *rng.Rand, n, c, spatial int, allNaN bool) 
 	x, dy := make([]float32, total), make([]float32, total)
 	fillElemOperand(r, x, 0, allNaN)
 	fillElemOperand(r, dy, 1, allNaN)
-	sameMax := func(op string, got float32, want uint32) {
-		t.Helper()
-		if math.Float32bits(got) != want {
-			t.Fatalf("%s %s: abs-max %#08x, want %#08x", op, name, math.Float32bits(got), want)
-		}
-	}
 
 	// BatchNorm normalize, then its input gradient from the kernel's own xhat.
 	mean, invStd, gamma, beta := perChannel(2), perChannel(3), perChannel(4), perChannel(5)
 	out, checkOut := guarded(t, "NormalizeNCHW out "+name, total)
 	xhat, checkXhat := guarded(t, "NormalizeNCHW xhat "+name, total)
 	wantOut, wantXhat := make([]float32, total), make([]float32, total)
-	wantMax := normalizeGo(wantOut, wantXhat, x, mean, invStd, gamma, beta, n, c, spatial)
-	gotMax := NormalizeNCHW(shaped(out), shaped(xhat), shaped(x), mean, invStd, gamma, beta)
+	normalizeGo(wantOut, wantXhat, x, mean, invStd, gamma, beta, n, c, spatial)
+	NormalizeNCHW(shaped(out), shaped(xhat), shaped(x), mean, invStd, gamma, beta)
 	sameBits(t, "NormalizeNCHW xhat "+name, xhat, wantXhat, true)
 	sameBits(t, "NormalizeNCHW out "+name, out, wantOut, true)
-	sameMax("NormalizeNCHW", gotMax, wantMax)
 	checkOut()
 	checkXhat()
-	if sweep := absMaxBits(out, 0); sweep != wantMax {
-		t.Fatalf("NormalizeNCHW %s: tracked abs-max %#08x, a sweep of the output gives %#08x", name, wantMax, sweep)
-	}
 
 	scale, meanDy, meanDyXhat := perChannel(6), perChannel(7), perChannel(8)
 	dx, checkDx := guarded(t, "NormalizeBackwardNCHW "+name, total)
@@ -107,10 +97,9 @@ func elemKernelsCase(t *testing.T, r *rng.Rand, n, c, spatial int, allNaN bool) 
 
 	// ReLU forward and backward: the mask is part of the contract.
 	mask, wantMask := make([]uint32, total), make([]uint32, total)
-	wantMax = reluForwardGo(wantOut, wantMask, x)
-	gotMax = ReLUForward(out, mask, x)
+	reluForwardGo(wantOut, wantMask, x)
+	ReLUForward(out, mask, x)
 	sameBits(t, "ReLUForward "+name, out, wantOut, true)
-	sameMax("ReLUForward", gotMax, wantMax)
 	for i := range mask {
 		if mask[i] != wantMask[i] {
 			t.Fatalf("ReLUForward %s: mask[%d] for x=%#08x is %#08x, want %#08x", name, i, math.Float32bits(x[i]), mask[i], wantMask[i])
@@ -176,9 +165,7 @@ func TestElemBoundsPanics(t *testing.T) {
 	mustPanicWith(t, "ReLUForward output and mask hold 24 and 23 elements, need 24", func() { ReLUForward(f24, m23, f24) })
 	mustPanicWith(t, "ReLUBackward input gradient and mask hold 23 and 24 elements, need 24", func() { ReLUBackward(f23, f24, m24) })
 	mustPanicWith(t, "ReLUBackward input gradient and mask hold 24 and 23 elements, need 24", func() { ReLUBackward(f24, f24, m23) })
-	if got := ReLUForward(nil, nil, nil); got != 0 {
-		t.Fatalf("ReLUForward of nothing returned %v", got)
-	}
+	ReLUForward(nil, nil, nil)
 	ReLUBackward(nil, nil, nil)
 
 	mustPanicWith(t, "bias add over rows [0,6) of 3×4 floats reaches past 23 elements or 3 biases", func() { addBiasRows(f23, c3, 3, 4, 0, 6) })
@@ -195,9 +182,7 @@ func TestElemBoundsPanics(t *testing.T) {
 // arithmetic, on a fuzzer-chosen [n, c, spatial] and fuzzer-chosen bit
 // patterns in every operand. NaN results only have to be NaN — the oracle's
 // payload choice belongs to the compiler — but the ReLU pair and the masks
-// move bits and must match exactly. The abs-max a kernel returns is held to
-// a per-element maximum over the output it wrote, and AddBiasNCHWEp's sum to
-// Tensor.Sum of its output.
+// move bits and must match exactly.
 func FuzzElemOracle(f *testing.F) {
 	f.Add(uint8(1), uint8(7), uint8(35), uint8(3), []byte{0, 0, 0x80, 0x3f, 0xdb, 0x0f, 0x49, 0xc0, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0xff, 0xff, 0x7f, 0x80})
 	f.Add(uint8(3), uint8(2), uint8(0), uint8(1), []byte{0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x40, 0, 0, 0x80, 0xff})
@@ -227,20 +212,12 @@ func FuzzElemOracle(f *testing.F) {
 			shape = shape[:2] // Dense's [B, Out]
 		}
 		shaped := func(data []float32) *Tensor { return &Tensor{Shape: shape, Data: data} }
-		naiveMax := func(s []float32) (m uint32) {
-			for _, v := range s {
-				if b := math.Float32bits(v) &^ (1 << 31); b > m {
-					m = b
-				}
-			}
-			return m
-		}
 		x, dy := fill(total), fill(total)
 		mean, invStd, gamma, beta := fill(c), fill(c), fill(c), fill(c)
 		scale, meanDy, meanDyXhat, bias := fill(c), fill(c), fill(c), fill(c)
 
 		out, xhat, dx := make([]float32, total), make([]float32, total), make([]float32, total)
-		gotMax := NormalizeNCHW(shaped(out), shaped(xhat), shaped(x), mean, invStd, gamma, beta)
+		NormalizeNCHW(shaped(out), shaped(xhat), shaped(x), mean, invStd, gamma, beta)
 		NormalizeBackwardNCHW(shaped(dx), shaped(dy), shaped(xhat), scale, meanDy, meanDyXhat)
 		want, wantXhat, wantDx := make([]float32, total), make([]float32, total), make([]float32, total)
 		for b := 0; b < n; b++ {
@@ -257,12 +234,9 @@ func FuzzElemOracle(f *testing.F) {
 		sameBits(t, "NormalizeNCHW xhat", xhat, wantXhat, false)
 		sameBits(t, "NormalizeNCHW out", out, want, false)
 		sameBits(t, "NormalizeBackwardNCHW", dx, wantDx, false)
-		if m := naiveMax(out); math.Float32bits(gotMax) != m {
-			t.Fatalf("NormalizeNCHW abs-max %#08x, the output's is %#08x", math.Float32bits(gotMax), m)
-		}
 
 		mask := make([]uint32, total)
-		gotMax = ReLUForward(out, mask, x)
+		ReLUForward(out, mask, x)
 		ReLUBackward(dx, dy, mask)
 		for i, v := range x {
 			want[i], wantDx[i] = 0, 0
@@ -276,9 +250,6 @@ func FuzzElemOracle(f *testing.F) {
 		}
 		sameBits(t, "ReLUForward", out, want, true)
 		sameBits(t, "ReLUBackward", dx, wantDx, true)
-		if m := naiveMax(out); math.Float32bits(gotMax) != m {
-			t.Fatalf("ReLUForward abs-max %#08x, the output's is %#08x", math.Float32bits(gotMax), m)
-		}
 
 		for b := 0; b < n; b++ {
 			for ch := 0; ch < c; ch++ {
@@ -290,15 +261,6 @@ func FuzzElemOracle(f *testing.F) {
 		copy(out, x)
 		AddBiasNCHW(shaped(out), FromSlice(bias, c))
 		sameBits(t, "AddBiasNCHW", out, want, false)
-		copy(out, x)
-		sum, absMax := AddBiasNCHWEp(shaped(out), FromSlice(bias, c))
-		sameBits(t, "AddBiasNCHWEp", out, want, false)
-		if m := naiveMax(out); math.Float32bits(absMax) != m {
-			t.Fatalf("AddBiasNCHWEp abs-max %#08x, the output's is %#08x", math.Float32bits(absMax), m)
-		}
-		if s := shaped(out).Sum(); math.Float64bits(sum) != math.Float64bits(s) {
-			t.Fatalf("AddBiasNCHWEp sum %v, Tensor.Sum of the output %v", sum, s)
-		}
 		// The pool's chunking: rows [split, n·c) start at a channel other than 0.
 		split := int(splitRaw) % (n*c + 1)
 		copy(out, x)

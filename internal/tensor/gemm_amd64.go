@@ -14,9 +14,7 @@ var useAVX = detectAVX()
 // detectAVX reports whether AVX instructions may be executed: the CPU has
 // them (CPUID.1:ECX bit 28) and the OS saves the YMM state across context
 // switches (OSXSAVE set, XCR0 bits 1 and 2 set). Nothing in gemm_amd64.s
-// or the other two files needs AVX2: the integer instructions of elem_amd64.s
-// (VPAND, VPMAXUD, VPSHUFD on X registers) are VEX.128 encodings, which are
-// AVX.
+// or the other two files needs AVX2.
 func detectAVX() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 1 {
 		return false
@@ -77,11 +75,10 @@ func addBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStri
 // spatial] tensors, planes contiguous; per-channel operands hold c floats.
 
 // normalizeAVX writes xhat = (x − mean[ch])·invStd[ch] and out =
-// gamma[ch]·xhat + beta[ch] over every plane and returns the largest
-// sign-cleared bit pattern of out.
+// gamma[ch]·xhat + beta[ch] over every plane.
 //
 //go:noescape
-func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatial int) uint32
+func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatial int)
 
 // normalizeBackwardAVX writes dx = scale[ch]·((dy − meanDy[ch]) −
 // xhat·meanDyXhat[ch]) over every plane.
@@ -90,10 +87,10 @@ func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatia
 func normalizeBackwardAVX(dx, dy, xhat, scale, meanDy, meanDyXhat *float32, n, c, spatial int)
 
 // reluForwardAVX writes mask = (x > 0) as all ones or zero and out = x AND
-// mask over n elements, and returns the largest bit pattern of out.
+// mask over n elements.
 //
 //go:noescape
-func reluForwardAVX(out *float32, mask *uint32, x *float32, n int) uint32
+func reluForwardAVX(out *float32, mask *uint32, x *float32, n int)
 
 // reluBackwardAVX writes dx = dy AND mask over n elements.
 //

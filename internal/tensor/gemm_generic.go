@@ -29,7 +29,7 @@ func addBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStri
 	panic("tensor: no AVX kernels in this build")
 }
 
-func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatial int) uint32 {
+func normalizeAVX(out, xhat, x, mean, invStd, gamma, beta *float32, n, c, spatial int) {
 	panic("tensor: no AVX kernels in this build")
 }
 
@@ -37,7 +37,7 @@ func normalizeBackwardAVX(dx, dy, xhat, scale, meanDy, meanDyXhat *float32, n, c
 	panic("tensor: no AVX kernels in this build")
 }
 
-func reluForwardAVX(out *float32, mask *uint32, x *float32, n int) uint32 {
+func reluForwardAVX(out *float32, mask *uint32, x *float32, n int) {
 	panic("tensor: no AVX kernels in this build")
 }
 

@@ -68,45 +68,6 @@ func TestPackedGEMMBitwise(t *testing.T) {
 	}
 }
 
-// TestPackedEpBitwise checks the fused-epilogue GEMM in mixed precision:
-// the result must match matmulRef bit for bit and the fused reductions
-// (Sum, ColSums, AbsMax) the standalone sweeps over it, serial and parallel,
-// for a single row and for more rows than one epilogue block.
-func TestPackedEpBitwise(t *testing.T) {
-	r := rng.NewFromInt(44)
-	for _, m := range []int{1, 33} { // 33 > epRowBlock exercises the blocked loop
-		a := randMat(r, m, 17)
-		b := randMat(r, 17, 9)
-		want := matmulRef(a, b, true)
-		wantCols := make([]float64, 9)
-		for i := 0; i < m; i++ {
-			for j := range wantCols {
-				wantCols[j] += float64(want.Data[i*9+j])
-			}
-		}
-		for _, w := range []int{1, 4} {
-			restoreW := forceParallel(w)
-			ep := &Epilogue{WantSum: true, WantColSums: true, WantAbsMax: true}
-			got := MatMulIntoEp(New(m, 9), a, b, true, ep)
-			restoreW()
-
-			tag := fmt.Sprintf("m=%d w=%d", m, w)
-			bitsEqual(t, "Ep dst "+tag, got, want)
-			if ep.Sum != want.Sum() {
-				t.Fatalf("%s: Sum %v != %v", tag, ep.Sum, want.Sum())
-			}
-			if math.Float32bits(ep.AbsMax) != math.Float32bits(want.AbsMax()) {
-				t.Fatalf("%s: AbsMax %v != %v", tag, ep.AbsMax, want.AbsMax())
-			}
-			for j := range wantCols {
-				if ep.ColSums[j] != wantCols[j] {
-					t.Fatalf("%s: ColSums[%d] %v != %v", tag, j, ep.ColSums[j], wantCols[j])
-				}
-			}
-		}
-	}
-}
-
 // TestPackedZeroSkipRule pins the skip rule on the packed path: the zero
 // test reads the RAW A element, before bf16 rounding — a subnormal that
 // rounds to zero in bf16 must still contribute (rounded) products, exactly

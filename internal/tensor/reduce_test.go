@@ -57,8 +57,8 @@ func TestAbsMaxPropagatesNaNAndInf(t *testing.T) {
 
 func TestSumLaneRuleMatchesPhasedAccumulation(t *testing.T) {
 	// A sum accumulated in arbitrary row-sized pieces, each with the right
-	// phase, must be bitwise-equal to the whole-tensor Sum. This is the
-	// property the GEMM epilogues rely on.
+	// phase, must be bitwise-equal to the whole-tensor Sum: the lane rule is
+	// keyed on the global flat index.
 	r := rng.NewFromInt(32)
 	a := New(7, 13)
 	a.FillNormal(r, 0, 1)
@@ -105,79 +105,6 @@ func TestHasNonFinite(t *testing.T) {
 	}
 }
 
-func TestAddInPlaceSumMatchesAddThenSum(t *testing.T) {
-	r := rng.NewFromInt(33)
-	for _, n := range []int{1, 5, 64, 129} {
-		base := New(n)
-		base.FillNormal(r, 0, 1)
-		u := New(n)
-		u.FillNormal(r, 0, 1)
-
-		want := base.Clone()
-		want.AddInPlace(u)
-		wantSum := want.Sum()
-
-		got := base.Clone()
-		gotSum := got.AddInPlaceSum(u)
-		bitsEqual(t, "AddInPlaceSum data", got, want)
-		if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
-			t.Fatalf("n=%d: AddInPlaceSum = %v, want %v", n, gotSum, wantSum)
-		}
-	}
-}
-
-func TestMatMulIntoEpMatchesSweeps(t *testing.T) {
-	r := rng.NewFromInt(34)
-	for _, workers := range []int{1, 4} {
-		restore := forceParallel(workers)
-		a := randMat(r, 37, 11)
-		b := randMat(r, 11, 23)
-		want := MatMulInto(New(37, 23), a, b, false)
-		wantSum := want.Sum()
-		wantMax := want.AbsMax()
-		wantCols := make([]float64, 23)
-		for i := 0; i < 37; i++ {
-			for j := 0; j < 23; j++ {
-				wantCols[j] += float64(want.At(i, j))
-			}
-		}
-
-		ep := &Epilogue{WantSum: true, WantColSums: true, WantAbsMax: true}
-		got := MatMulIntoEp(New(37, 23), a, b, false, ep)
-		restore()
-
-		bitsEqual(t, "MatMulIntoEp data", got, want)
-		if math.Float64bits(ep.Sum) != math.Float64bits(wantSum) {
-			t.Fatalf("workers=%d: epilogue Sum %v != sweep %v", workers, ep.Sum, wantSum)
-		}
-		if math.Float32bits(ep.AbsMax) != math.Float32bits(wantMax) {
-			t.Fatalf("workers=%d: epilogue AbsMax %v != sweep %v", workers, ep.AbsMax, wantMax)
-		}
-		for j := range wantCols {
-			if math.Float64bits(ep.ColSums[j]) != math.Float64bits(wantCols[j]) {
-				t.Fatalf("workers=%d: ColSums[%d] = %v, want %v", workers, j, ep.ColSums[j], wantCols[j])
-			}
-		}
-	}
-}
-
-func TestAbsMaxTrackerMatchesAbsMax(t *testing.T) {
-	r := rng.NewFromInt(35)
-	a := New(100)
-	a.FillNormal(r, 0, 10)
-	var trk AbsMaxTracker
-	for _, v := range a.Data[:50] {
-		trk.Observe(v)
-	}
-	trk.ObserveSlice(a.Data[50:])
-	if math.Float32bits(trk.Value()) != math.Float32bits(a.AbsMax()) {
-		t.Fatalf("tracker %v != AbsMax %v", trk.Value(), a.AbsMax())
-	}
-	if AbsMaxOfBits(AbsBits(-3.5)) != 3.5 {
-		t.Fatal("AbsBits/AbsMaxOfBits roundtrip broken")
-	}
-}
-
 func TestDirtyProtocol(t *testing.T) {
 	a := New(4, 4)
 	if a.Dirty() {
@@ -203,11 +130,6 @@ func TestDirtyProtocol(t *testing.T) {
 	MatMulInto(a, x, y, false)
 	if a.Dirty() {
 		t.Fatal("MatMulInto did not clear dirty")
-	}
-	a.MarkDirty()
-	MatMulIntoEp(a, x, y, false, &Epilogue{WantSum: true})
-	if a.Dirty() {
-		t.Fatal("MatMulIntoEp did not clear dirty")
 	}
 }
 
@@ -318,5 +240,119 @@ func TestChannelReductionsBitwise(t *testing.T) {
 	}
 	mustPanicWith(t, "ChannelMoments destinations hold 2 and 3 elements for 3 channels", func() {
 		ChannelMoments(New(1, 3, 2, 2), make([]float32, 2), make([]float32, 3))
+	})
+}
+
+// FuzzReduceOracle: the reductions the mitigation checks rest on — AbsMax,
+// MinMax, Sum, HasNonFinite and AddInPlaceAbsMax — against per-element loops
+// that share no unrolling, lane bookkeeping or chunking with them, on a
+// fuzzer-chosen length (past the pool's fan-out threshold when big is set),
+// fuzzer-chosen bit patterns and a fuzzer-chosen worker count. Where the
+// oracle's answer is NaN the kernel's only has to be NaN.
+func FuzzReduceOracle(f *testing.F) {
+	f.Add(uint16(6), false, uint8(1), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x80, 0, 0, 0x80, 0xff, 1, 0, 0, 0})
+	f.Add(uint16(0), false, uint8(3), []byte{0, 0, 0xc0, 0x7f})
+	f.Add(uint16(13), true, uint8(4), []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f})
+	f.Add(uint16(200), true, uint8(7), []byte{0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0x80})
+	f.Add(uint16(3), false, uint8(0), []byte{})
+	// +0, -0, 1 repeating over two chunks, the second starting on a -0: the
+	// minimum is tied across chunks and must keep the earlier +0.
+	f.Add(uint16(3), true, uint8(1), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3f})
+	f.Fuzz(func(t *testing.T, nRaw uint16, big bool, wRaw uint8, raw []byte) {
+		n := int(nRaw)%300 + 1
+		if big {
+			n += absMaxParallelMin
+		}
+		if len(raw) > 1<<12 {
+			raw = raw[:1<<12]
+		}
+		at := 0
+		fill := func() []float32 {
+			dst := make([]float32, n)
+			for i := range dst {
+				var bits uint32
+				for s := 0; s < 32 && len(raw) > 0; s += 8 {
+					bits |= uint32(raw[at%len(raw)]) << s
+					at++
+				}
+				dst[i] = math.Float32frombits(bits)
+			}
+			return dst
+		}
+		x, u := fill(), fill()
+		defer forceParallel(int(wRaw)%8 + 1)()
+
+		// naiveAbsMax is the largest |v| by float comparison, and whether a
+		// NaN was seen.
+		naiveAbsMax := func(s []float32) (m float32, nan bool) {
+			for _, v := range s {
+				a := float32(math.Abs(float64(v)))
+				if a != a {
+					nan = true
+				} else if a > m {
+					m = a
+				}
+			}
+			return m, nan
+		}
+		sameOrNaN := func(name string, got, want float32, nan bool) {
+			t.Helper()
+			if nan {
+				if got == got {
+					t.Fatalf("%s = %v over a NaN, want NaN", name, got)
+				}
+				return
+			}
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%s = %#08x (%v), want %#08x (%v)", name, math.Float32bits(got), got, math.Float32bits(want), want)
+			}
+		}
+		xt := FromSlice(x, n)
+
+		m, nan := naiveAbsMax(x)
+		sameOrNaN("AbsMax", xt.AbsMax(), m, nan)
+
+		// MinMax: strict comparisons from the first element, so of two equal
+		// extremes (±0) the earlier one stands.
+		lo, hi := x[0], x[0]
+		for _, v := range x[1:] {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		gotLo, gotHi := xt.MinMax()
+		sameOrNaN("MinMax min", gotLo, lo, nan)
+		sameOrNaN("MinMax max", gotHi, hi, nan)
+
+		// Sum: element i into lane i mod 4, combined (s0+s1)+(s2+s3).
+		var lanes [4]float64
+		for i, v := range x {
+			lanes[i%4] += float64(v)
+		}
+		wantSum := (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+		if got := xt.Sum(); math.Float64bits(got) != math.Float64bits(wantSum) && !(got != got && wantSum != wantSum) {
+			t.Fatalf("Sum = %v, want %v", got, wantSum)
+		}
+
+		nonFinite := false
+		for _, v := range x {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				nonFinite = true
+			}
+		}
+		if got := xt.HasNonFinite(); got != nonFinite {
+			t.Fatalf("HasNonFinite = %v, want %v", got, nonFinite)
+		}
+
+		want := make([]float32, n)
+		for i := range want {
+			want[i] = x[i] + u[i]
+		}
+		m, nan = naiveAbsMax(u)
+		sameOrNaN("AddInPlaceAbsMax", xt.AddInPlaceAbsMax(FromSlice(u, n)), m, nan)
+		sameBits(t, "AddInPlaceAbsMax sum", x, want, false)
 	})
 }

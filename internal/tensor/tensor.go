@@ -25,15 +25,16 @@ import (
 
 // Tensor is a dense row-major float32 array with an explicit shape.
 //
-// The dirty flag supports the fused-epilogue detection protocol: cached
-// reductions (optimizer step stats, layer output stats) are valid only while
-// the tensor has not been mutated outside the kernel that produced them.
-// Out-of-band writers — fault injection, checkpoint restore — call MarkDirty;
-// kernels that fully overwrite the tensor (Fill, the MatMul*Into family,
-// Conv2DForwardWS) clear it. Consumers that find Dirty() fall back to a full
-// sweep. Reshape returns a fresh header with a clean flag; monitors holding
-// the original header still see its mark, and nothing caches stats across a
-// reshape, so the flag never goes stale through aliasing in this codebase.
+// The dirty flag supports the detector's read of its producers' statistics:
+// the abs-max the optimizer step keeps for each history tensor, and the one
+// BatchNorm keeps for its moving variance, are valid only while the tensor
+// has not been mutated outside the loop that produced them. Out-of-band
+// writers — fault injection, checkpoint restore — call MarkDirty; the
+// producers clear it when they rewrite the tensor, as do the generic kernels
+// that fully overwrite one (Fill, the MatMul*Into family, Conv2DForwardWS).
+// The detector sweeps a tensor it finds Dirty(). Reshape returns a fresh
+// header with a clean flag; nothing caches stats across a reshape, so the
+// flag never goes stale through aliasing in this codebase.
 type Tensor struct {
 	Shape []int
 	Data  []float32
@@ -46,7 +47,7 @@ type Tensor struct {
 func (t *Tensor) MarkDirty() { t.dirty = true }
 
 // ClearDirty records that t was fully rewritten by its owning kernel, making
-// freshly fused stats authoritative again.
+// the statistics that kernel kept authoritative again.
 func (t *Tensor) ClearDirty() { t.dirty = false }
 
 // Dirty reports whether t was mutated out-of-band since its last full
@@ -94,7 +95,7 @@ func (t *Tensor) Clone() *Tensor {
 
 // CopyFrom copies src's data into t. Shapes must have equal element counts.
 // CopyFrom is how restore paths rewrite live state, so it marks t dirty:
-// any stats fused into t's producing kernel predate the copy.
+// any stats t's producer kept predate the copy.
 func (t *Tensor) CopyFrom(src *Tensor) {
 	if len(t.Data) != len(src.Data) {
 		panic("tensor: CopyFrom size mismatch")
@@ -227,7 +228,7 @@ func (t *Tensor) AxpyInPlace(alpha float32, u *Tensor) {
 }
 
 // Sum and AbsMax live in reduce.go alongside the rest of the vectorized
-// reduction kernels and the fused-epilogue layer.
+// reduction kernels.
 
 // FirstNonFinite returns the index of the first NaN/Inf element, or -1.
 func (t *Tensor) FirstNonFinite() int { return numerics.HasNonFinite(t.Data) }

@@ -77,16 +77,6 @@ type Engine struct {
 	// range restriction (Sec 6).
 	ForwardMonitor func(device, layer int, out *tensor.Tensor)
 
-	// AbsMaxMonitor is the fused-epilogue alternative to ForwardMonitor for
-	// monitors that only need each output's abs-max (range restriction):
-	// when non-nil, forward passes run with Context.CollectStats so layers
-	// fuse the reduction into their write loops, and the monitor receives
-	// the scalar instead of the tensor. Outputs mutated after the layer
-	// wrote them (fault injection marks them dirty) and layers without
-	// fused stats are swept, so the delivered value is always
-	// bitwise-identical to out.AbsMax().
-	AbsMaxMonitor func(device, layer int, absMax float32)
-
 	// lastResults caches per-device loss results of the latest iteration
 	// (used by detection diagnostics).
 	lastNonFinite string
@@ -258,7 +248,6 @@ func (e *Engine) SetInjections(injs []fault.Injection) {
 func (e *Engine) Reset() {
 	e.SetInjections(nil)
 	e.ForwardMonitor = nil
-	e.AbsMaxMonitor = nil
 	e.lastNonFinite = ""
 	e.elastic = false
 	e.grp.Reset()
@@ -283,14 +272,11 @@ func (e *Engine) ScrubWorkspaces() {
 // only — the injection bookkeeping, and all cross-device reductions run
 // serially in ascending device order after the join. A non-nil
 // ForwardMonitor must be safe for concurrent calls when this is enabled
-// (the built-in range-restriction monitor uses atomics and qualifies).
+// (range restriction's Profile and Check qualify).
 // Campaigns that already run experiments in parallel should usually leave
 // this off — experiment-level parallelism saturates the cores with less
 // coordination; internal/experiment never enables it.
 func (e *Engine) SetDeviceParallel(on bool) { e.deviceParallel = on }
-
-// DeviceParallel reports whether device-parallel stepping is enabled.
-func (e *Engine) DeviceParallel() bool { return e.deviceParallel }
 
 // SetElastic selects elastic batch re-partitioning (off by default): when
 // enabled and part of the group is quarantined, RunIteration re-partitions
@@ -302,9 +288,6 @@ func (e *Engine) DeviceParallel() bool { return e.deviceParallel }
 // partition is used bit for bit, so elastic engines are interchangeable
 // with plain ones until the first quarantine.
 func (e *Engine) SetElastic(on bool) { e.elastic = on }
-
-// Elastic reports whether elastic batch re-partitioning is enabled.
-func (e *Engine) Elastic() bool { return e.elastic }
 
 // deviceScratch is one device's per-iteration state: the layer context, the
 // generator it points at, and the header of the device's batch shard.
@@ -392,12 +375,10 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 	x := &sc.x
 	x.Shape = append(append(x.Shape[:0], n), batch.X.Shape[1:]...)
 	x.Data = batch.X.Data[lo*exLen : (lo+n)*exLen]
-	x.ClearDirty()
 	y := batch.Y[lo : lo+n]
 
 	ctx := &sc.ctx
-	*ctx = nn.Context{Training: true, Rand: e.ctxRand(iter, d),
-		CollectStats: e.AbsMaxMonitor != nil}
+	*ctx = nn.Context{Training: true, Rand: e.ctxRand(iter, d)}
 	model := e.replicas[d]
 
 	var fwdHook nn.ForwardHook
@@ -466,19 +447,6 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 			return o
 		}
 	}
-	if e.AbsMaxMonitor != nil {
-		inner := fwdHook
-		dev := d
-		fwdHook = func(li int, o *tensor.Tensor) *tensor.Tensor {
-			if inner != nil {
-				if replaced := inner(li, o); replaced != nil {
-					o = replaced
-				}
-			}
-			e.AbsMaxMonitor(dev, li, layerOutAbsMax(model.Layers[li].Layer, o))
-			return o
-		}
-	}
 	out := model.Forward(ctx, x, fwdHook)
 	res := e.loss[d].Eval(out, y)
 	ds.loss = res.Loss
@@ -499,21 +467,6 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 		}
 	}
 	return ds
-}
-
-// layerOutAbsMax resolves the abs-max of a layer output for AbsMaxMonitor:
-// the layer's fused stat when it has one and the output has not been
-// mutated since the layer wrote it (an injection marks it dirty), otherwise
-// a sweep. Either way the value equals out.AbsMax() bit for bit.
-func layerOutAbsMax(l nn.Layer, out *tensor.Tensor) float32 {
-	if !out.Dirty() {
-		if os, ok := l.(nn.OutputStats); ok {
-			if m, ok := os.OutAbsMax(); ok {
-				return m
-			}
-		}
-	}
-	return out.AbsMax()
 }
 
 // RunIteration executes global iteration iter: per-device forward/backward

@@ -1,9 +1,8 @@
 // Steady-state mitigation overhead benchmarks: the per-iteration cost of
-// each mitigation technique in its fused form (checks consume reductions the
-// kernels accumulated during their write loops) versus its sweep form
-// (checks re-read whole tensors). Fused and sweep raise bitwise-identical
-// alarms (see the fused equivalence tests in internal/detect and
-// internal/baseline), so the delta is pure overhead.
+// each mitigation technique on a Resnet training iteration, one leg per
+// mitigation. Each check has one read: the bounds check reads the
+// statistics the optimizer step and BatchNorm keep (sweeping only a tensor
+// marked dirty), ABFT and range restriction sweep what they check.
 //
 // Run with:
 //
@@ -44,9 +43,10 @@ func BenchmarkOverheadPlain(b *testing.B) {
 	}
 }
 
-func benchDetect(b *testing.B, fused bool) {
+// BenchmarkOverheadDetect: training iteration + bounds check.
+func BenchmarkOverheadDetect(b *testing.B) {
 	e, w := overheadEngine(b)
-	d := detect.ForEngine(e, w.BatchSize(), w.LR, fused)
+	d := detect.ForEngine(e, w.BatchSize(), w.LR, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunIteration(i)
@@ -56,17 +56,12 @@ func benchDetect(b *testing.B, fused bool) {
 	}
 }
 
-// BenchmarkOverheadDetectFused: training iteration + bounds check consuming
-// the optimizer's and BatchNorm's step-time stats.
-func BenchmarkOverheadDetectFused(b *testing.B) { benchDetect(b, true) }
-
-// BenchmarkOverheadDetectSweep: training iteration + bounds check sweeping
-// every history and moving-variance tensor.
-func BenchmarkOverheadDetectSweep(b *testing.B) { benchDetect(b, false) }
-
-func benchDetectCheck(b *testing.B, fused bool) {
+// BenchmarkOverheadDetectCheck isolates the bounds check itself — the cost
+// the paper reports as 0.003%–0.025% of an iteration: O(#tensors) lookups of
+// the kept statistics.
+func BenchmarkOverheadDetectCheck(b *testing.B) {
 	e, w := overheadEngine(b)
-	d := detect.ForEngine(e, w.BatchSize(), w.LR, fused)
+	d := detect.ForEngine(e, w.BatchSize(), w.LR, true)
 	for i := 0; i < 3; i++ {
 		e.RunIteration(i)
 	}
@@ -78,19 +73,11 @@ func benchDetectCheck(b *testing.B, fused bool) {
 	}
 }
 
-// BenchmarkOverheadDetectCheckFused isolates the detection check itself —
-// the cost the paper reports as 0.003%–0.025% of an iteration. Fused, the
-// check is O(#tensors) stat lookups.
-func BenchmarkOverheadDetectCheckFused(b *testing.B) { benchDetectCheck(b, true) }
-
-// BenchmarkOverheadDetectCheckSweep: the same check sweeping every element
-// of every history and moving-variance tensor — O(#values).
-func BenchmarkOverheadDetectCheckSweep(b *testing.B) { benchDetectCheck(b, false) }
-
-func benchABFT(b *testing.B, fused bool) {
+// BenchmarkOverheadABFT: ABFT checksums on every Dense and Conv2D layer, the
+// conv checksum one GEMM row over the layer's im2col matrix.
+func BenchmarkOverheadABFT(b *testing.B) {
 	e, _ := overheadEngine(b)
 	s := baseline.NewABFTState(1e-2)
-	s.Fused = fused
 	for dev := 0; dev < e.Config().Devices; dev++ {
 		baseline.WrapModel(baseline.ABFTBuilder(s), e.Replica(dev))
 	}
@@ -104,33 +91,18 @@ func benchABFT(b *testing.B, fused bool) {
 	}
 }
 
-// BenchmarkOverheadABFTFused: ABFT checksums riding the kernel epilogues
-// (output sums from the bias-add loop, gradient sums from AddInPlaceSum,
-// conv checksum GEMM over the layer's im2col matrix).
-func BenchmarkOverheadABFTFused(b *testing.B) { benchABFT(b, true) }
-
-// BenchmarkOverheadABFTSweep: ABFT with standalone reduction sweeps and a
-// fresh checksum convolution per layer.
-func BenchmarkOverheadABFTSweep(b *testing.B) { benchABFT(b, false) }
-
-func benchRanger(b *testing.B, fused bool) {
+// BenchmarkOverheadRanger: range restriction, one abs-max over every layer
+// output.
+func BenchmarkOverheadRanger(b *testing.B) {
 	prof, _ := overheadEngine(b)
 	r := baseline.NewRanger(prof.Replica(0).Len(), 2.0)
 	r.ProfileOnEngine(prof, 10)
 
 	e, _ := overheadEngine(b)
-	r.AttachCheck(e, fused)
+	e.ForwardMonitor = r.Check
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.SetIteration(i)
 		e.RunIteration(i)
 	}
 }
-
-// BenchmarkOverheadRangerFused: range restriction via the AbsMaxMonitor,
-// fed by abs-max reductions fused into the layers' output write loops.
-func BenchmarkOverheadRangerFused(b *testing.B) { benchRanger(b, true) }
-
-// BenchmarkOverheadRangerSweep: range restriction via the ForwardMonitor,
-// re-reading every layer output.
-func BenchmarkOverheadRangerSweep(b *testing.B) { benchRanger(b, false) }
