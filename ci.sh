@@ -209,7 +209,7 @@ go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 echo "== retry-budget fuzz smoke (Policy.Arrival against the Retries / Failed AllReduce reports for the armed fault, fuzzer-chosen delay, policy and kind) =="
 go test -run '^$' -fuzz 'FuzzArrivalResolution' -fuzztime 3s ./internal/comm
 
-echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, against the naive triple loop) =="
+echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, against the naive triple loop; seeds on both sides of the dense-A dispatch: whole-matrix kernel for an A without ±0, skip-rule path otherwise) =="
 go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 
 echo "== lowering fuzz smoke (im2col and col2im against the per-element loops, fuzzer-chosen geometry and bit patterns) =="
@@ -245,7 +245,7 @@ done
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|TanhForward|SigmoidForward|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

@@ -27,13 +27,19 @@ func detectAVX() bool {
 	return xcr0&6 == 6
 }
 
-// gemmTile4AVX accumulates c[r*n+j] += a[r*aRow+kk*aK] * b[kk*n+j] for the
-// four consecutive rows r of c, kk < kLen ascending, j < n, every a
-// non-zero. It takes addresses, not slices: gemmTile4 is the only caller and
-// checks the three extents first.
+// gemmTileAVX computes the m×n C = A×B, c[i*n+j] = Σ a[i*aRow+kk*aK] *
+// b[kk*n+j] over kk < k ascending, each element from +0 — or, with acc, from
+// what c holds — every a non-zero. It takes addresses, not slices: gemmTile
+// is the only caller and checks the three extents first.
 //
 //go:noescape
-func gemmTile4AVX(c, b, a *float32, n, kLen, aRow, aK int)
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc bool)
+
+// nonZeroAVX reports whether none of the n floats at a is ±0. n must be
+// positive; allNonZero checks that.
+//
+//go:noescape
+func nonZeroAVX(a *float32, n int) bool
 
 // denseRun4AVX counts the leading k-steps kk < kLen at which none of
 // a[r*aRow+kk*aK], r < 4, is ±0. aRow or aK must be 1 and kLen positive;
@@ -54,6 +60,13 @@ func axpy1AVX(c, b []float32, a float32)
 //
 //go:noescape
 func transposeStrip8AVX(dst, src []float32, rows, cols int)
+
+// transposeStrip4AVX transposes blocks 4x4 blocks of four source rows: src
+// starts at (i, j) of a [rows,cols] matrix and dst at (j, i) of its
+// [cols,rows] transpose. Neither slice is bounds-checked.
+//
+//go:noescape
+func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int)
 
 // moveBlocksAVX copies n blocks of rows×cols floats, bit for bit: element
 // (i, r, j) moves from src[i*srcBlock+r*srcStride+j] to

@@ -25,52 +25,119 @@
 // data movement (the transposition below, the runtime's memmove) does not
 // take the licence.
 
-// func gemmTile4AVX(c, b, a *float32, n, kLen, aRow, aK int)
+// func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc bool)
 //
-// Four consecutive rows of C (row length n) and kLen consecutive k-steps:
+// A whole m×n C (row length n) in one call:
 //
-//	c[r*n+j] += a[r*aRow+kk*aK] * b[kk*n+j]    r < 4, kk < kLen, j < n
+//	c[i*n+j] = Σ a[i*aRow+kk*aK] * b[kk*n+j]    i < m, j < n, kk < k
 //
-// with kk ascending for every element. The columns are walked in tiles of 8,
-// then one tile of 4, then single columns. A tile of C is loaded into
-// registers once, receives the kLen products of each of its elements in
-// ascending kk, and is stored once; between the load and the store the chain
-// of an element lives in one register lane, so the additions it sees and
-// their order are those of kLen passes of the Go loop over the row. Every
-// a must be non-zero (the caller's run splitting sees to it): nothing here
-// tests for the skip rule.
+// with kk ascending for every element, each element's chain starting from
+// +0 — or, with acc, from the value c holds. The rows are walked in blocks
+// of four, then a block of two and a block of one for what is left. A block
+// always fills the four accumulator rows: in a block of two, rows 2 and 3
+// repeat rows 0 and 1, in a block of one all four are row 0 (their row
+// offsets are 0), so a repeated row forms the same chain in two lanes and
+// stores the same bits twice. The columns of a block are walked in tiles of
+// 8, then one tile of 4, then single columns. A tile of C starts in
+// registers, receives the k products of each of its elements in ascending
+// kk, and is stored once; between, the chain of an element lives in one
+// register lane, so the additions it sees and their order are those of k
+// passes of the Go loop over the row. Every a must be non-zero (the caller's
+// dense scan or run splitting sees to it): nothing here tests for the skip
+// rule. m, n and k are positive.
 //
-// Registers in the 8-wide tile: X0-X7 the accumulators (row r in X(2r),
+// Registers: DI and SI the tile's first column in c and in b, DX row 0 of
+// the block in a, CX the columns left, R13 the k-steps left; in bytes, R9
+// and R15 the offsets of the block's rows 1 and 2 in a (row 3 is row 2's
+// row 1), R14 and R8 the same in c, R10 one a k-step, R12 one b row. In the
+// k-loops AX and BX step through b and a's rows 0-1, R11 through a's rows
+// 2-3. In the 8-wide tile: X0-X7 the accumulators (row r in X(2r),
 // X(2r+1)), X8/X9 the two B vectors of the k-step, X10/X13 the broadcast a
-// of alternating rows, X11/X12/X14/X15 the products.
-TEXT ·gemmTile4AVX(SB), NOSPLIT, $0-56
+// of alternating rows, X11/X12/X14/X15 the products. The frame holds the
+// rows left after the block and the next block's row 0 in a.
+TEXT ·gemmTileAVX(SB), NOSPLIT, $16-65
 	MOVQ c+0(FP), DI
-	MOVQ b+8(FP), SI
 	MOVQ a+16(FP), DX
-	MOVQ n+24(FP), CX
-	MOVQ kLen+32(FP), R8
-	MOVQ aRow+40(FP), R9
-	MOVQ aK+48(FP), R10
-	SHLQ $2, R9             // a row step, bytes
+	MOVQ n+32(FP), R12
+	MOVQ aK+56(FP), R10
+	SHLQ $2, R12            // b row step, bytes
 	SHLQ $2, R10            // a k step, bytes
-	LEAQ (R9)(R9*2), R11    // three a rows
-	LEAQ (CX*4), R12        // row step of b and c, bytes
+	MOVQ m+24(FP), AX
+	MOVQ AX, left-8(SP)
+
+nextBlock:
+	MOVQ left-8(SP), AX
+	MOVQ aRow+48(FP), R9
+	SHLQ $2, R9             // one a row, bytes
+	CMPQ AX, $4
+	JGE  four
+	CMPQ AX, $2
+	JGE  two
+	TESTQ AX, AX
+	JZ   done
+
+	// one row: every offset 0
+	LEAQ (DX)(R9*1), BX
+	DECQ AX
+	XORQ R9, R9
+	XORQ R15, R15
+	XORQ R14, R14
+	XORQ R8, R8
+	JMP  block
+
+two:
+	// two rows: rows 2 and 3 are rows 0 and 1 again
+	LEAQ (DX)(R9*2), BX
+	SUBQ $2, AX
+	XORQ R15, R15
+	MOVQ R12, R14
+	XORQ R8, R8
+	JMP  block
+
+four:
+	LEAQ (DX)(R9*4), BX
+	SUBQ $4, AX
+	LEAQ (R9)(R9*1), R15
+	MOVQ R12, R14
+	LEAQ (R12)(R12*1), R8
+
+block:
+	MOVQ AX, left-8(SP)
+	MOVQ BX, anext-16(SP)
+	MOVQ b+8(FP), SI
+	MOVQ n+32(FP), CX
 	CMPQ CX, $8
 	JLT  tile4
 
 tile8:
+	CMPB acc+64(FP), $0
+	JNE  load8
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	JMP  start8
+
+load8:
 	VMOVUPS (DI), X0
 	VMOVUPS 16(DI), X1
-	VMOVUPS (DI)(R12*1), X2
-	VMOVUPS 16(DI)(R12*1), X3
-	VMOVUPS (DI)(R12*2), X4
-	VMOVUPS 16(DI)(R12*2), X5
-	LEAQ (DI)(R12*2), AX
-	VMOVUPS (AX)(R12*1), X6
-	VMOVUPS 16(AX)(R12*1), X7
+	VMOVUPS (DI)(R14*1), X2
+	VMOVUPS 16(DI)(R14*1), X3
+	LEAQ (DI)(R8*1), AX
+	VMOVUPS (AX), X4
+	VMOVUPS 16(AX), X5
+	VMOVUPS (AX)(R14*1), X6
+	VMOVUPS 16(AX)(R14*1), X7
+
+start8:
 	MOVQ SI, AX             // b, this tile's columns at step kk
 	MOVQ DX, BX             // a, row 0 at step kk
-	MOVQ R8, R13
+	LEAQ (DX)(R15*1), R11   // a, row 2 at step kk
+	MOVQ k+40(FP), R13
 
 k8:
 	VMOVUPS (AX), X8
@@ -85,8 +152,8 @@ k8:
 	VADDPS X1, X12, X1
 	VADDPS X2, X14, X2
 	VADDPS X3, X15, X3
-	VBROADCASTSS (BX)(R9*2), X10
-	VBROADCASTSS (BX)(R11*1), X13
+	VBROADCASTSS (R11), X10
+	VBROADCASTSS (R11)(R9*1), X13
 	VMULPS X10, X8, X11
 	VMULPS X10, X9, X12
 	VMULPS X13, X8, X14
@@ -97,18 +164,19 @@ k8:
 	VADDPS X7, X15, X7
 	ADDQ R12, AX
 	ADDQ R10, BX
+	ADDQ R10, R11
 	DECQ R13
 	JNZ  k8
 
 	VMOVUPS X0, (DI)
 	VMOVUPS X1, 16(DI)
-	VMOVUPS X2, (DI)(R12*1)
-	VMOVUPS X3, 16(DI)(R12*1)
-	VMOVUPS X4, (DI)(R12*2)
-	VMOVUPS X5, 16(DI)(R12*2)
-	LEAQ (DI)(R12*2), AX
-	VMOVUPS X6, (AX)(R12*1)
-	VMOVUPS X7, 16(AX)(R12*1)
+	VMOVUPS X2, (DI)(R14*1)
+	VMOVUPS X3, 16(DI)(R14*1)
+	LEAQ (DI)(R8*1), AX
+	VMOVUPS X4, (AX)
+	VMOVUPS X5, 16(AX)
+	VMOVUPS X6, (AX)(R14*1)
+	VMOVUPS X7, 16(AX)(R14*1)
 	ADDQ $32, DI
 	ADDQ $32, SI
 	SUBQ $8, CX
@@ -118,14 +186,26 @@ k8:
 tile4:
 	TESTQ $4, CX
 	JZ    tile1
+	CMPB  acc+64(FP), $0
+	JNE   load4
+	VXORPS X0, X0, X0
+	VXORPS X2, X2, X2
+	VXORPS X4, X4, X4
+	VXORPS X6, X6, X6
+	JMP   start4
+
+load4:
 	VMOVUPS (DI), X0
-	VMOVUPS (DI)(R12*1), X2
-	VMOVUPS (DI)(R12*2), X4
-	LEAQ (DI)(R12*2), AX
-	VMOVUPS (AX)(R12*1), X6
+	VMOVUPS (DI)(R14*1), X2
+	LEAQ (DI)(R8*1), AX
+	VMOVUPS (AX), X4
+	VMOVUPS (AX)(R14*1), X6
+
+start4:
 	MOVQ SI, AX
 	MOVQ DX, BX
-	MOVQ R8, R13
+	LEAQ (DX)(R15*1), R11
+	MOVQ k+40(FP), R13
 
 k4:
 	VMOVUPS (AX), X8
@@ -135,38 +215,51 @@ k4:
 	VMULPS X13, X8, X14
 	VADDPS X0, X11, X0
 	VADDPS X2, X14, X2
-	VBROADCASTSS (BX)(R9*2), X10
-	VBROADCASTSS (BX)(R11*1), X13
+	VBROADCASTSS (R11), X10
+	VBROADCASTSS (R11)(R9*1), X13
 	VMULPS X10, X8, X11
 	VMULPS X13, X8, X14
 	VADDPS X4, X11, X4
 	VADDPS X6, X14, X6
 	ADDQ R12, AX
 	ADDQ R10, BX
+	ADDQ R10, R11
 	DECQ R13
 	JNZ  k4
 
 	VMOVUPS X0, (DI)
-	VMOVUPS X2, (DI)(R12*1)
-	VMOVUPS X4, (DI)(R12*2)
-	LEAQ (DI)(R12*2), AX
-	VMOVUPS X6, (AX)(R12*1)
+	VMOVUPS X2, (DI)(R14*1)
+	LEAQ (DI)(R8*1), AX
+	VMOVUPS X4, (AX)
+	VMOVUPS X6, (AX)(R14*1)
 	ADDQ $16, DI
 	ADDQ $16, SI
 
 tile1:
 	ANDQ $3, CX             // single columns left
-	JZ   doneTile
+	JZ   endBlock
 
 col1:
+	CMPB acc+64(FP), $0
+	JNE  load1
+	VXORPS X0, X0, X0
+	VXORPS X2, X2, X2
+	VXORPS X4, X4, X4
+	VXORPS X6, X6, X6
+	JMP  start1
+
+load1:
 	VMOVSS (DI), X0
-	VMOVSS (DI)(R12*1), X2
-	VMOVSS (DI)(R12*2), X4
-	LEAQ (DI)(R12*2), AX
-	VMOVSS (AX)(R12*1), X6
+	VMOVSS (DI)(R14*1), X2
+	LEAQ (DI)(R8*1), AX
+	VMOVSS (AX), X4
+	VMOVSS (AX)(R14*1), X6
+
+start1:
 	MOVQ SI, AX
 	MOVQ DX, BX
-	MOVQ R8, R13
+	LEAQ (DX)(R15*1), R11
+	MOVQ k+40(FP), R13
 
 k1:
 	VMOVSS (AX), X8
@@ -174,26 +267,97 @@ k1:
 	VMULSS (BX)(R9*1), X8, X14
 	VADDSS X0, X11, X0
 	VADDSS X2, X14, X2
-	VMULSS (BX)(R9*2), X8, X11
-	VMULSS (BX)(R11*1), X8, X14
+	VMULSS (R11), X8, X11
+	VMULSS (R11)(R9*1), X8, X14
 	VADDSS X4, X11, X4
 	VADDSS X6, X14, X6
 	ADDQ R12, AX
 	ADDQ R10, BX
+	ADDQ R10, R11
 	DECQ R13
 	JNZ  k1
 
 	VMOVSS X0, (DI)
-	VMOVSS X2, (DI)(R12*1)
-	VMOVSS X4, (DI)(R12*2)
-	LEAQ (DI)(R12*2), AX
-	VMOVSS X6, (AX)(R12*1)
+	VMOVSS X2, (DI)(R14*1)
+	LEAQ (DI)(R8*1), AX
+	VMOVSS X4, (AX)
+	VMOVSS X6, (AX)(R14*1)
 	ADDQ $4, DI
 	ADDQ $4, SI
 	DECQ CX
 	JNZ  col1
 
-doneTile:
+endBlock:
+	// DI is one c row past the block's row 0; the block's other rows
+	// (R14 + R8 bytes: three rows, one, or none) end it.
+	ADDQ R14, DI
+	ADDQ R8, DI
+	MOVQ anext-16(SP), DX
+	JMP  nextBlock
+
+done:
+	RET
+
+// func nonZeroAVX(a *float32, n int) bool
+//
+// Whether none of the n floats at a is zero. VCMPPS with predicate 0 (EQ,
+// ordered, quiet) against +0 is true for +0 and -0 and false for everything
+// else, NaNs and subnormals included: the Go loops' `v == 0`. Sixteen floats
+// an iteration, then four, then one. n > 0.
+TEXT ·nonZeroAVX(SB), NOSPLIT, $0-17
+	MOVQ a+0(FP), SI
+	MOVQ n+8(FP), CX
+	VXORPS X0, X0, X0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	JZ   nz4
+
+nz16:
+	VCMPPS $0, (SI)(AX*4), X0, X1
+	VCMPPS $0, 16(SI)(AX*4), X0, X2
+	VCMPPS $0, 32(SI)(AX*4), X0, X3
+	VCMPPS $0, 48(SI)(AX*4), X0, X4
+	VORPS X2, X1, X1
+	VORPS X4, X3, X3
+	VORPS X3, X1, X1
+	VMOVMSKPS X1, BX
+	TESTL BX, BX
+	JNZ  zeroFound
+	ADDQ $16, AX
+	CMPQ AX, DX
+	JLT  nz16
+
+nz4:
+	MOVQ CX, DX
+	ANDQ $-4, DX
+
+nz4loop:
+	CMPQ AX, DX
+	JGE  nz1
+	VCMPPS $0, (SI)(AX*4), X0, X1
+	VMOVMSKPS X1, BX
+	TESTL BX, BX
+	JNZ  zeroFound
+	ADDQ $4, AX
+	JMP  nz4loop
+
+nz1:
+	CMPQ AX, CX
+	JGE  noZero
+	VCMPSS $0, (SI)(AX*4), X0, X1 // the upper lanes come from X0: +0, sign clear
+	VMOVMSKPS X1, BX
+	TESTL BX, BX
+	JNZ  zeroFound
+	INCQ AX
+	JMP  nz1
+
+noZero:
+	MOVB $1, ret+16(FP)
+	RET
+
+zeroFound:
+	MOVB $0, ret+16(FP)
 	RET
 
 // func denseRun4AVX(a *float32, kLen, aRow, aK int) int
@@ -413,6 +577,47 @@ blockT:
 
 doneT:
 	VZEROUPPER
+	RET
+
+// func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int)
+//
+// The four-row strip transposeStrip8AVX leaves: src is positioned at row i,
+// column j of a [rows,cols] matrix, dst at row j, column i of its
+// [cols,rows] transpose, and the blocks 4x4 blocks to the right are
+// transposed, one 32-bit and one 64-bit interleave each, 128 bits wide.
+// Pure data movement; no arithmetic. blocks > 0.
+TEXT ·transposeStrip4AVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ rows+48(FP), R11
+	MOVQ cols+56(FP), R10
+	MOVQ blocks+64(FP), CX
+	SHLQ $2, R10           // source row stride, bytes
+	SHLQ $2, R11           // destination row stride, bytes
+	LEAQ (R10)(R10*2), R12 // 3 source rows
+	LEAQ (R11)(R11*2), R13 // 3 destination rows
+
+block4T:
+	VMOVUPS (SI), X0
+	VMOVUPS (SI)(R10*1), X1
+	VMOVUPS (SI)(R10*2), X2
+	VMOVUPS (SI)(R12*1), X3
+	VUNPCKLPS X1, X0, X4
+	VUNPCKHPS X1, X0, X5
+	VUNPCKLPS X3, X2, X6
+	VUNPCKHPS X3, X2, X7
+	VUNPCKLPD X6, X4, X0
+	VUNPCKHPD X6, X4, X1
+	VUNPCKLPD X7, X5, X2
+	VUNPCKHPD X7, X5, X3
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, (DI)(R11*1)
+	VMOVUPS X2, (DI)(R11*2)
+	VMOVUPS X3, (DI)(R13*1)
+	ADDQ $16, SI
+	LEAQ (DI)(R11*4), DI
+	DECQ CX
+	JNZ  block4T
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

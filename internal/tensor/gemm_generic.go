@@ -7,9 +7,11 @@ package tensor
 // tensor.go and elem.go run.
 const useAVX = false
 
-func gemmTile4AVX(c, b, a *float32, n, kLen, aRow, aK int) {
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc bool) {
 	panic("tensor: no AVX kernels in this build")
 }
+
+func nonZeroAVX(a *float32, n int) bool { panic("tensor: no AVX kernels in this build") }
 
 func denseRun4AVX(a *float32, kLen, aRow, aK int) int {
 	panic("tensor: no AVX kernels in this build")
@@ -18,6 +20,10 @@ func denseRun4AVX(a *float32, kLen, aRow, aK int) int {
 func axpy1AVX(c, b []float32, a float32) { panic("tensor: no AVX kernels in this build") }
 
 func transposeStrip8AVX(dst, src []float32, rows, cols int) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int) {
 	panic("tensor: no AVX kernels in this build")
 }
 

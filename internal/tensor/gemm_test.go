@@ -277,19 +277,22 @@ func TestDenseRun4(t *testing.T) {
 	}
 }
 
-// TestGEMMBoundsPanics: the tile kernel and the prescan take addresses, so
+// TestGEMMBoundsPanics: the tile kernel and the prescans take addresses, so
 // their wrappers check every extent first; and the entry points refuse an
 // operand whose Data does not hold what its Shape says, which the kernels
 // would otherwise find out by indexing.
 func TestGEMMBoundsPanics(t *testing.T) {
 	c, b, a := make([]float32, 4*8), make([]float32, 5*8), make([]float32, 4*5)
-	mustPanicWith(t, "gemmTile4 needs 4×8 elements of C, slice holds 31", func() { gemmTile4(c[:31], b, a, 8, 5, 5, 1) })
-	mustPanicWith(t, "gemmTile4 needs 5×8 elements of B, slice holds 39", func() { gemmTile4(c, b[:39], a, 8, 5, 5, 1) })
-	mustPanicWith(t, "gemmTile4 reaches element 19 of A, slice holds 19", func() { gemmTile4(c, b, a[:19], 8, 5, 5, 1) })
-	mustPanicWith(t, "gemmTile4 reaches element 19 of A, slice holds 19", func() { gemmTile4(c, b, a[:19], 8, 5, 1, 4) })
-	mustPanicWith(t, "gemmTile4 with 8 columns, 0 k-steps, A row step 5, A k step 1", func() { gemmTile4(c, b, a, 8, 0, 5, 1) })
-	mustPanicWith(t, "gemmTile4 with 8 columns, 5 k-steps, A row step -5, A k step 1", func() { gemmTile4(c, b, a, 8, 5, -5, 1) })
-	gemmTile4(nil, nil, nil, 0, 5, 5, 1) // no columns: nothing to do, nothing to check
+	mustPanicWith(t, "gemmTile needs 4×8 elements of C, slice holds 31", func() { gemmTile(c[:31], b, a, 4, 8, 5, 5, 1, true) })
+	mustPanicWith(t, "gemmTile needs 5×8 elements of B, slice holds 39", func() { gemmTile(c, b[:39], a, 4, 8, 5, 5, 1, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 5, 1, true) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 1, 4, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 2, 8, 5, 15, 1, false) })
+	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 0 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 0, 5, 1, true) })
+	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 5 k-steps, A row step -5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 5, -5, 1, true) })
+	mustPanicWith(t, "gemmTile with -1 rows, 0 columns, 5 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, -1, 0, 5, 5, 1, true) })
+	gemmTile(nil, nil, nil, 4, 0, 5, 5, 1, true)  // no columns: nothing to do, nothing to check
+	gemmTile(nil, nil, nil, 0, 8, 5, 5, 1, false) // no rows either
 	mustPanicWith(t, "denseRun4 reaches element 19 of A, slice holds 19", func() { denseRun4(a[:19], 5, 5, 1) })
 	mustPanicWith(t, "denseRun4 reaches element 19 of A, slice holds 19", func() { denseRun4(a[:19], 5, 1, 4) })
 	mustPanicWith(t, "denseRun4 with 0 k-steps, A row step 5, A k step 1", func() { denseRun4(a, 0, 5, 1) })
@@ -368,6 +371,33 @@ func FuzzGEMMOracle(f *testing.F) {
 	f.Add(uint8(4), uint8(15), uint8(8), true, []byte{0, 0, 0x80, 0x7f, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f})
 	f.Add(uint8(0), uint8(0), uint8(0), false, []byte{})
 	f.Add(uint8(0), uint8(0), uint8(0), true, []byte{}) // one row: the packed kernels at m = 1
+	// Both sides of the dense-A dispatch, at every row remainder of the
+	// whole-matrix kernel (m = 1, 2, 3, 5) and every column tile (n = 1, 4,
+	// 6, 12): A dense; the same A against a B of ±Inf and NaN payloads, which
+	// the whole-matrix kernel must carry as naiveGEMM does; and that B with
+	// one -0 in A, which sends A down the skip path. The -0 meets B's +Inf at
+	// step 0: had it been multiplied rather than skipped, a NaN would show.
+	inf, negInf := float32(math.Inf(1)), float32(math.Inf(-1))
+	nan := math.Float32frombits(gemmNaNsB[0])
+	for _, m := range []int{1, 2, 3, 5} {
+		for _, n := range []int{1, 4, 6, 12} {
+			k := 3 + m%2
+			a, b := make([]float32, m*k), make([]float32, k*n)
+			for i := range a {
+				a[i] = float32(i%7) - 2.5
+			}
+			for i := range b {
+				b[i] = float32(i%5)*0.75 - 1
+			}
+			f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
+			for i := range b {
+				b[i] = [...]float32{inf, 2, negInf, nan, -0.5}[i%5]
+			}
+			f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
+			a[m/2*k] = float32(math.Copysign(0, -1))
+			f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
+		}
+	}
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, mixed bool, raw []byte) {
 		m, k, n := int(mRaw)%13+1, int(kRaw)%24+1, int(nRaw)%41+1
 		if len(raw) > 1<<12 {
@@ -400,4 +430,82 @@ func FuzzGEMMOracle(f *testing.F) {
 			restore()
 		}
 	})
+}
+
+// gemmSeed is FuzzGEMMOracle's raw input for exactly these A and B: their
+// bits, little-endian, A first, as the fuzz body reads them back.
+func gemmSeed(a, b []float32) []byte {
+	var raw []byte
+	for _, v := range append(append([]float32(nil), a...), b...) {
+		bits := math.Float32bits(v)
+		raw = append(raw, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
+	}
+	return raw
+}
+
+// TestDenseAPredicate: the whole-matrix kernel applies no skip rule, so the
+// predicate that sends A to it must refuse every A holding a +0 or a -0, at
+// every position of every length the vector scan splits differently, and
+// admit the non-zero values a compare could mistake for zero — subnormals,
+// NaNs quiet and signaling, infinities. A refused A leaves C cleared for
+// gemmRows.
+func TestDenseAPredicate(t *testing.T) {
+	var nonZero []float32
+	for _, set := range [][]uint32{gemmSubnormals, gemmNaNsA, gemmNaNsB, gemmInfs, {0x3f800000, 0x80800000}} {
+		for _, bits := range set {
+			nonZero = append(nonZero, math.Float32frombits(bits))
+		}
+	}
+	stale := math.Float32frombits(0x7fc0dead)
+	for n := 1; n <= 37; n++ {
+		a := make([]float32, n)
+		for i := range a {
+			a[i] = nonZero[(i*5+n)%len(nonZero)]
+		}
+		if !allNonZero(a) {
+			t.Fatalf("length %d without a zero: refused", n)
+		}
+		for i := 0; i < n; i++ {
+			for _, z := range []float32{0, float32(math.Copysign(0, -1))} {
+				keep := a[i]
+				a[i] = z
+				name := fmt.Sprintf("length %d, %v at %d", n, math.Float32bits(z), i)
+				if allNonZero(a) {
+					t.Fatalf("%s: admitted", name)
+				}
+				c := []float32{stale, stale}
+				if gemmDense(c, a, 1) || math.Float32bits(c[0]) != 0 || math.Float32bits(c[1]) != 0 {
+					t.Fatalf("%s: gemmDense admitted it or left C %v", name, c)
+				}
+				a[i] = keep
+			}
+		}
+	}
+}
+
+// TestGEMMSmallNoAllocs: the fp32 entry points allocate nothing at the
+// transformer's shapes, on either side of the dense-A dispatch — TB's
+// transposed B included, which lives on the stack at these sizes — nor at a
+// head layer's 4×108×10, whose transposed B is past the stack panel.
+func TestGEMMSmallNoAllocs(t *testing.T) {
+	r := rng.NewFromInt(41)
+	for _, s := range [][3]int{{8, 12, 8}, {8, 8, 12}, {16, 12, 12}, {16, 6, 12}, {12, 8, 12}, {2, 12, 6}, {4, 108, 10}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := gemmOperands(r, m, k, n, false)
+		sparse := a.Clone()
+		zeroPatterns(sparse, 1)
+		dst := New(m, n)
+		for _, a := range []*Tensor{a, sparse} {
+			at, bt := Transpose2D(a), Transpose2D(b)
+			for name, run := range map[string]func(){
+				"MatMulInto":   func() { MatMulInto(dst, a, b, false) },
+				"MatMulTAInto": func() { MatMulTAInto(dst, at, b, false) },
+				"MatMulTBInto": func() { MatMulTBInto(dst, a, bt, false) },
+			} {
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Errorf("%s %dx%dx%d, dense A %v: %v allocations a call", name, m, k, n, allNonZero(a.Data), allocs)
+				}
+			}
+		}
+	}
 }

@@ -103,10 +103,10 @@ func MatMulMixed(a, b *Tensor) *Tensor {
 func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulInto", dst, m, n)
-	zero(dst.Data)
 	dst.ClearDirty()
 	ad, bd, cd := a.Data, b.Data, dst.Data
 	if mixed {
+		zero(cd)
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
@@ -120,13 +120,7 @@ func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		putPackBuf(rp)
 		return dst
 	}
-	if !runParallel(m, m*k*n) {
-		gemmRows(cd, ad, bd, k, n, k, 1, 0, m)
-		return dst
-	}
-	parallelRows(m, m*k*n, func(lo, hi int) {
-		gemmRows(cd, ad, bd, k, n, k, 1, lo, hi)
-	})
+	gemmF32(cd, ad, bd, m, k, n, k, 1)
 	return dst
 }
 
@@ -143,10 +137,10 @@ func MatMulTA(a, b *Tensor, mixed bool) *Tensor {
 func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	k, m, n := checkMatMulTA(a, b)
 	checkDst("MatMulTAInto", dst, m, n)
-	zero(dst.Data)
 	dst.ClearDirty()
 	ad, bd, cd := a.Data, b.Data, dst.Data
 	if mixed {
+		zero(cd)
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
@@ -160,13 +154,7 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		putPackBuf(rp)
 		return dst
 	}
-	if !runParallel(m, m*k*n) {
-		gemmRows(cd, ad, bd, k, n, 1, m, 0, m)
-		return dst
-	}
-	parallelRows(m, m*k*n, func(lo, hi int) {
-		gemmRows(cd, ad, bd, k, n, 1, m, lo, hi)
-	})
+	gemmF32(cd, ad, bd, m, k, n, 1, m)
 	return dst
 }
 
@@ -268,8 +256,63 @@ func zero(s []float32) {
 	}
 }
 
-// gemmRows computes rows [lo,hi) of C += A×B for B [k,n], where element
-// in FP32, where element (i,kk) of A is a[i*aRow+kk*aK]: (k, 1) for a
+// gemmF32 computes C = A×B in FP32 for B [k,n] and the two A layouts of
+// gemmRows, m rows, fanning out to the workers when runParallel says so.
+func gemmF32(c, a, b []float32, m, k, n, aRow, aK int) {
+	dense := gemmDense(c, a, k)
+	if !runParallel(m, m*k*n) {
+		gemmPart(c, a, b, k, n, aRow, aK, 0, m, dense)
+		return
+	}
+	parallelRows(m, m*k*n, func(lo, hi int) {
+		gemmPart(c, a, b, k, n, aRow, aK, lo, hi, dense)
+	})
+}
+
+// gemmDense decides, from the data, which kernel computes a product: true
+// when the AVX kernels are built and A holds no ±0, the whole matrix then
+// going to gemmTile in one call per row range. Otherwise it clears c, which
+// gemmRows accumulates into, and returns false.
+//
+// The two give the same bits on a dense A. With no zero in A the skip rule
+// skips nothing: gemmRows finds every k-step of a 4-row block dense and
+// hands the block to the tile kernel as one run of k steps from a +0 C, and
+// runs each remainder row as k unskipped axpyRows. gemmTile forms the same
+// products, adds them to the same +0 chains in the same ascending-k order,
+// with the operands of each operation in the same order.
+func gemmDense(c, a []float32, k int) bool {
+	if useAVX && k > 0 && allNonZero(a) {
+		return true
+	}
+	zero(c)
+	return false
+}
+
+// gemmPart computes rows [lo,hi) of C = A×B: with dense (see gemmDense) in
+// one gemmTile call from +0, otherwise through gemmRows onto the cleared C.
+func gemmPart(c, a, b []float32, k, n, aRow, aK, lo, hi int, dense bool) {
+	if dense {
+		gemmTile(c[lo*n:hi*n], b, a[lo*aRow:], hi-lo, n, k, aRow, aK, false)
+		return
+	}
+	gemmRows(c, a, b, k, n, aRow, aK, lo, hi)
+}
+
+// allNonZero reports whether no element of a is ±0 (a NaN is not zero).
+func allNonZero(a []float32) bool {
+	if useAVX {
+		return len(a) == 0 || nonZeroAVX(&a[0], len(a))
+	}
+	for _, v := range a {
+		if v == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// gemmRows computes rows [lo,hi) of C += A×B in FP32 for B [k,n], where
+// element (i,kk) of A is a[i*aRow+kk*aK]: (k, 1) for a
 // row-major A [m,k] — the NN kernel — and (1, m) for the transposed view of a
 // row-major [k,m] — the TA kernel, which therefore never materializes a
 // transpose. C must start at +0. (The mixed-precision kernels are in pack.go.)
@@ -283,7 +326,7 @@ func zero(s []float32) {
 // exactly.
 //
 // With the AVX kernels a dense step is not taken alone: denseRun4
-// measures the run of dense steps it starts, and gemmTile4 takes the whole
+// measures the run of dense steps it starts, and gemmTile takes the whole
 // run in one call, with the k-loop and the tile of C in registers. The tile
 // is loaded from C before the run and stored after it, and the steps between
 // runs are handled where they fall, so every element still receives the same
@@ -304,7 +347,7 @@ func gemmRows(c, a, b []float32, k, n, aRow, aK int, lo, hi int) {
 			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
 				if useAVX {
 					run := denseRun4(ak, k-kk, aRow, aK)
-					gemmTile4(c4, b[kk*n:], ak, n, run, aRow, aK)
+					gemmTile(c4, b[kk*n:], ak, 4, n, run, aRow, aK, true)
 					kk += run - 1
 					continue
 				}
@@ -334,34 +377,35 @@ func gemmRows(c, a, b []float32, k, n, aRow, aK int, lo, hi int) {
 	}
 }
 
-// gemmTile4 accumulates kLen consecutive dense k-steps into the four rows of
-// c (row length n): c[r*n+j] += a[r*aRow+kk*aK] * b[kk*n+j], kk ascending.
-// The kernel behind it works on addresses, so the three extents are checked
-// here, before it sees one.
-func gemmTile4(c, b, a []float32, n, kLen, aRow, aK int) {
-	if n == 0 {
+// gemmTile computes the m×n matrix c (row length n) as c[i*n+j] =
+// Σ a[i*aRow+kk*aK] * b[kk*n+j] over kk < k ascending, every chain starting
+// from +0 or, with acc, from what c holds; every a must be non-zero, as the
+// kernel applies no skip rule. The kernel behind it works on addresses, so
+// the three extents are checked here, before it sees one.
+func gemmTile(c, b, a []float32, m, n, k, aRow, aK int, acc bool) {
+	if m < 0 || n < 0 || k <= 0 || aRow < 0 || aK < 0 {
+		panic(fmt.Sprintf("tensor: gemmTile with %d rows, %d columns, %d k-steps, A row step %d, A k step %d", m, n, k, aRow, aK))
+	}
+	if m == 0 || n == 0 {
 		return
 	}
-	if n < 0 || kLen <= 0 || aRow < 0 || aK < 0 {
-		panic(fmt.Sprintf("tensor: gemmTile4 with %d columns, %d k-steps, A row step %d, A k step %d", n, kLen, aRow, aK))
+	if m*n > len(c) {
+		panic(fmt.Sprintf("tensor: gemmTile needs %d×%d elements of C, slice holds %d", m, n, len(c)))
 	}
-	if 4*n > len(c) {
-		panic(fmt.Sprintf("tensor: gemmTile4 needs 4×%d elements of C, slice holds %d", n, len(c)))
+	if k*n > len(b) {
+		panic(fmt.Sprintf("tensor: gemmTile needs %d×%d elements of B, slice holds %d", k, n, len(b)))
 	}
-	if kLen*n > len(b) {
-		panic(fmt.Sprintf("tensor: gemmTile4 needs %d×%d elements of B, slice holds %d", kLen, n, len(b)))
+	if last := (m-1)*aRow + (k-1)*aK; last >= len(a) {
+		panic(fmt.Sprintf("tensor: gemmTile reaches element %d of A, slice holds %d", last, len(a)))
 	}
-	if last := 3*aRow + (kLen-1)*aK; last >= len(a) {
-		panic(fmt.Sprintf("tensor: gemmTile4 reaches element %d of A, slice holds %d", last, len(a)))
-	}
-	gemmTile4AVX(&c[0], &b[0], &a[0], n, kLen, aRow, aK)
+	gemmTileAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK, acc)
 }
 
 // denseRun4 returns how many of the kLen k-steps starting at a are dense
 // before the first that is not, a step being dense when none of
 // a[r*aRow+kk*aK], r < 4, is ±0 (a NaN is not zero). One of the two strides
 // must be 1 — the two layouts gemmRows has and the kernel vectorizes. Checked
-// like gemmTile4.
+// like gemmTile.
 func denseRun4(a []float32, kLen, aRow, aK int) int {
 	if kLen <= 0 || aRow < 0 || aK < 0 || (aRow != 1 && aK != 1) {
 		panic(fmt.Sprintf("tensor: denseRun4 with %d k-steps, A row step %d, A k step %d", kLen, aRow, aK))
@@ -431,45 +475,64 @@ func gemmTB(c, a, b []float32, k, n int, lo, hi int) {
 	}
 }
 
-// gemmTBviaNN computes C = A×Bᵀ for B [n,k] as "transpose B into pooled
-// scratch, then the NN row kernel". gemmTB's dot products cannot use vector
-// lanes without a horizontal sum, which would reorder one element's addends;
-// the NN form keeps every element's chain — +0 start, ascending k, a == 0
+// tbStackPanel is the largest transposed B, in floats, gemmTBviaNN keeps on
+// its own stack: every A×Bᵀ of the transformer campaign's attention and dense
+// layers (12×12 at most) fits.
+const tbStackPanel = 256
+
+// gemmTBviaNN computes C = A×Bᵀ for B [n,k] as "transpose B into a panel,
+// then the NN product". gemmTB's dot products cannot use vector lanes
+// without a horizontal sum, which would reorder one element's addends; the
+// NN form keeps every element's chain — +0 start, ascending k, a == 0
 // skipped — and vectorizes across elements, so it is bitwise-equal to
-// MatMul(a, Transpose2D(b)), the contract MatMulTB documents.
+// MatMul(a, Transpose2D(b)), the contract MatMulTB documents. A serial
+// product's panel of up to tbStackPanel floats is on the stack; any other
+// panel is a pack buffer (parallelRows' closure would move a stack panel to
+// the heap).
 func gemmTBviaNN(c, a, b []float32, m, k, n int) {
-	rp := getPackBuf(k * n)
-	bt := *rp
-	transposeInto(bt, b, n, k)
-	zero(c)
-	if !runParallel(m, m*k*n) {
-		gemmRows(c, a, bt, k, n, k, 1, 0, m)
-	} else {
-		parallelRows(m, m*k*n, func(lo, hi int) {
-			gemmRows(c, a, bt, k, n, k, 1, lo, hi)
-		})
+	if k*n <= tbStackPanel && !runParallel(m, m*k*n) {
+		var panel [tbStackPanel]float32
+		bt := panel[:k*n]
+		transposeInto(bt, b, n, k)
+		gemmPart(c, a, bt, k, n, k, 1, 0, m, gemmDense(c, a, k))
+		return
 	}
+	rp := getPackBuf(k * n)
+	transposeInto(*rp, b, n, k)
+	gemmF32(c, a, *rp, m, k, n, k, 1)
 	putPackBuf(rp)
 }
 
 // transposeInto writes the transpose of src [rows,cols] into dst
-// [cols,rows]: whole 8x8 blocks through the AVX kernel where it is built,
-// the rest element by element.
+// [cols,rows]. Where the AVX kernels are built, whole 8x8 blocks go through
+// the eight-row strips, the 4x4 blocks those leave through the four-row
+// strips; the last cols mod 4 columns of those rows and the last rows mod 4
+// rows go element by element.
 func transposeInto(dst, src []float32, rows, cols int) {
-	r8, c8 := 0, 0
+	r4, c4 := 0, 0
 	if useAVX {
-		r8, c8 = rows&^7, cols&^7
-		for i := 0; i < r8; i += 8 {
-			transposeStrip8AVX(dst[i:], src[i*cols:], rows, cols)
+		r8, c8 := rows&^7, cols&^7
+		r4, c4 = rows&^3, cols&^3
+		for i := 0; i < r4; i += 4 {
+			j0 := 0
+			if i < r8 {
+				j0 = c8
+				if i%8 == 0 && c8 > 0 {
+					transposeStrip8AVX(dst[i:], src[i*cols:], rows, cols)
+				}
+			}
+			if blocks := (c4 - j0) / 4; blocks > 0 {
+				transposeStrip4AVX(dst[j0*rows+i:], src[i*cols+j0:], rows, cols, blocks)
+			}
 		}
 	}
 	for i := 0; i < rows; i++ {
 		j0 := 0
-		if i < r8 {
-			j0 = c8
+		if i < r4 {
+			j0 = c4
 		}
-		for j := j0; j < cols; j++ {
-			dst[j*rows+i] = src[i*cols+j]
+		for j, v := range src[i*cols+j0 : (i+1)*cols] {
+			dst[(j0+j)*rows+i] = v
 		}
 	}
 }

@@ -14,6 +14,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/nn"
@@ -184,6 +185,38 @@ func BenchmarkKernel_GEMMCampaignTB(b *testing.B) {
 		dst, bt := tensor.New(8, 72), tensor.Transpose2D(bm)
 		return func() { tensor.MatMulTBInto(dst, a, bt, false) }
 	})
+}
+
+// BenchmarkKernel_GEMMSmall times the transformer campaign's fp32 products
+// through each entry point, A dense: the attention scores and context per
+// batch element (8×12×8, 8×8×12), the whole-batch projections (16×12×12,
+// 16×6×12), their gradients (12×8×12) and the classifier (2×12×6). At these
+// sizes a call is mostly dispatch, not arithmetic.
+func BenchmarkKernel_GEMMSmall(b *testing.B) {
+	for _, s := range [][3]int{{8, 12, 8}, {8, 8, 12}, {16, 12, 12}, {16, 6, 12}, {12, 8, 12}, {2, 12, 6}} {
+		m, k, n := s[0], s[1], s[2]
+		r := rng.NewFromInt(37)
+		a, bm := tensor.New(m, k), tensor.New(k, n)
+		a.FillNormal(r, 0, 1)
+		bm.FillNormal(r, 0, 1)
+		at, bt, dst := tensor.Transpose2D(a), tensor.Transpose2D(bm), tensor.New(m, n)
+		for _, leg := range []struct {
+			name string
+			run  func()
+		}{
+			{"NN", func() { tensor.MatMulInto(dst, a, bm, false) }},
+			{"TA", func() { tensor.MatMulTAInto(dst, at, bm, false) }},
+			{"TB", func() { tensor.MatMulTBInto(dst, a, bt, false) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", leg.name, m, k, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					leg.run()
+				}
+				reportGFLOPS(b, m, k, n)
+			})
+		}
+	}
 }
 
 func benchConvOperands() (*tensor.Tensor, *tensor.Tensor, tensor.ConvParams) {
@@ -369,6 +402,24 @@ func BenchmarkKernel_GELUBackward(b *testing.B) {
 		gelu := nn.NewGELU()
 		gelu.Forward(trainCtx, x)
 		return func() { gelu.Backward(g) }
+	})
+}
+
+// BenchmarkKernel_TanhForward is one math.Tanh per element, split like
+// GELU's.
+func BenchmarkKernel_TanhForward(b *testing.B) {
+	benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
+		tanh := nn.NewTanh()
+		return func() { tanh.Forward(trainCtx, x) }
+	})
+}
+
+// BenchmarkKernel_SigmoidForward is one math.Exp per element, in one loop
+// (see Sigmoid.Forward for why not three).
+func BenchmarkKernel_SigmoidForward(b *testing.B) {
+	benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
+		sig := nn.NewSigmoid()
+		return func() { sig.Forward(trainCtx, x) }
 	})
 }
 
