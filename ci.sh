@@ -4,11 +4,12 @@
 # portable -tags purego path, greps over the assembly kernels for fused
 # multiply-adds and 256-bit arithmetic (floating-point, compare, logical and
 # integer maximum), race-detector runs of
-# the packages with concurrency (the parallel GEMM kernels, the
-# device-parallel trainer, the campaign worker pool, the distributed
-# coordinator/worker protocol, and the repro binary's subcommands driven
-# in-process, whose tests hold the CLI's flag, exit-status and report
-# contracts and the docs' flag-drift gate), fuzz smokes of the journal
+# the packages with concurrency (the trainer beside the JIT restore
+# goroutine, engines trained side by side, the campaign worker pool, the
+# distributed coordinator/worker protocol, and the repro binary's
+# subcommands driven in-process, whose tests hold the CLI's flag,
+# exit-status and report contracts and the docs' flag-drift gate), fuzz
+# smokes of the journal
 # parser/repairer and of the GEMM kernels, the convolution lowering, the
 # element-wise layer kernels and the reductions against their naive oracles
 # and of the collective's retry budget; then, for what needs a process boundary or a
@@ -17,7 +18,8 @@
 # again from a -tags purego build (assembly and portable kernels must agree
 # on a whole campaign, byte for byte), a transformer FF campaign and one
 # device-fault campaign per recovery strategy from both builds with and
-# without -scrub-workspaces (and again under -early-exit, where each must
+# without -scrub-workspaces (the stale-read check for the scratch set the
+# replicas share; and again under -early-exit, where each must
 # report experiments proven golden by construction and a device-fault archive
 # must equal the exhaustive one), the forked campaign against a cold-start one
 # (-snapshot-stride -1), a SIGKILL crash loop that
@@ -82,16 +84,13 @@ if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN
 	exit 1
 fi
 
-echo "== go test -race (concurrent packages; assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure and TestHeldTestPointMatchesInPlace run here) =="
+echo "== go test -race (the kernels and the trainer: the JIT restore goroutine writes a quarantined replica while the engine steps the others over their shared scratch; assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure and TestHeldTestPointMatchesInPlace run here) =="
 go test -race ./internal/tensor ./internal/nn ./internal/train
 
-echo "== recovery strategies under -race (JIT restore goroutine, elastic resize, parallel-vs-serial guard equivalence) =="
+echo "== recovery strategies under -race (JIT restore goroutine, elastic resize, two guards on two engines at once equal to one alone) =="
 go test -race ./internal/comm ./internal/recovery
 
-echo "== kernel-pool leak guard (tensor TestMain fails the package if ClosePool leaves workers) =="
-go test -count 1 -run 'TestPoolCloseNoLeak' ./internal/tensor
-
-echo "== mitigation reads under -race (the detector's kept statistics and ABFT's im2col-row checksums equal their _test.go sweep oracles, alarm for alarm; range-restriction profiling under device-parallel stepping) =="
+echo "== mitigation reads under -race (the detector's kept statistics and ABFT's im2col-row checksums equal their _test.go sweep oracles, alarm for alarm) =="
 go test -race ./internal/detect ./internal/baseline
 
 echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table; byte for byte) =="
@@ -130,8 +129,9 @@ go build -tags purego -o "$tmp/repro.purego" ./cmd/repro
 cmp "$tmp/ref.json" "$tmp/purego.json"
 
 echo "== sequence path: a transformer FF campaign and a device-fault campaign under each recovery strategy, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
-# The sequence layers keep state from Forward to Backward in reused buffers;
-# a stale read shows as a scrubbed run that differs from the plain one. The
+# The sequence layers keep state from Forward to Backward in reused buffers,
+# and every device of an engine steps over replica 0's; a stale read shows
+# as a scrubbed run that differs from the plain one. The
 # deferred test evaluation writes a held boundary into a pooled engine's root
 # replica after every experiment, so each strategy's campaign is here too
 # (reexec and degraded roll back across TestEvery boundaries).
@@ -218,7 +218,7 @@ go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
 
-echo "== reduction fuzz smoke (AbsMax, MinMax, Sum, HasNonFinite and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length, bit patterns and worker count) =="
+echo "== reduction fuzz smoke (AbsMax, MinMax, Sum, HasNonFinite and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzReduceOracle' -fuzztime 3s ./internal/tensor
 
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="
@@ -245,7 +245,7 @@ done
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|TanhForward|SigmoidForward|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMPool|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|TanhForward|SigmoidForward|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

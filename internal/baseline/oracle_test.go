@@ -9,7 +9,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
-	"repro/internal/workloads"
 )
 
 // oracleABFTConv2D is ABFTConv2D as it was before its checksums reused the
@@ -195,29 +194,5 @@ func TestABFTEngineFusedSweepIdenticalAlarms(t *testing.T) {
 				t.Fatal("oracle ABFT missed the fault; the comparison is vacuous")
 			}
 		})
-	}
-}
-
-// TestRangerProfileDeviceParallel: with device-parallel stepping the
-// profiling monitor runs on one goroutine per device at once, and its bounds
-// must equal a sequential profile's — a lost update leaves a bound too low,
-// and the race detector reports the unsynchronized read-modify-write.
-func TestRangerProfileDeviceParallel(t *testing.T) {
-	w, err := workloads.ByName("resnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile := func(parallel bool) *Ranger {
-		e := w.NewEngine(rng.Seed{State: 11, Stream: 77})
-		e.SetDeviceParallel(parallel)
-		r := NewRanger(e.Replica(0).Len(), 2.0)
-		r.ProfileOnEngine(e, 3)
-		return r
-	}
-	seq, par := profile(false), profile(true)
-	for l := range seq.Bounds {
-		if math.Float64bits(par.Bounds[l]) != math.Float64bits(seq.Bounds[l]) {
-			t.Fatalf("layer %d: device-parallel profile bound %v, sequential %v", l, par.Bounds[l], seq.Bounds[l])
-		}
 	}
 }

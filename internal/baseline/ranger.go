@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/numerics"
@@ -23,9 +22,6 @@ import (
 type Ranger struct {
 	// Bounds[layer] is the profiled max |activation| for each layer.
 	Bounds []float64
-	// mu serializes Profile's read-modify-write of Bounds: device-parallel
-	// stepping calls the monitor from one goroutine per device.
-	mu sync.Mutex
 	// Margin scales the bounds before checking.
 	Margin float64
 	// Alarms counts out-of-range observations.
@@ -51,11 +47,9 @@ func (r *Ranger) Profile(device, layer int, out *tensor.Tensor) {
 	if math.IsNaN(v) {
 		return
 	}
-	r.mu.Lock()
 	if v > r.Bounds[layer] {
 		r.Bounds[layer] = v
 	}
-	r.mu.Unlock()
 }
 
 // SetIteration tells the monitor the current training iteration (for alarm

@@ -97,12 +97,18 @@ func (d *Dataset) gatherInto(b *Batch, indices []int) {
 // on loader state and can be called out of order — the exact-reload property
 // the recovery technique needs.
 //
-// A Loader is not safe for concurrent use: Batch reuses one buffer.
+// A Loader is not safe for concurrent use: Batch reuses one buffer, and
+// both Batch and Indices one permutation.
 type Loader struct {
 	ds        *Dataset
 	batchSize int
 	seed      rng.Seed
 	buf       Batch // Batch's reused storage
+	// perm is epoch's permutation, drawn by rand on the first request of a
+	// batch of that epoch; nil until then.
+	perm  []int
+	epoch int
+	rand  rng.Rand
 }
 
 // NewLoader creates a loader over ds with the given batch size and seed.
@@ -123,13 +129,29 @@ func (l *Loader) BatchSize() int { return l.batchSize }
 // Dataset returns the underlying dataset.
 func (l *Loader) Dataset() *Dataset { return l.ds }
 
-// Indices returns the example indices that make up global iteration iter.
+// Indices returns the example indices that make up global iteration iter,
+// in a slice of its own.
 func (l *Loader) Indices(iter int) []int {
+	return append([]int(nil), l.indices(iter)...)
+}
+
+// indices is Indices as a view of the loader's epoch permutation, valid
+// until a call for another epoch. The epoch-e permutation is
+// rng.New(seed).Split(e).Perm(dataset length), drawn once per epoch into the
+// loader's buffer by the same generator calls.
+func (l *Loader) indices(iter int) []int {
 	bpe := l.BatchesPerEpoch()
 	epoch := iter / bpe
 	slot := iter % bpe
-	perm := rng.New(l.seed).Split(uint64(epoch)).Perm(l.ds.Len())
-	return perm[slot*l.batchSize : (slot+1)*l.batchSize]
+	if l.perm == nil || l.epoch != epoch {
+		if l.perm == nil {
+			l.perm = make([]int, l.ds.Len())
+		}
+		l.rand.Reseed(l.seed.Split(uint64(epoch)))
+		l.rand.PermInto(l.perm)
+		l.epoch = epoch
+	}
+	return l.perm[slot*l.batchSize : (slot+1)*l.batchSize]
 }
 
 // Batch returns the mini-batch for global iteration iter. Its contents are a
@@ -137,7 +159,7 @@ func (l *Loader) Indices(iter int) []int {
 // past iterations; its storage belongs to the loader and is overwritten by
 // the next Batch call, so a caller that keeps a batch across calls copies it.
 func (l *Loader) Batch(iter int) Batch {
-	l.ds.gatherInto(&l.buf, l.Indices(iter))
+	l.ds.gatherInto(&l.buf, l.indices(iter))
 	return l.buf
 }
 

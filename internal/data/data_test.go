@@ -348,3 +348,36 @@ func TestGatherReusesStorage(t *testing.T) {
 		t.Fatalf("steady-state gatherInto allocates %v times, want 0", allocs)
 	}
 }
+
+// TestLoaderEpochPermutationOracle: Batch and Indices draw each epoch's
+// permutation once into the loader's buffer, and must still hand out, for
+// every iteration in any order, the slot of rng.New(seed).Split(epoch)
+// .Perm(n) that drawing a fresh permutation per call gave — also after the
+// loader has moved on to another epoch and back.
+func TestLoaderEpochPermutationOracle(t *testing.T) {
+	ds := testClusters(t)
+	seed := rng.Seed{State: 4, Stream: 6}
+	l := NewLoader(ds, 8, seed)
+	bpe := l.BatchesPerEpoch()
+	for _, iter := range []int{0, 1, bpe - 1, bpe, 3*bpe + 2, 1, 2*bpe + 5, 0} {
+		epoch, slot := iter/bpe, iter%bpe
+		want := rng.New(seed).Split(uint64(epoch)).Perm(ds.Len())[slot*8 : (slot+1)*8]
+		got := l.Indices(iter)
+		batch := l.Batch(iter)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Indices(%d)[%d] = %d, fresh permutation %d", iter, i, got[i], want[i])
+			}
+			if batch.Y[i] != ds.Gather(want).Y[i] {
+				t.Fatalf("Batch(%d) label %d differs from the fresh permutation's", iter, i)
+			}
+		}
+	}
+	l.Batch(2 * bpe)
+	if allocs := testing.AllocsPerRun(20, func() {
+		l.Batch(2*bpe + 1)
+		l.Batch(2*bpe + 3)
+	}); allocs != 0 {
+		t.Fatalf("Batch within an epoch allocates %v times, want 0", allocs)
+	}
+}

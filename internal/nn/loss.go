@@ -39,6 +39,26 @@ type LossResult struct {
 
 // Eval computes the loss, probabilities, accuracy count, and logit gradient.
 func (s *SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) LossResult {
+	total, res := s.eval(0, logits, labels)
+	res.Loss = total / float64(logits.Shape[0])
+	return res
+}
+
+// Accumulate adds each example's cross-entropy to total, in example order,
+// and returns the new total (not divided by anything) with the number of
+// correct predictions: Eval's loop, run from a running total. A caller that
+// feeds a batch through Accumulate in consecutive slices, carrying the total
+// from one to the next, and divides by the whole batch at the end gets Eval's
+// loss on the whole batch bit for bit. A non-finite logit makes the total
+// NaN, and it stays NaN.
+func (s *SoftmaxCrossEntropy) Accumulate(total float64, logits *tensor.Tensor, labels []int) (float64, int) {
+	total, res := s.eval(total, logits, labels)
+	return total, res.Correct
+}
+
+// eval runs the per-example loop from the running loss total and returns
+// the new total with a result whose Loss is left unset.
+func (s *SoftmaxCrossEntropy) eval(totalLoss float64, logits *tensor.Tensor, labels []int) (float64, LossResult) {
 	checkRank("softmax-cross-entropy", logits, 2)
 	b, c := logits.Shape[0], logits.Shape[1]
 	if len(labels) != b {
@@ -47,7 +67,6 @@ func (s *SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) LossResu
 	// Every element of both is written below.
 	probs := s.ws.Get("probs", b, c)
 	grad := s.ws.Get("grad", b, c)
-	var totalLoss float64
 	correct := 0
 	invB := 1 / float32(b)
 	for i := 0; i < b; i++ {
@@ -99,10 +118,5 @@ func (s *SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, labels []int) LossResu
 		}
 		grow[label] -= invB
 	}
-	return LossResult{
-		Loss:       totalLoss / float64(b),
-		Probs:      probs,
-		GradLogits: grad,
-		Correct:    correct,
-	}
+	return totalLoss, LossResult{Probs: probs, GradLogits: grad, Correct: correct}
 }

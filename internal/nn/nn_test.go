@@ -436,3 +436,42 @@ func TestBatchNormsIncludesNested(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildReplicasSharesScratch: every replica after the first steps over
+// the first one's workspaces, in construction order, while parameters stay
+// its own; a replica whose build asks for a different number of workspaces
+// than the first cannot be bound and panics.
+func TestBuildReplicasSharesScratch(t *testing.T) {
+	build := func(extra bool) func() *Sequential {
+		return func() *Sequential {
+			r := rng.NewFromInt(1)
+			layers := []Layer{NewConv2D("c", 1, 2, 3, 3, 1, 1, r, false), NewReLU()}
+			if extra {
+				layers = append(layers, NewReLU())
+			}
+			return NewSequential(layers...)
+		}
+	}
+	models := BuildReplicas(tensor.NewArena(), 3, build(false))
+	for i, m := range models[1:] {
+		for j, nl := range m.Layers {
+			if got, want := nl.Layer.(WorkspaceHolder).Workspace(), models[0].Layers[j].Layer.(WorkspaceHolder).Workspace(); got != want {
+				t.Fatalf("replica %d layer %d: own workspace, want replica 0's", i+1, j)
+			}
+		}
+		if m.Params()[0] == models[0].Params()[0] || m.Params()[0].Value == models[0].Params()[0].Value {
+			t.Fatalf("replica %d shares replica 0's parameters", i+1)
+		}
+	}
+	calls := 0
+	mismatched := func() *Sequential {
+		calls++
+		return build(calls > 1)()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a replica with an extra workspace was bound without a panic")
+		}
+	}()
+	BuildReplicas(tensor.NewArena(), 2, mismatched)
+}

@@ -56,8 +56,8 @@ type BatchNorm struct {
 
 	// ws backs out/xhat/gradIn. The normalize and backward loops fully
 	// overwrite their buffers on every call, so reuse is invisible to
-	// results; keys are split by train/eval mode because the training shard
-	// and the test batch alternate shapes.
+	// results. Training and evaluation share the keys: both run at the
+	// device batch.
 	ws *tensor.Workspace
 
 	params []*Param
@@ -157,12 +157,8 @@ func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 		variance = bn.MovingVar.Data
 	}
 
-	okey, xkey := "out.eval", "xhat.eval"
-	if ctx == nil || ctx.Training {
-		okey, xkey = "out.train", "xhat.train"
-	}
-	out := bn.ws.Get(okey, x.Shape...)
-	xhat := bn.ws.Get(xkey, x.Shape...)
+	out := bn.ws.Get("out", x.Shape...)
+	xhat := bn.ws.Get("xhat", x.Shape...)
 	for ch := range bn.invStd {
 		bn.invStd[ch] = 1 / float32(math.Sqrt(float64(variance[ch]+bn.Eps)))
 	}

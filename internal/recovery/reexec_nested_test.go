@@ -1,10 +1,9 @@
 package recovery
 
-// Satellite coverage for the re-execution path in the configurations that
-// stress its snapshot/restore completeness: device-parallel stepping
-// (snapshots taken between concurrent iterations must restore exactly) and
-// nested BatchNorm containers (Residual / DenseBlock traversal must
-// capture every moving statistic, not just top-level layers).
+// Satellite coverage for the re-execution path in the configuration that
+// stresses its snapshot/restore completeness: nested BatchNorm containers
+// (Residual / DenseBlock traversal must capture every moving statistic, not
+// just top-level layers).
 
 import (
 	"math"
@@ -16,9 +15,8 @@ import (
 
 // traceBits runs iterations [0, iters) on a fresh engine of workload w and
 // returns the loss bit patterns plus the final root-replica weight bits.
-func traceBits(w *workloads.Workload, deviceParallel bool, iters int) ([]uint64, []uint32) {
+func traceBits(w *workloads.Workload, iters int) ([]uint64, []uint32) {
 	e := w.NewEngine(rng.Seed{State: 77, Stream: 5})
-	e.SetDeviceParallel(deviceParallel)
 	losses := make([]uint64, iters)
 	for i := 0; i < iters; i++ {
 		losses[i] = math.Float64bits(e.RunIteration(i).Loss)
@@ -35,9 +33,8 @@ func traceBits(w *workloads.Workload, deviceParallel bool, iters int) ([]uint64,
 // rollbackTraceBits runs the same schedule but interrupts it with a
 // two-iteration rollback at rollbackAt, then re-executes to the end —
 // exercising BeforeIteration/Rollback mid-run.
-func rollbackTraceBits(w *workloads.Workload, deviceParallel bool, iters, rollbackAt int) ([]uint64, []uint32) {
+func rollbackTraceBits(w *workloads.Workload, iters, rollbackAt int) ([]uint64, []uint32) {
 	e := w.NewEngine(rng.Seed{State: 77, Stream: 5})
-	e.SetDeviceParallel(deviceParallel)
 	r := NewReExecutor(e)
 	losses := make([]uint64, iters)
 	rolledBack := false
@@ -61,31 +58,27 @@ func rollbackTraceBits(w *workloads.Workload, deviceParallel bool, iters, rollba
 }
 
 // TestReExecutorExactReplay checks that a run interrupted by a rollback
-// reconverges bitwise with the uninterrupted run, across serial and
-// device-parallel stepping and across flat (ResNet) and nested-container
+// reconverges bitwise with the uninterrupted run, across flat (ResNet) and
+// nested-container
 // (DenseNet: DenseBlock-wrapped BatchNorms; ResNet: Residual-wrapped)
 // models. A missed moving statistic or optimizer tensor in
 // Snapshot/Restore would diverge the re-executed trajectory immediately.
 func TestReExecutorExactReplay(t *testing.T) {
 	const iters, rollbackAt = 8, 5
 	for _, w := range []*workloads.Workload{workloads.Resnet(), workloads.DenseNet()} {
-		for _, deviceParallel := range []bool{false, true} {
-			wantLoss, wantWeights := traceBits(w, deviceParallel, iters)
-			gotLoss, gotWeights := rollbackTraceBits(w, deviceParallel, iters, rollbackAt)
-			for i := range wantLoss {
-				if gotLoss[i] != wantLoss[i] {
-					t.Fatalf("%s deviceParallel=%v: loss@%d %#x != uninterrupted %#x",
-						w.Name, deviceParallel, i, gotLoss[i], wantLoss[i])
-				}
+		wantLoss, wantWeights := traceBits(w, iters)
+		gotLoss, gotWeights := rollbackTraceBits(w, iters, rollbackAt)
+		for i := range wantLoss {
+			if gotLoss[i] != wantLoss[i] {
+				t.Fatalf("%s: loss@%d %#x != uninterrupted %#x", w.Name, i, gotLoss[i], wantLoss[i])
 			}
-			if len(gotWeights) != len(wantWeights) {
-				t.Fatalf("%s: weight count mismatch", w.Name)
-			}
-			for i := range wantWeights {
-				if gotWeights[i] != wantWeights[i] {
-					t.Fatalf("%s deviceParallel=%v: weight[%d] %#x != uninterrupted %#x",
-						w.Name, deviceParallel, i, gotWeights[i], wantWeights[i])
-				}
+		}
+		if len(gotWeights) != len(wantWeights) {
+			t.Fatalf("%s: weight count mismatch", w.Name)
+		}
+		for i := range wantWeights {
+			if gotWeights[i] != wantWeights[i] {
+				t.Fatalf("%s: weight[%d] %#x != uninterrupted %#x", w.Name, i, gotWeights[i], wantWeights[i])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package recovery
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -155,12 +156,13 @@ func TestGroupGuardElasticCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestGroupGuardParallelMatchesSerial (the SetDeviceParallel equivalence
-// check for the recovery layer): for every strategy and a representative
-// fault of each class, running the guard with per-device goroutines must
-// produce the identical Events, counters, and bitwise trace as the serial
-// loop. ci.sh runs this under -race, so the JIT background-restore and
-// elastic re-partition paths can never silently race the stepping loop.
+// TestGroupGuardParallelMatchesSerial: for every strategy and a
+// representative fault of each class, guards running on two engines at once
+// — a campaign's one level of parallelism, each engine stepping its devices
+// one at a time over its one scratch set — produce the Events, counters and
+// bitwise trace of a guard running alone. ci.sh runs this under -race, so
+// neither the JIT background restore nor the elastic re-partition can
+// silently race its own engine's stepping or the other engine.
 func TestGroupGuardParallelMatchesSerial(t *testing.T) {
 	const iters = 30
 	scenarios := []struct {
@@ -181,9 +183,13 @@ func TestGroupGuardParallelMatchesSerial(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.label, func(t *testing.T) {
-			run := func(parallel bool) (*GroupGuard, *train.Trace) {
+			type result struct {
+				g     *GroupGuard
+				trace *train.Trace
+				err   error
+			}
+			run := func() result {
 				e := resnetEngine()
-				e.SetDeviceParallel(parallel)
 				e.Group().Arm(sc.df)
 				g := NewGroupGuard(e)
 				g.Strategy = sc.strategy
@@ -191,32 +197,46 @@ func TestGroupGuardParallelMatchesSerial(t *testing.T) {
 					g.RejoinAfter = 0
 				}
 				trace := train.NewTrace("resnet")
-				if err := g.Run(0, iters, trace); err != nil {
-					t.Fatalf("GroupGuard.Run(parallel=%v): %v", parallel, err)
-				}
-				return g, trace
+				return result{g, trace, g.Run(0, iters, trace)}
 			}
-			sg, st := run(false)
-			pg, pt := run(true)
+			serial := run()
+			var parallel [2]result
+			var wg sync.WaitGroup
+			for i := range parallel {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					parallel[i] = run()
+				}(i)
+			}
+			wg.Wait()
 
-			if !reflect.DeepEqual(sg.Events, pg.Events) {
-				t.Fatalf("events diverge:\nserial   %+v\nparallel %+v", sg.Events, pg.Events)
+			counts := func(g *GroupGuard) []int {
+				return []int{g.Quarantines, g.Rejoins, g.Rollbacks, g.DegradedIters,
+					g.RejoinFailures, g.JITSnapshots, g.Resizes, g.Readmits, g.CorruptElems}
 			}
-			serialCounts := []int{sg.Quarantines, sg.Rejoins, sg.Rollbacks, sg.DegradedIters,
-				sg.RejoinFailures, sg.JITSnapshots, sg.Resizes, sg.Readmits, sg.CorruptElems}
-			parallelCounts := []int{pg.Quarantines, pg.Rejoins, pg.Rollbacks, pg.DegradedIters,
-				pg.RejoinFailures, pg.JITSnapshots, pg.Resizes, pg.Readmits, pg.CorruptElems}
-			if !reflect.DeepEqual(serialCounts, parallelCounts) {
-				t.Fatalf("counters diverge:\nserial   %v\nparallel %v", serialCounts, parallelCounts)
+			for _, r := range append([]result{serial}, parallel[:]...) {
+				if r.err != nil {
+					t.Fatalf("GroupGuard.Run: %v", r.err)
+				}
 			}
-			if st.Completed != pt.Completed || st.NonFiniteIter != pt.NonFiniteIter {
-				t.Fatalf("traces diverge: completed %d/%d nonfinite %d/%d",
-					st.Completed, pt.Completed, st.NonFiniteIter, pt.NonFiniteIter)
-			}
-			for i := range st.TrainLoss {
-				if math.Float64bits(st.TrainLoss[i]) != math.Float64bits(pt.TrainLoss[i]) {
-					t.Fatalf("traces diverge bitwise at iteration %d: %v vs %v",
-						i, st.TrainLoss[i], pt.TrainLoss[i])
+			for i, p := range parallel {
+				if !reflect.DeepEqual(serial.g.Events, p.g.Events) {
+					t.Fatalf("engine %d: events diverge:\nalone    %+v\nparallel %+v", i, serial.g.Events, p.g.Events)
+				}
+				if !reflect.DeepEqual(counts(serial.g), counts(p.g)) {
+					t.Fatalf("engine %d: counters diverge:\nalone    %v\nparallel %v", i, counts(serial.g), counts(p.g))
+				}
+				st, pt := serial.trace, p.trace
+				if st.Completed != pt.Completed || st.NonFiniteIter != pt.NonFiniteIter {
+					t.Fatalf("engine %d: traces diverge: completed %d/%d nonfinite %d/%d",
+						i, st.Completed, pt.Completed, st.NonFiniteIter, pt.NonFiniteIter)
+				}
+				for j := range st.TrainLoss {
+					if math.Float64bits(st.TrainLoss[j]) != math.Float64bits(pt.TrainLoss[j]) {
+						t.Fatalf("engine %d: traces diverge bitwise at iteration %d: %v vs %v",
+							i, j, st.TrainLoss[j], pt.TrainLoss[j])
+					}
 				}
 			}
 		})

@@ -149,14 +149,20 @@ func (r *Rand) NormFloat64() float64 {
 // Perm returns a pseudo-random permutation of [0, n) via Fisher-Yates.
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto overwrites p with the permutation Perm(len(p)) returns, drawing
+// the same values from r, without allocating.
+func (r *Rand) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to decorrelate seeds.

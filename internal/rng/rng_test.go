@@ -162,6 +162,29 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesPerm: the in-place form fills a slice, whatever it
+// held, with the permutation Perm returns from the same generator state, and
+// leaves the generator where Perm leaves it.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 17, 256} {
+		a, b := NewFromInt(int64(n)+3), NewFromInt(int64(n)+3)
+		want := a.Perm(n)
+		got := make([]int, n)
+		for i := range got {
+			got[i] = -7
+		}
+		b.PermInto(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: PermInto[%d] = %d, Perm %d", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: PermInto and Perm leave the generator in different states", n)
+		}
+	}
+}
+
 func TestUniformityChiSquared(t *testing.T) {
 	// Coarse chi-squared test over 16 buckets; catches gross bias.
 	r := NewFromInt(6)

@@ -20,21 +20,11 @@ func channelDims(op string, t *Tensor) (n, c, spatial int) {
 
 // AddBiasNCHW adds bias[c] to every element of channel c: the shared
 // per-channel bias addition of Conv2D ([N,K,OH,OW] + [K]) and Dense
-// ([B, Out] + [Out]). Large tensors run the channel rows on the kernel
-// worker pool; each element has exactly one writer, so the result is
-// bitwise-identical for any worker count.
+// ([B, Out] + [Out]).
 func AddBiasNCHW(t, bias *Tensor) {
 	n, c, spatial := channelDims("AddBiasNCHW", t)
 	if bias.Len() != c {
 		panic(fmt.Sprintf("tensor: AddBiasNCHW bias has %d elements for %d channels", bias.Len(), c))
-	}
-	rows := n * c
-	if w := matmulWorkers; w > 1 && rows > 1 && rows*spatial >= absMaxParallelMin {
-		td, biasd := t.Data, bias.Data
-		parallelInto(w, rows, func(_, lo, hi int) {
-			addBiasRows(td, biasd, c, spatial, lo, hi)
-		})
-		return
 	}
 	addBias(t.Data, bias.Data, n, c, spatial)
 }
@@ -42,9 +32,7 @@ func AddBiasNCHW(t, bias *Tensor) {
 // SumPerChannelNCHW accumulates the sum of each channel of t into into[c]
 // (+=, matching gradient-accumulation semantics): the shared bias-gradient
 // reduction of Conv2D and Dense backward passes. Accumulation order is
-// batch-major then spatial, identical for any worker setting — the
-// reduction is intentionally serial to preserve bitwise determinism. Serial
-// per channel, that is: a row's sum is one chain of dependent additions, so
+// batch-major then spatial. A row's sum is one chain of dependent additions, so
 // the rows of four channels are summed side by side, each from its own +0 in
 // its own order, and the channels left over one at a time.
 func SumPerChannelNCHW(t, into *Tensor) {

@@ -160,9 +160,9 @@ func reluBackwardGo(dx, dy []float32, mask []uint32) {
 }
 
 // addBiasRows adds bias[r mod c] to channel rows [lo,hi) of the flattened
-// [n*c, spatial] view. Rows are disjoint (one writer per element), so
-// chunked execution over any worker count is bitwise-identical to serial.
-// The row's element is the add's first operand, the bias the second.
+// [n*c, spatial] view. Rows are disjoint, so adding a view in chunks is
+// bitwise-identical to adding it whole. The row's element is the add's first
+// operand, the bias the second.
 func addBiasRows(td, biasd []float32, c, spatial, lo, hi int) {
 	if lo < 0 || c <= 0 || spatial < 0 || len(biasd) < c || hi*spatial > len(td) {
 		panic(fmt.Sprintf("tensor: bias add over rows [%d,%d) of %d×%d floats reaches past %d elements or %d biases", lo, hi, c, spatial, len(td), len(biasd)))

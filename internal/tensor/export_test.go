@@ -7,3 +7,13 @@ const WsScanMax = wsScanMax
 
 // NumKeys returns how many keyed buffers ws holds.
 func (ws *Workspace) NumKeys() int { return len(ws.bufs) }
+
+// Floats returns how many float32s ws's buffers hold, each at its full
+// capacity: the scratch memory the workspace keeps alive.
+func (ws *Workspace) Floats() int {
+	n := 0
+	for _, b := range ws.bufs {
+		n += cap(b.t.Data)
+	}
+	return n
+}

@@ -159,31 +159,23 @@ func TestSIMDGEMMBitwise(t *testing.T) {
 	for n := 1; n <= 17; n++ { // every vector-tail length, twice over
 		ns = append(ns, n)
 	}
-	// One worker keeps these shapes serial; 2 and 8 with the threshold at
-	// zero force the row-parallel path — row ranges that start off a
-	// multiple of 4 — 8 with more workers than rows.
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			defer forceParallel(workers)()
-			r := rng.NewFromInt(77)
-			salt := 0
-			for m := 1; m <= 9; m++ {
-				for _, n := range ns {
-					for _, k := range []int{1, 2, 8, 9, 72} {
-						for _, poison := range []bool{false, true} {
-							salt++
-							a, b := gemmOperands(r, m, k, n, poison)
-							checkGEMMVariants(t, a, b) // dense: one run of k steps per block
-							runs := a.Clone()
-							zeroRuns(runs, salt)
-							checkGEMMVariants(t, runs, b)
-							zeroPatterns(a, salt)
-							checkGEMMVariants(t, a, b)
-						}
-					}
+	r := rng.NewFromInt(77)
+	salt := 0
+	for m := 1; m <= 9; m++ {
+		for _, n := range ns {
+			for _, k := range []int{1, 2, 8, 9, 72} {
+				for _, poison := range []bool{false, true} {
+					salt++
+					a, b := gemmOperands(r, m, k, n, poison)
+					checkGEMMVariants(t, a, b) // dense: one run of k steps per block
+					runs := a.Clone()
+					zeroRuns(runs, salt)
+					checkGEMMVariants(t, runs, b)
+					zeroPatterns(a, salt)
+					checkGEMMVariants(t, a, b)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -361,7 +353,7 @@ func naiveGEMM(a, b []float32, m, k, n int, mixed bool) []float32 {
 // FuzzGEMMOracle: the fuzzer chooses the shape and the raw bit patterns of
 // both operands — payloads, signaling NaNs, subnormals, whatever it finds —
 // and the precision, and every GEMM entry point must agree with naiveGEMM
-// bit for bit, serial and forced-parallel. NaN results only have to be NaN:
+// bit for bit. NaN results only have to be NaN:
 // the oracle's own payload choice belongs to the compiler (see gemmOperands).
 func FuzzGEMMOracle(f *testing.F) {
 	// No zero anywhere in A: every block is one run of k dense steps.
@@ -419,16 +411,9 @@ func FuzzGEMMOracle(f *testing.F) {
 		want := naiveGEMM(a.Data, b.Data, m, k, n, mixed)
 		at, bt := Transpose2D(a), Transpose2D(b)
 		dst := New(m, n)
-		for _, workers := range []int{0, 3} {
-			restore := func() {}
-			if workers > 0 {
-				restore = forceParallel(workers)
-			}
-			sameBits(t, "MatMulInto", MatMulInto(dst, a, b, mixed).Data, want, false)
-			sameBits(t, "MatMulTAInto", MatMulTAInto(dst, at, b, mixed).Data, want, false)
-			sameBits(t, "MatMulTBInto", MatMulTBInto(dst, a, bt, mixed).Data, want, false)
-			restore()
-		}
+		sameBits(t, "MatMulInto", MatMulInto(dst, a, b, mixed).Data, want, false)
+		sameBits(t, "MatMulTAInto", MatMulTAInto(dst, at, b, mixed).Data, want, false)
+		sameBits(t, "MatMulTBInto", MatMulTBInto(dst, a, bt, mixed).Data, want, false)
 	})
 }
 

@@ -1,19 +1,16 @@
 // Matrix-multiplication kernels: plain, fused-transpose (Aᵀ×B, A×Bᵀ) and
 // destination-reuse variants, in FP32 and mixed bfloat16/FP32 precision,
-// with cache blocking and optional goroutine parallelism.
+// with register blocking. Every kernel runs on the calling goroutine:
+// campaigns fill the cores with whole experiments, one engine each.
 //
 // Determinism contract (internal/recovery depends on it): every kernel in
-// this file produces bitwise-identical results regardless of the worker
-// count, and identical to the original serial ikj kernel. The guarantees
-// follow from two invariants:
-//
-//  1. Each output element C[i][j] is written by exactly one goroutine
-//     (workers own disjoint, contiguous row ranges of C).
-//  2. For a fixed element, partial products are accumulated in ascending-k
-//     order, with the same skip rule (a-operand exactly zero before any
-//     bfloat16 rounding) as the serial kernel. Register blocking over rows
-//     of C reorders only *independent* accumulators, never the addends of
-//     one element.
+// this file produces results bitwise-identical to the original serial ikj
+// kernel. For a fixed element, partial products are accumulated in
+// ascending-k order, with the same skip rule (a-operand exactly zero before
+// any bfloat16 rounding) as the serial kernel. Register blocking over rows
+// of C reorders only *independent* accumulators, never the addends of one
+// element — so an element's bits depend on its row of A and its column of B
+// alone, not on how many other rows or columns the product has.
 //
 // The fused-transpose kernels index the transposed operand directly instead
 // of materializing the transpose, but visit the addends of each element in
@@ -26,60 +23,7 @@
 // the Go loops are the only path, and they stay the reference either way.
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-)
-
-var (
-	// matmulWorkers is the maximum number of goroutines a single matmul may
-	// fan out to. 1 disables kernel parallelism.
-	matmulWorkers = runtime.GOMAXPROCS(0)
-	// parallelFlops is the minimum m·k·n product at which a kernel spawns
-	// goroutines; below it the fixed cost of the fan-out outweighs the win.
-	parallelFlops = 1 << 17
-)
-
-// SetWorkers bounds the goroutine fan-out of the matmul kernels and returns
-// the previous bound. n < 1 is clamped to 1 (serial execution). The setting
-// is process-global and must not be changed while kernels are running; the
-// result of every kernel is bitwise-independent of it.
-func SetWorkers(n int) int {
-	old := matmulWorkers
-	if n < 1 {
-		n = 1
-	}
-	matmulWorkers = n
-	return old
-}
-
-// Workers returns the current kernel worker bound.
-func Workers() int { return matmulWorkers }
-
-// SetParallelThreshold sets the minimum m·k·n flop count at which matmul
-// kernels parallelize, returning the previous threshold. 0 forces the
-// parallel path even for tiny operands (used by the determinism regression
-// tests); a very large value forces the serial path.
-func SetParallelThreshold(flops int) int {
-	old := parallelFlops
-	parallelFlops = flops
-	return old
-}
-
-// ParallelThreshold returns the current parallelization threshold.
-func ParallelThreshold() int { return parallelFlops }
-
-// runParallel reports whether a kernel over m rows and flops total work
-// should fan out to goroutines. Callers use it to take a closure-free serial
-// path (a heap-allocated closure per call would defeat the zero-alloc
-// steady state) and only build the parallelRows closure when it pays off.
-func runParallel(m, flops int) bool {
-	w := matmulWorkers
-	if w > m {
-		w = m
-	}
-	return w > 1 && flops >= parallelFlops
-}
+import "fmt"
 
 // MatMul computes C = A × B for 2-D tensors A [m,k] and B [k,n] in FP32.
 func MatMul(a, b *Tensor) *Tensor {
@@ -110,13 +54,7 @@ func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
-		if !runParallel(m, m*k*n) {
-			gemmNNPacked(cd, ad, rb, k, n, 0, m)
-		} else {
-			parallelRows(m, m*k*n, func(lo, hi int) {
-				gemmNNPacked(cd, ad, rb, k, n, lo, hi)
-			})
-		}
+		gemmNNPacked(cd, ad, rb, m, k, n)
 		putPackBuf(rp)
 		return dst
 	}
@@ -144,13 +82,7 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
-		if !runParallel(m, m*k*n) {
-			gemmTAPacked(cd, ad, rb, k, m, n, 0, m)
-		} else {
-			parallelRows(m, m*k*n, func(lo, hi int) {
-				gemmTAPacked(cd, ad, rb, k, m, n, lo, hi)
-			})
-		}
+		gemmTAPacked(cd, ad, rb, k, m, n)
 		putPackBuf(rp)
 		return dst
 	}
@@ -175,13 +107,7 @@ func MatMulTBInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		rp := getPackBuf(len(bd))
 		rb := *rp
 		roundPanelBF16(rb, bd)
-		if !runParallel(m, m*k*n) {
-			gemmTBPacked(cd, ad, rb, k, n, 0, m)
-		} else {
-			parallelRows(m, m*k*n, func(lo, hi int) {
-				gemmTBPacked(cd, ad, rb, k, n, lo, hi)
-			})
-		}
+		gemmTBPacked(cd, ad, rb, m, k, n)
 		putPackBuf(rp)
 		return dst
 	}
@@ -189,13 +115,7 @@ func MatMulTBInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		gemmTBviaNN(cd, ad, bd, m, k, n)
 		return dst
 	}
-	if !runParallel(m, m*k*n) {
-		gemmTB(cd, ad, bd, k, n, 0, m)
-		return dst
-	}
-	parallelRows(m, m*k*n, func(lo, hi int) {
-		gemmTB(cd, ad, bd, k, n, lo, hi)
-	})
+	gemmTB(cd, ad, bd, m, k, n)
 	return dst
 }
 
@@ -257,22 +177,20 @@ func zero(s []float32) {
 }
 
 // gemmF32 computes C = A×B in FP32 for B [k,n] and the two A layouts of
-// gemmRows, m rows, fanning out to the workers when runParallel says so.
+// gemmRows, m rows: with an A holding no ±0 (see gemmDense) in one gemmTile
+// call from +0, otherwise through gemmRows onto the cleared C.
 func gemmF32(c, a, b []float32, m, k, n, aRow, aK int) {
-	dense := gemmDense(c, a, k)
-	if !runParallel(m, m*k*n) {
-		gemmPart(c, a, b, k, n, aRow, aK, 0, m, dense)
+	if gemmDense(c, a, k) {
+		gemmTile(c[:m*n], b, a, m, n, k, aRow, aK, false)
 		return
 	}
-	parallelRows(m, m*k*n, func(lo, hi int) {
-		gemmPart(c, a, b, k, n, aRow, aK, lo, hi, dense)
-	})
+	gemmRows(c, a, b, m, k, n, aRow, aK)
 }
 
 // gemmDense decides, from the data, which kernel computes a product: true
 // when the AVX kernels are built and A holds no ±0, the whole matrix then
-// going to gemmTile in one call per row range. Otherwise it clears c, which
-// gemmRows accumulates into, and returns false.
+// going to gemmTile in one call. Otherwise it clears c, which gemmRows
+// accumulates into, and returns false.
 //
 // The two give the same bits on a dense A. With no zero in A the skip rule
 // skips nothing: gemmRows finds every k-step of a 4-row block dense and
@@ -288,16 +206,6 @@ func gemmDense(c, a []float32, k int) bool {
 	return false
 }
 
-// gemmPart computes rows [lo,hi) of C = A×B: with dense (see gemmDense) in
-// one gemmTile call from +0, otherwise through gemmRows onto the cleared C.
-func gemmPart(c, a, b []float32, k, n, aRow, aK, lo, hi int, dense bool) {
-	if dense {
-		gemmTile(c[lo*n:hi*n], b, a[lo*aRow:], hi-lo, n, k, aRow, aK, false)
-		return
-	}
-	gemmRows(c, a, b, k, n, aRow, aK, lo, hi)
-}
-
 // allNonZero reports whether no element of a is ±0 (a NaN is not zero).
 func allNonZero(a []float32) bool {
 	if useAVX {
@@ -311,7 +219,7 @@ func allNonZero(a []float32) bool {
 	return true
 }
 
-// gemmRows computes rows [lo,hi) of C += A×B in FP32 for B [k,n], where
+// gemmRows computes C += A×B in FP32 for B [k,n], where
 // element (i,kk) of A is a[i*aRow+kk*aK]: (k, 1) for a
 // row-major A [m,k] — the NN kernel — and (1, m) for the transposed view of a
 // row-major [k,m] — the TA kernel, which therefore never materializes a
@@ -331,9 +239,9 @@ func allNonZero(a []float32) bool {
 // is loaded from C before the run and stored after it, and the steps between
 // runs are handled where they fall, so every element still receives the same
 // addends in the same ascending-k order from the same +0 start.
-func gemmRows(c, a, b []float32, k, n, aRow, aK int, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+func gemmRows(c, a, b []float32, m, k, n, aRow, aK int) {
+	i := 0
+	for ; i+4 <= m; i += 4 {
 		c4 := c[i*n : (i+4)*n]
 		c0, c1, c2, c3 := c4[:n], c4[n:2*n], c4[2*n:3*n], c4[3*n:]
 		a4 := a[i*aRow:]
@@ -365,7 +273,7 @@ func gemmRows(c, a, b []float32, k, n, aRow, aK int, lo, hi int) {
 			axpyRow(c3, bk, av3)
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < m; i++ {
 		ci := c[i*n : i*n+n]
 		for kk := 0; kk < k; kk++ {
 			av := a[i*aRow+kk*aK]
@@ -431,7 +339,7 @@ func axpyRow(ci, bk []float32, av float32) {
 	}
 }
 
-// gemmTB computes rows [lo,hi) of C = A×Bᵀ in FP32 for B [n,k] — the path
+// gemmTB computes C = A×Bᵀ in FP32 for B [n,k] — the path
 // of builds without the AVX kernels — as dot products over
 // two sequential streams, blocked four output columns at a time so the four
 // independent accumulator chains hide FP-add latency. Each accumulator
@@ -439,8 +347,8 @@ func axpyRow(ci, bk []float32, av float32) {
 // skip rule, as the serial kernel running on a materialized Bᵀ, so results
 // are bitwise identical (blocking interleaves only *different* elements'
 // accumulations, never the addends of one element).
-func gemmTB(c, a, b []float32, k, n int, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func gemmTB(c, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		ai := a[i*k : i*k+k]
 		ci := c[i*n : i*n+n]
 		j := 0
@@ -485,16 +393,15 @@ const tbStackPanel = 256
 // without a horizontal sum, which would reorder one element's addends; the
 // NN form keeps every element's chain — +0 start, ascending k, a == 0
 // skipped — and vectorizes across elements, so it is bitwise-equal to
-// MatMul(a, Transpose2D(b)), the contract MatMulTB documents. A serial
-// product's panel of up to tbStackPanel floats is on the stack; any other
-// panel is a pack buffer (parallelRows' closure would move a stack panel to
-// the heap).
+// MatMul(a, Transpose2D(b)), the contract MatMulTB documents. A panel of
+// up to tbStackPanel floats is on the stack; any other panel is a pack
+// buffer.
 func gemmTBviaNN(c, a, b []float32, m, k, n int) {
-	if k*n <= tbStackPanel && !runParallel(m, m*k*n) {
+	if k*n <= tbStackPanel {
 		var panel [tbStackPanel]float32
 		bt := panel[:k*n]
 		transposeInto(bt, b, n, k)
-		gemmPart(c, a, bt, k, n, k, 1, 0, m, gemmDense(c, a, k))
+		gemmF32(c, a, bt, m, k, n, k, 1)
 		return
 	}
 	rp := getPackBuf(k * n)

@@ -28,14 +28,6 @@ func bitsEqual(t *testing.T, name string, got, want *Tensor) {
 	sameBits(t, name, got.Data, want.Data, true)
 }
 
-// forceParallel routes every matmul through the parallel blocked path with n
-// workers for the duration of the returned restore func.
-func forceParallel(n int) (restore func()) {
-	oldW := SetWorkers(n)
-	oldT := SetParallelThreshold(0)
-	return func() { SetWorkers(oldW); SetParallelThreshold(oldT) }
-}
-
 func TestMatMulTAMatchesTranspose(t *testing.T) {
 	r := rng.NewFromInt(21)
 	for _, mixed := range []bool{false, true} {
@@ -55,28 +47,6 @@ func TestMatMulTBMatchesTranspose(t *testing.T) {
 		want := matmulRef(a, Transpose2D(b), mixed)
 		got := MatMulTB(a, b, mixed)
 		bitsEqual(t, "MatMulTB", got, want)
-	}
-}
-
-func TestMatMulParallelBitwiseIdentical(t *testing.T) {
-	r := rng.NewFromInt(23)
-	a := randMat(r, 33, 27)
-	b := randMat(r, 27, 21)
-	at := randMat(r, 27, 33) // TA operand [k, m]
-	bt := randMat(r, 21, 27) // TB operand [n, k]
-
-	for _, mixed := range []bool{false, true} {
-		serialNN := matmulRef(a, b, mixed)
-		serialTA := MatMulTA(at, b, mixed)
-		serialTB := MatMulTB(a, bt, mixed)
-
-		for _, workers := range []int{1, 2, 8} {
-			restore := forceParallel(workers)
-			bitsEqual(t, "parallel NN", MatMulInto(New(33, 21), a, b, mixed), serialNN)
-			bitsEqual(t, "parallel TA", MatMulTA(at, b, mixed), serialTA)
-			bitsEqual(t, "parallel TB", MatMulTB(a, bt, mixed), serialTB)
-			restore()
-		}
 	}
 }
 

@@ -18,8 +18,7 @@
 // RoundBF16(RoundBF16(a)·RoundBF16(b)) in ascending-k order, and the skip
 // rule tests the RAW a-element against zero before any rounding (the
 // kernels read raw A). pack_test.go pins this against the per-element
-// reference across odd remainders, all three transpose variants, and worker
-// counts.
+// reference across odd remainders and all three transpose variants.
 package tensor
 
 import (
@@ -68,15 +67,15 @@ func axpyRowPacked(ci, bk []float32, av float32) {
 	}
 }
 
-// gemmNNPacked computes rows [lo,hi) of C += A×B in mixed precision for a
+// gemmNNPacked computes C += A×B in mixed precision for a
 // row-major A [m,k] over the pre-rounded panel rb (B [k,n] after
 // roundPanelBF16). C must start at +0. Same loop structure as gemmRows — ikj,
 // 4-row register blocking, one pass over a B row feeding four C rows — with
 // the skip rule testing the raw a-element before it is rounded and every
 // element accumulating in ascending k.
-func gemmNNPacked(c, a, rb []float32, k, n int, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+func gemmNNPacked(c, a, rb []float32, m, k, n int) {
+	i := 0
+	for ; i+4 <= m; i += 4 {
 		c0 := c[(i+0)*n : (i+0)*n+n]
 		c1 := c[(i+1)*n : (i+1)*n+n]
 		c2 := c[(i+2)*n : (i+2)*n+n]
@@ -109,7 +108,7 @@ func gemmNNPacked(c, a, rb []float32, k, n int, lo, hi int) {
 			axpyRowPacked(c3, bk, av3)
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < m; i++ {
 		ci := c[i*n : i*n+n]
 		for kk := 0; kk < k; kk++ {
 			av := a[i*k+kk]
@@ -121,12 +120,12 @@ func gemmNNPacked(c, a, rb []float32, k, n int, lo, hi int) {
 	}
 }
 
-// gemmTAPacked computes rows [lo,hi) of C += Aᵀ×B in mixed precision for A
+// gemmTAPacked computes C += Aᵀ×B in mixed precision for A
 // [k,m] over the pre-rounded panel rb (B [k,n]); gemmNNPacked on a transposed
 // A, which it indexes in place.
-func gemmTAPacked(c, a, rb []float32, k, m, n int, lo, hi int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+func gemmTAPacked(c, a, rb []float32, k, m, n int) {
+	i := 0
+	for ; i+4 <= m; i += 4 {
 		c0 := c[(i+0)*n : (i+0)*n+n]
 		c1 := c[(i+1)*n : (i+1)*n+n]
 		c2 := c[(i+2)*n : (i+2)*n+n]
@@ -157,7 +156,7 @@ func gemmTAPacked(c, a, rb []float32, k, m, n int, lo, hi int) {
 			axpyRowPacked(c3, bk, av3)
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < m; i++ {
 		ci := c[i*n : i*n+n]
 		for kk := 0; kk < k; kk++ {
 			av := a[kk*m+i]
@@ -169,12 +168,12 @@ func gemmTAPacked(c, a, rb []float32, k, m, n int, lo, hi int) {
 	}
 }
 
-// gemmTBPacked computes rows [lo,hi) of C = A×Bᵀ in mixed precision for A
+// gemmTBPacked computes C = A×Bᵀ in mixed precision for A
 // [m,k] over the pre-rounded panel rb (B [n,k]): dot products over two
 // sequential streams, four output columns at a time, like gemmTB. The
 // a-element is rounded once per (i,kk), after the raw-zero skip test.
-func gemmTBPacked(c, a, rb []float32, k, n int, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func gemmTBPacked(c, a, rb []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		ai := a[i*k : i*k+k]
 		ci := c[i*n : i*n+n]
 		j := 0

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/numerics"
@@ -32,7 +31,7 @@ func TestRoundPanelBF16MatchesScalar(t *testing.T) {
 // bitwise-identical to matmulRef's per-element re-rounding loop for every
 // transpose variant, from a single output row up, across M/N/K remainders of
 // 1, 2 and 3 past the 4-wide register block, a few panels of campaign size
-// and beyond, and worker counts, serial and parallel.
+// and beyond.
 func TestPackedGEMMBitwise(t *testing.T) {
 	r := rng.NewFromInt(42)
 	dims := []int{1, 2, 3, 5, 6, 7, 8, 9, 17}
@@ -45,7 +44,6 @@ func TestPackedGEMMBitwise(t *testing.T) {
 		}
 	}
 	shapes = append(shapes, [3]int{9, 72, 72}, [3]int{17, 23, 301}, [3]int{3, 2, 4100}, [3]int{1, 72, 2304})
-	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a := randMat(r, m, k)
@@ -53,18 +51,10 @@ func TestPackedGEMMBitwise(t *testing.T) {
 		at := Transpose2D(a)
 		bt := Transpose2D(b)
 		want := matmulRef(a, b, true)
-		for _, w := range workerSet {
-			restoreW := forceParallel(w)
-			gotNN := MatMulMixed(a, b)
-			gotTA := MatMulTA(at, b, true)
-			gotTB := MatMulTB(a, bt, true)
-			restoreW()
-
-			tag := fmt.Sprintf("m=%d k=%d n=%d w=%d", m, k, n, w)
-			bitsEqual(t, "packed NN "+tag, gotNN, want)
-			bitsEqual(t, "packed TA "+tag, gotTA, want)
-			bitsEqual(t, "packed TB "+tag, gotTB, want)
-		}
+		tag := fmt.Sprintf("m=%d k=%d n=%d", m, k, n)
+		bitsEqual(t, "packed NN "+tag, MatMulMixed(a, b), want)
+		bitsEqual(t, "packed TA "+tag, MatMulTA(at, b, true), want)
+		bitsEqual(t, "packed TB "+tag, MatMulTB(a, bt, true), want)
 	}
 }
 

@@ -2,8 +2,7 @@
 //
 // The mitigation techniques (bounds detection, ABFT, range restriction)
 // read whole-tensor reductions — abs-max, sums — over state the training
-// hot path just wrote. The sweeps here are 4-way unrolled and, for AbsMax
-// and MinMax, parallel on large tensors.
+// hot path just wrote. The sweeps here are 4-way unrolled.
 //
 // Determinism contract:
 //
@@ -12,10 +11,10 @@
 //     unsigned ordering of the abs-bits, and every NaN pattern compares
 //     above +Inf, so NaN corruption always wins the maximum and is never
 //     hidden. A maximum is order-independent, which is what makes 4-way
-//     unrolling AND parallel chunking bitwise-identical to the serial scan
-//     for any worker count — and what lets a producer that folds AbsBits of
-//     every element it writes (the optimizer step, BatchNorm's moving
-//     variance) hand out a maximum bitwise-equal to this sweep.
+//     unrolling bitwise-identical to the plain scan — and what lets a
+//     producer that folds AbsBits of every element it writes (the optimizer
+//     step, BatchNorm's moving variance) hand out a maximum bitwise-equal to
+//     this sweep.
 //
 //   - Sum follows the lane rule: four float64 accumulators, element i
 //     feeding lane i mod 4 of the tensor's flat index, combined as
@@ -31,14 +30,6 @@ const absBitsMask = 0x7fffffff
 
 // nonFiniteBits is the smallest abs-bit pattern that is not finite (+Inf).
 const nonFiniteBits = 0x7f800000
-
-// absMaxParallelMin is the element count above which the order-independent
-// elementwise kernels (AbsMax, MinMax, AddBiasNCHW) fan out to the
-// persistent kernel worker pool (see SetWorkers, pool.go). Results are
-// bitwise-identical for any worker count. Sum is deliberately NOT in this
-// list: its lane rule pins the accumulation tree, and chunked partial sums
-// would change it.
-const absMaxParallelMin = 1 << 16
 
 // absMaxBits returns the unsigned maximum of sign-cleared bit patterns over
 // data. 4-way unrolled; order-independent.
@@ -82,29 +73,9 @@ func absMaxBits(data []float32) uint32 {
 
 // AbsMax returns the maximum absolute value of any element; any NaN element
 // forces a NaN result so non-finite corruption is never hidden (NaN bit
-// patterns compare above +Inf under the abs-bits ordering). Large tensors
-// reduce on the kernel worker pool; the result is bitwise-identical for any
-// worker count because a maximum is order-independent.
+// patterns compare above +Inf under the abs-bits ordering).
 func (t *Tensor) AbsMax() float32 {
-	n := len(t.Data)
-	w := matmulWorkers
-	if n < absMaxParallelMin || w <= 1 {
-		return math.Float32frombits(absMaxBits(t.Data))
-	}
-	if w > n/absMaxParallelMin+1 {
-		w = n/absMaxParallelMin + 1
-	}
-	partial := make([]uint32, w)
-	nc := parallelInto(w, n, func(c, lo, hi int) {
-		partial[c] = absMaxBits(t.Data[lo:hi])
-	})
-	var m uint32
-	for _, p := range partial[:nc] {
-		if p > m {
-			m = p
-		}
-	}
-	return math.Float32frombits(m)
+	return math.Float32frombits(absMaxBits(t.Data))
 }
 
 // sumLanes accumulates data into the four lane accumulators, assigning each
@@ -130,10 +101,6 @@ func laneTotal(l *[4]float64) float64 { return (l[0] + l[1]) + (l[2] + l[3]) }
 
 // Sum returns the sum of all elements, accumulated in float64 across four
 // unrolled lanes (lane = flat index mod 4, combined (s0+s1)+(s2+s3)).
-//
-// Sum stays serial by design: the lane rule pins the exact accumulation
-// tree, and parallel chunking would introduce per-chunk partials whose
-// combination rounds differently. Do not route it through the worker pool.
 func (t *Tensor) Sum() float64 {
 	var l [4]float64
 	sumLanes(&l, t.Data, 0)
@@ -141,9 +108,7 @@ func (t *Tensor) Sum() float64 {
 }
 
 // minMaxRange scans data (which must be non-empty), seeding both extrema
-// from data[0]. Comparisons are order-independent, so chunked scans combine
-// bitwise-exactly: min/max over IEEE-754 floats is associative and
-// commutative for non-NaN values, and NaN presence is tracked separately.
+// from data[0]; NaN presence is tracked separately.
 func minMaxRange(data []float32) (lo, hi float32, nan bool) {
 	lo, hi = data[0], data[0]
 	nan = data[0] != data[0]
@@ -195,38 +160,9 @@ func minMaxRange(data []float32) (lo, hi float32, nan bool) {
 
 // MinMax returns the minimum and maximum element. If any element is NaN,
 // both results are NaN (corruption is never hidden). An empty tensor cannot
-// occur (New rejects empty shapes). Large tensors scan on the kernel worker
-// pool; the comparisons are order-independent, so the result is
-// bitwise-identical for any worker count.
+// occur (New rejects empty shapes).
 func (t *Tensor) MinMax() (lo, hi float32) {
-	n := len(t.Data)
-	w := matmulWorkers
-	var nan bool
-	if n < absMaxParallelMin || w <= 1 {
-		lo, hi, nan = minMaxRange(t.Data)
-	} else {
-		if w > n/absMaxParallelMin+1 {
-			w = n/absMaxParallelMin + 1
-		}
-		los := make([]float32, w)
-		his := make([]float32, w)
-		nans := make([]bool, w)
-		nc := parallelInto(w, n, func(c, lo, hi int) {
-			los[c], his[c], nans[c] = minMaxRange(t.Data[lo:hi])
-		})
-		lo, hi = los[0], his[0]
-		for c := 0; c < nc; c++ {
-			if los[c] < lo {
-				lo = los[c]
-			}
-			if his[c] > hi {
-				hi = his[c]
-			}
-			if nans[c] {
-				nan = true
-			}
-		}
-	}
+	lo, hi, nan := minMaxRange(t.Data)
 	if nan {
 		v := float32(math.NaN())
 		return v, v

@@ -23,29 +23,21 @@ func refAbsMax(data []float32) float32 {
 	return m
 }
 
-func TestAbsMaxMatchesReferenceAcrossWorkers(t *testing.T) {
+func TestAbsMaxMatchesReference(t *testing.T) {
 	r := rng.NewFromInt(31)
-	for _, n := range []int{1, 3, 17, 1024, absMaxParallelMin + 13} {
+	for _, n := range []int{1, 3, 17, 1024, 1<<16 + 13} {
 		a := New(n)
 		a.FillNormal(r, 0, 1e3)
-		want := refAbsMax(a.Data)
-		for _, workers := range []int{1, 2, 3, 7} {
-			restore := forceParallel(workers)
-			got := a.AbsMax()
-			restore()
-			if math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("n=%d workers=%d: AbsMax = %v, want %v", n, workers, got, want)
-			}
+		if got, want := a.AbsMax(), refAbsMax(a.Data); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("n=%d: AbsMax = %v, want %v", n, got, want)
 		}
 	}
 }
 
 func TestAbsMaxPropagatesNaNAndInf(t *testing.T) {
-	a := New(absMaxParallelMin + 5)
+	a := New(1029)
 	a.Fill(1)
-	a.Data[absMaxParallelMin-1] = float32(math.Inf(-1))
-	restore := forceParallel(4)
-	defer restore()
+	a.Data[1023] = float32(math.Inf(-1))
 	if got := a.AbsMax(); !math.IsInf(float64(got), 1) {
 		t.Fatalf("AbsMax with -Inf = %v, want +Inf", got)
 	}
@@ -245,24 +237,20 @@ func TestChannelReductionsBitwise(t *testing.T) {
 
 // FuzzReduceOracle: the reductions the mitigation checks rest on — AbsMax,
 // MinMax, Sum, HasNonFinite and AddInPlaceAbsMax — against per-element loops
-// that share no unrolling, lane bookkeeping or chunking with them, on a
-// fuzzer-chosen length (past the pool's fan-out threshold when big is set),
-// fuzzer-chosen bit patterns and a fuzzer-chosen worker count. Where the
-// oracle's answer is NaN the kernel's only has to be NaN.
+// that share no unrolling or lane bookkeeping with them, on a fuzzer-chosen
+// length and fuzzer-chosen bit patterns. Where the oracle's answer is NaN the
+// kernel's only has to be NaN.
 func FuzzReduceOracle(f *testing.F) {
-	f.Add(uint16(6), false, uint8(1), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x80, 0, 0, 0x80, 0xff, 1, 0, 0, 0})
-	f.Add(uint16(0), false, uint8(3), []byte{0, 0, 0xc0, 0x7f})
-	f.Add(uint16(13), true, uint8(4), []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f})
-	f.Add(uint16(200), true, uint8(7), []byte{0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0x80})
-	f.Add(uint16(3), false, uint8(0), []byte{})
-	// +0, -0, 1 repeating over two chunks, the second starting on a -0: the
-	// minimum is tied across chunks and must keep the earlier +0.
-	f.Add(uint16(3), true, uint8(1), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3f})
-	f.Fuzz(func(t *testing.T, nRaw uint16, big bool, wRaw uint8, raw []byte) {
+	f.Add(uint16(6), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x80, 0, 0, 0x80, 0xff, 1, 0, 0, 0})
+	f.Add(uint16(0), []byte{0, 0, 0xc0, 0x7f})
+	f.Add(uint16(13), []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f})
+	f.Add(uint16(200), []byte{0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0x80})
+	f.Add(uint16(3), []byte{})
+	// +0, -0, 1 repeating: the minimum is tied between the zeros and must
+	// keep the earlier +0.
+	f.Add(uint16(11), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3f})
+	f.Fuzz(func(t *testing.T, nRaw uint16, raw []byte) {
 		n := int(nRaw)%300 + 1
-		if big {
-			n += absMaxParallelMin
-		}
 		if len(raw) > 1<<12 {
 			raw = raw[:1<<12]
 		}
@@ -280,7 +268,6 @@ func FuzzReduceOracle(f *testing.F) {
 			return dst
 		}
 		x, u := fill(), fill()
-		defer forceParallel(int(wRaw)%8 + 1)()
 
 		// naiveAbsMax is the largest |v| by float comparison, and whether a
 		// NaN was seen.

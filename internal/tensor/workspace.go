@@ -19,9 +19,10 @@ import (
 // outgrow an allocation (a workspace key requested with a larger shape) must
 // fall back to the heap instead (Workspace does).
 //
-// Alloc is mutex-protected: concurrent layers of one engine (device-parallel
-// first iterations) may carve from the same arena safely. A nil *Arena is
-// valid and falls back to plain heap allocation.
+// Alloc is mutex-protected: nn's build hooks are process-global, so a layer
+// constructor another goroutine calls while a build runs carves from that
+// build's arena too. A nil *Arena is valid and falls back to plain heap
+// allocation.
 type Arena struct {
 	mu sync.Mutex
 
@@ -120,16 +121,18 @@ func (a *Arena) Bytes() int64 {
 //     shape and, when the size differs, its Data — so a holder of the
 //     earlier result sees the new extent. Nothing may be held across a
 //     same-key Get, same size or not.
-//   - Buffers only grow. A key requested with alternating sizes (the small
-//     training shard, then the full test batch every TestEvery iterations)
-//     keeps the larger backing array and reslices it; the heap is touched
-//     once per key, when a request first exceeds the capacity.
+//   - Buffers only grow. A key requested with alternating sizes (a device's
+//     training shard, then an elastic shard re-balanced over fewer devices,
+//     or the short last slice of the test set) keeps the larger backing
+//     array and reslices it; the heap is touched once per key, when a
+//     request first exceeds the capacity.
 //   - Buffer contents are undefined on return from Get; the caller must
 //     overwrite every element (the Into kernels do). GetZeroed clears the
 //     buffer first for accumulation uses.
-//   - A Workspace is not safe for concurrent use. Device-parallel training
-//     is race-free because every model replica owns its layers and each
-//     layer owns its workspace.
+//   - A Workspace is not safe for concurrent use. The replicas of one
+//     engine share their layers' workspaces (train.New) and are stepped one
+//     at a time, each device's forward and backward finishing before the
+//     next device starts, so nothing reads a buffer another device wrote.
 //   - A nil *Workspace is valid and simply allocates fresh tensors,
 //     preserving the original allocation behaviour.
 type Workspace struct {

@@ -20,7 +20,7 @@ func TestArenaEngineBitwiseEquivalence(t *testing.T) {
 	seed := rng.Seed{State: 42, Stream: 7}
 	e := w.NewEngine(seed)
 	arena := e.Replica(0)
-	// The oracle: the same builder called outside nn.BuildIn, so every
+	// The oracle: the same builder called outside nn.BuildReplicas, so every
 	// tensor, layer struct and workspace comes from the heap. The RNG is the
 	// init stream train.New hands each replica.
 	heap := w.Build(rng.New(seed).Split(0xbead))

@@ -1,10 +1,10 @@
 package train_test
 
-// Determinism regression test for the kernel layer: the parallel blocked
-// GEMM kernels and device-parallel training stepping must be
-// bitwise-identical to the serial implementations, because the recovery
+// Determinism regression tests for the training engine: the recovery
 // technique (Sec 5.2) relies on exact re-execution of past iterations and
-// the FI campaigns compare runs against a fault-free reference trace.
+// the FI campaigns compare runs against a fault-free reference trace, so a
+// trajectory must be a function of the seed alone — not of what else the
+// process runs, and not of what the kernel scratch held before a step.
 
 import (
 	"encoding/binary"
@@ -12,23 +12,23 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/accel"
-	"repro/internal/fault"
 	"repro/internal/rng"
-	"repro/internal/tensor"
+	"repro/internal/train"
 	"repro/internal/workloads"
 )
 
-// resnetTrace trains the Resnet workload for iters iterations under the
-// current kernel settings and returns every iteration loss plus the final
-// replica-0 weights.
-func resnetTrace(iters int, deviceParallel bool) ([]float64, []float32) {
+// resnetTrace trains the Resnet workload for iters iterations and returns
+// every iteration loss plus the final replica-0 weights. between, when
+// non-nil, runs after each iteration.
+func resnetTrace(iters int, between func(e *train.Engine, iter int)) ([]float64, []float32) {
 	w := workloads.Resnet()
 	e := w.NewEngine(rng.Seed{State: 42, Stream: 7})
-	e.SetDeviceParallel(deviceParallel)
 	losses := make([]float64, iters)
 	for i := 0; i < iters; i++ {
 		losses[i] = e.RunIteration(i).Loss
+		if between != nil {
+			between(e, i)
+		}
 	}
 	var weights []float32
 	for _, p := range e.Replica(0).Params() {
@@ -37,53 +37,38 @@ func resnetTrace(iters int, deviceParallel bool) ([]float64, []float32) {
 	return losses, weights
 }
 
+// TestTrainingBitwiseDeterminism: the engine's trajectory is the same bits
+// when a second engine of the same workload trains in between its
+// iterations (engines share nothing but immutable datasets), when its scratch
+// is poisoned between iterations (a step reads no scratch it did not write),
+// and when it evaluates between iterations (the first evaluation sizes no
+// buffer training then inherits).
 func TestTrainingBitwiseDeterminism(t *testing.T) {
 	const iters = 6
-
-	type variant struct {
-		name           string
-		workers        int
-		threshold      int
-		deviceParallel bool
+	other := workloads.Resnet().NewEngine(rng.Seed{State: 43, Stream: 7})
+	variants := []struct {
+		name    string
+		between func(e *train.Engine, iter int)
+	}{
+		{"interleaved", func(_ *train.Engine, iter int) { other.RunIteration(iter) }},
+		{"scrubbed", func(e *train.Engine, _ int) { e.ScrubWorkspaces() }},
+		{"evaluated", func(e *train.Engine, _ int) { e.Evaluate(e.RootDevice()) }},
 	}
-	variants := []variant{
-		// Reference: serial kernels (huge threshold keeps every matmul on
-		// the serial path regardless of worker count).
-		{"serial", 1, math.MaxInt, false},
-		// Parallel kernel path exercised with a single worker...
-		{"parallel-1worker", 1, 0, false},
-		// ...and with many workers (threshold 0 forces the parallel path
-		// even for the small test shapes).
-		{"parallel-8workers", 8, 0, false},
-		// Device-parallel stepping on top of parallel kernels.
-		{"device-parallel", 8, 0, true},
-	}
-
-	var refLosses []float64
-	var refWeights []float32
+	refLosses, refWeights := resnetTrace(iters, nil)
 	for _, v := range variants {
-		oldW := tensor.SetWorkers(v.workers)
-		oldT := tensor.SetParallelThreshold(v.threshold)
-		losses, weights := resnetTrace(iters, v.deviceParallel)
-		tensor.SetWorkers(oldW)
-		tensor.SetParallelThreshold(oldT)
-
-		if refLosses == nil {
-			refLosses, refWeights = losses, weights
-			continue
-		}
+		losses, weights := resnetTrace(iters, v.between)
 		for i := range losses {
 			if math.Float64bits(losses[i]) != math.Float64bits(refLosses[i]) {
-				t.Fatalf("%s: loss@%d = %v, serial reference = %v (not bitwise identical)",
+				t.Fatalf("%s: loss@%d = %v, plain run = %v (not bitwise identical)",
 					v.name, i, losses[i], refLosses[i])
 			}
 		}
 		if len(weights) != len(refWeights) {
-			t.Fatalf("%s: %d weights vs %d in reference", v.name, len(weights), len(refWeights))
+			t.Fatalf("%s: %d weights vs %d in the plain run", v.name, len(weights), len(refWeights))
 		}
 		for i := range weights {
 			if math.Float32bits(weights[i]) != math.Float32bits(refWeights[i]) {
-				t.Fatalf("%s: weight[%d] = %v, serial reference = %v (not bitwise identical)",
+				t.Fatalf("%s: weight[%d] = %v, plain run = %v (not bitwise identical)",
 					v.name, i, weights[i], refWeights[i])
 			}
 		}
@@ -94,8 +79,9 @@ func TestTrainingBitwiseDeterminism(t *testing.T) {
 // refactor to the engine it replaced. The constants below were captured
 // from the pre-comm-layer engine (gradient averaging as an inline loop in
 // RunIteration) on this exact workload and seed; with a fully healthy
-// group, AllReduce must reproduce that trajectory bit for bit, across both
-// serial and device-parallel stepping.
+// group, AllReduce must reproduce that trajectory bit for bit. The pinned
+// bits predate the replicas' shared scratch set, so this is also the guard
+// against a device reading scratch another device left behind.
 func TestCommAllReduceMatchesPrePRTrajectory(t *testing.T) {
 	wantLoss := []uint64{
 		0x3ff4c66608226687,
@@ -107,63 +93,19 @@ func TestCommAllReduceMatchesPrePRTrajectory(t *testing.T) {
 	}
 	const wantWeights = uint64(0x90b9b9dee6d7a2fd)
 
-	for _, deviceParallel := range []bool{false, true} {
-		losses, weights := resnetTrace(len(wantLoss), deviceParallel)
-		for i, l := range losses {
-			if math.Float64bits(l) != wantLoss[i] {
-				t.Fatalf("deviceParallel=%v: loss@%d = %#x, pre-PR engine produced %#x",
-					deviceParallel, i, math.Float64bits(l), wantLoss[i])
-			}
-		}
-		h := fnv.New64a()
-		var buf [4]byte
-		for _, w := range weights {
-			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(w))
-			h.Write(buf[:])
-		}
-		if got := h.Sum64(); got != wantWeights {
-			t.Fatalf("deviceParallel=%v: weight digest %#x, pre-PR engine produced %#x",
-				deviceParallel, got, wantWeights)
+	losses, weights := resnetTrace(len(wantLoss), nil)
+	for i, l := range losses {
+		if math.Float64bits(l) != wantLoss[i] {
+			t.Fatalf("loss@%d = %#x, pre-PR engine produced %#x", i, math.Float64bits(l), wantLoss[i])
 		}
 	}
-}
-
-// TestDeviceParallelWithInjection checks that fault injection bookkeeping
-// (one-shot fire state, corrupted-element counts) behaves identically under
-// sequential and parallel device stepping.
-func TestDeviceParallelWithInjection(t *testing.T) {
-	run := func(deviceParallel bool) ([]float64, bool, int) {
-		w := workloads.Resnet()
-		e := w.NewEngine(rng.Seed{State: 9, Stream: 3})
-		e.SetDeviceParallel(deviceParallel)
-		e.SetInjection(&fault.Injection{
-			Kind: accel.GlobalG1, LayerIdx: 1, Pass: fault.Forward,
-			Iteration: 2, CycleFrac: 0.25, N: 4,
-			Seed: rng.Seed{State: 5, Stream: 5},
-		})
-		var injected bool
-		var elems int
-		losses := make([]float64, 5)
-		for i := range losses {
-			st := e.RunIteration(i)
-			losses[i] = st.Loss
-			if st.Injected {
-				injected = true
-				elems = st.InjectedElems
-			}
-		}
-		return losses, injected, elems
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, w := range weights {
+		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(w))
+		h.Write(buf[:])
 	}
-
-	seqLoss, seqInj, seqElems := run(false)
-	parLoss, parInj, parElems := run(true)
-	if seqInj != parInj || seqElems != parElems {
-		t.Fatalf("injection bookkeeping diverged: sequential (%v, %d) vs parallel (%v, %d)",
-			seqInj, seqElems, parInj, parElems)
-	}
-	for i := range seqLoss {
-		if math.Float64bits(seqLoss[i]) != math.Float64bits(parLoss[i]) {
-			t.Fatalf("loss@%d: sequential %v vs device-parallel %v", i, seqLoss[i], parLoss[i])
-		}
+	if got := h.Sum64(); got != wantWeights {
+		t.Fatalf("weight digest %#x, pre-PR engine produced %#x", got, wantWeights)
 	}
 }

@@ -4,13 +4,18 @@ package train_test
 // level: Evaluate is pure with respect to training (so not running it at a
 // boundary changes nothing downstream), and a boundary held by RecordTest
 // and evaluated later by ResolveTest yields the bits an in-place evaluation
-// at the boundary would have.
+// at the boundary would have. Evaluate itself runs the test set at the
+// device batch and must give the bits of the whole-test-set forward it
+// replaced; the oracle below is that forward, kept here.
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/data"
+	"repro/internal/nn"
+	"repro/internal/numerics"
 	"repro/internal/rng"
 	"repro/internal/train"
 	"repro/internal/workloads"
@@ -256,5 +261,76 @@ func TestHeldPointZeroAllocs(t *testing.T) {
 		if e.Evaluations() != 0 {
 			t.Fatalf("%s: holding evaluated %d times", wl, e.Evaluations())
 		}
+	}
+}
+
+// evaluateWhole is Evaluate as it was before it sliced the test set: one
+// forward of the whole set through replica d, then one Eval.
+func evaluateWhole(e *train.Engine, d int, test *data.Dataset) (loss, acc float64) {
+	all := test.All()
+	out := e.Replica(d).Forward(&nn.Context{Training: false}, all.X, nil)
+	var ce nn.SoftmaxCrossEntropy
+	res := ce.Eval(out, all.Y)
+	if numerics.HasNonFinite(out.Data) != -1 {
+		return math.NaN(), 0
+	}
+	return res.Loss, float64(res.Correct) / float64(len(all.Y))
+}
+
+// TestEvaluateMatchesWholeBatchOracle: Evaluate's loss and accuracy equal
+// the whole-test-set oracle's bit for bit on every zoo workload — after
+// training, on the root and on another device (their BatchNorm statistics
+// differ), with a test set whose size is no multiple of the device batch
+// (the last slice is short), at a device batch other than the zoo's 2, and
+// with an output-layer parameter poisoned to NaN and to +Inf so the logits
+// are non-finite.
+func TestEvaluateMatchesWholeBatchOracle(t *testing.T) {
+	for _, w := range append(workloads.All(), workloads.ResnetMixed()) {
+		t.Run(w.Name, func(t *testing.T) {
+			trainSet, testSet := w.NewDataset()
+			short, _ := testSet.Split(testSet.Len() - 1)
+			for _, geo := range []struct {
+				name            string
+				devices, perDev int
+				test            *data.Dataset
+			}{
+				{"zoo", w.Devices, w.PerDeviceBatch, testSet},
+				{"short-last-slice", w.Devices, w.PerDeviceBatch, short},
+				{"device-batch-5", 2, 5, short},
+			} {
+				seed := rng.Seed{State: 17, Stream: 3}
+				loader := data.NewLoader(trainSet, geo.devices*geo.perDev, seed)
+				cfg := train.Config{Devices: geo.devices, PerDeviceBatch: geo.perDev, Seed: seed, TestEvery: w.TestEvery}
+				e := train.New(cfg, w.Build, w.NewOptimizer(), loader, geo.test)
+				check := func(when string) {
+					t.Helper()
+					for _, d := range []int{0, geo.devices - 1} {
+						gotLoss, gotAcc := e.Evaluate(d)
+						wantLoss, wantAcc := evaluateWhole(e, d, geo.test)
+						if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) || math.Float64bits(gotAcc) != math.Float64bits(wantAcc) {
+							t.Fatalf("%s, %s, device %d: Evaluate = (%v, %v), whole-batch oracle (%v, %v)",
+								geo.name, when, d, gotLoss, gotAcc, wantLoss, wantAcc)
+						}
+					}
+				}
+				check("untrained")
+				for i := 0; i < 3; i++ {
+					e.RunIteration(i)
+				}
+				check("after 3 iterations")
+				for _, poison := range []float32{float32(math.NaN()), float32(math.Inf(1))} {
+					// The output layer's last parameter: a first-layer weight
+					// could die in a ReLU before it reached the logits.
+					for d := 0; d < geo.devices; d++ {
+						params := e.Replica(d).Params()
+						params[len(params)-1].Value.Data[0] = poison
+					}
+					check("poisoned")
+					if loss, _ := e.Evaluate(0); !math.IsNaN(loss) {
+						t.Fatalf("%s: a weight poisoned to %v evaluates to loss %v, want NaN", geo.name, poison, loss)
+					}
+				}
+			}
+		})
 	}
 }

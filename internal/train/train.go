@@ -22,7 +22,6 @@ package train
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/comm"
@@ -60,12 +59,13 @@ type Engine struct {
 	opt      opt.Optimizer
 	loader   *data.Loader
 	testSet  *data.Dataset
-	testAll  data.Batch               // testSet.All(), gathered on the first Evaluate
-	loss     []nn.SoftmaxCrossEntropy // one per device: each owns its result buffers
-	// step[d] is what device d's forward/backward needs afresh every
-	// iteration and nothing reads afterwards, kept so the step allocates
-	// none of it.
-	step []deviceScratch
+	testAll  data.Batch // testSet.All(), gathered on the first Evaluate
+	// loss owns the buffers of the loss results, and step is what a device's
+	// forward/backward needs afresh and nothing reads afterwards, kept so
+	// the step allocates none of it. The devices step one at a time, so one
+	// of each serves them all, like the layers' scratch (see New).
+	loss nn.SoftmaxCrossEntropy
+	step deviceScratch
 
 	injections   []*fault.Injection
 	injFired     []bool
@@ -74,18 +74,13 @@ type Engine struct {
 	// ForwardMonitor, when non-nil, observes every layer output of every
 	// device during training forward passes (after any injection). It is
 	// the attachment point for activation-monitoring baselines such as
-	// range restriction (Sec 6).
+	// range restriction (Sec 6). It is called on the goroutine running
+	// RunIteration, one device after another; out is layer scratch, valid
+	// only during the call.
 	ForwardMonitor func(device, layer int, out *tensor.Tensor)
 
-	// lastResults caches per-device loss results of the latest iteration
-	// (used by detection diagnostics).
+	// lastNonFinite is where the latest iteration first saw an INF/NaN.
 	lastNonFinite string
-
-	// deviceParallel runs the per-device forward/backward passes on
-	// separate goroutines (see SetDeviceParallel); devResults is the
-	// reused per-device result staging slice.
-	deviceParallel bool
-	devResults     []devStats
 
 	// elastic re-partitions the global batch across the healthy devices
 	// whenever part of the group is quarantined (see SetElastic).
@@ -120,18 +115,19 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 		panic(fmt.Sprintf("train: loader batch %d != devices %d × per-device %d",
 			loader.BatchSize(), cfg.Devices, cfg.PerDeviceBatch))
 	}
-	e := &Engine{cfg: cfg, opt: optimizer, loader: loader, testSet: testSet,
-		loss: make([]nn.SoftmaxCrossEntropy, cfg.Devices), step: make([]deviceScratch, cfg.Devices)}
+	e := &Engine{cfg: cfg, opt: optimizer, loader: loader, testSet: testSet}
 	// All replicas share one arena: their tensors land in a few contiguous
 	// slabs, so a pooled campaign engine stays cache-resident across forked
-	// experiments and costs near-zero allocations to build.
-	arena := tensor.NewArena()
-	e.replicas = make([]*nn.Sequential, 0, cfg.Devices)
-	for d := 0; d < cfg.Devices; d++ {
+	// experiments and costs near-zero allocations to build. They also share
+	// one scratch set — replica 0's layer workspaces — because the devices
+	// step one at a time: a device's forward and backward finish before the
+	// next device starts, and nothing reads a layer's scratch after its
+	// device step. Each replica keeps its own parameters, gradients,
+	// normalization statistics and forward-to-backward layer fields.
+	e.replicas = nn.BuildReplicas(tensor.NewArena(), cfg.Devices, func() *nn.Sequential {
 		// Identical init RNG per replica → identical weights.
-		r := rng.New(cfg.Seed).Split(0xbead)
-		e.replicas = append(e.replicas, nn.BuildIn(arena, func() *nn.Sequential { return build(r) }))
-	}
+		return build(rng.New(cfg.Seed).Split(0xbead))
+	})
 	e.grp = comm.NewGroup(cfg.Devices)
 	e.gradViews = make([][]*tensor.Tensor, 0, cfg.Devices)
 	for d := 0; d < cfg.Devices; d++ {
@@ -254,29 +250,13 @@ func (e *Engine) Reset() {
 	e.lastReduce = comm.ReduceStep{}
 }
 
-// ScrubWorkspaces poisons the cached kernel scratch buffers of every
-// replica with NaNs (nn.Sequential.ScrubWorkspaces). Scratch contents are
-// undefined between kernel calls, so scrubbing must never change results;
-// the campaign workspace-scrub invariant (experiment.Config.ScrubWorkspaces)
-// runs it between pooled-engine experiments to prove exactly that.
-func (e *Engine) ScrubWorkspaces() {
-	for _, m := range e.replicas {
-		m.ScrubWorkspaces()
-	}
-}
-
-// SetDeviceParallel selects whether RunIteration steps the devices on
-// separate goroutines (true) or sequentially (false, the default). The two
-// modes are bitwise-identical: each device touches only its own replica,
-// its own (iteration, device) RNG stream, and — on the injection device
-// only — the injection bookkeeping, and all cross-device reductions run
-// serially in ascending device order after the join. A non-nil
-// ForwardMonitor must be safe for concurrent calls when this is enabled
-// (range restriction's Profile and Check qualify).
-// Campaigns that already run experiments in parallel should usually leave
-// this off — experiment-level parallelism saturates the cores with less
-// coordination; internal/experiment never enables it.
-func (e *Engine) SetDeviceParallel(on bool) { e.deviceParallel = on }
+// ScrubWorkspaces poisons the engine's cached kernel scratch buffers with
+// NaNs (nn.Sequential.ScrubWorkspaces on replica 0, whose workspaces every
+// replica steps over). Scratch contents are undefined between kernel calls,
+// so scrubbing must never change results; the campaign workspace-scrub
+// invariant (experiment.Config.ScrubWorkspaces) runs it between pooled-engine
+// experiments to prove exactly that.
+func (e *Engine) ScrubWorkspaces() { e.replicas[0].ScrubWorkspaces() }
 
 // SetElastic selects elastic batch re-partitioning (off by default): when
 // enabled and part of the group is quarantined, RunIteration re-partitions
@@ -289,8 +269,8 @@ func (e *Engine) SetDeviceParallel(on bool) { e.deviceParallel = on }
 // with plain ones until the first quarantine.
 func (e *Engine) SetElastic(on bool) { e.elastic = on }
 
-// deviceScratch is one device's per-iteration state: the layer context, the
-// generator it points at, and the header of the device's batch shard.
+// deviceScratch is a device step's state: the layer context, the generator
+// it points at, and the header of the device's batch shard.
 type deviceScratch struct {
 	ctx  nn.Context
 	rand rng.Rand
@@ -301,7 +281,7 @@ type deviceScratch struct {
 // (iteration, device) — rng.New(Seed).Split(iter).Split(device+1), bit for
 // bit — and returns it.
 func (e *Engine) ctxRand(iter, device int) *rng.Rand {
-	r := &e.step[device].rand
+	r := &e.step.rand
 	r.Reseed(e.cfg.Seed.Split(uint64(iter)).Split(uint64(device) + 1))
 	return r
 }
@@ -346,9 +326,8 @@ type IterStats struct {
 	Degraded bool
 }
 
-// devStats collects the results of one device's forward/backward so that
-// sequential and parallel device stepping can merge them in the same fixed
-// device order.
+// devStats collects the results of one device's forward/backward, merged
+// into the iteration's stats in ascending device order.
 type devStats struct {
 	loss          float64
 	correct       int
@@ -362,16 +341,16 @@ type devStats struct {
 // pass (with injection and monitoring hooks), loss, and backward pass,
 // accumulating gradients into the device's replica. The fixed partition
 // passes lo = d·PerDeviceBatch, n = PerDeviceBatch; the elastic partition
-// passes the re-balanced shard. It touches only per-device state —
-// replica d, the (iter, d) RNG stream, and (on the injection device only)
-// the injection bookkeeping — so distinct devices may run concurrently.
+// passes the re-balanced shard. Besides the engine's one step scratch it
+// touches replica d, the (iter, d) RNG stream, and (on the injection device
+// only) the injection bookkeeping.
 func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) devStats {
 	var ds devStats
 	ds.examples = n
 
 	// Shard the global batch: a view of examples [lo, lo+n) behind the
 	// device's reused header.
-	sc := &e.step[d]
+	sc := &e.step
 	x := &sc.x
 	x.Shape = append(append(x.Shape[:0], n), batch.X.Shape[1:]...)
 	x.Data = batch.X.Data[lo*exLen : (lo+n)*exLen]
@@ -385,9 +364,7 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 	var bwdHook nn.BackwardHook
 	// Collect the injections that fire this (iteration, device),
 	// grouped by pass. An injection is one-shot: once fired it never
-	// recurs, so re-execution during recovery runs clean. Only the
-	// injection device reads or writes e.injFired, so device-parallel
-	// stepping does not race on it.
+	// recurs, so re-execution during recovery runs clean.
 	var fwdInjs, bwdInjs, wgtInjs []int
 	if d == e.injectDevice {
 		for i, inj := range e.injections {
@@ -448,7 +425,7 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 		}
 	}
 	out := model.Forward(ctx, x, fwdHook)
-	res := e.loss[d].Eval(out, y)
+	res := e.loss.Eval(out, y)
 	ds.loss = res.Loss
 	ds.correct = res.Correct
 	if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
@@ -469,17 +446,13 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 	return ds
 }
 
-// RunIteration executes global iteration iter: per-device forward/backward
-// (concurrently when SetDeviceParallel(true) — each device only touches its
-// own replica and RNG stream), gradient averaging through the collective
-// layer (comm.Group.AllReduce, fixed ascending reduction order), one
-// optimizer step on the reduction root, and weight synchronization.
-// Results are bitwise-identical between sequential and parallel device
-// stepping: devices are independent, and the cross-device reductions
-// always run serially in ascending device order. Quarantined devices are
-// skipped entirely; if the collective hangs (a device failed and the
-// policy does not exclude) the weights are left untouched and
-// stats.GroupHang is set.
+// RunIteration executes global iteration iter: per-device forward/backward,
+// one device after another in ascending order, gradient averaging through
+// the collective layer (comm.Group.AllReduce, fixed ascending reduction
+// order), one optimizer step on the reduction root, and weight
+// synchronization. Quarantined devices are skipped entirely; if the
+// collective hangs (a device failed and the policy does not exclude) the
+// weights are left untouched and stats.GroupHang is set.
 func (e *Engine) RunIteration(iter int) IterStats {
 	stats := IterStats{Iteration: iter}
 	batch := e.loader.Batch(iter)
@@ -521,36 +494,15 @@ func (e *Engine) RunIteration(iter int) IterStats {
 		return d * perDev, perDev
 	}
 
-	if cap(e.devResults) < e.cfg.Devices {
-		e.devResults = make([]devStats, e.cfg.Devices)
-	}
-	results := e.devResults[:e.cfg.Devices]
-	if e.deviceParallel && len(healthy) > 1 {
-		var wg sync.WaitGroup
-		for _, d := range healthy {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				lo, n := shardFor(d)
-				results[d] = e.deviceStep(iter, d, batch, exLen, lo, n)
-			}(d)
-		}
-		wg.Wait()
-	} else {
-		for _, d := range healthy {
-			lo, n := shardFor(d)
-			results[d] = e.deviceStep(iter, d, batch, exLen, lo, n)
-		}
-	}
-
-	// Merge per-device results in ascending device order (the order the
-	// sequential loop produced them in). Elastic shards can be unequal, so
-	// the elastic merge weights each device's mean loss by its shard size;
-	// the fixed partition keeps the legacy formulas bit for bit.
+	// Step the devices and merge their results in ascending device order.
+	// Elastic shards can be unequal, so the elastic merge weights each
+	// device's mean loss by its shard size; the fixed partition keeps the
+	// legacy formulas bit for bit.
 	var totalLoss float64
 	var totalCorrect int
 	for _, d := range healthy {
-		r := &results[d]
+		lo, n := shardFor(d)
+		r := e.deviceStep(iter, d, batch, exLen, lo, n)
 		if elasticActive {
 			totalLoss += r.loss * float64(r.examples)
 		} else {
@@ -654,20 +606,40 @@ func (e *Engine) scanNonFinite() string {
 }
 
 // Evaluate computes loss and accuracy of device d's replica on the test
-// set, in inference mode (moving statistics active).
+// set, in inference mode (moving statistics active). It runs the set through
+// the replica in slices of PerDeviceBatch examples — the shapes training
+// already holds, so the layers' scratch does not grow — and gives the bits
+// one forward of the whole set would: every layer works per example in
+// inference mode (a GEMM output element sums its k products in ascending
+// order whatever the column count), and the loss total is carried from slice
+// to slice in example order before the one division. A non-finite output in
+// any slice makes the result NaN, 0.
 func (e *Engine) Evaluate(d int) (loss, acc float64) {
 	e.evals++
 	if e.testAll.X == nil {
 		e.testAll = e.testSet.All() // datasets are immutable: gather once
 	}
 	all := e.testAll
-	ctx := &nn.Context{Training: false}
-	out := e.replicas[d].Forward(ctx, all.X, nil)
-	res := e.loss[d].Eval(out, all.Y)
-	if numerics.HasNonFinite(out.Data) != -1 {
-		return math.NaN(), 0
+	n := len(all.Y)
+	exLen := all.X.Len() / n
+	sc := &e.step
+	sc.ctx = nn.Context{Training: false}
+	x := &sc.x
+	var total float64
+	correct := 0
+	for lo := 0; lo < n; lo += e.cfg.PerDeviceBatch {
+		hi := min(lo+e.cfg.PerDeviceBatch, n)
+		x.Shape = append(append(x.Shape[:0], hi-lo), all.X.Shape[1:]...)
+		x.Data = all.X.Data[lo*exLen : hi*exLen]
+		out := e.replicas[d].Forward(&sc.ctx, x, nil)
+		if numerics.HasNonFinite(out.Data) != -1 {
+			return math.NaN(), 0
+		}
+		var c int
+		total, c = e.loss.Accumulate(total, out, all.Y[lo:hi])
+		correct += c
 	}
-	return res.Loss, float64(res.Correct) / float64(len(all.Y))
+	return total / float64(n), float64(correct) / float64(n)
 }
 
 // Evaluations returns how many times Evaluate has run on this engine.

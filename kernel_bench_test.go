@@ -1,16 +1,14 @@
-// Kernel-layer benchmarks: blocked/parallel GEMM and workspace-reusing
-// convolution against the seed repository's serial, allocating kernels.
+// Kernel-layer benchmarks: blocked GEMM and workspace-reusing convolution
+// against the seed repository's plain, allocating kernels.
 //
 // Run with:
 //
 //	go test -bench 'Kernel' -benchmem -run '^$' .
 //
 // The seed kernels are kept here verbatim as the comparison baseline (and
-// as the bitwise reference — see internal/tensor/matmul_test.go). On a
-// multi-core host the blocked+parallel kernels should show ≥2× on the large
-// GEMM/conv shapes; on any host the allocs/op columns show the workspace
-// effect (steady-state training iterations allocate near-zero kernel
-// buffers).
+// as the bitwise reference — see internal/tensor/matmul_test.go). The
+// allocs/op columns show the workspace effect (steady-state training
+// iterations allocate near-zero kernel buffers).
 package repro_test
 
 import (
@@ -122,9 +120,8 @@ func BenchmarkKernel_MatMulTB(b *testing.B) {
 }
 
 // benchCampaignGEMM times one fp32 product at a shape the reference
-// campaigns spend their GEMM time in — far below the parallel threshold, so
-// it is the serial row-block driver and the micro-kernels that are measured,
-// not the pool. mul receives A as [m,k] and B as [k,n] and transposes what
+// campaigns spend their GEMM time in: the row-block driver and the
+// micro-kernels. mul receives A as [m,k] and B as [k,n] and transposes what
 // its entry point wants transposed, outside the timer. Two legs: A without a
 // zero (what a convolution behind a BatchNorm sees: one run of k dense steps
 // per row block) and A with every other element zero at random (almost every
@@ -488,48 +485,7 @@ func BenchmarkKernel_TrainStepAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_TrainStepDeviceParallel is the same step with
-// device-parallel stepping enabled (identical results, different schedule).
-func BenchmarkKernel_TrainStepDeviceParallel(b *testing.B) {
-	w := workloads.Resnet()
-	e := w.NewEngine(rng.Seed{State: 77, Stream: 1})
-	e.SetDeviceParallel(true)
-	e.RunIteration(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.RunIteration(i + 1)
-	}
-}
-
-// --- persistent pool + bf16 panel packing ---
-
-// benchWorkloadGEMM returns the dominant GEMM shape of the Resnet step: the
-// im2col matrix [B·H·W, InC·KH·KW] times the lowered kernel [InC·KH·KW,
-// OutC·…] — 8×72 by 72×576, which clears the parallel threshold.
-func benchWorkloadGEMM() (*tensor.Tensor, *tensor.Tensor, *tensor.Tensor) {
-	r := rng.NewFromInt(33)
-	a := tensor.New(8, 72)
-	bm := tensor.New(72, 576)
-	a.FillNormal(r, 0, 1)
-	bm.FillNormal(r, 0, 1)
-	return tensor.New(8, 576), a, bm
-}
-
-// BenchmarkKernel_GEMMPool: workload-shaped parallel GEMM dispatched to the
-// persistent worker pool. Workers are pinned to 4 so the dispatch machinery
-// runs even on a single-core host (where GOMAXPROCS would otherwise keep
-// the kernel serial) — the leg measures dispatch cost.
-func BenchmarkKernel_GEMMPool(b *testing.B) {
-	dst, x, y := benchWorkloadGEMM()
-	defer tensor.SetWorkers(tensor.SetWorkers(4))
-	defer tensor.SetParallelThreshold(tensor.SetParallelThreshold(0))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMulInto(dst, x, y, false)
-	}
-}
+// --- bf16 panel packing ---
 
 // BenchmarkKernel_GEMMMixedPacked: bf16 GEMM with the B panel pre-rounded
 // once into a pooled buffer.
