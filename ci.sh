@@ -84,7 +84,7 @@ if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN
 	exit 1
 fi
 
-echo "== go test -race (the kernels and the trainer: the JIT restore goroutine writes a quarantined replica while the engine steps the others over their shared scratch; assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure and TestHeldTestPointMatchesInPlace run here) =="
+echo "== go test -race (the kernels and the trainer: the JIT restore goroutine writes a quarantined replica while the engine steps the others over their shared scratch; assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure, TestHeldTestPointMatchesInPlace and TestBuildReplicasIgnoresConcurrentConstructors, a layer built on another goroutine mid-build, run here) =="
 go test -race ./internal/tensor ./internal/nn ./internal/train
 
 echo "== recovery strategies under -race (JIT restore goroutine, elastic resize, two guards on two engines at once equal to one alone) =="
@@ -245,7 +245,7 @@ done
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|TanhForward|SigmoidForward|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

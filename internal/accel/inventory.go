@@ -93,13 +93,6 @@ func (k FFKind) String() string {
 	return fmt.Sprintf("ffkind(%d)", int(k))
 }
 
-// IsGlobalControl reports whether the kind is one of the Table-1 global
-// control groups.
-func (k FFKind) IsGlobalControl() bool { return k >= GlobalG1 && k <= GlobalG10 }
-
-// IsDatapath reports whether the kind is a datapath FF.
-func (k FFKind) IsDatapath() bool { return k == DatapathOther || k == DatapathUpperExponent }
-
 // Inventory is the accelerator's FF population broken down by kind. The
 // fractions are taken from the paper: Table 1's "% FFs" column for the
 // global-control groups, 5.5% for upper-exponent datapath bits (Sec 4.3.1),

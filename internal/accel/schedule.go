@@ -125,11 +125,6 @@ func (s *Schedule) IndexOf(ch, pos int) int {
 	return s.posOffset(pos) + ch*s.strides[s.chanAxis]
 }
 
-// CycleOf returns the cycle that computes channel ch at width position pos.
-func (s *Schedule) CycleOf(ch, pos int) int {
-	return (ch/MACUnits)*s.width + pos
-}
-
 // UnitOutputAt returns the flat index computed by MAC unit `unit` in the
 // given cycle, and ok=false if that unit is idle (channel beyond the axis).
 // Used by the group-3 model, which corrupts a single MAC unit.

@@ -144,13 +144,6 @@ func (g *Group) Arm(f fault.DeviceFault) {
 	g.faults[f.Device] = &ff
 }
 
-// Disarm removes every armed device fault.
-func (g *Group) Disarm() {
-	for d := range g.faults {
-		g.faults[d] = nil
-	}
-}
-
 // FaultFor returns the fault armed on device d, or nil.
 func (g *Group) FaultFor(d int) *fault.DeviceFault { return g.faults[d] }
 

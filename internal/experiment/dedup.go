@@ -62,15 +62,6 @@ func newDedupPlan(g *Golden, injections []fault.Injection) *dedupPlan {
 	return p
 }
 
-// duplicates counts experiments that adopt instead of executing.
-func (p *dedupPlan) duplicates() int {
-	n := 0
-	for _, as := range p.adoptees {
-		n += len(as)
-	}
-	return n
-}
-
 // site resolves where an injection strikes, from the golden run's static
 // shape tables alone: a tag for the pass, whether the engine has a tensor
 // there to corrupt at all — a backward-weight injection into a

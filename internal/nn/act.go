@@ -24,11 +24,7 @@ type ReLU struct {
 }
 
 // NewReLU creates a ReLU layer.
-func NewReLU() *ReLU {
-	r := allocReLU()
-	r.ws = newWorkspace()
-	return r
-}
+func NewReLU() *ReLU { return &ReLU{ws: tensor.NewWorkspace()} }
 
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
@@ -38,6 +34,9 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Workspace implements WorkspaceHolder.
 func (r *ReLU) Workspace() *tensor.Workspace { return r.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
@@ -59,51 +58,6 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gradIn
 }
 
-// Tanh activation.
-type Tanh struct {
-	lastOut *tensor.Tensor
-	// arg holds the float64 arguments, then results, of math.Tanh: the loops
-	// are split the way GELU.Forward's are, for the same reason (38 against
-	// 15 ns an element at [64,8,12], BenchmarkKernel_TanhForward).
-	arg []float64
-}
-
-// NewTanh creates a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
-	t.arg = float64Scratch(t.arg, x.Len())
-	for i, v := range x.Data {
-		t.arg[i] = float64(v)
-	}
-	for i, a := range t.arg {
-		t.arg[i] = math.Tanh(a)
-	}
-	for i, th := range t.arg {
-		out.Data[i] = float32(th)
-	}
-	t.lastOut = out
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := tensor.New(gradOut.Shape...)
-	for i, g := range gradOut.Data {
-		y := t.lastOut.Data[i]
-		gradIn.Data[i] = g * (1 - y*y)
-	}
-	return gradIn
-}
-
 // GELU is the Gaussian error linear unit (tanh approximation), used by the
 // Transformer workload: y = 0.5·x·(1 + tanh(c·(x + 0.044715x³))).
 type GELU struct {
@@ -121,7 +75,7 @@ type GELU struct {
 }
 
 // NewGELU creates a GELU layer.
-func NewGELU() *GELU { return &GELU{ws: newWorkspace()} }
+func NewGELU() *GELU { return &GELU{ws: tensor.NewWorkspace()} }
 
 // Name implements Layer.
 func (g *GELU) Name() string { return "gelu" }
@@ -131,6 +85,9 @@ func (g *GELU) Params() []*Param { return nil }
 
 // Workspace implements WorkspaceHolder.
 func (g *GELU) Workspace() *tensor.Workspace { return g.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (g *GELU) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 

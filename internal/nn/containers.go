@@ -24,11 +24,14 @@ type Residual struct {
 
 // NewResidual creates a residual block around the given branch layers.
 func NewResidual(name string, branch ...Layer) *Residual {
-	return &Residual{name: name, Branch: branch, ws: newWorkspace()}
+	return &Residual{name: name, Branch: branch, ws: tensor.NewWorkspace()}
 }
 
 // Workspace implements WorkspaceHolder.
 func (r *Residual) Workspace() *tensor.Workspace { return r.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (r *Residual) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
 
 // Name implements Layer.
 func (r *Residual) Name() string { return r.name }
@@ -41,7 +44,7 @@ func (r *Residual) Params() []*Param {
 		for _, l := range r.Branch {
 			total += len(l.Params())
 		}
-		r.params = carveParams(total)
+		r.params = make([]*Param, 0, total)
 		for _, l := range r.Branch {
 			r.params = append(r.params, l.Params()...)
 		}
@@ -112,7 +115,7 @@ func (d *DenseBlock) Params() []*Param {
 				total += len(l.Params())
 			}
 		}
-		d.params = carveParams(total)
+		d.params = make([]*Param, 0, total)
 		for _, stage := range d.Stages {
 			for _, l := range stage {
 				d.params = append(d.params, l.Params()...)

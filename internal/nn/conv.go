@@ -28,14 +28,13 @@ type Conv2D struct {
 
 // NewConv2D creates a convolution layer with He-normal initialization.
 func NewConv2D(name string, inC, outC, kh, kw, stride, padding int, r *rng.Rand, mixed bool) *Conv2D {
-	c := allocConv2D()
-	*c = Conv2D{
+	c := &Conv2D{
 		name:  name,
-		K:     newParam(paramName(name, "kernel"), outC, inC, kh, kw),
-		B:     newParam(paramName(name, "bias"), outC),
+		K:     newParam(name+"/kernel", outC, inC, kh, kw),
+		B:     newParam(name+"/bias", outC),
 		Par:   tensor.ConvParams{KH: kh, KW: kw, Stride: stride, Padding: padding},
 		Mixed: mixed,
-		ws:    newWorkspace(),
+		ws:    tensor.NewWorkspace(),
 	}
 	fanIn := float64(inC * kh * kw)
 	c.K.Value.FillNormal(r, 0, math.Sqrt(2.0/fanIn))
@@ -49,13 +48,16 @@ func (c *Conv2D) Name() string { return c.name }
 // after construction) and must be treated as read-only.
 func (c *Conv2D) Params() []*Param {
 	if c.params == nil {
-		c.params = append(carveParams(2), c.K, c.B)
+		c.params = []*Param{c.K, c.B}
 	}
 	return c.params
 }
 
 // Workspace implements WorkspaceHolder.
 func (c *Conv2D) Workspace() *tensor.Workspace { return c.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (c *Conv2D) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
 
 // FanIn returns the number of partial sums per output neuron (N_l in
 // Algorithm 1): InC*KH*KW.
@@ -165,10 +167,13 @@ type GlobalAvgPool struct {
 }
 
 // NewGlobalAvgPool creates the layer.
-func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{ws: newWorkspace()} }
+func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{ws: tensor.NewWorkspace()} }
 
 // Workspace implements WorkspaceHolder.
 func (g *GlobalAvgPool) Workspace() *tensor.Workspace { return g.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (g *GlobalAvgPool) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
 
 // Name implements Layer.
 func (g *GlobalAvgPool) Name() string { return "gap" }

@@ -24,9 +24,8 @@ type Dense struct {
 // NewDense creates a Dense layer with He-normal initialized weights
 // (Property 1 of Algorithm 1 assumes variance-preserving initialization).
 func NewDense(name string, in, out int, r *rng.Rand, mixed bool) *Dense {
-	d := allocDense()
-	*d = Dense{name: name, W: newParam(paramName(name, "kernel"), in, out), B: newParam(paramName(name, "bias"), out),
-		Mixed: mixed, ws: newWorkspace()}
+	d := &Dense{name: name, W: newParam(name+"/kernel", in, out), B: newParam(name+"/bias", out),
+		Mixed: mixed, ws: tensor.NewWorkspace()}
 	std := math.Sqrt(2.0 / float64(in))
 	d.W.Value.FillNormal(r, 0, std)
 	return d
@@ -39,13 +38,16 @@ func (d *Dense) Name() string { return d.name }
 // after construction) and must be treated as read-only.
 func (d *Dense) Params() []*Param {
 	if d.params == nil {
-		d.params = append(carveParams(2), d.W, d.B)
+		d.params = []*Param{d.W, d.B}
 	}
 	return d.params
 }
 
 // Workspace implements WorkspaceHolder.
 func (d *Dense) Workspace() *tensor.Workspace { return d.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (d *Dense) SetWorkspace(ws *tensor.Workspace) { d.ws = ws }
 
 // FanIn returns the number of partial sums accumulated per output neuron
 // (N_l in Algorithm 1).

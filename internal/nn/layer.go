@@ -14,7 +14,6 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -41,32 +40,10 @@ type Param struct {
 	Grad  *tensor.Tensor
 }
 
+// newParam creates a zeroed parameter named "<layer>/<role>".
 func newParam(name string, shape ...int) *Param {
-	p := allocParam()
-	*p = Param{Name: name, Value: arenaNew(shape...), Grad: arenaNew(shape...)}
-	return p
+	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
-
-// paramName builds the canonical "<layer>/<role>" parameter name. The
-// result is interned: pooled campaign workers rebuild structurally
-// identical engines over and over, and after the first build every name
-// lookup hits the cache instead of re-allocating the concatenation.
-func paramName(base, role string) string {
-	k := [2]string{base, role}
-	nameMu.Lock()
-	s, ok := nameCache[k]
-	if !ok {
-		s = base + "/" + role
-		nameCache[k] = s
-	}
-	nameMu.Unlock()
-	return s
-}
-
-var (
-	nameMu    sync.Mutex
-	nameCache = make(map[[2]string]string)
-)
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
@@ -111,9 +88,7 @@ type NamedLayer struct {
 func NewSequential(layers ...Layer) *Sequential {
 	s := &Sequential{Layers: make([]*NamedLayer, 0, len(layers))}
 	for _, l := range layers {
-		nl := allocNamed()
-		nl.Layer = l
-		s.Layers = append(s.Layers, nl)
+		s.Layers = append(s.Layers, &NamedLayer{Layer: l})
 	}
 	s.VisitLayers(func(l Layer) {
 		if bn, ok := l.(*BatchNorm); ok {
@@ -137,7 +112,7 @@ func (s *Sequential) Params() []*Param {
 		for _, nl := range s.Layers {
 			total += len(nl.Layer.Params())
 		}
-		s.params = carveParams(total)
+		s.params = make([]*Param, 0, total)
 		for _, nl := range s.Layers {
 			s.params = append(s.params, nl.Layer.Params()...)
 		}
@@ -221,10 +196,53 @@ func (s *Sequential) VisitLayers(fn func(Layer)) {
 }
 
 // WorkspaceHolder is implemented by layers that own a kernel scratch
-// Workspace (Dense, Conv2D). Traversals that manage workspace lifetimes —
-// the campaign scrub invariant — reach them through it.
+// Workspace (Dense, Conv2D, ...). Traversals that manage workspace lifetimes
+// — the campaign scrub invariant, BuildReplicas' binding — reach them
+// through it.
 type WorkspaceHolder interface {
 	Workspace() *tensor.Workspace
+	// SetWorkspace replaces the layer's workspace.
+	SetWorkspace(*tensor.Workspace)
+}
+
+// BuildReplicas calls build n times and binds the n models to one scratch
+// set: one pass over each later model's WorkspaceHolders, in VisitLayers
+// order, points them at the first model's. Each model keeps its own
+// parameters, gradients, normalization statistics and the fields a layer
+// carries from its forward to its backward; only kernel scratch is shared.
+// That is sound for a caller that never overlaps two models' passes and
+// reads no layer's scratch after its pass (train.Engine steps its devices
+// one at a time). build must construct the same layers every call; a model
+// with a different number of workspaces than the first panics.
+func BuildReplicas(n int, build func() *Sequential) []*Sequential {
+	models := make([]*Sequential, n)
+	var first []WorkspaceHolder
+	for i := range models {
+		models[i] = build()
+		holders := workspaceHolders(models[i])
+		if i == 0 {
+			first = holders
+			continue
+		}
+		if len(holders) != len(first) {
+			panic(fmt.Sprintf("nn: replica %d has %d workspaces, the first %d", i, len(holders), len(first)))
+		}
+		for j, h := range holders {
+			h.SetWorkspace(first[j].Workspace())
+		}
+	}
+	return models
+}
+
+// workspaceHolders lists the model's WorkspaceHolders in VisitLayers order.
+func workspaceHolders(s *Sequential) []WorkspaceHolder {
+	var hs []WorkspaceHolder
+	s.VisitLayers(func(l Layer) {
+		if wh, ok := l.(WorkspaceHolder); ok {
+			hs = append(hs, wh)
+		}
+	})
+	return hs
 }
 
 // ScrubWorkspaces poisons the cached scratch buffers of every layer in the
@@ -233,11 +251,9 @@ type WorkspaceHolder interface {
 // to prove that invariant — a stale-read bug surfaces as a loud NaN instead
 // of a silent wrong number. See tensor.Workspace.Reset.
 func (s *Sequential) ScrubWorkspaces() {
-	s.VisitLayers(func(l Layer) {
-		if wh, ok := l.(WorkspaceHolder); ok {
-			wh.Workspace().Reset()
-		}
-	})
+	for _, wh := range workspaceHolders(s) {
+		wh.Workspace().Reset()
+	}
 }
 
 // BatchNorms returns every BatchNorm of the model in deterministic
@@ -245,15 +261,6 @@ func (s *Sequential) ScrubWorkspaces() {
 // engine and the detector call it per device per iteration; the slice is
 // read-only.
 func (s *Sequential) BatchNorms() []*BatchNorm { return s.bns }
-
-// LayerNames lists layer names in order, for reports.
-func (s *Sequential) LayerNames() []string {
-	names := make([]string, len(s.Layers))
-	for i, nl := range s.Layers {
-		names[i] = fmt.Sprintf("%d:%s", i, nl.Layer.Name())
-	}
-	return names
-}
 
 // checkRank panics with a descriptive message when a layer receives an
 // input of the wrong rank. Shape errors are programming bugs, not runtime

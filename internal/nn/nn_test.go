@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -377,36 +378,6 @@ func TestLeakyReLUPanicsOnBadAlpha(t *testing.T) {
 	}
 }
 
-func TestSigmoidRange(t *testing.T) {
-	s := NewSigmoid()
-	x := randTensor(30, 4, 4)
-	x.Scale(10)
-	out := s.Forward(nil, x)
-	for _, v := range out.Data {
-		if v <= 0 || v >= 1 {
-			t.Fatalf("sigmoid output %v outside (0,1)", v)
-		}
-	}
-}
-
-func TestAvgPoolValues(t *testing.T) {
-	a := NewAvgPool2D(2, 2)
-	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	out := a.Forward(nil, x)
-	if out.Len() != 1 || out.Data[0] != 2.5 {
-		t.Fatalf("avg pool = %v", out.Data)
-	}
-}
-
-func TestAvgPoolPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewAvgPool2D(0, 1) accepted")
-		}
-	}()
-	NewAvgPool2D(0, 1)
-}
-
 // TestBatchNormsIncludesNested: the recursive traversal must surface
 // normalization layers hidden inside container layers — the layers the
 // paper's Observation 3 is about. A top-level walk over Sequential.Layers
@@ -438,7 +409,7 @@ func TestBatchNormsIncludesNested(t *testing.T) {
 }
 
 // TestBuildReplicasSharesScratch: every replica after the first steps over
-// the first one's workspaces, in construction order, while parameters stay
+// the first one's workspaces, layer by layer, while parameters stay
 // its own; a replica whose build asks for a different number of workspaces
 // than the first cannot be bound and panics.
 func TestBuildReplicasSharesScratch(t *testing.T) {
@@ -452,7 +423,7 @@ func TestBuildReplicasSharesScratch(t *testing.T) {
 			return NewSequential(layers...)
 		}
 	}
-	models := BuildReplicas(tensor.NewArena(), 3, build(false))
+	models := BuildReplicas(3, build(false))
 	for i, m := range models[1:] {
 		for j, nl := range m.Layers {
 			if got, want := nl.Layer.(WorkspaceHolder).Workspace(), models[0].Layers[j].Layer.(WorkspaceHolder).Workspace(); got != want {
@@ -473,5 +444,53 @@ func TestBuildReplicasSharesScratch(t *testing.T) {
 			t.Fatal("a replica with an extra workspace was bound without a panic")
 		}
 	}()
-	BuildReplicas(tensor.NewArena(), 2, mismatched)
+	BuildReplicas(2, mismatched)
+}
+
+// TestBuildReplicasIgnoresConcurrentConstructors: a layer constructed on
+// another goroutine while BuildReplicas builds a replica belongs to no
+// replica. It shares no workspace with any replica or with another such
+// layer, and the build still binds every replica to the first one's scratch.
+func TestBuildReplicasIgnoresConcurrentConstructors(t *testing.T) {
+	var outside []*ReLU
+	calls := 0
+	build := func() *Sequential {
+		calls++
+		r := rng.NewFromInt(1)
+		conv := NewConv2D("c", 1, 2, 3, 3, 1, 1, r, false)
+		if calls > 1 {
+			// Between two constructors of a later replica, another goroutine
+			// builds a layer, and the build waits for it.
+			done := make(chan *ReLU)
+			go func() { done <- NewReLU() }()
+			outside = append(outside, <-done)
+		}
+		return NewSequential(conv, NewReLU())
+	}
+	var models []*Sequential
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("BuildReplicas panicked: %v", p)
+			}
+		}()
+		models = BuildReplicas(3, build)
+	}()
+	owner := map[*tensor.Workspace]string{}
+	for j, nl := range models[0].Layers {
+		owner[nl.Layer.(WorkspaceHolder).Workspace()] = fmt.Sprintf("replica 0 layer %d", j)
+	}
+	for i, m := range models[1:] {
+		for j, nl := range m.Layers {
+			if got := nl.Layer.(WorkspaceHolder).Workspace(); got != models[0].Layers[j].Layer.(WorkspaceHolder).Workspace() {
+				t.Fatalf("replica %d layer %d: own workspace, want replica 0's", i+1, j)
+			}
+		}
+	}
+	for i, l := range outside {
+		if who, ok := owner[l.Workspace()]; ok {
+			t.Fatalf("the layer built during replica %d's build shares a workspace with %s", i+1, who)
+		}
+		owner[l.Workspace()] = fmt.Sprintf("the layer built during replica %d's build", i+1)
+	}
 }

@@ -65,22 +65,21 @@ type BatchNorm struct {
 
 // NewBatchNorm creates a BatchNorm layer over c channels.
 func NewBatchNorm(name string, c int, momentum float32) *BatchNorm {
-	bn := allocBatchNorm()
-	*bn = BatchNorm{
+	bn := &BatchNorm{
 		name:       name,
-		Gamma:      newParam(paramName(name, "gamma"), c),
-		Beta:       newParam(paramName(name, "beta"), c),
+		Gamma:      newParam(name+"/gamma", c),
+		Beta:       newParam(name+"/beta", c),
 		Momentum:   momentum,
 		Eps:        1e-5,
-		MovingMean: arenaNew(c),
-		MovingVar:  arenaNew(c),
-		ws:         newWorkspace(),
-		batchMean:  arenaNew(c).Data,
-		batchVar:   arenaNew(c).Data,
-		invStd:     arenaNew(c).Data,
-		dxScale:    arenaNew(c).Data,
-		meanDy:     arenaNew(c).Data,
-		meanDyXhat: arenaNew(c).Data,
+		MovingMean: tensor.New(c),
+		MovingVar:  tensor.New(c),
+		ws:         tensor.NewWorkspace(),
+		batchMean:  make([]float32, c),
+		batchVar:   make([]float32, c),
+		invStd:     make([]float32, c),
+		dxScale:    make([]float32, c),
+		meanDy:     make([]float32, c),
+		meanDyXhat: make([]float32, c),
 	}
 	bn.Gamma.Value.Fill(1)
 	bn.MovingVar.Fill(1)
@@ -94,7 +93,7 @@ func (bn *BatchNorm) Name() string { return bn.name }
 // after construction) and must be treated as read-only.
 func (bn *BatchNorm) Params() []*Param {
 	if bn.params == nil {
-		bn.params = append(carveParams(2), bn.Gamma, bn.Beta)
+		bn.params = []*Param{bn.Gamma, bn.Beta}
 	}
 	return bn.params
 }
@@ -104,6 +103,9 @@ func (bn *BatchNorm) Channels() int { return bn.Gamma.Value.Len() }
 
 // Workspace implements WorkspaceHolder.
 func (bn *BatchNorm) Workspace() *tensor.Workspace { return bn.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (bn *BatchNorm) SetWorkspace(ws *tensor.Workspace) { bn.ws = ws }
 
 // to4D views x as NCHW; [B,F] becomes [B,F,1,1].
 func (bn *BatchNorm) to4D(x *tensor.Tensor) *tensor.Tensor {
@@ -267,8 +269,8 @@ type LayerNorm struct {
 
 // NewLayerNorm creates a LayerNorm over feature dimension d.
 func NewLayerNorm(name string, d int) *LayerNorm {
-	ln := &LayerNorm{name: name, Gamma: newParam(paramName(name, "gamma"), d), Beta: newParam(paramName(name, "beta"), d), Eps: 1e-5,
-		ws: newWorkspace()}
+	ln := &LayerNorm{name: name, Gamma: newParam(name+"/gamma", d), Beta: newParam(name+"/beta", d), Eps: 1e-5,
+		ws: tensor.NewWorkspace()}
 	ln.Gamma.Value.Fill(1)
 	return ln
 }
@@ -286,6 +288,9 @@ func (ln *LayerNorm) Params() []*Param {
 
 // Workspace implements WorkspaceHolder.
 func (ln *LayerNorm) Workspace() *tensor.Workspace { return ln.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (ln *LayerNorm) SetWorkspace(ws *tensor.Workspace) { ln.ws = ws }
 
 // Forward implements Layer. The moments of a row are float64 sums in index
 // order.

@@ -32,6 +32,9 @@ func (s *SeqDense) Params() []*Param { return s.inner.Params() }
 // Workspace implements WorkspaceHolder: the inner layer's.
 func (s *SeqDense) Workspace() *tensor.Workspace { return s.inner.ws }
 
+// SetWorkspace implements WorkspaceHolder: the inner layer's.
+func (s *SeqDense) SetWorkspace(ws *tensor.Workspace) { s.inner.ws = ws }
+
 // viewAs points the reusable header v at data under shape and returns it.
 // data must hold exactly the shape's elements.
 func viewAs(v *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
@@ -67,7 +70,7 @@ type SeqMean struct {
 }
 
 // NewSeqMean creates the pooling layer.
-func NewSeqMean() *SeqMean { return &SeqMean{ws: newWorkspace()} }
+func NewSeqMean() *SeqMean { return &SeqMean{ws: tensor.NewWorkspace()} }
 
 // Name implements Layer.
 func (s *SeqMean) Name() string { return "seqmean" }
@@ -77,6 +80,9 @@ func (s *SeqMean) Params() []*Param { return nil }
 
 // Workspace implements WorkspaceHolder.
 func (s *SeqMean) Workspace() *tensor.Workspace { return s.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (s *SeqMean) SetWorkspace(ws *tensor.Workspace) { s.ws = ws }
 
 // Forward implements Layer. A row of the output starts at zero and takes its
 // positions' terms in ascending order.
@@ -161,13 +167,13 @@ type Attention struct {
 func NewAttention(name string, d, dk int, r *rng.Rand, mixed bool) *Attention {
 	at := &Attention{
 		name:  name,
-		Wq:    newParam(paramName(name, "wq"), d, dk),
-		Wk:    newParam(paramName(name, "wk"), d, dk),
-		Wv:    newParam(paramName(name, "wv"), d, dk),
-		Wo:    newParam(paramName(name, "wo"), dk, d),
+		Wq:    newParam(name+"/wq", d, dk),
+		Wk:    newParam(name+"/wk", d, dk),
+		Wv:    newParam(name+"/wv", d, dk),
+		Wo:    newParam(name+"/wo", dk, d),
 		Dk:    dk,
 		Mixed: mixed,
-		ws:    newWorkspace(),
+		ws:    tensor.NewWorkspace(),
 	}
 	std := math.Sqrt(1.0 / float64(d))
 	at.Wq.Value.FillNormal(r, 0, std)
@@ -190,6 +196,9 @@ func (at *Attention) Params() []*Param {
 
 // Workspace implements WorkspaceHolder.
 func (at *Attention) Workspace() *tensor.Workspace { return at.ws }
+
+// SetWorkspace implements WorkspaceHolder.
+func (at *Attention) SetWorkspace(ws *tensor.Workspace) { at.ws = ws }
 
 // rows returns rows [lo, lo+n) of t, taken as a matrix of t's last dimension
 // in columns, through the next free header of at.blocks. Setting at.nb to
@@ -347,9 +356,9 @@ type LSTM struct {
 func NewLSTM(name string, d, h int, r *rng.Rand, mixed bool) *LSTM {
 	l := &LSTM{
 		name:  name,
-		Wx:    newParam(paramName(name, "wx"), d, 4*h),
-		Wh:    newParam(paramName(name, "wh"), h, 4*h),
-		Bias:  newParam(paramName(name, "bias"), 4*h),
+		Wx:    newParam(name+"/wx", d, 4*h),
+		Wh:    newParam(name+"/wh", h, 4*h),
+		Bias:  newParam(name+"/bias", 4*h),
 		H:     h,
 		Mixed: mixed,
 	}

@@ -107,33 +107,6 @@ func TestGELUCachedTanhBitwise(t *testing.T) {
 	}
 }
 
-// TestTanhSigmoidBitwise: Tanh's split loops and Sigmoid's single one
-// against the one-expression forms, every bit of the output and of the input
-// gradient, on one layer each across the batch swing (Tanh's argument buffer
-// grows once and is resliced), with GELU's special inputs at the front.
-func TestTanhSigmoidBitwise(t *testing.T) {
-	r := rng.NewFromInt(43)
-	th, sig := NewTanh(), NewSigmoid()
-	for step, b := range batchSwing {
-		x := seqInput(r, geluSpecials(), b, 8, 12)
-		gradOut := seqInput(r, []float32{0, float32(math.Inf(1)), float32(math.NaN()), -1e30}, b, 8, 12)
-		n := x.Len()
-		wantTh, wantThIn := make([]float32, n), make([]float32, n)
-		wantSig, wantSigIn := make([]float32, n), make([]float32, n)
-		for i, v := range x.Data {
-			y := float32(math.Tanh(float64(v)))
-			wantTh[i], wantThIn[i] = y, gradOut.Data[i]*(1-y*y)
-			s := float32(1 / (1 + math.Exp(-float64(v))))
-			wantSig[i], wantSigIn[i] = s, gradOut.Data[i]*s*(1-s)
-		}
-		name := fmt.Sprintf("step %d (batch %d)", step, b)
-		sameBits(t, name+" tanh output", th.Forward(nil, x).Data, wantTh)
-		sameBits(t, name+" tanh input gradient", th.Backward(gradOut).Data, wantThIn)
-		sameBits(t, name+" sigmoid output", sig.Forward(nil, x).Data, wantSig)
-		sameBits(t, name+" sigmoid input gradient", sig.Backward(gradOut).Data, wantSigIn)
-	}
-}
-
 // layerNormRef is LayerNorm's forward and backward as they were written
 // before the layer drew its buffers from a Workspace and walked rows as
 // slices: every access indexed from the tensor, through the Param. dGamma and

@@ -128,11 +128,6 @@ func ExponentBits(f float32) uint32 {
 // (Sec 4.2.2, short-term INFs/NaNs need |mvar| in 2.9e38–3.0e38).
 const MaxFloat32 = math.MaxFloat32
 
-// SaturateAdd32 adds a and b in float32; if the true sum overflows, the
-// result is the IEEE +/-Inf, exactly as hardware FP32 adders behave. It
-// exists to make overflow points explicit in the accumulation paths.
-func SaturateAdd32(a, b float32) float32 { return a + b }
-
 // Bits32 returns the raw IEEE-754 encoding of f.
 func Bits32(f float32) uint32 { return math.Float32bits(f) }
 

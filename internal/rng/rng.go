@@ -117,11 +117,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n)) // modulo bias is negligible for n << 2^64
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -38,9 +38,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Geomean returns the geometric mean of xs. All values must be positive;
 // non-positive values are skipped (they would make the geomean undefined),
 // mirroring how profiler overhead ratios are aggregated in the paper.

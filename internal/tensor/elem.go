@@ -159,26 +159,25 @@ func reluBackwardGo(dx, dy []float32, mask []uint32) {
 	}
 }
 
-// addBiasRows adds bias[r mod c] to channel rows [lo,hi) of the flattened
-// [n*c, spatial] view. Rows are disjoint, so adding a view in chunks is
-// bitwise-identical to adding it whole. The row's element is the add's first
-// operand, the bias the second.
-func addBiasRows(td, biasd []float32, c, spatial, lo, hi int) {
-	if lo < 0 || c <= 0 || spatial < 0 || len(biasd) < c || hi*spatial > len(td) {
-		panic(fmt.Sprintf("tensor: bias add over rows [%d,%d) of %d×%d floats reaches past %d elements or %d biases", lo, hi, c, spatial, len(td), len(biasd)))
+// addBiasRows adds bias[r mod c] to row r, for r < rows, of the flattened
+// [n*c, spatial] view. The row's element is the add's first operand, the
+// bias the second.
+func addBiasRows(td, biasd []float32, rows, c, spatial int) {
+	if rows < 0 || c <= 0 || spatial < 0 || len(biasd) < c || rows*spatial > len(td) {
+		panic(fmt.Sprintf("tensor: bias add over %d rows of %d×%d floats reaches past %d elements or %d biases", rows, c, spatial, len(td), len(biasd)))
 	}
-	if lo >= hi || spatial == 0 {
+	if rows == 0 || spatial == 0 {
 		return
 	}
 	if useAVX {
-		addBiasAVX(&td[lo*spatial], &biasd[0], hi-lo, c, lo%c, spatial)
+		addBiasAVX(&td[0], &biasd[0], rows, c, spatial)
 		return
 	}
-	addBiasRowsGo(td, biasd, c, spatial, lo, hi)
+	addBiasRowsGo(td, biasd, rows, c, spatial)
 }
 
-func addBiasRowsGo(td, biasd []float32, c, spatial, lo, hi int) {
-	for r := lo; r < hi; r++ {
+func addBiasRowsGo(td, biasd []float32, rows, c, spatial int) {
+	for r := 0; r < rows; r++ {
 		bv := biasd[r%c]
 		row := td[r*spatial : (r+1)*spatial]
 		for i := range row {
@@ -196,5 +195,5 @@ func addBias(td, biasd []float32, n, c, spatial int) {
 		addBlocks(td, biasd, &blockShape{n: 1, rows: n, cols: c, dstStride: c})
 		return
 	}
-	addBiasRows(td, biasd, c, spatial, 0, n*c)
+	addBiasRows(td, biasd, n*c, c, spatial)
 }

@@ -313,18 +313,19 @@ elemR:
 doneR:
 	RET
 
-// func addBiasAVX(t, bias *float32, rows, c, ch0, spatial int)
+// func addBiasAVX(t, bias *float32, rows, c, spatial int)
 //
 // t = t + bias[ch], the row's element first (see addBlocksAVX). DI walks t,
-// SI = bias, BX counts rows, DX is the channel of the current row and wraps
-// at R13 = c, CX counts the floats left in the row. X0 the broadcast bias.
-TEXT ·addBiasAVX(SB), NOSPLIT, $0-48
+// SI = bias, BX counts rows, DX is the channel of the current row (0 at the
+// first) and wraps at R13 = c, CX counts the floats left in the row. X0 the
+// broadcast bias.
+TEXT ·addBiasAVX(SB), NOSPLIT, $0-40
 	MOVQ t+0(FP), DI
 	MOVQ bias+8(FP), SI
 	MOVQ rows+16(FP), BX
 	MOVQ c+24(FP), R13
-	MOVQ ch0+32(FP), DX
-	MOVQ spatial+40(FP), R8
+	MOVQ spatial+32(FP), R8
+	XORQ DX, DX
 
 rowA:
 	VBROADCASTSS (SI)(DX*4), X0

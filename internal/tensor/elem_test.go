@@ -111,20 +111,14 @@ func elemKernelsCase(t *testing.T, r *rng.Rand, n, c, spatial int, allNaN bool) 
 	sameBits(t, "ReLUBackward "+name, dx, wantDx, true)
 	checkDx()
 
-	// The bias add: whole, and as two chunks that split inside a batch
-	// element, so the second starts at a channel other than 0.
+	// The bias add.
 	bias := perChannel(9)
 	acc, checkAcc := guarded(t, "addBiasRows "+name, total)
 	copy(acc, x)
 	copy(wantOut, x)
-	addBiasRowsGo(wantOut, bias, c, spatial, 0, n*c)
-	addBiasRows(acc, bias, c, spatial, 0, n*c)
+	addBiasRowsGo(wantOut, bias, n*c, c, spatial)
+	addBiasRows(acc, bias, n*c, c, spatial)
 	sameBits(t, "addBiasRows "+name, acc, wantOut, true)
-	copy(acc, x)
-	split := (n*c + 1) / 2
-	addBiasRows(acc, bias, c, spatial, split, n*c)
-	addBiasRows(acc, bias, c, spatial, 0, split)
-	sameBits(t, "addBiasRows in two chunks "+name, acc, wantOut, true)
 	copy(acc, x)
 	addBias(acc, bias, n, c, spatial)
 	sameBits(t, "addBias "+name, acc, wantOut, true)
@@ -168,11 +162,11 @@ func TestElemBoundsPanics(t *testing.T) {
 	ReLUForward(nil, nil, nil)
 	ReLUBackward(nil, nil, nil)
 
-	mustPanicWith(t, "bias add over rows [0,6) of 3×4 floats reaches past 23 elements or 3 biases", func() { addBiasRows(f23, c3, 3, 4, 0, 6) })
-	mustPanicWith(t, "bias add over rows [0,6) of 3×4 floats reaches past 24 elements or 2 biases", func() { addBiasRows(f24, c2, 3, 4, 0, 6) })
-	mustPanicWith(t, "bias add over rows [-1,6)", func() { addBiasRows(f24, c3, 3, 4, -1, 6) })
-	mustPanicWith(t, "bias add over rows [0,6) of 0×4", func() { addBiasRows(f24, c3, 0, 4, 0, 6) })
-	addBiasRows(f24, c3, 3, 4, 6, 6) // no rows: nothing to do
+	mustPanicWith(t, "bias add over 6 rows of 3×4 floats reaches past 23 elements or 3 biases", func() { addBiasRows(f23, c3, 6, 3, 4) })
+	mustPanicWith(t, "bias add over 6 rows of 3×4 floats reaches past 24 elements or 2 biases", func() { addBiasRows(f24, c2, 6, 3, 4) })
+	mustPanicWith(t, "bias add over -1 rows", func() { addBiasRows(f24, c3, -1, 3, 4) })
+	mustPanicWith(t, "bias add over 6 rows of 0×4", func() { addBiasRows(f24, c3, 6, 0, 4) })
+	addBiasRows(f24, c3, 0, 3, 4) // no rows: nothing to do
 	mustPanicWith(t, "AddBiasNCHW bias has 2 elements for 3 channels", func() { AddBiasNCHW(x, FromSlice(c2, 2)) })
 	mustPanicWith(t, "addBlocks destination needs 6 elements", func() { addBias(f24[:5], c3, 2, 3, 1) })
 }
@@ -184,11 +178,11 @@ func TestElemBoundsPanics(t *testing.T) {
 // payload choice belongs to the compiler — but the ReLU pair and the masks
 // move bits and must match exactly.
 func FuzzElemOracle(f *testing.F) {
-	f.Add(uint8(1), uint8(7), uint8(35), uint8(3), []byte{0, 0, 0x80, 0x3f, 0xdb, 0x0f, 0x49, 0xc0, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0xff, 0xff, 0x7f, 0x80})
-	f.Add(uint8(3), uint8(2), uint8(0), uint8(1), []byte{0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x40, 0, 0, 0x80, 0xff})
-	f.Add(uint8(0), uint8(4), uint8(36), uint8(2), []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f, 0x01, 0, 0xa0, 0xff})
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, nRaw, cRaw, spRaw, splitRaw uint8, raw []byte) {
+	f.Add(uint8(1), uint8(7), uint8(35), []byte{0, 0, 0x80, 0x3f, 0xdb, 0x0f, 0x49, 0xc0, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0xff, 0xff, 0x7f, 0x80})
+	f.Add(uint8(3), uint8(2), uint8(0), []byte{0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x40, 0, 0, 0x80, 0xff})
+	f.Add(uint8(0), uint8(4), uint8(36), []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f, 0x01, 0, 0xa0, 0xff})
+	f.Add(uint8(0), uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, nRaw, cRaw, spRaw uint8, raw []byte) {
 		n, c, spatial := int(nRaw)%4+1, int(cRaw)%9+1, int(spRaw)%41+1
 		total := n * c * spatial
 		if len(raw) > 1<<12 {
@@ -261,11 +255,5 @@ func FuzzElemOracle(f *testing.F) {
 		copy(out, x)
 		AddBiasNCHW(shaped(out), FromSlice(bias, c))
 		sameBits(t, "AddBiasNCHW", out, want, false)
-		// The pool's chunking: rows [split, n·c) start at a channel other than 0.
-		split := int(splitRaw) % (n*c + 1)
-		copy(out, x)
-		addBiasRows(out, bias, c, spatial, split, n*c)
-		addBiasRows(out, bias, c, spatial, 0, split)
-		sameBits(t, "addBiasRows in two chunks", out, want, false)
 	})
 }

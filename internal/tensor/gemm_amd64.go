@@ -110,11 +110,11 @@ func reluForwardAVX(out *float32, mask *uint32, x *float32, n int)
 //go:noescape
 func reluBackwardAVX(dx, dy *float32, mask *uint32, n int)
 
-// addBiasAVX adds bias[(ch0+r) mod c] to each of the rows consecutive rows
-// r of spatial floats starting at t. ch0 < c.
+// addBiasAVX adds bias[r mod c] to each of the rows consecutive rows r of
+// spatial floats starting at t.
 //
 //go:noescape
-func addBiasAVX(t, bias *float32, rows, c, ch0, spatial int)
+func addBiasAVX(t, bias *float32, rows, c, spatial int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

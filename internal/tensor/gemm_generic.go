@@ -51,6 +51,6 @@ func reluBackwardAVX(dx, dy *float32, mask *uint32, n int) {
 	panic("tensor: no AVX kernels in this build")
 }
 
-func addBiasAVX(t, bias *float32, rows, c, ch0, spatial int) {
+func addBiasAVX(t, bias *float32, rows, c, spatial int) {
 	panic("tensor: no AVX kernels in this build")
 }

@@ -173,13 +173,6 @@ func (t *Tensor) FillNormal(r *rng.Rand, mean, std float64) {
 	}
 }
 
-// FillUniform fills t with uniform samples in [lo, hi).
-func (t *Tensor) FillUniform(r *rng.Rand, lo, hi float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(lo + (hi-lo)*r.Float64())
-	}
-}
-
 // AddInPlace computes t += u element-wise, as one row of addBlocks: t's
 // element is the add's first operand on every path, so where two NaNs meet
 // the one already in t stays. u may be t.

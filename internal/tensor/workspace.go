@@ -3,110 +3,9 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
-// Arena is a slab allocator for tensor storage. Engine construction
-// allocates hundreds of small tensors (parameters, gradients, normalization
-// statistics, workspace buffers); an arena carves them out of a few
-// contiguous slabs instead, so a pooled campaign engine is built with a
-// handful of allocations and its working set stays cache-resident across
-// forked experiments.
-//
-// Arenas only grow — nothing is ever freed or reused until the arena itself
-// becomes garbage — which is exactly right for engine lifetimes: every
-// tensor allocated during a build lives as long as the engine. Callers that
-// outgrow an allocation (a workspace key requested with a larger shape) must
-// fall back to the heap instead (Workspace does).
-//
-// Alloc is mutex-protected: nn's build hooks are process-global, so a layer
-// constructor another goroutine calls while a build runs carves from that
-// build's arena too. A nil *Arena is valid and falls back to plain heap
-// allocation.
-type Arena struct {
-	mu sync.Mutex
-
-	data []float32 // current float32 slab
-	off  int
-	hdrs []Tensor // current header slab
-	hoff int
-	ints []int // current shape slab
-	ioff int
-	wss  []Workspace // current workspace-header slab
-	woff int
-
-	floats int64 // total float32s ever carved, for Bytes
-}
-
-// Slab sizes: large enough that a typical engine build stays in single-digit
-// slab counts, small enough that a mostly-unused trailing slab wastes little.
-const (
-	arenaDataSlab = 1 << 15 // float32s (128 KiB)
-	arenaHdrSlab  = 64      // tensor headers
-	arenaIntSlab  = 256     // shape ints
-)
-
-// NewArena creates an empty arena.
-func NewArena() *Arena { return &Arena{} }
-
-// New allocates a zero-filled tensor with the given shape out of the arena,
-// with the exact semantics of the package-level New (fresh slabs are zeroed
-// by construction and never reused, so the zero-fill contract holds). A nil
-// receiver allocates from the heap.
-func (a *Arena) New(shape ...int) *Tensor {
-	if a == nil {
-		return New(shape...)
-	}
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			// A copy, so shape does not escape (see New).
-			panic(fmt.Sprintf("tensor: non-positive dimension in shape %v", append([]int(nil), shape...)))
-		}
-		n *= d
-	}
-	a.mu.Lock()
-	if a.hoff == len(a.hdrs) {
-		a.hdrs = make([]Tensor, arenaHdrSlab)
-		a.hoff = 0
-	}
-	t := &a.hdrs[a.hoff]
-	a.hoff++
-	if a.ioff+len(shape) > len(a.ints) {
-		a.ints = make([]int, max(arenaIntSlab, len(shape)))
-		a.ioff = 0
-	}
-	// Three-index slices cap every carve at its own extent: an append past
-	// a tensor's length (Workspace rewrites shape headers in place) must
-	// reallocate to the heap, never clobber a neighbor's storage.
-	sh := a.ints[a.ioff : a.ioff+len(shape) : a.ioff+len(shape)]
-	a.ioff += len(shape)
-	if a.off+n > len(a.data) {
-		a.data = make([]float32, max(arenaDataSlab, n))
-		a.off = 0
-	}
-	d := a.data[a.off : a.off+n : a.off+n]
-	a.off += n
-	a.floats += int64(n)
-	a.mu.Unlock()
-	copy(sh, shape)
-	t.Shape = sh
-	t.Data = d
-	return t
-}
-
-// Bytes returns the total tensor payload carved from the arena so far
-// (header and shape storage are negligible at these sizes).
-func (a *Arena) Bytes() int64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.floats * 4
-}
-
-// Workspace is a keyed scratch-buffer arena. Layers and kernels use it so
+// Workspace is a keyed set of scratch buffers. Layers and kernels use it so
 // that steady-state training iterations allocate nothing: the first call
 // for a key allocates, and every later call returns the same buffer,
 // resliced to the requested size.
@@ -145,10 +44,6 @@ type Workspace struct {
 	// two equal pointers.
 	bufs []wsBuf
 	next int
-	// arena, when non-nil, backs each key's FIRST allocation. Growth always
-	// comes from the heap: arenas never free, so the outgrown carve would
-	// stay pinned beside its replacement.
-	arena *Arena
 	// view is the header reshaped hands out: one reusable alias of a
 	// caller's tensor. It is not in bufs, so Reset never poisons through it.
 	view Tensor
@@ -165,37 +60,10 @@ type wsBuf struct {
 // TestWorkspaceKeysWithinScan holds every layer of the model zoo to it.
 const wsScanMax = 16
 
-// NewWorkspace creates an empty arena. The key list grows on first use of
+// NewWorkspace creates an empty workspace. The key list grows on first use of
 // each key, so building a model whose workspaces are never used (a pooled
 // engine awaiting its first experiment) allocates nothing for it.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// NewWorkspaceIn creates a workspace whose steady-state buffers (the first
-// allocation per key) are carved from a, keeping a pooled engine's scratch
-// memory in the same contiguous slabs as its parameters.
-func NewWorkspaceIn(a *Arena) *Workspace {
-	return &Workspace{arena: a}
-}
-
-// NewWorkspace carves an arena-backed workspace: the header comes from an
-// arena slab (the key list still comes from the heap) and the steady-state
-// buffers from the arena, like NewWorkspaceIn. A nil receiver falls back to
-// a plain heap workspace.
-func (a *Arena) NewWorkspace() *Workspace {
-	if a == nil {
-		return NewWorkspace()
-	}
-	a.mu.Lock()
-	if a.woff == len(a.wss) {
-		a.wss = make([]Workspace, arenaHdrSlab)
-		a.woff = 0
-	}
-	ws := &a.wss[a.woff]
-	a.woff++
-	a.mu.Unlock()
-	ws.arena = a
-	return ws
-}
 
 // Get returns the cached tensor for key with the requested shape, growing
 // its backing array only when the element count exceeds the capacity. The
@@ -217,7 +85,7 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 		}
 	}
 	if t == nil {
-		t = ws.arena.New(shape...) // nil arena → heap
+		t = New(shape...)
 		ws.bufs = append(ws.bufs, wsBuf{key, t})
 		return t
 	}

@@ -1,9 +1,9 @@
 package train_test
 
-// Arena-backed engine construction is a pure allocation optimization: a
-// replica train.New builds inside a tensor.Arena must be bitwise-identical —
-// weights, normalization statistics, and everything a step computes from
-// them — to the same model built from the heap.
+// Binding an engine's replicas to one scratch set changes no value: a
+// replica train.New builds through nn.BuildReplicas must be bitwise-identical
+// — weights, normalization statistics, and everything a step computes from
+// them — to the same model built standalone, with workspaces of its own.
 
 import (
 	"math"
@@ -15,49 +15,50 @@ import (
 	"repro/internal/workloads"
 )
 
-func TestArenaEngineBitwiseEquivalence(t *testing.T) {
+func TestReplicaEngineBitwiseEquivalence(t *testing.T) {
 	w := workloads.ResnetMixed()
 	seed := rng.Seed{State: 42, Stream: 7}
 	e := w.NewEngine(seed)
-	arena := e.Replica(0)
+	// The last replica steps over replica 0's workspaces.
+	replica := e.Replica(e.Config().Devices - 1)
 	// The oracle: the same builder called outside nn.BuildReplicas, so every
-	// tensor, layer struct and workspace comes from the heap. The RNG is the
-	// init stream train.New hands each replica.
-	heap := w.Build(rng.New(seed).Split(0xbead))
+	// layer keeps its own workspace. The RNG is the init stream train.New
+	// hands each replica.
+	alone := w.Build(rng.New(seed).Split(0xbead))
 
-	same := func(what string, a, h []float32) {
+	same := func(what string, r, a []float32) {
 		t.Helper()
-		if len(a) != len(h) {
-			t.Fatalf("%s: arena holds %d elements, heap %d", what, len(a), len(h))
+		if len(r) != len(a) {
+			t.Fatalf("%s: replica holds %d elements, standalone model %d", what, len(r), len(a))
 		}
-		for i := range a {
-			if math.Float32bits(a[i]) != math.Float32bits(h[i]) {
-				t.Fatalf("%s: element %d is %v in the arena model, %v in the heap model", what, i, a[i], h[i])
+		for i := range r {
+			if math.Float32bits(r[i]) != math.Float32bits(a[i]) {
+				t.Fatalf("%s: element %d is %v in the replica, %v in the standalone model", what, i, r[i], a[i])
 			}
 		}
 	}
 	state := func(when string) {
 		t.Helper()
-		ap, hp := arena.Params(), heap.Params()
-		for i := range ap {
-			same(when+" value of "+ap[i].Name, ap[i].Value.Data, hp[i].Value.Data)
-			same(when+" gradient of "+ap[i].Name, ap[i].Grad.Data, hp[i].Grad.Data)
+		rp, ap := replica.Params(), alone.Params()
+		for i := range rp {
+			same(when+" value of "+rp[i].Name, rp[i].Value.Data, ap[i].Value.Data)
+			same(when+" gradient of "+rp[i].Name, rp[i].Grad.Data, ap[i].Grad.Data)
 		}
-		hb := heap.BatchNorms()
-		for i, bn := range arena.BatchNorms() {
-			same(when+" moving mean", bn.MovingMean.Data, hb[i].MovingMean.Data)
-			same(when+" moving variance", bn.MovingVar.Data, hb[i].MovingVar.Data)
+		ab := alone.BatchNorms()
+		for i, bn := range replica.BatchNorms() {
+			same(when+" moving mean", bn.MovingMean.Data, ab[i].MovingMean.Data)
+			same(when+" moving variance", bn.MovingVar.Data, ab[i].MovingVar.Data)
 		}
 	}
 
 	state("initial")
 	// Steps on one batch; the second reuses every workspace buffer the first
-	// one carved. The output serves as its own upstream gradient, and a plain
+	// one allocated. The output serves as its own upstream gradient, and a plain
 	// gradient step moves the weights in between.
 	x := e.Loader().Batch(0).X
 	for step := 0; step < 3; step++ {
 		var outs, grads [2]*tensor.Tensor
-		for i, m := range []*nn.Sequential{arena, heap} {
+		for i, m := range []*nn.Sequential{replica, alone} {
 			m.ZeroGrad()
 			outs[i] = m.Forward(&nn.Context{Training: true}, x, nil)
 			grads[i] = m.Backward(outs[i].Clone(), nil)

@@ -116,15 +116,13 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 			loader.BatchSize(), cfg.Devices, cfg.PerDeviceBatch))
 	}
 	e := &Engine{cfg: cfg, opt: optimizer, loader: loader, testSet: testSet}
-	// All replicas share one arena: their tensors land in a few contiguous
-	// slabs, so a pooled campaign engine stays cache-resident across forked
-	// experiments and costs near-zero allocations to build. They also share
-	// one scratch set — replica 0's layer workspaces — because the devices
-	// step one at a time: a device's forward and backward finish before the
-	// next device starts, and nothing reads a layer's scratch after its
-	// device step. Each replica keeps its own parameters, gradients,
-	// normalization statistics and forward-to-backward layer fields.
-	e.replicas = nn.BuildReplicas(tensor.NewArena(), cfg.Devices, func() *nn.Sequential {
+	// The replicas share one scratch set — replica 0's layer workspaces —
+	// because the devices step one at a time: a device's forward and
+	// backward finish before the next device starts, and nothing reads a
+	// layer's scratch after its device step. Each replica keeps its own
+	// parameters, gradients, normalization statistics and forward-to-backward
+	// layer fields.
+	e.replicas = nn.BuildReplicas(cfg.Devices, func() *nn.Sequential {
 		// Identical init RNG per replica → identical weights.
 		return build(rng.New(cfg.Seed).Split(0xbead))
 	})

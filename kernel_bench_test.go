@@ -402,24 +402,6 @@ func BenchmarkKernel_GELUBackward(b *testing.B) {
 	})
 }
 
-// BenchmarkKernel_TanhForward is one math.Tanh per element, split like
-// GELU's.
-func BenchmarkKernel_TanhForward(b *testing.B) {
-	benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
-		tanh := nn.NewTanh()
-		return func() { tanh.Forward(trainCtx, x) }
-	})
-}
-
-// BenchmarkKernel_SigmoidForward is one math.Exp per element, in one loop
-// (see Sigmoid.Forward for why not three).
-func BenchmarkKernel_SigmoidForward(b *testing.B) {
-	benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
-		sig := nn.NewSigmoid()
-		return func() { sig.Forward(trainCtx, x) }
-	})
-}
-
 func BenchmarkKernel_LayerNormForward(b *testing.B) {
 	benchShapes(b, seqShapes, 3, func(x, _ *tensor.Tensor) func() {
 		ln := nn.NewLayerNorm("ln", x.Shape[2])
@@ -470,7 +452,7 @@ func BenchmarkKernel_TransformerStep(b *testing.B) {
 
 // BenchmarkKernel_TrainStepAllocs measures allocations of a full Resnet
 // training iteration (8 devices, forward+backward+averaging+step). The
-// workspace arena makes the per-layer kernel buffers steady-state, so
+// layer workspaces make the per-layer kernel buffers steady-state, so
 // allocs/op should sit far below the seed's one-buffer-per-kernel-call
 // behavior (≥50% reduction is the acceptance bar).
 func BenchmarkKernel_TrainStepAllocs(b *testing.B) {

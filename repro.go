@@ -167,12 +167,6 @@ func NewGuarded(workloadName string, seed int64) (*Guarded, *Workload, error) {
 	return recovery.NewGuarded(e, d), w, nil
 }
 
-// DetectionBounds are the Algorithm-1 thresholds.
-type DetectionBounds = detect.Bounds
-
-// DeriveBounds computes detection bounds from workload properties.
-func DeriveBounds(cfg detect.Config) DetectionBounds { return detect.Derive(cfg) }
-
 // InventoryRow describes one FF class of the modeled accelerator.
 type InventoryRow struct {
 	Kind     accel.FFKind
