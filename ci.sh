@@ -93,7 +93,7 @@ go test -race ./internal/comm ./internal/recovery
 echo "== mitigation reads under -race (the detector's kept statistics and ABFT's im2col-row checksums equal their _test.go sweep oracles, alarm for alarm) =="
 go test -race ./internal/detect ./internal/baseline
 
-echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table; byte for byte) =="
+echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table, and TestGoldenByConstructionIsReported's ledger table: the live ledger equals the campaign's counters for an FF dedup+early-exit campaign and a device-fault campaign unmitigated and under each recovery strategy; byte for byte) =="
 # `go test -race ./internal/experiment` takes 94–105 s on this 2-CPU shared
 # box (99–101 s at the parent of the PR that removed the execution twins,
 # same session, alternating), well inside go test's default 10-minute
@@ -218,7 +218,7 @@ go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
 
-echo "== reduction fuzz smoke (AbsMax, MinMax, Sum, HasNonFinite and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length and bit patterns) =="
+echo "== reduction fuzz smoke (AbsMax, Sum, HasNonFinite and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzReduceOracle' -fuzztime 3s ./internal/tensor
 
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="

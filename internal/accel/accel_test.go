@@ -347,13 +347,6 @@ func TestPlanFor(t *testing.T) {
 			t.Errorf("PlanFor(%v, %v) = %+v, want axis %d transposed %v", c.op, c.shape, p, c.axis, c.transp)
 		}
 	}
-}
-
-func TestScheduleFor(t *testing.T) {
-	s := ScheduleFor(OpWeightGrad, []int{8, 2, 3, 3})
-	if s.Channels() != 8 || s.Width() != 18 {
-		t.Fatalf("weight-grad schedule channels=%d width=%d", s.Channels(), s.Width())
-	}
 	if OpForward.String() != "forward" || OpWeightGrad.String() != "weight-grad" {
 		t.Fatal("op strings wrong")
 	}

@@ -75,8 +75,3 @@ func PlanFor(op Op, shape []int) OpPlan {
 	}
 	return OpPlan{Op: op, ChanAxis: axis}
 }
-
-// ScheduleFor builds the cycle schedule for an operation's output tensor.
-func ScheduleFor(op Op, shape []int) *Schedule {
-	return NewSchedule(shape, PlanFor(op, shape).ChanAxis)
-}

@@ -170,8 +170,8 @@ func TestRangerProfilesAndDetectsForwardFault(t *testing.T) {
 		ranger.SetIteration(i)
 		e.RunIteration(i)
 	}
-	if ranger.Alarms.Load() != 0 {
-		t.Fatalf("clean run raised %d ranger alarms", ranger.Alarms.Load())
+	if ranger.Alarms != 0 {
+		t.Fatalf("clean run raised %d ranger alarms", ranger.Alarms)
 	}
 
 	// Forward fault with dynamic-range values → out-of-range activation.
@@ -187,7 +187,7 @@ func TestRangerProfilesAndDetectsForwardFault(t *testing.T) {
 		ranger.SetIteration(i)
 		e2.RunIteration(i)
 	}
-	if ranger.Alarms.Load() == 0 {
+	if ranger.Alarms == 0 {
 		t.Fatal("ranger missed a forward dynamic-range fault")
 	}
 	if ranger.FirstAlarmIter() != 5 {
@@ -232,8 +232,8 @@ func TestRangerBlindToBackwardFaults(t *testing.T) {
 		ranger.SetIteration(i)
 		e2.RunIteration(i)
 	}
-	if ranger.Alarms.Load() != 0 {
-		t.Fatalf("ranger alarmed on a backward fault (%d alarms) — expected blindness", ranger.Alarms.Load())
+	if ranger.Alarms != 0 {
+		t.Fatalf("ranger alarmed on a backward fault (%d alarms) — expected blindness", ranger.Alarms)
 	}
 }
 

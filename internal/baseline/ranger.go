@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/numerics"
 	"repro/internal/tensor"
@@ -19,25 +18,26 @@ import (
 // faults injected into the backward pass corrupt gradients and optimizer
 // history without ever producing an out-of-range forward activation, so an
 // activation monitor cannot see them.
+//
+// A Ranger belongs to one engine: its checks and SetIteration run on the
+// goroutine that runs the engine's iterations.
 type Ranger struct {
 	// Bounds[layer] is the profiled max |activation| for each layer.
 	Bounds []float64
 	// Margin scales the bounds before checking.
 	Margin float64
 	// Alarms counts out-of-range observations.
-	Alarms atomic.Int64
-	// FirstAlarmIter is the first iteration an alarm fired (-1 if none).
-	firstAlarm atomic.Int64
+	Alarms int64
+	// firstAlarm is the first iteration an alarm fired (-1 if none).
+	firstAlarm int
 
-	iter atomic.Int64
+	iter int
 }
 
 // NewRanger creates an unprofiled monitor for a model with numLayers
 // top-level layers.
 func NewRanger(numLayers int, margin float64) *Ranger {
-	r := &Ranger{Bounds: make([]float64, numLayers), Margin: margin}
-	r.firstAlarm.Store(-1)
-	return r
+	return &Ranger{Bounds: make([]float64, numLayers), Margin: margin, firstAlarm: -1}
 }
 
 // Profile observes clean activations to grow the per-layer bounds. Attach
@@ -54,7 +54,7 @@ func (r *Ranger) Profile(device, layer int, out *tensor.Tensor) {
 
 // SetIteration tells the monitor the current training iteration (for alarm
 // latency reporting).
-func (r *Ranger) SetIteration(iter int) { r.iter.Store(int64(iter)) }
+func (r *Ranger) SetIteration(iter int) { r.iter = iter }
 
 // Check is the detection-mode ForwardMonitor: any activation beyond
 // margin × profiled bound (or any non-finite activation) raises an alarm.
@@ -63,17 +63,18 @@ func (r *Ranger) Check(device, layer int, out *tensor.Tensor) {
 	if !numerics.IsNaN32(m) && float64(m) <= r.Bounds[layer]*r.Margin {
 		return
 	}
-	r.Alarms.Add(1)
-	r.firstAlarm.CompareAndSwap(-1, r.iter.Load())
+	r.Alarms++
+	if r.firstAlarm == -1 {
+		r.firstAlarm = r.iter
+	}
 }
 
 // FirstAlarmIter returns the iteration of the first alarm, or -1.
-func (r *Ranger) FirstAlarmIter() int { return int(r.firstAlarm.Load()) }
+func (r *Ranger) FirstAlarmIter() int { return r.firstAlarm }
 
 // Reset clears alarm state (bounds are kept).
 func (r *Ranger) Reset() {
-	r.Alarms.Store(0)
-	r.firstAlarm.Store(-1)
+	r.Alarms, r.firstAlarm = 0, -1
 }
 
 // ProfileOnEngine runs iters clean training iterations with profiling

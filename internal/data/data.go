@@ -52,12 +52,6 @@ func (d *Dataset) Len() int { return len(d.y) }
 // Classes returns the number of distinct labels.
 func (d *Dataset) Classes() int { return d.classes }
 
-// ExampleShape returns the shape of a single example (without the batch
-// dimension).
-func (d *Dataset) ExampleShape() []int {
-	return append([]int(nil), d.x.Shape[1:]...)
-}
-
 // Gather assembles a batch from the given example indices, in fresh storage.
 func (d *Dataset) Gather(indices []int) Batch {
 	var b Batch

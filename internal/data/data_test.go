@@ -20,9 +20,9 @@ func TestGaussianClustersShape(t *testing.T) {
 	if ds.Len() != 64 || ds.Classes() != 4 {
 		t.Fatalf("len=%d classes=%d", ds.Len(), ds.Classes())
 	}
-	shape := ds.ExampleShape()
-	if len(shape) != 3 || shape[0] != 1 || shape[1] != 4 || shape[2] != 4 {
-		t.Fatalf("example shape %v", shape)
+	shape := ds.Gather([]int{0, 1}).X.Shape
+	if len(shape) != 4 || shape[0] != 2 || shape[1] != 1 || shape[2] != 4 || shape[3] != 4 {
+		t.Fatalf("batch shape %v", shape)
 	}
 }
 

@@ -54,23 +54,23 @@ type goldenProof struct {
 	attempts int
 }
 
-// provablyGolden is the predicate: this experiment's fault — inj, or df when
-// cfg.DeviceFaults — touches no value and no group membership before the
-// horizon, so the experiment is the golden run. p is the collective policy
-// the experiment would run under (the engine's after Reset,
-// comm.DefaultPolicy; a recovery strategy adds exclusion, which Arrival does
-// not read).
-func (g *Golden) provablyGolden(cfg Config, inj fault.Injection, df fault.DeviceFault, p comm.Policy) (proof goldenProof, ok bool) {
+// provablyGolden is the predicate: the fault of rec, an experiment's sampled
+// record, touches no value and no group membership before the horizon, so the
+// experiment is the golden run. p is the collective policy the experiment
+// would run under (the engine's after Reset, comm.DefaultPolicy; a recovery
+// strategy adds exclusion, which Arrival does not read).
+func (g *Golden) provablyGolden(cfg Config, rec *Record, p comm.Policy) (proof goldenProof, ok bool) {
 	if !cfg.EarlyExit || g.digests == nil {
 		return proof, false
 	}
-	if !cfg.DeviceFaults {
-		if inj.Iteration >= g.horizon {
+	if !rec.device() {
+		if rec.Injection.Iteration >= g.horizon {
 			return proof, false
 		}
-		_, fires, program := g.site(&inj)
+		_, fires, program := g.site(&rec.Injection)
 		return goldenProof{fires: fires}, !fires || len(program) == 0
 	}
+	df := rec.DeviceFault
 	if df.Effect() != fault.EffectDelays || df.Iteration >= g.horizon {
 		return proof, false
 	}
@@ -80,12 +80,11 @@ func (g *Golden) provablyGolden(cfg Config, inj fault.Injection, df fault.Device
 	}
 	if cfg.recoveryStrategy() != recovery.StrategyNone {
 		// A guarded run quarantines what the cross-replica check alarms on,
-		// from the boundary runDeviceFault forks at (strictly before the
-		// onset) to the horizon.
+		// from the boundary runDeviceFault forks at to the horizon.
 		if g.groupAlarms == nil {
 			return proof, false
 		}
-		start, _ := g.nearest(max(df.Iteration-1, 0))
+		start, _ := g.fork(rec)
 		for _, alarm := range g.groupAlarms[start:] {
 			if alarm {
 				return proof, false
@@ -95,17 +94,14 @@ func (g *Golden) provablyGolden(cfg Config, inj fault.Injection, df fault.Device
 	return goldenProof{attempts: attempts}, true
 }
 
-// goldenRecord is the synthesizer: the record runOne (runDeviceFault when
-// cfg.DeviceFaults) returns for an experiment provablyGolden holds for,
-// written from the golden run's trace and schedules.
-func (g *Golden) goldenRecord(cfg Config, inj fault.Injection, df fault.DeviceFault, proof goldenProof) Record {
-	rec := Record{Injection: inj, DeviceFault: df, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1,
-		AdoptedFrom: -1, EarlyExitIter: -1, Masked: true,
-		RecoveryStrategy: recovery.StrategyNone.String(), TimeToRecoverIters: -1}
+// goldenRecord is the synthesizer: the record runOne (runDeviceFault for a
+// device fault) returns from the sampled record rec when provablyGolden holds
+// for it, written from the golden run's trace and schedules.
+func (g *Golden) goldenRecord(rec Record, proof goldenProof) Record {
 	trace := *g.ref // the run is the golden run; slices shared, read only
-	pass := inj.Pass
-	if cfg.DeviceFaults {
-		rec.RecoveryStrategy = cfg.recoveryStrategy().String()
+	pass := rec.Injection.Pass
+	if rec.device() {
+		df := rec.DeviceFault
 		for iter := df.Iteration; iter < g.horizon; iter++ {
 			if df.ActiveAt(iter) {
 				rec.CommRetries += proof.attempts
@@ -115,7 +111,7 @@ func (g *Golden) goldenRecord(cfg Config, inj fault.Injection, df fault.DeviceFa
 		trace.FaultIter = df.Iteration
 		pass = fault.BackwardWeight
 	} else {
-		t := inj.Iteration
+		t := rec.Injection.Iteration
 		if proof.fires {
 			trace.FaultIter = t
 		}
@@ -133,10 +129,6 @@ func (g *Golden) goldenRecord(cfg Config, inj fault.Injection, df fault.DeviceFa
 		// engine or off alarmAfter.
 		rec.DetectIter = g.alarmAfter(t - 1)
 	}
-	rec.Outcome = g.cls.Classify(&trace, pass)
-	rec.FinalTrainAcc = trace.FinalTrainAcc(10)
-	rec.FinalTestAcc = trace.FinalTestAcc()
-	rec.NonFiniteIter = trace.NonFiniteIter
-	rec.AccuracyCost = g.refAcc - rec.FinalTrainAcc
+	g.classify(&rec, &trace, pass)
 	return rec
 }

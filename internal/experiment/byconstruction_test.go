@@ -37,14 +37,19 @@ func journalLine(t *testing.T, i int, rec experiment.Record) string {
 	return string(line)
 }
 
-// assertSameLine executes one experiment and compares it with the
+// device is the sampled record of a device-fault experiment of cfg.
+func device(cfg experiment.Config, df fault.DeviceFault) experiment.Record {
+	return experiment.Sampled(cfg, fault.Injection{}, df)
+}
+
+// assertSameLine executes one sampled record and compares it with the
 // synthesized record got, adoption provenance aside (an adoptee's own
 // execution does not know it was adopted).
 func assertSameLine(t *testing.T, g *experiment.Golden, e *train.Engine, cfg experiment.Config,
-	i int, inj fault.Injection, df fault.DeviceFault, got experiment.Record) {
+	i int, sampled, got experiment.Record) {
 	t.Helper()
 	cfg.Dedup = false
-	want := g.Execute(e, cfg, inj, df)
+	want := g.Execute(e, cfg, sampled)
 	want.AdoptedFrom = got.AdoptedFrom
 	if w, c := journalLine(t, i, want), journalLine(t, i, got); w != c {
 		t.Fatalf("experiment %d:\nexecuted:    %s\nconstructed: %s", i, w, c)
@@ -58,21 +63,14 @@ func assertSameLine(t *testing.T, g *experiment.Golden, e *train.Engine, cfg exp
 // execution, and returns the proven indexes.
 func constructedCampaign(t *testing.T, g *experiment.Golden, e *train.Engine, cfg experiment.Config) []int {
 	t.Helper()
-	injs, dfs := g.SampleFaults(cfg)
-	faultOf := func(i int) (inj fault.Injection, df fault.DeviceFault) {
-		if cfg.DeviceFaults {
-			return inj, dfs[i]
-		}
-		return injs[i], df
-	}
+	sampled := g.SampleFaults(cfg)
 	prior := map[int]experiment.Record{}
 	var proven []int
-	for i := 0; i < cfg.Experiments; i++ {
-		inj, df := faultOf(i)
-		if _, ok := g.ByConstruction(cfg, inj, df, comm.DefaultPolicy()); ok {
+	for i, s := range sampled {
+		if _, ok := g.ByConstruction(cfg, s, comm.DefaultPolicy()); ok {
 			proven = append(proven, i)
 		} else {
-			prior[i] = experiment.Record{Injection: inj, DeviceFault: df, AdoptedFrom: -1, EarlyExitIter: -1}
+			prior[i] = experiment.Record{Injection: s.Injection, DeviceFault: s.DeviceFault, AdoptedFrom: -1, EarlyExitIter: -1}
 		}
 	}
 	c, err := experiment.Resume(cfg, experiment.RunOptions{Golden: g, Prior: prior})
@@ -97,8 +95,7 @@ func constructedCampaign(t *testing.T, g *experiment.Golden, e *train.Engine, cf
 			c.IterationsExecuted, c.IterationsSkipped, c.IterationsSynthesized, c.WarmRestores+c.ColdRestores, c.Evaluations)
 	}
 	for _, i := range proven {
-		inj, df := faultOf(i)
-		assertSameLine(t, g, e, cfg, i, inj, df, c.Records[i])
+		assertSameLine(t, g, e, cfg, i, sampled[i], c.Records[i])
 	}
 	return proven
 }
@@ -137,10 +134,10 @@ func TestGoldenByConstructionExact(t *testing.T) {
 			edge := base
 			edge.InjectFrac, edge.HorizonMult = 1.0, 1.0
 			ge := experiment.PrepareGolden(edge)
-			injs, _ := g.SampleFaults(base)
+			sampled := g.SampleFaults(base)
 			var sawFired, sawSilent bool
 			for _, i := range proven {
-				if f := g.SiteFires(injs[i]); (f && sawFired) || (!f && sawSilent) {
+				if f := g.SiteFires(sampled[i].Injection); (f && sawFired) || (!f && sawSilent) {
 					continue
 				} else if f {
 					sawFired = true
@@ -150,16 +147,16 @@ func TestGoldenByConstructionExact(t *testing.T) {
 					silent++
 				}
 				for _, at := range []int{0, iters - 3, iters - 2, iters - 1} {
-					inj := injs[i]
-					inj.Iteration = at
-					got, ok := ge.ByConstruction(edge, inj, fault.DeviceFault{}, comm.DefaultPolicy())
+					rec := sampled[i]
+					rec.Injection.Iteration = at
+					got, ok := ge.ByConstruction(edge, rec, comm.DefaultPolicy())
 					if !ok {
-						t.Fatalf("injection %+v is golden by construction at its sampled iteration but not at %d", injs[i], at)
+						t.Fatalf("injection %+v is golden by construction at its sampled iteration but not at %d", sampled[i].Injection, at)
 					}
 					if wantExit := at+1 < iters-1; (got.EarlyExitIter >= 0) != wantExit {
 						t.Fatalf("injection at %d of %d: EarlyExitIter = %d", at, iters, got.EarlyExitIter)
 					}
-					assertSameLine(t, ge, e, edge, i, inj, fault.DeviceFault{}, got)
+					assertSameLine(t, ge, e, edge, i, rec, got)
 				}
 			}
 		})
@@ -202,18 +199,18 @@ func TestGoldenByConstructionExact(t *testing.T) {
 			t.Fatalf("golden run finite=%v with %d alarms in %d iterations; want a finite run that starts alarming midway", g.Finite(), n, g.Horizon())
 		}
 		e := g.NewPooledEngine(cfg)
-		injs, _ := g.SampleFaults(cfg)
+		sampled := g.SampleFaults(cfg)
 		later := false
 		for _, i := range constructedCampaign(t, g, e, cfg) {
 			for at := 0; at < 8; at++ {
-				inj := injs[i]
-				inj.Iteration = at
-				got, ok := g.ByConstruction(cfg, inj, fault.DeviceFault{}, comm.DefaultPolicy())
+				rec := sampled[i]
+				rec.Injection.Iteration = at
+				got, ok := g.ByConstruction(cfg, rec, comm.DefaultPolicy())
 				if !ok || got.DetectIter < at {
 					t.Fatalf("injection at %d: golden by construction %v, DetectIter %d", at, ok, got.DetectIter)
 				}
 				later = later || got.DetectIter > at
-				assertSameLine(t, g, e, cfg, i, inj, fault.DeviceFault{}, got)
+				assertSameLine(t, g, e, cfg, i, rec, got)
 			}
 		}
 		if !later {
@@ -242,11 +239,11 @@ func TestGoldenByConstructionExact(t *testing.T) {
 				{Kind: fault.DeviceStraggler, Device: 2, Iteration: 7, DelayTicks: 451},
 				{Kind: fault.DeviceStraggler, Device: 1, Iteration: 2, DelayTicks: 700, RepairIter: 6},
 			} {
-				got, ok := g.ByConstruction(cfg, fault.Injection{}, df, comm.DefaultPolicy())
+				got, ok := g.ByConstruction(cfg, device(cfg, df), comm.DefaultPolicy())
 				if !ok {
 					t.Fatalf("%s under %s arrives within the budget but is not golden by construction", df.Describe(), s)
 				}
-				assertSameLine(t, g, e, cfg, i, fault.Injection{}, df, got)
+				assertSameLine(t, g, e, cfg, i, device(cfg, df), got)
 			}
 		}
 	})
@@ -264,7 +261,7 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 		Recovery: recovery.StrategyJIT, Workers: 2, EarlyExit: true}
 	g := experiment.PrepareGolden(dfCfg)
 	straggler := fault.DeviceFault{Kind: fault.DeviceStraggler, Device: 1, Iteration: 3, DelayTicks: 300}
-	if _, ok := g.ByConstruction(dfCfg, fault.Injection{}, straggler, comm.DefaultPolicy()); !ok {
+	if _, ok := g.ByConstruction(dfCfg, device(dfCfg, straggler), comm.DefaultPolicy()); !ok {
 		t.Fatal("the table's base straggler is not golden by construction; the rows below prove nothing")
 	}
 	past := straggler
@@ -285,7 +282,7 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 		for _, s := range everyStrategy {
 			cfg := dfCfg
 			cfg.Recovery = s
-			if _, ok := g.ByConstruction(cfg, fault.Injection{}, tc.df, tc.p); ok {
+			if _, ok := g.ByConstruction(cfg, device(cfg, tc.df), tc.p); ok {
 				t.Errorf("%s under %s: classified without running", name, s)
 			}
 		}
@@ -299,7 +296,7 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 	}
 	exhaustive := dfCfg
 	exhaustive.EarlyExit = false
-	if _, ok := g.ByConstruction(exhaustive, fault.Injection{}, straggler, comm.DefaultPolicy()); ok {
+	if _, ok := g.ByConstruction(exhaustive, device(exhaustive, straggler), comm.DefaultPolicy()); ok {
 		t.Error("a straggler of a campaign without EarlyExit was classified without running")
 	}
 	all := experiment.RunWithGolden(exhaustive, g)
@@ -334,7 +331,7 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 		}
 		unguarded := dfCfg
 		unguarded.Recovery = recovery.StrategyNone
-		if _, ok := bad.ByConstruction(unguarded, fault.Injection{}, straggler, comm.DefaultPolicy()); !ok {
+		if _, ok := bad.ByConstruction(unguarded, device(unguarded, straggler), comm.DefaultPolicy()); !ok {
 			t.Errorf("%s: an unguarded straggler runs no cross-replica check, yet executes", name)
 		}
 	}
@@ -347,29 +344,29 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 	r.Iters = 10
 	ffCfg := experiment.Config{Workload: r, Experiments: 24, Seed: 9, HorizonMult: 1.5, Workers: 2, EarlyExit: true}
 	gf := experiment.PrepareGolden(ffCfg)
-	injs, _ := gf.SampleFaults(ffCfg)
-	var inert *fault.Injection
-	for i := range injs {
-		if _, ok := gf.ByConstruction(ffCfg, injs[i], fault.DeviceFault{}, comm.DefaultPolicy()); ok {
-			inert = &injs[i]
+	sampled := gf.SampleFaults(ffCfg)
+	var inert *experiment.Record
+	for i := range sampled {
+		if _, ok := gf.ByConstruction(ffCfg, sampled[i], comm.DefaultPolicy()); ok {
+			inert = &sampled[i]
 			break
 		}
 	}
 	if inert == nil {
 		t.Fatal("the FF population holds nothing golden by construction")
 	}
-	writes := fault.Injection{Kind: accel.GlobalG2, LayerIdx: 0, Pass: fault.Forward, Iteration: 3, N: 4, CycleFrac: 0.1}
-	if _, ok := gf.ByConstruction(ffCfg, writes, fault.DeviceFault{}, comm.DefaultPolicy()); ok {
+	writes := experiment.Sampled(ffCfg, fault.Injection{Kind: accel.GlobalG2, LayerIdx: 0, Pass: fault.Forward, Iteration: 3, N: 4, CycleFrac: 0.1}, fault.DeviceFault{})
+	if _, ok := gf.ByConstruction(ffCfg, writes, comm.DefaultPolicy()); ok {
 		t.Error("an injection with a non-empty program was classified without running")
 	}
 	late := *inert
-	late.Iteration = gf.Horizon()
-	if _, ok := gf.ByConstruction(ffCfg, late, fault.DeviceFault{}, comm.DefaultPolicy()); ok {
+	late.Injection.Iteration = gf.Horizon()
+	if _, ok := gf.ByConstruction(ffCfg, late, comm.DefaultPolicy()); ok {
 		t.Error("an injection past the horizon was classified without running")
 	}
 	plain := ffCfg
 	plain.EarlyExit = false
-	if _, ok := gf.ByConstruction(plain, *inert, fault.DeviceFault{}, comm.DefaultPolicy()); ok {
+	if _, ok := gf.ByConstruction(plain, *inert, comm.DefaultPolicy()); ok {
 		t.Error("an injection of a campaign without EarlyExit was classified without running")
 	}
 	if c := experiment.RunWithGolden(plain, gf); c.GoldenByConstruction != 0 {
@@ -393,49 +390,104 @@ func TestGoldenByConstructionMustExecute(t *testing.T) {
 }
 
 // TestGoldenByConstructionIsReported: the runtime-only counter reaches the
-// report (after the tally, on the equivalence line) and the live ledger, whose
-// early-exit count agrees with the record-derived one; a campaign resumed from
-// its own complete record set proves nothing again and tallies the same.
+// report (after the tally, on the equivalence line), and the live ledger
+// agrees with the campaign on every counter both keep — across an FF campaign
+// with both fast paths and a device-fault campaign unmitigated and under each
+// recovery strategy; a campaign resumed from its own complete record set
+// proves nothing again and tallies the same.
 func TestGoldenByConstructionIsReported(t *testing.T) {
-	w, err := workloads.ByName("resnet")
+	resnet, err := workloads.ByName("resnet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Iters = 10
-	cfg := experiment.Config{Workload: w, Experiments: 24, Seed: 5, HorizonMult: 1.5, Workers: 2, EarlyExit: true}
-	g := experiment.PrepareGolden(cfg)
-	stats := telemetry.NewCampaignStats(w.Name, cfg.Experiments, cfg.Workers)
-	first, err := experiment.Resume(cfg, experiment.RunOptions{Golden: g, Stats: stats})
+	transformer, err := workloads.ByName("transformer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.GoldenByConstruction == 0 {
-		t.Fatal("nothing golden by construction")
+	resnet.Iters, transformer.Iters = 10, 10
+	rows := map[string]experiment.Config{
+		"ff/dedup+early-exit": {Workload: resnet, Experiments: 24, Seed: 9, Dedup: true},
 	}
-	var report strings.Builder
-	first.Report(&report)
-	tally := strings.Index(report.String(), "unexpected-total")
-	line := strings.Index(report.String(), fmt.Sprintf(", %d golden by construction\n", first.GoldenByConstruction))
-	if tally < 0 || line < tally {
-		t.Fatalf("report does not carry the count after the tally:\n%s", report.String())
+	for _, s := range everyStrategy {
+		rows["devfault/"+s.String()] = experiment.Config{Workload: transformer, Experiments: 12, Seed: 5, DeviceFaults: true, Recovery: s}
 	}
-	snap := stats.Snapshot()
-	if snap.GoldenByConstruction != int64(first.GoldenByConstruction) || snap.EarlyExits != int64(first.EarlyExits) ||
-		snap.Done != cfg.Experiments || snap.ItersExecuted != first.IterationsExecuted {
-		t.Fatalf("ledger %+v disagrees with the campaign: %d golden by construction, %d early exits, %d iterations executed",
-			snap, first.GoldenByConstruction, first.EarlyExits, first.IterationsExecuted)
-	}
+	nonzero := map[string]bool{}
+	for name, cfg := range rows {
+		t.Run(name, func(t *testing.T) {
+			cfg.HorizonMult, cfg.Workers, cfg.EarlyExit = 1.5, 2, true
+			g := experiment.PrepareGolden(cfg)
+			stats := telemetry.NewCampaignStats(cfg.Workload.Name, cfg.Experiments, cfg.Workers)
+			first, err := experiment.Resume(cfg, experiment.RunOptions{Golden: g, Stats: stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.GoldenByConstruction == 0 {
+				t.Fatal("nothing golden by construction")
+			}
+			var report strings.Builder
+			first.Report(&report)
+			tally := strings.Index(report.String(), "unexpected-total")
+			line := strings.Index(report.String(), fmt.Sprintf(", %d golden by construction\n", first.GoldenByConstruction))
+			if tally < 0 || line < tally {
+				t.Fatalf("report does not carry the count after the tally:\n%s", report.String())
+			}
 
-	prior := map[int]experiment.Record{}
-	for i, rec := range first.Records {
-		prior[i] = rec
+			snap := stats.Snapshot()
+			var sums telemetry.Snapshot
+			for i := range first.Records {
+				r := &first.Records[i]
+				sums.Quarantines += int64(r.Quarantines)
+				sums.Rejoins += int64(r.Rejoins)
+				sums.DegradedIters += int64(r.DegradedIters)
+				sums.CommRetries += int64(r.CommRetries)
+				sums.JITSnapshots += int64(r.JITSnapshots)
+				sums.Resizes += int64(r.Resizes)
+				sums.Readmits += int64(r.Readmits)
+			}
+			for _, c := range []struct {
+				name         string
+				ledger, want int64
+			}{
+				{"ItersExecuted", snap.ItersExecuted, first.IterationsExecuted},
+				{"ItersSkipped", snap.ItersSkipped, first.IterationsSkipped},
+				{"ItersSynthesized", snap.ItersSynthesized, first.IterationsSynthesized},
+				{"DedupAdopted", snap.DedupAdopted, int64(first.ExperimentsAdopted)},
+				{"EarlyExits", snap.EarlyExits, int64(first.EarlyExits)},
+				{"GoldenByConstruction", snap.GoldenByConstruction, int64(first.GoldenByConstruction)},
+				{"WarmRestores", snap.WarmRestores, first.WarmRestores},
+				{"ColdRestores", snap.ColdRestores, first.ColdRestores},
+				{"Done", int64(snap.Done), int64(first.Completed)},
+				{"Quarantines", snap.Quarantines, sums.Quarantines},
+				{"Rejoins", snap.Rejoins, sums.Rejoins},
+				{"DegradedIters", snap.DegradedIters, sums.DegradedIters},
+				{"CommRetries", snap.CommRetries, sums.CommRetries},
+				{"JITSnapshots", snap.JITSnapshots, sums.JITSnapshots},
+				{"Resizes", snap.Resizes, sums.Resizes},
+				{"Readmits", snap.Readmits, sums.Readmits},
+			} {
+				if c.ledger != c.want {
+					t.Errorf("ledger %s = %d, campaign %d", c.name, c.ledger, c.want)
+				}
+				nonzero[c.name] = nonzero[c.name] || c.want != 0
+			}
+
+			prior := map[int]experiment.Record{}
+			for i, rec := range first.Records {
+				prior[i] = rec
+			}
+			again, err := experiment.Resume(cfg, experiment.RunOptions{Golden: g, Prior: prior})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.GoldenByConstruction != 0 || again.Tally != first.Tally || again.EarlyExits != first.EarlyExits {
+				t.Fatalf("resume of a complete campaign: %d golden by construction, %d early exits, tally %+v; first run %d early exits, tally %+v",
+					again.GoldenByConstruction, again.EarlyExits, again.Tally, first.EarlyExits, first.Tally)
+			}
+		})
 	}
-	again, err := experiment.Resume(cfg, experiment.RunOptions{Golden: g, Prior: prior})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.GoldenByConstruction != 0 || again.Tally != first.Tally || again.EarlyExits != first.EarlyExits {
-		t.Fatalf("resume of a complete campaign: %d golden by construction, %d early exits, tally %+v; first run %d early exits, tally %+v",
-			again.GoldenByConstruction, again.EarlyExits, again.Tally, first.EarlyExits, first.Tally)
+	for name, seen := range nonzero {
+		if !seen {
+			t.Errorf("no row exercises %s", name)
+		}
 	}
 }

@@ -36,21 +36,22 @@ import (
 // dedupPlan is the precomputed execution-sharing schedule of a campaign:
 // owner[i] is the lowest experiment index with experiment i's key (== i
 // for experiments that execute themselves), and adoptees[o] lists the
-// experiments adopting owner o's record, ascending.
+// experiments adopting owner o's record, ascending. A nil plan (no Dedup)
+// makes every experiment its own owner.
 type dedupPlan struct {
 	owner    []int
 	adoptees map[int][]int
 }
 
-// newDedupPlan groups a campaign's pre-sampled injections by corruption
-// key. Deterministic: keys are pure functions of the injections and the
-// golden run's static shape tables, and ownership is by lowest index — so
-// an interrupted dedup campaign re-plans identically on resume.
-func newDedupPlan(g *Golden, injections []fault.Injection) *dedupPlan {
-	p := &dedupPlan{owner: make([]int, len(injections)), adoptees: map[int][]int{}}
+// newDedupPlan groups a campaign's sampled records by the corruption key of
+// their injections. Deterministic: keys are pure functions of the injections
+// and the golden run's static shape tables, and ownership is by lowest index —
+// so an interrupted dedup campaign re-plans identically on resume.
+func newDedupPlan(g *Golden, sampled []Record) *dedupPlan {
+	p := &dedupPlan{owner: make([]int, len(sampled)), adoptees: map[int][]int{}}
 	firstByKey := map[[16]byte]int{}
-	for i := range injections {
-		key := g.corruptionKey(&injections[i])
+	for i := range sampled {
+		key := g.corruptionKey(&sampled[i].Injection)
 		if o, ok := firstByKey[key]; ok {
 			p.owner[i] = o
 			p.adoptees[o] = append(p.adoptees[o], i)
@@ -60,6 +61,23 @@ func newDedupPlan(g *Golden, injections []fault.Injection) *dedupPlan {
 		}
 	}
 	return p
+}
+
+// ownerOf returns the index of the experiment whose execution experiment i
+// shares.
+func (p *dedupPlan) ownerOf(i int) int {
+	if p == nil {
+		return i
+	}
+	return p.owner[i]
+}
+
+// adopteesOf returns the experiments adopting owner o's record, ascending.
+func (p *dedupPlan) adopteesOf(o int) []int {
+	if p == nil {
+		return nil
+	}
+	return p.adoptees[o]
 }
 
 // site resolves where an injection strikes, from the golden run's static
@@ -111,12 +129,12 @@ func (g *Golden) corruptionKey(inj *fault.Injection) [16]byte {
 	return out
 }
 
-// adoptRecord synthesizes experiment record i from its dedup owner's
-// completed record: the shared trajectory byte for byte, this experiment's
-// own injection identity, and the adoption provenance.
-func adoptRecord(owner Record, inj fault.Injection, ownerIdx int) Record {
+// adoptRecord synthesizes an experiment's record from its dedup owner's
+// completed record: the shared trajectory byte for byte, the injection of its
+// own sampled record, and the adoption provenance.
+func adoptRecord(owner Record, ownerIdx int, sampled *Record) Record {
 	rec := owner
-	rec.Injection = inj
+	rec.Injection = sampled.Injection
 	rec.AdoptedFrom = ownerIdx
 	return rec
 }

@@ -193,7 +193,7 @@ func newDeferredPair(cfg Config) *deferredPair {
 func (p *deferredPair) ff(t *testing.T, inj fault.Injection) Record {
 	t.Helper()
 	before := p.prod.Evaluations()
-	got, _, _, _, _ := runOne(p.g, p.prod, inj, p.cfg)
+	got, _ := runOne(p.g, p.prod, Sampled(p.cfg, inj, fault.DeviceFault{}), p.cfg)
 	want := oracleRunOne(p.g, p.oracle, inj, p.cfg)
 	if !recordsEqual(&want, &got) {
 		t.Fatalf("injection %+v:\noracle:   %+v\ndeferred: %+v", inj, want, got)
@@ -207,7 +207,7 @@ func (p *deferredPair) ff(t *testing.T, inj fault.Injection) Record {
 func (p *deferredPair) df(t *testing.T, df fault.DeviceFault) Record {
 	t.Helper()
 	before := p.prod.Evaluations()
-	got, _, _, _ := runDeviceFault(p.g, p.prod, df, p.cfg)
+	got, _ := runDeviceFault(p.g, p.prod, Sampled(p.cfg, fault.Injection{}, df), p.cfg)
 	want := oracleRunDeviceFault(p.g, p.oracle, df, p.cfg)
 	if !recordsEqual(&want, &got) {
 		t.Fatalf("%s under %s:\noracle:   %+v\ndeferred: %+v", df.Describe(), p.cfg.recoveryStrategy(), want, got)
@@ -232,19 +232,13 @@ func assertCampaignMatchesOracle(t *testing.T, cfg Config) *Campaign {
 		equal = recordsEquivalent
 		oracleCfg.Dedup = false
 	}
-	var injs []fault.Injection
-	var dfs []fault.DeviceFault
-	if cfg.DeviceFaults {
-		dfs = sampleDeviceFaults(p.cfg, p.g.maxInjectIter)
-	} else {
-		injs = sampleInjections(p.cfg, p.g.numLayers, p.g.maxInjectIter)
-	}
+	sampled := p.g.sample(p.cfg)
 	for i := range c.Records {
 		var want Record
 		if cfg.DeviceFaults {
-			want = oracleRunDeviceFault(p.g, p.oracle, dfs[i], oracleCfg)
+			want = oracleRunDeviceFault(p.g, p.oracle, sampled[i].DeviceFault, oracleCfg)
 		} else {
-			want = oracleRunOne(p.g, p.oracle, injs[i], oracleCfg)
+			want = oracleRunOne(p.g, p.oracle, sampled[i].Injection, oracleCfg)
 		}
 		if !equal(&want, &c.Records[i]) {
 			t.Fatalf("record %d:\noracle:   %+v\ndeferred: %+v", i, want, c.Records[i])

@@ -30,7 +30,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/outcome"
 	"repro/internal/recovery"
-	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/train"
 )
 
@@ -43,46 +43,23 @@ func (cfg Config) deviceFaultKinds() []fault.DeviceFaultKind {
 	return cfg.DeviceFaultKinds
 }
 
-// sampleDeviceFaults pre-draws every experiment's device fault
-// (deterministic and independent of worker scheduling, like
-// sampleInjections). The sampling stream is decoupled from the FF stream so
-// FF and device-fault campaigns with the same seed stay independent.
-func sampleDeviceFaults(cfg Config, maxInjectIter int) []fault.DeviceFault {
-	r := rng.NewFromInt(cfg.Seed ^ 0xdef1ce)
-	kinds := cfg.deviceFaultKinds()
-	out := make([]fault.DeviceFault, cfg.Experiments)
-	for i := range out {
-		out[i] = fault.SampleDeviceFault(r, cfg.Workload.Devices, maxInjectIter, kinds)
-	}
-	return out
-}
-
-// runDeviceFault executes a single device-fault experiment, mirroring
-// runOne: restore the nearest golden snapshot at or before the fault onset,
-// reconstruct the trace prefix, arm the fault on the collective, and run
-// the suffix — mitigated through recovery.GroupGuard when cfg selects a
-// recovery strategy, otherwise with the plain engine loop. e is the worker's pooled engine.
-// Returns the record, the prefix length skipped, the suffix iterations
-// executed, and the number of cross-replica checks performed.
-func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config) (Record, int, int, int) {
+// runDeviceFault executes a single device-fault experiment from its sampled
+// record, mirroring runOne: restore the golden snapshot the experiment forks
+// from (strictly before the fault onset, see Golden.fork), reconstruct the
+// trace prefix, arm the fault on the collective, and run the suffix —
+// mitigated through recovery.GroupGuard when cfg selects a recovery strategy,
+// otherwise with the plain engine loop. e is the worker's pooled engine.
+// Returns the record and what executing it cost: the prefix length skipped,
+// the suffix iterations executed, and the number of cross-replica checks
+// performed.
+func runDeviceFault(g *Golden, e *train.Engine, rec Record, cfg Config) (Record, telemetry.Counts) {
 	w := g.w
-	// Fork from the boundary strictly before the fault onset (not at it):
-	// the earliest cross-replica alarm fires at the onset iteration, and the
-	// two-iteration re-execution must find the same rollback window a
-	// cold-start run would have — which requires at least one executed
-	// iteration before the alarm.
-	preFault := df.Iteration - 1
-	if preFault < 0 {
-		preFault = 0
-	}
-	start, snap := g.nearest(preFault)
+	df := rec.DeviceFault
+	start, snap := g.fork(&rec)
 	rearm(e, snap, cfg)
 	e.Group().Arm(df)
 
 	strategy := cfg.recoveryStrategy()
-	rec := Record{DeviceFault: df, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1,
-		AdoptedFrom: -1, EarlyExitIter: -1, Masked: true,
-		RecoveryStrategy: strategy.String(), TimeToRecoverIters: -1}
 	trace := train.NewTrace(w.Name)
 	trace.FinalTestOnly = true
 	copyGoldenPrefix(trace, g.ref, start)
@@ -145,25 +122,19 @@ func runDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg Config
 	// masked.
 	rec.Masked = rec.InjectedElems == 0 && rec.CommRetries == 0 && rec.Quarantines == 0 && !hang
 
+	// Gradient corruption enters the weights through the optimizer update,
+	// like a weight-gradient backward-pass FF: an INF/NaN one iteration after
+	// onset still counts as immediate.
+	g.classify(&rec, trace, fault.BackwardWeight)
 	switch {
 	case hang:
 		rec.Outcome = outcome.GroupHang
-	default:
-		// Gradient corruption enters the weights through the optimizer
-		// update, like a weight-gradient backward-pass FF: an INF/NaN one
-		// iteration after onset still counts as immediate.
-		rec.Outcome = g.cls.Classify(trace, fault.BackwardWeight)
-		if rec.Quarantines > 0 && !rec.Outcome.IsUnexpected() {
-			if e.Group().HealthyCount() == e.Config().Devices {
-				rec.Outcome = outcome.QuarantinedRecovered
-			} else {
-				rec.Outcome = outcome.DegradedComplete
-			}
+	case rec.Quarantines > 0 && !rec.Outcome.IsUnexpected():
+		if e.Group().HealthyCount() == e.Config().Devices {
+			rec.Outcome = outcome.QuarantinedRecovered
+		} else {
+			rec.Outcome = outcome.DegradedComplete
 		}
 	}
-	rec.FinalTrainAcc = trace.FinalTrainAcc(10)
-	rec.FinalTestAcc = trace.FinalTestAcc()
-	rec.NonFiniteIter = trace.NonFiniteIter
-	rec.AccuracyCost = g.refAcc - rec.FinalTrainAcc
-	return rec, start, trace.Completed - start, checks
+	return rec, telemetry.Counts{Skipped: start, Executed: trace.Completed - start, Checks: checks}
 }

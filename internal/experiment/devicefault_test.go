@@ -104,6 +104,18 @@ func TestDeviceFaultResumeRejectsForeignPrior(t *testing.T) {
 	}
 }
 
+// TestDeviceFaultKindsRefuseNone: a device-fault campaign samples real
+// device faults only. A DeviceFaultNone in the kind list would write records
+// a journal cannot tell from FF records, so Resume refuses it before running.
+func TestDeviceFaultKindsRefuseNone(t *testing.T) {
+	cfg := deviceFaultConfig(t)
+	cfg.Experiments = 2
+	cfg.DeviceFaultKinds = []fault.DeviceFaultKind{fault.DeviceStraggler, fault.DeviceFaultNone}
+	if _, err := Resume(cfg, RunOptions{}); err == nil || !strings.Contains(err.Error(), "DeviceFaultKinds") {
+		t.Fatalf("a DeviceFaultNone kind was not refused: %v", err)
+	}
+}
+
 // TestDeviceFaultReportRenders: the campaign report includes the group
 // mitigation summary for device-fault campaigns.
 func TestDeviceFaultReportRenders(t *testing.T) {

@@ -38,6 +38,7 @@ import (
 	"repro/internal/outcome"
 	"repro/internal/recovery"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/train"
 	"repro/internal/workloads"
 )
@@ -220,11 +221,16 @@ type Record struct {
 // the device fault's onset for device-fault records, the injection
 // iteration otherwise. Detection latencies are measured from it.
 func (r *Record) FaultIteration() int {
-	if r.DeviceFault.Kind != fault.DeviceFaultNone {
+	if r.device() {
 		return r.DeviceFault.Iteration
 	}
 	return r.Injection.Iteration
 }
+
+// device reports whether the record is a device-fault experiment's. Every
+// record carries one flavour of fault, and a device fault always has a kind
+// (Resume refuses DeviceFaultNone as one), so the kind tells the two apart.
+func (r *Record) device() bool { return r.DeviceFault.Kind != fault.DeviceFaultNone }
 
 // Campaign is a completed batch of experiments.
 type Campaign struct {
@@ -286,17 +292,18 @@ func Run(cfg Config) *Campaign {
 	return RunWithGolden(cfg, nil)
 }
 
-// runOne executes a single FI experiment: restore the nearest golden
-// snapshot at or before the injection iteration, reconstruct the trace
-// prefix from the golden trace (the skipped iterations are
-// bitwise-identical to it), and execute the suffix — truncated by the
-// masked early exit when cfg enables it (see earlyexit.go).
-// e is the worker's pooled engine. Returns the record, the prefix length
-// skipped, the suffix iterations executed, the tail iterations synthesized
-// from the golden trace, and the number of detector checks performed.
-func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record, int, int, int, int) {
+// runOne executes a single FI experiment from its sampled record: restore
+// the golden snapshot the experiment forks from, reconstruct the trace prefix
+// from the golden trace (the skipped iterations are bitwise-identical to it),
+// and execute the suffix — truncated by the masked early exit when cfg
+// enables it (see earlyexit.go). e is the worker's pooled engine. Returns the
+// record and what executing it cost: the prefix length skipped, the suffix
+// iterations executed, the tail iterations synthesized from the golden trace,
+// and the number of detector checks performed.
+func runOne(g *Golden, e *train.Engine, rec Record, cfg Config) (Record, telemetry.Counts) {
 	w := g.w
-	start, snap := g.nearest(inj.Iteration)
+	inj := rec.Injection
+	start, snap := g.fork(&rec)
 	rearm(e, snap, cfg)
 	e.SetInjection(&inj)
 	det := detect.ForEngine(e, w.BatchSize(), w.LR, true)
@@ -305,9 +312,6 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 	// non-finite golden run cleared the schedules (see PrepareGolden).
 	earlyExit := cfg.EarlyExit && g.digests != nil
 
-	rec := Record{Injection: inj, NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1, Masked: true,
-		AdoptedFrom: -1, EarlyExitIter: -1,
-		RecoveryStrategy: recovery.StrategyNone.String(), TimeToRecoverIters: -1}
 	checks := 0
 	synthesized := 0
 	trace := train.NewTrace(w.Name)
@@ -366,12 +370,9 @@ func runOne(g *Golden, e *train.Engine, inj fault.Injection, cfg Config) (Record
 		}
 	}
 	e.ResolveTest(trace)
-	rec.Outcome = g.cls.Classify(trace, inj.Pass)
-	rec.FinalTrainAcc = trace.FinalTrainAcc(10)
-	rec.FinalTestAcc = trace.FinalTestAcc()
-	rec.NonFiniteIter = trace.NonFiniteIter
-	rec.AccuracyCost = g.refAcc - rec.FinalTrainAcc
-	return rec, start, trace.Completed - start - synthesized, synthesized, checks
+	g.classify(&rec, trace, inj.Pass)
+	return rec, telemetry.Counts{Skipped: start, Executed: trace.Completed - start - synthesized,
+		Synthesized: synthesized, Checks: checks}
 }
 
 // rearm returns a worker's pooled engine to the golden state snap for its

@@ -17,25 +17,30 @@ func PrepareGoldenWithCheck(cfg Config, check *detect.GroupCheck) *Golden {
 	return prepareGolden(cfg, check)
 }
 
-// SampleFaults returns the campaign's pre-drawn population: injections for an
-// FF campaign, device faults for a device-fault one.
-func (g *Golden) SampleFaults(cfg Config) ([]fault.Injection, []fault.DeviceFault) {
-	cfg = cfg.withDefaults()
-	if cfg.DeviceFaults {
-		return nil, sampleDeviceFaults(cfg, g.maxInjectIter)
-	}
-	return sampleInjections(cfg, g.numLayers, g.maxInjectIter), nil
+// SampleFaults returns the campaign's sampled records: each experiment's
+// injection, or its device fault in a device-fault campaign, over the record
+// it starts from.
+func (g *Golden) SampleFaults(cfg Config) []Record {
+	return g.sample(cfg.withDefaults())
 }
 
-// ByConstruction is what Resume's dispatcher does with one pending
-// experiment: the predicate and, where it holds, the synthesized record.
-func (g *Golden) ByConstruction(cfg Config, inj fault.Injection, df fault.DeviceFault, p comm.Policy) (Record, bool) {
+// Sampled is the record a campaign of cfg starts an experiment with the given
+// fault from: an injection, or a device fault when df has a kind.
+func Sampled(cfg Config, inj fault.Injection, df fault.DeviceFault) Record {
+	rec := cfg.withDefaults().blankRecord()
+	rec.Injection, rec.DeviceFault = inj, df
+	return rec
+}
+
+// ByConstruction is what Resume's dispatcher does with one pending sampled
+// record: the predicate and, where it holds, the synthesized record.
+func (g *Golden) ByConstruction(cfg Config, rec Record, p comm.Policy) (Record, bool) {
 	cfg = cfg.withDefaults()
-	proof, ok := g.provablyGolden(cfg, inj, df, p)
+	proof, ok := g.provablyGolden(cfg, &rec, p)
 	if !ok {
 		return Record{}, false
 	}
-	return g.goldenRecord(cfg, inj, df, proof), true
+	return g.goldenRecord(rec, proof), true
 }
 
 // NewPooledEngine builds an engine the way a campaign worker does.
@@ -43,15 +48,15 @@ func (g *Golden) NewPooledEngine(cfg Config) *train.Engine {
 	return g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77})
 }
 
-// Execute runs one experiment on a pooled engine: the executors Resume
+// Execute runs one sampled record on a pooled engine: the executors Resume
 // dispatches everything the predicate does not hold for to.
-func (g *Golden) Execute(e *train.Engine, cfg Config, inj fault.Injection, df fault.DeviceFault) Record {
+func (g *Golden) Execute(e *train.Engine, cfg Config, rec Record) Record {
 	cfg = cfg.withDefaults()
 	if cfg.DeviceFaults {
-		rec, _, _, _ := runDeviceFault(g, e, df, cfg)
+		rec, _ = runDeviceFault(g, e, rec, cfg)
 		return rec
 	}
-	rec, _, _, _, _ := runOne(g, e, inj, cfg)
+	rec, _ = runOne(g, e, rec, cfg)
 	return rec
 }
 

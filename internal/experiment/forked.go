@@ -30,6 +30,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/fault"
 	"repro/internal/outcome"
+	"repro/internal/recovery"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -301,15 +302,32 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// sampleInjections pre-draws every experiment's injection (deterministic
-// and independent of worker scheduling).
-func sampleInjections(cfg Config, numLayers, maxInjectIter int) []fault.Injection {
+// sample pre-draws every experiment of the campaign into the record it
+// starts from: the "observed nothing" skeleton carrying the experiment's
+// fault — an injection, or a device fault when cfg.DeviceFaults. Sampling is
+// deterministic and independent of worker scheduling; the device-fault stream
+// is decoupled from the FF streams so FF and device-fault campaigns with the
+// same seed stay independent. The record's DeviceFault.Kind is what tells the
+// two flavours apart from here on (Record.device).
+func (g *Golden) sample(cfg Config) []Record {
+	recs := make([]Record, cfg.Experiments)
+	blank := cfg.blankRecord()
+	for i := range recs {
+		recs[i] = blank
+	}
+	if cfg.DeviceFaults {
+		r := rng.NewFromInt(cfg.Seed ^ 0xdef1ce)
+		kinds := cfg.deviceFaultKinds()
+		for i := range recs {
+			recs[i].DeviceFault = fault.SampleDeviceFault(r, cfg.Workload.Devices, g.maxInjectIter, kinds)
+		}
+		return recs
+	}
 	inv := accel.NVDLAInventory()
 	sampler := fault.NewSampler(inv, rng.NewFromInt(cfg.Seed))
 	biasRand := rng.NewFromInt(cfg.Seed ^ 0x5eed)
-	injections := make([]fault.Injection, cfg.Experiments)
-	for i := range injections {
-		inj := sampler.Sample(numLayers, maxInjectIter)
+	for i := range recs {
+		inj := sampler.Sample(g.numLayers, g.maxInjectIter)
 		if len(cfg.BiasKinds) > 0 {
 			inj.Kind = cfg.BiasKinds[biasRand.Intn(len(cfg.BiasKinds))]
 			// The fault duration distribution is a property of the FF
@@ -320,9 +338,46 @@ func sampleInjections(cfg Config, numLayers, maxInjectIter int) []fault.Injectio
 		if len(cfg.BiasPasses) > 0 {
 			inj.Pass = cfg.BiasPasses[biasRand.Intn(len(cfg.BiasPasses))]
 		}
-		injections[i] = inj
+		recs[i].Injection = inj
 	}
-	return injections
+	return recs
+}
+
+// blankRecord is the record of an experiment that observed nothing: no
+// INF/NaN, no alarm, no quarantine, nothing changed, run under the campaign's
+// recovery strategy (none for FF campaigns).
+func (cfg Config) blankRecord() Record {
+	strategy := recovery.StrategyNone
+	if cfg.DeviceFaults {
+		strategy = cfg.recoveryStrategy()
+	}
+	return Record{NonFiniteIter: -1, DetectIter: -1, QuarantineIter: -1, AdoptedFrom: -1, EarlyExitIter: -1,
+		Masked: true, RecoveryStrategy: strategy.String(), TimeToRecoverIters: -1}
+}
+
+// fork is the one fork-point rule: the golden snapshot boundary an
+// experiment restores and runs from, and its state. An injection forks from
+// the nearest boundary at or before its iteration. A device fault forks from
+// the nearest boundary strictly before its onset: the earliest cross-replica
+// alarm fires at the onset iteration, and the two-iteration re-execution must
+// find the same rollback window a cold-start run would have — which requires
+// at least one executed iteration before the alarm.
+func (g *Golden) fork(rec *Record) (int, *train.State) {
+	if rec.device() {
+		return g.nearest(max(rec.DeviceFault.Iteration-1, 0))
+	}
+	return g.nearest(rec.Injection.Iteration)
+}
+
+// classify is the one tail every record ends in: its Table-3 outcome, read
+// off trace with the pass the fault entered through, and the summary fields
+// the outcome is judged on.
+func (g *Golden) classify(rec *Record, trace *train.Trace, pass fault.Pass) {
+	rec.Outcome = g.cls.Classify(trace, pass)
+	rec.FinalTrainAcc = trace.FinalTrainAcc(10)
+	rec.FinalTestAcc = trace.FinalTestAcc()
+	rec.NonFiniteIter = trace.NonFiniteIter
+	rec.AccuracyCost = g.refAcc - rec.FinalTrainAcc
 }
 
 // RunWithGolden executes a campaign against a precomputed Golden. Passing

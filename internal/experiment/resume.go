@@ -4,13 +4,14 @@ package experiment
 // sinks, and crash-safe resume.
 //
 // A campaign's records are a pure function of its resolved identity
-// (Config.Spec): injections are pre-sampled deterministically and
-// every record depends only on its own injection and the shared golden
-// run. Completed records are therefore position-independent — a campaign
-// interrupted after any subset of its experiments can be resumed by
-// replaying that subset from a journal and executing only the complement,
-// and the result is byte-identical to an uninterrupted run
-// (TestResumeEquivalence, enforced under -race in ci.sh).
+// (Config.Spec): every experiment's fault is pre-sampled deterministically
+// into the record it starts from (Golden.sample), and every record depends
+// only on that sampled record and the shared golden run. Completed records
+// are therefore position-independent — a campaign interrupted after any
+// subset of its experiments can be resumed by replaying that subset from a
+// journal and executing only the complement, and the result is
+// byte-identical to an uninterrupted run (TestResumeEquivalence, enforced
+// under -race in ci.sh).
 //
 // The journal itself lives in internal/record (which already depends on
 // this package); the Sink interface below is the seam between the two:
@@ -21,6 +22,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,7 +151,7 @@ type RunOptions struct {
 	// Prior maps experiment indexes to records completed by an earlier
 	// run of the same campaign (replayed from a journal). They are
 	// adopted verbatim — not re-executed — and are validated against the
-	// campaign's deterministically re-sampled injections.
+	// campaign's deterministically re-sampled faults.
 	Prior map[int]Record
 	// Sink, when non-nil, receives every newly completed record.
 	Sink Sink
@@ -194,6 +196,11 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		// fault it proves below, before anything runs.
 		return nil, fmt.Errorf("experiment: dedup does not apply to device-fault campaigns")
 	}
+	if cfg.DeviceFaults && slices.Contains(cfg.DeviceFaultKinds, fault.DeviceFaultNone) {
+		// A record's fault kind is what marks it a device-fault record
+		// (Record.device); the journal drops a kindless device fault.
+		return nil, fmt.Errorf("experiment: DeviceFaultKinds lists DeviceFaultNone, which is no device fault")
+	}
 	g := opts.Golden
 	if g == nil {
 		g = PrepareGolden(cfg)
@@ -204,27 +211,19 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 
 	c := &Campaign{Cfg: cfg, Ref: g.ref, RefAcc: g.refAcc,
 		Stride: g.stride, Snapshots: len(g.snaps), SnapshotBytes: g.bytes}
-	var injections []fault.Injection
-	var deviceFaults []fault.DeviceFault
-	if cfg.DeviceFaults {
-		deviceFaults = sampleDeviceFaults(cfg, g.maxInjectIter)
-	} else {
-		injections = sampleInjections(cfg, g.numLayers, g.maxInjectIter)
-	}
+	sampled := g.sample(cfg)
 	c.Records = make([]Record, cfg.Experiments)
 	completed := make([]bool, cfg.Experiments)
 	for i, rec := range opts.Prior {
 		if i < 0 || i >= len(c.Records) {
 			return nil, fmt.Errorf("experiment: prior record index %d out of range [0,%d)", i, len(c.Records))
 		}
-		if cfg.DeviceFaults {
-			if rec.DeviceFault != deviceFaults[i] {
-				return nil, fmt.Errorf("experiment: prior record %d carries device fault %+v but the campaign sampled %+v — the journal belongs to a different campaign configuration",
-					i, rec.DeviceFault, deviceFaults[i])
-			}
-		} else if rec.Injection != injections[i] {
+		if s := &sampled[i]; s.device() && rec.DeviceFault != s.DeviceFault {
+			return nil, fmt.Errorf("experiment: prior record %d carries device fault %+v but the campaign sampled %+v — the journal belongs to a different campaign configuration",
+				i, rec.DeviceFault, s.DeviceFault)
+		} else if !s.device() && rec.Injection != s.Injection {
 			return nil, fmt.Errorf("experiment: prior record %d carries injection %+v but the campaign sampled %+v — the journal belongs to a different campaign configuration",
-				i, rec.Injection, injections[i])
+				i, rec.Injection, s.Injection)
 		}
 		c.Records[i] = rec
 		completed[i] = true
@@ -232,79 +231,83 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	opts.Stats.AddPrior(len(opts.Prior))
 
 	// The dedup plan groups experiments by corruption key (dedup.go); only
-	// group owners are dispatched, and each owner's completion synthesizes
-	// its adoptees' records immediately after its own — so within one
-	// worker the journal sees the owner's line first, then its adoptees in
-	// ascending index order, deterministically.
+	// group owners are dispatched, and each owner's record lands its
+	// adoptees' immediately after its own. An experiment belongs to this call
+	// when its owner (itself without dedup) lies inside the shard, if any.
 	var plan *dedupPlan
-	var synthd int64
 	if cfg.Dedup {
-		plan = newDedupPlan(g, injections)
-	}
-	// owns reports whether experiment i belongs to this call: its dedup
-	// owner (itself without dedup) must lie inside the shard, if any. A
-	// shard-restricted run executes and journals only owned experiments.
-	owns := func(i int) bool {
-		if plan != nil {
-			i = plan.owner[i]
-		}
-		return opts.Shard.contains(i)
+		plan = newDedupPlan(g, sampled)
 	}
 
-	// The journal's canonical append sequence, fixed before anything runs:
-	// first the adoptees of already-journaled owners (synthesized up front,
-	// in owner order), then every pending owner in ascending index order,
-	// each followed by its pending adoptees. This is exactly the order a
-	// single-worker index-order run appends naturally; orderedSink holds
-	// multi-worker and snapshot-affine runs to the same byte sequence, and
-	// a shard-restricted run emits exactly this sequence filtered to its
-	// owners — so concatenating shard journals in shard order reproduces
-	// the monolithic byte sequence.
+	// One index pass over this call's owners fixes the journal's canonical
+	// append sequence before anything runs: first the missing adoptees of
+	// already-journaled owners (landed up front, in owner order), then every
+	// pending owner in ascending index order, each followed by its pending
+	// adoptees. This is exactly the order a single-worker index-order run
+	// appends naturally; orderedSink holds multi-worker and snapshot-affine
+	// runs to the same byte sequence, and a shard-restricted run emits exactly
+	// this sequence filtered to its owners — so concatenating shard journals
+	// in shard order reproduces the monolithic byte sequence.
+	var journaled, pending, head, tail []int
+	for i := range completed {
+		if plan.ownerOf(i) != i || !opts.Shard.contains(i) {
+			continue
+		}
+		var missing []int
+		for _, j := range plan.adopteesOf(i) {
+			if !completed[j] {
+				missing = append(missing, j)
+			}
+		}
+		if !completed[i] {
+			pending = append(pending, i)
+			tail = append(append(tail, i), missing...)
+		} else if len(missing) > 0 {
+			journaled = append(journaled, i)
+			head = append(head, missing...)
+		}
+	}
 	sink := opts.Sink
 	if sink != nil {
-		var seq []int
-		if plan != nil {
-			for i := range completed {
-				if completed[i] && plan.owner[i] == i && owns(i) {
-					for _, j := range plan.adoptees[i] {
-						if !completed[j] {
-							seq = append(seq, j)
-						}
-					}
-				}
-			}
-		}
-		for i := range completed {
-			if completed[i] || !owns(i) || (plan != nil && plan.owner[i] != i) {
-				continue
-			}
-			seq = append(seq, i)
-			if plan != nil {
-				for _, j := range plan.adoptees[i] {
-					if !completed[j] {
-						seq = append(seq, j)
-					}
-				}
-			}
-		}
-		sink = newOrderedSink(sink, seq)
+		sink = newOrderedSink(sink, append(head, tail...))
 	}
 
-	adoptFrom := func(wk, ownerIdx int) error {
-		if plan == nil {
-			return nil
-		}
-		for _, j := range plan.adoptees[ownerIdx] {
-			if completed[j] {
-				continue
+	// complete lands record rec of experiment i, from worker wk: it fills the
+	// slot, makes the record's one ledger call (run is what executing it
+	// cost), appends it to the sink, and then lands the adoptees of i that
+	// are missing. A journaled owner's record is already in place: only its
+	// adoptees land. Each index has exactly one owner, so concurrent workers
+	// write disjoint slots.
+	var executed, skipped, synthd, warmRestores, coldRestores atomic.Int64
+	var complete func(wk, i int, rec Record, run telemetry.Counts) error
+	complete = func(wk, i int, rec Record, run telemetry.Counts) error {
+		if !completed[i] {
+			c.Records[i] = rec
+			completed[i] = true
+			skipped.Add(int64(run.Skipped))
+			executed.Add(int64(run.Executed))
+			synthd.Add(int64(run.Synthesized))
+			if run.WarmRestore {
+				warmRestores.Add(1)
+			} else if run.ColdRestore {
+				coldRestores.Add(1)
 			}
-			rec := adoptRecord(c.Records[ownerIdx], injections[j], ownerIdx)
-			c.Records[j] = rec
-			completed[j] = true
-			opts.Stats.ExperimentAdopted(wk, rec.Outcome)
+			run.Outcome = rec.Outcome
+			run.Adopted = rec.AdoptedFrom >= 0
+			run.EarlyExit = !run.Adopted && rec.EarlyExitIter >= 0
+			run.Quarantines, run.Rejoins, run.DegradedIters, run.CommRetries = rec.Quarantines, rec.Rejoins, rec.DegradedIters, rec.CommRetries
+			run.JITSnapshots, run.Resizes, run.Readmits = rec.JITSnapshots, rec.Resizes, rec.Readmits
+			opts.Stats.Land(wk, run)
 			if sink != nil {
-				if err := sink.Append(j, rec); err != nil {
-					return fmt.Errorf("experiment: journaling adopted record %d: %w", j, err)
+				if err := sink.Append(i, rec); err != nil {
+					return fmt.Errorf("experiment: journaling record %d: %w", i, err)
+				}
+			}
+		}
+		for _, j := range plan.adopteesOf(i) {
+			if !completed[j] {
+				if err := complete(wk, j, adoptRecord(rec, i, &sampled[j]), telemetry.Counts{}); err != nil {
+					return err
 				}
 			}
 		}
@@ -312,41 +315,11 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	}
 	// A resumed dedup campaign may hold an owner's record from the prior
 	// run while the interruption (or a crash between fsync batches) lost
-	// some of its adoptees; synthesize those up front, in owner order, so
-	// the merged journal is byte-identical to an uninterrupted run.
-	if plan != nil {
-		for i := range completed {
-			if completed[i] && plan.owner[i] == i && owns(i) {
-				if err := adoptFrom(0, i); err != nil {
-					return c, err
-				}
-			}
-		}
-	}
-
-	// The dispatch order. Pending owners are collected in index order and
-	// stably regrouped by the golden snapshot boundary they fork from, so
-	// consecutive dispatches to one worker usually Restore the snapshot
-	// already resident in its caches (warm restores).
-	// Scheduling is invisible in results: every experiment is a pure
-	// function of its own injection and the immutable Golden, and the
-	// orderedSink above fixes the journal byte order independently of it.
-	forkBoundOf := func(i int) int {
-		iter := 0
-		if cfg.DeviceFaults {
-			if iter = deviceFaults[i].Iteration - 1; iter < 0 {
-				iter = 0
-			}
-		} else {
-			iter = injections[i].Iteration
-		}
-		b, _ := g.nearest(iter)
-		return b
-	}
-	var order []int
-	for i := range completed {
-		if !completed[i] && owns(i) && (plan == nil || plan.owner[i] == i) {
-			order = append(order, i)
+	// some of its adoptees; land those up front, in owner order, so the
+	// merged journal is byte-identical to an uninterrupted run.
+	for _, i := range journaled {
+		if err := complete(0, i, c.Records[i], telemetry.Counts{}); err != nil {
+			return c, err
 		}
 	}
 
@@ -355,40 +328,29 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	// record is written from the Golden here, before any engine exists, and
 	// only the rest are grouped and dispatched. The policy is the one every
 	// pooled engine runs under after rearm.
-	executing := order[:0]
-	for _, i := range order {
-		var inj fault.Injection
-		var df fault.DeviceFault
-		if cfg.DeviceFaults {
-			df = deviceFaults[i]
-		} else {
-			inj = injections[i]
-		}
-		proof, ok := g.provablyGolden(cfg, inj, df, comm.DefaultPolicy())
+	order := pending[:0]
+	for _, i := range pending {
+		proof, ok := g.provablyGolden(cfg, &sampled[i], comm.DefaultPolicy())
 		if !ok || ctx.Err() != nil {
-			executing = append(executing, i)
+			order = append(order, i)
 			continue
 		}
-		rec := g.goldenRecord(cfg, inj, df, proof)
-		c.Records[i] = rec
-		completed[i] = true
 		c.GoldenByConstruction++
-		opts.Stats.GoldenByConstruction(rec.Outcome, rec.EarlyExitIter >= 0)
-		opts.Stats.GroupMitigation(0, 0, 0, rec.CommRetries)
-		if sink != nil {
-			if err := sink.Append(i, rec); err != nil {
-				return c, fmt.Errorf("experiment: journaling record %d: %w", i, err)
-			}
-		}
-		if err := adoptFrom(0, i); err != nil {
+		if err := complete(0, i, g.goldenRecord(sampled[i], proof), telemetry.Counts{Golden: true}); err != nil {
 			return c, err
 		}
 	}
-	order = executing
 
+	// The dispatch order: pending owners in index order, stably regrouped
+	// by the golden snapshot boundary they fork from, so consecutive
+	// dispatches to one worker usually Restore the snapshot already resident
+	// in its caches (warm restores). Scheduling is invisible in results:
+	// every experiment is a pure function of its own sampled record and the
+	// immutable Golden, and the orderedSink above fixes the journal byte
+	// order independently of it.
 	bounds := make(map[int]int, len(order))
 	for _, i := range order {
-		bounds[i] = forkBoundOf(i)
+		bounds[i], _ = g.fork(&sampled[i])
 	}
 	sort.SliceStable(order, func(a, b int) bool { return bounds[order[a]] < bounds[order[b]] })
 
@@ -411,8 +373,11 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		sinkErrOnce.Do(func() { sinkErr = err })
 		cancel()
 	}
-	var executed, skipped, evals int64
-	var warmRestores, coldRestores int64
+	execute := runOne
+	if cfg.DeviceFaults {
+		execute = runDeviceFault
+	}
+	var evals atomic.Int64
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -424,7 +389,7 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 			var pooled *train.Engine
 			defer func() {
 				if pooled != nil {
-					atomic.AddInt64(&evals, pooled.Evaluations())
+					evals.Add(pooled.Evaluations())
 				}
 			}()
 			prevBound := -1
@@ -432,56 +397,19 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 				if pooled == nil {
 					pooled = g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77}) // same seed as reference
 				}
-				b := forkBoundOf(i)
-				if warm := b == prevBound; warm {
-					atomic.AddInt64(&warmRestores, 1)
-					opts.Stats.EngineRestore(true)
-				} else {
-					atomic.AddInt64(&coldRestores, 1)
-					opts.Stats.EngineRestore(false)
-				}
-				prevBound = b
-				var rec Record
-				var start, done, synth, checks int
-				if cfg.DeviceFaults {
-					rec, start, done, checks = runDeviceFault(g, pooled, deviceFaults[i], cfg)
-				} else {
-					rec, start, done, synth, checks = runOne(g, pooled, injections[i], cfg)
-				}
-				c.Records[i] = rec
-				completed[i] = true
-				atomic.AddInt64(&skipped, int64(start))
-				atomic.AddInt64(&executed, int64(done))
-				if synth > 0 {
-					atomic.AddInt64(&synthd, int64(synth))
-					opts.Stats.FastPathExit(synth)
-				}
-				opts.Stats.ExperimentDone(wk, rec.Outcome, start, done, checks)
-				opts.Stats.GroupMitigation(rec.Quarantines, rec.Rejoins, rec.DegradedIters, rec.CommRetries)
-				opts.Stats.RecoveryActivity(rec.JITSnapshots, rec.Resizes, rec.Readmits)
-				if sink != nil {
-					if err := sink.Append(i, rec); err != nil {
-						failSink(fmt.Errorf("experiment: journaling record %d: %w", i, err))
-						return
-					}
-				}
-				// Adoptees ride immediately behind their owner, from the
-				// same worker: the journal's owner→adoptee line order is
-				// deterministic with a single worker, and record indexes
-				// stay disjoint across workers (each index has exactly one
-				// owner).
-				if plan != nil && len(plan.adoptees[i]) > 0 {
-					if err := adoptFrom(wk, i); err != nil {
-						failSink(err)
-						return
-					}
+				rec, run := execute(g, pooled, sampled[i], cfg)
+				run.WarmRestore, run.ColdRestore = bounds[i] == prevBound, bounds[i] != prevBound
+				prevBound = bounds[i]
+				if err := complete(wk, i, rec, run); err != nil {
+					failSink(err)
+					return
 				}
 			}
 		}(wk)
 	}
 feed:
 	// order already excludes completed records and adoptees (their owner's
-	// worker synthesizes them).
+	// worker lands them).
 	for _, i := range order {
 		select {
 		case idxCh <- i:
@@ -496,12 +424,12 @@ feed:
 			failSink(fmt.Errorf("experiment: flushing sink: %w", err))
 		}
 	}
-	c.IterationsExecuted = executed
-	c.IterationsSkipped = skipped
-	c.Evaluations = evals
-	c.IterationsSynthesized = synthd
-	c.WarmRestores = warmRestores
-	c.ColdRestores = coldRestores
+	c.IterationsExecuted = executed.Load()
+	c.IterationsSkipped = skipped.Load()
+	c.Evaluations = evals.Load()
+	c.IterationsSynthesized = synthd.Load()
+	c.WarmRestores = warmRestores.Load()
+	c.ColdRestores = coldRestores.Load()
 	for i := range c.Records {
 		if !completed[i] {
 			continue

@@ -500,8 +500,10 @@ func DecodeCampaignRecord(j CampaignRecordJSON) (experiment.Record, error) {
 
 // outcomeFromName resolves a serialized outcome name or errors.
 func outcomeFromName(name string) (outcome.Outcome, error) {
-	if o := outcomeByName(name); o != nil {
-		return *o, nil
+	for _, o := range outcome.All() {
+		if o.String() == name {
+			return o, nil
+		}
 	}
 	return 0, fmt.Errorf("record: unknown outcome %q", name)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/experiment"
 	"repro/internal/fault"
+	"repro/internal/outcome"
 	"repro/internal/rng"
 	"repro/internal/train"
 	"repro/internal/workloads"
@@ -264,11 +265,21 @@ func TestReadCampaignJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestOutcomeByName: serialized outcome names resolve, unknown ones error,
+// and the markdown report skips a record whose outcome it cannot resolve.
 func TestOutcomeByName(t *testing.T) {
-	if o := outcomeByName("SlowDegrade"); o == nil {
-		t.Fatal("SlowDegrade not resolved")
+	if o, err := outcomeFromName("SlowDegrade"); err != nil || o != outcome.SlowDegrade {
+		t.Fatalf("SlowDegrade resolved to %v, %v", o, err)
 	}
-	if o := outcomeByName("Nonsense"); o != nil {
+	if _, err := outcomeFromName("Nonsense"); err == nil {
 		t.Fatal("bogus outcome resolved")
+	}
+	c := &CampaignJSON{Workload: "yolo", Records: []CampaignRecordJSON{{Outcome: "Nonsense", DetectIter: 3}}}
+	var md bytes.Buffer
+	if err := RenderMarkdown(&md, c); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(md.String(), "no latent outcomes") {
+		t.Fatalf("an unknown outcome counted as latent:\n%s", md.String())
 	}
 }

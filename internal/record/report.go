@@ -57,8 +57,8 @@ func RenderMarkdown(w io.Writer, c *CampaignJSON) error {
 	var detected, latent int
 	maxLat := 0
 	for _, r := range c.Records {
-		o := outcomeByName(r.Outcome)
-		if o != nil && (o.IsLatent() || *o == outcome.ShortTermINFNaN) {
+		o, err := outcomeFromName(r.Outcome)
+		if err == nil && (o.IsLatent() || o == outcome.ShortTermINFNaN) {
 			latent++
 			if r.DetectIter >= 0 {
 				detected++
@@ -83,8 +83,8 @@ func RenderMarkdown(w io.Writer, c *CampaignJSON) error {
 	// Condition extremes.
 	var hist, mvar stats.Range
 	for _, r := range c.Records {
-		o := outcomeByName(r.Outcome)
-		if o == nil || (!o.IsLatent() && *o != outcome.ShortTermINFNaN) {
+		o, err := outcomeFromName(r.Outcome)
+		if err != nil || (!o.IsLatent() && o != outcome.ShortTermINFNaN) {
 			continue
 		}
 		if v := maxf(float64(r.HistAtT), float64(r.HistAtT1)); v > 0 {
@@ -100,7 +100,7 @@ func RenderMarkdown(w io.Writer, c *CampaignJSON) error {
 	// FF-kind contribution.
 	kindUnexpected := map[string]int{}
 	for _, r := range c.Records {
-		if o := outcomeByName(r.Outcome); o != nil && o.IsUnexpected() {
+		if o, err := outcomeFromName(r.Outcome); err == nil && o.IsUnexpected() {
 			kindUnexpected[r.Injection.Kind]++
 		}
 	}
@@ -117,17 +117,6 @@ func RenderMarkdown(w io.Writer, c *CampaignJSON) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// outcomeByName resolves a serialized outcome name; nil if unknown.
-func outcomeByName(name string) *outcome.Outcome {
-	for _, o := range outcome.All() {
-		if o.String() == name {
-			o := o
-			return &o
-		}
-	}
-	return nil
 }
 
 func maxf(a, b float64) float64 {

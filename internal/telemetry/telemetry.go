@@ -4,11 +4,12 @@
 // campaign runs for hours, and the operator needs to watch it without
 // perturbing it. This package provides:
 //
-//   - CampaignStats, a lock-free progress ledger the campaign worker pool
-//     updates with plain atomic adds (one bundle of counters per completed
-//     experiment, never per iteration, so the hot training loop stays
+//   - CampaignStats, a lock-free progress ledger the campaign runner
+//     updates with plain atomic adds: one Land call per landed record
+//     (executed, adopted or golden by construction), carrying that record's
+//     Counts, and never one per iteration, so the hot training loop stays
 //     untouched and the overhead is unmeasurable next to an experiment's
-//     training work — see BenchmarkCampaignForkedTelemetry);
+//     training work — see BenchmarkCampaignForkedTelemetry;
 //   - derived views (Snapshot): per-worker and aggregate experiment
 //     throughput, per-outcome tallies in the paper's Table-3 taxonomy,
 //     golden-snapshot fork rate, fused-detection check counts, journal
@@ -124,123 +125,74 @@ func (s *CampaignStats) AddPrior(n int) {
 	s.prior.Add(int64(n))
 }
 
-// ExperimentDone records one completed experiment: the worker that ran it,
-// its Table-3 outcome, the golden-prefix iterations skipped by snapshot
-// forking vs suffix iterations executed, and the number of detector checks
-// performed. Called once per record from the campaign worker pool.
-func (s *CampaignStats) ExperimentDone(worker int, o outcome.Outcome, skipped, executed, checks int) {
+// Counts is one landed record's entry in the ledger. A record that ran
+// nothing (adopted, or golden by construction) carries only its outcome and
+// its provenance.
+type Counts struct {
+	Outcome outcome.Outcome
+	// Skipped / Executed / Synthesized are the golden-prefix iterations the
+	// execution reused by forking, the suffix iterations it ran, and the tail
+	// iterations its early exit copied from the golden trace; Checks counts
+	// its detector checks.
+	Skipped, Executed, Synthesized, Checks int
+	// WarmRestore / ColdRestore: the execution began with a pooled-engine
+	// restore of the golden snapshot its worker's previous experiment forked
+	// from (warm), or of another one (cold).
+	WarmRestore, ColdRestore bool
+	// Adopted: the record was adopted from its dedup owner. Golden: it was
+	// written from the golden run because its fault provably touches no
+	// value. EarlyExit: it carries early-exit provenance of its own.
+	Adopted, Golden, EarlyExit bool
+	// The record's group-mitigation and recovery-strategy activity (zero
+	// outside device-fault campaigns).
+	Quarantines, Rejoins, DegradedIters, CommRetries int
+	JITSnapshots, Resizes, Readmits                  int
+}
+
+// Land records one landed experiment record, on the ledger of the worker
+// that landed it. Called once per record, never per iteration.
+func (s *CampaignStats) Land(worker int, c Counts) {
 	if s == nil {
 		return
 	}
 	s.done.Add(1)
-	if int(o) < len(s.outcomes) {
-		s.outcomes[o].Add(1)
+	if int(c.Outcome) < len(s.outcomes) {
+		s.outcomes[c.Outcome].Add(1)
 	}
-	s.itersSkipped.Add(int64(skipped))
-	s.itersExecuted.Add(int64(executed))
-	if skipped > 0 {
-		s.forked.Add(1)
-	}
-	s.checks.Add(int64(checks))
 	if worker >= 0 && worker < len(s.workers) {
 		s.workers[worker].n.Add(1)
 	}
+	add(&s.itersSkipped, c.Skipped)
+	add(&s.itersExecuted, c.Executed)
+	add(&s.itersSynthesized, c.Synthesized)
+	add(&s.checks, c.Checks)
+	add(&s.forked, b2i(c.Skipped > 0))
+	add(&s.warmRestores, b2i(c.WarmRestore))
+	add(&s.coldRestores, b2i(c.ColdRestore))
+	add(&s.adopted, b2i(c.Adopted))
+	add(&s.goldenByConstruction, b2i(c.Golden))
+	add(&s.earlyExits, b2i(c.EarlyExit))
+	add(&s.quarantines, c.Quarantines)
+	add(&s.rejoins, c.Rejoins)
+	add(&s.degradedIters, c.DegradedIters)
+	add(&s.commRetries, c.CommRetries)
+	add(&s.jitSnapshots, c.JITSnapshots)
+	add(&s.resizes, c.Resizes)
+	add(&s.readmits, c.Readmits)
 }
 
-// ExperimentAdopted records one experiment resolved by injection dedup:
-// its record was adopted from an equal-corruption owner instead of
-// executing. Counts toward progress and the outcome tally like any other
-// completion, plus the adoption counter.
-func (s *CampaignStats) ExperimentAdopted(worker int, o outcome.Outcome) {
-	if s == nil {
-		return
-	}
-	s.adopted.Add(1)
-	s.ExperimentDone(worker, o, 0, 0, 0)
-}
-
-// GoldenByConstruction records one experiment classified without running:
-// its fault provably touches no value, so its record was written from the
-// golden run. Counts toward progress and the outcome tally like any other
-// completion (on worker 0's ledger: the dispatcher resolves these before the
-// pool starts), and toward the early-exit count when the record carries that
-// provenance, so the ledger agrees with the campaign's record-derived count.
-func (s *CampaignStats) GoldenByConstruction(o outcome.Outcome, earlyExit bool) {
-	if s == nil {
-		return
-	}
-	s.goldenByConstruction.Add(1)
-	if earlyExit {
-		s.earlyExits.Add(1)
-	}
-	s.ExperimentDone(0, o, 0, 0, 0)
-}
-
-// FastPathExit records one execution truncated by the early exit, with the
-// number of golden-tail iterations synthesized instead of executed.
-func (s *CampaignStats) FastPathExit(synthesized int) {
-	if s == nil {
-		return
-	}
-	s.earlyExits.Add(1)
-	s.itersSynthesized.Add(int64(synthesized))
-}
-
-// GroupMitigation accumulates one experiment's group-level mitigation
-// activity: quarantines, hot-rejoins, degraded iterations, and collective
-// retries. Called once per record alongside ExperimentDone; all-zero calls
-// (every FF-campaign record) are free.
-func (s *CampaignStats) GroupMitigation(quarantines, rejoins, degradedIters, commRetries int) {
-	if s == nil {
-		return
-	}
-	if quarantines != 0 {
-		s.quarantines.Add(int64(quarantines))
-	}
-	if rejoins != 0 {
-		s.rejoins.Add(int64(rejoins))
-	}
-	if degradedIters != 0 {
-		s.degradedIters.Add(int64(degradedIters))
-	}
-	if commRetries != 0 {
-		s.commRetries.Add(int64(commRetries))
+// add skips the atomic add of a zero: most of a record's counts are zero.
+func add(ctr *atomic.Int64, n int) {
+	if n != 0 {
+		ctr.Add(int64(n))
 	}
 }
 
-// RecoveryActivity accumulates one experiment's recovery-strategy
-// activity: just-in-time snapshots, elastic resizes, and re-admissions.
-// Called once per record alongside GroupMitigation; all-zero calls (every
-// FF-campaign and reexec/degraded record) are free.
-func (s *CampaignStats) RecoveryActivity(jitSnapshots, resizes, readmits int) {
-	if s == nil {
-		return
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	if jitSnapshots != 0 {
-		s.jitSnapshots.Add(int64(jitSnapshots))
-	}
-	if resizes != 0 {
-		s.resizes.Add(int64(resizes))
-	}
-	if readmits != 0 {
-		s.readmits.Add(int64(readmits))
-	}
-}
-
-// EngineRestore records one pooled-engine snapshot restore: warm when the
-// worker's previous experiment forked from the same golden snapshot (the
-// snapshot bytes and the engine's working set are still cache-resident),
-// cold otherwise. Snapshot-affine scheduling exists to maximize the warm
-// share; this counter pair is how the effect is observed.
-func (s *CampaignStats) EngineRestore(warm bool) {
-	if s == nil {
-		return
-	}
-	if warm {
-		s.warmRestores.Add(1)
-	} else {
-		s.coldRestores.Add(1)
-	}
+	return 0
 }
 
 // JournalAppend records one record appended to the write-ahead journal.

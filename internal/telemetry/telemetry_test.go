@@ -13,9 +13,12 @@ import (
 func TestCampaignStatsSnapshot(t *testing.T) {
 	s := NewCampaignStats("resnet", 100, 3)
 	s.AddPrior(10)
-	s.ExperimentDone(0, outcome.Benign, 5, 20, 12)
-	s.ExperimentDone(1, outcome.SlowDegrade, 0, 25, 25)
-	s.ExperimentDone(1, outcome.Benign, 8, 17, 9)
+	s.Land(0, Counts{Outcome: outcome.Benign, Skipped: 5, Executed: 20, Checks: 12, ColdRestore: true})
+	s.Land(1, Counts{Outcome: outcome.SlowDegrade, Executed: 25, Checks: 25, ColdRestore: true})
+	s.Land(1, Counts{Outcome: outcome.Benign, Skipped: 8, Executed: 17, Synthesized: 4, Checks: 9, WarmRestore: true, EarlyExit: true})
+	s.Land(1, Counts{Outcome: outcome.Benign, Adopted: true})
+	s.Land(0, Counts{Outcome: outcome.QuarantinedRecovered, Golden: true, Quarantines: 1, Rejoins: 1,
+		DegradedIters: 2, CommRetries: 3, JITSnapshots: 4, Resizes: 5, Readmits: 6})
 	s.JournalAppend()
 	s.JournalAppend()
 	s.JournalFlush()
@@ -24,17 +27,25 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 	if snap.Workload != "resnet" || snap.Experiments != 100 {
 		t.Fatalf("identity fields wrong: %+v", snap)
 	}
-	if snap.Done != 13 || snap.Resumed != 10 {
-		t.Fatalf("Done/Resumed = %d/%d, want 13/10", snap.Done, snap.Resumed)
+	if snap.Done != 15 || snap.Resumed != 10 {
+		t.Fatalf("Done/Resumed = %d/%d, want 15/10", snap.Done, snap.Resumed)
 	}
-	if snap.Outcomes["Benign"] != 2 || snap.Outcomes["SlowDegrade"] != 1 {
+	if snap.Outcomes["Benign"] != 3 || snap.Outcomes["SlowDegrade"] != 1 || snap.Outcomes["QuarantinedRecovered"] != 1 {
 		t.Fatalf("outcome tallies wrong: %+v", snap.Outcomes)
 	}
-	if snap.ItersSkipped != 13 || snap.ItersExecuted != 62 {
+	if snap.ItersSkipped != 13 || snap.ItersExecuted != 62 || snap.ItersSynthesized != 4 {
 		t.Fatalf("iteration counters wrong: %+v", snap)
 	}
-	// 2 of 3 completed experiments forked from a non-initial snapshot.
-	if want := 2.0 / 3.0; snap.SnapshotForkRate != want {
+	if snap.WarmRestores != 1 || snap.ColdRestores != 2 || snap.DedupAdopted != 1 ||
+		snap.GoldenByConstruction != 1 || snap.EarlyExits != 1 {
+		t.Fatalf("restore or equivalence counters wrong: %+v", snap)
+	}
+	if snap.Quarantines != 1 || snap.Rejoins != 1 || snap.DegradedIters != 2 || snap.CommRetries != 3 ||
+		snap.JITSnapshots != 4 || snap.Resizes != 5 || snap.Readmits != 6 {
+		t.Fatalf("mitigation counters wrong: %+v", snap)
+	}
+	// 2 of 5 landed records forked from a non-initial snapshot.
+	if want := 2.0 / 5.0; snap.SnapshotForkRate != want {
 		t.Fatalf("SnapshotForkRate = %g, want %g", snap.SnapshotForkRate, want)
 	}
 	if snap.DetectorChecks != 46 {
@@ -43,7 +54,7 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 	if snap.JournalAppends != 2 || snap.JournalFlushes != 1 {
 		t.Fatalf("journal counters wrong: %+v", snap)
 	}
-	if len(snap.PerWorkerDone) != 3 || snap.PerWorkerDone[0] != 1 || snap.PerWorkerDone[1] != 2 {
+	if len(snap.PerWorkerDone) != 3 || snap.PerWorkerDone[0] != 2 || snap.PerWorkerDone[1] != 3 {
 		t.Fatalf("per-worker counters wrong: %+v", snap.PerWorkerDone)
 	}
 	if snap.ExperimentsPerSec <= 0 || snap.ETASec < 0 {
@@ -54,11 +65,9 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 func TestCampaignStatsNilSafe(t *testing.T) {
 	var s *CampaignStats
 	s.AddPrior(1)
-	s.ExperimentDone(0, outcome.Benign, 0, 0, 0)
+	s.Land(0, Counts{Outcome: outcome.Benign, WarmRestore: true, Golden: true, EarlyExit: true})
 	s.JournalAppend()
 	s.JournalFlush()
-	s.EngineRestore(true)
-	s.GoldenByConstruction(outcome.Benign, true)
 	if snap := s.Snapshot(); snap.Done != 0 {
 		t.Fatalf("nil snapshot not zero: %+v", snap)
 	}
@@ -72,7 +81,7 @@ func TestCampaignStatsConcurrent(t *testing.T) {
 		go func(wk int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s.ExperimentDone(wk, outcome.Benign, 1, 2, 3)
+				s.Land(wk, Counts{Outcome: outcome.Benign, Skipped: 1, Executed: 2, Checks: 3})
 			}
 		}(wk)
 	}
@@ -92,10 +101,9 @@ func TestCampaignStatsConcurrent(t *testing.T) {
 // that /status serves the active campaign's live outcome tallies.
 func TestServeStatus(t *testing.T) {
 	s := NewCampaignStats("transformer", 50, 2)
-	s.ExperimentDone(0, outcome.ImmediateINFNaN, 0, 3, 3)
-	s.EngineRestore(false)
-	s.EngineRestore(true)
-	s.EngineRestore(true)
+	s.Land(0, Counts{Outcome: outcome.ImmediateINFNaN, Executed: 3, Checks: 3, ColdRestore: true})
+	s.Land(1, Counts{Outcome: outcome.Benign, WarmRestore: true})
+	s.Land(1, Counts{Outcome: outcome.Benign, WarmRestore: true})
 	Activate(s)
 
 	srv, err := Serve("127.0.0.1:0")

@@ -107,69 +107,6 @@ func (t *Tensor) Sum() float64 {
 	return laneTotal(&l)
 }
 
-// minMaxRange scans data (which must be non-empty), seeding both extrema
-// from data[0]; NaN presence is tracked separately.
-func minMaxRange(data []float32) (lo, hi float32, nan bool) {
-	lo, hi = data[0], data[0]
-	nan = data[0] != data[0]
-	i := 1
-	for ; i+4 <= len(data); i += 4 {
-		v0, v1, v2, v3 := data[i], data[i+1], data[i+2], data[i+3]
-		if v0 < lo {
-			lo = v0
-		}
-		if v0 > hi {
-			hi = v0
-		}
-		if v1 < lo {
-			lo = v1
-		}
-		if v1 > hi {
-			hi = v1
-		}
-		if v2 < lo {
-			lo = v2
-		}
-		if v2 > hi {
-			hi = v2
-		}
-		if v3 < lo {
-			lo = v3
-		}
-		if v3 > hi {
-			hi = v3
-		}
-		if v0 != v0 || v1 != v1 || v2 != v2 || v3 != v3 {
-			nan = true
-		}
-	}
-	for ; i < len(data); i++ {
-		v := data[i]
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-		if v != v {
-			nan = true
-		}
-	}
-	return lo, hi, nan
-}
-
-// MinMax returns the minimum and maximum element. If any element is NaN,
-// both results are NaN (corruption is never hidden). An empty tensor cannot
-// occur (New rejects empty shapes).
-func (t *Tensor) MinMax() (lo, hi float32) {
-	lo, hi, nan := minMaxRange(t.Data)
-	if nan {
-		v := float32(math.NaN())
-		return v, v
-	}
-	return lo, hi
-}
-
 // HasNonFinite reports whether any element is NaN or ±Inf, via the abs-bits
 // test (abs-bits ≥ the +Inf pattern), 4-way unrolled.
 func (t *Tensor) HasNonFinite() bool {

@@ -64,19 +64,6 @@ func TestSumLaneRuleMatchesPhasedAccumulation(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	a := FromSlice([]float32{3, -7, 2, 5, -1, 0, 4}, 7)
-	lo, hi := a.MinMax()
-	if lo != -7 || hi != 5 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
-	}
-	a.Data[2] = float32(math.NaN())
-	lo, hi = a.MinMax()
-	if lo == lo || hi == hi {
-		t.Fatalf("MinMax with NaN = %v, %v, want NaN, NaN", lo, hi)
-	}
-}
-
 func TestHasNonFinite(t *testing.T) {
 	a := New(9)
 	a.Fill(2)
@@ -236,7 +223,7 @@ func TestChannelReductionsBitwise(t *testing.T) {
 }
 
 // FuzzReduceOracle: the reductions the mitigation checks rest on — AbsMax,
-// MinMax, Sum, HasNonFinite and AddInPlaceAbsMax — against per-element loops
+// Sum, HasNonFinite and AddInPlaceAbsMax — against per-element loops
 // that share no unrolling or lane bookkeeping with them, on a fuzzer-chosen
 // length and fuzzer-chosen bit patterns. Where the oracle's answer is NaN the
 // kernel's only has to be NaN.
@@ -246,8 +233,7 @@ func FuzzReduceOracle(f *testing.F) {
 	f.Add(uint16(13), []byte{0xdb, 0x0f, 0x49, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01, 0, 0x80, 0x7f})
 	f.Add(uint16(200), []byte{0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0x80})
 	f.Add(uint16(3), []byte{})
-	// +0, -0, 1 repeating: the minimum is tied between the zeros and must
-	// keep the earlier +0.
+	// +0, -0, 1 repeating: signed zeros, whose magnitudes tie.
 	f.Add(uint16(11), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3f})
 	f.Fuzz(func(t *testing.T, nRaw uint16, raw []byte) {
 		n := int(nRaw)%300 + 1
@@ -298,21 +284,6 @@ func FuzzReduceOracle(f *testing.F) {
 
 		m, nan := naiveAbsMax(x)
 		sameOrNaN("AbsMax", xt.AbsMax(), m, nan)
-
-		// MinMax: strict comparisons from the first element, so of two equal
-		// extremes (±0) the earlier one stands.
-		lo, hi := x[0], x[0]
-		for _, v := range x[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		gotLo, gotHi := xt.MinMax()
-		sameOrNaN("MinMax min", gotLo, lo, nan)
-		sameOrNaN("MinMax max", gotHi, hi, nan)
 
 		// Sum: element i into lane i mod 4, combined (s0+s1)+(s2+s3).
 		var lanes [4]float64

@@ -1,9 +1,7 @@
 package train
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -451,38 +449,6 @@ func TestIntermittentFaultEndToEnd(t *testing.T) {
 	}
 	if fired != len(injs) {
 		t.Fatalf("fired %d times, want %d", fired, len(injs))
-	}
-}
-
-func TestStateSerializationRoundTrip(t *testing.T) {
-	e, _ := testSetup(t, 2, opt.NewAdam(0.01), true)
-	for i := 0; i < 5; i++ {
-		e.RunIteration(i)
-	}
-	snap := e.Snapshot(5)
-	var buf bytes.Buffer
-	if err := snap.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Restoring from the round-tripped state must replay identically to
-	// restoring from the original.
-	l6 := e.RunIteration(5).Loss
-	e.Restore(loaded)
-	if got := e.RunIteration(5).Loss; got != l6 {
-		t.Fatalf("loss after serialized restore %v != %v", got, l6)
-	}
-	if loaded.Iteration != 5 {
-		t.Fatalf("iteration = %d", loaded.Iteration)
-	}
-}
-
-func TestReadStateRejectsGarbage(t *testing.T) {
-	if _, err := ReadState(strings.NewReader("not a gob stream")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
