@@ -4,8 +4,9 @@
 # portable -tags purego path, greps over the assembly kernels for fused
 # multiply-adds and 256-bit arithmetic (floating-point, compare, logical and
 # integer maximum), race-detector runs of
-# the packages with concurrency (the trainer beside the JIT restore
-# goroutine, engines trained side by side, the campaign worker pool, the
+# the packages with concurrency (a replica built beside another goroutine's
+# layer constructor, group guards on engines trained side by side, the
+# campaign worker pool, the
 # distributed coordinator/worker protocol, and the repro binary's
 # subcommands driven in-process, whose tests hold the CLI's flag,
 # exit-status and report contracts and the docs' flag-drift gate), fuzz
@@ -84,10 +85,10 @@ if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN
 	exit 1
 fi
 
-echo "== go test -race (the kernels and the trainer: the JIT restore goroutine writes a quarantined replica while the engine steps the others over their shared scratch; assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure, TestHeldTestPointMatchesInPlace and TestBuildReplicasIgnoresConcurrentConstructors, a layer built on another goroutine mid-build, run here) =="
+echo "== go test -race (the kernels and the trainer: assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure, TestHeldTestPointMatchesInPlace and TestBuildReplicasIgnoresConcurrentConstructors, a layer built on another goroutine mid-build, run here) =="
 go test -race ./internal/tensor ./internal/nn ./internal/train
 
-echo "== recovery strategies under -race (JIT restore goroutine, elastic resize, two guards on two engines at once equal to one alone) =="
+echo "== recovery strategies under -race (two guards on two engines at once equal to one alone under every strategy, JIT restore and elastic resize included) =="
 go test -race ./internal/comm ./internal/recovery
 
 echo "== mitigation reads under -race (the detector's kept statistics and ABFT's im2col-row checksums equal their _test.go sweep oracles, alarm for alarm) =="

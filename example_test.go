@@ -183,7 +183,7 @@ func Example_guarded() {
 
 	fmt.Printf("\nfinal train accuracy with mitigation: %.3f\n", trace.FinalTrainAcc(10))
 	fmt.Printf("final test accuracy with mitigation:  %.3f\n", trace.FinalTestAcc())
-	fmt.Printf("recoveries performed: %d\n", g.Recovered)
+	fmt.Printf("recoveries performed: %d\n", len(g.Events))
 	// Output:
 	// detection bounds derived from workload properties (Algorithm 1):
 	//   |gradient history|  < 1.061e+02
@@ -299,7 +299,7 @@ func Example_intermittent() {
 	if err := g.Run(0, w.Iters, guardedTrace); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("guarded: %d detections/recoveries\n", g.Recovered)
+	fmt.Printf("guarded: %d detections/recoveries\n", len(g.Events))
 	for _, ev := range g.Events {
 		fmt.Printf("  alarm at iteration %d (%s), re-executed from %d\n",
 			ev.Iteration, ev.Alarm.Where, ev.ResumedFrom)

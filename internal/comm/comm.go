@@ -92,7 +92,6 @@ type Group struct {
 	quarantined []bool
 	faults      []*fault.DeviceFault
 	collectSigs bool
-	retries     int64
 
 	// shards, when non-nil, holds per-device example counts of an elastic
 	// batch partition: AllReduce then weights each contribution by
@@ -113,9 +112,6 @@ func NewGroup(n int) *Group {
 	}
 }
 
-// Size returns the group size (healthy or not).
-func (g *Group) Size() int { return g.n }
-
 // Policy returns the current failure-handling policy.
 func (g *Group) Policy() Policy { return g.policy }
 
@@ -126,9 +122,6 @@ func (g *Group) SetPolicy(p Policy) { g.policy = p }
 // (ReduceStep.Sigs). Signatures are folded into the accumulation loop
 // (tensor.AddInPlaceAbsMax), so enabling them costs no extra tensor sweep.
 func (g *Group) SetCollectSigs(on bool) { g.collectSigs = on }
-
-// CollectSigs reports whether signature collection is enabled.
-func (g *Group) CollectSigs() bool { return g.collectSigs }
 
 // Arm installs a device fault. A DeviceFaultNone kind disarms the device's
 // slot instead.
@@ -209,16 +202,9 @@ func (g *Group) SetShards(counts []int) {
 	g.shards = append(g.shards[:0], counts...)
 }
 
-// Shards returns the installed elastic shard counts (nil when uniform).
-func (g *Group) Shards() []int { return g.shards }
-
-// Retries returns the cumulative retry count across all collectives since
-// the last Reset.
-func (g *Group) Retries() int64 { return g.retries }
-
 // Reset returns the group to its neutral state between pooled experiments:
 // every device healthy, no faults armed, default policy, signature
-// collection off, counters cleared.
+// collection off, uniform averaging.
 func (g *Group) Reset() {
 	for d := 0; d < g.n; d++ {
 		g.quarantined[d] = false
@@ -226,7 +212,6 @@ func (g *Group) Reset() {
 	}
 	g.policy = DefaultPolicy()
 	g.collectSigs = false
-	g.retries = 0
 	g.shards = nil
 }
 
@@ -288,7 +273,6 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 		}
 		step.Arrived = append(step.Arrived, d)
 	}
-	g.retries += int64(step.Retries)
 	if (len(step.Failed) > 0 && !g.policy.Exclude) || len(step.Arrived) == 0 {
 		step.Hang = true
 		return step
@@ -329,21 +313,6 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 				t.Scale(w)
 			}
 		}
-		for pi, acc := range grads[root] {
-			if g.collectSigs {
-				sig := make([]float32, g.n)
-				sig[root] = acc.AbsMax()
-				for _, d := range step.Arrived[1:] {
-					sig[d] = acc.AddInPlaceAbsMax(grads[d][pi])
-				}
-				step.Sigs[pi] = sig
-			} else {
-				for _, d := range step.Arrived[1:] {
-					acc.AddInPlace(grads[d][pi])
-				}
-			}
-		}
-		return step
 	}
 
 	inv := 1 / float32(len(step.Arrived))
@@ -360,7 +329,9 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 				acc.AddInPlace(grads[d][pi])
 			}
 		}
-		acc.Scale(inv)
+		if wTotal == 0 {
+			acc.Scale(inv)
+		}
 	}
 	return step
 }

@@ -240,7 +240,8 @@ func TestAllReduceStuckAtCorruption(t *testing.T) {
 }
 
 // TestGroupReset: Reset restores a fully healthy, unarmed group with the
-// default policy.
+// default policy, and its next reduce collects no signatures and averages
+// uniformly — the shard weights are gone.
 func TestGroupReset(t *testing.T) {
 	g := NewGroup(4)
 	g.Quarantine(2)
@@ -249,14 +250,26 @@ func TestGroupReset(t *testing.T) {
 	p.Exclude = true
 	g.SetPolicy(p)
 	g.SetCollectSigs(true)
+	g.SetShards([]int{3, 1, 0, 0})
 	g.AllReduce(0, makeGrads(4, [][]int{{4}}, 1)) // burn retries
 	g.Reset()
-	if g.HealthyCount() != 4 || g.FaultFor(1) != nil || g.Policy().Exclude ||
-		g.CollectSigs() || g.Retries() != 0 {
+	if g.HealthyCount() != 4 || g.FaultFor(1) != nil || g.Policy().Exclude {
 		t.Fatal("Reset left residual state")
 	}
 	if g.Root() != 0 {
 		t.Fatalf("Root = %d", g.Root())
+	}
+	// Uniform mean of 2, 6, 2, 6 is exactly 4; the discarded weights would
+	// give 0.75·2 + 0.25·6 = 3.
+	grads := constGrads([]float32{2, 6, 2, 6}, 8)
+	step := g.AllReduce(0, grads)
+	if step.Sigs != nil || step.Retries != 0 || len(step.Arrived) != 4 {
+		t.Fatalf("reduce after Reset: %+v", step)
+	}
+	for i, v := range grads[0][0].Data {
+		if v != 4 {
+			t.Fatalf("elem %d: mean after Reset = %v, want the uniform 4", i, v)
+		}
 	}
 }
 
@@ -325,11 +338,7 @@ func TestAllReduceWeightedShards(t *testing.T) {
 		t.Fatalf("quarantined step %+v", step)
 	}
 
-	// Reset clears the shard weights; wrong-length counts panic.
-	gw.Reset()
-	if gw.Shards() != nil {
-		t.Fatal("Reset did not clear the shard weights")
-	}
+	// Wrong-length counts panic.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetShards with a wrong-length slice did not panic")

@@ -146,71 +146,6 @@ func ConfigForModel(model *nn.Sequential, batchSize int, lr float64) Config {
 	}
 }
 
-// LayeredBounds holds per-parameter detection bounds, keyed by parameter
-// name. Algorithm 1 derives its bound from n_l, the partial-sum count of
-// layer l: a narrow layer's gradients are bounded far tighter than the
-// widest layer's, so per-layer bounds detect smaller corruptions earlier
-// than one model-wide bound built from max(n_l).
-type LayeredBounds struct {
-	// PerParam maps parameter name → bounds derived from that layer's own
-	// fan-in. Parameters of layers without an explicit fan-in fall back to
-	// Global.
-	PerParam map[string]Bounds
-	// Global is the max-fan-in bound used as the fallback and for the
-	// mvar check (mvar is bounded by the depth product, not per layer).
-	Global Bounds
-}
-
-// DeriveLayered computes per-parameter bounds for a model. cfgTemplate
-// supplies batch size, learning rate, depth, safety factor and bias
-// correction; the per-layer fan-in replaces MaxFanIn for each
-// parameterized layer.
-func DeriveLayered(model *nn.Sequential, cfgTemplate Config) LayeredBounds {
-	lb := LayeredBounds{PerParam: map[string]Bounds{}, Global: Derive(cfgTemplate)}
-	var visit func(l nn.Layer)
-	visit = func(l nn.Layer) {
-		var fanIn int
-		switch v := l.(type) {
-		case *nn.Dense:
-			fanIn = v.FanIn()
-		case *nn.Conv2D:
-			fanIn = v.FanIn()
-		case *nn.Residual:
-			for _, b := range v.Branch {
-				visit(b)
-			}
-			return
-		case *nn.DenseBlock:
-			for _, stage := range v.Stages {
-				for _, b := range stage {
-					visit(b)
-				}
-			}
-			return
-		default:
-			return
-		}
-		cfg := cfgTemplate
-		cfg.MaxFanIn = fanIn
-		b := Derive(cfg)
-		for _, p := range l.Params() {
-			lb.PerParam[p.Name] = b
-		}
-	}
-	for _, nl := range model.Layers {
-		visit(nl.Layer)
-	}
-	return lb
-}
-
-// boundsFor returns the bounds to apply for a parameter name.
-func (lb *LayeredBounds) boundsFor(name string) Bounds {
-	if b, ok := lb.PerParam[name]; ok {
-		return b
-	}
-	return lb.Global
-}
-
 // Alarm describes a detection event.
 type Alarm struct {
 	// Where identifies the out-of-bound state ("adam-m:conv1/kernel",
@@ -229,10 +164,6 @@ func (a Alarm) String() string {
 // 24–32-lines-of-code artifact of Sec 5.3, structured as a reusable type.
 type Detector struct {
 	Bounds Bounds
-	// Layered, when non-nil, refines the history checks with per-layer
-	// bounds (Algorithm 1's n_l is per layer); the mvar check always uses
-	// Bounds.Mvar.
-	Layered *LayeredBounds
 	// Checks counts bound evaluations per value class: one per
 	// gradient-history tensor slot (Adam m, Adam v, SGD velocity — one
 	// evaluation covers the whole tensor's abs-max) and one per BatchNorm
@@ -246,11 +177,6 @@ type Detector struct {
 
 // New creates a detector with the given bounds.
 func New(b Bounds) *Detector { return &Detector{Bounds: b} }
-
-// NewLayered creates a detector with per-layer history bounds.
-func NewLayered(lb LayeredBounds) *Detector {
-	return &Detector{Bounds: lb.Global, Layered: &lb}
-}
 
 // ForEngine builds the standard detector for a training engine — bounds
 // derived from the replica-0 model via ConfigForModel — shared by the
@@ -300,16 +226,12 @@ func (d *Detector) CheckHistory(o opt.Optimizer) *Alarm {
 	ss, _ := o.(opt.StepStats)
 	for _, name := range d.names {
 		ts := h[name]
-		bounds := d.Bounds
-		if d.Layered != nil {
-			bounds = d.Layered.boundsFor(name)
-		}
 		for i, t := range ts {
 			d.Checks++
-			bound := bounds.GradHistory
+			bound := d.Bounds.GradHistory
 			label := "hist-m"
 			if i == 1 {
-				bound = bounds.GradHistorySq
+				bound = d.Bounds.GradHistorySq
 				label = "hist-v"
 			}
 			var av float32

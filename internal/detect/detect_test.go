@@ -273,82 +273,3 @@ func BenchmarkCheckEngine(b *testing.B) {
 		}
 	}
 }
-
-func TestDeriveLayeredTighterForNarrowLayers(t *testing.T) {
-	r := rng.NewFromInt(7)
-	model := nn.NewSequential(
-		nn.NewConv2D("c1", 1, 8, 3, 3, 1, 1, r, false), // fan-in 9
-		nn.NewResidual("res",
-			nn.NewConv2D("res/c", 8, 8, 3, 3, 1, 1, r, false), // fan-in 72
-		),
-		nn.NewFlatten(),
-		nn.NewDense("fc", 8*16, 4, r, false), // fan-in 128
-	)
-	tmpl := ConfigForModel(model, 16, 0.01)
-	lb := DeriveLayered(model, tmpl)
-	c1 := lb.PerParam["c1/kernel"]
-	res := lb.PerParam["res/c/kernel"]
-	fc := lb.PerParam["fc/kernel"]
-	if c1.GradHistory >= res.GradHistory || res.GradHistory >= fc.GradHistory {
-		t.Fatalf("per-layer bounds not ordered by fan-in: c1=%v res=%v fc=%v",
-			c1.GradHistory, res.GradHistory, fc.GradHistory)
-	}
-	// No per-layer bound may exceed the max-fan-in global bound.
-	for name, b := range lb.PerParam {
-		if b.GradHistory > lb.Global.GradHistory+1e-9 {
-			t.Fatalf("%s bound %v above global %v", name, b.GradHistory, lb.Global.GradHistory)
-		}
-	}
-	// Fallback for unknown params.
-	if got := lb.boundsFor("no-such-param"); got != lb.Global {
-		t.Fatal("fallback bounds wrong")
-	}
-}
-
-func TestLayeredDetectorNoFalsePositives(t *testing.T) {
-	e := engineForDetect(t)
-	lb := DeriveLayered(e.Replica(0), ConfigForModel(e.Replica(0), 16, 0.01))
-	d := NewLayered(lb)
-	for i := 0; i < 60; i++ {
-		e.RunIteration(i)
-		if a := d.CheckEngine(e); a != nil {
-			t.Fatalf("layered detector false positive at iter %d: %v", i, a)
-		}
-	}
-}
-
-func TestLayeredDetectorCatchesSmallerCorruption(t *testing.T) {
-	// A corruption below the global (max-fan-in) bound but above the
-	// narrow layer's own bound is caught only by the layered detector —
-	// the point of deriving per-layer n_l.
-	e := engineForDetect(t)
-	tmpl := ConfigForModel(e.Replica(0), 16, 0.01)
-	lb := DeriveLayered(e.Replica(0), tmpl)
-	global := New(Derive(tmpl))
-	layered := NewLayered(lb)
-	for i := 0; i < 5; i++ {
-		e.RunIteration(i)
-	}
-	// Find a parameter with a per-layer bound strictly below global and
-	// plant a value between the two.
-	var target string
-	for name, b := range lb.PerParam {
-		if b.GradHistory < lb.Global.GradHistory/2 {
-			target = name
-			break
-		}
-	}
-	if target == "" {
-		t.Skip("model has no layer sufficiently narrower than the widest")
-	}
-	h := e.Optimizer().History()
-	mid := float32((lb.PerParam[target].GradHistory + lb.Global.GradHistory) / 2)
-	h[target][0].Data[0] = mid
-	h[target][0].MarkDirty()
-	if a := global.CheckHistory(e.Optimizer()); a != nil {
-		t.Fatalf("global detector should miss a below-global value, alarmed: %v", a)
-	}
-	if a := layered.CheckHistory(e.Optimizer()); a == nil {
-		t.Fatal("layered detector missed an above-layer-bound value")
-	}
-}

@@ -31,14 +31,10 @@ func sweepCheck(d *Detector, e *train.Engine) (*Alarm, int) {
 	}
 	h := e.Optimizer().History()
 	for _, name := range sortedKeys(h) {
-		bounds := d.Bounds
-		if d.Layered != nil {
-			bounds = d.Layered.boundsFor(name)
-		}
 		for i, t := range h[name] {
-			label, bound := "hist-m", bounds.GradHistory
+			label, bound := "hist-m", d.Bounds.GradHistory
 			if i == 1 {
-				label, bound = "hist-v", bounds.GradHistorySq
+				label, bound = "hist-v", d.Bounds.GradHistorySq
 			}
 			if a := over(fmt.Sprintf("%s:%s", label, name), t.AbsMax(), bound); a != nil {
 				return a, checks

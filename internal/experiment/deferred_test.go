@@ -117,9 +117,6 @@ func oracleRunDeviceFault(g *Golden, e *train.Engine, df fault.DeviceFault, cfg 
 	if strategy != recovery.StrategyNone {
 		gg := recovery.NewGroupGuard(e)
 		gg.Strategy = strategy
-		if strategy == recovery.StrategyDegraded {
-			gg.RejoinAfter = 0
-		}
 		if err := gg.Run(start, g.horizon, trace); err != nil {
 			hang = true
 		}

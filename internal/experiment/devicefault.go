@@ -17,14 +17,14 @@ package experiment
 //     device hangs the synchronous group (outcome.GroupHang) and corrupt
 //     contributions flow into the weights unchecked.
 //   - Mitigated: recovery.GroupGuard drives the run under the strategy
-//     Config.Recovery selects — reexec
-//     (timeout+retry with exclusion, cross-replica check, two-iteration
-//     re-execution, timer-based hot-rejoin), jit (just-in-time donor
-//     checkpointing with background restore), elastic (global-batch
+//     Config.Recovery selects — reexec (timeout+retry with exclusion,
+//     cross-replica check, two-iteration re-execution, timer-based
+//     hot-rejoin), jit (the root donor imaged into the lost rank at
+//     quarantine as its just-in-time checkpoint), elastic (global-batch
 //     re-partitioning over survivors with shard-weighted averaging), or
-//     degraded (quarantine-only). A single sampled population replayed
-//     under each strategy is the head-to-head comparison the paper's
-//     recovery axis calls for.
+//     degraded (quarantine-only, never re-admits). A single sampled
+//     population replayed under each strategy is the head-to-head
+//     comparison the paper's recovery axis calls for.
 
 import (
 	"repro/internal/fault"
@@ -72,9 +72,6 @@ func runDeviceFault(g *Golden, e *train.Engine, rec Record, cfg Config) (Record,
 	if strategy != recovery.StrategyNone {
 		gg := recovery.NewGroupGuard(e)
 		gg.Strategy = strategy
-		if strategy == recovery.StrategyDegraded {
-			gg.RejoinAfter = 0 // stay degraded instead of hot-rejoining
-		}
 		if err := gg.Run(start, g.horizon, trace); err != nil {
 			hang = true // whole group failed: nothing left to reduce over
 		}
@@ -113,8 +110,6 @@ func runDeviceFault(g *Golden, e *train.Engine, rec Record, cfg Config) (Record,
 		}
 	}
 
-	// GroupGuard.Run has joined its background restores by now, so the root
-	// replica is free to take the held boundary's values.
 	e.ResolveTest(trace)
 
 	// A device fault is observable the moment it corrupts a gradient element

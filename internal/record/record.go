@@ -5,7 +5,7 @@
 //
 // Three formats are provided:
 //
-//   - JSON for full-fidelity round trips (traces, injections, campaign
+//   - JSON for full-fidelity archives (traces, injections, campaign
 //     records);
 //   - the artifact's line-oriented text format for traces ("iter N loss L
 //     acc A"), which is convenient to eyeball and to plot; and
@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/experiment"
@@ -207,25 +205,6 @@ func WriteTraceJSON(w io.Writer, t *train.Trace) error {
 	return enc.Encode(j)
 }
 
-// ReadTraceJSON parses a trace from r.
-func ReadTraceJSON(r io.Reader) (*train.Trace, error) {
-	var j TraceJSON
-	if err := json.NewDecoder(r).Decode(&j); err != nil {
-		return nil, fmt.Errorf("record: parsing trace: %w", err)
-	}
-	t := train.NewTrace(j.Workload)
-	t.FaultIter = j.FaultIter
-	t.TrainLoss = j.TrainLoss
-	t.TrainAcc = j.TrainAcc
-	t.TestIters = j.TestIters
-	t.TestAcc = j.TestAcc
-	t.TestLoss = j.TestLoss
-	t.NonFiniteIter = j.NonFiniteIter
-	t.NonFiniteAt = j.NonFiniteAt
-	t.Completed = j.Completed
-	return t, nil
-}
-
 // WriteTraceText writes the artifact-style line format:
 //
 //	# workload resnet fault_iter 40
@@ -246,80 +225,6 @@ func WriteTraceText(w io.Writer, t *train.Trace) error {
 		fmt.Fprintf(bw, "nan %d %s\n", t.NonFiniteIter, t.NonFiniteAt)
 	}
 	return bw.Flush()
-}
-
-// ReadTraceText parses the artifact-style line format.
-func ReadTraceText(r io.Reader) (*train.Trace, error) {
-	sc := bufio.NewScanner(r)
-	t := train.NewTrace("")
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "#":
-			// "# workload NAME fault_iter N"
-			for i := 1; i+1 < len(fields); i += 2 {
-				switch fields[i] {
-				case "workload":
-					t.Workload = fields[i+1]
-				case "fault_iter":
-					v, err := strconv.Atoi(fields[i+1])
-					if err != nil {
-						return nil, fmt.Errorf("record: line %d: bad fault_iter: %w", lineNo, err)
-					}
-					t.FaultIter = v
-				}
-			}
-		case "iter":
-			if len(fields) != 6 {
-				return nil, fmt.Errorf("record: line %d: malformed iter line", lineNo)
-			}
-			loss, err1 := strconv.ParseFloat(fields[3], 64)
-			acc, err2 := strconv.ParseFloat(fields[5], 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("record: line %d: bad numbers", lineNo)
-			}
-			t.TrainLoss = append(t.TrainLoss, loss)
-			t.TrainAcc = append(t.TrainAcc, acc)
-			t.Completed++
-		case "test":
-			if len(fields) != 6 {
-				return nil, fmt.Errorf("record: line %d: malformed test line", lineNo)
-			}
-			it, err0 := strconv.Atoi(fields[1])
-			loss, err1 := strconv.ParseFloat(fields[3], 64)
-			acc, err2 := strconv.ParseFloat(fields[5], 64)
-			if err0 != nil || err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("record: line %d: bad numbers", lineNo)
-			}
-			t.TestIters = append(t.TestIters, it)
-			t.TestLoss = append(t.TestLoss, loss)
-			t.TestAcc = append(t.TestAcc, acc)
-		case "nan":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("record: line %d: malformed nan line", lineNo)
-			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("record: line %d: bad nan iter: %w", lineNo, err)
-			}
-			t.NonFiniteIter = v
-			if len(fields) >= 3 {
-				t.NonFiniteAt = fields[2]
-			}
-		default:
-			return nil, fmt.Errorf("record: line %d: unknown directive %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("record: reading trace: %w", err)
-	}
-	return t, nil
 }
 
 // Float carries a float64 that may be non-finite through JSON. A fault

@@ -2,6 +2,8 @@ package record
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,94 +85,46 @@ func sampleTrace() *train.Trace {
 	return tr
 }
 
-func tracesEqual(a, b *train.Trace) bool {
-	if a.Workload != b.Workload || a.FaultIter != b.FaultIter ||
-		a.NonFiniteIter != b.NonFiniteIter || a.Completed != b.Completed {
-		return false
-	}
-	if len(a.TrainLoss) != len(b.TrainLoss) || len(a.TestIters) != len(b.TestIters) {
-		return false
-	}
-	for i := range a.TrainLoss {
-		if a.TrainLoss[i] != b.TrainLoss[i] || a.TrainAcc[i] != b.TrainAcc[i] {
-			return false
-		}
-	}
-	for i := range a.TestIters {
-		if a.TestIters[i] != b.TestIters[i] || a.TestAcc[i] != b.TestAcc[i] || a.TestLoss[i] != b.TestLoss[i] {
-			return false
-		}
-	}
-	return true
-}
-
+// TestTraceJSONRoundTrip: the JSON writer emits every trace field, which
+// encoding/json decodes back unchanged.
 func TestTraceJSONRoundTrip(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
 	if err := WriteTraceJSON(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraceJSON(&buf)
-	if err != nil {
+	var got TraceJSON
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !tracesEqual(orig, got) {
-		t.Fatalf("JSON round trip changed trace")
+	want := TraceJSON{
+		Workload: "resnet", FaultIter: 3,
+		TrainLoss: orig.TrainLoss, TrainAcc: orig.TrainAcc,
+		TestIters: orig.TestIters, TestAcc: orig.TestAcc, TestLoss: orig.TestLoss,
+		NonFiniteIter: 4, NonFiniteAt: "loss@device0", Completed: 5,
 	}
-	if got.NonFiniteAt != "loss@device0" {
-		t.Fatalf("NonFiniteAt = %q", got.NonFiniteAt)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSON round trip changed trace:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
-func TestTraceTextRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteTraceText(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTraceText(&buf)
-	if err != nil {
-		t.Fatalf("parsing:\n%s\n%v", buf.String(), err)
-	}
-	if !tracesEqual(orig, got) {
-		t.Fatalf("text round trip changed trace:\n%s", buf.String())
-	}
-}
-
+// TestTraceTextFormat pins the artifact-style text writer's whole output.
 func TestTraceTextFormat(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTraceText(&buf, sampleTrace()); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"# workload resnet fault_iter 3", "iter 0 loss 1.5 acc 0.25", "test 4 loss 1.1 acc 0.5", "nan 4 loss@device0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTraceTextRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"bogus line here",
-		"iter 0 loss x acc 0.5",
-		"test 1 loss 0.5",
-		"nan",
-	} {
-		if _, err := ReadTraceText(strings.NewReader(bad)); err == nil {
-			t.Errorf("accepted garbage %q", bad)
-		}
-	}
-}
-
-func TestTraceTextSkipsBlankLines(t *testing.T) {
-	in := "# workload x fault_iter -1\n\niter 0 loss 1 acc 0.5\n\n"
-	tr, err := ReadTraceText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Completed != 1 || tr.Workload != "x" {
-		t.Fatalf("parsed %+v", tr)
+	const want = `# workload resnet fault_iter 3
+iter 0 loss 1.5 acc 0.25
+iter 1 loss 1.2 acc 0.4
+iter 2 loss 0.9 acc 0.6
+iter 3 loss 2 acc 0.3
+iter 4 loss 1.8 acc 0.35
+test 4 loss 1.1 acc 0.5
+nan 4 loss@device0
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("text trace:\n%s\nwant:\n%s", got, want)
 	}
 }
 

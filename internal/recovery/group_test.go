@@ -47,7 +47,7 @@ func TestGroupGuardStuckAtDetectQuarantineDegraded(t *testing.T) {
 		BitPos: 30, Lane: 2,
 	})
 	g := NewGroupGuard(e)
-	g.RejoinAfter = 0 // stay degraded
+	g.Strategy = StrategyDegraded
 	trace := train.NewTrace("resnet")
 	if err := g.Run(0, iters, trace); err != nil {
 		t.Fatalf("GroupGuard.Run: %v", err)
@@ -92,7 +92,7 @@ func TestGroupGuardCrashTimeoutRetryQuarantine(t *testing.T) {
 	e := resnetEngine()
 	e.Group().Arm(fault.DeviceFault{Kind: fault.DeviceCrash, Device: 1, Iteration: onset})
 	g := NewGroupGuard(e)
-	g.RejoinAfter = 0
+	g.Strategy = StrategyDegraded
 	trace := train.NewTrace("resnet")
 	if err := g.Run(0, iters, trace); err != nil {
 		t.Fatalf("GroupGuard.Run: %v", err)
@@ -151,7 +151,7 @@ func TestGroupHangWithoutMitigation(t *testing.T) {
 
 // TestGroupGuardRejoinAfterRepair: a crash that heals (node replaced) is
 // quarantined, then hot-rejoined from the healthy root peer once the
-// rejoin window elapses — the group returns to full strength.
+// rejoinAfter window elapses — the group returns to full strength.
 func TestGroupGuardRejoinAfterRepair(t *testing.T) {
 	const iters = 30
 	e := resnetEngine()
@@ -159,7 +159,6 @@ func TestGroupGuardRejoinAfterRepair(t *testing.T) {
 		Kind: fault.DeviceCrash, Device: 2, Iteration: 5, RepairIter: 10,
 	})
 	g := NewGroupGuard(e)
-	g.RejoinAfter = 6
 	trace := train.NewTrace("resnet")
 	if err := g.Run(0, iters, trace); err != nil {
 		t.Fatalf("GroupGuard.Run: %v", err)
@@ -171,8 +170,9 @@ func TestGroupGuardRejoinAfterRepair(t *testing.T) {
 		t.Fatalf("group not back to full strength: %d/%d healthy",
 			e.Group().HealthyCount(), e.Config().Devices)
 	}
-	if g.DegradedIters != 6 {
-		t.Fatalf("DegradedIters = %d, want 6 (quarantined at 5, rejoined at 11)", g.DegradedIters)
+	if g.DegradedIters != rejoinAfter {
+		t.Fatalf("DegradedIters = %d, want %d (quarantined at 5, rejoined at %d)",
+			g.DegradedIters, rejoinAfter, 5+rejoinAfter)
 	}
 	if trace.Completed != iters || trace.NonFiniteIter != -1 {
 		t.Fatalf("completed=%d nonfinite@%d", trace.Completed, trace.NonFiniteIter)
@@ -181,7 +181,7 @@ func TestGroupGuardRejoinAfterRepair(t *testing.T) {
 
 // TestGroupGuardPermanentFaultRequarantined: hot-rejoining a device whose
 // stuck-at fault is permanent immediately re-triggers the cross-replica
-// check; MaxRejoins bounds the oscillation and the run still completes.
+// check; maxRejoins bounds the oscillation and the run still completes.
 func TestGroupGuardPermanentFaultRequarantined(t *testing.T) {
 	const iters = 40
 	e := resnetEngine()
@@ -189,20 +189,47 @@ func TestGroupGuardPermanentFaultRequarantined(t *testing.T) {
 		Kind: fault.DeviceStuckAt, Device: 6, Iteration: 4, BitPos: 30, Lane: 0,
 	})
 	g := NewGroupGuard(e)
-	g.RejoinAfter = 5
-	g.MaxRejoins = 2
 	trace := train.NewTrace("resnet")
 	if err := g.Run(0, iters, trace); err != nil {
 		t.Fatalf("GroupGuard.Run: %v", err)
 	}
-	if g.Rejoins != g.MaxRejoins {
-		t.Fatalf("rejoins = %d, want the MaxRejoins bound %d", g.Rejoins, g.MaxRejoins)
+	if g.Rejoins != maxRejoins {
+		t.Fatalf("rejoins = %d, want the maxRejoins bound %d", g.Rejoins, maxRejoins)
 	}
-	if g.Quarantines != g.MaxRejoins+1 {
+	if g.Quarantines != maxRejoins+1 {
 		t.Fatalf("quarantines = %d, want %d (initial + one per failed rejoin)",
-			g.Quarantines, g.MaxRejoins+1)
+			g.Quarantines, maxRejoins+1)
 	}
 	if !e.Group().Quarantined(6) || trace.Completed != iters {
 		t.Fatalf("quarantined(6)=%v completed=%d", e.Group().Quarantined(6), trace.Completed)
+	}
+}
+
+// TestGroupGuardDegradedNeverReadmits: StrategyDegraded alone, with no other
+// setting, keeps a repaired device out of the group for the rest of the run.
+func TestGroupGuardDegradedNeverReadmits(t *testing.T) {
+	const iters = 30
+	e := resnetEngine()
+	e.Group().Arm(fault.DeviceFault{
+		Kind: fault.DeviceCrash, Device: 2, Iteration: 5, RepairIter: 10,
+	})
+	g := NewGroupGuard(e)
+	g.Strategy = StrategyDegraded
+	trace := train.NewTrace("resnet")
+	if err := g.Run(0, iters, trace); err != nil {
+		t.Fatalf("GroupGuard.Run: %v", err)
+	}
+	if g.Quarantines != 1 || g.Rejoins != 0 || g.RejoinFailures != 0 {
+		t.Fatalf("quarantines=%d rejoins=%d rejoinFailures=%d, want 1, 0 and 0",
+			g.Quarantines, g.Rejoins, g.RejoinFailures)
+	}
+	if !e.Group().Quarantined(2) {
+		t.Fatal("degraded strategy returned device 2 to the group")
+	}
+	if g.TimeToRecover() != -1 || g.DegradedIters != iters-5 {
+		t.Fatalf("ttr=%d degradedIters=%d, want -1 and %d", g.TimeToRecover(), g.DegradedIters, iters-5)
+	}
+	if trace.Completed != iters {
+		t.Fatalf("completed=%d, want %d", trace.Completed, iters)
 	}
 }

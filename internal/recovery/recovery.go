@@ -92,12 +92,8 @@ type Guarded struct {
 	// (the datacenter procedure then decommissions the accelerator, Sec 5).
 	MaxRecoveries int
 
-	// Events lists every detection episode of the run.
+	// Events lists every detection episode of the run, one per recovery.
 	Events []AlarmEvent
-	// Recovered counts successful recoveries.
-	Recovered int
-	// Unrecoverable is set when an alarm persisted after re-execution.
-	Unrecoverable bool
 }
 
 // NewGuarded builds the guarded trainer.
@@ -106,7 +102,9 @@ func NewGuarded(e *train.Engine, d *detect.Detector) *Guarded {
 }
 
 // Run executes iterations [start, end) with per-iteration detection and
-// automatic two-iteration re-execution, recording metrics into trace.
+// automatic two-iteration re-execution, recording metrics into trace. It
+// returns an error when an alarm persists after MaxRecoveries re-executions
+// (the failure is not transient).
 func (g *Guarded) Run(start, end int, trace *train.Trace) error {
 	recoveries := 0
 	iter := start
@@ -130,14 +128,12 @@ func (g *Guarded) Run(start, end int, trace *train.Trace) error {
 		}
 		if alarm != nil {
 			if recoveries >= g.MaxRecoveries {
-				g.Unrecoverable = true
 				return fmt.Errorf("recovery: alarm persists after %d recoveries: %v", recoveries, alarm)
 			}
 			resume := g.R.Rollback()
 			g.Events = append(g.Events, AlarmEvent{Iteration: iter, Alarm: *alarm, ResumedFrom: resume})
 			trace.Rewind(iter, resume)
 			recoveries++
-			g.Recovered++
 			iter = resume
 			continue
 		}

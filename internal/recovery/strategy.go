@@ -12,11 +12,11 @@ import "fmt"
 //     hot-rejoin repaired devices from a root peer. Periodic snapshot cost
 //     every iteration, two-iteration rollback on detection.
 //   - StrategyJIT: just-in-time checkpointing (open-jitc): no periodic
-//     snapshot at all. On quarantine, clone a healthy peer's full replica
-//     state (weights + BN statistics) asynchronously — data-parallel ranks
+//     snapshot at all. On quarantine, image a healthy peer's replica state
+//     (weights + BN statistics) into the lost rank — data-parallel ranks
 //     hold identical weights, so the donor's state IS the lost rank's
-//     checkpoint — and restart the lost rank from it when its fault
-//     repairs. Zero steady-state cost, zero rollback.
+//     checkpoint — and re-admit the rank with the current weights when its
+//     fault repairs. Zero steady-state cost, zero rollback.
 //   - StrategyElastic: elastic group resize (Oobleck/ReCycle): on
 //     quarantine, re-partition the global batch across the surviving
 //     devices (per-device batch grows; gradient averaging stays exact over

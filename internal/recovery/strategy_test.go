@@ -25,12 +25,12 @@ func TestStrategyNames(t *testing.T) {
 }
 
 // TestGroupGuardJITCrashRecovery is the just-in-time checkpoint proof: a
-// crashed device is quarantined, a checkpoint is cloned from the healthy
-// root donor at that moment, the rank is re-imaged in the background, and
-// on fault repair it is re-admitted. The restored replica must be bitwise
-// equal to the donor checkpoint — data-parallel ranks hold identical
-// weights, so the donor state IS the lost rank's checkpoint — and the
-// time-to-recover must equal the fault's outage window exactly.
+// crashed device is quarantined, the healthy root donor is imaged into the
+// lost rank at that moment, and on fault repair the rank is re-admitted.
+// Right after the quarantine the lost rank must be bitwise equal to the
+// donor — data-parallel ranks hold identical weights, so the donor state IS
+// the lost rank's checkpoint — and the time-to-recover must equal the
+// fault's outage window exactly.
 func TestGroupGuardJITCrashRecovery(t *testing.T) {
 	const iters = 30
 	const onset, repair = 5, 10
@@ -42,31 +42,37 @@ func TestGroupGuardJITCrashRecovery(t *testing.T) {
 	g := NewGroupGuard(e)
 	g.Strategy = StrategyJIT
 
-	restored := 0
-	g.onRestore = func(d int, s *train.ReplicaState) {
-		restored++
-		if d != 2 {
-			t.Errorf("restore imaged device %d, want 2", d)
-		}
-		params := e.Replica(d).Params()
-		if len(params) != len(s.Params) {
-			t.Fatalf("restored rank has %d params, checkpoint has %d", len(params), len(s.Params))
-		}
-		for i, p := range params {
-			for j := range p.Value.Data {
-				if math.Float32bits(p.Value.Data[j]) != math.Float32bits(s.Params[i].Data[j]) {
-					t.Fatalf("param %d elem %d: restored rank diverges bitwise from the donor checkpoint", i, j)
-				}
+	trace := train.NewTrace("resnet")
+	if err := g.Run(0, onset+1, trace); err != nil {
+		t.Fatalf("GroupGuard.Run: %v", err)
+	}
+	if !e.Group().Quarantined(2) || g.JITSnapshots != 1 {
+		t.Fatalf("after onset: quarantined(2)=%v jitSnapshots=%d, want true and 1",
+			e.Group().Quarantined(2), g.JITSnapshots)
+	}
+	lost, donor := e.Replica(2), e.Replica(e.RootDevice())
+	for i, p := range lost.Params() {
+		want := donor.Params()[i].Value.Data
+		for j, v := range p.Value.Data {
+			if math.Float32bits(v) != math.Float32bits(want[j]) {
+				t.Fatalf("param %d elem %d: restored rank diverges bitwise from the donor", i, j)
 			}
 		}
 	}
-
-	trace := train.NewTrace("resnet")
-	if err := g.Run(0, iters, trace); err != nil {
-		t.Fatalf("GroupGuard.Run: %v", err)
+	donorBNs := donor.BatchNorms()
+	if len(donorBNs) == 0 {
+		t.Fatal("workload has no BatchNorm statistics to check")
 	}
-	if restored != 1 {
-		t.Fatalf("onRestore observed %d restores, want 1", restored)
+	for i, bn := range lost.BatchNorms() {
+		for j := range bn.MovingMean.Data {
+			if math.Float32bits(bn.MovingMean.Data[j]) != math.Float32bits(donorBNs[i].MovingMean.Data[j]) ||
+				math.Float32bits(bn.MovingVar.Data[j]) != math.Float32bits(donorBNs[i].MovingVar.Data[j]) {
+				t.Fatalf("batchnorm %d elem %d: restored statistics diverge bitwise from the donor", i, j)
+			}
+		}
+	}
+	if err := g.Run(onset+1, iters, trace); err != nil {
+		t.Fatalf("GroupGuard.Run: %v", err)
 	}
 	if g.JITSnapshots != 1 || g.Readmits != 1 || g.Rejoins != 1 {
 		t.Fatalf("jitSnapshots=%d readmits=%d rejoins=%d, want 1/1/1",
@@ -161,8 +167,10 @@ func TestGroupGuardElasticCrashRecovery(t *testing.T) {
 // — a campaign's one level of parallelism, each engine stepping its devices
 // one at a time over its one scratch set — produce the Events, counters and
 // bitwise trace of a guard running alone. ci.sh runs this under -race, so
-// neither the JIT background restore nor the elastic re-partition can
-// silently race its own engine's stepping or the other engine.
+// neither the JIT restore nor the elastic re-partition can silently race the
+// other engine. In every run each counter equals the count of its event
+// kinds, and the first-quarantine and first-detection iterations equal the
+// first matching events.
 func TestGroupGuardParallelMatchesSerial(t *testing.T) {
 	const iters = 30
 	scenarios := []struct {
@@ -193,9 +201,6 @@ func TestGroupGuardParallelMatchesSerial(t *testing.T) {
 				e.Group().Arm(sc.df)
 				g := NewGroupGuard(e)
 				g.Strategy = sc.strategy
-				if sc.strategy == StrategyDegraded {
-					g.RejoinAfter = 0
-				}
 				trace := train.NewTrace("resnet")
 				return result{g, trace, g.Run(0, iters, trace)}
 			}
@@ -219,6 +224,7 @@ func TestGroupGuardParallelMatchesSerial(t *testing.T) {
 				if r.err != nil {
 					t.Fatalf("GroupGuard.Run: %v", r.err)
 				}
+				checkCountersMatchEvents(t, r.g)
 			}
 			for i, p := range parallel {
 				if !reflect.DeepEqual(serial.g.Events, p.g.Events) {
@@ -240,5 +246,49 @@ func TestGroupGuardParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkCountersMatchEvents holds every GroupGuard counter and latch to the
+// event log it summarizes.
+func checkCountersMatchEvents(t *testing.T, g *GroupGuard) {
+	t.Helper()
+	n := map[string]int{}
+	rollbacks := 0
+	firstQ, firstD := -1, -1
+	for _, ev := range g.Events {
+		n[ev.Kind]++
+		switch ev.Kind {
+		case "quarantine-corrupt":
+			if ev.ResumedFrom >= 0 {
+				rollbacks++
+			}
+			if firstD < 0 {
+				firstD = ev.Iteration
+			}
+			fallthrough
+		case "quarantine-timeout":
+			if firstQ < 0 {
+				firstQ = ev.Iteration
+			}
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Quarantines", g.Quarantines, n["quarantine-timeout"] + n["quarantine-corrupt"]},
+		{"Rejoins", g.Rejoins, n["rejoin"] + n["jit-restore"] + n["readmit"]},
+		{"Readmits", g.Readmits, n["jit-restore"] + n["readmit"]},
+		{"Resizes", g.Resizes, n["resize"] + n["readmit"]},
+		{"JITSnapshots", g.JITSnapshots, n["jit-snapshot"]},
+		{"RejoinFailures", g.RejoinFailures, n["rejoin-failed"]},
+		{"Rollbacks", g.Rollbacks, rollbacks},
+		{"FirstQuarantineIter", g.FirstQuarantineIter(), firstQ},
+		{"FirstDetectIter", g.FirstDetectIter(), firstD},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, events say %d (events %+v)", c.name, c.got, c.want, g.Events)
+		}
 	}
 }

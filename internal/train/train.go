@@ -175,25 +175,17 @@ func (e *Engine) Quarantine(d int) {
 }
 
 // Rejoin returns a quarantined device to the group by replicating state
-// from the healthy root peer — weights and the peer's normalization
-// statistics (the quarantined device's own statistics are stale or
-// corrupted) — the hot-rejoin of the mitigation path. Optimizer state
-// needs no copy: it is global, keyed by parameter name, and lives with
-// whichever replica is the reduction root. Fails if no healthy peer
-// exists.
+// from the healthy root peer — weights (SyncWeights) and the peer's
+// normalization statistics (the quarantined device's own statistics are
+// stale or corrupted) — the hot-rejoin of the mitigation path. Optimizer
+// state needs no copy: it is global, keyed by parameter name, and lives with
+// whichever replica is the reduction root. Fails if no healthy peer exists.
 func (e *Engine) Rejoin(d int) error {
-	peer := e.grp.Root()
-	if peer == d || e.grp.HealthyCount() == 0 {
-		return fmt.Errorf("train: no healthy peer to rejoin device %d from", d)
+	if err := e.SyncWeights(d); err != nil {
+		return err
 	}
-	src := e.replicas[peer]
-	dst := e.replicas[d]
-	for pi, p := range dst.Params() {
-		p.Value.CopyFrom(src.Params()[pi].Value)
-		p.Grad.Zero()
-	}
-	srcBNs := src.BatchNorms()
-	for i, bn := range dst.BatchNorms() {
+	srcBNs := e.replicas[e.grp.Root()].BatchNorms()
+	for i, bn := range e.replicas[d].BatchNorms() {
 		bn.MovingMean.CopyFrom(srcBNs[i].MovingMean)
 		bn.MovingVar.CopyFrom(srcBNs[i].MovingVar)
 	}
@@ -773,11 +765,12 @@ func (e *Engine) Restore(s *State) {
 }
 
 // ReplicaState is a deep copy of a single device's replica — parameter
-// values, BatchNorm moving statistics, and the optimizer history as of the
-// capture. It is the unit of just-in-time checkpointing: data-parallel
-// ranks hold identical weights, so a healthy donor's ReplicaState is
-// exactly the checkpoint a lost rank needs, captured only after the
-// failure at zero periodic cost.
+// values and BatchNorm moving statistics. It is the unit of just-in-time
+// checkpointing: data-parallel ranks hold identical weights, so a healthy
+// donor's ReplicaState is exactly the checkpoint a lost rank needs, captured
+// only after the failure at zero periodic cost. It holds no optimizer
+// history: the optimizer is group-global (keyed by parameter name, stepped
+// once per iteration on the reduction root), so re-admission keeps it.
 type ReplicaState struct {
 	// Device is the donor the state was captured from.
 	Device int
@@ -785,20 +778,12 @@ type ReplicaState struct {
 	Params []*tensor.Tensor
 	// BNStats holds (movingMean, movingVar) pairs per BatchNorm layer.
 	BNStats []*tensor.Tensor
-	// OptState is the optimizer history at capture time. In this engine
-	// the optimizer is group-global (keyed by parameter name, stepped once
-	// per iteration on the reduction root), so re-admission never restores
-	// it — it is captured so the checkpoint is complete and its fidelity
-	// provable.
-	OptState map[string][]*tensor.Tensor
 }
 
 // SnapshotReplica deep-copies device d's replica state — the just-in-time
-// checkpoint capture. Unlike Snapshot it reads ONLY replica d (and the
-// group-global optimizer), so it is safe while other replicas are being
-// mutated concurrently.
+// checkpoint capture. Unlike Snapshot it reads ONLY replica d.
 func (e *Engine) SnapshotReplica(d int) *ReplicaState {
-	s := &ReplicaState{Device: d, OptState: e.opt.Snapshot()}
+	s := &ReplicaState{Device: d}
 	for _, p := range e.replicas[d].Params() {
 		s.Params = append(s.Params, p.Value.Clone())
 	}
@@ -809,7 +794,7 @@ func (e *Engine) SnapshotReplica(d int) *ReplicaState {
 }
 
 // captureReplica overwrites s with replica d's parameter values and BatchNorm
-// statistics, allocating nothing; s.OptState is left as it was.
+// statistics, allocating nothing.
 func (e *Engine) captureReplica(d int, s *ReplicaState) {
 	for i, p := range e.replicas[d].Params() {
 		s.Params[i].CopyFrom(p.Value)
@@ -822,12 +807,7 @@ func (e *Engine) captureReplica(d int, s *ReplicaState) {
 
 // RestoreReplica images replica d from a ReplicaState: parameter values
 // and BatchNorm statistics are copied in and gradients zeroed. It writes
-// ONLY replica d — no optimizer, group, or loader state — so a recovery
-// layer may run it on a background goroutine while training continues, as
-// long as d stays quarantined until the copy finishes (quarantined
-// replicas are never read or written by RunIteration). The captured
-// optimizer history is deliberately not restored: the optimizer is
-// group-global and has advanced with the surviving ranks.
+// ONLY replica d — no optimizer, group, or loader state.
 func (e *Engine) RestoreReplica(d int, s *ReplicaState) {
 	dst := e.replicas[d]
 	for pi, p := range dst.Params() {
