@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +106,50 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("JSON round trip changed trace:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestTraceTextRoundTrip: every line the text writer emits scans back into
+// the trace it was written from, with no field lost or altered.
+func TestTraceTextRoundTrip(t *testing.T) {
+	orig := sampleTrace()
+	var buf bytes.Buffer
+	if err := WriteTraceText(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	got := train.NewTrace("")
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		var (
+			it        int
+			loss, acc float64
+			err       error
+		)
+		switch strings.Fields(line)[0] {
+		case "#":
+			_, err = fmt.Sscanf(line, "# workload %s fault_iter %d", &got.Workload, &got.FaultIter)
+		case "iter":
+			if _, err = fmt.Sscanf(line, "iter %d loss %g acc %g", &it, &loss, &acc); err == nil && it != len(got.TrainLoss) {
+				err = fmt.Errorf("iter %d out of order", it)
+			}
+			got.TrainLoss = append(got.TrainLoss, loss)
+			got.TrainAcc = append(got.TrainAcc, acc)
+			got.Completed = len(got.TrainLoss)
+		case "test":
+			_, err = fmt.Sscanf(line, "test %d loss %g acc %g", &it, &loss, &acc)
+			got.TestIters = append(got.TestIters, it)
+			got.TestLoss = append(got.TestLoss, loss)
+			got.TestAcc = append(got.TestAcc, acc)
+		case "nan":
+			_, err = fmt.Sscanf(line, "nan %d %s", &got.NonFiniteIter, &got.NonFiniteAt)
+		default:
+			err = fmt.Errorf("unknown line kind")
+		}
+		if err != nil {
+			t.Fatalf("line %q: %v\n%s", line, err, buf.String())
+		}
+	}
+	if !reflect.DeepEqual(got, orig) {
+		t.Fatalf("text round trip changed trace:\ngot  %+v\nwant %+v", got, orig)
 	}
 }
 
