@@ -210,10 +210,10 @@ go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 echo "== retry-budget fuzz smoke (Policy.Arrival against the Retries / Failed AllReduce reports for the armed fault, fuzzer-chosen delay, policy and kind) =="
 go test -run '^$' -fuzz 'FuzzArrivalResolution' -fuzztime 3s ./internal/comm
 
-echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, against the naive triple loop; seeds on both sides of the dense-A dispatch: whole-matrix kernel for an A without ±0, skip-rule path otherwise) =="
+echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, against the naive triple loop; seeds on both sides of the dense-A dispatch: whole-matrix kernel for an A without ±0, skip-rule path otherwise; and on both sides of the TB dispatch: the transposed product B×Aᵀ for a dense A where tbTransposesA holds, transpose-B-then-NN otherwise) =="
 go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 
-echo "== lowering fuzz smoke (im2col and col2im against the per-element loops, fuzzer-chosen geometry and bit patterns) =="
+echo "== lowering fuzz smoke (im2col and col2im against the per-element loops and, at stride 1, the one-call tap kernel against the tap-by-tap loop; fuzzer-chosen geometry and bit patterns, tap sets of 1 to 425 taps) =="
 go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 
 echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="

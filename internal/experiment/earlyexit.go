@@ -18,7 +18,9 @@ package experiment
 // whose checks are pure functions of the state. The tail can be copied
 // from the golden trace instead of executed, and the synthesized record
 // equals the exhaustively executed one byte for byte (modulo hash
-// collisions at probability 2^-128).
+// collisions at probability 2^-128). The digest is keyed per process, so
+// only digests taken in one process compare — as here, where every process
+// that runs experiments prepares its own golden digests.
 //
 // The comparison starts at t+1, never t: the Table-4 necessary-condition
 // measurements (HistAtT1/MvarAtT1) are taken at t+1 and must come from

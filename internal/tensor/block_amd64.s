@@ -2,14 +2,18 @@
 
 #include "textflag.h"
 
-// AVX block kernels for the convolution lowering (see moveBlocks / addBlocks
-// in tensor.go, which check every extent before a pointer gets here).
+// The AVX block kernel behind the convolution lowering and the block moves
+// and adds (see moveBlocks / addBlocks and blockShape.move / add in
+// tensor.go, which check every extent before a pointer gets here).
 //
-// Both walk n blocks of rows x cols floats. Rows of a block lie dstStride /
-// srcStride floats apart, blocks dstBlock / srcBlock floats apart. Both cut a
-// row of four or more floats the same way, with no branch on the row's length
-// inside the row loop: 4-float vectors at columns 0, 4, 8, ... while a vector
-// starts before column cols-4, then one last vector AT column cols-4, which
+// It walks c·kh·kw taps in ascending (ch, y, x) order, and in each tap n
+// blocks of rows x cols floats. Tap (ch, y, x) starts ch·dstC + y·dstH +
+// x·dstW floats into dst and ch·srcC + y·srcH + x·srcW into src — a stride-1
+// lowering's whole matrix in one call; a plain block move is one tap. Rows of
+// a block lie dstStride / srcStride floats apart, blocks dstBlock / srcBlock
+// floats apart. Moves and adds cut a row of four or more floats the same way,
+// with no branch on the row's length inside the row loop: 4-float vectors at
+// columns 0, 4, 8, ... while a vector starts before column cols-4, then one last vector AT column cols-4, which
 // overlaps the one before it unless cols is a multiple of four. A 6-wide row
 // (the campaign's output width) is the vectors at columns 0 and 2. The
 // overlapped columns are computed twice from the same operands — the last
@@ -17,12 +21,12 @@
 // rewrites the bits the first one wrote. Rows narrower than a vector go
 // element by element.
 //
-// moveBlocksAVX only moves bits: loads and stores, which do not look at the
-// value (a signaling NaN comes out as it went in).
+// A move (add false) only moves bits: loads and stores, which do not look at
+// the value (a signaling NaN comes out as it went in).
 //
-// addBlocksAVX is arithmetic and, like the GEMM kernels, 128 bits wide, so it
-// never takes the AVX frequency licence (see gemm_amd64.s). Per element it
-// computes
+// An add (add true) is arithmetic and, like the GEMM kernels, 128 bits wide,
+// so it never takes the AVX frequency licence (see gemm_amd64.s). Per element
+// it computes
 //
 //	dst = dst + src
 //
@@ -31,17 +35,15 @@
 // emits for `drow[j] += srow[j]`. In Go assembler syntax the first source is
 // the MIDDLE operand: VADDPS src, acc, acc.
 //
-// Register use, both kernels: DI/SI walk the rows, R10/R11 are the row
-// strides in bytes, R12/R13 what takes DI/SI from the end of one block to the
-// start of the next (block step minus rows row steps, in bytes), BX counts
-// blocks, R8 rows, AX columns; CX = cols, R9 = cols-4, DX = the column the
-// vector loop stops before.
+// Registers: DI/SI walk the rows of a tap, R10/R11 are the row strides in
+// bytes, R12/R13 what takes DI/SI from the end of one block to the start of
+// the next (block step minus rows row steps, in bytes), BX counts blocks, R8
+// rows, AX columns; CX = cols, R9 = cols-4, DX = the column the vector loop
+// stops before; R14/R15 the tap's start in dst/src. The frame holds the tap
+// counters and where the current channel's and tap row's taps start.
 
-// func moveBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int)
-TEXT ·moveBlocksAVX(SB), NOSPLIT, $0-104
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ n+48(FP), BX
+// func blockTapsAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride, c, kh, kw, dstC, dstH, dstW, srcC, srcH, srcW int, add bool)
+TEXT ·blockTapsAVX(SB), NOSPLIT, $56-177
 	MOVQ rows+56(FP), R8
 	MOVQ cols+64(FP), CX
 	MOVQ dstBlock+72(FP), R12
@@ -58,11 +60,35 @@ TEXT ·moveBlocksAVX(SB), NOSPLIT, $0-104
 	MOVQ R8, AX
 	IMULQ R11, AX
 	SUBQ AX, R13
-	CMPQ CX, $4
-	JLT  narrowM
 	LEAQ -4(CX), R9
 	LEAQ -1(CX), DX
 	ANDQ $-4, DX
+	MOVQ dst_base+0(FP), R14
+	MOVQ src_base+24(FP), R15
+	MOVQ c+104(FP), AX
+	MOVQ AX, chLeft-8(SP)
+
+channel:
+	MOVQ R14, dCh-16(SP)
+	MOVQ R15, sCh-24(SP)
+	MOVQ kh+112(FP), AX
+	MOVQ AX, yLeft-32(SP)
+
+tapRow:
+	MOVQ R14, dY-40(SP)
+	MOVQ R15, sY-48(SP)
+	MOVQ kw+120(FP), AX
+	MOVQ AX, xLeft-56(SP)
+
+tap:
+	MOVQ R14, DI
+	MOVQ R15, SI
+	MOVQ n+48(FP), BX
+	MOVQ rows+56(FP), R8
+	CMPB add+176(FP), $0
+	JNE  addTap
+	CMPQ CX, $4
+	JLT  narrowM
 
 rowM:
 	VMOVUPS (SI)(R9*4), X1
@@ -84,7 +110,7 @@ vecM:
 	MOVQ rows+56(FP), R8
 	DECQ BX
 	JNZ  rowM
-	RET
+	JMP  nextTap
 
 narrowM:
 	XORQ AX, AX
@@ -104,34 +130,11 @@ elemM:
 	MOVQ rows+56(FP), R8
 	DECQ BX
 	JNZ  narrowM
-	RET
+	JMP  nextTap
 
-// func addBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int)
-TEXT ·addBlocksAVX(SB), NOSPLIT, $0-104
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ n+48(FP), BX
-	MOVQ rows+56(FP), R8
-	MOVQ cols+64(FP), CX
-	MOVQ dstBlock+72(FP), R12
-	MOVQ srcBlock+80(FP), R13
-	MOVQ dstStride+88(FP), R10
-	MOVQ srcStride+96(FP), R11
-	SHLQ $2, R10
-	SHLQ $2, R11
-	SHLQ $2, R12
-	SHLQ $2, R13
-	MOVQ R8, AX
-	IMULQ R10, AX
-	SUBQ AX, R12
-	MOVQ R8, AX
-	IMULQ R11, AX
-	SUBQ AX, R13
+addTap:
 	CMPQ CX, $4
 	JLT  narrowA
-	LEAQ -4(CX), R9
-	LEAQ -1(CX), DX
-	ANDQ $-4, DX
 
 rowA:
 	VMOVUPS (DI)(R9*4), X1
@@ -155,7 +158,7 @@ vecA:
 	MOVQ rows+56(FP), R8
 	DECQ BX
 	JNZ  rowA
-	RET
+	JMP  nextTap
 
 narrowA:
 	XORQ AX, AX
@@ -176,4 +179,28 @@ elemA:
 	MOVQ rows+56(FP), R8
 	DECQ BX
 	JNZ  narrowA
+
+nextTap:
+	MOVQ dstW+144(FP), AX
+	LEAQ (R14)(AX*4), R14
+	MOVQ srcW+168(FP), AX
+	LEAQ (R15)(AX*4), R15
+	DECQ xLeft-56(SP)
+	JNZ  tap
+	MOVQ dY-40(SP), R14
+	MOVQ dstH+136(FP), AX
+	LEAQ (R14)(AX*4), R14
+	MOVQ sY-48(SP), R15
+	MOVQ srcH+160(FP), AX
+	LEAQ (R15)(AX*4), R15
+	DECQ yLeft-32(SP)
+	JNZ  tapRow
+	MOVQ dCh-16(SP), R14
+	MOVQ dstC+128(FP), AX
+	LEAQ (R14)(AX*4), R14
+	MOVQ sCh-24(SP), R15
+	MOVQ srcC+152(FP), AX
+	LEAQ (R15)(AX*4), R15
+	DECQ chLeft-8(SP)
+	JNZ  channel
 	RET

@@ -315,7 +315,7 @@ doneR:
 
 // func addBiasAVX(t, bias *float32, rows, c, spatial int)
 //
-// t = t + bias[ch], the row's element first (see addBlocksAVX). DI walks t,
+// t = t + bias[ch], the row's element first (see blockTapsAVX). DI walks t,
 // SI = bias, BX counts rows, DX is the channel of the current row (0 at the
 // first) and wraps at R13 = c, CX counts the floats left in the row. X0 the
 // broadcast bias.

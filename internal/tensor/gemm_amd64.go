@@ -29,11 +29,12 @@ func detectAVX() bool {
 
 // gemmTileAVX computes the m×n C = A×B, c[i*n+j] = Σ a[i*aRow+kk*aK] *
 // b[kk*n+j] over kk < k ascending, each element from +0 — or, with acc, from
-// what c holds — every a non-zero. It takes addresses, not slices: gemmTile
-// is the only caller and checks the three extents first.
+// what c holds — with no skip rule, each product b*a or, with aFirst, a*b.
+// It takes addresses, not slices: gemmTile is the only caller and checks the
+// three extents first.
 //
 //go:noescape
-func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc bool)
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc, aFirst bool)
 
 // nonZeroAVX reports whether none of the n floats at a is ±0. n must be
 // positive; allNonZero checks that.
@@ -68,20 +69,16 @@ func transposeStrip8AVX(dst, src []float32, rows, cols int)
 //go:noescape
 func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int)
 
-// moveBlocksAVX copies n blocks of rows×cols floats, bit for bit: element
-// (i, r, j) moves from src[i*srcBlock+r*srcStride+j] to
-// dst[i*dstBlock+r*dstStride+j]. n, rows and cols must be positive, the
-// steps non-negative and both sides inside their slices; moveBlocks checks
-// that, this does not.
+// blockTapsAVX copies (add false) or accumulates dst = dst + src (add true)
+// over c·kh·kw taps of n blocks of rows×cols floats, taps in ascending
+// (ch, y, x) order: element (i, r, j) of tap (ch, y, x) is
+// dst[ch*dstC+y*dstH+x*dstW + i*dstBlock+r*dstStride+j] and likewise in src.
+// Every count must be positive, every step non-negative and every tap inside
+// both slices (blockShape.check and tapSet.check see to that, this does not),
+// and a move's two sides apart.
 //
 //go:noescape
-func moveBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int)
-
-// addBlocksAVX accumulates dst = dst + src over the same layout, under the
-// same contract (addBlocks checks it).
-//
-//go:noescape
-func addBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int)
+func blockTapsAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride, c, kh, kw, dstC, dstH, dstW, srcC, srcH, srcW int, add bool)
 
 // The element-wise kernels (elem_amd64.s) take addresses and extents their
 // callers in elem.go have checked. x, dy and the like are whole [n, c,

@@ -13,7 +13,9 @@
 // operands are NaN, so operand order is part of the contract: the product is
 // b*a (b first) and the sum is product+c (product first), the order the
 // compiler emits for `c[j] += a * b[j]`. In Go assembler syntax the first
-// source is the MIDDLE operand: VMULPS a, b, p computes p = b*a.
+// source is the MIDDLE operand: VMULPS a, b, p computes p = b*a. (The
+// transposed A×Bᵀ runs the tile kernel with the operands' roles exchanged,
+// and its aFirst k-loops exchange the sources back: B's element stays first.)
 //
 // The arithmetic is VEX-encoded but 128 bits wide (X registers, 4 lanes), on
 // purpose. 256-bit floating-point arithmetic puts an Intel server core under
@@ -25,7 +27,81 @@
 // data movement (the transposition below, the runtime's memmove) does not
 // take the licence.
 
-// func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc bool)
+// The sources of a multiply, in Go assembler order: VMULPS BA(a, b), p
+// forms p = b*a, b the first source — the NN order; VMULPS AB(a, b), p forms
+// p = a*b, a the first source — the transposed TB order.
+#define BA(a, b) a, b
+#define AB(a, b) b, a
+
+// One k-step of an 8-wide, 4-wide and 1-wide tile, ending on the decrement
+// of the k-steps left that the loop's JNZ tests. MUL is BA or AB.
+#define K8(MUL) \
+	VMOVUPS (AX), X8; \
+	VMOVUPS 16(AX), X9; \
+	VBROADCASTSS (BX), X10; \
+	VBROADCASTSS (BX)(R9*1), X13; \
+	VMULPS MUL(X10, X8), X11; \
+	VMULPS MUL(X10, X9), X12; \
+	VMULPS MUL(X13, X8), X14; \
+	VMULPS MUL(X13, X9), X15; \
+	VADDPS X0, X11, X0; \
+	VADDPS X1, X12, X1; \
+	VADDPS X2, X14, X2; \
+	VADDPS X3, X15, X3; \
+	VBROADCASTSS (R11), X10; \
+	VBROADCASTSS (R11)(R9*1), X13; \
+	VMULPS MUL(X10, X8), X11; \
+	VMULPS MUL(X10, X9), X12; \
+	VMULPS MUL(X13, X8), X14; \
+	VMULPS MUL(X13, X9), X15; \
+	VADDPS X4, X11, X4; \
+	VADDPS X5, X12, X5; \
+	VADDPS X6, X14, X6; \
+	VADDPS X7, X15, X7; \
+	ADDQ R12, AX; \
+	ADDQ R10, BX; \
+	ADDQ R10, R11; \
+	DECQ R13
+
+#define K4(MUL) \
+	VMOVUPS (AX), X8; \
+	VBROADCASTSS (BX), X10; \
+	VBROADCASTSS (BX)(R9*1), X13; \
+	VMULPS MUL(X10, X8), X11; \
+	VMULPS MUL(X13, X8), X14; \
+	VADDPS X0, X11, X0; \
+	VADDPS X2, X14, X2; \
+	VBROADCASTSS (R11), X10; \
+	VBROADCASTSS (R11)(R9*1), X13; \
+	VMULPS MUL(X10, X8), X11; \
+	VMULPS MUL(X13, X8), X14; \
+	VADDPS X4, X11, X4; \
+	VADDPS X6, X14, X6; \
+	ADDQ R12, AX; \
+	ADDQ R10, BX; \
+	ADDQ R10, R11; \
+	DECQ R13
+
+#define K1(MUL) \
+	VMOVSS (AX), X8; \
+	VMOVSS (BX), X10; \
+	VMOVSS (BX)(R9*1), X13; \
+	VMULSS MUL(X10, X8), X11; \
+	VMULSS MUL(X13, X8), X14; \
+	VADDSS X0, X11, X0; \
+	VADDSS X2, X14, X2; \
+	VMOVSS (R11), X10; \
+	VMOVSS (R11)(R9*1), X13; \
+	VMULSS MUL(X10, X8), X11; \
+	VMULSS MUL(X13, X8), X14; \
+	VADDSS X4, X11, X4; \
+	VADDSS X6, X14, X6; \
+	ADDQ R12, AX; \
+	ADDQ R10, BX; \
+	ADDQ R10, R11; \
+	DECQ R13
+
+// func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc, aFirst bool)
 //
 // A whole m×n C (row length n) in one call:
 //
@@ -42,9 +118,16 @@
 // registers, receives the k products of each of its elements in ascending
 // kk, and is stored once; between, the chain of an element lives in one
 // register lane, so the additions it sees and their order are those of k
-// passes of the Go loop over the row. Every a must be non-zero (the caller's
-// dense scan or run splitting sees to it): nothing here tests for the skip
-// rule. m, n and k are positive.
+// passes of the Go loop over the row. Nothing here tests for the skip rule,
+// so the operand the caller's rule is on must hold no zero (its dense scan or
+// run splitting sees to it). m, n and k are positive.
+//
+// Each product is b*a, b first, as the NN product forms it. With aFirst it is
+// a*b: the transposed A×Bᵀ runs here with B as a and Aᵀ as b, and B·A is
+// the order the untransposed kernel forms each product in. aFirst picks
+// which of two k-loops a tile runs; the two are one macro (K8, K4, K1)
+// instantiated with BA and with AB, and differ in the multiply's operand
+// order only.
 //
 // Registers: DI and SI the tile's first column in c and in b, DX row 0 of
 // the block in a, CX the columns left, R13 the k-steps left; in bytes, R9
@@ -55,7 +138,7 @@
 // X(2r+1)), X8/X9 the two B vectors of the k-step, X10/X13 the broadcast a
 // of alternating rows, X11/X12/X14/X15 the products. The frame holds the
 // rows left after the block and the next block's row 0 in a.
-TEXT ·gemmTileAVX(SB), NOSPLIT, $16-65
+TEXT ·gemmTileAVX(SB), NOSPLIT, $16-66
 	MOVQ c+0(FP), DI
 	MOVQ a+16(FP), DX
 	MOVQ n+32(FP), R12
@@ -139,35 +222,14 @@ start8:
 	LEAQ (DX)(R15*1), R11   // a, row 2 at step kk
 	MOVQ k+40(FP), R13
 
+	CMPB aFirst+65(FP), $0
+	JNE  k8ab
+
 k8:
-	VMOVUPS (AX), X8
-	VMOVUPS 16(AX), X9
-	VBROADCASTSS (BX), X10
-	VBROADCASTSS (BX)(R9*1), X13
-	VMULPS X10, X8, X11
-	VMULPS X10, X9, X12
-	VMULPS X13, X8, X14
-	VMULPS X13, X9, X15
-	VADDPS X0, X11, X0
-	VADDPS X1, X12, X1
-	VADDPS X2, X14, X2
-	VADDPS X3, X15, X3
-	VBROADCASTSS (R11), X10
-	VBROADCASTSS (R11)(R9*1), X13
-	VMULPS X10, X8, X11
-	VMULPS X10, X9, X12
-	VMULPS X13, X8, X14
-	VMULPS X13, X9, X15
-	VADDPS X4, X11, X4
-	VADDPS X5, X12, X5
-	VADDPS X6, X14, X6
-	VADDPS X7, X15, X7
-	ADDQ R12, AX
-	ADDQ R10, BX
-	ADDQ R10, R11
-	DECQ R13
+	K8(BA)
 	JNZ  k8
 
+store8:
 	VMOVUPS X0, (DI)
 	VMOVUPS X1, 16(DI)
 	VMOVUPS X2, (DI)(R14*1)
@@ -207,26 +269,14 @@ start4:
 	LEAQ (DX)(R15*1), R11
 	MOVQ k+40(FP), R13
 
+	CMPB aFirst+65(FP), $0
+	JNE  k4ab
+
 k4:
-	VMOVUPS (AX), X8
-	VBROADCASTSS (BX), X10
-	VBROADCASTSS (BX)(R9*1), X13
-	VMULPS X10, X8, X11
-	VMULPS X13, X8, X14
-	VADDPS X0, X11, X0
-	VADDPS X2, X14, X2
-	VBROADCASTSS (R11), X10
-	VBROADCASTSS (R11)(R9*1), X13
-	VMULPS X10, X8, X11
-	VMULPS X13, X8, X14
-	VADDPS X4, X11, X4
-	VADDPS X6, X14, X6
-	ADDQ R12, AX
-	ADDQ R10, BX
-	ADDQ R10, R11
-	DECQ R13
+	K4(BA)
 	JNZ  k4
 
+store4:
 	VMOVUPS X0, (DI)
 	VMOVUPS X2, (DI)(R14*1)
 	LEAQ (DI)(R8*1), AX
@@ -261,22 +311,14 @@ start1:
 	LEAQ (DX)(R15*1), R11
 	MOVQ k+40(FP), R13
 
+	CMPB aFirst+65(FP), $0
+	JNE  k1ab
+
 k1:
-	VMOVSS (AX), X8
-	VMULSS (BX), X8, X11
-	VMULSS (BX)(R9*1), X8, X14
-	VADDSS X0, X11, X0
-	VADDSS X2, X14, X2
-	VMULSS (R11), X8, X11
-	VMULSS (R11)(R9*1), X8, X14
-	VADDSS X4, X11, X4
-	VADDSS X6, X14, X6
-	ADDQ R12, AX
-	ADDQ R10, BX
-	ADDQ R10, R11
-	DECQ R13
+	K1(BA)
 	JNZ  k1
 
+store1:
 	VMOVSS X0, (DI)
 	VMOVSS X2, (DI)(R14*1)
 	LEAQ (DI)(R8*1), AX
@@ -297,6 +339,22 @@ endBlock:
 
 done:
 	RET
+
+	// The aFirst k-loops, out of the NN product's straight line.
+k8ab:
+	K8(AB)
+	JNZ  k8ab
+	JMP  store8
+
+k4ab:
+	K4(AB)
+	JNZ  k4ab
+	JMP  store4
+
+k1ab:
+	K1(AB)
+	JNZ  k1ab
+	JMP  store1
 
 // func nonZeroAVX(a *float32, n int) bool
 //

@@ -7,7 +7,7 @@ package tensor
 // tensor.go and elem.go run.
 const useAVX = false
 
-func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc bool) {
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc, aFirst bool) {
 	panic("tensor: no AVX kernels in this build")
 }
 
@@ -27,11 +27,7 @@ func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int) {
 	panic("tensor: no AVX kernels in this build")
 }
 
-func moveBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int) {
-	panic("tensor: no AVX kernels in this build")
-}
-
-func addBlocksAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride int) {
+func blockTapsAVX(dst, src []float32, n, rows, cols, dstBlock, srcBlock, dstStride, srcStride, c, kh, kw, dstC, dstH, dstW, srcC, srcH, srcW int, add bool) {
 	panic("tensor: no AVX kernels in this build")
 }
 

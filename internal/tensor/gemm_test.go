@@ -154,27 +154,50 @@ func sameBits(t *testing.T, name string, got, want []float32, exactNaN bool) {
 	}
 }
 
+// TestSIMDGEMMBitwise runs every row remainder against every column tail
+// and the k of one, a few and many steps, then the campaign's shapes. Each
+// shape comes with a dense A and two sparse ones, so TB meets both sides of
+// its dispatch — the transposed product for a dense A where tbTransposesA
+// holds (the conv weight gradient 8×72×72, the head's 4×108×10), B
+// transposed for the tie 8×72×9 (conv1's weight gradient), a C narrower
+// than four rows (2×72×72), a sparse A and everything else — and the test
+// fails unless it reached all four.
 func TestSIMDGEMMBitwise(t *testing.T) {
 	ns := []int{72, 128}
 	for n := 1; n <= 17; n++ { // every vector-tail length, twice over
 		ns = append(ns, n)
 	}
-	r := rng.NewFromInt(77)
-	salt := 0
+	var shapes [][3]int
 	for m := 1; m <= 9; m++ {
 		for _, n := range ns {
 			for _, k := range []int{1, 2, 8, 9, 72} {
-				for _, poison := range []bool{false, true} {
-					salt++
-					a, b := gemmOperands(r, m, k, n, poison)
-					checkGEMMVariants(t, a, b) // dense: one run of k steps per block
-					runs := a.Clone()
-					zeroRuns(runs, salt)
-					checkGEMMVariants(t, runs, b)
-					zeroPatterns(a, salt)
-					checkGEMMVariants(t, a, b)
-				}
+				shapes = append(shapes, [3]int{m, k, n})
 			}
+		}
+	}
+	shapes = append(shapes, [3]int{8, 72, 72}, [3]int{8, 72, 9}, [3]int{2, 72, 72}, [3]int{4, 108, 10}, [3]int{16, 72, 72}, [3]int{13, 40, 21})
+	r := rng.NewFromInt(77)
+	salt := 0
+	reached := map[[2]bool]bool{}
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		for _, poison := range []bool{false, true} {
+			salt++
+			a, b := gemmOperands(r, m, k, n, poison)
+			checkGEMMVariants(t, a, b) // dense: one run of k steps per block
+			runs := a.Clone()
+			zeroRuns(runs, salt)
+			checkGEMMVariants(t, runs, b)
+			zeroPatterns(a, salt)
+			checkGEMMVariants(t, a, b)
+			for _, a := range []*Tensor{a, runs} {
+				reached[[2]bool{tbTransposesA(m, k, n), allNonZero(a.Data)}] = true
+			}
+		}
+	}
+	for _, side := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+		if !reached[side] {
+			t.Errorf("no shape with tbTransposesA %v and a dense A %v", side[0], side[1])
 		}
 	}
 }
@@ -201,6 +224,51 @@ func checkGEMMVariants(t *testing.T, a, b *Tensor) {
 	// matches it payload for payload.
 	dst.Fill(stale)
 	sameBits(t, "MatMulTBInto", MatMulTBInto(dst, a, Transpose2D(b), false).Data, want, useAVX)
+}
+
+// TestTBTransposedMatchesNN holds the transposed TB product to the NN
+// product on a transposed B — MatMul(a, Transpose2D(b)), MatMulTB's
+// contract and its other path — bit for bit, NaN payloads included, where
+// the two are allowed to meet: both operands carry NaNs of disjoint payload
+// sets at any k, so NaN×NaN products are formed too, and only the multiply's
+// operand order decides which payload such a product keeps. gemmTBviaTN
+// must form each product B first, as the NN kernel does. The shapes include
+// ones tbTransposesA refuses; gemmTBviaTN computes any shape.
+func TestTBTransposedMatchesNN(t *testing.T) {
+	if !useAVX {
+		t.Skip("the transposed product runs on the AVX tile kernel only")
+	}
+	r := rng.NewFromInt(53)
+	pick := func(set []uint32) float32 { return math.Float32frombits(set[r.Intn(len(set))]) }
+	campaign := [][3]int{{8, 72, 72}, {8, 72, 9}, {4, 108, 10}}
+	for trial := 0; trial < 400; trial++ {
+		m, k, n := 1+r.Intn(20), 1+r.Intn(80), 1+r.Intn(80)
+		if trial < len(campaign) {
+			m, k, n = campaign[trial][0], campaign[trial][1], campaign[trial][2]
+		}
+		a, b := gemmOperands(r, m, k, n, true)
+		bt := Transpose2D(b)
+		for i := range a.Data {
+			if r.Intn(6) == 0 {
+				a.Data[i] = pick(gemmNaNsA)
+			}
+		}
+		for i := range bt.Data {
+			if r.Intn(6) == 0 {
+				bt.Data[i] = pick(gemmNaNsB)
+			}
+		}
+		if !allNonZero(a.Data) {
+			t.Fatalf("%dx%dx%d: gemmOperands left a zero in A", m, k, n)
+		}
+		want := MatMulInto(New(m, n), a, Transpose2D(bt), false).Data
+		got := make([]float32, m*n)
+		for i := range got {
+			got[i] = math.Float32frombits(0x7fc0dead)
+		}
+		gemmTBviaTN(got, a.Data, bt.Data, m, k, n)
+		sameBits(t, fmt.Sprintf("gemmTBviaTN %dx%dx%d", m, k, n), got, want, true)
+	}
 }
 
 // TestDenseRun4 holds the vectorized prescan to a scalar `== 0` loop in both
@@ -275,16 +343,16 @@ func TestDenseRun4(t *testing.T) {
 // would otherwise find out by indexing.
 func TestGEMMBoundsPanics(t *testing.T) {
 	c, b, a := make([]float32, 4*8), make([]float32, 5*8), make([]float32, 4*5)
-	mustPanicWith(t, "gemmTile needs 4×8 elements of C, slice holds 31", func() { gemmTile(c[:31], b, a, 4, 8, 5, 5, 1, true) })
-	mustPanicWith(t, "gemmTile needs 5×8 elements of B, slice holds 39", func() { gemmTile(c, b[:39], a, 4, 8, 5, 5, 1, false) })
-	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 5, 1, true) })
-	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 1, 4, false) })
-	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 2, 8, 5, 15, 1, false) })
-	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 0 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 0, 5, 1, true) })
-	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 5 k-steps, A row step -5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 5, -5, 1, true) })
-	mustPanicWith(t, "gemmTile with -1 rows, 0 columns, 5 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, -1, 0, 5, 5, 1, true) })
-	gemmTile(nil, nil, nil, 4, 0, 5, 5, 1, true)  // no columns: nothing to do, nothing to check
-	gemmTile(nil, nil, nil, 0, 8, 5, 5, 1, false) // no rows either
+	mustPanicWith(t, "gemmTile needs 4×8 elements of C, slice holds 31", func() { gemmTile(c[:31], b, a, 4, 8, 5, 5, 1, true, false) })
+	mustPanicWith(t, "gemmTile needs 5×8 elements of B, slice holds 39", func() { gemmTile(c, b[:39], a, 4, 8, 5, 5, 1, false, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 5, 1, true, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 1, 4, false, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 2, 8, 5, 15, 1, false, false) })
+	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 0 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 0, 5, 1, true, false) })
+	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 5 k-steps, A row step -5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 5, -5, 1, true, false) })
+	mustPanicWith(t, "gemmTile with -1 rows, 0 columns, 5 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, -1, 0, 5, 5, 1, true, false) })
+	gemmTile(nil, nil, nil, 4, 0, 5, 5, 1, true, false)  // no columns: nothing to do, nothing to check
+	gemmTile(nil, nil, nil, 0, 8, 5, 5, 1, false, false) // no rows either
 	mustPanicWith(t, "denseRun4 reaches element 19 of A, slice holds 19", func() { denseRun4(a[:19], 5, 5, 1) })
 	mustPanicWith(t, "denseRun4 reaches element 19 of A, slice holds 19", func() { denseRun4(a[:19], 5, 1, 4) })
 	mustPanicWith(t, "denseRun4 with 0 k-steps, A row step 5, A k step 1", func() { denseRun4(a, 0, 5, 1) })
@@ -390,6 +458,27 @@ func FuzzGEMMOracle(f *testing.F) {
 			f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
 		}
 	}
+	// Both sides of TB's dispatch for a dense A (tbTransposesA): the
+	// transposed product at 4×13×7, 8×24×41 and 13×24×41, B transposed at the
+	// tie 4×12×6, at 8×8×12 and below four rows at 2×12×6 — each dense, then
+	// against B's infinities and NaNs, then with a -0 in A.
+	for _, s := range [][3]int{{4, 13, 7}, {8, 24, 41}, {13, 24, 41}, {4, 12, 6}, {8, 8, 12}, {2, 12, 6}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := make([]float32, m*k), make([]float32, k*n)
+		for i := range a {
+			a[i] = float32(i%9) - 3.5
+		}
+		for i := range b {
+			b[i] = float32(i%7)*0.5 - 1.25
+		}
+		f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
+		for i := range b {
+			b[i] = [...]float32{nan, 1.5, inf, -3, negInf, 0}[i%6]
+		}
+		f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
+		a[(m-1)*k+k/2] = float32(math.Copysign(0, -1))
+		f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
+	}
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, mixed bool, raw []byte) {
 		m, k, n := int(mRaw)%13+1, int(kRaw)%24+1, int(nRaw)%41+1
 		if len(raw) > 1<<12 {
@@ -471,10 +560,19 @@ func TestDenseAPredicate(t *testing.T) {
 // TestGEMMSmallNoAllocs: the fp32 entry points allocate nothing at the
 // transformer's shapes, on either side of the dense-A dispatch — TB's
 // transposed B included, which lives on the stack at these sizes — nor at a
-// head layer's 4×108×10, whose transposed B is past the stack panel.
+// head layer's 4×108×10 and the convolution weight gradients 8×72×72 and
+// 8×72×9, whose TB panels are past the stack panel: with a dense A, the
+// first two take the transposed product and the tie 8×72×9 transposes B.
+//
+// Those panels come from a sync.Pool, which under the race detector drops a
+// quarter of what is put back at random, so a call there allocates a panel
+// (two objects) one time in four. AllocsPerRun reports whole allocations per
+// call, rounded down: over 100 runs that chance reads 0 all but never (20
+// runs read 1 in a few percent of passes), and a call that allocates every
+// time still reads at least 1, with the race detector or without.
 func TestGEMMSmallNoAllocs(t *testing.T) {
 	r := rng.NewFromInt(41)
-	for _, s := range [][3]int{{8, 12, 8}, {8, 8, 12}, {16, 12, 12}, {16, 6, 12}, {12, 8, 12}, {2, 12, 6}, {4, 108, 10}} {
+	for _, s := range [][3]int{{8, 12, 8}, {8, 8, 12}, {16, 12, 12}, {16, 6, 12}, {12, 8, 12}, {2, 12, 6}, {4, 108, 10}, {8, 72, 72}, {8, 72, 9}} {
 		m, k, n := s[0], s[1], s[2]
 		a, b := gemmOperands(r, m, k, n, false)
 		sparse := a.Clone()
@@ -487,7 +585,7 @@ func TestGEMMSmallNoAllocs(t *testing.T) {
 				"MatMulTAInto": func() { MatMulTAInto(dst, at, b, false) },
 				"MatMulTBInto": func() { MatMulTBInto(dst, a, bt, false) },
 			} {
-				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 					t.Errorf("%s %dx%dx%d, dense A %v: %v allocations a call", name, m, k, n, allNonZero(a.Data), allocs)
 				}
 			}

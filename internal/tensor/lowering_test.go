@@ -15,7 +15,8 @@ import (
 // loops over every vector-tail length. TestLoweringBitwise and
 // FuzzLoweringOracle hold Im2Col / Col2Im built on them to scalarIm2Col /
 // scalarCol2Im (tensor_test.go), which clip instead of padding and share no
-// structure with the production code.
+// structure with the production code, and a stride-1 lowering's one-call tap
+// walk to tapByTapIm2Col / tapByTapCol2Im, one block move or add per tap.
 
 // blockSpecials are the values a block kernel must carry or add exactly:
 // ±0, subnormals, ±Inf. NaNs come from gemmNaNsA (accumulator side) and
@@ -168,6 +169,14 @@ var loweringCases = []struct {
 	{2, 2, 9, 7, ConvParams{KH: 3, KW: 3, Stride: 3, Padding: 1}},
 	{1, 1, 8, 8, ConvParams{KH: 2, KW: 2, Stride: 3, Padding: 2}},
 	{3, 4, 16, 16, ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}}, // 16-wide rows: vector steps only
+	// Tap sets of 1, 9, 72 and at least 400 taps, with rows narrower than a
+	// vector and paddings 0 to 2.
+	{2, 1, 5, 3, ConvParams{KH: 1, KW: 1, Stride: 1, Padding: 0}},
+	{1, 1, 4, 4, ConvParams{KH: 1, KW: 1, Stride: 1, Padding: 2}},
+	{1, 1, 5, 2, ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}},
+	{2, 8, 5, 3, ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 0}},
+	{2, 48, 4, 3, ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}},
+	{1, 16, 6, 6, ConvParams{KH: 5, KW: 5, Stride: 1, Padding: 2}},
 }
 
 // TestLoweringBitwise pins Im2Col and Col2Im, through the allocating entry
@@ -188,6 +197,10 @@ func TestLoweringBitwise(t *testing.T) {
 		fillBlockOperand(r, y.Data, gemmNaNsB, false)
 		wantIm := scalarCol2Im(y, tc.n, tc.c, tc.h, tc.w, tc.p)
 		bitsEqual(t, "Col2Im "+name, Col2Im(y, tc.n, tc.c, tc.h, tc.w, tc.p), wantIm)
+		if tc.p.Stride == 1 {
+			bitsEqual(t, "tapByTapIm2Col "+name, tapByTapIm2Col(in, tc.p), want)
+			bitsEqual(t, "tapByTapCol2Im "+name, tapByTapCol2Im(y, tc.n, tc.c, tc.h, tc.w, tc.p), wantIm)
+		}
 
 		// The same through workspace-owned staging planes that the previous
 		// case left at another size and Reset has filled with NaNs: borders
@@ -201,43 +214,56 @@ func TestLoweringBitwise(t *testing.T) {
 }
 
 // TestCol2ImNaNOrder lands three NaNs of different payloads — the first one
-// signaling — on one input position through three different kernel taps. The
-// sum keeps the payload of the first tap in (kh,kw) order, quieted: the
-// accumulator is the add's first operand, and rows are folded in ascending
-// order. An add with its operands swapped, or rows taken in another order,
-// ends on another payload.
+// signaling — on one input position of the last channel through three
+// different kernel taps. The sum keeps the payload of the first tap in (kh,kw)
+// order, quieted: the accumulator is the add's first operand, and taps are
+// folded in ascending order. An add with its operands swapped, or taps taken
+// in another order, ends on another payload. The tap sets hold 9, 72 and 405
+// taps, the rows 6 floats, 2 and 8, the padding 1, 0 and 2.
 func TestCol2ImNaNOrder(t *testing.T) {
-	p := ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}
-	n, c, h, w := 1, 1, 6, 6
-	oh, ow := p.OutSize(h, w)
-	y := New(c*p.KH*p.KW, n*oh*ow)
-	y.Fill(1)
-	// Input position (2,3) is fed by tap (kh,kw) from output (2-kh+1, 3-kw+1).
-	taps := []struct {
-		kh, kw int
-		bits   uint32
-	}{{0, 1, 0x7f8000a1}, {1, 1, 0xffc000b2}, {2, 2, 0x7fc000c3}}
-	for _, tp := range taps {
-		oy, ox := 2-tp.kh+p.Padding, 3-tp.kw+p.Padding
-		y.Data[(tp.kh*p.KW+tp.kw)*oh*ow+oy*ow+ox] = math.Float32frombits(tp.bits)
-	}
-	got := Col2Im(y, n, c, h, w, p)
-	bitsEqual(t, "Col2Im", got, scalarCol2Im(y, n, c, h, w, p))
-	if bits := math.Float32bits(got.Data[2*w+3]); bits != 0x7fc000a1 {
-		t.Fatalf("input (2,3) = %#08x, want the first tap's payload quieted, 0x7fc000a1", bits)
+	for _, tc := range []struct{ c, w, pad int }{{1, 6, 1}, {8, 4, 0}, {45, 6, 2}} {
+		p := ConvParams{KH: 3, KW: 3, Stride: 1, Padding: tc.pad}
+		n, c, h, w := 1, tc.c, 6, tc.w
+		oh, ow := p.OutSize(h, w)
+		y := New(c*p.KH*p.KW, n*oh*ow)
+		y.Fill(1)
+		// Input position (2,2) is fed by tap (kh,kw) from output
+		// (2-kh+pad, 2-kw+pad).
+		taps := []struct {
+			kh, kw int
+			bits   uint32
+		}{{0, 1, 0x7f8000a1}, {1, 1, 0xffc000b2}, {2, 2, 0x7fc000c3}}
+		for _, tp := range taps {
+			oy, ox := 2-tp.kh+p.Padding, 2-tp.kw+p.Padding
+			y.Data[(((c-1)*p.KH+tp.kh)*p.KW+tp.kw)*oh*ow+oy*ow+ox] = math.Float32frombits(tp.bits)
+		}
+		name := fmt.Sprintf("Col2Im %d channels, width %d, padding %d", c, w, p.Padding)
+		got := Col2Im(y, n, c, h, w, p)
+		bitsEqual(t, name, got, scalarCol2Im(y, n, c, h, w, p))
+		if bits := math.Float32bits(got.Data[((c-1)*h+2)*w+2]); bits != 0x7fc000a1 {
+			t.Fatalf("%s: input (%d,2,2) = %#08x, want the first tap's payload quieted, 0x7fc000a1", name, c-1, bits)
+		}
 	}
 }
 
 // FuzzLoweringOracle: the fuzzer chooses the geometry and the raw bit
 // patterns; im2col and col2im must agree with the per-element oracles bit
-// for bit, NaN payloads included.
+// for bit, NaN payloads included, and at stride 1 with the tap-by-tap ones.
+// The seeds after the first four are stride-1 tap sets of 1, 9, 72, 400 and
+// 425 taps, with rows narrower than a vector and paddings 0 to 2.
 func FuzzLoweringOracle(f *testing.F) {
 	f.Add(uint8(1), uint8(7), uint8(5), uint8(5), uint8(2), uint8(2), uint8(0), uint8(1), []byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x40})
 	f.Add(uint8(0), uint8(0), uint8(3), uint8(8), uint8(1), uint8(3), uint8(1), uint8(0), []byte{0x01, 0, 0x80, 0x7f, 0, 0, 0, 0x80, 0xb0, 0, 0xc0, 0xff})
 	f.Add(uint8(2), uint8(1), uint8(8), uint8(2), uint8(4), uint8(0), uint8(2), uint8(3), []byte{0, 0, 0xc0, 0x7f, 1, 0, 0, 0, 0xa1, 0, 0x80, 0x7f})
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
+	nan := []byte{0x01, 0, 0x80, 0x7f, 0, 0, 0x80, 0x3f, 0xa1, 0, 0xc0, 0xff, 0, 0, 0, 0x80}
+	f.Add(uint8(1), uint8(0), uint8(4), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), nan)
+	f.Add(uint8(0), uint8(0), uint8(4), uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), nan)
+	f.Add(uint8(1), uint8(7), uint8(5), uint8(5), uint8(2), uint8(2), uint8(0), uint8(1), nan)
+	f.Add(uint8(0), uint8(15), uint8(5), uint8(5), uint8(4), uint8(4), uint8(0), uint8(2), nan)
+	f.Add(uint8(1), uint8(16), uint8(4), uint8(6), uint8(4), uint8(4), uint8(0), uint8(0), nan)
 	f.Fuzz(func(t *testing.T, nRaw, cRaw, hRaw, wRaw, khRaw, kwRaw, sRaw, padRaw uint8, raw []byte) {
-		n, c, h, w := int(nRaw)%3+1, int(cRaw)%4+1, int(hRaw)%10+1, int(wRaw)%19+1
+		n, c, h, w := int(nRaw)%3+1, int(cRaw)%17+1, int(hRaw)%10+1, int(wRaw)%19+1
 		p := ConvParams{KH: int(khRaw)%5 + 1, KW: int(kwRaw)%5 + 1, Stride: int(sRaw)%3 + 1, Padding: int(padRaw) % 4}
 		if p.KH > h+2*p.Padding || p.KW > w+2*p.Padding {
 			t.Skip("kernel does not fit the padded image")
@@ -262,8 +288,72 @@ func FuzzLoweringOracle(f *testing.F) {
 		bitsEqual(t, "Im2Col", Im2Col(in, p), want)
 		y := New(want.Shape...)
 		fill(y.Data)
-		bitsEqual(t, "Col2Im", Col2Im(y, n, c, h, w, p), scalarCol2Im(y, n, c, h, w, p))
+		wantIm := scalarCol2Im(y, n, c, h, w, p)
+		bitsEqual(t, "Col2Im", Col2Im(y, n, c, h, w, p), wantIm)
+		if p.Stride == 1 {
+			bitsEqual(t, "tapByTapIm2Col", tapByTapIm2Col(in, p), want)
+			bitsEqual(t, "tapByTapCol2Im", tapByTapCol2Im(y, n, c, h, w, p), wantIm)
+		}
 	})
+}
+
+// tapByTapIm2Col is a stride-1 im2col as one moveBlocks per matrix row, in
+// ascending (ch,kh,kw) order — the loop the one-call tap walk replaced, kept
+// as its oracle: same staging plane, same tap offsets, one call per tap.
+func tapByTapIm2Col(in *Tensor, p ConvParams) *Tensor {
+	oh, ow := p.OutSize(in.Shape[2], in.Shape[3])
+	cols := New(in.Shape[1]*p.KH*p.KW, in.Shape[0]*oh*ow)
+	g := newLowering("tapByTapIm2Col", in, cols, p)
+	xpad := make([]float32, g.c*g.n*g.hp*g.wp)
+	for ch := 0; ch < g.c; ch++ {
+		moveBlocks(xpad[g.plane(ch, p.Padding, p.Padding):], in.Data[ch*g.h*g.w:], &blockShape{
+			n: g.n, rows: g.h, cols: g.w,
+			dstBlock: g.hp * g.wp, srcBlock: g.c * g.h * g.w, dstStride: g.wp, srcStride: g.w,
+		})
+	}
+	tap := blockShape{
+		n: g.n, rows: g.oh, cols: g.ow,
+		dstBlock: g.oh * g.ow, srcBlock: g.hp * g.wp, dstStride: g.ow, srcStride: g.wp,
+	}
+	row := 0
+	for ch := 0; ch < g.c; ch++ {
+		for kh := 0; kh < p.KH; kh++ {
+			for kw := 0; kw < p.KW; kw++ {
+				moveBlocks(cols.Data[row:], xpad[g.plane(ch, kh, kw):], &tap)
+				row += g.n * tap.dstBlock
+			}
+		}
+	}
+	return cols
+}
+
+// tapByTapCol2Im is tapByTapIm2Col's adjoint: one addBlocks per matrix row
+// into a zeroed plane, rows in ascending (ch,kh,kw) order, then the
+// interior copied out.
+func tapByTapCol2Im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
+	out := New(n, c, h, w)
+	g := newLowering("tapByTapCol2Im", out, cols, p)
+	gpad := make([]float32, g.c*g.n*g.hp*g.wp)
+	tap := blockShape{
+		n: g.n, rows: g.oh, cols: g.ow,
+		dstBlock: g.hp * g.wp, srcBlock: g.oh * g.ow, dstStride: g.wp, srcStride: g.ow,
+	}
+	row := 0
+	for ch := 0; ch < g.c; ch++ {
+		for kh := 0; kh < p.KH; kh++ {
+			for kw := 0; kw < p.KW; kw++ {
+				addBlocks(gpad[g.plane(ch, kh, kw):], cols.Data[row:], &tap)
+				row += g.n * tap.srcBlock
+			}
+		}
+	}
+	for ch := 0; ch < g.c; ch++ {
+		moveBlocks(out.Data[ch*g.h*g.w:], gpad[g.plane(ch, p.Padding, p.Padding):], &blockShape{
+			n: g.n, rows: g.h, cols: g.w,
+			dstBlock: g.c * g.h * g.w, srcBlock: g.hp * g.wp, dstStride: g.w, srcStride: g.wp,
+		})
+	}
+	return out
 }
 
 // mustPanicWith runs f and requires a panic whose message contains want.
@@ -325,6 +415,22 @@ func TestLoweringBoundsPanics(t *testing.T) {
 	})
 	sh.cols, sh.srcBlock = 6, -24
 	mustPanicWith(t, "moveBlocks shape", func() { moveBlocks(big, big, &sh) })
+
+	// A tap set is checked once, against what each side holds behind its
+	// last tap: offset 1·30 + 2·10 = 50 in dst, 1·8 + 2·1 = 10 in src.
+	row := blockShape{n: 1, rows: 1, cols: 10}
+	taps := tapSet{c: 2, kh: 1, kw: 3, dst: tapSteps{c: 30, w: 10}, src: tapSteps{c: 8, w: 1}}
+	if !taps.check("taps", &row, 60, 20) {
+		t.Fatal("a tap set that fits reported nothing to do")
+	}
+	mustPanicWith(t, "taps destination needs 10 elements for {n:1 rows:1 cols:10 dstBlock:0 srcBlock:0 dstStride:0 srcStride:0}, slice holds 9", func() {
+		taps.check("taps", &row, 59, 20)
+	})
+	mustPanicWith(t, "taps source needs 10 elements", func() { taps.check("taps", &row, 60, 19) })
+	taps.src.w = -1
+	mustPanicWith(t, "taps tap set {c:2 kh:1 kw:3 dst:{c:30 h:0 w:10} src:{c:8 h:0 w:-1}} is empty or steps backwards", func() {
+		taps.check("taps", &row, 60, 20)
+	})
 }
 
 // TestConvWorkspaceZeroAllocs: with every scratch buffer, both staging planes

@@ -112,7 +112,7 @@ func MatMulTBInto(dst, a, b *Tensor, mixed bool) *Tensor {
 		return dst
 	}
 	if useAVX {
-		gemmTBviaNN(cd, ad, bd, m, k, n)
+		gemmTBAVX(cd, ad, bd, m, k, n)
 		return dst
 	}
 	gemmTB(cd, ad, bd, m, k, n)
@@ -181,7 +181,7 @@ func zero(s []float32) {
 // call from +0, otherwise through gemmRows onto the cleared C.
 func gemmF32(c, a, b []float32, m, k, n, aRow, aK int) {
 	if gemmDense(c, a, k) {
-		gemmTile(c[:m*n], b, a, m, n, k, aRow, aK, false)
+		gemmTile(c[:m*n], b, a, m, n, k, aRow, aK, false, false)
 		return
 	}
 	gemmRows(c, a, b, m, k, n, aRow, aK)
@@ -255,7 +255,7 @@ func gemmRows(c, a, b []float32, m, k, n, aRow, aK int) {
 			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
 				if useAVX {
 					run := denseRun4(ak, k-kk, aRow, aK)
-					gemmTile(c4, b[kk*n:], ak, 4, n, run, aRow, aK, true)
+					gemmTile(c4, b[kk*n:], ak, 4, n, run, aRow, aK, true, false)
 					kk += run - 1
 					continue
 				}
@@ -288,9 +288,10 @@ func gemmRows(c, a, b []float32, m, k, n, aRow, aK int) {
 // gemmTile computes the m×n matrix c (row length n) as c[i*n+j] =
 // Σ a[i*aRow+kk*aK] * b[kk*n+j] over kk < k ascending, every chain starting
 // from +0 or, with acc, from what c holds; every a must be non-zero, as the
-// kernel applies no skip rule. The kernel behind it works on addresses, so
-// the three extents are checked here, before it sees one.
-func gemmTile(c, b, a []float32, m, n, k, aRow, aK int, acc bool) {
+// kernel applies no skip rule. Each product is b*a, or with aFirst a*b (see
+// gemmTBviaTN). The kernel behind it works on addresses, so the three extents
+// are checked here, before it sees one.
+func gemmTile(c, b, a []float32, m, n, k, aRow, aK int, acc, aFirst bool) {
 	if m < 0 || n < 0 || k <= 0 || aRow < 0 || aK < 0 {
 		panic(fmt.Sprintf("tensor: gemmTile with %d rows, %d columns, %d k-steps, A row step %d, A k step %d", m, n, k, aRow, aK))
 	}
@@ -306,7 +307,7 @@ func gemmTile(c, b, a []float32, m, n, k, aRow, aK int, acc bool) {
 	if last := (m-1)*aRow + (k-1)*aK; last >= len(a) {
 		panic(fmt.Sprintf("tensor: gemmTile reaches element %d of A, slice holds %d", last, len(a)))
 	}
-	gemmTileAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK, acc)
+	gemmTileAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK, acc, aFirst)
 }
 
 // denseRun4 returns how many of the kLen k-steps starting at a are dense
@@ -383,20 +384,25 @@ func gemmTB(c, a, b []float32, m, k, n int) {
 	}
 }
 
-// tbStackPanel is the largest transposed B, in floats, gemmTBviaNN keeps on
-// its own stack: every A×Bᵀ of the transformer campaign's attention and dense
-// layers (12×12 at most) fits.
+// tbStackPanel is the largest scratch, in floats, the TB paths keep on
+// their own stack: every A×Bᵀ of the transformer campaign's attention and
+// dense layers (12×12 at most) fits.
 const tbStackPanel = 256
 
-// gemmTBviaNN computes C = A×Bᵀ for B [n,k] as "transpose B into a panel,
-// then the NN product". gemmTB's dot products cannot use vector lanes
-// without a horizontal sum, which would reorder one element's addends; the
-// NN form keeps every element's chain — +0 start, ascending k, a == 0
+// gemmTBAVX computes C = A×Bᵀ for B [n,k] on the tile kernel, one of two
+// ways, chosen from the operands only. Where A has no ±0 and tbTransposesA
+// holds, the transposed product (gemmTBviaTN). Otherwise "transpose B into
+// a panel, then the NN product": gemmTB's dot products cannot use vector
+// lanes without a horizontal sum, which would reorder one element's addends;
+// the NN form keeps every element's chain — +0 start, ascending k, a == 0
 // skipped — and vectorizes across elements, so it is bitwise-equal to
-// MatMul(a, Transpose2D(b)), the contract MatMulTB documents. A panel of
-// up to tbStackPanel floats is on the stack; any other panel is a pack
-// buffer.
-func gemmTBviaNN(c, a, b []float32, m, k, n int) {
+// MatMul(a, Transpose2D(b)), the contract MatMulTB documents. A panel of up
+// to tbStackPanel floats is on the stack; any other panel is a pack buffer.
+func gemmTBAVX(c, a, b []float32, m, k, n int) {
+	if tbTransposesA(m, k, n) && allNonZero(a) {
+		gemmTBviaTN(c, a, b, m, k, n)
+		return
+	}
 	if k*n <= tbStackPanel {
 		var panel [tbStackPanel]float32
 		bt := panel[:k*n]
@@ -408,6 +414,43 @@ func gemmTBviaNN(c, a, b []float32, m, k, n int) {
 	transposeInto(*rp, b, n, k)
 	gemmF32(c, a, *rp, m, k, n, k, 1)
 	putPackBuf(rp)
+}
+
+// tbTransposesA reports whether gemmTBAVX computes an m×k×n A×Bᵀ with a
+// dense A through gemmTBviaTN rather than by transposing B: transposing A
+// and C moves fewer floats than transposing B, m·(k+n) < n·k — the conv's
+// weight gradient 8×72×72 does (1,152 floats against 5,184) — and C has at
+// least four rows. Cᵀ is m floats wide, and below one vector every tile of
+// it is a single column, one lane in four doing the work: 2×72×72 takes 1.5×
+// as long that way. Like gemmDense, it looks at the operands only.
+func tbTransposesA(m, k, n int) bool {
+	return m >= 4 && m*(k+n) < n*k
+}
+
+// gemmTBviaTN computes C = A×Bᵀ for B [n,k] and an A [m,k] holding no ±0 as
+// the transposed product Cᵀ = B×Aᵀ: A goes into a panel Aᵀ [k,m], the tile
+// kernel runs B's rows against it into a panel Cᵀ [n,m], and Cᵀ is
+// transposed into C. The kernel forms every product with B's element first
+// (aFirst), as the NN product on a transposed B does, and every element's
+// chain is the one that product builds: +0 start, ascending k, nothing
+// skipped (A has no zero to skip). Both panels are on the stack when they fit tbStackPanel,
+// a pack buffer otherwise.
+func gemmTBviaTN(c, a, b []float32, m, k, n int) {
+	if m*(k+n) <= tbStackPanel {
+		var panel [tbStackPanel]float32
+		gemmTBPanels(c, a, b, panel[:m*k], panel[m*k:m*(k+n)], m, k, n)
+		return
+	}
+	rp := getPackBuf(m * (k + n))
+	gemmTBPanels(c, a, b, (*rp)[:m*k], (*rp)[m*k:], m, k, n)
+	putPackBuf(rp)
+}
+
+// gemmTBPanels is gemmTBviaTN on the panels at [k,m] and ct [n,m].
+func gemmTBPanels(c, a, b, at, ct []float32, m, k, n int) {
+	transposeInto(at, a, m, k)
+	gemmTile(ct, at, b, n, m, k, k, 1, false, true)
+	transposeInto(c, ct, n, m)
 }
 
 // transposeInto writes the transpose of src [rows,cols] into dst

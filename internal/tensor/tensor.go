@@ -273,22 +273,7 @@ type blockShape struct {
 // and src must not overlap.
 func moveBlocks(dst, src []float32, sh *blockShape) {
 	if sh.check("moveBlocks", len(dst), len(src)) {
-		sh.move(dst, src)
-	}
-}
-
-// move is moveBlocks for a caller that has already established
-// sh.fits(len(dst), len(src)) — the lowering checks a whole tap set at once.
-func (sh *blockShape) move(dst, src []float32) {
-	if useAVX {
-		moveBlocksAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride)
-		return
-	}
-	for i := 0; i < sh.n; i++ {
-		for r := 0; r < sh.rows; r++ {
-			d, s := i*sh.dstBlock+r*sh.dstStride, i*sh.srcBlock+r*sh.srcStride
-			copy(dst[d:d+sh.cols], src[s:s+sh.cols])
-		}
+		sh.move(dst, src, &oneTap)
 	}
 }
 
@@ -299,25 +284,91 @@ func (sh *blockShape) move(dst, src []float32) {
 // keeps the accumulator's payload on either path.
 func addBlocks(dst, src []float32, sh *blockShape) {
 	if sh.check("addBlocks", len(dst), len(src)) {
-		sh.add(dst, src)
+		sh.add(dst, src, &oneTap)
 	}
 }
 
-// add is addBlocks under move's contract.
-func (sh *blockShape) add(dst, src []float32) {
-	if useAVX {
-		addBlocksAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride)
-		return
+// tapSet repeats a blockShape over the c·kh·kw taps of a stride-1 lowering,
+// in ascending (ch, y, x) order: tap (ch, y, x) starts ch*dst.c + y*dst.h +
+// x*dst.w elements into the destination and likewise into the source. The
+// AVX kernel walks the whole set in one call.
+type tapSet struct {
+	c, kh, kw int
+	dst, src  tapSteps
+}
+
+// tapSteps are one side's element steps from tap to tap: per channel, per
+// tap row, per tap.
+type tapSteps struct{ c, h, w int }
+
+// oneTap is a plain block move or add: one tap, at offset 0.
+var oneTap = tapSet{c: 1, kh: 1, kw: 1}
+
+// last returns the offset at which the last tap starts on side s. Steps are
+// not negative, so no tap starts further in.
+func (t *tapSet) last(s tapSteps) int {
+	return (t.c-1)*s.c + (t.kh-1)*s.h + (t.kw-1)*s.w
+}
+
+// check is blockShape.check for every tap at once: the shape must fit behind
+// the last tap on each side, every other tap starting no further in. op names
+// the caller in the panics.
+func (t *tapSet) check(op string, sh *blockShape, dstLen, srcLen int) bool {
+	if t.c <= 0 || t.kh <= 0 || t.kw <= 0 || min(t.dst.c, t.dst.h, t.dst.w, t.src.c, t.src.h, t.src.w) < 0 {
+		panic(fmt.Sprintf("tensor: %s tap set %+v is empty or steps backwards", op, *t))
 	}
-	for i := 0; i < sh.n; i++ {
-		for r := 0; r < sh.rows; r++ {
-			d, s := i*sh.dstBlock+r*sh.dstStride, i*sh.srcBlock+r*sh.srcStride
-			drow, srow := dst[d:d+sh.cols], src[s:s+sh.cols]
-			for j := range drow {
-				drow[j] += srow[j]
+	return sh.check(op, dstLen-t.last(t.dst), srcLen-t.last(t.src))
+}
+
+// each calls fn with the destination and source offsets of every tap, in
+// ascending (ch, y, x) order.
+func (t *tapSet) each(fn func(d, s int)) {
+	for ch := 0; ch < t.c; ch++ {
+		for y := 0; y < t.kh; y++ {
+			for x := 0; x < t.kw; x++ {
+				fn(ch*t.dst.c+y*t.dst.h+x*t.dst.w, ch*t.src.c+y*t.src.h+x*t.src.w)
 			}
 		}
 	}
+}
+
+// move copies every tap of t, for a caller that has established t.check (or,
+// for oneTap, sh.check).
+func (sh *blockShape) move(dst, src []float32, t *tapSet) {
+	if useAVX {
+		blockTapsAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride,
+			t.c, t.kh, t.kw, t.dst.c, t.dst.h, t.dst.w, t.src.c, t.src.h, t.src.w, false)
+		return
+	}
+	t.each(func(d, s int) {
+		for i := 0; i < sh.n; i++ {
+			for r := 0; r < sh.rows; r++ {
+				o, q := d+i*sh.dstBlock+r*sh.dstStride, s+i*sh.srcBlock+r*sh.srcStride
+				copy(dst[o:o+sh.cols], src[q:q+sh.cols])
+			}
+		}
+	})
+}
+
+// add accumulates every tap of t, taps in ascending order, under move's
+// contract.
+func (sh *blockShape) add(dst, src []float32, t *tapSet) {
+	if useAVX {
+		blockTapsAVX(dst, src, sh.n, sh.rows, sh.cols, sh.dstBlock, sh.srcBlock, sh.dstStride, sh.srcStride,
+			t.c, t.kh, t.kw, t.dst.c, t.dst.h, t.dst.w, t.src.c, t.src.h, t.src.w, true)
+		return
+	}
+	t.each(func(d, s int) {
+		for i := 0; i < sh.n; i++ {
+			for r := 0; r < sh.rows; r++ {
+				o, q := d+i*sh.dstBlock+r*sh.dstStride, s+i*sh.srcBlock+r*sh.srcStride
+				drow, srow := dst[o:o+sh.cols], src[q:q+sh.cols]
+				for j := range drow {
+					drow[j] += srow[j]
+				}
+			}
+		}
+	})
 }
 
 // extent returns one past the largest element offset the shape reaches with
@@ -410,15 +461,18 @@ func (g lowering) plane(ch, y, x int) int {
 	return (ch*g.n*g.hp+y)*g.wp + x
 }
 
-// lastRow and lastTap are the largest offsets a lowering's tap loop reaches:
-// of a matrix row (rows lie rowLen apart, tap (c-1, KH-1, KW-1) is the last)
-// and of a tap's block in the staging plane (plane grows with each of ch, kh
-// and kw, so the same tap starts furthest in). A stride-1 lowering checks its
-// tap shape once against what is left of both sides behind these two — every
-// other tap starts no further in on either side — and then calls move / add
-// bare.
-func (g lowering) lastRow(p ConvParams, rowLen int) int { return (g.c*p.KH*p.KW - 1) * rowLen }
-func (g lowering) lastTap(p ConvParams) int             { return g.plane(g.c-1, p.KH-1, p.KW-1) }
+// taps returns the tap set of a stride-1 lowering whose matrix rows lie
+// rowLen apart: on the matrix side tap (ch, kh, kw) is row (ch·KH + kh)·KW +
+// kw, on the plane side the block at g.plane(ch, kh, kw). Im2col moves from
+// the plane to the matrix, col2im adds the other way; toPlane says which.
+func (g lowering) taps(p ConvParams, rowLen int, toPlane bool) tapSet {
+	matrix := tapSteps{c: p.KH * p.KW * rowLen, h: p.KW * rowLen, w: rowLen}
+	plane := tapSteps{c: g.n * g.hp * g.wp, h: g.wp, w: 1}
+	if toPlane {
+		return tapSet{c: g.c, kh: p.KH, kw: p.KW, dst: plane, src: matrix}
+	}
+	return tapSet{c: g.c, kh: p.KH, kw: p.KW, dst: matrix, src: plane}
+}
 
 // Im2Col unfolds input [N,C,H,W] into a matrix [C*KH*KW, N*OH*OW] so that
 // convolution becomes a matrix multiply — the same lowering the modeled
@@ -442,8 +496,9 @@ func Im2ColInto(cols, in *Tensor, p ConvParams) *Tensor {
 }
 
 // im2col stages in into the zero-bordered plane "conv.xpad" of ws and then
-// writes each matrix row (ch,kh,kw) as one strided move of N blocks.
-// Pure data movement: every bit of cols is a copy of an input bit or a +0.
+// writes each matrix row (ch,kh,kw) as a strided move of N blocks — at
+// stride 1 every row in one tap-set move, checked once. Pure data movement:
+// every bit of cols is a copy of an input bit or a +0.
 func im2col(ws *Workspace, cols, in *Tensor, p ConvParams) *Tensor {
 	g := newLowering("Im2ColInto", in, cols, p)
 	xpad, pooled := g.staging(ws, "conv.xpad")
@@ -464,7 +519,10 @@ func im2col(ws *Workspace, cols, in *Tensor, p ConvParams) *Tensor {
 		dstBlock: g.oh * g.ow, srcBlock: g.hp * g.wp, dstStride: g.ow, srcStride: g.wp,
 	}
 	rowLen := g.n * tap.dstBlock
-	if p.Stride == 1 && !tap.check("Im2ColInto", len(cols.Data)-g.lastRow(p, rowLen), len(xpad)-g.lastTap(p)) {
+	if p.Stride == 1 {
+		if taps := g.taps(p, rowLen, false); taps.check("Im2ColInto", &tap, len(cols.Data), len(xpad)) {
+			tap.move(cols.Data, xpad, &taps)
+		}
 		return cols
 	}
 	row := 0
@@ -472,16 +530,12 @@ func im2col(ws *Workspace, cols, in *Tensor, p ConvParams) *Tensor {
 		for kh, at := 0, g.plane(ch, 0, 0); kh < p.KH; kh, at = kh+1, at+g.wp {
 			for kw := 0; kw < p.KW; kw++ {
 				dst, src := cols.Data[row:], xpad[at+kw:]
-				if p.Stride == 1 {
-					tap.move(dst, src)
-				} else {
-					for b := 0; b < g.n; b++ {
-						for oy := 0; oy < g.oh; oy++ {
-							drow := dst[(b*g.oh+oy)*g.ow:][:g.ow]
-							srow := src[b*tap.srcBlock+oy*p.Stride*g.wp:]
-							for ox := range drow {
-								drow[ox] = srow[ox*p.Stride]
-							}
+				for b := 0; b < g.n; b++ {
+					for oy := 0; oy < g.oh; oy++ {
+						drow := dst[(b*g.oh+oy)*g.ow:][:g.ow]
+						srow := src[b*tap.srcBlock+oy*p.Stride*g.wp:]
+						for ox := range drow {
+							drow[ox] = srow[ox*p.Stride]
 						}
 					}
 				}
@@ -507,8 +561,9 @@ func Col2ImInto(out, cols *Tensor, p ConvParams) *Tensor {
 }
 
 // col2im accumulates each matrix row (ch,kh,kw) into the zeroed plane
-// "conv.gpad" of ws as one strided add of N blocks, then copies the plane's
-// interior out. Rows are taken in ascending (ch,kh,kw) order and a
+// "conv.gpad" of ws as a strided add of N blocks — at stride 1 every row in
+// one tap-set add, checked once — then copies the plane's interior out. Rows
+// are taken in ascending (ch,kh,kw) order and a
 // row touches each plane cell at most once, so an interior cell starts at +0
 // and receives exactly the addends the per-element loop gives that input
 // position, in the same order. Border cells collect the contributions that
@@ -525,17 +580,16 @@ func col2im(ws *Workspace, out, cols *Tensor, p ConvParams) *Tensor {
 		dstBlock: g.hp * g.wp, srcBlock: g.oh * g.ow, dstStride: g.wp, srcStride: g.ow,
 	}
 	rowLen := g.n * tap.srcBlock
-	if p.Stride == 1 && !tap.check("Col2ImInto", len(gpad)-g.lastTap(p), len(cols.Data)-g.lastRow(p, rowLen)) {
-		return out
-	}
-	row := 0
-	for ch := 0; ch < g.c; ch++ {
-		for kh, at := 0, g.plane(ch, 0, 0); kh < p.KH; kh, at = kh+1, at+g.wp {
-			for kw := 0; kw < p.KW; kw++ {
-				dst, src := gpad[at+kw:], cols.Data[row:]
-				if p.Stride == 1 {
-					tap.add(dst, src)
-				} else {
+	if p.Stride == 1 {
+		if taps := g.taps(p, rowLen, true); taps.check("Col2ImInto", &tap, len(gpad), len(cols.Data)) {
+			tap.add(gpad, cols.Data, &taps)
+		}
+	} else {
+		row := 0
+		for ch := 0; ch < g.c; ch++ {
+			for kh, at := 0, g.plane(ch, 0, 0); kh < p.KH; kh, at = kh+1, at+g.wp {
+				for kw := 0; kw < p.KW; kw++ {
+					dst, src := gpad[at+kw:], cols.Data[row:]
 					for b := 0; b < g.n; b++ {
 						for oy := 0; oy < g.oh; oy++ {
 							srow := src[(b*g.oh+oy)*g.ow:][:g.ow]
@@ -545,8 +599,8 @@ func col2im(ws *Workspace, out, cols *Tensor, p ConvParams) *Tensor {
 							}
 						}
 					}
+					row += rowLen
 				}
-				row += rowLen
 			}
 		}
 	}

@@ -2,12 +2,18 @@ package train
 
 import (
 	"encoding/binary"
-	"hash/fnv"
+	"hash/maphash"
 	"math"
 	"sort"
 )
 
-// StateDigest returns a 128-bit FNV-1a digest of the engine's
+// digestSeeds key StateDigest's two 64-bit halves. They are drawn once per
+// process, so a digest is comparable with digests of the same process only —
+// all the early exit compares: nothing persists a digest, and every process
+// (a campaign, each distributed worker) records its own golden digests.
+var digestSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// StateDigest returns a 128-bit keyed digest of the engine's
 // evolution-relevant state at an iteration boundary: the root replica's
 // weights, the optimizer history tensors (sorted by parameter name), and
 // every device's normalization moving statistics — exactly the state a
@@ -20,7 +26,8 @@ import (
 // device). Two engines on the same workload/seed with equal digests at the
 // same iteration therefore produce identical trajectories from there on —
 // the masked-early-exit proof obligation of package experiment, up to the
-// 2^-128 collision probability of the hash.
+// collision probability of two independently seeded 64-bit hashes, 2^-128,
+// between digests taken in one process (see digestSeeds).
 //
 // The scratch buffer is reused across calls; StateDigest is not safe for
 // concurrent use on one engine (campaign workers own their engines).
@@ -56,9 +63,8 @@ func (e *Engine) StateDigest() [16]byte {
 	}
 	e.digestBuf = buf
 
-	h := fnv.New128a()
-	h.Write(buf)
 	var out [16]byte
-	h.Sum(out[:0])
+	binary.LittleEndian.PutUint64(out[:8], maphash.Bytes(digestSeeds[0], buf))
+	binary.LittleEndian.PutUint64(out[8:], maphash.Bytes(digestSeeds[1], buf))
 	return out
 }

@@ -5,9 +5,12 @@ package train_test
 // digest claims to cover must actually perturb it.
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/train"
 )
 
 func TestStateDigest(t *testing.T) {
@@ -42,12 +45,54 @@ func TestStateDigest(t *testing.T) {
 			if a.StateDigest() != prev {
 				t.Fatal("Restore did not return the digest to the snapshot state")
 			}
-			// A single perturbed weight must flip the digest.
-			p := a.Replica(0).Params()[0]
-			p.Value.Data[0] += 1
-			if a.StateDigest() == prev {
-				t.Fatal("digest blind to a weight perturbation")
+			// One perturbed element of each covered state must flip the
+			// digest, and putting it back must restore it.
+			covered := digestCovered(a)
+			if name == "bn-adam" && len(covered) != 5 {
+				t.Fatalf("bn-adam covers %d kinds of state, want 5 (weight, Adam m and v, BN mean and variance)", len(covered))
+			}
+			for _, c := range covered {
+				keep := c.data[0]
+				c.data[0] += 1
+				if a.StateDigest() == prev {
+					t.Fatalf("digest blind to a perturbation of %s", c.what)
+				}
+				c.data[0] = keep
+				if a.StateDigest() != prev {
+					t.Fatalf("digest not restored after undoing %s", c.what)
+				}
 			}
 		})
 	}
+}
+
+// coveredState is one tensor of state StateDigest claims to cover.
+type coveredState struct {
+	what string
+	data []float32
+}
+
+// digestCovered names one tensor of each kind of state StateDigest covers: a
+// root weight, every optimizer history tensor of the first parameter in name
+// order (Adam's first and second moments, SGD's velocity), and the moving
+// mean and variance of a BatchNorm on the last device, which is not the root.
+func digestCovered(e *train.Engine) []coveredState {
+	out := []coveredState{{"a root weight", e.Replica(e.RootDevice()).Params()[0].Value.Data}}
+	if hist := e.Optimizer().History(); hist != nil {
+		names := make([]string, 0, len(hist))
+		for name := range hist {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for i, h := range hist[names[0]] {
+			out = append(out, coveredState{fmt.Sprintf("optimizer history tensor %d of %s", i, names[0]), h.Data})
+		}
+	}
+	last := e.Config().Devices - 1
+	if bns := e.Replica(last).BatchNorms(); len(bns) > 0 && last != e.RootDevice() {
+		out = append(out,
+			coveredState{"a non-root BN moving mean", bns[0].MovingMean.Data},
+			coveredState{"a non-root BN moving variance", bns[0].MovingVar.Data})
+	}
+	return out
 }

@@ -340,7 +340,7 @@ func BenchmarkKernel_AddBias(b *testing.B) {
 }
 
 // BenchmarkKernel_AddInPlace is the ceiling the element-wise kernels are held
-// against: two streams in, one out, on addBlocksAVX.
+// against: two streams in, one out, on blockTapsAVX (one tap, one row).
 func BenchmarkKernel_AddInPlace(b *testing.B) {
 	benchElem(b, 3, func(x, g *tensor.Tensor) func() {
 		g.Scale(1e-6)
