@@ -73,9 +73,9 @@ func BenchmarkCampaignForked(b *testing.B) {
 }
 
 // BenchmarkCampaignForkedTelemetry is BenchmarkCampaignForked with a live
-// CampaignStats ledger attached — the acceptance gate that telemetry's
-// atomic counters add no measurable overhead (they are touched once per
-// completed experiment, never per iteration).
+// CampaignStats ledger attached. The ledger takes one lock per landed
+// record, never one per iteration; BenchmarkCampaignStatsLand in
+// internal/telemetry measures that lock alone.
 func BenchmarkCampaignForkedTelemetry(b *testing.B) {
 	cfg := benchCampaignConfig(b)
 	b.ReportAllocs()

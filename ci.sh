@@ -94,7 +94,7 @@ go test -race ./internal/comm ./internal/recovery
 echo "== mitigation reads under -race (the detector's kept statistics and ABFT's im2col-row checksums equal their _test.go sweep oracles, alarm for alarm) =="
 go test -race ./internal/detect ./internal/baseline
 
-echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table, and TestGoldenByConstructionIsReported's ledger table: the live ledger equals the campaign's counters for an FF dedup+early-exit campaign and a device-fault campaign unmitigated and under each recovery strategy; byte for byte) =="
+echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table, TestGoldenByConstructionIsReported: the live ledger's Counts equal the campaign's by one struct comparison for an FF dedup+early-exit campaign and a device-fault campaign unmitigated and under each recovery strategy, fresh and resumed from a complete journal, and TestSnapshotConsistentUnderLand: no /status snapshot taken while eight workers land is torn; byte for byte) =="
 # `go test -race ./internal/experiment` takes 94–105 s on this 2-CPU shared
 # box (99–101 s at the parent of the PR that removed the execution twins,
 # same session, alternating), well inside go test's default 10-minute
@@ -247,6 +247,7 @@ cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
 go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkCampaignStatsLand$' -benchtime 1x ./internal/telemetry
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

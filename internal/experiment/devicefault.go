@@ -131,5 +131,6 @@ func runDeviceFault(g *Golden, e *train.Engine, rec Record, cfg Config) (Record,
 			rec.Outcome = outcome.DegradedComplete
 		}
 	}
-	return rec, telemetry.Counts{Skipped: start, Executed: trace.Completed - start, Checks: checks}
+	return rec, telemetry.Counts{IterationsSkipped: int64(start),
+		IterationsExecuted: int64(trace.Completed - start), DetectorChecks: checks}
 }

@@ -29,6 +29,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"sort"
 
@@ -238,49 +239,44 @@ type Campaign struct {
 	Ref     *train.Trace
 	RefAcc  float64
 	Records []Record
-	Tally   outcome.Tally
+
+	// Counts is the sum of the ledger entries of every record this call
+	// landed, replayed ones included (see Resume): the Tally of the
+	// completed records, their provenance and mitigation counts, and what
+	// executing them cost. A record that ran nothing — replayed from a
+	// journal, adopted, or golden by construction — adds no iterations,
+	// restores or evaluations. The runtime counts vary with Workers and
+	// resume state and are never journaled: the record CSV/JSON payloads
+	// stay byte-identical across execution knobs.
+	telemetry.Counts
 
 	// Completed counts the records actually present in Records; it is
 	// less than Cfg.Experiments only for a campaign that was cancelled
-	// mid-run (see Resume). Tally covers exactly the completed records.
+	// mid-run or restricted to a Shard (see Resume). Tally covers exactly
+	// the completed records.
 	Completed int
 
-	// IterationsSkipped counts golden-prefix iterations reused via
-	// snapshot forking instead of being re-executed; IterationsExecuted
-	// counts the suffix iterations the experiments actually ran. Their sum
-	// is the work a cold-start campaign would have performed (modulo early
-	// INF/NaN termination, which both paths share).
-	IterationsSkipped, IterationsExecuted int64
-	// Evaluations counts test-set evaluations: at most one per executed
-	// experiment (its final test point), none where the golden tail supplies
-	// that point. A runtime count like the two above, never journaled.
-	Evaluations int64
-	// ExperimentsAdopted counts records adopted via injection dedup
-	// instead of executing; EarlyExits counts executions truncated by the
-	// bitwise early exit; and IterationsSynthesized counts tail iterations
-	// copied from the golden trace instead of executed by those truncations.
-	ExperimentsAdopted    int
-	EarlyExits            int
-	IterationsSynthesized int64
-	// GoldenByConstruction counts the experiments this call classified
-	// without running, because their fault provably touches no value
-	// (byconstruction.go; EarlyExit campaigns only). They appear in none of
-	// the iteration counts above and restore nothing. Recomputed from the
-	// sampled faults on every call, never journaled.
-	GoldenByConstruction int
 	// Snapshots / SnapshotBytes / Stride describe the golden-prefix cache
 	// the campaign forked from (see Config.SnapshotStride).
 	Snapshots     int
 	SnapshotBytes int64
 	Stride        int
 
-	// WarmRestores / ColdRestores split this run's pooled-engine snapshot
-	// restores by whether the worker's previous experiment forked from the
-	// same snapshot. Schedule-dependent observability: they vary with
-	// Workers and resume state and are deliberately absent from the record
-	// CSV/JSON payloads, which must stay byte-identical across execution
-	// knobs.
-	WarmRestores, ColdRestores int64
+	// landed marks the slots of Records that hold a completed record; nil
+	// means every slot does. Every per-record aggregate reads only those.
+	landed []bool
+}
+
+// landedRecords yields the completed records: a cancelled or
+// Shard-restricted Resume leaves the other slots zero-valued.
+func (c *Campaign) landedRecords() iter.Seq[*Record] {
+	return func(yield func(*Record) bool) {
+		for i := range c.Records {
+			if (c.landed == nil || c.landed[i]) && !yield(&c.Records[i]) {
+				return
+			}
+		}
+	}
 }
 
 // Run executes the campaign: a golden reference run with a prefix snapshot
@@ -371,8 +367,9 @@ func runOne(g *Golden, e *train.Engine, rec Record, cfg Config) (Record, telemet
 	}
 	e.ResolveTest(trace)
 	g.classify(&rec, trace, inj.Pass)
-	return rec, telemetry.Counts{Skipped: start, Executed: trace.Completed - start - synthesized,
-		Synthesized: synthesized, Checks: checks}
+	return rec, telemetry.Counts{IterationsSkipped: int64(start),
+		IterationsExecuted:    int64(trace.Completed - start - synthesized),
+		IterationsSynthesized: int64(synthesized), DetectorChecks: checks}
 }
 
 // rearm returns a worker's pooled engine to the golden state snap for its
@@ -423,8 +420,7 @@ type ConditionRange struct {
 // fault.
 func (c *Campaign) ConditionRanges() map[outcome.Outcome]*ConditionRange {
 	out := make(map[outcome.Outcome]*ConditionRange)
-	for i := range c.Records {
-		r := &c.Records[i]
+	for r := range c.landedRecords() {
 		o := r.Outcome
 		if !o.IsLatent() && o != outcome.ShortTermINFNaN {
 			continue
@@ -464,8 +460,7 @@ type FFStat struct {
 // FFContribution breaks down unexpected outcomes by FF class.
 func (c *Campaign) FFContribution() []FFStat {
 	byKind := map[accel.FFKind]*FFStat{}
-	for i := range c.Records {
-		r := &c.Records[i]
+	for r := range c.landedRecords() {
 		s := byKind[r.Injection.Kind]
 		if s == nil {
 			s = &FFStat{Kind: r.Injection.Kind}
@@ -493,8 +488,7 @@ func (c *Campaign) UnexpectedShareOfKinds(kinds ...accel.FFKind) float64 {
 		want[k] = true
 	}
 	var totalUnexpected, fromKinds int
-	for i := range c.Records {
-		r := &c.Records[i]
+	for r := range c.landedRecords() {
 		if !r.Outcome.IsUnexpected() {
 			continue
 		}
@@ -513,8 +507,7 @@ func (c *Campaign) UnexpectedShareOfKinds(kinds ...accel.FFKind) float64 {
 // detector flagged, and the worst detection latency (iterations from fault
 // to alarm). The paper's technique guarantees latency ≤ 2.
 func (c *Campaign) DetectionCoverage() (detected, total, maxLatency int) {
-	for i := range c.Records {
-		r := &c.Records[i]
+	for r := range c.landedRecords() {
 		if !(r.Outcome.IsLatent() || r.Outcome == outcome.ShortTermINFNaN) {
 			continue
 		}
@@ -529,44 +522,11 @@ func (c *Campaign) DetectionCoverage() (detected, total, maxLatency int) {
 	return detected, total, maxLatency
 }
 
-// OutcomesByLayer splits outcome counts by the injected layer index —
-// the paper's layer-position sensitivity analysis (Table 5 row 2: the
-// early-layer effect is observed only for SlowDegrade in training).
-func (c *Campaign) OutcomesByLayer() map[int]*outcome.Tally {
-	out := map[int]*outcome.Tally{}
-	for i := range c.Records {
-		r := &c.Records[i]
-		t := out[r.Injection.LayerIdx]
-		if t == nil {
-			t = &outcome.Tally{}
-			out[r.Injection.LayerIdx] = t
-		}
-		t.Add(r.Outcome)
-	}
-	return out
-}
-
-// MaskedFraction returns the share of injections whose corruption was
-// entirely value-preserving (hardware masking, Sec 2).
-func (c *Campaign) MaskedFraction() float64 {
-	if len(c.Records) == 0 {
-		return 0
-	}
-	var n int
-	for i := range c.Records {
-		if c.Records[i].Masked {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.Records))
-}
-
 // DetectionLatencies returns the detection latency (iterations from fault
 // to alarm) of every bounds-detected experiment.
 func (c *Campaign) DetectionLatencies() []int {
 	var out []int
-	for i := range c.Records {
-		r := &c.Records[i]
+	for r := range c.landedRecords() {
 		if r.DetectIter >= 0 {
 			out = append(out, r.DetectIter-r.FaultIteration())
 		}
@@ -615,8 +575,7 @@ func (c *Campaign) DetectionLatencyStats() LatencyStats {
 // into (Fig 4's forward/backward distinction).
 func (c *Campaign) OutcomesByPass() map[fault.Pass]*outcome.Tally {
 	out := map[fault.Pass]*outcome.Tally{}
-	for i := range c.Records {
-		r := &c.Records[i]
+	for r := range c.landedRecords() {
 		t := out[r.Injection.Pass]
 		if t == nil {
 			t = &outcome.Tally{}
@@ -656,16 +615,8 @@ func (c *Campaign) Report(w io.Writer) {
 			c.WarmRestores, c.ColdRestores)
 	}
 	if c.Cfg.DeviceFaults {
-		var q, rj, di, cr int
-		for i := range c.Records {
-			r := &c.Records[i]
-			q += r.Quarantines
-			rj += r.Rejoins
-			di += r.DegradedIters
-			cr += r.CommRetries
-		}
 		fmt.Fprintf(w, "  group mitigation: %d quarantines, %d rejoins, %d degraded iters, %d comm retries, %d group hangs\n",
-			q, rj, di, cr, c.Tally.Counts[outcome.GroupHang])
+			c.Quarantines, c.Rejoins, c.DegradedIters, c.CommRetries, c.Tally.Counts[outcome.GroupHang])
 		if rs := c.RecoveryStats(); rs.Strategy != "none" {
 			line := fmt.Sprintf("  recovery [%s]: %d/%d recovered", rs.Strategy, rs.Recovered, rs.Records)
 			if rs.Recovered > 0 {
@@ -700,24 +651,24 @@ type RecoveryStats struct {
 	JITSnapshots, Resizes, Readmits int
 }
 
-// RecoveryStats computes the campaign's recovery aggregate.
+// RecoveryStats computes the campaign's recovery aggregate over its
+// completed records.
 func (c *Campaign) RecoveryStats() RecoveryStats {
 	rs := RecoveryStats{
-		Strategy: c.Cfg.recoveryStrategy().String(),
-		Hangs:    c.Tally.Counts[outcome.GroupHang],
+		Strategy:     c.Cfg.recoveryStrategy().String(),
+		Hangs:        c.Tally.Counts[outcome.GroupHang],
+		JITSnapshots: c.JITSnapshots,
+		Resizes:      c.Resizes,
+		Readmits:     c.Readmits,
 	}
 	var ttrSum, costSum float64
-	for i := range c.Records {
-		r := &c.Records[i]
+	for r := range c.landedRecords() {
 		rs.Records++
 		costSum += r.AccuracyCost
 		if r.TimeToRecoverIters >= 0 {
 			rs.Recovered++
 			ttrSum += float64(r.TimeToRecoverIters)
 		}
-		rs.JITSnapshots += r.JITSnapshots
-		rs.Resizes += r.Resizes
-		rs.Readmits += r.Readmits
 	}
 	if rs.Recovered > 0 {
 		rs.MeanTTR = ttrSum / float64(rs.Recovered)

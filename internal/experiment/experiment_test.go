@@ -173,64 +173,11 @@ func TestConditionRangesOnlyForConditionedOutcomes(t *testing.T) {
 	}
 }
 
-func TestOutcomesByLayerPartition(t *testing.T) {
-	c := shared()
-	var total int
-	for layer, tally := range c.OutcomesByLayer() {
-		if layer < 0 {
-			t.Fatalf("negative layer index %d", layer)
-		}
-		total += tally.Total
-	}
-	if total != c.Tally.Total {
-		t.Fatalf("layer partition covers %d/%d", total, c.Tally.Total)
-	}
-}
-
-func TestMaskedFraction(t *testing.T) {
-	c := shared()
-	f := c.MaskedFraction()
-	if f < 0 || f > 1 {
-		t.Fatalf("masked fraction %v", f)
-	}
-	var empty Campaign
-	if empty.MaskedFraction() != 0 {
-		t.Fatal("empty campaign should report 0")
-	}
-}
-
 func TestDetectionLatenciesNonNegative(t *testing.T) {
 	c := shared()
 	for _, l := range c.DetectionLatencies() {
 		if l < 0 {
 			t.Fatalf("negative detection latency %d", l)
-		}
-	}
-}
-
-func TestHardeningPlan(t *testing.T) {
-	c := shared()
-	inv := accel.NVDLAInventory()
-	rows := c.HardeningPlan(inv)
-	if c.Tally.UnexpectedFraction() == 0 {
-		if rows != nil {
-			t.Fatal("plan for campaign without unexpected outcomes")
-		}
-		t.Skip("no unexpected outcomes in the shared sample")
-	}
-	// Density-sorted descending; cumulative coverage reaches 1.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Density > rows[i-1].Density {
-			t.Fatalf("rows not sorted by density at %d", i)
-		}
-	}
-	last := rows[len(rows)-1]
-	if last.CumulativeCoverage < 0.999 || last.CumulativeCoverage > 1.001 {
-		t.Fatalf("final cumulative coverage %v, want 1", last.CumulativeCoverage)
-	}
-	for _, r := range rows {
-		if r.CumulativeCost <= 0 || r.CumulativeCost > 1 {
-			t.Fatalf("bad cumulative cost %v", r.CumulativeCost)
 		}
 	}
 }

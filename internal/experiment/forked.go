@@ -43,8 +43,8 @@ const snapshotMemBudget = 256 << 20
 // Golden is the precomputed fault-free side of a campaign: the reference
 // trace, its outcome classifier, and the prefix snapshot cache experiments
 // fork from. It is immutable after PrepareGolden and safe to share across
-// workers and across campaigns (e.g. one Golden serving every per-kind
-// biased campaign of a KindSweep).
+// workers and across campaigns (e.g. one device-fault population replayed
+// under every recovery strategy).
 type Golden struct {
 	w   *workloads.Workload
 	key GoldenKey

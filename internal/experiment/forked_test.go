@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/accel"
 	"repro/internal/workloads"
 )
 
@@ -195,42 +194,6 @@ func TestGoldenCompatibilityPanics(t *testing.T) {
 		}
 	}()
 	RunWithGolden(Config{Workload: w, Experiments: 1, Seed: 2, HorizonMult: 1}, g)
-}
-
-// TestKindSweepSharesGolden: every per-kind campaign of a sweep must carry
-// the same reference trace (shared golden), a restricted injection kind
-// set, and the full experiment count.
-func TestKindSweepSharesGolden(t *testing.T) {
-	w, err := workloads.ByName("yolo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Iters = 12
-	kinds := []accel.FFKind{accel.GlobalG1, accel.DatapathUpperExponent}
-	sweep := KindSweep(Config{Workload: w, Experiments: 4, Seed: 9, HorizonMult: 1}, kinds)
-	if len(sweep) != len(kinds) {
-		t.Fatalf("sweep has %d campaigns, want %d", len(sweep), len(kinds))
-	}
-	var ref *Campaign
-	for _, k := range kinds {
-		c := sweep[k]
-		if c == nil {
-			t.Fatalf("no campaign for kind %v", k)
-		}
-		if len(c.Records) != 4 {
-			t.Fatalf("kind %v: %d records", k, len(c.Records))
-		}
-		for i := range c.Records {
-			if c.Records[i].Injection.Kind != k {
-				t.Fatalf("kind %v campaign sampled kind %v", k, c.Records[i].Injection.Kind)
-			}
-		}
-		if ref == nil {
-			ref = c
-		} else if c.Ref != ref.Ref {
-			t.Fatal("sweep campaigns do not share the golden reference trace")
-		}
-	}
 }
 
 // TestSignatureCollectionIsNeutral: a device-fault campaign's golden run

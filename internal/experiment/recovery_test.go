@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/outcome"
 	"repro/internal/recovery"
+	"repro/internal/telemetry"
 )
 
 // TestRecoveryStrategiesHeadToHead is the campaign-level proof of the
@@ -43,9 +44,13 @@ func TestRecoveryStrategiesHeadToHead(t *testing.T) {
 			if n := c.Tally.Counts[outcome.GroupHang]; n != 0 {
 				t.Fatalf("strategy %s still hung %d experiments", s, n)
 			}
-			quarantined, recovered := 0, 0
+			quarantined, recovered, jit, resizes, readmits := 0, 0, 0, 0, 0
+			var sum telemetry.Counts // the mitigation counts, summed over the records
 			for i := range c.Records {
 				r := &c.Records[i]
+				jit, resizes, readmits = jit+r.JITSnapshots, resizes+r.Resizes, readmits+r.Readmits
+				sum.Quarantines, sum.Rejoins = sum.Quarantines+r.Quarantines, sum.Rejoins+r.Rejoins
+				sum.DegradedIters, sum.CommRetries = sum.DegradedIters+r.DegradedIters, sum.CommRetries+r.CommRetries
 				if r.RecoveryStrategy != s.String() {
 					t.Fatalf("record %d tagged %q, want %q", i, r.RecoveryStrategy, s)
 				}
@@ -82,9 +87,17 @@ func TestRecoveryStrategiesHeadToHead(t *testing.T) {
 			if quarantined == 0 {
 				t.Fatalf("strategy %s quarantined nothing", s)
 			}
+			if c.Quarantines != sum.Quarantines || c.Rejoins != sum.Rejoins ||
+				c.DegradedIters != sum.DegradedIters || c.CommRetries != sum.CommRetries {
+				t.Fatalf("ledger counts %d quarantines / %d rejoins / %d degraded iters / %d comm retries, records sum to %d / %d / %d / %d",
+					c.Quarantines, c.Rejoins, c.DegradedIters, c.CommRetries,
+					sum.Quarantines, sum.Rejoins, sum.DegradedIters, sum.CommRetries)
+			}
 			rs := c.RecoveryStats()
-			if rs.Strategy != s.String() || rs.Records != cfg.Experiments || rs.Recovered != recovered {
-				t.Fatalf("RecoveryStats %+v inconsistent with records (recovered %d)", rs, recovered)
+			if rs.Strategy != s.String() || rs.Records != cfg.Experiments || rs.Recovered != recovered ||
+				rs.JITSnapshots != jit || rs.Resizes != resizes || rs.Readmits != readmits {
+				t.Fatalf("RecoveryStats %+v inconsistent with records (recovered %d, %d jit snapshots, %d resizes, %d readmits)",
+					rs, recovered, jit, resizes, readmits)
 			}
 			if (s == recovery.StrategyJIT || s == recovery.StrategyElastic) && recovered == 0 {
 				t.Fatalf("strategy %s re-admitted nothing across the population", s)

@@ -25,7 +25,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/comm"
 	"repro/internal/fault"
@@ -155,8 +154,9 @@ type RunOptions struct {
 	Prior map[int]Record
 	// Sink, when non-nil, receives every newly completed record.
 	Sink Sink
-	// Stats, when non-nil, is updated live from the worker pool
-	// (lock-free; see package telemetry).
+	// Stats, when non-nil, is the live ledger: every record this call lands,
+	// replayed ones included, adds its one entry to it (see package
+	// telemetry). The returned Campaign's Counts sum the same entries.
 	Stats *telemetry.CampaignStats
 	// Shard, when non-nil, restricts this call to the experiments whose
 	// dedup-owner index lies in [Shard.Lo, Shard.Hi). Records outside the
@@ -174,9 +174,10 @@ type RunOptions struct {
 // partial campaign alongside the context error.
 //
 // Incomplete records are zero-valued in the returned Campaign.Records;
-// Campaign.Completed counts the complete ones and Tally covers exactly
-// those. IterationsSkipped/IterationsExecuted account only for experiments
-// executed by this call (prior records carry no execution cost here).
+// Campaign.Completed counts the complete ones, and Campaign.Counts sums
+// exactly their ledger entries (ledgerEntry) — the same entries, landed
+// once each, that reach opts.Stats. A prior record lands as one that ran
+// nothing: it counts as Resumed and carries no execution cost.
 func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	cfg = cfg.withDefaults()
 	ctx := opts.Context
@@ -212,8 +213,8 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	c := &Campaign{Cfg: cfg, Ref: g.ref, RefAcc: g.refAcc,
 		Stride: g.stride, Snapshots: len(g.snaps), SnapshotBytes: g.bytes}
 	sampled := g.sample(cfg)
-	c.Records = make([]Record, cfg.Experiments)
 	completed := make([]bool, cfg.Experiments)
+	c.Records, c.landed = make([]Record, cfg.Experiments), completed
 	for i, rec := range opts.Prior {
 		if i < 0 || i >= len(c.Records) {
 			return nil, fmt.Errorf("experiment: prior record index %d out of range [0,%d)", i, len(c.Records))
@@ -228,7 +229,26 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 		c.Records[i] = rec
 		completed[i] = true
 	}
-	opts.Stats.AddPrior(len(opts.Prior))
+
+	// land adds record i's one ledger entry — run is what executing it cost,
+	// zero for a record that ran nothing — to the campaign's Counts and
+	// Completed, and to the live ledger, on pool worker wk's count. Every
+	// return of this call, an early one on a sink error included, sees
+	// Completed == Tally.Total.
+	var countsMu sync.Mutex
+	land := func(wk, i int, run telemetry.Counts) {
+		entry := ledgerEntry(&c.Records[i], run)
+		countsMu.Lock()
+		c.Counts.Add(entry)
+		c.Completed++
+		countsMu.Unlock()
+		opts.Stats.Land(wk, entry)
+	}
+	for i, done := range completed {
+		if done {
+			land(-1, i, telemetry.Counts{Resumed: 1})
+		}
+	}
 
 	// The dedup plan groups experiments by corruption key (dedup.go); only
 	// group owners are dispatched, and each owner's record lands its
@@ -273,31 +293,17 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	}
 
 	// complete lands record rec of experiment i, from worker wk: it fills the
-	// slot, makes the record's one ledger call (run is what executing it
-	// cost), appends it to the sink, and then lands the adoptees of i that
-	// are missing. A journaled owner's record is already in place: only its
+	// slot, lands the record's ledger entry (run is what executing it cost),
+	// appends it to the sink, and then lands the adoptees of i that are
+	// missing. A journaled owner's record is already in place: only its
 	// adoptees land. Each index has exactly one owner, so concurrent workers
 	// write disjoint slots.
-	var executed, skipped, synthd, warmRestores, coldRestores atomic.Int64
 	var complete func(wk, i int, rec Record, run telemetry.Counts) error
 	complete = func(wk, i int, rec Record, run telemetry.Counts) error {
 		if !completed[i] {
 			c.Records[i] = rec
 			completed[i] = true
-			skipped.Add(int64(run.Skipped))
-			executed.Add(int64(run.Executed))
-			synthd.Add(int64(run.Synthesized))
-			if run.WarmRestore {
-				warmRestores.Add(1)
-			} else if run.ColdRestore {
-				coldRestores.Add(1)
-			}
-			run.Outcome = rec.Outcome
-			run.Adopted = rec.AdoptedFrom >= 0
-			run.EarlyExit = !run.Adopted && rec.EarlyExitIter >= 0
-			run.Quarantines, run.Rejoins, run.DegradedIters, run.CommRetries = rec.Quarantines, rec.Rejoins, rec.DegradedIters, rec.CommRetries
-			run.JITSnapshots, run.Resizes, run.Readmits = rec.JITSnapshots, rec.Resizes, rec.Readmits
-			opts.Stats.Land(wk, run)
+			land(wk, i, run)
 			if sink != nil {
 				if err := sink.Append(i, rec); err != nil {
 					return fmt.Errorf("experiment: journaling record %d: %w", i, err)
@@ -335,8 +341,7 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 			order = append(order, i)
 			continue
 		}
-		c.GoldenByConstruction++
-		if err := complete(0, i, g.goldenRecord(sampled[i], proof), telemetry.Counts{Golden: true}); err != nil {
+		if err := complete(0, i, g.goldenRecord(sampled[i], proof), telemetry.Counts{GoldenByConstruction: 1}); err != nil {
 			return c, err
 		}
 	}
@@ -377,7 +382,6 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 	if cfg.DeviceFaults {
 		execute = runDeviceFault
 	}
-	var evals atomic.Int64
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -387,18 +391,19 @@ func Resume(cfg Config, opts RunOptions) (*Campaign, error) {
 			// The pooled engine is built on the worker's first experiment: a
 			// worker that is never handed one builds nothing.
 			var pooled *train.Engine
-			defer func() {
-				if pooled != nil {
-					evals.Add(pooled.Evaluations())
-				}
-			}()
 			prevBound := -1
 			for i := range idxCh {
 				if pooled == nil {
 					pooled = g.w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77}) // same seed as reference
 				}
+				evals := pooled.Evaluations()
 				rec, run := execute(g, pooled, sampled[i], cfg)
-				run.WarmRestore, run.ColdRestore = bounds[i] == prevBound, bounds[i] != prevBound
+				run.Evaluations = pooled.Evaluations() - evals
+				if bounds[i] == prevBound {
+					run.WarmRestores = 1
+				} else {
+					run.ColdRestores = 1
+				}
 				prevBound = bounds[i]
 				if err := complete(wk, i, rec, run); err != nil {
 					failSink(err)
@@ -424,30 +429,6 @@ feed:
 			failSink(fmt.Errorf("experiment: flushing sink: %w", err))
 		}
 	}
-	c.IterationsExecuted = executed.Load()
-	c.IterationsSkipped = skipped.Load()
-	c.Evaluations = evals.Load()
-	c.IterationsSynthesized = synthd.Load()
-	c.WarmRestores = warmRestores.Load()
-	c.ColdRestores = coldRestores.Load()
-	for i := range c.Records {
-		if !completed[i] {
-			continue
-		}
-		c.Completed++
-		rec := &c.Records[i]
-		c.Tally.Add(rec.Outcome)
-		// Equivalence-layer counters are derived from the records rather
-		// than live counters so a resumed campaign reports the same totals
-		// as an uninterrupted one. Adopted records inherit their owner's
-		// fast-path provenance, so only executions count as exits.
-		switch {
-		case rec.AdoptedFrom >= 0:
-			c.ExperimentsAdopted++
-		case rec.EarlyExitIter >= 0:
-			c.EarlyExits++
-		}
-	}
 	if sinkErr != nil {
 		return c, sinkErr
 	}
@@ -455,4 +436,25 @@ feed:
 		return c, err
 	}
 	return c, nil
+}
+
+// ledgerEntry is a landed record's one entry in the campaign ledger: run is
+// what executing it cost (zero for a record that ran nothing), and the
+// record supplies its outcome, its provenance and its mitigation counts.
+// Adoptees inherit their owner's early-exit provenance, so only executions
+// count as exits.
+func ledgerEntry(rec *Record, run telemetry.Counts) telemetry.Counts {
+	run.Tally.Add(rec.Outcome)
+	switch {
+	case rec.AdoptedFrom >= 0:
+		run.ExperimentsAdopted = 1
+	case rec.EarlyExitIter >= 0:
+		run.EarlyExits = 1
+	}
+	if run.IterationsSkipped > 0 {
+		run.Forked = 1
+	}
+	run.Quarantines, run.Rejoins, run.DegradedIters, run.CommRetries = rec.Quarantines, rec.Rejoins, rec.DegradedIters, rec.CommRetries
+	run.JITSnapshots, run.Resizes, run.Readmits = rec.JITSnapshots, rec.Resizes, rec.Readmits
+	return run
 }

@@ -6,9 +6,8 @@ package telemetry
 // the multi-campaign queue and the lease lifecycle — granted, renewed,
 // expired (a worker died or stalled past its deadline), reassigned (an
 // expired shard re-granted to a live worker) — plus shard ingestion and
-// merge activity. Same design rules as CampaignStats: plain atomic adds on
-// the hot path, nil-safe methods, racy-by-design snapshots, an expvar
-// binding ("dist") for /debug/vars.
+// merge activity. Plain atomic adds on the hot path, nil-safe methods,
+// racy-by-design snapshots, an expvar binding ("dist") for /debug/vars.
 
 import (
 	"expvar"

@@ -4,16 +4,20 @@
 // campaign runs for hours, and the operator needs to watch it without
 // perturbing it. This package provides:
 //
-//   - CampaignStats, a lock-free progress ledger the campaign runner
-//     updates with plain atomic adds: one Land call per landed record
-//     (executed, adopted or golden by construction), carrying that record's
-//     Counts, and never one per iteration, so the hot training loop stays
-//     untouched and the overhead is unmeasurable next to an experiment's
-//     training work — see BenchmarkCampaignForkedTelemetry;
-//   - derived views (Snapshot): per-worker and aggregate experiment
-//     throughput, per-outcome tallies in the paper's Table-3 taxonomy,
-//     golden-snapshot fork rate, fused-detection check counts, journal
-//     write/fsync counters, and an ETA extrapolated from the observed rate;
+//   - Counts, the one ledger type: a single landed record's entry (its
+//     outcome, its provenance and what executing it cost), and equally the
+//     sum of any number of entries — what a campaign reports;
+//   - CampaignStats, the live ledger the campaign runner lands every record
+//     on: one Counts total behind a mutex, taken once per landed record
+//     (executed, adopted, golden by construction or replayed from a
+//     journal) and never once per iteration, so the hot training loop stays
+//     untouched; a Land costs tens of nanoseconds against an experiment's
+//     milliseconds of training (BenchmarkCampaignStatsLand);
+//   - derived views (Snapshot), each consistent across its fields:
+//     per-worker and aggregate experiment throughput, per-outcome tallies in
+//     the paper's Table-3 taxonomy, golden-snapshot fork rate,
+//     fused-detection check counts, journal write/fsync counters, and an
+//     ETA extrapolated from the observed rate;
 //   - an expvar binding (Activate) publishing the active campaign under the
 //     "campaign" variable, and an optional HTTP endpoint (Serve) exposing
 //     /status (JSON snapshot), /debug/vars, and /debug/pprof for profiling
@@ -31,6 +35,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,67 +43,101 @@ import (
 	"repro/internal/outcome"
 )
 
-// workerCounter is a cache-line-padded per-worker completion counter so
-// that workers incrementing their own slot never contend on a line.
-type workerCounter struct {
-	n atomic.Int64
-	_ [56]byte
+// Counts is the campaign ledger. One value is a single landed record's
+// entry; the same type holds the sum of any number of entries (Add). An
+// entry of a record that ran nothing (adopted, golden by construction, or
+// replayed from a journal) carries only its outcome, its provenance and its
+// record's mitigation counts. The JSON names are the /status keys.
+type Counts struct {
+	// Tally is the landed records' outcomes (served as Snapshot.Outcomes).
+	Tally outcome.Tally `json:"-"`
+	// Resumed counts records replayed from a journal rather than landed by
+	// this run; they count toward progress but not toward throughput.
+	Resumed int `json:"resumed"`
+	// ExperimentsAdopted counts records adopted from their dedup owner;
+	// EarlyExits counts records carrying early-exit provenance of their own
+	// (adoptees inherit their owner's); GoldenByConstruction counts
+	// experiments classified without running because their fault provably
+	// touches no value (never a replayed record: a record does not say how
+	// it was made).
+	ExperimentsAdopted   int `json:"dedup_adopted"`
+	EarlyExits           int `json:"early_exits"`
+	GoldenByConstruction int `json:"golden_by_construction"`
+	// IterationsSkipped / IterationsExecuted / IterationsSynthesized are
+	// the golden-prefix iterations reused by forking, the suffix iterations
+	// actually run, and the tail iterations early exits copied from the
+	// golden trace.
+	IterationsSkipped     int64 `json:"iters_skipped"`
+	IterationsExecuted    int64 `json:"iters_executed"`
+	IterationsSynthesized int64 `json:"iters_synthesized"`
+	// DetectorChecks counts per-iteration detector checks; Forked counts
+	// executions restored from a non-initial golden snapshot.
+	DetectorChecks int `json:"detector_checks"`
+	Forked         int `json:"-"`
+	// WarmRestores / ColdRestores split pooled-engine snapshot restores by
+	// whether the worker's previous experiment forked from the same golden
+	// snapshot (warm) or another one (cold). Schedule-dependent
+	// observability only — records never depend on them.
+	WarmRestores int64 `json:"warm_restores"`
+	ColdRestores int64 `json:"cold_restores"`
+	// Evaluations counts test-set evaluations: at most one per execution
+	// (its final test point), none where the golden tail supplies it.
+	Evaluations int64 `json:"-"`
+	// The records' group-mitigation activity — devices quarantined and
+	// hot-rejoined, iterations run with a partial group, collective retry
+	// attempts — and recovery-strategy activity — just-in-time checkpoints
+	// captured from healthy donors, elastic re-partitions, devices
+	// re-admitted. All zero outside device-fault campaigns.
+	Quarantines   int `json:"quarantines"`
+	Rejoins       int `json:"rejoins"`
+	DegradedIters int `json:"degraded_iters"`
+	CommRetries   int `json:"comm_retries"`
+	JITSnapshots  int `json:"jit_snapshots"`
+	Resizes       int `json:"resizes"`
+	Readmits      int `json:"readmits"`
 }
 
-// CampaignStats accumulates the progress of one running campaign. All
-// updates are single atomic adds; all reads (Snapshot) are racy-by-design
-// point-in-time views, which is exactly what a progress display wants.
+// Add sums d into c.
+func (c *Counts) Add(d Counts) {
+	for o, n := range d.Tally.Counts {
+		c.Tally.Counts[o] += n
+	}
+	c.Tally.Total += d.Tally.Total
+	c.Resumed += d.Resumed
+	c.ExperimentsAdopted += d.ExperimentsAdopted
+	c.EarlyExits += d.EarlyExits
+	c.GoldenByConstruction += d.GoldenByConstruction
+	c.IterationsSkipped += d.IterationsSkipped
+	c.IterationsExecuted += d.IterationsExecuted
+	c.IterationsSynthesized += d.IterationsSynthesized
+	c.DetectorChecks += d.DetectorChecks
+	c.Forked += d.Forked
+	c.WarmRestores += d.WarmRestores
+	c.ColdRestores += d.ColdRestores
+	c.Evaluations += d.Evaluations
+	c.Quarantines += d.Quarantines
+	c.Rejoins += d.Rejoins
+	c.DegradedIters += d.DegradedIters
+	c.CommRetries += d.CommRetries
+	c.JITSnapshots += d.JITSnapshots
+	c.Resizes += d.Resizes
+	c.Readmits += d.Readmits
+}
+
+// CampaignStats is the live ledger of one running campaign: the sum of
+// every landed record's Counts, each worker's landed records, and the
+// journal's write counters, all behind one mutex so that a Snapshot is
+// consistent across its fields.
 type CampaignStats struct {
 	workload    string
 	experiments int
 	start       time.Time
 
-	prior         atomic.Int64 // records replayed from a journal, not re-run
-	done          atomic.Int64 // records completed by this process
-	outcomes      []atomic.Int64
-	itersExecuted atomic.Int64
-	itersSkipped  atomic.Int64
-	forked        atomic.Int64 // experiments restored from a non-initial snapshot
-	checks        atomic.Int64 // detector checks performed
-
-	journalAppends atomic.Int64
-	journalFlushes atomic.Int64
-
-	// Equivalence-layer activity (zero when dedup and early exit are off):
-	// records adopted from a dedup owner, executions truncated by the
-	// early exit, and golden-tail iterations synthesized instead of run.
-	adopted          atomic.Int64
-	earlyExits       atomic.Int64
-	itersSynthesized atomic.Int64
-	// Experiments classified without running because their fault provably
-	// touches no value (experiment's golden-by-construction path).
-	goldenByConstruction atomic.Int64
-
-	// Group-mitigation activity of device-fault campaigns (zero for FF
-	// campaigns): devices quarantined, devices hot-rejoined, iterations run
-	// with a partial group, and collective retry attempts.
-	quarantines   atomic.Int64
-	rejoins       atomic.Int64
-	degradedIters atomic.Int64
-	commRetries   atomic.Int64
-
-	// Recovery-strategy activity (zero outside device-fault campaigns
-	// running the jit/elastic strategies): just-in-time checkpoints
-	// captured from healthy donors, elastic batch re-partitions, and
-	// devices re-admitted by those strategies.
-	jitSnapshots atomic.Int64
-	resizes      atomic.Int64
-	readmits     atomic.Int64
-
-	// Locality of the campaign scheduler (snapshot-affine dispatch, see
-	// experiment.Resume): pooled-engine snapshot restores split by whether
-	// the worker's previous experiment forked from the same golden snapshot
-	// (warm) or a different one (cold). Schedule-dependent observability
-	// only — results never depend on them.
-	warmRestores atomic.Int64
-	coldRestores atomic.Int64
-
-	workers []workerCounter
+	mu             sync.Mutex
+	total          Counts
+	workers        []int64 // records landed by each pool worker
+	journalAppends int64
+	journalFlushes int64
 }
 
 // NewCampaignStats creates the ledger for a campaign of `experiments`
@@ -111,88 +150,24 @@ func NewCampaignStats(workload string, experiments, workers int) *CampaignStats 
 		workload:    workload,
 		experiments: experiments,
 		start:       time.Now(),
-		outcomes:    make([]atomic.Int64, len(outcome.All())),
-		workers:     make([]workerCounter, workers),
+		workers:     make([]int64, workers),
 	}
 }
 
-// AddPrior records n experiments that were replayed from a journal rather
-// than executed; they count toward progress but not toward throughput.
-func (s *CampaignStats) AddPrior(n int) {
-	if s == nil {
-		return
-	}
-	s.prior.Add(int64(n))
-}
-
-// Counts is one landed record's entry in the ledger. A record that ran
-// nothing (adopted, or golden by construction) carries only its outcome and
-// its provenance.
-type Counts struct {
-	Outcome outcome.Outcome
-	// Skipped / Executed / Synthesized are the golden-prefix iterations the
-	// execution reused by forking, the suffix iterations it ran, and the tail
-	// iterations its early exit copied from the golden trace; Checks counts
-	// its detector checks.
-	Skipped, Executed, Synthesized, Checks int
-	// WarmRestore / ColdRestore: the execution began with a pooled-engine
-	// restore of the golden snapshot its worker's previous experiment forked
-	// from (warm), or of another one (cold).
-	WarmRestore, ColdRestore bool
-	// Adopted: the record was adopted from its dedup owner. Golden: it was
-	// written from the golden run because its fault provably touches no
-	// value. EarlyExit: it carries early-exit provenance of its own.
-	Adopted, Golden, EarlyExit bool
-	// The record's group-mitigation and recovery-strategy activity (zero
-	// outside device-fault campaigns).
-	Quarantines, Rejoins, DegradedIters, CommRetries int
-	JITSnapshots, Resizes, Readmits                  int
-}
-
-// Land records one landed experiment record, on the ledger of the worker
-// that landed it. Called once per record, never per iteration.
+// Land adds one landed record's entry to the ledger, on the count of the
+// pool worker that landed it (a worker outside the pool, such as -1 for a
+// record replayed from a journal, counts toward no worker). Called once
+// per record, never per iteration.
 func (s *CampaignStats) Land(worker int, c Counts) {
 	if s == nil {
 		return
 	}
-	s.done.Add(1)
-	if int(c.Outcome) < len(s.outcomes) {
-		s.outcomes[c.Outcome].Add(1)
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.total.Add(c)
 	if worker >= 0 && worker < len(s.workers) {
-		s.workers[worker].n.Add(1)
+		s.workers[worker]++
 	}
-	add(&s.itersSkipped, c.Skipped)
-	add(&s.itersExecuted, c.Executed)
-	add(&s.itersSynthesized, c.Synthesized)
-	add(&s.checks, c.Checks)
-	add(&s.forked, b2i(c.Skipped > 0))
-	add(&s.warmRestores, b2i(c.WarmRestore))
-	add(&s.coldRestores, b2i(c.ColdRestore))
-	add(&s.adopted, b2i(c.Adopted))
-	add(&s.goldenByConstruction, b2i(c.Golden))
-	add(&s.earlyExits, b2i(c.EarlyExit))
-	add(&s.quarantines, c.Quarantines)
-	add(&s.rejoins, c.Rejoins)
-	add(&s.degradedIters, c.DegradedIters)
-	add(&s.commRetries, c.CommRetries)
-	add(&s.jitSnapshots, c.JITSnapshots)
-	add(&s.resizes, c.Resizes)
-	add(&s.readmits, c.Readmits)
-}
-
-// add skips the atomic add of a zero: most of a record's counts are zero.
-func add(ctr *atomic.Int64, n int) {
-	if n != 0 {
-		ctr.Add(int64(n))
-	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // JournalAppend records one record appended to the write-ahead journal.
@@ -200,7 +175,9 @@ func (s *CampaignStats) JournalAppend() {
 	if s == nil {
 		return
 	}
-	s.journalAppends.Add(1)
+	s.mu.Lock()
+	s.journalAppends++
+	s.mu.Unlock()
 }
 
 // JournalFlush records one fsync batch of the write-ahead journal.
@@ -208,18 +185,21 @@ func (s *CampaignStats) JournalFlush() {
 	if s == nil {
 		return
 	}
-	s.journalFlushes.Add(1)
+	s.mu.Lock()
+	s.journalFlushes++
+	s.mu.Unlock()
 }
 
 // Snapshot is a derived, JSON-serializable view of a CampaignStats at one
-// instant — what /status and expvar serve.
+// instant — what /status and expvar serve. Its Counts are the ledger's sum
+// over every landed record, replayed ones included.
 type Snapshot struct {
 	Workload    string `json:"workload"`
 	Experiments int    `json:"experiments"`
-	// Done = Resumed + completed-by-this-process.
-	Done    int `json:"done"`
-	Resumed int `json:"resumed"`
-	// Outcomes maps Table-3 outcome names to completed-experiment counts.
+	// Done counts landed records: Resumed plus those landed by this process.
+	Done int `json:"done"`
+	Counts
+	// Outcomes maps Table-3 outcome names to landed-record counts.
 	Outcomes map[string]int `json:"outcomes"`
 	// ElapsedSec is the wall-clock time since the campaign started.
 	ElapsedSec float64 `json:"elapsed_sec"`
@@ -233,48 +213,14 @@ type Snapshot struct {
 	// ETASec extrapolates the remaining time from the observed rate
 	// (-1 until a rate is measurable).
 	ETASec float64 `json:"eta_sec"`
-	// ItersExecuted / ItersSkipped are suffix iterations actually run vs
-	// golden-prefix iterations reused via snapshot forking.
-	ItersExecuted int64 `json:"iters_executed"`
-	ItersSkipped  int64 `json:"iters_skipped"`
-	// SnapshotForkRate is the fraction of completed experiments that were
-	// restored from a non-initial golden snapshot (cache hit rate of the
-	// prefix snapshot cache).
+	// SnapshotForkRate is the fraction of the records this process landed
+	// that were restored from a non-initial golden snapshot (cache hit rate
+	// of the prefix snapshot cache).
 	SnapshotForkRate float64 `json:"snapshot_fork_rate"`
-	// DetectorChecks counts per-iteration detector checks.
-	DetectorChecks int64 `json:"detector_checks"`
 	// JournalAppends / JournalFlushes count write-ahead journal records
 	// written and fsync batches issued.
 	JournalAppends int64 `json:"journal_appends"`
 	JournalFlushes int64 `json:"journal_flushes"`
-	// Quarantines / Rejoins / DegradedIters / CommRetries aggregate the
-	// group-level mitigation activity of device-fault campaigns (all zero
-	// for FF campaigns).
-	Quarantines   int64 `json:"quarantines"`
-	Rejoins       int64 `json:"rejoins"`
-	DegradedIters int64 `json:"degraded_iters"`
-	CommRetries   int64 `json:"comm_retries"`
-	// JITSnapshots / Resizes / Readmits aggregate the recovery-strategy
-	// activity of device-fault campaigns running the jit/elastic
-	// strategies (all zero otherwise).
-	JITSnapshots int64 `json:"jit_snapshots"`
-	Resizes      int64 `json:"resizes"`
-	Readmits     int64 `json:"readmits"`
-	// DedupAdopted / EarlyExits / ItersSynthesized aggregate the
-	// equivalence layer's savings: records adopted from a dedup owner,
-	// executions truncated by the early exit, and golden-tail iterations
-	// synthesized instead of run.
-	DedupAdopted     int64 `json:"dedup_adopted"`
-	EarlyExits       int64 `json:"early_exits"`
-	ItersSynthesized int64 `json:"iters_synthesized"`
-	// GoldenByConstruction counts experiments classified without running
-	// because their fault provably touches no value.
-	GoldenByConstruction int64 `json:"golden_by_construction"`
-	// WarmRestores / ColdRestores split pooled-engine snapshot restores by
-	// whether the worker's previous experiment used the same golden
-	// snapshot. Scheduling observability only.
-	WarmRestores int64 `json:"warm_restores"`
-	ColdRestores int64 `json:"cold_restores"`
 }
 
 // Snapshot derives the current point-in-time view.
@@ -282,55 +228,37 @@ func (s *CampaignStats) Snapshot() Snapshot {
 	if s == nil {
 		return Snapshot{}
 	}
-	elapsed := time.Since(s.start).Seconds()
-	prior := int(s.prior.Load())
-	done := int(s.done.Load())
+	s.mu.Lock()
 	snap := Snapshot{
 		Workload:       s.workload,
 		Experiments:    s.experiments,
-		Done:           prior + done,
-		Resumed:        prior,
-		Outcomes:       map[string]int{},
-		ElapsedSec:     elapsed,
-		ETASec:         -1,
-		ItersExecuted:  s.itersExecuted.Load(),
-		ItersSkipped:   s.itersSkipped.Load(),
-		DetectorChecks: s.checks.Load(),
-		JournalAppends: s.journalAppends.Load(),
-		JournalFlushes: s.journalFlushes.Load(),
-		Quarantines:    s.quarantines.Load(),
-		Rejoins:        s.rejoins.Load(),
-		DegradedIters:  s.degradedIters.Load(),
-		CommRetries:    s.commRetries.Load(),
-		JITSnapshots:   s.jitSnapshots.Load(),
-		Resizes:        s.resizes.Load(),
-		Readmits:       s.readmits.Load(),
-		WarmRestores:   s.warmRestores.Load(),
-		ColdRestores:   s.coldRestores.Load(),
-
-		DedupAdopted:     s.adopted.Load(),
-		EarlyExits:       s.earlyExits.Load(),
-		ItersSynthesized: s.itersSynthesized.Load(),
-
-		GoldenByConstruction: s.goldenByConstruction.Load(),
+		Counts:         s.total,
+		PerWorkerDone:  slices.Clone(s.workers),
+		JournalAppends: s.journalAppends,
+		JournalFlushes: s.journalFlushes,
 	}
+	s.mu.Unlock()
+	elapsed := time.Since(s.start).Seconds()
+	snap.Done = snap.Tally.Total
+	snap.ElapsedSec = elapsed
+	snap.ETASec = -1
+	snap.Outcomes = map[string]int{}
 	for _, o := range outcome.All() {
-		if n := s.outcomes[o].Load(); n > 0 {
-			snap.Outcomes[o.String()] = int(n)
+		if n := snap.Tally.Counts[o]; n > 0 {
+			snap.Outcomes[o.String()] = n
 		}
 	}
-	if done > 0 {
-		snap.SnapshotForkRate = float64(s.forked.Load()) / float64(done)
+	landed := snap.Done - snap.Resumed
+	if landed > 0 {
+		snap.SnapshotForkRate = float64(snap.Forked) / float64(landed)
 	}
 	if elapsed > 0 {
-		snap.ExperimentsPerSec = float64(done) / elapsed
+		snap.ExperimentsPerSec = float64(landed) / elapsed
 		if snap.ExperimentsPerSec > 0 {
 			snap.ETASec = float64(s.experiments-snap.Done) / snap.ExperimentsPerSec
 		}
 	}
-	for i := range s.workers {
-		n := s.workers[i].n.Load()
-		snap.PerWorkerDone = append(snap.PerWorkerDone, n)
+	for _, n := range snap.PerWorkerDone {
 		rate := 0.0
 		if elapsed > 0 {
 			rate = float64(n) / elapsed

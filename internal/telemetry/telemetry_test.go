@@ -2,23 +2,35 @@ package telemetry
 
 import (
 	"encoding/json"
+	"expvar"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/outcome"
 )
 
+// entry is one landed record's ledger entry with outcome o.
+func entry(o outcome.Outcome, c Counts) Counts {
+	c.Tally.Add(o)
+	return c
+}
+
 func TestCampaignStatsSnapshot(t *testing.T) {
 	s := NewCampaignStats("resnet", 100, 3)
-	s.AddPrior(10)
-	s.Land(0, Counts{Outcome: outcome.Benign, Skipped: 5, Executed: 20, Checks: 12, ColdRestore: true})
-	s.Land(1, Counts{Outcome: outcome.SlowDegrade, Executed: 25, Checks: 25, ColdRestore: true})
-	s.Land(1, Counts{Outcome: outcome.Benign, Skipped: 8, Executed: 17, Synthesized: 4, Checks: 9, WarmRestore: true, EarlyExit: true})
-	s.Land(1, Counts{Outcome: outcome.Benign, Adopted: true})
-	s.Land(0, Counts{Outcome: outcome.QuarantinedRecovered, Golden: true, Quarantines: 1, Rejoins: 1,
-		DegradedIters: 2, CommRetries: 3, JITSnapshots: 4, Resizes: 5, Readmits: 6})
+	for i := 0; i < 10; i++ {
+		s.Land(-1, entry(outcome.Benign, Counts{Resumed: 1}))
+	}
+	s.Land(0, entry(outcome.Benign, Counts{IterationsSkipped: 5, IterationsExecuted: 20, DetectorChecks: 12, Forked: 1, ColdRestores: 1}))
+	s.Land(1, entry(outcome.SlowDegrade, Counts{IterationsExecuted: 25, DetectorChecks: 25, ColdRestores: 1}))
+	s.Land(1, entry(outcome.Benign, Counts{IterationsSkipped: 8, IterationsExecuted: 17, IterationsSynthesized: 4,
+		DetectorChecks: 9, Forked: 1, WarmRestores: 1, EarlyExits: 1}))
+	s.Land(1, entry(outcome.Benign, Counts{ExperimentsAdopted: 1}))
+	s.Land(0, entry(outcome.QuarantinedRecovered, Counts{GoldenByConstruction: 1, Quarantines: 1, Rejoins: 1,
+		DegradedIters: 2, CommRetries: 3, JITSnapshots: 4, Resizes: 5, Readmits: 6}))
 	s.JournalAppend()
 	s.JournalAppend()
 	s.JournalFlush()
@@ -30,13 +42,14 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 	if snap.Done != 15 || snap.Resumed != 10 {
 		t.Fatalf("Done/Resumed = %d/%d, want 15/10", snap.Done, snap.Resumed)
 	}
-	if snap.Outcomes["Benign"] != 3 || snap.Outcomes["SlowDegrade"] != 1 || snap.Outcomes["QuarantinedRecovered"] != 1 {
+	// Replayed records' outcomes count too.
+	if snap.Outcomes["Benign"] != 13 || snap.Outcomes["SlowDegrade"] != 1 || snap.Outcomes["QuarantinedRecovered"] != 1 {
 		t.Fatalf("outcome tallies wrong: %+v", snap.Outcomes)
 	}
-	if snap.ItersSkipped != 13 || snap.ItersExecuted != 62 || snap.ItersSynthesized != 4 {
+	if snap.IterationsSkipped != 13 || snap.IterationsExecuted != 62 || snap.IterationsSynthesized != 4 {
 		t.Fatalf("iteration counters wrong: %+v", snap)
 	}
-	if snap.WarmRestores != 1 || snap.ColdRestores != 2 || snap.DedupAdopted != 1 ||
+	if snap.WarmRestores != 1 || snap.ColdRestores != 2 || snap.ExperimentsAdopted != 1 ||
 		snap.GoldenByConstruction != 1 || snap.EarlyExits != 1 {
 		t.Fatalf("restore or equivalence counters wrong: %+v", snap)
 	}
@@ -44,7 +57,8 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 		snap.JITSnapshots != 4 || snap.Resizes != 5 || snap.Readmits != 6 {
 		t.Fatalf("mitigation counters wrong: %+v", snap)
 	}
-	// 2 of 5 landed records forked from a non-initial snapshot.
+	// 2 of the 5 records this process landed forked from a non-initial
+	// snapshot.
 	if want := 2.0 / 5.0; snap.SnapshotForkRate != want {
 		t.Fatalf("SnapshotForkRate = %g, want %g", snap.SnapshotForkRate, want)
 	}
@@ -64,8 +78,7 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 
 func TestCampaignStatsNilSafe(t *testing.T) {
 	var s *CampaignStats
-	s.AddPrior(1)
-	s.Land(0, Counts{Outcome: outcome.Benign, WarmRestore: true, Golden: true, EarlyExit: true})
+	s.Land(0, entry(outcome.Benign, Counts{WarmRestores: 1, GoldenByConstruction: 1, EarlyExits: 1}))
 	s.JournalAppend()
 	s.JournalFlush()
 	if snap := s.Snapshot(); snap.Done != 0 {
@@ -81,13 +94,13 @@ func TestCampaignStatsConcurrent(t *testing.T) {
 		go func(wk int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s.Land(wk, Counts{Outcome: outcome.Benign, Skipped: 1, Executed: 2, Checks: 3})
+				s.Land(wk, entry(outcome.Benign, Counts{IterationsSkipped: 1, IterationsExecuted: 2, DetectorChecks: 3}))
 			}
 		}(wk)
 	}
 	wg.Wait()
 	snap := s.Snapshot()
-	if snap.Done != 800 || snap.ItersExecuted != 1600 || snap.DetectorChecks != 2400 {
+	if snap.Done != 800 || snap.IterationsExecuted != 1600 || snap.DetectorChecks != 2400 {
 		t.Fatalf("concurrent counters lost updates: %+v", snap)
 	}
 	for wk, n := range snap.PerWorkerDone {
@@ -97,13 +110,117 @@ func TestCampaignStatsConcurrent(t *testing.T) {
 	}
 }
 
+// TestSnapshotConsistentUnderLand: a snapshot taken while eight workers land
+// entries sees every entry whole or not at all — entries keep
+// IterationsExecuted == 2·IterationsSkipped, one detector check per skipped
+// iteration and one record per worker count, and so must every snapshot.
+// ci.sh runs it under -race.
+func TestSnapshotConsistentUnderLand(t *testing.T) {
+	const workers, perWorker = 8, 500
+	s := NewCampaignStats("resnet", workers*perWorker, workers)
+	started, stop := make(chan struct{}), make(chan struct{})
+	readerDone := make(chan error)
+	go func() {
+		var err error
+		for snaps := 0; ; snaps++ {
+			select {
+			case <-stop:
+				readerDone <- err
+				return
+			default:
+			}
+			snap := s.Snapshot()
+			if snaps == 0 {
+				close(started) // the workers land only once the reader is looping
+			}
+			var perWorker int64
+			for _, n := range snap.PerWorkerDone {
+				perWorker += n
+			}
+			if err == nil && (snap.IterationsExecuted != 2*snap.IterationsSkipped ||
+				int64(snap.DetectorChecks) != snap.IterationsSkipped || int64(snap.Done) != snap.IterationsSkipped ||
+				perWorker != int64(snap.Done) || snap.Outcomes["Benign"] != snap.Done) {
+				err = fmt.Errorf("torn snapshot: %d executed, %d skipped, %d checks, %d done, %d per worker, outcomes %v",
+					snap.IterationsExecuted, snap.IterationsSkipped, snap.DetectorChecks, snap.Done, perWorker, snap.Outcomes)
+			}
+		}
+	}()
+	<-started
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				s.Land(wk, entry(outcome.Benign, Counts{IterationsSkipped: 1, IterationsExecuted: 2, DetectorChecks: 1}))
+			}
+		}(wk)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
+	}
+	if snap := s.Snapshot(); snap.Done != workers*perWorker {
+		t.Fatalf("landed %d entries, want %d", snap.Done, workers*perWorker)
+	}
+}
+
+// BenchmarkCampaignStatsLand is the ledger's cost per landed record with
+// every benchmark goroutine landing at once — the contended worst case; a
+// campaign lands one record per experiment, tens of milliseconds apart.
+func BenchmarkCampaignStatsLand(b *testing.B) {
+	s := NewCampaignStats("resnet", 1<<20, 8)
+	e := entry(outcome.Benign, Counts{IterationsSkipped: 12, IterationsExecuted: 18, DetectorChecks: 18, Forked: 1, WarmRestores: 1, Evaluations: 1})
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			s.Land(0, e)
+		}
+	})
+}
+
+// snapshotKeys is the key set /status and expvar serve, which operators'
+// scrapers read: the Counts that Snapshot embeds may reorder keys but must
+// drop, rename or add none.
+var snapshotKeys = []string{
+	"cold_restores", "comm_retries", "dedup_adopted", "degraded_iters", "detector_checks",
+	"done", "early_exits", "elapsed_sec", "eta_sec", "experiments", "experiments_per_sec",
+	"golden_by_construction", "iters_executed", "iters_skipped", "iters_synthesized",
+	"jit_snapshots", "journal_appends", "journal_flushes", "outcomes", "per_worker_done",
+	"per_worker_per_sec", "quarantines", "readmits", "rejoins", "resizes", "resumed",
+	"snapshot_fork_rate", "warm_restores", "workload",
+}
+
+// TestSnapshotJSONKeys pins the key set of /status and of the expvar
+// "campaign" variable to snapshotKeys.
+func TestSnapshotJSONKeys(t *testing.T) {
+	s := NewCampaignStats("resnet", 10, 2)
+	s.Land(0, entry(outcome.Benign, Counts{IterationsExecuted: 3, ColdRestores: 1}))
+	Activate(s)
+	status, err := json.Marshal(s.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"/status": status, "expvar": []byte(expvar.Get("campaign").String())} {
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(body, &keys); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := slices.Sorted(maps.Keys(keys))
+		if !slices.Equal(got, snapshotKeys) {
+			t.Errorf("%s keys %v, want %v", name, got, snapshotKeys)
+		}
+	}
+}
+
 // TestServeStatus boots the HTTP endpoint on an ephemeral port and checks
 // that /status serves the active campaign's live outcome tallies.
 func TestServeStatus(t *testing.T) {
 	s := NewCampaignStats("transformer", 50, 2)
-	s.Land(0, Counts{Outcome: outcome.ImmediateINFNaN, Executed: 3, Checks: 3, ColdRestore: true})
-	s.Land(1, Counts{Outcome: outcome.Benign, WarmRestore: true})
-	s.Land(1, Counts{Outcome: outcome.Benign, WarmRestore: true})
+	s.Land(0, entry(outcome.ImmediateINFNaN, Counts{IterationsExecuted: 3, DetectorChecks: 3, ColdRestores: 1}))
+	s.Land(1, entry(outcome.Benign, Counts{WarmRestores: 1}))
+	s.Land(1, entry(outcome.Benign, Counts{WarmRestores: 1}))
 	Activate(s)
 
 	srv, err := Serve("127.0.0.1:0")
