@@ -109,6 +109,37 @@ func BenchmarkCampaignDedupEarlyExit(b *testing.B) {
 	b.ReportMetric(float64(c.IterationsSynthesized), "synth-iters")
 }
 
+// BenchmarkPrepareGolden times the fault-free reference run every campaign
+// starts with: resnet FF, and transformer with device faults (whose golden
+// run also records the cross-replica check's verdicts), each at one and two
+// workers. The golden run steps its devices on min(Workers, GOMAXPROCS,
+// Devices) lanes, so at -cpu 1 both worker counts run one lane; the Golden
+// is the same bits at every count (TestPrepareGoldenLaneInvariant in
+// internal/experiment).
+//
+//	go test -run '^$' -bench PrepareGolden .
+func BenchmarkPrepareGolden(b *testing.B) {
+	for _, leg := range []struct {
+		model        string
+		deviceFaults bool
+	}{{"resnet", false}, {"transformer", true}} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", leg.model, workers), func(b *testing.B) {
+				w, err := workloads.ByName(leg.model)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := experiment.Config{Workload: w, Experiments: 64, Seed: 11, Workers: workers,
+					HorizonMult: 1.5, DeviceFaults: leg.deviceFaults}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = experiment.PrepareGolden(cfg)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkCampaignInertShare regenerates EXPERIMENTS.md's "Golden by
 // construction" share tables: for each pinned population of the repository
 // benchmark's ff-resnet and devfault-transformer-jit workloads (the campaign

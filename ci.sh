@@ -85,7 +85,7 @@ if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN
 	exit 1
 fi
 
-echo "== go test -race (the kernels and the trainer: assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure, TestHeldTestPointMatchesInPlace and TestBuildReplicasIgnoresConcurrentConstructors, a layer built on another goroutine mid-build, run here) =="
+echo "== go test -race (the kernels and the trainer: assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure, TestHeldTestPointMatchesInPlace, TestBuildReplicasIgnoresConcurrentConstructors, a layer built on another goroutine mid-build, and TestLanesMatchOneLane, devices stepped on 2, 3 and 8 lanes equal to one lane iteration by iteration, with TestScrubWorkspacesPoisonsEveryLane, run here) =="
 go test -race ./internal/tensor ./internal/nn ./internal/train
 
 echo "== recovery strategies under -race (two guards on two engines at once equal to one alone under every strategy, JIT restore and elastic resize included) =="
@@ -94,7 +94,7 @@ go test -race ./internal/comm ./internal/recovery
 echo "== mitigation reads under -race (the detector's kept statistics and ABFT's im2col-row checksums equal their _test.go sweep oracles, alarm for alarm) =="
 go test -race ./internal/detect ./internal/baseline
 
-echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table, TestGoldenByConstructionIsReported: the live ledger's Counts equal the campaign's by one struct comparison for an FF dedup+early-exit campaign and a device-fault campaign unmitigated and under each recovery strategy, fresh and resumed from a complete journal, and TestSnapshotConsistentUnderLand: no /status snapshot taken while eight workers land is torn; byte for byte) =="
+echo "== campaign equivalence under -race (forked+pooled == cold, resume == uninterrupted, deferred test evaluation == TestDeferredEvalRecordsExact's evaluate-in-place oracle, TestCampaignEvaluationsAtMostOnePerExperiment, golden by construction == TestGoldenByConstructionExact's executed oracle with TestGoldenByConstructionMustExecute's negative table, TestGoldenByConstructionIsReported: the live ledger's Counts equal the campaign's by one struct comparison for an FF dedup+early-exit campaign and a device-fault campaign unmitigated and under each recovery strategy, fresh and resumed from a complete journal, TestSnapshotConsistentUnderLand: no /status snapshot taken while eight workers land is torn, and TestPrepareGoldenLaneInvariant: the Golden prepared on 1, 2 and 8 lanes is one Golden and no lane goroutine outlives PrepareGolden; byte for byte) =="
 # `go test -race ./internal/experiment` takes 94–105 s on this 2-CPU shared
 # box (99–101 s at the parent of the PR that removed the execution twins,
 # same session, alternating), well inside go test's default 10-minute
@@ -131,8 +131,10 @@ cmp "$tmp/ref.json" "$tmp/purego.json"
 
 echo "== sequence path: a transformer FF campaign and a device-fault campaign under each recovery strategy, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
 # The sequence layers keep state from Forward to Backward in reused buffers,
-# and every device of an engine steps over replica 0's; a stale read shows
-# as a scrubbed run that differs from the plain one. The
+# and every device a lane steps goes over that lane's one scratch set
+# (campaign engines run one lane, replica 0's; the golden run one per
+# worker); a stale read shows as a scrubbed run that differs from the plain
+# one. The
 # deferred test evaluation writes a held boundary into a pooled engine's root
 # replica after every experiment, so each strategy's campaign is here too
 # (reexec and degraded roll back across TestEvery boundaries).
@@ -248,6 +250,7 @@ cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
 go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkCampaignStatsLand$' -benchtime 1x ./internal/telemetry
+go test -run '^$' -bench 'BenchmarkPrepareGolden$' -benchtime 1x .
 
 echo "== bench/ module (its own go.mod, so ./... above never compiles it; an API removal it depends on fails here) =="
 (cd bench && go vet ./... && go test ./...)

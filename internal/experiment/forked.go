@@ -24,6 +24,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/accel"
@@ -155,6 +156,12 @@ func prepareGolden(cfg Config, groupCheck *detect.GroupCheck) *Golden {
 	g := &Golden{w: w, key: key, horizon: key.Horizon, maxInjectIter: key.MaxInjectIter}
 
 	refEngine := w.NewEngine(rng.Seed{State: uint64(cfg.Seed), Stream: 77})
+	// The campaign's workers have nothing to run until the Golden exists,
+	// so the golden run steps its devices on as many lanes as there are
+	// workers, processors and devices; the result is the same bits on any
+	// number. The lanes stop before the Golden is returned.
+	refEngine.SetLanes(min(cfg.WorkerCount(), runtime.GOMAXPROCS(0), w.Devices))
+	defer refEngine.SetLanes(1)
 	// Signature collection rides the collective's accumulation loop and
 	// changes no value (TestSignatureCollectionIsNeutral).
 	refEngine.Group().SetCollectSigs(cfg.DeviceFaults)

@@ -92,6 +92,14 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gradIn
 }
 
+// BackwardParams accumulates Backward's kernel and bias gradients and forms
+// no input gradient (see Sequential.BackwardParams).
+func (c *Conv2D) BackwardParams(gradOut *tensor.Tensor) {
+	checkGradRank(c.name, gradOut, 4)
+	c.K.Grad.AddInPlace(tensor.Conv2DWeightGradWS(c.ws, c.lastX, c.K.Value, gradOut, c.lastCols, c.Par, c.Mixed))
+	tensor.SumPerChannelNCHW(gradOut, c.B.Grad)
+}
+
 // MaxPool2D is a max pooling layer over NCHW input.
 type MaxPool2D struct {
 	Size, Stride int

@@ -75,6 +75,14 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return dX
 }
 
+// BackwardParams accumulates Backward's weight and bias gradients and forms
+// no input gradient (see Sequential.BackwardParams).
+func (d *Dense) BackwardParams(gradOut *tensor.Tensor) {
+	checkGradRank(d.name, gradOut, 2)
+	d.W.Grad.AddInPlace(tensor.MatMulTAInto(d.ws.Get("dw", d.W.Value.Shape[0], d.W.Value.Shape[1]), d.lastX, gradOut, d.Mixed))
+	tensor.SumPerChannelNCHW(gradOut, d.B.Grad)
+}
+
 // Flatten reshapes any input [B, ...] to [B, F]. It has no parameters.
 type Flatten struct {
 	lastShape []int

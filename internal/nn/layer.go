@@ -74,9 +74,10 @@ type Sequential struct {
 	// after construction, and Param structs are stable pointers, so the
 	// list is computed once; callers must not mutate the returned slice.
 	params []*Param
-	// bns lists every BatchNorm, nested ones included, in traversal order;
-	// built once by NewSequential.
-	bns []*BatchNorm
+	// bns lists every BatchNorm, nested ones included, in traversal order,
+	// and holders every WorkspaceHolder; both built once by NewSequential.
+	bns     []*BatchNorm
+	holders []WorkspaceHolder
 }
 
 // NamedLayer pairs a layer with its position-stable name.
@@ -93,6 +94,9 @@ func NewSequential(layers ...Layer) *Sequential {
 	s.VisitLayers(func(l Layer) {
 		if bn, ok := l.(*BatchNorm); ok {
 			s.bns = append(s.bns, bn)
+		}
+		if wh, ok := l.(WorkspaceHolder); ok {
+			s.holders = append(s.holders, wh)
 		}
 	})
 	return s
@@ -154,7 +158,38 @@ func (s *Sequential) Forward(ctx *Context, x *tensor.Tensor, hook ForwardHook) *
 // nil. It returns the gradient with respect to the model input (rarely
 // needed, but useful in tests).
 func (s *Sequential) Backward(grad *tensor.Tensor, hook BackwardHook) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+	return s.backward(grad, hook, 0)
+}
+
+// paramGrader is implemented by layers that can accumulate their parameter
+// gradients without forming their input gradient (Conv2D, Dense, SeqDense):
+// the accumulation is Backward's, bit for bit, and the layer's returned
+// gradient is simply never computed.
+type paramGrader interface {
+	BackwardParams(gradOut *tensor.Tensor)
+}
+
+// BackwardParams is Backward for a caller that discards the gradient with
+// respect to the model input (the training engine): with no hook, a first
+// layer that is a paramGrader accumulates only its parameter gradients, so
+// the input gradient nothing reads is never formed. With a hook, which may
+// read or replace the first layer's input gradient, it is Backward. Every
+// parameter gradient is Backward's bit for bit.
+func (s *Sequential) BackwardParams(grad *tensor.Tensor, hook BackwardHook) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	if first, ok := s.Layers[0].Layer.(paramGrader); ok && hook == nil {
+		first.BackwardParams(s.backward(grad, nil, 1))
+		return
+	}
+	s.backward(grad, hook, 0)
+}
+
+// backward runs layers len-1 down to stop and returns the gradient with
+// respect to layer stop's input.
+func (s *Sequential) backward(grad *tensor.Tensor, hook BackwardHook, stop int) *tensor.Tensor {
+	for i := len(s.Layers) - 1; i >= stop; i-- {
 		grad = s.Layers[i].Layer.Backward(grad)
 		if hook != nil {
 			if replaced := hook(i, grad); replaced != nil {
@@ -206,53 +241,53 @@ type WorkspaceHolder interface {
 }
 
 // BuildReplicas calls build n times and binds the n models to one scratch
-// set: one pass over each later model's WorkspaceHolders, in VisitLayers
-// order, points them at the first model's. Each model keeps its own
+// set: each later model's WorkspaceHolders, in VisitLayers order, are
+// pointed at the first model's workspaces. Each model keeps its own
 // parameters, gradients, normalization statistics and the fields a layer
 // carries from its forward to its backward; only kernel scratch is shared.
-// That is sound for a caller that never overlaps two models' passes and
-// reads no layer's scratch after its pass (train.Engine steps its devices
-// one at a time). build must construct the same layers every call; a model
-// with a different number of workspaces than the first panics.
+// That is sound for a caller that never overlaps two models' passes on one
+// scratch set and reads no layer's scratch after its pass (train.Engine
+// binds a replica to a lane's set before stepping it, and a lane steps one
+// device at a time; see BindWorkspaces). build must construct the same
+// layers every call; a model with a different number of workspaces than the
+// first panics.
 func BuildReplicas(n int, build func() *Sequential) []*Sequential {
 	models := make([]*Sequential, n)
-	var first []WorkspaceHolder
+	var first []*tensor.Workspace
 	for i := range models {
 		models[i] = build()
-		holders := workspaceHolders(models[i])
 		if i == 0 {
-			first = holders
+			first = models[0].Workspaces()
 			continue
 		}
-		if len(holders) != len(first) {
-			panic(fmt.Sprintf("nn: replica %d has %d workspaces, the first %d", i, len(holders), len(first)))
+		if len(models[i].holders) != len(first) {
+			panic(fmt.Sprintf("nn: replica %d has %d workspaces, the first %d", i, len(models[i].holders), len(first)))
 		}
-		for j, h := range holders {
-			h.SetWorkspace(first[j].Workspace())
-		}
+		models[i].BindWorkspaces(first)
 	}
 	return models
 }
 
-// workspaceHolders lists the model's WorkspaceHolders in VisitLayers order.
-func workspaceHolders(s *Sequential) []WorkspaceHolder {
-	var hs []WorkspaceHolder
-	s.VisitLayers(func(l Layer) {
-		if wh, ok := l.(WorkspaceHolder); ok {
-			hs = append(hs, wh)
-		}
-	})
-	return hs
+// Workspaces returns the workspaces the model's WorkspaceHolders hold now,
+// in VisitLayers order: a scratch set BindWorkspaces can bind another
+// replica of the same model to.
+func (s *Sequential) Workspaces() []*tensor.Workspace {
+	ws := make([]*tensor.Workspace, len(s.holders))
+	for i, h := range s.holders {
+		ws[i] = h.Workspace()
+	}
+	return ws
 }
 
-// ScrubWorkspaces poisons the cached scratch buffers of every layer in the
-// model (including nested ones) with NaNs. Scratch contents are undefined
-// between kernel calls, so scrubbing must never change results; it exists
-// to prove that invariant — a stale-read bug surfaces as a loud NaN instead
-// of a silent wrong number. See tensor.Workspace.Reset.
-func (s *Sequential) ScrubWorkspaces() {
-	for _, wh := range workspaceHolders(s) {
-		wh.Workspace().Reset()
+// BindWorkspaces points the model's WorkspaceHolders, in VisitLayers order,
+// at set, which must come from Workspaces of a model built the same way. It
+// allocates nothing, so a caller may rebind a model before every pass.
+func (s *Sequential) BindWorkspaces(set []*tensor.Workspace) {
+	if len(set) != len(s.holders) {
+		panic(fmt.Sprintf("nn: binding %d workspaces to a model with %d", len(set), len(s.holders)))
+	}
+	for i, h := range s.holders {
+		h.SetWorkspace(set[i])
 	}
 }
 

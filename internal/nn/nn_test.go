@@ -494,3 +494,76 @@ func TestBuildReplicasIgnoresConcurrentConstructors(t *testing.T) {
 		owner[l.Workspace()] = fmt.Sprintf("the layer built during replica %d's build", i+1)
 	}
 }
+
+// TestBackwardParamsMatchesBackward: the engine's backward entry gives every
+// parameter gradient Backward gives, bit for bit, with a first layer that
+// skips its input gradient (Conv2D, Dense, SeqDense, mixed precision
+// included) and with one that cannot (ReLU first); and with a hook armed it
+// is Backward, the hook seeing the first layer's input gradient.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	models := []struct {
+		name  string
+		build func(r *rng.Rand) *Sequential
+		input []int
+	}{
+		{"conv", func(r *rng.Rand) *Sequential {
+			return NewSequential(NewConv2D("c1", 2, 4, 3, 3, 1, 1, r, false), NewReLU(),
+				NewConv2D("c2", 4, 3, 3, 3, 1, 1, r, false), NewFlatten(), NewDense("d", 3*5*5, 4, r, false))
+		}, []int{2, 2, 5, 5}},
+		{"conv mixed", func(r *rng.Rand) *Sequential {
+			return NewSequential(NewConv2D("c1", 2, 4, 3, 3, 1, 1, r, true), NewFlatten(), NewDense("d", 4*5*5, 3, r, true))
+		}, []int{3, 2, 5, 5}},
+		{"dense", func(r *rng.Rand) *Sequential {
+			return NewSequential(NewDense("d1", 6, 5, r, false), NewReLU(), NewDense("d2", 5, 3, r, false))
+		}, []int{4, 6}},
+		{"seqdense", func(r *rng.Rand) *Sequential {
+			return NewSequential(NewSeqDense("embed", 6, 12, r, false), NewSeqMean(), NewDense("head", 12, 3, r, false))
+		}, []int{2, 8, 6}},
+		{"relu first", func(r *rng.Rand) *Sequential {
+			return NewSequential(NewReLU(), NewDense("d1", 6, 3, r, false))
+		}, []int{4, 6}},
+	}
+	for _, m := range models {
+		for _, hooked := range []bool{false, true} {
+			x := tensor.New(m.input...)
+			x.FillNormal(rng.NewFromInt(3), 0, 1)
+			full, params := m.build(rng.NewFromInt(7)), m.build(rng.NewFromInt(7))
+			var hookSaw [2]*tensor.Tensor
+			hookFor := func(k int) BackwardHook {
+				if !hooked {
+					return nil
+				}
+				return func(i int, g *tensor.Tensor) *tensor.Tensor {
+					if i == 0 {
+						hookSaw[k] = g.Clone()
+					}
+					return nil
+				}
+			}
+			for step := 0; step < 2; step++ { // the second accumulates onto the first
+				outF := full.Forward(&Context{Training: true}, x, nil)
+				outP := params.Forward(&Context{Training: true}, x, nil)
+				full.Backward(outF.Clone(), hookFor(0))
+				params.BackwardParams(outP.Clone(), hookFor(1))
+			}
+			pf, pp := full.Params(), params.Params()
+			for i := range pf {
+				for j, v := range pf[i].Grad.Data {
+					if math.Float32bits(v) != math.Float32bits(pp[i].Grad.Data[j]) {
+						t.Fatalf("%s hooked=%v: %s gradient element %d is %v, Backward's %v", m.name, hooked, pf[i].Name, j, pp[i].Grad.Data[j], v)
+					}
+				}
+			}
+			if hooked {
+				if hookSaw[0] == nil || hookSaw[1] == nil {
+					t.Fatalf("%s: the hook saw no input gradient at layer 0", m.name)
+				}
+				for j, v := range hookSaw[0].Data {
+					if math.Float32bits(v) != math.Float32bits(hookSaw[1].Data[j]) {
+						t.Fatalf("%s: the hook's input gradient differs at %d", m.name, j)
+					}
+				}
+			}
+		}
+	}
+}

@@ -60,6 +60,12 @@ func (s *SeqDense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return viewAs(&s.dv, g.Data, b, l, s.lastShape[2])
 }
 
+// BackwardParams accumulates Backward's weight and bias gradients and forms
+// no input gradient (see Sequential.BackwardParams).
+func (s *SeqDense) BackwardParams(gradOut *tensor.Tensor) {
+	s.inner.BackwardParams(viewAs(&s.gv, gradOut.Data, s.lastShape[0]*s.lastShape[1], gradOut.Shape[2]))
+}
+
 // SeqMean averages a [B, L, D] sequence over positions, producing [B, D].
 type SeqMean struct {
 	lastShape []int

@@ -34,15 +34,27 @@ func AddBiasNCHW(t, bias *Tensor) {
 // reduction of Conv2D and Dense backward passes. Accumulation order is
 // batch-major then spatial. A row's sum is one chain of dependent additions, so
 // the rows of four channels are summed side by side, each from its own +0 in
-// its own order, and the channels left over one at a time.
+// its own order, and the channels left over one at a time. A rank-2 tensor
+// ([rows, features], spatial 1) has one-element rows: each element's sum is
+// +0 + x, added to its channel in one walk along the row.
 func SumPerChannelNCHW(t, into *Tensor) {
 	n, c, spatial := channelDims("SumPerChannelNCHW", t)
 	if into.Len() != c {
 		panic(fmt.Sprintf("tensor: SumPerChannelNCHW destination has %d elements for %d channels", into.Len(), c))
 	}
+	if spatial == 1 {
+		sumRows(t.Data[:n*c], into.Data[:c], n)
+		return
+	}
+	sumPlanes(t.Data, into.Data[:c], n, spatial)
+}
+
+// sumPlanes is SumPerChannelNCHW over n batches of len(acc) planes of spatial
+// elements each.
+func sumPlanes(data, acc []float32, n, spatial int) {
+	c := len(acc)
 	for b := 0; b < n; b++ {
-		rows := t.Data[b*c*spatial : (b+1)*c*spatial]
-		acc := into.Data[:c]
+		rows := data[b*c*spatial : (b+1)*c*spatial]
 		ch := 0
 		for ; ch+4 <= c; ch += 4 {
 			r := rows[ch*spatial : (ch+4)*spatial]
@@ -65,6 +77,21 @@ func SumPerChannelNCHW(t, into *Tensor) {
 			for _, v := range rows[ch*spatial : (ch+1)*spatial] {
 				sum += v
 			}
+			acc[ch] += sum
+		}
+	}
+}
+
+// sumRows is SumPerChannelNCHW at spatial 1: acc[c] += +0 + row[c] for each
+// of data's n rows in order. The +0 is the plane loop's starting sum, kept so
+// that a −0 element adds as +0 there and here alike.
+func sumRows(data, acc []float32, n int) {
+	c := len(acc)
+	for b := 0; b < n; b++ {
+		row := data[b*c : (b+1)*c]
+		for ch, v := range row {
+			var sum float32
+			sum += v
 			acc[ch] += sum
 		}
 	}

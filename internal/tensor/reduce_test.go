@@ -314,3 +314,57 @@ func FuzzReduceOracle(f *testing.F) {
 		sameBits(t, "AddInPlaceAbsMax sum", x, want, false)
 	})
 }
+
+// TestSumRowsMatchesPlaneLoop: the rank-2 bias-gradient loop against the
+// plane loop it replaced at spatial 1, bit for bit — −0 elements over a −0
+// accumulator (each adds as the +0 its own sum starts from), ±Inf, NaN
+// payloads (quiet, signalling, negative) that must come out with their exact
+// bits where one meets a number, and accumulators that start non-zero. Where
+// two NaNs meet, which payload survives is the register allocator's choice in
+// either loop, so there only NaN-ness is held.
+func TestSumRowsMatchesPlaneLoop(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := func(bits uint32) float32 { return math.Float32frombits(bits) }
+	specials := []float32{negZero, 0, float32(math.Inf(1)), float32(math.Inf(-1)),
+		nan(0x7fc00001), nan(0xffc12345), nan(0x7f800001), 1e30, -1e-30}
+	starts := []float32{negZero, 0, 1.5, -3, 1e30, float32(math.Inf(-1))}
+	r := rng.NewFromInt(41)
+	for _, c := range []int{1, 3, 4, 5, 12, 17} {
+		for _, n := range []int{1, 2, 5} {
+			for trial := 0; trial < 8; trial++ {
+				data := make([]float32, n*c)
+				for i := range data {
+					data[i] = float32(r.NormFloat64())
+				}
+				// One special per channel at most, so exactly one NaN can
+				// meet a channel's accumulator unless twoNaNs puts a second.
+				twoNaNs := trial == 7
+				for ch := 0; ch < c; ch++ {
+					if r.Intn(2) == 0 {
+						data[r.Intn(n)*c+ch] = specials[r.Intn(len(specials))]
+					}
+				}
+				if twoNaNs && n > 1 {
+					data[0], data[c] = nan(0x7fc00002), nan(0xffc00003)
+				}
+				got, want := make([]float32, c), make([]float32, c)
+				for ch := range got {
+					got[ch] = starts[(ch+trial)%len(starts)]
+				}
+				if trial == 6 { // all −0: a loop that adds x, not +0 + x, keeps −0
+					for i := range data {
+						data[i] = negZero
+					}
+					for ch := range got {
+						got[ch] = negZero
+					}
+				}
+				copy(want, got)
+				sumRows(data, got, n)
+				sumPlanes(data, want, n, 1)
+				name := fmt.Sprintf("n=%d c=%d trial=%d", n, c, trial)
+				sameBits(t, name, got, want, !twoNaNs)
+			}
+		}
+	}
+}

@@ -667,6 +667,28 @@ func Conv2DBackward(in, kernel, gradOut *Tensor, p ConvParams, mixed bool) (grad
 // materialized. Returned tensors are workspace-owned: valid until the next
 // same-key Get, which for the layers means until the next backward call.
 func Conv2DBackwardWS(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvParams, mixed bool) (gradIn, gradKernel *Tensor) {
+	g2d, gradKernel := conv2DWeightGrad(ws, in, kernel, gradOut, cols, p, mixed)
+	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	k := kernel.Shape[0]
+
+	// gradCols = W2dᵀ × g2d  → [C*KH*KW, N*OH*OW]; fold back to input shape.
+	w2d := ws.reshaped(kernel, k, c*p.KH*p.KW)
+	gcols := MatMulTAInto(ws.Get("conv.gcols", c*p.KH*p.KW, g2d.Shape[1]), w2d, g2d, mixed)
+	gradIn = col2im(ws, ws.Get("conv.gin", n, c, h, w), gcols, p)
+	return gradIn, gradKernel
+}
+
+// Conv2DWeightGradWS is Conv2DBackwardWS without the input gradient: the
+// same kernel gradient, bit for bit, for a caller that would discard the
+// input gradient (the first layer of a model).
+func Conv2DWeightGradWS(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvParams, mixed bool) *Tensor {
+	_, gradKernel := conv2DWeightGrad(ws, in, kernel, gradOut, cols, p, mixed)
+	return gradKernel
+}
+
+// conv2DWeightGrad checks the backward's operands and returns the output
+// gradient rearranged to [K, N*OH*OW] with the kernel gradient.
+func conv2DWeightGrad(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvParams, mixed bool) (g2d, gradKernel *Tensor) {
 	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	k := kernel.Shape[0]
 	oh, ow := p.OutSize(h, w)
@@ -680,7 +702,7 @@ func Conv2DBackwardWS(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvPa
 
 	// Rearrange gradOut [N,K,OH,OW] to [K, N*OH*OW]: the forward's
 	// rearrangement with the two sides exchanged.
-	g2d := ws.Get("conv.g2d", k, n*spatial)
+	g2d = ws.Get("conv.g2d", k, n*spatial)
 	moveBlocks(g2d.Data, gradOut.Data, &blockShape{
 		n: k, rows: n, cols: spatial,
 		dstBlock: n * spatial, srcBlock: spatial, dstStride: spatial, srcStride: k * spatial,
@@ -693,12 +715,7 @@ func Conv2DBackwardWS(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvPa
 	// gradKernel = g2d × colsᵀ  → [K, C*KH*KW], shaped directly as the
 	// 4-D kernel gradient (the Into kernels only require matching size).
 	gradKernel = MatMulTBInto(ws.Get("conv.gk", k, c, p.KH, p.KW), g2d, cols, mixed)
-
-	// gradCols = W2dᵀ × g2d  → [C*KH*KW, N*OH*OW]; fold back to input shape.
-	w2d := ws.reshaped(kernel, k, c*p.KH*p.KW)
-	gcols := MatMulTAInto(ws.Get("conv.gcols", c*p.KH*p.KW, n*spatial), w2d, g2d, mixed)
-	gradIn = col2im(ws, ws.Get("conv.gin", n, c, h, w), gcols, p)
-	return gradIn, gradKernel
+	return g2d, gradKernel
 }
 
 // ArgMaxRows returns, for a 2-D tensor [rows, cols], the column index of the

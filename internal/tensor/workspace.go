@@ -29,9 +29,11 @@ import (
 //     overwrite every element (the Into kernels do). GetZeroed clears the
 //     buffer first for accumulation uses.
 //   - A Workspace is not safe for concurrent use. The replicas of one
-//     engine share their layers' workspaces (train.New) and are stepped one
-//     at a time, each device's forward and backward finishing before the
-//     next device starts, so nothing reads a buffer another device wrote.
+//     engine share their layers' workspaces per lane (train.New,
+//     train.Engine.SetLanes): a lane binds a replica to its own set before
+//     stepping it and steps one device at a time, each device's forward and
+//     backward finishing before the lane's next device starts, so nothing
+//     reads a buffer another device wrote.
 //   - A nil *Workspace is valid and simply allocates fresh tensors,
 //     preserving the original allocation behaviour.
 type Workspace struct {

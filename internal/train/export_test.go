@@ -1,0 +1,12 @@
+package train
+
+import "repro/internal/tensor"
+
+// LaneWorkspaces returns every lane's workspace set, lane 0's first.
+func (e *Engine) LaneWorkspaces() [][]*tensor.Workspace {
+	sets := make([][]*tensor.Workspace, len(e.lanes))
+	for i, l := range e.lanes {
+		sets[i] = l.ws
+	}
+	return sets
+}

@@ -60,12 +60,19 @@ type Engine struct {
 	loader   *data.Loader
 	testSet  *data.Dataset
 	testAll  data.Batch // testSet.All(), gathered on the first Evaluate
-	// loss owns the buffers of the loss results, and step is what a device's
-	// forward/backward needs afresh and nothing reads afterwards, kept so
-	// the step allocates none of it. The devices step one at a time, so one
-	// of each serves them all, like the layers' scratch (see New).
-	loss nn.SoftmaxCrossEntropy
-	step deviceScratch
+
+	// lanes step the healthy devices of an iteration (lanes.go, SetLanes):
+	// one by default, on the goroutine calling RunIteration. A lane steps
+	// one device at a time, each device's forward and backward finishing
+	// before its next device starts, so one step scratch, loss scratch and
+	// workspace set per lane serve every device it steps. bound[d] is the
+	// lane whose workspace set replica d's layers hold; work is the job
+	// RunIteration hands the lanes, and fixedLo / fixedN the fixed
+	// partition's shards, indexed by device.
+	lanes           []*lane
+	bound           []int
+	work            laneWork
+	fixedLo, fixedN []int
 
 	injections   []*fault.Injection
 	injFired     []bool
@@ -75,8 +82,9 @@ type Engine struct {
 	// device during training forward passes (after any injection). It is
 	// the attachment point for activation-monitoring baselines such as
 	// range restriction (Sec 6). It is called on the goroutine running
-	// RunIteration, one device after another; out is layer scratch, valid
-	// only during the call.
+	// RunIteration, one device after another in ascending order: an
+	// iteration with a monitor set runs on lane 0 alone, whatever SetLanes
+	// asked. out is layer scratch, valid only during the call.
 	ForwardMonitor func(device, layer int, out *tensor.Tensor)
 
 	// lastNonFinite is where the latest iteration first saw an INF/NaN.
@@ -111,21 +119,32 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 	if cfg.Devices < 1 {
 		panic("train: need at least one device")
 	}
+	if cfg.Devices > maxLaneCount {
+		panic(fmt.Sprintf("train: %d devices, at most %d", cfg.Devices, maxLaneCount))
+	}
 	if loader.BatchSize() != cfg.Devices*cfg.PerDeviceBatch {
 		panic(fmt.Sprintf("train: loader batch %d != devices %d × per-device %d",
 			loader.BatchSize(), cfg.Devices, cfg.PerDeviceBatch))
 	}
 	e := &Engine{cfg: cfg, opt: optimizer, loader: loader, testSet: testSet}
-	// The replicas share one scratch set — replica 0's layer workspaces —
-	// because the devices step one at a time: a device's forward and
-	// backward finish before the next device starts, and nothing reads a
-	// layer's scratch after its device step. Each replica keeps its own
-	// parameters, gradients, normalization statistics and forward-to-backward
-	// layer fields.
+	// The replicas start bound to one scratch set — replica 0's layer
+	// workspaces, lane 0's — because a lane steps one device at a time: a
+	// device's forward and backward finish before the lane's next device
+	// starts, and nothing reads a layer's scratch after its device step.
+	// Each replica keeps its own parameters, gradients, normalization
+	// statistics and forward-to-backward layer fields.
 	e.replicas = nn.BuildReplicas(cfg.Devices, func() *nn.Sequential {
 		// Identical init RNG per replica → identical weights.
 		return build(rng.New(cfg.Seed).Split(0xbead))
 	})
+	e.lanes = []*lane{{ws: e.replicas[0].Workspaces()}}
+	e.bound = make([]int, cfg.Devices)
+	e.work.wake.L = &e.work.mu
+	e.work.out = make([]devStats, 0, cfg.Devices)
+	e.fixedLo, e.fixedN = make([]int, cfg.Devices), make([]int, cfg.Devices)
+	for d := range e.fixedLo {
+		e.fixedLo[d], e.fixedN[d] = d*cfg.PerDeviceBatch, cfg.PerDeviceBatch
+	}
 	e.grp = comm.NewGroup(cfg.Devices)
 	e.gradViews = make([][]*tensor.Tensor, 0, cfg.Devices)
 	for d := 0; d < cfg.Devices; d++ {
@@ -240,13 +259,19 @@ func (e *Engine) Reset() {
 	e.lastReduce = comm.ReduceStep{}
 }
 
-// ScrubWorkspaces poisons the engine's cached kernel scratch buffers with
-// NaNs (nn.Sequential.ScrubWorkspaces on replica 0, whose workspaces every
-// replica steps over). Scratch contents are undefined between kernel calls,
-// so scrubbing must never change results; the campaign workspace-scrub
-// invariant (experiment.Config.ScrubWorkspaces) runs it between pooled-engine
+// ScrubWorkspaces poisons the engine's cached kernel scratch buffers — every
+// lane's workspace set, which is every workspace a replica steps over — with
+// NaNs. Scratch contents are undefined between kernel calls, so scrubbing
+// must never change results; the campaign workspace-scrub invariant
+// (experiment.Config.ScrubWorkspaces) runs it between pooled-engine
 // experiments to prove exactly that.
-func (e *Engine) ScrubWorkspaces() { e.replicas[0].ScrubWorkspaces() }
+func (e *Engine) ScrubWorkspaces() {
+	for _, l := range e.lanes {
+		for _, ws := range l.ws {
+			ws.Reset()
+		}
+	}
+}
 
 // SetElastic selects elastic batch re-partitioning (off by default): when
 // enabled and part of the group is quarantined, RunIteration re-partitions
@@ -267,11 +292,11 @@ type deviceScratch struct {
 	x    tensor.Tensor
 }
 
-// ctxRand repositions device's generator at the deterministic stream for
+// ctxRand repositions lane l's generator at the deterministic stream for
 // (iteration, device) — rng.New(Seed).Split(iter).Split(device+1), bit for
 // bit — and returns it.
-func (e *Engine) ctxRand(iter, device int) *rng.Rand {
-	r := &e.step.rand
+func (e *Engine) ctxRand(l *lane, iter, device int) *rng.Rand {
+	r := &l.step.rand
 	r.Reseed(e.cfg.Seed.Split(uint64(iter)).Split(uint64(device) + 1))
 	return r
 }
@@ -327,28 +352,32 @@ type devStats struct {
 	injectedElems int
 }
 
-// deviceStep runs device d's shard [lo, lo+n) of iteration iter: forward
-// pass (with injection and monitoring hooks), loss, and backward pass,
-// accumulating gradients into the device's replica. The fixed partition
-// passes lo = d·PerDeviceBatch, n = PerDeviceBatch; the elastic partition
-// passes the re-balanced shard. Besides the engine's one step scratch it
+// deviceStep runs device d's shard [lo, lo+n) of iteration iter on lane l:
+// forward pass (with injection and monitoring hooks), loss, and backward
+// pass, accumulating gradients into the device's replica. The fixed
+// partition passes lo = d·PerDeviceBatch, n = PerDeviceBatch; the elastic
+// partition passes the re-balanced shard. Besides lane l's scratch it
 // touches replica d, the (iter, d) RNG stream, and (on the injection device
 // only) the injection bookkeeping.
-func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) devStats {
+func (e *Engine) deviceStep(l *lane, iter, d int, batch data.Batch, exLen, lo, n int) devStats {
 	var ds devStats
 	ds.examples = n
 
 	// Shard the global batch: a view of examples [lo, lo+n) behind the
-	// device's reused header.
-	sc := &e.step
+	// lane's reused header.
+	sc := &l.step
 	x := &sc.x
 	x.Shape = append(append(x.Shape[:0], n), batch.X.Shape[1:]...)
 	x.Data = batch.X.Data[lo*exLen : (lo+n)*exLen]
 	y := batch.Y[lo : lo+n]
 
 	ctx := &sc.ctx
-	*ctx = nn.Context{Training: true, Rand: e.ctxRand(iter, d)}
+	*ctx = nn.Context{Training: true, Rand: e.ctxRand(l, iter, d)}
 	model := e.replicas[d]
+	if e.bound[d] != l.id {
+		model.BindWorkspaces(l.ws)
+		e.bound[d] = l.id
+	}
 
 	var fwdHook nn.ForwardHook
 	var bwdHook nn.BackwardHook
@@ -415,13 +444,15 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 		}
 	}
 	out := model.Forward(ctx, x, fwdHook)
-	res := e.loss.Eval(out, y)
+	res := l.loss.Eval(out, y)
 	ds.loss = res.Loss
 	ds.correct = res.Correct
 	if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
 		ds.nonFiniteAt = fmt.Sprintf("loss@device%d", d)
 	}
-	model.Backward(res.GradLogits, bwdHook)
+	// Nothing reads the gradient with respect to the model input unless a
+	// backward-input injection is armed, so without one it is never formed.
+	model.BackwardParams(res.GradLogits, bwdHook)
 
 	for _, i := range wgtInjs {
 		// Corrupt the layer's primary weight-gradient tensor (the
@@ -436,13 +467,15 @@ func (e *Engine) deviceStep(iter, d int, batch data.Batch, exLen, lo, n int) dev
 	return ds
 }
 
-// RunIteration executes global iteration iter: per-device forward/backward,
-// one device after another in ascending order, gradient averaging through
-// the collective layer (comm.Group.AllReduce, fixed ascending reduction
-// order), one optimizer step on the reduction root, and weight
-// synchronization. Quarantined devices are skipped entirely; if the
-// collective hangs (a device failed and the policy does not exclude) the
-// weights are left untouched and stats.GroupHang is set.
+// RunIteration executes global iteration iter: per-device forward/backward
+// on the engine's lanes (SetLanes; one lane steps the devices one after
+// another in ascending order), their results merged in ascending device
+// order, gradient averaging through the collective layer
+// (comm.Group.AllReduce, fixed ascending reduction order), one optimizer
+// step on the reduction root, and weight synchronization. Quarantined
+// devices are skipped entirely; if the collective hangs (a device failed and
+// the policy does not exclude) the weights are left untouched and
+// stats.GroupHang is set.
 func (e *Engine) RunIteration(iter int) IterStats {
 	stats := IterStats{Iteration: iter}
 	batch := e.loader.Batch(iter)
@@ -461,7 +494,7 @@ func (e *Engine) RunIteration(iter int) IterStats {
 	// run stays deterministic for a fixed failure schedule). At full
 	// strength the fixed partition below is used bit for bit.
 	elasticActive := e.elastic && len(healthy) > 0 && len(healthy) < e.cfg.Devices
-	var eLo, eN []int // per-device elastic shard, indexed by device
+	eLo, eN := e.fixedLo, e.fixedN // per-device shard, indexed by device
 	if elasticActive {
 		k := len(healthy)
 		base, rem := global/k, global%k
@@ -477,12 +510,6 @@ func (e *Engine) RunIteration(iter int) IterStats {
 			lo += n
 		}
 	}
-	shardFor := func(d int) (lo, n int) {
-		if elasticActive {
-			return eLo[d], eN[d]
-		}
-		return d * perDev, perDev
-	}
 
 	// Step the devices and merge their results in ascending device order.
 	// Elastic shards can be unequal, so the elastic merge weights each
@@ -490,9 +517,7 @@ func (e *Engine) RunIteration(iter int) IterStats {
 	// legacy formulas bit for bit.
 	var totalLoss float64
 	var totalCorrect int
-	for _, d := range healthy {
-		lo, n := shardFor(d)
-		r := e.deviceStep(iter, d, batch, exLen, lo, n)
+	for _, r := range e.stepHealthy(iter, batch, exLen, healthy, eLo, eN) {
 		if elasticActive {
 			totalLoss += r.loss * float64(r.examples)
 		} else {
@@ -612,7 +637,8 @@ func (e *Engine) Evaluate(d int) (loss, acc float64) {
 	all := e.testAll
 	n := len(all.Y)
 	exLen := all.X.Len() / n
-	sc := &e.step
+	l := e.lanes[0]
+	sc := &l.step
 	sc.ctx = nn.Context{Training: false}
 	x := &sc.x
 	var total float64
@@ -626,7 +652,7 @@ func (e *Engine) Evaluate(d int) (loss, acc float64) {
 			return math.NaN(), 0
 		}
 		var c int
-		total, c = e.loss.Accumulate(total, out, all.Y[lo:hi])
+		total, c = l.loss.Accumulate(total, out, all.Y[lo:hi])
 		correct += c
 	}
 	return total / float64(n), float64(correct) / float64(n)
