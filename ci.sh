@@ -17,7 +17,9 @@
 # second build, `repro campaign` runs: a graceful SIGINT kill-and-resume
 # smoke, the smoke's reference campaign
 # again from a -tags purego build (assembly and portable kernels must agree
-# on a whole campaign, byte for byte), a transformer FF campaign and one
+# on a whole campaign, byte for byte), `repro paper` from both builds
+# against the checked-in results/ (every table and figure, byte for byte),
+# a transformer FF campaign and one
 # device-fault campaign per recovery strategy from both builds with and
 # without -scrub-workspaces (the stale-read check for the scratch set the
 # replicas share; and again under -early-exit, where each must
@@ -128,6 +130,12 @@ echo "== assembly vs portable on a whole campaign (the reference campaign above 
 go build -tags purego -o "$tmp/repro.purego" ./cmd/repro
 "$tmp/repro.purego" campaign -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/purego.json"
+
+echo "== paper artefacts (repro paper from both builds must equal the checked-in results/ byte for byte) =="
+"$tmp/repro" paper -out "$tmp/paper" >/dev/null
+diff -r results "$tmp/paper"
+"$tmp/repro.purego" paper -out "$tmp/paper-purego" >/dev/null
+diff -r results "$tmp/paper-purego"
 
 echo "== sequence path: a transformer FF campaign and a device-fault campaign under each recovery strategy, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
 # The sequence layers keep state from Forward to Backward in reused buffers,
@@ -248,7 +256,7 @@ done
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Sec53_(DetectionOverhead|RecoveryOverhead)|Sec6_ABFTOverhead|Ablation_(Precision|ScheduleVsNaive)|EngineIteration|Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkCampaignStatsLand$' -benchtime 1x ./internal/telemetry
 go test -run '^$' -bench 'BenchmarkPrepareGolden$' -benchtime 1x .
 

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/dist"
 	"repro/internal/experiment"
-	"repro/internal/outcome"
+	"repro/internal/paper"
 	"repro/internal/record"
 	"repro/internal/recovery"
 	"repro/internal/telemetry"
@@ -38,8 +36,9 @@ func campaignFlags(fs *flag.FlagSet, spec *dist.CampaignSpec) {
 
 // runCampaign is `repro campaign`: it runs a statistical fault-injection
 // campaign (Sec 3.3) and prints the paper's aggregate views — the Fig-3
-// outcome breakdown, the Table-4 necessary-condition ranges, the Sec-4.3.1
-// FF-class contribution, and detection coverage with latency percentiles.
+// outcome breakdown, then package paper's campaign rows: the Table-4
+// necessary-condition ranges, the Sec-4.3.1 FF-class contribution, and
+// detection coverage with latency percentiles.
 //
 // Long campaigns are crash-safe and observable: -journal appends every
 // completed experiment to a write-ahead JSONL log (fsync-batched), an
@@ -224,39 +223,9 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 		c.Report(stdout)
 		fmt.Fprintln(stdout, c.ForkSummary())
 
-		// The Table-4 / Sec-4.3.1 views are properties of FF bit-flip
-		// sampling; a device-fault campaign's per-FF fields are all zero.
-		if !cfg.DeviceFaults {
-			fmt.Fprintln(stdout, "\nTable-4 necessary-condition ranges (observed within 2 iterations of the fault):")
-			ranges := c.ConditionRanges()
-			var outs []outcome.Outcome
-			for o := range ranges {
-				outs = append(outs, o)
-			}
-			sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-			for _, o := range outs {
-				cr := ranges[o]
-				fmt.Fprintf(stdout, "  %-18s |grad history| %-28s |mvar| %s\n", o, cr.Hist.String(), cr.Mvar.String())
-			}
-
-			fmt.Fprintln(stdout, "\nFF-class contribution to unexpected outcomes (Sec 4.3.1):")
-			for _, s := range c.FFContribution() {
-				if s.Unexpected == 0 {
-					continue
-				}
-				fmt.Fprintf(stdout, "  %-20s %4d injections, %3d unexpected\n", s.Kind, s.Total, s.Unexpected)
-			}
-			keyShare := c.UnexpectedShareOfKinds(accel.GlobalG1, accel.GlobalG3, accel.LocalControl)
-			expShare := c.UnexpectedShareOfKinds(accel.DatapathUpperExponent)
-			fmt.Fprintf(stdout, "  groups 1+3 + local control contribute %.1f%% of unexpected outcomes (paper: 55.7–68.5%%)\n", 100*keyShare)
-			fmt.Fprintf(stdout, "  upper exponent datapath bits contribute %.1f%% (paper: 31.9–44.3%%)\n", 100*expShare)
-		}
-
-		detected, total, _ := c.DetectionCoverage()
-		if total > 0 {
-			ls := c.DetectionLatencyStats()
-			fmt.Fprintf(stdout, "\ndetection: %d/%d latent+short-term outcomes flagged; latency p50 %.1f / p95 %.1f / max %d iterations (guarantee: ≤2)\n",
-				detected, total, ls.P50, ls.P95, ls.Max)
+		fmt.Fprintln(stdout)
+		if err := paper.WriteMarkdown(stdout, paper.CampaignViews(c)); err != nil {
+			return fail(stderr, "campaign", err)
 		}
 		fmt.Fprintln(stdout)
 

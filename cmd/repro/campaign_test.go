@@ -224,3 +224,55 @@ func TestDocsNameOnlyCampaignFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestReportDerivesTheCampaignRows: `repro report` reads a `-json` archive
+// into the rows `repro campaign` prints for the same campaign — Table 4,
+// Sec 4.3.1 and detection, row for row. The campaign's latent and
+// short-term outcomes carry overflowed (+Inf) condition values in two
+// outcome classes, which Table 4 ranges per class and clamps to the float32
+// maximum.
+func TestReportDerivesTheCampaignRows(t *testing.T) {
+	archive := filepath.Join(t.TempDir(), "run.json")
+	code, campaign, stderr := runRepro(t, "campaign", "-workload", "resnet_sgd", "-n", "64", "-iters", "20", "-seed", "3", "-json", archive)
+	if code != 0 {
+		t.Fatalf("campaign: exit %d: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"+Inf"`) {
+		t.Fatal("the archive holds no overflowed condition value; the clamp is not exercised")
+	}
+	code, report, stderr := runRepro(t, "report", "-in", archive)
+	if code != 0 {
+		t.Fatalf("report: exit %d: %s", code, stderr)
+	}
+	for _, title := range []string{"Table 4", "Sec 4.3.1", "Detection"} {
+		want, got := table(campaign, title), table(report, title)
+		if want == "" || got != want {
+			t.Errorf("%s rows: report\n%s\ncampaign\n%s", title, got, want)
+		}
+	}
+	if !strings.Contains(table(report, "Table 4"), "| LowTestAccuracy \\|mvar\\| | 3.4e+38-3.4e+38 (n=1) |") {
+		t.Errorf("Table 4 does not range LowTestAccuracy on its own, clamped:\n%s", table(report, "Table 4"))
+	}
+}
+
+// table returns the rows of the Markdown table under the first heading
+// that starts with title.
+func table(out, title string) string {
+	_, rest, ok := strings.Cut(out, "\n## "+title)
+	if !ok {
+		return ""
+	}
+	var rows []string
+	for _, line := range strings.Split(rest, "\n")[1:] {
+		if strings.HasPrefix(line, "|") {
+			rows = append(rows, line)
+		} else if len(rows) > 0 {
+			break
+		}
+	}
+	return strings.Join(rows, "\n")
+}

@@ -24,7 +24,7 @@ import (
 func runFaultsim(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flagSet("faultsim", stderr)
 	var (
-		workload = fs.String("workload", "resnet", "workload name (see repro ffstats -workloads)")
+		workload = fs.String("workload", "resnet", "workload name (the Table 2 rows of repro paper list them)")
 		kind     = fs.String("kind", "g1", "FF kind: datapath, upper-exp, local, g1..g10")
 		layer    = fs.Int("layer", 0, "target layer index")
 		passName = fs.String("pass", "forward", "forward | backward-input | backward-weight")

@@ -1,6 +1,6 @@
 // Command repro is the reproduction's command-line tool: one binary whose
-// subcommands — campaign, faultsim, mitigate, ffstats, outcomesearch and
-// report — are the tasks of the paper's artifact. `repro` alone lists them;
+// subcommands — campaign, faultsim, mitigate, outcomesearch, report and
+// paper — are the tasks of the paper's artifact. `repro` alone lists them;
 // `repro <subcommand> -h` lists a subcommand's flags.
 //
 // Only main touches the process. A subcommand reads its flags from args,
@@ -29,9 +29,9 @@ var commands = []command{
 	{"campaign", "statistical fault-injection campaign: Fig-3 breakdown, Table-4 ranges, journals, device faults, campaignd worker", runCampaign},
 	{"faultsim", "one fault-injection experiment: faulty vs fault-free trace and outcome", runFaultsim},
 	{"mitigate", "detection and re-execution overheads plus an end-to-end recovery demo", runMitigate},
-	{"ffstats", "accelerator FF inventory and structural fault-model validation; -workloads lists the zoo", runFFStats},
 	{"outcomesearch", "sweep a workload's injection space and report every unexpected outcome", runOutcomeSearch},
 	{"report", "render an archived campaign JSON as a Markdown report", runReport},
+	{"paper", "regenerate every table and figure of the paper's evaluation as paper.json and paper.md", runPaper},
 }
 
 func main() {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/record"
-	"repro/internal/workloads"
 )
 
 // runRepro runs the binary in-process with args.
@@ -90,27 +89,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"report"},
 		{"campaign", "-no-such-flag"},
-		{"ffstats", "-validate", "many"},
+		{"paper", "-out"},
 	} {
 		if code, _, stderr := runRepro(t, args...); code != 2 || stderr == "" {
 			t.Errorf("%v: exit %d, stderr %q; want 2 and a message", args, code, stderr)
-		}
-	}
-}
-
-func TestFFStatsListsTheWorkloads(t *testing.T) {
-	code, stdout, _ := runRepro(t, "ffstats", "-workloads")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	lines := strings.Split(strings.TrimSpace(stdout), "\n")
-	zoo := workloads.All()
-	if len(zoo) != 10 || len(lines) != 1+len(zoo) {
-		t.Fatalf("%d workloads in %d lines, want 10 under a header:\n%s", len(zoo), len(lines), stdout)
-	}
-	for i, w := range zoo {
-		if !strings.HasPrefix(lines[1+i], w.Name+" ") {
-			t.Errorf("line %d = %q, want workload %s", 1+i, lines[1+i], w.Name)
 		}
 	}
 }

@@ -90,13 +90,6 @@ func runMitigate(_ context.Context, args []string, stdout, stderr io.Writer) int
 	fmt.Fprintf(stdout, "  re-execution overhead (%d invocations): %.4f%% total, %.4f%% per invocation\n",
 		invocations, overheadPct(base, recov), overheadPct(base, recov)/float64(invocations))
 
-	// --- checkpointing comparison (Sec 5.3: up to 500× cheaper) ---------
-	epoch := *iters / 2
-	lostCheckpoint := float64(epoch) / 2 // average loss: half an epoch
-	lostReexec := 2.0
-	fmt.Fprintf(stdout, "  recovery cost ratio, epoch checkpointing (%d-iter epochs) vs re-execution: %.0f×\n",
-		epoch, lostCheckpoint/lostReexec)
-
 	// --- end-to-end demonstration ---------------------------------------
 	g, _, err := repro.NewGuarded(*workload, *seed)
 	if err != nil {

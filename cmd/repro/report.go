@@ -6,13 +6,17 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/experiment"
+	"repro/internal/paper"
 	"repro/internal/record"
+	"repro/internal/workloads"
 )
 
 // runReport is `repro report`: it renders an archived campaign (the JSON
-// `repro campaign -json` writes) as a Markdown report — outcome breakdown
-// with Wilson confidence intervals, detection statistics,
-// necessary-condition extremes, and the FF-class contribution table.
+// `repro campaign -json` writes) as a Markdown report — the outcome
+// breakdown with Wilson confidence intervals, then the Table-4, Sec-4.3.1
+// and detection rows `repro campaign` prints, derived by the same functions
+// from the archived records.
 //
 //	repro campaign -workload resnet -n 200 -json run.json
 //	repro report -in run.json > report.md
@@ -29,22 +33,53 @@ func runReport(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "report: -in is required")
 		return 2
 	}
-	f, err := os.Open(*in)
+	c, err := readArchive(*in)
 	if err != nil {
 		return fail(stderr, "report", err)
 	}
-	c, err := record.ReadCampaignJSON(f)
-	f.Close()
-	if err != nil {
-		return fail(stderr, "report", err)
+	write := func(w io.Writer) error {
+		fmt.Fprintf(w, "# Fault-injection campaign: %s\n\n- experiments: %d (seed %d)\n- fault-free reference accuracy: %.3f\n\n",
+			c.Cfg.Workload.Name, c.Cfg.Experiments, c.Cfg.Seed, c.RefAcc)
+		views := append([]paper.Artefact{{ID: "outcomes", Title: "Outcomes", Rows: paper.Outcomes(c)}}, paper.CampaignViews(c)...)
+		return paper.WriteMarkdown(w, views)
 	}
 	if *out == "" {
-		err = record.RenderMarkdown(stdout, c)
+		err = write(stdout)
 	} else {
-		err = writeFile(*out, func(w io.Writer) error { return record.RenderMarkdown(w, c) })
+		err = writeFile(*out, write)
 	}
 	if err != nil {
 		return fail(stderr, "report", err)
 	}
 	return 0
+}
+
+// readArchive rebuilds the campaign a `repro campaign -json` archive
+// holds: its records, decoded, and their outcome tally. Traces are not
+// archived, so only the per-record views can be derived from it.
+func readArchive(path string) (*experiment.Campaign, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	j, err := record.ReadCampaignJSON(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	w, err := workloads.ByName(j.Workload)
+	if err != nil {
+		return nil, err
+	}
+	c := &experiment.Campaign{Cfg: experiment.Config{Workload: w, Experiments: j.Experiments, Seed: j.Seed},
+		RefAcc: j.RefAcc, Records: make([]experiment.Record, len(j.Records))}
+	for i, rj := range j.Records {
+		if c.Records[i], err = record.DecodeCampaignRecord(rj); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+		c.Cfg.DeviceFaults = c.Cfg.DeviceFaults || rj.DeviceFault != nil
+		c.Tally.Add(c.Records[i].Outcome)
+	}
+	c.Completed = len(c.Records)
+	return c, nil
 }

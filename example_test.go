@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 
 	"repro"
 	"repro/internal/accel"
 	"repro/internal/fault"
 	"repro/internal/outcome"
+	"repro/internal/paper"
 	"repro/internal/rng"
 	"repro/internal/train"
 )
@@ -73,19 +73,13 @@ func Example_slowdegrade() {
 	// corrupted Adam history freezes a swath of weights before the network
 	// has converged, and accuracy stays low for the rest of the run. The
 	// resnet_nobn workload is used so normalization layers cannot soften
-	// the blow (Observation 3).
-	inj := repro.Injection{
-		Kind:      accel.GlobalG1,
-		LayerIdx:  5, // global-average-pool: its input gradient feeds every conv upstream
-		Pass:      repro.BackwardInput,
-		Iteration: 15,
-		CycleFrac: 0,
-		N:         8,
-		Seed:      rng.Seed{State: 1, Stream: 3},
-	}
+	// the blow (Observation 3). The fault, pinned as Fig 2a's, lands in the
+	// global-average-pool's input gradient, which feeds every conv upstream.
+	slow := paper.Fig2Faults[0]
+	inj := slow.Injection
 	fmt.Println("injecting:", inj.Kind, "into the backward pass at iteration", inj.Iteration)
 
-	faulty, ref, err := repro.SingleInjection("resnet_nobn", inj, 9)
+	faulty, ref, err := repro.SingleInjection(slow.Workload, inj, paper.PinnedSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -215,20 +209,11 @@ func Example_campaign() {
 	c.Report(os.Stdout)
 
 	fmt.Println("\nnecessary-condition values observed within two iterations of the fault:")
-	ranges := c.ConditionRanges()
-	var outs []repro.Outcome
-	for o := range ranges {
-		outs = append(outs, o)
+	for _, r := range paper.Conditions(c) {
+		fmt.Printf("  %-34s %s\n", r.Label, r.Measured)
 	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-	for _, o := range outs {
-		fmt.Printf("  %-18s |gradient history| %-24s |mvar| %s\n", o, ranges[o].Hist.String(), ranges[o].Mvar.String())
-	}
-
-	detected, total, maxLat := c.DetectionCoverage()
-	if total > 0 {
-		fmt.Printf("\nbounds detection flagged %d/%d latent or short-term outcomes (max latency %d iterations)\n",
-			detected, total, maxLat)
+	if rows := paper.Detection(c); rows != nil {
+		fmt.Printf("\nbounds detection flagged %s of the latent or short-term outcomes\n", rows[0].Measured)
 	} else {
 		fmt.Println("\nno latent outcomes in this small sample — rerun with more experiments")
 	}

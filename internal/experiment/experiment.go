@@ -479,30 +479,6 @@ func (c *Campaign) FFContribution() []FFStat {
 	return out
 }
 
-// UnexpectedShareOfKinds returns the fraction of all unexpected outcomes
-// contributed by the given FF kinds — used to reproduce the Sec 4.3.1
-// claims (e.g. groups 1+3 + local control: 55.7%–68.5%).
-func (c *Campaign) UnexpectedShareOfKinds(kinds ...accel.FFKind) float64 {
-	want := map[accel.FFKind]bool{}
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var totalUnexpected, fromKinds int
-	for r := range c.landedRecords() {
-		if !r.Outcome.IsUnexpected() {
-			continue
-		}
-		totalUnexpected++
-		if want[r.Injection.Kind] {
-			fromKinds++
-		}
-	}
-	if totalUnexpected == 0 {
-		return 0
-	}
-	return float64(fromKinds) / float64(totalUnexpected)
-}
-
 // DetectionCoverage reports how many latent/short-term outcomes the bounds
 // detector flagged, and the worst detection latency (iterations from fault
 // to alarm). The paper's technique guarantees latency ≤ 2.

@@ -83,17 +83,6 @@ func TestFFContributionAccountsForAll(t *testing.T) {
 	}
 }
 
-func TestUnexpectedShare(t *testing.T) {
-	c := shared()
-	all := c.UnexpectedShareOfKinds(accel.Kinds()...)
-	if c.Tally.UnexpectedFraction() > 0 && all != 1 {
-		t.Fatalf("share over all kinds = %v, want 1", all)
-	}
-	if none := c.UnexpectedShareOfKinds(); none != 0 {
-		t.Fatalf("share over no kinds = %v", none)
-	}
-}
-
 func TestOutcomesByPassPartition(t *testing.T) {
 	c := shared()
 	var total int

@@ -1,0 +1,551 @@
+package paper
+
+import (
+	"fmt"
+	"math"
+	"strings"
+
+	"repro"
+	"repro/internal/accel"
+	"repro/internal/baseline"
+	"repro/internal/data"
+	"repro/internal/detect"
+	"repro/internal/experiment"
+	"repro/internal/fault"
+	"repro/internal/nn"
+	"repro/internal/opt"
+	"repro/internal/outcome"
+	"repro/internal/recovery"
+	"repro/internal/rng"
+	"repro/internal/tensor"
+	"repro/internal/train"
+	"repro/internal/workloads"
+)
+
+// All regenerates every artefact in the paper's order.
+func All() []Artefact {
+	return []Artefact{Table1(), Sec323(), Table2(), Fig2(), Fig3A(), Fig3B(), Table3(), Fig4(), Fig5(),
+		Table4(), Sec431(), Alg1(), Sec53(), Sec6(), Table5(), MixedPrecision(), DeviceCount()}
+}
+
+// Pinned is a fault pinned for a figure: found by sweeping the sampler
+// space, kept here for reproducibility. It runs through
+// repro.SingleInjection at PinnedSeed.
+type Pinned struct {
+	Panel     string
+	Workload  string
+	Injection fault.Injection
+	// Want is the outcome the panel illustrates.
+	Want outcome.Outcome
+}
+
+// PinnedSeed is the engine seed every pinned fault runs at.
+const PinnedSeed = 9
+
+// Fig2Faults are the four latent-outcome faults of Fig 2; Fig 5 splits the
+// first into its three phases.
+var Fig2Faults = [4]Pinned{
+	// Backward fault + Adam history corruption, no BN.
+	{"2a SlowDegrade", "resnet_nobn", fault.Injection{Kind: accel.GlobalG1, LayerIdx: 5, Pass: fault.BackwardInput,
+		Iteration: 15, N: 8, Seed: rng.Seed{State: 1, Stream: 3}}, outcome.SlowDegrade},
+	// Forward fault, no effective normalization (the SGD workload saturates
+	// BN): a sharp drop, then continued decline.
+	{"2b SharpSlowDegrade", "resnet_sgd", fault.Injection{Kind: accel.GlobalG3, LayerIdx: 2, Pass: fault.Forward,
+		Iteration: 50, N: 8, Unit: 2, Seed: rng.Seed{State: 3, Stream: 9}}, outcome.SharpSlowDegrade},
+	// SGD turns a corrupted gradient into large weights: training collapses
+	// at the fault and stays low; the shape classifier reads the continued
+	// decline as 2b.
+	{"2c SharpDegrade-family", "resnet_sgd", fault.Injection{Kind: accel.GlobalG3, LayerIdx: 6, Pass: fault.BackwardInput,
+		Iteration: 50, N: 8, Unit: 2, Seed: rng.Seed{State: 2, Stream: 6}}, outcome.SharpSlowDegrade},
+	// Forward fault poisons one device's mvar: training accuracy untouched,
+	// test accuracy collapses.
+	{"2d LowTestAccuracy", "resnet", fault.Injection{Kind: accel.GlobalG3, LayerIdx: 1, Pass: fault.Forward,
+		Iteration: 15, N: 8, Unit: 2, Seed: rng.Seed{State: 1, Stream: 3}}, outcome.LowTestAccuracy},
+}
+
+// run trains p's workload with its fault armed and fault-free, and
+// classifies the faulty run.
+func (p Pinned) run() (faulty, ref *train.Trace, cls *outcome.Classifier, o outcome.Outcome) {
+	faulty, ref, err := repro.SingleInjection(p.Workload, p.Injection, PinnedSeed)
+	if err != nil {
+		panic(err) // the pinned workloads exist
+	}
+	cls = outcome.NewClassifier(ref)
+	return faulty, ref, cls, cls.Classify(faulty, p.Injection.Pass)
+}
+
+// dangerousKinds are the FF families the paper identifies as the dominant
+// generators of large magnitudes (Sec 4.3.1): groups 1 and 3, local control
+// FFs, and the upper exponent datapath bits. The deep-dive artefacts
+// importance-sample from them; Fig 3 panel A keeps population sampling.
+var dangerousKinds = []accel.FFKind{
+	accel.GlobalG1, accel.GlobalG3, accel.LocalControl, accel.DatapathUpperExponent,
+}
+
+// campaign runs n experiments on workload name trained for iters
+// iterations, importance-sampling dangerousKinds when biased.
+func campaign(name string, iters, n int, seed int64, biased bool) *experiment.Campaign {
+	w, _ := workloads.ByName(name)
+	w.Iters = iters
+	cfg := experiment.Config{Workload: w, Experiments: n, Seed: seed, HorizonMult: 1}
+	if biased {
+		cfg.BiasKinds = dangerousKinds
+	}
+	return experiment.Run(cfg)
+}
+
+// Table1 is the modeled accelerator's FF population (Table 1's "% FFs")
+// and each software fault model's corruption footprint: the elements it
+// corrupts on a [2,32,6,6] tensor over 4 cycles.
+func Table1() Artefact {
+	a := Artefact{ID: "table1", Title: "Table 1 — FF population and software fault models"}
+	total := accel.NVDLAInventory().TotalFFs
+	out := tensor.New(2, 32, 6, 6)
+	out.FillNormal(rng.NewFromInt(1), 0, 1)
+	global := 0
+	for _, ff := range repro.Inventory() {
+		inj := fault.Injection{Kind: ff.Kind, CycleFrac: 0.3, N: 4, Unit: 3, DeltaFrac: 0.5,
+			Seed: rng.Seed{Stream: uint64(ff.Kind)}}
+		if ff.Kind >= accel.GlobalG1 {
+			global += ff.Count
+		}
+		a.Rows = append(a.Rows,
+			value(ff.Kind.String()+" share of FFs", "%.2f %%", 100*ff.Fraction, total, 0, table1Paper[ff.Kind]),
+			value(ff.Kind.String()+" elements corrupted", "%.0f", float64(len(inj.Apply(out.Clone(), 1).Indices)), 4, 1, ""))
+	}
+	a.Rows = append(a.Rows, value("global-control FFs", "%.0f", float64(global), total, 0, "~41K"))
+	return a
+}
+
+// table1Paper cites Table 1's population column and Sec 4.3.1's family
+// shares.
+var table1Paper = map[accel.FFKind]string{
+	accel.DatapathUpperExponent: "5.5 %", accel.LocalControl: "9.8 % with groups 1 and 3",
+	accel.GlobalG1: "0.24 %", accel.GlobalG2: "0.25 %", accel.GlobalG3: "0.48 %", accel.GlobalG4: "2.36 %",
+	accel.GlobalG5: "1.31 %", accel.GlobalG6: "0.96 %", accel.GlobalG7: "0.09 %", accel.GlobalG8: "0.22 %",
+	accel.GlobalG9: "0.16 %", accel.GlobalG10: "0.12 %",
+}
+
+// Sec323 reruns the structural validation of the software fault models:
+// control-FF faults in the structural MAC-array simulator, each observed
+// corruption checked against the software model's prediction.
+func Sec323() Artefact {
+	agree, total := repro.ValidateFaultModels(400, 1)
+	return Artefact{"sec3.2.3", "Sec 3.2.3 — software fault models against the structural simulator",
+		[]Row{share("trials agreeing with the software model", agree, total, 1, "all unmasked RTL faults matched (40K injections)")}}
+}
+
+// Table2 trains every workload fault-free.
+func Table2() Artefact {
+	a := Artefact{ID: "table2", Title: "Table 2 — workload zoo, fault-free training"}
+	for _, w := range workloads.All() {
+		tr := train.NewTrace(w.Name)
+		w.NewEngine(rng.Seed{State: 7, Stream: 77}).Run(0, w.Iters, tr, false)
+		paper := w.Paper + ": >95 % of the reference accuracy"
+		a.Rows = append(a.Rows,
+			value(w.Name+" train accuracy", "%.3f", tr.FinalTrainAcc(10), w.Iters, 7, paper),
+			value(w.Name+" test accuracy", "%.3f", tr.FinalTestAcc(), w.Iters, 7, paper))
+	}
+	return a
+}
+
+// Fig2 runs the four pinned latent-outcome faults: each one's class, its
+// training accuracy every 15 iterations, and its final accuracies against
+// the fault-free run's.
+func Fig2() Artefact {
+	a := Artefact{ID: "fig2", Title: "Fig 2 — latent-outcome convergence curves"}
+	for _, p := range Fig2Faults {
+		faulty, ref, _, o := p.run()
+		var curve []string
+		var samples []float64
+		for j := 0; j < len(faulty.TrainAcc); j += 15 {
+			samples = append(samples, faulty.TrainAcc[j])
+			curve = append(curve, fmt.Sprintf("%.2f", faulty.TrainAcc[j]))
+		}
+		n := len(faulty.TrainAcc)
+		a.Rows = append(a.Rows,
+			Row{Label: p.Panel + " classified", Measured: o.String(), N: n, Seed: PinnedSeed, Paper: p.Want.String()},
+			Row{Label: p.Panel + " train accuracy every 15 iterations", Measured: strings.Join(curve, " "),
+				Series: samples, N: n, Seed: PinnedSeed},
+			value(p.Panel+" final train accuracy", "%.2f", faulty.FinalTrainAcc(10), n, PinnedSeed, ""),
+			value(p.Panel+" fault-free final train accuracy", "%.2f", ref.FinalTrainAcc(10), n, PinnedSeed, ""),
+			value(p.Panel+" final test accuracy", "%.2f", faulty.FinalTestAcc(), n, PinnedSeed, ""),
+			value(p.Panel+" fault-free final test accuracy", "%.2f", ref.FinalTestAcc(), n, PinnedSeed, ""))
+	}
+	return a
+}
+
+// fig3Workloads are Fig 3's workloads in the paper's order.
+var fig3Workloads = []string{"resnet", "resnet_nobn", "resnet_sgd", "resnet_largedecay",
+	"densenet", "efficientnet", "nfnet", "yolo", "mgnm", "transformer"}
+
+// Fig3A is the outcome breakdown per workload under population-weighted FF
+// sampling: 32 experiments of 60 iterations each.
+func Fig3A() Artefact {
+	return fig3("fig3a", "Fig 3 panel A — outcome breakdown, population-weighted FF sampling", 31, false)
+}
+
+// Fig3B is the same breakdown importance-sampled over the dangerous FF
+// kinds: the conditional composition of unexpected outcomes.
+func Fig3B() Artefact {
+	return fig3("fig3b", "Fig 3 panel B — outcome breakdown, importance-sampled dangerous FF kinds", 33, true)
+}
+
+func fig3(id, title string, seed int64, biased bool) Artefact {
+	a := Artefact{ID: id, Title: title}
+	for _, name := range fig3Workloads {
+		c := campaign(name, 60, 32, seed, biased)
+		a.Rows = append(a.Rows, prefixed(name+" ", c, Outcomes(c))...)
+	}
+	return a
+}
+
+// Table3 classifies canonical convergence shapes against a synthetic
+// fault-free run.
+func Table3() Artefact {
+	mk := func(n, f int, acc func(int) float64) *train.Trace {
+		t := train.NewTrace("synth")
+		t.FaultIter = f
+		for i := 0; i < n; i++ {
+			t.TrainAcc = append(t.TrainAcc, acc(i))
+			t.TrainLoss = append(t.TrainLoss, 1-acc(i))
+		}
+		t.Completed = n
+		return t
+	}
+	nonFinite := func(n, at int) *train.Trace {
+		t := mk(n, 50, func(int) float64 { return 0.9 })
+		t.NonFiniteIter = at
+		return t
+	}
+	rising := func(i int) float64 { return math.Min(0.9, 0.3+0.02*float64(i)) }
+	after := func(tail func(i int) float64) *train.Trace {
+		return mk(200, 50, func(i int) float64 {
+			if i < 50 {
+				return rising(i)
+			}
+			return tail(i)
+		})
+	}
+	ref := mk(200, -1, func(i int) float64 { return math.Min(0.95, 0.3+0.02*float64(i)) })
+	ref.TestIters, ref.TestAcc = []int{199}, []float64{0.94}
+	cls := outcome.NewClassifier(ref)
+
+	cases := []struct {
+		name  string
+		trace *train.Trace
+		pass  fault.Pass
+		want  outcome.Outcome
+	}{
+		{"immediate INF/NaN", nonFinite(51, 50), fault.Forward, outcome.ImmediateINFNaN},
+		{"short-term INF/NaN", nonFinite(53, 52), fault.Forward, outcome.ShortTermINFNaN},
+		{"slow degrade", after(func(i int) float64 { return math.Max(0.3, 0.9-0.015*float64(i-50)) }), fault.BackwardInput, outcome.SlowDegrade},
+		{"sharp degrade", after(func(int) float64 { return 0.3 }), fault.Forward, outcome.SharpDegrade},
+		{"sharp slow degrade", after(func(i int) float64 { return math.Max(0.2, 0.5-0.01*float64(i-50)) }), fault.Forward, outcome.SharpSlowDegrade},
+	}
+	a := Artefact{ID: "table3", Title: "Table 3 — outcome taxonomy on canonical convergence shapes"}
+	ok := 0
+	for _, c := range cases {
+		got := cls.Classify(c.trace, c.pass)
+		if got == c.want {
+			ok++
+		}
+		a.Rows = append(a.Rows, Row{Label: c.name, Measured: got.String(), N: c.trace.Completed, Paper: c.want.String()})
+	}
+	a.Rows = append(a.Rows, share("shapes classified as the paper's class", ok, len(cases), 0,
+		"immediate = iteration t (t+1 for backward faults); short-term ≤ t+2; latent = trend"))
+	return a
+}
+
+// Fig4 splits outcomes by the pass the fault was injected into, on
+// importance-sampled campaigns of the two workloads where both paths occur.
+func Fig4() Artefact {
+	a := Artefact{ID: "fig4", Title: "Fig 4 — outcomes by injected pass"}
+	for i, name := range []string{"resnet_sgd", "resnet_largedecay"} {
+		seed := int64(51 + i)
+		c := campaign(name, 60, 60, seed, true)
+		byPass := c.OutcomesByPass()
+		var rows []Row
+		for _, p := range []fault.Pass{fault.Forward, fault.BackwardInput, fault.BackwardWeight} {
+			t := byPass[p]
+			if t == nil {
+				continue
+			}
+			for _, o := range outcome.All() {
+				if k := t.Counts[o]; k > 0 {
+					rows = append(rows, share(p.String()+" "+o.String(), k, t.Total, seed, fig4Paper[o]))
+				}
+			}
+		}
+		a.Rows = append(a.Rows, prefixed(name+" ", c, rows)...)
+	}
+	return a
+}
+
+// fig4Paper cites Fig 4's propagation paths.
+var fig4Paper = map[outcome.Outcome]string{
+	outcome.SlowDegrade:     "history-driven: backward faults",
+	outcome.SharpDegrade:    "mvar-driven: forward faults",
+	outcome.LowTestAccuracy: "mvar-driven: forward faults",
+	outcome.ShortTermINFNaN: "mvar-driven: forward faults",
+}
+
+// Fig5 splits the pinned SlowDegrade run (Fig 2a) into its three phases.
+func Fig5() Artefact {
+	faulty, _, cls, o := Fig2Faults[0].run()
+	ph := cls.DetectPhases(faulty)
+	n := len(faulty.TrainAcc)
+	return Artefact{"fig5", "Fig 5 — the three phases of SlowDegrade", []Row{
+		{Label: "outcome", Measured: o.String(), N: n, Seed: PinnedSeed, Paper: "SlowDegrade"},
+		value("phase 1 (degradation) starts at iteration", "%.0f", float64(ph.DegradeStart), n, PinnedSeed, "the fault iteration"),
+		value("phase 2 (stagnation) bottoms at iteration", "%.0f", float64(ph.StagnationStart), n, PinnedSeed, ""),
+		value("phase 2 accuracy", "%.3f", ph.MinAcc, n, PinnedSeed, ""),
+		value("phase 3 (recovery) starts at iteration (-1: never)", "%.0f", float64(ph.RecoveryStart), n, PinnedSeed,
+			"may never be reached (Sec 4.2.3)"),
+	}}
+}
+
+// Table4 collects the necessary-condition ranges on importance-sampled
+// campaigns of the two workloads with the most latent outcomes.
+func Table4() Artefact {
+	a := Artefact{ID: "table4", Title: table4Title}
+	for i, name := range []string{"resnet_sgd", "resnet_largedecay"} {
+		c := campaign(name, 60, 60, int64(77+i), true)
+		a.Rows = append(a.Rows, prefixed(name+" ", c, Conditions(c))...)
+	}
+	return a
+}
+
+// Sec431 is the FF-class contribution on a population-sampled campaign of
+// the most fault-sensitive workload, so the shares are unconditional like
+// the paper's.
+func Sec431() Artefact {
+	c := campaign("resnet_sgd", 60, 96, 61, false)
+	return Artefact{"sec4.3.1", sec431Title, prefixed("", c, Contribution(c))}
+}
+
+// Alg1 derives the detection bounds of every workload, checks them against
+// the smallest Table-4 condition values, and gives the fault-free tail
+// probability behind the 20σ history bound.
+func Alg1() Artefact {
+	a := Artefact{ID: "alg1", Title: "Algorithm 1 — derived detection bounds"}
+	below := 1.0
+	for _, w := range workloads.All() {
+		e := w.NewEngine(rng.Seed{State: 3, Stream: 77})
+		b := detect.Derive(detect.ConfigForModel(e.Replica(0), w.BatchSize(), w.LR))
+		a.Rows = append(a.Rows,
+			value(w.Name+" |history| bound", "%.3e", b.GradHistory, 0, 3, ""),
+			value(w.Name+" |history²| bound", "%.3e", b.GradHistorySq, 0, 3, ""),
+			value(w.Name+" mvar bound", "%.3e", b.Mvar, 0, 3, ""))
+		if b.GradHistory >= 2.7e8 || b.Mvar >= 6.5e16 {
+			below = 0
+		}
+	}
+	a.Rows = append(a.Rows,
+		value("every bound below the smallest Table-4 values (1 = yes)", "%.0f", below, len(workloads.All()), 3, "2.7e8 history, 6.5e16 mvar"),
+		value("P(|history| > 20σ) fault-free, two-sided", "%.2e", detect.TailProbability(20), 0, 0, "<3e-89 one-sided"))
+	return a
+}
+
+// Sec53 compares the work a failure detected at iteration 55 loses under
+// 40-iteration epoch checkpointing and under two-iteration re-execution,
+// and scales the same arithmetic to the paper's 1000-iteration epochs.
+func Sec53() Artefact {
+	w, _ := workloads.ByName("yolo")
+	e := w.NewEngine(rng.Seed{State: 6, Stream: 77})
+	ck := recovery.NewCheckpointer(40)
+	re := recovery.NewReExecutor(e)
+	lostCk, lostRe := 0, 0
+	for iter := 0; iter < 60; iter++ {
+		re.BeforeIteration(iter)
+		e.RunIteration(iter)
+		ck.AfterIteration(e, iter)
+		if iter == 55 {
+			lostCk, lostRe = ck.LostIterations(iter), max(re.Depth()-1, 1)
+		}
+	}
+	return Artefact{"sec5.3", "Sec 5.3 — work lost on recovery: epoch checkpointing vs re-execution", []Row{
+		value("lost-work ratio, 40-iteration epochs", "%.0f×", float64(lostCk)/float64(lostRe), 60, 6, "up to 500×"),
+		value("lost-work ratio, 1000-iteration epochs (arithmetic)", "%.0f×", 1000.0/2, 0, 0, "up to 500×"),
+	}}
+}
+
+// Sec6 measures which latent outcomes an activation range monitor and the
+// bounds check catch, over importance-sampled forward and backward-input
+// faults on resnet_largedecay, which reaches latent outcomes through both.
+func Sec6() Artefact {
+	w, _ := workloads.ByName("resnet_largedecay")
+	w.Iters = 60
+	seed := rng.Seed{State: 9, Stream: 77}
+	profile := w.NewEngine(seed)
+	ranger := baseline.NewRanger(profile.Replica(0).Len(), 4.0)
+	ranger.ProfileOnEngine(profile, 40)
+
+	sampler := fault.NewSampler(accel.NVDLAInventory(), rng.NewFromInt(71))
+	bias := rng.NewFromInt(72)
+	refEngine := w.NewEngine(seed)
+	ref := train.NewTrace("ref")
+	refEngine.Run(0, w.Iters, ref, false)
+	cls := outcome.NewClassifier(ref)
+	var rangerHits, boundsHits, latent int
+	for trial := 0; trial < 80; trial++ {
+		inj := sampler.Sample(refEngine.Replica(0).Len(), 40)
+		inj.Kind = dangerousKinds[bias.Intn(len(dangerousKinds))]
+		inj.N = 1 + bias.Intn(accel.MaxLoopIterations) // worst-case persistence
+		inj.Pass = fault.Forward
+		if bias.Intn(2) != 0 {
+			inj.Pass = fault.BackwardInput
+		}
+		e := w.NewEngine(seed)
+		e.SetInjection(&inj)
+		d := detect.ForEngine(e, w.BatchSize(), w.LR, true)
+		ranger.Reset()
+		ranger.SetIteration(0)
+		e.ForwardMonitor = ranger.Check
+		tr := train.NewTrace(w.Name)
+		caught := false
+		e.RunWithHook(0, w.Iters, tr, true, func(iter int) {
+			if !caught && iter >= inj.Iteration {
+				caught = d.CheckEngine(e) != nil
+			}
+			ranger.SetIteration(iter + 1)
+		})
+		if !cls.Classify(tr, inj.Pass).IsLatent() {
+			continue
+		}
+		latent++
+		if ranger.FirstAlarmIter() >= 0 {
+			rangerHits++
+		}
+		if caught {
+			boundsHits++
+		}
+	}
+	return Artefact{"sec6", "Sec 6 — latent-outcome detection coverage: range restriction vs bounds check", []Row{
+		share("latent outcomes caught by range restriction", rangerHits, latent, 71, "33.7 %"),
+		share("latent outcomes caught by the bounds check", boundsHits, latent, 71, "100 %"),
+	}}
+}
+
+// Table5 exposes training and inference to the same 20 importance-sampled
+// faults on resnet_sgd: each trains for 50 iterations with the fault armed,
+// and each is applied once to an evaluation forward pass of the fault-free
+// model trained for 30 iterations. It counts the exposures that end in an
+// INF/NaN, and the inference exposures that changed a value at all.
+func Table5() Artefact {
+	w, _ := workloads.ByName("resnet_sgd")
+	w.Iters = 50
+	seed := rng.Seed{State: 9, Stream: 77}
+	trained := w.NewEngine(seed)
+	for it := 0; it < 30; it++ {
+		trained.RunIteration(it)
+	}
+	_, test := w.NewDataset()
+	batch := test.All()
+	sampler := fault.NewSampler(accel.NVDLAInventory(), rng.NewFromInt(81))
+	bias := rng.NewFromInt(82)
+	const trials = 20
+	var trainNaN, evalCorrupted, evalNaN int
+	for trial := 0; trial < trials; trial++ {
+		inj := sampler.Sample(7, 40)
+		inj.Kind = dangerousKinds[bias.Intn(len(dangerousKinds))]
+		e := w.NewEngine(seed)
+		e.SetInjection(&inj)
+		tr := train.NewTrace(w.Name)
+		e.Run(0, w.Iters, tr, true)
+		if tr.NonFiniteIter >= 0 {
+			trainNaN++
+		}
+		corrupted, nonFinite := infer(trained.Replica(0), batch, inj)
+		if corrupted {
+			evalCorrupted++
+		}
+		if nonFinite {
+			evalNaN++
+		}
+	}
+	return Artefact{"table5", "Table 5 — INF/NaN outcomes in training vs inference", []Row{
+		share("training exposures ending in INF/NaN", trainNaN, trials, 81, "a major unexpected class"),
+		share("inference exposures that changed an activation", evalCorrupted, trials, 81, ""),
+		share("inference exposures ending in INF/NaN", evalNaN, trials, 81, "not observed"),
+	}}
+}
+
+// infer applies inj once, to the output of layer inj.LayerIdx in an
+// evaluation forward pass of m over batch, and reports whether it changed
+// a value and whether the loss came out non-finite.
+func infer(m *nn.Sequential, batch data.Batch, inj fault.Injection) (corrupted, nonFinite bool) {
+	hook := func(li int, out *tensor.Tensor) *tensor.Tensor {
+		if li == inj.LayerIdx {
+			corrupted = !inj.Apply(out, accel.PlanFor(accel.OpForward, out.Shape).ChanAxis).Masked
+		}
+		return nil
+	}
+	var loss nn.SoftmaxCrossEntropy
+	l := loss.Eval(m.Forward(&nn.Context{}, batch.X, hook), batch.Y).Loss
+	return corrupted, math.IsNaN(l) || math.IsInf(l, 0)
+}
+
+// MixedPrecision trains resnet for 80 iterations in FP32 and on the
+// bfloat16 MAC path (Sec 3.1's precision setting).
+func MixedPrecision() Artefact {
+	a := Artefact{ID: "ablation-precision", Title: "Ablation — bfloat16-MAC vs FP32 training"}
+	for _, w := range []*workloads.Workload{workloads.Resnet(), workloads.ResnetMixed()} {
+		tr := train.NewTrace(w.Name)
+		w.NewEngine(rng.Seed{State: 3, Stream: 3}).Run(0, 80, tr, false)
+		label := "FP32 final train accuracy"
+		if w.Mixed {
+			label = "bfloat16-MAC final train accuracy"
+		}
+		a.Rows = append(a.Rows, value(label, "%.3f", tr.FinalTrainAcc(10), 80, 3, ""))
+	}
+	return a
+}
+
+// DeviceCount measures the weight perturbation one faulty device's
+// gradient leaves after one averaged step, at 1, 2, 4 and 8 devices (Sec
+// 4.3.3: averaging attenuates it by 1/D).
+func DeviceCount() Artefact {
+	a := Artefact{ID: "ablation-devices", Title: "Ablation — device count (Sec 4.3.3)"}
+	var p1, p8 float64
+	for _, devices := range []int{1, 2, 4, 8} {
+		p := perturbation(devices)
+		if devices == 1 {
+			p1 = p
+		}
+		p8 = p
+		a.Rows = append(a.Rows, value(fmt.Sprintf("weight perturbation, D=%d", devices), "%.3e", p, devices, 9, ""))
+	}
+	a.Rows = append(a.Rows, value("attenuation D=1 vs D=8", "%.3f×", p1/p8, 8, 9, "1/D"))
+	return a
+}
+
+// perturbation is the largest weight difference between a clean and a
+// faulty one-step run on devices devices.
+func perturbation(devices int) float64 {
+	ds := data.NewGaussianClusters(data.GaussianClustersConfig{
+		Classes: 2, Examples: 128, C: 1, H: 2, W: 2, NoiseStd: 0.3, Seed: 5,
+	})
+	trainSet, testSet := ds.Split(96)
+	build := func(r *rng.Rand) *nn.Sequential {
+		return nn.NewSequential(nn.NewFlatten(), nn.NewDense("d", 4, 2, r, false))
+	}
+	mk := func() *train.Engine {
+		loader := data.NewLoader(trainSet, devices*4, rng.Seed{State: 1, Stream: 1})
+		return train.New(train.Config{Devices: devices, PerDeviceBatch: 4, Seed: rng.Seed{State: 2, Stream: 2}},
+			build, opt.NewSGD(1, 0), loader, testSet)
+	}
+	clean, faulty := mk(), mk()
+	faulty.SetInjection(&fault.Injection{Kind: accel.GlobalG2, LayerIdx: 1, Pass: fault.BackwardWeight,
+		N: 1, Seed: rng.Seed{State: 9, Stream: 9}})
+	clean.RunIteration(0)
+	faulty.RunIteration(0)
+	var maxDiff float64
+	for pi, p := range faulty.Replica(0).Params() {
+		cp := clean.Replica(0).Params()[pi]
+		for j := range p.Value.Data {
+			maxDiff = math.Max(maxDiff, math.Abs(float64(p.Value.Data[j]-cp.Value.Data[j])))
+		}
+	}
+	return maxDiff
+}

@@ -1,0 +1,63 @@
+package paper
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/accel"
+	"repro/internal/data"
+	"repro/internal/fault"
+	"repro/internal/nn"
+	"repro/internal/tensor"
+	"repro/internal/workloads"
+)
+
+// TestCheapArtefactsAreReproducible: the artefacts that run in well under
+// a second, generated twice, give the same JSON bytes — rows come in a
+// fixed order from pinned seeds.
+func TestCheapArtefactsAreReproducible(t *testing.T) {
+	gen := func() []byte {
+		var b bytes.Buffer
+		if err := WriteJSON(&b, []Artefact{Table1(), Sec323(), Table3(), Alg1(), Sec53(), DeviceCount()}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	if a, b := gen(), gen(); !bytes.Equal(a, b) {
+		t.Fatalf("two runs differ:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestTable2ListsTheWorkloads: Table 2 has a train and a test accuracy row
+// for every workload of the zoo, in its order.
+func TestTable2ListsTheWorkloads(t *testing.T) {
+	a := Table2()
+	zoo := workloads.All()
+	if len(zoo) != 10 || len(a.Rows) != 2*len(zoo) {
+		t.Fatalf("%d rows for %d workloads, want two for each of 10", len(a.Rows), len(zoo))
+	}
+	for i, w := range zoo {
+		if got := a.Rows[2*i].Label; got != w.Name+" train accuracy" {
+			t.Errorf("row %d = %q, want workload %s", 2*i, got, w.Name)
+		}
+	}
+}
+
+// TestInferenceCountsNonFiniteLogits: a flip of exponent bit 30 of a logit
+// in [1, 2) makes it non-finite, and the inference leg of Table 5 counts
+// it; a flip of bit 29 leaves it finite and is not counted. An odd BitPos
+// selects bit 30 for the upper-exponent model, an even one bit 29.
+func TestInferenceCountsNonFiniteLogits(t *testing.T) {
+	x := tensor.New(2, 4)
+	for i := range x.Data {
+		x.Data[i] = 1.5
+	}
+	m := nn.NewSequential(nn.NewFlatten())
+	for bitPos, want := range map[uint]bool{1: true, 0: false} {
+		inj := fault.Injection{Kind: accel.DatapathUpperExponent, BitPos: bitPos}
+		corrupted, nonFinite := infer(m, data.Batch{X: x.Clone(), Y: []int{0, 1}}, inj)
+		if !corrupted || nonFinite != want {
+			t.Errorf("BitPos %d: corrupted %v, non-finite %v; want true, %v", bitPos, corrupted, nonFinite, want)
+		}
+	}
+}

@@ -343,6 +343,17 @@ func WriteCampaignJSON(w io.Writer, c *experiment.Campaign) error {
 	return enc.Encode(j)
 }
 
+// ReadCampaignJSON parses a campaign summary written by WriteCampaignJSON.
+// It returns the wire structure: the live Campaign's traces are not
+// archived, so DecodeCampaignRecord recovers its records and nothing more.
+func ReadCampaignJSON(r io.Reader) (*CampaignJSON, error) {
+	var j CampaignJSON
+	if err := json.NewDecoder(r).Decode(&j); err != nil {
+		return nil, fmt.Errorf("record: parsing campaign: %w", err)
+	}
+	return &j, nil
+}
+
 // WriteCampaignCSV writes one row per experiment for spreadsheet analysis.
 func WriteCampaignCSV(w io.Writer, c *experiment.Campaign) error {
 	bw := bufio.NewWriter(w)

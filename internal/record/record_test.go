@@ -12,6 +12,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/outcome"
+	"repro/internal/paper"
 	"repro/internal/rng"
 	"repro/internal/train"
 	"repro/internal/workloads"
@@ -233,6 +234,10 @@ func TestKindPassNameResolvers(t *testing.T) {
 	}
 }
 
+// TestCampaignJSONRoundTripAndMarkdown: an archive read back with
+// ReadCampaignJSON decodes to the campaign's records, and the campaign they
+// rebuild renders through the paper package's Markdown writer — the path
+// `repro report` takes.
 func TestCampaignJSONRoundTripAndMarkdown(t *testing.T) {
 	c := miniCampaign(t)
 	var buf bytes.Buffer
@@ -246,12 +251,23 @@ func TestCampaignJSONRoundTripAndMarkdown(t *testing.T) {
 	if loaded.Workload != "yolo" || len(loaded.Records) != 4 {
 		t.Fatalf("loaded %s with %d records", loaded.Workload, len(loaded.Records))
 	}
+	rebuilt := &experiment.Campaign{Cfg: c.Cfg, RefAcc: loaded.RefAcc, Records: make([]experiment.Record, len(loaded.Records))}
+	for i, rj := range loaded.Records {
+		if rebuilt.Records[i], err = DecodeCampaignRecord(rj); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if rebuilt.Records[i].Outcome != c.Records[i].Outcome {
+			t.Errorf("record %d: outcome %v read back as %v", i, c.Records[i].Outcome, rebuilt.Records[i].Outcome)
+		}
+		rebuilt.Tally.Add(rebuilt.Records[i].Outcome)
+	}
 	var md bytes.Buffer
-	if err := RenderMarkdown(&md, loaded); err != nil {
+	views := append([]paper.Artefact{{ID: "outcomes", Title: "Outcomes", Rows: paper.Outcomes(rebuilt)}}, paper.CampaignViews(rebuilt)...)
+	if err := paper.WriteMarkdown(&md, views); err != nil {
 		t.Fatal(err)
 	}
 	out := md.String()
-	for _, want := range []string{"# Fault-injection campaign: yolo", "## Outcomes", "| outcome |", "## Detection", "Necessary-condition"} {
+	for _, want := range []string{"## Outcomes", "| row | measured |", "| unexpected |", "## Table 4", "## Sec 4.3.1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
 		}
@@ -264,8 +280,9 @@ func TestReadCampaignJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestOutcomeByName: serialized outcome names resolve, unknown ones error,
-// and the markdown report skips a record whose outcome it cannot resolve.
+// TestOutcomeByName: serialized outcome names resolve, and unknown ones
+// error — in a record too, so `repro report` refuses an archive it cannot
+// read rather than miscounting it.
 func TestOutcomeByName(t *testing.T) {
 	if o, err := outcomeFromName("SlowDegrade"); err != nil || o != outcome.SlowDegrade {
 		t.Fatalf("SlowDegrade resolved to %v, %v", o, err)
@@ -273,12 +290,7 @@ func TestOutcomeByName(t *testing.T) {
 	if _, err := outcomeFromName("Nonsense"); err == nil {
 		t.Fatal("bogus outcome resolved")
 	}
-	c := &CampaignJSON{Workload: "yolo", Records: []CampaignRecordJSON{{Outcome: "Nonsense", DetectIter: 3}}}
-	var md bytes.Buffer
-	if err := RenderMarkdown(&md, c); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "no latent outcomes") {
-		t.Fatalf("an unknown outcome counted as latent:\n%s", md.String())
+	if _, err := DecodeCampaignRecord(CampaignRecordJSON{Outcome: "Nonsense", Injection: EncodeInjection(fault.Injection{})}); err == nil {
+		t.Fatal("a record with a bogus outcome decoded")
 	}
 }

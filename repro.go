@@ -32,8 +32,8 @@
 //	c.Report(os.Stdout)
 //
 // See the Example functions (go test -run Example -v .) for runnable
-// programs, cmd/repro for the command-line tools, and bench_test.go for the
-// per-table/figure regeneration harness.
+// programs, cmd/repro for the command-line tools, and internal/paper (run
+// by `repro paper`) for the per-table/figure regeneration.
 package repro
 
 import (
