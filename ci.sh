@@ -103,7 +103,7 @@ echo "== campaign equivalence under -race (forked+pooled == cold, resume == unin
 # per-package timeout.
 go test -race ./internal/experiment ./internal/record ./internal/telemetry
 
-echo "== the repro binary under -race (every subcommand in-process: flag sets and defaults against the pinned -h, bad-flag exits, a resume under a changed flag naming the field, the fast-path tally equal to the exhaustive one, the JIT crash campaign's journal fields, and the flag-drift gate over README.md / DESIGN.md / the verify skill) =="
+echo "== the repro binary under -race (every subcommand in-process: flag sets and defaults against the pinned -h, bad-flag exits, a resume under a changed flag naming the field, the fast-path tally equal to the exhaustive one, the JIT crash campaign's journal fields, campaign output holding the report of its archive byte for byte, and the flag- and identifier-drift gates over README.md / DESIGN.md / the verify skill) =="
 go test -race ./cmd/repro
 
 echo "== distributed campaign under -race (1/2/4 workers over HTTP, killed worker reassigned, merged journal byte-identical) =="

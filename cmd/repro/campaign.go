@@ -35,10 +35,11 @@ func campaignFlags(fs *flag.FlagSet, spec *dist.CampaignSpec) {
 }
 
 // runCampaign is `repro campaign`: it runs a statistical fault-injection
-// campaign (Sec 3.3) and prints the paper's aggregate views — the Fig-3
-// outcome breakdown, then package paper's campaign rows: the Table-4
-// necessary-condition ranges, the Sec-4.3.1 FF-class contribution, and
-// detection coverage with latency percentiles.
+// campaign (Sec 3.3) and prints the document `repro report` writes from the
+// campaign's -json archive (paper.WriteCampaign: the Fig-3 outcome
+// breakdown, the Table-4 necessary-condition ranges and Sec-4.3.1 FF-class
+// contribution or the recovery account, detection coverage and latency),
+// then the execution account (Campaign.ForkSummary).
 //
 // Long campaigns are crash-safe and observable: -journal appends every
 // completed experiment to a write-ahead JSONL log (fsync-batched), an
@@ -219,15 +220,10 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 			return fail(stderr, "campaign", runErr)
 		}
 
-		fmt.Fprintln(stdout, "================================================================")
-		c.Report(stdout)
-		fmt.Fprintln(stdout, c.ForkSummary())
-
-		fmt.Fprintln(stdout)
-		if err := paper.WriteMarkdown(stdout, paper.CampaignViews(c)); err != nil {
+		if err := paper.WriteCampaign(stdout, c); err != nil {
 			return fail(stderr, "campaign", err)
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "\n%s\n\n", c.ForkSummary())
 
 		if *csvOut != "" {
 			if err := writeFile(*csvOut, func(w io.Writer) error { return record.WriteCampaignCSV(w, c) }); err != nil {
@@ -248,38 +244,29 @@ func runCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) i
 // runHeadToHead replays one device-fault population unmitigated and under
 // every recovery strategy, all forking from the same golden reference (the
 // golden cache binds workload/seed/horizon only, never the mitigation
-// settings), and prints the paper-style comparison: hang rate,
-// time-to-recover, and accuracy cost per strategy over identical faults.
+// settings), and prints one artefact: each strategy's paper.Recovery rows,
+// prefixed with its name, over identical faults.
 func runHeadToHead(ctx context.Context, base experiment.Config, g *experiment.Golden, stdout io.Writer) error {
-	type variant struct {
-		name string
-		cfg  experiment.Config
-	}
 	base.Recovery = recovery.StrategyNone
-	variants := []variant{{"unmitigated", base}}
-	for _, s := range recovery.Strategies {
+	a := paper.Artefact{ID: "recovery", Title: fmt.Sprintf("Recovery head-to-head — %s, the same %d device faults under every strategy",
+		base.Workload.Name, base.Experiments)}
+	for _, s := range append([]recovery.Strategy{recovery.StrategyNone}, recovery.Strategies...) {
 		cfg := base
 		cfg.Recovery = s
-		variants = append(variants, variant{s.String(), cfg})
-	}
-
-	fmt.Fprintf(stdout, "head-to-head recovery comparison: %s, %d experiments, seed %d\n",
-		base.Workload.Name, base.Experiments, base.Seed)
-	fmt.Fprintf(stdout, "  %-12s %6s %6s %10s %10s %9s %8s %9s\n",
-		"strategy", "hangs", "recov", "mean-ttr", "acc-cost", "jit-snap", "resizes", "readmits")
-	for _, v := range variants {
-		stats := telemetry.NewCampaignStats(v.cfg.Workload.Name, v.cfg.Experiments, v.cfg.WorkerCount())
+		stats := telemetry.NewCampaignStats(cfg.Workload.Name, cfg.Experiments, cfg.WorkerCount())
 		telemetry.Activate(stats)
-		c, err := experiment.Resume(v.cfg, experiment.RunOptions{
-			Context: ctx, Golden: g, Stats: stats,
-		})
+		c, err := experiment.Resume(cfg, experiment.RunOptions{Context: ctx, Golden: g, Stats: stats})
 		if err != nil {
 			return err
 		}
-		rs := c.RecoveryStats()
-		fmt.Fprintf(stdout, "  %-12s %6d %6d %10.1f %+10.3f %9d %8d %9d\n",
-			v.name, rs.Hangs, rs.Recovered, rs.MeanTTR, rs.MeanAccuracyCost,
-			rs.JITSnapshots, rs.Resizes, rs.Readmits)
+		name := s.String()
+		if s == recovery.StrategyNone {
+			name = "unmitigated"
+		}
+		for _, r := range paper.Recovery(c) {
+			r.Label = name + " " + r.Label
+			a.Rows = append(a.Rows, r)
+		}
 	}
-	return nil
+	return paper.WriteMarkdown(stdout, []paper.Artefact{a})
 }

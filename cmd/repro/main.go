@@ -28,7 +28,7 @@ type command struct {
 var commands = []command{
 	{"campaign", "statistical fault-injection campaign: Fig-3 breakdown, Table-4 ranges, journals, device faults, campaignd worker", runCampaign},
 	{"faultsim", "one fault-injection experiment: faulty vs fault-free trace and outcome", runFaultsim},
-	{"mitigate", "detection and re-execution overheads plus an end-to-end recovery demo", runMitigate},
+	{"mitigate", "end-to-end detection and re-execution recovery demo", runMitigate},
 	{"outcomesearch", "sweep a workload's injection space and report every unexpected outcome", runOutcomeSearch},
 	{"report", "render an archived campaign JSON as a Markdown report", runReport},
 	{"paper", "regenerate every table and figure of the paper's evaluation as paper.json and paper.md", runPaper},

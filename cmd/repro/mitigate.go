@@ -4,94 +4,33 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"repro"
 	"repro/internal/accel"
-	"repro/internal/detect"
 	"repro/internal/fault"
-	"repro/internal/recovery"
 	"repro/internal/rng"
 	"repro/internal/train"
 )
 
-// runMitigate is `repro mitigate`: it evaluates the Sec-5 mitigation stack
-// — the steady-state overhead of per-iteration bounds checking and the cost
-// of a two-iteration re-execution — then demonstrates the full
-// detect-and-recover pipeline on an injected fault; the counterpart of the
-// artifact's detection.py / replay.py.
+// runMitigate is `repro mitigate`: it demonstrates the Sec-5 mitigation
+// stack end to end — bounds checking detects an injected fault and a
+// two-iteration re-execution recovers from it; the counterpart of the
+// artifact's detection.py / replay.py. The stack's overheads are timed by
+// BenchmarkSec53_DetectionOverhead and BenchmarkSec53_RecoveryOverhead.
 //
 //	repro mitigate -workload resnet -iters 60
 func runMitigate(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flagSet("mitigate", stderr)
 	var (
-		workload = fs.String("workload", "resnet", "workload to evaluate")
-		iters    = fs.Int("iters", 60, "iterations per measurement run")
+		workload = fs.String("workload", "resnet", "workload to guard")
+		iters    = fs.Int("iters", 60, "iterations of the guarded run")
 		seed     = fs.Int64("seed", 1, "seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usage(err)
 	}
 
-	w, err := repro.WorkloadByName(*workload)
-	if err != nil {
-		return fail(stderr, "mitigate", err)
-	}
-
-	// --- detection overhead (Sec 5.3: 0.003%–0.025% on TPUs) -----------
-	// Methodology follows the paper's artifact (A.5.2): the check is
-	// executed `amplify` times per training iteration so its cost rises
-	// above timer noise, then the measured overhead is divided back down.
-	const amplify = 1000
-	base := measure(func() {
-		e := w.NewEngine(rng.Seed{State: uint64(*seed), Stream: 77})
-		for i := 0; i < *iters; i++ {
-			e.RunIteration(i)
-		}
-	})
-	var alarm *detect.Alarm
-	checked := measure(func() {
-		e := w.NewEngine(rng.Seed{State: uint64(*seed), Stream: 77})
-		d := detect.ForEngine(e, w.BatchSize(), w.LR, true)
-		for i := 0; i < *iters && alarm == nil; i++ {
-			e.RunIteration(i)
-			for k := 0; k < amplify && alarm == nil; k++ {
-				alarm = d.CheckEngine(e)
-			}
-		}
-	})
-	if alarm != nil {
-		return fail(stderr, "mitigate", fmt.Errorf("unexpected alarm on clean run: %v", alarm))
-	}
-	fmt.Fprintf(stdout, "workload %s (%d iterations, checks amplified %d×)\n", w.Name, *iters, amplify)
-	fmt.Fprintf(stdout, "  plain training:        %v\n", base)
-	fmt.Fprintf(stdout, "  per-iteration bounds check overhead: %.4f%%\n", overheadPct(base, checked)/amplify)
-
-	// --- recovery overhead (Sec 5.3: 0.04%–0.15% with one re-execution) -
-	// The artifact re-executes the two most recent iterations once every
-	// 10 training iterations; the per-invocation cost is measured the same
-	// way.
-	recov := measure(func() {
-		e := w.NewEngine(rng.Seed{State: uint64(*seed), Stream: 77})
-		re := recovery.NewReExecutor(e)
-		for i := 0; i < *iters; i++ {
-			re.BeforeIteration(i)
-			e.RunIteration(i)
-			if i > 0 && i%10 == 0 {
-				resume := re.Rollback()
-				for j := resume; j <= i; j++ {
-					re.BeforeIteration(j)
-					e.RunIteration(j)
-				}
-			}
-		}
-	})
-	invocations := (*iters - 1) / 10
-	fmt.Fprintf(stdout, "  re-execution overhead (%d invocations): %.4f%% total, %.4f%% per invocation\n",
-		invocations, overheadPct(base, recov), overheadPct(base, recov)/float64(invocations))
-
-	// --- end-to-end demonstration ---------------------------------------
-	g, _, err := repro.NewGuarded(*workload, *seed)
+	g, w, err := repro.NewGuarded(*workload, *seed)
 	if err != nil {
 		return fail(stderr, "mitigate", err)
 	}
@@ -104,7 +43,7 @@ func runMitigate(_ context.Context, args []string, stdout, stderr io.Writer) int
 	if err := g.Run(0, *iters, trace); err != nil {
 		return fail(stderr, "mitigate", fmt.Errorf("guarded run failed: %w", err))
 	}
-	fmt.Fprintf(stdout, "\nend-to-end: injected %v fault at iteration %d\n", accel.GlobalG1, *iters/3)
+	fmt.Fprintf(stdout, "end-to-end: injected %v fault at iteration %d\n", accel.GlobalG1, *iters/3)
 	if len(g.Events) == 0 {
 		fmt.Fprintln(stdout, "  fault was masked or benign; no detection needed")
 	}
@@ -114,23 +53,4 @@ func runMitigate(_ context.Context, args []string, stdout, stderr io.Writer) int
 	}
 	fmt.Fprintf(stdout, "  final training accuracy: %.3f\n", trace.FinalTrainAcc(10))
 	return 0
-}
-
-// measure times f over several repetitions and returns the minimum — the
-// standard way to suppress warm-up and scheduler noise in wall-clock
-// overhead comparisons.
-func measure(f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for rep := 0; rep < 5; rep++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func overheadPct(base, with time.Duration) float64 {
-	return 100 * (float64(with) - float64(base)) / float64(base)
 }

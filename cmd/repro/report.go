@@ -13,10 +13,9 @@ import (
 )
 
 // runReport is `repro report`: it renders an archived campaign (the JSON
-// `repro campaign -json` writes) as a Markdown report — the outcome
-// breakdown with Wilson confidence intervals, then the Table-4, Sec-4.3.1
-// and detection rows `repro campaign` prints, derived by the same functions
-// from the archived records.
+// `repro campaign -json` writes) as the Markdown document `repro campaign`
+// printed for it (paper.WriteCampaign), derived by the same functions from
+// the archived records.
 //
 //	repro campaign -workload resnet -n 200 -json run.json
 //	repro report -in run.json > report.md
@@ -37,12 +36,7 @@ func runReport(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, "report", err)
 	}
-	write := func(w io.Writer) error {
-		fmt.Fprintf(w, "# Fault-injection campaign: %s\n\n- experiments: %d (seed %d)\n- fault-free reference accuracy: %.3f\n\n",
-			c.Cfg.Workload.Name, c.Cfg.Experiments, c.Cfg.Seed, c.RefAcc)
-		views := append([]paper.Artefact{{ID: "outcomes", Title: "Outcomes", Rows: paper.Outcomes(c)}}, paper.CampaignViews(c)...)
-		return paper.WriteMarkdown(w, views)
-	}
+	write := func(w io.Writer) error { return paper.WriteCampaign(w, c) }
 	if *out == "" {
 		err = write(stdout)
 	} else {

@@ -193,43 +193,48 @@ func Example_guarded() {
 }
 
 // A miniature statistical fault-injection study (the paper ran 2.9M
-// experiments; this runs a few dozen): the Fig-3-style outcome breakdown
-// plus the Table-4 necessary-condition ranges observed. One worker keeps
-// the report's scheduling-dependent snapshot-locality line fixed.
+// experiments; this runs a few dozen), printed as the document `repro
+// campaign` prints: the Fig-3-style outcome breakdown with 99 % intervals,
+// the Table-4 necessary-condition ranges, the Sec-4.3.1 FF-class
+// contribution and the detection rows — each only where the sample has a
+// row to show.
 func Example_campaign() {
-	const experiments = 40
-	fmt.Printf("running %d fault-injection experiments against resnet...\n\n", experiments)
 	w, err := repro.WorkloadByName("resnet")
 	if err != nil {
 		log.Fatal(err)
 	}
 	c := repro.RunCampaignConfig(repro.CampaignConfig{
-		Workload: w, Experiments: experiments, Seed: 2024, HorizonMult: 1.5, Workers: 1,
+		Workload: w, Experiments: 40, Seed: 2024, HorizonMult: 1.5,
 	})
-	c.Report(os.Stdout)
-
-	fmt.Println("\nnecessary-condition values observed within two iterations of the fault:")
-	for _, r := range paper.Conditions(c) {
-		fmt.Printf("  %-34s %s\n", r.Label, r.Measured)
-	}
-	if rows := paper.Detection(c); rows != nil {
-		fmt.Printf("\nbounds detection flagged %s of the latent or short-term outcomes\n", rows[0].Measured)
-	} else {
-		fmt.Println("\nno latent outcomes in this small sample — rerun with more experiments")
+	if err := paper.WriteCampaign(os.Stdout, c); err != nil {
+		log.Fatal(err)
 	}
 	// Output:
-	// running 40 fault-injection experiments against resnet...
+	// # Fault-injection campaign: resnet
 	//
-	// workload resnet: 40 experiments, fault-free final acc 0.975
-	//   Benign                39   97.50%  (99% CI 81.78%–99.71%)
-	//   SlightDegradation      1    2.50%  (99% CI 0.29%–18.22%)
-	//   unexpected-total            0.00%
-	//   detection latency (iters): p50 0.0  p95 0.0  max 0  (3 alarms)
-	//   locality: 10 warm / 30 cold snapshot restores
+	// - experiments: 40 (seed 2024)
+	// - fault-free reference accuracy: 0.975
 	//
-	// necessary-condition values observed within two iterations of the fault:
+	// ## Outcomes
 	//
-	// no latent outcomes in this small sample — rerun with more experiments
+	// | row | measured | n | seed | 99 % CI | paper |
+	// |---|---|---|---|---|---|
+	// | Benign | 39/40 (97.5 %) | 40 | 2024 | 81.8–99.7 % | 82.3–90.3 % masked |
+	// | SlightDegradation | 1/40 (2.5 %) | 40 | 2024 | 0.3–18.2 % |  |
+	// | unexpected | 0/40 (0.0 %) | 40 | 2024 | 0.0–14.2 % | 9.7–17.7 % |
+	//
+	// ## Sec 4.3.1 — FF-class contribution to unexpected outcomes
+	//
+	// | row | measured | n | seed | 99 % CI | paper |
+	// |---|---|---|---|---|---|
+	// | groups 1+3 + local control (9.8 % of FFs): share of unexpected | 0/0 (0.0 %) | 0 | 2024 |  | 55.7–68.5 % |
+	// | upper exponent bits (5.5 % of FFs): share of unexpected | 0/0 (0.0 %) | 0 | 2024 |  | 31.9–44.3 % |
+	//
+	// ## Detection — bounds-check coverage and latency
+	//
+	// | row | measured | n | seed | 99 % CI | paper |
+	// |---|---|---|---|---|---|
+	// | latency p50 / p95 / max (iterations) | 0.0 / 0.0 / 0 | 3 | 2024 |  | ≤ 2 |
 }
 
 // The failure class from the paper's introduction: hardware faults that

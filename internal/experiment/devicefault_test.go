@@ -115,15 +115,3 @@ func TestDeviceFaultKindsRefuseNone(t *testing.T) {
 		t.Fatalf("a DeviceFaultNone kind was not refused: %v", err)
 	}
 }
-
-// TestDeviceFaultReportRenders: the campaign report includes the group
-// mitigation summary for device-fault campaigns.
-func TestDeviceFaultReportRenders(t *testing.T) {
-	cfg := deviceFaultConfig(t)
-	c := Run(cfg)
-	var sb strings.Builder
-	c.Report(&sb)
-	if !strings.Contains(sb.String(), "group mitigation:") {
-		t.Fatalf("report missing mitigation summary:\n%s", sb.String())
-	}
-}

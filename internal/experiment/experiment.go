@@ -1,9 +1,11 @@
 // Package experiment implements the statistical fault-injection campaign
 // harness (Sec 3.3): it runs batches of randomized FI experiments against a
-// workload, classifies each run's outcome, and aggregates the statistics the
-// paper reports — outcome breakdowns (Fig 3), necessary-condition value
-// ranges (Table 4), FF-class contributions (Sec 4.3.1), detection coverage
-// and latency (Sec 5.1), and manifestation latencies (Table 3).
+// workload and classifies each run's outcome into a Record. The statistics
+// the paper reports from those records — outcome breakdowns (Fig 3),
+// necessary-condition value ranges (Table 4), FF-class contributions
+// (Sec 4.3.1), detection coverage and latency (Sec 5.1), recovery — are
+// aggregated and rendered by internal/paper, from Campaign.Landed alone, so
+// a live campaign and one rebuilt from its archive read the same.
 //
 // Each experiment follows the paper's four steps: (1) randomly select an FF
 // and cycle, (2)+(3) derive the corrupted output elements and their faulty
@@ -27,18 +29,13 @@
 package experiment
 
 import (
-	"fmt"
-	"io"
 	"iter"
-	"math"
-	"sort"
 
 	"repro/internal/accel"
 	"repro/internal/detect"
 	"repro/internal/fault"
 	"repro/internal/outcome"
 	"repro/internal/recovery"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/train"
 	"repro/internal/workloads"
@@ -68,8 +65,6 @@ type Config struct {
 	// *percentages* from a biased campaign are conditional on the bias and
 	// must not be read as Fig-3 population rates.
 	BiasKinds []accel.FFKind
-	// BiasPasses, when non-empty, restricts the injected pass similarly.
-	BiasPasses []fault.Pass
 	// SnapshotStride controls the golden-prefix snapshot cache for forked
 	// experiment execution: the fault-free reference run records a
 	// train.State snapshot every SnapshotStride iterations (plus the
@@ -267,9 +262,10 @@ type Campaign struct {
 	landed []bool
 }
 
-// landedRecords yields the completed records: a cancelled or
-// Shard-restricted Resume leaves the other slots zero-valued.
-func (c *Campaign) landedRecords() iter.Seq[*Record] {
+// Landed yields the completed records, in index order: a cancelled or
+// Shard-restricted Resume leaves the other slots of Records zero-valued, so
+// every per-record aggregate reads the campaign through Landed.
+func (c *Campaign) Landed() iter.Seq[*Record] {
 	return func(yield func(*Record) bool) {
 		for i := range c.Records {
 			if (c.landed == nil || c.landed[i]) && !yield(&c.Records[i]) {
@@ -406,212 +402,13 @@ func copyGoldenPrefix(dst, ref *train.Trace, b int) {
 	dst.Completed = b
 }
 
-// ConditionRange aggregates the Table-4 measurement for one outcome class.
-type ConditionRange struct {
-	// Hist is the range of max |gradient history| observed at iterations
-	// t / t+1 across experiments with this outcome.
-	Hist stats.Range
-	// Mvar is the corresponding moving-variance range.
-	Mvar stats.Range
-}
-
-// ConditionRanges computes Table 4: for every latent/short-term outcome, the
-// range of necessary-condition values observed within two iterations of the
-// fault.
-func (c *Campaign) ConditionRanges() map[outcome.Outcome]*ConditionRange {
-	out := make(map[outcome.Outcome]*ConditionRange)
-	for r := range c.landedRecords() {
-		o := r.Outcome
-		if !o.IsLatent() && o != outcome.ShortTermINFNaN {
-			continue
-		}
-		cr := out[o]
-		if cr == nil {
-			cr = &ConditionRange{}
-			out[o] = cr
-		}
-		// An overflowed history/mvar value reads as +Inf; record it as the
-		// float32 maximum — "magnitude very close to the max floating point
-		// value" is precisely the paper's short-term INF/NaN condition
-		// (Sec 4.2.2, Table 4's 2.9e38–3.0e38 band).
-		clamp := func(v float64) float64 {
-			if math.IsInf(v, 0) || v > math.MaxFloat32 {
-				return math.MaxFloat32
-			}
-			return v
-		}
-		if h := clamp(math.Max(r.HistAtT, r.HistAtT1)); h > 0 {
-			cr.Hist.Observe(h)
-		}
-		if m := clamp(math.Max(r.MvarAtT, r.MvarAtT1)); m > 0 {
-			cr.Mvar.Observe(m)
-		}
-	}
-	return out
-}
-
-// FFStat is the per-FF-class contribution record (Sec 4.3.1).
-type FFStat struct {
-	Kind       accel.FFKind
-	Total      int
-	Unexpected int
-}
-
-// FFContribution breaks down unexpected outcomes by FF class.
-func (c *Campaign) FFContribution() []FFStat {
-	byKind := map[accel.FFKind]*FFStat{}
-	for r := range c.landedRecords() {
-		s := byKind[r.Injection.Kind]
-		if s == nil {
-			s = &FFStat{Kind: r.Injection.Kind}
-			byKind[r.Injection.Kind] = s
-		}
-		s.Total++
-		if r.Outcome.IsUnexpected() {
-			s.Unexpected++
-		}
-	}
-	var out []FFStat
-	for _, s := range byKind {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
-}
-
-// DetectionCoverage reports how many latent/short-term outcomes the bounds
-// detector flagged, and the worst detection latency (iterations from fault
-// to alarm). The paper's technique guarantees latency ≤ 2.
-func (c *Campaign) DetectionCoverage() (detected, total, maxLatency int) {
-	for r := range c.landedRecords() {
-		if !(r.Outcome.IsLatent() || r.Outcome == outcome.ShortTermINFNaN) {
-			continue
-		}
-		total++
-		if r.DetectIter >= 0 {
-			detected++
-			if lat := r.DetectIter - r.FaultIteration(); lat > maxLatency {
-				maxLatency = lat
-			}
-		}
-	}
-	return detected, total, maxLatency
-}
-
-// DetectionLatencies returns the detection latency (iterations from fault
-// to alarm) of every bounds-detected experiment.
-func (c *Campaign) DetectionLatencies() []int {
-	var out []int
-	for r := range c.landedRecords() {
-		if r.DetectIter >= 0 {
-			out = append(out, r.DetectIter-r.FaultIteration())
-		}
-	}
-	return out
-}
-
-// LatencyStats summarizes the fault-to-alarm latency distribution of the
-// bounds detector across a campaign's detected experiments.
-type LatencyStats struct {
-	// Detected is the number of experiments the detector alarmed on.
-	Detected int
-	// P50 / P95 are latency percentiles in iterations (linear
-	// interpolation between closest ranks).
-	P50, P95 float64
-	// Max is the worst observed latency; the paper's technique guarantees
-	// ≤ 2 iterations (Sec 5.1).
-	Max int
-}
-
-// DetectionLatencyStats computes p50/p95/max of the detection latencies —
-// the distributional view of the paper's latency guarantee, rather than
-// only the worst case.
-func (c *Campaign) DetectionLatencyStats() LatencyStats {
-	lats := c.DetectionLatencies()
-	if len(lats) == 0 {
-		return LatencyStats{}
-	}
-	xs := make([]float64, len(lats))
-	maxLat := lats[0]
-	for i, l := range lats {
-		xs[i] = float64(l)
-		if l > maxLat {
-			maxLat = l
-		}
-	}
-	return LatencyStats{
-		Detected: len(lats),
-		P50:      stats.Percentile(xs, 50),
-		P95:      stats.Percentile(xs, 95),
-		Max:      maxLat,
-	}
-}
-
-// OutcomesByPass splits outcome counts by the pass the fault was injected
-// into (Fig 4's forward/backward distinction).
-func (c *Campaign) OutcomesByPass() map[fault.Pass]*outcome.Tally {
-	out := map[fault.Pass]*outcome.Tally{}
-	for r := range c.landedRecords() {
-		t := out[r.Injection.Pass]
-		if t == nil {
-			t = &outcome.Tally{}
-			out[r.Injection.Pass] = t
-		}
-		t.Add(r.Outcome)
-	}
-	return out
-}
-
-// Report writes a Fig-3-style outcome breakdown with Wilson confidence
-// intervals, followed by the detection-latency percentiles (p50/p95/max)
-// when the bounds detector alarmed at least once.
-func (c *Campaign) Report(w io.Writer) {
-	fmt.Fprintf(w, "workload %s: %d experiments, fault-free final acc %.3f\n",
-		c.Cfg.Workload.Name, c.Tally.Total, c.RefAcc)
-	for _, o := range outcome.All() {
-		n := c.Tally.Counts[o]
-		if n == 0 {
-			continue
-		}
-		p := stats.WilsonInterval(n, c.Tally.Total, 0.99)
-		fmt.Fprintf(w, "  %-18s %5d  %6.2f%%  (99%% CI %.2f%%–%.2f%%)\n",
-			o, n, 100*p.P, 100*p.Lo, 100*p.Hi)
-	}
-	fmt.Fprintf(w, "  %-18s        %6.2f%%\n", "unexpected-total", 100*c.Tally.UnexpectedFraction())
-	if ls := c.DetectionLatencyStats(); ls.Detected > 0 {
-		fmt.Fprintf(w, "  detection latency (iters): p50 %.1f  p95 %.1f  max %d  (%d alarms)\n",
-			ls.P50, ls.P95, ls.Max, ls.Detected)
-	}
-	if c.ExperimentsAdopted > 0 || c.EarlyExits > 0 || c.GoldenByConstruction > 0 {
-		fmt.Fprintf(w, "  equivalence: %d adopted (dedup), %d early exits, %d iters synthesized, %d golden by construction\n",
-			c.ExperimentsAdopted, c.EarlyExits, c.IterationsSynthesized, c.GoldenByConstruction)
-	}
-	if c.WarmRestores+c.ColdRestores > 0 {
-		fmt.Fprintf(w, "  locality: %d warm / %d cold snapshot restores\n",
-			c.WarmRestores, c.ColdRestores)
-	}
-	if c.Cfg.DeviceFaults {
-		fmt.Fprintf(w, "  group mitigation: %d quarantines, %d rejoins, %d degraded iters, %d comm retries, %d group hangs\n",
-			c.Quarantines, c.Rejoins, c.DegradedIters, c.CommRetries, c.Tally.Counts[outcome.GroupHang])
-		if rs := c.RecoveryStats(); rs.Strategy != "none" {
-			line := fmt.Sprintf("  recovery [%s]: %d/%d recovered", rs.Strategy, rs.Recovered, rs.Records)
-			if rs.Recovered > 0 {
-				line += fmt.Sprintf(", mean time-to-recover %.1f iters", rs.MeanTTR)
-			}
-			line += fmt.Sprintf(", mean accuracy cost %+.3f", rs.MeanAccuracyCost)
-			if rs.JITSnapshots > 0 || rs.Resizes > 0 || rs.Readmits > 0 {
-				line += fmt.Sprintf(" (%d jit snapshots, %d resizes, %d readmits)", rs.JITSnapshots, rs.Resizes, rs.Readmits)
-			}
-			fmt.Fprintf(w, "%s\n", line)
-		}
-	}
-}
-
 // RecoveryStats aggregates one campaign's recovery behavior — the
 // head-to-head comparison unit when the same device-fault population is
-// replayed under different strategies.
+// replayed under different strategies. It reads the landed records alone,
+// so a campaign rebuilt from its archive aggregates to the same values.
 type RecoveryStats struct {
-	// Strategy is the resolved recovery strategy the campaign ran.
+	// Strategy is the recovery strategy the records ran under (the
+	// campaign's resolved strategy when none landed).
 	Strategy string
 	// Records / Hangs / Recovered count completed records, GroupHang
 	// outcomes, and records whose group returned to full strength.
@@ -625,26 +422,34 @@ type RecoveryStats struct {
 	// JITSnapshots / Resizes / Readmits total the strategy-specific
 	// recovery activity.
 	JITSnapshots, Resizes, Readmits int
+	// Quarantines / Rejoins / DegradedIters / CommRetries total the
+	// group-mitigation events.
+	Quarantines, Rejoins, DegradedIters, CommRetries int
 }
 
 // RecoveryStats computes the campaign's recovery aggregate over its
 // completed records.
 func (c *Campaign) RecoveryStats() RecoveryStats {
-	rs := RecoveryStats{
-		Strategy:     c.Cfg.recoveryStrategy().String(),
-		Hangs:        c.Tally.Counts[outcome.GroupHang],
-		JITSnapshots: c.JITSnapshots,
-		Resizes:      c.Resizes,
-		Readmits:     c.Readmits,
-	}
+	rs := RecoveryStats{Strategy: c.Cfg.recoveryStrategy().String()}
 	var ttrSum, costSum float64
-	for r := range c.landedRecords() {
+	for r := range c.Landed() {
+		rs.Strategy = r.RecoveryStrategy
 		rs.Records++
+		if r.Outcome == outcome.GroupHang {
+			rs.Hangs++
+		}
 		costSum += r.AccuracyCost
 		if r.TimeToRecoverIters >= 0 {
 			rs.Recovered++
 			ttrSum += float64(r.TimeToRecoverIters)
 		}
+		rs.JITSnapshots += r.JITSnapshots
+		rs.Resizes += r.Resizes
+		rs.Readmits += r.Readmits
+		rs.Quarantines += r.Quarantines
+		rs.Rejoins += r.Rejoins
+		rs.DegradedIters += r.DegradedIters
+		rs.CommRetries += r.CommRetries
 	}
 	if rs.Recovered > 0 {
 		rs.MeanTTR = ttrSum / float64(rs.Recovered)

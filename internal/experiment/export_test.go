@@ -102,3 +102,13 @@ func (g *Golden) DetectorAlarms() int {
 	}
 	return n
 }
+
+// Shared is the read-only 32-experiment campaign the aggregate tests share.
+var Shared = shared
+
+// DeviceFaultConfig and ShardTestConfig are the small device-fault and
+// sharded campaigns of this package's tests.
+var (
+	DeviceFaultConfig = deviceFaultConfig
+	ShardTestConfig   = shardTestConfig
+)

@@ -342,9 +342,6 @@ func (g *Golden) sample(cfg Config) []Record {
 			// substituted kind.
 			inj.N = inv.SampleDuration(inj.Kind, biasRand)
 		}
-		if len(cfg.BiasPasses) > 0 {
-			inj.Pass = cfg.BiasPasses[biasRand.Intn(len(cfg.BiasPasses))]
-		}
 		recs[i].Injection = inj
 	}
 	return recs
@@ -404,15 +401,26 @@ func RunWithGolden(cfg Config, g *Golden) *Campaign {
 	return c
 }
 
-// ForkSummary renders a one-line account of the campaign's forked
-// execution: golden-prefix iterations reused vs suffix iterations actually
-// executed, and the snapshot cache that enabled the reuse.
+// ForkSummary is the campaign's execution account: the forked-execution
+// line — golden-prefix iterations reused vs suffix iterations executed, and
+// the snapshot cache that enabled the reuse — then, when the fast paths
+// proved anything, the equivalence line, and, when anything was restored,
+// the snapshot-locality line. Its counts vary with Workers and resume state,
+// so it is never part of the campaign's report.
 func (c *Campaign) ForkSummary() string {
 	total := c.IterationsExecuted + c.IterationsSkipped
 	var pct float64
 	if total > 0 {
 		pct = 100 * float64(c.IterationsSkipped) / float64(total)
 	}
-	return fmt.Sprintf("forked execution: reused %d/%d experiment iterations (%.1f%%) from %d golden snapshots (stride %d, %.1f MiB), per-worker engine pool",
+	s := fmt.Sprintf("forked execution: reused %d/%d experiment iterations (%.1f%%) from %d golden snapshots (stride %d, %.1f MiB), per-worker engine pool",
 		c.IterationsSkipped, total, pct, c.Snapshots, c.Stride, float64(c.SnapshotBytes)/(1<<20))
+	if c.ExperimentsAdopted > 0 || c.EarlyExits > 0 || c.GoldenByConstruction > 0 {
+		s += fmt.Sprintf("\n  equivalence: %d adopted (dedup), %d early exits, %d iters synthesized, %d golden by construction",
+			c.ExperimentsAdopted, c.EarlyExits, c.IterationsSynthesized, c.GoldenByConstruction)
+	}
+	if c.WarmRestores+c.ColdRestores > 0 {
+		s += fmt.Sprintf("\n  locality: %d warm / %d cold snapshot restores", c.WarmRestores, c.ColdRestores)
+	}
+	return s
 }

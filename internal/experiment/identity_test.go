@@ -51,8 +51,6 @@ var recordBytesFields = map[string][]move{
 	"InjectFrac":  {{func(c *experiment.Config) { c.InjectFrac = 0.5 }, []string{"inject_frac"}}},
 	"BiasKinds": {{func(c *experiment.Config) { c.BiasKinds = []accel.FFKind{accel.GlobalG1} },
 		[]string{"bias_kinds"}}},
-	"BiasPasses": {{func(c *experiment.Config) { c.BiasPasses = []fault.Pass{fault.Forward} },
-		[]string{"bias_passes"}}},
 	// Switching a feature off takes its knobs out of the identity with it.
 	"DeviceFaults": {{func(c *experiment.Config) { c.DeviceFaults = false },
 		[]string{"fault", "device_fault_kinds", "recovery"}}},

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -44,11 +43,11 @@ func TestRecoveryStrategiesHeadToHead(t *testing.T) {
 			if n := c.Tally.Counts[outcome.GroupHang]; n != 0 {
 				t.Fatalf("strategy %s still hung %d experiments", s, n)
 			}
-			quarantined, recovered, jit, resizes, readmits := 0, 0, 0, 0, 0
+			quarantined, recovered := 0, 0
 			var sum telemetry.Counts // the mitigation counts, summed over the records
 			for i := range c.Records {
 				r := &c.Records[i]
-				jit, resizes, readmits = jit+r.JITSnapshots, resizes+r.Resizes, readmits+r.Readmits
+				sum.JITSnapshots, sum.Resizes, sum.Readmits = sum.JITSnapshots+r.JITSnapshots, sum.Resizes+r.Resizes, sum.Readmits+r.Readmits
 				sum.Quarantines, sum.Rejoins = sum.Quarantines+r.Quarantines, sum.Rejoins+r.Rejoins
 				sum.DegradedIters, sum.CommRetries = sum.DegradedIters+r.DegradedIters, sum.CommRetries+r.CommRetries
 				if r.RecoveryStrategy != s.String() {
@@ -87,17 +86,15 @@ func TestRecoveryStrategiesHeadToHead(t *testing.T) {
 			if quarantined == 0 {
 				t.Fatalf("strategy %s quarantined nothing", s)
 			}
-			if c.Quarantines != sum.Quarantines || c.Rejoins != sum.Rejoins ||
-				c.DegradedIters != sum.DegradedIters || c.CommRetries != sum.CommRetries {
-				t.Fatalf("ledger counts %d quarantines / %d rejoins / %d degraded iters / %d comm retries, records sum to %d / %d / %d / %d",
-					c.Quarantines, c.Rejoins, c.DegradedIters, c.CommRetries,
-					sum.Quarantines, sum.Rejoins, sum.DegradedIters, sum.CommRetries)
+			if c.Quarantines != sum.Quarantines || c.Rejoins != sum.Rejoins || c.DegradedIters != sum.DegradedIters ||
+				c.CommRetries != sum.CommRetries || c.JITSnapshots != sum.JITSnapshots || c.Resizes != sum.Resizes || c.Readmits != sum.Readmits {
+				t.Fatalf("ledger counts %+v, records sum to %+v", c.Counts, sum)
 			}
 			rs := c.RecoveryStats()
 			if rs.Strategy != s.String() || rs.Records != cfg.Experiments || rs.Recovered != recovered ||
-				rs.JITSnapshots != jit || rs.Resizes != resizes || rs.Readmits != readmits {
-				t.Fatalf("RecoveryStats %+v inconsistent with records (recovered %d, %d jit snapshots, %d resizes, %d readmits)",
-					rs, recovered, jit, resizes, readmits)
+				rs.Quarantines != sum.Quarantines || rs.Rejoins != sum.Rejoins || rs.DegradedIters != sum.DegradedIters ||
+				rs.CommRetries != sum.CommRetries || rs.JITSnapshots != sum.JITSnapshots || rs.Resizes != sum.Resizes || rs.Readmits != sum.Readmits {
+				t.Fatalf("RecoveryStats %+v inconsistent with records (recovered %d, sums %+v)", rs, recovered, sum)
 			}
 			if (s == recovery.StrategyJIT || s == recovery.StrategyElastic) && recovered == 0 {
 				t.Fatalf("strategy %s re-admitted nothing across the population", s)
@@ -129,19 +126,5 @@ func TestRecoveryCampaignDeterministic(t *testing.T) {
 			got := Run(warm)
 			assertCampaignsIdentical(t, s.String(), want, got)
 		})
-	}
-}
-
-// TestRecoveryReportRenders: a mitigated device-fault campaign's report
-// includes the per-strategy recovery summary.
-func TestRecoveryReportRenders(t *testing.T) {
-	cfg := deviceFaultConfig(t)
-	cfg.DeviceFaultKinds = []fault.DeviceFaultKind{fault.DeviceCrash}
-	cfg.Recovery = recovery.StrategyJIT
-	c := Run(cfg)
-	var sb strings.Builder
-	c.Report(&sb)
-	if !strings.Contains(sb.String(), "recovery [jit]:") {
-		t.Fatalf("report missing recovery summary:\n%s", sb.String())
 	}
 }

@@ -3,8 +3,6 @@ package experiment
 import (
 	"testing"
 
-	"repro/internal/fault"
-	"repro/internal/recovery"
 	"repro/internal/workloads"
 )
 
@@ -83,45 +81,6 @@ func TestShardPartitionEquivalence(t *testing.T) {
 				t.Fatalf("shards completed %d records in total, want %d", completedSum, cfg.Experiments)
 			}
 			assertSameAppends(t, tc.name, mono, merged)
-		})
-	}
-}
-
-// TestShardAggregatesReadOnlyLandedRecords: a Shard-restricted campaign
-// leaves the slots outside its shard zero-valued, and no per-record
-// aggregate may read them — a zero slot would pass for a record recovered at
-// TTR 0 and for an alarm at latency 0.
-func TestShardAggregatesReadOnlyLandedRecords(t *testing.T) {
-	ff := shardTestConfig(t)
-	df := deviceFaultConfig(t)
-	df.DeviceFaultKinds = []fault.DeviceFaultKind{fault.DeviceCrash}
-	df.Recovery = recovery.StrategyJIT
-	for name, cfg := range map[string]Config{"ff": ff, "devfault/jit": df} {
-		t.Run(name, func(t *testing.T) {
-			sink := &seqSink{recs: map[int]Record{}}
-			sh := Shard{Lo: 3, Hi: 7}
-			c, err := Resume(cfg, RunOptions{Sink: sink, Shard: &sh})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var recovered, alarms, contributions int
-			for _, r := range sink.recs {
-				if r.TimeToRecoverIters >= 0 {
-					recovered++
-				}
-				if r.DetectIter >= 0 {
-					alarms++
-				}
-			}
-			for _, s := range c.FFContribution() {
-				contributions += s.Total
-			}
-			rs := c.RecoveryStats()
-			if n := len(sink.recs); c.Completed != n || rs.Records != n || rs.Recovered != recovered ||
-				len(c.DetectionLatencies()) != alarms || contributions != n {
-				t.Fatalf("shard [%d,%d) landed %d records (%d recovered, %d alarms); aggregates read %d completed, %d records, %d recovered, %d alarms, %d FF contributions",
-					sh.Lo, sh.Hi, n, recovered, alarms, c.Completed, rs.Records, rs.Recovered, len(c.DetectionLatencies()), contributions)
-			}
 		})
 	}
 }

@@ -31,9 +31,8 @@ type Spec struct {
 	Seed           int64   `json:"seed"`
 	HorizonMult    float64 `json:"horizon_mult"`
 	InjectFrac     float64 `json:"inject_frac"`
-	// BiasKinds / BiasPasses are the importance-sampling lists, by name.
-	BiasKinds  []string `json:"bias_kinds,omitempty"`
-	BiasPasses []string `json:"bias_passes,omitempty"`
+	// BiasKinds is the importance-sampling list, by name.
+	BiasKinds []string `json:"bias_kinds,omitempty"`
 	// Fault is the campaign flavor: "ff" bit flips or "device" faults.
 	Fault string `json:"fault"`
 	// DeviceFaultKinds is the sampled kind list in sampling order (the full
@@ -60,7 +59,6 @@ func (cfg Config) Spec() Spec {
 		HorizonMult:    cfg.HorizonMult,
 		InjectFrac:     cfg.InjectFrac,
 		BiasKinds:      names(cfg.BiasKinds),
-		BiasPasses:     names(cfg.BiasPasses),
 		Fault:          "ff",
 		Dedup:          cfg.Dedup,
 		EarlyExit:      cfg.EarlyExit,

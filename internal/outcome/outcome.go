@@ -351,26 +351,3 @@ func (ta *Tally) Add(o Outcome) {
 	ta.Counts[o]++
 	ta.Total++
 }
-
-// Fraction returns the share of experiments with outcome o.
-func (ta *Tally) Fraction(o Outcome) float64 {
-	if ta.Total == 0 {
-		return 0
-	}
-	return float64(ta.Counts[o]) / float64(ta.Total)
-}
-
-// UnexpectedFraction returns the share of experiments in the unexpected
-// category — the paper's 9.7%–17.7% (Sec 4.1).
-func (ta *Tally) UnexpectedFraction() float64 {
-	var n int
-	for o := Outcome(0); o < numOutcomes; o++ {
-		if o.IsUnexpected() {
-			n += ta.Counts[o]
-		}
-	}
-	if ta.Total == 0 {
-		return 0
-	}
-	return float64(n) / float64(ta.Total)
-}

@@ -262,22 +262,8 @@ func Table3() Artefact {
 func Fig4() Artefact {
 	a := Artefact{ID: "fig4", Title: "Fig 4 — outcomes by injected pass"}
 	for i, name := range []string{"resnet_sgd", "resnet_largedecay"} {
-		seed := int64(51 + i)
-		c := campaign(name, 60, 60, seed, true)
-		byPass := c.OutcomesByPass()
-		var rows []Row
-		for _, p := range []fault.Pass{fault.Forward, fault.BackwardInput, fault.BackwardWeight} {
-			t := byPass[p]
-			if t == nil {
-				continue
-			}
-			for _, o := range outcome.All() {
-				if k := t.Counts[o]; k > 0 {
-					rows = append(rows, share(p.String()+" "+o.String(), k, t.Total, seed, fig4Paper[o]))
-				}
-			}
-		}
-		a.Rows = append(a.Rows, prefixed(name+" ", c, rows)...)
+		c := campaign(name, 60, 60, int64(51+i), true)
+		a.Rows = append(a.Rows, prefixed(name+" ", c, Passes(c))...)
 	}
 	return a
 }

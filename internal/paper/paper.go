@@ -5,9 +5,10 @@
 // with the n, seed and campaign Spec it was measured on and, where the value
 // is k of n trials, its 99 % Wilson interval. `repro paper` writes every
 // artefact as paper.json and paper.md (checked in under results/);
-// `repro campaign` and `repro report` print the campaign rows (Outcomes,
-// Conditions, Contribution, Detection) of one campaign through the same
-// functions, live or from an archive.
+// `repro campaign` and `repro report` print the document of one campaign
+// (WriteCampaign: Outcomes, Conditions, Contribution or Recovery, Detection)
+// through the same functions, live or from an archive; they are the only
+// code that aggregates a campaign's records.
 package paper
 
 import (
@@ -15,10 +16,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/accel"
 	"repro/internal/experiment"
+	"repro/internal/fault"
 	"repro/internal/outcome"
 	"repro/internal/stats"
 )
@@ -110,26 +114,76 @@ func Outcomes(c *experiment.Campaign) []Row {
 // fig3Paper cites Sec 4.1's masked share.
 var fig3Paper = map[outcome.Outcome]string{outcome.Benign: "82.3–90.3 % masked"}
 
+// Passes is a campaign's Fig 4 view: for every pass a fault was injected
+// into, in pass order, every outcome it led to as k of that pass's n.
+func Passes(c *experiment.Campaign) []Row {
+	var byPass [fault.BackwardWeight + 1]outcome.Tally
+	for r := range c.Landed() {
+		byPass[r.Injection.Pass].Add(r.Outcome)
+	}
+	var rows []Row
+	for p, t := range byPass {
+		for _, o := range outcome.All() {
+			if k := t.Counts[o]; k > 0 {
+				rows = append(rows, share(fault.Pass(p).String()+" "+o.String(), k, t.Total, c.Cfg.Seed, fig4Paper[o]))
+			}
+		}
+	}
+	return rows
+}
+
 // Conditions is a campaign's Table 4: for every latent or short-term
 // outcome it observed, in outcome.All() order, the range of |gradient
 // history| and |moving variance| values within two iterations of the fault.
 func Conditions(c *experiment.Campaign) []Row {
-	ranges := c.ConditionRanges()
+	type ranges struct {
+		seen       bool
+		hist, mvar stats.Range
+	}
+	byOutcome := make([]ranges, len(outcome.All()))
+	for r := range c.Landed() {
+		if !conditioned(r.Outcome) {
+			continue
+		}
+		cr := &byOutcome[r.Outcome]
+		cr.seen = true
+		if h := clampMax(math.Max(r.HistAtT, r.HistAtT1)); h > 0 {
+			cr.hist.Observe(h)
+		}
+		if m := clampMax(math.Max(r.MvarAtT, r.MvarAtT1)); m > 0 {
+			cr.mvar.Observe(m)
+		}
+	}
 	var rows []Row
 	for _, o := range outcome.All() {
-		cr := ranges[o]
-		if cr == nil {
+		cr := byOutcome[o]
+		if !cr.seen {
 			continue
 		}
 		for _, v := range []struct {
 			name string
 			r    stats.Range
-		}{{"|grad history|", cr.Hist}, {"|mvar|", cr.Mvar}} {
+		}{{"|grad history|", cr.hist}, {"|mvar|", cr.mvar}} {
 			rows = append(rows, Row{Label: o.String() + " " + v.name, Measured: v.r.String(),
 				Value: v.r.Max, Range: &v.r, N: v.r.N, Seed: c.Cfg.Seed, Paper: table4Paper[o.String()+" "+v.name]})
 		}
 	}
 	return rows
+}
+
+// conditioned reports whether Table 4 and the detection coverage count o:
+// the latent outcomes and short-term INF/NaN.
+func conditioned(o outcome.Outcome) bool { return o.IsLatent() || o == outcome.ShortTermINFNaN }
+
+// clampMax reads an overflowed history/mvar value (+Inf) as the float32
+// maximum — "magnitude very close to the max floating point value" is
+// precisely the paper's short-term INF/NaN condition (Sec 4.2.2, Table 4's
+// 2.9e38–3.0e38 band).
+func clampMax(v float64) float64 {
+	if math.IsInf(v, 0) || v > math.MaxFloat32 {
+		return math.MaxFloat32
+	}
+	return v
 }
 
 // table4Paper cites Table 4's ranges.
@@ -145,18 +199,26 @@ var table4Paper = map[string]string{
 // every FF class that caused one, in accel.Kinds() order, then the share of
 // all unexpected outcomes the two dominant families caused.
 func Contribution(c *experiment.Campaign) []Row {
+	kinds := accel.Kinds()
+	injected, unexpected := make([]int, len(kinds)), make([]int, len(kinds))
+	for r := range c.Landed() {
+		injected[r.Injection.Kind]++
+		if r.Outcome.IsUnexpected() {
+			unexpected[r.Injection.Kind]++
+		}
+	}
 	var rows []Row
 	var control, exponent, total int
-	for _, s := range c.FFContribution() {
-		total += s.Unexpected
-		switch s.Kind {
+	for _, k := range kinds {
+		total += unexpected[k]
+		switch k {
 		case accel.GlobalG1, accel.GlobalG3, accel.LocalControl:
-			control += s.Unexpected
+			control += unexpected[k]
 		case accel.DatapathUpperExponent:
-			exponent += s.Unexpected
+			exponent += unexpected[k]
 		}
-		if s.Unexpected > 0 {
-			rows = append(rows, share(s.Kind.String()+" injections unexpected", s.Unexpected, s.Total, c.Cfg.Seed, ""))
+		if unexpected[k] > 0 {
+			rows = append(rows, share(k.String()+" injections unexpected", unexpected[k], injected[k], c.Cfg.Seed, ""))
 		}
 	}
 	return append(rows,
@@ -164,20 +226,64 @@ func Contribution(c *experiment.Campaign) []Row {
 		share("upper exponent bits (5.5 % of FFs): share of unexpected", exponent, total, c.Cfg.Seed, "31.9–44.3 %"))
 }
 
-// Detection is a campaign's detection coverage: the latent and short-term
-// outcomes the bounds check flagged, and the fault-to-alarm latency of
-// every alarm. It is empty when the campaign has no such outcome.
+// Detection is a campaign's detection account: the latent and short-term
+// outcomes the bounds check flagged, when there are any, and the p50 / p95 /
+// max fault-to-alarm latency over every alarm, when one fired (linear
+// interpolation between closest ranks). It is empty when neither holds.
 func Detection(c *experiment.Campaign) []Row {
-	detected, total, _ := c.DetectionCoverage()
-	if total == 0 {
-		return nil
+	var detected, total int
+	var lats []float64
+	for r := range c.Landed() {
+		if r.DetectIter >= 0 {
+			lats = append(lats, float64(r.DetectIter-r.FaultIteration()))
+		}
+		if conditioned(r.Outcome) {
+			total++
+			if r.DetectIter >= 0 {
+				detected++
+			}
+		}
 	}
-	ls := c.DetectionLatencyStats()
-	return []Row{
-		share("latent + short-term outcomes flagged", detected, total, c.Cfg.Seed, "100 %"),
-		{Label: "latency p50 / p95 / max (iterations)", Measured: fmt.Sprintf("%.1f / %.1f / %d", ls.P50, ls.P95, ls.Max),
-			Value: float64(ls.Max), N: ls.Detected, Seed: c.Cfg.Seed, Paper: "≤ 2"},
+	var rows []Row
+	if total > 0 {
+		rows = append(rows, share("latent + short-term outcomes flagged", detected, total, c.Cfg.Seed, "100 %"))
 	}
+	if len(lats) > 0 {
+		p50, p95, worst := stats.Percentile(lats, 50), stats.Percentile(lats, 95), slices.Max(lats)
+		rows = append(rows, Row{Label: "latency p50 / p95 / max (iterations)", Measured: fmt.Sprintf("%.1f / %.1f / %.0f", p50, p95, worst),
+			Value: worst, N: len(lats), Seed: c.Cfg.Seed, Paper: "≤ 2"})
+	}
+	return rows
+}
+
+// Recovery is a device-fault campaign's mitigation account, from its
+// records alone (experiment.RecoveryStats): group hangs and recoveries to
+// full strength as k of n, the mean time-to-recover and accuracy cost, and
+// the totals of every mitigation event.
+func Recovery(c *experiment.Campaign) []Row {
+	rs := c.RecoveryStats()
+	seed := c.Cfg.Seed
+	ttr := Row{Label: "mean time-to-recover (iterations)", Measured: "—", Seed: seed}
+	if rs.Recovered > 0 {
+		ttr = value(ttr.Label, "%.1f", rs.MeanTTR, rs.Recovered, seed, "")
+	}
+	rows := []Row{
+		share("group hangs", rs.Hangs, rs.Records, seed, ""),
+		share("recovered to full strength", rs.Recovered, rs.Records, seed, ""),
+		ttr,
+		value("mean accuracy cost", "%+.3f", rs.MeanAccuracyCost, rs.Records, seed, ""),
+	}
+	for _, t := range []struct {
+		label string
+		n     int
+	}{
+		{"quarantines", rs.Quarantines}, {"rejoins", rs.Rejoins}, {"degraded iterations", rs.DegradedIters},
+		{"comm retries", rs.CommRetries}, {"JIT snapshots", rs.JITSnapshots}, {"resizes", rs.Resizes},
+		{"readmits", rs.Readmits},
+	} {
+		rows = append(rows, value(t.label, "%.0f", float64(t.n), rs.Records, seed, ""))
+	}
+	return rows
 }
 
 const (
@@ -185,21 +291,31 @@ const (
 	sec431Title = "Sec 4.3.1 — FF-class contribution to unexpected outcomes"
 )
 
-// CampaignViews are the campaign rows `repro campaign` prints after its
-// report and `repro report` renders from an archive: Table 4 and Sec 4.3.1
-// (FF campaigns only; a device-fault record's per-FF fields are zero) and
-// detection.
+// CampaignViews are the artefacts of one campaign, the document `repro
+// campaign` prints and `repro report` renders from its archive: the
+// outcomes, then Table 4 and Sec 4.3.1 (FF campaigns only; a device-fault
+// record's per-FF fields are zero) or the recovery account (device-fault
+// campaigns only), then detection.
 func CampaignViews(c *experiment.Campaign) []Artefact {
-	var out []Artefact
-	if !c.Cfg.DeviceFaults {
+	out := []Artefact{{"outcomes", "Outcomes", Outcomes(c)}}
+	if c.Cfg.DeviceFaults {
+		out = append(out, Artefact{"recovery", "Recovery — strategy " + c.RecoveryStats().Strategy, Recovery(c)})
+	} else {
 		out = append(out,
 			Artefact{"table4", table4Title, Conditions(c)},
 			Artefact{"sec4.3.1", sec431Title, Contribution(c)})
 	}
-	if rows := Detection(c); rows != nil {
-		out = append(out, Artefact{"detection", "Detection — bounds-check coverage and latency", rows})
+	return append(out, Artefact{"detection", "Detection — bounds-check coverage and latency", Detection(c)})
+}
+
+// WriteCampaign writes the Markdown document of one campaign: a header
+// naming it, then its CampaignViews.
+func WriteCampaign(w io.Writer, c *experiment.Campaign) error {
+	if _, err := fmt.Fprintf(w, "# Fault-injection campaign: %s\n\n- experiments: %d (seed %d)\n- fault-free reference accuracy: %.3f\n\n",
+		c.Cfg.Workload.Name, c.Cfg.Experiments, c.Cfg.Seed, c.RefAcc); err != nil {
+		return err
 	}
-	return out
+	return WriteMarkdown(w, CampaignViews(c))
 }
 
 // WriteJSON writes artefacts as indented JSON.
@@ -209,19 +325,24 @@ func WriteJSON(w io.Writer, artefacts []Artefact) error {
 	return enc.Encode(artefacts)
 }
 
-// WriteMarkdown writes each artefact as a Markdown table, followed by the
-// specs of the campaigns its rows come from.
+// WriteMarkdown writes each artefact that has rows as a Markdown table,
+// followed by the specs of the campaigns its rows come from. A share of no
+// trials has no interval.
 func WriteMarkdown(w io.Writer, artefacts []Artefact) error {
 	bw := bufio.NewWriter(w)
-	for i, a := range artefacts {
-		if i > 0 {
+	written := 0
+	for _, a := range artefacts {
+		if len(a.Rows) == 0 {
+			continue
+		}
+		if written++; written > 1 {
 			fmt.Fprintln(bw)
 		}
 		fmt.Fprintf(bw, "## %s\n\n| row | measured | n | seed | 99 %% CI | paper |\n|---|---|---|---|---|---|\n", a.Title)
 		var specs []string
 		for _, r := range a.Rows {
 			ci := ""
-			if r.Share != nil {
+			if r.Share != nil && r.Share.Trials > 0 {
 				ci = fmt.Sprintf("%.1f–%.1f %%", 100*r.Share.Lo, 100*r.Share.Hi)
 			}
 			fmt.Fprintf(bw, "| %s | %s | %d | %d | %s | %s |\n", cell(r.Label), cell(r.Measured), r.N, r.Seed, ci, cell(r.Paper))

@@ -61,3 +61,21 @@ func TestInferenceCountsNonFiniteLogits(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteMarkdownClaimsNothingFromNoTrials: an artefact without rows
+// renders nothing, and a share of zero trials renders no interval.
+func TestWriteMarkdownClaimsNothingFromNoTrials(t *testing.T) {
+	var b bytes.Buffer
+	err := WriteMarkdown(&b, []Artefact{
+		{ID: "empty", Title: "Empty"},
+		{ID: "shares", Title: "Shares", Rows: []Row{share("none", 0, 0, 1, ""), share("some", 1, 4, 1, "")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "## Shares\n\n| row | measured | n | seed | 99 % CI | paper |\n|---|---|---|---|---|---|\n" +
+		"| none | 0/0 (0.0 %) | 0 | 1 |  |  |\n| some | 1/4 (25.0 %) | 4 | 1 | 3.0–78.2 % |  |\n"
+	if b.String() != want {
+		t.Fatalf("got\n%s\nwant\n%s", b.String(), want)
+	}
+}

@@ -262,15 +262,19 @@ func TestCampaignJSONRoundTripAndMarkdown(t *testing.T) {
 		rebuilt.Tally.Add(rebuilt.Records[i].Outcome)
 	}
 	var md bytes.Buffer
-	views := append([]paper.Artefact{{ID: "outcomes", Title: "Outcomes", Rows: paper.Outcomes(rebuilt)}}, paper.CampaignViews(rebuilt)...)
-	if err := paper.WriteMarkdown(&md, views); err != nil {
+	if err := paper.WriteCampaign(&md, rebuilt); err != nil {
 		t.Fatal(err)
 	}
+	// Four benign records range no condition: Table 4 has no rows and is
+	// not printed.
 	out := md.String()
-	for _, want := range []string{"## Outcomes", "| row | measured |", "| unexpected |", "## Table 4", "## Sec 4.3.1"} {
+	for _, want := range []string{"# Fault-injection campaign: yolo\n", "## Outcomes", "| row | measured |", "| unexpected |", "## Sec 4.3.1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "## Table 4") {
+		t.Errorf("markdown prints a Table 4 without rows:\n%s", out)
 	}
 }
 

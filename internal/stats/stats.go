@@ -1,9 +1,7 @@
-// Package stats implements the statistical machinery used by the
-// fault-injection campaigns: summary statistics, geometric means for
-// overhead reporting (the paper reports geomean overheads in Sec 5.3),
-// histograms of faulty-value magnitudes (Table 4 ranges), and the
-// confidence-interval computations behind the paper's claims of a 99%
-// confidence level with a 0.1% interval (Sec 4.1).
+// Package stats implements the statistics the paper's campaign views
+// report: the Wilson score interval behind every k-of-n share at the 99 %
+// confidence level of Sec 4.1, percentiles of detection latencies, and the
+// observed [min, max] ranges of Table 4.
 package stats
 
 import (
@@ -11,72 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// Geomean returns the geometric mean of xs. All values must be positive;
-// non-positive values are skipped (they would make the geomean undefined),
-// mirroring how profiler overhead ratios are aggregated in the paper.
-func Geomean(xs []float64) float64 {
-	var sum float64
-	var n int
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice.
@@ -173,87 +105,6 @@ func WilsonInterval(successes, trials int, confidence float64) Proportion {
 		pr.Hi = 1
 	}
 	return pr
-}
-
-// TrialsForInterval returns the number of fault-injection experiments needed
-// so that a proportion estimate has a symmetric normal-approximation
-// confidence interval of +/- halfWidth at the given confidence level,
-// assuming worst-case p = 0.5. This mirrors the paper's statistical design
-// (99% confidence, 0.1% interval → millions of experiments at full scale).
-func TrialsForInterval(halfWidth, confidence float64) int {
-	z := zForConfidence(confidence)
-	n := z * z * 0.25 / (halfWidth * halfWidth)
-	return int(math.Ceil(n))
-}
-
-// UnobservedOutcomeProb bounds the probability that an outcome class exists
-// but was never observed in n experiments, at the given confidence level.
-// This is the "rule of three" generalization used by the paper to claim that
-// the probability of an unexposed unexpected outcome is < 0.004% with 99.5%
-// confidence after 2.9M experiments.
-func UnobservedOutcomeProb(n int, confidence float64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	// P(no observation in n trials) <= 1-confidence  =>  p <= -ln(1-conf)/n.
-	return -math.Log(1-confidence) / float64(n)
-}
-
-// Histogram is a fixed-bucket histogram over a (possibly logarithmic) range.
-type Histogram struct {
-	// Edges holds len(Counts)+1 bucket boundaries in increasing order.
-	Edges []float64
-	// Counts holds the number of samples per bucket.
-	Counts []int
-	// Under and Over count samples falling outside [Edges[0], Edges[last]).
-	Under, Over int
-}
-
-// NewLogHistogram builds a histogram with buckets spaced logarithmically
-// between lo and hi (both must be positive, lo < hi). Log buckets are the
-// natural choice for faulty-value magnitudes, which span 1e8..1e38 in the
-// paper's Table 4.
-func NewLogHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if lo <= 0 || hi <= lo || buckets < 1 {
-		return nil, fmt.Errorf("stats: invalid log histogram range [%g, %g) with %d buckets", lo, hi, buckets)
-	}
-	edges := make([]float64, buckets+1)
-	logLo, logHi := math.Log(lo), math.Log(hi)
-	for i := range edges {
-		edges[i] = math.Exp(logLo + (logHi-logLo)*float64(i)/float64(buckets))
-	}
-	edges[0], edges[buckets] = lo, hi // avoid rounding drift at the ends
-	return &Histogram{Edges: edges, Counts: make([]int, buckets)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	if x < h.Edges[0] {
-		h.Under++
-		return
-	}
-	if x >= h.Edges[len(h.Edges)-1] {
-		h.Over++
-		return
-	}
-	// Binary search for the bucket.
-	i := sort.SearchFloat64s(h.Edges, x)
-	if i > 0 && (i >= len(h.Edges) || h.Edges[i] != x) {
-		i--
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of in-range samples recorded.
-func (h *Histogram) Total() int {
-	var n int
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
 }
 
 // Range describes an observed [Min, Max] interval of values, as reported in

@@ -8,58 +8,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMean(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{1, 2, 3, 4}, 2.5},
-		{[]float64{-1, 1}, 0},
-	}
-	for _, c := range cases {
-		if got := Mean(c.xs); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Mean(%v) = %v, want %v", c.xs, got, c.want)
-		}
-	}
-}
-
-func TestVariance(t *testing.T) {
-	if got := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("Variance of single element should be 0")
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	if got := Geomean([]float64{1, 100}); !almostEqual(got, 10, 1e-9) {
-		t.Errorf("Geomean(1,100) = %v, want 10", got)
-	}
-	if got := Geomean([]float64{2, 8}); !almostEqual(got, 4, 1e-9) {
-		t.Errorf("Geomean(2,8) = %v, want 4", got)
-	}
-	// Non-positive entries are skipped.
-	if got := Geomean([]float64{-5, 0, 2, 8}); !almostEqual(got, 4, 1e-9) {
-		t.Errorf("Geomean with non-positive = %v, want 4", got)
-	}
-	if Geomean(nil) != 0 {
-		t.Error("Geomean(nil) should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Error("empty Min/Max should be +/-Inf")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
@@ -125,66 +73,6 @@ func TestWilsonIntervalShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestTrialsForInterval(t *testing.T) {
-	// The paper's setting: 99% confidence, 0.1% half-width requires ~1.66M.
-	n := TrialsForInterval(0.001, 0.99)
-	if n < 1_500_000 || n > 1_800_000 {
-		t.Errorf("TrialsForInterval(0.001, 0.99) = %d, want ~1.66M", n)
-	}
-}
-
-func TestUnobservedOutcomeProb(t *testing.T) {
-	// After 2.9M experiments at 99.5% confidence the bound should be tiny,
-	// in line with the paper's < 0.004% claim.
-	p := UnobservedOutcomeProb(2_900_000, 0.995)
-	if p > 0.00004 {
-		t.Errorf("UnobservedOutcomeProb = %v, want < 4e-5", p)
-	}
-	if UnobservedOutcomeProb(0, 0.99) != 1 {
-		t.Error("zero trials should give probability 1")
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h, err := NewLogHistogram(1, 1e4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Buckets: [1,10), [10,100), [100,1000), [1000,10000).
-	h.Add(5)
-	h.Add(50)
-	h.Add(500)
-	h.Add(5000)
-	h.Add(0.5)  // under
-	h.Add(2e4)  // over
-	h.Add(1)    // first edge inclusive
-	h.Add(9999) // inside last bucket
-	want := []int{2, 1, 1, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bucket %d = %d, want %d (counts=%v)", i, c, want[i], h.Counts)
-		}
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under/over = %d/%d, want 1/1", h.Under, h.Over)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-}
-
-func TestLogHistogramInvalid(t *testing.T) {
-	if _, err := NewLogHistogram(0, 10, 4); err == nil {
-		t.Error("lo=0 should be rejected")
-	}
-	if _, err := NewLogHistogram(10, 1, 4); err == nil {
-		t.Error("hi<lo should be rejected")
-	}
-	if _, err := NewLogHistogram(1, 10, 0); err == nil {
-		t.Error("0 buckets should be rejected")
-	}
-}
-
 func TestRange(t *testing.T) {
 	var r Range
 	if r.String() != "(none observed)" {
@@ -204,27 +92,6 @@ func TestQuickWilsonContainsEstimate(t *testing.T) {
 		successes := int(s) % (trials + 1)
 		p := WilsonInterval(successes, trials, 0.99)
 		return p.Lo <= p.P+1e-12 && p.Hi >= p.P-1e-12 && p.Lo >= 0 && p.Hi <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickHistogramConservation(t *testing.T) {
-	f := func(raw []float64) bool {
-		h, err := NewLogHistogram(1e-3, 1e3, 12)
-		if err != nil {
-			return false
-		}
-		n := 0
-		for _, x := range raw {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(math.Abs(x))
-			n++
-		}
-		return h.Total()+h.Under+h.Over == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

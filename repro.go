@@ -29,7 +29,10 @@
 //
 //	c, err := repro.RunCampaign("resnet", 100, 1)
 //	if err != nil { ... }
-//	c.Report(os.Stdout)
+//	for r := range c.Landed() { ... } // each experiment's Record
+//
+// internal/paper aggregates and renders a campaign's records (paper.WriteCampaign
+// prints the document `repro campaign` prints).
 //
 // See the Example functions (go test -run Example -v .) for runnable
 // programs, cmd/repro for the command-line tools, and internal/paper (run

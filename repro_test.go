@@ -6,6 +6,7 @@ import (
 
 	"repro"
 	"repro/internal/accel"
+	"repro/internal/paper"
 	"repro/internal/rng"
 	"repro/internal/train"
 )
@@ -81,9 +82,8 @@ func TestPublicCampaignEndToEnd(t *testing.T) {
 		t.Fatalf("tally %d", c.Tally.Total)
 	}
 	var buf bytes.Buffer
-	c.Report(&buf)
-	if buf.Len() == 0 {
-		t.Fatal("empty report")
+	if err := paper.WriteCampaign(&buf, c); err != nil || buf.Len() == 0 {
+		t.Fatalf("empty report: %v", err)
 	}
 }
 
