@@ -78,13 +78,3 @@ func TestInventoryComplete(t *testing.T) {
 		t.Fatalf("fractions sum to %v", frac)
 	}
 }
-
-func TestValidateFaultModels(t *testing.T) {
-	agree, total := repro.ValidateFaultModels(100, 1)
-	if total != 100 {
-		t.Fatalf("total = %d", total)
-	}
-	if agree != total {
-		t.Fatalf("only %d/%d structural trials agreed with the software models", agree, total)
-	}
-}

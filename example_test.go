@@ -227,8 +227,8 @@ func Example_campaign() {
 	//
 	// | row | measured | n | seed | 99 % CI | paper |
 	// |---|---|---|---|---|---|
-	// | groups 1+3 + local control (9.8 % of FFs): share of unexpected | 0/0 (0.0 %) | 0 | 2024 |  | 55.7–68.5 % |
-	// | upper exponent bits (5.5 % of FFs): share of unexpected | 0/0 (0.0 %) | 0 | 2024 |  | 31.9–44.3 % |
+	// | groups 1+3 + local control (9.8 % of FFs): share of unexpected | no trials | 0 | 2024 |  | 55.7–68.5 % |
+	// | upper exponent bits (5.5 % of FFs): share of unexpected | no trials | 0 | 2024 |  | 31.9–44.3 % |
 	//
 	// ## Detection — bounds-check coverage and latency
 	//

@@ -231,50 +231,10 @@ func TestMACArrayCleanMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStructuralValidation is the Sec 3.2.3 experiment in miniature: for
-// each global-control fault model, inject the corresponding control-state
-// bit flip into the structural MAC array and verify that every corrupted
-// output position is predicted by the software fault model.
-func TestStructuralValidation(t *testing.T) {
-	kinds := []FFKind{GlobalG1, GlobalG2, GlobalG3, GlobalG4, GlobalG5,
-		GlobalG6, GlobalG7, GlobalG8, GlobalG9, GlobalG10}
-	r := rng.NewFromInt(5)
-	const k, ck, w = 36, 9, 7
-	total, mismatched := 0, 0
-	for trial := 0; trial < 200; trial++ {
-		kind := kinds[r.Intn(len(kinds))]
-		a := buildArray(k, ck, w, int64(trial))
-		clean := a.Run(nil)
-		sched := NewSchedule([]int{k, w}, 0)
-		fault := &ControlFault{
-			Kind:       kind,
-			StartCycle: r.Intn(sched.Cycles()),
-			N:          1 + r.Intn(4),
-			Unit:       r.Intn(MACUnits),
-			AddrDelta:  1 + r.Intn(w-1),
-			SourceCol:  r.Intn(w),
-			Rand:       r.Split(uint64(trial)),
-		}
-		faulty := a.Run(fault)
-		diff := DiffPositions(clean, faulty)
-		pred := PredictCorruption(k, w, fault)
-		total++
-		for _, idx := range diff {
-			if !pred[idx] {
-				mismatched++
-				t.Errorf("trial %d kind %v: corrupted position %d not predicted", trial, kind, idx)
-				break
-			}
-		}
-	}
-	if mismatched > 0 {
-		t.Fatalf("%d/%d structural experiments disagreed with the software model", mismatched, total)
-	}
-}
-
 func TestStructuralValidationFaultsNotAlwaysMasked(t *testing.T) {
-	// At least some injections must visibly corrupt outputs; otherwise the
-	// validation above is vacuous.
+	// At least some injections must visibly corrupt outputs; otherwise
+	// comparing the software fault models with this simulator (Sec 3.2.3,
+	// internal/paper) is vacuous.
 	r := rng.NewFromInt(6)
 	corrupted := 0
 	for trial := 0; trial < 50; trial++ {

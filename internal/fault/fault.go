@@ -216,16 +216,6 @@ func (inj *Injection) CorruptionOps(shape []int, chanAxis int) []WriteOp {
 		}
 		ops = append(ops, WriteOp{Kind: WriteFlip, Idx: idx, Bit: bit})
 
-	case accel.LocalControl:
-		// A local control FF drives one datapath register; its corruption
-		// follows that register across the fault window: the same MAC
-		// unit's output takes arbitrary values for n cycles.
-		for c := start; c < start+inj.N && c < sched.Cycles(); c++ {
-			if idx, ok := sched.UnitOutputAt(c, inj.Unit); ok {
-				ops = append(ops, WriteOp{Kind: WriteSet, Idx: idx, Val: accel.RandomDynamicRangeValue(r)})
-			}
-		}
-
 	case accel.GlobalG1:
 		// All 16 MAC outputs take random dynamic-range values for n cycles.
 		for _, idx := range sched.OutputsInWindow(start, inj.N) {
@@ -238,8 +228,10 @@ func (inj *Injection) CorruptionOps(shape []int, chanAxis int) []WriteOp {
 			ops = append(ops, WriteOp{Kind: WriteSet, Idx: idx})
 		}
 
-	case accel.GlobalG3:
-		// One MAC unit produces random dynamic-range values for n cycles.
+	case accel.LocalControl, accel.GlobalG3:
+		// One MAC unit's output takes random dynamic-range values for n
+		// cycles: the unit a group-3 FF configures, or the one datapath
+		// register a local control FF drives.
 		for c := start; c < start+inj.N && c < sched.Cycles(); c++ {
 			if idx, ok := sched.UnitOutputAt(c, inj.Unit); ok {
 				ops = append(ops, WriteOp{Kind: WriteSet, Idx: idx, Val: accel.RandomDynamicRangeValue(r)})

@@ -396,7 +396,7 @@ func TestQuickDatapathFlipSingleElement(t *testing.T) {
 			return false
 		}
 		idx := res.Indices[0]
-		diff := numerics.Bits32(x.Data[idx]) ^ numerics.Bits32(orig.Data[idx])
+		diff := math.Float32bits(x.Data[idx]) ^ math.Float32bits(orig.Data[idx])
 		// Exactly one bit differs.
 		return diff != 0 && diff&(diff-1) == 0
 	}

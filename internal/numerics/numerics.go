@@ -7,9 +7,9 @@
 //
 //   - bfloat16 encode/decode with round-to-nearest-even, used by the MAC
 //     datapath model;
-//   - float32 bit manipulation (exponent/mantissa field access, single-bit
-//     flips) used by the datapath fault models — Sec 4.3.1 shows that flips
-//     in the upper two exponent bits dominate unexpected outcomes;
+//   - float32 bit manipulation (the field layout, single-bit flips) used by
+//     the datapath fault models — Sec 4.3.1 shows that flips in the upper
+//     two exponent bits dominate unexpected outcomes;
 //   - NaN/Inf detection over tensors, which is how the training framework
 //     surfaces "immediate INFs/NaNs" errors (Table 3).
 package numerics
@@ -99,17 +99,6 @@ func SetBit32(f float32, pos uint) float32 {
 	return math.Float32frombits(math.Float32bits(f) | (1 << pos))
 }
 
-// FlipBitBF16 returns f with the bit at position pos (0..15) of its bfloat16
-// encoding inverted, then expanded back to float32. The MAC datapath holds
-// operands in bfloat16, so flips there act on the 16-bit encoding.
-func FlipBitBF16(f float32, pos uint) float32 {
-	if pos > 15 {
-		panic("numerics: FlipBitBF16 position out of range")
-	}
-	b := ToBF16(f) ^ BF16(1<<pos)
-	return b.Float32()
-}
-
 // IsUpperExponentBit reports whether a float32 bit position is one of the
 // upper two exponent bits (bits 30 and 29). The paper (Sec 4.3.1) finds
 // these bits account for 31.9%–44.3% of all unexpected outcomes because
@@ -118,18 +107,7 @@ func IsUpperExponentBit(pos uint) bool {
 	return pos == 30 || pos == 29
 }
 
-// ExponentBits extracts the raw 8-bit exponent field of f.
-func ExponentBits(f float32) uint32 {
-	return (math.Float32bits(f) >> ExponentLow) & 0xff
-}
-
 // MaxFloat32 is re-exported for readability at call sites that implement the
 // paper's "magnitude very close to the max FP32 value" condition
 // (Sec 4.2.2, short-term INFs/NaNs need |mvar| in 2.9e38–3.0e38).
 const MaxFloat32 = math.MaxFloat32
-
-// Bits32 returns the raw IEEE-754 encoding of f.
-func Bits32(f float32) uint32 { return math.Float32bits(f) }
-
-// FromBits32 builds a float32 from a raw IEEE-754 encoding.
-func FromBits32(b uint32) float32 { return math.Float32frombits(b) }

@@ -109,25 +109,6 @@ func TestFlipBit32Panics(t *testing.T) {
 	FlipBit32(1, 32)
 }
 
-func TestFlipBitBF16(t *testing.T) {
-	// Flipping bit 15 of the bf16 encoding is the sign.
-	if got := FlipBitBF16(2.0, 15); got != -2.0 {
-		t.Errorf("bf16 sign flip = %v", got)
-	}
-	if got := FlipBitBF16(FlipBitBF16(2.0, 3), 3); got != 2.0 {
-		t.Errorf("bf16 double flip = %v", got)
-	}
-}
-
-func TestFlipBitBF16Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FlipBitBF16(.., 16) did not panic")
-		}
-	}()
-	FlipBitBF16(1, 16)
-}
-
 func TestIsUpperExponentBit(t *testing.T) {
 	if !IsUpperExponentBit(30) || !IsUpperExponentBit(29) {
 		t.Error("bits 30/29 should be upper exponent bits")
@@ -139,15 +120,19 @@ func TestIsUpperExponentBit(t *testing.T) {
 	}
 }
 
+// TestExponentBits: the layout constants bound float32's 8-bit exponent
+// field, biased by 127.
 func TestExponentBits(t *testing.T) {
-	if got := ExponentBits(1.0); got != 127 {
-		t.Errorf("ExponentBits(1.0) = %d, want 127", got)
+	exponent := func(f float32) uint32 {
+		return math.Float32bits(f) >> ExponentLow & (1<<(ExponentHigh-ExponentLow+1) - 1)
 	}
-	if got := ExponentBits(2.0); got != 128 {
-		t.Errorf("ExponentBits(2.0) = %d, want 128", got)
+	for f, want := range map[float32]uint32{1: 127, 2: 128, 0: 0, -0.5: 126} {
+		if got := exponent(f); got != want {
+			t.Errorf("exponent field of %v = %d, want %d", f, got, want)
+		}
 	}
-	if got := ExponentBits(0); got != 0 {
-		t.Errorf("ExponentBits(0) = %d, want 0", got)
+	if SignBit != ExponentHigh+1 || MantissaHigh != ExponentLow-1 {
+		t.Errorf("sign bit %d, mantissa top %d around exponent bits %d..%d", SignBit, MantissaHigh, ExponentHigh, ExponentLow)
 	}
 }
 
@@ -155,11 +140,11 @@ func TestQuickBF16MonotoneError(t *testing.T) {
 	// Property: bf16 rounding error is bounded by half a ULP, i.e. the
 	// relative error for normal values is <= 2^-8.
 	f := func(raw uint32) bool {
-		x := FromBits32(raw)
+		x := math.Float32frombits(raw)
 		if !IsFinite32(x) || x == 0 {
 			return true
 		}
-		if ExponentBits(x) == 0 { // skip subnormals: error bound differs
+		if raw>>ExponentLow&0xff == 0 { // skip subnormals: error bound differs
 			return true
 		}
 		r := RoundBF16(x)
@@ -178,20 +163,12 @@ func TestQuickBF16MonotoneError(t *testing.T) {
 func TestQuickFlipBitInvolution(t *testing.T) {
 	f := func(raw uint32, pos uint8) bool {
 		p := uint(pos) % 32
-		x := FromBits32(raw)
+		x := math.Float32frombits(raw)
 		y := FlipBit32(FlipBit32(x, p), p)
-		return Bits32(x) == Bits32(y)
+		return math.Float32bits(x) == math.Float32bits(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBitsRoundTrip(t *testing.T) {
-	for _, f := range []float32{0, 1, -1, 3.14, 1e38} {
-		if got := FromBits32(Bits32(f)); got != f {
-			t.Errorf("bits round trip of %v = %v", f, got)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package paper
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro"
@@ -126,13 +127,97 @@ var table1Paper = map[accel.FFKind]string{
 	accel.GlobalG9: "0.16 %", accel.GlobalG10: "0.12 %",
 }
 
-// Sec323 reruns the structural validation of the software fault models:
-// control-FF faults in the structural MAC-array simulator, each observed
-// corruption checked against the software model's prediction.
+// Sec323 checks the software fault model every campaign runs
+// (fault.Injection.Apply) against the structural MAC-array simulator,
+// element by element. Per control-FF kind it runs 1000 trials, each on a
+// random tile (k ≤ 40 channels, ck ≤ 9 inputs, w ≤ 12 positions; w = 2 is a
+// dense layer at per-device batch 2) with the fault drawn in hardware terms
+// and encoded into an Injection, so CorruptionOps' resolution of CycleFrac
+// and DeltaFrac is under test too. A tile is identical when Apply's output
+// equals the simulator's bit for bit, NaN equal to NaN. The datapath kinds
+// stay out: the structural array has no datapath register to flip.
 func Sec323() Artefact {
-	agree, total := repro.ValidateFaultModels(400, 1)
-	return Artefact{"sec3.2.3", "Sec 3.2.3 — software fault models against the structural simulator",
-		[]Row{share("trials agreeing with the software model", agree, total, 1, "all unmasked RTL faults matched (40K injections)")}}
+	const trials, seed = 1000, 1
+	var unmasked, matched, masked int
+	var kindRows []Row
+	kinds := accel.Kinds()[accel.LocalControl:]
+	for _, kind := range kinds {
+		r := rng.NewFromInt(seed).Split(uint64(kind))
+		var identical, kindMasked, missed, spurious int
+		for range trials {
+			hwMasked, miss, spur := compareTile(kind, r)
+			missed += miss
+			spurious += spur
+			same := miss+spur == 0
+			if same {
+				identical++
+			}
+			if hwMasked {
+				kindMasked++
+			} else if unmasked++; same {
+				matched++
+			}
+		}
+		masked += kindMasked
+		name := kind.String()
+		kindRows = append(kindRows,
+			share(name+" tiles identical", identical, trials, seed, ""),
+			share(name+" trials the hardware masks", kindMasked, trials, seed, ""),
+			value(name+" hardware-corrupted positions the model misses", "%.0f", float64(missed), trials, seed, ""),
+			value(name+" model-corrupted positions the hardware leaves clean", "%.0f", float64(spurious), trials, seed, ""))
+	}
+	return Artefact{"sec3.2.3", "Sec 3.2.3 — software fault models against the structural simulator", append([]Row{
+		share("unmasked trials with identical tiles", matched, unmasked, seed, "all unmasked RTL faults matched (40K injections)"),
+		share("trials the hardware masks", masked, trials*len(kinds), seed, ""),
+	}, kindRows...)}
+}
+
+// compareTile runs one Sec 3.2.3 trial of kind, drawn from r: the
+// structural array computes a random tile clean and with the fault, and
+// Apply corrupts a copy of the clean tile. It reports whether the
+// hardware's tile equals the clean one (masked), the positions the hardware
+// corrupts where Apply's value differs from the hardware's (missed), and
+// the positions Apply corrupts that the hardware leaves clean (spurious).
+func compareTile(kind accel.FFKind, r *rng.Rand) (masked bool, missed, spurious int) {
+	k, ck, w := 1+r.Intn(40), 1+r.Intn(9), 1+r.Intn(12)
+	arr := &accel.MACArray{Weights: accel.NewMatrix(k, ck), Inputs: accel.NewMatrix(ck, w)}
+	for _, m := range []*accel.Matrix{arr.Weights, arr.Inputs} {
+		for i := range m.Data {
+			m.Data[i] = float32(r.NormFloat64())
+		}
+	}
+	clean := arr.Run(nil)
+
+	cycles := (k + accel.MACUnits - 1) / accel.MACUnits * w
+	start, n, delta := r.Intn(cycles), 1+r.Intn(4), 1+r.Intn(max(w-1, 1))
+	inj := fault.Injection{Kind: kind, CycleFrac: (float64(start) + 0.5) / float64(cycles), N: n,
+		Unit: r.Intn(accel.MACUnits), DeltaFrac: (float64(delta-1) + 0.5) / float64(max(w-1, 1)),
+		Source: fault.FetchSource(r.Intn(2)), Seed: rng.Seed{State: r.Uint64(), Stream: r.Uint64() >> 1}}
+	// Table 1's source rule: an input fetch (G5–G10) from on-chip buffers
+	// is wrong for one cycle, one from DRAM for n.
+	if kind >= accel.GlobalG5 && inj.Source == fault.FromOnChip {
+		n = 1
+	}
+	// The random values (G1, G3, local control) and the stale column
+	// (G9, G10) come from the stream Apply draws from.
+	faulty := arr.Run(&accel.ControlFault{Kind: kind, StartCycle: start, N: n, Unit: inj.Unit, AddrDelta: delta,
+		SourceCol: rng.New(inj.Seed).Intn(w), Rand: rng.New(inj.Seed)})
+
+	model := tensor.FromSlice(slices.Clone(clean.Data), k, w)
+	inj.Apply(model, 0)
+	corrupted := make([]bool, k*w)
+	hw := accel.DiffPositions(clean, faulty)
+	for _, i := range hw {
+		corrupted[i] = true
+	}
+	for _, i := range accel.DiffPositions(faulty, &accel.Matrix{Rows: k, Cols: w, Data: model.Data}) {
+		if corrupted[i] {
+			missed++
+		} else {
+			spurious++
+		}
+	}
+	return len(hw) == 0, missed, spurious
 }
 
 // Table2 trains every workload fault-free.

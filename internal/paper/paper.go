@@ -70,11 +70,15 @@ func (a Artefact) Get(label string) Row {
 	return Row{}
 }
 
-// share is the row for k of n trials.
+// share is the row for k of n trials; a share of no trials measures
+// nothing and says so.
 func share(label string, k, n int, seed int64, paper string) Row {
 	p := stats.WilsonInterval(k, n, 0.99)
-	return Row{Label: label, Measured: fmt.Sprintf("%d/%d (%.1f %%)", k, n, 100*p.P),
-		Value: p.P, Share: &p, N: n, Seed: seed, Paper: paper}
+	measured := "no trials"
+	if n > 0 {
+		measured = fmt.Sprintf("%d/%d (%.1f %%)", k, n, 100*p.P)
+	}
+	return Row{Label: label, Measured: measured, Value: p.P, Share: &p, N: n, Seed: seed, Paper: paper}
 }
 
 // value is the row for a measured number printed with format.

@@ -28,6 +28,30 @@ func TestCheapArtefactsAreReproducible(t *testing.T) {
 	}
 }
 
+// TestSec323: Apply reproduces the structural simulator's tile bit for bit
+// in every trial of every control kind but the address kinds G4–G6, and
+// every kind has trials the hardware does not mask, so no kind's agreement
+// is vacuous.
+func TestSec323(t *testing.T) {
+	a := Sec323()
+	for _, kind := range accel.Kinds()[accel.LocalControl:] {
+		identical, masked := a.Get(kind.String()+" tiles identical").Share, a.Get(kind.String()+" trials the hardware masks").Share
+		if identical == nil || masked == nil {
+			t.Fatalf("%v: no identical-tile or masked row", kind)
+		}
+		if masked.Successes == masked.Trials {
+			t.Errorf("%v: the hardware masked all %d trials", kind, masked.Trials)
+		}
+		switch kind {
+		case accel.GlobalG4, accel.GlobalG5, accel.GlobalG6:
+		default:
+			if identical.Successes != identical.Trials {
+				t.Errorf("%v: %d/%d tiles identical, want all", kind, identical.Successes, identical.Trials)
+			}
+		}
+	}
+}
+
 // TestTable2ListsTheWorkloads: Table 2 has a train and a test accuracy row
 // for every workload of the zoo, in its order.
 func TestTable2ListsTheWorkloads(t *testing.T) {
@@ -63,7 +87,8 @@ func TestInferenceCountsNonFiniteLogits(t *testing.T) {
 }
 
 // TestWriteMarkdownClaimsNothingFromNoTrials: an artefact without rows
-// renders nothing, and a share of zero trials renders no interval.
+// renders nothing, and a share of zero trials renders neither a point
+// estimate nor an interval.
 func TestWriteMarkdownClaimsNothingFromNoTrials(t *testing.T) {
 	var b bytes.Buffer
 	err := WriteMarkdown(&b, []Artefact{
@@ -74,7 +99,7 @@ func TestWriteMarkdownClaimsNothingFromNoTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "## Shares\n\n| row | measured | n | seed | 99 % CI | paper |\n|---|---|---|---|---|---|\n" +
-		"| none | 0/0 (0.0 %) | 0 | 1 |  |  |\n| some | 1/4 (25.0 %) | 4 | 1 | 3.0–78.2 % |  |\n"
+		"| none | no trials | 0 | 1 |  |  |\n| some | 1/4 (25.0 %) | 4 | 1 | 3.0–78.2 % |  |\n"
 	if b.String() != want {
 		t.Fatalf("got\n%s\nwant\n%s", b.String(), want)
 	}

@@ -186,47 +186,3 @@ func Inventory() []InventoryRow {
 	}
 	return rows
 }
-
-// ValidateFaultModels runs the structural fault-model validation
-// (Sec 3.2.3): trials control-FF injections into the structural MAC-array
-// simulator, each observed corruption checked against the software fault
-// model's prediction. It returns (agreeing, total) trial counts.
-func ValidateFaultModels(trials int, seed int64) (agree, total int) {
-	kinds := accel.Kinds()[accel.GlobalG1:] // the ten global-control groups, G1..G10
-	r := rng.NewFromInt(seed)
-	const k, ck, w = 36, 9, 7
-	for trial := 0; trial < trials; trial++ {
-		arr := &accel.MACArray{Weights: accel.NewMatrix(k, ck), Inputs: accel.NewMatrix(ck, w)}
-		for i := range arr.Weights.Data {
-			arr.Weights.Data[i] = float32(r.NormFloat64())
-		}
-		for i := range arr.Inputs.Data {
-			arr.Inputs.Data[i] = float32(r.NormFloat64())
-		}
-		clean := arr.Run(nil)
-		sched := accel.NewSchedule([]int{k, w}, 0)
-		f := &accel.ControlFault{
-			Kind:       kinds[r.Intn(len(kinds))],
-			StartCycle: r.Intn(sched.Cycles()),
-			N:          1 + r.Intn(4),
-			Unit:       r.Intn(accel.MACUnits),
-			AddrDelta:  1 + r.Intn(w-1),
-			SourceCol:  r.Intn(w),
-			Rand:       r.Split(uint64(trial)),
-		}
-		faulty := arr.Run(f)
-		pred := accel.PredictCorruption(k, w, f)
-		ok := true
-		for _, idx := range accel.DiffPositions(clean, faulty) {
-			if !pred[idx] {
-				ok = false
-				break
-			}
-		}
-		total++
-		if ok {
-			agree++
-		}
-	}
-	return agree, total
-}

@@ -114,10 +114,6 @@ func TestPublicInventoryAndValidation(t *testing.T) {
 	if len(repro.Inventory()) == 0 {
 		t.Fatal("empty inventory")
 	}
-	agree, total := repro.ValidateFaultModels(50, 2)
-	if agree != total || total != 50 {
-		t.Fatalf("validation %d/%d", agree, total)
-	}
 }
 
 func TestPublicOutcomeConstants(t *testing.T) {
