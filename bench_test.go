@@ -142,7 +142,7 @@ func BenchmarkSec6_ABFTOverhead(b *testing.B) {
 	}
 	b.StopTimer()
 	if st.Alarms.Load() != 0 {
-		b.Fatalf("clean ABFT training alarmed: %s", st.LastAlarm())
+		b.Fatalf("clean ABFT training raised %d alarms", st.Alarms.Load())
 	}
 	b.ReportMetric(pct, "abft-overhead-%")
 }

@@ -229,7 +229,7 @@ go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
 
-echo "== reduction fuzz smoke (AbsMax, Sum, HasNonFinite and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length and bit patterns) =="
+echo "== reduction fuzz smoke (AbsMax, Sum and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzReduceOracle' -fuzztime 3s ./internal/tensor
 
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="

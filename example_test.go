@@ -23,8 +23,7 @@ func Example_quickstart() {
 		log.Fatal(err)
 	}
 	fmt.Printf("workload: %s (stand-in for %s)\n", w.Name, w.Paper)
-	fmt.Printf("devices: %d, global batch: %d, optimizer: %s\n\n",
-		w.Devices, w.BatchSize(), w.NewOptimizer().Name())
+	fmt.Printf("devices: %d, global batch: %d\n\n", w.Devices, w.BatchSize())
 
 	engine := w.NewEngine(rng.Seed{State: 42, Stream: 1})
 	trace := train.NewTrace(w.Name)
@@ -39,7 +38,7 @@ func Example_quickstart() {
 	fmt.Println("INF/NaN raised:", trace.NonFiniteIter != -1)
 	// Output:
 	// workload: resnet (stand-in for Resnet18/Cifar10 (BN, Adam))
-	// devices: 8, global batch: 16, optimizer: adam
+	// devices: 8, global batch: 16
 	//
 	// iter   loss       train acc
 	// 0      1.4231     0.250
@@ -254,7 +253,7 @@ func Example_intermittent() {
 	}
 	// The fault manifests with probability 0.3 on each of 10 iterations —
 	// the intro's 3-in-10 reproduction behavior.
-	manifestations := fault.ExpandIntermittent(base, 10, 0.3)
+	manifestations := expandIntermittent(base, 10, 0.3)
 	fmt.Printf("intermittent fault: %d manifestations over iterations [%d, %d):\n",
 		len(manifestations), base.Iteration, base.Iteration+10)
 	for _, m := range manifestations {
@@ -309,4 +308,23 @@ func Example_intermittent() {
 	//   alarm at iteration 23 (hist-m:conv1/bias), re-executed from 22
 	//   alarm at iteration 24 (hist-m:conv1/bias), re-executed from 23
 	// guarded final accuracy: 1.000
+}
+
+// expandIntermittent re-arms base's fault on each of the repeat iterations
+// from base.Iteration, independently with probability prob, each
+// manifestation with its own derived value seed; the result is
+// deterministic in (base.Seed, repeat, prob).
+func expandIntermittent(base fault.Injection, repeat int, prob float64) []fault.Injection {
+	r := rng.New(base.Seed).Split(0x1f7e)
+	var out []fault.Injection
+	for k := 0; k < repeat; k++ {
+		if r.Float64() >= prob {
+			continue
+		}
+		inj := base
+		inj.Iteration = base.Iteration + k
+		inj.Seed = rng.Seed{State: r.Uint64(), Stream: r.Uint64() >> 1}
+		out = append(out, inj)
+	}
+	return out
 }

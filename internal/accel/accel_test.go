@@ -222,10 +222,10 @@ func TestMACArrayCleanMatchesReference(t *testing.T) {
 		for pos := 0; pos < 5; pos++ {
 			var want float32
 			for c := 0; c < 7; c++ {
-				want += a.Weights.At(ch, c) * a.Inputs.At(c, pos)
+				want += a.Weights.Data[ch*7+c] * a.Inputs.Data[c*5+pos]
 			}
-			if math.Abs(float64(out.At(ch, pos)-want)) > 1e-4 {
-				t.Fatalf("out(%d,%d) = %v, want %v", ch, pos, out.At(ch, pos), want)
+			if got := out.Data[ch*5+pos]; math.Abs(float64(got-want)) > 1e-4 {
+				t.Fatalf("out(%d,%d) = %v, want %v", ch, pos, got, want)
 			}
 		}
 	}

@@ -25,15 +25,9 @@ const (
 	// outputs computed in one cycle belong to MACUnits consecutive
 	// channels (Table 1).
 	MACUnits = 16
-	// InputChannelsPerCycle is the number of consecutive input channels
-	// fetched per cycle (Table 1).
-	InputChannelsPerCycle = 64
 	// GlobalControlFFCount is NVDLA's global-control FF population
 	// (Sec 3.2.2: "41K in total").
 	GlobalControlFFCount = 41000
-	// UniqueControlVariables is the number of distinct control variables
-	// those FFs implement (Sec 3.2.2: 7,531).
-	UniqueControlVariables = 7531
 	// MaxLoopIterations bounds n, the number of cycles a fault in a
 	// feedback-loop FF persists (Table 1: "n is randomly chosen between 1
 	// and the max number of loop iterations").

@@ -31,28 +31,20 @@ type ABFTState struct {
 	Tolerance float64
 	// Checks and Alarms count checksum evaluations and violations.
 	Checks, Alarms atomic.Int64
-	// LastAlarm names the layer of the most recent violation.
-	lastAlarm atomic.Value
 }
 
 // NewABFTState creates checksum state with the given relative tolerance.
 func NewABFTState(tol float64) *ABFTState {
-	s := &ABFTState{Tolerance: tol}
-	s.lastAlarm.Store("")
-	return s
+	return &ABFTState{Tolerance: tol}
 }
-
-// LastAlarm returns the layer name of the most recent violation, or "".
-func (s *ABFTState) LastAlarm() string { return s.lastAlarm.Load().(string) }
 
 // verify compares two checksum values with relative tolerance, recording
 // the outcome.
-func (s *ABFTState) verify(layer string, got, want float64) {
+func (s *ABFTState) verify(got, want float64) {
 	s.Checks.Add(1)
 	scale := math.Abs(want) + 1
 	if math.IsNaN(got) || math.IsNaN(want) || math.Abs(got-want) > s.Tolerance*scale {
 		s.Alarms.Add(1)
-		s.lastAlarm.Store(layer)
 	}
 }
 
@@ -81,9 +73,6 @@ type ABFTDense struct {
 func NewABFTDense(d *nn.Dense, s *ABFTState) *ABFTDense {
 	return &ABFTDense{Inner: d, State: s}
 }
-
-// Name implements nn.Layer.
-func (a *ABFTDense) Name() string { return a.Inner.Name() + "+abft" }
 
 // Params implements nn.Layer.
 func (a *ABFTDense) Params() []*nn.Param { return a.Inner.Params() }
@@ -124,7 +113,7 @@ func (a *ABFTDense) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 // the training extension of ABFT.
 func (a *ABFTDense) Backward(g *tensor.Tensor) *tensor.Tensor {
 	if a.pendingY != nil {
-		a.State.verify(a.Inner.Name()+"/fwd", a.pendingY.Sum(), a.pendingWant)
+		a.State.verify(a.pendingY.Sum(), a.pendingWant)
 		a.pendingY = nil
 	}
 	before := a.Inner.W.Grad.Sum()
@@ -146,7 +135,7 @@ func (a *ABFTDense) Backward(g *tensor.Tensor) *tensor.Tensor {
 		}
 		want += xs * gs
 	}
-	a.State.verify(a.Inner.Name()+"/bwd", stepSum, want)
+	a.State.verify(stepSum, want)
 	return gin
 }
 
@@ -168,9 +157,6 @@ type ABFTConv2D struct {
 func NewABFTConv2D(c *nn.Conv2D, s *ABFTState) *ABFTConv2D {
 	return &ABFTConv2D{Inner: c, State: s, ws: tensor.NewWorkspace()}
 }
-
-// Name implements nn.Layer.
-func (a *ABFTConv2D) Name() string { return a.Inner.Name() + "+abft" }
 
 // Params implements nn.Layer.
 func (a *ABFTConv2D) Params() []*nn.Param { return a.Inner.Params() }
@@ -210,7 +196,7 @@ func (a *ABFTConv2D) Forward(ctx *nn.Context, x *tensor.Tensor) *tensor.Tensor {
 // mirroring ABFTDense.
 func (a *ABFTConv2D) Backward(g *tensor.Tensor) *tensor.Tensor {
 	if a.pendingY != nil {
-		a.State.verify(a.Inner.Name()+"/fwd", a.pendingY.Sum(), a.pendingWant)
+		a.State.verify(a.pendingY.Sum(), a.pendingWant)
 		a.pendingY = nil
 	}
 	before := a.Inner.K.Grad.Sum()
@@ -245,7 +231,7 @@ func (a *ABFTConv2D) Backward(g *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	a.State.verify(a.Inner.Name()+"/bwd", stepSum, want)
+	a.State.verify(stepSum, want)
 	return gin
 }
 

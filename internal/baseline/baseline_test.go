@@ -25,7 +25,7 @@ func TestABFTDenseCleanNoAlarms(t *testing.T) {
 	g.FillNormal(rng.NewFromInt(3), 0, 1)
 	a.Backward(g)
 	if s.Alarms.Load() != 0 {
-		t.Fatalf("clean dense raised %d alarms (last %s)", s.Alarms.Load(), s.LastAlarm())
+		t.Fatalf("clean dense raised %d alarms", s.Alarms.Load())
 	}
 	if s.Checks.Load() != 2 {
 		t.Fatalf("checks = %d, want 2 (fwd+bwd)", s.Checks.Load())
@@ -54,7 +54,7 @@ func TestABFTDenseDetectsOutputCorruption(t *testing.T) {
 	// fresh call. We simulate by corrupting W for the matmul only and
 	// restoring before the checksum — instead, simply verify a corrupted
 	// sum directly through the state:
-	s.verify("d/injected", 100.0, 0.0)
+	s.verify(100.0, 0.0)
 	if s.Alarms.Load() != alarmsBefore+1 {
 		t.Fatal("checksum mismatch not flagged")
 	}
@@ -72,7 +72,7 @@ func TestABFTConvCleanNoAlarms(t *testing.T) {
 	g.FillNormal(rng.NewFromInt(6), 0, 1)
 	a.Backward(g)
 	if s.Alarms.Load() != 0 {
-		t.Fatalf("clean conv raised %d alarms (last %s)", s.Alarms.Load(), s.LastAlarm())
+		t.Fatalf("clean conv raised %d alarms", s.Alarms.Load())
 	}
 }
 
@@ -108,7 +108,7 @@ func TestABFTEngineCleanTraining(t *testing.T) {
 		}
 	}
 	if s.Alarms.Load() != 0 {
-		t.Fatalf("clean ABFT training raised %d alarms (last %s)", s.Alarms.Load(), s.LastAlarm())
+		t.Fatalf("clean ABFT training raised %d alarms", s.Alarms.Load())
 	}
 	if s.Checks.Load() == 0 {
 		t.Fatal("no checksum checks ran")
@@ -248,9 +248,6 @@ func TestClippedOptimizer(t *testing.T) {
 	}
 	if c.Clips != 1 {
 		t.Fatalf("Clips = %d", c.Clips)
-	}
-	if c.Name() != "sgd+clip" {
-		t.Fatalf("Name = %s", c.Name())
 	}
 }
 

@@ -29,12 +29,6 @@ func NewClipped(inner opt.Optimizer, maxNorm float64) *ClippedOptimizer {
 	return &ClippedOptimizer{Inner: inner, MaxNorm: maxNorm}
 }
 
-// Name implements opt.Optimizer.
-func (c *ClippedOptimizer) Name() string { return c.Inner.Name() + "+clip" }
-
-// NormalizesGradients implements opt.Optimizer.
-func (c *ClippedOptimizer) NormalizesGradients() bool { return c.Inner.NormalizesGradients() }
-
 // Step implements opt.Optimizer: clips the global gradient norm, then
 // delegates.
 func (c *ClippedOptimizer) Step(params []*nn.Param) {

@@ -148,9 +148,6 @@ func (g *Group) Quarantine(d int) { g.quarantined[d] = true }
 // for re-synchronizing the device's state first (train.Engine.Rejoin does).
 func (g *Group) Rejoin(d int) { g.quarantined[d] = false }
 
-// Quarantined reports whether device d is currently out of the group.
-func (g *Group) Quarantined(d int) bool { return g.quarantined[d] }
-
 // Healthy returns the non-quarantined device indices in ascending order.
 func (g *Group) Healthy() []int {
 	out := make([]int, 0, g.n)

@@ -388,11 +388,11 @@ func FuzzArrivalResolution(f *testing.F) {
 			attempts, arrives := p.Arrival(late, sent)
 			failed := len(step.Failed) == 1 && step.Failed[0] == 1
 			if step.Retries != attempts || failed == arrives || (len(step.Failed) > 0 && !failed) {
-				t.Fatalf("%s at iteration %d under %+v: AllReduce reports %d retries, failed %v; Arrival says %d attempts, arrives %v",
-					df.Describe(), iter, p, step.Retries, step.Failed, attempts, arrives)
+				t.Fatalf("%+v at iteration %d under %+v: AllReduce reports %d retries, failed %v; Arrival says %d attempts, arrives %v",
+					df, iter, p, step.Retries, step.Failed, attempts, arrives)
 			}
 			if step.Hang != (!arrives && !exclude) {
-				t.Fatalf("%s at iteration %d under %+v: hang %v with arrives %v", df.Describe(), iter, p, step.Hang, arrives)
+				t.Fatalf("%+v at iteration %d under %+v: hang %v with arrives %v", df, iter, p, step.Hang, arrives)
 			}
 
 			// Closed form: the budget after k attempts.

@@ -36,21 +36,13 @@ type Batch struct {
 // fully materialized at construction: they are small, and materialization
 // makes batch reload trivially deterministic.
 type Dataset struct {
-	name    string
-	classes int
 	// x holds all examples: shape [N, ...example shape].
 	x *tensor.Tensor
 	y []int
 }
 
-// Name returns a short identifier for logs and reports.
-func (d *Dataset) Name() string { return d.name }
-
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.y) }
-
-// Classes returns the number of distinct labels.
-func (d *Dataset) Classes() int { return d.classes }
 
 // Gather assembles a batch from the given example indices, in fresh storage.
 func (d *Dataset) Gather(indices []int) Batch {
@@ -120,19 +112,11 @@ func (l *Loader) BatchesPerEpoch() int { return l.ds.Len() / l.batchSize }
 // BatchSize returns the configured mini-batch size.
 func (l *Loader) BatchSize() int { return l.batchSize }
 
-// Dataset returns the underlying dataset.
-func (l *Loader) Dataset() *Dataset { return l.ds }
-
-// Indices returns the example indices that make up global iteration iter,
-// in a slice of its own.
-func (l *Loader) Indices(iter int) []int {
-	return append([]int(nil), l.indices(iter)...)
-}
-
-// indices is Indices as a view of the loader's epoch permutation, valid
-// until a call for another epoch. The epoch-e permutation is
-// rng.New(seed).Split(e).Perm(dataset length), drawn once per epoch into the
-// loader's buffer by the same generator calls.
+// indices returns the example indices that make up global iteration iter,
+// as a view of the loader's epoch permutation, valid until a call for
+// another epoch. The epoch-e permutation is rng.New(seed).Split(e)'s
+// PermInto over the dataset length, drawn once per epoch into the loader's
+// buffer.
 func (l *Loader) indices(iter int) []int {
 	bpe := l.BatchesPerEpoch()
 	epoch := iter / bpe
@@ -172,12 +156,11 @@ func (d *Dataset) All() Batch {
 // CIFAR-10: each class is a random template image, and every example is the
 // class template plus Gaussian pixel noise.
 type GaussianClustersConfig struct {
-	Classes    int
-	Examples   int // total examples across all classes
-	C, H, W    int // example shape (channels, height, width)
-	NoiseStd   float64
-	Seed       int64
-	NamePrefix string
+	Classes  int
+	Examples int // total examples across all classes
+	C, H, W  int // example shape (channels, height, width)
+	NoiseStd float64
+	Seed     int64
 }
 
 // NewGaussianClusters builds the dataset. Templates are drawn from N(0,1)
@@ -211,11 +194,7 @@ func NewGaussianClusters(cfg GaussianClustersConfig) *Dataset {
 		}
 	}
 	normalize(x)
-	name := cfg.NamePrefix
-	if name == "" {
-		name = "gaussian-clusters"
-	}
-	return &Dataset{name: name, classes: cfg.Classes, x: x, y: y}
+	return &Dataset{x: x, y: y}
 }
 
 // MazeConfig parameterizes the maze-navigation stand-in for the paper's
@@ -272,7 +251,7 @@ func NewMaze(cfg MazeConfig) *Dataset {
 		}
 	}
 	normalize(x)
-	return &Dataset{name: "maze", classes: mazeMoves, x: x, y: y}
+	return &Dataset{x: x, y: y}
 }
 
 // SequenceConfig parameterizes the token-sequence stand-in for the WMT14
@@ -322,7 +301,7 @@ func NewSequence(cfg SequenceConfig) *Dataset {
 		}
 		y[i] = bestTok
 	}
-	return &Dataset{name: "sequence", classes: cfg.Vocab, x: x, y: y}
+	return &Dataset{x: x, y: y}
 }
 
 // Split partitions d into a training set of n examples and a test set of the
@@ -336,14 +315,14 @@ func (d *Dataset) Split(n int) (train, test *Dataset) {
 	for _, s := range d.x.Shape[1:] {
 		exLen *= s
 	}
-	mk := func(lo, hi int, suffix string) *Dataset {
+	mk := func(lo, hi int) *Dataset {
 		shape := append([]int{hi - lo}, d.x.Shape[1:]...)
 		x := tensor.New(shape...)
 		copy(x.Data, d.x.Data[lo*exLen:hi*exLen])
 		y := append([]int(nil), d.y[lo:hi]...)
-		return &Dataset{name: d.name + suffix, classes: d.classes, x: x, y: y}
+		return &Dataset{x: x, y: y}
 	}
-	return mk(0, n, "-train"), mk(n, d.Len(), "-test")
+	return mk(0, n), mk(n, d.Len())
 }
 
 // normalize shifts and scales all example data to zero mean, unit variance

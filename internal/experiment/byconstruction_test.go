@@ -259,7 +259,7 @@ func TestGoldenByConstructionExact(t *testing.T) {
 			} {
 				got, ok := g.ByConstruction(cfg, device(cfg, df), comm.DefaultPolicy())
 				if !ok {
-					t.Fatalf("%s under %s arrives within the budget but is not golden by construction", df.Describe(), s)
+					t.Fatalf("%+v under %s arrives within the budget but is not golden by construction", df, s)
 				}
 				assertSameLine(t, g, e, cfg, i, device(cfg, df), got)
 			}

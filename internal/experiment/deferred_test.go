@@ -207,10 +207,10 @@ func (p *deferredPair) df(t *testing.T, df fault.DeviceFault) Record {
 	got, _ := runDeviceFault(p.g, p.prod, Sampled(p.cfg, fault.Injection{}, df), p.cfg)
 	want := oracleRunDeviceFault(p.g, p.oracle, df, p.cfg)
 	if !recordsEqual(&want, &got) {
-		t.Fatalf("%s under %s:\noracle:   %+v\ndeferred: %+v", df.Describe(), p.cfg.recoveryStrategy(), want, got)
+		t.Fatalf("%+v under %s:\noracle:   %+v\ndeferred: %+v", df, p.cfg.recoveryStrategy(), want, got)
 	}
 	if n := p.prod.Evaluations() - before; n > 1 {
-		t.Fatalf("%s: %d evaluations for one experiment", df.Describe(), n)
+		t.Fatalf("%+v: %d evaluations for one experiment", df, n)
 	}
 	return got
 }

@@ -103,9 +103,6 @@ func (g *Golden) Ref() *train.Trace { return g.ref }
 // Snapshots returns the number of cached states and their total footprint.
 func (g *Golden) Snapshots() (count int, bytes int64) { return len(g.snaps), g.bytes }
 
-// Stride returns the snapshot boundary spacing (0 = prefix forking off).
-func (g *Golden) Stride() int { return g.stride }
-
 // nearest returns the largest snapshot boundary b ≤ iter and its state.
 func (g *Golden) nearest(iter int) (int, *train.State) {
 	j := sort.SearchInts(g.bounds, iter+1) - 1

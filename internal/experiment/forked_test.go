@@ -174,8 +174,8 @@ func TestAutoStrideRespectsBudget(t *testing.T) {
 	w.Iters = 20
 	cfg := Config{Workload: w, Experiments: 1, Seed: 7, HorizonMult: 1}
 	g := PrepareGolden(cfg)
-	if n, _ := g.Snapshots(); g.Stride() != 1 || n != maxInjectIterFor(cfg.withDefaults()) {
-		t.Fatalf("default budget: %d snapshots at stride %d, want one per boundary", n, g.Stride())
+	if n, _ := g.Snapshots(); g.stride != 1 || n != maxInjectIterFor(cfg.withDefaults()) {
+		t.Fatalf("default budget: %d snapshots at stride %d, want one per boundary", n, g.stride)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/recovery"
 	"repro/internal/workloads"
@@ -104,15 +105,18 @@ func TestPrepareGoldenLaneInvariant(t *testing.T) {
 				t.Fatalf("%s: the Golden holds %d test points, %d snapshots, %d digests and %d group alarms; every part compared must be there",
 					leg.model, len(g.ref.TestIters), len(g.snaps), len(g.digests), len(g.groupAlarms))
 			}
-			// A stopped lane's goroutine has returned from its last wait;
-			// give it the few instructions to its exit.
-			for spin := 0; runtime.NumGoroutine() > before; spin++ {
-				if spin == 1000 {
-					buf := make([]byte, 1<<16)
-					t.Fatalf("%s, %d workers: %d goroutines after PrepareGolden, %d before:\n%s",
+			// A stopped lane's goroutine has returned from its last wait
+			// but may not have run to its exit yet, however loaded the
+			// host: wait for the count to fall, backing off, up to a
+			// deadline no exiting goroutine comes near (goleak's approach).
+			deadline := time.Now().Add(10 * time.Second)
+			for wait := time.Microsecond; runtime.NumGoroutine() > before; wait = min(2*wait, 10*time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%s, %d workers: %d goroutines 10 s after PrepareGolden, %d before:\n%s",
 						leg.model, workers, runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 				}
-				runtime.Gosched()
+				time.Sleep(wait)
 			}
 			got := goldenSections(g)
 			if want == nil {

@@ -162,26 +162,6 @@ func (f *DeviceFault) Effect() DeviceEffect {
 	return EffectNone
 }
 
-// Describe returns a compact human-readable summary.
-func (f *DeviceFault) Describe() string {
-	if f == nil || f.Kind == DeviceFaultNone {
-		return "none"
-	}
-	s := fmt.Sprintf("%s device=%d iter=%d", f.Kind, f.Device, f.Iteration)
-	switch f.Kind {
-	case DeviceLinkSDC:
-		s += fmt.Sprintf(" bit=%d flips=%d", f.BitPos, f.Flips)
-	case DeviceStuckAt:
-		s += fmt.Sprintf(" bit=%d lane=%d", f.BitPos, f.Lane)
-	case DeviceStraggler:
-		s += fmt.Sprintf(" delay=%d", f.DelayTicks)
-	}
-	if f.RepairIter > 0 {
-		s += fmt.Sprintf(" repair=%d", f.RepairIter)
-	}
-	return s
-}
-
 // CorruptContribution applies the fault's data corruption to the device's
 // gradient contribution for iteration iter, before it enters the
 // reduction. Only the data-corrupting kinds mutate anything: DeviceLinkSDC

@@ -131,12 +131,6 @@ type Result struct {
 	Masked bool
 }
 
-// Describe renders a one-line summary of the injection for logs.
-func (inj *Injection) Describe() string {
-	return fmt.Sprintf("%v @ layer %d %v iter %d (n=%d, bit=%d)",
-		inj.Kind, inj.LayerIdx, inj.Pass, inj.Iteration, inj.N, inj.BitPos)
-}
-
 // WriteOpKind distinguishes the three primitive element writes an
 // injection's software fault model is built from.
 type WriteOpKind byte
@@ -390,38 +384,6 @@ func copyFromFixed(ops []WriteOp, sched *accel.Schedule, cycle, src int) []Write
 		ops = append(ops, WriteOp{Kind: WriteCopy, Idx: sched.IndexOf(ch, pos), Src: sched.IndexOf(ch, src)})
 	}
 	return ops
-}
-
-// ExpandIntermittent models an intermittent hardware failure — the class
-// the paper's introduction describes ("when running the same workload 10
-// times on a faulty machine, the unexpected outcome was only observed 3
-// times"). The base injection's fault re-manifests on each of the `repeat`
-// iterations starting at base.Iteration, independently with probability
-// prob; each manifestation gets its own derived value seed. The returned
-// slice is deterministic in (base.Seed, repeat, prob).
-//
-// Sec 4.3.2 argues the single-fault necessary conditions carry over to
-// multiple/intermittent failures; arming the expansion on an engine lets
-// that claim be tested directly.
-func ExpandIntermittent(base Injection, repeat int, prob float64) []Injection {
-	if repeat < 1 {
-		panic("fault: intermittent repeat must be >= 1")
-	}
-	if prob <= 0 || prob > 1 {
-		panic("fault: intermittent probability must be in (0, 1]")
-	}
-	r := rng.New(base.Seed).Split(0x1f7e)
-	var out []Injection
-	for k := 0; k < repeat; k++ {
-		if r.Float64() >= prob {
-			continue
-		}
-		inj := base
-		inj.Iteration = base.Iteration + k
-		inj.Seed = rng.Seed{State: r.Uint64(), Stream: r.Uint64() >> 1}
-		out = append(out, inj)
-	}
-	return out
 }
 
 // Sampler draws random injections for a statistical campaign. Each call

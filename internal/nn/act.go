@@ -26,9 +26,6 @@ type ReLU struct {
 // NewReLU creates a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{ws: tensor.NewWorkspace()} }
 
-// Name implements Layer.
-func (r *ReLU) Name() string { return "relu" }
-
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
@@ -76,9 +73,6 @@ type GELU struct {
 
 // NewGELU creates a GELU layer.
 func NewGELU() *GELU { return &GELU{ws: tensor.NewWorkspace()} }
-
-// Name implements Layer.
-func (g *GELU) Name() string { return "gelu" }
 
 // Params implements Layer.
 func (g *GELU) Params() []*Param { return nil }
@@ -137,67 +131,6 @@ func (g *GELU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		u, t := float64(xd[i]), th[i]
 		dInner := geluC * (1 + 3*0.044715*u*u)
 		dx[i] = gv * float32(0.5*(1+t)+0.5*u*(1-t*t)*dInner)
-	}
-	return gradIn
-}
-
-// Dropout zeroes each element with probability P during training and scales
-// the survivors by 1/(1−P) (inverted dropout). The mask is drawn from
-// ctx.Rand, which the engine derives deterministically per iteration so that
-// re-execution (Sec 5.2) reproduces identical masks.
-type Dropout struct {
-	P        float32
-	lastMask []float32
-}
-
-// NewDropout creates a dropout layer with drop probability p.
-func NewDropout(p float32) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("nn: dropout probability must be in [0,1)")
-	}
-	return &Dropout{P: p}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return "dropout" }
-
-// Params implements Layer.
-func (d *Dropout) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	if ctx == nil || !ctx.Training || d.P == 0 {
-		d.lastMask = nil
-		return x
-	}
-	if ctx.Rand == nil {
-		panic("nn: dropout requires ctx.Rand during training")
-	}
-	out := tensor.New(x.Shape...)
-	if cap(d.lastMask) < x.Len() {
-		d.lastMask = make([]float32, x.Len())
-	}
-	d.lastMask = d.lastMask[:x.Len()]
-	scale := 1 / (1 - d.P)
-	for i, v := range x.Data {
-		if ctx.Rand.Float32() < d.P {
-			d.lastMask[i] = 0
-		} else {
-			d.lastMask[i] = scale
-			out.Data[i] = v * scale
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if d.lastMask == nil {
-		return gradOut
-	}
-	gradIn := tensor.New(gradOut.Shape...)
-	for i, g := range gradOut.Data {
-		gradIn.Data[i] = g * d.lastMask[i]
 	}
 	return gradIn
 }

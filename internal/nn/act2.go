@@ -18,9 +18,6 @@ func NewLeakyReLU(alpha float32) *LeakyReLU {
 	return &LeakyReLU{Alpha: alpha}
 }
 
-// Name implements Layer.
-func (l *LeakyReLU) Name() string { return "leakyrelu" }
-
 // Params implements Layer.
 func (l *LeakyReLU) Params() []*Param { return nil }
 

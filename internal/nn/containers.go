@@ -33,9 +33,6 @@ func (r *Residual) Workspace() *tensor.Workspace { return r.ws }
 // SetWorkspace implements WorkspaceHolder.
 func (r *Residual) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
 
-// Name implements Layer.
-func (r *Residual) Name() string { return r.name }
-
 // Params implements Layer. The branch is fixed at construction, so the
 // flattened slice is cached; read-only for callers.
 func (r *Residual) Params() []*Param {
@@ -101,9 +98,6 @@ type DenseBlock struct {
 func NewDenseBlock(name string, stages ...[]Layer) *DenseBlock {
 	return &DenseBlock{name: name, Stages: stages}
 }
-
-// Name implements Layer.
-func (d *DenseBlock) Name() string { return d.name }
 
 // Params implements Layer. Stages are fixed at construction, so the
 // flattened slice is cached; read-only for callers.

@@ -41,9 +41,6 @@ func NewConv2D(name string, inC, outC, kh, kw, stride, padding int, r *rng.Rand,
 	return c
 }
 
-// Name implements Layer.
-func (c *Conv2D) Name() string { return c.name }
-
 // Params implements Layer. The slice is cached (Param pointers are stable
 // after construction) and must be treated as read-only.
 func (c *Conv2D) Params() []*Param {
@@ -113,9 +110,6 @@ func NewMaxPool2D(size, stride int) *MaxPool2D {
 	return &MaxPool2D{Size: size, Stride: stride}
 }
 
-// Name implements Layer.
-func (m *MaxPool2D) Name() string { return "maxpool" }
-
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
@@ -182,9 +176,6 @@ func (g *GlobalAvgPool) Workspace() *tensor.Workspace { return g.ws }
 
 // SetWorkspace implements WorkspaceHolder.
 func (g *GlobalAvgPool) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
-
-// Name implements Layer.
-func (g *GlobalAvgPool) Name() string { return "gap" }
 
 // Params implements Layer.
 func (g *GlobalAvgPool) Params() []*Param { return nil }

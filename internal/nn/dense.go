@@ -31,9 +31,6 @@ func NewDense(name string, in, out int, r *rng.Rand, mixed bool) *Dense {
 	return d
 }
 
-// Name implements Layer.
-func (d *Dense) Name() string { return d.name }
-
 // Params implements Layer. The slice is cached (Param pointers are stable
 // after construction) and must be treated as read-only.
 func (d *Dense) Params() []*Param {
@@ -90,9 +87,6 @@ type Flatten struct {
 
 // NewFlatten creates a Flatten layer.
 func NewFlatten() *Flatten { return &Flatten{} }
-
-// Name implements Layer.
-func (f *Flatten) Name() string { return "flatten" }
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }

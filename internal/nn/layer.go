@@ -22,12 +22,10 @@ import (
 // Context carries per-step execution state into the forward pass.
 type Context struct {
 	// Training selects batch statistics (true) vs moving statistics (false)
-	// in normalization layers, and enables dropout.
+	// in normalization layers.
 	Training bool
-	// Rand supplies randomness (dropout masks). The training engine derives
-	// it deterministically from (seed, iteration, device) so that
-	// re-execution reproduces the same masks — requirement (3) of the
-	// paper's recovery technique (Sec 5.2).
+	// Rand supplies randomness to a layer that draws it. No layer of this
+	// package does, and the training engine leaves it nil.
 	Rand *rng.Rand
 }
 
@@ -55,9 +53,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // returns dL/d(input), accumulating dL/d(param) into each Param's Grad.
 // A Layer processes exactly one Forward/Backward pair at a time.
 type Layer interface {
-	// Name returns a short stable identifier used in fault-injection
-	// records and reports.
-	Name() string
 	Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's trainable parameters (possibly empty).

@@ -234,40 +234,6 @@ func TestSequentialParamsAndZeroGrad(t *testing.T) {
 	}
 }
 
-func TestDropoutEvalIdentity(t *testing.T) {
-	d := NewDropout(0.5)
-	x := randTensor(11, 3, 4)
-	out := d.Forward(&Context{Training: false}, x)
-	for i := range x.Data {
-		if out.Data[i] != x.Data[i] {
-			t.Fatal("eval-mode dropout must be identity")
-		}
-	}
-}
-
-func TestDropoutDeterministicWithSameRand(t *testing.T) {
-	d := NewDropout(0.5)
-	x := randTensor(12, 3, 4)
-	o1 := d.Forward(&Context{Training: true, Rand: rng.NewFromInt(77)}, x).Clone()
-	o2 := d.Forward(&Context{Training: true, Rand: rng.NewFromInt(77)}, x)
-	for i := range o1.Data {
-		if o1.Data[i] != o2.Data[i] {
-			t.Fatal("dropout with identical Rand differs — breaks re-execution")
-		}
-	}
-}
-
-func TestDropoutExpectedScale(t *testing.T) {
-	d := NewDropout(0.25)
-	x := tensor.New(100, 100)
-	x.Fill(1)
-	out := d.Forward(&Context{Training: true, Rand: rng.NewFromInt(13)}, x)
-	mean := out.Sum() / float64(out.Len())
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("inverted dropout mean = %v, want ~1", mean)
-	}
-}
-
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten()
 	x := randTensor(14, 2, 3, 4, 5)

@@ -86,7 +86,7 @@ func NewBatchNorm(name string, c int, momentum float32) *BatchNorm {
 	return bn
 }
 
-// Name implements Layer.
+// Name returns the name the layer was built with.
 func (bn *BatchNorm) Name() string { return bn.name }
 
 // Params implements Layer. The slice is cached (Param pointers are stable
@@ -274,9 +274,6 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 	ln.Gamma.Value.Fill(1)
 	return ln
 }
-
-// Name implements Layer.
-func (ln *LayerNorm) Name() string { return ln.name }
 
 // Params implements Layer. Cached; read-only for callers.
 func (ln *LayerNorm) Params() []*Param {

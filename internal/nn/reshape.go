@@ -17,9 +17,6 @@ func NewReshape(tail ...int) *Reshape {
 	return &Reshape{Tail: append([]int(nil), tail...)}
 }
 
-// Name implements Layer.
-func (r *Reshape) Name() string { return "reshape" }
-
 // Params implements Layer.
 func (r *Reshape) Params() []*Param { return nil }
 

@@ -23,9 +23,6 @@ func NewSeqDense(name string, in, out int, r *rng.Rand, mixed bool) *SeqDense {
 	return &SeqDense{inner: NewDense(name, in, out, r, mixed)}
 }
 
-// Name implements Layer.
-func (s *SeqDense) Name() string { return s.inner.Name() }
-
 // Params implements Layer.
 func (s *SeqDense) Params() []*Param { return s.inner.Params() }
 
@@ -45,7 +42,7 @@ func viewAs(v *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
 
 // Forward implements Layer.
 func (s *SeqDense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
-	checkRank(s.Name(), x, 3)
+	checkRank(s.inner.name, x, 3)
 	s.lastShape = append(s.lastShape[:0], x.Shape...)
 	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
 	y := s.inner.Forward(ctx, viewAs(&s.xv, x.Data, b*l, d))
@@ -77,9 +74,6 @@ type SeqMean struct {
 
 // NewSeqMean creates the pooling layer.
 func NewSeqMean() *SeqMean { return &SeqMean{ws: tensor.NewWorkspace()} }
-
-// Name implements Layer.
-func (s *SeqMean) Name() string { return "seqmean" }
 
 // Params implements Layer.
 func (s *SeqMean) Params() []*Param { return nil }
@@ -188,9 +182,6 @@ func NewAttention(name string, d, dk int, r *rng.Rand, mixed bool) *Attention {
 	at.Wo.Value.FillNormal(r, 0, math.Sqrt(1.0/float64(dk)))
 	return at
 }
-
-// Name implements Layer.
-func (at *Attention) Name() string { return at.name }
 
 // Params implements Layer. Cached; read-only for callers.
 func (at *Attention) Params() []*Param {
@@ -376,9 +367,6 @@ func NewLSTM(name string, d, h int, r *rng.Rand, mixed bool) *LSTM {
 	}
 	return l
 }
-
-// Name implements Layer.
-func (l *LSTM) Name() string { return l.name }
 
 // Params implements Layer. Cached; read-only for callers.
 func (l *LSTM) Params() []*Param {

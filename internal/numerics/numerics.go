@@ -71,14 +71,6 @@ func HasNonFinite(xs []float32) int {
 	return -1
 }
 
-// Float32 bit layout constants.
-const (
-	SignBit      = 31 // position of the sign bit
-	ExponentHigh = 30 // most significant exponent bit
-	ExponentLow  = 23 // least significant exponent bit
-	MantissaHigh = 22 // most significant mantissa bit
-)
-
 // FlipBit32 returns f with the bit at position pos (0 = LSB of the mantissa,
 // 31 = sign) inverted. This is the datapath-FF fault primitive: a
 // single-cycle bit flip in a register holding a float32 value.
@@ -106,8 +98,3 @@ func SetBit32(f float32, pos uint) float32 {
 func IsUpperExponentBit(pos uint) bool {
 	return pos == 30 || pos == 29
 }
-
-// MaxFloat32 is re-exported for readability at call sites that implement the
-// paper's "magnitude very close to the max FP32 value" condition
-// (Sec 4.2.2, short-term INFs/NaNs need |mvar| in 2.9e38–3.0e38).
-const MaxFloat32 = math.MaxFloat32

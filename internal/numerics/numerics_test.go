@@ -85,7 +85,7 @@ func TestHasNonFinite(t *testing.T) {
 
 func TestFlipBit32(t *testing.T) {
 	// Flipping the sign bit negates.
-	if got := FlipBit32(1.5, SignBit); got != -1.5 {
+	if got := FlipBit32(1.5, 31); got != -1.5 {
 		t.Errorf("sign flip of 1.5 = %v", got)
 	}
 	// Flipping bit 30 (top exponent bit) of 1.0 produces a huge value:
@@ -120,19 +120,24 @@ func TestIsUpperExponentBit(t *testing.T) {
 	}
 }
 
-// TestExponentBits: the layout constants bound float32's 8-bit exponent
-// field, biased by 127.
+// TestExponentBits: float32's exponent field is bits 23–30, biased by 127,
+// between the mantissa (bits 0–22) and the sign (bit 31): FlipBit32 at its
+// lowest bit halves or doubles a normal value.
 func TestExponentBits(t *testing.T) {
-	exponent := func(f float32) uint32 {
-		return math.Float32bits(f) >> ExponentLow & (1<<(ExponentHigh-ExponentLow+1) - 1)
-	}
-	for f, want := range map[float32]uint32{1: 127, 2: 128, 0: 0, -0.5: 126} {
-		if got := exponent(f); got != want {
-			t.Errorf("exponent field of %v = %d, want %d", f, got, want)
+	for _, c := range []struct {
+		f    float32
+		pos  uint
+		want float32
+	}{
+		{1.5, 23, 0.75},               // exponent 127 → 126
+		{2, 23, 4},                    // exponent 128 → 129
+		{1, 22, 1.5},                  // the mantissa's top bit
+		{1, 30, float32(math.Inf(1))}, // exponent 127 → 255
+		{2, 30, 0},                    // exponent 128 → 0
+	} {
+		if got := FlipBit32(c.f, c.pos); got != c.want {
+			t.Errorf("FlipBit32(%v, %d) = %v, want %v", c.f, c.pos, got, c.want)
 		}
-	}
-	if SignBit != ExponentHigh+1 || MantissaHigh != ExponentLow-1 {
-		t.Errorf("sign bit %d, mantissa top %d around exponent bits %d..%d", SignBit, MantissaHigh, ExponentHigh, ExponentLow)
 	}
 }
 
@@ -144,7 +149,7 @@ func TestQuickBF16MonotoneError(t *testing.T) {
 		if !IsFinite32(x) || x == 0 {
 			return true
 		}
-		if raw>>ExponentLow&0xff == 0 { // skip subnormals: error bound differs
+		if raw>>23&0xff == 0 { // skip subnormals: error bound differs
 			return true
 		}
 		r := RoundBF16(x)

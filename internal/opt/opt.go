@@ -23,14 +23,6 @@ type Optimizer interface {
 	// Step applies one update to every parameter. It must be called exactly
 	// once per training iteration, after gradient averaging.
 	Step(params []*nn.Param)
-	// Name identifies the optimizer in reports ("adam", "sgd").
-	Name() string
-	// NormalizesGradients reports whether the update direction is divided
-	// by a gradient-history statistic (true for Adam). The paper's
-	// propagation analysis branches on this property: SlowDegrade /
-	// SharpSlowDegrade require it, SharpDegrade requires its absence
-	// (Sec 4.2.6, Observation 3).
-	NormalizesGradients() bool
 	// History returns the optimizer's gradient-history tensors keyed by
 	// parameter name, or nil if the optimizer keeps no history. The
 	// detection technique bounds the absolute values of exactly these
@@ -75,12 +67,6 @@ func NewSGD(lr, momentum float32) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[string]*tensor.Tensor),
 		statV: make(map[string]uint32)}
 }
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// NormalizesGradients implements Optimizer: SGD applies raw gradients.
-func (s *SGD) NormalizesGradients() bool { return false }
 
 // Step implements Optimizer.
 func (s *SGD) Step(params []*nn.Param) {
@@ -190,28 +176,6 @@ func NewAdam(lr float32) *Adam {
 		statM: make(map[string]uint32),
 		statV: make(map[string]uint32),
 	}
-}
-
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
-
-// NormalizesGradients implements Optimizer: the update is divided by
-// sqrt(v_t), so faulty gradient magnitude is normalized away (which is why
-// immediate large-weight generation requires SGD, Sec 4.2.2).
-func (a *Adam) NormalizesGradients() bool { return true }
-
-// StepCount returns the number of completed optimizer steps.
-func (a *Adam) StepCount() int { return a.t }
-
-// BiasCorrection returns k = sqrt(1−β2^t)/(1−β1^t), the factor appearing in
-// the paper's Algorithm 1 Part II bound. For t = 0 it returns 1.
-func (a *Adam) BiasCorrection() float64 {
-	if a.t == 0 {
-		return 1
-	}
-	b1 := math.Pow(float64(a.Beta1), float64(a.t))
-	b2 := math.Pow(float64(a.Beta2), float64(a.t))
-	return math.Sqrt(1-b2) / (1 - b1)
 }
 
 // Step implements Optimizer.

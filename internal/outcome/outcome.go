@@ -321,25 +321,6 @@ func (c *Classifier) DetectPhases(t *train.Trace) Phases {
 	return p
 }
 
-// LossSpikeAt reports whether the training loss shows a sharp increase at
-// the fault iteration. Sec 4.2.6's training-loss analysis: forward-pass
-// faults that generate the Sharp* / short-term outcomes show a loss spike
-// at the fault iteration, while backward-pass faults leave the loss
-// "normal throughout the training process" even when they cause latent
-// outcomes — which is why loss monitoring alone cannot detect them.
-func (c *Classifier) LossSpikeAt(t *train.Trace, factor float64) bool {
-	f := t.FaultIter
-	if f < 0 || f >= len(t.TrainLoss) {
-		return false
-	}
-	sm := c.smooth(t.TrainLoss)
-	pre := sm[maxInt(0, f-1)]
-	if pre <= 0 {
-		pre = 1e-9
-	}
-	return t.TrainLoss[f] > pre*factor
-}
-
 // Tally accumulates outcome counts across a campaign.
 type Tally struct {
 	Counts [numOutcomes]int

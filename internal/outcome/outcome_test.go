@@ -222,32 +222,3 @@ func TestTally(t *testing.T) {
 		t.Fatalf("tally %+v", ta)
 	}
 }
-
-func TestLossSpikeAt(t *testing.T) {
-	ref := refTrace(100)
-	c := NewClassifier(ref)
-	spiky := synthTrace(100, 50, func(i int) float64 { return 0.8 })
-	for i := range spiky.TrainLoss {
-		spiky.TrainLoss[i] = 0.5
-	}
-	spiky.TrainLoss[50] = 25 // sharp loss spike at the fault
-	if !c.LossSpikeAt(spiky, 3) {
-		t.Fatal("spike not detected")
-	}
-	flat := synthTrace(100, 50, func(i int) float64 { return 0.8 })
-	for i := range flat.TrainLoss {
-		flat.TrainLoss[i] = 0.5
-	}
-	if c.LossSpikeAt(flat, 3) {
-		t.Fatal("false spike on a flat loss")
-	}
-	// Out-of-range fault iterations never spike.
-	flat.FaultIter = -1
-	if c.LossSpikeAt(flat, 3) {
-		t.Fatal("spike reported for fault-free trace")
-	}
-	flat.FaultIter = 500
-	if c.LossSpikeAt(flat, 3) {
-		t.Fatal("spike reported past the trace end")
-	}
-}

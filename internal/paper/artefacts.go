@@ -441,9 +441,15 @@ func Sec53() Artefact {
 	}}
 }
 
-// Sec6 measures which latent outcomes an activation range monitor and the
-// bounds check catch, over importance-sampled forward and backward-input
-// faults on resnet_largedecay, which reaches latent outcomes through both.
+// Sec6 measures, over importance-sampled forward and backward-input faults
+// on resnet_largedecay (which reaches latent outcomes through both), which
+// latent outcomes an activation range monitor, the bounds check and ABFT
+// checksums catch, and which stay latent when the optimizer clips the
+// gradient norm. The monitors and checksums ride the same faulty run: ABFT
+// wraps every layer of every replica without moving a bit of training, and
+// the bounds check derives its bounds before the wrapping, from the plain
+// layers. Each latent trial then trains again under clipping and is
+// classified against a clipped fault-free run.
 func Sec6() Artefact {
 	w, _ := workloads.ByName("resnet_largedecay")
 	w.Iters = 60
@@ -455,10 +461,15 @@ func Sec6() Artefact {
 	sampler := fault.NewSampler(accel.NVDLAInventory(), rng.NewFromInt(71))
 	bias := rng.NewFromInt(72)
 	refEngine := w.NewEngine(seed)
+	refChecks := withABFT(refEngine)
 	ref := train.NewTrace("ref")
 	refEngine.Run(0, w.Iters, ref, false)
+	if refChecks.Alarms.Load() != 0 {
+		panic(fmt.Sprintf("paper: ABFT raised %d alarms on the fault-free reference", refChecks.Alarms.Load()))
+	}
 	cls := outcome.NewClassifier(ref)
-	var rangerHits, boundsHits, latent int
+	var rangerHits, boundsHits, abftHits int
+	var latent []fault.Injection
 	for trial := 0; trial < 80; trial++ {
 		inj := sampler.Sample(refEngine.Replica(0).Len(), 40)
 		inj.Kind = dangerousKinds[bias.Intn(len(dangerousKinds))]
@@ -470,6 +481,7 @@ func Sec6() Artefact {
 		e := w.NewEngine(seed)
 		e.SetInjection(&inj)
 		d := detect.ForEngine(e, w.BatchSize(), w.LR, true)
+		checks := withABFT(e)
 		ranger.Reset()
 		ranger.SetIteration(0)
 		e.ForwardMonitor = ranger.Check
@@ -484,18 +496,62 @@ func Sec6() Artefact {
 		if !cls.Classify(tr, inj.Pass).IsLatent() {
 			continue
 		}
-		latent++
+		latent = append(latent, inj)
 		if ranger.FirstAlarmIter() >= 0 {
 			rangerHits++
 		}
 		if caught {
 			boundsHits++
 		}
+		if checks.Alarms.Load() > 0 {
+			abftHits++
+		}
 	}
-	return Artefact{"sec6", "Sec 6 — latent-outcome detection coverage: range restriction vs bounds check", []Row{
-		share("latent outcomes caught by range restriction", rangerHits, latent, 71, "33.7 %"),
-		share("latent outcomes caught by the bounds check", boundsHits, latent, 71, "100 %"),
+
+	clipped, plain := *w, w.NewOptimizer
+	clipped.NewOptimizer = func() opt.Optimizer { return baseline.NewClipped(plain(), clipNorm) }
+	clipRef := train.NewTrace("ref")
+	clipped.NewEngine(seed).Run(0, w.Iters, clipRef, false)
+	clipCls := outcome.NewClassifier(clipRef)
+	stillLatent := 0
+	for _, inj := range latent {
+		e := clipped.NewEngine(seed)
+		e.SetInjection(&inj)
+		tr := train.NewTrace(w.Name)
+		e.Run(0, w.Iters, tr, true)
+		if clipCls.Classify(tr, inj.Pass).IsLatent() {
+			stillLatent++
+		}
+	}
+	n := len(latent)
+	return Artefact{"sec6", "Sec 6 — latent outcomes: bounds check vs range restriction, ABFT and gradient clipping", []Row{
+		share("latent outcomes caught by range restriction", rangerHits, n, 71, "33.7 %"),
+		share("latent outcomes caught by the bounds check", boundsHits, n, 71, "100 %"),
+		share("latent outcomes ABFT alarms on", abftHits, n, 71, ""),
+		share("latent outcomes gradient clipping leaves latent", stillLatent, n, 71, "cannot mitigate all"),
 	}}
+}
+
+// abftTolerance is the relative checksum mismatch Sec 6's ABFT alarms on:
+// BenchmarkSec6_ABFTOverhead's, at which the fault-free reference raises no
+// alarm (Sec6 panics if it does).
+const abftTolerance = 5e-2
+
+// clipNorm is the global gradient norm Sec 6's clipping scales down to. The
+// fault-free resnet_largedecay run's largest norm over its 60 iterations is
+// 1.97, at iteration 0. So clipping never acts on the fault-free run, and the
+// clipped reference is the plain one bit for bit. It acts on any gradient a
+// fault inflates past 2.5× that.
+const clipNorm = 5
+
+// withABFT wraps every Dense and Conv2D layer of e's replicas with ABFT
+// checksums sharing one state, and returns it.
+func withABFT(e *train.Engine) *baseline.ABFTState {
+	s := baseline.NewABFTState(abftTolerance)
+	for d := 0; d < e.Config().Devices; d++ {
+		baseline.WrapModel(baseline.ABFTBuilder(s), e.Replica(d))
+	}
+	return s
 }
 
 // Table5 exposes training and inference to the same 20 importance-sampled

@@ -60,16 +60,6 @@ type Row struct {
 	Spec *experiment.Spec `json:"spec,omitempty"`
 }
 
-// Get returns the row labelled label, or the zero Row.
-func (a Artefact) Get(label string) Row {
-	for _, r := range a.Rows {
-		if r.Label == label {
-			return r
-		}
-	}
-	return Row{}
-}
-
 // share is the row for k of n trials; a share of no trials measures
 // nothing and says so.
 func share(label string, k, n int, seed int64, paper string) Row {

@@ -9,6 +9,7 @@ package record
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -97,7 +98,7 @@ func FuzzRepairJournal(f *testing.F) {
 		if len(repaired) > 0 && repaired[len(repaired)-1] != '\n' {
 			t.Fatalf("repair left an unterminated final line (%d bytes)", len(repaired))
 		}
-		if _, err := parseJournal(path, repaired, want); IsTornTail(err) {
+		if _, err := parseJournal(path, repaired, want); errors.As(err, new(*TornTailError)) {
 			t.Fatalf("repaired journal still reports a torn tail: %v", err)
 		}
 		if n, err := RepairJournal(path); n != 0 || err != nil {

@@ -28,7 +28,6 @@ package record
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -506,10 +505,4 @@ func outcomeFromName(name string) (outcome.Outcome, error) {
 		}
 	}
 	return 0, fmt.Errorf("record: unknown outcome %q", name)
-}
-
-// IsTornTail reports whether err is a repairable torn-tail journal error.
-func IsTornTail(err error) bool {
-	var t *TornTailError
-	return errors.As(err, &t)
 }

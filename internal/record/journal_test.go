@@ -247,7 +247,7 @@ func TestJournalCorruption(t *testing.T) {
 			return raw[:len(raw)-7] // chop mid-record, past the last newline
 		})
 		_, _, err := OpenJournal(torn, cfg, digest)
-		if !IsTornTail(err) {
+		if !errors.As(err, new(*TornTailError)) {
 			t.Fatalf("want TornTailError, got %v", err)
 		}
 		if !strings.Contains(err.Error(), "repair") {

@@ -121,13 +121,6 @@ func DecodeInjection(j InjectionJSON) (fault.Injection, error) {
 	}, nil
 }
 
-// WriteInjectionJSON serializes an injection to w.
-func WriteInjectionJSON(w io.Writer, inj fault.Injection) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(EncodeInjection(inj))
-}
-
 // ReadInjectionJSON parses an injection from r.
 func ReadInjectionJSON(r io.Reader) (fault.Injection, error) {
 	var j InjectionJSON

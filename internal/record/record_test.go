@@ -29,7 +29,7 @@ func sampleInjection() fault.Injection {
 func TestInjectionJSONRoundTrip(t *testing.T) {
 	orig := sampleInjection()
 	var buf bytes.Buffer
-	if err := WriteInjectionJSON(&buf, orig); err != nil {
+	if err := json.NewEncoder(&buf).Encode(EncodeInjection(orig)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadInjectionJSON(&buf)
@@ -47,7 +47,7 @@ func TestInjectionJSONAllKindsAndPasses(t *testing.T) {
 			inj := sampleInjection()
 			inj.Kind, inj.Pass = k, p
 			var buf bytes.Buffer
-			if err := WriteInjectionJSON(&buf, inj); err != nil {
+			if err := json.NewEncoder(&buf).Encode(EncodeInjection(inj)); err != nil {
 				t.Fatal(err)
 			}
 			got, err := ReadInjectionJSON(&buf)

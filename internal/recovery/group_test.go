@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -9,6 +10,11 @@ import (
 	"repro/internal/train"
 	"repro/internal/workloads"
 )
+
+// quarantined reports whether device d is out of e's group.
+func quarantined(e *train.Engine, d int) bool {
+	return !slices.Contains(e.Group().Healthy(), d)
+}
 
 // resnetEngine builds the 8-device ResNet workload engine used by the
 // group-mitigation tests.
@@ -57,7 +63,7 @@ func TestGroupGuardStuckAtDetectQuarantineDegraded(t *testing.T) {
 	if det < onset || det > onset+2 {
 		t.Fatalf("cross-replica detection at iteration %d, want within [%d, %d]", det, onset, onset+2)
 	}
-	if !e.Group().Quarantined(3) {
+	if !quarantined(e, 3) {
 		t.Fatal("faulty device 3 not quarantined")
 	}
 	if g.Quarantines != 1 || g.Rollbacks != 1 {
@@ -109,8 +115,8 @@ func TestGroupGuardCrashTimeoutRetryQuarantine(t *testing.T) {
 	if len(g.Events) == 0 || g.Events[0].Kind != "quarantine-timeout" || g.Events[0].Iteration != onset {
 		t.Fatalf("events = %+v, want quarantine-timeout at %d first", g.Events, onset)
 	}
-	if !e.Group().Quarantined(1) || trace.Completed != iters {
-		t.Fatalf("quarantined(1)=%v completed=%d", e.Group().Quarantined(1), trace.Completed)
+	if !quarantined(e, 1) || trace.Completed != iters {
+		t.Fatalf("quarantined(1)=%v completed=%d", quarantined(e, 1), trace.Completed)
 	}
 }
 
@@ -200,8 +206,8 @@ func TestGroupGuardPermanentFaultRequarantined(t *testing.T) {
 		t.Fatalf("quarantines = %d, want %d (initial + one per failed rejoin)",
 			g.Quarantines, maxRejoins+1)
 	}
-	if !e.Group().Quarantined(6) || trace.Completed != iters {
-		t.Fatalf("quarantined(6)=%v completed=%d", e.Group().Quarantined(6), trace.Completed)
+	if !quarantined(e, 6) || trace.Completed != iters {
+		t.Fatalf("quarantined(6)=%v completed=%d", quarantined(e, 6), trace.Completed)
 	}
 }
 
@@ -223,7 +229,7 @@ func TestGroupGuardDegradedNeverReadmits(t *testing.T) {
 		t.Fatalf("quarantines=%d rejoins=%d rejoinFailures=%d, want 1, 0 and 0",
 			g.Quarantines, g.Rejoins, g.RejoinFailures)
 	}
-	if !e.Group().Quarantined(2) {
+	if !quarantined(e, 2) {
 		t.Fatal("degraded strategy returned device 2 to the group")
 	}
 	if g.TimeToRecover() != -1 || g.DegradedIters != iters-5 {

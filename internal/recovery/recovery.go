@@ -173,17 +173,6 @@ func (c *Checkpointer) AfterIteration(e *train.Engine, iter int) {
 	}
 }
 
-// Restore rewinds to the last checkpoint and returns the iteration to
-// resume from (0 if no checkpoint was ever saved — the run restarts).
-func (c *Checkpointer) Restore(e *train.Engine, freshStart *train.State) int {
-	if c.last == nil {
-		e.Restore(freshStart)
-		return 0
-	}
-	e.Restore(c.last)
-	return c.last.Iteration
-}
-
 // LostIterations returns how many iterations of work reverting at iteration
 // iter would discard.
 func (c *Checkpointer) LostIterations(iter int) int {

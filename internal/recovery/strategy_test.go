@@ -46,9 +46,9 @@ func TestGroupGuardJITCrashRecovery(t *testing.T) {
 	if err := g.Run(0, onset+1, trace); err != nil {
 		t.Fatalf("GroupGuard.Run: %v", err)
 	}
-	if !e.Group().Quarantined(2) || g.JITSnapshots != 1 {
+	if !quarantined(e, 2) || g.JITSnapshots != 1 {
 		t.Fatalf("after onset: quarantined(2)=%v jitSnapshots=%d, want true and 1",
-			e.Group().Quarantined(2), g.JITSnapshots)
+			quarantined(e, 2), g.JITSnapshots)
 	}
 	lost, donor := e.Replica(2), e.Replica(e.RootDevice())
 	for i, p := range lost.Params() {

@@ -4,8 +4,8 @@
 //
 // Determinism is a hard requirement of the paper's recovery technique
 // (Sec 5.2): re-executing the two most recent training iterations must
-// reproduce the exact same random choices (dropout masks, data shuffles,
-// fault-free augmentations), so every consumer of randomness records the
+// reproduce the exact same random choices (data shuffles, fault value
+// streams), so every consumer of randomness records the
 // seed it was created from and can be reconstructed from that seed alone.
 //
 // The generator is a PCG-XSH-RR variant (O'Neill, 2014) implemented from
@@ -64,10 +64,6 @@ func NewFromInt(n int64) *Rand {
 	return New(Seed{State: splitmix64(uint64(n)), Stream: 0})
 }
 
-// Seed returns the seed this generator was constructed from. It does NOT
-// reflect the generator's current position; it is the replay handle.
-func (r *Rand) Seed() Seed { return r.seed }
-
 // Split derives an independent child generator. The child's stream is a hash
 // of the parent's seed and the supplied label, so the same (parent seed,
 // label) pair always yields the same child — the property the re-execution
@@ -122,11 +118,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniformly distributed float32 in [0, 1).
-func (r *Rand) Float32() float32 {
-	return float32(r.Uint32()>>8) / (1 << 24)
-}
-
 // NormFloat64 returns a standard normally distributed value using the
 // Box-Muller transform (the polar variant, to avoid trig in the hot path).
 func (r *Rand) NormFloat64() float64 {
@@ -141,15 +132,8 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n) via Fisher-Yates.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	r.PermInto(p)
-	return p
-}
-
-// PermInto overwrites p with the permutation Perm(len(p)) returns, drawing
-// the same values from r, without allocating.
+// PermInto overwrites p with a pseudo-random permutation of [0, len(p)) via
+// Fisher-Yates, without allocating.
 func (r *Rand) PermInto(p []int) {
 	for i := range p {
 		p[i] = i

@@ -16,16 +16,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestSeedRoundTrip(t *testing.T) {
-	orig := New(Seed{State: 99, Stream: 3})
-	replay := New(orig.Seed())
-	for i := 0; i < 100; i++ {
-		if orig.Uint64() != replay.Uint64() {
-			t.Fatalf("replay diverged at draw %d", i)
-		}
-	}
-}
-
 func TestDifferentStreamsDiffer(t *testing.T) {
 	a := New(Seed{State: 42, Stream: 1})
 	b := New(Seed{State: 42, Stream: 2})
@@ -88,16 +78,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestFloat32Range(t *testing.T) {
-	r := NewFromInt(2)
-	for i := 0; i < 10000; i++ {
-		f := r.Float32()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float32 out of range: %v", f)
-		}
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := NewFromInt(3)
 	for n := 1; n <= 17; n++ {
@@ -148,39 +128,14 @@ func TestNormFloat64Moments(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := NewFromInt(5)
 	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
+		p := make([]int, n)
+		r.PermInto(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("PermInto over %d = %v is not a permutation", n, p)
 			}
 			seen[v] = true
-		}
-	}
-}
-
-// TestPermIntoMatchesPerm: the in-place form fills a slice, whatever it
-// held, with the permutation Perm returns from the same generator state, and
-// leaves the generator where Perm leaves it.
-func TestPermIntoMatchesPerm(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 17, 256} {
-		a, b := NewFromInt(int64(n)+3), NewFromInt(int64(n)+3)
-		want := a.Perm(n)
-		got := make([]int, n)
-		for i := range got {
-			got[i] = -7
-		}
-		b.PermInto(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: PermInto[%d] = %d, Perm %d", n, i, got[i], want[i])
-			}
-		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("n=%d: PermInto and Perm leave the generator in different states", n)
 		}
 	}
 }
@@ -243,5 +198,35 @@ func BenchmarkNormFloat64(b *testing.B) {
 	r := NewFromInt(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.NormFloat64()
+	}
+}
+
+// TestPermIntoMatchesPerm: PermInto fills a slice, whatever it held, with
+// the Fisher-Yates permutation Intn draws from the same generator state, and
+// leaves the generator where that draw leaves it.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 17, 256} {
+		a, b := NewFromInt(int64(n)+3), NewFromInt(int64(n)+3)
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		for i := n - 1; i > 0; i-- {
+			j := a.Intn(i + 1)
+			want[i], want[j] = want[j], want[i]
+		}
+		got := make([]int, n)
+		for i := range got {
+			got[i] = -7
+		}
+		b.PermInto(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: PermInto[%d] = %d, Fisher-Yates %d", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: PermInto and the Fisher-Yates draw leave the generator in different states", n)
+		}
 	}
 }

@@ -15,7 +15,7 @@
 // The fused-transpose kernels index the transposed operand directly instead
 // of materializing the transpose, but visit the addends of each element in
 // the same ascending-k order, so they are bitwise-equal to
-// MatMul(Transpose2D(a), b) and MatMul(a, Transpose2D(b)) respectively.
+// MatMul(aᵀ, b) and MatMul(a, bᵀ) respectively.
 //
 // Where useAVX is set (amd64 with AVX, decided once at init) the fp32
 // inner loops below hand their rows to the assembly micro-kernels of
@@ -63,7 +63,7 @@ func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 }
 
 // MatMulTA computes C = Aᵀ × B for A [k,m] and B [k,n] without
-// materializing the transpose. Bitwise-equal to MatMul(Transpose2D(a), b).
+// materializing the transpose. Bitwise-equal to MatMul(aᵀ, b).
 func MatMulTA(a, b *Tensor, mixed bool) *Tensor {
 	k, m, n := checkMatMulTA(a, b)
 	c := New(m, n)
@@ -91,7 +91,7 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 }
 
 // MatMulTB computes C = A × Bᵀ for A [m,k] and B [n,k] without
-// materializing the transpose. Bitwise-equal to MatMul(a, Transpose2D(b)).
+// materializing the transpose. Bitwise-equal to MatMul(a, bᵀ).
 func MatMulTB(a, b *Tensor, mixed bool) *Tensor {
 	m, _, n := checkMatMulTB(a, b)
 	return MatMulTBInto(New(m, n), a, b, mixed)
@@ -396,7 +396,7 @@ const tbStackPanel = 256
 // lanes without a horizontal sum, which would reorder one element's addends;
 // the NN form keeps every element's chain — +0 start, ascending k, a == 0
 // skipped — and vectorizes across elements, so it is bitwise-equal to
-// MatMul(a, Transpose2D(b)), the contract MatMulTB documents. A panel of up
+// MatMul(a, bᵀ), the contract MatMulTB documents. A panel of up
 // to tbStackPanel floats is on the stack; any other panel is a pack buffer.
 func gemmTBAVX(c, a, b []float32, m, k, n int) {
 	if tbTransposesA(m, k, n) && allNonZero(a) {

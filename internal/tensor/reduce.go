@@ -107,27 +107,6 @@ func (t *Tensor) Sum() float64 {
 	return laneTotal(&l)
 }
 
-// HasNonFinite reports whether any element is NaN or ±Inf, via the abs-bits
-// test (abs-bits ≥ the +Inf pattern), 4-way unrolled.
-func (t *Tensor) HasNonFinite() bool {
-	i := 0
-	for ; i+4 <= len(t.Data); i += 4 {
-		b0 := math.Float32bits(t.Data[i]) & absBitsMask
-		b1 := math.Float32bits(t.Data[i+1]) & absBitsMask
-		b2 := math.Float32bits(t.Data[i+2]) & absBitsMask
-		b3 := math.Float32bits(t.Data[i+3]) & absBitsMask
-		if b0 >= nonFiniteBits || b1 >= nonFiniteBits || b2 >= nonFiniteBits || b3 >= nonFiniteBits {
-			return true
-		}
-	}
-	for ; i < len(t.Data); i++ {
-		if math.Float32bits(t.Data[i])&absBitsMask >= nonFiniteBits {
-			return true
-		}
-	}
-	return false
-}
-
 // AddInPlaceAbsMax computes t += u element-wise — the exact loop of
 // AddInPlace — and returns the abs-max of u's elements, folded into the same
 // pass under the abs-bits ordering (NaN wins). The collective layer uses it

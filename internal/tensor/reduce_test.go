@@ -64,26 +64,6 @@ func TestSumLaneRuleMatchesPhasedAccumulation(t *testing.T) {
 	}
 }
 
-func TestHasNonFinite(t *testing.T) {
-	a := New(9)
-	a.Fill(2)
-	if a.HasNonFinite() {
-		t.Fatal("finite tensor reported non-finite")
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		a.Fill(2)
-		a.Data[8] = float32(bad) // tail position
-		if !a.HasNonFinite() {
-			t.Fatalf("%v not reported", bad)
-		}
-		a.Fill(2)
-		a.Data[1] = float32(bad) // unrolled position
-		if !a.HasNonFinite() {
-			t.Fatalf("%v not reported in unrolled body", bad)
-		}
-	}
-}
-
 func TestDirtyProtocol(t *testing.T) {
 	a := New(4, 4)
 	if a.Dirty() {
@@ -223,7 +203,7 @@ func TestChannelReductionsBitwise(t *testing.T) {
 }
 
 // FuzzReduceOracle: the reductions the mitigation checks rest on — AbsMax,
-// Sum, HasNonFinite and AddInPlaceAbsMax — against per-element loops
+// Sum and AddInPlaceAbsMax — against per-element loops
 // that share no unrolling or lane bookkeeping with them, on a fuzzer-chosen
 // length and fuzzer-chosen bit patterns. Where the oracle's answer is NaN the
 // kernel's only has to be NaN.
@@ -293,16 +273,6 @@ func FuzzReduceOracle(f *testing.F) {
 		wantSum := (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 		if got := xt.Sum(); math.Float64bits(got) != math.Float64bits(wantSum) && !(got != got && wantSum != wantSum) {
 			t.Fatalf("Sum = %v, want %v", got, wantSum)
-		}
-
-		nonFinite := false
-		for _, v := range x {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				nonFinite = true
-			}
-		}
-		if got := xt.HasNonFinite(); got != nonFinite {
-			t.Fatalf("HasNonFinite = %v, want %v", got, nonFinite)
 		}
 
 		want := make([]float32, n)

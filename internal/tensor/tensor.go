@@ -129,9 +129,6 @@ func (t *Tensor) SameShape(u *Tensor) bool {
 	return true
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
-
 // Set stores v at the given multi-index.
 func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
 
@@ -183,26 +180,6 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 	addBlocks(t.Data, u.Data, &blockShape{n: 1, rows: 1, cols: len(t.Data)})
 }
 
-// SubInPlace computes t -= u element-wise.
-func (t *Tensor) SubInPlace(u *Tensor) {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: SubInPlace size mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] -= u.Data[i]
-	}
-}
-
-// MulInPlace computes t *= u element-wise.
-func (t *Tensor) MulInPlace(u *Tensor) {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: MulInPlace size mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] *= u.Data[i]
-	}
-}
-
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {
@@ -225,21 +202,6 @@ func (t *Tensor) AxpyInPlace(alpha float32, u *Tensor) {
 
 // FirstNonFinite returns the index of the first NaN/Inf element, or -1.
 func (t *Tensor) FirstNonFinite() int { return numerics.HasNonFinite(t.Data) }
-
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D requires 2-D, got %v", a.Shape))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	t := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			t.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return t
-}
 
 // ConvParams describes a 2-D convolution: kernel spatial size, stride and
 // symmetric zero padding.
@@ -474,19 +436,6 @@ func (g lowering) taps(p ConvParams, rowLen int, toPlane bool) tapSet {
 	return tapSet{c: g.c, kh: p.KH, kw: p.KW, dst: matrix, src: plane}
 }
 
-// Im2Col unfolds input [N,C,H,W] into a matrix [C*KH*KW, N*OH*OW] so that
-// convolution becomes a matrix multiply — the same lowering the modeled
-// accelerator's sequencer performs when tiling a convolution onto the MAC
-// array.
-func Im2Col(in *Tensor, p ConvParams) *Tensor {
-	n, c, h, w := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	oh, ow := p.OutSize(h, w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: conv output %dx%d is empty for input %v params %+v", oh, ow, in.Shape, p))
-	}
-	return Im2ColInto(New(c*p.KH*p.KW, n*oh*ow), in, p)
-}
-
 // Im2ColInto performs the Im2Col unfolding into a caller-provided matrix of
 // shape [C*KH*KW, N*OH*OW] (every element is overwritten), returning cols.
 // The staging plane is pooled scratch; the convolution kernels keep theirs in
@@ -544,13 +493,6 @@ func im2col(ws *Workspace, cols, in *Tensor, p ConvParams) *Tensor {
 		}
 	}
 	return cols
-}
-
-// Col2Im folds a [C*KH*KW, N*OH*OW] matrix back into an [N,C,H,W] tensor by
-// summing overlapping contributions — the adjoint of Im2Col, used for the
-// input-gradient computation in the backward pass.
-func Col2Im(cols *Tensor, n, c, h, w int, p ConvParams) *Tensor {
-	return Col2ImInto(New(n, c, h, w), cols, p)
 }
 
 // Col2ImInto performs the Col2Im folding into a caller-provided [N,C,H,W]
@@ -614,14 +556,6 @@ func col2im(ws *Workspace, out, cols *Tensor, p ConvParams) *Tensor {
 	return out
 }
 
-// Conv2D computes the forward convolution of input [N,C,H,W] with kernels
-// [K,C,KH,KW], producing [N,K,OH,OW]. When mixed is true the MAC products go
-// through bfloat16 rounding.
-func Conv2D(in, kernel *Tensor, p ConvParams, mixed bool) *Tensor {
-	out, _ := Conv2DForwardWS(nil, in, kernel, p, mixed)
-	return out
-}
-
 // Conv2DForwardWS is the workspace-aware convolution forward. All scratch
 // (the staging plane, the unfolded im2col matrix, the pre-transpose output)
 // and the output itself come from ws, so repeated same-shape calls allocate
@@ -649,14 +583,6 @@ func Conv2DForwardWS(ws *Workspace, in, kernel *Tensor, p ConvParams, mixed bool
 	})
 	out.ClearDirty()
 	return out, cols
-}
-
-// Conv2DBackward computes the gradients of a convolution given the output
-// gradient [N,K,OH,OW]. It returns (gradInput [N,C,H,W], gradKernel
-// [K,C,KH,KW]). These are the "input gradient operations" and "weight
-// gradient operations" of Table 1's terminology.
-func Conv2DBackward(in, kernel, gradOut *Tensor, p ConvParams, mixed bool) (gradIn, gradKernel *Tensor) {
-	return Conv2DBackwardWS(nil, in, kernel, gradOut, nil, p, mixed)
 }
 
 // Conv2DBackwardWS is the workspace-aware convolution backward. cols, when
@@ -716,26 +642,6 @@ func conv2DWeightGrad(ws *Workspace, in, kernel, gradOut, cols *Tensor, p ConvPa
 	// 4-D kernel gradient (the Into kernels only require matching size).
 	gradKernel = MatMulTBInto(ws.Get("conv.gk", k, c, p.KH, p.KW), g2d, cols, mixed)
 	return g2d, gradKernel
-}
-
-// ArgMaxRows returns, for a 2-D tensor [rows, cols], the column index of the
-// maximum element in each row — used to turn logits into class predictions.
-func ArgMaxRows(t *Tensor) []int {
-	if len(t.Shape) != 2 {
-		panic("tensor: ArgMaxRows requires 2-D")
-	}
-	rows, cols := t.Shape[0], t.Shape[1]
-	out := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		best, bestJ := float32(math.Inf(-1)), 0
-		for j := 0; j < cols; j++ {
-			if v := t.Data[i*cols+j]; v > best {
-				best, bestJ = v, j
-			}
-		}
-		out[i] = bestJ
-	}
-	return out
 }
 
 // ChannelMoments computes, for an NCHW tensor, the per-channel mean and

@@ -39,11 +39,12 @@ import (
 type Workspace struct {
 	// bufs holds one entry per key in first-use order. A layer's keys are a
 	// handful of string constants (Attention's fifteen are the most in the
-	// zoo), so Get scans them and nothing is hashed. The scan starts at
-	// next, one past the previous hit: a layer asks for its keys in the same
-	// order every iteration, so in steady state the first entry looked at is
-	// the one wanted, and comparing a constant with itself is a length and
-	// two equal pointers.
+	// zoo), so Get scans them and nothing is hashed. It looks at the
+	// previous hit first (Attention's backward asks for "dw" three times and
+	// "gxt" twice in a row), then scans from next, one past it: a layer asks
+	// for its keys in the same order every iteration, so in steady state one
+	// of the first two entries looked at is the one wanted, and comparing a
+	// constant with itself is a length and two equal pointers.
 	bufs []wsBuf
 	next int
 	// view is the header reshaped hands out: one reusable alias of a
@@ -77,13 +78,15 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 		return New(shape...)
 	}
 	var t *Tensor
-	for k, i := 0, ws.next; k < len(ws.bufs); k, i = k+1, i+1 {
+	if p := ws.next - 1; p >= 0 && ws.bufs[p].key == key {
+		t = ws.bufs[p].t // the previous hit again: a key asked for twice in a row
+	}
+	for k, i := 0, ws.next; t == nil && k < len(ws.bufs); k, i = k+1, i+1 {
 		if i >= len(ws.bufs) {
 			i = 0
 		}
 		if ws.bufs[i].key == key {
 			t, ws.next = ws.bufs[i].t, i+1
-			break
 		}
 	}
 	if t == nil {

@@ -27,7 +27,7 @@ func TestWorkspaceKeysWithinScan(t *testing.T) {
 			}
 			holders++
 			if n := wh.Workspace().NumKeys(); n > tensor.WsScanMax {
-				t.Errorf("%s: layer %s holds %d workspace keys, more than the %d Get is meant to scan", w.Name, l.Name(), n, tensor.WsScanMax)
+				t.Errorf("%s: layer %T holds %d workspace keys, more than the %d Get is meant to scan", w.Name, l, n, tensor.WsScanMax)
 			}
 		})
 		if holders == 0 {

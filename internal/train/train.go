@@ -41,7 +41,8 @@ type Config struct {
 	// PerDeviceBatch is the mini-batch size each device processes per
 	// iteration; the loader's batch size must equal Devices*PerDeviceBatch.
 	PerDeviceBatch int
-	// Seed drives all engine randomness (dropout, injection value streams).
+	// Seed drives the engine's randomness: the replicas' weight
+	// initialization.
 	Seed rng.Seed
 	// TestEvery evaluates test accuracy every TestEvery iterations
 	// (0 disables periodic evaluation).
@@ -228,9 +229,8 @@ func (e *Engine) SetInjection(inj *fault.Injection) {
 }
 
 // SetInjections arms multiple independent one-shot injections — the
-// multiple-failure scenario of Sec 4.3.2, and the expansion of an
-// intermittent fault (fault.ExpandIntermittent). Each fires at its own
-// iteration on device 0.
+// multiple-failure scenario of Sec 4.3.2, and the manifestations of an
+// intermittent fault. Each fires at its own iteration on device 0.
 func (e *Engine) SetInjections(injs []fault.Injection) {
 	e.injections = e.injections[:0]
 	e.injFired = e.injFired[:0]
@@ -284,21 +284,11 @@ func (e *Engine) ScrubWorkspaces() {
 // with plain ones until the first quarantine.
 func (e *Engine) SetElastic(on bool) { e.elastic = on }
 
-// deviceScratch is a device step's state: the layer context, the generator
-// it points at, and the header of the device's batch shard.
+// deviceScratch is a device step's state: the layer context and the header
+// of the device's batch shard.
 type deviceScratch struct {
-	ctx  nn.Context
-	rand rng.Rand
-	x    tensor.Tensor
-}
-
-// ctxRand repositions lane l's generator at the deterministic stream for
-// (iteration, device) — rng.New(Seed).Split(iter).Split(device+1), bit for
-// bit — and returns it.
-func (e *Engine) ctxRand(l *lane, iter, device int) *rng.Rand {
-	r := &l.step.rand
-	r.Reseed(e.cfg.Seed.Split(uint64(iter)).Split(uint64(device) + 1))
-	return r
+	ctx nn.Context
+	x   tensor.Tensor
 }
 
 // chanAxis returns the accelerator channel axis for an activation/gradient
@@ -372,7 +362,7 @@ func (e *Engine) deviceStep(l *lane, iter, d int, batch data.Batch, exLen, lo, n
 	y := batch.Y[lo : lo+n]
 
 	ctx := &sc.ctx
-	*ctx = nn.Context{Training: true, Rand: e.ctxRand(l, iter, d)}
+	*ctx = nn.Context{Training: true}
 	model := e.replicas[d]
 	if e.bound[d] != l.id {
 		model.BindWorkspaces(l.ws)
@@ -702,12 +692,6 @@ func (e *Engine) MvarAbsMax() float64 {
 		}
 	}
 	return m
-}
-
-// HasBatchNorm reports whether the model contains normalization layers with
-// moving statistics.
-func (e *Engine) HasBatchNorm() bool {
-	return len(e.replicas[0].BatchNorms()) > 0
 }
 
 // State is a deep snapshot of everything needed to rewind training to an

@@ -247,14 +247,14 @@ func TestHistoryAndMvarAccessors(t *testing.T) {
 	if e.HistoryAbsMax() <= 0 {
 		t.Fatal("history max should be positive after a step")
 	}
-	if !e.HasBatchNorm() {
+	if len(e.Replica(0).BatchNorms()) == 0 {
 		t.Fatal("model has BatchNorm")
 	}
 	if e.MvarAbsMax() <= 0 {
 		t.Fatal("mvar max should be positive")
 	}
 	eNoBN, _ := testSetup(t, 2, opt.NewAdam(0.01), false)
-	if eNoBN.HasBatchNorm() {
+	if len(eNoBN.Replica(0).BatchNorms()) != 0 {
 		t.Fatal("model without BN misreported")
 	}
 	if eNoBN.MvarAbsMax() != 0 {
@@ -362,83 +362,16 @@ func TestMultipleInjectionsSameIteration(t *testing.T) {
 	}
 }
 
-func TestExpandIntermittentDeterministic(t *testing.T) {
-	base := fault.Injection{
-		Kind: accel.GlobalG3, LayerIdx: 1, Pass: fault.Forward,
-		Iteration: 10, N: 2, Seed: rng.Seed{State: 77, Stream: 3},
-	}
-	a := fault.ExpandIntermittent(base, 10, 0.3)
-	b := fault.ExpandIntermittent(base, 10, 0.3)
-	if len(a) != len(b) {
-		t.Fatalf("expansion lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("expansion %d differs", i)
-		}
-	}
-	// Iterations lie within the window and are strictly increasing.
-	last := base.Iteration - 1
-	for _, inj := range a {
-		if inj.Iteration < base.Iteration || inj.Iteration >= base.Iteration+10 {
-			t.Fatalf("iteration %d outside window", inj.Iteration)
-		}
-		if inj.Iteration <= last {
-			t.Fatalf("iterations not increasing: %d after %d", inj.Iteration, last)
-		}
-		last = inj.Iteration
-	}
-}
-
-func TestExpandIntermittentRate(t *testing.T) {
-	// With prob 1 every window iteration manifests; with prob ~0.3 roughly
-	// a third do (the intro's 3-in-10 reproduction behavior).
-	base := fault.Injection{Kind: accel.GlobalG3, Iteration: 0, N: 1,
-		Seed: rng.Seed{State: 5, Stream: 5}}
-	if got := len(fault.ExpandIntermittent(base, 20, 1)); got != 20 {
-		t.Fatalf("prob 1 expanded to %d/20", got)
-	}
-	var total int
-	for s := uint64(0); s < 50; s++ {
-		b := base
-		b.Seed = rng.Seed{State: s, Stream: 1}
-		total += len(fault.ExpandIntermittent(b, 10, 0.3))
-	}
-	rate := float64(total) / 500
-	if rate < 0.2 || rate > 0.4 {
-		t.Fatalf("manifestation rate %v, want ~0.3", rate)
-	}
-}
-
-func TestExpandIntermittentPanics(t *testing.T) {
-	base := fault.Injection{Seed: rng.Seed{State: 1, Stream: 1}}
-	for _, f := range []func(){
-		func() { fault.ExpandIntermittent(base, 0, 0.5) },
-		func() { fault.ExpandIntermittent(base, 5, 0) },
-		func() { fault.ExpandIntermittent(base, 5, 1.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad ExpandIntermittent args did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestIntermittentFaultEndToEnd(t *testing.T) {
 	// An intermittent fault manifests several times; each manifestation is
 	// one-shot, and all of them fire over the run.
 	e, _ := testSetup(t, 2, opt.NewAdam(0.01), true)
-	base := fault.Injection{
-		Kind: accel.GlobalG2, LayerIdx: 1, Pass: fault.Forward,
-		Iteration: 3, CycleFrac: 0, N: 1, Seed: rng.Seed{State: 11, Stream: 2},
-	}
-	injs := fault.ExpandIntermittent(base, 8, 0.5)
-	if len(injs) == 0 {
-		t.Skip("this seed produced no manifestations")
+	var injs []fault.Injection
+	for k, iter := range []int{3, 5, 6, 9} {
+		injs = append(injs, fault.Injection{
+			Kind: accel.GlobalG2, LayerIdx: 1, Pass: fault.Forward,
+			Iteration: iter, CycleFrac: 0, N: 1, Seed: rng.Seed{State: 11, Stream: uint64(2 + k)},
+		})
 	}
 	e.SetInjections(injs)
 	fired := 0

@@ -45,7 +45,20 @@ func seedMatMul(a, b *tensor.Tensor) *tensor.Tensor {
 // seedConv2D is the seed's conv forward: fresh im2col + transpose-free
 // matmul + fresh output buffers every call.
 func seedConv2D(in, kernel *tensor.Tensor, p tensor.ConvParams) *tensor.Tensor {
-	return tensor.Conv2D(in, kernel, p, false)
+	out, _ := tensor.Conv2DForwardWS(nil, in, kernel, p, false)
+	return out
+}
+
+// transpose2D materializes the transpose of a 2-D tensor.
+func transpose2D(a *tensor.Tensor) *tensor.Tensor {
+	m, n := a.Shape[0], a.Shape[1]
+	t := tensor.New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			t.Data[j*m+i] = a.Data[i*n+j]
+		}
+	}
+	return t
 }
 
 func benchMats(n int) (*tensor.Tensor, *tensor.Tensor) {
@@ -103,7 +116,7 @@ func BenchmarkKernel_MatMulTASeed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = seedMatMul(tensor.Transpose2D(x), y)
+		_ = seedMatMul(transpose2D(x), y)
 	}
 	reportGFLOPS(b, 256, 256, 256)
 }
@@ -171,7 +184,7 @@ func BenchmarkKernel_GEMMCampaignNN12(b *testing.B) { benchCampaignNN(b, 16, 12,
 // The conv input gradient: kernelᵀ [72,8]ᵀ × gradOut [8,72].
 func BenchmarkKernel_GEMMCampaignTA(b *testing.B) {
 	benchCampaignGEMM(b, 72, 8, 72, func(a, bm *tensor.Tensor) func() {
-		dst, at := tensor.New(72, 72), tensor.Transpose2D(a)
+		dst, at := tensor.New(72, 72), transpose2D(a)
 		return func() { tensor.MatMulTAInto(dst, at, bm, false) }
 	})
 }
@@ -179,7 +192,7 @@ func BenchmarkKernel_GEMMCampaignTA(b *testing.B) {
 // The conv weight gradient: gradOut [8,72] × im2col [72,72]ᵀ.
 func BenchmarkKernel_GEMMCampaignTB(b *testing.B) {
 	benchCampaignGEMM(b, 8, 72, 72, func(a, bm *tensor.Tensor) func() {
-		dst, bt := tensor.New(8, 72), tensor.Transpose2D(bm)
+		dst, bt := tensor.New(8, 72), transpose2D(bm)
 		return func() { tensor.MatMulTBInto(dst, a, bt, false) }
 	})
 }
@@ -196,7 +209,7 @@ func BenchmarkKernel_GEMMSmall(b *testing.B) {
 		a, bm := tensor.New(m, k), tensor.New(k, n)
 		a.FillNormal(r, 0, 1)
 		bm.FillNormal(r, 0, 1)
-		at, bt, dst := tensor.Transpose2D(a), tensor.Transpose2D(bm), tensor.New(m, n)
+		at, bt, dst := transpose2D(a), transpose2D(bm), tensor.New(m, n)
 		for _, leg := range []struct {
 			name string
 			run  func()
@@ -233,7 +246,7 @@ func benchLowering(b *testing.B, fn func(in, cols *tensor.Tensor, p tensor.ConvP
 	in := tensor.New(2, 8, 6, 6)
 	in.FillNormal(rng.NewFromInt(33), 0, 1)
 	p := tensor.ConvParams{KH: 3, KW: 3, Stride: 1, Padding: 1}
-	cols := tensor.Im2Col(in, p)
+	cols := tensor.Im2ColInto(tensor.New(8*3*3, 2*6*6), in, p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
