@@ -131,7 +131,7 @@ go build -tags purego -o "$tmp/repro.purego" ./cmd/repro
 "$tmp/repro.purego" campaign -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/purego.json"
 
-echo "== paper artefacts (repro paper from both builds must equal the checked-in results/ byte for byte) =="
+echo "== paper artefacts (repro paper from both builds must equal the checked-in results/ byte for byte; this keeps results/paper.json, whose verdicts TestPaperVerdicts reads, the code's output) =="
 "$tmp/repro" paper -out "$tmp/paper" >/dev/null
 diff -r results "$tmp/paper"
 "$tmp/repro.purego" paper -out "$tmp/paper-purego" >/dev/null

@@ -7,6 +7,10 @@ package repro_test
 // unit tests.
 
 import (
+	"encoding/json"
+	"os"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro"
@@ -133,20 +137,139 @@ func TestClaim_ShortTermINFNaNRequiresSGD(t *testing.T) {
 
 // TestClaim_LowTestAccuracyIsSilent (Table 3, Fig 2d): the LowTestAccuracy
 // outcome shows normal training accuracy — no visible anomaly, and no
-// INF/NaN, which the class excludes — while test accuracy collapses.
+// INF/NaN, which the class excludes — while test accuracy collapses. That
+// panel 2d is classified LowTestAccuracy is a verdict (TestPaperVerdicts).
 func TestClaim_LowTestAccuracyIsSilent(t *testing.T) {
-	fig2 := paper.Fig2()
-	for _, p := range paper.Fig2Faults {
-		if got := rowOf(fig2, p.Panel+" classified").Measured; got != p.Want.String() {
-			t.Errorf("%s: classified %s, want %v", p.Panel, got, p.Want)
-		}
-	}
+	fig2 := runFig2()
 	row := func(label string) float64 { return rowOf(fig2, paper.Fig2Faults[3].Panel+" "+label).Value }
 	if f, r := row("final train accuracy"), row("fault-free final train accuracy"); f < r-0.05 {
 		t.Fatalf("training accuracy degraded (%v vs %v); LowTestAccuracy must look normal in training", f, r)
 	}
 	if f, r := row("final test accuracy"), row("fault-free final test accuracy"); f > r-0.1 {
 		t.Fatalf("test accuracy did not collapse: %v vs %v", f, r)
+	}
+}
+
+// runFig2 is paper.Fig2, run once for every test that reads it.
+var runFig2 = sync.OnceValue(paper.Fig2)
+
+// verdictKey names a row of the paper's evaluation: its artefact's ID and
+// its label.
+type verdictKey struct{ artefact, label string }
+
+// paperVerdicts is the verdict of every row that has one (paper.Row.Judge):
+// what the measurements say about each number the paper states.
+var paperVerdicts = map[verdictKey]paper.Verdict{
+	// Table 1: the modeled population is the paper's, to its printed digit.
+	{"table1", "datapath-upper-exp share of FFs"}:         paper.Consistent,
+	{"table1", "global-g1 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g2 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g3 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g4 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g5 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g6 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g7 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g8 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g9 share of FFs"}:                  paper.Consistent,
+	{"table1", "global-g10 share of FFs"}:                 paper.Consistent,
+	{"table1", "groups 1+3 + local control share of FFs"}: paper.Consistent,
+	{"table1", "global-control FFs"}:                      paper.Consistent,
+	// Sec 3.2.3: the address kinds G4–G6 do not match the structural array.
+	{"sec3.2.3", "unmasked trials with identical tiles"}: paper.Contradicts,
+	// Fig 2, Table 3, Fig 5: classes.
+	{"fig2", "2a SlowDegrade classified"}:                 paper.Consistent,
+	{"fig2", "2b SharpSlowDegrade classified"}:            paper.Consistent,
+	{"fig2", "2c SharpDegrade-family classified"}:         paper.Consistent,
+	{"fig2", "2d LowTestAccuracy classified"}:             paper.Consistent,
+	{"table3", "immediate INF/NaN"}:                       paper.Consistent,
+	{"table3", "short-term INF/NaN"}:                      paper.Consistent,
+	{"table3", "slow degrade"}:                            paper.Consistent,
+	{"table3", "sharp degrade"}:                           paper.Consistent,
+	{"table3", "sharp slow degrade"}:                      paper.Consistent,
+	{"fig5", "outcome"}:                                   paper.Consistent,
+	{"fig5", "phase 1 (degradation) starts at iteration"}: paper.Consistent,
+	// Fig 3 panel A: at n = 32 every interval is more than twice Sec 4.1's
+	// bands, so none of them can confirm or refute the paper's rates.
+	{"fig3a", "resnet Benign"}:                paper.Inconclusive,
+	{"fig3a", "resnet unexpected"}:            paper.Inconclusive,
+	{"fig3a", "resnet_nobn Benign"}:           paper.Inconclusive,
+	{"fig3a", "resnet_nobn unexpected"}:       paper.Inconclusive,
+	{"fig3a", "resnet_sgd Benign"}:            paper.Inconclusive,
+	{"fig3a", "resnet_sgd unexpected"}:        paper.Inconclusive,
+	{"fig3a", "resnet_largedecay Benign"}:     paper.Inconclusive,
+	{"fig3a", "resnet_largedecay unexpected"}: paper.Inconclusive,
+	{"fig3a", "densenet Benign"}:              paper.Inconclusive,
+	{"fig3a", "densenet unexpected"}:          paper.Inconclusive,
+	{"fig3a", "efficientnet Benign"}:          paper.Inconclusive,
+	{"fig3a", "efficientnet unexpected"}:      paper.Inconclusive,
+	{"fig3a", "nfnet Benign"}:                 paper.Inconclusive,
+	{"fig3a", "nfnet unexpected"}:             paper.Inconclusive,
+	{"fig3a", "yolo Benign"}:                  paper.Inconclusive,
+	{"fig3a", "yolo unexpected"}:              paper.Inconclusive,
+	{"fig3a", "mgnm Benign"}:                  paper.Inconclusive,
+	{"fig3a", "mgnm unexpected"}:              paper.Inconclusive,
+	{"fig3a", "transformer Benign"}:           paper.Inconclusive,
+	{"fig3a", "transformer unexpected"}:       paper.Inconclusive,
+	// Table 4: two |mvar| ranges reach down to values of order 1, below the
+	// condition the paper calls necessary.
+	{"table4", "resnet_nobn SlowDegrade |grad history|"}:                           paper.Consistent,
+	{"table4", "resnet_sgd ShortTermINFNaN |mvar|"}:                                paper.Contradicts,
+	{"table4", "resnet_sgd LowTestAccuracy |mvar|"}:                                paper.Consistent,
+	{"table4", "resnet_largedecay LowTestAccuracy |mvar|"}:                         paper.Contradicts,
+	{"sec4.3.1", "groups 1+3 + local control (9.8 % of FFs): share of unexpected"}: paper.Inconclusive,
+	{"sec4.3.1", "upper exponent bits (5.5 % of FFs): share of unexpected"}:        paper.Inconclusive,
+	{"alg1", "P(history > 20σ) fault-free, one-sided"}:                             paper.Consistent,
+	{"sec5.3", "lost-work ratio, 40-iteration epochs"}:                             paper.Consistent,
+	{"sec5.3", "lost-work ratio, 1000-iteration epochs (arithmetic)"}:              paper.Consistent,
+	{"sec6", "latent outcomes caught by range restriction"}:                        paper.Inconclusive,
+	{"sec6", "latent outcomes caught by the bounds check"}:                         paper.Inconclusive,
+	{"table5", "inference exposures ending in INF/NaN"}:                            paper.Inconclusive,
+	{"ablation-devices", "attenuation D=1 vs D=8"}:                                 paper.Consistent,
+}
+
+// TestPaperVerdicts holds every row's verdict to paperVerdicts and to the
+// rule applied to the row's stored interval and band, and every entry of
+// the table to a row. It computes the artefacts the other tests build
+// anyway (Fig 2 and the sub-second set) and reads the rest from
+// results/paper.json: ci.sh's `repro paper` leg diffs that file against a
+// fresh run from the native and the -tags purego build, which keeps it the
+// code's output.
+func TestPaperVerdicts(t *testing.T) {
+	b, err := os.ReadFile("results/paper.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var artefacts []paper.Artefact
+	if err := json.Unmarshal(b, &artefacts); err != nil {
+		t.Fatal(err)
+	}
+	live := []paper.Artefact{paper.Table1(), paper.Sec323(), runFig2(), paper.Table3(), paper.Alg1(), paper.Sec53(), paper.DeviceCount()}
+	for i, a := range artefacts {
+		if j := slices.IndexFunc(live, func(l paper.Artefact) bool { return l.ID == a.ID }); j >= 0 {
+			artefacts[i] = live[j]
+		}
+	}
+	seen := map[verdictKey]bool{}
+	for _, a := range artefacts {
+		for _, r := range a.Rows {
+			key := verdictKey{a.ID, r.Label}
+			if got := r.Judge(); got != r.Verdict {
+				t.Errorf("%s %q: stored verdict %q, the rule reads %q", a.ID, r.Label, r.Verdict, got)
+			}
+			want, pinned := paperVerdicts[key]
+			seen[key] = pinned
+			switch {
+			case !pinned && r.Verdict != "":
+				t.Errorf("%s %q reads %q and is not in paperVerdicts", a.ID, r.Label, r.Verdict)
+			case r.Verdict != want:
+				t.Errorf("%s %q reads %q, want %q", a.ID, r.Label, r.Verdict, want)
+			}
+		}
+	}
+	for key := range paperVerdicts {
+		if !seen[key] {
+			t.Errorf("paperVerdicts names %s %q, which is no row", key.artefact, key.label)
+		}
 	}
 }
 
@@ -174,7 +297,7 @@ func TestClaim_MitigationNeutralizesLatentFault(t *testing.T) {
 	}
 	// The guarded run must end much higher than Fig 2a's unguarded one, and
 	// near the fault-free run.
-	fig2 := paper.Fig2()
+	fig2 := runFig2()
 	unguarded := rowOf(fig2, slow.Panel+" final train accuracy").Value
 	ref := rowOf(fig2, slow.Panel+" fault-free final train accuracy").Value
 	if got := trace.FinalTrainAcc(10); got < unguarded+0.1 {

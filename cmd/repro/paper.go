@@ -39,11 +39,24 @@ func runPaper(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writePaperMarkdown is paper.md: a heading, then every artefact's table.
+// writePaperMarkdown is paper.md: a heading, the count of rows per
+// verdict, then every artefact's table.
 func writePaperMarkdown(w io.Writer, artefacts []paper.Artefact) error {
-	fmt.Fprint(w, "# The paper's evaluation, regenerated\n\n"+
+	verdicts := map[paper.Verdict]int{}
+	for _, a := range artefacts {
+		for _, r := range a.Rows {
+			verdicts[r.Verdict]++
+		}
+	}
+	fmt.Fprintf(w, "# The paper's evaluation, regenerated\n\n"+
+		"Verdicts: %d consistent, %d inconclusive, %d contradicts.\n\n"+
 		"Written by `repro paper`; EXPERIMENTS.md interprets it. Absolute numbers come from\n"+
 		"laptop-scale stand-ins for the paper's workloads and campaigns of tens of\n"+
-		"experiments, so read the 99 % Wilson intervals before the point values.\n\n")
+		"experiments, so read the 99 %% Wilson intervals before the point values. A row\n"+
+		"whose citation states a number carries a verdict on it: `contradicts` when its\n"+
+		"99 %% interval (an exact value's is the value) misses the paper's band,\n"+
+		"`consistent` when it meets the band and is at most twice as wide, and\n"+
+		"`inconclusive` when it meets the band but is wider.\n\n",
+		verdicts[paper.Consistent], verdicts[paper.Inconclusive], verdicts[paper.Contradicts])
 	return paper.WriteMarkdown(w, artefacts)
 }

@@ -196,7 +196,7 @@ func Example_guarded() {
 // campaign` prints: the Fig-3-style outcome breakdown with 99 % intervals,
 // the Table-4 necessary-condition ranges, the Sec-4.3.1 FF-class
 // contribution and the detection rows — each only where the sample has a
-// row to show.
+// row to show — with each row's verdict on the number the paper states.
 func Example_campaign() {
 	w, err := repro.WorkloadByName("resnet")
 	if err != nil {
@@ -216,24 +216,24 @@ func Example_campaign() {
 	//
 	// ## Outcomes
 	//
-	// | row | measured | n | seed | 99 % CI | paper |
-	// |---|---|---|---|---|---|
-	// | Benign | 39/40 (97.5 %) | 40 | 2024 | 81.8–99.7 % | 82.3–90.3 % masked |
-	// | SlightDegradation | 1/40 (2.5 %) | 40 | 2024 | 0.3–18.2 % |  |
-	// | unexpected | 0/40 (0.0 %) | 40 | 2024 | 0.0–14.2 % | 9.7–17.7 % |
+	// | row | measured | n | seed | 99 % CI | paper | verdict |
+	// |---|---|---|---|---|---|---|
+	// | Benign | 39/40 (97.5 %) | 40 | 2024 | 81.8–99.7 % | 82.3–90.3 % masked | inconclusive |
+	// | SlightDegradation | 1/40 (2.5 %) | 40 | 2024 | 0.3–18.2 % |  |  |
+	// | unexpected | 0/40 (0.0 %) | 40 | 2024 | 0.0–14.2 % | 9.7–17.7 % | consistent |
 	//
 	// ## Sec 4.3.1 — FF-class contribution to unexpected outcomes
 	//
-	// | row | measured | n | seed | 99 % CI | paper |
-	// |---|---|---|---|---|---|
-	// | groups 1+3 + local control (9.8 % of FFs): share of unexpected | no trials | 0 | 2024 |  | 55.7–68.5 % |
-	// | upper exponent bits (5.5 % of FFs): share of unexpected | no trials | 0 | 2024 |  | 31.9–44.3 % |
+	// | row | measured | n | seed | 99 % CI | paper | verdict |
+	// |---|---|---|---|---|---|---|
+	// | groups 1+3 + local control (9.8 % of FFs): share of unexpected | no trials | 0 | 2024 |  | 55.7–68.5 % |  |
+	// | upper exponent bits (5.5 % of FFs): share of unexpected | no trials | 0 | 2024 |  | 31.9–44.3 % |  |
 	//
 	// ## Detection — bounds-check coverage and latency
 	//
-	// | row | measured | n | seed | 99 % CI | paper |
-	// |---|---|---|---|---|---|
-	// | latency p50 / p95 / max (iterations) | 0.0 / 0.0 / 0 | 3 | 2024 |  | ≤ 2 |
+	// | row | measured | n | seed | 99 % CI | paper | verdict |
+	// |---|---|---|---|---|---|---|
+	// | latency p50 / p95 / max (iterations) | 0.0 / 0.0 / 0 | 3 | 2024 |  | ≤ 2 | consistent |
 }
 
 // The failure class from the paper's introduction: hardware faults that

@@ -182,7 +182,7 @@ func TestDetectionLatencyStats(t *testing.T) {
 // row exactly when alarms exist.
 func TestReportIncludesLatencyPercentiles(t *testing.T) {
 	out := document(t, latencyCampaign(t, []int{2, -1, 0, 1, 1, -1}))
-	if !strings.Contains(out, "| latency p50 / p95 / max (iterations) | 1.0 / 1.8 / 2 | 4 | 0 |  | ≤ 2 |\n") {
+	if !strings.Contains(out, "| latency p50 / p95 / max (iterations) | 1.0 / 1.8 / 2 | 4 | 0 |  | ≤ 2 | consistent |\n") {
 		t.Fatalf("document missing the latency row:\n%s", out)
 	}
 	if out := document(t, latencyCampaign(t, []int{-1, -1})); strings.Contains(out, "latency p50") {

@@ -103,28 +103,34 @@ func Table1() Artefact {
 	total := accel.NVDLAInventory().TotalFFs
 	out := tensor.New(2, 32, 6, 6)
 	out.FillNormal(rng.NewFromInt(1), 0, 1)
-	global := 0
+	global, families := 0, 0.0
 	for _, ff := range repro.Inventory() {
 		inj := fault.Injection{Kind: ff.Kind, CycleFrac: 0.3, N: 4, Unit: 3, DeltaFrac: 0.5,
 			Seed: rng.Seed{Stream: uint64(ff.Kind)}}
 		if ff.Kind >= accel.GlobalG1 {
 			global += ff.Count
 		}
+		switch ff.Kind {
+		case accel.LocalControl, accel.GlobalG1, accel.GlobalG3:
+			families += ff.Fraction
+		}
 		a.Rows = append(a.Rows,
 			value(ff.Kind.String()+" share of FFs", "%.2f %%", 100*ff.Fraction, total, 0, table1Paper[ff.Kind]),
-			value(ff.Kind.String()+" elements corrupted", "%.0f", float64(len(inj.Apply(out.Clone(), 1).Indices)), 4, 1, ""))
+			value(ff.Kind.String()+" elements corrupted", "%.0f", float64(len(inj.Apply(out.Clone(), 1).Indices)), 4, 1, cite{}))
 	}
-	a.Rows = append(a.Rows, value("global-control FFs", "%.0f", float64(global), total, 0, "~41K"))
+	a.Rows = append(a.Rows,
+		value("groups 1+3 + local control share of FFs", "%.2f %%", 100*families, total, 0, percent(9.8, 1)),
+		value("global-control FFs", "%.0f", float64(global), total, 0, cite{"~41K", point(41, 1e3)}))
 	return a
 }
 
-// table1Paper cites Table 1's population column and Sec 4.3.1's family
-// shares.
-var table1Paper = map[accel.FFKind]string{
-	accel.DatapathUpperExponent: "5.5 %", accel.LocalControl: "9.8 % with groups 1 and 3",
-	accel.GlobalG1: "0.24 %", accel.GlobalG2: "0.25 %", accel.GlobalG3: "0.48 %", accel.GlobalG4: "2.36 %",
-	accel.GlobalG5: "1.31 %", accel.GlobalG6: "0.96 %", accel.GlobalG7: "0.09 %", accel.GlobalG8: "0.22 %",
-	accel.GlobalG9: "0.16 %", accel.GlobalG10: "0.12 %",
+// table1Paper cites Table 1's population column, in percent. Sec 4.3.1's
+// share of groups 1 and 3 with local control is a row of its own.
+var table1Paper = map[accel.FFKind]cite{
+	accel.DatapathUpperExponent: percent(5.5, 1), accel.GlobalG1: percent(0.24, 1), accel.GlobalG2: percent(0.25, 1),
+	accel.GlobalG3: percent(0.48, 1), accel.GlobalG4: percent(2.36, 1), accel.GlobalG5: percent(1.31, 1),
+	accel.GlobalG6: percent(0.96, 1), accel.GlobalG7: percent(0.09, 1), accel.GlobalG8: percent(0.22, 1),
+	accel.GlobalG9: percent(0.16, 1), accel.GlobalG10: percent(0.12, 1),
 }
 
 // Sec323 checks the software fault model every campaign runs
@@ -161,14 +167,15 @@ func Sec323() Artefact {
 		masked += kindMasked
 		name := kind.String()
 		kindRows = append(kindRows,
-			share(name+" tiles identical", identical, trials, seed, ""),
-			share(name+" trials the hardware masks", kindMasked, trials, seed, ""),
-			value(name+" hardware-corrupted positions the model misses", "%.0f", float64(missed), trials, seed, ""),
-			value(name+" model-corrupted positions the hardware leaves clean", "%.0f", float64(spurious), trials, seed, ""))
+			share(name+" tiles identical", identical, trials, seed, cite{}),
+			share(name+" trials the hardware masks", kindMasked, trials, seed, cite{}),
+			value(name+" hardware-corrupted positions the model misses", "%.0f", float64(missed), trials, seed, cite{}),
+			value(name+" model-corrupted positions the hardware leaves clean", "%.0f", float64(spurious), trials, seed, cite{}))
 	}
 	return Artefact{"sec3.2.3", "Sec 3.2.3 — software fault models against the structural simulator", append([]Row{
-		share("unmasked trials with identical tiles", matched, unmasked, seed, "all unmasked RTL faults matched (40K injections)"),
-		share("trials the hardware masks", masked, trials*len(kinds), seed, ""),
+		share("unmasked trials with identical tiles", matched, unmasked, seed,
+			cite{"all unmasked RTL faults matched (40K injections)", &Band{1, 1}}),
+		share("trials the hardware masks", masked, trials*len(kinds), seed, cite{}),
 	}, kindRows...)}
 }
 
@@ -226,7 +233,7 @@ func Table2() Artefact {
 	for _, w := range workloads.All() {
 		tr := train.NewTrace(w.Name)
 		w.NewEngine(rng.Seed{State: 7, Stream: 77}).Run(0, w.Iters, tr, false)
-		paper := w.Paper + ": >95 % of the reference accuracy"
+		paper := cite{text: w.Paper + ": >95 % of the reference accuracy"}
 		a.Rows = append(a.Rows,
 			value(w.Name+" train accuracy", "%.3f", tr.FinalTrainAcc(10), w.Iters, 7, paper),
 			value(w.Name+" test accuracy", "%.3f", tr.FinalTestAcc(), w.Iters, 7, paper))
@@ -249,13 +256,13 @@ func Fig2() Artefact {
 		}
 		n := len(faulty.TrainAcc)
 		a.Rows = append(a.Rows,
-			Row{Label: p.Panel + " classified", Measured: o.String(), N: n, Seed: PinnedSeed, Paper: p.Want.String()},
+			class(p.Panel+" classified", o, p.Want, n, PinnedSeed),
 			Row{Label: p.Panel + " train accuracy every 15 iterations", Measured: strings.Join(curve, " "),
 				Series: samples, N: n, Seed: PinnedSeed},
-			value(p.Panel+" final train accuracy", "%.2f", faulty.FinalTrainAcc(10), n, PinnedSeed, ""),
-			value(p.Panel+" fault-free final train accuracy", "%.2f", ref.FinalTrainAcc(10), n, PinnedSeed, ""),
-			value(p.Panel+" final test accuracy", "%.2f", faulty.FinalTestAcc(), n, PinnedSeed, ""),
-			value(p.Panel+" fault-free final test accuracy", "%.2f", ref.FinalTestAcc(), n, PinnedSeed, ""))
+			value(p.Panel+" final train accuracy", "%.2f", faulty.FinalTrainAcc(10), n, PinnedSeed, cite{}),
+			value(p.Panel+" fault-free final train accuracy", "%.2f", ref.FinalTrainAcc(10), n, PinnedSeed, cite{}),
+			value(p.Panel+" final test accuracy", "%.2f", faulty.FinalTestAcc(), n, PinnedSeed, cite{}),
+			value(p.Panel+" fault-free final test accuracy", "%.2f", ref.FinalTestAcc(), n, PinnedSeed, cite{}))
 	}
 	return a
 }
@@ -335,10 +342,10 @@ func Table3() Artefact {
 		if got == c.want {
 			ok++
 		}
-		a.Rows = append(a.Rows, Row{Label: c.name, Measured: got.String(), N: c.trace.Completed, Paper: c.want.String()})
+		a.Rows = append(a.Rows, class(c.name, got, c.want, c.trace.Completed, 0))
 	}
 	a.Rows = append(a.Rows, share("shapes classified as the paper's class", ok, len(cases), 0,
-		"immediate = iteration t (t+1 for backward faults); short-term ≤ t+2; latent = trend"))
+		cite{text: "immediate = iteration t (t+1 for backward faults); short-term ≤ t+2; latent = trend"}))
 	return a
 }
 
@@ -363,26 +370,35 @@ var fig4Paper = map[outcome.Outcome]string{
 
 // Fig5 splits the pinned SlowDegrade run (Fig 2a) into its three phases.
 func Fig5() Artefact {
-	faulty, _, cls, o := Fig2Faults[0].run()
+	p := Fig2Faults[0]
+	faulty, _, cls, o := p.run()
 	ph := cls.DetectPhases(faulty)
 	n := len(faulty.TrainAcc)
 	return Artefact{"fig5", "Fig 5 — the three phases of SlowDegrade", []Row{
-		{Label: "outcome", Measured: o.String(), N: n, Seed: PinnedSeed, Paper: "SlowDegrade"},
-		value("phase 1 (degradation) starts at iteration", "%.0f", float64(ph.DegradeStart), n, PinnedSeed, "the fault iteration"),
-		value("phase 2 (stagnation) bottoms at iteration", "%.0f", float64(ph.StagnationStart), n, PinnedSeed, ""),
-		value("phase 2 accuracy", "%.3f", ph.MinAcc, n, PinnedSeed, ""),
+		class("outcome", o, p.Want, n, PinnedSeed),
+		value("phase 1 (degradation) starts at iteration", "%.0f", float64(ph.DegradeStart), n, PinnedSeed,
+			cite{"the fault iteration", point(float64(p.Injection.Iteration), 1)}),
+		value("phase 2 (stagnation) bottoms at iteration", "%.0f", float64(ph.StagnationStart), n, PinnedSeed, cite{}),
+		value("phase 2 accuracy", "%.3f", ph.MinAcc, n, PinnedSeed, cite{}),
 		value("phase 3 (recovery) starts at iteration (-1: never)", "%.0f", float64(ph.RecoveryStart), n, PinnedSeed,
-			"may never be reached (Sec 4.2.3)"),
+			cite{text: "may never be reached (Sec 4.2.3)"}),
 	}}
 }
 
 // Table4 collects the necessary-condition ranges on importance-sampled
-// campaigns of the two workloads with the most latent outcomes.
+// campaigns: the |grad history| rows on resnet_nobn, Fig 2a's Adam
+// workload, and the |mvar| rows on the two workloads with the most latent
+// outcomes. resnet_sgd's SGD keeps no gradient history (momentum 0), and
+// resnet_nobn has no moving variance.
 func Table4() Artefact {
 	a := Artefact{ID: "table4", Title: table4Title}
-	for i, name := range []string{"resnet_sgd", "resnet_largedecay"} {
-		c := campaign(name, 60, 60, int64(77+i), true)
-		a.Rows = append(a.Rows, prefixed(name+" ", c, Conditions(c))...)
+	for _, w := range []struct {
+		name, quantity string
+		seed           int64
+	}{{"resnet_nobn", "|grad history|", 79}, {"resnet_sgd", "|mvar|", 77}, {"resnet_largedecay", "|mvar|", 78}} {
+		c := campaign(w.name, 60, 60, w.seed, true)
+		rows := slices.DeleteFunc(Conditions(c), func(r Row) bool { return !strings.HasSuffix(r.Label, " "+w.quantity) })
+		a.Rows = append(a.Rows, prefixed(w.name+" ", c, rows)...)
 	}
 	return a
 }
@@ -405,16 +421,20 @@ func Alg1() Artefact {
 		e := w.NewEngine(rng.Seed{State: 3, Stream: 77})
 		b := detect.Derive(detect.ConfigForModel(e.Replica(0), w.BatchSize(), w.LR))
 		a.Rows = append(a.Rows,
-			value(w.Name+" |history| bound", "%.3e", b.GradHistory, 0, 3, ""),
-			value(w.Name+" |history²| bound", "%.3e", b.GradHistorySq, 0, 3, ""),
-			value(w.Name+" mvar bound", "%.3e", b.Mvar, 0, 3, ""))
+			value(w.Name+" |history| bound", "%.3e", b.GradHistory, 0, 3, cite{}),
+			value(w.Name+" |history²| bound", "%.3e", b.GradHistorySq, 0, 3, cite{}),
+			value(w.Name+" mvar bound", "%.3e", b.Mvar, 0, 3, cite{}))
 		if b.GradHistory >= 2.7e8 || b.Mvar >= 6.5e16 {
 			below = 0
 		}
 	}
+	// The one-sided tail is half the two-sided one: the Gaussian is
+	// symmetric.
 	a.Rows = append(a.Rows,
-		value("every bound below the smallest Table-4 values (1 = yes)", "%.0f", below, len(workloads.All()), 3, "2.7e8 history, 6.5e16 mvar"),
-		value("P(|history| > 20σ) fault-free, two-sided", "%.2e", detect.TailProbability(20), 0, 0, "<3e-89 one-sided"))
+		value("every bound below the smallest Table-4 values (1 = yes)", "%.0f", below, len(workloads.All()), 3,
+			cite{text: "2.7e8 history, 6.5e16 mvar"}),
+		value("P(history > 20σ) fault-free, one-sided", "%.2e", detect.TailProbability(20)/2, 0, 0,
+			cite{"<3e-89 one-sided", &Band{0, 3e-89}}))
 	return a
 }
 
@@ -436,10 +456,13 @@ func Sec53() Artefact {
 		}
 	}
 	return Artefact{"sec5.3", "Sec 5.3 — work lost on recovery: epoch checkpointing vs re-execution", []Row{
-		value("lost-work ratio, 40-iteration epochs", "%.0f×", float64(lostCk)/float64(lostRe), 60, 6, "up to 500×"),
-		value("lost-work ratio, 1000-iteration epochs (arithmetic)", "%.0f×", 1000.0/2, 0, 0, "up to 500×"),
+		value("lost-work ratio, 40-iteration epochs", "%.0f×", float64(lostCk)/float64(lostRe), 60, 6, upTo500),
+		value("lost-work ratio, 1000-iteration epochs (arithmetic)", "%.0f×", 1000.0/2, 0, 0, upTo500),
 	}}
 }
+
+// upTo500 cites Sec 5.3's lost-work ratio, a bound.
+var upTo500 = cite{"up to 500×", &Band{0, 500}}
 
 // Sec6 measures, over importance-sampled forward and backward-input faults
 // on resnet_largedecay (which reaches latent outcomes through both), which
@@ -525,10 +548,10 @@ func Sec6() Artefact {
 	}
 	n := len(latent)
 	return Artefact{"sec6", "Sec 6 — latent outcomes: bounds check vs range restriction, ABFT and gradient clipping", []Row{
-		share("latent outcomes caught by range restriction", rangerHits, n, 71, "33.7 %"),
-		share("latent outcomes caught by the bounds check", boundsHits, n, 71, "100 %"),
-		share("latent outcomes ABFT alarms on", abftHits, n, 71, ""),
-		share("latent outcomes gradient clipping leaves latent", stillLatent, n, 71, "cannot mitigate all"),
+		share("latent outcomes caught by range restriction", rangerHits, n, 71, percent(33.7, 0.01)),
+		share("latent outcomes caught by the bounds check", boundsHits, n, 71, cite{"100 %", &Band{1, 1}}),
+		share("latent outcomes ABFT alarms on", abftHits, n, 71, cite{}),
+		share("latent outcomes gradient clipping leaves latent", stillLatent, n, 71, cite{text: "cannot mitigate all"}),
 	}}
 }
 
@@ -592,9 +615,9 @@ func Table5() Artefact {
 		}
 	}
 	return Artefact{"table5", "Table 5 — INF/NaN outcomes in training vs inference", []Row{
-		share("training exposures ending in INF/NaN", trainNaN, trials, 81, "a major unexpected class"),
-		share("inference exposures that changed an activation", evalCorrupted, trials, 81, ""),
-		share("inference exposures ending in INF/NaN", evalNaN, trials, 81, "not observed"),
+		share("training exposures ending in INF/NaN", trainNaN, trials, 81, cite{text: "a major unexpected class"}),
+		share("inference exposures that changed an activation", evalCorrupted, trials, 81, cite{}),
+		share("inference exposures ending in INF/NaN", evalNaN, trials, 81, cite{"not observed", &Band{0, 0}}),
 	}}
 }
 
@@ -624,7 +647,7 @@ func MixedPrecision() Artefact {
 		if w.Mixed {
 			label = "bfloat16-MAC final train accuracy"
 		}
-		a.Rows = append(a.Rows, value(label, "%.3f", tr.FinalTrainAcc(10), 80, 3, ""))
+		a.Rows = append(a.Rows, value(label, "%.3f", tr.FinalTrainAcc(10), 80, 3, cite{}))
 	}
 	return a
 }
@@ -641,9 +664,11 @@ func DeviceCount() Artefact {
 			p1 = p
 		}
 		p8 = p
-		a.Rows = append(a.Rows, value(fmt.Sprintf("weight perturbation, D=%d", devices), "%.3e", p, devices, 9, ""))
+		a.Rows = append(a.Rows, value(fmt.Sprintf("weight perturbation, D=%d", devices), "%.3e", p, devices, 9, cite{}))
 	}
-	a.Rows = append(a.Rows, value("attenuation D=1 vs D=8", "%.3f×", p1/p8, 8, 9, "1/D"))
+	// Averaging over D devices scales one device's perturbation by 1/D, so
+	// the D = 1 perturbation is 8 times the D = 8 one.
+	a.Rows = append(a.Rows, value("attenuation D=1 vs D=8", "%.3f×", p1/p8, 8, 9, cite{"1/D", point(8, 1)}))
 	return a
 }
 

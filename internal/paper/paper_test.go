@@ -8,6 +8,8 @@ import (
 	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/nn"
+	"repro/internal/outcome"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/workloads"
 )
@@ -88,20 +90,68 @@ func TestInferenceCountsNonFiniteLogits(t *testing.T) {
 
 // TestWriteMarkdownClaimsNothingFromNoTrials: an artefact without rows
 // renders nothing, and a share of zero trials renders neither a point
-// estimate nor an interval.
+// estimate, nor an interval, nor a verdict on the band it cites.
 func TestWriteMarkdownClaimsNothingFromNoTrials(t *testing.T) {
+	none, some := share("none", 0, 0, 1, fig3Paper["unexpected"]), share("some", 1, 4, 1, fig3Paper["unexpected"])
+	if none.Verdict != "" {
+		t.Errorf("a share of no trials reads %q", none.Verdict)
+	}
 	var b bytes.Buffer
-	err := WriteMarkdown(&b, []Artefact{
-		{ID: "empty", Title: "Empty"},
-		{ID: "shares", Title: "Shares", Rows: []Row{share("none", 0, 0, 1, ""), share("some", 1, 4, 1, "")}},
-	})
+	err := WriteMarkdown(&b, []Artefact{{ID: "empty", Title: "Empty"}, {ID: "shares", Title: "Shares", Rows: []Row{none, some}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "## Shares\n\n| row | measured | n | seed | 99 % CI | paper |\n|---|---|---|---|---|---|\n" +
-		"| none | no trials | 0 | 1 |  |  |\n| some | 1/4 (25.0 %) | 4 | 1 | 3.0–78.2 % |  |\n"
+	want := "## Shares\n\n| row | measured | n | seed | 99 % CI | paper | verdict |\n|---|---|---|---|---|---|---|\n" +
+		"| none | no trials | 0 | 1 |  | 9.7–17.7 % |  |\n| some | 1/4 (25.0 %) | 4 | 1 | 3.0–78.2 % | 9.7–17.7 % | inconclusive |\n"
 	if b.String() != want {
 		t.Fatalf("got\n%s\nwant\n%s", b.String(), want)
+	}
+}
+
+// TestJudge takes every branch of the verdict rule once.
+func TestJudge(t *testing.T) {
+	band := &Band{0.45, 0.55}
+	for _, c := range []struct {
+		name string
+		row  Row
+		want Verdict
+	}{
+		{"disjoint", share("r", 0, 1000, 1, cite{"", band}), Contradicts},
+		{"narrow overlap", share("r", 500, 1000, 1, cite{"", band}), Consistent},
+		{"wide overlap", share("r", 1, 4, 1, cite{"", band}), Inconclusive},
+		{"exact inside", value("r", "%.2f", 5.5, 1, 0, percent(5.5, 1)), Consistent},
+		{"exact outside", value("r", "%.2f", 9.08, 1, 0, percent(9.8, 1)), Contradicts},
+		{"exact on a point band", value("r", "%.0f", 1, 1, 0, cite{"", &Band{1, 1}}), Consistent},
+		{"sampled on a point band", share("r", 1000, 1000, 1, cite{"", &Band{1, 1}}), Inconclusive},
+		{"class equal", class("r", outcome.SlowDegrade, outcome.SlowDegrade, 1, 0), Consistent},
+		{"class unequal", class("r", outcome.SharpSlowDegrade, outcome.SharpDegrade, 1, 0), Contradicts},
+		{"range below the lower end", Row{Range: &stats.Range{Min: 1.6, Max: 3.4e38, N: 7}, Band: &Band{2.9e38, 3.0e38}}, Contradicts},
+		{"range from inside the band", Row{Range: &stats.Range{Min: 3e38, Max: 3.4e38, N: 2}, Band: &Band{2.9e38, 3.0e38}}, Consistent},
+		{"no trials", share("r", 0, 0, 1, cite{"", band}), ""},
+		{"empty range", Row{Range: &stats.Range{}, Band: band}, ""},
+		{"no band", value("r", "%.2f", 0.5, 1, 0, cite{text: "a major class"}), ""},
+	} {
+		if got := c.row.Judge(); got != c.want {
+			t.Errorf("%s: %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// TestBiasedOutcomesCiteNoBand: an importance-sampled campaign's outcome
+// shares are conditional on the kinds it samples, so none of its rows
+// cites Sec 4.1's population bands; the population-sampled campaign's
+// Benign and unexpected rows do.
+func TestBiasedOutcomesCiteNoBand(t *testing.T) {
+	for _, biased := range []bool{false, true} {
+		cited := 0
+		for _, r := range Outcomes(campaign("resnet", 20, 6, 3, biased)) {
+			if r.Band != nil {
+				cited++
+			}
+		}
+		if want := map[bool]int{false: 2, true: 0}[biased]; cited != want {
+			t.Errorf("biased %v: %d rows cite a band, want %d", biased, cited, want)
+		}
 	}
 }
 
