@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/tensor"
 )
 
@@ -56,7 +54,8 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // GELU is the Gaussian error linear unit (tanh approximation), used by the
-// Transformer workload: y = 0.5·x·(1 + tanh(c·(x + 0.044715x³))).
+// Transformer workload: y = 0.5·x·(1 + tanh(c·(x + 0.044715x³))). Both
+// passes are tensor kernels (tensor.GELUForward, tensor.GELUBackward).
 type GELU struct {
 	lastX *tensor.Tensor
 	// lastTanh is the forward's tanh(c·(x + 0.044715x³)) per element, in the
@@ -83,32 +82,12 @@ func (g *GELU) Workspace() *tensor.Workspace { return g.ws }
 // SetWorkspace implements WorkspaceHolder.
 func (g *GELU) SetWorkspace(ws *tensor.Workspace) { g.ws = ws }
 
-const geluC = 0.7978845608028654 // sqrt(2/pi)
-
 // Forward implements Layer.
 func (g *GELU) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	g.lastX = x
 	out := g.ws.Get("out", x.Shape...)
 	g.lastTanh = float64Scratch(g.lastTanh, x.Len())
-	// Three loops, not one, and the middle one all float64. CVTSS2SD writes
-	// the low half of its destination and so waits for that register's last
-	// writer; with math.Tanh in the same loop that writer is the previous
-	// element's tanh (argument and result share X0), so the conversion of
-	// every element queues behind the whole Exp chain of the one before and
-	// the loop runs at the chain's latency: 37 ns an element at [64,8,12],
-	// against 11 with the calls left free to overlap
-	// (BenchmarkKernel_GELUForward). Same expressions, same bits.
-	th, od := g.lastTanh, out.Data[:x.Len()]
-	for i, v := range x.Data {
-		u := float64(v)
-		th[i] = geluC * (u + 0.044715*u*u*u)
-	}
-	for i, a := range th {
-		th[i] = math.Tanh(a)
-	}
-	for i, v := range x.Data {
-		od[i] = float32(0.5 * float64(v) * (1 + th[i]))
-	}
+	tensor.GELUForward(out.Data[:x.Len()], g.lastTanh, x.Data)
 	return out
 }
 
@@ -125,12 +104,7 @@ func float64Scratch(buf []float64, n int) []float64 {
 func (g *GELU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradLen("gelu", gradOut, g.lastX)
 	gradIn := g.ws.Get("dx", g.lastX.Shape...)
-	gd := gradOut.Data
-	xd, th, dx := g.lastX.Data[:len(gd)], g.lastTanh[:len(gd)], gradIn.Data[:len(gd)]
-	for i, gv := range gd {
-		u, t := float64(xd[i]), th[i]
-		dInner := geluC * (1 + 3*0.044715*u*u)
-		dx[i] = gv * float32(0.5*(1+t)+0.5*u*(1-t*t)*dInner)
-	}
+	n := gradOut.Len()
+	tensor.GELUBackward(gradIn.Data[:n], gradOut.Data, g.lastX.Data[:n], g.lastTanh[:n])
 	return gradIn
 }

@@ -107,7 +107,7 @@ func attentionRef(at *Attention, x, gradOut *tensor.Tensor) (out, gradIn *tensor
 		qb, kb, vb := mm(xb, at.Wq.Value), mm(xb, at.Wk.Value), mm(xb, at.Wv.Value)
 		s := tensor.MatMulTB(qb, kb, at.Mixed)
 		s.Scale(scale)
-		a := softmaxRowsInto(tensor.New(l, l), s)
+		a := softmaxRowsInto(tensor.New(l, l), s, make([]float64, l))
 		ob := mm(a, vb)
 		copy(out.Data[bi*l*d:(bi+1)*l*d], mm(ob, at.Wo.Value).Data)
 
@@ -248,4 +248,85 @@ func TestSoftmaxCrossEntropyReuse(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { sce.Eval(logits, labels) }); allocs != 0 {
 		t.Errorf("steady-state Eval allocates %v times, want 0", allocs)
 	}
+}
+
+// softmaxRowsLoop is the softmax as it was written before its exponentials
+// went through tensor.ExpRow: one math.Exp per element inside the row loop.
+// The bitwise reference for TestSoftmaxRowsMatchesLoop.
+func softmaxRowsLoop(out, s *tensor.Tensor) {
+	rows, cols := s.Shape[0], s.Shape[1]
+	for i := 0; i < rows; i++ {
+		row := s.Data[i*cols : (i+1)*cols]
+		maxV := row[0]
+		for _, v := range row {
+			if v > maxV {
+				maxV = v
+			}
+		}
+		var sum float64
+		orow := out.Data[i*cols : (i+1)*cols]
+		for j, v := range row {
+			e := math.Exp(float64(v - maxV))
+			orow[j] = float32(e)
+			sum += e
+		}
+		inv := float32(1 / sum)
+		for j := range orow {
+			orow[j] *= inv
+		}
+	}
+}
+
+// TestSoftmaxRowsMatchesLoop holds softmaxRowsInto to softmaxRowsLoop bit for
+// bit on rows of every length through 17 (a vector step, a pair, an odd
+// element), with scores of moderate and huge spread (shifted arguments below
+// −700 leave the vector path) and NaNs and infinities at random positions.
+// Where the loop gives a NaN the test asks for a NaN, not its payload: which
+// of two NaNs `sum += e` keeps is the register allocator's choice of operand
+// order, which differs between the two loops (the old one spilled sum across
+// the math.Exp call), and no record carries a payload.
+func TestSoftmaxRowsMatchesLoop(t *testing.T) {
+	r := rng.NewFromInt(61)
+	specials := []float32{float32(math.NaN()), math.Float32frombits(0xffc000a0), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1))}
+	for cols := 1; cols <= 17; cols++ {
+		for _, sd := range []float64{1, 30, 800} {
+			for _, special := range []int{0, 3, 20} {
+				rows := 5
+				s := tensor.New(rows, cols)
+				s.FillNormal(r, 0, sd)
+				for i := range s.Data {
+					if special > 0 && r.Intn(special) == 0 {
+						s.Data[i] = specials[r.Intn(len(specials))]
+					}
+				}
+				got, want := tensor.New(rows, cols), tensor.New(rows, cols)
+				softmaxRowsInto(got, s, make([]float64, cols))
+				softmaxRowsLoop(want, s)
+				for i, w := range want.Data {
+					if w != w && got.Data[i] != got.Data[i] {
+						got.Data[i] = w
+					}
+				}
+				sameBits(t, fmt.Sprintf("softmax %dx%d sd=%v special=1/%d", rows, cols, sd, special), got.Data, want.Data)
+			}
+		}
+	}
+}
+
+// BenchmarkKernel_Softmax is the attention's softmax over one batch
+// element's 8×8 scores.
+func BenchmarkKernel_Softmax(b *testing.B) {
+	s, out := tensor.New(8, 8), tensor.New(8, 8)
+	s.FillNormal(rng.NewFromInt(62), 0, 1)
+	e := make([]float64, 8)
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			softmaxRowsInto(out, s, e)
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			softmaxRowsLoop(out, s)
+		}
+	})
 }

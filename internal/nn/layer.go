@@ -75,7 +75,9 @@ type Sequential struct {
 	holders []WorkspaceHolder
 }
 
-// NamedLayer pairs a layer with its position-stable name.
+// NamedLayer is one entry of Sequential.Layers: a wrapper around one Layer,
+// which is all it holds (it carries no name). Sequential.Layers could be a
+// []Layer; the wrapper stays while the benchmark harness reads nl.Layer.
 type NamedLayer struct {
 	Layer Layer
 }

@@ -20,6 +20,8 @@ import (
 // returns (see LossResult), so concurrent evaluations need one value each.
 type SoftmaxCrossEntropy struct {
 	ws tensor.Workspace
+	// exps holds a row's float64 exponentials (tensor.ExpRow).
+	exps []float64
 }
 
 // LossResult bundles the outputs of a loss evaluation. Probs and GradLogits
@@ -69,6 +71,8 @@ func (s *SoftmaxCrossEntropy) eval(totalLoss float64, logits *tensor.Tensor, lab
 	grad := s.ws.Get("grad", b, c)
 	correct := 0
 	invB := 1 / float32(b)
+	s.exps = float64Scratch(s.exps, c)
+	exps := s.exps
 	for i := 0; i < b; i++ {
 		row := logits.Data[i*c : (i+1)*c]
 		// Numerically stable softmax: subtract the row max.
@@ -82,10 +86,10 @@ func (s *SoftmaxCrossEntropy) eval(totalLoss float64, logits *tensor.Tensor, lab
 				maxV = v
 			}
 		}
+		tensor.ExpRow(exps, row, maxV)
 		var sum float64
 		prow := probs.Data[i*c : (i+1)*c]
-		for j, v := range row {
-			e := math.Exp(float64(v - maxV))
+		for j, e := range exps {
 			prow[j] = float32(e)
 			sum += e
 		}

@@ -289,8 +289,8 @@ func (ln *LayerNorm) Workspace() *tensor.Workspace { return ln.ws }
 // SetWorkspace implements WorkspaceHolder.
 func (ln *LayerNorm) SetWorkspace(ws *tensor.Workspace) { ln.ws = ws }
 
-// Forward implements Layer. The moments of a row are float64 sums in index
-// order.
+// Forward implements Layer: tensor.LayerNormRows, whose row moments are
+// float64 sums in index order.
 func (ln *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	d := ln.Gamma.Value.Len()
 	if x.Shape[len(x.Shape)-1] != d {
@@ -302,56 +302,16 @@ func (ln *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	if cap(ln.lastInvStd) < rows {
 		ln.lastInvStd = make([]float32, rows)
 	}
-	invStds := ln.lastInvStd[:rows]
-	ln.lastInvStd = invStds
+	ln.lastInvStd = ln.lastInvStd[:rows]
 	out := ln.ws.Get("out", x.Shape...)
-	gamma, beta := ln.Gamma.Value.Data[:d], ln.Beta.Value.Data[:d]
-	for r := range invStds {
-		// Rows cut to len(gamma): no bounds checks below.
-		xr, xh, o := x.Data[r*d:][:len(gamma)], ln.lastXhat.Data[r*d:][:len(gamma)], out.Data[r*d:][:len(gamma)]
-		var sum, sumsq float64
-		for _, xv := range xr {
-			v := float64(xv)
-			sum += v
-			sumsq += v * v
-		}
-		mean := sum / float64(d)
-		variance := sumsq/float64(d) - mean*mean
-		invStd := float32(1 / math.Sqrt(variance+float64(ln.Eps)))
-		invStds[r] = invStd
-		for i, g := range gamma {
-			h := (xr[i] - float32(mean)) * invStd
-			xh[i] = h
-			o[i] = g*h + beta[i]
-		}
-	}
+	tensor.LayerNormRows(out.Data, ln.lastXhat.Data, ln.lastInvStd, x.Data, ln.Gamma.Value.Data, ln.Beta.Value.Data, ln.Eps)
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: tensor.LayerNormRowsBackward.
 func (ln *LayerNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradLen(ln.name, gradOut, ln.lastXhat)
-	d := ln.Gamma.Value.Len()
 	gradIn := ln.ws.Get("dx", ln.lastShape...)
-	gamma, dGamma, dBeta := ln.Gamma.Value.Data[:d], ln.Gamma.Grad.Data[:d], ln.Beta.Grad.Data[:d]
-	for r, invStd := range ln.lastInvStd {
-		// Rows cut to len(gamma): no bounds checks below.
-		dyr, xh, dx := gradOut.Data[r*d:][:len(gamma)], ln.lastXhat.Data[r*d:][:len(gamma)], gradIn.Data[r*d:][:len(gamma)]
-		var sumDxh, sumDxhXhat float32
-		for i, g := range gamma {
-			dy, h := dyr[i], xh[i]
-			dBeta[i] += dy
-			dGamma[i] += dy * h
-			dxh := dy * g
-			sumDxh += dxh
-			sumDxhXhat += dxh * h
-		}
-		meanDxh := sumDxh / float32(d)
-		meanDxhXhat := sumDxhXhat / float32(d)
-		for i, g := range gamma {
-			dxh := dyr[i] * g
-			dx[i] = invStd * (dxh - meanDxh - xh[i]*meanDxhXhat)
-		}
-	}
+	tensor.LayerNormRowsBackward(gradIn.Data, ln.Gamma.Grad.Data, ln.Beta.Grad.Data, gradOut.Data, ln.lastXhat.Data, ln.lastInvStd, ln.Gamma.Value.Data)
 	return gradIn
 }

@@ -158,6 +158,8 @@ type Attention struct {
 	xv, gv, yv tensor.Tensor
 	blocks     [11]tensor.Tensor
 	nb         int
+	// expRow is the softmax's float64 exponentials of one row of S.
+	expRow []float64
 
 	params []*Param
 }
@@ -221,12 +223,13 @@ func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	at.o = ws.Get("o", b*l, dk)
 	s := ws.Get("s", l, l)
 	scale := float32(1 / math.Sqrt(float64(dk)))
+	at.expRow = float64Scratch(at.expRow, l)
 	for lo := 0; lo < b*l; lo += l {
 		at.nb = 0
 		qb, kb, vb := at.rows(at.q, lo, l), at.rows(at.k, lo, l), at.rows(at.v, lo, l)
 		tensor.MatMulTBInto(s, qb, kb, mixed)
 		s.Scale(scale)
-		ab := softmaxRowsInto(at.rows(at.a, lo, l), s)
+		ab := softmaxRowsInto(at.rows(at.a, lo, l), s, at.expRow)
 		tensor.MatMulInto(at.rows(at.o, lo, l), ab, vb, mixed)
 	}
 	out := ws.Get("out", b, l, d)
@@ -282,9 +285,13 @@ func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // softmaxRowsInto writes the numerically stable softmax of each row of the
-// 2-D tensor s into out (every element is overwritten) and returns out.
-func softmaxRowsInto(out, s *tensor.Tensor) *tensor.Tensor {
+// 2-D tensor s into out (every element is overwritten) and returns out. e is
+// a row's worth of float64 scratch for its exponentials (tensor.ExpRow); the
+// row's maximum, the ascending float64 sum and the float32 scale are this
+// loop's.
+func softmaxRowsInto(out, s *tensor.Tensor, e []float64) *tensor.Tensor {
 	rows, cols := s.Shape[0], s.Shape[1]
+	e = e[:cols]
 	for i := 0; i < rows; i++ {
 		row := s.Data[i*cols : (i+1)*cols]
 		maxV := row[0]
@@ -293,12 +300,12 @@ func softmaxRowsInto(out, s *tensor.Tensor) *tensor.Tensor {
 				maxV = v
 			}
 		}
+		tensor.ExpRow(e, row, maxV)
 		var sum float64
 		orow := out.Data[i*cols : (i+1)*cols]
-		for j, v := range row {
-			e := math.Exp(float64(v - maxV))
-			orow[j] = float32(e)
-			sum += e
+		for j, v := range e {
+			orow[j] = float32(v)
+			sum += v
 		}
 		inv := float32(1 / sum)
 		for j := range orow {

@@ -10,6 +10,9 @@ import (
 	"repro/internal/tensor"
 )
 
+// geluC is sqrt(2/π), the constant of GELU's tanh approximation.
+const geluC = 0.7978845608028654
+
 // geluForward and geluGrad are GELU as the layer evaluated it before it kept
 // the forward's tanh for the backward pass: each a function of x alone, the
 // gradient computing math.Tanh of the forward's argument a second time. The

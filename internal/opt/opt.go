@@ -198,23 +198,7 @@ func (a *Adam) Step(params []*nn.Param) {
 		// Track both history abs-maxima (as abs-bits) while writing m and
 		// v. Every element is rewritten, so the running maxima equal
 		// post-hoc AbsMax sweeps bit for bit.
-		var mb, vb uint32
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i]
-			mv := a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			vv := a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			m.Data[i] = mv
-			v.Data[i] = vv
-			if b := tensor.AbsBits(mv); b > mb {
-				mb = b
-			}
-			if b := tensor.AbsBits(vv); b > vb {
-				vb = b
-			}
-			mHat := mv / c1
-			vHat := vv / c2
-			p.Value.Data[i] -= a.LR * mHat / (float32(math.Sqrt(float64(vHat))) + a.Eps)
-		}
+		mb, vb := tensor.AdamUpdate(p.Value.Data, m.Data, v.Data, p.Grad.Data, a.Beta1, a.Beta2, c1, c2, a.LR, a.Eps)
 		a.statM[p.Name] = mb
 		a.statV[p.Name] = vb
 		m.ClearDirty()

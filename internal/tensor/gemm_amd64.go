@@ -4,11 +4,12 @@ package tensor
 
 // useAVX routes the fp32 GEMM inner loops, the convolution lowering's block
 // moves and adds and the element-wise layer loops through the assembly
-// kernels in gemm_amd64.s, block_amd64.s and elem_amd64.s. It is decided
-// once, at package init, from what the CPU and the OS report; nothing sets it
-// afterwards. Builds without the kernels (other architectures, -tags purego)
-// compile it as a false constant, so the Go loops in matmul.go, tensor.go and
-// elem.go are the only path there.
+// kernels in gemm_amd64.s, block_amd64.s, elem_amd64.s and math_amd64.s (the
+// last also behind probeMath's choice). It is decided once, at package init,
+// from what the CPU and the OS report; nothing sets it afterwards. Builds
+// without the kernels (other architectures, -tags purego) compile it as a
+// false constant, so the Go loops in matmul.go, tensor.go, elem.go, norm.go,
+// math.go and reduce.go are the only path there.
 var useAVX = detectAVX()
 
 // detectAVX reports whether AVX instructions may be executed: the CPU has
@@ -116,3 +117,65 @@ func addBiasAVX(t, bias *float32, rows, c, spatial int)
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
+
+// The float64 kernels (math_amd64.s) write their results a pair at a time and
+// stop at the first pair outside their range, returning how many elements
+// they wrote; math.go's wrappers finish that pair with package math and call
+// again past it. fma selects math.archExp's fused branch (see probeMath).
+
+// expRowAVX writes e[i] = exp(float64(x[i] − shift)) for i < n.
+//
+//go:noescape
+func expRowAVX(e *float64, x *float32, shift float32, n int, fma bool) int
+
+// geluForwardAVX writes th[i] = tanh(c·(u + 0.044715·u·u·u)) and out[i] =
+// float32(0.5·u·(1 + th[i])), u = float64(x[i]), for i < n.
+//
+//go:noescape
+func geluForwardAVX(out *float32, th *float64, x *float32, n int, fma bool) int
+
+// hasFMA reports whether the CPU has the fused multiply-add instructions
+// (CPUID.1:ECX bit 12); only then may the kernels' fused branch run.
+func hasFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return useAVX && ecx&fma != 0
+}
+
+// layerNormAVX is LayerNorm's forward over rows of d floats, rows a positive
+// multiple of 4: per row, its float32 mean and invStd = 1/sqrt(variance +
+// eps) from float64 sums, then xhat = (x − mean)·invStd and out =
+// xhat·gamma + beta.
+//
+//go:noescape
+func layerNormAVX(out, xhat, invStd, x, gamma, beta *float32, rows, d int, eps float64)
+
+// layerNormBackwardAVX is LayerNorm's backward over rows of d floats, rows a
+// positive multiple of 4: dBeta and dGamma accumulate row after row, and
+// dx = ((dy·gamma − mean(dxh)) − xhat·mean(dxh·xhat))·invStd per row.
+//
+//go:noescape
+func layerNormBackwardAVX(dx, dGamma, dBeta, dy, xhat, invStd, gamma *float32, rows, d int)
+
+// geluBackwardAVX writes dx = dy·float32(0.5·(1+t) + 0.5·u·(1−t²)·c·(1 +
+// 3·0.044715·u²)), u = float64(x[i]) and t = th[i], for i < n.
+//
+//go:noescape
+func geluBackwardAVX(dx, dy, x *float32, th *float64, n int)
+
+// adamAVX is the Adam update of n elements with k = {β1, 1−β1, β2, 1−β2,
+// c1, c2, lr, eps}; it returns the abs-bits maxima of the new m and v.
+//
+//go:noescape
+func adamAVX(p, m, v, grad *float32, n int, k *[8]float32) (mMax, vMax uint32)
+
+// addAbsMaxAVX adds u to t over n elements and returns the maximum of u's
+// abs-bits.
+//
+//go:noescape
+func addAbsMaxAVX(t, u *float32, n int) uint32
+
+// scaleAVX multiplies each of the n floats at t by s.
+//
+//go:noescape
+func scaleAVX(t *float32, s float32, n int)

@@ -4,7 +4,7 @@ package tensor
 
 // useAVX is false wherever the assembly kernels are not built; the
 // branches that test it compile away and the Go loops in matmul.go,
-// tensor.go and elem.go run.
+// tensor.go, elem.go, norm.go, math.go and reduce.go run.
 const useAVX = false
 
 func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc, aFirst bool) {
@@ -50,3 +50,33 @@ func reluBackwardAVX(dx, dy *float32, mask *uint32, n int) {
 func addBiasAVX(t, bias *float32, rows, c, spatial int) {
 	panic("tensor: no AVX kernels in this build")
 }
+
+func expRowAVX(e *float64, x *float32, shift float32, n int, fma bool) int {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func geluForwardAVX(out *float32, th *float64, x *float32, n int, fma bool) int {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func hasFMA() bool { return false }
+
+func layerNormAVX(out, xhat, invStd, x, gamma, beta *float32, rows, d int, eps float64) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func layerNormBackwardAVX(dx, dGamma, dBeta, dy, xhat, invStd, gamma *float32, rows, d int) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func geluBackwardAVX(dx, dy, x *float32, th *float64, n int) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func adamAVX(p, m, v, grad *float32, n int, k *[8]float32) (mMax, vMax uint32) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func addAbsMaxAVX(t, u *float32, n int) uint32 { panic("tensor: no AVX kernels in this build") }
+
+func scaleAVX(t *float32, s float32, n int) { panic("tensor: no AVX kernels in this build") }

@@ -229,7 +229,7 @@ func allNonZero(a []float32) bool {
 // blocking: one pass over a B row feeds four C rows, quartering B traffic.
 // A k-step of a 4-row block is one of three kinds. All four a zero: skipped.
 // All four non-zero: the dense step, four rows updated in one pass. Mixed:
-// one axpyRow per row, which skips its zeros. The skip rule (a-element
+// one axpyRow per non-zero row. The skip rule (a-element
 // exactly zero) and ascending-k accumulation match the original serial kernel
 // exactly.
 //
@@ -267,10 +267,20 @@ func gemmRows(c, a, b []float32, m, k, n, aRow, aK int) {
 				}
 				continue
 			}
-			axpyRow(c0, bk, av0)
-			axpyRow(c1, bk, av1)
-			axpyRow(c2, bk, av2)
-			axpyRow(c3, bk, av3)
+			// Mixed: the zero rows are skipped here, not in axpyRow, so a
+			// one-hot A (the embedding's input) costs one call a k-step.
+			if av0 != 0 {
+				axpyRow(c0, bk, av0)
+			}
+			if av1 != 0 {
+				axpyRow(c1, bk, av1)
+			}
+			if av2 != 0 {
+				axpyRow(c2, bk, av2)
+			}
+			if av3 != 0 {
+				axpyRow(c3, bk, av3)
+			}
 		}
 	}
 	for ; i < m; i++ {

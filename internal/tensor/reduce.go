@@ -112,13 +112,25 @@ func (t *Tensor) Sum() float64 {
 // pass under the abs-bits ordering (NaN wins). The collective layer uses it
 // to collect per-device contribution signatures for the cross-replica
 // consistency check during gradient accumulation, so the check costs no
-// extra tensor sweep.
+// extra tensor sweep. On amd64 the pass is addAbsMaxAVX (elem_amd64.s), four
+// lanes wide with PMAXUD; addInPlaceAbsMaxGo is the loop elsewhere.
 func (t *Tensor) AddInPlaceAbsMax(u *Tensor) float32 {
 	if len(t.Data) != len(u.Data) {
 		panic("tensor: AddInPlaceAbsMax size mismatch")
 	}
+	if len(t.Data) == 0 {
+		return 0
+	}
+	if useAVX {
+		return math.Float32frombits(addAbsMaxAVX(&t.Data[0], &u.Data[0], len(t.Data)))
+	}
+	return math.Float32frombits(addInPlaceAbsMaxGo(t.Data, u.Data))
+}
+
+// addInPlaceAbsMaxGo is AddInPlaceAbsMax's loop, returning the abs-bits
+// maximum.
+func addInPlaceAbsMaxGo(td, ud []float32) uint32 {
 	var m0, m1, m2, m3 uint32
-	td, ud := t.Data, u.Data
 	i := 0
 	for ; i+4 <= len(td); i += 4 {
 		v0, v1, v2, v3 := ud[i], ud[i+1], ud[i+2], ud[i+3]
@@ -140,8 +152,9 @@ func (t *Tensor) AddInPlaceAbsMax(u *Tensor) float32 {
 		}
 	}
 	for ; i < len(td); i++ {
-		td[i] += ud[i]
-		if b := math.Float32bits(ud[i]) & absBitsMask; b > m0 {
+		v := ud[i]
+		td[i] += v
+		if b := math.Float32bits(v) & absBitsMask; b > m0 {
 			m0 = b
 		}
 	}
@@ -154,7 +167,7 @@ func (t *Tensor) AddInPlaceAbsMax(u *Tensor) float32 {
 	if m3 > m0 {
 		m0 = m3
 	}
-	return math.Float32frombits(m0)
+	return m0
 }
 
 // AbsMaxOfBits converts an abs-bits maximum back to a float. Exposed for

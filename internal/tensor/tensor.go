@@ -180,10 +180,19 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 	addBlocks(t.Data, u.Data, &blockShape{n: 1, rows: 1, cols: len(t.Data)})
 }
 
-// Scale multiplies every element by s.
+// Scale multiplies every element by s, the element first (scaleAVX on
+// amd64, scaleGo elsewhere).
 func (t *Tensor) Scale(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
+	if useAVX && len(t.Data) > 0 {
+		scaleAVX(&t.Data[0], s, len(t.Data))
+		return
+	}
+	scaleGo(t.Data, s)
+}
+
+func scaleGo(td []float32, s float32) {
+	for i := range td {
+		td[i] *= s
 	}
 }
 

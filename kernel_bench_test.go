@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/workloads"
@@ -201,14 +202,24 @@ func BenchmarkKernel_GEMMCampaignTB(b *testing.B) {
 // through each entry point, A dense: the attention scores and context per
 // batch element (8×12×8, 8×8×12), the whole-batch projections (16×12×12,
 // 16×6×12), their gradients (12×8×12) and the classifier (2×12×6). At these
-// sizes a call is mostly dispatch, not arithmetic.
+// sizes a call is mostly dispatch, not arithmetic. The onehot legs are the
+// embedding's product, 16×6×12 with a one-hot A: one non-zero a row, so
+// every k-step of a 4-row block is mixed.
 func BenchmarkKernel_GEMMSmall(b *testing.B) {
-	for _, s := range [][3]int{{8, 12, 8}, {8, 8, 12}, {16, 12, 12}, {16, 6, 12}, {12, 8, 12}, {2, 12, 6}} {
-		m, k, n := s[0], s[1], s[2]
+	for _, s := range [][4]int{{8, 12, 8}, {8, 8, 12}, {16, 12, 12}, {16, 6, 12}, {12, 8, 12}, {2, 12, 6}, {16, 6, 12, 1}} {
+		m, k, n, oneHot := s[0], s[1], s[2], s[3] == 1
 		r := rng.NewFromInt(37)
 		a, bm := tensor.New(m, k), tensor.New(k, n)
 		a.FillNormal(r, 0, 1)
 		bm.FillNormal(r, 0, 1)
+		prefix := ""
+		if oneHot {
+			a.Zero()
+			for i := 0; i < m; i++ {
+				a.Data[i*k+i%k] = 1
+			}
+			prefix = "onehot-"
+		}
 		at, bt, dst := transpose2D(a), transpose2D(bm), tensor.New(m, n)
 		for _, leg := range []struct {
 			name string
@@ -218,7 +229,7 @@ func BenchmarkKernel_GEMMSmall(b *testing.B) {
 			{"TA", func() { tensor.MatMulTAInto(dst, at, bm, false) }},
 			{"TB", func() { tensor.MatMulTBInto(dst, a, bt, false) }},
 		} {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", leg.name, m, k, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s%s/%dx%dx%d", prefix, leg.name, m, k, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					leg.run()
@@ -398,7 +409,8 @@ func BenchmarkKernel_Conv2DBackwardWorkspace(b *testing.B) {
 // The sequence layers of the transformer campaign, one call per iteration at
 // the training shard's shape and at the evaluation batch's.
 
-// BenchmarkKernel_GELUForward is one math.Tanh per element.
+// BenchmarkKernel_GELUForward is tensor.GELUForward: argument, tanh and
+// output in vector passes, two elements a lane pair.
 func BenchmarkKernel_GELUForward(b *testing.B) {
 	benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
 		gelu := nn.NewGELU()
@@ -445,6 +457,24 @@ func BenchmarkKernel_AttentionBackward(b *testing.B) {
 		at.Forward(trainCtx, x)
 		return func() { at.Backward(g) }
 	})
+}
+
+// BenchmarkKernel_AdamStep is one Adam step over the transformer model's
+// parameters, gradients filled once.
+func BenchmarkKernel_AdamStep(b *testing.B) {
+	model := workloads.Transformer().Build(rng.NewFromInt(36))
+	params := model.Params()
+	r := rng.NewFromInt(38)
+	for _, p := range params {
+		p.Grad.FillNormal(r, 0, 1)
+	}
+	adam := opt.NewAdam(1e-3)
+	b.ReportAllocs()
+	adam.Step(params)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		adam.Step(params)
+	}
 }
 
 // BenchmarkKernel_TransformerStep is one replica's forward + backward of the
