@@ -4,7 +4,9 @@
 # portable -tags purego path, greps over the assembly kernels for fused
 # multiply-adds (math_amd64.s, whose reference math.Exp fuses on FMA hosts,
 # excepted and held to package math instead) and 256-bit arithmetic
-# (floating-point, compare, logical and integer maximum), race-detector runs of
+# (floating-point, compare, logical and integer maximum), a ledger gate that
+# every assembly routine is named by a test of its package, race-detector
+# runs of
 # the packages with concurrency (a replica built beside another goroutine's
 # layer constructor, group guards on engines trained side by side, the
 # campaign worker pool, the
@@ -13,7 +15,8 @@
 # exit-status and report contracts and the docs' flag-drift gate), fuzz
 # smokes of the journal
 # parser/repairer and of the GEMM kernels, the convolution lowering, the
-# element-wise layer kernels and the reductions against their naive oracles
+# element-wise layer kernels, the float64 exp/tanh kernels and the
+# reductions against their naive oracles
 # and of the collective's retry budget; then, for what needs a process boundary or a
 # second build, `repro campaign` runs: a graceful SIGINT kill-and-resume
 # smoke, the smoke's reference campaign
@@ -83,6 +86,21 @@ if grep -nE 'VFN?M(ADD|SUB)' $(ls internal/tensor/*.s | grep -v '/math_amd64\.s$
 	exit 1
 fi
 go test -count=1 -run MatchesMath ./internal/tensor
+
+echo "== kernel ledger gate (every TEXT routine in internal/tensor/*.s is named in a _test.go file of the package, the test that holds it to its Go loop; cpuid and xgetbv, which compute nothing, exempt) =="
+unnamed=""
+for routine in $(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' internal/tensor/*.s); do
+	case "$routine" in
+	cpuid | xgetbv) continue ;;
+	esac
+	if ! grep -qw "$routine" internal/tensor/*_test.go; then
+		unnamed="$unnamed $routine"
+	fi
+done
+if [ -n "$unnamed" ]; then
+	echo "assembly routines no test in internal/tensor names:$unnamed" >&2
+	exit 1
+fi
 
 echo "== no 256-bit arithmetic in the assembly (Y-register moves and shuffles are free; Y-register arithmetic — floating-point, compares, logicals, integer maxima — takes the AVX frequency licence) =="
 if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN|OR|XOR)P[SD]|P(MAX|MIN)[SU][BWDQ]|P(AND|ANDN|OR|XOR))[[:space:]].*Y[0-9]' internal/tensor/*.s; then
@@ -223,7 +241,7 @@ go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 echo "== retry-budget fuzz smoke (Policy.Arrival against the Retries / Failed AllReduce reports for the armed fault, fuzzer-chosen delay, policy and kind) =="
 go test -run '^$' -fuzz 'FuzzArrivalResolution' -fuzztime 3s ./internal/comm
 
-echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, against the naive triple loop; seeds on both sides of the dense-A dispatch: whole-matrix kernel for an A without ±0, skip-rule path otherwise; and on both sides of the TB dispatch: the transposed product B×Aᵀ for a dense A where tbTransposesA holds, transpose-B-then-NN otherwise) =="
+echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, AddMatMulTA included, against the naive triple loop; seeds on all three sides of the A dispatch: the whole-matrix tile kernel for an A without ±0, the sparse-row kernel for one with three zeros in four or more (one-hot rows in the NN and TA layouts, all-zero rows, a lone non-zero at the first and the last k), gemmRows between; and on both sides of the TB dispatch: the transposed product B×Aᵀ for a dense A where tbTransposesA holds, transpose-B-then-NN otherwise) =="
 go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 
 echo "== lowering fuzz smoke (im2col and col2im against the per-element loops and, at stride 1, the one-call tap kernel against the tap-by-tap loop; fuzzer-chosen geometry and bit patterns, tap sets of 1 to 425 taps) =="
@@ -231,6 +249,9 @@ go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 
 echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
+
+echo "== float64 kernel fuzz smoke (ExpRow, GELUForward with its lanes sorted by tanh branch, and GELUBackward against package math: fuzzer-chosen lengths 0-64 and raw float32 bits, seeds at ±0, subnormals, ±Inf, NaN and tanh's branch points) =="
+go test -run '^$' -fuzz 'FuzzMathOracle' -fuzztime 3s ./internal/tensor
 
 echo "== reduction fuzz smoke (AbsMax, Sum and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzReduceOracle' -fuzztime 3s ./internal/tensor
@@ -259,7 +280,7 @@ done
 cmp "$tmp/dfref.json" "$tmp/dfresumed.json"
 
 echo "== bench smoke (-benchtime=1x: every benchmark the docs cite still runs) =="
-go test -run '^$' -bench 'Benchmark(Sec53_(DetectionOverhead|RecoveryOverhead)|Sec6_ABFTOverhead|Ablation_(Precision|ScheduleVsNaive)|EngineIteration|Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
+go test -run '^$' -bench 'Benchmark(Sec53_(DetectionOverhead|RecoveryOverhead)|Sec6_ABFTOverhead|Ablation_(Precision|ScheduleVsNaive)|EngineIteration|Campaign(Cold|Forked|ForkedTelemetry|InertShare)|Kernel_(MatMulBlocked|MatMulTA|MatMulTB|GEMMCampaign(NN|NN12|TA|TB)|GEMMSmall|Im2Col|Col2Im|ReLU(Forward|Backward)|BatchNorm(Forward|Backward)|AddBias|AddInPlace|GELU(Forward|Backward)|LayerNorm(Forward|Backward)|Attention(Forward|Backward)|SeqMean|TransformerStep|GEMMMixedPacked|TrainStepMixed)|Overhead(Plain|Detect|DetectCheck|ABFT|Ranger))$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkCampaignStatsLand$' -benchtime 1x ./internal/telemetry
 go test -run '^$' -bench 'BenchmarkPrepareGolden$' -benchtime 1x .
 

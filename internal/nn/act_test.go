@@ -130,44 +130,159 @@ func attentionRef(at *Attention, x, gradOut *tensor.Tensor) (out, gradIn *tensor
 	return out, gradIn, dW
 }
 
-// TestAttentionWorkspace: attention through its Workspace is bitwise-equal to
-// the allocating formulation — across a batch-size swing (training shard,
-// evaluation batch, training shard again: the whole-batch buffers grow once
-// and are resliced) and a workspace scrub — and a steady-state
-// forward+backward allocates nothing.
+// attentionKeyed is Attention's forward and backward as they were before
+// the layer resolved its buffers once per shape: every buffer looked up by
+// key in ws on every call, every batch element's row blocks built on every
+// call, and each weight gradient formed in a scratch ("dw") and added to
+// its Grad. It reads at's weights and accumulates into grads (Wq, Wk, Wv,
+// Wo), and returns the output and the input gradient, workspace buffers
+// both.
+func attentionKeyed(at *Attention, ws *tensor.Workspace, grads [4]*tensor.Tensor, x, gradOut *tensor.Tensor) (out, gradIn *tensor.Tensor) {
+	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
+	dk, mixed := at.Dk, at.Mixed
+	rows := func(t *tensor.Tensor, lo int) *tensor.Tensor {
+		cols := t.Shape[len(t.Shape)-1]
+		return tensor.FromSlice(t.Data[lo*cols:(lo+l)*cols], l, cols)
+	}
+	xf := tensor.FromSlice(x.Data, b*l, d)
+	q := tensor.MatMulInto(ws.Get("q", b*l, dk), xf, at.Wq.Value, mixed)
+	k := tensor.MatMulInto(ws.Get("k", b*l, dk), xf, at.Wk.Value, mixed)
+	v := tensor.MatMulInto(ws.Get("v", b*l, dk), xf, at.Wv.Value, mixed)
+	a, o := ws.Get("a", b*l, l), ws.Get("o", b*l, dk)
+	s := ws.Get("s", l, l)
+	scale := float32(1 / math.Sqrt(float64(dk)))
+	e := make([]float64, l)
+	for lo := 0; lo < b*l; lo += l {
+		tensor.MatMulTBInto(s, rows(q, lo), rows(k, lo), mixed)
+		s.Scale(scale)
+		ab := softmaxRowsInto(rows(a, lo), s, e)
+		tensor.MatMulInto(rows(o, lo), ab, rows(v, lo), mixed)
+	}
+	out = ws.Get("out", b, l, d)
+	tensor.MatMulInto(tensor.FromSlice(out.Data, b*l, d), o, at.Wo.Value, mixed)
+
+	gO := tensor.MatMulTBInto(ws.Get("go", b*l, dk), tensor.FromSlice(gradOut.Data, b*l, d), at.Wo.Value, mixed)
+	gQ, gK, gV := ws.Get("gq", b*l, dk), ws.Get("gk", b*l, dk), ws.Get("gv", b*l, dk)
+	gA, gS := ws.Get("s", l, l), ws.Get("gs", l, l)
+	for lo := 0; lo < b*l; lo += l {
+		xb, gy := rows(x.Reshape(b*l, d), lo), rows(gradOut.Reshape(b*l, d), lo)
+		qb, kb, vb := rows(q, lo), rows(k, lo), rows(v, lo)
+		ab, ob, gOb := rows(a, lo), rows(o, lo), rows(gO, lo)
+		gQb, gKb, gVb := rows(gQ, lo), rows(gK, lo), rows(gV, lo)
+		grads[3].AddInPlace(tensor.MatMulTAInto(ws.Get("dw", dk, d), ob, gy, mixed))
+		tensor.MatMulTBInto(gA, gOb, vb, mixed)
+		tensor.MatMulTAInto(gVb, ab, gOb, mixed)
+		softmaxRowsBackwardInto(gS, ab, gA)
+		gS.Scale(scale)
+		tensor.MatMulInto(gQb, gS, kb, mixed)
+		tensor.MatMulTAInto(gKb, gS, qb, mixed)
+		grads[0].AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gQb, mixed))
+		grads[1].AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gKb, mixed))
+		grads[2].AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gVb, mixed))
+	}
+	gradIn = ws.Get("dx", b, l, d)
+	gx := tensor.MatMulTBInto(tensor.FromSlice(gradIn.Data, b*l, d), gQ, at.Wq.Value, mixed)
+	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gK, at.Wk.Value, mixed))
+	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gV, at.Wv.Value, mixed))
+	return out, gradIn
+}
+
+// TestAttentionWorkspace: attention on its buffers resolved once per shape
+// and workspace is bitwise-equal to the keyed-lookup formulation
+// (attentionKeyed) and to the allocating one (attentionRef) — output, input
+// gradient and the four weight gradients, which start non-zero — through
+// the batch swing of a campaign engine (training shard, evaluation batch,
+// alternating), a rebinding to another workspace and back (SetWorkspace, as
+// a lane does), a scrub (Reset) and a twin layer on the same workspace at
+// the other batch size between calls, each of which must make the layer
+// resolve again or find its resolution still current; its output must be
+// the buffer its workspace holds under "out". A
+// steady-state forward+backward allocates nothing, and neither does a cycle
+// of the swing, the rebinding and the scrub once each shape has been seen.
 func TestAttentionWorkspace(t *testing.T) {
 	for _, mixed := range []bool{false, true} {
 		r := rng.NewFromInt(93)
 		at := NewAttention("attn", 12, 12, r, mixed)
-		for step, b := range []int{2, 5, 2, 2} {
+		own, other := at.Workspace(), tensor.NewWorkspace()
+		keyed := tensor.NewWorkspace()
+		// twin shares the layer's workspace, as a replica does, and steps
+		// at the other batch size between the layer's calls: its Gets
+		// reshape the buffers the layer resolved.
+		twin := NewAttention("twin", 12, 12, r, mixed)
+		for _, p := range at.Params() {
+			p.Grad.FillNormal(r, 0, 1)
+		}
+		batches := []int{2, 64, 2, 64, 64, 2, 2, 64, 2, 2}
+		for step, b := range batches {
 			x, gradOut := tensor.New(b, 8, 12), tensor.New(b, 8, 12)
 			x.FillNormal(r, 0, 1)
 			gradOut.FillNormal(r, 0, 1)
-			for _, p := range at.Params() {
-				p.Grad.Zero()
+			x.Data[0] = 0 // the kernels' skip rule
+			var grads [4]*tensor.Tensor
+			for i, p := range at.Params() {
+				grads[i] = p.Grad.Clone()
 			}
-			wantOut, wantIn, wantDW := attentionRef(at, x, gradOut)
-			if step == 3 {
+			wantOut, wantIn := attentionKeyed(at, keyed, grads, x, gradOut)
+			refOut, refIn, refDW := attentionRef(at, x, gradOut)
+			switch step % 4 {
+			case 1:
 				at.Workspace().Reset()
+			case 2:
+				at.SetWorkspace(other)
+			case 3:
+				at.SetWorkspace(own)
+			}
+			if step > 0 && b == batches[step-1] { // the layer's last resolution has the right shape
+				tb := 66 - b
+				tx, tg := tensor.New(tb, 8, 12), tensor.New(tb, 8, 12)
+				tx.FillNormal(r, 0, 1)
+				tg.FillNormal(r, 0, 1)
+				twin.SetWorkspace(at.Workspace())
+				twin.Forward(nil, tx)
+				twin.Backward(tg)
 			}
 			name := fmt.Sprintf("mixed=%v step %d (batch %d) ", mixed, step, b)
-			sameBits(t, name+"out", at.Forward(nil, x).Data, wantOut.Data)
-			sameBits(t, name+"gradIn", at.Backward(gradOut).Data, wantIn.Data)
+			out := at.Forward(nil, x)
+			if out != at.Workspace().Get("out", b, 8, 12) {
+				t.Fatalf("%s: the output is not the bound workspace's buffer", name)
+			}
+			sameBits(t, name+"out", out.Data, wantOut.Data)
+			sameBits(t, name+"out (allocating)", out.Data, refOut.Data)
+			gradIn := at.Backward(gradOut)
+			sameBits(t, name+"gradIn", gradIn.Data, wantIn.Data)
+			sameBits(t, name+"gradIn (allocating)", gradIn.Data, refIn.Data)
 			for i, p := range at.Params() {
-				sameBits(t, name+p.Name+".grad", p.Grad.Data, wantDW[i].Data)
+				sameBits(t, name+p.Name+".grad", p.Grad.Data, grads[i].Data)
+				sameBits(t, name+p.Name+".grad (allocating)", p.Grad.Data, refDW[i].Data)
 			}
 		}
 		if raceEnabled {
 			continue
 		}
-		x, gradOut := tensor.New(2, 8, 12), tensor.New(2, 8, 12)
-		x.FillNormal(r, 0, 1)
-		gradOut.FillNormal(r, 0, 1)
-		if allocs := testing.AllocsPerRun(20, func() {
-			at.Forward(nil, x)
-			at.Backward(gradOut)
-		}); allocs != 0 {
+		xs := map[int][2]*tensor.Tensor{}
+		for _, b := range []int{2, 64} {
+			x, gradOut := tensor.New(b, 8, 12), tensor.New(b, 8, 12)
+			x.FillNormal(r, 0, 1)
+			gradOut.FillNormal(r, 0, 1)
+			xs[b] = [2]*tensor.Tensor{x, gradOut}
+		}
+		step := func(b int) {
+			at.Forward(nil, xs[b][0])
+			at.Backward(xs[b][1])
+		}
+		if allocs := testing.AllocsPerRun(20, func() { step(2) }); allocs != 0 {
 			t.Errorf("mixed=%v: steady-state attention forward+backward allocates %v times, want 0", mixed, allocs)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			step(2)
+			step(64)
+			at.SetWorkspace(other)
+			step(2)
+			at.SetWorkspace(own)
+			own.Reset()
+			step(64)
+		}); allocs != 0 {
+			t.Errorf("mixed=%v: a cycle of batch swing, rebinding and scrub allocates %v times, want 0", mixed, allocs)
 		}
 	}
 }

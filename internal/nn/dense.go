@@ -63,11 +63,10 @@ func (d *Dense) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradRank(d.name, gradOut, 2)
 	x := d.lastX
-	// dW = xᵀ · gradOut ; db = column sums of gradOut ; dx = gradOut · Wᵀ.
+	// dW += xᵀ · gradOut ; db = column sums of gradOut ; dx = gradOut · Wᵀ.
 	// The fused-transpose kernels avoid materializing xᵀ and Wᵀ.
-	dW := tensor.MatMulTAInto(d.ws.Get("dw", d.W.Value.Shape[0], d.W.Value.Shape[1]), x, gradOut, d.Mixed)
+	tensor.AddMatMulTA(d.W.Grad, x, gradOut, d.Mixed)
 	dX := tensor.MatMulTBInto(d.ws.Get("dx", x.Shape[0], x.Shape[1]), gradOut, d.W.Value, d.Mixed)
-	d.W.Grad.AddInPlace(dW)
 	tensor.SumPerChannelNCHW(gradOut, d.B.Grad)
 	return dX
 }
@@ -76,7 +75,7 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // no input gradient (see Sequential.BackwardParams).
 func (d *Dense) BackwardParams(gradOut *tensor.Tensor) {
 	checkGradRank(d.name, gradOut, 2)
-	d.W.Grad.AddInPlace(tensor.MatMulTAInto(d.ws.Get("dw", d.W.Value.Shape[0], d.W.Value.Shape[1]), d.lastX, gradOut, d.Mixed))
+	tensor.AddMatMulTA(d.W.Grad, d.lastX, gradOut, d.Mixed)
 	tensor.SumPerChannelNCHW(gradOut, d.B.Grad)
 }
 

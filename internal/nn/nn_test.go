@@ -266,14 +266,14 @@ func TestAttentionRowsSumToOne(t *testing.T) {
 	at := NewAttention("attn", 4, 4, rng.NewFromInt(18), false)
 	x := randTensor(19, 2, 5, 4)
 	at.Forward(nil, x)
-	rows, cols := at.a.Shape[0], at.a.Shape[1] // every batch element's rows
+	rows, cols := at.buf.a.Shape[0], at.buf.a.Shape[1] // every batch element's rows
 	if rows != 2*5 || cols != 5 {
-		t.Fatalf("attention matrix is %v, want [10 5]", at.a.Shape)
+		t.Fatalf("attention matrix is %v, want [10 5]", at.buf.a.Shape)
 	}
 	for i := 0; i < rows; i++ {
 		var sum float64
 		for j := 0; j < cols; j++ {
-			sum += float64(at.a.Data[i*cols+j])
+			sum += float64(at.buf.a.Data[i*cols+j])
 		}
 		if math.Abs(sum-1) > 1e-4 {
 			t.Fatalf("attention row sums to %v", sum)

@@ -85,39 +85,30 @@ func (s *SeqMean) Workspace() *tensor.Workspace { return s.ws }
 func (s *SeqMean) SetWorkspace(ws *tensor.Workspace) { s.ws = ws }
 
 // Forward implements Layer. A row of the output starts at zero and takes its
-// positions' terms in ascending order.
+// positions' terms in ascending order (tensor.MeanPositions).
 func (s *SeqMean) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank("seqmean", x, 3)
 	s.lastShape = append(s.lastShape[:0], x.Shape...)
-	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := s.ws.GetZeroed("out", b, d)
-	inv := 1 / float32(l)
-	for bi := 0; bi < b; bi++ {
-		o := out.Data[bi*d : bi*d+d]
-		for pos := 0; pos < l; pos++ {
-			base := (bi*l + pos) * d
-			for j, v := range x.Data[base : base+d] {
-				o[j] += v * inv
-			}
-		}
-	}
+	out := s.ws.Get("out", x.Shape[0], x.Shape[2])
+	tensor.MeanPositions(out, x)
 	s.lastOut = out
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Every position of a batch element receives the
+// same gradient row, gradOut's row times 1/L, formed once and copied.
 func (s *SeqMean) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradLen("seqmean", gradOut, s.lastOut)
 	b, l, d := s.lastShape[0], s.lastShape[1], s.lastShape[2]
 	gradIn := s.ws.Get("dx", b, l, d)
 	inv := 1 / float32(l)
 	for bi := 0; bi < b; bi++ {
-		g := gradOut.Data[bi*d : bi*d+d]
-		for pos := 0; pos < l; pos++ {
-			base := (bi*l + pos) * d
-			for j, gv := range g {
-				gradIn.Data[base+j] = gv * inv
-			}
+		rows := gradIn.Data[bi*l*d : (bi+1)*l*d]
+		for j, gv := range gradOut.Data[bi*d : bi*d+d] {
+			rows[j] = gv * inv
+		}
+		for pos := 1; pos < l; pos++ {
+			copy(rows[pos*d:(pos+1)*d], rows[:d])
 		}
 	}
 	return gradIn
@@ -141,27 +132,41 @@ type Attention struct {
 	Dk             int
 	Mixed          bool
 
-	// The forward's input, and its whole-batch Q, K, V [B·L, Dk], A [B·L, L]
-	// and O [B·L, Dk], which Backward reads back.
-	lastX         *tensor.Tensor
-	q, k, v, a, o *tensor.Tensor
+	// lastX is the forward's input, which Backward reads back with the
+	// bound Q, K, V, A and O.
+	lastX *tensor.Tensor
 
 	// ws backs every intermediate, the output and the input gradient, so a
-	// steady-state iteration allocates nothing. A key is shared by buffers
-	// that are never alive together: "s" is S in Forward and dA in Backward,
-	// "dw" each of the four weight gradients in turn (each is folded into its
-	// Grad before the next overwrites it), "gxt" the two later terms of dx.
-	ws *tensor.Workspace
-	// xv, gv and yv are reusable headers for the input, the output gradient
-	// and the layer's result as [B·L, D] matrices; blocks are the ones rows
-	// hands out for one batch element's row blocks, nb how many are out.
-	xv, gv, yv tensor.Tensor
-	blocks     [11]tensor.Tensor
-	nb         int
+	// steady-state iteration allocates nothing; buf holds them resolved.
+	ws  *tensor.Workspace
+	buf attnBufs
 	// expRow is the softmax's float64 exponentials of one row of S.
 	expRow []float64
 
 	params []*Param
+}
+
+// attnBufs is the attention layer's workspace buffers, each looked up by key
+// once per (B, L, D) and workspace (Attention.bind), with the headers that
+// view them: the whole-batch matrices and each batch element's row blocks. A
+// key is shared by buffers that are never alive together: "s" is S in Forward
+// and dA in Backward, "gxt" the two later terms of dx.
+type attnBufs struct {
+	ws      *tensor.Workspace
+	gen     uint64
+	b, l, d int
+
+	q, k, v, a, o, out    *tensor.Tensor
+	gO, gQ, gK, gV, s, gS *tensor.Tensor
+	dx, gxt               *tensor.Tensor
+	xv, gv, outv, dxv     tensor.Tensor // x, dY, the output and dx as [B·L, D]
+	xb, gy                tensor.Tensor // a batch element's rows of x and dY
+	blocks                []attnBlocks  // B of them in use
+}
+
+// attnBlocks is one batch element's L rows of the whole-batch matrices.
+type attnBlocks struct {
+	q, k, v, a, o, gO, gQ, gK, gV tensor.Tensor
 }
 
 // NewAttention creates a self-attention layer with model dim d and head dim
@@ -199,89 +204,120 @@ func (at *Attention) Workspace() *tensor.Workspace { return at.ws }
 // SetWorkspace implements WorkspaceHolder.
 func (at *Attention) SetWorkspace(ws *tensor.Workspace) { at.ws = ws }
 
-// rows returns rows [lo, lo+n) of t, taken as a matrix of t's last dimension
-// in columns, through the next free header of at.blocks. Setting at.nb to
-// zero frees them all.
-func (at *Attention) rows(t *tensor.Tensor, lo, n int) *tensor.Tensor {
+// bind returns the layer's buffers for a [b, l, d] input, resolving them
+// only when the workspace, its generation (tensor.Workspace.Generation) or
+// the shape differs from the last resolution: every Get a replica sharing
+// the workspace makes at the same shape leaves the generation alone, so the
+// replicas of an engine step on one resolution. With a nil workspace it
+// resolves every call, each Get a fresh tensor, as Get itself does.
+func (at *Attention) bind(b, l, d int) *attnBufs {
+	bf, ws := &at.buf, at.ws
+	if ws != nil && bf.ws == ws && bf.gen == ws.Generation() && bf.b == b && bf.l == l && bf.d == d {
+		return bf
+	}
+	dk := at.Dk
+	bf.q, bf.k, bf.v = ws.Get("q", b*l, dk), ws.Get("k", b*l, dk), ws.Get("v", b*l, dk)
+	bf.a, bf.o, bf.s = ws.Get("a", b*l, l), ws.Get("o", b*l, dk), ws.Get("s", l, l)
+	bf.out = ws.Get("out", b, l, d)
+	bf.gO = ws.Get("go", b*l, dk)
+	bf.gQ, bf.gK, bf.gV = ws.Get("gq", b*l, dk), ws.Get("gk", b*l, dk), ws.Get("gv", b*l, dk)
+	bf.gS = ws.Get("gs", l, l)
+	bf.dx, bf.gxt = ws.Get("dx", b, l, d), ws.Get("gxt", b*l, d)
+	viewAs(&bf.outv, bf.out.Data, b*l, d)
+	viewAs(&bf.dxv, bf.dx.Data, b*l, d)
+	bf.xv.Shape = append(bf.xv.Shape[:0], b*l, d)
+	bf.gv.Shape = append(bf.gv.Shape[:0], b*l, d)
+	bf.xb.Shape = append(bf.xb.Shape[:0], l, d)
+	bf.gy.Shape = append(bf.gy.Shape[:0], l, d)
+	if cap(bf.blocks) < b {
+		bf.blocks = append(bf.blocks[:cap(bf.blocks)], make([]attnBlocks, b-cap(bf.blocks))...)
+	}
+	bf.blocks = bf.blocks[:b]
+	for i := range bf.blocks {
+		e, lo := &bf.blocks[i], i*l
+		rowBlock(&e.q, bf.q, lo, l)
+		rowBlock(&e.k, bf.k, lo, l)
+		rowBlock(&e.v, bf.v, lo, l)
+		rowBlock(&e.a, bf.a, lo, l)
+		rowBlock(&e.o, bf.o, lo, l)
+		rowBlock(&e.gO, bf.gO, lo, l)
+		rowBlock(&e.gQ, bf.gQ, lo, l)
+		rowBlock(&e.gK, bf.gK, lo, l)
+		rowBlock(&e.gV, bf.gV, lo, l)
+	}
+	at.expRow = float64Scratch(at.expRow, l)
+	bf.ws, bf.gen, bf.b, bf.l, bf.d = ws, ws.Generation(), b, l, d
+	return bf
+}
+
+// rowBlock points v at rows [lo, lo+n) of the matrix t, in t's columns.
+func rowBlock(v, t *tensor.Tensor, lo, n int) {
 	cols := t.Shape[len(t.Shape)-1]
-	v := &at.blocks[at.nb]
-	at.nb++
-	return viewAs(v, t.Data[lo*cols:(lo+n)*cols], n, cols)
+	viewAs(v, t.Data[lo*cols:(lo+n)*cols], n, cols)
 }
 
 // Forward implements Layer.
 func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(at.name, x, 3)
-	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	dk, ws, mixed := at.Dk, at.ws, at.Mixed
+	bf, mixed := at.bind(x.Shape[0], x.Shape[1], x.Shape[2]), at.Mixed
 	at.lastX = x
-	xf := viewAs(&at.xv, x.Data, b*l, d)
-	at.q = tensor.MatMulInto(ws.Get("q", b*l, dk), xf, at.Wq.Value, mixed)
-	at.k = tensor.MatMulInto(ws.Get("k", b*l, dk), xf, at.Wk.Value, mixed)
-	at.v = tensor.MatMulInto(ws.Get("v", b*l, dk), xf, at.Wv.Value, mixed)
-	at.a = ws.Get("a", b*l, l)
-	at.o = ws.Get("o", b*l, dk)
-	s := ws.Get("s", l, l)
-	scale := float32(1 / math.Sqrt(float64(dk)))
-	at.expRow = float64Scratch(at.expRow, l)
-	for lo := 0; lo < b*l; lo += l {
-		at.nb = 0
-		qb, kb, vb := at.rows(at.q, lo, l), at.rows(at.k, lo, l), at.rows(at.v, lo, l)
-		tensor.MatMulTBInto(s, qb, kb, mixed)
-		s.Scale(scale)
-		ab := softmaxRowsInto(at.rows(at.a, lo, l), s, at.expRow)
-		tensor.MatMulInto(at.rows(at.o, lo, l), ab, vb, mixed)
+	bf.xv.Data = x.Data
+	tensor.MatMulInto(bf.q, &bf.xv, at.Wq.Value, mixed)
+	tensor.MatMulInto(bf.k, &bf.xv, at.Wk.Value, mixed)
+	tensor.MatMulInto(bf.v, &bf.xv, at.Wv.Value, mixed)
+	scale := float32(1 / math.Sqrt(float64(at.Dk)))
+	for i := range bf.blocks {
+		e := &bf.blocks[i]
+		tensor.MatMulTBInto(bf.s, &e.q, &e.k, mixed)
+		bf.s.Scale(scale)
+		softmaxRowsInto(&e.a, bf.s, at.expRow)
+		tensor.MatMulInto(&e.o, &e.a, &e.v, mixed)
 	}
-	out := ws.Get("out", b, l, d)
-	tensor.MatMulInto(viewAs(&at.yv, out.Data, b*l, d), at.o, at.Wo.Value, mixed)
-	return out
+	tensor.MatMulInto(&bf.outv, bf.o, at.Wo.Value, mixed)
+	return bf.out
 }
 
 // Backward implements Layer. The transposed products go through the
 // fused-transpose kernels (Aᵀ×B and A×Bᵀ), so no transpose is materialized.
 func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradLen(at.name, gradOut, at.lastX)
-	x := at.lastX
-	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	dk, ws, mixed := at.Dk, at.ws, at.Mixed
-	scale := float32(1 / math.Sqrt(float64(dk)))
+	bf, mixed, x := &at.buf, at.Mixed, at.lastX
+	rowLen := bf.l * bf.d
+	scale := float32(1 / math.Sqrt(float64(at.Dk)))
 
 	// Y = O·Wo
-	gO := tensor.MatMulTBInto(ws.Get("go", b*l, dk), viewAs(&at.gv, gradOut.Data, b*l, d), at.Wo.Value, mixed)
-	gQ, gK, gV := ws.Get("gq", b*l, dk), ws.Get("gk", b*l, dk), ws.Get("gv", b*l, dk)
-	gA, gS := ws.Get("s", l, l), ws.Get("gs", l, l)
-	for lo := 0; lo < b*l; lo += l {
-		at.nb = 0
-		xb, gy := at.rows(x, lo, l), at.rows(gradOut, lo, l)
-		qb, kb, vb := at.rows(at.q, lo, l), at.rows(at.k, lo, l), at.rows(at.v, lo, l)
-		ab, ob, gOb := at.rows(at.a, lo, l), at.rows(at.o, lo, l), at.rows(gO, lo, l)
-		gQb, gKb, gVb := at.rows(gQ, lo, l), at.rows(gK, lo, l), at.rows(gV, lo, l)
+	bf.gv.Data = gradOut.Data
+	tensor.MatMulTBInto(bf.gO, &bf.gv, at.Wo.Value, mixed)
+	gA, gS := bf.s, bf.gS
+	for i := range bf.blocks {
+		e := &bf.blocks[i]
+		xb, gy := &bf.xb, &bf.gy
+		xb.Data, gy.Data = x.Data[i*rowLen:(i+1)*rowLen], gradOut.Data[i*rowLen:(i+1)*rowLen]
 
-		at.Wo.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", dk, d), ob, gy, mixed))
+		tensor.AddMatMulTA(at.Wo.Grad, &e.o, gy, mixed)
 
 		// O = A·V
-		tensor.MatMulTBInto(gA, gOb, vb, mixed)
-		tensor.MatMulTAInto(gVb, ab, gOb, mixed)
+		tensor.MatMulTBInto(gA, &e.gO, &e.v, mixed)
+		tensor.MatMulTAInto(&e.gV, &e.a, &e.gO, mixed)
 
 		// A = softmax(S) rows: dS = A ⊙ (dA − rowsum(dA⊙A))
-		softmaxRowsBackwardInto(gS, ab, gA)
+		softmaxRowsBackwardInto(gS, &e.a, gA)
 		gS.Scale(scale)
 
 		// S = Q·Kᵀ
-		tensor.MatMulInto(gQb, gS, kb, mixed)
-		tensor.MatMulTAInto(gKb, gS, qb, mixed)
+		tensor.MatMulInto(&e.gQ, gS, &e.k, mixed)
+		tensor.MatMulTAInto(&e.gK, gS, &e.q, mixed)
 
-		at.Wq.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gQb, mixed))
-		at.Wk.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gKb, mixed))
-		at.Wv.Grad.AddInPlace(tensor.MatMulTAInto(ws.Get("dw", d, dk), xb, gVb, mixed))
+		tensor.AddMatMulTA(at.Wq.Grad, xb, &e.gQ, mixed)
+		tensor.AddMatMulTA(at.Wk.Grad, xb, &e.gK, mixed)
+		tensor.AddMatMulTA(at.Wv.Grad, xb, &e.gV, mixed)
 	}
 
 	// Q = X·Wq, K = X·Wk, V = X·Wv: dx is the three terms added in this order.
-	gradIn := ws.Get("dx", b, l, d)
-	gx := tensor.MatMulTBInto(viewAs(&at.yv, gradIn.Data, b*l, d), gQ, at.Wq.Value, mixed)
-	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gK, at.Wk.Value, mixed))
-	gx.AddInPlace(tensor.MatMulTBInto(ws.Get("gxt", b*l, d), gV, at.Wv.Value, mixed))
-	return gradIn
+	gx := tensor.MatMulTBInto(&bf.dxv, bf.gQ, at.Wq.Value, mixed)
+	gx.AddInPlace(tensor.MatMulTBInto(bf.gxt, bf.gK, at.Wk.Value, mixed))
+	gx.AddInPlace(tensor.MatMulTBInto(bf.gxt, bf.gV, at.Wv.Value, mixed))
+	return bf.dx
 }
 
 // softmaxRowsInto writes the numerically stable softmax of each row of the

@@ -84,8 +84,19 @@ func sumPlanes(data, acc []float32, n, spatial int) {
 
 // sumRows is SumPerChannelNCHW at spatial 1: acc[c] += +0 + row[c] for each
 // of data's n rows in order. The +0 is the plane loop's starting sum, kept so
-// that a −0 element adds as +0 there and here alike.
+// that a −0 element adds as +0 there and here alike. With the AVX kernels
+// columnsAVX keeps each channel's acc in a register lane over the rows.
 func sumRows(data, acc []float32, n int) {
+	c := len(acc)
+	if useAVX && n > 0 && c > 0 {
+		data = data[:n*c]
+		columnsAVX(&acc[0], &data[0], 1, n, c, 0, true)
+		return
+	}
+	sumRowsGo(data, acc, n)
+}
+
+func sumRowsGo(data, acc []float32, n int) {
 	c := len(acc)
 	for b := 0; b < n; b++ {
 		row := data[b*c : (b+1)*c]
@@ -93,6 +104,37 @@ func sumRows(data, acc []float32, n int) {
 			var sum float32
 			sum += v
 			acc[ch] += sum
+		}
+	}
+}
+
+// MeanPositions writes out [B, D] as the mean over positions of x [B, L,
+// D]: each element from +0, adding x·(1/L) position by position in
+// ascending order (columnsAVX, or the Go loop), every element of out
+// overwritten.
+func MeanPositions(out, x *Tensor) {
+	if len(x.Shape) != 3 || len(out.Shape) != 2 || out.Shape[0] != x.Shape[0] || out.Shape[1] != x.Shape[2] ||
+		len(x.Data) != x.Shape[0]*x.Shape[1]*x.Shape[2] || len(out.Data) != out.Shape[0]*out.Shape[1] {
+		panic(fmt.Sprintf("tensor: MeanPositions of %v (%d elements) into %v (%d elements)", x.Shape, len(x.Data), out.Shape, len(out.Data)))
+	}
+	b, l, d := x.Shape[0], x.Shape[1], x.Shape[2]
+	inv := 1 / float32(l)
+	if useAVX && b > 0 && l > 0 && d > 0 {
+		columnsAVX(&out.Data[0], &x.Data[0], b, l, d, inv, false)
+		return
+	}
+	meanPositionsGo(out.Data, x.Data, b, l, d, inv)
+}
+
+func meanPositionsGo(out, x []float32, b, l, d int, inv float32) {
+	zero(out)
+	for bi := 0; bi < b; bi++ {
+		o := out[bi*d : bi*d+d]
+		for pos := 0; pos < l; pos++ {
+			base := (bi*l + pos) * d
+			for j, v := range x[base : base+d] {
+				o[j] += v * inv
+			}
 		}
 	}
 }

@@ -999,3 +999,117 @@ tailS:
 
 doneS:
 	RET
+
+// The column chains of columnsAVX: a tile of channels in registers, each
+// position's row folded into it. COLSTEP(MOV, OP, ADD, a, t, off) loads the
+// row's floats at off(AX) into t, forms t = t OP k (the element first) and
+// a = t + a (t first).
+#define COLSTEP(MOV, OP, ADD, a, t, off) \
+	MOV off(AX), t; \
+	OP X15, t, t; \
+	ADD a, t, a
+
+// COLUMNS(OP, OPS, START16, START4, START1, labels...) is columnsAVX's loop
+// for one choice of the row operation (OP, and OPS on one float) and of
+// where a chain starts: START16, START4 and START1 put the chains of the
+// columns from R12 on — sixteen, four, one — into X0-X3, X0, X0.
+#define COLUMNS(OP, OPS, START16, START4, START1, block, g16, r16, g4, r4, g1, r1, next) \
+block: \
+	XORQ R12, R12; \
+g16: \
+	LEAQ 16(R12), AX; \
+	CMPQ AX, R10; \
+	JGT  g4; \
+	START16; \
+	LEAQ (SI)(R12*4), AX; \
+	MOVQ R9, CX; \
+r16: \
+	COLSTEP(VMOVUPS, OP, VADDPS, X0, X4, 0); \
+	COLSTEP(VMOVUPS, OP, VADDPS, X1, X5, 16); \
+	COLSTEP(VMOVUPS, OP, VADDPS, X2, X6, 32); \
+	COLSTEP(VMOVUPS, OP, VADDPS, X3, X7, 48); \
+	ADDQ R11, AX; \
+	DECQ CX; \
+	JNZ  r16; \
+	VMOVUPS X0, (DI)(R12*4); \
+	VMOVUPS X1, 16(DI)(R12*4); \
+	VMOVUPS X2, 32(DI)(R12*4); \
+	VMOVUPS X3, 48(DI)(R12*4); \
+	ADDQ $16, R12; \
+	JMP  g16; \
+g4: \
+	LEAQ 4(R12), AX; \
+	CMPQ AX, R10; \
+	JGT  g1; \
+	START4; \
+	LEAQ (SI)(R12*4), AX; \
+	MOVQ R9, CX; \
+r4: \
+	COLSTEP(VMOVUPS, OP, VADDPS, X0, X4, 0); \
+	ADDQ R11, AX; \
+	DECQ CX; \
+	JNZ  r4; \
+	VMOVUPS X0, (DI)(R12*4); \
+	ADDQ $4, R12; \
+	JMP  g4; \
+g1: \
+	CMPQ R12, R10; \
+	JGE  next; \
+	START1; \
+	LEAQ (SI)(R12*4), AX; \
+	MOVQ R9, CX; \
+r1: \
+	COLSTEP(VMOVSS, OPS, VADDSS, X0, X4, 0); \
+	ADDQ R11, AX; \
+	DECQ CX; \
+	JNZ  r1; \
+	VMOVSS X0, (DI)(R12*4); \
+	INCQ R12; \
+	JMP  g1; \
+next: \
+	ADDQ R11, DI; \
+	MOVQ R9, AX; \
+	IMULQ R11, AX; \
+	ADDQ AX, SI; \
+	DECQ R8; \
+	JNZ  block
+
+#define ZERO16 VXORPS X0, X0, X0; VXORPS X1, X1, X1; VXORPS X2, X2, X2; VXORPS X3, X3, X3
+#define ZERO4 VXORPS X0, X0, X0
+#define LOAD16 VMOVUPS (DI)(R12*4), X0; VMOVUPS 16(DI)(R12*4), X1; VMOVUPS 32(DI)(R12*4), X2; VMOVUPS 48(DI)(R12*4), X3
+#define LOAD4 VMOVUPS (DI)(R12*4), X0
+#define LOAD1 VMOVSS (DI)(R12*4), X0
+
+// func columnsAVX(dst, src *float32, blocks, rows, cols int, k float32, sum bool)
+//
+// Column chains over blocks of rows×cols floats: for each block b and
+// column j, from the block's first row down,
+//
+//	a = (src[b, r, j] * k) + a       a from +0, stored to dst[b, j] (mean)
+//	a = (src[b, r, j] + k) + a       a from dst[b, j], k = +0 (sum)
+//
+// the element first in the row operation and the row's term first in the
+// chain's addition — SeqMean's `o[j] += v * inv` and sumRows' `sum += v;
+// acc[ch] += sum` as the compiler emits them. A chain lives in one register
+// lane over all the rows; the columns go sixteen, then four, then one at a
+// time. blocks, rows and cols are positive.
+//
+// Registers: DI dst's block row, SI src's block, R8 the blocks left, R9 rows,
+// R10 cols, R11 one row in bytes, R12 the column, AX the rows' pointer, CX
+// the rows left, X15 the broadcast k, X0-X3 the chains, X4-X7 the terms.
+TEXT ·columnsAVX(SB), NOSPLIT, $0-45
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ blocks+16(FP), R8
+	MOVQ rows+24(FP), R9
+	MOVQ cols+32(FP), R10
+	LEAQ (R10*4), R11
+	VBROADCASTSS k+40(FP), X15
+	CMPB sum+44(FP), $0
+	JNE  sumCols
+	COLUMNS(VMULPS, VMULSS, ZERO16, ZERO4, ZERO4, meanBlock, mean16, meanRow16, mean4, meanRow4, mean1, meanRow1, meanNext)
+	RET
+
+sumCols:
+	COLUMNS(VADDPS, VADDSS, LOAD16, LOAD4, LOAD1, sumBlock, sum16, sumRow16, sum4, sumRow4, sum1, sumRow1, sumNext)
+	RET

@@ -48,6 +48,9 @@ func guarded(t *testing.T, name string, n int) (s []float32, check func()) {
 	}
 }
 
+// TestElemKernelsBitwise holds the element-wise layer kernels of
+// elem_amd64.s — normalizeAVX, normalizeBackwardAVX, reluForwardAVX,
+// reluBackwardAVX and addBiasAVX — to the Go loops beside their wrappers.
 func TestElemKernelsBitwise(t *testing.T) {
 	r := rng.NewFromInt(20)
 	for _, n := range []int{1, 2, 64} {

@@ -29,19 +29,25 @@ func detectAVX() bool {
 }
 
 // gemmTileAVX computes the m×n C = A×B, c[i*n+j] = Σ a[i*aRow+kk*aK] *
-// b[kk*n+j] over kk < k ascending, each element from +0 — or, with acc, from
-// what c holds — with no skip rule, each product b*a or, with aFirst, a*b.
-// It takes addresses, not slices: gemmTile is the only caller and checks the
-// three extents first.
+// b[kk*n+j] over kk < k ascending, each element from where start says, with
+// no skip rule, each product b*a or, with aFirst, a*b. It takes addresses,
+// not slices: gemmTile is the only caller and checks the three extents first.
 //
 //go:noescape
-func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc, aFirst bool)
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool)
 
-// nonZeroAVX reports whether none of the n floats at a is ±0. n must be
-// positive; allNonZero checks that.
+// gemmSparseAVX accumulates C += A×B row by row, each row's non-zero a in
+// ascending k, as gemmRows' mixed steps do. Its extents are gemmTile's,
+// checked by gemmSparse.
 //
 //go:noescape
-func nonZeroAVX(a *float32, n int) bool
+func gemmSparseAVX(c, b, a *float32, m, n, k, aRow, aK int)
+
+// zerosAVX counts the ±0 among the n floats at a. n must be positive;
+// countZeros checks that.
+//
+//go:noescape
+func zerosAVX(a *float32, n int) int
 
 // denseRun4AVX counts the leading k-steps kk < kLen at which none of
 // a[r*aRow+kk*aK], r < 4, is ±0. aRow or aK must be 1 and kLen positive;
@@ -114,6 +120,13 @@ func reluBackwardAVX(dx, dy *float32, mask *uint32, n int)
 //go:noescape
 func addBiasAVX(t, bias *float32, rows, c, spatial int)
 
+// columnsAVX runs one chain per column over each of blocks blocks of
+// rows×cols floats at src: from +0 adding src·k row by row into dst's row of
+// the block, or with sum from dst adding src + k (k = +0).
+//
+//go:noescape
+func columnsAVX(dst, src *float32, blocks, rows, cols int, k float32, sum bool)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -129,7 +142,8 @@ func xgetbv() (eax, edx uint32)
 func expRowAVX(e *float64, x *float32, shift float32, n int, fma bool) int
 
 // geluForwardAVX writes th[i] = tanh(c·(u + 0.044715·u·u·u)) and out[i] =
-// float32(0.5·u·(1 + th[i])), u = float64(x[i]), for i < n.
+// float32(0.5·u·(1 + th[i])), u = float64(x[i]), for i < n, each tanh on
+// its own branch, the lanes sorted by branch first.
 //
 //go:noescape
 func geluForwardAVX(out *float32, th *float64, x *float32, n int, fma bool) int

@@ -101,14 +101,18 @@
 	ADDQ R10, R11; \
 	DECQ R13
 
-// func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc, aFirst bool)
+// func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool)
 //
 // A whole m×n C (row length n) in one call:
 //
 //	c[i*n+j] = Σ a[i*aRow+kk*aK] * b[kk*n+j]    i < m, j < n, kk < k
 //
 // with kk ascending for every element, each element's chain starting from
-// +0 — or, with acc, from the value c holds. The rows are walked in blocks
+// +0 — or, with start tileFromC (1), from the value c holds. With tileAddToC
+// (2) the chain starts from +0 and the tile stores c + chain, c the first
+// source of the addition (AddInPlace's order): every element of the tile is
+// loaded and added before the first store, so a repeated row (below) adds
+// its chain to the c it found, once. The rows are walked in blocks
 // of four, then a block of two and a block of one for what is left. A block
 // always fills the four accumulator rows: in a block of two, rows 2 and 3
 // repeat rows 0 and 1, in a block of one all four are row 0 (their row
@@ -193,8 +197,8 @@ block:
 	JLT  tile4
 
 tile8:
-	CMPB acc+64(FP), $0
-	JNE  load8
+	CMPB start+64(FP), $1
+	JEQ  load8
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
 	VXORPS X2, X2, X2
@@ -230,6 +234,27 @@ k8:
 	JNZ  k8
 
 store8:
+	CMPB start+64(FP), $2
+	JNE  put8
+	LEAQ (DI)(R8*1), AX
+	VMOVUPS (DI), X8
+	VMOVUPS 16(DI), X9
+	VMOVUPS (DI)(R14*1), X10
+	VMOVUPS 16(DI)(R14*1), X11
+	VMOVUPS (AX), X12
+	VMOVUPS 16(AX), X13
+	VMOVUPS (AX)(R14*1), X14
+	VMOVUPS 16(AX)(R14*1), X15
+	VADDPS X0, X8, X0
+	VADDPS X1, X9, X1
+	VADDPS X2, X10, X2
+	VADDPS X3, X11, X3
+	VADDPS X4, X12, X4
+	VADDPS X5, X13, X5
+	VADDPS X6, X14, X6
+	VADDPS X7, X15, X7
+
+put8:
 	VMOVUPS X0, (DI)
 	VMOVUPS X1, 16(DI)
 	VMOVUPS X2, (DI)(R14*1)
@@ -248,8 +273,8 @@ store8:
 tile4:
 	TESTQ $4, CX
 	JZ    tile1
-	CMPB  acc+64(FP), $0
-	JNE   load4
+	CMPB  start+64(FP), $1
+	JEQ   load4
 	VXORPS X0, X0, X0
 	VXORPS X2, X2, X2
 	VXORPS X4, X4, X4
@@ -277,6 +302,19 @@ k4:
 	JNZ  k4
 
 store4:
+	CMPB start+64(FP), $2
+	JNE  put4
+	LEAQ (DI)(R8*1), AX
+	VMOVUPS (DI), X8
+	VMOVUPS (DI)(R14*1), X10
+	VMOVUPS (AX), X12
+	VMOVUPS (AX)(R14*1), X14
+	VADDPS X0, X8, X0
+	VADDPS X2, X10, X2
+	VADDPS X4, X12, X4
+	VADDPS X6, X14, X6
+
+put4:
 	VMOVUPS X0, (DI)
 	VMOVUPS X2, (DI)(R14*1)
 	LEAQ (DI)(R8*1), AX
@@ -290,8 +328,8 @@ tile1:
 	JZ   endBlock
 
 col1:
-	CMPB acc+64(FP), $0
-	JNE  load1
+	CMPB start+64(FP), $1
+	JEQ  load1
 	VXORPS X0, X0, X0
 	VXORPS X2, X2, X2
 	VXORPS X4, X4, X4
@@ -319,6 +357,19 @@ k1:
 	JNZ  k1
 
 store1:
+	CMPB start+64(FP), $2
+	JNE  put1
+	LEAQ (DI)(R8*1), AX
+	VMOVSS (DI), X8
+	VMOVSS (DI)(R14*1), X10
+	VMOVSS (AX), X12
+	VMOVSS (AX)(R14*1), X14
+	VADDSS X0, X8, X0
+	VADDSS X2, X10, X2
+	VADDSS X4, X12, X4
+	VADDSS X6, X14, X6
+
+put1:
 	VMOVSS X0, (DI)
 	VMOVSS X2, (DI)(R14*1)
 	LEAQ (DI)(R8*1), AX
@@ -356,66 +407,75 @@ k1ab:
 	JNZ  k1ab
 	JMP  store1
 
-// func nonZeroAVX(a *float32, n int) bool
+// func zerosAVX(a *float32, n int) int
 //
-// Whether none of the n floats at a is zero. VCMPPS with predicate 0 (EQ,
+// How many of the n floats at a are zero. VCMPPS with predicate 0 (EQ,
 // ordered, quiet) against +0 is true for +0 and -0 and false for everything
-// else, NaNs and subnormals included: the Go loops' `v == 0`. Sixteen floats
-// an iteration, then four, then one. n > 0.
-TEXT ·nonZeroAVX(SB), NOSPLIT, $0-17
+// else, NaNs and subnormals included: the Go loops' `v == 0`. A true lane
+// is all ones, -1 as an integer, and subtracting it counts one. Sixteen
+// floats an iteration into four counters, then four, then one, whose test
+// is on the bits: a float is ±0 exactly when all but its sign bit are clear.
+// n > 0.
+TEXT ·zerosAVX(SB), NOSPLIT, $0-24
 	MOVQ a+0(FP), SI
 	MOVQ n+8(FP), CX
 	VXORPS X0, X0, X0
+	VPXOR X5, X5, X5
+	VPXOR X6, X6, X6
+	VPXOR X7, X7, X7
+	VPXOR X8, X8, X8
 	XORQ AX, AX
 	MOVQ CX, DX
 	ANDQ $-16, DX
-	JZ   nz4
+	JZ   z4
 
-nz16:
+z16:
 	VCMPPS $0, (SI)(AX*4), X0, X1
 	VCMPPS $0, 16(SI)(AX*4), X0, X2
 	VCMPPS $0, 32(SI)(AX*4), X0, X3
 	VCMPPS $0, 48(SI)(AX*4), X0, X4
-	VORPS X2, X1, X1
-	VORPS X4, X3, X3
-	VORPS X3, X1, X1
-	VMOVMSKPS X1, BX
-	TESTL BX, BX
-	JNZ  zeroFound
+	VPSUBD X1, X5, X5
+	VPSUBD X2, X6, X6
+	VPSUBD X3, X7, X7
+	VPSUBD X4, X8, X8
 	ADDQ $16, AX
 	CMPQ AX, DX
-	JLT  nz16
+	JLT  z16
 
-nz4:
+z4:
 	MOVQ CX, DX
 	ANDQ $-4, DX
 
-nz4loop:
+z4loop:
 	CMPQ AX, DX
-	JGE  nz1
+	JGE  zsum
 	VCMPPS $0, (SI)(AX*4), X0, X1
-	VMOVMSKPS X1, BX
-	TESTL BX, BX
-	JNZ  zeroFound
+	VPSUBD X1, X5, X5
 	ADDQ $4, AX
-	JMP  nz4loop
+	JMP  z4loop
 
-nz1:
+zsum:
+	VPADDD X6, X5, X5
+	VPADDD X8, X7, X7
+	VPADDD X7, X5, X5
+	VPSHUFD $0x4e, X5, X6
+	VPADDD X6, X5, X5
+	VPSHUFD $0xb1, X5, X6
+	VPADDD X6, X5, X5
+	VMOVD X5, BX            // the vector lanes' count
+
+z1:
 	CMPQ AX, CX
-	JGE  noZero
-	VCMPSS $0, (SI)(AX*4), X0, X1 // the upper lanes come from X0: +0, sign clear
-	VMOVMSKPS X1, BX
-	TESTL BX, BX
-	JNZ  zeroFound
+	JGE  zdone
+	MOVL (SI)(AX*4), DX
 	INCQ AX
-	JMP  nz1
+	ANDL $0x7fffffff, DX
+	JNZ  z1
+	INCQ BX
+	JMP  z1
 
-noZero:
-	MOVB $1, ret+16(FP)
-	RET
-
-zeroFound:
-	MOVB $0, ret+16(FP)
+zdone:
+	MOVQ BX, ret+16(FP)
 	RET
 
 // func denseRun4AVX(a *float32, kLen, aRow, aK int) int
@@ -563,6 +623,119 @@ tail1:
 	JMP  tail1
 
 done1:
+	RET
+
+// func gemmSparseAVX(c, b, a *float32, m, n, k, aRow, aK int)
+//
+// C += A×B row by row under the skip rule, for c[i*n+j] and a[i*aRow+kk*aK]:
+// for each row i, for kk ascending, where a = a[i*aRow+kk*aK] is not ±0,
+//
+//	c[i*n+j] = (b[kk*n+j] * a) + c[i*n+j]    j < n
+//
+// the operations and operand order of axpy1AVX, the mixed step of gemmRows.
+// Each element therefore receives gemmRows' addends in its order; the caller
+// clears C. m, n and k are positive.
+//
+// A row's k-steps are taken 64 at a time. The zero test runs first over all
+// of them, without a branch: a float is ±0 exactly when all but its sign bit
+// are clear (so a NaN or a subnormal a is multiplied), NEGL sets the carry
+// for one that is not, and ADCQ shifts the carry into a mask, last step
+// first, so that bit j stands for step kk0+j. BSFQ then hands out the set
+// bits lowest first, kk ascending. A one-hot row costs its 64-step scan and
+// one product row, and no branch on the data but the loop's exit.
+//
+// Registers: DI row i of c, DX a at (i, 0), SI b, R8 the chunk's first
+// k-step kk0, R9 n, R10 k, R11 and R12 one a row and one a k-step in bytes,
+// R13 one b row in bytes, R14 n rounded down to a multiple of 4, BX the
+// chunk's mask; AX, CX and R15 scratch, X0 the broadcast a. The frame holds
+// the rows left.
+TEXT ·gemmSparseAVX(SB), NOSPLIT, $8-64
+	MOVQ c+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ a+16(FP), DX
+	MOVQ m+24(FP), AX
+	MOVQ AX, left-8(SP)
+	MOVQ n+32(FP), R9
+	MOVQ k+40(FP), R10
+	MOVQ aRow+48(FP), R11
+	MOVQ aK+56(FP), R12
+	SHLQ $2, R11
+	SHLQ $2, R12
+	LEAQ (R9*4), R13
+	MOVQ R9, R14
+	ANDQ $-4, R14
+
+sparseRow:
+	XORQ R8, R8
+
+sparseChunk:
+	MOVQ R10, CX
+	SUBQ R8, CX
+	CMPQ CX, $64
+	JLE  sparseScan
+	MOVQ $64, CX
+
+sparseScan:
+	LEAQ -1(R8)(CX*1), AX
+	IMULQ R12, AX
+	ADDQ DX, AX             // a at (i, kk0+CX-1)
+	XORQ BX, BX
+
+sparseBit:
+	MOVL (AX), R15
+	ANDL $0x7fffffff, R15
+	NEGL R15                // carry: the step's a is not ±0
+	ADCQ BX, BX
+	SUBQ R12, AX
+	DECQ CX
+	JNZ  sparseBit
+	TESTQ BX, BX
+	JZ   sparseNextChunk
+
+sparseProduct:
+	BSFQ BX, CX
+	ADDQ R8, CX             // kk
+	MOVQ CX, AX
+	IMULQ R12, AX
+	VBROADCASTSS (DX)(AX*1), X0
+	MOVQ CX, AX
+	IMULQ R13, AX
+	ADDQ SI, AX             // row kk of b
+	XORQ CX, CX
+
+sparseVec:
+	CMPQ CX, R14
+	JGE  sparseTail
+	VMOVUPS (AX)(CX*4), X1
+	VMULPS X0, X1, X1
+	VADDPS (DI)(CX*4), X1, X1
+	VMOVUPS X1, (DI)(CX*4)
+	ADDQ $4, CX
+	JMP  sparseVec
+
+sparseTail:
+	CMPQ CX, R9
+	JGE  sparseNextBit
+	VMOVSS (AX)(CX*4), X1
+	VMULSS X0, X1, X1
+	VADDSS (DI)(CX*4), X1, X1
+	VMOVSS X1, (DI)(CX*4)
+	INCQ CX
+	JMP  sparseTail
+
+sparseNextBit:
+	LEAQ -1(BX), R15
+	ANDQ R15, BX
+	JNZ  sparseProduct
+
+sparseNextChunk:
+	ADDQ $64, R8
+	CMPQ R8, R10
+	JLT  sparseChunk
+	ADDQ R13, DI
+	ADDQ R11, DX
+	DECQ left-8(SP)
+	JNZ  sparseRow
 	RET
 
 // func transposeStrip8AVX(dst, src []float32, rows, cols int)

@@ -7,11 +7,15 @@ package tensor
 // tensor.go, elem.go, norm.go, math.go and reduce.go run.
 const useAVX = false
 
-func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, acc, aFirst bool) {
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool) {
 	panic("tensor: no AVX kernels in this build")
 }
 
-func nonZeroAVX(a *float32, n int) bool { panic("tensor: no AVX kernels in this build") }
+func gemmSparseAVX(c, b, a *float32, m, n, k, aRow, aK int) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func zerosAVX(a *float32, n int) int { panic("tensor: no AVX kernels in this build") }
 
 func denseRun4AVX(a *float32, kLen, aRow, aK int) int {
 	panic("tensor: no AVX kernels in this build")
@@ -48,6 +52,10 @@ func reluBackwardAVX(dx, dy *float32, mask *uint32, n int) {
 }
 
 func addBiasAVX(t, bias *float32, rows, c, spatial int) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func columnsAVX(dst, src *float32, blocks, rows, cols int, k float32, sum bool) {
 	panic("tensor: no AVX kernels in this build")
 }
 

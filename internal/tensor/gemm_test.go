@@ -154,14 +154,46 @@ func sameBits(t *testing.T, name string, got, want []float32, exactNaN bool) {
 	}
 }
 
+// sparseRows makes A sparse enough for gemmSparse (three zeros in four at
+// k >= 4), row by row in turn: one-hot at a column that moves with the row
+// and salt; all zero; a lone non-zero at the first k; a lone non-zero at the
+// last k. Each kept value is A's own (a NaN, an Inf or a subnormal stays
+// one), except that every fifth row keeps a subnormal, the non-zero a test on
+// the bits must not mistake for zero.
+func sparseRows(a *Tensor, salt int) {
+	m, k := a.Shape[0], a.Shape[1]
+	for i := 0; i < m; i++ {
+		keep := -1
+		switch (i + salt) % 4 {
+		case 0:
+			keep = (i + salt) % k
+		case 2:
+			keep = 0
+		case 3:
+			keep = k - 1
+		}
+		for kk := 0; kk < k; kk++ {
+			if kk != keep {
+				a.Data[i*k+kk] = gemmZero(i, kk)
+			} else if (i+salt)%5 == 0 {
+				a.Data[i*k+kk] = math.Float32frombits(gemmSubnormals[(i+salt)%len(gemmSubnormals)])
+			}
+		}
+	}
+}
+
 // TestSIMDGEMMBitwise runs every row remainder against every column tail
 // and the k of one, a few and many steps, then the campaign's shapes. Each
-// shape comes with a dense A and two sparse ones, so TB meets both sides of
-// its dispatch — the transposed product for a dense A where tbTransposesA
-// holds (the conv weight gradient 8×72×72, the head's 4×108×10), B
-// transposed for the tie 8×72×9 (conv1's weight gradient), a C narrower
-// than four rows (2×72×72), a sparse A and everything else — and the test
-// fails unless it reached all four.
+// shape comes with a dense A and three sparse ones (zeroRuns, zeroPatterns
+// and sparseRows), so A meets all three sides of gemmPath's dispatch — the
+// whole-matrix tile kernel for a dense A, gemmSparse for one with three
+// zeros in four or more, gemmRows between — and TB meets both sides of its
+// own: the transposed product for a dense A where tbTransposesA holds (the
+// conv weight gradient 8×72×72, the head's 4×108×10), B transposed for the
+// tie 8×72×9 (conv1's weight gradient), a C narrower than four rows
+// (2×72×72), a sparse A and everything else. The test fails unless it
+// reached every side of both. The kernels under it: gemmTileAVX, gemmSparseAVX
+// and zerosAVX, which picks between them, and axpy1AVX, gemmRows' mixed step.
 func TestSIMDGEMMBitwise(t *testing.T) {
 	ns := []int{72, 128}
 	for n := 1; n <= 17; n++ { // every vector-tail length, twice over
@@ -175,10 +207,12 @@ func TestSIMDGEMMBitwise(t *testing.T) {
 			}
 		}
 	}
-	shapes = append(shapes, [3]int{8, 72, 72}, [3]int{8, 72, 9}, [3]int{2, 72, 72}, [3]int{4, 108, 10}, [3]int{16, 72, 72}, [3]int{13, 40, 21})
+	shapes = append(shapes, [3]int{8, 72, 72}, [3]int{8, 72, 9}, [3]int{2, 72, 72}, [3]int{4, 108, 10}, [3]int{16, 72, 72}, [3]int{13, 40, 21},
+		[3]int{16, 6, 12}, [3]int{6, 16, 12}, [3]int{5, 130, 7}) // the embedding's one-hot NN and TA; a row past one 64-step mask
 	r := rng.NewFromInt(77)
 	salt := 0
 	reached := map[[2]bool]bool{}
+	paths := map[gemmKind]bool{}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		for _, poison := range []bool{false, true} {
@@ -188,6 +222,12 @@ func TestSIMDGEMMBitwise(t *testing.T) {
 			runs := a.Clone()
 			zeroRuns(runs, salt)
 			checkGEMMVariants(t, runs, b)
+			sparse := a.Clone()
+			sparseRows(sparse, salt)
+			checkGEMMVariants(t, sparse, b)
+			for _, a := range []*Tensor{a, runs, sparse} {
+				paths[gemmPath(nil, a.Data, k)] = true
+			}
 			zeroPatterns(a, salt)
 			checkGEMMVariants(t, a, b)
 			for _, a := range []*Tensor{a, runs} {
@@ -198,6 +238,56 @@ func TestSIMDGEMMBitwise(t *testing.T) {
 	for _, side := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
 		if !reached[side] {
 			t.Errorf("no shape with tbTransposesA %v and a dense A %v", side[0], side[1])
+		}
+	}
+	if useAVX {
+		for _, p := range []gemmKind{pathDense, pathSparse, pathRows} {
+			if !paths[p] {
+				t.Errorf("no A took gemmPath %d", p)
+			}
+		}
+	}
+}
+
+// TestAddMatMulTABitwise holds AddMatMulTA to the two calls it replaces,
+// dst.AddInPlace(MatMulTAInto(scratch, a, b)), bit for bit, NaN payloads
+// included, on both of its paths: the tile kernel adding each chain to dst
+// as it stores (a dense A, fp32) and the scratch product (an A with a zero,
+// or bf16). The accumulators dst starts from hold ±0, normals and NaNs of a
+// third payload set, so wherever a NaN product meets a NaN accumulator the
+// payload that survives says which operand the addition took first: dst's,
+// as in AddInPlace.
+func TestAddMatMulTABitwise(t *testing.T) {
+	r := rng.NewFromInt(79)
+	accNaNs := []uint32{0x7fc0acc1, 0xffc0acc2, 0x7f80acc3}
+	for _, s := range [][3]int{{12, 16, 12}, {6, 16, 12}, {12, 2, 6}, {1, 1, 1}, {5, 9, 13}, {9, 72, 17}, {12, 8, 4}} {
+		m, k, n := s[0], s[1], s[2]
+		for _, poison := range []bool{false, true} {
+			a, b := gemmOperands(r, m, k, n, poison)
+			sparse := a.Clone()
+			sparseRows(sparse, m+k)
+			for _, a := range []*Tensor{Transpose2D(a), Transpose2D(sparse)} { // [k,m], as AddMatMulTA takes it
+				for _, mixed := range []bool{false, true} {
+					dst := New(m, n)
+					for i := range dst.Data {
+						switch r.Intn(5) {
+						case 0:
+							dst.Data[i] = float32(math.Copysign(0, -1))
+						case 1:
+							dst.Data[i] = math.Float32frombits(accNaNs[r.Intn(len(accNaNs))])
+						case 2:
+							dst.Data[i] = 0
+						default:
+							dst.Data[i] = float32(r.NormFloat64())
+						}
+					}
+					want := dst.Clone()
+					want.AddInPlace(MatMulTAInto(New(m, n), a, b, mixed))
+					AddMatMulTA(dst, a, b, mixed)
+					name := fmt.Sprintf("%dx%dx%d poison=%v dense=%v mixed=%v", m, k, n, poison, allNonZero(a.Data), mixed)
+					sameBits(t, "AddMatMulTA "+name, dst.Data, want.Data, true)
+				}
+			}
 		}
 	}
 }
@@ -271,11 +361,11 @@ func TestTBTransposedMatchesNN(t *testing.T) {
 	}
 }
 
-// TestDenseRun4 holds the vectorized prescan to a scalar `== 0` loop in both
-// layouts, from every starting step. The values that are not zero are the
-// ones a compare could get wrong — subnormals of either sign, NaNs quiet and
-// signaling, Inf — and the zeros come in both signs, in every row, at every
-// step, alone and in pairs.
+// TestDenseRun4 holds the vectorized prescan, denseRun4AVX, to a scalar
+// `== 0` loop in both layouts, from every starting step. The values that are
+// not zero are the ones a compare could get wrong — subnormals of either
+// sign, NaNs quiet and signaling, Inf — and the zeros come in both signs, in
+// every row, at every step, alone and in pairs.
 func TestDenseRun4(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX kernels in this build")
@@ -337,22 +427,24 @@ func TestDenseRun4(t *testing.T) {
 	}
 }
 
-// TestGEMMBoundsPanics: the tile kernel and the prescans take addresses, so
-// their wrappers check every extent first; and the entry points refuse an
-// operand whose Data does not hold what its Shape says, which the kernels
-// would otherwise find out by indexing.
+// TestGEMMBoundsPanics: the tile kernel, the sparse-row kernel and the
+// prescans take addresses, so their wrappers check every extent first; and
+// the entry points refuse an operand whose Data does not hold what its Shape
+// says, which the kernels would otherwise find out by indexing.
 func TestGEMMBoundsPanics(t *testing.T) {
 	c, b, a := make([]float32, 4*8), make([]float32, 5*8), make([]float32, 4*5)
-	mustPanicWith(t, "gemmTile needs 4×8 elements of C, slice holds 31", func() { gemmTile(c[:31], b, a, 4, 8, 5, 5, 1, true, false) })
-	mustPanicWith(t, "gemmTile needs 5×8 elements of B, slice holds 39", func() { gemmTile(c, b[:39], a, 4, 8, 5, 5, 1, false, false) })
-	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 5, 1, true, false) })
-	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 1, 4, false, false) })
-	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 2, 8, 5, 15, 1, false, false) })
-	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 0 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 0, 5, 1, true, false) })
-	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 5 k-steps, A row step -5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 5, -5, 1, true, false) })
-	mustPanicWith(t, "gemmTile with -1 rows, 0 columns, 5 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, -1, 0, 5, 5, 1, true, false) })
-	gemmTile(nil, nil, nil, 4, 0, 5, 5, 1, true, false)  // no columns: nothing to do, nothing to check
-	gemmTile(nil, nil, nil, 0, 8, 5, 5, 1, false, false) // no rows either
+	mustPanicWith(t, "gemmTile needs 4×8 elements of C, slice holds 31", func() { gemmTile(c[:31], b, a, 4, 8, 5, 5, 1, tileFromC, false) })
+	mustPanicWith(t, "gemmTile needs 5×8 elements of B, slice holds 39", func() { gemmTile(c, b[:39], a, 4, 8, 5, 5, 1, tileFromZero, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 5, 1, tileFromC, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 4, 8, 5, 1, 4, tileFromZero, false) })
+	mustPanicWith(t, "gemmTile reaches element 19 of A, slice holds 19", func() { gemmTile(c, b, a[:19], 2, 8, 5, 15, 1, tileFromZero, false) })
+	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 0 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 0, 5, 1, tileFromC, false) })
+	mustPanicWith(t, "gemmTile with 4 rows, 8 columns, 5 k-steps, A row step -5, A k step 1", func() { gemmTile(c, b, a, 4, 8, 5, -5, 1, tileFromC, false) })
+	mustPanicWith(t, "gemmTile with -1 rows, 0 columns, 5 k-steps, A row step 5, A k step 1", func() { gemmTile(c, b, a, -1, 0, 5, 5, 1, tileFromC, false) })
+	gemmTile(nil, nil, nil, 4, 0, 5, 5, 1, tileFromC, false)    // no columns: nothing to do, nothing to check
+	gemmTile(nil, nil, nil, 0, 8, 5, 5, 1, tileFromZero, false) // no rows either
+	mustPanicWith(t, "gemmSparse reaches element 19 of A, slice holds 19", func() { gemmSparse(c, b, a[:19], 4, 8, 5, 5, 1) })
+	mustPanicWith(t, "gemmSparse needs 4×8 elements of C, slice holds 31", func() { gemmSparse(c[:31], b, a, 4, 8, 5, 5, 1) })
 	mustPanicWith(t, "denseRun4 reaches element 19 of A, slice holds 19", func() { denseRun4(a[:19], 5, 5, 1) })
 	mustPanicWith(t, "denseRun4 reaches element 19 of A, slice holds 19", func() { denseRun4(a[:19], 5, 1, 4) })
 	mustPanicWith(t, "denseRun4 with 0 k-steps, A row step 5, A k step 1", func() { denseRun4(a, 0, 5, 1) })
@@ -371,7 +463,9 @@ func TestGEMMBoundsPanics(t *testing.T) {
 
 // TestTransposeInto covers the 8x8 block kernel's edges: every mix of whole
 // blocks and remainder strips, with bit patterns (signaling NaNs included)
-// that arithmetic would not preserve — the transpose must only move data.
+// that arithmetic would not preserve — the transpose must only move data:
+// transposeStrip8AVX for the 8x8 blocks, transposeStrip4AVX for the 4x4
+// ones.
 func TestTransposeInto(t *testing.T) {
 	for rows := 1; rows <= 19; rows++ {
 		for cols := 1; cols <= 19; cols++ {
@@ -420,8 +514,8 @@ func naiveGEMM(a, b []float32, m, k, n int, mixed bool) []float32 {
 
 // FuzzGEMMOracle: the fuzzer chooses the shape and the raw bit patterns of
 // both operands — payloads, signaling NaNs, subnormals, whatever it finds —
-// and the precision, and every GEMM entry point must agree with naiveGEMM
-// bit for bit. NaN results only have to be NaN:
+// and the precision, and every GEMM entry point, AddMatMulTA included, must
+// agree with naiveGEMM bit for bit. NaN results only have to be NaN:
 // the oracle's own payload choice belongs to the compiler (see gemmOperands).
 func FuzzGEMMOracle(f *testing.F) {
 	// No zero anywhere in A: every block is one run of k dense steps.
@@ -479,6 +573,34 @@ func FuzzGEMMOracle(f *testing.F) {
 		a[(m-1)*k+k/2] = float32(math.Copysign(0, -1))
 		f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
 	}
+	// gemmSparse, in the NN and the TA layout the body runs each A in: the
+	// embedding's one-hot 16×6×12 (and 6×16×12, its weight gradient's
+	// shape); all-zero rows; a lone non-zero at the first and at the last
+	// k — a subnormal, then a NaN — each against B's infinities and NaNs,
+	// which a product the skip rule should have skipped would turn into a
+	// NaN, and one the kernel wrongly skipped would leave out.
+	sub := math.Float32frombits(gemmSubnormals[0])
+	for _, s := range [][3]int{{16, 6, 12}, {6, 16, 12}, {5, 24, 7}, {13, 4, 41}} {
+		m, k, n := s[0], s[1], s[2]
+		b := make([]float32, k*n)
+		for i := range b {
+			b[i] = [...]float32{inf, 1.5, negInf, nan, -0.5, 2}[i%6]
+		}
+		for _, lone := range []float32{1, sub, nan} {
+			a := make([]float32, m*k)
+			for i := 0; i < m; i++ {
+				switch i % 4 {
+				case 0:
+					a[i*k+i%k] = lone * 0.75
+				case 2:
+					a[i*k] = lone
+				case 3:
+					a[i*k+k-1] = -lone
+				}
+			}
+			f.Add(uint8(m-1), uint8(k-1), uint8(n-1), false, gemmSeed(a, b))
+		}
+	}
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint8, mixed bool, raw []byte) {
 		m, k, n := int(mRaw)%13+1, int(kRaw)%24+1, int(nRaw)%41+1
 		if len(raw) > 1<<12 {
@@ -503,6 +625,15 @@ func FuzzGEMMOracle(f *testing.F) {
 		sameBits(t, "MatMulInto", MatMulInto(dst, a, b, mixed).Data, want, false)
 		sameBits(t, "MatMulTAInto", MatMulTAInto(dst, at, b, mixed).Data, want, false)
 		sameBits(t, "MatMulTBInto", MatMulTBInto(dst, a, bt, mixed).Data, want, false)
+		// AddMatMulTA onto a C of the fuzzer's bits: C + product, C first.
+		acc := New(m, n)
+		fill(acc.Data, 7)
+		sum := make([]float32, m*n)
+		for i, v := range acc.Data {
+			sum[i] = v + want[i]
+		}
+		AddMatMulTA(acc, at, b, mixed)
+		sameBits(t, "AddMatMulTA", acc.Data, sum, false)
 	})
 }
 
@@ -521,8 +652,10 @@ func gemmSeed(a, b []float32) []byte {
 // predicate that sends A to it must refuse every A holding a +0 or a -0, at
 // every position of every length the vector scan splits differently, and
 // admit the non-zero values a compare could mistake for zero — subnormals,
-// NaNs quiet and signaling, infinities. A refused A leaves C cleared for
-// gemmRows.
+// NaNs quiet and signaling, infinities. The zero count zerosAVX returns,
+// which also picks between gemmSparse and gemmRows, must be exact: one zero
+// at each position, then one at every third from each start. A refused A
+// leaves C cleared for the kernel that accumulates into it.
 func TestDenseAPredicate(t *testing.T) {
 	var nonZero []float32
 	for _, set := range [][]uint32{gemmSubnormals, gemmNaNsA, gemmNaNsB, gemmInfs, {0x3f800000, 0x80800000}} {
@@ -531,27 +664,42 @@ func TestDenseAPredicate(t *testing.T) {
 		}
 	}
 	stale := math.Float32frombits(0x7fc0dead)
+	negZero := float32(math.Copysign(0, -1))
 	for n := 1; n <= 37; n++ {
 		a := make([]float32, n)
-		for i := range a {
-			a[i] = nonZero[(i*5+n)%len(nonZero)]
+		refill := func() {
+			for i := range a {
+				a[i] = nonZero[(i*5+n)%len(nonZero)]
+			}
 		}
-		if !allNonZero(a) {
-			t.Fatalf("length %d without a zero: refused", n)
+		refill()
+		if !allNonZero(a) || countZeros(a) != 0 {
+			t.Fatalf("length %d without a zero: refused, %d zeros counted", n, countZeros(a))
 		}
 		for i := 0; i < n; i++ {
-			for _, z := range []float32{0, float32(math.Copysign(0, -1))} {
+			for _, z := range []float32{0, negZero} {
 				keep := a[i]
 				a[i] = z
 				name := fmt.Sprintf("length %d, %v at %d", n, math.Float32bits(z), i)
-				if allNonZero(a) {
-					t.Fatalf("%s: admitted", name)
+				if allNonZero(a) || countZeros(a) != 1 {
+					t.Fatalf("%s: admitted, or %d zeros counted", name, countZeros(a))
 				}
 				c := []float32{stale, stale}
-				if gemmDense(c, a, 1) || math.Float32bits(c[0]) != 0 || math.Float32bits(c[1]) != 0 {
-					t.Fatalf("%s: gemmDense admitted it or left C %v", name, c)
+				if gemmPath(c, a, 1) == pathDense || math.Float32bits(c[0]) != 0 || math.Float32bits(c[1]) != 0 {
+					t.Fatalf("%s: gemmPath admitted it or left C %v", name, c)
 				}
 				a[i] = keep
+			}
+		}
+		for from := 0; from < 3; from++ {
+			refill()
+			want := 0
+			for i := from; i < n; i += 3 {
+				a[i] = [2]float32{0, negZero}[i%2]
+				want++
+			}
+			if got := countZeros(a); got != want {
+				t.Fatalf("length %d, a zero at every third from %d: %d counted, want %d", n, from, got, want)
 			}
 		}
 	}

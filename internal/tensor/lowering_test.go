@@ -88,7 +88,8 @@ func TestBlockKernelsBitwise(t *testing.T) {
 // be the element-at-a-time `t[i] += u[i]` bit for bit — every vector-tail
 // length, NaNs from disjoint payload sets on the two sides (sparse, then in
 // every element), and t added to itself. Zero and Fill(0) clear through the
-// runtime and must leave +0 everywhere and the dirty flag down.
+// runtime and must leave +0 everywhere and the dirty flag down. The add
+// runs on blockTapsAVX, as the lowering does (TestLoweringBitwise).
 func TestAddInPlaceBitwise(t *testing.T) {
 	r := rng.NewFromInt(91)
 	lengths := []int{36, 576}

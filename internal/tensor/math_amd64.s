@@ -18,9 +18,10 @@
 //     lane that did not would differ from math.Exp in the last bit on about
 //     one argument in eleven. math.go decides the argument once, at init, by
 //     comparing both branches with math.Exp (probeMath).
-//   - tanh is math.tanh, both of its branches in every lane and the result
-//     blended: 1 − 2/(s+1) with s = exp(2|x|) for |x| ≥ 0.625, x + x·s·P(s)/Q(s)
-//     with s = x² below it, x itself at ±0 and ±1 past 0.5·MAXLOG.
+//   - tanh is math.tanh, each lane on its own branch: the lanes are sorted by
+//     branch first, then 1 − 2/(s+1) with s = exp(2|x|) runs, a pair at a
+//     time, on the lanes with |x| ≥ 0.625 only (±1 past 0.5·MAXLOG), and
+//     x + x·s·P(s)/Q(s) with s = x² on the others only (x itself at ±0).
 //
 // The vector path takes only arguments on which math.archExp runs its main
 // line: exp lanes in [−700, 709] (no overflow, no subnormal result) and
@@ -29,8 +30,8 @@
 // magnitudes — ends the kernel, which returns how many elements it wrote; the
 // Go wrapper computes that pair with package math and calls the kernel again
 // past it. Within the vector path every input lane is finite and no NaN
-// reaches a result (a blended-away branch may make one), so operand order
-// decides no NaN payload and follows the reference only for readability.
+// reaches a result, so operand order decides no NaN payload and follows the
+// reference only for readability.
 //
 // The arithmetic is 128 bits wide, like every kernel in this package.
 
@@ -95,7 +96,25 @@ DATA mathK<>+448(SB)/8, $0.044715
 DATA mathK<>+456(SB)/8, $0.044715
 DATA mathK<>+464(SB)/8, $0x7ff0000000000000 // +Inf
 DATA mathK<>+472(SB)/8, $0x7ff0000000000000
-GLOBL mathK<>(SB), RODATA|NOPTR, $480
+DATA mathK<>+480(SB)/8, $0 // the element indices of a chunk's first pair, int64
+DATA mathK<>+488(SB)/8, $1
+DATA mathK<>+496(SB)/8, $2 // a pair's step, int64
+DATA mathK<>+504(SB)/8, $2
+GLOBL mathK<>(SB), RODATA|NOPTR, $512
+
+// The VPERMILPD controls that pack a pair's selected lanes to its front,
+// indexed by the 2-bit mask of the lanes selected: lane 1 alone moves to
+// lane 0; otherwise the lanes stay (a lane past the selected ones is written
+// and not counted).
+DATA pack<>+0(SB)/8, $0
+DATA pack<>+8(SB)/8, $2
+DATA pack<>+16(SB)/8, $0
+DATA pack<>+24(SB)/8, $2
+DATA pack<>+32(SB)/8, $2
+DATA pack<>+40(SB)/8, $2
+DATA pack<>+48(SB)/8, $0
+DATA pack<>+56(SB)/8, $2
+GLOBL pack<>(SB), RODATA|NOPTR, $64
 
 #define LOG2E mathK<>+0(SB)
 #define LN2U mathK<>+16(SB)
@@ -127,6 +146,8 @@ GLOBL mathK<>(SB), RODATA|NOPTR, $480
 #define GELUC mathK<>+432(SB)
 #define GELUA mathK<>+448(SB)
 #define INF mathK<>+464(SB)
+#define IDX01 mathK<>+480(SB)
+#define IDXSTEP mathK<>+496(SB)
 
 // EXPK(x, t1, t2, t3) replaces both lanes of x with exp(x), math.archExp's
 // main line without FMA; t1-t3 are clobbered. t1 takes x·log2 e rounded to
@@ -336,6 +357,265 @@ GLOBL mathK<>(SB), RODATA|NOPTR, $480
 	VMULPD t2, x, x; \
 	VMULPD u2, y, y
 
+// EXPK4 and EXPF4 are EXPK and EXPF on four pairs, their instructions
+// interleaved as in EXPK2: four chains keep both vector ports busy where two
+// leave each waiting on its own latency. They take all sixteen registers.
+#define EXPK4(x0, a0, b0, c0, x1, a1, b1, c1, x2, a2, b2, c2, x3, a3, b3, c3) \
+	VMULPD LOG2E, x0, a0; \
+	VMULPD LOG2E, x1, a1; \
+	VMULPD LOG2E, x2, a2; \
+	VMULPD LOG2E, x3, a3; \
+	VCVTPD2DQX a0, b0; \
+	VCVTPD2DQX a1, b1; \
+	VCVTPD2DQX a2, b2; \
+	VCVTPD2DQX a3, b3; \
+	VCVTDQ2PD b0, a0; \
+	VCVTDQ2PD b1, a1; \
+	VCVTDQ2PD b2, a2; \
+	VCVTDQ2PD b3, a3; \
+	VMULPD LN2U, a0, c0; \
+	VMULPD LN2U, a1, c1; \
+	VMULPD LN2U, a2, c2; \
+	VMULPD LN2U, a3, c3; \
+	VSUBPD c0, x0, x0; \
+	VSUBPD c1, x1, x1; \
+	VSUBPD c2, x2, x2; \
+	VSUBPD c3, x3, x3; \
+	VMULPD LN2L, a0, c0; \
+	VMULPD LN2L, a1, c1; \
+	VMULPD LN2L, a2, c2; \
+	VMULPD LN2L, a3, c3; \
+	VSUBPD c0, x0, x0; \
+	VSUBPD c1, x1, x1; \
+	VSUBPD c2, x2, x2; \
+	VSUBPD c3, x3, x3; \
+	VMULPD SIXTEENTH, x0, x0; \
+	VMULPD SIXTEENTH, x1, x1; \
+	VMULPD SIXTEENTH, x2, x2; \
+	VMULPD SIXTEENTH, x3, x3; \
+	VMULPD T8, x0, a0; \
+	VMULPD T8, x1, a1; \
+	VMULPD T8, x2, a2; \
+	VMULPD T8, x3, a3; \
+	VADDPD T7, a0, a0; \
+	VADDPD T7, a1, a1; \
+	VADDPD T7, a2, a2; \
+	VADDPD T7, a3, a3; \
+	VMULPD x0, a0, a0; \
+	VMULPD x1, a1, a1; \
+	VMULPD x2, a2, a2; \
+	VMULPD x3, a3, a3; \
+	VADDPD T6, a0, a0; \
+	VADDPD T6, a1, a1; \
+	VADDPD T6, a2, a2; \
+	VADDPD T6, a3, a3; \
+	VMULPD x0, a0, a0; \
+	VMULPD x1, a1, a1; \
+	VMULPD x2, a2, a2; \
+	VMULPD x3, a3, a3; \
+	VADDPD T5, a0, a0; \
+	VADDPD T5, a1, a1; \
+	VADDPD T5, a2, a2; \
+	VADDPD T5, a3, a3; \
+	VMULPD x0, a0, a0; \
+	VMULPD x1, a1, a1; \
+	VMULPD x2, a2, a2; \
+	VMULPD x3, a3, a3; \
+	VADDPD T4, a0, a0; \
+	VADDPD T4, a1, a1; \
+	VADDPD T4, a2, a2; \
+	VADDPD T4, a3, a3; \
+	VMULPD x0, a0, a0; \
+	VMULPD x1, a1, a1; \
+	VMULPD x2, a2, a2; \
+	VMULPD x3, a3, a3; \
+	VADDPD T3, a0, a0; \
+	VADDPD T3, a1, a1; \
+	VADDPD T3, a2, a2; \
+	VADDPD T3, a3, a3; \
+	VMULPD x0, a0, a0; \
+	VMULPD x1, a1, a1; \
+	VMULPD x2, a2, a2; \
+	VMULPD x3, a3, a3; \
+	VADDPD HALF, a0, a0; \
+	VADDPD HALF, a1, a1; \
+	VADDPD HALF, a2, a2; \
+	VADDPD HALF, a3, a3; \
+	VMULPD x0, a0, a0; \
+	VMULPD x1, a1, a1; \
+	VMULPD x2, a2, a2; \
+	VMULPD x3, a3, a3; \
+	VADDPD ONE, a0, a0; \
+	VADDPD ONE, a1, a1; \
+	VADDPD ONE, a2, a2; \
+	VADDPD ONE, a3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD ONE, x0, x0; \
+	VADDPD ONE, x1, x1; \
+	VADDPD ONE, x2, x2; \
+	VADDPD ONE, x3, x3; \
+	VPMOVSXDQ b0, b0; \
+	VPMOVSXDQ b1, b1; \
+	VPMOVSXDQ b2, b2; \
+	VPMOVSXDQ b3, b3; \
+	VPADDQ BIAS, b0, b0; \
+	VPADDQ BIAS, b1, b1; \
+	VPADDQ BIAS, b2, b2; \
+	VPADDQ BIAS, b3, b3; \
+	VPSLLQ $52, b0, b0; \
+	VPSLLQ $52, b1, b1; \
+	VPSLLQ $52, b2, b2; \
+	VPSLLQ $52, b3, b3; \
+	VMULPD b0, x0, x0; \
+	VMULPD b1, x1, x1; \
+	VMULPD b2, x2, x2; \
+	VMULPD b3, x3, x3
+
+#define EXPF4(x0, a0, b0, c0, x1, a1, b1, c1, x2, a2, b2, c2, x3, a3, b3, c3) \
+	VMULPD LOG2E, x0, a0; \
+	VMULPD LOG2E, x1, a1; \
+	VMULPD LOG2E, x2, a2; \
+	VMULPD LOG2E, x3, a3; \
+	VCVTPD2DQX a0, b0; \
+	VCVTPD2DQX a1, b1; \
+	VCVTPD2DQX a2, b2; \
+	VCVTPD2DQX a3, b3; \
+	VCVTDQ2PD b0, a0; \
+	VCVTDQ2PD b1, a1; \
+	VCVTDQ2PD b2, a2; \
+	VCVTDQ2PD b3, a3; \
+	VFNMADD231PD LN2U, a0, x0; \
+	VFNMADD231PD LN2U, a1, x1; \
+	VFNMADD231PD LN2U, a2, x2; \
+	VFNMADD231PD LN2U, a3, x3; \
+	VFNMADD231PD LN2L, a0, x0; \
+	VFNMADD231PD LN2L, a1, x1; \
+	VFNMADD231PD LN2L, a2, x2; \
+	VFNMADD231PD LN2L, a3, x3; \
+	VMULPD SIXTEENTH, x0, x0; \
+	VMULPD SIXTEENTH, x1, x1; \
+	VMULPD SIXTEENTH, x2, x2; \
+	VMULPD SIXTEENTH, x3, x3; \
+	VMOVUPD T8, a0; \
+	VMOVUPD T8, a1; \
+	VMOVUPD T8, a2; \
+	VMOVUPD T8, a3; \
+	VFMADD213PD T7, x0, a0; \
+	VFMADD213PD T7, x1, a1; \
+	VFMADD213PD T7, x2, a2; \
+	VFMADD213PD T7, x3, a3; \
+	VFMADD213PD T6, x0, a0; \
+	VFMADD213PD T6, x1, a1; \
+	VFMADD213PD T6, x2, a2; \
+	VFMADD213PD T6, x3, a3; \
+	VFMADD213PD T5, x0, a0; \
+	VFMADD213PD T5, x1, a1; \
+	VFMADD213PD T5, x2, a2; \
+	VFMADD213PD T5, x3, a3; \
+	VFMADD213PD T4, x0, a0; \
+	VFMADD213PD T4, x1, a1; \
+	VFMADD213PD T4, x2, a2; \
+	VFMADD213PD T4, x3, a3; \
+	VFMADD213PD T3, x0, a0; \
+	VFMADD213PD T3, x1, a1; \
+	VFMADD213PD T3, x2, a2; \
+	VFMADD213PD T3, x3, a3; \
+	VFMADD213PD HALF, x0, a0; \
+	VFMADD213PD HALF, x1, a1; \
+	VFMADD213PD HALF, x2, a2; \
+	VFMADD213PD HALF, x3, a3; \
+	VFMADD213PD ONE, x0, a0; \
+	VFMADD213PD ONE, x1, a1; \
+	VFMADD213PD ONE, x2, a2; \
+	VFMADD213PD ONE, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VMULPD a0, x0, x0; \
+	VMULPD a1, x1, x1; \
+	VMULPD a2, x2, x2; \
+	VMULPD a3, x3, x3; \
+	VADDPD TWO, x0, a0; \
+	VADDPD TWO, x1, a1; \
+	VADDPD TWO, x2, a2; \
+	VADDPD TWO, x3, a3; \
+	VFMADD213PD ONE, a0, x0; \
+	VFMADD213PD ONE, a1, x1; \
+	VFMADD213PD ONE, a2, x2; \
+	VFMADD213PD ONE, a3, x3; \
+	VPMOVSXDQ b0, b0; \
+	VPMOVSXDQ b1, b1; \
+	VPMOVSXDQ b2, b2; \
+	VPMOVSXDQ b3, b3; \
+	VPADDQ BIAS, b0, b0; \
+	VPADDQ BIAS, b1, b1; \
+	VPADDQ BIAS, b2, b2; \
+	VPADDQ BIAS, b3, b3; \
+	VPSLLQ $52, b0, b0; \
+	VPSLLQ $52, b1, b1; \
+	VPSLLQ $52, b2, b2; \
+	VPSLLQ $52, b3, b3; \
+	VMULPD b0, x0, x0; \
+	VMULPD b1, x1, x1; \
+	VMULPD b2, x2, x2; \
+	VMULPD b3, x3, x3
+
 // GELUARG(u, a) writes GELU's tanh argument c·(u + 0.044715·u·u·u) of the
 // float64 pair u into a.
 #define GELUARG(u, a) \
@@ -353,42 +633,44 @@ GLOBL mathK<>(SB), RODATA|NOPTR, $480
 	CMPL AX, $3; \
 	JNE  stop
 
-// TANHBLEND(a, s, t, z, k1, k2, p, q, m) writes tanh of both lanes of a
-// into t, given s = exp(min(2|a|, MAXLOG)): math.tanh's branches computed in
-// every lane and blended — 1 − 2/(s+1), negated for a < 0, where |a| ≥
-// 0.625; a + a·a²·P(a²)/Q(a²) below it; a itself at ±0; ±1 past 0.5·MAXLOG.
-// a is kept, the rest clobbered.
-#define TANHBLEND(a, s, t, z, k1, k2, p, q, m) \
+// TANHBIG(a, s, t, z, k) writes tanh of both lanes of a into t for lanes
+// with |a| ≥ 0.625, given s = exp(min(2|a|, MAXLOG)): math.tanh's branch
+// 1 − 2/(s+1), negated for a < 0, and ±1 past 0.5·MAXLOG. a is kept, the
+// rest clobbered.
+#define TANHBIG(a, s, t, z, k) \
 	VANDPD ABS, a, z; \
 	VADDPD ONE, s, s; \
-	VMOVUPD TWO, k1; \
-	VDIVPD s, k1, k1; \
-	VMOVUPD ONE, s; \
-	VSUBPD k1, s, s; \
-	VANDPD SIGN, a, k1; \
-	VXORPD k1, s, s; \
-	VMULPD a, a, k2; \
-	VMULPD P0, k2, p; \
+	VMOVUPD TWO, k; \
+	VDIVPD s, k, k; \
+	VMOVUPD ONE, t; \
+	VSUBPD k, t, t; \
+	VANDPD SIGN, a, k; \
+	VXORPD k, t, t; \
+	VORPD ONE, k, k; \
+	VCMPPD $0x1E, HALFMAXLOG, z, z; \
+	VBLENDVPD z, k, t, t
+
+// TANHSMALL(a, t, s, p, q, m) writes tanh of both lanes of a into t for lanes
+// with |a| < 0.625: math.tanh's branch a + a·s·P(s)/Q(s) with s = a², and a
+// itself at ±0. a is kept, the rest clobbered.
+#define TANHSMALL(a, t, s, p, q, m) \
+	VMULPD a, a, s; \
+	VMULPD P0, s, p; \
 	VADDPD P1, p, p; \
-	VMULPD k2, p, p; \
+	VMULPD s, p, p; \
 	VADDPD P2, p, p; \
-	VADDPD Q0, k2, q; \
-	VMULPD k2, q, q; \
+	VADDPD Q0, s, q; \
+	VMULPD s, q, q; \
 	VADDPD Q1, q, q; \
-	VMULPD k2, q, q; \
+	VMULPD s, q, q; \
 	VADDPD Q2, q, q; \
-	VMULPD k2, a, t; \
+	VMULPD s, a, t; \
 	VMULPD p, t, t; \
 	VDIVPD q, t, t; \
 	VADDPD t, a, t; \
 	VXORPD m, m, m; \
 	VCMPPD $0x00, m, a, m; \
-	VBLENDVPD m, a, t, t; \
-	VCMPPD $0x1D, TANHCUT, z, m; \
-	VBLENDVPD m, s, t, t; \
-	VORPD ONE, k1, k1; \
-	VCMPPD $0x1E, HALFMAXLOG, z, m; \
-	VBLENDVPD m, k1, t, t
+	VBLENDVPD m, a, t, t
 
 // EXPRANGE(x, t, u, stop) jumps to stop unless both lanes of x lie in the
 // vector path's exp range [−700, 709] (a NaN does not).
@@ -400,11 +682,42 @@ GLOBL mathK<>(SB), RODATA|NOPTR, $480
 	CMPL AX, $3; \
 	JNE  stop
 
-// EXPROW(EXP, EXP2) is the body of expRowAVX: DI walks e, SI walks x, CX
-// counts the elements left, X15 holds the shift in every float32 lane. Four
-// elements a step while both pairs are in range, then a pair at a time until
-// one is not, then an odd last element in both lanes of a pair.
-#define EXPROW(EXP, EXP2, quads, pairs, last, stop) \
+// EXPROW(EXP, EXP2, EXP4) is the body of expRowAVX: DI walks e, SI walks x,
+// CX counts the elements left, X15 holds the shift in every float32 lane
+// (EXP4 needs every register, so it is broadcast again after one). Eight
+// elements a step while all four pairs are in range, then four while both
+// pairs are, then a pair at a time until one is not, then an odd last
+// element in both lanes of a pair.
+#define EXPROW(EXP, EXP2, EXP4, octs, quads, pairs, last, stop) \
+octs: \
+	CMPQ CX, $8; \
+	JLT  quads; \
+	VMOVSD (SI), X0; \
+	VMOVSD 8(SI), X4; \
+	VMOVSD 16(SI), X8; \
+	VMOVSD 24(SI), X12; \
+	VSUBPS X15, X0, X0; \
+	VSUBPS X15, X4, X4; \
+	VSUBPS X15, X8, X8; \
+	VSUBPS X15, X12, X12; \
+	VCVTPS2PD X0, X0; \
+	VCVTPS2PD X4, X4; \
+	VCVTPS2PD X8, X8; \
+	VCVTPS2PD X12, X12; \
+	EXPRANGE(X0, X1, X2, quads); \
+	EXPRANGE(X4, X5, X6, quads); \
+	EXPRANGE(X8, X9, X10, quads); \
+	EXPRANGE(X12, X13, X14, quads); \
+	EXP4(X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, X14, X15); \
+	VMOVUPD X0, (DI); \
+	VMOVUPD X4, 16(DI); \
+	VMOVUPD X8, 32(DI); \
+	VMOVUPD X12, 48(DI); \
+	VBROADCASTSS shift+16(FP), X15; \
+	ADDQ $32, SI; \
+	ADDQ $64, DI; \
+	SUBQ $8, CX; \
+	JMP  octs; \
 quads: \
 	CMPQ CX, $4; \
 	JLT  pairs; \
@@ -459,7 +772,7 @@ TEXT ·expRowAVX(SB), NOSPLIT, $0-48
 	MOVQ CX, R8
 	CMPB fma+32(FP), $0
 	JNE  fused
-	EXPROW(EXPK, EXPK2, plainQuads, plainPairs, plainLast, plainStop)
+	EXPROW(EXPK, EXPK2, EXPK4, plainOcts, plainQuads, plainPairs, plainLast, plainStop)
 
 plainStop:
 	SUBQ CX, R8
@@ -467,17 +780,32 @@ plainStop:
 	RET
 
 fused:
-	EXPROW(EXPF, EXPF2, fusedQuads, fusedPairs, fusedLast, fusedStop)
+	EXPROW(EXPF, EXPF2, EXPF4, fusedOcts, fusedQuads, fusedPairs, fusedLast, fusedStop)
 
 fusedStop:
 	SUBQ CX, R8
 	MOVQ R8, ret+40(FP)
 	RET
 
-// GELUEXP(EXP, EXP2) is the second pass of geluForwardAVX: th[i] =
-// exp(th[i]) over the CX elements from DX, four at a time, then a pair, then
-// an odd last one in the low lane.
-#define GELUEXP(EXP, EXP2, quads, pair, last, done) \
+// GELUEXP(EXP, EXP2, EXP4) is the exp pass of geluForwardAVX: x = exp(x)
+// over the CX float64s from DX, CX even, eight at a time, then four, then a
+// pair.
+#define GELUEXP(EXP, EXP2, EXP4, octs, quads, pair, done) \
+octs: \
+	CMPQ CX, $8; \
+	JLT  quads; \
+	VMOVUPD (DX), X0; \
+	VMOVUPD 16(DX), X4; \
+	VMOVUPD 32(DX), X8; \
+	VMOVUPD 48(DX), X12; \
+	EXP4(X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11, X12, X13, X14, X15); \
+	VMOVUPD X0, (DX); \
+	VMOVUPD X4, 16(DX); \
+	VMOVUPD X8, 32(DX); \
+	VMOVUPD X12, 48(DX); \
+	ADDQ $64, DX; \
+	SUBQ $8, CX; \
+	JMP  octs; \
 quads: \
 	CMPQ CX, $4; \
 	JLT  pair; \
@@ -488,96 +816,229 @@ quads: \
 	VMOVUPD X4, 16(DX); \
 	ADDQ $32, DX; \
 	SUBQ $4, CX; \
-	JMP  quads; \
 pair: \
-	CMPQ CX, $2; \
-	JLT  last; \
+	TESTQ CX, CX; \
+	JZ   done; \
 	VMOVUPD (DX), X0; \
 	EXP(X0, X1, X2, X3); \
 	VMOVUPD X0, (DX); \
-	ADDQ $16, DX; \
-	SUBQ $2, CX; \
-last: \
-	TESTQ CX, CX; \
-	JZ   done; \
-	VMOVSD (DX), X0; \
-	EXP(X0, X1, X2, X3); \
-	VMOVSD X0, (DX); \
 done:
+
+// The scratch geluForwardAVX sorts a chunk of up to 64 elements into, on
+// its own frame (R10 points at it): big, the exp arguments of the lanes on
+// tanh's exp branch; small, the arguments a of the others; and each entry's
+// element in the chunk, an int64. Each list has two entries of slack: a
+// pair is stored whole wherever its first selected lane goes.
+#define SORTBIG 0
+#define SORTSMALL 528
+#define SORTBIGAT 1056
+#define SORTSMALLAT 1584
+
+// SORTARGS writes a = GELU's tanh argument of the pair X0 into X1, the exp
+// argument min(2|a|, MAXLOG) into X2, and the lanes with |a| ≥ 0.625 as the
+// bits of BX.
+#define SORTARGS \
+	GELUARG(X0, X1); \
+	VANDPD ABS, X1, X2; \
+	VCMPPD $0x1D, TANHCUT, X2, X3; \
+	VMOVMSKPD X3, BX; \
+	VADDPD X2, X2, X2; \
+	VMINPD MAXLOG, X2, X2
+
+// SORTPAIR files a pair: the lanes BX selects, their exp arguments (X2)
+// and element indices (X12), packed to the front of a vector and stored at
+// big[R11], the other lanes' a (X1) and indices likewise at small[R12];
+// each count moves by its lanes. R14 holds pack<>.
+#define SORTPAIR \
+	MOVQ BX, AX; \
+	SHLQ $4, AX; \
+	VMOVUPD (R14)(AX*1), X13; \
+	VPERMILPD X13, X2, X3; \
+	VPERMILPD X13, X12, X4; \
+	VMOVUPD X3, SORTBIG(R10)(R11*8); \
+	VMOVUPD X4, SORTBIGAT(R10)(R11*8); \
+	XORQ $(3<<4), AX; \
+	VMOVUPD (R14)(AX*1), X13; \
+	VPERMILPD X13, X1, X3; \
+	VPERMILPD X13, X12, X4; \
+	VMOVUPD X3, SORTSMALL(R10)(R12*8); \
+	VMOVUPD X4, SORTSMALLAT(R10)(R12*8); \
+	MOVQ BX, AX; \
+	SHRQ $1, AX; \
+	ANDQ $1, BX; \
+	ADDQ BX, AX; \
+	ADDQ AX, R11; \
+	SUBQ AX, R12; \
+	ADDQ $2, R12
+
+// PADODD(count, vals, at) repeats the last entry of a list of odd length
+// once, so that the passes over it run whole pairs: the repeat computes the
+// same lane again and writes the same element twice.
+#define PADODD(count, vals, at, even) \
+	TESTQ $1, count; \
+	JZ   even; \
+	VMOVSD (vals-8)(R10)(count*8), X0; \
+	VMOVSD X0, vals(R10)(count*8); \
+	MOVQ (at-8)(R10)(count*8), AX; \
+	MOVQ AX, at(R10)(count*8); \
+	INCQ count; \
+even:
 
 // func geluForwardAVX(out *float32, th *float64, x *float32, n int, fma bool) int
 //
 // With u = float64(x[i]): th[i] = math.Tanh(c·(u + 0.044715·u·u·u)) and
 // out[i] = float32(0.5·u·(1 + th[i])), for i < n until a pair holds a
-// non-finite x; returns the elements written. Three passes over those
-// elements, each a pair at a time (an odd last element in both lanes of a
-// pair, stored from the low one), so that no one loop body carries the whole
-// chain of a tanh: th = min(2|a|, MAXLOG) for the tanh argument a, th =
-// exp(th), then the blend of tanh's branches from a (computed again) and th,
-// and the output.
-TEXT ·geluForwardAVX(SB), NOSPLIT, $0-48
+// non-finite x; returns the elements written. Chunks of up to 64 elements,
+// five passes each, so that each lane computes only its own branch of tanh:
+//
+//  1. a pair at a time, the tanh argument a into th and, by the branch
+//     |a| ≥ 0.625 picks, each lane's exp argument into big or its a into
+//     small, with the element's index (branch-free: a pair's selected lanes
+//     are packed to the front of a vector, the vector stored, the count
+//     moved by the lanes);
+//  2. exp over big;
+//  3. the exp branch over big's pairs, each lane's a read back from th and
+//     its tanh written there;
+//  4. the polynomial branch over small's pairs, written to th likewise;
+//  5. the outputs from x and th, a pair at a time.
+//
+// An odd list is padded with its last entry; an odd chunk's last element
+// goes through the first and last pass in both lanes of a pair, filed and
+// stored from the low one.
+//
+// The lists live on the frame, which is why this kernel is not NOSPLIT: it
+// calls nothing, and its frame holds no pointer.
+//
+// Registers: SI and DX the chunk's x and th, R9 its length, R10 the lists,
+// R11 and R12 big's and small's counts, R13 and R14 indices (R14 pack<> in
+// pass 1), X12 the pair's element indices; the frame holds the elements
+// done before the chunk, the chunk's sorted elements and whether a
+// non-finite pair ended it, below them the lists.
+TEXT ·geluForwardAVX(SB), $2136-48
+	MOVQ $0, done-8(SP)
+	MOVQ $0, stop-24(SP)
+	LEAQ lists-2136(SP), R10
+
+chunkG:
+	MOVQ n+24(FP), R9
+	MOVQ done-8(SP), AX
+	SUBQ AX, R9
+	JLE  retG
+	CMPQ R9, $64
+	JLE  baseG
+	MOVQ $64, R9
+
+baseG:
 	MOVQ th+8(FP), DX
+	LEAQ (DX)(AX*8), DX
 	MOVQ x+16(FP), SI
-	MOVQ n+24(FP), CX
-	MOVQ CX, R8
+	LEAQ (SI)(AX*4), SI
+	XORQ R11, R11
+	XORQ R12, R12
+	XORQ R13, R13
+	VMOVDQU IDX01, X12
+	LEAQ pack<>(SB), R14
 
-argsG:
-	CMPQ CX, $2
-	JLT  lastArgG
-	VMOVSD (SI), X0
+sortG:
+	MOVQ R9, AX
+	SUBQ R13, AX
+	CMPQ AX, $2
+	JLT  sortLastG
+	VMOVSD (SI)(R13*4), X0
 	VCVTPS2PD X0, X0
-	GELUFINITE(endArgsG)
-	GELUARG(X0, X1)
-	VANDPD ABS, X1, X1
-	VADDPD X1, X1, X1
-	VMINPD MAXLOG, X1, X1
-	VMOVUPD X1, (DX)
-	ADDQ $8, SI
-	ADDQ $16, DX
-	SUBQ $2, CX
-	JMP  argsG
+	GELUFINITE(stopG)
+	SORTARGS
+	VMOVUPD X1, (DX)(R13*8)
+	SORTPAIR
+	VPADDQ IDXSTEP, X12, X12
+	ADDQ $2, R13
+	JMP  sortG
 
-lastArgG:
-	TESTQ CX, CX
-	JZ   endArgsG
-	VBROADCASTSS (SI), X0
+sortLastG:
+	TESTQ AX, AX
+	JZ   sortedG
+	VBROADCASTSS (SI)(R13*4), X0
 	VCVTPS2PD X0, X0
-	GELUFINITE(endArgsG)
-	GELUARG(X0, X1)
-	VANDPD ABS, X1, X1
-	VADDPD X1, X1, X1
-	VMINPD MAXLOG, X1, X1
-	VMOVSD X1, (DX)
-	DECQ CX
+	GELUFINITE(stopG)
+	SORTARGS
+	VMOVSD X1, (DX)(R13*8)
+	ANDQ $1, BX             // lane 0 only: the lane 1 copy is not filed
+	VMOVSD X2, SORTBIG(R10)(R11*8)
+	VMOVQ X12, SORTBIGAT(R10)(R11*8)
+	VMOVSD X1, SORTSMALL(R10)(R12*8)
+	VMOVQ X12, SORTSMALLAT(R10)(R12*8)
+	ADDQ BX, R11
+	XORQ $1, BX
+	ADDQ BX, R12
+	INCQ R13
+	JMP  sortedG
 
-endArgsG:
-	SUBQ CX, R8 // the elements every pass covers
-	MOVQ R8, ret+40(FP)
-	MOVQ th+8(FP), DX
-	MOVQ R8, CX
+stopG:
+	MOVQ $1, stop-24(SP)
+
+sortedG:
+	MOVQ R13, sorted-16(SP)
+	PADODD(R11, SORTBIG, SORTBIGAT, bigEvenG)
+	PADODD(R12, SORTSMALL, SORTSMALLAT, smallEvenG)
+	MOVQ R10, DX
+	MOVQ R11, CX
 	CMPB fma+32(FP), $0
 	JNE  fusedG
-	GELUEXP(EXPK, EXPK2, plainQuadsG, plainPairG, plainLastG, plainDoneG)
-	JMP  blendG
+	GELUEXP(EXPK, EXPK2, EXPK4, plainOctsG, plainQuadsG, plainPairG, plainDoneG)
+	JMP  bigG
 
 fusedG:
-	GELUEXP(EXPF, EXPF2, fusedQuadsG, fusedPairG, fusedLastG, fusedDoneG)
+	GELUEXP(EXPF, EXPF2, EXPF4, fusedOctsG, fusedQuadsG, fusedPairG, fusedDoneG)
 
-blendG:
-	MOVQ out+0(FP), DI
+bigG:
 	MOVQ th+8(FP), DX
-	MOVQ x+16(FP), SI
-	MOVQ R8, CX
+	MOVQ done-8(SP), AX
+	LEAQ (DX)(AX*8), DX
+	XORQ R14, R14
 
-pairsG:
+bigPairsG:
+	CMPQ R14, R11
+	JGE  smallG
+	MOVQ SORTBIGAT(R10)(R14*8), AX
+	MOVQ (SORTBIGAT+8)(R10)(R14*8), BX
+	VMOVSD (DX)(AX*8), X1
+	VMOVHPD (DX)(BX*8), X1, X1
+	VMOVUPD SORTBIG(R10)(R14*8), X5
+	TANHBIG(X1, X5, X2, X4, X6)
+	VMOVSD X2, (DX)(AX*8)
+	VMOVHPD X2, (DX)(BX*8)
+	ADDQ $2, R14
+	JMP  bigPairsG
+
+smallG:
+	XORQ R14, R14
+
+smallPairsG:
+	CMPQ R14, R12
+	JGE  outG
+	MOVQ SORTSMALLAT(R10)(R14*8), AX
+	MOVQ (SORTSMALLAT+8)(R10)(R14*8), BX
+	VMOVUPD SORTSMALL(R10)(R14*8), X1
+	TANHSMALL(X1, X2, X7, X9, X10, X11)
+	VMOVSD X2, (DX)(AX*8)
+	VMOVHPD X2, (DX)(BX*8)
+	ADDQ $2, R14
+	JMP  smallPairsG
+
+outG:
+	MOVQ out+0(FP), DI
+	MOVQ done-8(SP), AX
+	LEAQ (DI)(AX*4), DI
+	MOVQ sorted-16(SP), CX
+	ADDQ CX, AX
+	MOVQ AX, done-8(SP)
+
+outPairsG:
 	CMPQ CX, $2
-	JLT  lastG
+	JLT  outLastG
 	VMOVSD (SI), X0
 	VCVTPS2PD X0, X0
-	GELUARG(X0, X1)
-	VMOVUPD (DX), X5
-	TANHBLEND(X1, X5, X2, X4, X6, X7, X9, X10, X11)
-	VMOVUPD X2, (DX)
+	VMOVUPD (DX), X2
 	VMULPD HALF, X0, X0
 	VADDPD ONE, X2, X3
 	VMULPD X0, X3, X3
@@ -587,22 +1048,25 @@ pairsG:
 	ADDQ $8, DI
 	ADDQ $16, DX
 	SUBQ $2, CX
-	JMP  pairsG
+	JMP  outPairsG
 
-lastG:
+outLastG:
 	TESTQ CX, CX
-	JZ   doneG
+	JZ   nextG
 	VBROADCASTSS (SI), X0
 	VCVTPS2PD X0, X0
-	GELUARG(X0, X1)
-	VMOVSD (DX), X5
-	TANHBLEND(X1, X5, X2, X4, X6, X7, X9, X10, X11)
-	VMOVSD X2, (DX)
+	VMOVSD (DX), X2
 	VMULPD HALF, X0, X0
 	VADDPD ONE, X2, X3
 	VMULPD X0, X3, X3
 	VCVTPD2PSX X3, X3
 	VMOVSS X3, (DI)
 
-doneG:
+nextG:
+	CMPQ stop-24(SP), $0
+	JEQ  chunkG
+
+retG:
+	MOVQ done-8(SP), AX
+	MOVQ AX, ret+40(FP)
 	RET

@@ -99,7 +99,10 @@ func TestMathKernelMatchesMath(t *testing.T) {
 		expArgs = append(expArgs, float32(e), float32(e+1.5))
 	}
 	gelu := tanhEdges()
-	for _, n := range tailLengths {
+	// Past the tails: GELU's kernel sorts 64 elements a chunk, so a length on
+	// either side of one and of two chunks ends on a full, a one-element
+	// and a 63-element last chunk; ExpRow takes eight at a time.
+	for _, n := range append(tailLengths[:len(tailLengths):len(tailLengths)], 63, 64, 65, 127, 129) {
 		for _, k := range tailDensities {
 			for _, sd := range []float64{1, 30, 400} {
 				name := fmt.Sprintf("n=%d density=%v sd=%v", n, k, sd)
@@ -204,8 +207,8 @@ func BenchmarkKernel_Exp(b *testing.B) {
 }
 
 // BenchmarkKernel_Tanh is GELU's forward at the transformer's [2,8,12]: the
-// kernel (argument, tanh and output in three vector passes) against the Go
-// loops with one math.Tanh per element.
+// kernel (the lanes sorted by tanh branch, each branch over its own lanes)
+// against the Go loops with one math.Tanh per element.
 func BenchmarkKernel_Tanh(b *testing.B) {
 	x := make([]float32, 192)
 	r := rng.NewFromInt(58)
@@ -223,4 +226,76 @@ func BenchmarkKernel_Tanh(b *testing.B) {
 			geluForwardGo(out, th, x)
 		}
 	})
+}
+
+// FuzzMathOracle: the fuzzer picks a length from 0 to 64, the raw float32
+// bits of x and of dy and the softmax shift, and the float64 kernels must
+// give package math's results bit for bit: ExpRow against math.Exp on x −
+// shift, GELUForward — its lanes sorted by tanh branch — against the three
+// loops with math.Tanh, tanh included, and GELUBackward against its Go loop
+// on the tanh the forward kept. A float32 NaN only has to be a NaN: the
+// fuzzer's coverage build compiles the Go loops with other operand orders
+// (TestMathKernelMatchesMath and TestGELUBackwardKernelBitwise hold the
+// payloads in the default build). The seeds are the specials (±0, subnormals,
+// ±Inf, a NaN payload, which the wrappers hand to package math), the GELU
+// arguments in pairs straddling tanh's branch points 0.625 and 0.5·MAXLOG,
+// and the exp arguments around the vector path's range.
+func FuzzMathOracle(f *testing.F) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 1.1754942e-38,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0x7fc0f00d), 1, -2.5}
+	f.Add(uint8(len(specials)), uint32(0), floatBytes(specials))
+	edges := tanhEdges()
+	f.Add(uint8(len(edges)), uint32(0), floatBytes(edges))
+	f.Add(uint8(len(edges)-1), math.Float32bits(1.5), floatBytes(edges[1:]))
+	var expArgs []float32
+	for _, e := range expEdges {
+		expArgs = append(expArgs, float32(e))
+	}
+	f.Add(uint8(len(expArgs)), uint32(0), floatBytes(expArgs))
+	f.Add(uint8(64), math.Float32bits(-3), floatBytes([]float32{0.3, -0.7, 0.61, -0.64, 40, -50}))
+	f.Add(uint8(0), uint32(0), []byte{})
+	f.Fuzz(func(t *testing.T, nRaw uint8, shiftBits uint32, raw []byte) {
+		n := int(nRaw) % 65
+		x, dy := make([]float32, n), make([]float32, n)
+		at := 0
+		for _, dst := range [][]float32{x, dy} {
+			for i := range dst {
+				var bits uint32
+				for s := 0; s < 32 && len(raw) > 0; s += 8 {
+					bits |= uint32(raw[at%len(raw)]) << s
+					at++
+				}
+				dst[i] = math.Float32frombits(bits)
+			}
+		}
+		shift := math.Float32frombits(shiftBits)
+
+		e, want := make([]float64, n), make([]float64, n)
+		ExpRow(e, x, shift)
+		expRowGo(want, x, shift)
+		sameFloat64s(t, "ExpRow", e, want)
+
+		out, th := make([]float32, n), make([]float64, n)
+		wantOut, wantTh := make([]float32, n), make([]float64, n)
+		GELUForward(out, th, x)
+		geluForwardGo(wantOut, wantTh, x)
+		sameFloat64s(t, "GELUForward tanh", th, wantTh)
+		sameBits(t, "GELUForward out", out, wantOut, false)
+
+		dx, wantDx := make([]float32, n), make([]float32, n)
+		GELUBackward(dx, dy, x, th)
+		geluBackwardGo(wantDx, dy, x, wantTh)
+		sameBits(t, "GELUBackward", dx, wantDx, false)
+	})
+}
+
+// floatBytes is the fuzz targets' raw input for exactly these floats: their
+// bits, little-endian, as the bodies read them back.
+func floatBytes(v []float32) []byte {
+	var raw []byte
+	for _, f := range v {
+		bits := math.Float32bits(f)
+		raw = append(raw, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
+	}
+	return raw
 }

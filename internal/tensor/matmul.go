@@ -76,18 +76,39 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	k, m, n := checkMatMulTA(a, b)
 	checkDst("MatMulTAInto", dst, m, n)
 	dst.ClearDirty()
-	ad, bd, cd := a.Data, b.Data, dst.Data
-	if mixed {
-		zero(cd)
-		rp := getPackBuf(len(bd))
-		rb := *rp
-		roundPanelBF16(rb, bd)
-		gemmTAPacked(cd, ad, rb, k, m, n)
-		putPackBuf(rp)
-		return dst
-	}
-	gemmF32(cd, ad, bd, m, k, n, 1, m)
+	matMulTA(dst.Data, a.Data, b.Data, k, m, n, mixed)
 	return dst
+}
+
+// AddMatMulTA adds Aᵀ × B to dst [m,n] for A [k,m] and B [k,n]: bitwise
+// dst.AddInPlace(MatMulTA(a, b, mixed)), the weight-gradient accumulation of
+// Dense and Attention. For an fp32 product with no ±0 in A the tile kernel
+// forms each element's chain from +0 and stores dst + chain (tileAddToC);
+// otherwise the product goes to a pooled scratch and is added from there.
+func AddMatMulTA(dst, a, b *Tensor, mixed bool) {
+	k, m, n := checkMatMulTA(a, b)
+	checkDst("AddMatMulTA", dst, m, n)
+	if !mixed && useAVX && k > 0 && allNonZero(a.Data) {
+		gemmTile(dst.Data, b.Data, a.Data, m, n, k, 1, m, tileAddToC, false)
+		return
+	}
+	rp := getPackBuf(m * n)
+	matMulTA(*rp, a.Data, b.Data, k, m, n, mixed)
+	addBlocks(dst.Data, *rp, &blockShape{n: 1, rows: 1, cols: m * n})
+	putPackBuf(rp)
+}
+
+// matMulTA is MatMulTAInto on the data: c [m,n] = aᵀ × b for a [k,m], b [k,n].
+func matMulTA(c, a, b []float32, k, m, n int, mixed bool) {
+	if mixed {
+		zero(c)
+		rp := getPackBuf(len(b))
+		roundPanelBF16(*rp, b)
+		gemmTAPacked(c, a, *rp, k, m, n)
+		putPackBuf(rp)
+		return
+	}
+	gemmF32(c, a, b, m, k, n, 1, m)
 }
 
 // MatMulTB computes C = A × Bᵀ for A [m,k] and B [n,k] without
@@ -177,47 +198,85 @@ func zero(s []float32) {
 }
 
 // gemmF32 computes C = A×B in FP32 for B [k,n] and the two A layouts of
-// gemmRows, m rows: with an A holding no ±0 (see gemmDense) in one gemmTile
-// call from +0, otherwise through gemmRows onto the cleared C.
+// gemmRows, m rows, on the path gemmPath chooses from A's zeros: a dense A
+// in one gemmTile call from +0, a sparse one in one gemmSparse call onto the
+// cleared C, anything between through gemmRows onto the cleared C.
 func gemmF32(c, a, b []float32, m, k, n, aRow, aK int) {
-	if gemmDense(c, a, k) {
-		gemmTile(c[:m*n], b, a, m, n, k, aRow, aK, false, false)
-		return
+	switch gemmPath(c, a, k) {
+	case pathDense:
+		gemmTile(c[:m*n], b, a, m, n, k, aRow, aK, tileFromZero, false)
+	case pathSparse:
+		gemmSparse(c, b, a, m, n, k, aRow, aK)
+	default:
+		gemmRows(c, a, b, m, k, n, aRow, aK)
 	}
-	gemmRows(c, a, b, m, k, n, aRow, aK)
 }
 
-// gemmDense decides, from the data, which kernel computes a product: true
-// when the AVX kernels are built and A holds no ±0, the whole matrix then
-// going to gemmTile in one call. Otherwise it clears c, which gemmRows
-// accumulates into, and returns false.
+// gemmKind is one of gemmF32's three paths.
+type gemmKind uint8
+
+const (
+	pathRows gemmKind = iota
+	pathDense
+	pathSparse
+)
+
+// gemmPath decides, from the data, which kernel computes a product. Without
+// the AVX kernels, or with no k-steps, it is gemmRows. Otherwise it counts
+// A's ±0: none sends the whole matrix to gemmTile in one call; three in four
+// or more (a one-hot A: the embedding's input, as NN and as the TA weight
+// gradient) send it to gemmSparse; anything between to gemmRows. For either
+// of the last two it clears c first, which both accumulate into.
 //
-// The two give the same bits on a dense A. With no zero in A the skip rule
-// skips nothing: gemmRows finds every k-step of a 4-row block dense and
-// hands the block to the tile kernel as one run of k steps from a +0 C, and
-// runs each remainder row as k unskipped axpyRows. gemmTile forms the same
-// products, adds them to the same +0 chains in the same ascending-k order,
-// with the operands of each operation in the same order.
-func gemmDense(c, a []float32, k int) bool {
-	if useAVX && k > 0 && allNonZero(a) {
-		return true
+// The three give the same bits. With no zero in A the skip rule skips
+// nothing: gemmRows finds every k-step of a 4-row block dense and hands the
+// block to the tile kernel as one run of k steps from a +0 C, and runs each
+// remainder row as k unskipped axpyRows. gemmTile forms the same products,
+// adds them to the same +0 chains in the same ascending-k order, with the
+// operands of each operation in the same order. gemmSparse is gemmRows'
+// mixed step for every k-step of every row: each non-zero a's axpyRow, k
+// ascending, onto the same +0 start; a dense step of gemmRows adds the same
+// products in the same order, four rows at a time.
+//
+// gemmSparse loads and stores a row of C for every product row, where
+// gemmRows keeps four rows in registers over a run of dense steps; at half
+// zeros (a convolution behind a ReLU) the two are about even, and gemmRows
+// is kept there. EXPERIMENTS.md has the measurements.
+func gemmPath(c, a []float32, k int) gemmKind {
+	if !useAVX || k == 0 {
+		zero(c)
+		return pathRows
+	}
+	z := countZeros(a)
+	if z == 0 {
+		return pathDense
 	}
 	zero(c)
-	return false
+	if 4*z >= 3*len(a) {
+		return pathSparse
+	}
+	return pathRows
+}
+
+// countZeros returns how many elements of a are ±0 (a NaN is not zero).
+func countZeros(a []float32) int {
+	if useAVX {
+		if len(a) == 0 {
+			return 0
+		}
+		return zerosAVX(&a[0], len(a))
+	}
+	z := 0
+	for _, v := range a {
+		if v == 0 {
+			z++
+		}
+	}
+	return z
 }
 
 // allNonZero reports whether no element of a is ±0 (a NaN is not zero).
-func allNonZero(a []float32) bool {
-	if useAVX {
-		return len(a) == 0 || nonZeroAVX(&a[0], len(a))
-	}
-	for _, v := range a {
-		if v == 0 {
-			return false
-		}
-	}
-	return true
-}
+func allNonZero(a []float32) bool { return countZeros(a) == 0 }
 
 // gemmRows computes C += A×B in FP32 for B [k,n], where
 // element (i,kk) of A is a[i*aRow+kk*aK]: (k, 1) for a
@@ -255,7 +314,7 @@ func gemmRows(c, a, b []float32, m, k, n, aRow, aK int) {
 			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
 				if useAVX {
 					run := denseRun4(ak, k-kk, aRow, aK)
-					gemmTile(c4, b[kk*n:], ak, 4, n, run, aRow, aK, true, false)
+					gemmTile(c4, b[kk*n:], ak, 4, n, run, aRow, aK, tileFromC, false)
 					kk += run - 1
 					continue
 				}
@@ -297,27 +356,56 @@ func gemmRows(c, a, b []float32, m, k, n, aRow, aK int) {
 
 // gemmTile computes the m×n matrix c (row length n) as c[i*n+j] =
 // Σ a[i*aRow+kk*aK] * b[kk*n+j] over kk < k ascending, every chain starting
-// from +0 or, with acc, from what c holds; every a must be non-zero, as the
-// kernel applies no skip rule. Each product is b*a, or with aFirst a*b (see
-// gemmTBviaTN). The kernel behind it works on addresses, so the three extents
-// are checked here, before it sees one.
-func gemmTile(c, b, a []float32, m, n, k, aRow, aK int, acc, aFirst bool) {
+// where start says; every a must be non-zero, as the kernel applies no skip
+// rule. Each product is b*a, or with aFirst a*b (see gemmTBviaTN).
+func gemmTile(c, b, a []float32, m, n, k, aRow, aK int, start tileStart, aFirst bool) {
+	if checkTile("gemmTile", c, b, a, m, n, k, aRow, aK) {
+		gemmTileAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK, start, aFirst)
+	}
+}
+
+// tileStart is where gemmTile's chains start and how the tile lands in C.
+type tileStart uint8
+
+const (
+	// tileFromZero: every chain from +0, the tile stored over C.
+	tileFromZero tileStart = iota
+	// tileFromC: every chain from the element C holds (gemmRows' runs).
+	tileFromC
+	// tileAddToC: every chain from +0, then C + chain stored, C the first
+	// operand of the addition as in AddInPlace (AddMatMulTA).
+	tileAddToC
+)
+
+// gemmSparse accumulates C += A×B for the m×n c under the skip rule, row by
+// row, each row's non-zero a in ascending k (gemmSparseAVX). C must start at
+// +0 for the product.
+func gemmSparse(c, b, a []float32, m, n, k, aRow, aK int) {
+	if checkTile("gemmSparse", c, b, a, m, n, k, aRow, aK) {
+		gemmSparseAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK)
+	}
+}
+
+// checkTile checks the extents of a kernel that walks an m×n C, a [k,n] B
+// and A by its two steps on addresses, before it sees one, and reports
+// whether there is anything to compute.
+func checkTile(op string, c, b, a []float32, m, n, k, aRow, aK int) bool {
 	if m < 0 || n < 0 || k <= 0 || aRow < 0 || aK < 0 {
-		panic(fmt.Sprintf("tensor: gemmTile with %d rows, %d columns, %d k-steps, A row step %d, A k step %d", m, n, k, aRow, aK))
+		panic(fmt.Sprintf("tensor: %s with %d rows, %d columns, %d k-steps, A row step %d, A k step %d", op, m, n, k, aRow, aK))
 	}
 	if m == 0 || n == 0 {
-		return
+		return false
 	}
 	if m*n > len(c) {
-		panic(fmt.Sprintf("tensor: gemmTile needs %d×%d elements of C, slice holds %d", m, n, len(c)))
+		panic(fmt.Sprintf("tensor: %s needs %d×%d elements of C, slice holds %d", op, m, n, len(c)))
 	}
 	if k*n > len(b) {
-		panic(fmt.Sprintf("tensor: gemmTile needs %d×%d elements of B, slice holds %d", k, n, len(b)))
+		panic(fmt.Sprintf("tensor: %s needs %d×%d elements of B, slice holds %d", op, k, n, len(b)))
 	}
 	if last := (m-1)*aRow + (k-1)*aK; last >= len(a) {
-		panic(fmt.Sprintf("tensor: gemmTile reaches element %d of A, slice holds %d", last, len(a)))
+		panic(fmt.Sprintf("tensor: %s reaches element %d of A, slice holds %d", op, last, len(a)))
 	}
-	gemmTileAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK, acc, aFirst)
+	return true
 }
 
 // denseRun4 returns how many of the kLen k-steps starting at a are dense
@@ -432,7 +520,7 @@ func gemmTBAVX(c, a, b []float32, m, k, n int) {
 // weight gradient 8×72×72 does (1,152 floats against 5,184) — and C has at
 // least four rows. Cᵀ is m floats wide, and below one vector every tile of
 // it is a single column, one lane in four doing the work: 2×72×72 takes 1.5×
-// as long that way. Like gemmDense, it looks at the operands only.
+// as long that way. Like gemmPath, it looks at the operands only.
 func tbTransposesA(m, k, n int) bool {
 	return m >= 4 && m*(k+n) < n*k
 }
@@ -459,7 +547,7 @@ func gemmTBviaTN(c, a, b []float32, m, k, n int) {
 // gemmTBPanels is gemmTBviaTN on the panels at [k,m] and ct [n,m].
 func gemmTBPanels(c, a, b, at, ct []float32, m, k, n int) {
 	transposeInto(at, a, m, k)
-	gemmTile(ct, at, b, n, m, k, k, 1, false, true)
+	gemmTile(ct, at, b, n, m, k, k, 1, tileFromZero, true)
 	transposeInto(c, ct, n, m)
 }
 

@@ -126,11 +126,21 @@ func TestWorkspaceReuse(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("alternating shapes allocate %v times per swing, want 0", allocs)
 	}
-	z := ws.GetZeroed("buf", 6, 6)
-	for i, v := range z.Data {
-		if v != 0 {
-			t.Fatalf("GetZeroed element %d = %v, want 0", i, v)
+	// The generation moves with every Get that reshapes a buffer and with
+	// nothing else: not a Get at the same shape, not a new key, not Reset.
+	gen := ws.Generation()
+	ws.Get("buf", 6, 6)
+	ws.Get("other", 3)
+	ws.Reset()
+	if ws.Generation() != gen {
+		t.Fatalf("generation moved from %d to %d without a reshape", gen, ws.Generation())
+	}
+	for _, shape := range [][]int{{2, 5}, {5, 2}, {10}, {40}} {
+		ws.Get("buf", shape...)
+		if ws.Generation() == gen {
+			t.Fatalf("Get reshaping the buffer to %v left the generation at %d", shape, gen)
 		}
+		gen = ws.Generation()
 	}
 	// A nil workspace must behave like plain allocation.
 	var nilWS *Workspace

@@ -70,6 +70,8 @@ var layerNormShapes = func() (s [][2]int) {
 	return s
 }()
 
+// TestLayerNormKernelsBitwise holds layerNormAVX and layerNormBackwardAVX to
+// LayerNorm's Go loops.
 func TestLayerNormKernelsBitwise(t *testing.T) {
 	r := rng.NewFromInt(51)
 	for _, sh := range layerNormShapes {
@@ -122,6 +124,7 @@ var tailLengths = func() []int {
 	return append(ns, 192, 6144)
 }()
 
+// TestGELUBackwardKernelBitwise holds geluBackwardAVX to geluBackwardGo.
 func TestGELUBackwardKernelBitwise(t *testing.T) {
 	r := rng.NewFromInt(52)
 	for _, n := range tailLengths {
@@ -142,6 +145,7 @@ func TestGELUBackwardKernelBitwise(t *testing.T) {
 	}
 }
 
+// TestAdamKernelBitwise holds adamAVX to adamGo, the abs-bits maxima too.
 func TestAdamKernelBitwise(t *testing.T) {
 	r := rng.NewFromInt(53)
 	for _, n := range tailLengths {
@@ -175,6 +179,7 @@ func TestAdamKernelBitwise(t *testing.T) {
 	}
 }
 
+// TestAddInPlaceAbsMaxKernelBitwise holds addAbsMaxAVX to its Go loop.
 func TestAddInPlaceAbsMaxKernelBitwise(t *testing.T) {
 	r := rng.NewFromInt(54)
 	for _, n := range tailLengths {
@@ -206,6 +211,7 @@ func TestAddInPlaceAbsMaxKernelBitwise(t *testing.T) {
 	}
 }
 
+// TestScaleKernelBitwise holds scaleAVX to scaleGo.
 func TestScaleKernelBitwise(t *testing.T) {
 	r := rng.NewFromInt(59)
 	for _, n := range tailLengths {

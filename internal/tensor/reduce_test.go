@@ -338,3 +338,49 @@ func TestSumRowsMatchesPlaneLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnsKernelBitwise holds columnsAVX, through its two callers, to the
+// Go loops they replace, bit for bit: sumRows (the rank-2 bias gradient,
+// acc += +0 + x row after row) to sumRowsGo, and MeanPositions (SeqMean's
+// forward, +0 + x·(1/L) position after position) to meanPositionsGo. The
+// widths cover every column group the kernel has — sixteen, four, one — and
+// their mixes; the values carry ±0, Inf and NaNs of two payload sets, the
+// data's and the accumulators', so where two NaNs meet the payload shows
+// which operand the addition took first: the row's term.
+func TestColumnsKernelBitwise(t *testing.T) {
+	r := rng.NewFromInt(43)
+	nan := func(bits uint32) float32 { return math.Float32frombits(bits) }
+	dataSpecials := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)), nan(0x7fc0da7a), nan(0xffc0da7b), 1e30}
+	accSpecials := []float32{float32(math.Copysign(0, -1)), 0, nan(0x7fc0acc1), nan(0xffc0acc2), 2.5}
+	fill := func(s []float32, specials []float32) {
+		for i := range s {
+			s[i] = float32(r.NormFloat64())
+			if r.Intn(4) == 0 {
+				s[i] = specials[r.Intn(len(specials))]
+			}
+		}
+	}
+	for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 17, 20, 33, 36} {
+		for _, rows := range []int{1, 2, 3, 8, 9} {
+			name := fmt.Sprintf("rows=%d cols=%d", rows, cols)
+			data := make([]float32, rows*cols)
+			fill(data, dataSpecials)
+			got, want := make([]float32, cols), make([]float32, cols)
+			fill(got, accSpecials)
+			copy(want, got)
+			sumRows(data, got, rows)
+			sumRowsGo(data, want, rows)
+			sameBits(t, "sumRows "+name, got, want, !raceEnabled)
+
+			for _, blocks := range []int{1, 3} {
+				x := New(blocks, rows, cols)
+				fill(x.Data, dataSpecials)
+				out, wantOut := New(blocks, cols), make([]float32, blocks*cols)
+				out.Fill(nan(0x7fc0dead))
+				MeanPositions(out, x)
+				meanPositionsGo(wantOut, x.Data, blocks, rows, cols, 1/float32(rows))
+				sameBits(t, fmt.Sprintf("MeanPositions blocks=%d %s", blocks, name), out.Data, wantOut, !raceEnabled)
+			}
+		}
+	}
+}

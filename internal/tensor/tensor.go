@@ -117,17 +117,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 }
 
 // SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.Shape) != len(u.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != u.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tensor) SameShape(u *Tensor) bool { return sameDims(t.Shape, u.Shape) }
 
 // Set stores v at the given multi-index.
 func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }

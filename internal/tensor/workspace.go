@@ -26,8 +26,7 @@ import (
 //     array and reslices it; the heap is touched once per key, when a
 //     request first exceeds the capacity.
 //   - Buffer contents are undefined on return from Get; the caller must
-//     overwrite every element (the Into kernels do). GetZeroed clears the
-//     buffer first for accumulation uses.
+//     overwrite every element (the Into kernels do).
 //   - A Workspace is not safe for concurrent use. The replicas of one
 //     engine share their layers' workspaces per lane (train.New,
 //     train.Engine.SetLanes): a lane binds a replica to its own set before
@@ -38,15 +37,18 @@ import (
 //     preserving the original allocation behaviour.
 type Workspace struct {
 	// bufs holds one entry per key in first-use order. A layer's keys are a
-	// handful of string constants (Attention's fifteen are the most in the
-	// zoo), so Get scans them and nothing is hashed. It looks at the
-	// previous hit first (Attention's backward asks for "dw" three times and
-	// "gxt" twice in a row), then scans from next, one past it: a layer asks
+	// handful of string constants (Attention's fourteen are the most in the
+	// zoo, and it looks them up only when it resolves them anew), so Get
+	// scans them and nothing is hashed. It looks at the previous hit first
+	// (a key asked for twice in a row), then scans from next, one past it: a
+	// layer asks
 	// for its keys in the same order every iteration, so in steady state one
 	// of the first two entries looked at is the one wanted, and comparing a
 	// constant with itself is a length and two equal pointers.
 	bufs []wsBuf
 	next int
+	// gen counts the Gets that gave a buffer another shape (Generation).
+	gen uint64
 	// view is the header reshaped hands out: one reusable alias of a
 	// caller's tensor. It is not in bufs, so Reset never poisons through it.
 	view Tensor
@@ -98,13 +100,43 @@ func (ws *Workspace) Get(key string, shape ...int) *Tensor {
 	for _, d := range shape {
 		n *= d
 	}
+	if len(t.Data) == n && sameDims(t.Shape, shape) {
+		return t
+	}
 	if n <= cap(t.Data) {
 		t.Data = t.Data[:n]
 	} else {
 		t.Data = make([]float32, n)
 	}
 	t.Shape = append(t.Shape[:0], shape...)
+	ws.gen++
 	return t
+}
+
+// Generation changes whenever a Get gives one of ws's buffers another shape,
+// and with it maybe another backing array. A layer that resolves its buffers
+// once (nn.Attention) and keeps them, and views into them, across calls may
+// do so only while the generation it resolved them at is current: with the
+// generation unchanged, every key still names the tensor, the shape and the
+// memory it did then. A nil workspace allocates on every Get; its generation
+// is always 0.
+func (ws *Workspace) Generation() uint64 {
+	if ws == nil {
+		return 0
+	}
+	return ws.gen
+}
+
+func sameDims(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // reshaped is t.Reshape(shape...) through the workspace's one reusable
@@ -127,13 +159,6 @@ func (ws *Workspace) reshaped(t *Tensor, shape ...int) *Tensor {
 	ws.view.Shape = append(ws.view.Shape[:0], shape...)
 	ws.view.Data = t.Data
 	return &ws.view
-}
-
-// GetZeroed is Get with the returned buffer cleared to zero.
-func (ws *Workspace) GetZeroed(key string, shape ...int) *Tensor {
-	t := ws.Get(key, shape...)
-	t.Zero()
-	return t
 }
 
 // Reset poisons every cached buffer — its whole capacity, in first-use order

@@ -459,6 +459,34 @@ func BenchmarkKernel_AttentionBackward(b *testing.B) {
 	})
 }
 
+// BenchmarkKernel_SeqMean is the pooling layer's forward (the mean over
+// positions, one column chain per channel on vector lanes) and backward
+// (one scaled row a batch element, copied to every position), and the
+// rank-2 bias gradient the same kernel sums: the column sums of a [B·L, D]
+// output gradient, the position-wise dense layer's at these shapes.
+func BenchmarkKernel_SeqMean(b *testing.B) {
+	b.Run("forward", func(b *testing.B) {
+		benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
+			sm := nn.NewSeqMean()
+			return func() { sm.Forward(trainCtx, x) }
+		})
+	})
+	b.Run("backward", func(b *testing.B) {
+		benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
+			sm := nn.NewSeqMean()
+			g := sm.Forward(trainCtx, x).Clone()
+			return func() { sm.Backward(g) }
+		})
+	})
+	b.Run("biasgrad", func(b *testing.B) {
+		benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
+			rows := x.Reshape(x.Shape[0]*x.Shape[1], x.Shape[2])
+			sums := tensor.New(x.Shape[2])
+			return func() { tensor.SumPerChannelNCHW(rows, sums) }
+		})
+	})
+}
+
 // BenchmarkKernel_AdamStep is one Adam step over the transformer model's
 // parameters, gradients filled once.
 func BenchmarkKernel_AdamStep(b *testing.B) {
