@@ -77,33 +77,36 @@ go test ./...
 
 echo "== portable kernel path (-tags purego: the Go loops the assembly replaces must not rot) =="
 go vet -tags purego ./internal/tensor
-go test -tags purego ./internal/tensor ./internal/nn ./internal/train
+go test -tags purego ./internal/tensor ./internal/nn ./internal/train ./internal/numerics
 go test -count=1 -tags purego -run MatchesMath ./internal/tensor
 
 echo "== no fused multiply-add in the assembly (one rounding instead of two breaks bitwise identity with the Go loops), except math_amd64.s, whose reference math.archExp fuses on FMA hosts: the test below holds its kernels to package math on this host's branch =="
-if grep -nE 'VFN?M(ADD|SUB)' $(ls internal/tensor/*.s | grep -v '/math_amd64\.s$'); then
+if grep -nE 'VFN?M(ADD|SUB)' $(ls internal/*/*.s | grep -v '/math_amd64\.s$'); then
 	echo "fused multiply-add in a kernel" >&2
 	exit 1
 fi
 go test -count=1 -run MatchesMath ./internal/tensor
 
-echo "== kernel ledger gate (every TEXT routine in internal/tensor/*.s is named in a _test.go file of the package, the test that holds it to its Go loop; cpuid and xgetbv, which compute nothing, exempt) =="
+echo "== kernel ledger gate (every TEXT routine in internal/*/*.s is named in a _test.go file of its package, the test that holds it to its Go loop; cpuid and xgetbv, which compute nothing, exempt) =="
 unnamed=""
-for routine in $(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' internal/tensor/*.s); do
-	case "$routine" in
-	cpuid | xgetbv) continue ;;
-	esac
-	if ! grep -qw "$routine" internal/tensor/*_test.go; then
-		unnamed="$unnamed $routine"
-	fi
+for file in internal/*/*.s; do
+	dir=$(dirname "$file")
+	for routine in $(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' "$file"); do
+		case "$routine" in
+		cpuid | xgetbv) continue ;;
+		esac
+		if ! grep -qw "$routine" "$dir"/*_test.go; then
+			unnamed="$unnamed $dir.$routine"
+		fi
+	done
 done
 if [ -n "$unnamed" ]; then
-	echo "assembly routines no test in internal/tensor names:$unnamed" >&2
+	echo "assembly routines no test of their package names:$unnamed" >&2
 	exit 1
 fi
 
 echo "== no 256-bit arithmetic in the assembly (Y-register moves and shuffles are free; Y-register arithmetic — floating-point, compares, logicals, integer maxima — takes the AVX frequency licence) =="
-if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN|OR|XOR)P[SD]|P(MAX|MIN)[SU][BWDQ]|P(AND|ANDN|OR|XOR))[[:space:]].*Y[0-9]' internal/tensor/*.s; then
+if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN|OR|XOR)P[SD]|P(MAX|MIN)[SU][BWDQ]|P(AND|ANDN|OR|XOR))[[:space:]].*Y[0-9]' internal/*/*.s; then
 	echo "256-bit arithmetic in a kernel" >&2
 	exit 1
 fi
@@ -241,7 +244,7 @@ go test -run '^$' -fuzz 'FuzzRepairJournal' -fuzztime 3s ./internal/record
 echo "== retry-budget fuzz smoke (Policy.Arrival against the Retries / Failed AllReduce reports for the armed fault, fuzzer-chosen delay, policy and kind) =="
 go test -run '^$' -fuzz 'FuzzArrivalResolution' -fuzztime 3s ./internal/comm
 
-echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, AddMatMulTA included, against the naive triple loop; seeds on all three sides of the A dispatch: the whole-matrix tile kernel for an A without ±0, the sparse-row kernel for one with three zeros in four or more (one-hot rows in the NN and TA layouts, all-zero rows, a lone non-zero at the first and the last k), gemmRows between; and on both sides of the TB dispatch: the transposed product B×Aᵀ for a dense A where tbTransposesA holds, transpose-B-then-NN otherwise) =="
+echo "== GEMM fuzz smoke (every entry point, fp32 and bf16, AddMatMulTA and AddMatMulTB included, and each element of the batched NN, TA, TB and scaled TB products over three elements, one with a zero, against the naive triple loop; seeds on all three sides of the A dispatch: the whole-matrix tile kernel for an A without ±0, the sparse-row kernel for one with three zeros in four or more (one-hot rows in the NN and TA layouts, all-zero rows, a lone non-zero at the first and the last k), gemmRows between; and on both sides of the TB dispatch: the transposed product B×Aᵀ for a dense A where tbTransposesA holds, transpose-B-then-NN otherwise, Bᵀ on tbTileAVX's frame where it fits) =="
 go test -run '^$' -fuzz 'FuzzGEMMOracle' -fuzztime 3s ./internal/tensor
 
 echo "== lowering fuzz smoke (im2col and col2im against the per-element loops and, at stride 1, the one-call tap kernel against the tap-by-tap loop; fuzzer-chosen geometry and bit patterns, tap sets of 1 to 425 taps) =="
@@ -250,10 +253,10 @@ go test -run '^$' -fuzz 'FuzzLoweringOracle' -fuzztime 3s ./internal/tensor
 echo "== element-wise kernel fuzz smoke (BatchNorm normalize / dx, ReLU forward / backward and the bias add against per-element loops, fuzzer-chosen shape and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzElemOracle' -fuzztime 3s ./internal/tensor
 
-echo "== float64 kernel fuzz smoke (ExpRow, GELUForward with its lanes sorted by tanh branch, and GELUBackward against package math: fuzzer-chosen lengths 0-64 and raw float32 bits, seeds at ±0, subnormals, ±Inf, NaN and tanh's branch points) =="
+echo "== float64 kernel fuzz smoke (expRowAVX and geluForwardAVX, its lanes sorted by tanh branch, in each of math.archExp's branches against Go ports of that branch, ExpRow, GELUForward and GELUBackward against package math: fuzzer-chosen lengths 0-64 and raw float32 bits, seeds at ±0, subnormals, ±Inf, NaN and tanh's branch points) =="
 go test -run '^$' -fuzz 'FuzzMathOracle' -fuzztime 3s ./internal/tensor
 
-echo "== reduction fuzz smoke (AbsMax, Sum and AddInPlaceAbsMax against per-element loops, fuzzer-chosen length and bit patterns) =="
+echo "== reduction fuzz smoke (AbsMax, Sum, AddInPlaceAbsMax and FirstNonFinite, numerics.HasNonFinite's kernel, against per-element loops, fuzzer-chosen length and bit patterns) =="
 go test -run '^$' -fuzz 'FuzzReduceOracle' -fuzztime 3s ./internal/tensor
 
 echo "== SIGKILL crash loop (repeated kill -9 mid-campaign, -resume -repair-journal must converge byte for byte) =="

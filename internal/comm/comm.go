@@ -49,7 +49,11 @@ func DefaultPolicy() Policy {
 	return Policy{TimeoutTicks: 100, MaxRetries: 3, BackoffTicks: 50}
 }
 
-// ReduceStep reports one AllReduce call.
+// ReduceStep reports one AllReduce call. Its slices are the Group's own
+// buffers, valid until the Group's next AllReduce: the engine keeps the
+// latest report (train.Engine.LastReduce) and the checks read it within
+// the step (detect.GroupCheck, recovery.GroupGuard); whoever needs a list
+// longer copies it (train.IterStats.DevicesFailed).
 type ReduceStep struct {
 	// Iteration is the global training iteration of the step.
 	Iteration int
@@ -97,6 +101,13 @@ type Group struct {
 	// batch partition: AllReduce then weights each contribution by
 	// count/total instead of the uniform 1/len(arrived). See SetShards.
 	shards []int
+
+	// arrived, failed, sigs and sigBuf back the latest ReduceStep's
+	// Arrived, Failed and Sigs (one row of n floats per tensor), so a
+	// steady-state AllReduce allocates nothing.
+	arrived, failed []int
+	sigs            [][]float32
+	sigBuf          []float32
 }
 
 // NewGroup creates a fully healthy group of n devices with DefaultPolicy.
@@ -109,6 +120,8 @@ func NewGroup(n int) *Group {
 		policy:      DefaultPolicy(),
 		quarantined: make([]bool, n),
 		faults:      make([]*fault.DeviceFault, n),
+		arrived:     make([]int, 0, n),
+		failed:      make([]int, 0, n),
 	}
 }
 
@@ -248,13 +261,14 @@ func (g *Group) arrival(d, iter int) (delay int, sent bool) {
 
 // AllReduce averages the per-device gradient contributions grads[d] (one
 // tensor slice per device, congruent shapes) into the root device's
-// tensors and reports what happened. Quarantined devices are skipped;
+// tensors and reports what happened (in the Group's buffers, see
+// ReduceStep). Quarantined devices are skipped;
 // armed faults delay, drop, or corrupt contributions. The reduction is
 // deterministic: contributions accumulate in ascending device order into
 // the lowest arriving device, then scale by 1/len(arrived). On Hang no
 // tensor is mutated.
 func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
-	step := ReduceStep{Iteration: iter, Root: -1, Arrived: make([]int, 0, g.n)}
+	step := ReduceStep{Iteration: iter, Root: -1, Arrived: g.arrived[:0]}
 
 	// Arrival phase: each missing contribution is retried with linear
 	// backoff until it lands inside the budget or retries are exhausted.
@@ -265,6 +279,9 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 		attempts, arrives := g.policy.Arrival(g.arrival(d, iter))
 		step.Retries += attempts
 		if !arrives {
+			if step.Failed == nil {
+				step.Failed = g.failed[:0]
+			}
 			step.Failed = append(step.Failed, d)
 			continue
 		}
@@ -289,7 +306,7 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 	root := step.Arrived[0]
 	step.Root = root
 	if g.collectSigs {
-		step.Sigs = make([][]float32, len(grads[root]))
+		step.Sigs = g.sigRows(len(grads[root]))
 	}
 
 	// Elastic weighted mode: pre-scale each arrived contribution by its
@@ -315,12 +332,12 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 	inv := 1 / float32(len(step.Arrived))
 	for pi, acc := range grads[root] {
 		if g.collectSigs {
-			sig := make([]float32, g.n)
+			sig := step.Sigs[pi]
+			clear(sig)
 			sig[root] = acc.AbsMax()
 			for _, d := range step.Arrived[1:] {
 				sig[d] = acc.AddInPlaceAbsMax(grads[d][pi])
 			}
-			step.Sigs[pi] = sig
 		} else {
 			for _, d := range step.Arrived[1:] {
 				acc.AddInPlace(grads[d][pi])
@@ -331,4 +348,18 @@ func (g *Group) AllReduce(iter int, grads [][]*tensor.Tensor) ReduceStep {
 		}
 	}
 	return step
+}
+
+// sigRows returns the Group's rows of signatures for tensors tensors, n
+// floats each, grown only past the largest count seen.
+func (g *Group) sigRows(tensors int) [][]float32 {
+	if len(g.sigBuf) < tensors*g.n {
+		g.sigBuf = make([]float32, tensors*g.n)
+		g.sigs = make([][]float32, tensors)
+	}
+	rows := g.sigs[:tensors]
+	for pi := range rows {
+		rows[pi] = g.sigBuf[pi*g.n : (pi+1)*g.n]
+	}
+	return rows
 }

@@ -122,10 +122,13 @@ func (s *SeqMean) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // are one GEMM each over the whole batch as a [B·L, ·] matrix: rows of a GEMM are
 // independent, so each batch element's rows come out as they would from a
 // GEMM of its own. S, the softmax, O and their gradients couple only the rows
-// of one batch element and run per element on row blocks of the whole-batch
-// matrices. The weight gradients sum over the batch, and are accumulated one
-// batch element at a time in index order: one GEMM over B·L rows would add the
-// same terms in another order.
+// of one batch element: each product kind is one batched call over the B row
+// blocks of the whole-batch matrices (tensor.MatMulBatchInto and its TA and
+// TB forms), each element's product its own, and the softmax and its
+// backward one call over all B·L rows. The weight gradients sum over the
+// batch, and are accumulated one batch element at a time in index order
+// (tensor.AddMatMulTABatch): one GEMM over B·L rows would add the same terms
+// in another order.
 type Attention struct {
 	name           string
 	Wq, Wk, Wv, Wo *Param
@@ -148,9 +151,8 @@ type Attention struct {
 
 // attnBufs is the attention layer's workspace buffers, each looked up by key
 // once per (B, L, D) and workspace (Attention.bind), with the headers that
-// view them: the whole-batch matrices and each batch element's row blocks. A
-// key is shared by buffers that are never alive together: "s" is S in Forward
-// and dA in Backward, "gxt" the two later terms of dx.
+// view whole-batch data as [B·L, D] matrices. "s" is S in Forward and dA in
+// Backward, which are never alive together.
 type attnBufs struct {
 	ws      *tensor.Workspace
 	gen     uint64
@@ -158,15 +160,8 @@ type attnBufs struct {
 
 	q, k, v, a, o, out    *tensor.Tensor
 	gO, gQ, gK, gV, s, gS *tensor.Tensor
-	dx, gxt               *tensor.Tensor
+	dx                    *tensor.Tensor
 	xv, gv, outv, dxv     tensor.Tensor // x, dY, the output and dx as [B·L, D]
-	xb, gy                tensor.Tensor // a batch element's rows of x and dY
-	blocks                []attnBlocks  // B of them in use
-}
-
-// attnBlocks is one batch element's L rows of the whole-batch matrices.
-type attnBlocks struct {
-	q, k, v, a, o, gO, gQ, gK, gV tensor.Tensor
 }
 
 // NewAttention creates a self-attention layer with model dim d and head dim
@@ -217,44 +212,23 @@ func (at *Attention) bind(b, l, d int) *attnBufs {
 	}
 	dk := at.Dk
 	bf.q, bf.k, bf.v = ws.Get("q", b*l, dk), ws.Get("k", b*l, dk), ws.Get("v", b*l, dk)
-	bf.a, bf.o, bf.s = ws.Get("a", b*l, l), ws.Get("o", b*l, dk), ws.Get("s", l, l)
+	bf.a, bf.o, bf.s = ws.Get("a", b*l, l), ws.Get("o", b*l, dk), ws.Get("s", b*l, l)
 	bf.out = ws.Get("out", b, l, d)
 	bf.gO = ws.Get("go", b*l, dk)
 	bf.gQ, bf.gK, bf.gV = ws.Get("gq", b*l, dk), ws.Get("gk", b*l, dk), ws.Get("gv", b*l, dk)
-	bf.gS = ws.Get("gs", l, l)
-	bf.dx, bf.gxt = ws.Get("dx", b, l, d), ws.Get("gxt", b*l, d)
+	bf.gS = ws.Get("gs", b*l, l)
+	bf.dx = ws.Get("dx", b, l, d)
 	viewAs(&bf.outv, bf.out.Data, b*l, d)
 	viewAs(&bf.dxv, bf.dx.Data, b*l, d)
 	bf.xv.Shape = append(bf.xv.Shape[:0], b*l, d)
 	bf.gv.Shape = append(bf.gv.Shape[:0], b*l, d)
-	bf.xb.Shape = append(bf.xb.Shape[:0], l, d)
-	bf.gy.Shape = append(bf.gy.Shape[:0], l, d)
-	if cap(bf.blocks) < b {
-		bf.blocks = append(bf.blocks[:cap(bf.blocks)], make([]attnBlocks, b-cap(bf.blocks))...)
-	}
-	bf.blocks = bf.blocks[:b]
-	for i := range bf.blocks {
-		e, lo := &bf.blocks[i], i*l
-		rowBlock(&e.q, bf.q, lo, l)
-		rowBlock(&e.k, bf.k, lo, l)
-		rowBlock(&e.v, bf.v, lo, l)
-		rowBlock(&e.a, bf.a, lo, l)
-		rowBlock(&e.o, bf.o, lo, l)
-		rowBlock(&e.gO, bf.gO, lo, l)
-		rowBlock(&e.gQ, bf.gQ, lo, l)
-		rowBlock(&e.gK, bf.gK, lo, l)
-		rowBlock(&e.gV, bf.gV, lo, l)
-	}
 	at.expRow = float64Scratch(at.expRow, l)
 	bf.ws, bf.gen, bf.b, bf.l, bf.d = ws, ws.Generation(), b, l, d
 	return bf
 }
 
-// rowBlock points v at rows [lo, lo+n) of the matrix t, in t's columns.
-func rowBlock(v, t *tensor.Tensor, lo, n int) {
-	cols := t.Shape[len(t.Shape)-1]
-	viewAs(v, t.Data[lo*cols:(lo+n)*cols], n, cols)
-}
+// scale is the scores' factor 1/√Dk.
+func (at *Attention) scale() float32 { return float32(1 / math.Sqrt(float64(at.Dk))) }
 
 // Forward implements Layer.
 func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
@@ -265,108 +239,55 @@ func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulInto(bf.q, &bf.xv, at.Wq.Value, mixed)
 	tensor.MatMulInto(bf.k, &bf.xv, at.Wk.Value, mixed)
 	tensor.MatMulInto(bf.v, &bf.xv, at.Wv.Value, mixed)
-	scale := float32(1 / math.Sqrt(float64(at.Dk)))
-	for i := range bf.blocks {
-		e := &bf.blocks[i]
-		tensor.MatMulTBInto(bf.s, &e.q, &e.k, mixed)
-		bf.s.Scale(scale)
-		softmaxRowsInto(&e.a, bf.s, at.expRow)
-		tensor.MatMulInto(&e.o, &e.a, &e.v, mixed)
-	}
+	tensor.MatMulTBBatchInto(bf.s, bf.q, bf.k, bf.b, at.scale(), mixed)
+	softmaxRowsInto(bf.a, bf.s, at.expRow)
+	tensor.MatMulBatchInto(bf.o, bf.a, bf.v, bf.b, mixed)
 	tensor.MatMulInto(&bf.outv, bf.o, at.Wo.Value, mixed)
 	return bf.out
 }
 
 // Backward implements Layer. The transposed products go through the
-// fused-transpose kernels (Aᵀ×B and A×Bᵀ), so no transpose is materialized.
+// fused-transpose kernels (Aᵀ×B and A×Bᵀ), so no transpose is materialized
+// here.
 func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradLen(at.name, gradOut, at.lastX)
-	bf, mixed, x := &at.buf, at.Mixed, at.lastX
-	rowLen := bf.l * bf.d
-	scale := float32(1 / math.Sqrt(float64(at.Dk)))
+	bf, mixed, b := &at.buf, at.Mixed, at.buf.b
+	bf.xv.Data, bf.gv.Data = at.lastX.Data, gradOut.Data
 
 	// Y = O·Wo
-	bf.gv.Data = gradOut.Data
 	tensor.MatMulTBInto(bf.gO, &bf.gv, at.Wo.Value, mixed)
-	gA, gS := bf.s, bf.gS
-	for i := range bf.blocks {
-		e := &bf.blocks[i]
-		xb, gy := &bf.xb, &bf.gy
-		xb.Data, gy.Data = x.Data[i*rowLen:(i+1)*rowLen], gradOut.Data[i*rowLen:(i+1)*rowLen]
+	tensor.AddMatMulTABatch(at.Wo.Grad, bf.o, &bf.gv, b, mixed)
 
-		tensor.AddMatMulTA(at.Wo.Grad, &e.o, gy, mixed)
+	// O = A·V
+	gA := bf.s
+	tensor.MatMulTBBatchInto(gA, bf.gO, bf.v, b, 1, mixed)
+	tensor.MatMulTABatchInto(bf.gV, bf.a, bf.gO, b, mixed)
 
-		// O = A·V
-		tensor.MatMulTBInto(gA, &e.gO, &e.v, mixed)
-		tensor.MatMulTAInto(&e.gV, &e.a, &e.gO, mixed)
+	// A = softmax(S) rows: dS = A ⊙ (dA − rowsum(dA⊙A)), then the 1/√Dk of S
+	tensor.SoftmaxRowsBackward(bf.gS.Data, bf.a.Data, gA.Data, bf.l, at.scale())
 
-		// A = softmax(S) rows: dS = A ⊙ (dA − rowsum(dA⊙A))
-		softmaxRowsBackwardInto(gS, &e.a, gA)
-		gS.Scale(scale)
+	// S = Q·Kᵀ
+	tensor.MatMulBatchInto(bf.gQ, bf.gS, bf.k, b, mixed)
+	tensor.MatMulTABatchInto(bf.gK, bf.gS, bf.q, b, mixed)
 
-		// S = Q·Kᵀ
-		tensor.MatMulInto(&e.gQ, gS, &e.k, mixed)
-		tensor.MatMulTAInto(&e.gK, gS, &e.q, mixed)
+	tensor.AddMatMulTABatch(at.Wq.Grad, &bf.xv, bf.gQ, b, mixed)
+	tensor.AddMatMulTABatch(at.Wk.Grad, &bf.xv, bf.gK, b, mixed)
+	tensor.AddMatMulTABatch(at.Wv.Grad, &bf.xv, bf.gV, b, mixed)
 
-		tensor.AddMatMulTA(at.Wq.Grad, xb, &e.gQ, mixed)
-		tensor.AddMatMulTA(at.Wk.Grad, xb, &e.gK, mixed)
-		tensor.AddMatMulTA(at.Wv.Grad, xb, &e.gV, mixed)
-	}
-
-	// Q = X·Wq, K = X·Wk, V = X·Wv: dx is the three terms added in this order.
-	gx := tensor.MatMulTBInto(&bf.dxv, bf.gQ, at.Wq.Value, mixed)
-	gx.AddInPlace(tensor.MatMulTBInto(bf.gxt, bf.gK, at.Wk.Value, mixed))
-	gx.AddInPlace(tensor.MatMulTBInto(bf.gxt, bf.gV, at.Wv.Value, mixed))
+	// Q = X·Wq, K = X·Wk, V = X·Wv: dx is the three terms added in this
+	// order, the later two as their tiles are stored.
+	tensor.MatMulTBInto(&bf.dxv, bf.gQ, at.Wq.Value, mixed)
+	tensor.AddMatMulTB(&bf.dxv, bf.gK, at.Wk.Value, mixed)
+	tensor.AddMatMulTB(&bf.dxv, bf.gV, at.Wv.Value, mixed)
 	return bf.dx
 }
 
 // softmaxRowsInto writes the numerically stable softmax of each row of the
-// 2-D tensor s into out (every element is overwritten) and returns out. e is
-// a row's worth of float64 scratch for its exponentials (tensor.ExpRow); the
-// row's maximum, the ascending float64 sum and the float32 scale are this
-// loop's.
+// 2-D tensor s into out (every element is overwritten) and returns out, all
+// rows in one tensor.SoftmaxRows call; e is a row's worth of float64
+// scratch for its exponentials.
 func softmaxRowsInto(out, s *tensor.Tensor, e []float64) *tensor.Tensor {
-	rows, cols := s.Shape[0], s.Shape[1]
-	e = e[:cols]
-	for i := 0; i < rows; i++ {
-		row := s.Data[i*cols : (i+1)*cols]
-		maxV := row[0]
-		for _, v := range row {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		tensor.ExpRow(e, row, maxV)
-		var sum float64
-		orow := out.Data[i*cols : (i+1)*cols]
-		for j, v := range e {
-			orow[j] = float32(v)
-			sum += v
-		}
-		inv := float32(1 / sum)
-		for j := range orow {
-			orow[j] *= inv
-		}
-	}
-	return out
-}
-
-// softmaxRowsBackwardInto computes dS given A=softmax(S) and dA, per row,
-// into out (every element is overwritten) and returns out.
-func softmaxRowsBackwardInto(out, a, gA *tensor.Tensor) *tensor.Tensor {
-	rows, cols := a.Shape[0], a.Shape[1]
-	for i := 0; i < rows; i++ {
-		arow := a.Data[i*cols : (i+1)*cols]
-		grow := gA.Data[i*cols : (i+1)*cols]
-		var dot float32
-		for j := range arow {
-			dot += arow[j] * grow[j]
-		}
-		orow := out.Data[i*cols : (i+1)*cols]
-		for j := range arow {
-			orow[j] = arow[j] * (grow[j] - dot)
-		}
-	}
+	tensor.SoftmaxRows(out.Data, s.Data, s.Shape[1], e)
 	return out
 }
 

@@ -339,3 +339,24 @@ func TestSeqBackwardChecksGradient(t *testing.T) {
 		l.Backward(tensor.New(c.grad...)) // the right count still passes
 	}
 }
+
+// softmaxRowsBackwardInto is the softmax's backward as the attention layer
+// ran it per batch element before tensor.SoftmaxRowsBackward took every row
+// and the score scaling in one call: dS = A ⊙ (dA − rowsum(dA⊙A)) per row
+// into out, unscaled. The references of act_test.go scale it after.
+func softmaxRowsBackwardInto(out, a, gA *tensor.Tensor) *tensor.Tensor {
+	rows, cols := a.Shape[0], a.Shape[1]
+	for i := 0; i < rows; i++ {
+		arow := a.Data[i*cols : (i+1)*cols]
+		grow := gA.Data[i*cols : (i+1)*cols]
+		var dot float32
+		for j := range arow {
+			dot += arow[j] * grow[j]
+		}
+		orow := out.Data[i*cols : (i+1)*cols]
+		for j := range arow {
+			orow[j] = arow[j] * (grow[j] - dot)
+		}
+	}
+	return out
+}

@@ -1,6 +1,7 @@
 package numerics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,43 @@ func TestHasNonFinite(t *testing.T) {
 	}
 	if got := HasNonFinite(nil); got != -1 {
 		t.Errorf("HasNonFinite(nil) = %d", got)
+	}
+}
+
+// TestHasNonFiniteKernel holds firstNonFinite to hasNonFiniteGo on every
+// length 0 to 17 (the eight-float step, the four-float step and single
+// floats in every mix) and 576 (the conv weight gradient): finite runs of
+// ±0, subnormals and the largest finite magnitudes, which share bits with a
+// non-finite value but not all eight exponent bits; then a NaN (quiet,
+// signaling, negative) or an infinity of either sign at each position in
+// turn, alone and with a second one behind it.
+func TestHasNonFiniteKernel(t *testing.T) {
+	finite := []uint32{0, 0x80000000, 0x00000001, 0x807fffff, 0x7f7fffff, 0xff7fffff, 0x3f800000, 0x00800000}
+	bad := []uint32{0x7fc00000, 0x7f800001, 0xffc0beef, 0x7f800000, 0xff800000}
+	for _, n := range append([]int{576}, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17) {
+		xs := make([]float32, n)
+		fill := func() {
+			for i := range xs {
+				xs[i] = math.Float32frombits(finite[(i*3+n)%len(finite)])
+			}
+		}
+		check := func(what string) {
+			t.Helper()
+			if got, want := HasNonFinite(xs), hasNonFiniteGo(xs); got != want {
+				t.Fatalf("length %d, %s: %d, the loop gives %d", n, what, got, want)
+			}
+		}
+		fill()
+		check("all finite")
+		for i := 0; i < n; i++ {
+			for j, b := range bad {
+				fill()
+				xs[i] = math.Float32frombits(b)
+				check(fmt.Sprintf("%#08x at %d", b, i))
+				xs[(i+1+j)%n] = math.Float32frombits(bad[(j+1)%len(bad)])
+				check(fmt.Sprintf("%#08x at %d and another at %d", b, i, (i+1+j)%n))
+			}
+		}
 	}
 }
 

@@ -1113,3 +1113,65 @@ TEXT ·columnsAVX(SB), NOSPLIT, $0-45
 sumCols:
 	COLUMNS(VADDPS, VADDSS, LOAD16, LOAD4, LOAD1, sumBlock, sum16, sumRow16, sum4, sumRow4, sum1, sumRow1, sumNext)
 	RET
+
+// func softmaxBackwardAVX(out, a, dy *float32, rows, cols int, s float32)
+//
+// SoftmaxRowsBackward over rows rows of cols floats (both positive), the
+// operand orders of softmaxBackwardGo's compile: per row, dot = dot + a·g
+// from +0, one element at a time in ascending order, a the first source of
+// the product and dot of the sum; then, four elements at a time and one at a
+// time for the last cols mod 4, out = ((g − dot)·a)·s, each product's first
+// source the value on its left. g is at dy (g names a register here).
+TEXT ·softmaxBackwardAVX(SB), NOSPLIT, $0-44
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ dy+16(FP), DX
+	MOVQ rows+24(FP), R8
+	MOVQ cols+32(FP), R9
+	VBROADCASTSS s+40(FP), X7
+	MOVQ R9, R10
+	ANDQ $-4, R10
+
+sbRow:
+	VXORPS X0, X0, X0
+	XORQ AX, AX
+
+sbDot:
+	VMOVSS (SI)(AX*4), X1
+	VMULSS (DX)(AX*4), X1, X1
+	VADDSS X1, X0, X0
+	INCQ AX
+	CMPQ AX, R9
+	JLT  sbDot
+	VSHUFPS $0, X0, X0, X0
+	XORQ AX, AX
+
+sbVec:
+	CMPQ AX, R10
+	JGE  sbTail
+	VMOVUPS (DX)(AX*4), X1
+	VSUBPS X0, X1, X1
+	VMULPS (SI)(AX*4), X1, X1
+	VMULPS X7, X1, X1
+	VMOVUPS X1, (DI)(AX*4)
+	ADDQ $4, AX
+	JMP  sbVec
+
+sbTail:
+	CMPQ AX, R9
+	JGE  sbNext
+	VMOVSS (DX)(AX*4), X1
+	VSUBSS X0, X1, X1
+	VMULSS (SI)(AX*4), X1, X1
+	VMULSS X7, X1, X1
+	VMOVSS X1, (DI)(AX*4)
+	INCQ AX
+	JMP  sbTail
+
+sbNext:
+	LEAQ (SI)(R9*4), SI
+	LEAQ (DX)(R9*4), DX
+	LEAQ (DI)(R9*4), DI
+	DECQ R8
+	JNZ  sbRow
+	RET

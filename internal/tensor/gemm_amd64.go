@@ -29,12 +29,13 @@ func detectAVX() bool {
 }
 
 // gemmTileAVX computes the m×n C = A×B, c[i*n+j] = Σ a[i*aRow+kk*aK] *
-// b[kk*n+j] over kk < k ascending, each element from where start says, with
-// no skip rule, each product b*a or, with aFirst, a*b. It takes addresses,
-// not slices: gemmTile is the only caller and checks the three extents first.
+// b[kk*n+j] over kk < k ascending, each element from where start says and
+// landed as it says (s is tileScaled's factor), with no skip rule, each
+// product b*a or, with aFirst, a*b. It takes addresses, not slices: its
+// callers (gemmTile, gemmBatch) check the three extents first.
 //
 //go:noescape
-func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool)
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool, s float32)
 
 // gemmSparseAVX accumulates C += A×B row by row, each row's non-zero a in
 // ascending k, as gemmRows' mixed steps do. Its extents are gemmTile's,
@@ -62,19 +63,12 @@ func denseRun4AVX(a *float32, kLen, aRow, aK int) int
 //go:noescape
 func axpy1AVX(c, b []float32, a float32)
 
-// transposeStrip8AVX transposes eight source rows: src starts at row i of a
-// [rows,cols] matrix and dst at column i of its [cols,rows] transpose. Only
-// the first cols&^7 columns are written. Neither slice is bounds-checked.
+// transposeAVX writes the transposes of blocks consecutive [rows,cols]
+// matrices at src, each [cols,rows], consecutively at dst. Every count is
+// positive; transposeBlocks checks that and both extents.
 //
 //go:noescape
-func transposeStrip8AVX(dst, src []float32, rows, cols int)
-
-// transposeStrip4AVX transposes blocks 4x4 blocks of four source rows: src
-// starts at (i, j) of a [rows,cols] matrix and dst at (j, i) of its
-// [cols,rows] transpose. Neither slice is bounds-checked.
-//
-//go:noescape
-func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int)
+func transposeAVX(dst, src *float32, rows, cols, blocks int)
 
 // blockTapsAVX copies (add false) or accumulates dst = dst + src (add true)
 // over c·kh·kw taps of n blocks of rows×cols floats, taps in ascending
@@ -193,3 +187,23 @@ func addAbsMaxAVX(t, u *float32, n int) uint32
 //
 //go:noescape
 func scaleAVX(t *float32, s float32, n int)
+
+// softmaxRowsAVX runs SoftmaxRows over rows rows of cols floats at s into
+// out, e scratch of cols float64s, and stops before the first row with an
+// exponential argument outside the exp kernel's range; it returns the rows
+// written.
+//
+//go:noescape
+func softmaxRowsAVX(out *float32, e *float64, s *float32, rows, cols int, fma bool) int
+
+// softmaxBackwardAVX runs SoftmaxRowsBackward over rows rows of cols floats.
+//
+//go:noescape
+func softmaxBackwardAVX(out, a, dy *float32, rows, cols int, s float32)
+
+// tbTileAVX computes batch A×Bᵀ products of a dense A on the tile kernel,
+// each element's Bᵀ transposed into the kernel's own stack frame (at most
+// tbPanel floats). Its callers check the extents; see gemm_amd64.s.
+//
+//go:noescape
+func tbTileAVX(c, b, a *float32, m, n, k, batch int, start tileStart, s float32)

@@ -1,5 +1,6 @@
 //go:build amd64 && !purego
 
+#include "funcdata.h"
 #include "textflag.h"
 
 // AVX micro-kernels for the fp32 GEMM inner loops (see gemm_amd64.go).
@@ -101,7 +102,7 @@
 	ADDQ R10, R11; \
 	DECQ R13
 
-// func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool)
+// func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool, s float32)
 //
 // A whole m×n C (row length n) in one call:
 //
@@ -112,7 +113,9 @@
 // (2) the chain starts from +0 and the tile stores c + chain, c the first
 // source of the addition (AddInPlace's order): every element of the tile is
 // loaded and added before the first store, so a repeated row (below) adds
-// its chain to the c it found, once. The rows are walked in blocks
+// its chain to the c it found, once. With tileScaled (3) the chain starts
+// from +0 and the tile stores chain·s, the chain the first source (Scale's
+// order): one rounding more, the one Scale would make. The rows are walked in blocks
 // of four, then a block of two and a block of one for what is left. A block
 // always fills the four accumulator rows: in a block of two, rows 2 and 3
 // repeat rows 0 and 1, in a block of one all four are row 0 (their row
@@ -142,7 +145,7 @@
 // X(2r+1)), X8/X9 the two B vectors of the k-step, X10/X13 the broadcast a
 // of alternating rows, X11/X12/X14/X15 the products. The frame holds the
 // rows left after the block and the next block's row 0 in a.
-TEXT ·gemmTileAVX(SB), NOSPLIT, $16-66
+TEXT ·gemmTileAVX(SB), NOSPLIT, $16-72
 	MOVQ c+0(FP), DI
 	MOVQ a+16(FP), DX
 	MOVQ n+32(FP), R12
@@ -235,7 +238,21 @@ k8:
 
 store8:
 	CMPB start+64(FP), $2
+	JEQ  add8
+	CMPB start+64(FP), $3
 	JNE  put8
+	VBROADCASTSS s+68(FP), X8
+	VMULPS X8, X0, X0
+	VMULPS X8, X1, X1
+	VMULPS X8, X2, X2
+	VMULPS X8, X3, X3
+	VMULPS X8, X4, X4
+	VMULPS X8, X5, X5
+	VMULPS X8, X6, X6
+	VMULPS X8, X7, X7
+	JMP  put8
+
+add8:
 	LEAQ (DI)(R8*1), AX
 	VMOVUPS (DI), X8
 	VMOVUPS 16(DI), X9
@@ -303,7 +320,17 @@ k4:
 
 store4:
 	CMPB start+64(FP), $2
+	JEQ  add4
+	CMPB start+64(FP), $3
 	JNE  put4
+	VBROADCASTSS s+68(FP), X8
+	VMULPS X8, X0, X0
+	VMULPS X8, X2, X2
+	VMULPS X8, X4, X4
+	VMULPS X8, X6, X6
+	JMP  put4
+
+add4:
 	LEAQ (DI)(R8*1), AX
 	VMOVUPS (DI), X8
 	VMOVUPS (DI)(R14*1), X10
@@ -358,7 +385,17 @@ k1:
 
 store1:
 	CMPB start+64(FP), $2
+	JEQ  add1
+	CMPB start+64(FP), $3
 	JNE  put1
+	VMOVSS s+68(FP), X8
+	VMULSS X8, X0, X0
+	VMULSS X8, X2, X2
+	VMULSS X8, X4, X4
+	VMULSS X8, X6, X6
+	JMP  put1
+
+add1:
 	LEAQ (DI)(R8*1), AX
 	VMOVSS (DI), X8
 	VMOVSS (DI)(R14*1), X10
@@ -406,6 +443,80 @@ k1ab:
 	K1(AB)
 	JNZ  k1ab
 	JMP  store1
+
+// func tbTileAVX(c, b, a *float32, m, n, k, batch int, start tileStart, s float32)
+//
+// batch A×Bᵀ products, element e's from the e-th [m,k] block of a and the
+// e-th [n,k] block of b into the e-th [m,n] block of c, landed as start says
+// (tileAddToC at batch 1 only): for each element, one transposeAVX call
+// writes Bᵀ [k,n] into this function's own frame, which nothing clears (at
+// most tbPanel = 256 floats, k·n), and one gemmTileAVX call runs A's rows
+// against it, aRow = k, aK = 1, products b*a — MatMul(a, bᵀ) on the tile
+// kernel, as gemmTBAVX computes it, with no scratch from anywhere else. A
+// must hold no ±0; m, n, k and batch are positive.
+//
+// Both callees are NOSPLIT leaves, so nothing scans this frame while they
+// run; it holds no pointers the collector needs (the outgoing arguments
+// point into the stack or at the caller's operands, which the caller keeps).
+// Frame: the callees' arguments at 0(SP) (72 bytes), the panel at 80(SP),
+// the element at e-8(SP).
+TEXT ·tbTileAVX(SB), 0, $1120-64
+	NO_LOCAL_POINTERS
+	MOVQ $0, e-8(SP)
+
+tbNext:
+	MOVQ e-8(SP), AX
+	CMPQ AX, batch+48(FP)
+	JGE  tbDone
+	MOVQ n+32(FP), CX
+	IMULQ k+40(FP), CX
+	IMULQ AX, CX
+	MOVQ b+8(FP), SI
+	LEAQ (SI)(CX*4), SI
+	LEAQ 80(SP), DI
+	MOVQ DI, 0(SP)
+	MOVQ SI, 8(SP)
+	MOVQ n+32(FP), CX
+	MOVQ CX, 16(SP)
+	MOVQ k+40(FP), CX
+	MOVQ CX, 24(SP)
+	MOVQ $1, 32(SP)
+	CALL ·transposeAVX(SB)
+
+	MOVQ e-8(SP), AX
+	MOVQ m+24(FP), CX
+	IMULQ n+32(FP), CX
+	IMULQ AX, CX
+	MOVQ c+0(FP), DI
+	LEAQ (DI)(CX*4), DI
+	MOVQ DI, 0(SP)
+	LEAQ 80(SP), DI
+	MOVQ DI, 8(SP)
+	MOVQ m+24(FP), CX
+	IMULQ k+40(FP), CX
+	IMULQ AX, CX
+	MOVQ a+16(FP), DI
+	LEAQ (DI)(CX*4), DI
+	MOVQ DI, 16(SP)
+	MOVQ m+24(FP), CX
+	MOVQ CX, 24(SP)
+	MOVQ n+32(FP), CX
+	MOVQ CX, 32(SP)
+	MOVQ k+40(FP), CX
+	MOVQ CX, 40(SP)
+	MOVQ CX, 48(SP)
+	MOVQ $1, 56(SP)
+	MOVBLZX start+56(FP), CX
+	MOVB CX, 64(SP)
+	MOVB $0, 65(SP)
+	MOVL s+60(FP), CX
+	MOVL CX, 68(SP)
+	CALL ·gemmTileAVX(SB)
+	INCQ e-8(SP)
+	JMP  tbNext
+
+tbDone:
+	RET
 
 // func zerosAVX(a *float32, n int) int
 //
@@ -738,117 +849,204 @@ sparseNextChunk:
 	JNZ  sparseRow
 	RET
 
-// func transposeStrip8AVX(dst, src []float32, rows, cols int)
+// TRANS8 transposes the 8x8 block at BX (source rows R10 bytes apart, R12
+// three of them) to DX (destination rows R11 bytes apart, R13 three of
+// them): 32-bit then 64-bit interleaves within the 128-bit lanes, then a
+// lane exchange. R14 is clobbered.
+#define TRANS8 \
+	LEAQ (BX)(R10*4), R14; \
+	VMOVUPS (BX), Y0; \
+	VMOVUPS (BX)(R10*1), Y1; \
+	VMOVUPS (BX)(R10*2), Y2; \
+	VMOVUPS (BX)(R12*1), Y3; \
+	VMOVUPS (R14), Y4; \
+	VMOVUPS (R14)(R10*1), Y5; \
+	VMOVUPS (R14)(R10*2), Y6; \
+	VMOVUPS (R14)(R12*1), Y7; \
+	VUNPCKLPS Y1, Y0, Y8; \
+	VUNPCKHPS Y1, Y0, Y9; \
+	VUNPCKLPS Y3, Y2, Y10; \
+	VUNPCKHPS Y3, Y2, Y11; \
+	VUNPCKLPS Y5, Y4, Y12; \
+	VUNPCKHPS Y5, Y4, Y13; \
+	VUNPCKLPS Y7, Y6, Y14; \
+	VUNPCKHPS Y7, Y6, Y15; \
+	VUNPCKLPD Y10, Y8, Y0; \
+	VUNPCKHPD Y10, Y8, Y1; \
+	VUNPCKLPD Y11, Y9, Y2; \
+	VUNPCKHPD Y11, Y9, Y3; \
+	VUNPCKLPD Y14, Y12, Y4; \
+	VUNPCKHPD Y14, Y12, Y5; \
+	VUNPCKLPD Y15, Y13, Y6; \
+	VUNPCKHPD Y15, Y13, Y7; \
+	VPERM2F128 $0x20, Y4, Y0, Y8; \
+	VPERM2F128 $0x20, Y5, Y1, Y9; \
+	VPERM2F128 $0x20, Y6, Y2, Y10; \
+	VPERM2F128 $0x20, Y7, Y3, Y11; \
+	VPERM2F128 $0x31, Y4, Y0, Y12; \
+	VPERM2F128 $0x31, Y5, Y1, Y13; \
+	VPERM2F128 $0x31, Y6, Y2, Y14; \
+	VPERM2F128 $0x31, Y7, Y3, Y15; \
+	LEAQ (DX)(R11*4), R14; \
+	VMOVUPS Y8, (DX); \
+	VMOVUPS Y9, (DX)(R11*1); \
+	VMOVUPS Y10, (DX)(R11*2); \
+	VMOVUPS Y11, (DX)(R13*1); \
+	VMOVUPS Y12, (R14); \
+	VMOVUPS Y13, (R14)(R11*1); \
+	VMOVUPS Y14, (R14)(R11*2); \
+	VMOVUPS Y15, (R14)(R13*1)
+
+// TRANS4(src, dst) transposes the 4x4 block at src to dst, strides as in
+// TRANS8: one 32-bit and one 64-bit interleave, 128 bits wide.
+#define TRANS4(src, dst) \
+	VMOVUPS (src), X0; \
+	VMOVUPS (src)(R10*1), X1; \
+	VMOVUPS (src)(R10*2), X2; \
+	VMOVUPS (src)(R12*1), X3; \
+	VUNPCKLPS X1, X0, X4; \
+	VUNPCKHPS X1, X0, X5; \
+	VUNPCKLPS X3, X2, X6; \
+	VUNPCKHPS X3, X2, X7; \
+	VUNPCKLPD X6, X4, X0; \
+	VUNPCKHPD X6, X4, X1; \
+	VUNPCKLPD X7, X5, X2; \
+	VUNPCKHPD X7, X5, X3; \
+	VMOVUPS X0, (dst); \
+	VMOVUPS X1, (dst)(R11*1); \
+	VMOVUPS X2, (dst)(R11*2); \
+	VMOVUPS X3, (dst)(R13*1)
+
+// func transposeAVX(dst, src *float32, rows, cols, blocks int)
 //
-// src is positioned at the first of eight rows of a [rows,cols] matrix, dst
-// at the matching column of its [cols,rows] transpose. Transposes the
-// 8 x (cols rounded down to a multiple of 8) strip, one 8x8 block at a
-// time: 32-bit then 64-bit interleaves within the 128-bit lanes, then a
-// lane exchange. Pure data movement; no arithmetic.
-TEXT ·transposeStrip8AVX(SB), NOSPLIT, $0-64
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ rows+48(FP), R11
-	MOVQ cols+56(FP), R10
-	MOVQ R10, CX
-	SHRQ $3, CX            // whole blocks in the strip
-	JZ   doneT
-	SHLQ $2, R10           // source row stride, bytes
-	SHLQ $2, R11           // destination row stride, bytes
-	LEAQ (R10)(R10*2), R12 // 3 source rows
-	LEAQ (R11)(R11*2), R13 // 3 destination rows
+// Transposes blocks consecutive [rows,cols] matrices at src into blocks
+// consecutive [cols,rows] matrices at dst, the whole of each in this one
+// call. Per matrix: every eight-row strip in 8x8 blocks (TRANS8), and the
+// four columns past cols&^7 of it in two 4x4 blocks; a four-row strip left
+// below rows&^7 in 4x4 blocks; then, element by element, the columns past
+// cols&^3 of the rows above rows&^3 (none when 4 divides cols) and every
+// column of the rows below it.
+// Pure data movement, no arithmetic: every bit pattern arrives as it left.
+// rows, cols and blocks are positive.
+//
+// Registers: SI and DI the matrix in src and in dst, R8 rows, R9 cols, R10
+// and R11 one source and one destination row in bytes, R12 and R13 three of
+// them; AX the strip's first row, BX and DX the block in src and in dst, CX
+// the blocks left in a strip or the column of an element, R14 and R15
+// scratch. The frame holds the matrices left.
+TEXT ·transposeAVX(SB), NOSPLIT, $8-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	MOVQ blocks+32(FP), AX
+	MOVQ AX, left-8(SP)
+	LEAQ (R9*4), R10
+	LEAQ (R8*4), R11
+	LEAQ (R10)(R10*2), R12
+	LEAQ (R11)(R11*2), R13
 
-blockT:
-	LEAQ (SI)(R10*4), AX
-	VMOVUPS (SI), Y0
-	VMOVUPS (SI)(R10*1), Y1
-	VMOVUPS (SI)(R10*2), Y2
-	VMOVUPS (SI)(R12*1), Y3
-	VMOVUPS (AX), Y4
-	VMOVUPS (AX)(R10*1), Y5
-	VMOVUPS (AX)(R10*2), Y6
-	VMOVUPS (AX)(R12*1), Y7
-	VUNPCKLPS Y1, Y0, Y8
-	VUNPCKHPS Y1, Y0, Y9
-	VUNPCKLPS Y3, Y2, Y10
-	VUNPCKHPS Y3, Y2, Y11
-	VUNPCKLPS Y5, Y4, Y12
-	VUNPCKHPS Y5, Y4, Y13
-	VUNPCKLPS Y7, Y6, Y14
-	VUNPCKHPS Y7, Y6, Y15
-	VUNPCKLPD Y10, Y8, Y0
-	VUNPCKHPD Y10, Y8, Y1
-	VUNPCKLPD Y11, Y9, Y2
-	VUNPCKHPD Y11, Y9, Y3
-	VUNPCKLPD Y14, Y12, Y4
-	VUNPCKHPD Y14, Y12, Y5
-	VUNPCKLPD Y15, Y13, Y6
-	VUNPCKHPD Y15, Y13, Y7
-	VPERM2F128 $0x20, Y4, Y0, Y8
-	VPERM2F128 $0x20, Y5, Y1, Y9
-	VPERM2F128 $0x20, Y6, Y2, Y10
-	VPERM2F128 $0x20, Y7, Y3, Y11
-	VPERM2F128 $0x31, Y4, Y0, Y12
-	VPERM2F128 $0x31, Y5, Y1, Y13
-	VPERM2F128 $0x31, Y6, Y2, Y14
-	VPERM2F128 $0x31, Y7, Y3, Y15
-	LEAQ (DI)(R11*4), AX
-	VMOVUPS Y8, (DI)
-	VMOVUPS Y9, (DI)(R11*1)
-	VMOVUPS Y10, (DI)(R11*2)
-	VMOVUPS Y11, (DI)(R13*1)
-	VMOVUPS Y12, (AX)
-	VMOVUPS Y13, (AX)(R11*1)
-	VMOVUPS Y14, (AX)(R11*2)
-	VMOVUPS Y15, (AX)(R13*1)
-	ADDQ $32, SI
-	LEAQ (AX)(R11*4), DI
+tMatrix:
+	XORQ AX, AX
+
+tStrip8:
+	LEAQ 8(AX), CX
+	CMPQ CX, R8
+	JGT  tStrip4
+	MOVQ AX, BX
+	IMULQ R10, BX
+	ADDQ SI, BX
+	LEAQ (DI)(AX*4), DX
+	MOVQ R9, CX
+	SHRQ $3, CX
+	JZ   tHalf8
+
+tBlock8:
+	TRANS8
+	ADDQ $32, BX
+	LEAQ (DX)(R11*8), DX
 	DECQ CX
-	JNZ  blockT
+	JNZ  tBlock8
 
-doneT:
+tHalf8:
+	TESTQ $4, R9
+	JZ   tNext8
+	TRANS4(BX, DX)
+	LEAQ (BX)(R10*4), R14
+	LEAQ 16(DX), R15
+	TRANS4(R14, R15)
+
+tNext8:
+	ADDQ $8, AX
+	JMP  tStrip8
+
+tStrip4:
+	LEAQ 4(AX), CX
+	CMPQ CX, R8
+	JGT  tEdge
+	MOVQ AX, BX
+	IMULQ R10, BX
+	ADDQ SI, BX
+	LEAQ (DI)(AX*4), DX
+	MOVQ R9, CX
+	SHRQ $2, CX
+	JZ   tEdge
+
+tBlock4:
+	TRANS4(BX, DX)
+	ADDQ $16, BX
+	LEAQ (DX)(R11*4), DX
+	DECQ CX
+	JNZ  tBlock4
+
+tEdge:
+	XORQ AX, AX
+	TESTQ $3, R9
+	JNZ  tEdgeRow
+	MOVQ R8, AX
+	ANDQ $-4, AX            // no columns left above rows&^3: start below it
+
+tEdgeRow:
+	CMPQ AX, R8
+	JGE  tNextMatrix
+	MOVQ R9, CX
+	ANDQ $-4, CX            // the columns the blocks left in this row ...
+	MOVQ R8, R14
+	ANDQ $-4, R14
+	CMPQ AX, R14
+	JLT  tEdgeFrom
+	XORQ CX, CX             // ... or all of them below rows&^3
+
+tEdgeFrom:
+	MOVQ AX, BX
+	IMULQ R10, BX
+	ADDQ SI, BX             // row AX of src
+	MOVQ CX, DX
+	IMULQ R11, DX
+	ADDQ DI, DX
+	LEAQ (DX)(AX*4), DX     // element (CX, AX) of dst
+
+tEdgeCol:
+	CMPQ CX, R9
+	JGE  tEdgeNext
+	MOVL (BX)(CX*4), R15
+	MOVL R15, (DX)
+	ADDQ R11, DX
+	INCQ CX
+	JMP  tEdgeCol
+
+tEdgeNext:
+	INCQ AX
+	JMP  tEdgeRow
+
+tNextMatrix:
+	MOVQ R8, CX
+	IMULQ R9, CX
+	LEAQ (SI)(CX*4), SI
+	LEAQ (DI)(CX*4), DI
+	DECQ left-8(SP)
+	JNZ  tMatrix
 	VZEROUPPER
-	RET
-
-// func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int)
-//
-// The four-row strip transposeStrip8AVX leaves: src is positioned at row i,
-// column j of a [rows,cols] matrix, dst at row j, column i of its
-// [cols,rows] transpose, and the blocks 4x4 blocks to the right are
-// transposed, one 32-bit and one 64-bit interleave each, 128 bits wide.
-// Pure data movement; no arithmetic. blocks > 0.
-TEXT ·transposeStrip4AVX(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ rows+48(FP), R11
-	MOVQ cols+56(FP), R10
-	MOVQ blocks+64(FP), CX
-	SHLQ $2, R10           // source row stride, bytes
-	SHLQ $2, R11           // destination row stride, bytes
-	LEAQ (R10)(R10*2), R12 // 3 source rows
-	LEAQ (R11)(R11*2), R13 // 3 destination rows
-
-block4T:
-	VMOVUPS (SI), X0
-	VMOVUPS (SI)(R10*1), X1
-	VMOVUPS (SI)(R10*2), X2
-	VMOVUPS (SI)(R12*1), X3
-	VUNPCKLPS X1, X0, X4
-	VUNPCKHPS X1, X0, X5
-	VUNPCKLPS X3, X2, X6
-	VUNPCKHPS X3, X2, X7
-	VUNPCKLPD X6, X4, X0
-	VUNPCKHPD X6, X4, X1
-	VUNPCKLPD X7, X5, X2
-	VUNPCKHPD X7, X5, X3
-	VMOVUPS X0, (DI)
-	VMOVUPS X1, (DI)(R11*1)
-	VMOVUPS X2, (DI)(R11*2)
-	VMOVUPS X3, (DI)(R13*1)
-	ADDQ $16, SI
-	LEAQ (DI)(R11*4), DI
-	DECQ CX
-	JNZ  block4T
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -7,7 +7,7 @@ package tensor
 // tensor.go, elem.go, norm.go, math.go and reduce.go run.
 const useAVX = false
 
-func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool) {
+func gemmTileAVX(c, b, a *float32, m, n, k, aRow, aK int, start tileStart, aFirst bool, s float32) {
 	panic("tensor: no AVX kernels in this build")
 }
 
@@ -23,11 +23,7 @@ func denseRun4AVX(a *float32, kLen, aRow, aK int) int {
 
 func axpy1AVX(c, b []float32, a float32) { panic("tensor: no AVX kernels in this build") }
 
-func transposeStrip8AVX(dst, src []float32, rows, cols int) {
-	panic("tensor: no AVX kernels in this build")
-}
-
-func transposeStrip4AVX(dst, src []float32, rows, cols, blocks int) {
+func transposeAVX(dst, src *float32, rows, cols, blocks int) {
 	panic("tensor: no AVX kernels in this build")
 }
 
@@ -88,3 +84,15 @@ func adamAVX(p, m, v, grad *float32, n int, k *[8]float32) (mMax, vMax uint32) {
 func addAbsMaxAVX(t, u *float32, n int) uint32 { panic("tensor: no AVX kernels in this build") }
 
 func scaleAVX(t *float32, s float32, n int) { panic("tensor: no AVX kernels in this build") }
+
+func softmaxRowsAVX(out *float32, e *float64, s *float32, rows, cols int, fma bool) int {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func softmaxBackwardAVX(out, a, dy *float32, rows, cols int, s float32) {
+	panic("tensor: no AVX kernels in this build")
+}
+
+func tbTileAVX(c, b, a *float32, m, n, k, batch int, start tileStart, s float32) {
+	panic("tensor: no AVX kernels in this build")
+}

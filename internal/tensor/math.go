@@ -99,9 +99,15 @@ func ExpRow(e []float64, x []float32, shift float32) {
 	if len(e) != len(x) {
 		panic(fmt.Sprintf("tensor: ExpRow writes %d exponentials of %d elements", len(e), len(x)))
 	}
+	expRow(e, x, shift, expMode)
+}
+
+// expRow is ExpRow with the kernel run in mode, or not at all with mathOff.
+func expRow(e []float64, x []float32, shift float32, mode mathMode) {
+	e = e[:len(x)]
 	for i := 0; i < len(x); {
-		if expMode != mathOff {
-			if i += expRowAVX(&e[i], &x[i], shift, len(x)-i, expMode == mathFused); i == len(x) {
+		if mode != mathOff {
+			if i += expRowAVX(&e[i], &x[i], shift, len(x)-i, mode == mathFused); i == len(x) {
 				return
 			}
 		}
@@ -132,9 +138,15 @@ func GELUForward(out []float32, th []float64, x []float32) {
 	if len(out) != len(x) || len(th) != len(x) {
 		panic(fmt.Sprintf("tensor: GELUForward output and tanh hold %d and %d elements, need %d", len(out), len(th), len(x)))
 	}
+	geluForward(out, th, x, geluMode)
+}
+
+// geluForward is GELUForward with the kernel run in mode, or not at all with
+// mathOff.
+func geluForward(out []float32, th []float64, x []float32, mode mathMode) {
 	for i := 0; i < len(x); {
-		if geluMode != mathOff {
-			if i += geluForwardAVX(&out[i], &th[i], &x[i], len(x)-i, geluMode == mathFused); i == len(x) {
+		if mode != mathOff {
+			if i += geluForwardAVX(&out[i], &th[i], &x[i], len(x)-i, mode == mathFused); i == len(x) {
 				return
 			}
 		}
@@ -235,4 +247,89 @@ func adamGo(p, m, v, g []float32, beta1, beta2, c1, c2, lr, eps float32) (mb, vb
 		p[i] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + eps)
 	}
 	return mb, vb
+}
+
+// SoftmaxRows writes the numerically stable softmax of each row of cols
+// floats of s into out, every element overwritten: per row, its maximum (the
+// first element, then each later one greater than it), the exponentials
+// math.Exp(float64(x − max)), their float64 sum in ascending order, and each
+// exponential as a float32 times float32(1/sum). e is float64 scratch of at
+// least cols. With the exp kernel on, all rows go through one
+// softmaxRowsAVX call, which stops before a row whose exponentials leave its
+// range; that row runs softmaxRowGo and the kernel resumes after it.
+func SoftmaxRows(out, s []float32, cols int, e []float64) {
+	softmaxRows(out, s, cols, e, expMode)
+}
+
+func softmaxRows(out, s []float32, cols int, e []float64, mode mathMode) {
+	if cols <= 0 || len(s)%cols != 0 || len(out) != len(s) || len(e) < cols {
+		panic(fmt.Sprintf("tensor: SoftmaxRows of %d floats into %d in rows of %d, %d of scratch", len(s), len(out), cols, len(e)))
+	}
+	rows := len(s) / cols
+	for r := 0; r < rows; r++ {
+		if mode != mathOff {
+			if r += softmaxRowsAVX(&out[r*cols], &e[0], &s[r*cols], rows-r, cols, mode == mathFused); r == rows {
+				return
+			}
+		}
+		softmaxRowGo(out[r*cols:(r+1)*cols], s[r*cols:(r+1)*cols], e[:cols], mode)
+	}
+}
+
+// softmaxRowGo is one row of SoftmaxRows, its exponentials through expRow.
+func softmaxRowGo(out, row []float32, e []float64, mode mathMode) {
+	maxV := row[0]
+	for _, v := range row {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	expRow(e, row, maxV, mode)
+	var sum float64
+	for j, v := range e {
+		out[j] = float32(v)
+		sum += v
+	}
+	inv := float32(1 / sum)
+	for j := range out {
+		out[j] *= inv
+	}
+}
+
+// SoftmaxRowsBackward writes the input gradient of SoftmaxRows times s into
+// out, row by row of cols floats, from the softmax's output a and the output
+// gradient g: with dot = Σ a[j]·g[j] in float32, ascending from +0,
+//
+//	out[j] = (a[j]·(g[j] − dot))·s
+//
+// each operation rounded on its own, the last one as Scale makes it. One
+// softmaxBackwardAVX call takes every row.
+func SoftmaxRowsBackward(out, a, g []float32, cols int, s float32) {
+	if cols <= 0 || len(a)%cols != 0 || len(g) != len(a) || len(out) != len(a) {
+		panic(fmt.Sprintf("tensor: SoftmaxRowsBackward of %d and %d floats into %d in rows of %d", len(a), len(g), len(out), cols))
+	}
+	if len(a) == 0 {
+		return
+	}
+	if useAVX {
+		softmaxBackwardAVX(&out[0], &a[0], &g[0], len(a)/cols, cols, s)
+		return
+	}
+	softmaxBackwardGo(out, a, g, cols, s)
+}
+
+func softmaxBackwardGo(out, a, g []float32, cols int, s float32) {
+	for i := 0; i+cols <= len(a); i += cols {
+		arow, grow, orow := a[i:i+cols], g[i:i+cols], out[i:i+cols]
+		var dot float32
+		for j, av := range arow {
+			dot += av * grow[j]
+		}
+		for j, av := range arow {
+			orow[j] = av * (grow[j] - dot)
+		}
+		for j := range orow {
+			orow[j] *= s
+		}
+	}
 }

@@ -682,9 +682,10 @@ GLOBL pack<>(SB), RODATA|NOPTR, $64
 	CMPL AX, $3; \
 	JNE  stop
 
-// EXPROW(EXP, EXP2, EXP4) is the body of expRowAVX: DI walks e, SI walks x,
-// CX counts the elements left, X15 holds the shift in every float32 lane
-// (EXP4 needs every register, so it is broadcast again after one). Eight
+// EXPROW(EXP, EXP2, EXP4) is the body of expRowAVX and the exp pass of
+// softmaxRowsAVX: DI walks e, SI walks x, CX counts the elements left, X15
+// holds the shift in every float32 lane (EXP4 needs every register, so it is
+// broadcast again after one from BX, which holds its bits). Eight
 // elements a step while all four pairs are in range, then four while both
 // pairs are, then a pair at a time until one is not, then an odd last
 // element in both lanes of a pair.
@@ -713,7 +714,8 @@ octs: \
 	VMOVUPD X4, 16(DI); \
 	VMOVUPD X8, 32(DI); \
 	VMOVUPD X12, 48(DI); \
-	VBROADCASTSS shift+16(FP), X15; \
+	VMOVD BX, X15; \
+	VSHUFPS $0, X15, X15, X15; \
 	ADDQ $32, SI; \
 	ADDQ $64, DI; \
 	SUBQ $8, CX; \
@@ -760,6 +762,82 @@ last: \
 	VMOVSD X0, (DI); \
 	DECQ CX
 
+// SOFTMAXROWS(EXP, EXP2, EXP4) is the body of softmaxRowsAVX, one row at a
+// time: R8 walks s and R9 out a row at a time, R11 holds cols, R12 counts the
+// rows written. The row's maximum is a scalar loop of softmaxRowGo's
+// `if v > max { max = v }`, without a branch: VMAXSS with v the first
+// source gives v only when v > max, so a NaN neither replaces nor is
+// replaced and of ±0 the first stays; it is the shift EXPROW takes in BX.
+// EXPROW writes the
+// exponentials to e, and a row it does not finish ends the kernel before
+// anything of the row is stored. Then, element by element, out = float32(e)
+// and sum = sum + e from +0, float64, ascending; inv = float32(1/sum); and
+// out·inv four at a time, one at a time for the last cols mod 4. Every value
+// in this stretch is finite — each exponential is at most exp(0) = 1 and the
+// maximum's is exactly 1 — so no NaN payload is in play.
+#define SOFTMAXROWS(EXP, EXP2, EXP4, row, maxLoop, maxNext, octs, quads, pairs, last, stop, sum, mul4, mul1, next, done) \
+row: \
+	CMPQ R12, rows+24(FP); \
+	JGE  done; \
+	VMOVSS (R8), X15; \
+	MOVQ $1, DX; \
+maxLoop: \
+	CMPQ DX, R11; \
+	JGE  maxNext; \
+	VMOVSS (R8)(DX*4), X0; \
+	VMAXSS X15, X0, X15; \
+	INCQ DX; \
+	JMP  maxLoop; \
+maxNext: \
+	VMOVD X15, BX; \
+	VSHUFPS $0, X15, X15, X15; \
+	MOVQ R8, SI; \
+	MOVQ e+8(FP), DI; \
+	MOVQ R11, CX; \
+	EXPROW(EXP, EXP2, EXP4, octs, quads, pairs, last, stop); \
+stop: \
+	TESTQ CX, CX; \
+	JNZ  done; \
+	MOVQ e+8(FP), DI; \
+	VXORPD X0, X0, X0; \
+	XORQ DX, DX; \
+sum: \
+	VMOVSD (DI)(DX*8), X1; \
+	VADDSD X1, X0, X0; \
+	VCVTSD2SS X1, X1, X1; \
+	VMOVSS X1, (R9)(DX*4); \
+	INCQ DX; \
+	CMPQ DX, R11; \
+	JLT  sum; \
+	VMOVSD ONE, X1; \
+	VDIVSD X0, X1, X1; \
+	VCVTSD2SS X1, X1, X1; \
+	VSHUFPS $0, X1, X1, X1; \
+	MOVQ R11, CX; \
+	ANDQ $-4, CX; \
+	XORQ DX, DX; \
+mul4: \
+	CMPQ DX, CX; \
+	JGE  mul1; \
+	VMOVUPS (R9)(DX*4), X2; \
+	VMULPS X1, X2, X2; \
+	VMOVUPS X2, (R9)(DX*4); \
+	ADDQ $4, DX; \
+	JMP  mul4; \
+mul1: \
+	CMPQ DX, R11; \
+	JGE  next; \
+	VMOVSS (R9)(DX*4), X2; \
+	VMULSS X1, X2, X2; \
+	VMOVSS X2, (R9)(DX*4); \
+	INCQ DX; \
+	JMP  mul1; \
+next: \
+	LEAQ (R8)(R11*4), R8; \
+	LEAQ (R9)(R11*4), R9; \
+	INCQ R12; \
+	JMP  row
+
 // func expRowAVX(e *float64, x *float32, shift float32, n int, fma bool) int
 //
 // e[i] = math.Exp(float64(x[i] − shift)) for i < n until a pair holds an
@@ -768,6 +846,7 @@ TEXT ·expRowAVX(SB), NOSPLIT, $0-48
 	MOVQ e+0(FP), DI
 	MOVQ x+8(FP), SI
 	VBROADCASTSS shift+16(FP), X15
+	MOVL shift+16(FP), BX
 	MOVQ n+24(FP), CX
 	MOVQ CX, R8
 	CMPB fma+32(FP), $0
@@ -785,6 +864,26 @@ fused:
 fusedStop:
 	SUBQ CX, R8
 	MOVQ R8, ret+40(FP)
+	RET
+
+// func softmaxRowsAVX(out *float32, e *float64, s *float32, rows, cols int, fma bool) int
+//
+// SoftmaxRows over rows rows of cols floats (both positive) until a row
+// leaves the exp range; returns the rows written.
+TEXT ·softmaxRowsAVX(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), R9
+	MOVQ s+16(FP), R8
+	MOVQ cols+32(FP), R11
+	XORQ R12, R12
+	CMPB fma+40(FP), $0
+	JNE  smFused
+	SOFTMAXROWS(EXPK, EXPK2, EXPK4, smPlainRow, smPlainMax, smPlainMaxDone, smPlainOcts, smPlainQuads, smPlainPairs, smPlainLast, smPlainStop, smPlainSum, smPlainMul4, smPlainMul1, smPlainNext, smDone)
+
+smFused:
+	SOFTMAXROWS(EXPF, EXPF2, EXPF4, smFusedRow, smFusedMax, smFusedMaxDone, smFusedOcts, smFusedQuads, smFusedPairs, smFusedLast, smFusedStop, smFusedSum, smFusedMul4, smFusedMul1, smFusedNext, smDone)
+
+smDone:
+	MOVQ R12, ret+48(FP)
 	RET
 
 // GELUEXP(EXP, EXP2, EXP4) is the exp pass of geluForwardAVX: x = exp(x)

@@ -8,11 +8,166 @@ import (
 	"repro/internal/rng"
 )
 
-// The float64 kernels (math_amd64.s) against package math: ExpRow against
-// math.Exp per element, GELUForward against the three-loop GELU with
-// math.Tanh, bit for bit, NaN payloads included. Both kernels stop at a pair
-// outside their range and the wrappers finish it with package math, so the
-// cases put specials at every position of a pair and of a vector step.
+// The float64 kernels (math_amd64.s) against Go loops, bit for bit, NaN
+// payloads included, in both of math.archExp's branches whatever probeMath
+// chose: expRowAVX and geluForwardAVX run through expRow and geluForward in
+// each kernel mode against expRowBranch and geluForwardBranch, Go ports of
+// that branch (archExpRef, tanhRef), and the dispatch (ExpRow, GELUForward)
+// against package math itself. Both kernels stop at a pair outside their
+// range and the wrappers finish it with package math, so the cases put
+// specials at every position of a pair and of a vector step.
+
+// archExpRef is math.archExp's main line ($GOROOT/src/math/exp_amd64.s) in
+// Go, on its plain or, with fused, its FMA branch (math.FMA is the fused
+// multiply-add), for x in the kernels' range [−700, 709]: x·log2 e rounded
+// to the nearest integer k (CVTSD2SL's rounding), the reduction by k·ln 2 in
+// two parts, the Taylor polynomial of r/16, four squarings of the form
+// r·(r+2), +1, times 2^k.
+func archExpRef(x float64, fused bool) float64 {
+	const (
+		log2e = 1.4426950408889634073599246810018920
+		ln2U  = 0.69314718055966295651160180568695068359375
+		ln2L  = 0.28235290563031577122588448175013436025525412068e-12
+	)
+	taylor := [...]float64{2.4801587301587301587e-5, 1.9841269841269841270e-4, 1.3888888888888888889e-3,
+		8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1.0}
+	k := math.RoundToEven(x * log2e)
+	var r float64
+	if fused {
+		r = math.FMA(-ln2L, k, math.FMA(-ln2U, k, x))
+	} else {
+		r = (x - ln2U*k) - ln2L*k
+	}
+	r *= 0.0625
+	p := taylor[0]
+	for _, c := range taylor[1:] {
+		if fused {
+			p = math.FMA(p, r, c)
+		} else {
+			p = p*r + c
+		}
+	}
+	r *= p
+	for i := 0; i < 3; i++ {
+		r *= r + 2
+	}
+	if fused {
+		r = math.FMA(r, r+2, 1)
+	} else {
+		r = r*(r+2) + 1
+	}
+	return r * math.Float64frombits(uint64(int64(k)+1023)<<52)
+}
+
+// tanhRef is math.tanh with its exp on one branch of archExpRef.
+func tanhRef(x float64, fused bool) float64 {
+	const maxLog = 8.8029691931113054295988e+01
+	p := [...]float64{-9.64399179425052238628e-1, -9.92877231001918586564e1, -1.61468768441708447952e3}
+	q := [...]float64{1.12811678491632931402e2, 2.23548839060100448583e3, 4.84406305325125486048e3}
+	z := math.Abs(x)
+	switch {
+	case z > 0.5*maxLog:
+		return math.Copysign(1, x)
+	case z >= 0.625:
+		s := archExpRef(2*z, fused)
+		z = 1 - 2/(s+1)
+		if x < 0 {
+			z = -z
+		}
+	default:
+		if x == 0 {
+			return x
+		}
+		s := x * x
+		z = x + x*s*((p[0]*s+p[1])*s+p[2])/(((s+q[0])*s+q[1])*s+q[2])
+	}
+	return z
+}
+
+// expRowBranch is expRow in the kernel mode with fused, in Go: a pair of
+// elements (the last alone), counted from the first, whose arguments all
+// lie in [−700, 709] takes archExpRef on that branch; any other pair
+// math.Exp, as the wrapper finishes a pair the kernel stops at.
+func expRowBranch(e []float64, x []float32, shift float32, fused bool) {
+	for i := 0; i < len(x); i += 2 {
+		end := min(i+2, len(x))
+		inRange := true
+		for _, v := range x[i:end] {
+			a := float64(v - shift)
+			inRange = inRange && a >= -700 && a <= 709
+		}
+		for j := i; j < end; j++ {
+			if a := float64(x[j] - shift); inRange {
+				e[j] = archExpRef(a, fused)
+			} else {
+				e[j] = math.Exp(a)
+			}
+		}
+	}
+}
+
+// geluForwardBranch is geluForward in the kernel mode with fused, in Go: a
+// pair (the last alone), counted from the first, of finite inputs takes
+// tanhRef on that branch; any other pair geluForwardGo.
+func geluForwardBranch(out []float32, th []float64, x []float32, fused bool) {
+	for i := 0; i < len(x); i += 2 {
+		end := min(i+2, len(x))
+		finite := true
+		for _, v := range x[i:end] {
+			finite = finite && !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+		}
+		if !finite {
+			geluForwardGo(out[i:end], th[i:end], x[i:end])
+			continue
+		}
+		for j := i; j < end; j++ {
+			u := float64(x[j])
+			th[j] = tanhRef(geluC*(u+0.044715*u*u*u), fused)
+			out[j] = float32(0.5 * u * (1 + th[j]))
+		}
+	}
+}
+
+// kernelModes are the kernel modes this host can run: none without the
+// kernels, the plain branch, and the fused one on a CPU with FMA.
+func kernelModes() []mathMode {
+	switch {
+	case !useAVX:
+		return nil
+	case hasFMA():
+		return []mathMode{mathPlain, mathFused}
+	}
+	return []mathMode{mathPlain}
+}
+
+// checkMathKernels runs expRowAVX and geluForwardAVX in every kernel mode on
+// x (the exp arguments shifted by shift) against their branch's Go loops,
+// and the dispatch against package math. exactOut asks GELU's float32
+// output for its payload too.
+func checkMathKernels(t *testing.T, name string, x []float32, shift float32, exactOut bool) {
+	t.Helper()
+	n := len(x)
+	e, want := make([]float64, n), make([]float64, n)
+	out, th := make([]float32, n), make([]float64, n)
+	wantOut, wantTh := make([]float32, n), make([]float64, n)
+	for _, mode := range kernelModes() {
+		m := fmt.Sprintf("%s mode %d", name, mode)
+		expRow(e, x, shift, mode)
+		expRowBranch(want, x, shift, mode == mathFused)
+		sameFloat64s(t, "expRowAVX "+m, e, want)
+		geluForward(out, th, x, mode)
+		geluForwardBranch(wantOut, wantTh, x, mode == mathFused)
+		sameFloat64s(t, "geluForwardAVX tanh "+m, th, wantTh)
+		sameBits(t, "geluForwardAVX out "+m, out, wantOut, exactOut)
+	}
+	ExpRow(e, x, shift)
+	expRowGo(want, x, shift)
+	sameFloat64s(t, "ExpRow "+name, e, want)
+	GELUForward(out, th, x)
+	geluForwardGo(wantOut, wantTh, x)
+	sameFloat64s(t, "GELUForward tanh "+name, th, wantTh)
+	sameBits(t, "GELUForward out "+name, out, wantOut, exactOut)
+}
 
 // expEdges are the arguments around the vector path's range and math.Exp's
 // own branch points: −700 and its neighbours, where a subnormal result
@@ -92,6 +247,11 @@ func sameFloat64s(t *testing.T, name string, got, want []float64) {
 	}
 }
 
+// TestMathKernelMatchesMath: both kernels in each mode against their
+// branch's Go loops and the dispatch against package math (checkMathKernels)
+// on every tail length past a vector step and 64-element chunk, with the
+// specials at random positions; ExpRow and GELUForward also write nothing
+// past their outputs.
 func TestMathKernelMatchesMath(t *testing.T) {
 	r := rng.NewFromInt(55)
 	var expArgs []float32
@@ -110,11 +270,7 @@ func TestMathKernelMatchesMath(t *testing.T) {
 				e, checkE := guarded64(t, "ExpRow "+name, n)
 				ExpRow(e, x, 1.5)
 				checkE()
-				want := make([]float64, n)
-				for i, v := range x {
-					want[i] = math.Exp(float64(v - 1.5))
-				}
-				sameFloat64s(t, "ExpRow "+name, e, want)
+				checkMathKernels(t, "exp args "+name, x, 1.5, true)
 
 				x = mathCase(r, n, sd/30, k, gelu)
 				out, check := guarded(t, "GELUForward out "+name, n)
@@ -122,18 +278,15 @@ func TestMathKernelMatchesMath(t *testing.T) {
 				GELUForward(out, th, x)
 				check()
 				checkTh()
-				wantOut, wantTh := make([]float32, n), make([]float64, n)
-				geluForwardGo(wantOut, wantTh, x)
-				sameFloat64s(t, "GELUForward tanh "+name, th, wantTh)
-				sameFloats(t, "GELUForward out "+name, out, wantOut)
+				checkMathKernels(t, "GELU args "+name, x, 0, true)
 			}
 		}
 	}
 }
 
-// TestMathKernelMatchesMathDense runs 2²⁰ arguments through each kernel: exp
-// over the softmax's range of shifted logits and beyond, GELU over inputs
-// whose tanh argument spans both branches and saturation.
+// TestMathKernelMatchesMathDense runs 2²⁰ arguments through each kernel in
+// each mode: exp over the softmax's range of shifted logits and beyond, GELU
+// over inputs whose tanh argument spans both branches and saturation.
 func TestMathKernelMatchesMathDense(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2²⁰ arguments")
@@ -144,21 +297,43 @@ func TestMathKernelMatchesMathDense(t *testing.T) {
 	for i := range x {
 		x[i] = float32(r.NormFloat64() * 60)
 	}
-	e, want := make([]float64, n), make([]float64, n)
-	ExpRow(e, x, 0)
-	for i, v := range x {
-		want[i] = math.Exp(float64(v))
-	}
-	sameFloat64s(t, "ExpRow", e, want)
+	checkMathKernels(t, "exp args", x, 0, true)
 	for i := range x {
 		x[i] = float32(r.NormFloat64() * 3)
 	}
-	out, th := make([]float32, n), make([]float64, n)
-	wantOut, wantTh := make([]float32, n), make([]float64, n)
-	GELUForward(out, th, x)
-	geluForwardGo(wantOut, wantTh, x)
-	sameFloat64s(t, "GELUForward tanh", th, wantTh)
-	sameFloats(t, "GELUForward out", out, wantOut)
+	checkMathKernels(t, "GELU args", x, 0, true)
+}
+
+// TestProbeMathTurnsKernelsOn: on a host with the AVX kernels, probeMath
+// leaves neither kernel off, and picks for both the branch whose Go port
+// gives package math's exp on the probes — exactly one of the two does
+// where the CPU has FMA (TestMathProbesTellBranchesApart), and without FMA
+// the plain one must. A kernel the probe turned off would leave ExpRow and
+// GELUForward on the Go loops, where the dispatch checks above still pass.
+func TestProbeMathTurnsKernelsOn(t *testing.T) {
+	if !useAVX {
+		t.Skip("no kernels in this build")
+	}
+	if expMode == mathOff || geluMode == mathOff {
+		t.Fatalf("probeMath left a kernel off (exp %d, gelu %d)", expMode, geluMode)
+	}
+	x := mathProbes()
+	want := make([]float64, len(x))
+	expRowGo(want, x, 0)
+	var host []mathMode
+	for _, mode := range []mathMode{mathPlain, mathFused} {
+		got := make([]float64, len(x))
+		expRowBranch(got, x, 0, mode == mathFused)
+		if sameBits64(got, want) {
+			host = append(host, mode)
+		}
+	}
+	if len(host) != 1 {
+		t.Fatalf("%d of math.archExp's branches match math.Exp on the probes, want 1", len(host))
+	}
+	if expMode != host[0] || geluMode != host[0] {
+		t.Errorf("probeMath chose exp %d and gelu %d, package math runs branch %d", expMode, geluMode, host[0])
+	}
 }
 
 // TestMathProbesTellBranchesApart holds the init probe to its job: on a host
@@ -181,9 +356,6 @@ func TestMathProbesTellBranchesApart(t *testing.T) {
 	geluForwardAVX(&out[0], &fused[0], &x[0], len(x), true)
 	if sameBits64(plain, fused) {
 		t.Error("tanh: the probe arguments do not tell math.archExp's two branches apart")
-	}
-	if expMode == mathOff || geluMode == mathOff {
-		t.Errorf("probeMath left a kernel off on an FMA host (exp %d, gelu %d)", expMode, geluMode)
 	}
 }
 
@@ -230,10 +402,11 @@ func BenchmarkKernel_Tanh(b *testing.B) {
 
 // FuzzMathOracle: the fuzzer picks a length from 0 to 64, the raw float32
 // bits of x and of dy and the softmax shift, and the float64 kernels must
-// give package math's results bit for bit: ExpRow against math.Exp on x −
-// shift, GELUForward — its lanes sorted by tanh branch — against the three
-// loops with math.Tanh, tanh included, and GELUBackward against its Go loop
-// on the tanh the forward kept. A float32 NaN only has to be a NaN: the
+// give their Go loops' results bit for bit (checkMathKernels): expRowAVX and
+// geluForwardAVX — its lanes sorted by tanh branch — in each mode against
+// that branch's ports, ExpRow and GELUForward against package math, and
+// GELUBackward against its Go loop on the tanh the forward kept. A float32
+// NaN only has to be a NaN: the
 // fuzzer's coverage build compiles the Go loops with other operand orders
 // (TestMathKernelMatchesMath and TestGELUBackwardKernelBitwise hold the
 // payloads in the default build). The seeds are the specials (±0, subnormals,
@@ -269,19 +442,11 @@ func FuzzMathOracle(f *testing.F) {
 			}
 		}
 		shift := math.Float32frombits(shiftBits)
+		checkMathKernels(t, "fuzz", x, shift, false)
 
-		e, want := make([]float64, n), make([]float64, n)
-		ExpRow(e, x, shift)
-		expRowGo(want, x, shift)
-		sameFloat64s(t, "ExpRow", e, want)
-
-		out, th := make([]float32, n), make([]float64, n)
-		wantOut, wantTh := make([]float32, n), make([]float64, n)
-		GELUForward(out, th, x)
-		geluForwardGo(wantOut, wantTh, x)
-		sameFloat64s(t, "GELUForward tanh", th, wantTh)
-		sameBits(t, "GELUForward out", out, wantOut, false)
-
+		th, wantTh := make([]float64, n), make([]float64, n)
+		GELUForward(make([]float32, n), th, x)
+		geluForwardGo(make([]float32, n), wantTh, x)
 		dx, wantDx := make([]float32, n), make([]float32, n)
 		GELUBackward(dx, dy, x, th)
 		geluBackwardGo(wantDx, dy, x, wantTh)
@@ -298,4 +463,94 @@ func floatBytes(v []float32) []byte {
 		raw = append(raw, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
 	}
 	return raw
+}
+
+// softmaxCase fills rows rows of cols scores, each row of one kind in turn:
+// normals; a NaN payload first; +Inf at a moving position; all equal; a
+// spread whose exponentials underflow to 0 as float32 (about e^-104) while
+// their arguments stay in the exp kernel's range; a spread past −700, which
+// the kernel stops before; −Inf and ±0 among normals.
+func softmaxCase(r *rng.Rand, rows, cols int) []float32 {
+	s := make([]float32, rows*cols)
+	for i := 0; i < rows; i++ {
+		row := s[i*cols : (i+1)*cols]
+		sd := []float64{1, 1, 1, 1, 60, 900, 1}[i%7]
+		for j := range row {
+			row[j] = float32(r.NormFloat64() * sd)
+		}
+		switch i % 7 {
+		case 1:
+			row[0] = math.Float32frombits(0x7fc0d00d)
+		case 2:
+			row[(i/7)%cols] = float32(math.Inf(1))
+		case 3:
+			for j := range row {
+				row[j] = -2.75
+			}
+		case 6:
+			row[(i/7)%cols] = float32(math.Inf(-1))
+			row[(i/7+1)%cols] = float32(math.Copysign(0, -1))
+			row[(i/7+2)%cols] = 0
+		}
+	}
+	return s
+}
+
+// TestSoftmaxKernelsBitwise holds SoftmaxRows — every row in one
+// softmaxRowsAVX call, a row it stops before through softmaxRowGo — in each
+// kernel mode to softmaxRowGo row by row in the same mode, which shares only
+// the exponentials with it, and the dispatch to the Go loop on math.Exp; and
+// SoftmaxRowsBackward (softmaxBackwardAVX) to softmaxBackwardGo, on rows of
+// every length 1 to 17 (vector steps and single elements) of every kind
+// softmaxCase makes, bit for bit, NaN payloads included. Under the race
+// detector a backward NaN has only to be a NaN: the instrumented build
+// commutes the Go loop's multiplies. The test fails unless the forward
+// kernel took every row of a matrix without a row it stops before.
+func TestSoftmaxKernelsBitwise(t *testing.T) {
+	r := rng.NewFromInt(60)
+	nan := func(bits uint32) float32 { return math.Float32frombits(bits) }
+	specials := []float32{nan(0x7fc00a01), nan(0xffc00b02), nan(0x7f800c03), float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)), 1e-40, 3e38}
+	for cols := 1; cols <= 17; cols++ {
+		for _, rows := range []int{1, 7, 15} {
+			name := fmt.Sprintf("%dx%d", rows, cols)
+			s := softmaxCase(r, rows, cols)
+			e := make([]float64, cols)
+			want, got := make([]float32, len(s)), make([]float32, len(s))
+			for _, mode := range kernelModes() {
+				softmaxRows(got, s, cols, e, mode)
+				for i := 0; i < rows; i++ {
+					softmaxRowGo(want[i*cols:(i+1)*cols], s[i*cols:(i+1)*cols], e, mode)
+				}
+				sameBits(t, fmt.Sprintf("softmaxRowsAVX %s mode %d", name, mode), got, want, true)
+				clean := make([]float32, len(s))
+				for i := range clean {
+					clean[i] = float32(r.NormFloat64())
+				}
+				if n := softmaxRowsAVX(&got[0], &e[0], &clean[0], rows, cols, mode == mathFused); n != rows {
+					t.Fatalf("%s mode %d: the kernel took %d rows of normals, want %d", name, mode, n, rows)
+				}
+			}
+			SoftmaxRows(got, s, cols, e)
+			softmaxRows(want, s, cols, e, mathOff)
+			sameBits(t, "SoftmaxRows "+name, got, want, true)
+
+			a, g := make([]float32, len(s)), make([]float32, len(s))
+			for i := range a {
+				a[i] = float32(r.NormFloat64())
+				g[i] = float32(r.NormFloat64())
+				if r.Intn(9) == 0 {
+					a[i] = specials[r.Intn(len(specials))]
+				}
+				if r.Intn(9) == 0 {
+					g[i] = specials[r.Intn(len(specials))]
+				}
+			}
+			for _, sc := range []float32{float32(1 / math.Sqrt(12)), -1.5} {
+				SoftmaxRowsBackward(got, a, g, cols, sc)
+				softmaxBackwardGo(want, a, g, cols, sc)
+				sameBits(t, fmt.Sprintf("SoftmaxRowsBackward %s scale %v", name, sc), got, want, !raceEnabled)
+			}
+		}
+	}
 }

@@ -48,18 +48,21 @@ func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulInto", dst, m, n)
 	dst.ClearDirty()
-	ad, bd, cd := a.Data, b.Data, dst.Data
-	if mixed {
-		zero(cd)
-		rp := getPackBuf(len(bd))
-		rb := *rp
-		roundPanelBF16(rb, bd)
-		gemmNNPacked(cd, ad, rb, m, k, n)
-		putPackBuf(rp)
-		return dst
-	}
-	gemmF32(cd, ad, bd, m, k, n, k, 1)
+	matMulNN(dst.Data, a.Data, b.Data, m, k, n, mixed)
 	return dst
+}
+
+// matMulNN is MatMulInto on the data: c [m,n] = a × b for a [m,k], b [k,n].
+func matMulNN(c, a, b []float32, m, k, n int, mixed bool) {
+	if mixed {
+		zero(c)
+		rp := getPackBuf(len(b))
+		roundPanelBF16(*rp, b)
+		gemmNNPacked(c, a, *rp, m, k, n)
+		putPackBuf(rp)
+		return
+	}
+	gemmBatch(c, a, b, 1, m, k, n, k, 1, tileFromZero, 0)
 }
 
 // MatMulTA computes C = Aᵀ × B for A [k,m] and B [k,n] without
@@ -82,20 +85,13 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 
 // AddMatMulTA adds Aᵀ × B to dst [m,n] for A [k,m] and B [k,n]: bitwise
 // dst.AddInPlace(MatMulTA(a, b, mixed)), the weight-gradient accumulation of
-// Dense and Attention. For an fp32 product with no ±0 in A the tile kernel
-// forms each element's chain from +0 and stores dst + chain (tileAddToC);
-// otherwise the product goes to a pooled scratch and is added from there.
+// Dense. For an fp32 product with no ±0 in A the tile kernel forms each
+// element's chain from +0 and stores dst + chain (tileAddToC); otherwise the
+// product goes to a pooled scratch and is added from there.
 func AddMatMulTA(dst, a, b *Tensor, mixed bool) {
 	k, m, n := checkMatMulTA(a, b)
 	checkDst("AddMatMulTA", dst, m, n)
-	if !mixed && useAVX && k > 0 && allNonZero(a.Data) {
-		gemmTile(dst.Data, b.Data, a.Data, m, n, k, 1, m, tileAddToC, false)
-		return
-	}
-	rp := getPackBuf(m * n)
-	matMulTA(*rp, a.Data, b.Data, k, m, n, mixed)
-	addBlocks(dst.Data, *rp, &blockShape{n: 1, rows: 1, cols: m * n})
-	putPackBuf(rp)
+	addMatMulTA(dst.Data, a.Data, b.Data, 1, k, m, n, mixed)
 }
 
 // matMulTA is MatMulTAInto on the data: c [m,n] = aᵀ × b for a [k,m], b [k,n].
@@ -108,7 +104,7 @@ func matMulTA(c, a, b []float32, k, m, n int, mixed bool) {
 		putPackBuf(rp)
 		return
 	}
-	gemmF32(c, a, b, m, k, n, 1, m)
+	gemmBatch(c, a, b, 1, m, k, n, 1, m, tileFromZero, 0)
 }
 
 // MatMulTB computes C = A × Bᵀ for A [m,k] and B [n,k] without
@@ -123,21 +119,49 @@ func MatMulTBInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	m, k, n := checkMatMulTB(a, b)
 	checkDst("MatMulTBInto", dst, m, n)
 	dst.ClearDirty()
-	ad, bd, cd := a.Data, b.Data, dst.Data
+	matMulTB(dst.Data, a.Data, b.Data, m, k, n, mixed)
+	return dst
+}
+
+// AddMatMulTB adds A × Bᵀ to dst [m,n] for A [m,k] and B [n,k]: bitwise
+// dst.AddInPlace(MatMulTB(a, b, mixed)), the attention's later terms of its
+// input gradient. In fp32 the product lands as AddMatMulTA's does: with no
+// ±0 in A each chain, from +0, is added to dst as the tile is stored
+// (tileAddToC), Bᵀ on tbTileAVX's frame where it fits; otherwise Bᵀ goes to
+// a pooled scratch and the product through gemmBatch.
+func AddMatMulTB(dst, a, b *Tensor, mixed bool) {
+	m, k, n := checkMatMulTB(a, b)
+	checkDst("AddMatMulTB", dst, m, n)
 	if mixed {
-		rp := getPackBuf(len(bd))
-		rb := *rp
-		roundPanelBF16(rb, bd)
-		gemmTBPacked(cd, ad, rb, m, k, n)
+		rp := getPackBuf(m * n)
+		matMulTB(*rp, a.Data, b.Data, m, k, n, true)
+		addBlocks(dst.Data, *rp, &blockShape{n: 1, rows: 1, cols: m * n})
 		putPackBuf(rp)
-		return dst
+		return
+	}
+	if allNonZero(a.Data) && tbTile(dst.Data, a.Data, b.Data, 1, m, k, n, tileAddToC, 0) {
+		return
+	}
+	bt := getPackBuf(k * n)
+	transposeBlocks(*bt, b.Data, n, k, 1)
+	gemmBatch(dst.Data, a.Data, *bt, 1, m, k, n, k, 1, tileAddToC, 0)
+	putPackBuf(bt)
+}
+
+// matMulTB is MatMulTBInto on the data: c [m,n] = a × bᵀ for a [m,k], b [n,k].
+func matMulTB(c, a, b []float32, m, k, n int, mixed bool) {
+	if mixed {
+		rp := getPackBuf(len(b))
+		roundPanelBF16(*rp, b)
+		gemmTBPacked(c, a, *rp, m, k, n)
+		putPackBuf(rp)
+		return
 	}
 	if useAVX {
-		gemmTBAVX(cd, ad, bd, m, k, n)
-		return dst
+		gemmTBAVX(c, a, b, m, k, n)
+		return
 	}
-	gemmTB(cd, ad, bd, m, k, n)
-	return dst
+	gemmTB(c, a, b, m, k, n)
 }
 
 func checkMatMul(a, b *Tensor) (m, k, n int) {
@@ -197,22 +221,7 @@ func zero(s []float32) {
 	}
 }
 
-// gemmF32 computes C = A×B in FP32 for B [k,n] and the two A layouts of
-// gemmRows, m rows, on the path gemmPath chooses from A's zeros: a dense A
-// in one gemmTile call from +0, a sparse one in one gemmSparse call onto the
-// cleared C, anything between through gemmRows onto the cleared C.
-func gemmF32(c, a, b []float32, m, k, n, aRow, aK int) {
-	switch gemmPath(c, a, k) {
-	case pathDense:
-		gemmTile(c[:m*n], b, a, m, n, k, aRow, aK, tileFromZero, false)
-	case pathSparse:
-		gemmSparse(c, b, a, m, n, k, aRow, aK)
-	default:
-		gemmRows(c, a, b, m, k, n, aRow, aK)
-	}
-}
-
-// gemmKind is one of gemmF32's three paths.
+// gemmKind is one of the three FP32 paths (gemmPath).
 type gemmKind uint8
 
 const (
@@ -225,8 +234,8 @@ const (
 // the AVX kernels, or with no k-steps, it is gemmRows. Otherwise it counts
 // A's ±0: none sends the whole matrix to gemmTile in one call; three in four
 // or more (a one-hot A: the embedding's input, as NN and as the TA weight
-// gradient) send it to gemmSparse; anything between to gemmRows. For either
-// of the last two it clears c first, which both accumulate into.
+// gradient) send it to gemmSparse; anything between to gemmRows. Both of
+// the last two accumulate into C, which gemmBatch clears first.
 //
 // The three give the same bits. With no zero in A the skip rule skips
 // nothing: gemmRows finds every k-step of a 4-row block dense and hands the
@@ -242,16 +251,14 @@ const (
 // gemmRows keeps four rows in registers over a run of dense steps; at half
 // zeros (a convolution behind a ReLU) the two are about even, and gemmRows
 // is kept there. EXPERIMENTS.md has the measurements.
-func gemmPath(c, a []float32, k int) gemmKind {
+func gemmPath(a []float32, k int) gemmKind {
 	if !useAVX || k == 0 {
-		zero(c)
 		return pathRows
 	}
 	z := countZeros(a)
 	if z == 0 {
 		return pathDense
 	}
-	zero(c)
 	if 4*z >= 3*len(a) {
 		return pathSparse
 	}
@@ -360,7 +367,7 @@ func gemmRows(c, a, b []float32, m, k, n, aRow, aK int) {
 // rule. Each product is b*a, or with aFirst a*b (see gemmTBviaTN).
 func gemmTile(c, b, a []float32, m, n, k, aRow, aK int, start tileStart, aFirst bool) {
 	if checkTile("gemmTile", c, b, a, m, n, k, aRow, aK) {
-		gemmTileAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK, start, aFirst)
+		gemmTileAVX(&c[0], &b[0], &a[0], m, n, k, aRow, aK, start, aFirst, 0)
 	}
 }
 
@@ -375,6 +382,9 @@ const (
 	// tileAddToC: every chain from +0, then C + chain stored, C the first
 	// operand of the addition as in AddInPlace (AddMatMulTA).
 	tileAddToC
+	// tileScaled: every chain from +0, then chain·s stored, the chain the
+	// first operand as in Scale (the attention's scores).
+	tileScaled
 )
 
 // gemmSparse accumulates C += A×B for the m×n c under the skip rule, row by
@@ -482,36 +492,52 @@ func gemmTB(c, a, b []float32, m, k, n int) {
 	}
 }
 
-// tbStackPanel is the largest scratch, in floats, the TB paths keep on
-// their own stack: every A×Bᵀ of the transformer campaign's attention and
-// dense layers (12×12 at most) fits.
-const tbStackPanel = 256
-
-// gemmTBAVX computes C = A×Bᵀ for B [n,k] on the tile kernel, one of two
+// gemmTBAVX computes C = A×Bᵀ for B [n,k] on the tile kernel, one of three
 // ways, chosen from the operands only. Where A has no ±0 and tbTransposesA
-// holds, the transposed product (gemmTBviaTN). Otherwise "transpose B into
-// a panel, then the NN product": gemmTB's dot products cannot use vector
-// lanes without a horizontal sum, which would reorder one element's addends;
-// the NN form keeps every element's chain — +0 start, ascending k, a == 0
-// skipped — and vectorizes across elements, so it is bitwise-equal to
-// MatMul(a, bᵀ), the contract MatMulTB documents. A panel of up
-// to tbStackPanel floats is on the stack; any other panel is a pack buffer.
+// holds, the transposed product (gemmTBviaTN). Otherwise "transpose B, then
+// the NN product": gemmTB's dot products cannot use vector lanes without a
+// horizontal sum, which would reorder one element's addends; the NN form
+// keeps every element's chain — +0 start, ascending k, a == 0 skipped — and
+// vectorizes across elements, so it is bitwise-equal to MatMul(a, bᵀ), the
+// contract MatMulTB documents. For a dense A whose Bᵀ fits tbPanel that is
+// one tbTileAVX call, Bᵀ on the kernel's own stack frame; anything else
+// transposes B into a pooled scratch in one transposeAVX call and takes
+// gemmPath's path (gemmBatch). Neither scratch is cleared first: the transpose overwrites
+// it whole.
 func gemmTBAVX(c, a, b []float32, m, k, n int) {
-	if tbTransposesA(m, k, n) && allNonZero(a) {
+	dense := allNonZero(a)
+	if dense && tbTransposesA(m, k, n) {
 		gemmTBviaTN(c, a, b, m, k, n)
 		return
 	}
-	if k*n <= tbStackPanel {
-		var panel [tbStackPanel]float32
-		bt := panel[:k*n]
-		transposeInto(bt, b, n, k)
-		gemmF32(c, a, bt, m, k, n, k, 1)
+	if dense && tbTile(c, a, b, 1, m, k, n, tileFromZero, 0) {
 		return
 	}
 	rp := getPackBuf(k * n)
-	transposeInto(*rp, b, n, k)
-	gemmF32(c, a, *rp, m, k, n, k, 1)
+	transposeBlocks(*rp, b, n, k, 1)
+	gemmBatch(c, a, *rp, 1, m, k, n, k, 1, tileFromZero, 0)
 	putPackBuf(rp)
+}
+
+// tbPanel is the most floats of a transposed B block tbTileAVX keeps on its
+// own stack frame: every A×Bᵀ of the transformer's attention and dense
+// layers (12×12 at most) fits.
+const tbPanel = 256
+
+// tbTile computes batch products C_e = A_e×B_eᵀ, landed as start says, in
+// one tbTileAVX call and reports true, where it can: A_e the e-th [m,k] of
+// a, which the caller has found to hold no ±0, B_e the e-th [n,k] of b, each
+// Bᵀ within tbPanel floats, every extent positive. C_e is the e-th [m,n] of
+// c (tileAddToC: batch 1).
+func tbTile(c, a, b []float32, batch, m, k, n int, start tileStart, s float32) bool {
+	if !useAVX || m <= 0 || n <= 0 || k <= 0 || batch <= 0 || k*n > tbPanel {
+		return false
+	}
+	if (start == tileAddToC && batch != 1) || len(c) < batch*m*n || len(a) < batch*m*k || len(b) < batch*n*k {
+		panic(fmt.Sprintf("tensor: tbTile of %d %d×%d×%d products over %d, %d and %d floats", batch, m, k, n, len(a), len(b), len(c)))
+	}
+	tbTileAVX(&c[0], &b[0], &a[0], m, n, k, batch, start, s)
+	return true
 }
 
 // tbTransposesA reports whether gemmTBAVX computes an m×k×n A×Bᵀ with a
@@ -531,56 +557,44 @@ func tbTransposesA(m, k, n int) bool {
 // transposed into C. The kernel forms every product with B's element first
 // (aFirst), as the NN product on a transposed B does, and every element's
 // chain is the one that product builds: +0 start, ascending k, nothing
-// skipped (A has no zero to skip). Both panels are on the stack when they fit tbStackPanel,
-// a pack buffer otherwise.
+// skipped (A has no zero to skip). Both panels are one pooled scratch, and
+// each transpose is one transposeAVX call.
 func gemmTBviaTN(c, a, b []float32, m, k, n int) {
-	if m*(k+n) <= tbStackPanel {
-		var panel [tbStackPanel]float32
-		gemmTBPanels(c, a, b, panel[:m*k], panel[m*k:m*(k+n)], m, k, n)
-		return
-	}
 	rp := getPackBuf(m * (k + n))
-	gemmTBPanels(c, a, b, (*rp)[:m*k], (*rp)[m*k:], m, k, n)
+	at, ct := (*rp)[:m*k], (*rp)[m*k:]
+	transposeBlocks(at, a, m, k, 1)
+	gemmTile(ct, at, b, n, m, k, k, 1, tileFromZero, true)
+	transposeBlocks(c, ct, n, m, 1)
 	putPackBuf(rp)
 }
 
-// gemmTBPanels is gemmTBviaTN on the panels at [k,m] and ct [n,m].
-func gemmTBPanels(c, a, b, at, ct []float32, m, k, n int) {
-	transposeInto(at, a, m, k)
-	gemmTile(ct, at, b, n, m, k, k, 1, tileFromZero, true)
-	transposeInto(c, ct, n, m)
+// transposeBlocks writes the transposes of blocks consecutive [rows,cols]
+// matrices of src, each [cols,rows], consecutively into dst: one
+// transposeAVX call where the AVX kernels are built, transposeGo elsewhere.
+func transposeBlocks(dst, src []float32, rows, cols, blocks int) {
+	size := rows * cols
+	if rows < 0 || cols < 0 || blocks < 0 || len(dst) < blocks*size || len(src) < blocks*size {
+		panic(fmt.Sprintf("tensor: transposeBlocks of %d [%d,%d] matrices, %d floats from %d into %d", blocks, rows, cols, blocks*size, len(src), len(dst)))
+	}
+	if size == 0 || blocks == 0 {
+		return
+	}
+	if useAVX {
+		transposeAVX(&dst[0], &src[0], rows, cols, blocks)
+		return
+	}
+	transposeGo(dst, src, rows, cols, blocks)
 }
 
-// transposeInto writes the transpose of src [rows,cols] into dst
-// [cols,rows]. Where the AVX kernels are built, whole 8x8 blocks go through
-// the eight-row strips, the 4x4 blocks those leave through the four-row
-// strips; the last cols mod 4 columns of those rows and the last rows mod 4
-// rows go element by element.
-func transposeInto(dst, src []float32, rows, cols int) {
-	r4, c4 := 0, 0
-	if useAVX {
-		r8, c8 := rows&^7, cols&^7
-		r4, c4 = rows&^3, cols&^3
-		for i := 0; i < r4; i += 4 {
-			j0 := 0
-			if i < r8 {
-				j0 = c8
-				if i%8 == 0 && c8 > 0 {
-					transposeStrip8AVX(dst[i:], src[i*cols:], rows, cols)
-				}
+// transposeGo is transposeBlocks' loop: each element moved on its own.
+func transposeGo(dst, src []float32, rows, cols, blocks int) {
+	size := rows * cols
+	for blk := 0; blk < blocks; blk++ {
+		d, s := dst[blk*size:(blk+1)*size], src[blk*size:(blk+1)*size]
+		for i := 0; i < rows; i++ {
+			for j, v := range s[i*cols : (i+1)*cols] {
+				d[j*rows+i] = v
 			}
-			if blocks := (c4 - j0) / 4; blocks > 0 {
-				transposeStrip4AVX(dst[j0*rows+i:], src[i*cols+j0:], rows, cols, blocks)
-			}
-		}
-	}
-	for i := 0; i < rows; i++ {
-		j0 := 0
-		if i < r4 {
-			j0 = c4
-		}
-		for j, v := range src[i*cols+j0 : (i+1)*cols] {
-			dst[(j0+j)*rows+i] = v
 		}
 	}
 }

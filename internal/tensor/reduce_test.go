@@ -203,7 +203,8 @@ func TestChannelReductionsBitwise(t *testing.T) {
 }
 
 // FuzzReduceOracle: the reductions the mitigation checks rest on — AbsMax,
-// Sum and AddInPlaceAbsMax — against per-element loops
+// Sum, AddInPlaceAbsMax and FirstNonFinite (numerics.HasNonFinite's kernel,
+// firstNonFinite) — against per-element loops
 // that share no unrolling or lane bookkeeping with them, on a fuzzer-chosen
 // length and fuzzer-chosen bit patterns. Where the oracle's answer is NaN the
 // kernel's only has to be NaN.
@@ -261,6 +262,17 @@ func FuzzReduceOracle(f *testing.F) {
 			}
 		}
 		xt := FromSlice(x, n)
+
+		first := -1
+		for i, v := range x {
+			if v != v || math.IsInf(float64(v), 0) {
+				first = i
+				break
+			}
+		}
+		if got := xt.FirstNonFinite(); got != first {
+			t.Fatalf("FirstNonFinite = %d, want %d", got, first)
+		}
 
 		m, nan := naiveAbsMax(x)
 		sameOrNaN("AbsMax", xt.AbsMax(), m, nan)

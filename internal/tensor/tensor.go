@@ -172,12 +172,15 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 
 // Scale multiplies every element by s, the element first (scaleAVX on
 // amd64, scaleGo elsewhere).
-func (t *Tensor) Scale(s float32) {
-	if useAVX && len(t.Data) > 0 {
-		scaleAVX(&t.Data[0], s, len(t.Data))
+func (t *Tensor) Scale(s float32) { scaleSlice(t.Data, s) }
+
+// scaleSlice is Scale on the data.
+func scaleSlice(td []float32, s float32) {
+	if useAVX && len(td) > 0 {
+		scaleAVX(&td[0], s, len(td))
 		return
 	}
-	scaleGo(t.Data, s)
+	scaleGo(td, s)
 }
 
 func scaleGo(td []float32, s float32) {

@@ -37,7 +37,7 @@ import (
 //     preserving the original allocation behaviour.
 type Workspace struct {
 	// bufs holds one entry per key in first-use order. A layer's keys are a
-	// handful of string constants (Attention's fourteen are the most in the
+	// handful of string constants (Attention's thirteen are the most in the
 	// zoo, and it looks them up only when it resolves them anew), so Get
 	// scans them and nothing is hashed. It looks at the previous hit first
 	// (a key asked for twice in a row), then scans from next, one past it: a
