@@ -111,7 +111,7 @@ if grep -nE '^[[:space:]]*V((ADD|SUB|MUL|DIV|SQRT|MAX|MIN|CMP)[PS][SD]|(AND|ANDN
 	exit 1
 fi
 
-echo "== go test -race (the kernels and the trainer: assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure, TestHeldTestPointMatchesInPlace, TestBuildReplicasIgnoresConcurrentConstructors, a layer built on another goroutine mid-build, and TestLanesMatchOneLane, devices stepped on 2, 3 and 8 lanes equal to one lane iteration by iteration, with TestScrubWorkspacesPoisonsEveryLane, run here) =="
+echo "== go test -race (the kernels and the trainer: assembly is invisible to the detector, its Go callers are not; TestEvaluateIsPure, TestHeldTestPointMatchesInPlace, TestBuildReplicasIgnoresConcurrentConstructors, a layer built on another goroutine mid-build, and TestStacksMatchPerDeviceStep, every zoo workload's devices stepped in stacks on 1, 2 and 3 lanes equal to the per-device step (8 lanes) iteration by iteration, injections and a forward monitor included, with TestScrubWorkspacesPoisonsEveryLane, run here) =="
 go test -race ./internal/tensor ./internal/nn ./internal/train
 
 echo "== recovery strategies under -race (two guards on two engines at once equal to one alone under every strategy, JIT restore and elastic resize included) =="
@@ -148,12 +148,18 @@ wait "$pid" || true # 130 when the interrupt landed mid-run
 	-journal "$tmp/run.jsonl" -resume -json "$tmp/resumed.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/resumed.json"
 
-echo "== assembly vs portable on a whole campaign (the reference campaign above from a -tags purego build, byte for byte) =="
+echo "== assembly vs portable on a whole campaign (the reference campaign above, and a resnet device-fault campaign under elastic recovery, from a -tags purego build, byte for byte) =="
 # The kernel tests compare the two paths GEMM by GEMM; this compares them
 # after every layer, optimizer step and fault of 40 experiments.
 go build -tags purego -o "$tmp/repro.purego" ./cmd/repro
 "$tmp/repro.purego" campaign -workload resnet -n 40 -iters 12 -seed 5 -json "$tmp/purego.json" >/dev/null
 cmp "$tmp/ref.json" "$tmp/purego.json"
+# The elastic partition gives the survivors unequal shards, so BatchNorm's
+# per-device statistics run over unequal row blocks of one stacked pass: the
+# one place where stacking could mix two devices' rows.
+"$tmp/repro" campaign -workload resnet -n 40 -iters 12 -seed 7 -device-faults all -recovery elastic -json "$tmp/elastic.json" >/dev/null
+"$tmp/repro.purego" campaign -workload resnet -n 40 -iters 12 -seed 7 -device-faults all -recovery elastic -json "$tmp/elastic-purego.json" >/dev/null
+cmp "$tmp/elastic.json" "$tmp/elastic-purego.json"
 
 echo "== paper artefacts (repro paper from both builds must equal the checked-in results/ byte for byte; this keeps results/paper.json, whose verdicts TestPaperVerdicts reads, the code's output) =="
 "$tmp/repro" paper -out "$tmp/paper" >/dev/null
@@ -163,9 +169,9 @@ diff -r results "$tmp/paper-purego"
 
 echo "== sequence path: a transformer FF campaign and a device-fault campaign under each recovery strategy, assembly vs portable and plain vs -scrub-workspaces, byte for byte =="
 # The sequence layers keep state from Forward to Backward in reused buffers,
-# and every device a lane steps goes over that lane's one scratch set
-# (campaign engines run one lane, replica 0's; the golden run one per
-# worker); a stale read shows as a scrubbed run that differs from the plain
+# and every stack a lane steps goes over that lane's one scratch set
+# (campaign engines run one lane, stacking every healthy device; the golden
+# run one per worker); a stale read shows as a scrubbed run that differs from the plain
 # one. The
 # deferred test evaluation writes a held boundary into a pooled engine's root
 # replica after every experiment, so each strategy's campaign is here too

@@ -111,17 +111,17 @@ func attentionRef(at *Attention, x, gradOut *tensor.Tensor) (out, gradIn *tensor
 		ob := mm(a, vb)
 		copy(out.Data[bi*l*d:(bi+1)*l*d], mm(ob, at.Wo.Value).Data)
 
-		dW[3].AddInPlace(tensor.MatMulTA(ob, gy, at.Mixed))
+		dW[3].AddInPlace(matTA(ob, gy, at.Mixed))
 		gO := tensor.MatMulTB(gy, at.Wo.Value, at.Mixed)
 		gA := tensor.MatMulTB(gO, vb, at.Mixed)
-		gV := tensor.MatMulTA(a, gO, at.Mixed)
+		gV := matTA(a, gO, at.Mixed)
 		gS := softmaxRowsBackwardInto(tensor.New(l, l), a, gA)
 		gS.Scale(scale)
 		gQ := mm(gS, kb)
-		gK := tensor.MatMulTA(gS, qb, at.Mixed)
-		dW[0].AddInPlace(tensor.MatMulTA(xb, gQ, at.Mixed))
-		dW[1].AddInPlace(tensor.MatMulTA(xb, gK, at.Mixed))
-		dW[2].AddInPlace(tensor.MatMulTA(xb, gV, at.Mixed))
+		gK := matTA(gS, qb, at.Mixed)
+		dW[0].AddInPlace(matTA(xb, gQ, at.Mixed))
+		dW[1].AddInPlace(matTA(xb, gK, at.Mixed))
+		dW[2].AddInPlace(matTA(xb, gV, at.Mixed))
 		gx := tensor.MatMulTB(gQ, at.Wq.Value, at.Mixed)
 		gx.AddInPlace(tensor.MatMulTB(gK, at.Wk.Value, at.Mixed))
 		gx.AddInPlace(tensor.MatMulTB(gV, at.Wv.Value, at.Mixed))
@@ -444,4 +444,9 @@ func BenchmarkKernel_Softmax(b *testing.B) {
 			softmaxRowsLoop(out, s)
 		}
 	})
+}
+
+// matTA is aᵀ × b in a new tensor.
+func matTA(a, b *tensor.Tensor, mixed bool) *tensor.Tensor {
+	return tensor.MatMulTAInto(tensor.New(a.Shape[1], b.Shape[1]), a, b, mixed)
 }

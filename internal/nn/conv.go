@@ -23,7 +23,12 @@ type Conv2D struct {
 	// twice.
 	ws       *tensor.Workspace
 	lastCols *tensor.Tensor
-	params   []*Param
+	// st is the forward's stack; rows and dsts are the backward's block
+	// rows and gradient destinations, reused.
+	st     *Stack
+	rows   []int
+	dsts   []*tensor.Tensor
+	params []*Param
 }
 
 // NewConv2D creates a convolution layer with He-normal initialization.
@@ -63,9 +68,9 @@ func (c *Conv2D) FanIn() int {
 }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(c.name, x, 4)
-	c.lastX = x
+	c.lastX, c.st = x, stackOf(ctx)
 	y, cols := tensor.Conv2DForwardWS(c.ws, x, c.K.Value, c.Par, c.Mixed)
 	c.lastCols = cols
 	tensor.AddBiasNCHW(y, c.B.Value)
@@ -73,8 +78,10 @@ func (c *Conv2D) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardCols returns the im2col matrix of the most recent forward input —
-// valid until the next forward (workspace-owned; the backward pass reads it
-// without rewriting it). ABFT reuses it for its checksum GEMMs instead of
+// valid until the next forward (workspace-owned; the backward pass of a
+// replica's own batch reads it without rewriting it, a stacked backward forms
+// the input gradient's columns in it). ABFT, never stacked
+// (nn.Sequential.Stackable), reuses it for its checksum GEMMs instead of
 // re-lowering the input.
 func (c *Conv2D) ForwardCols() *tensor.Tensor { return c.lastCols }
 
@@ -83,18 +90,24 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradRank(c.name, gradOut, 4)
 	// The forward im2col matrix is still valid (lastX is untouched between
 	// the passes), so the backward skips the re-lowering.
-	gradIn, gradK := tensor.Conv2DBackwardWS(c.ws, c.lastX, c.K.Value, gradOut, c.lastCols, c.Par, c.Mixed)
-	c.K.Grad.AddInPlace(gradK)
-	tensor.SumPerChannelNCHW(gradOut, c.B.Grad)
+	c.rows = c.st.rows(c.lastX.Shape[0], c.rows)
+	c.dsts = c.K.grads(c.st, c.dsts)
+	gradIn := tensor.Conv2DBackwardBlocksWS(c.ws, c.dsts, c.lastX, c.K.Value, gradOut, c.lastCols, c.rows, c.Par, c.Mixed)
+	c.dsts = c.B.grads(c.st, c.dsts)
+	tensor.SumPerChannelBlocks(c.dsts, gradOut, c.rows)
 	return gradIn
 }
 
-// BackwardParams accumulates Backward's kernel and bias gradients and forms
-// no input gradient (see Sequential.BackwardParams).
+// BackwardParams accumulates Backward's kernel and bias gradients, each
+// block's into its replica's, and forms no input gradient (see
+// Sequential.BackwardParams).
 func (c *Conv2D) BackwardParams(gradOut *tensor.Tensor) {
 	checkGradRank(c.name, gradOut, 4)
-	c.K.Grad.AddInPlace(tensor.Conv2DWeightGradWS(c.ws, c.lastX, c.K.Value, gradOut, c.lastCols, c.Par, c.Mixed))
-	tensor.SumPerChannelNCHW(gradOut, c.B.Grad)
+	c.rows = c.st.rows(c.lastX.Shape[0], c.rows)
+	c.dsts = c.K.grads(c.st, c.dsts)
+	tensor.Conv2DWeightGradBlocksWS(c.ws, c.dsts, c.lastX, c.K.Value, gradOut, c.lastCols, c.rows, c.Par, c.Mixed)
+	c.dsts = c.B.grads(c.st, c.dsts)
+	tensor.SumPerChannelBlocks(c.dsts, gradOut, c.rows)
 }
 
 // MaxPool2D is a max pooling layer over NCHW input.

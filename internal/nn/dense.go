@@ -16,7 +16,16 @@ type Dense struct {
 	// matrix unit) for the forward and backward matrix multiplies.
 	Mixed bool
 
-	lastX  *tensor.Tensor
+	// lastX is the forward's input and zx its ±0 count (tensor.CountZeros),
+	// taken once for the forward product and the weight gradient, which both
+	// read x as their A.
+	lastX *tensor.Tensor
+	zx    int
+	// st is the forward's stack; rows and dsts are the backward's block
+	// rows and gradient destinations, reused.
+	st     *Stack
+	rows   []int
+	dsts   []*tensor.Tensor
 	ws     *tensor.Workspace
 	params []*Param
 }
@@ -51,10 +60,10 @@ func (d *Dense) SetWorkspace(ws *tensor.Workspace) { d.ws = ws }
 func (d *Dense) FanIn() int { return d.W.Value.Shape[0] }
 
 // Forward implements Layer.
-func (d *Dense) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(d.name, x, 2)
-	d.lastX = x
-	y := tensor.MatMulInto(d.ws.Get("y", x.Shape[0], d.W.Value.Shape[1]), x, d.W.Value, d.Mixed)
+	d.lastX, d.st, d.zx = x, stackOf(ctx), tensor.CountZeros(x)
+	y := tensor.MatMulCountedInto(d.ws.Get("y", x.Shape[0], d.W.Value.Shape[1]), x, d.W.Value, d.zx, d.Mixed)
 	tensor.AddBiasNCHW(y, d.B.Value)
 	return y
 }
@@ -65,18 +74,20 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := d.lastX
 	// dW += xᵀ · gradOut ; db = column sums of gradOut ; dx = gradOut · Wᵀ.
 	// The fused-transpose kernels avoid materializing xᵀ and Wᵀ.
-	tensor.AddMatMulTA(d.W.Grad, x, gradOut, d.Mixed)
-	dX := tensor.MatMulTBInto(d.ws.Get("dx", x.Shape[0], x.Shape[1]), gradOut, d.W.Value, d.Mixed)
-	tensor.SumPerChannelNCHW(gradOut, d.B.Grad)
-	return dX
+	d.BackwardParams(gradOut)
+	return tensor.MatMulTBInto(d.ws.Get("dx", x.Shape[0], x.Shape[1]), gradOut, d.W.Value, d.Mixed)
 }
 
-// BackwardParams accumulates Backward's weight and bias gradients and forms
-// no input gradient (see Sequential.BackwardParams).
+// BackwardParams accumulates Backward's weight and bias gradients, each
+// block's into its replica's, and forms no input gradient (see
+// Sequential.BackwardParams).
 func (d *Dense) BackwardParams(gradOut *tensor.Tensor) {
 	checkGradRank(d.name, gradOut, 2)
-	tensor.AddMatMulTA(d.W.Grad, d.lastX, gradOut, d.Mixed)
-	tensor.SumPerChannelNCHW(gradOut, d.B.Grad)
+	d.rows = d.st.rows(gradOut.Shape[0], d.rows)
+	d.dsts = d.W.grads(d.st, d.dsts)
+	tensor.AddMatMulTABlocks(d.dsts, d.lastX, gradOut, d.rows, d.zx, d.Mixed)
+	d.dsts = d.B.grads(d.st, d.dsts)
+	tensor.SumPerChannelBlocks(d.dsts, gradOut, d.rows)
 }
 
 // Flatten reshapes any input [B, ...] to [B, F]. It has no parameters.

@@ -27,6 +27,67 @@ type Context struct {
 	// Rand supplies randomness to a layer that draws it. No layer of this
 	// package does, and the training engine leaves it nil.
 	Rand *rng.Rand
+
+	// stack is the layout of a stacked pass (Sequential.ForwardStack), nil
+	// for a pass over one replica's own batch.
+	stack *Stack
+}
+
+// stackOf returns ctx's stack, nil for a nil ctx.
+func stackOf(ctx *Context) *Stack {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.stack
+}
+
+// Stack lays out the batch of a stacked training pass: the shards of
+// several replicas of one model (BuildReplicas), one after another, block i
+// holding Examples[i] examples of replica Devices[i] — its index in
+// BuildReplicas' list. A layer runs once over the whole batch. What sums
+// over examples — parameter gradients, BatchNorm's batch statistics and
+// moving averages — it forms per block, from the block's rows alone, into
+// the block's replica, bitwise as that replica's pass over its own shard
+// would; everything else is per example and so the same bits at any row
+// count. The parameter values read are those of the replica the pass runs
+// on, which must equal every block replica's.
+type Stack struct {
+	Examples []int
+	Devices  []int
+}
+
+// rows returns, in buf, the row count of each block of a tensor whose lead
+// rows hold the stack's examples in order, the same number of rows each:
+// one block of lead rows outside a stack.
+func (st *Stack) rows(lead int, buf []int) []int {
+	buf = buf[:0]
+	if st == nil {
+		return append(buf, lead)
+	}
+	total := 0
+	for _, n := range st.Examples {
+		total += n
+	}
+	if total == 0 || lead%total != 0 {
+		panic(fmt.Sprintf("nn: %d rows do not split into the stack's blocks of %v examples", lead, st.Examples))
+	}
+	for _, n := range st.Examples {
+		buf = append(buf, n*(lead/total))
+	}
+	return buf
+}
+
+// grads returns, in buf, the gradient each block of a pass over st adds p's
+// gradient into: replica Devices[i]'s, or p's own outside a stack.
+func (p *Param) grads(st *Stack, buf []*tensor.Tensor) []*tensor.Tensor {
+	buf = buf[:0]
+	if st == nil {
+		return append(buf, p.Grad)
+	}
+	for _, d := range st.Devices {
+		buf = append(buf, p.peers[d].Grad)
+	}
+	return buf
 }
 
 // Param is a trainable parameter with its accumulated gradient.
@@ -36,6 +97,10 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	// peers is this parameter in every replica BuildReplicas built with it,
+	// indexed by replica: where a stacked pass lands each block's gradient.
+	peers []*Param
 }
 
 // newParam creates a zeroed parameter named "<layer>/<role>".
@@ -151,6 +216,56 @@ func (s *Sequential) Forward(ctx *Context, x *tensor.Tensor, hook ForwardHook) *
 	return x
 }
 
+// ForwardStack is Forward over a stacked batch x laid out as st says (see
+// Stack). s must be one of the replicas BuildReplicas built st's replicas
+// with, and its parameter values must equal theirs. hook sees each layer's
+// output for the whole batch. The backward pass that follows (Backward,
+// BackwardParams) lands every block's parameter gradients in its replica.
+func (s *Sequential) ForwardStack(ctx *Context, x *tensor.Tensor, st *Stack, hook ForwardHook) *tensor.Tensor {
+	ctx.stack = st
+	return s.Forward(ctx, x, hook)
+}
+
+// Stackable reports whether every layer of s, nested ones included, is one
+// of this package's kinds, each of which forms its sums over examples per
+// block of a Stack. A layer from elsewhere (a wrapper keeping checksums over
+// the batch it sees) may not, so a model holding one is stepped one
+// replica's shard at a time.
+func (s *Sequential) Stackable() bool {
+	for _, nl := range s.Layers {
+		if !stackable(nl.Layer) {
+			return false
+		}
+	}
+	return true
+}
+
+// stackable is Stackable for l and the layers nested in it.
+func stackable(l Layer) bool {
+	switch v := l.(type) {
+	case *Residual:
+		for _, b := range v.Branch {
+			if !stackable(b) {
+				return false
+			}
+		}
+		return true
+	case *DenseBlock:
+		for _, stage := range v.Stages {
+			for _, b := range stage {
+				if !stackable(b) {
+					return false
+				}
+			}
+		}
+		return true
+	case *Dense, *Conv2D, *BatchNorm, *LayerNorm, *SeqDense, *SeqMean, *Attention, *LSTM,
+		*ReLU, *GELU, *LeakyReLU, *MaxPool2D, *GlobalAvgPool, *Flatten, *Reshape:
+		return true
+	}
+	return false
+}
+
 // Backward runs the full backward pass from the loss gradient. hook may be
 // nil. It returns the gradient with respect to the model input (rarely
 // needed, but useful in tests).
@@ -244,10 +359,12 @@ type WorkspaceHolder interface {
 // carries from its forward to its backward; only kernel scratch is shared.
 // That is sound for a caller that never overlaps two models' passes on one
 // scratch set and reads no layer's scratch after its pass (train.Engine
-// binds a replica to a lane's set before stepping it, and a lane steps one
-// device at a time; see BindWorkspaces). build must construct the same
-// layers every call; a model with a different number of workspaces than the
-// first panics.
+// binds a replica to a lane's set before stepping a stack on it, and a lane
+// steps one stack at a time; see BindWorkspaces). The models' parameters and
+// BatchNorms are linked position by position, so a stacked pass on any one
+// of them (ForwardStack) lands each block's gradients and statistics in the
+// block's model. build must construct the same layers every call; a model
+// with a different number of workspaces than the first panics.
 func BuildReplicas(n int, build func() *Sequential) []*Sequential {
 	models := make([]*Sequential, n)
 	var first []*tensor.Workspace
@@ -261,6 +378,24 @@ func BuildReplicas(n int, build func() *Sequential) []*Sequential {
 			panic(fmt.Sprintf("nn: replica %d has %d workspaces, the first %d", i, len(models[i].holders), len(first)))
 		}
 		models[i].BindWorkspaces(first)
+	}
+	for pi := range models[0].Params() {
+		peers := make([]*Param, n)
+		for i, m := range models {
+			peers[i] = m.Params()[pi]
+		}
+		for _, p := range peers {
+			p.peers = peers
+		}
+	}
+	for bi := range models[0].bns {
+		peers := make([]*BatchNorm, n)
+		for i, m := range models {
+			peers[i] = m.bns[bi]
+		}
+		for _, bn := range peers {
+			bn.peers = peers
+		}
 	}
 	return models
 }

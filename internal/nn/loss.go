@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/numerics"
@@ -58,6 +59,35 @@ func (s *SoftmaxCrossEntropy) Accumulate(total float64, logits *tensor.Tensor, l
 	return total, res.Correct
 }
 
+// EvalBlocks is Eval for each block of a stacked batch (see Stack): block i
+// is the next examples[i] rows of logits and labels, and its loss is the
+// mean over its own examples and its gradient rows scale by its own
+// 1/examples[i], bitwise Eval on the block alone. It writes block i's loss
+// and correct count into res[i] (Probs and GradLogits nil) and returns the
+// gradient of all the logits, one buffer of s.
+func (s *SoftmaxCrossEntropy) EvalBlocks(logits *tensor.Tensor, labels, examples []int, res []LossResult) *tensor.Tensor {
+	checkRank("softmax-cross-entropy", logits, 2)
+	b, c := logits.Shape[0], logits.Shape[1]
+	total := 0
+	for _, n := range examples {
+		total += n
+	}
+	if len(labels) != b || total != b || len(res) != len(examples) {
+		panic(fmt.Sprintf("nn: %d labels and %d results for %d logit rows in blocks %v", len(labels), len(res), b, examples))
+	}
+	probs := s.ws.Get("probs", b, c)
+	grad := s.ws.Get("grad", b, c)
+	s.exps = float64Scratch(s.exps, c)
+	lo := 0
+	for i, n := range examples {
+		a, z := lo*c, (lo+n)*c
+		loss, correct := s.rows(0, logits.Data[a:z], labels[lo:lo+n], probs.Data[a:z], grad.Data[a:z], c)
+		res[i] = LossResult{Loss: loss / float64(n), Correct: correct}
+		lo += n
+	}
+	return grad
+}
+
 // eval runs the per-example loop from the running loss total and returns
 // the new total with a result whose Loss is left unset.
 func (s *SoftmaxCrossEntropy) eval(totalLoss float64, logits *tensor.Tensor, labels []int) (float64, LossResult) {
@@ -69,12 +99,21 @@ func (s *SoftmaxCrossEntropy) eval(totalLoss float64, logits *tensor.Tensor, lab
 	// Every element of both is written below.
 	probs := s.ws.Get("probs", b, c)
 	grad := s.ws.Get("grad", b, c)
+	s.exps = float64Scratch(s.exps, c)
+	totalLoss, correct := s.rows(totalLoss, logits.Data, labels, probs.Data, grad.Data, c)
+	return totalLoss, LossResult{Probs: probs, GradLogits: grad, Correct: correct}
+}
+
+// rows is the per-example loop over the len(labels) rows of c logits each:
+// it writes every element of probs and grad, the gradient scaled by
+// 1/len(labels), and returns the new loss total and the correct count.
+func (s *SoftmaxCrossEntropy) rows(totalLoss float64, logits []float32, labels []int, probs, grad []float32, c int) (float64, int) {
+	b := len(labels)
 	correct := 0
 	invB := 1 / float32(b)
-	s.exps = float64Scratch(s.exps, c)
 	exps := s.exps
 	for i := 0; i < b; i++ {
-		row := logits.Data[i*c : (i+1)*c]
+		row := logits[i*c : (i+1)*c]
 		// Numerically stable softmax: subtract the row max.
 		maxV := float32(math.Inf(-1))
 		for _, v := range row {
@@ -88,7 +127,7 @@ func (s *SoftmaxCrossEntropy) eval(totalLoss float64, logits *tensor.Tensor, lab
 		}
 		tensor.ExpRow(exps, row, maxV)
 		var sum float64
-		prow := probs.Data[i*c : (i+1)*c]
+		prow := probs[i*c : (i+1)*c]
 		for j, e := range exps {
 			prow[j] = float32(e)
 			sum += e
@@ -116,11 +155,11 @@ func (s *SoftmaxCrossEntropy) eval(totalLoss float64, logits *tensor.Tensor, lab
 			// "INFs/NaNs observed" (Table 3).
 			totalLoss = math.NaN()
 		}
-		grow := grad.Data[i*c : (i+1)*c]
+		grow := grad[i*c : (i+1)*c]
 		for j := range grow {
 			grow[j] = prow[j] * invB
 		}
 		grow[label] -= invB
 	}
-	return totalLoss, LossResult{Probs: probs, GradLogits: grad, Correct: correct}
+	return totalLoss, correct
 }

@@ -39,14 +39,25 @@ type BatchNorm struct {
 	lastShape []int
 	was2D     bool
 
+	// st is the forward's stack, rows its blocks' example counts, and peers
+	// this layer in every replica BuildReplicas built with it, indexed by
+	// replica: a stacked pass updates block i's statistics and gradients in
+	// its replica's layer.
+	st    *Stack
+	rows  []int
+	peers []*BatchNorm
+
 	// batchMean and batchVar receive the batch statistics of a training
 	// forward, invStd the per-channel 1/sqrt(var+eps) of any forward (the
-	// backward pass reads it back); one element per channel, owned by the
-	// layer so a step allocates none. dxScale, meanDy and meanDyXhat are the
-	// per-channel constants the backward pass derives from its two sums and
-	// hands to the input-gradient kernel.
+	// backward pass reads it back); one element per channel and block, owned
+	// by the layer so a step allocates none. dxScale, meanDy and meanDyXhat
+	// are the per-channel constants the backward pass derives from a block's
+	// two sums and hands to the input-gradient kernel.
 	batchMean, batchVar, invStd []float32
 	dxScale, meanDy, meanDyXhat []float32
+	// vx, vout and vxhat view one block of the input, output and xhat, and
+	// vdy and vdx one block of the backward's gradients.
+	vx, vout, vxhat, vdy, vdx tensor.Tensor
 
 	// mvarStat is the abs-bits maximum of MovingVar, folded into the O(C)
 	// update recurrence — the fused read behind the detector's Part II
@@ -121,7 +132,9 @@ func (bn *BatchNorm) to4D(x *tensor.Tensor) *tensor.Tensor {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. In training each block of the stack (the whole
+// batch outside one) is normalized with its own batch statistics, which
+// update its replica's moving statistics.
 func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 	x := bn.to4D(xIn)
 	n, c := x.Shape[0], x.Shape[1]
@@ -130,46 +143,85 @@ func (bn *BatchNorm) Forward(ctx *Context, xIn *tensor.Tensor) *tensor.Tensor {
 	}
 	bn.lastX = x
 	bn.lastShape = x.Shape
-
-	var mean, variance []float32
-	if ctx == nil || ctx.Training {
-		mean, variance = bn.batchMean, bn.batchVar
-		tensor.ChannelMoments(x, mean, variance)
-		// Update moving statistics: the history-term recurrence of
-		// Sec 4.2.2. Note the faulty-batch-variance propagation path: a
-		// large |batchVar| (from corrupted inputs) inflates mvar here and
-		// persists across iterations.
-		var vb uint32
-		for ch := 0; ch < c; ch++ {
-			bn.MovingMean.Data[ch] = bn.Momentum*bn.MovingMean.Data[ch] + (1-bn.Momentum)*mean[ch]
-			mv := bn.Momentum*bn.MovingVar.Data[ch] + (1-bn.Momentum)*variance[ch]
-			bn.MovingVar.Data[ch] = mv
-			if b := tensor.AbsBits(mv); b > vb {
-				vb = b
-			}
-		}
-		// Every element of MovingVar was rewritten (an out-of-band corruption
-		// of the old value propagates into the new one through the recurrence
-		// and is therefore reflected in the fresh stat), so the fused stat is
-		// authoritative again and the dirty flag can be cleared.
-		bn.mvarStat, bn.mvarStatOK = vb, true
-		bn.MovingVar.ClearDirty()
-	} else {
-		mean = bn.MovingMean.Data
-		variance = bn.MovingVar.Data
-	}
-
 	out := bn.ws.Get("out", x.Shape...)
 	xhat := bn.ws.Get("xhat", x.Shape...)
-	for ch := range bn.invStd {
-		bn.invStd[ch] = 1 / float32(math.Sqrt(float64(variance[ch]+bn.Eps)))
-	}
-	tensor.NormalizeNCHW(out, xhat, x, mean, bn.invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
 	bn.lastXhat = xhat
+
+	if ctx != nil && !ctx.Training {
+		bn.st, bn.rows = nil, append(bn.rows[:0], n)
+		bn.invStd = growFloats(bn.invStd, c)
+		for ch := range c {
+			bn.invStd[ch] = 1 / float32(math.Sqrt(float64(bn.MovingVar.Data[ch]+bn.Eps)))
+		}
+		tensor.NormalizeNCHW(out, xhat, x, bn.MovingMean.Data, bn.invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
+	} else {
+		bn.st = stackOf(ctx)
+		bn.rows = bn.st.rows(n, bn.rows)
+		bn.batchMean = growFloats(bn.batchMean, len(bn.rows)*c)
+		bn.batchVar = growFloats(bn.batchVar, len(bn.rows)*c)
+		bn.invStd = growFloats(bn.invStd, len(bn.rows)*c)
+		lo := 0
+		for i, r := range bn.rows {
+			bn.block(i, lo, r, x, out, xhat)
+			lo += r
+		}
+	}
 	if bn.was2D {
 		return out.Reshape(n, c)
 	}
 	return out
+}
+
+// block normalizes block i, examples [lo, lo+r) of x, with its batch
+// statistics, and updates its replica's moving statistics.
+func (bn *BatchNorm) block(i, lo, r int, x, out, xhat *tensor.Tensor) {
+	c := bn.Channels()
+	mean, variance, invStd := bn.batchMean[i*c:(i+1)*c], bn.batchVar[i*c:(i+1)*c], bn.invStd[i*c:(i+1)*c]
+	vx := blockView(&bn.vx, x, lo, r)
+	tensor.ChannelMoments(vx, mean, variance)
+	// Update moving statistics: the history-term recurrence of Sec 4.2.2.
+	// Note the faulty-batch-variance propagation path: a large |batchVar|
+	// (from corrupted inputs) inflates mvar here and persists across
+	// iterations.
+	dst := bn
+	if bn.st != nil {
+		dst = bn.peers[bn.st.Devices[i]]
+	}
+	var vb uint32
+	for ch := 0; ch < c; ch++ {
+		dst.MovingMean.Data[ch] = dst.Momentum*dst.MovingMean.Data[ch] + (1-dst.Momentum)*mean[ch]
+		mv := dst.Momentum*dst.MovingVar.Data[ch] + (1-dst.Momentum)*variance[ch]
+		dst.MovingVar.Data[ch] = mv
+		if b := tensor.AbsBits(mv); b > vb {
+			vb = b
+		}
+	}
+	// Every element of MovingVar was rewritten (an out-of-band corruption
+	// of the old value propagates into the new one through the recurrence
+	// and is therefore reflected in the fresh stat), so the fused stat is
+	// authoritative again and the dirty flag can be cleared.
+	dst.mvarStat, dst.mvarStatOK = vb, true
+	dst.MovingVar.ClearDirty()
+	for ch := range invStd {
+		invStd[ch] = 1 / float32(math.Sqrt(float64(variance[ch]+bn.Eps)))
+	}
+	tensor.NormalizeNCHW(blockView(&bn.vout, out, lo, r), blockView(&bn.vxhat, xhat, lo, r), vx, mean, invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
+}
+
+// blockView points v at examples [lo, lo+r) of t and returns it.
+func blockView(v, t *tensor.Tensor, lo, r int) *tensor.Tensor {
+	per := len(t.Data) / t.Shape[0]
+	v.Data = t.Data[lo*per : (lo+r)*per]
+	v.Shape = append(append(v.Shape[:0], r), t.Shape[1:]...)
+	return v
+}
+
+// growFloats returns buf resized to n elements, reallocated only to grow.
+func growFloats(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
+	}
+	return buf[:n]
 }
 
 // MovingVarAbsMax returns the fused abs-max of MovingVar as of its most
@@ -179,8 +231,8 @@ func (bn *BatchNorm) MovingVarAbsMax() (float32, bool) {
 	return tensor.AbsMaxOfBits(bn.mvarStat), bn.mvarStatOK
 }
 
-// Backward implements Layer. Standard batch-norm gradient using batch
-// statistics:
+// Backward implements Layer. Standard batch-norm gradient using each
+// block's batch statistics:
 //
 //	dx = gamma/std * (dy − mean(dy) − xhat·mean(dy·xhat))
 func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
@@ -188,17 +240,37 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 	if bn.was2D {
 		gradOut = gradOutIn.Reshape(bn.lastShape...)
 	}
-	n, c, h, w := bn.lastShape[0], bn.lastShape[1], bn.lastShape[2], bn.lastShape[3]
-	spatial := h * w
+	n, c := bn.lastShape[0], bn.lastShape[1]
 	gradIn := bn.ws.Get("dx", bn.lastShape...)
-	dy, xhat := gradOut.Data, bn.lastXhat.Data
+	lo := 0
+	for i, r := range bn.rows {
+		bn.backwardBlock(i, lo, r, gradOut, gradIn)
+		lo += r
+	}
+	if bn.was2D {
+		return gradIn.Reshape(n, c)
+	}
+	return gradIn
+}
+
+// backwardBlock is Backward for block i, examples [lo, lo+r): its parameter
+// gradients go to its replica's layer.
+func (bn *BatchNorm) backwardBlock(i, lo, r int, gradOut, gradIn *tensor.Tensor) {
+	c, spatial := bn.lastShape[1], bn.lastShape[2]*bn.lastShape[3]
+	dst := bn
+	if bn.st != nil {
+		dst = bn.peers[bn.st.Devices[i]]
+	}
+	invStd := bn.invStd[i*c : (i+1)*c]
+	vdy, vxhat := blockView(&bn.vdy, gradOut, lo, r), blockView(&bn.vxhat, bn.lastXhat, lo, r)
+	dy, xhat := vdy.Data, vxhat.Data
 	// The two sums of a channel are chains of dependent float32 additions in
 	// a fixed order (batch-major, then spatial). Channels are independent, so
 	// two are summed side by side; an odd last channel is summed alone.
 	ch := 0
 	for ; ch+2 <= c; ch += 2 {
 		var sumDy0, sumDyXhat0, sumDy1, sumDyXhat1 float32
-		for b := 0; b < n; b++ {
+		for b := 0; b < r; b++ {
 			base := (b*c + ch) * spatial
 			dy0, xh0 := dy[base:base+spatial], xhat[base:base+spatial]
 			dy1, xh1 := dy[base+spatial:base+2*spatial], xhat[base+spatial:base+2*spatial]
@@ -210,12 +282,12 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat1 += dy1[i] * xh1[i]
 			}
 		}
-		bn.backwardChannel(n*spatial, ch, sumDy0, sumDyXhat0)
-		bn.backwardChannel(n*spatial, ch+1, sumDy1, sumDyXhat1)
+		bn.backwardChannel(dst, invStd, r*spatial, ch, sumDy0, sumDyXhat0)
+		bn.backwardChannel(dst, invStd, r*spatial, ch+1, sumDy1, sumDyXhat1)
 	}
 	if ch < c {
 		var sumDy, sumDyXhat float32
-		for b := 0; b < n; b++ {
+		for b := 0; b < r; b++ {
 			base := (b*c + ch) * spatial
 			dy0, xh0 := dy[base:base+spatial], xhat[base:base+spatial]
 			for i, d := range dy0 {
@@ -223,24 +295,21 @@ func (bn *BatchNorm) Backward(gradOutIn *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat += d * xh0[i]
 			}
 		}
-		bn.backwardChannel(n*spatial, ch, sumDy, sumDyXhat)
+		bn.backwardChannel(dst, invStd, r*spatial, ch, sumDy, sumDyXhat)
 	}
-	tensor.NormalizeBackwardNCHW(gradIn, gradOut, bn.lastXhat, bn.dxScale, bn.meanDy, bn.meanDyXhat)
-	if bn.was2D {
-		return gradIn.Reshape(n, c)
-	}
-	return gradIn
+	tensor.NormalizeBackwardNCHW(blockView(&bn.vdx, gradIn, lo, r), vdy, vxhat, bn.dxScale, bn.meanDy, bn.meanDyXhat)
 }
 
-// backwardChannel finishes one channel of Backward from its two sums over
-// count elements: the parameter gradients, then the three constants of the
-// channel's input gradient, dx = dxScale·((dy − meanDy) − xhat·meanDyXhat).
-func (bn *BatchNorm) backwardChannel(count, ch int, sumDy, sumDyXhat float32) {
-	bn.Beta.Grad.Data[ch] += sumDy
-	bn.Gamma.Grad.Data[ch] += sumDyXhat
+// backwardChannel finishes one channel of a block's backward from its two
+// sums over count elements: the parameter gradients, into dst's, then the
+// three constants of the channel's input gradient, dx =
+// dxScale·((dy − meanDy) − xhat·meanDyXhat).
+func (bn *BatchNorm) backwardChannel(dst *BatchNorm, invStd []float32, count, ch int, sumDy, sumDyXhat float32) {
+	dst.Beta.Grad.Data[ch] += sumDy
+	dst.Gamma.Grad.Data[ch] += sumDyXhat
 	bn.meanDy[ch] = sumDy / float32(count)
 	bn.meanDyXhat[ch] = sumDyXhat / float32(count)
-	bn.dxScale[ch] = bn.Gamma.Value.Data[ch] * bn.invStd[ch]
+	bn.dxScale[ch] = bn.Gamma.Value.Data[ch] * invStd[ch]
 }
 
 // LayerNorm normalizes over the last dimension of a [B, L, D] or [B, D]
@@ -259,6 +328,9 @@ type LayerNorm struct {
 	lastXhat   *tensor.Tensor
 	lastInvStd []float32
 	lastShape  []int
+	// st is the forward's stack and rows the backward's block rows, reused.
+	st   *Stack
+	rows []int
 
 	// ws backs xhat, the output and the input gradient; each loop writes every
 	// element.
@@ -291,7 +363,8 @@ func (ln *LayerNorm) SetWorkspace(ws *tensor.Workspace) { ln.ws = ws }
 
 // Forward implements Layer: tensor.LayerNormRows, whose row moments are
 // float64 sums in index order.
-func (ln *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
+func (ln *LayerNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
+	ln.st = stackOf(ctx)
 	d := ln.Gamma.Value.Len()
 	if x.Shape[len(x.Shape)-1] != d {
 		panic("nn: LayerNorm feature dimension mismatch")
@@ -308,10 +381,22 @@ func (ln *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer: tensor.LayerNormRowsBackward.
+// Backward implements Layer: tensor.LayerNormRowsBackward over each block's
+// rows, its γ and β gradients into its replica's.
 func (ln *LayerNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradLen(ln.name, gradOut, ln.lastXhat)
 	gradIn := ln.ws.Get("dx", ln.lastShape...)
-	tensor.LayerNormRowsBackward(gradIn.Data, ln.Gamma.Grad.Data, ln.Beta.Grad.Data, gradOut.Data, ln.lastXhat.Data, ln.lastInvStd, ln.Gamma.Value.Data)
+	d := ln.Gamma.Value.Len()
+	ln.rows = ln.st.rows(len(ln.lastInvStd), ln.rows)
+	lo := 0
+	for i, r := range ln.rows {
+		gamma, beta := ln.Gamma, ln.Beta
+		if ln.st != nil {
+			gamma, beta = gamma.peers[ln.st.Devices[i]], beta.peers[ln.st.Devices[i]]
+		}
+		a, b := lo*d, (lo+r)*d
+		tensor.LayerNormRowsBackward(gradIn.Data[a:b], gamma.Grad.Data, beta.Grad.Data, gradOut.Data[a:b], ln.lastXhat.Data[a:b], ln.lastInvStd[lo:lo+r], ln.Gamma.Value.Data)
+		lo += r
+	}
 	return gradIn
 }

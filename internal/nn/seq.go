@@ -126,9 +126,10 @@ func (s *SeqMean) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // blocks of the whole-batch matrices (tensor.MatMulBatchInto and its TA and
 // TB forms), each element's product its own, and the softmax and its
 // backward one call over all B·L rows. The weight gradients sum over the
-// batch, and are accumulated one batch element at a time in index order
-// (tensor.AddMatMulTABatch): one GEMM over B·L rows would add the same terms
-// in another order.
+// batch, and are accumulated one batch element at a time in index order, each
+// into its device's gradient in a stacked pass (tensor.AddMatMulTABlocks, one
+// block an element): one GEMM over B·L rows would add the same terms in
+// another order.
 type Attention struct {
 	name           string
 	Wq, Wk, Wv, Wo *Param
@@ -136,8 +137,15 @@ type Attention struct {
 	Mixed          bool
 
 	// lastX is the forward's input, which Backward reads back with the
-	// bound Q, K, V, A and O.
+	// bound Q, K, V, A and O, and zx its ±0 count (tensor.CountZeros), taken
+	// once for the six products that read x as their A.
 	lastX *tensor.Tensor
+	zx    int
+	// st is the forward's stack; exRows (L for each batch element) and dsts
+	// (the gradient each element adds into) are the backward's, reused.
+	st     *Stack
+	exRows []int
+	dsts   []*tensor.Tensor
 
 	// ws backs every intermediate, the output and the input gradient, so a
 	// steady-state iteration allocates nothing; buf holds them resolved.
@@ -231,14 +239,14 @@ func (at *Attention) bind(b, l, d int) *attnBufs {
 func (at *Attention) scale() float32 { return float32(1 / math.Sqrt(float64(at.Dk))) }
 
 // Forward implements Layer.
-func (at *Attention) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
+func (at *Attention) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(at.name, x, 3)
 	bf, mixed := at.bind(x.Shape[0], x.Shape[1], x.Shape[2]), at.Mixed
-	at.lastX = x
+	at.lastX, at.st, at.zx = x, stackOf(ctx), tensor.CountZeros(x)
 	bf.xv.Data = x.Data
-	tensor.MatMulInto(bf.q, &bf.xv, at.Wq.Value, mixed)
-	tensor.MatMulInto(bf.k, &bf.xv, at.Wk.Value, mixed)
-	tensor.MatMulInto(bf.v, &bf.xv, at.Wv.Value, mixed)
+	tensor.MatMulCountedInto(bf.q, &bf.xv, at.Wq.Value, at.zx, mixed)
+	tensor.MatMulCountedInto(bf.k, &bf.xv, at.Wk.Value, at.zx, mixed)
+	tensor.MatMulCountedInto(bf.v, &bf.xv, at.Wv.Value, at.zx, mixed)
 	tensor.MatMulTBBatchInto(bf.s, bf.q, bf.k, bf.b, at.scale(), mixed)
 	softmaxRowsInto(bf.a, bf.s, at.expRow)
 	tensor.MatMulBatchInto(bf.o, bf.a, bf.v, bf.b, mixed)
@@ -253,10 +261,14 @@ func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	checkGradLen(at.name, gradOut, at.lastX)
 	bf, mixed, b := &at.buf, at.Mixed, at.buf.b
 	bf.xv.Data, bf.gv.Data = at.lastX.Data, gradOut.Data
+	at.exRows = at.exRows[:0]
+	for range b {
+		at.exRows = append(at.exRows, bf.l)
+	}
 
 	// Y = O·Wo
 	tensor.MatMulTBInto(bf.gO, &bf.gv, at.Wo.Value, mixed)
-	tensor.AddMatMulTABatch(at.Wo.Grad, bf.o, &bf.gv, b, mixed)
+	tensor.AddMatMulTABlocks(at.elementGrads(at.Wo), bf.o, &bf.gv, at.exRows, -1, mixed)
 
 	// O = A·V
 	gA := bf.s
@@ -270,9 +282,9 @@ func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	tensor.MatMulBatchInto(bf.gQ, bf.gS, bf.k, b, mixed)
 	tensor.MatMulTABatchInto(bf.gK, bf.gS, bf.q, b, mixed)
 
-	tensor.AddMatMulTABatch(at.Wq.Grad, &bf.xv, bf.gQ, b, mixed)
-	tensor.AddMatMulTABatch(at.Wk.Grad, &bf.xv, bf.gK, b, mixed)
-	tensor.AddMatMulTABatch(at.Wv.Grad, &bf.xv, bf.gV, b, mixed)
+	tensor.AddMatMulTABlocks(at.elementGrads(at.Wq), &bf.xv, bf.gQ, at.exRows, at.zx, mixed)
+	tensor.AddMatMulTABlocks(at.elementGrads(at.Wk), &bf.xv, bf.gK, at.exRows, at.zx, mixed)
+	tensor.AddMatMulTABlocks(at.elementGrads(at.Wv), &bf.xv, bf.gV, at.exRows, at.zx, mixed)
 
 	// Q = X·Wq, K = X·Wk, V = X·Wv: dx is the three terms added in this
 	// order, the later two as their tiles are stored.
@@ -280,6 +292,26 @@ func (at *Attention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	tensor.AddMatMulTB(&bf.dxv, bf.gK, at.Wk.Value, mixed)
 	tensor.AddMatMulTB(&bf.dxv, bf.gV, at.Wv.Value, mixed)
 	return bf.dx
+}
+
+// elementGrads returns the gradient of p each batch element of the last
+// forward adds into, in element order: its block's replica's, or p's own
+// outside a stack.
+func (at *Attention) elementGrads(p *Param) []*tensor.Tensor {
+	at.dsts = at.dsts[:0]
+	if at.st == nil {
+		for range at.buf.b {
+			at.dsts = append(at.dsts, p.Grad)
+		}
+		return at.dsts
+	}
+	for i, n := range at.st.Examples {
+		g := p.peers[at.st.Devices[i]].Grad
+		for range n {
+			at.dsts = append(at.dsts, g)
+		}
+	}
+	return at.dsts
 }
 
 // softmaxRowsInto writes the numerically stable softmax of each row of the
@@ -305,6 +337,11 @@ type LSTM struct {
 
 	// caches per time step
 	lastX *tensor.Tensor
+	// st is the forward's stack; rows and dsts are the backward's block
+	// rows and gradient destinations, reused.
+	st    *Stack
+	rows  []int
+	dsts  []*tensor.Tensor
 	xs    []*tensor.Tensor // input at step t [B, D]
 	hs    []*tensor.Tensor // hidden after step t [B, H] (hs[0] is h_{-1}=0)
 	cs    []*tensor.Tensor // cell after step t
@@ -351,20 +388,16 @@ func (l *LSTM) matmul(a, b *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMul(a, b)
 }
 
-func (l *LSTM) matmulTA(a, b *tensor.Tensor) *tensor.Tensor {
-	return tensor.MatMulTA(a, b, l.Mixed)
-}
-
 func (l *LSTM) matmulTB(a, b *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatMulTB(a, b, l.Mixed)
 }
 
 // Forward implements Layer.
-func (l *LSTM) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
+func (l *LSTM) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(l.name, x, 3)
 	b, seqLen, d := x.Shape[0], x.Shape[1], x.Shape[2]
 	h := l.H
-	l.lastX = x
+	l.lastX, l.st = x, stackOf(ctx)
 	l.xs = l.xs[:0]
 	l.hs = l.hs[:0]
 	l.cs = l.cs[:0]
@@ -423,6 +456,7 @@ func (l *LSTM) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := tensor.New(b, seqLen, d)
 	dh := gradOut.Clone() // dL/dh_T
 	dc := tensor.New(b, h)
+	l.rows = l.st.rows(b, l.rows)
 	for t := seqLen - 1; t >= 0; t-- {
 		z := l.gates[t]
 		cPrev := l.cs[t]
@@ -451,9 +485,12 @@ func (l *LSTM) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		}
 		xt := l.xs[t]
 		hPrev := l.hs[t]
-		l.Wx.Grad.AddInPlace(l.matmulTA(xt, dz))
-		l.Wh.Grad.AddInPlace(l.matmulTA(hPrev, dz))
-		tensor.SumPerChannelNCHW(dz, l.Bias.Grad)
+		l.dsts = l.Wx.grads(l.st, l.dsts)
+		tensor.AddMatMulTABlocks(l.dsts, xt, dz, l.rows, -1, l.Mixed)
+		l.dsts = l.Wh.grads(l.st, l.dsts)
+		tensor.AddMatMulTABlocks(l.dsts, hPrev, dz, l.rows, -1, l.Mixed)
+		l.dsts = l.Bias.grads(l.st, l.dsts)
+		tensor.SumPerChannelBlocks(l.dsts, dz, l.rows)
 		dxt := l.matmulTB(dz, l.Wx.Value)
 		for bi := 0; bi < b; bi++ {
 			copy(gradIn.Data[(bi*seqLen+t)*d:(bi*seqLen+t+1)*d], dxt.Data[bi*d:(bi+1)*d])

@@ -87,34 +87,6 @@ func MatMulTBBatchInto(dst, a, b *Tensor, batch int, s float32, mixed bool) *Ten
 	return dst
 }
 
-// AddMatMulTABatch adds a_eᵀ × b_e to dst [m,n] for every element in
-// ascending order, a [batch·k, m] and b [batch·k, n]: bitwise batch calls of
-// AddMatMulTA, the attention's weight gradients summed over the batch. Each
-// element's chains start from +0 and are added to dst as a whole; this is
-// not one chain over all batch·k rows.
-func AddMatMulTABatch(dst, a, b *Tensor, batch int, mixed bool) {
-	k, m, kb, n := checkBatch("AddMatMulTABatch", a, b, batch)
-	if kb != k {
-		panic(fmt.Sprintf("tensor: AddMatMulTABatch inner dimensions differ: %d blocks of %vᵀ × %v", batch, a.Shape, b.Shape))
-	}
-	checkDst("AddMatMulTABatch", dst, m, n)
-	addMatMulTA(dst.Data, a.Data, b.Data, batch, k, m, n, mixed)
-}
-
-// addMatMulTA is AddMatMulTABatch on the data.
-func addMatMulTA(c, a, b []float32, batch, k, m, n int, mixed bool) {
-	if !mixed {
-		gemmBatch(c, a, b, batch, m, k, n, 1, m, tileAddToC, 0)
-		return
-	}
-	rp := getPackBuf(m * n)
-	for e := 0; e < batch; e++ {
-		matMulTA(*rp, a[e*k*m:(e+1)*k*m], b[e*k*n:(e+1)*k*n], k, m, n, true)
-		addBlocks(c, *rp, &blockShape{n: 1, rows: 1, cols: m * n})
-	}
-	putPackBuf(rp)
-}
-
 // checkBatch checks two 2-D operands of batch row blocks each and returns
 // the extents of one block of a and of b.
 func checkBatch(op string, a, b *Tensor, batch int) (aRows, aCols, bRows, bCols int) {
@@ -134,7 +106,7 @@ func checkBatch(op string, a, b *Tensor, batch int) (aRows, aCols, bRows, bCols 
 // blocks, (1, m) for [k,m] blocks read transposed; B_e is the e-th [k,n] of
 // b. With tileFromZero each product is stored over the e-th m·n floats of c,
 // with tileScaled stored times s as Scale would leave it; with tileAddToC
-// every product is added to the one m×n c in turn, as AddMatMulTA adds one.
+// every product is added to the one m×n c in turn, as AddMatMulTABlocks adds one.
 //
 // The path is gemmPath's, on the zeros of all of a: none sends every
 // element to the tile kernel, each in one gemmTileAVX call; otherwise every
@@ -142,6 +114,12 @@ func checkBatch(op string, a, b *Tensor, batch int) (aRows, aCols, bRows, bCols 
 // for tileAddToC a pooled scratch then added to c — and tileScaled scales
 // all of c once after. Without the AVX kernels it is gemmRows throughout.
 func gemmBatch(c, a, b []float32, batch, m, k, n, aRow, aK int, start tileStart, s float32) {
+	gemmBatchOf(c, a, b, batch, m, k, n, aRow, aK, start, s, -1)
+}
+
+// gemmBatchOf is gemmBatch with a's ±0 count taken by the caller (zeros ≥ 0)
+// or counted here (zeros < 0).
+func gemmBatchOf(c, a, b []float32, batch, m, k, n, aRow, aK int, start tileStart, s float32, zeros int) {
 	mk, kn, mn := m*k, k*n, m*n
 	cStep := mn
 	if start == tileAddToC {
@@ -153,7 +131,10 @@ func gemmBatch(c, a, b []float32, batch, m, k, n, aRow, aK int, start tileStart,
 	if batch == 0 || mn == 0 {
 		return
 	}
-	path := gemmPath(a[:batch*mk], k)
+	path := pathRows
+	if k > 0 {
+		path = gemmPathOf(a[:batch*mk], zeros)
+	}
 	if path == pathDense {
 		for e := 0; e < batch; e++ {
 			gemmTileAVX(&c[e*cStep], &b[e*kn], &a[e*mk], m, n, k, aRow, aK, start, false, s)

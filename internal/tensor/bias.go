@@ -29,27 +29,7 @@ func AddBiasNCHW(t, bias *Tensor) {
 	addBias(t.Data, bias.Data, n, c, spatial)
 }
 
-// SumPerChannelNCHW accumulates the sum of each channel of t into into[c]
-// (+=, matching gradient-accumulation semantics): the shared bias-gradient
-// reduction of Conv2D and Dense backward passes. Accumulation order is
-// batch-major then spatial. A row's sum is one chain of dependent additions, so
-// the rows of four channels are summed side by side, each from its own +0 in
-// its own order, and the channels left over one at a time. A rank-2 tensor
-// ([rows, features], spatial 1) has one-element rows: each element's sum is
-// +0 + x, added to its channel in one walk along the row.
-func SumPerChannelNCHW(t, into *Tensor) {
-	n, c, spatial := channelDims("SumPerChannelNCHW", t)
-	if into.Len() != c {
-		panic(fmt.Sprintf("tensor: SumPerChannelNCHW destination has %d elements for %d channels", into.Len(), c))
-	}
-	if spatial == 1 {
-		sumRows(t.Data[:n*c], into.Data[:c], n)
-		return
-	}
-	sumPlanes(t.Data, into.Data[:c], n, spatial)
-}
-
-// sumPlanes is SumPerChannelNCHW over n batches of len(acc) planes of spatial
+// sumPlanes is SumPerChannelBlocks over one block of n batches of len(acc) planes of spatial
 // elements each.
 func sumPlanes(data, acc []float32, n, spatial int) {
 	c := len(acc)
@@ -82,7 +62,7 @@ func sumPlanes(data, acc []float32, n, spatial int) {
 	}
 }
 
-// sumRows is SumPerChannelNCHW at spatial 1: acc[c] += +0 + row[c] for each
+// sumRows is SumPerChannelBlocks at spatial 1, over one block: acc[c] += +0 + row[c] for each
 // of data's n rows in order. The +0 is the plane loop's starting sum, kept so
 // that a −0 element adds as +0 there and here alike. With the AVX kernels
 // columnsAVX keeps each channel's acc in a register lane over the rows.

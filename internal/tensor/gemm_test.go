@@ -254,8 +254,9 @@ func TestSIMDGEMMBitwise(t *testing.T) {
 	}
 }
 
-// TestAddMatMulTABitwise holds AddMatMulTA to the two calls it replaces,
-// dst.AddInPlace(MatMulTAInto(scratch, a, b)), bit for bit, NaN payloads
+// TestAddMatMulTABitwise holds AddMatMulTABlocks at one block to the two
+// calls it replaces, dst.AddInPlace(MatMulTAInto(scratch, a, b)), bit for
+// bit, NaN payloads
 // included, on both of its paths: the tile kernel adding each chain to dst
 // as it stores (a dense A, fp32) and the scratch product (an A with a zero,
 // or bf16). The accumulators dst starts from hold ±0, normals and NaNs of a
@@ -271,7 +272,7 @@ func TestAddMatMulTABitwise(t *testing.T) {
 			a, b := gemmOperands(r, m, k, n, poison)
 			sparse := a.Clone()
 			sparseRows(sparse, m+k)
-			for _, a := range []*Tensor{Transpose2D(a), Transpose2D(sparse)} { // [k,m], as AddMatMulTA takes it
+			for _, a := range []*Tensor{Transpose2D(a), Transpose2D(sparse)} { // [k,m], as AddMatMulTABlocks takes it
 				for _, mixed := range []bool{false, true} {
 					dst := New(m, n)
 					for i := range dst.Data {
@@ -288,9 +289,9 @@ func TestAddMatMulTABitwise(t *testing.T) {
 					}
 					want := dst.Clone()
 					want.AddInPlace(MatMulTAInto(New(m, n), a, b, mixed))
-					AddMatMulTA(dst, a, b, mixed)
+					AddMatMulTABlocks([]*Tensor{dst}, a, b, []int{k}, -1, mixed)
 					name := fmt.Sprintf("%dx%dx%d poison=%v dense=%v mixed=%v", m, k, n, poison, allNonZero(a.Data), mixed)
-					sameBits(t, "AddMatMulTA "+name, dst.Data, want.Data, true)
+					sameBits(t, "AddMatMulTABlocks "+name, dst.Data, want.Data, true)
 				}
 			}
 		}
@@ -393,8 +394,9 @@ func batchPoison(a []float32, blocks, blk int, kind string) {
 // element by element, bit for bit, NaN payloads included: MatMulBatchInto
 // to MatMulInto, MatMulTABatchInto to MatMulTAInto, MatMulTBBatchInto to
 // MatMulTBInto without a scale and followed by Scale with one, and
-// AddMatMulTABatch to AddMatMulTA in element order onto a C holding ±0 and
-// NaNs — at 1, 2, 3 and 64 elements, the attention's shapes and odd ones,
+// AddMatMulTABlocks to AddInPlace(MatMulTAInto) block by block onto C's holding ±0 and
+// NaNs, one block an element over two destinations and two unequal blocks —
+// at 1, 2, 3 and 64 elements, the attention's shapes and odd ones,
 // with every block dense, a −0 or a NaN in one block only, and three zeros
 // in four (the sparse path), in FP32 and bf16 (an FP32 TB without the AVX
 // kernels is held to NaN-ness where NaNs meet, as in checkGEMMVariants).
@@ -456,16 +458,31 @@ func TestBatchGEMMBitwise(t *testing.T) {
 						})
 					}
 
-					acc := New(m, n)
-					for i := range acc.Data {
-						acc.Data[i] = [...]float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc0acc1), 1.5}[i%4]
+					// AddMatMulTABlocks: one block an element, elements
+					// alternating between two destinations, then two blocks
+					// of unequal size; zeros counted by the caller or not.
+					accs, wants := [2]*Tensor{New(m, n), New(m, n)}, [2]*Tensor{}
+					for j := range accs {
+						for i := range accs[j].Data {
+							accs[j].Data[i] = [...]float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(0x7fc0acc1), 1.5}[(i+j)%4]
+						}
+						wants[j] = accs[j].Clone()
 					}
-					want := acc.Clone()
+					var dsts []*Tensor
+					var rows []int
 					for e := 0; e < batch; e++ {
-						AddMatMulTA(want, block(at, e), block(b, e), mixed)
+						wants[e%2].AddInPlace(MatMulTAInto(New(m, n), block(at, e), block(b, e), mixed))
+						dsts, rows = append(dsts, accs[e%2]), append(rows, k)
 					}
-					AddMatMulTABatch(acc, at, b, batch, mixed)
-					sameBits(t, "AddMatMulTABatch "+name, acc.Data, want.Data, true)
+					AddMatMulTABlocks(dsts, at, b, rows, CountZeros(at), mixed)
+					if split := (batch + 1) / 2 * k; batch > 1 {
+						wants[0].AddInPlace(MatMulTAInto(New(m, n), FromSlice(at.Data[:split*m], split, m), FromSlice(b.Data[:split*n], split, n), mixed))
+						wants[1].AddInPlace(MatMulTAInto(New(m, n), FromSlice(at.Data[split*m:], batch*k-split, m), FromSlice(b.Data[split*n:], batch*k-split, n), mixed))
+						AddMatMulTABlocks(accs[:], at, b, []int{split, batch*k - split}, -1, mixed)
+					}
+					for j := range accs {
+						sameBits(t, fmt.Sprintf("AddMatMulTABlocks %s destination %d", name, j), accs[j].Data, wants[j].Data, true)
+					}
 				}
 			}
 		}
@@ -709,7 +726,7 @@ func naiveGEMM(a, b []float32, m, k, n int, mixed bool) []float32 {
 
 // FuzzGEMMOracle: the fuzzer chooses the shape and the raw bit patterns of
 // both operands — payloads, signaling NaNs, subnormals, whatever it finds —
-// and the precision, and every GEMM entry point, AddMatMulTA and AddMatMulTB
+// and the precision, and every GEMM entry point, AddMatMulTABlocks and AddMatMulTB
 // included, must agree with naiveGEMM bit for bit, and so must each element
 // of the batched products over three: the operands, both reversed, and A
 // with one zero (the scaled TB times s, as Scale rounds it). NaN results only have to be NaN:
@@ -822,15 +839,15 @@ func FuzzGEMMOracle(f *testing.F) {
 		sameBits(t, "MatMulInto", MatMulInto(dst, a, b, mixed).Data, want, false)
 		sameBits(t, "MatMulTAInto", MatMulTAInto(dst, at, b, mixed).Data, want, false)
 		sameBits(t, "MatMulTBInto", MatMulTBInto(dst, a, bt, mixed).Data, want, false)
-		// AddMatMulTA onto a C of the fuzzer's bits: C + product, C first.
+		// AddMatMulTABlocks onto a C of the fuzzer's bits: C + product, C first.
 		acc := New(m, n)
 		fill(acc.Data, 7)
 		sum := make([]float32, m*n)
 		for i, v := range acc.Data {
 			sum[i] = v + want[i]
 		}
-		AddMatMulTA(acc, at, b, mixed)
-		sameBits(t, "AddMatMulTA", acc.Data, sum, false)
+		AddMatMulTABlocks([]*Tensor{acc}, at, b, []int{k}, -1, mixed)
+		sameBits(t, "AddMatMulTABlocks", acc.Data, sum, false)
 		acc = New(m, n)
 		fill(acc.Data, 7)
 		AddMatMulTB(acc, a, bt, mixed)

@@ -52,6 +52,20 @@ func MatMulInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	return dst
 }
 
+// MatMulCountedInto is MatMulInto for an fp32 A whose ±0 count the caller
+// took with CountZeros (negative: not counted), so the product does not
+// count it again. The bits are MatMulInto's.
+func MatMulCountedInto(dst, a, b *Tensor, zeros int, mixed bool) *Tensor {
+	if mixed {
+		return MatMulInto(dst, a, b, true)
+	}
+	m, k, n := checkMatMul(a, b)
+	checkDst("MatMulCountedInto", dst, m, n)
+	dst.ClearDirty()
+	gemmBatchOf(dst.Data, a.Data, b.Data, 1, m, k, n, k, 1, tileFromZero, 0, zeros)
+	return dst
+}
+
 // matMulNN is MatMulInto on the data: c [m,n] = a × b for a [m,k], b [k,n].
 func matMulNN(c, a, b []float32, m, k, n int, mixed bool) {
 	if mixed {
@@ -65,15 +79,6 @@ func matMulNN(c, a, b []float32, m, k, n int, mixed bool) {
 	gemmBatch(c, a, b, 1, m, k, n, k, 1, tileFromZero, 0)
 }
 
-// MatMulTA computes C = Aᵀ × B for A [k,m] and B [k,n] without
-// materializing the transpose. Bitwise-equal to MatMul(aᵀ, b).
-func MatMulTA(a, b *Tensor, mixed bool) *Tensor {
-	k, m, n := checkMatMulTA(a, b)
-	c := New(m, n)
-	_ = k
-	return MatMulTAInto(c, a, b, mixed)
-}
-
 // MatMulTAInto computes dst = Aᵀ × B into dst [m,n], overwriting it.
 func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	k, m, n := checkMatMulTA(a, b)
@@ -81,17 +86,6 @@ func MatMulTAInto(dst, a, b *Tensor, mixed bool) *Tensor {
 	dst.ClearDirty()
 	matMulTA(dst.Data, a.Data, b.Data, k, m, n, mixed)
 	return dst
-}
-
-// AddMatMulTA adds Aᵀ × B to dst [m,n] for A [k,m] and B [k,n]: bitwise
-// dst.AddInPlace(MatMulTA(a, b, mixed)), the weight-gradient accumulation of
-// Dense. For an fp32 product with no ±0 in A the tile kernel forms each
-// element's chain from +0 and stores dst + chain (tileAddToC); otherwise the
-// product goes to a pooled scratch and is added from there.
-func AddMatMulTA(dst, a, b *Tensor, mixed bool) {
-	k, m, n := checkMatMulTA(a, b)
-	checkDst("AddMatMulTA", dst, m, n)
-	addMatMulTA(dst.Data, a.Data, b.Data, 1, k, m, n, mixed)
 }
 
 // matMulTA is MatMulTAInto on the data: c [m,n] = aᵀ × b for a [k,m], b [k,n].
@@ -125,7 +119,7 @@ func MatMulTBInto(dst, a, b *Tensor, mixed bool) *Tensor {
 
 // AddMatMulTB adds A × Bᵀ to dst [m,n] for A [m,k] and B [n,k]: bitwise
 // dst.AddInPlace(MatMulTB(a, b, mixed)), the attention's later terms of its
-// input gradient. In fp32 the product lands as AddMatMulTA's does: with no
+// input gradient. In fp32 the product lands as AddMatMulTABlocks' does: with no
 // ±0 in A each chain, from +0, is added to dst as the tile is stored
 // (tileAddToC), Bᵀ on tbTileAVX's frame where it fits; otherwise Bᵀ goes to
 // a pooled scratch and the product through gemmBatch.
@@ -252,17 +246,42 @@ const (
 // zeros (a convolution behind a ReLU) the two are about even, and gemmRows
 // is kept there. EXPERIMENTS.md has the measurements.
 func gemmPath(a []float32, k int) gemmKind {
-	if !useAVX || k == 0 {
+	if k == 0 {
 		return pathRows
 	}
-	z := countZeros(a)
-	if z == 0 {
+	return gemmPathOf(a, -1)
+}
+
+// gemmPathOf is gemmPath for a product with k-steps, from a's ±0 count when
+// the caller took it once for several products over the same A (zeros ≥ 0,
+// CountZeros), or counted here (zeros < 0).
+func gemmPathOf(a []float32, zeros int) gemmKind {
+	if !useAVX {
+		return pathRows
+	}
+	if zeros < 0 {
+		zeros = countZeros(a)
+	}
+	if zeros == 0 {
 		return pathDense
 	}
-	if 4*z >= 3*len(a) {
+	if 4*zeros >= 3*len(a) {
 		return pathSparse
 	}
 	return pathRows
+}
+
+// CountZeros returns how many elements of t are ±0: the figure an FP32
+// product picks its kernel path from, taken once by a caller that hands it
+// to several products over the same A operand (MatMulCountedInto,
+// AddMatMulTABlocks). Where no path depends on it — builds without the AVX
+// kernels — it counts nothing and returns −1, which those products read as
+// "not counted".
+func CountZeros(t *Tensor) int {
+	if !useAVX {
+		return -1
+	}
+	return countZeros(t.Data)
 }
 
 // countZeros returns how many elements of a are ±0 (a NaN is not zero).
@@ -380,7 +399,7 @@ const (
 	// tileFromC: every chain from the element C holds (gemmRows' runs).
 	tileFromC
 	// tileAddToC: every chain from +0, then C + chain stored, C the first
-	// operand of the addition as in AddInPlace (AddMatMulTA).
+	// operand of the addition as in AddInPlace (AddMatMulTABlocks).
 	tileAddToC
 	// tileScaled: every chain from +0, then chain·s stored, the chain the
 	// first operand as in Scale (the attention's scores).
@@ -563,9 +582,17 @@ func gemmTBviaTN(c, a, b []float32, m, k, n int) {
 	rp := getPackBuf(m * (k + n))
 	at, ct := (*rp)[:m*k], (*rp)[m*k:]
 	transposeBlocks(at, a, m, k, 1)
-	gemmTile(ct, at, b, n, m, k, k, 1, tileFromZero, true)
-	transposeBlocks(c, ct, n, m, 1)
+	tnTile(c, ct, at, b, m, k, n, k)
 	putPackBuf(rp)
+}
+
+// tnTile is gemmTBviaTN from Aᵀ already transposed into at [k,m], B's n
+// rows bRow floats apart (bRow = k for a whole [n,k] B; more for a block of
+// columns of a wider one, the convolution's im2col columns of one device),
+// and Cᵀ formed in the scratch ct [n,m]. A must hold no ±0.
+func tnTile(c, ct, at, b []float32, m, k, n, bRow int) {
+	gemmTile(ct, at, b, n, m, k, bRow, 1, tileFromZero, true)
+	transposeBlocks(c, ct, n, m, 1)
 }
 
 // transposeBlocks writes the transposes of blocks consecutive [rows,cols]

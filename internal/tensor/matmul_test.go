@@ -34,8 +34,8 @@ func TestMatMulTAMatchesTranspose(t *testing.T) {
 		a := randMat(r, 17, 9)  // [k, m]
 		b := randMat(r, 17, 13) // [k, n]
 		want := matmulRef(Transpose2D(a), b, mixed)
-		got := MatMulTA(a, b, mixed)
-		bitsEqual(t, "MatMulTA", got, want)
+		got := MatMulTAInto(New(9, 13), a, b, mixed)
+		bitsEqual(t, "MatMulTAInto", got, want)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestBiasHelpersMatchNaive(t *testing.T) {
 	}
 	gotSum := New(4)
 	gotSum.Fill(1)
-	SumPerChannelNCHW(x, gotSum)
-	bitsEqual(t, "SumPerChannelNCHW", gotSum, wantSum)
+	SumPerChannelBlocks([]*Tensor{gotSum}, x, []int{x.Shape[0]})
+	bitsEqual(t, "SumPerChannelBlocks", gotSum, wantSum)
 
 	// Rank-2 (Dense) path: spatial = 1.
 	d := randMat(r, 6, 5)

@@ -53,7 +53,7 @@ func TestPackedGEMMBitwise(t *testing.T) {
 		want := matmulRef(a, b, true)
 		tag := fmt.Sprintf("m=%d k=%d n=%d", m, k, n)
 		bitsEqual(t, "packed NN "+tag, MatMulMixed(a, b), want)
-		bitsEqual(t, "packed TA "+tag, MatMulTA(at, b, true), want)
+		bitsEqual(t, "packed TA "+tag, MatMulTAInto(New(m, n), at, b, true), want)
 		bitsEqual(t, "packed TB "+tag, MatMulTB(a, bt, true), want)
 	}
 }

@@ -93,7 +93,7 @@ func TestDirtyProtocol(t *testing.T) {
 }
 
 // channelMomentsRef and sumPerChannelRef are the one-channel-at-a-time loops
-// ChannelMoments and SumPerChannelNCHW ran before they took several channels
+// ChannelMoments and the per-channel sum (now SumPerChannelBlocks) ran before they took several channels
 // side by side, kept as their oracles: same addends, same order, one chain.
 func channelMomentsRef(t *Tensor) (mean, variance []float32) {
 	n, c, h, w := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
@@ -180,9 +180,9 @@ func TestChannelReductionsBitwise(t *testing.T) {
 				got, want := New(c), New(c)
 				fillChannelTorture(r, got, false)
 				copy(want.Data, got.Data)
-				SumPerChannelNCHW(x, got)
+				SumPerChannelBlocks([]*Tensor{got}, x, []int{n})
 				sumPerChannelRef(x, want)
-				sameBits(t, "SumPerChannelNCHW "+name, got.Data, want.Data, false)
+				sameBits(t, "SumPerChannelBlocks "+name, got.Data, want.Data, false)
 
 				// Rank-2, the Dense bias gradient: rows of one element, and a
 				// -0 row must still contribute the +0 its own sum starts from.
@@ -191,9 +191,9 @@ func TestChannelReductionsBitwise(t *testing.T) {
 				d.Data[0] = float32(math.Copysign(0, -1))
 				got.Fill(float32(math.Copysign(0, -1)))
 				want.Fill(float32(math.Copysign(0, -1)))
-				SumPerChannelNCHW(d, got)
+				SumPerChannelBlocks([]*Tensor{got}, d, []int{n})
 				sumPerChannelRef(d, want)
-				sameBits(t, "SumPerChannelNCHW rank-2 "+name, got.Data, want.Data, false)
+				sameBits(t, "SumPerChannelBlocks rank-2 "+name, got.Data, want.Data, false)
 			}
 		}
 	}

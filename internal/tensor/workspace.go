@@ -30,9 +30,9 @@ import (
 //   - A Workspace is not safe for concurrent use. The replicas of one
 //     engine share their layers' workspaces per lane (train.New,
 //     train.Engine.SetLanes): a lane binds a replica to its own set before
-//     stepping it and steps one device at a time, each device's forward and
-//     backward finishing before the lane's next device starts, so nothing
-//     reads a buffer another device wrote.
+//     stepping a stack of devices on it and steps one stack at a time, each
+//     stack's forward and backward finishing before the lane's next stack
+//     starts, so nothing reads a buffer another stack wrote.
 //   - A nil *Workspace is valid and simply allocates fresh tensors,
 //     preserving the original allocation behaviour.
 type Workspace struct {

@@ -280,28 +280,37 @@ func evaluateWhole(e *train.Engine, d int, test *data.Dataset) (loss, acc float6
 // TestEvaluateMatchesWholeBatchOracle: Evaluate's loss and accuracy equal
 // the whole-test-set oracle's bit for bit on every zoo workload — after
 // training, on the root and on another device (their BatchNorm statistics
-// differ), with a test set whose size is no multiple of the device batch
-// (the last slice is short), at a device batch other than the zoo's 2, and
-// with an output-layer parameter poisoned to NaN and to +Inf so the logits
-// are non-finite.
+// differ), in slices of the rows lane 0's stack holds (all 16 of the zoo's
+// batch on one lane, 6 on three lanes), with a test set whose size is no
+// multiple of the slice (the last slice is short), at a device batch other
+// than the zoo's 2, and with an output-layer parameter poisoned to NaN and to
+// +Inf so the logits are non-finite.
 func TestEvaluateMatchesWholeBatchOracle(t *testing.T) {
 	for _, w := range append(workloads.All(), workloads.ResnetMixed()) {
 		t.Run(w.Name, func(t *testing.T) {
 			trainSet, testSet := w.NewDataset()
 			short, _ := testSet.Split(testSet.Len() - 1)
 			for _, geo := range []struct {
-				name            string
-				devices, perDev int
-				test            *data.Dataset
+				name                   string
+				devices, perDev, lanes int
+				test                   *data.Dataset
+				slice                  int
 			}{
-				{"zoo", w.Devices, w.PerDeviceBatch, testSet},
-				{"short-last-slice", w.Devices, w.PerDeviceBatch, short},
-				{"device-batch-5", 2, 5, short},
+				{"zoo", w.Devices, w.PerDeviceBatch, 1, testSet, 16},
+				{"short-last-slice", w.Devices, w.PerDeviceBatch, 1, short, 16},
+				{"three-lanes", w.Devices, w.PerDeviceBatch, 3, testSet, 6},
+				{"three-lanes-short", w.Devices, w.PerDeviceBatch, 3, short, 6},
+				{"device-batch-5", 2, 5, 1, short, 10},
 			} {
 				seed := rng.Seed{State: 17, Stream: 3}
 				loader := data.NewLoader(trainSet, geo.devices*geo.perDev, seed)
 				cfg := train.Config{Devices: geo.devices, PerDeviceBatch: geo.perDev, Seed: seed, TestEvery: w.TestEvery}
 				e := train.New(cfg, w.Build, w.NewOptimizer(), loader, geo.test)
+				e.SetLanes(geo.lanes)
+				defer e.SetLanes(1)
+				if got := e.EvalRows(); got != geo.slice {
+					t.Fatalf("%s: Evaluate slices %d examples, want %d", geo.name, got, geo.slice)
+				}
 				check := func(when string) {
 					t.Helper()
 					for _, d := range []int{0, geo.devices - 1} {

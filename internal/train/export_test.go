@@ -10,3 +10,6 @@ func (e *Engine) LaneWorkspaces() [][]*tensor.Workspace {
 	}
 	return sets
 }
+
+// EvalRows is how many examples a slice of Evaluate holds.
+func (e *Engine) EvalRows() int { return e.evalRows() }

@@ -63,13 +63,15 @@ type Engine struct {
 	testAll  data.Batch // testSet.All(), gathered on the first Evaluate
 
 	// lanes step the healthy devices of an iteration (lanes.go, SetLanes):
-	// one by default, on the goroutine calling RunIteration. A lane steps
-	// one device at a time, each device's forward and backward finishing
-	// before its next device starts, so one step scratch, loss scratch and
-	// workspace set per lane serve every device it steps. bound[d] is the
-	// lane whose workspace set replica d's layers hold; work is the job
-	// RunIteration hands the lanes, and fixedLo / fixedN the fixed
-	// partition's shards, indexed by device.
+	// one by default, on the goroutine calling RunIteration. The healthy
+	// devices split into as many contiguous stacks as there are lanes, and a
+	// lane steps a stack as one pass over its devices' shards (stackStep),
+	// the forward and backward of one stack finishing before the lane's next
+	// starts, so one step scratch, loss scratch and workspace set per lane
+	// serve every stack it steps. A stack runs on the replica of its first
+	// device; bound[d] is the lane whose workspace set replica d's layers
+	// hold. work is the job RunIteration hands the lanes, and fixedLo /
+	// fixedN the fixed partition's shards, indexed by device.
 	lanes           []*lane
 	bound           []int
 	work            laneWork
@@ -80,12 +82,15 @@ type Engine struct {
 	injectDevice int
 
 	// ForwardMonitor, when non-nil, observes every layer output of every
-	// device during training forward passes (after any injection). It is
-	// the attachment point for activation-monitoring baselines such as
-	// range restriction (Sec 6). It is called on the goroutine running
-	// RunIteration, one device after another in ascending order: an
-	// iteration with a monitor set runs on lane 0 alone, whatever SetLanes
-	// asked. out is layer scratch, valid only during the call.
+	// device during training forward passes (after any injection): out is
+	// the device's rows of the layer's output, shaped as a pass over its
+	// shard alone would shape it. It is the attachment point for
+	// activation-monitoring baselines such as range restriction (Sec 6). It
+	// is called on the goroutine running RunIteration, stack after stack in
+	// ascending order and, within a stack, layer by layer, each layer's
+	// devices in ascending order: an iteration with a monitor set runs on
+	// lane 0 alone, whatever SetLanes asked. out is layer scratch, valid
+	// only during the call.
 	ForwardMonitor func(device, layer int, out *tensor.Tensor)
 
 	// lastNonFinite is where the latest iteration first saw an INF/NaN.
@@ -129,9 +134,9 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 	}
 	e := &Engine{cfg: cfg, opt: optimizer, loader: loader, testSet: testSet}
 	// The replicas start bound to one scratch set — replica 0's layer
-	// workspaces, lane 0's — because a lane steps one device at a time: a
-	// device's forward and backward finish before the lane's next device
-	// starts, and nothing reads a layer's scratch after its device step.
+	// workspaces, lane 0's — because a lane steps one stack at a time: a
+	// stack's forward and backward finish before the lane's next stack
+	// starts, and nothing reads a layer's scratch after its stack step.
 	// Each replica keeps its own parameters, gradients, normalization
 	// statistics and forward-to-backward layer fields.
 	e.replicas = nn.BuildReplicas(cfg.Devices, func() *nn.Sequential {
@@ -142,6 +147,7 @@ func New(cfg Config, build BuildFunc, optimizer opt.Optimizer, loader *data.Load
 	e.bound = make([]int, cfg.Devices)
 	e.work.wake.L = &e.work.mu
 	e.work.out = make([]devStats, 0, cfg.Devices)
+	e.work.bounds = make([]int, 0, cfg.Devices+1)
 	e.fixedLo, e.fixedN = make([]int, cfg.Devices), make([]int, cfg.Devices)
 	for d := range e.fixedLo {
 		e.fixedLo[d], e.fixedN[d] = d*cfg.PerDeviceBatch, cfg.PerDeviceBatch
@@ -284,9 +290,9 @@ func (e *Engine) ScrubWorkspaces() {
 // with plain ones until the first quarantine.
 func (e *Engine) SetElastic(on bool) { e.elastic = on }
 
-// deviceScratch is a device step's state: the layer context and the header
-// of the device's batch shard.
-type deviceScratch struct {
+// stepScratch is a stack step's state: the layer context and the header of
+// the stack's batch.
+type stepScratch struct {
 	ctx nn.Context
 	x   tensor.Tensor
 }
@@ -342,48 +348,55 @@ type devStats struct {
 	injectedElems int
 }
 
-// deviceStep runs device d's shard [lo, lo+n) of iteration iter on lane l:
-// forward pass (with injection and monitoring hooks), loss, and backward
-// pass, accumulating gradients into the device's replica. The fixed
-// partition passes lo = d·PerDeviceBatch, n = PerDeviceBatch; the elastic
-// partition passes the re-balanced shard. Besides lane l's scratch it
-// touches replica d, the (iter, d) RNG stream, and (on the injection device
-// only) the injection bookkeeping.
-func (e *Engine) deviceStep(l *lane, iter, d int, batch data.Batch, exLen, lo, n int) devStats {
-	var ds devStats
-	ds.examples = n
+// stackStep runs the stack of healthy devices w.healthy[i0:i1] of the job on
+// lane l as one pass: the forward over the devices' shards laid one after
+// another in device order (with injection and monitoring hooks on each
+// device's rows), each device's loss over its own shard, and the backward,
+// which lands each device's gradients and statistics in its replica (see
+// nn.Stack). The pass runs on the replica of the stack's first device, whose
+// weights equal every healthy replica's. Besides lane l's scratch it
+// touches the stack's replicas, their slots of w.out and (on the injection
+// device only) the injection bookkeeping.
+func (e *Engine) stackStep(l *lane, i0, i1 int) {
+	w := &e.work
+	devs := w.healthy[i0:i1]
+	out := w.out[i0:i1]
+	st := &l.stack
+	st.Devices = devs
+	st.Examples = st.Examples[:0]
+	inj := -1 // the injection device's index in devs
+	for j, d := range devs {
+		st.Examples = append(st.Examples, w.n[d])
+		out[j] = devStats{examples: w.n[d]}
+		if d == e.injectDevice {
+			inj = j
+		}
+	}
+	x, y := l.shards(w.batch, w.exLen, devs, w.lo, w.n)
 
-	// Shard the global batch: a view of examples [lo, lo+n) behind the
-	// lane's reused header.
-	sc := &l.step
-	x := &sc.x
-	x.Shape = append(append(x.Shape[:0], n), batch.X.Shape[1:]...)
-	x.Data = batch.X.Data[lo*exLen : (lo+n)*exLen]
-	y := batch.Y[lo : lo+n]
-
-	ctx := &sc.ctx
+	ctx := &l.step.ctx
 	*ctx = nn.Context{Training: true}
-	model := e.replicas[d]
-	if e.bound[d] != l.id {
+	model := e.replicas[devs[0]]
+	if e.bound[devs[0]] != l.id {
 		model.BindWorkspaces(l.ws)
-		e.bound[d] = l.id
+		e.bound[devs[0]] = l.id
 	}
 
 	var fwdHook nn.ForwardHook
 	var bwdHook nn.BackwardHook
-	// Collect the injections that fire this (iteration, device),
-	// grouped by pass. An injection is one-shot: once fired it never
-	// recurs, so re-execution during recovery runs clean.
+	// Collect the injections that fire this (iteration, device), grouped
+	// by pass. An injection is one-shot: once fired it never recurs, so
+	// re-execution during recovery runs clean.
 	var fwdInjs, bwdInjs, wgtInjs []int
-	if d == e.injectDevice {
-		for i, inj := range e.injections {
-			if e.injFired[i] || inj.Iteration != iter {
+	if inj >= 0 {
+		for i, in := range e.injections {
+			if e.injFired[i] || in.Iteration != w.iter {
 				continue
 			}
-			if inj.LayerIdx < 0 || inj.LayerIdx >= model.Len() {
-				panic(fmt.Sprintf("train: injection targets layer %d but model has %d layers", inj.LayerIdx, model.Len()))
+			if in.LayerIdx < 0 || in.LayerIdx >= model.Len() {
+				panic(fmt.Sprintf("train: injection targets layer %d but model has %d layers", in.LayerIdx, model.Len()))
 			}
-			switch inj.Pass {
+			switch in.Pass {
 			case fault.Forward:
 				fwdInjs = append(fwdInjs, i)
 			case fault.BackwardInput:
@@ -396,14 +409,27 @@ func (e *Engine) deviceStep(l *lane, iter, d int, batch data.Batch, exLen, lo, n
 	fire := func(i int, t *tensor.Tensor, axis int) {
 		res := e.injections[i].Apply(t, axis)
 		e.injFired[i] = true
-		ds.injected = true
-		ds.injectedElems += len(res.Indices)
+		out[inj].injected = true
+		out[inj].injectedElems += len(res.Indices)
 	}
-	if len(fwdInjs) > 0 {
-		fwdHook = func(li int, out *tensor.Tensor) *tensor.Tensor {
-			for _, i := range fwdInjs {
-				if e.injections[i].LayerIdx == li && !e.injFired[i] {
-					fire(i, out, chanAxis(out.Shape))
+	// fireOn fires the injections of injs armed at layer li on the injection
+	// device's rows of t.
+	fireOn := func(injs []int, li int, t *tensor.Tensor) {
+		for _, i := range injs {
+			if e.injections[i].LayerIdx == li && !e.injFired[i] {
+				v := l.block(t, inj)
+				fire(i, v, chanAxis(v.Shape))
+			}
+		}
+	}
+	if len(fwdInjs) > 0 || e.ForwardMonitor != nil {
+		fwdHook = func(li int, o *tensor.Tensor) *tensor.Tensor {
+			for j, d := range devs {
+				if j == inj {
+					fireOn(fwdInjs, li, o)
+				}
+				if e.ForwardMonitor != nil {
+					e.ForwardMonitor(d, li, l.block(o, j))
 				}
 			}
 			return nil
@@ -411,56 +437,42 @@ func (e *Engine) deviceStep(l *lane, iter, d int, batch data.Batch, exLen, lo, n
 	}
 	if len(bwdInjs) > 0 {
 		bwdHook = func(li int, grad *tensor.Tensor) *tensor.Tensor {
-			for _, i := range bwdInjs {
-				if e.injections[i].LayerIdx == li && !e.injFired[i] {
-					fire(i, grad, chanAxis(grad.Shape))
-				}
-			}
+			fireOn(bwdInjs, li, grad)
 			return nil
 		}
 	}
 
-	if e.ForwardMonitor != nil {
-		inner := fwdHook
-		dev := d
-		fwdHook = func(li int, o *tensor.Tensor) *tensor.Tensor {
-			if inner != nil {
-				if replaced := inner(li, o); replaced != nil {
-					o = replaced
-				}
-			}
-			e.ForwardMonitor(dev, li, o)
-			return o
-		}
+	logits := model.ForwardStack(ctx, x, st, fwdHook)
+	if cap(l.res) < len(devs) {
+		l.res = make([]nn.LossResult, len(devs))
 	}
-	out := model.Forward(ctx, x, fwdHook)
-	res := l.loss.Eval(out, y)
-	ds.loss = res.Loss
-	ds.correct = res.Correct
-	if math.IsNaN(res.Loss) || math.IsInf(res.Loss, 0) {
-		ds.nonFiniteAt = fmt.Sprintf("loss@device%d", d)
+	l.res = l.res[:len(devs)]
+	grad := l.loss.EvalBlocks(logits, y, st.Examples, l.res)
+	for j, r := range l.res {
+		out[j].loss, out[j].correct = r.Loss, r.Correct
+		if math.IsNaN(r.Loss) || math.IsInf(r.Loss, 0) {
+			out[j].nonFiniteAt = fmt.Sprintf("loss@device%d", devs[j])
+		}
 	}
 	// Nothing reads the gradient with respect to the model input unless a
 	// backward-input injection is armed, so without one it is never formed.
-	model.BackwardParams(res.GradLogits, bwdHook)
+	model.BackwardParams(grad, bwdHook)
 
 	for _, i := range wgtInjs {
-		// Corrupt the layer's primary weight-gradient tensor (the
-		// output of the weight-gradient operation on the accelerator,
+		// Corrupt the injection device's primary weight-gradient tensor
+		// (the output of the weight-gradient operation on the accelerator,
 		// laid out per the transposed Sec-3.1 plan).
-		params := model.Layers[e.injections[i].LayerIdx].Layer.Params()
+		params := e.replicas[e.injectDevice].Layers[e.injections[i].LayerIdx].Layer.Params()
 		if len(params) > 0 && !e.injFired[i] {
 			plan := accel.PlanFor(accel.OpWeightGrad, params[0].Grad.Shape)
 			fire(i, params[0].Grad, plan.ChanAxis)
 		}
 	}
-	return ds
 }
 
-// RunIteration executes global iteration iter: per-device forward/backward
-// on the engine's lanes (SetLanes; one lane steps the devices one after
-// another in ascending order), their results merged in ascending device
-// order, gradient averaging through the collective layer
+// RunIteration executes global iteration iter: the healthy devices'
+// forward/backward in stacks on the engine's lanes (SetLanes; one lane steps
+// them all as one stack), their results merged in ascending device order, gradient averaging through the collective layer
 // (comm.Group.AllReduce, fixed ascending reduction order), one optimizer
 // step on the reduction root, and weight synchronization. Quarantined
 // devices are skipped entirely; if the collective hangs (a device failed and
@@ -612,8 +624,9 @@ func (e *Engine) scanNonFinite() string {
 
 // Evaluate computes loss and accuracy of device d's replica on the test
 // set, in inference mode (moving statistics active). It runs the set through
-// the replica in slices of PerDeviceBatch examples — the shapes training
-// already holds, so the layers' scratch does not grow — and gives the bits
+// the replica in slices of the examples lane 0's stack holds at full
+// strength (evalRows) — the shapes training already holds, so the layers'
+// scratch does not grow — and gives the bits
 // one forward of the whole set would: every layer works per example in
 // inference mode (a GEMM output element sums its k products in ascending
 // order whatever the column count), and the loss total is carried from slice
@@ -633,8 +646,9 @@ func (e *Engine) Evaluate(d int) (loss, acc float64) {
 	x := &sc.x
 	var total float64
 	correct := 0
-	for lo := 0; lo < n; lo += e.cfg.PerDeviceBatch {
-		hi := min(lo+e.cfg.PerDeviceBatch, n)
+	rows := e.evalRows()
+	for lo := 0; lo < n; lo += rows {
+		hi := min(lo+rows, n)
 		x.Shape = append(append(x.Shape[:0], hi-lo), all.X.Shape[1:]...)
 		x.Data = all.X.Data[lo*exLen : hi*exLen]
 		out := e.replicas[d].Forward(&sc.ctx, x, nil)
@@ -646,6 +660,16 @@ func (e *Engine) Evaluate(d int) (loss, acc float64) {
 		correct += c
 	}
 	return total / float64(n), float64(correct) / float64(n)
+}
+
+// evalRows is how many examples lane 0's stack holds with every device
+// healthy: PerDeviceBatch for each of the first stack's devices.
+func (e *Engine) evalRows() int {
+	devices := 1
+	if e.replicas[0].Stackable() {
+		devices = (e.cfg.Devices + len(e.lanes) - 1) / len(e.lanes)
+	}
+	return devices * e.cfg.PerDeviceBatch
 }
 
 // Evaluations returns how many times Evaluate has run on this engine.

@@ -482,7 +482,8 @@ func BenchmarkKernel_SeqMean(b *testing.B) {
 		benchShapes(b, seqShapes, 0, func(x, _ *tensor.Tensor) func() {
 			rows := x.Reshape(x.Shape[0]*x.Shape[1], x.Shape[2])
 			sums := tensor.New(x.Shape[2])
-			return func() { tensor.SumPerChannelNCHW(rows, sums) }
+			dsts, blocks := []*tensor.Tensor{sums}, []int{rows.Shape[0]}
+			return func() { tensor.SumPerChannelBlocks(dsts, rows, blocks) }
 		})
 	})
 }
